@@ -6,13 +6,9 @@
 //!   (the Sec. 4.2 "compose as small dense MMs without unfolding" claim).
 //! * **CT-CSR tile width sweep** for the sparse backward kernel.
 
-// Deliberately exercises the deprecated throwaway-scratch entry points
-// as the baseline against the reused-scratch path.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use spg_convnet::{unfold, ConvSpec};
+use spg_convnet::{unfold, ConvScratch, ConvSpec};
 use spg_core::sparse::kernel as sparse;
 use spg_gemm::{spmm_csr_dense, spmm_ctcsr_dense};
 use spg_tensor::sparse::{Csr, CtCsr};
@@ -61,15 +57,17 @@ fn bench_pointer_shifting(c: &mut Criterion) {
     let spec = ConvSpec::square(32, 32, 32, 4, 1);
     let ops = conv_operands(&spec, 0.9, 0x88);
     let mut grad_in = vec![0.0f32; spec.input_shape().len()];
+    let mut scratch = ConvScratch::new();
     group.throughput(Throughput::Elements(spec.arithmetic_ops()));
     group.bench_function("in_place_pointer_shifting", |bch| {
         bch.iter(|| {
-            sparse::backward_data(
+            sparse::backward_data_scratch(
                 &spec,
                 ops.weights.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 64,
+                &mut scratch,
             )
         });
     });
@@ -92,16 +90,18 @@ fn bench_tile_width_sweep(c: &mut Criterion) {
     let spec = ConvSpec::square(32, 128, 32, 3, 1);
     let ops = conv_operands(&spec, 0.9, 0x99);
     let mut grad_in = vec![0.0f32; spec.input_shape().len()];
+    let mut scratch = ConvScratch::new();
     group.throughput(Throughput::Elements(spec.arithmetic_ops()));
     for tw in [8usize, 32, 64, 128] {
         group.bench_with_input(BenchmarkId::new("sparse_bp_tile", tw), &tw, |bch, &tw| {
             bch.iter(|| {
-                sparse::backward_data(
+                sparse::backward_data_scratch(
                     &spec,
                     ops.weights.as_slice(),
                     ops.grad_out.as_slice(),
                     &mut grad_in,
                     tw,
+                    &mut scratch,
                 )
             });
         });
@@ -122,34 +122,44 @@ fn bench_compiled_amortization(c: &mut Criterion) {
     let spec = ConvSpec::square(8, 64, 64, 5, 1); // CIFAR-10 L1
     let ops = conv_operands(&spec, 0.9, 0xaa);
     let mut out = vec![0.0f32; spec.output_shape().len()];
+    let mut scratch = ConvScratch::new();
     group.throughput(Throughput::Elements(spec.arithmetic_ops()));
 
     group.bench_function("stencil_fp_stateless", |bch| {
         bch.iter(|| {
-            stencil::forward(&spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out)
+            stencil::forward_scratch(
+                &spec,
+                ops.input.as_slice(),
+                ops.weights.as_slice(),
+                &mut out,
+                &mut scratch,
+            )
         });
     });
     let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::SparseBp };
     let compiled =
         CompiledConv::compile(spec, plan, ops.weights.as_slice(), 1).expect("valid weights");
     group.bench_function("stencil_fp_compiled", |bch| {
-        bch.iter(|| compiled.forward(ops.input.as_slice(), &mut out));
+        bch.iter(|| compiled.forward_scratch(ops.input.as_slice(), &mut out, &mut scratch));
     });
 
     let mut grad_in = vec![0.0f32; spec.input_shape().len()];
     group.bench_function("sparse_bp_stateless", |bch| {
         bch.iter(|| {
-            sparse::backward_data(
+            sparse::backward_data_scratch(
                 &spec,
                 ops.weights.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 64,
+                &mut scratch,
             )
         });
     });
     group.bench_function("sparse_bp_compiled", |bch| {
-        bch.iter(|| compiled.backward_data(ops.grad_out.as_slice(), &mut grad_in));
+        bch.iter(|| {
+            compiled.backward_data_scratch(ops.grad_out.as_slice(), &mut grad_in, &mut scratch)
+        });
     });
     group.finish();
 }

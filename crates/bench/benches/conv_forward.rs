@@ -3,13 +3,9 @@
 //! small-convolution layers where the paper deploys the stencil
 //! (MNIST L0, CIFAR-10 L1), and on a shrunken Table 1 ID 5 geometry.
 
-// Deliberately exercises the deprecated throwaway-scratch entry points
-// as the baseline against the reused-scratch path.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use spg_convnet::{gemm_exec, ConvSpec};
+use spg_convnet::{gemm_exec, ConvScratch, ConvSpec};
 use spg_core::stencil::kernel as stencil;
 use spg_workloads::synth::conv_operands;
 
@@ -28,15 +24,29 @@ fn bench_forward(c: &mut Criterion) {
     for (name, spec) in cases() {
         let ops = conv_operands(&spec, 0.0, 0x33);
         let mut out = vec![0.0f32; spec.output_shape().len()];
+        let mut scratch = ConvScratch::new();
         group.throughput(Throughput::Elements(spec.arithmetic_ops()));
         group.bench_with_input(BenchmarkId::new("unfold_gemm", name), &spec, |bch, spec| {
             bch.iter(|| {
-                gemm_exec::forward(spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out, 1)
+                gemm_exec::forward_scratch(
+                    spec,
+                    ops.input.as_slice(),
+                    ops.weights.as_slice(),
+                    &mut out,
+                    1,
+                    &mut scratch,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("stencil", name), &spec, |bch, spec| {
             bch.iter(|| {
-                stencil::forward(spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out)
+                stencil::forward_scratch(
+                    spec,
+                    ops.input.as_slice(),
+                    ops.weights.as_slice(),
+                    &mut out,
+                    &mut scratch,
+                )
             });
         });
     }

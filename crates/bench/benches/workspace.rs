@@ -1,17 +1,13 @@
 //! Allocation-path versus workspace-path benchmarks.
 //!
-//! Every conv kernel has two entry points: a legacy wrapper that builds a
-//! fresh [`ConvScratch`] per call (paying buffer allocation and zeroing on
-//! every sample) and a `_scratch` variant that reuses a caller-owned,
-//! warmed workspace — the allocation-free steady state the training loop
+//! Every conv kernel runs out of a caller-owned [`ConvScratch`]. The
+//! `alloc` rows hand each call a fresh `ConvScratch::new()` (paying buffer
+//! allocation and zeroing on every sample); the `workspace` rows reuse one
+//! warmed scratch — the allocation-free steady state the training loop
 //! runs in after warm-up. The gap between the two is the per-sample heap
-//! cost the workspace refactor removes; it is what keeps per-core
+//! cost the workspace design removes; it is what keeps per-core
 //! arithmetic intensity at the kernel's own level instead of diluting it
 //! with allocator traffic.
-
-// Deliberately exercises the deprecated throwaway-scratch entry points
-// as the baseline against the reused-scratch path.
-#![allow(deprecated)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -34,7 +30,14 @@ fn bench_forward_paths(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("unfold_alloc", name), &spec, |bch, spec| {
             bch.iter(|| {
-                gemm_exec::forward(spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out, 1)
+                gemm_exec::forward_scratch(
+                    spec,
+                    ops.input.as_slice(),
+                    ops.weights.as_slice(),
+                    &mut out,
+                    1,
+                    &mut ConvScratch::new(),
+                )
             });
         });
         let mut scratch = ConvScratch::new();
@@ -53,7 +56,13 @@ fn bench_forward_paths(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("stencil_alloc", name), &spec, |bch, spec| {
             bch.iter(|| {
-                stencil::forward(spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out)
+                stencil::forward_scratch(
+                    spec,
+                    ops.input.as_slice(),
+                    ops.weights.as_slice(),
+                    &mut out,
+                    &mut ConvScratch::new(),
+                )
             });
         });
         let mut scratch = ConvScratch::new();
@@ -83,19 +92,21 @@ fn bench_backward_paths(c: &mut Criterion) {
 
     group.bench_with_input(BenchmarkId::new("dense_bp", "alloc"), &spec, |bch, spec| {
         bch.iter(|| {
-            gemm_exec::backward_data(
+            gemm_exec::backward_data_scratch(
                 spec,
                 ops.weights.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 1,
+                &mut ConvScratch::new(),
             );
-            gemm_exec::backward_weights(
+            gemm_exec::backward_weights_scratch(
                 spec,
                 ops.input.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_w,
                 1,
+                &mut ConvScratch::new(),
             );
         });
     });
@@ -123,19 +134,21 @@ fn bench_backward_paths(c: &mut Criterion) {
 
     group.bench_with_input(BenchmarkId::new("sparse_bp", "alloc"), &spec, |bch, spec| {
         bch.iter(|| {
-            sparse::backward_data(
+            sparse::backward_data_scratch(
                 spec,
                 ops.weights.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 DEFAULT_TILE_WIDTH,
+                &mut ConvScratch::new(),
             );
-            sparse::backward_weights(
+            sparse::backward_weights_scratch(
                 spec,
                 ops.input.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_w,
                 DEFAULT_TILE_WIDTH,
+                &mut ConvScratch::new(),
             );
         });
     });

@@ -6,13 +6,13 @@
 //! kernels on this host, demonstrating that the implemented kernels show
 //! the same single-core ordering the model predicts.
 
-// Benchmarks the deprecated throwaway-scratch entry points on purpose,
-// as the baseline the reused-scratch path is compared against.
-#![allow(deprecated)]
+//!
+//! Every kernel runs through its `_scratch` entry point with one reused
+//! [`ConvScratch`] — the allocation-free path that ships.
 
 use std::time::Instant;
 
-use spg_convnet::{gemm_exec, ConvSpec};
+use spg_convnet::{gemm_exec, ConvScratch, ConvSpec};
 use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::sparse::DEFAULT_TILE_WIDTH;
 use spg_core::stencil::kernel as stencil_kernel;
@@ -34,8 +34,16 @@ fn time_forward<F: FnMut()>(flops: u64, reps: usize, mut run: F) -> f64 {
 pub fn unfold_gemm_fp_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     let ops = conv_operands(spec, 0.0, 0xbeef);
     let mut out = vec![0.0f32; spec.output_shape().len()];
+    let mut scratch = ConvScratch::new();
     time_forward(spec.arithmetic_ops(), reps, || {
-        gemm_exec::forward(spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out, 1);
+        gemm_exec::forward_scratch(
+            spec,
+            ops.input.as_slice(),
+            ops.weights.as_slice(),
+            &mut out,
+            1,
+            &mut scratch,
+        );
     })
 }
 
@@ -44,8 +52,15 @@ pub fn unfold_gemm_fp_gflops(spec: &ConvSpec, reps: usize) -> f64 {
 pub fn stencil_fp_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     let ops = conv_operands(spec, 0.0, 0xbeef);
     let mut out = vec![0.0f32; spec.output_shape().len()];
+    let mut scratch = ConvScratch::new();
     time_forward(spec.arithmetic_ops(), reps, || {
-        stencil_kernel::forward(spec, ops.input.as_slice(), ops.weights.as_slice(), &mut out);
+        stencil_kernel::forward_scratch(
+            spec,
+            ops.input.as_slice(),
+            ops.weights.as_slice(),
+            &mut out,
+            &mut scratch,
+        );
     })
 }
 
@@ -60,8 +75,9 @@ pub fn stencil_fp_compiled_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     let kernel =
         CompiledConv::compile(*spec, plan, ops.weights.as_slice(), 1).expect("valid operands");
     let mut out = vec![0.0f32; spec.output_shape().len()];
+    let mut scratch = ConvScratch::new();
     time_forward(spec.arithmetic_ops(), reps, || {
-        kernel.forward(ops.input.as_slice(), &mut out);
+        kernel.forward_scratch(ops.input.as_slice(), &mut out, &mut scratch);
     })
 }
 
@@ -92,21 +108,24 @@ pub fn sparse_bp_measurement(spec: &ConvSpec, sparsity: f64, reps: usize) -> Spa
     let ops = conv_operands(spec, sparsity, 0x5ee0);
     let mut grad_in = vec![0.0f32; spec.input_shape().len()];
     let mut grad_w = vec![0.0f32; spec.weight_shape().len()];
+    let mut scratch = ConvScratch::new();
 
     let mut dense = || {
-        gemm_exec::backward_data(
+        gemm_exec::backward_data_scratch(
             spec,
             ops.weights.as_slice(),
             ops.grad_out.as_slice(),
             &mut grad_in,
             1,
+            &mut scratch,
         );
-        gemm_exec::backward_weights(
+        gemm_exec::backward_weights_scratch(
             spec,
             ops.input.as_slice(),
             ops.grad_out.as_slice(),
             &mut grad_w,
             1,
+            &mut scratch,
         );
     };
     dense();
@@ -117,19 +136,21 @@ pub fn sparse_bp_measurement(spec: &ConvSpec, sparsity: f64, reps: usize) -> Spa
     let dense_secs = start.elapsed().as_secs_f64() / reps as f64;
 
     let mut sparse = || {
-        sparse_kernel::backward_data(
+        sparse_kernel::backward_data_scratch(
             spec,
             ops.weights.as_slice(),
             ops.grad_out.as_slice(),
             &mut grad_in,
             DEFAULT_TILE_WIDTH,
+            &mut scratch,
         );
-        sparse_kernel::backward_weights(
+        sparse_kernel::backward_weights_scratch(
             spec,
             ops.input.as_slice(),
             ops.grad_out.as_slice(),
             &mut grad_w,
             DEFAULT_TILE_WIDTH,
+            &mut scratch,
         );
     };
     sparse();

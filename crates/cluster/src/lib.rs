@@ -10,9 +10,9 @@
 //!   per-shard bounded queues (`spg_serve` backpressure semantics),
 //!   health-based eviction, and budgeted respawn.
 //! - **Training** ([`allreduce`], [`train`]): synchronous data-parallel
-//!   SGD whose gradient all-reduce is a from-scratch chunked ring (with
-//!   a binomial-tree variant for comparison). The ring folds sample
-//!   gradients in global sample order, so epoch losses are
+//!   SGD — each rank calls `spg_convnet::Trainer`'s own loop — whose
+//!   gradient all-reduce is a from-scratch chunked ring. The ring folds
+//!   sample gradients in global sample order, so epoch losses are
 //!   **bit-identical** to the single-process `Trainer` pool for any
 //!   worker count, and mid-all-reduce faults replay deterministically
 //!   from committed rank state.
@@ -61,7 +61,7 @@ pub mod shard;
 pub mod train;
 pub mod wire;
 
-pub use allreduce::{ring_allreduce, tree_allreduce, AllReduce, BatchAcc, RingLink, SampleGrad};
+pub use allreduce::{ring_allreduce, AllReduce, BatchAcc, RingLink, SampleGrad};
 pub use hash::HashRing;
 pub use router::{
     InProcShard, PendingRoute, RemoteShard, RouteReply, Router, RouterConfig, ShardBackend,
@@ -260,8 +260,6 @@ pub struct ClusterConfig {
     pub restart_backoff: Duration,
     /// Shard/rank connectivity.
     pub transport: Transport,
-    /// Gradient all-reduce algorithm.
-    pub allreduce: AllReduce,
     /// Floats per all-reduce wire chunk.
     pub chunk_floats: usize,
 }
@@ -277,7 +275,6 @@ impl Default for ClusterConfig {
             restart_budget: 3,
             restart_backoff: Duration::from_millis(5),
             transport: Transport::InProc,
-            allreduce: AllReduce::Ring,
             chunk_floats: 4096,
         }
     }
@@ -372,13 +369,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn transport(mut self, transport: Transport) -> Self {
         self.config.transport = transport;
-        self
-    }
-
-    /// Gradient all-reduce algorithm.
-    #[must_use]
-    pub fn allreduce(mut self, algo: AllReduce) -> Self {
-        self.config.allreduce = algo;
         self
     }
 
@@ -573,7 +563,7 @@ impl Cluster {
     }
 
     /// Runs synchronous data-parallel SGD over `shards` ranks with the
-    /// configured all-reduce; epoch losses are bit-identical to
+    /// ordered ring all-reduce; epoch losses are bit-identical to
     /// [`spg_convnet::Trainer`] on the same seed (pinned by tests).
     ///
     /// Requires a [`factory`](ClusterBuilder::factory) and the
@@ -606,7 +596,7 @@ impl Cluster {
         }
         let opts = InProcTrainOptions {
             world: self.config.shards,
-            algo: self.config.allreduce,
+            algo: AllReduce::Ring,
             chunk_floats: self.config.chunk_floats,
             restart_budget: self.config.restart_budget,
             restart_backoff: self.config.restart_backoff,

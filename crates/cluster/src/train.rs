@@ -1,19 +1,22 @@
 //! Synchronous data-parallel SGD across ranks: every rank processes its
 //! contiguous block of each global batch, the gradients all-reduce over
-//! the ring (or tree), and **every rank applies the identical update**
-//! — so weights never travel after startup and losses are bit-identical
-//! to the single-process `spg_convnet::Trainer` on the same seed.
+//! the ring, and **every rank applies the identical update** — so weights
+//! never travel after startup and losses are bit-identical to the
+//! single-process `spg_convnet::Trainer` on the same seed.
 //!
-//! The per-batch arithmetic replicates `Trainer::train_inline` *exactly*
-//! (same shuffle per epoch, same per-sample forward/backward, same f32
-//! accumulation association via the ordered ring, same momentum update
-//! expression), which the `train_cluster_bitident` tests pin for 1, 2,
+//! A rank *calls* the trainer's loop ([`Trainer::run`]): shuffle
+//! schedule, epoch statistics, momentum update and resume logic are the
+//! trainer's own code, not a copy. What this module adds is the ring
+//! implementation of the loop's one seam, `spg_convnet::sgd::BatchFold`
+//! — a rank's block of samples folded through [`ring_allreduce`] in
+//! global sample order, which is that seam's contract — plus the
+//! rank-specific fault handling below. The bit-identity tests pin 1, 2,
 //! 3, and 4 ranks against the pool.
 //!
 //! # Fault recovery
 //!
-//! A rank mutates its [`RankState`] only at batch commit (after the
-//! update applies), so a rank dropping mid-all-reduce leaves every
+//! The loop advances a rank's [`RankState`] only at batch commit (after
+//! the update applies), so a rank dropping mid-all-reduce leaves every
 //! surviving rank with a consistent committed state and a typed
 //! [`ClusterError::RingFault`]. The in-process driver
 //! [`train_in_proc`] then replays: it takes the state with the most
@@ -24,16 +27,15 @@
 //! the distributed analogue of PR 4's in-order sample replay.
 
 use std::io::{Read, Write};
-use std::time::{Duration, Instant};
+use std::ops::Range;
+use std::time::Duration;
 
 use spg_convnet::data::Dataset;
+use spg_convnet::sgd::{self, BatchFold, Progress, Shared};
 use spg_convnet::workspace::Workspace;
-use spg_convnet::{io, EpochStats, Network, TrainerConfig};
-use spg_tensor::Tensor;
+use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 
-use crate::allreduce::{
-    ring_allreduce, tree_allreduce, AllReduce, BatchAcc, PeerLink, RingLink, SampleGrad,
-};
+use crate::allreduce::{ring_allreduce, AllReduce, RingLink, SampleGrad};
 use crate::ClusterError;
 
 /// A deterministic mid-all-reduce fault drill: the named rank drops its
@@ -76,8 +78,6 @@ pub enum Comm {
         /// Stream to the next rank.
         tx_next: Box<dyn Write + Send>,
     },
-    /// Full(-enough) mesh for the binomial tree, indexed by peer rank.
-    Mesh(Vec<Option<Box<dyn PeerLink + Send>>>),
 }
 
 /// Per-rank training options.
@@ -87,40 +87,22 @@ pub struct RankOptions {
     pub rank: usize,
     /// Total rank count.
     pub world: usize,
-    /// All-reduce algorithm (must match [`Comm`]: ring wants
-    /// [`Comm::Ring`], tree wants [`Comm::Mesh`]).
-    pub algo: AllReduce,
     /// Floats per wire chunk.
     pub chunk_floats: usize,
     /// Optional deterministic fault drill.
     pub fault: Option<TrainFault>,
 }
 
-/// Everything a rank has durably committed: weights, optimizer state,
-/// epoch-statistics accumulators, and the resume position. Mutated only
-/// after a batch's update has been applied.
+/// Everything a rank has durably committed: a weight snapshot plus the
+/// trainer's own [`Progress`] (optimizer state, partial epoch statistics,
+/// resume position). Both change only once a batch's update has been
+/// applied.
 #[derive(Debug, Clone)]
 pub struct RankState {
-    /// Batches fully applied since training started.
-    pub committed_batches: u64,
-    /// Epoch (1-based) to resume at.
-    pub next_epoch: usize,
-    /// Batch index within `next_epoch` to resume at.
-    pub next_batch: usize,
     /// Weight snapshot (`spg_convnet::io` format) at the last commit.
     pub weights: Vec<u8>,
-    /// Momentum velocity at the last commit.
-    pub velocity: Vec<Tensor>,
-    /// Partial epoch accumulator: loss sum.
-    pub epoch_loss_sum: f64,
-    /// Partial epoch accumulator: correct predictions.
-    pub epoch_correct: usize,
-    /// Partial epoch accumulator: per-conv-layer sparsity sums.
-    pub epoch_sparsity_sums: Vec<f64>,
-    /// Partial epoch accumulator: samples absorbed.
-    pub epoch_samples: usize,
-    /// Stats of every completed epoch.
-    pub stats: Vec<EpochStats>,
+    /// The training loop's progress at the last commit.
+    pub progress: Progress,
 }
 
 impl RankState {
@@ -128,32 +110,8 @@ impl RankState {
     pub fn fresh(net: &Network) -> Self {
         let mut weights = Vec::new();
         io::save_weights(net, &mut weights).expect("in-memory weight snapshot");
-        RankState {
-            committed_batches: 0,
-            next_epoch: 1,
-            next_batch: 0,
-            weights,
-            velocity: net.layers().iter().map(|l| Tensor::zeros(l.param_count())).collect(),
-            epoch_loss_sum: 0.0,
-            epoch_correct: 0,
-            epoch_sparsity_sums: vec![0.0; conv_layer_indices(net).len()],
-            epoch_samples: 0,
-            stats: Vec::new(),
-        }
+        RankState { weights, progress: Progress::fresh(net) }
     }
-}
-
-/// Indices of the conv layers (the sparsity series), as the pool
-/// computes them.
-fn conv_layer_indices(net: &Network) -> Vec<usize> {
-    net.layers().iter().enumerate().filter_map(|(i, l)| l.conv_spec().map(|_| i)).collect()
-}
-
-/// Per-layer parameter counts and the flattened total.
-fn param_layout(net: &Network) -> (Vec<usize>, usize) {
-    let counts: Vec<usize> = net.layers().iter().map(|l| l.param_count()).collect();
-    let total = counts.iter().sum();
-    (counts, total)
 }
 
 /// This rank's contiguous block `[start, end)` of a `batch_len`-sample
@@ -167,69 +125,108 @@ pub fn block_bounds(batch_len: usize, world: usize, rank: usize) -> (usize, usiz
     (start, start + len)
 }
 
-/// One sample forward + backward — the pool's `process_sample`, via the
-/// public `Network` API.
-fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
-    net.forward_into(data.image(i).as_slice(), ws);
-    let label = data.label(i);
-    let (loss, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
-    let logits = ws.trace.logits();
-    let pred = (0..logits.len()).max_by(|&a, &b| logits[a].total_cmp(&logits[b])).unwrap_or(0);
-    net.backward_into(loss_grad.as_slice(), ws);
-    (loss, pred == label)
+/// The ring implementation of the trainer's [`BatchFold`] seam: this
+/// rank runs its [`block_bounds`] block of the batch and the ordered
+/// chain-in-ring all-reduce folds every rank's samples in global sample
+/// order, which is exactly the seam's contract. Also carries the two
+/// rank-specific duties that hang off the same per-batch points: the
+/// fault drill (before a batch) and the weight snapshot (at its commit).
+struct RingFold<'r> {
+    opts: &'r RankOptions,
+    comm: &'r mut Comm,
+    /// [`RankState::weights`], re-snapshotted at every commit.
+    weights: &'r mut Vec<u8>,
+    ws: Workspace,
+    conv_layers: Vec<usize>,
+    grad_len: usize,
 }
 
-/// Flattens the workspace's per-layer gradients in layer order.
-fn flatten_grads(ws: &Workspace, out: &mut Vec<f32>) {
-    out.clear();
-    for g in &ws.param_grads {
-        out.extend_from_slice(g.as_slice());
-    }
-}
+impl BatchFold for RingFold<'_> {
+    type Error = ClusterError;
 
-/// Splits a flattened gradient vector back into per-layer tensors.
-fn unflatten(flat: &[f32], counts: &[usize]) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(counts.len());
-    let mut off = 0;
-    for &n in counts {
-        let mut t = Tensor::zeros(n);
-        t.as_mut_slice().copy_from_slice(&flat[off..off + n]);
-        off += n;
-        out.push(t);
-    }
-    out
-}
-
-/// Applies one reduced batch — the exact update expressions of the
-/// pool's `apply_batch`, so every f32 rounding matches.
-fn apply_batch(
-    net: &mut Network,
-    velocity: &mut [Tensor],
-    acc: &BatchAcc,
-    batch_len: usize,
-    counts: &[usize],
-    trainer: &TrainerConfig,
-) {
-    let grads = unflatten(&acc.grads, counts);
-    let scale = batch_len as f32;
-    if trainer.momentum > 0.0 {
-        for (v, g) in velocity.iter_mut().zip(&grads) {
-            for (v, g) in v.iter_mut().zip(g.iter()) {
-                *v = trainer.momentum * *v + g / scale;
-            }
+    fn fold(
+        &mut self,
+        shared: &Shared<'_>,
+        epoch: usize,
+        batch: usize,
+        samples: Range<usize>,
+        acc: &mut sgd::BatchAcc,
+    ) -> Result<(), ClusterError> {
+        let RankOptions { rank, world, chunk_floats, fault } = *self.opts;
+        if fault == Some(TrainFault { rank, epoch, batch }) {
+            // Dropping out here (links close when the caller drops Comm)
+            // is what a killed worker looks like to its neighbors: their
+            // reads fail mid-all-reduce.
+            return Err(ClusterError::RingFault {
+                rank,
+                epoch,
+                batch,
+                message: "injected fault: rank dropped before all-reduce".to_string(),
+            });
         }
-        net.apply_gradient_slices(velocity, trainer.learning_rate, 1.0);
-    } else {
-        net.apply_gradient_slices(&grads, trainer.learning_rate, scale);
+        let net = spg_sync::read(&shared.net);
+        let data = spg_sync::read(&shared.data);
+        let Comm::Ring { rx_prev, tx_next } = &mut *self.comm else {
+            // One rank owns the whole batch: the trainer's local fold.
+            for i in samples {
+                acc.absorb_sample(&net, &data, i, &mut self.ws);
+            }
+            return Ok(());
+        };
+        let (s0, s1) = block_bounds(samples.len(), world, rank);
+        let mut block = Vec::with_capacity(s1 - s0);
+        for i in samples.start + s0..samples.start + s1 {
+            let (loss, correct) = sgd::process_sample(&net, &data, i, &mut self.ws);
+            let mut grads = Vec::with_capacity(self.grad_len);
+            for g in &self.ws.param_grads {
+                grads.extend_from_slice(g.as_slice());
+            }
+            block.push(SampleGrad {
+                grads,
+                loss,
+                correct,
+                sparsity: self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]).collect(),
+            });
+        }
+        let mut link =
+            RingLink { rank, world, rx_prev: rx_prev.as_mut(), tx_next: tx_next.as_mut() };
+        let reduced = ring_allreduce(
+            &mut link,
+            u32::try_from(epoch).expect("epoch fits u32"),
+            u32::try_from(batch).expect("batch index fits u32"),
+            &block,
+            self.grad_len,
+            self.conv_layers.len(),
+            chunk_floats,
+        )?;
+        acc.loss_sum = reduced.loss_sum;
+        acc.correct = usize::try_from(reduced.correct).expect("correct count fits usize");
+        acc.sparsity_sums.clone_from(&reduced.sparsity_sums);
+        let mut off = 0;
+        for g in &mut acc.grads {
+            let layer = g.as_mut_slice();
+            layer.copy_from_slice(&reduced.grads[off..off + layer.len()]);
+            off += layer.len();
+        }
+        Ok(())
+    }
+
+    fn committed(&mut self, shared: &Shared<'_>) {
+        self.weights.clear();
+        io::save_weights(&spg_sync::read(&shared.net), &mut *self.weights)
+            .expect("in-memory weight snapshot");
     }
 }
 
-/// Runs one rank of the synchronous data-parallel training loop.
+/// Runs one rank of the synchronous data-parallel training loop: the
+/// trainer's own [`Trainer::run`] over the ring fold.
 ///
 /// `state` carries committed progress in and out: on success it holds
 /// the final state; on a typed error it holds the last *committed*
-/// state, from which the driver replays deterministically. The returned
-/// stats (on success) equal `state.stats`.
+/// state, from which the driver replays deterministically. `data` must
+/// arrive in its original order (the loop replays completed epochs'
+/// shuffles). The returned stats (on success) equal
+/// `state.progress.stats`.
 ///
 /// # Errors
 ///
@@ -250,171 +247,25 @@ pub fn run_rank(
             detail: format!("rank {} out of range for world {}", opts.rank, opts.world),
         });
     }
-    if matches!((&*comm, opts.algo), (Comm::Mesh(_), AllReduce::Ring))
-        || matches!((&*comm, opts.algo), (Comm::Ring { .. }, AllReduce::Tree))
-    {
+    if matches!(comm, Comm::Solo) && opts.world > 1 {
         return Err(ClusterError::Config {
-            detail: "all-reduce algorithm does not match the communication fabric".to_string(),
+            detail: format!("world {} needs ring links, got Comm::Solo", opts.world),
         });
     }
 
     io::load_weights(net, state.weights.as_slice())
         .map_err(|e| ClusterError::Config { detail: format!("restoring rank state: {e}") })?;
-    let mut velocity = state.velocity.clone();
-    let conv_layers = conv_layer_indices(net);
-    let (counts, grad_len) = param_layout(net);
-    let mut ws = Workspace::for_network(net);
-    let mut flat = Vec::with_capacity(grad_len);
-
-    let resume_epoch = state.next_epoch;
-    // Epoch shuffles permute the dataset *in place*, composing across
-    // epochs; `data` arrives in original order, so a resume must replay
-    // the completed epochs' permutations first.
-    for e in 1..resume_epoch {
-        data.shuffle(trainer.shuffle_seed.wrapping_add(e as u64));
-    }
-    for epoch in resume_epoch..=trainer.epochs {
-        let _telemetry = spg_telemetry::scope("cluster.trainer", spg_telemetry::Phase::Other);
-        data.shuffle(trainer.shuffle_seed.wrapping_add(epoch as u64));
-        let start = Instant::now();
-        let start_batch = if epoch == resume_epoch { state.next_batch } else { 0 };
-        // Mid-epoch resume restores the partial epoch accumulator; a
-        // fresh epoch starts from zero.
-        let (mut loss_sum, mut correct, mut sparsity_sums, mut samples_seen) = if start_batch > 0 {
-            (
-                state.epoch_loss_sum,
-                state.epoch_correct,
-                state.epoch_sparsity_sums.clone(),
-                state.epoch_samples,
-            )
-        } else {
-            (0.0, 0, vec![0.0; conv_layers.len()], 0)
-        };
-
-        let indices: Vec<usize> = (0..data.len()).collect();
-        let epoch_u32 = u32::try_from(epoch).expect("epoch fits u32");
-        for (batch_no, batch) in indices.chunks(trainer.batch_size).enumerate() {
-            if batch_no < start_batch {
-                continue;
-            }
-            if let Some(f) = opts.fault {
-                if f.rank == opts.rank && f.epoch == epoch && f.batch == batch_no {
-                    // Dropping out here (links close when the caller
-                    // drops Comm) is what a killed worker looks like to
-                    // its neighbors: their reads fail mid-all-reduce.
-                    return Err(ClusterError::RingFault {
-                        rank: opts.rank,
-                        epoch,
-                        batch: batch_no,
-                        message: "injected fault: rank dropped before all-reduce".to_string(),
-                    });
-                }
-            }
-            let (s0, s1) = block_bounds(batch.len(), opts.world, opts.rank);
-            let mut block = Vec::with_capacity(s1 - s0);
-            for &i in &batch[s0..s1] {
-                let (loss, ok) = process_sample(net, data, i, &mut ws);
-                flatten_grads(&ws, &mut flat);
-                block.push(SampleGrad {
-                    grads: flat.clone(),
-                    loss,
-                    correct: ok,
-                    sparsity: conv_layers.iter().map(|&li| ws.grad_sparsity[li]).collect(),
-                });
-            }
-            let batch_u32 = u32::try_from(batch_no).expect("batch index fits u32");
-            let acc = match comm {
-                Comm::Solo => {
-                    let mut link = RingLink {
-                        rank: 0,
-                        world: 1,
-                        rx_prev: &mut std::io::empty(),
-                        tx_next: &mut std::io::sink(),
-                    };
-                    ring_allreduce(
-                        &mut link,
-                        epoch_u32,
-                        batch_u32,
-                        &block,
-                        grad_len,
-                        conv_layers.len(),
-                        opts.chunk_floats,
-                    )?
-                }
-                Comm::Ring { rx_prev, tx_next } => {
-                    let mut link = RingLink {
-                        rank: opts.rank,
-                        world: opts.world,
-                        rx_prev: rx_prev.as_mut(),
-                        tx_next: tx_next.as_mut(),
-                    };
-                    ring_allreduce(
-                        &mut link,
-                        epoch_u32,
-                        batch_u32,
-                        &block,
-                        grad_len,
-                        conv_layers.len(),
-                        opts.chunk_floats,
-                    )?
-                }
-                Comm::Mesh(links) => tree_allreduce(
-                    opts.rank,
-                    opts.world,
-                    links,
-                    epoch_u32,
-                    batch_u32,
-                    &block,
-                    grad_len,
-                    conv_layers.len(),
-                    opts.chunk_floats,
-                )?,
-            };
-
-            // Same order as the pool: absorb into the epoch accumulator,
-            // then apply the update.
-            loss_sum += acc.loss_sum;
-            correct += usize::try_from(acc.correct).expect("correct count fits usize");
-            for (dst, src) in sparsity_sums.iter_mut().zip(&acc.sparsity_sums) {
-                *dst += src;
-            }
-            samples_seen += batch.len();
-            apply_batch(net, &mut velocity, &acc, batch.len(), &counts, trainer);
-
-            // Commit: everything a replay needs to resume from *after*
-            // this batch.
-            state.committed_batches += 1;
-            state.next_epoch = epoch;
-            state.next_batch = batch_no + 1;
-            state.weights.clear();
-            io::save_weights(net, &mut state.weights).expect("in-memory weight snapshot");
-            state.velocity.clone_from(&velocity);
-            state.epoch_loss_sum = loss_sum;
-            state.epoch_correct = correct;
-            state.epoch_sparsity_sums.clone_from(&sparsity_sums);
-            state.epoch_samples = samples_seen;
-        }
-
-        // The pool's `EpochAcc::into_stats` expressions, verbatim.
-        let stats = EpochStats {
-            epoch,
-            mean_loss: loss_sum / data.len() as f64,
-            accuracy: correct as f64 / data.len() as f64,
-            conv_grad_sparsity: sparsity_sums
-                .iter()
-                .map(|s| s / samples_seen.max(1) as f64)
-                .collect(),
-            images_per_sec: data.len() as f64 / start.elapsed().as_secs_f64().max(1e-9),
-        };
-        state.stats.push(stats);
-        state.next_epoch = epoch + 1;
-        state.next_batch = 0;
-        state.epoch_loss_sum = 0.0;
-        state.epoch_correct = 0;
-        state.epoch_sparsity_sums.fill(0.0);
-        state.epoch_samples = 0;
-    }
-    Ok(state.stats.clone())
+    let mut fold = RingFold {
+        opts,
+        comm,
+        weights: &mut state.weights,
+        ws: Workspace::for_network(net),
+        conv_layers: sgd::conv_layer_indices(net),
+        grad_len: net.layers().iter().map(|l| l.param_count()).sum(),
+    };
+    let shared = Shared::new(net, data);
+    Trainer::new(trainer.clone()).run(&shared, &mut fold, &mut state.progress, |_, _| {})?;
+    Ok(state.progress.stats.clone())
 }
 
 /// Options for the in-process multi-rank driver.
@@ -422,7 +273,7 @@ pub fn run_rank(
 pub struct InProcTrainOptions {
     /// Rank count.
     pub world: usize,
-    /// All-reduce algorithm.
+    /// Compatibility residue, read by nothing: see [`AllReduce`].
     pub algo: AllReduce,
     /// Floats per wire chunk.
     pub chunk_floats: usize,
@@ -470,20 +321,6 @@ fn ring_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
         .collect())
 }
 
-/// Builds the socketpair mesh for the tree algorithm.
-fn mesh_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
-    use std::os::unix::net::UnixStream;
-    let mut links: Vec<Vec<Option<Box<dyn PeerLink + Send>>>> =
-        (0..world).map(|_| (0..world).map(|_| None).collect()).collect();
-    let pairs = (0..world).flat_map(|a| (a + 1..world).map(move |b| (a, b)));
-    for (a, b) in pairs {
-        let (sa, sb) = UnixStream::pair()?;
-        links[a][b] = Some(Box::new(sa));
-        links[b][a] = Some(Box::new(sb));
-    }
-    Ok(links.into_iter().map(Comm::Mesh).collect())
-}
-
 /// Trains `world` in-process ranks (threads over Unix socketpairs) with
 /// synchronous data-parallel SGD, recovering deterministically from
 /// mid-all-reduce faults.
@@ -518,11 +355,8 @@ pub fn train_in_proc(
         let fabrics: Vec<Comm> = if opts.world == 1 {
             vec![Comm::Solo]
         } else {
-            match opts.algo {
-                AllReduce::Ring => ring_fabric(opts.world),
-                AllReduce::Tree => mesh_fabric(opts.world),
-            }
-            .map_err(|e| ClusterError::Config { detail: format!("building fabric: {e}") })?
+            ring_fabric(opts.world)
+                .map_err(|e| ClusterError::Config { detail: format!("building fabric: {e}") })?
         };
 
         let outcomes: Vec<(RankState, Result<Vec<EpochStats>, ClusterError>)> =
@@ -538,7 +372,6 @@ pub fn train_in_proc(
                             let opts = RankOptions {
                                 rank,
                                 world: opts.world,
-                                algo: opts.algo,
                                 chunk_floats: opts.chunk_floats,
                                 fault,
                             };
@@ -598,11 +431,11 @@ pub fn train_in_proc(
                 spg_telemetry::record_counter("cluster.train.restarts", 1);
                 // Resume from the most-advanced committed state; with
                 // synchronous updates every committed state at the same
-                // count is identical, so "most advanced" is unique.
+                // position is identical, so "most advanced" is unique.
                 let best = outcomes
                     .into_iter()
                     .map(|(state, _)| state)
-                    .max_by_key(|s| s.committed_batches)
+                    .max_by_key(|s| (s.progress.next_epoch, s.progress.next_batch))
                     .expect("world >= 1");
                 states = vec![best; opts.world];
                 let backoff = spg_sync::backoff_delay(opts.restart_backoff, attempt + 1);
@@ -621,7 +454,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use spg_convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
-    use spg_convnet::{ConvSpec, Trainer};
+    use spg_convnet::ConvSpec;
     use spg_tensor::Shape3;
 
     fn make_net() -> Result<Network, spg_error::Error> {
@@ -692,19 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_variant_is_deterministic() {
-        let run = || {
-            let opts = InProcTrainOptions { world: 4, algo: AllReduce::Tree, ..Default::default() };
-            train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts)
-                .unwrap()
-                .iter()
-                .map(|s| s.mean_loss.to_bits())
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(run(), run(), "tree all-reduce must be run-to-run deterministic");
-    }
-
-    #[test]
     fn mid_allreduce_fault_recovers_bit_identically() {
         let expect = pool_loss_bits();
         let opts = InProcTrainOptions {
@@ -715,6 +535,62 @@ mod tests {
         let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
         let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
         assert_eq!(got, expect, "recovered run diverged from the fault-free pool run");
+    }
+
+    /// The trainer's own local fold, failing once at a chosen batch: the
+    /// resume logic lives in `Trainer::run`, so it must hold without a
+    /// ring in sight.
+    struct StopAt {
+        inner: sgd::LocalFold,
+        at: Option<(usize, usize)>,
+    }
+
+    impl BatchFold for StopAt {
+        type Error = (usize, usize);
+
+        fn fold(
+            &mut self,
+            shared: &Shared<'_>,
+            epoch: usize,
+            batch: usize,
+            samples: Range<usize>,
+            acc: &mut sgd::BatchAcc,
+        ) -> Result<(), Self::Error> {
+            if self.at == Some((epoch, batch)) {
+                return Err((epoch, batch));
+            }
+            let Ok(()) = self.inner.fold(shared, epoch, batch, samples, acc);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn local_fold_resumes_from_its_progress_bit_identically() {
+        let expect = pool_loss_bits();
+        // 24 samples at batch 8: three batches per epoch. Stop before the
+        // first, a middle and the last batch of an epoch.
+        for stop in [(1usize, 0usize), (2, 1), (3, 2)] {
+            let mut net = make_net().unwrap();
+            let trainer = Trainer::new(trainer_cfg());
+            let mut progress = Progress::fresh(&net);
+            let mut fold = StopAt { inner: sgd::LocalFold::new(&net), at: Some(stop) };
+
+            let mut data = make_data();
+            let stopped =
+                trainer.run(&Shared::new(&mut net, &mut data), &mut fold, &mut progress, |_, _| {});
+            assert_eq!(stopped, Err(stop));
+            assert_eq!((progress.next_epoch, progress.next_batch), stop);
+
+            // Resume: same network (it holds the committed weights), the
+            // dataset back in its original order, the same progress value.
+            fold.at = None;
+            let mut data = make_data();
+            trainer
+                .run(&Shared::new(&mut net, &mut data), &mut fold, &mut progress, |_, _| {})
+                .unwrap();
+            let got: Vec<u64> = progress.stats.iter().map(|s| s.mean_loss.to_bits()).collect();
+            assert_eq!(got, expect, "run stopped at {stop:?} diverged after resume");
+        }
     }
 
     #[test]

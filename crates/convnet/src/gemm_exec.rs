@@ -15,27 +15,6 @@ use crate::unfold::{fold, unfold_into, unfold_transposed_into};
 use crate::workspace::ConvScratch;
 use crate::ConvSpec;
 
-/// Forward propagation allocating a throwaway [`ConvScratch`] per call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use `forward_scratch` with a \
-                                      reused `ConvScratch` (the PR 2 allocation-free seam)"
-)]
-pub fn forward(
-    spec: &ConvSpec,
-    input: &[f32],
-    weights: &[f32],
-    output: &mut [f32],
-    threads: usize,
-) {
-    forward_scratch(spec, input, weights, output, threads, &mut ConvScratch::new());
-}
-
 /// Forward propagation via `O = W_mat * U^T` (Fig. 2c), running out of a
 /// caller-owned [`ConvScratch`].
 ///
@@ -70,28 +49,6 @@ pub fn forward_scratch(
     } else {
         gemm_slice(m, n, k, weights, k, scratch.mat_a.as_slice(), n, output, n);
     }
-}
-
-/// Backward error propagation allocating a throwaway [`ConvScratch`] per
-/// call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use `backward_data_scratch` \
-                                      with a reused `ConvScratch`"
-)]
-pub fn backward_data(
-    spec: &ConvSpec,
-    weights: &[f32],
-    grad_out: &[f32],
-    grad_in: &mut [f32],
-    threads: usize,
-) {
-    backward_data_scratch(spec, weights, grad_out, grad_in, threads, &mut ConvScratch::new());
 }
 
 /// Backward error propagation via `E_U = E_O^T * W_mat`, then `col2im`,
@@ -153,28 +110,6 @@ pub fn backward_data_scratch(
         );
     }
     fold(spec, &scratch.mat_b, grad_in);
-}
-
-/// Weight-gradient computation allocating a throwaway [`ConvScratch`]
-/// per call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use \
-                                      `backward_weights_scratch` with a reused `ConvScratch`"
-)]
-pub fn backward_weights(
-    spec: &ConvSpec,
-    input: &[f32],
-    grad_out: &[f32],
-    grad_weights: &mut [f32],
-    threads: usize,
-) {
-    backward_weights_scratch(spec, input, grad_out, grad_weights, threads, &mut ConvScratch::new());
 }
 
 /// Weight-gradient computation via `dW = E_O * U`, running out of a

@@ -14,7 +14,9 @@
 //!
 //! Loading validates the layer count and every per-layer parameter count
 //! against the receiving network, so weights can only be restored into a
-//! structurally identical model.
+//! structurally identical model — and it is atomic: the whole stream is
+//! parsed and validated before the first parameter is written, so a
+//! failed load leaves the network exactly as it was.
 
 use std::io::{Read, Write};
 
@@ -59,11 +61,12 @@ pub fn save_weights<W: Write>(net: &Network, mut writer: W) -> std::io::Result<(
 }
 
 /// Restores trainable parameters into a structurally identical network.
+/// All or nothing: on `Err` no layer of `net` has been modified.
 ///
 /// # Errors
 ///
-/// Returns [`LoadError::Io`] on reader failures, [`LoadError::Format`] on
-/// a malformed or mismatched file.
+/// Returns [`LoadError::Io`] on reader failures (including a truncated
+/// stream), [`LoadError::Format`] on a malformed or mismatched file.
 pub fn load_weights<R: Read>(net: &mut Network, mut reader: R) -> Result<(), LoadError> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -81,7 +84,11 @@ pub fn load_weights<R: Read>(net: &mut Network, mut reader: R) -> Result<(), Loa
             net.layers().len()
         )));
     }
-    for (i, layer) in net.layers_mut().iter_mut().enumerate() {
+    // Stage every layer's parameters first. Buffers are sized by the
+    // network's own parameter counts (the file's count field is only
+    // compared against them), so a hostile length cannot drive allocation.
+    let mut staged: Vec<Vec<f32>> = Vec::with_capacity(layer_count);
+    for (i, layer) in net.layers().iter().enumerate() {
         let mut count_bytes = [0u8; 8];
         reader.read_exact(&mut count_bytes)?;
         let count = usize::try_from(u64::from_le_bytes(count_bytes)).map_err(|_| {
@@ -93,16 +100,18 @@ pub fn load_weights<R: Read>(net: &mut Network, mut reader: R) -> Result<(), Loa
                 layer.param_count()
             )));
         }
-        if count == 0 {
-            continue;
-        }
         let mut params = vec![0.0f32; count];
         let mut buf = [0u8; 4];
         for p in &mut params {
             reader.read_exact(&mut buf)?;
             *p = f32::from_le_bytes(buf);
         }
-        layer.set_params(&params);
+        staged.push(params);
+    }
+    for (layer, params) in net.layers_mut().iter_mut().zip(&staged) {
+        if !params.is_empty() {
+            layer.set_params(params);
+        }
     }
     Ok(())
 }
@@ -218,6 +227,24 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let mut target = make_net(6);
         assert!(matches!(load_weights(&mut target, buf.as_slice()), Err(LoadError::Io(_))));
+    }
+
+    /// Regression: loading used to `set_params` layer by layer, so a file
+    /// truncated inside the last layer returned `Err` with every earlier
+    /// layer already overwritten — a half-restored model.
+    #[test]
+    fn failed_load_leaves_the_network_untouched() {
+        let source = make_net(1);
+        let mut buf = Vec::new();
+        save_weights(&source, &mut buf).unwrap();
+        buf.truncate(buf.len() - 3); // inside the final (fc) layer
+
+        let mut target = make_net(2);
+        let input = Tensor::filled(36, 0.3);
+        let before = target.forward(&input).logits().clone();
+        assert!(matches!(load_weights(&mut target, buf.as_slice()), Err(LoadError::Io(_))));
+        let after = target.forward(&input).logits().clone();
+        assert_eq!(before.as_slice(), after.as_slice(), "conv layer was overwritten");
     }
 
     #[test]

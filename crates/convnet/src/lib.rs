@@ -44,7 +44,7 @@ mod net;
 pub mod profile;
 pub mod reference;
 pub mod regularize;
-mod sgd;
+pub mod sgd;
 mod spec;
 pub mod unfold;
 pub mod workspace;

@@ -1,5 +1,14 @@
-//! Mini-batch SGD training loop with cross-sample parallelism and the
-//! instrumentation the paper's experiments need.
+//! Mini-batch SGD: the workspace's one epoch × batch training loop, with
+//! cross-sample parallelism and the instrumentation the paper's
+//! experiments need.
+//!
+//! [`Trainer::run`] owns the loop — shuffle schedule, in-order batch
+//! accumulation, epoch statistics, momentum update, resumable
+//! [`Progress`] — and is parameterized by one seam, [`BatchFold`]: how a
+//! batch's per-sample results reach the accumulator in sample order.
+//! Three folds exist: [`LocalFold`] (this thread), the supervised worker
+//! pool below, and `spg-cluster`'s ring fold, whose ranks call this loop
+//! rather than copy it.
 //!
 //! The trainer's `sample_threads` knob *is* the GEMM-in-Parallel schedule
 //! at the training-loop level: each worker thread pushes whole samples
@@ -14,15 +23,17 @@
 //!
 //! The pool is *supervised*: each worker runs every sample inside
 //! [`std::panic::catch_unwind`], so a panicking kernel reports a fault
-//! instead of poisoning the shared locks. The main thread respawns the
+//! instead of poisoning the shared locks. The folding thread respawns the
 //! crashed worker with a fresh [`Workspace`], replays the lost samples in
 //! order (preserving bit-identical merges), and only fails the run with a
 //! typed [`TrainError::WorkerFault`] once
 //! [`TrainerConfig::restart_budget`] is spent.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::RwLock;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use spg_sync::{FaultInjector, FaultPlan};
@@ -205,278 +216,85 @@ impl Trainer {
     where
         F: FnMut(&mut Network, &EpochStats),
     {
+        let mut progress = Progress::fresh(net);
+        let shared = Shared::new(net, data);
         // The supervision machinery (and with it fault injection) lives
-        // in the pooled path; a configured fault plan forces it so that
+        // in the pool; a configured fault plan forces it so that
         // `--inject-fault` is never a silent no-op at one thread.
         if self.config.sample_threads == 1 && self.config.fault_plan.is_none() {
-            Ok(self.train_inline(net, data, after_epoch))
+            let mut fold = LocalFold::new(&spg_sync::read(&shared.net));
+            let Ok(()) = self.run(&shared, &mut fold, &mut progress, after_epoch);
         } else {
-            self.train_pooled(net, data, after_epoch)
+            std::thread::scope(|scope| {
+                // Dropped when this closure returns — on success or on a
+                // typed fault — which closes the job channels, so the
+                // workers exit before the scope joins them: no deadlock.
+                let mut fold = PoolFold::spawn(scope, &shared, &self.config);
+                self.run(&shared, &mut fold, &mut progress, after_epoch)
+            })?;
         }
+        Ok(progress.stats)
     }
 
-    /// Single-threaded training: one long-lived [`Workspace`] serves every
-    /// sample, and batches merge in sample order — the same arithmetic as
-    /// the pooled path with any worker count.
-    fn train_inline<F>(
+    /// The epoch × batch SGD loop — the only one in the workspace — from
+    /// `progress` to the end of training, folding each batch through
+    /// `fold` (see [`BatchFold`]).
+    ///
+    /// `progress` changes only after a batch's fold succeeded, in one
+    /// infallible sequence, so on `Err` it (and the network) hold exactly
+    /// the last committed batch and a later call resumes from there. That
+    /// call must be handed the dataset in its original order: epoch
+    /// shuffles permute it in place, composing across epochs, so the loop
+    /// replays the completed epochs' permutations on its way to the
+    /// resume point.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fold` reports for the batch it could not fold.
+    pub fn run<F: BatchFold>(
         &self,
-        net: &mut Network,
-        data: &mut Dataset,
-        mut after_epoch: F,
-    ) -> Vec<EpochStats>
-    where
-        F: FnMut(&mut Network, &EpochStats),
-    {
-        let conv_layers = conv_layer_indices(net);
-        let mut ws = Workspace::for_network(net);
-        let mut acc = BatchAcc::for_network(net, conv_layers.len());
-        let mut velocity = zero_param_grads(net);
-        let mut all_stats = Vec::with_capacity(self.config.epochs);
+        shared: &Shared<'_>,
+        fold: &mut F,
+        progress: &mut Progress,
+        mut after_epoch: impl FnMut(&mut Network, &EpochStats),
+    ) -> Result<(), F::Error> {
+        let batch_size = self.config.batch_size;
+        let mut acc = BatchAcc::for_network(&spg_sync::read(&shared.net));
         for epoch in 1..=self.config.epochs {
+            let data_len = {
+                let mut data = spg_sync::write(&shared.data);
+                data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
+                data.len()
+            };
+            if epoch < progress.next_epoch {
+                continue;
+            }
             // One scope entry per epoch: `trainer` wall time / call count
             // gives total optimizer-loop time in the metrics snapshot.
             let _telemetry = spg_telemetry::scope("trainer", spg_telemetry::Phase::Other);
-            data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
             let start = Instant::now();
-            let mut epoch_acc = EpochAcc::new(conv_layers.len());
-
-            let indices: Vec<usize> = (0..data.len()).collect();
-            for batch in indices.chunks(self.config.batch_size) {
+            while progress.next_batch * batch_size < data_len {
+                let batch = progress.next_batch;
+                let samples = batch * batch_size..((batch + 1) * batch_size).min(data_len);
                 acc.reset();
-                for &i in batch {
-                    let (loss, correct) = process_sample(net, data, i, &mut ws);
-                    acc.absorb(loss, correct, &ws.param_grads, &ws.grad_sparsity, &conv_layers);
-                }
-                epoch_acc.absorb(&acc, batch.len());
-                self.apply_batch(net, &mut velocity, &acc, batch.len());
+                fold.fold(shared, epoch, batch, samples.clone(), &mut acc)?;
+                progress.epoch_acc.absorb(&acc, samples.len());
+                self.apply_batch(
+                    &mut spg_sync::write(&shared.net),
+                    &mut progress.velocity,
+                    &acc,
+                    samples.len(),
+                );
+                progress.next_batch = batch + 1;
+                fold.committed(shared);
             }
-
-            let stats = epoch_acc.into_stats(epoch, data.len(), start.elapsed().as_secs_f64());
-            after_epoch(net, &stats);
-            all_stats.push(stats);
+            let stats = progress.epoch_acc.finish(epoch, data_len, start.elapsed().as_secs_f64());
+            after_epoch(&mut spg_sync::write(&shared.net), &stats);
+            progress.stats.push(stats);
+            progress.next_epoch = epoch + 1;
+            progress.next_batch = 0;
         }
-        all_stats
-    }
-
-    /// Pooled training: `sample_threads` persistent workers, spawned once,
-    /// each owning one [`Workspace`]. Jobs carry recycled [`SampleResult`]
-    /// buffers out and back, so the steady-state loop is allocation-free
-    /// end to end.
-    ///
-    /// The main thread is the supervisor: a worker that panics sends a
-    /// fault message (its sample's position in the in-order merge) and
-    /// exits; the supervisor respawns the slot with a fresh [`Workspace`],
-    /// replays the lost samples in order, and charges the slot's restart
-    /// budget.
-    fn train_pooled<F>(
-        &self,
-        net: &mut Network,
-        data: &mut Dataset,
-        mut after_epoch: F,
-    ) -> Result<Vec<EpochStats>, TrainError>
-    where
-        F: FnMut(&mut Network, &EpochStats),
-    {
-        let conv_layers = conv_layer_indices(net);
-        // Batch-starvation clamp: jobs round-robin as `j % workers`, so a
-        // pool wider than the batch leaves slots that never receive a
-        // sample — they would be spawned, idle for the whole run, and
-        // still charge scope/teardown cost. Spawn only as many workers as
-        // the batch can feed and count the declined slots.
-        let workers = self.config.sample_threads.min(self.config.batch_size).max(1);
-        let starved = self.config.sample_threads - workers;
-        if starved > 0 {
-            spg_telemetry::record_counter("train.starved_workers", starved as u64);
-        }
-        let mut acc = BatchAcc::for_network(net, conv_layers.len());
-        let mut velocity = zero_param_grads(net);
-        // Enough result slots that a full batch can be in flight.
-        let mut free: Vec<SampleResult> = (0..self.config.batch_size.max(workers))
-            .map(|_| SampleResult::for_network(net))
-            .collect();
-        let injector = FaultInjector::new(self.config.fault_plan);
-
-        // Workers read the network and dataset through RwLocks; the main
-        // thread takes the write side only between batches (applying
-        // updates / reshuffling), when no jobs are outstanding. All lock
-        // acquisition recovers from poisoning: a worker panic is confined
-        // by catch_unwind while only read guards are held, and read-side
-        // guards never leave the data mid-update.
-        let net_lock = RwLock::new(net);
-        let data_lock = RwLock::new(data);
-
-        std::thread::scope(|scope| {
-            // Spawns one worker incarnation for slot `w`; re-invoked by
-            // the supervisor with a disarmed injector after a fault.
-            let spawn_worker = |w: usize, injector: FaultInjector| {
-                let (job_tx, job_rx) = mpsc::channel::<(usize, SampleResult)>();
-                let (result_tx, result_rx) = mpsc::channel::<Result<SampleResult, String>>();
-                let net_lock = &net_lock;
-                let data_lock = &data_lock;
-                scope.spawn(move || {
-                    let mut ws = {
-                        let net = spg_sync::read(net_lock);
-                        Workspace::for_network(&net)
-                    };
-                    let mut jobs_done: u64 = 0;
-                    // Blocked on recv the worker holds no locks; it exits
-                    // when the main thread drops its job sender, or after
-                    // reporting a fault.
-                    while let Ok((i, mut slot)) = job_rx.recv() {
-                        jobs_done += 1;
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            injector.check(w, jobs_done);
-                            let net = spg_sync::read(net_lock);
-                            let data = spg_sync::read(data_lock);
-                            let (loss, correct) = process_sample(&net, &data, i, &mut ws);
-                            slot.capture(&ws, loss, correct);
-                        }));
-                        match outcome {
-                            Ok(()) => {
-                                if result_tx.send(Ok(slot)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(payload) => {
-                                // The workspace may be mid-update: report
-                                // the fault (in order, as this sample's
-                                // result) and exit so the supervisor can
-                                // respawn a clean incarnation.
-                                let _ =
-                                    result_tx.send(Err(spg_sync::panic_message(payload.as_ref())));
-                                break;
-                            }
-                        }
-                    }
-                });
-                (job_tx, result_rx)
-            };
-
-            let mut job_txs = Vec::with_capacity(workers);
-            let mut result_rxs = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (job_tx, result_rx) = spawn_worker(w, injector.clone());
-                job_txs.push(job_tx);
-                result_rxs.push(result_rx);
-            }
-            let mut restarts_used = vec![0usize; workers];
-
-            let mut all_stats = Vec::with_capacity(self.config.epochs);
-            for epoch in 1..=self.config.epochs {
-                let _telemetry = spg_telemetry::scope("trainer", spg_telemetry::Phase::Other);
-                let data_len = {
-                    let mut data = spg_sync::write(&data_lock);
-                    data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
-                    data.len()
-                };
-                let start = Instant::now();
-                let mut epoch_acc = EpochAcc::new(conv_layers.len());
-
-                let indices: Vec<usize> = (0..data_len).collect();
-                for (batch_no, batch) in indices.chunks(self.config.batch_size).enumerate() {
-                    acc.reset();
-                    // Sample j -> worker j % workers, round-robin. A send
-                    // only fails when the worker already crashed; its
-                    // pending fault is handled (and the lost jobs are
-                    // replayed) in the merge loop below.
-                    for (j, &i) in batch.iter().enumerate() {
-                        let slot = free.pop().unwrap_or_else(|| {
-                            let net = spg_sync::read(&net_lock);
-                            SampleResult::for_network(&net)
-                        });
-                        let _ = job_txs[j % workers].send((i, slot));
-                    }
-                    // Receive in sample order: worker j % workers returns
-                    // its results FIFO, so this merge order — and with it
-                    // the f32 accumulation — is identical to the inline
-                    // path regardless of worker count, fault or no fault.
-                    let mut j = 0;
-                    while j < batch.len() {
-                        let w = j % workers;
-                        match result_rxs[w].recv() {
-                            Ok(Ok(r)) => {
-                                acc.absorb(
-                                    r.loss,
-                                    r.correct,
-                                    &r.param_grads,
-                                    &r.grad_sparsity,
-                                    &conv_layers,
-                                );
-                                free.push(r);
-                                j += 1;
-                            }
-                            fault => {
-                                // Worker w crashed on sample j (faults are
-                                // reported in-order as that sample's
-                                // result) or died without reporting.
-                                let message = match fault {
-                                    Ok(Err(message)) => message,
-                                    _ => "training worker disconnected".to_string(),
-                                };
-                                spg_telemetry::record_counter("train.faulted_samples", 1);
-                                if restarts_used[w] >= self.config.restart_budget {
-                                    // Returning drops the job senders, so
-                                    // the surviving workers exit before
-                                    // the scope joins them: no deadlock.
-                                    return Err(TrainError::WorkerFault {
-                                        worker: w,
-                                        epoch,
-                                        batch: batch_no,
-                                        message,
-                                    });
-                                }
-                                restarts_used[w] += 1;
-                                spg_telemetry::record_counter("train.worker_restarts", 1);
-                                let backoff = spg_sync::backoff_delay(
-                                    self.config.restart_backoff,
-                                    restarts_used[w],
-                                );
-                                if !backoff.is_zero() {
-                                    std::thread::sleep(backoff);
-                                }
-                                // Respawn with a disarmed injector: the
-                                // one-shot plan must not re-trip on the
-                                // replayed samples. Real deterministic
-                                // panics re-fire on replay and burn down
-                                // the budget to a typed error.
-                                let (job_tx, result_rx) =
-                                    spawn_worker(w, FaultInjector::disarmed());
-                                job_txs[w] = job_tx;
-                                result_rxs[w] = result_rx;
-                                // Replay the faulted sample and every
-                                // later sample of this batch owned by the
-                                // slot — those jobs died with the old
-                                // channel. Replay preserves order, so the
-                                // merge stays bit-identical.
-                                for (j2, &i2) in batch.iter().enumerate().skip(j) {
-                                    if j2 % workers == w {
-                                        let slot = free.pop().unwrap_or_else(|| {
-                                            let net = spg_sync::read(&net_lock);
-                                            SampleResult::for_network(&net)
-                                        });
-                                        let _ = job_txs[w].send((i2, slot));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    epoch_acc.absorb(&acc, batch.len());
-                    let mut net = spg_sync::write(&net_lock);
-                    self.apply_batch(&mut net, &mut velocity, &acc, batch.len());
-                }
-
-                let stats = epoch_acc.into_stats(epoch, data_len, start.elapsed().as_secs_f64());
-                {
-                    let mut net = spg_sync::write(&net_lock);
-                    after_epoch(&mut net, &stats);
-                }
-                all_stats.push(stats);
-            }
-            // Dropping the job senders ends the workers before the scope
-            // joins them.
-            drop(job_txs);
-            Ok(all_stats)
-        })
+        Ok(())
     }
 
     /// Applies one batch's accumulated gradients (with optional momentum).
@@ -501,8 +319,101 @@ impl Trainer {
     }
 }
 
+/// The network and dataset of one training run, as the loop and its
+/// [`BatchFold`] share them.
+///
+/// The loop takes the write side only between batches (reshuffle,
+/// update, epoch callback); a fold — and any worker threads it owns —
+/// the read side only while it folds one. Acquisition goes through the
+/// poison-recovering `spg_sync` helpers: a worker panic is confined by
+/// `catch_unwind` while only read guards are held, and read guards never
+/// leave the data mid-update.
+#[derive(Debug)]
+pub struct Shared<'a> {
+    /// The network being trained.
+    pub net: RwLock<&'a mut Network>,
+    /// The dataset, reshuffled in place every epoch.
+    pub data: RwLock<&'a mut Dataset>,
+}
+
+impl<'a> Shared<'a> {
+    /// Wraps a run's network and dataset.
+    pub fn new(net: &'a mut Network, data: &'a mut Dataset) -> Self {
+        Shared { net: RwLock::new(net), data: RwLock::new(data) }
+    }
+}
+
+/// The one seam of the SGD loop: how a batch's per-sample results reach
+/// the accumulator.
+///
+/// # The sample-order contract
+///
+/// [`fold`](Self::fold) receives `acc` zeroed and must leave it holding
+/// what absorbing the batch's samples **one at a time, in sample order**
+/// produces: for every gradient element and every scalar the additions
+/// start from zero and happen in exactly that order. f32 addition is not
+/// associative, so this order is the whole determinism guarantee — every
+/// implementation that keeps it trains to the same bits, wherever the
+/// samples ran (this thread, a worker pool, other ranks of a ring) — and
+/// a reducer that re-associates the sum (a tree, a reduce-scatter) cannot
+/// implement this trait.
+pub trait BatchFold {
+    /// What a batch that could not be folded reports.
+    type Error;
+
+    /// Folds batch `batch` of (1-based) `epoch` — dataset positions
+    /// `samples` of the current shuffle — into `acc`.
+    ///
+    /// # Errors
+    ///
+    /// Implementation-defined; the loop then commits nothing for this
+    /// batch and returns the error.
+    fn fold(
+        &mut self,
+        shared: &Shared<'_>,
+        epoch: usize,
+        batch: usize,
+        samples: Range<usize>,
+        acc: &mut BatchAcc,
+    ) -> Result<(), Self::Error>;
+
+    /// Called once the batch's update is applied and [`Progress`] has
+    /// advanced past it: the hook for state captured at commit points.
+    fn committed(&mut self, _shared: &Shared<'_>) {}
+}
+
+/// Everything the loop has committed besides the weights (which live in
+/// the network): optimizer state, partial epoch statistics, resume
+/// position. Hand it back to [`Trainer::run`] to resume after an error.
+#[derive(Debug, Clone)]
+pub struct Progress {
+    /// Epoch (1-based) to resume at.
+    pub next_epoch: usize,
+    /// Batch index within `next_epoch` to resume at.
+    pub next_batch: usize,
+    /// Momentum velocity, one tensor per layer.
+    pub velocity: Vec<Tensor>,
+    /// Stats of every completed epoch.
+    pub stats: Vec<EpochStats>,
+    /// Statistics of `next_epoch`'s batches `0..next_batch`.
+    epoch_acc: EpochAcc,
+}
+
+impl Progress {
+    /// The start of training for `net`.
+    pub fn fresh(net: &Network) -> Self {
+        Progress {
+            next_epoch: 1,
+            next_batch: 0,
+            velocity: zero_param_grads(net),
+            stats: Vec::new(),
+            epoch_acc: EpochAcc::new(conv_layer_indices(net).len()),
+        }
+    }
+}
+
 /// Indices of the conv layers (the Fig. 3b sparsity series).
-fn conv_layer_indices(net: &Network) -> Vec<usize> {
+pub fn conv_layer_indices(net: &Network) -> Vec<usize> {
     net.layers().iter().enumerate().filter_map(|(i, l)| l.conv_spec().map(|_| i)).collect()
 }
 
@@ -512,9 +423,10 @@ fn zero_param_grads(net: &Network) -> Vec<Tensor> {
     net.layers().iter().map(|l| Tensor::zeros(l.param_count())).collect()
 }
 
-/// Runs one sample forward + backward inside `ws`, returning its loss and
+/// Runs one sample forward + backward inside `ws` (leaving its parameter
+/// gradients and gradient sparsities there), returning its loss and
 /// whether the prediction was correct.
-fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
+pub fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
     net.forward_into(data.image(i).as_slice(), ws);
     let label = data.label(i);
     let (loss, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
@@ -522,6 +434,226 @@ fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -
     let pred = (0..logits.len()).max_by(|&a, &b| logits[a].total_cmp(&logits[b])).unwrap_or(0);
     net.backward_into(loss_grad.as_slice(), ws);
     (loss, pred == label)
+}
+
+/// The local fold: every sample runs on the calling thread in one
+/// long-lived [`Workspace`] and is absorbed as soon as it finishes — the
+/// reference implementation of the [`BatchFold`] contract.
+#[derive(Debug)]
+pub struct LocalFold {
+    ws: Workspace,
+}
+
+impl LocalFold {
+    /// A fold with a workspace sized for `net`.
+    pub fn new(net: &Network) -> Self {
+        LocalFold { ws: Workspace::for_network(net) }
+    }
+}
+
+impl BatchFold for LocalFold {
+    type Error = std::convert::Infallible;
+
+    fn fold(
+        &mut self,
+        shared: &Shared<'_>,
+        _epoch: usize,
+        _batch: usize,
+        samples: Range<usize>,
+        acc: &mut BatchAcc,
+    ) -> Result<(), Self::Error> {
+        let net = spg_sync::read(&shared.net);
+        let data = spg_sync::read(&shared.data);
+        for i in samples {
+            acc.absorb_sample(&net, &data, i, &mut self.ws);
+        }
+        Ok(())
+    }
+}
+
+/// One job: a dataset position and the recycled buffer its result
+/// travels back in.
+type Job = (usize, SampleResult);
+
+/// The pool fold: `sample_threads` persistent workers, spawned once, each
+/// owning one [`Workspace`]. Jobs carry recycled [`SampleResult`] buffers
+/// out and back, so the steady-state loop is allocation-free end to end.
+///
+/// The folding thread is the supervisor: a worker that panics sends a
+/// fault message (its sample's position in the in-order merge) and exits;
+/// the supervisor respawns the slot with a fresh [`Workspace`], replays
+/// the lost samples in order, and charges the slot's restart budget.
+struct PoolFold<'scope, 'env, 'a> {
+    scope: &'scope Scope<'scope, 'env>,
+    /// The run's [`Shared`] (the value `fold` is handed), which the
+    /// workers read through.
+    shared: &'env Shared<'a>,
+    job_txs: Vec<mpsc::Sender<Job>>,
+    result_rxs: Vec<mpsc::Receiver<Result<SampleResult, String>>>,
+    restarts_used: Vec<usize>,
+    free: Vec<SampleResult>,
+    config: &'env TrainerConfig,
+}
+
+impl<'scope, 'env, 'a> PoolFold<'scope, 'env, 'a> {
+    fn spawn(
+        scope: &'scope Scope<'scope, 'env>,
+        shared: &'env Shared<'a>,
+        config: &'env TrainerConfig,
+    ) -> Self {
+        // Batch-starvation clamp: jobs round-robin as `j % workers`, so a
+        // pool wider than the batch leaves slots that never receive a
+        // sample — they would be spawned, idle for the whole run, and
+        // still charge scope/teardown cost. Spawn only as many workers as
+        // the batch can feed and count the declined slots.
+        let workers = config.sample_threads.min(config.batch_size).max(1);
+        let starved = config.sample_threads - workers;
+        if starved > 0 {
+            spg_telemetry::record_counter("train.starved_workers", starved as u64);
+        }
+        let injector = FaultInjector::new(config.fault_plan);
+        let (job_txs, result_rxs) =
+            (0..workers).map(|w| Self::spawn_worker(scope, shared, w, injector.clone())).unzip();
+        // Enough result slots that a full batch can be in flight.
+        let free = {
+            let net = spg_sync::read(&shared.net);
+            (0..config.batch_size.max(workers)).map(|_| SampleResult::for_network(&net)).collect()
+        };
+        PoolFold {
+            scope,
+            shared,
+            job_txs,
+            result_rxs,
+            restarts_used: vec![0; workers],
+            free,
+            config,
+        }
+    }
+
+    /// Spawns one worker incarnation for slot `w`; re-invoked by the
+    /// supervisor with a disarmed injector after a fault.
+    fn spawn_worker(
+        scope: &'scope Scope<'scope, 'env>,
+        shared: &'env Shared<'a>,
+        w: usize,
+        injector: FaultInjector,
+    ) -> (mpsc::Sender<Job>, mpsc::Receiver<Result<SampleResult, String>>) {
+        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let (result_tx, result_rx) = mpsc::channel();
+        scope.spawn(move || {
+            let mut ws = Workspace::for_network(&spg_sync::read(&shared.net));
+            let mut jobs_done: u64 = 0;
+            // Blocked on recv the worker holds no locks; it exits when
+            // the pool drops its job sender, or after reporting a fault.
+            while let Ok((i, mut slot)) = job_rx.recv() {
+                jobs_done += 1;
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    injector.check(w, jobs_done);
+                    let net = spg_sync::read(&shared.net);
+                    let data = spg_sync::read(&shared.data);
+                    let (loss, correct) = process_sample(&net, &data, i, &mut ws);
+                    slot.capture(&ws, loss, correct);
+                }));
+                match outcome {
+                    Ok(()) => {
+                        if result_tx.send(Ok(slot)).is_err() {
+                            break;
+                        }
+                    }
+                    Err(payload) => {
+                        // The workspace may be mid-update: report the
+                        // fault (in order, as this sample's result) and
+                        // exit so the supervisor can respawn a clean
+                        // incarnation.
+                        let _ = result_tx.send(Err(spg_sync::panic_message(payload.as_ref())));
+                        break;
+                    }
+                }
+            }
+        });
+        (job_tx, result_rx)
+    }
+
+    /// Sends dataset position `i` to worker `w`. A send only fails when
+    /// the worker already crashed; its pending fault is handled (and the
+    /// lost jobs are replayed) by the merge loop.
+    fn send(&mut self, w: usize, i: usize) {
+        let slot = self
+            .free
+            .pop()
+            .unwrap_or_else(|| SampleResult::for_network(&spg_sync::read(&self.shared.net)));
+        let _ = self.job_txs[w].send((i, slot));
+    }
+}
+
+impl BatchFold for PoolFold<'_, '_, '_> {
+    type Error = TrainError;
+
+    fn fold(
+        &mut self,
+        _shared: &Shared<'_>,
+        epoch: usize,
+        batch: usize,
+        samples: Range<usize>,
+        acc: &mut BatchAcc,
+    ) -> Result<(), TrainError> {
+        let workers = self.job_txs.len();
+        // Sample j -> worker j % workers, round-robin.
+        for (j, i) in samples.clone().enumerate() {
+            self.send(j % workers, i);
+        }
+        // Receive in sample order: worker j % workers returns its results
+        // FIFO, so this merge order — and with it the f32 accumulation —
+        // is the `BatchFold` contract's regardless of worker count, fault
+        // or no fault.
+        let mut j = 0;
+        while j < samples.len() {
+            let w = j % workers;
+            match self.result_rxs[w].recv() {
+                Ok(Ok(r)) => {
+                    acc.absorb(r.loss, r.correct, &r.param_grads, &r.grad_sparsity);
+                    self.free.push(r);
+                    j += 1;
+                }
+                fault => {
+                    // Worker w crashed on sample j (faults are reported
+                    // in-order as that sample's result) or died without
+                    // reporting.
+                    let message = match fault {
+                        Ok(Err(message)) => message,
+                        _ => "training worker disconnected".to_string(),
+                    };
+                    spg_telemetry::record_counter("train.faulted_samples", 1);
+                    if self.restarts_used[w] >= self.config.restart_budget {
+                        return Err(TrainError::WorkerFault { worker: w, epoch, batch, message });
+                    }
+                    self.restarts_used[w] += 1;
+                    spg_telemetry::record_counter("train.worker_restarts", 1);
+                    let backoff =
+                        spg_sync::backoff_delay(self.config.restart_backoff, self.restarts_used[w]);
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                    }
+                    // Respawn with a disarmed injector: the one-shot plan
+                    // must not re-trip on the replayed samples. Real
+                    // deterministic panics re-fire on replay and burn
+                    // down the budget to a typed error.
+                    let (job_tx, result_rx) =
+                        Self::spawn_worker(self.scope, self.shared, w, FaultInjector::disarmed());
+                    self.job_txs[w] = job_tx;
+                    self.result_rxs[w] = result_rx;
+                    // Replay the faulted sample and every later sample of
+                    // this batch owned by the slot — those jobs died with
+                    // the old channel. Replay preserves order, so the
+                    // merge stays bit-identical.
+                    for j2 in (j..samples.len()).filter(|j2| j2 % workers == w) {
+                        self.send(w, samples.start + j2);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One sample's results, shuttled main -> worker -> main and recycled; the
@@ -554,21 +686,30 @@ impl SampleResult {
     }
 }
 
-/// Per-batch accumulator, reset and refilled every batch.
-struct BatchAcc {
-    grads: Vec<Tensor>,
-    loss_sum: f64,
-    correct: usize,
-    sparsity_sums: Vec<f64>,
+/// Per-batch accumulator, reset by the loop and refilled by the
+/// [`BatchFold`] every batch.
+#[derive(Debug)]
+pub struct BatchAcc {
+    /// Summed parameter gradients, one tensor per layer.
+    pub grads: Vec<Tensor>,
+    /// Summed losses.
+    pub loss_sum: f64,
+    /// Correct-prediction count.
+    pub correct: usize,
+    /// Summed backward gradient sparsity per conv layer.
+    pub sparsity_sums: Vec<f64>,
+    conv_layers: Vec<usize>,
 }
 
 impl BatchAcc {
-    fn for_network(net: &Network, conv_count: usize) -> Self {
+    fn for_network(net: &Network) -> Self {
+        let conv_layers = conv_layer_indices(net);
         BatchAcc {
             grads: zero_param_grads(net),
             loss_sum: 0.0,
             correct: 0,
-            sparsity_sums: vec![0.0; conv_count],
+            sparsity_sums: vec![0.0; conv_layers.len()],
+            conv_layers,
         }
     }
 
@@ -581,14 +722,16 @@ impl BatchAcc {
         self.sparsity_sums.fill(0.0);
     }
 
-    fn absorb(
-        &mut self,
-        loss: f32,
-        correct: bool,
-        param_grads: &[Tensor],
-        grad_sparsity: &[f64],
-        conv_layers: &[usize],
-    ) {
+    /// Runs sample `i` through [`process_sample`] in `ws` and absorbs it.
+    pub fn absorb_sample(&mut self, net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) {
+        let (loss, correct) = process_sample(net, data, i, ws);
+        self.absorb(loss, correct, &ws.param_grads, &ws.grad_sparsity);
+    }
+
+    /// Absorbs one sample: its loss, whether it was classified correctly,
+    /// and its per-layer parameter gradients and gradient sparsities as
+    /// [`process_sample`] leaves them in the [`Workspace`].
+    fn absorb(&mut self, loss: f32, correct: bool, param_grads: &[Tensor], grad_sparsity: &[f64]) {
         self.loss_sum += loss as f64;
         self.correct += correct as usize;
         for (acc, g) in self.grads.iter_mut().zip(param_grads) {
@@ -596,13 +739,14 @@ impl BatchAcc {
                 *a += v;
             }
         }
-        for (dst, &li) in self.sparsity_sums.iter_mut().zip(conv_layers) {
+        for (dst, &li) in self.sparsity_sums.iter_mut().zip(&self.conv_layers) {
             *dst += grad_sparsity[li];
         }
     }
 }
 
 /// Per-epoch accumulator over the batch accumulators.
+#[derive(Debug, Clone)]
 struct EpochAcc {
     loss_sum: f64,
     correct: usize,
@@ -629,15 +773,18 @@ impl EpochAcc {
         self.sparsity_count += batch_len;
     }
 
-    fn into_stats(self, epoch: usize, samples: usize, elapsed: f64) -> EpochStats {
+    /// Closes the epoch: its stats, leaving the accumulator zeroed for the
+    /// next one.
+    fn finish(&mut self, epoch: usize, samples: usize, elapsed: f64) -> EpochStats {
+        let done = std::mem::replace(self, EpochAcc::new(self.sparsity_sums.len()));
         EpochStats {
             epoch,
-            mean_loss: self.loss_sum / samples as f64,
-            accuracy: self.correct as f64 / samples as f64,
-            conv_grad_sparsity: self
+            mean_loss: done.loss_sum / samples as f64,
+            accuracy: done.correct as f64 / samples as f64,
+            conv_grad_sparsity: done
                 .sparsity_sums
                 .iter()
-                .map(|s| s / self.sparsity_count.max(1) as f64)
+                .map(|s| s / done.sparsity_count.max(1) as f64)
                 .collect(),
             images_per_sec: samples as f64 / elapsed.max(1e-9),
         }

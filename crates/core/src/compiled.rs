@@ -211,22 +211,6 @@ impl CompiledConv {
         self.specialized
     }
 
-    /// Forward propagation allocating a throwaway [`ConvScratch`] per
-    /// call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths do not match the spec.
-    #[cfg(feature = "legacy-alloc-path")]
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates scratch per call; use `forward_scratch` with \
-                                          a reused `ConvScratch`"
-    )]
-    pub fn forward(&self, input: &[f32], output: &mut [f32]) {
-        self.forward_scratch(input, output, &mut ConvScratch::new());
-    }
-
     /// Forward propagation for one sample running out of a
     /// caller-provided [`ConvScratch`]: with a reused scratch the
     /// per-sample path performs no heap allocation. `output` is
@@ -294,22 +278,6 @@ impl CompiledConv {
         }
     }
 
-    /// Backward error propagation allocating a throwaway [`ConvScratch`]
-    /// per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths do not match the spec.
-    #[cfg(feature = "legacy-alloc-path")]
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates scratch per call; use \
-                                          `backward_data_scratch` with a reused `ConvScratch`"
-    )]
-    pub fn backward_data(&self, grad_out: &[f32], grad_in: &mut [f32]) {
-        self.backward_data_scratch(grad_out, grad_in, &mut ConvScratch::new());
-    }
-
     /// Backward error propagation for one sample running out of a
     /// caller-provided [`ConvScratch`]. `grad_in` is overwritten.
     ///
@@ -350,22 +318,6 @@ impl CompiledConv {
                 scratch,
             ),
         }
-    }
-
-    /// Delta-weight computation allocating a throwaway [`ConvScratch`]
-    /// per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths do not match the spec.
-    #[cfg(feature = "legacy-alloc-path")]
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates scratch per call; use \
-                                          `backward_weights_scratch` with a reused `ConvScratch`"
-    )]
-    pub fn backward_weights(&self, input: &[f32], grad_out: &[f32], grad_weights: &mut [f32]) {
-        self.backward_weights_scratch(input, grad_out, grad_weights, &mut ConvScratch::new());
     }
 
     /// Delta-weight computation for one sample running out of a

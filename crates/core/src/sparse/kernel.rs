@@ -6,28 +6,6 @@ use spg_tensor::Shape3;
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
 
-/// Sparse backward error propagation allocating a throwaway
-/// [`ConvScratch`] per call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use `backward_data_scratch` \
-                                      with a reused `ConvScratch`"
-)]
-pub fn backward_data(
-    spec: &ConvSpec,
-    weights: &[f32],
-    grad_out: &[f32],
-    grad_in: &mut [f32],
-    tile_width: usize,
-) {
-    backward_data_scratch(spec, weights, grad_out, grad_in, tile_width, &mut ConvScratch::new());
-}
-
 /// Backward error propagation exploiting gradient sparsity (Eq. 11–15),
 /// staging the weight permutation, layout transforms, and CT-CSR build in
 /// a caller-provided [`ConvScratch`]: the per-sample path performs no
@@ -63,36 +41,6 @@ pub fn backward_data_scratch(
     );
     backward_data_pretransformed_scratch(spec, &w_kkfc, grad_out, grad_in, tile_width, scratch);
     scratch.wperm = w_kkfc;
-}
-
-/// The pretransformed sparse backward-data path allocating a throwaway
-/// [`ConvScratch`] per call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use \
-                                      `backward_data_pretransformed_scratch` with a reused \
-                                      `ConvScratch`"
-)]
-pub fn backward_data_pretransformed(
-    spec: &ConvSpec,
-    w_kkfc: &[f32],
-    grad_out: &[f32],
-    grad_in: &mut [f32],
-    tile_width: usize,
-) {
-    backward_data_pretransformed_scratch(
-        spec,
-        w_kkfc,
-        grad_out,
-        grad_in,
-        tile_width,
-        &mut ConvScratch::new(),
-    );
 }
 
 /// Sparse backward-data with the weight tensor already permuted to
@@ -176,35 +124,6 @@ pub fn backward_data_pretransformed_scratch(
     }
 
     layout::hwc_to_chw_into(ei_hwc, Shape3::new(nc, in_h, in_w), grad_in);
-}
-
-/// Sparse delta-weight computation allocating a throwaway
-/// [`ConvScratch`] per call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use \
-                                      `backward_weights_scratch` with a reused `ConvScratch`"
-)]
-pub fn backward_weights(
-    spec: &ConvSpec,
-    input: &[f32],
-    grad_out: &[f32],
-    grad_weights: &mut [f32],
-    tile_width: usize,
-) {
-    backward_weights_scratch(
-        spec,
-        input,
-        grad_out,
-        grad_weights,
-        tile_width,
-        &mut ConvScratch::new(),
-    );
 }
 
 /// Delta-weight computation exploiting gradient sparsity (Eq. 4, executed

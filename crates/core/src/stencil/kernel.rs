@@ -72,22 +72,6 @@ fn phase_layout(spec: &ConvSpec) -> StridedLayout {
     }
 }
 
-/// Stencil forward propagation allocating a throwaway [`ConvScratch`]
-/// per call.
-///
-/// # Panics
-///
-/// Panics if any buffer length does not match the spec.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use `forward_scratch` with a \
-                                      reused `ConvScratch`"
-)]
-pub fn forward(spec: &ConvSpec, input: &[f32], weights: &[f32], output: &mut [f32]) {
-    forward_scratch(spec, input, weights, output, &mut ConvScratch::new());
-}
-
 /// Forward propagation by direct (stencil-style) convolution, staging its
 /// layout transforms and gathered patch blocks in a caller-provided
 /// [`ConvScratch`]: the per-sample hot path performs no heap allocation
@@ -201,28 +185,6 @@ pub fn narrow_weights_into(spec: &ConvSpec, weights: &[f32], w_kkcf: &mut [f32])
             }
         }
     }
-}
-
-/// The pretransformed narrow-output forward path allocating a throwaway
-/// [`ConvScratch`] per call.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec.
-#[cfg(feature = "legacy-alloc-path")]
-#[deprecated(
-    since = "0.1.0",
-    note = "allocates scratch per call; use \
-                                      `forward_narrow_pretransformed_scratch` with a reused \
-                                      `ConvScratch`"
-)]
-pub fn forward_narrow_pretransformed(
-    spec: &ConvSpec,
-    input: &[f32],
-    w_kkcf: &[f32],
-    output: &mut [f32],
-) {
-    forward_narrow_pretransformed_scratch(spec, input, w_kkcf, output, &mut ConvScratch::new());
 }
 
 /// The narrow-output forward path with weights already permuted by

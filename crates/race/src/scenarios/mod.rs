@@ -17,7 +17,7 @@
 //! | [`queue`] | production `BoundedQueue` source (`#[path]`-included) |
 //! | [`locks`] | protocol model (lock-order discipline) |
 //! | [`serve_pool`] | protocol model of the serve supervisor |
-//! | [`sgd_merge`] | protocol model of `Trainer::train_pooled`'s merge |
+//! | [`sgd_merge`] | protocol model of the `spg_convnet::sgd` pool fold's merge |
 //! | [`router`] | protocol model of the cluster router |
 //! | [`ring`] | protocol model of the chain-in-ring all-reduce |
 //!

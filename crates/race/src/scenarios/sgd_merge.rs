@@ -1,7 +1,8 @@
 //! SGD pool merge order: f32 association must not depend on the
 //! schedule.
 //!
-//! Distills `Trainer::train_pooled`'s merge protocol: sample `j` goes
+//! Distills the merge protocol of `spg_convnet::sgd`'s pool fold (the
+//! supervised-pool implementation of `BatchFold`): sample `j` goes
 //! to worker `j % W` over a per-worker job channel, workers push
 //! per-sample gradients back on per-worker result channels, and the
 //! merger folds **in sample order** — `recv` from `result_rx[j % W]`
@@ -59,7 +60,7 @@ pub fn merge_order(mutation: Option<Mutation>) -> Result<Report, RaceError> {
     let cfg = Config::new(name);
     let arrival_order = mutation == Some(Mutation::MergeArrivalOrder);
     explore(&cfg, move || {
-        // Per-worker job and result channels, as in train_pooled; the
+        // Per-worker job and result channels, as in the pool fold; the
         // mutation collapses results onto one shared channel.
         let mut job_txs: Vec<Sender<usize>> = Vec::new();
         let mut handles = Vec::new();

@@ -5,22 +5,14 @@
 //! per-core arithmetic intensity; extending the same style of analysis
 //! across machines needs one more term: the synchronous gradient
 //! all-reduce on the interconnect. `spg-cluster` implements the real
-//! chain-ring (and binomial-tree) all-reduce over a wire protocol; this
-//! module is its analytical cost model, in the α–β tradition:
-//!
-//! * **Ring**: each node sends and receives `2 (N-1)/N · G` bytes over
-//!   its two links in `2 (N-1)` pipelined steps —
-//!   `t = 2 (N-1)/N · G / BW + 2 (N-1) · α`. Bandwidth-optimal: the
-//!   per-node traffic approaches `2G` regardless of `N`, so the
-//!   bandwidth term is flat in node count and only the latency term
-//!   grows (linearly).
-//! * **Tree**: a reduce leg and a broadcast leg of `ceil(log2 N)`
-//!   rounds, each moving the whole `G` bytes —
-//!   `t = 2 ceil(log2 N) · (G / BW + α)`. Latency-friendly
-//!   (logarithmic rounds) but moves `log N` times more bytes per node,
-//!   so the ring wins for CNN-sized gradients and the tree only for
-//!   tiny payloads on high-latency links — the crossover the emitted
-//!   `BENCH_cluster.json` curves exhibit.
+//! chain-ring all-reduce over a wire protocol; this module is its
+//! analytical cost model, in the α–β tradition: each node sends and
+//! receives `2 (N-1)/N · G` bytes over its two links in `2 (N-1)`
+//! pipelined steps — `t = 2 (N-1)/N · G / BW + 2 (N-1) · α`.
+//! Bandwidth-optimal: the per-node traffic approaches `2G` regardless of
+//! `N`, so the bandwidth term is flat in node count and only the latency
+//! term grows (linearly) — the curves the emitted `BENCH_cluster.json`
+//! exhibits.
 
 /// Point-to-point link parameters of the cluster interconnect.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,19 +48,6 @@ impl Interconnect {
         let bw = self.link_bandwidth_gbs * 1e9;
         2.0 * (n - 1.0) / n * bytes / bw + 2.0 * (n - 1.0) * self.link_latency_us * 1e-6
     }
-
-    /// Seconds for a binomial-tree all-reduce of `gradient_bytes`
-    /// across `nodes` (`ceil(log2 N)` rounds up, the same back down,
-    /// each carrying the full payload).
-    pub fn tree_allreduce_seconds(&self, gradient_bytes: usize, nodes: usize) -> f64 {
-        if nodes <= 1 {
-            return 0.0;
-        }
-        let rounds = (usize::BITS - (nodes - 1).leading_zeros()) as f64;
-        let bytes = gradient_bytes as f64;
-        let bw = self.link_bandwidth_gbs * 1e9;
-        2.0 * rounds * (bytes / bw + self.link_latency_us * 1e-6)
-    }
 }
 
 /// One node count on a cluster scaling curve.
@@ -81,12 +60,8 @@ pub struct ClusterPoint {
     pub compute_seconds: f64,
     /// Ring all-reduce seconds per step.
     pub ring_seconds: f64,
-    /// Tree all-reduce seconds per step.
-    pub tree_seconds: f64,
     /// Ring parallel efficiency: speedup over one node divided by `N`.
     pub ring_efficiency: f64,
-    /// Tree parallel efficiency.
-    pub tree_efficiency: f64,
 }
 
 /// Strong-scaling curve for synchronous data-parallel SGD: one global
@@ -107,15 +82,11 @@ pub fn cluster_scaling(
             let n = nodes.max(1);
             let compute = single_node_step_seconds / n as f64;
             let ring = interconnect.ring_allreduce_seconds(gradient_bytes, n);
-            let tree = interconnect.tree_allreduce_seconds(gradient_bytes, n);
-            let eff = |comm: f64| (single_node_step_seconds / (compute + comm)) / n as f64;
             ClusterPoint {
                 nodes: n,
                 compute_seconds: compute,
                 ring_seconds: ring,
-                tree_seconds: tree,
-                ring_efficiency: eff(ring),
-                tree_efficiency: eff(tree),
+                ring_efficiency: (single_node_step_seconds / (compute + ring)) / n as f64,
             }
         })
         .collect()
@@ -131,7 +102,6 @@ mod tests {
     fn single_node_needs_no_communication() {
         let ic = Interconnect::loopback();
         assert_eq!(ic.ring_allreduce_seconds(64 * MB, 1), 0.0);
-        assert_eq!(ic.tree_allreduce_seconds(64 * MB, 1), 0.0);
     }
 
     #[test]
@@ -142,24 +112,6 @@ mod tests {
         let t8 = ic.ring_allreduce_seconds(64 * MB, 8);
         let t64 = ic.ring_allreduce_seconds(64 * MB, 64);
         assert!(t64 < t8 * 1.15, "ring time grew with nodes: {t8} -> {t64}");
-    }
-
-    #[test]
-    fn tree_moves_log_n_payloads() {
-        let ic = Interconnect { link_bandwidth_gbs: 1.0, link_latency_us: 0.0 };
-        let t8 = ic.tree_allreduce_seconds(64 * MB, 8); // 3 rounds each way
-        let t64 = ic.tree_allreduce_seconds(64 * MB, 64); // 6 rounds each way
-        assert!((t64 / t8 - 2.0).abs() < 1e-9, "expected 2x rounds, got {}", t64 / t8);
-    }
-
-    #[test]
-    fn ring_beats_tree_on_large_gradients_tree_on_tiny_ones() {
-        let ic = Interconnect::ten_gbe();
-        // CNN-sized gradient: the ring's flat bandwidth term wins.
-        assert!(ic.ring_allreduce_seconds(64 * MB, 64) < ic.tree_allreduce_seconds(64 * MB, 64));
-        // Tiny payload at 64 nodes: 126 ring latency hops lose to 12
-        // tree rounds.
-        assert!(ic.ring_allreduce_seconds(1024, 64) > ic.tree_allreduce_seconds(1024, 64));
     }
 
     #[test]

@@ -65,8 +65,10 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// execution backend (`"cpu"`, `"sim"`) and the backend algorithm
 /// identifier the decision chose or compiled; minor 7 added the cluster
 /// counters (`cluster.router.*` for shard routing/eviction/respawn,
-/// `cluster.ring.*` and `cluster.tree.*` for per-ring-step all-reduce
-/// traffic, `cluster.train.*` for distributed-training faults and
+/// `cluster.ring.*` for per-ring-step all-reduce traffic (the
+/// `cluster.tree.*` counters went with the tree all-reduce; a training
+/// rank's loop reports under the `trainer` scope, being the trainer's
+/// own), `cluster.train.*` for distributed-training faults and
 /// replays, `cluster.shard.requests` for shard-process serving); minor 8
 /// added the optional per-decision `partition` field naming the worker
 /// decomposition the chosen forward technique splits the layer along

@@ -65,6 +65,25 @@ pub fn all_layers() -> Vec<(Benchmark, usize, ConvSpec)> {
         .collect()
 }
 
+/// A Table 2 layer proportionally shrunk for unoptimized (debug) test
+/// builds, where one full-size ImageNet forward takes seconds: same
+/// kernel, stride and square shape; spatial side and channel/feature
+/// counts capped.
+pub fn shrunk(spec: &ConvSpec) -> ConvSpec {
+    let side = (spec.kx() + 3 * spec.sx()).min(spec.in_h());
+    ConvSpec::new(
+        spec.in_c().min(64),
+        side,
+        side,
+        spec.features().min(64),
+        spec.kx(),
+        spec.ky(),
+        spec.sx(),
+        spec.sy(),
+    )
+    .expect("shrunk Table 2 layer stays a valid spec")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

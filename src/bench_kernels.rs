@@ -122,11 +122,16 @@ fn median(mut samples: Vec<f64>) -> f64 {
 ///
 /// Panics if `reps == 0`.
 pub fn run(reps: usize) -> BenchReport {
+    run_layers(all_layers(), reps)
+}
+
+/// [`run`] over an explicit layer list.
+fn run_layers(layers: Vec<(Benchmark, usize, ConvSpec)>, reps: usize) -> BenchReport {
     assert!(reps > 0, "repetition count must be positive");
-    let mut layers = Vec::new();
-    for (bench, layer, spec) in all_layers() {
-        layers.push(run_layer(bench, layer, &spec, reps));
-    }
+    let layers = layers
+        .into_iter()
+        .map(|(bench, layer, spec)| run_layer(bench, layer, &spec, reps))
+        .collect();
     BenchReport {
         reps,
         simd_level: match spg_gemm::detect_simd_level() {
@@ -311,12 +316,35 @@ mod tests {
         assert_eq!(pinned_iters(0), MAX_ITERS);
     }
 
+    /// The Table 2 layers the report test sweeps: full-size under release
+    /// optimization (CI), geometry-shrunk in debug builds, where the
+    /// unoptimized full sweep takes minutes.
+    fn report_layers() -> Vec<(Benchmark, usize, ConvSpec)> {
+        let mut layers = all_layers();
+        if cfg!(debug_assertions) {
+            for (_, _, spec) in &mut layers {
+                *spec = spg_workloads::table2::shrunk(spec);
+            }
+        }
+        layers
+    }
+
     #[test]
     fn report_covers_every_table2_layer_and_validates() {
-        let report = run(1);
-        assert_eq!(report.layers.len(), all_layers().len());
-        // 9 of the 12 Table 2 layers clear the hot threshold.
-        assert_eq!(report.layers.iter().filter(|l| l.hot).count(), 9);
+        let report = run_layers(report_layers(), 1);
+        let table2 = all_layers();
+        assert_eq!(report.layers.len(), table2.len());
+        for (l, (bench, layer, _)) in report.layers.iter().zip(&table2) {
+            assert_eq!((l.benchmark, l.layer), (bench.label(), *layer));
+            assert_eq!(l.hot, l.flops >= HOT_LAYER_OPS, "{} L{}", l.benchmark, l.layer);
+        }
+        // 9 of the 12 Table 2 layers clear the hot threshold: the report
+        // says so on the full-size sweep, the geometries themselves always.
+        let hot_specs = table2.iter().filter(|(_, _, s)| s.arithmetic_ops() >= HOT_LAYER_OPS);
+        assert_eq!(hot_specs.count(), 9);
+        if !cfg!(debug_assertions) {
+            assert_eq!(report.layers.iter().filter(|l| l.hot).count(), 9);
+        }
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"spgcnn-bench-kernels\""));
         for l in &report.layers {

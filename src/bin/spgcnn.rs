@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spg_cnn::cluster::{
-    run_rank, serve_connection, train_in_proc, AllReduce, Cluster, ClusterError, Comm,
-    ConnectionEnd, InProcTrainOptions, KillDrill, RankOptions, RankState, TrainFault, Transport,
+    run_rank, serve_connection, train_in_proc, Cluster, ClusterError, Comm, ConnectionEnd,
+    InProcTrainOptions, KillDrill, RankOptions, RankState, TrainFault, Transport,
 };
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::{io, ConvSpec, Engine, Trainer, TrainerConfig};
@@ -111,8 +111,8 @@ usage:
       requests and checks exactly one in-flight request fails with a
       typed ShardFault while the router evicts and respawns the shard.
   spgcnn train-cluster <net.cfg>|--smoke [--world N] [--epochs N] [--samples N]
-               [--batch N] [--in-proc] [--algo ring|tree]
-               [--inject-fault RANK:EPOCH:BATCH] [--metrics-json FILE]
+               [--batch N] [--in-proc] [--inject-fault RANK:EPOCH:BATCH]
+               [--metrics-json FILE]
       Synchronous data-parallel SGD over N rank processes connected in
       a Unix-socket ring (or in-process ranks with --in-proc), running
       the from-scratch chunked gradient all-reduce; asserts every
@@ -121,8 +121,7 @@ usage:
       rank mid-all-reduce and checks the replay still matches the pool.
   spgcnn bench-cluster [--json FILE] [--gradient-mb MB] [--step-ms MS]
       Print the analytical multi-node scaling curves (1..64 nodes) of
-      the ring and binomial-tree all-reduce on loopback and 10 GbE
-      fabrics; with --json, write the spgcnn-bench-cluster document
+      the ring all-reduce on loopback and 10 GbE fabrics; with --json, write the spgcnn-bench-cluster document
       (the committed BENCH_cluster.json scaling baseline).
   spgcnn race [--smoke]
       Run the spg-race deterministic-interleaving model checker over the
@@ -1363,11 +1362,6 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
     let batch = flag(args, "--batch", 8usize)?.max(1);
     let in_proc = args.iter().any(|a| a == "--in-proc");
     let metrics_path = opt_flag(args, "--metrics-json")?;
-    let algo = match opt_flag(args, "--algo")?.as_deref() {
-        None | Some("ring") => AllReduce::Ring,
-        Some("tree") => AllReduce::Tree,
-        Some(other) => return Err(format!("unknown all-reduce `{other}` (expected ring or tree)")),
-    };
     let fault = match opt_flag(args, "--inject-fault")? {
         None => None,
         Some(spec) => {
@@ -1376,12 +1370,6 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
     };
     if fault.is_some() && !in_proc {
         return Err("--inject-fault drills the in-proc ring; add --in-proc".into());
-    }
-    if fault.is_some() && matches!(algo, AllReduce::Tree) {
-        return Err("--inject-fault asserts pool bit-identity; use the default ring".into());
-    }
-    if matches!(algo, AllReduce::Tree) && !in_proc {
-        return Err("the multi-process smoke runs the ring; use --algo tree with --in-proc".into());
     }
 
     spg_cnn::telemetry::reset();
@@ -1415,54 +1403,33 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
             d.build(42).map_err(|e| bad(e.to_string()))
         };
         let data = Dataset::synthetic(shape, classes, samples, 0.15, 77);
-        let (stats, again_bits) = if fault.is_some() {
+        let stats = if fault.is_some() {
             let opts = InProcTrainOptions {
                 world,
-                algo,
                 chunk_floats: 1024,
                 restart_budget: 2,
                 restart_backoff: Duration::from_millis(5),
                 fault,
+                ..InProcTrainOptions::default()
             };
-            (train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?, None)
+            train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?
         } else {
             let cluster = Cluster::builder()
                 .shards(world)
-                .allreduce(algo)
                 .chunk_floats(1024)
                 .factory(factory)
                 .build()
                 .map_err(|e| e.to_string())?;
-            let stats = cluster.train(&data, &trainer).map_err(|e| e.to_string())?;
-            let again = if matches!(algo, AllReduce::Tree) {
-                let rerun = cluster.train(&data, &trainer).map_err(|e| e.to_string())?;
-                Some(rerun.iter().map(|s| s.mean_loss.to_bits()).collect::<Vec<u64>>())
-            } else {
-                None
-            };
-            (stats, again)
+            cluster.train(&data, &trainer).map_err(|e| e.to_string())?
         };
         let bits: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        match algo {
-            AllReduce::Ring => {
-                if bits != ref_bits {
-                    return Err("cluster epoch losses diverged from the single-process pool".into());
-                }
-                println!(
-                    "in-proc ring over {world} rank(s): epoch losses bit-identical to the \
-                     single-process pool"
-                );
-            }
-            AllReduce::Tree => {
-                if again_bits.as_deref() != Some(&bits[..]) {
-                    return Err("tree all-reduce was not deterministic across runs".into());
-                }
-                println!(
-                    "in-proc tree over {world} rank(s): deterministic across runs \
-                     (re-associated, so not pool-identical by design)"
-                );
-            }
+        if bits != ref_bits {
+            return Err("cluster epoch losses diverged from the single-process pool".into());
         }
+        println!(
+            "in-proc ring over {world} rank(s): epoch losses bit-identical to the \
+             single-process pool"
+        );
         if fault.is_some() {
             let snap = spg_cnn::telemetry::snapshot();
             if snap.counter("cluster.train.faults") == 0 {
@@ -1572,7 +1539,7 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
         let (rx, _) = listener.accept().map_err(|e| e.to_string())?;
         Comm::Ring { rx_prev: Box::new(rx), tx_next: Box::new(tx) }
     };
-    let opts = RankOptions { rank, world, algo: AllReduce::Ring, chunk_floats: 1024, fault: None };
+    let opts = RankOptions { rank, world, chunk_floats: 1024, fault: None };
     let mut state = RankState::fresh(&net);
     let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut state)
         .map_err(|e| e.to_string())?;
@@ -1593,7 +1560,7 @@ fn bench_cluster(args: &[String]) -> Result<(), String> {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"spgcnn-bench-cluster\",\n");
-    out.push_str("  \"schema_version\": 1,\n");
+    out.push_str("  \"schema_version\": 2,\n");
     out.push_str(&format!("  \"gradient_bytes\": {gradient_bytes},\n"));
     out.push_str(&format!("  \"single_node_step_seconds\": {step_seconds:.6},\n"));
     out.push_str("  \"fabrics\": [\n");
@@ -1603,17 +1570,15 @@ fn bench_cluster(args: &[String]) -> Result<(), String> {
              single-node step {step_ms} ms",
             ic.link_bandwidth_gbs, ic.link_latency_us
         );
-        println!("nodes  compute-ms  ring-ms   tree-ms   ring-eff  tree-eff");
+        println!("nodes  compute-ms  ring-ms   ring-eff");
         let points = cluster_scaling(ic, step_seconds, gradient_bytes, &nodes);
         for p in &points {
             println!(
-                "{:>5}  {:>10.3}  {:>8.3}  {:>8.3}  {:>8.3}  {:>8.3}",
+                "{:>5}  {:>10.3}  {:>8.3}  {:>8.3}",
                 p.nodes,
                 p.compute_seconds * 1e3,
                 p.ring_seconds * 1e3,
-                p.tree_seconds * 1e3,
-                p.ring_efficiency,
-                p.tree_efficiency
+                p.ring_efficiency
             );
         }
         println!();
@@ -1625,14 +1590,11 @@ fn bench_cluster(args: &[String]) -> Result<(), String> {
         for (pi, p) in points.iter().enumerate() {
             out.push_str(&format!(
                 "        {{\"nodes\": {}, \"compute_seconds\": {:.9}, \
-                 \"ring_seconds\": {:.9}, \"tree_seconds\": {:.9}, \
-                 \"ring_efficiency\": {:.6}, \"tree_efficiency\": {:.6}}}{}\n",
+                 \"ring_seconds\": {:.9}, \"ring_efficiency\": {:.6}}}{}\n",
                 p.nodes,
                 p.compute_seconds,
                 p.ring_seconds,
-                p.tree_seconds,
                 p.ring_efficiency,
-                p.tree_efficiency,
                 if pi + 1 < points.len() { "," } else { "" }
             ));
         }

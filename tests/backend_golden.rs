@@ -32,23 +32,7 @@ fn golden_specs() -> Vec<(String, ConvSpec)> {
         .into_iter()
         .map(|(bench, i, spec)| {
             let label = format!("{} layer {i}", bench.label());
-            if cfg!(debug_assertions) {
-                let side = (spec.kx() + 3 * spec.sx()).min(spec.in_h());
-                let spec = ConvSpec::new(
-                    spec.in_c().min(64),
-                    side,
-                    side,
-                    spec.features().min(64),
-                    spec.kx(),
-                    spec.ky(),
-                    spec.sx(),
-                    spec.sy(),
-                )
-                .expect("shrunk Table 2 layer stays a valid spec");
-                (label, spec)
-            } else {
-                (label, spec)
-            }
+            (label, if cfg!(debug_assertions) { table2::shrunk(&spec) } else { spec })
         })
         .collect()
 }

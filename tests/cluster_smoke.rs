@@ -73,29 +73,6 @@ fn train_cluster_ring_matches_pool_across_processes() {
     assert!(stdout.contains("bit-identical to the single-process pool"), "stdout: {stdout}");
 }
 
-/// The binomial-tree variant re-associates the reduction (so it is not
-/// pool-identical by design) but must be deterministic run to run.
-#[test]
-fn train_cluster_in_proc_tree_is_deterministic() {
-    let (stdout, stderr, ok) = spgcnn(&[
-        "train-cluster",
-        "--smoke",
-        "--in-proc",
-        "--algo",
-        "tree",
-        "--world",
-        "3",
-        "--epochs",
-        "2",
-        "--samples",
-        "12",
-        "--batch",
-        "6",
-    ]);
-    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.contains("deterministic across runs"), "stdout: {stdout}");
-}
-
 /// An injected rank fault mid-all-reduce is replayed from committed rank
 /// state; the recovered run still matches the pool bit for bit.
 #[test]
