@@ -5,8 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use spg_codegen::KernelChoice;
 use spg_convnet::{gemm_exec, ConvScratch, ConvSpec};
-use spg_core::stencil::kernel as stencil;
+use spg_core::autotune::Phase;
+use spg_core::schedule::Technique;
+use spg_core::verify::lower_phase;
 use spg_workloads::synth::conv_operands;
 
 fn cases() -> Vec<(&'static str, ConvSpec)> {
@@ -38,10 +41,12 @@ fn bench_forward(c: &mut Criterion) {
                 )
             });
         });
-        group.bench_with_input(BenchmarkId::new("stencil", name), &spec, |bch, spec| {
+        let stencil =
+            lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
+                .unwrap_or_else(|e| panic!("stencil plan for {spec}: {e}"));
+        group.bench_with_input(BenchmarkId::new("stencil", name), &spec, |bch, _| {
             bch.iter(|| {
-                stencil::forward_scratch(
-                    spec,
+                stencil.forward(
                     ops.input.as_slice(),
                     ops.weights.as_slice(),
                     &mut out,

@@ -10,22 +10,26 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use spg_codegen::lookup;
-use spg_convnet::exec::ConvExecutor;
+use spg_codegen::KernelChoice;
 use spg_convnet::workspace::ConvScratch;
-use spg_core::stencil::StencilExecutor;
+use spg_core::autotune::Phase;
+use spg_core::schedule::Technique;
+use spg_core::verify::lower_phase;
 use spg_workloads::synth::conv_operands;
 use spg_workloads::table2;
 
 fn bench_specialized(c: &mut Criterion) {
     let mut group = c.benchmark_group("specialized_kernels");
     group.sample_size(10);
-    let auto = StencilExecutor::new();
-    let generic = StencilExecutor::generic();
     for (benchmark, layer, spec) in table2::all_layers() {
-        // Only layers the registry can specialize on this host are
+        let lowered = |kernel| {
+            lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, kernel)
+                .unwrap_or_else(|e| panic!("stencil plan for {spec}: {e}"))
+        };
+        let (auto, generic) = (lowered(KernelChoice::Auto), lowered(KernelChoice::Generic));
+        // Only layers lowering binds an instance to on this host are
         // interesting as a pair; the gate's JSON harness reports the rest.
-        if lookup(&spec).is_none() {
+        if auto.specialized_kernel().is_none() {
             continue;
         }
         let name = format!("{}_l{layer}", benchmark.label().replace(' ', "_").to_lowercase());
@@ -33,21 +37,14 @@ fn bench_specialized(c: &mut Criterion) {
         let mut out = vec![0.0f32; spec.output_shape().len()];
         let mut scratch = ConvScratch::default();
         group.throughput(Throughput::Elements(spec.arithmetic_ops()));
-        group.bench_with_input(BenchmarkId::new("specialized", &name), &spec, |bch, spec| {
+        group.bench_with_input(BenchmarkId::new("specialized", &name), &spec, |bch, _| {
             bch.iter(|| {
-                auto.forward(
-                    spec,
-                    ops.input.as_slice(),
-                    ops.weights.as_slice(),
-                    &mut out,
-                    &mut scratch,
-                )
+                auto.forward(ops.input.as_slice(), ops.weights.as_slice(), &mut out, &mut scratch)
             });
         });
-        group.bench_with_input(BenchmarkId::new("generic", &name), &spec, |bch, spec| {
+        group.bench_with_input(BenchmarkId::new("generic", &name), &spec, |bch, _| {
             bch.iter(|| {
                 generic.forward(
-                    spec,
                     ops.input.as_slice(),
                     ops.weights.as_slice(),
                     &mut out,

@@ -15,7 +15,6 @@ use std::time::Instant;
 use spg_convnet::{gemm_exec, ConvScratch, ConvSpec};
 use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::sparse::DEFAULT_TILE_WIDTH;
-use spg_core::stencil::kernel as stencil_kernel;
 use spg_workloads::synth::conv_operands;
 
 /// Measured single-core GFlops of one forward convolution under the
@@ -53,14 +52,16 @@ pub fn stencil_fp_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     let ops = conv_operands(spec, 0.0, 0xbeef);
     let mut out = vec![0.0f32; spec.output_shape().len()];
     let mut scratch = ConvScratch::new();
+    let stencil = spg_core::verify::lower_phase(
+        spec,
+        spg_core::schedule::Technique::StencilFp,
+        spg_core::autotune::Phase::Forward,
+        1,
+        spg_codegen::KernelChoice::Generic,
+    )
+    .expect("stencil plans verify on every valid spec");
     time_forward(spec.arithmetic_ops(), reps, || {
-        stencil_kernel::forward_scratch(
-            spec,
-            ops.input.as_slice(),
-            ops.weights.as_slice(),
-            &mut out,
-            &mut scratch,
-        );
+        stencil.forward(ops.input.as_slice(), ops.weights.as_slice(), &mut out, &mut scratch);
     })
 }
 

@@ -255,7 +255,8 @@ mod tests {
     use super::*;
     use crate::plan::{XTile, VECTOR_WIDTH};
 
-    /// Mirrors spg-core's x_plan for test plan construction.
+    /// The segmentation lowering emits (`spg_codegen::xplan::x_plan_lanes`),
+    /// restated because `spg-check` sits below `spg-codegen`.
     fn tiles_for(out_w: usize) -> Vec<XTile> {
         let mut tiles = Vec::new();
         let mut x = 0;

@@ -16,7 +16,9 @@
 //!
 //! returning a typed [`CheckError`] naming the offending access instead of
 //! executing. Verification runs at plan time (microseconds per layer), never
-//! per sample.
+//! per sample, and its success is a value: [`verify_conv_plan`] returns a
+//! [`VerifiedPlan`], the only thing the kernels' `unsafe` tile loops accept
+//! their bounds from.
 //!
 //! [`ConvScratch`]: spg_convnet::workspace::ConvScratch
 
@@ -28,6 +30,7 @@ pub mod interval;
 pub mod plan;
 mod sparse;
 mod stencil;
+mod verified;
 
 pub use banded::band_sub_spec;
 pub use capacity::ScratchCapacity;
@@ -37,6 +40,7 @@ pub use plan::{
     BackwardPlan, BandDim, BandPlan, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, XTile,
     ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
 };
+pub use verified::{VerifiedPlan, VerifiedTiled};
 
 use spg_convnet::ConvSpec;
 
@@ -155,15 +159,20 @@ pub fn verify_backward(
     Ok(interp.report)
 }
 
-/// Verifies a complete lowered layer plan: both phases plus the generated
-/// tile shapes. This is the entry point `CompiledConv` construction and the
-/// autotuner call before a plan is measured or deployed.
+/// Verifies a complete lowered layer plan — both phases plus the generated
+/// tile shapes — and returns it as the proof-carrying [`VerifiedPlan`] the
+/// kernels execute from. This is the only way to obtain one.
+///
+/// # Errors
+///
+/// Returns the typed [`CheckError`] naming the first judgment that failed;
+/// no `VerifiedPlan` exists for a rejected plan.
 pub fn verify_conv_plan(
     spec: &ConvSpec,
-    plan: &ConvPlan,
+    plan: ConvPlan,
     cap: &ScratchCapacity,
-) -> Result<CheckReport, CheckError> {
+) -> Result<VerifiedPlan, CheckError> {
     let mut report = verify_forward(spec, &plan.forward, plan.register_tile, plan.schedule, cap)?;
     report.absorb(verify_backward(spec, &plan.backward, cap)?);
-    Ok(report)
+    Ok(VerifiedPlan::proved(*spec, plan, report))
 }

@@ -10,8 +10,8 @@ use crate::error::CheckError;
 use crate::Interp;
 use spg_convnet::ConvSpec;
 
-/// SIMD lanes per vector register the stencil basic block is generated for.
-/// Mirrors `spg-core`'s `VECTOR_WIDTH` (a coupling test there keeps them equal).
+/// SIMD lanes per vector register the generic stencil basic block is
+/// generated for (AVX: 8). The one definition; `spg-core` re-exports it.
 pub const VECTOR_WIDTH: usize = 8;
 
 /// Architectural vector-accumulator budget for one basic block (Sec. 4.3:
@@ -28,7 +28,7 @@ pub const PAGE_ELEMS: usize = 1024;
 pub const TLB_BUDGET_PAGES: usize = 16;
 
 /// One contiguous x-segment of a stencil row, `vectors * lanes` columns wide,
-/// starting at output column `x`. Mirrors `spg-core`'s `x_plan` entries.
+/// starting at output column `x`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XTile {
     /// First output column the segment writes.
@@ -119,7 +119,7 @@ pub enum ForwardPlan {
 }
 
 /// How the backward pass executes under the candidate plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackwardPlan {
     /// CT-CSR pointer-shifting sparse composition (Eq. 11–15).
     SparsePointerShift {

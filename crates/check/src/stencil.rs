@@ -230,7 +230,8 @@ mod tests {
         ConvSpec::square(32, 16, 8, 5, 1)
     }
 
-    /// Mirrors the kernel's x_plan segmentation for tests.
+    /// The segmentation lowering emits (`spg_codegen::xplan::x_plan_lanes`),
+    /// restated because `spg-check` sits below `spg-codegen`.
     fn tiles_for(out_w: usize, lanes: usize) -> Vec<XTile> {
         let mut tiles = Vec::new();
         let mut x = 0;

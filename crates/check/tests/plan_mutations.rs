@@ -3,12 +3,19 @@
 //! gapped row coverage, undersized scratch — is rejected with the matching
 //! [`CheckError`] variant. The verifier's value is exactly this asymmetry:
 //! real plans pass, every corrupted neighbour of a real plan fails loudly.
+//!
+//! Every plan-level judgment here also goes through [`verify_conv_plan`],
+//! the only constructor of the [`VerifiedPlan`] the kernels execute from:
+//! a mutated plan is unconstructible as that type — the same typed error is
+//! the only outcome — and an accepted plan comes back holding exactly what
+//! was judged.
 
 use proptest::prelude::*;
 
 use spg_check::{
-    band_sub_spec, gemm, verify_forward, BackwardPlan, BandDim, BandPlan, Buf, CheckError,
-    ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, XTile, VECTOR_WIDTH,
+    band_sub_spec, gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, BandPlan, Buf,
+    CheckError, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan,
+    XTile, VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
@@ -31,8 +38,9 @@ fn any_spec() -> impl Strategy<Value = ConvSpec> {
         })
 }
 
-/// Mirrors the stencil kernel's x-plan segmentation (16-wide greedy, then
-/// 8-wide, then an overlapping 8-wide remainder anchored at the row end).
+/// The x segmentation lowering emits (16-wide greedy, then 8-wide, then an
+/// overlapping 8-wide remainder anchored at the row end), restated because
+/// `spg-check` sits below the crate that owns it.
 fn x_tiles(out_w: usize) -> Vec<XTile> {
     let lanes = VECTOR_WIDTH;
     let mut tiles = Vec::new();
@@ -70,7 +78,37 @@ fn good_tiles(spec: &ConvSpec) -> (RegisterTile, ScheduleTile) {
 
 fn verify(spec: &ConvSpec, fwd: &ForwardPlan, cap: &ScratchCapacity) -> Result<(), CheckError> {
     let (rt, st) = good_tiles(spec);
-    verify_forward(spec, fwd, rt, st, cap).map(|_| ())
+    verify_tiles(spec, fwd, rt, st, cap)
+}
+
+/// Judges `fwd` under the given tiles and shows the verdict is also the
+/// only way to (not) obtain the executable type: [`verify_conv_plan`] on
+/// the same forward plan (with the always-admissible serial GEMM backward)
+/// returns the identical error, or a [`VerifiedPlan`] holding this plan.
+fn verify_tiles(
+    spec: &ConvSpec,
+    fwd: &ForwardPlan,
+    register_tile: RegisterTile,
+    schedule: ScheduleTile,
+    cap: &ScratchCapacity,
+) -> Result<(), CheckError> {
+    let judged = verify_forward(spec, fwd, register_tile, schedule, cap).map(|_| ());
+    let plan = ConvPlan {
+        forward: fwd.clone(),
+        backward: BackwardPlan::UnfoldGemm { threads: 1 },
+        register_tile,
+        schedule,
+    };
+    let executable: Result<VerifiedPlan, CheckError> = verify_conv_plan(spec, plan.clone(), cap);
+    match (&judged, executable) {
+        (Ok(()), Ok(proved)) => {
+            assert_eq!((proved.spec(), proved.plan()), (spec, &plan));
+            assert_eq!(proved.tiled().is_some(), matches!(fwd, ForwardPlan::StencilTiled { .. }));
+        }
+        (Err(expected), Err(err)) => assert_eq!(&err, expected),
+        (judged, executable) => panic!("verdicts disagree: {judged:?} vs {executable:?}"),
+    }
+    judged
 }
 
 /// Specs whose output splits into two vector-wide bands along every
@@ -276,10 +314,10 @@ proptest! {
         let cap = ScratchCapacity::reserved_for(&spec);
         let st = ScheduleTile { y_tile: 1, x_tile: spec.out_w() };
         let over = RegisterTile { rx: 4, ry: 4 };
-        let err = verify_forward(&spec, &good_tiled(&spec), over, st, &cap).unwrap_err();
+        let err = verify_tiles(&spec, &good_tiled(&spec), over, st, &cap).unwrap_err();
         prop_assert!(matches!(err, CheckError::BudgetExceeded { .. }));
         let zero = RegisterTile { rx: 0, ry: 1 };
-        let err = verify_forward(&spec, &good_tiled(&spec), zero, st, &cap).unwrap_err();
+        let err = verify_tiles(&spec, &good_tiled(&spec), zero, st, &cap).unwrap_err();
         prop_assert!(matches!(err, CheckError::PlanShapeMismatch { .. }));
     }
 
@@ -359,7 +397,8 @@ proptest! {
         }
     }
 
-    /// The full-plan entry point rejects a corrupted backward tile width.
+    /// The full-plan entry point rejects a corrupted backward tile width,
+    /// so no executable plan carries one.
     #[test]
     fn zero_sparse_tile_width_rejected(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
@@ -370,7 +409,7 @@ proptest! {
             register_tile: rt,
             schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w().max(1) },
         };
-        let err = spg_check::verify_conv_plan(&spec, &plan, &cap).unwrap_err();
+        let err = verify_conv_plan(&spec, plan, &cap).unwrap_err();
         prop_assert!(matches!(err, CheckError::PlanShapeMismatch { .. }));
     }
 }

@@ -17,22 +17,23 @@
 //! per-element chain: each output column is one SIMD lane, and a 16-lane
 //! FMA rounds each lane exactly like an 8-lane FMA.
 
+use spg_check::VerifiedTiled;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 use spg_tensor::transform::StridedLayout;
 
-/// Signature of a monomorphized forward instance. `cache_rows` is the
-/// cache-schedule row block (already clamped to at least [`TILE_ROWS`] by
-/// the caller) — the schedule itself stays single-sourced in `spg-core`.
+/// Signature of a monomorphized forward instance: the proved tiled plan
+/// (spec, x-tiles and cache row block), the operands, and the scratch the
+/// phase transform stages in.
 ///
 /// # Safety
 ///
 /// Callers of a `ForwardFn` must guarantee the module's target features
-/// are available on the running CPU, the spec's geometry matches the
-/// instance's const parameters, and `out_w >= LANES` — exactly the checks
+/// are available on the running CPU and that the plan's lane width, tile
+/// rows and spec geometry match the instance — exactly the checks
 /// [`crate::SpecializedKernel::forward`] performs before dispatching.
 pub(crate) type ForwardFn =
-    unsafe fn(&ConvSpec, &[f32], &[f32], &mut [f32], &mut ConvScratch, usize);
+    unsafe fn(VerifiedTiled<'_>, &[f32], &[f32], &mut [f32], &mut ConvScratch);
 
 /// Builds the Eq. 21 phase layout for a compile-time `x` stride.
 fn phase_layout(spec: &ConvSpec, sx: usize) -> StridedLayout {
@@ -58,11 +59,10 @@ macro_rules! define_simd_forward {
         pub(crate) mod $mod_ {
             use std::arch::x86_64::*;
 
+            use spg_check::VerifiedTiled;
             use spg_convnet::workspace::zeroed_slice;
-            use spg_convnet::ConvSpec;
 
             use super::{phase_layout, ConvScratch};
-            use crate::xplan::x_plan_lanes;
             use crate::TILE_ROWS;
 
             /// f32 lanes per vector for this instruction set.
@@ -84,8 +84,8 @@ macro_rules! define_simd_forward {
             /// Caller guarantees the target features of this module; that
             /// for every `c < nc` and `iy < (rows-1)*SY + FY`,
             /// `in_tile + c*c_stride + iy*row_stride + koff[kx] + RX*LANES`
-            /// stays within the input buffer (spg-check's x-tile, row-range
-            /// and phase-group proofs for this instance's lowered plan);
+            /// stays within the input buffer (the x-tile, row-range and
+            /// phase-group judgments behind the caller's `VerifiedTiled`);
             /// that `w_f` points to `nc * FY * FX` readable floats; and
             /// that `out` has `rows` rows of `RX*LANES` writable elements
             /// at stride `out_stride`.
@@ -128,10 +128,9 @@ macro_rules! define_simd_forward {
                         for kx in 0..FX {
                             let mut ivec = [$setzero(); RX];
                             for (rx, v) in ivec.iter_mut().enumerate() {
-                                // SAFETY: the caller contract (proved at plan
-                                // time by spg-check for this instance's exact
-                                // x-tile list) keeps koff[kx] + RX*LANES
-                                // inside the input buffer.
+                                // SAFETY: the caller contract (the x-tile the
+                                // driver took from its `VerifiedTiled`) keeps
+                                // koff[kx] + RX*LANES inside the input buffer.
                                 *v = unsafe { $loadu(base.add(koff[kx] + rx * LANES)) };
                             }
                             for ty in ty_lo..=ty_hi {
@@ -157,44 +156,33 @@ macro_rules! define_simd_forward {
                 }
             }
 
-            /// Drives [`tile_block`] over the cache schedule and the
-            /// lane-width x-tile plan, mirroring the generic kernel's loop
-            /// nest (feature plane, cache row block, register tile, x tile).
+            /// Drives [`tile_block`] over the proved plan: feature plane,
+            /// cache row block, register tile, then each of the plan's own
+            /// x-tiles — the loop nest of the generic kernel.
             ///
             /// # Safety
             ///
-            /// Caller guarantees the target features of this module and
-            /// that `in_ptr`/`c_stride`/`row_stride`/`koff0` describe a
-            /// staging buffer in which every access the tile blocks perform
-            /// is in-bounds — exactly the ranges spg-check proves for this
-            /// instance's lowered `StencilTiled` plan. `weights` and
-            /// `output` must match `spec`.
+            /// Caller guarantees the target features of this module, that
+            /// `plan.lanes() == LANES`, and that
+            /// `in_ptr`/`c_stride`/`row_stride`/`koff` describe the input
+            /// (or its phase-transformed staging) of `plan.spec()` — so
+            /// every access the tile blocks perform lies in the ranges
+            /// spg-check proved to produce `plan`. `weights` and `output`
+            /// must match `plan.spec()`.
             #[target_feature(enable = $feat)]
             #[allow(clippy::too_many_arguments)]
             unsafe fn forward_tiled<const FY: usize, const FX: usize, const SY: usize>(
-                spec: &ConvSpec,
+                plan: VerifiedTiled<'_>,
                 in_ptr: *const f32,
                 c_stride: usize,
                 row_stride: usize,
-                koff0: [usize; FX],
+                koff: [usize; FX],
                 weights: *const f32,
                 output: *mut f32,
-                cache_rows: usize,
             ) {
+                let spec = plan.spec();
                 let (out_h, out_w) = (spec.out_h(), spec.out_w());
                 let (nc, nf) = (spec.in_c(), spec.features());
-                // Per-tile kernel-offset tables, hoisted out of the loop
-                // nest: tap offsets are loop-invariant for a whole tile.
-                let tiles: Vec<(usize, bool, [usize; FX])> = x_plan_lanes(out_w, LANES)
-                    .into_iter()
-                    .map(|(x, wide)| {
-                        let mut koff = koff0;
-                        for o in koff.iter_mut() {
-                            *o += x;
-                        }
-                        (x, wide, koff)
-                    })
-                    .collect();
                 for f in 0..nf {
                     // SAFETY: f < nf keeps the plane offset inside the
                     // validated output buffer.
@@ -204,32 +192,35 @@ macro_rules! define_simd_forward {
                     let w_f = unsafe { weights.add(f * nc * FY * FX) };
                     let mut y0 = 0;
                     while y0 < out_h {
-                        let y1 = (y0 + cache_rows).min(out_h);
+                        let y1 = (y0 + plan.cache_rows()).min(out_h);
                         let mut y = y0;
                         while y < y1 {
                             let rows = TILE_ROWS.min(y1 - y);
-                            for &(x, wide, ref koff) in &tiles {
+                            for tile in plan.x_tiles() {
+                                let x = tile.x;
                                 // SAFETY: row y*SY is the first input row the
-                                // tile reads; the caller-proved row-range
-                                // bound covers y*SY + iy for every in-tile iy.
-                                let in_tile = unsafe { in_ptr.add(y * SY * row_stride) };
+                                // tile reads and x its first column; the
+                                // proved row range covers y*SY + iy for every
+                                // in-tile iy, the proved x-tile segment covers
+                                // x + koff[kx] + RX*LANES.
+                                let in_tile = unsafe { in_ptr.add(y * SY * row_stride + x) };
                                 // SAFETY: y < out_h and x + tile width <=
-                                // out_w (x-plan segment proof), inside the
-                                // f-th plane.
+                                // out_w (this tile's proved segment), inside
+                                // the f-th plane.
                                 let dst = unsafe { out_plane.add(y * out_w + x) };
                                 // SAFETY: target features guaranteed by the
                                 // caller; the pointer arguments satisfy the
-                                // tile-block contract per the caller-proved
-                                // plan (spg-check gates every instance).
+                                // tile-block contract because `tile` comes
+                                // from the caller's `VerifiedTiled`.
                                 unsafe {
-                                    if wide {
+                                    if tile.vectors == 2 {
                                         tile_block::<2, FY, FX, SY>(
-                                            rows, nc, in_tile, c_stride, row_stride, koff, w_f,
+                                            rows, nc, in_tile, c_stride, row_stride, &koff, w_f,
                                             dst, out_w,
                                         );
                                     } else {
                                         tile_block::<1, FY, FX, SY>(
-                                            rows, nc, in_tile, c_stride, row_stride, koff, w_f,
+                                            rows, nc, in_tile, c_stride, row_stride, &koff, w_f,
                                             dst, out_w,
                                         );
                                     }
@@ -243,29 +234,28 @@ macro_rules! define_simd_forward {
             }
 
             /// The registry entry point for one `(Fy, Fx, sy, sx)` key:
-            /// validates buffer lengths, applies the Eq. 21 phase transform
-            /// when `SX > 1` (a compile-time branch), and runs the
-            /// monomorphized tiled driver.
+            /// validates buffer lengths and the plan's shape against the
+            /// instance, applies the Eq. 21 phase transform when `SX > 1`
+            /// (a compile-time branch), and runs the monomorphized tiled
+            /// driver over the proved plan.
             ///
             /// # Safety
             ///
             /// Caller guarantees the CPU supports this module's target
-            /// features and that the instance's lowered plan verified clean
-            /// under spg-check for `spec` (the registry wrapper enforces
-            /// both).
+            /// features (the registry wrapper checks).
             pub(crate) unsafe fn forward_entry<
                 const FY: usize,
                 const FX: usize,
                 const SY: usize,
                 const SX: usize,
             >(
-                spec: &ConvSpec,
+                plan: VerifiedTiled<'_>,
                 input: &[f32],
                 weights: &[f32],
                 output: &mut [f32],
                 scratch: &mut ConvScratch,
-                cache_rows: usize,
             ) {
+                let spec = plan.spec();
                 assert_eq!(input.len(), spec.input_shape().len(), "input length");
                 assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
                 assert_eq!(output.len(), spec.output_shape().len(), "output length");
@@ -273,50 +263,40 @@ macro_rules! define_simd_forward {
                     (spec.ky(), spec.kx(), spec.sy(), spec.sx()) == (FY, FX, SY, SX),
                     "spec geometry does not match the monomorphized instance"
                 );
-                let (in_h, in_w) = (spec.in_h(), spec.in_w());
-                let cache_rows = cache_rows.max(TILE_ROWS);
-                if SX == 1 {
-                    let koff0: [usize; FX] = std::array::from_fn(|kx| kx);
-                    // SAFETY: target features guaranteed by the caller; the
-                    // unit-stride strides (channel plane in_h*in_w, row in_w)
-                    // describe the validated input buffer, matching the
-                    // accesses spg-check proved for this instance's plan.
-                    unsafe {
-                        forward_tiled::<FY, FX, SY>(
-                            spec,
-                            input.as_ptr(),
-                            in_h * in_w,
-                            in_w,
-                            koff0,
-                            weights.as_ptr(),
-                            output.as_mut_ptr(),
-                            cache_rows,
-                        );
-                    }
+                assert!(
+                    plan.lanes() == LANES && plan.tile_rows() == TILE_ROWS,
+                    "plan was lowered for a different register tile"
+                );
+                // The CHW input (row stride in_w, tap kx at column kx) or,
+                // for strided keys, its Eq. 21 staging: (c, h) row groups of
+                // SX phases x pw columns, tap kx in phase kx % SX at column
+                // kx / SX. `SX` is a compile-time branch.
+                let (staged, row_stride, koff): (&[f32], usize, [usize; FX]) = if SX == 1 {
+                    (input, spec.in_w(), std::array::from_fn(|kx| kx))
                 } else {
                     let lay = phase_layout(spec, SX);
                     let phased = zeroed_slice(&mut scratch.hwc_in, lay.transformed_len());
                     lay.apply_into(input, phased);
                     let pw = lay.phase_width();
-                    let group = SX * pw;
-                    let koff0: [usize; FX] = std::array::from_fn(|kx| (kx % SX) * pw + kx / SX);
-                    // SAFETY: target features guaranteed by the caller; the
-                    // phased strides (channel plane in_h*group, row group)
-                    // describe the freshly staged buffer of
-                    // lay.transformed_len() elements, and spg-check's phased
-                    // row-group containment proof bounds every koff access.
-                    unsafe {
-                        forward_tiled::<FY, FX, SY>(
-                            spec,
-                            phased.as_ptr(),
-                            in_h * group,
-                            group,
-                            koff0,
-                            weights.as_ptr(),
-                            output.as_mut_ptr(),
-                            cache_rows,
-                        );
-                    }
+                    (phased, SX * pw, std::array::from_fn(|kx| (kx % SX) * pw + kx / SX))
+                };
+                // SAFETY: target features guaranteed by the caller; `staged`
+                // is the length-checked input of plan.spec() or the freshly
+                // staged buffer of lay.transformed_len() elements, in rows of
+                // `row_stride` and channel planes of in_h rows; the lane and
+                // geometry asserts above tie this instance to the plan
+                // spg-check proved, whose x-tile and phase-group containment
+                // judgments bound every koff access.
+                unsafe {
+                    forward_tiled::<FY, FX, SY>(
+                        plan,
+                        staged.as_ptr(),
+                        spec.in_h() * row_stride,
+                        row_stride,
+                        koff,
+                        weights.as_ptr(),
+                        output.as_mut_ptr(),
+                    );
                 }
             }
         }

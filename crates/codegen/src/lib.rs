@@ -15,9 +15,10 @@
 //!
 //! * **Verified before run.** Every instance lowers to the same
 //!   `spg-check` `StencilTiled` plan IR as the generic kernel
-//!   ([`SpecializedKernel::plan`]); `spg-core` verifies that plan before
-//!   dispatching to the instance, so the bounds proofs are about the
-//!   exact tile list the monomorphized code executes.
+//!   ([`xplan::tiled_plan`] at the instance's lane width), and
+//!   [`SpecializedKernel::forward`] accepts only the
+//!   [`spg_check::VerifiedTiled`] the verifier hands back — the tile list
+//!   the monomorphized code iterates is the one that was proved.
 //! * **Bit-identical.** Instances reproduce the generic kernel's
 //!   per-output-element reduction order (channels, `ky`, `kx`,
 //!   single-rounded FMA), so their outputs are bit-identical to the
@@ -35,12 +36,11 @@ mod kernels;
 mod registry;
 pub mod xplan;
 
-pub use registry::{all_instances, lookup, lookup_for_plan, Isa, KernelKey, SpecializedKernel};
+pub use registry::{all_instances, lookup, Isa, KernelKey, SpecializedKernel};
 
-/// Output rows held in the register tile — must equal the generic
-/// kernel's `TILE_ROWS` (a coupling test in `spg-core` pins this): six
-/// rows of up to two vectors fill the verifier's accumulator budget at
-/// either lane width.
+/// Output rows held in the register tile, by the generic kernel in
+/// `spg-core` and by every instance here: six rows of up to two vectors
+/// fill the verifier's accumulator budget at either lane width.
 pub const TILE_ROWS: usize = 6;
 
 /// Which stencil forward kernel a caller wants deployed.
@@ -82,12 +82,29 @@ pub fn force_generic() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spg_check::{
+        BackwardPlan, ConvPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan,
+    };
     use spg_convnet::workspace::ConvScratch;
     use spg_convnet::{reference, ConvSpec};
     use spg_gemm::SimdLevel;
 
     fn pseudo(n: usize, salt: usize) -> Vec<f32> {
         (0..n).map(|i| (((i * 29 + salt * 13) % 19) as f32 - 9.0) / 5.0).collect()
+    }
+
+    /// `inst`'s tiled plan for `spec`, proved: the only way to run it.
+    fn verified(spec: &ConvSpec, inst: &SpecializedKernel, cache_rows: usize) -> VerifiedPlan {
+        let plan = ConvPlan {
+            forward: xplan::tiled_plan(spec, inst.lanes(), cache_rows),
+            backward: BackwardPlan::UnfoldGemm { threads: 1 },
+            register_tile: RegisterTile { rx: 1, ry: 1 },
+            schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
+        };
+        match spg_check::verify_conv_plan(spec, plan, &ScratchCapacity::reserved_for(spec)) {
+            Ok(v) => v,
+            Err(e) => panic!("{inst:?} on {spec}: {e}"),
+        }
     }
 
     /// Every instance the host can run matches the reference oracle on a
@@ -113,7 +130,9 @@ mod tests {
             let weights = pseudo(spec.weight_shape().len(), 2);
             let mut out = vec![0f32; spec.output_shape().len()];
             let mut oracle = out.clone();
-            inst.forward(&spec, &input, &weights, &mut out, &mut ConvScratch::new(), 12);
+            let plan = verified(&spec, inst, 12);
+            let tiled = plan.tiled().unwrap_or_else(|| unreachable!("lowered tiled"));
+            inst.forward(tiled, &input, &weights, &mut out, &mut ConvScratch::new());
             reference::forward(&spec, &input, &weights, &mut oracle);
             let diff = out.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
             assert!(diff < 5e-4, "{inst:?} on {spec}: diff {diff}");
@@ -167,7 +186,7 @@ mod tests {
     fn lowered_plan_reflects_instance() {
         let spec = ConvSpec::square(64, 4, 3, 5, 2);
         let Some(inst) = lookup(&spec) else { return };
-        match inst.plan(&spec, 1) {
+        match xplan::tiled_plan(&spec, inst.lanes(), 1) {
             spg_check::ForwardPlan::StencilTiled {
                 lanes,
                 tile_rows,
@@ -185,18 +204,28 @@ mod tests {
         }
     }
 
-    /// `lookup_for_plan` only resolves for tiled stencil plans.
+    /// An instance refuses a proved plan that was lowered for another
+    /// lane width: the proof is about a different tile list.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn plan_keyed_lookup_requires_tiled_stencil() {
-        let spec = ConvSpec::square(20, 4, 2, 3, 1);
-        let gemm = spg_check::ForwardPlan::UnfoldGemm { threads: 1 };
-        assert!(lookup_for_plan(&spec, &gemm).is_none());
-        let narrow = spg_check::ForwardPlan::StencilNarrow;
-        assert!(lookup_for_plan(&spec, &narrow).is_none());
-        if let Some(inst) = lookup(&spec) {
-            let tiled = inst.plan(&spec, 6);
-            assert!(lookup_for_plan(&spec, &tiled).is_some());
-        }
+    #[should_panic(expected = "lane width")]
+    fn instance_rejects_a_plan_of_another_lane_width() {
+        let spec = ConvSpec::square(40, 2, 2, 3, 1);
+        let of_lanes = |lanes: usize| {
+            let found = all_instances()
+                .iter()
+                .find(|k| k.lanes() == lanes && k.key() == KernelKey::of(&spec));
+            found.unwrap_or_else(|| unreachable!("3x3 s1 has both ISAs"))
+        };
+        let wrong = verified(&spec, of_lanes(16), 6);
+        let mut out = vec![0f32; spec.output_shape().len()];
+        of_lanes(8).forward(
+            wrong.tiled().unwrap_or_else(|| unreachable!("lowered tiled")),
+            &pseudo(spec.input_shape().len(), 1),
+            &pseudo(spec.weight_shape().len(), 2),
+            &mut out,
+            &mut ConvScratch::new(),
+        );
     }
 
     #[test]

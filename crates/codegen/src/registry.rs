@@ -1,19 +1,16 @@
 //! The specialized-kernel registry: monomorphized instances keyed by
-//! kernel geometry, dispatched by runtime CPU features, gated by the
-//! caller through `spg-check`.
+//! kernel geometry, resolved by runtime CPU features, runnable only on a
+//! plan `spg-check` proved.
 
-use spg_check::ForwardPlan;
+use spg_check::VerifiedTiled;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 use spg_gemm::SimdLevel;
 
 use crate::kernels::ForwardFn;
-use crate::xplan::x_tiles;
-use crate::TILE_ROWS;
 
 /// The geometry tuple a specialized instance is monomorphized for —
-/// the registry key, derived from a `ConvSpec` or from the `spg-check`
-/// plan IR via [`lookup_for_plan`](crate::lookup_for_plan).
+/// the registry key, derived from a `ConvSpec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelKey {
     /// Kernel rows (`Fy`).
@@ -30,12 +27,6 @@ impl KernelKey {
     /// The key for a convolution's kernel geometry.
     pub fn of(spec: &ConvSpec) -> KernelKey {
         KernelKey { fy: spec.ky(), fx: spec.kx(), sy: spec.sy(), sx: spec.sx() }
-    }
-
-    /// Whether instances for this key run the Eq. 21 phase transform —
-    /// exactly the `phased` flag of the lowered `StencilTiled` plan.
-    pub fn phased(&self) -> bool {
-        self.sx > 1
     }
 }
 
@@ -97,64 +88,43 @@ impl SpecializedKernel {
         self.lanes
     }
 
-    /// Lowers this instance to the verifier's IR for `spec`: the exact
-    /// lane width, tile rows, cache block, and x-tile list the instance
-    /// executes. Callers MUST pass this through `spg_check::verify_forward`
-    /// (spg-core's `verify_specialized` does) before running the instance;
-    /// `cache_rows` is the cache-schedule row block and is clamped to
-    /// [`TILE_ROWS`] exactly as the kernel clamps it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.out_w() < self.lanes()` (such specs never resolve
-    /// to this instance through [`lookup`](crate::lookup)).
-    pub fn plan(&self, spec: &ConvSpec, cache_rows: usize) -> ForwardPlan {
-        ForwardPlan::StencilTiled {
-            lanes: self.lanes,
-            tile_rows: TILE_ROWS,
-            cache_rows: cache_rows.max(TILE_ROWS),
-            x_tiles: x_tiles(spec.out_w(), self.lanes),
-            phased: self.key.phased(),
-        }
-    }
-
-    /// Runs the monomorphized forward kernel for one sample, staging the
-    /// phase transform (strided keys) in `scratch`. `cache_rows` is the
-    /// cache-schedule row block from the generator (clamped to
-    /// [`TILE_ROWS`]).
+    /// Runs the monomorphized forward kernel for one sample over a proved
+    /// plan: the instance iterates `plan`'s own x-tiles and cache row
+    /// block, staging the phase transform (strided keys) in `scratch`.
+    /// Lower with [`tiled_plan`](crate::xplan::tiled_plan) at this
+    /// instance's [`lanes`](SpecializedKernel::lanes).
     ///
     /// The flop traffic is recorded against telemetry exactly like the
     /// generic kernel (full dense convolution: goodput 1).
     ///
     /// # Panics
     ///
-    /// Panics if buffer lengths do not match the spec, if the spec's
-    /// geometry does not match this instance's key, if `spec.out_w()` is
-    /// narrower than one vector, or if the running CPU lacks this
-    /// instance's instruction set.
+    /// Panics if buffer lengths do not match `plan.spec()`, if the plan's
+    /// geometry, lane width or tile rows do not match this instance, or if
+    /// the running CPU lacks this instance's instruction set.
     pub fn forward(
         &self,
-        spec: &ConvSpec,
+        plan: VerifiedTiled<'_>,
         input: &[f32],
         weights: &[f32],
         output: &mut [f32],
         scratch: &mut ConvScratch,
-        cache_rows: usize,
     ) {
-        assert_eq!(KernelKey::of(spec), self.key, "spec geometry vs instance key");
-        assert!(spec.out_w() >= self.lanes, "output row narrower than one vector");
+        assert_eq!(KernelKey::of(plan.spec()), self.key, "spec geometry vs instance key");
+        assert_eq!(plan.lanes(), self.lanes, "plan lane width vs instance");
         assert!(
             self.isa.runnable_at(spg_gemm::detect_simd_level()),
             "CPU lacks the {} features this instance requires",
             self.isa.name()
         );
-        let ops = spec.arithmetic_ops();
+        let ops = plan.spec().arithmetic_ops();
         spg_telemetry::record_flops(ops, ops);
         // SAFETY: the ISA assertion above guarantees the instance's target
-        // features; the entry validates buffer lengths against the spec,
-        // and the caller ran this instance's lowered plan (self.plan)
-        // through spg-check before dispatching here.
-        unsafe { (self.forward)(spec, input, weights, output, scratch, cache_rows) };
+        // features; the key and lane assertions tie this instance to the
+        // plan, and the entry re-checks them against its const parameters
+        // along with the buffer lengths. Every bound the tile loops use
+        // comes from `plan`, which only spg-check can construct.
+        unsafe { (self.forward)(plan, input, weights, output, scratch) };
     }
 }
 
@@ -220,15 +190,4 @@ pub fn lookup(spec: &ConvSpec) -> Option<&'static SpecializedKernel> {
     let key = KernelKey::of(spec);
     let level = spg_gemm::detect_simd_level();
     REGISTRY.iter().find(|k| k.key == key && k.isa.runnable_at(level) && spec.out_w() >= k.lanes)
-}
-
-/// [`lookup`] keyed by the `spg-check` plan IR: resolves only for
-/// `StencilTiled` plans whose `phased` flag matches the key (narrow and
-/// GEMM plans never specialize), so the registry consult composes with
-/// `verify_plan` on the plan that actually passed.
-pub fn lookup_for_plan(spec: &ConvSpec, plan: &ForwardPlan) -> Option<&'static SpecializedKernel> {
-    match plan {
-        ForwardPlan::StencilTiled { phased, .. } if *phased == (spec.sx() > 1) => lookup(spec),
-        _ => None,
-    }
 }

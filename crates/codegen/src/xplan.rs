@@ -1,53 +1,59 @@
-//! Lane-parameterized `x` tile segmentation.
+//! The `x` tile segmentation and the tiled-stencil plan built on it.
 //!
-//! The generic kernel's `x_plan` is hard-wired to 8 lanes (AVX2). The
-//! specialized registry carries 16-lane (AVX-512) instances too, so the
-//! segmentation is generalized over the lane count here: double-width
-//! tiles while they fit, then single vectors, then one overlapping
-//! single-vector tail for ragged widths. A coupling test in `spg-core`
-//! pins the 8-lane case to the generic kernel's plan.
+//! One function segments an output row for every lane width (8-lane AVX2,
+//! 16-lane AVX-512): double-width tiles while they fit, then single
+//! vectors, then one overlapping single-vector tail for ragged widths.
+//! It is called when a plan is lowered, never when one runs — the kernels
+//! iterate the tile list `spg-check` proved.
 
-use spg_check::XTile;
+use spg_check::{ForwardPlan, XTile};
+use spg_convnet::ConvSpec;
 
-/// `x` tile plan covering `0..out_w` with `lanes`-wide vectors: `2*lanes`
-/// tiles while they fit, then `lanes`-wide, then one overlapping
-/// `lanes`-wide tail. Returns `(x, wide)` pairs; `wide` means two vectors.
+use crate::TILE_ROWS;
+
+/// `x` tile plan covering `0..out_w` with `lanes`-wide vectors: two-vector
+/// tiles while they fit, then one-vector tiles, then one overlapping
+/// one-vector tail.
 ///
 /// # Panics
 ///
 /// Panics if `lanes == 0` or `out_w < lanes` (narrower outputs take the
 /// shifted-GEMM path and have no x plan).
-pub fn x_plan_lanes(out_w: usize, lanes: usize) -> Vec<(usize, bool)> {
+pub fn x_plan_lanes(out_w: usize, lanes: usize) -> Vec<XTile> {
     assert!(lanes > 0, "lane count must be positive");
     assert!(out_w >= lanes, "output row narrower than one vector");
     let mut plan = Vec::new();
     let mut x = 0;
     while x + 2 * lanes <= out_w {
-        plan.push((x, true));
+        plan.push(XTile { x, vectors: 2 });
         x += 2 * lanes;
     }
     while x + lanes <= out_w {
-        plan.push((x, false));
+        plan.push(XTile { x, vectors: 1 });
         x += lanes;
     }
     if x < out_w {
-        plan.push((out_w - lanes, false));
+        plan.push(XTile { x: out_w - lanes, vectors: 1 });
     }
     plan
 }
 
-/// [`x_plan_lanes`] in the verifier's IR: the exact tile list a
-/// specialized instance iterates, handed to `spg-check` so the proof is
-/// about the code that runs.
+/// The wide register-tiled stencil plan for `spec` at `lanes` lanes — the
+/// generic AVX2 loops at 8, a registry instance at its own width — with
+/// the cache-schedule row block `cache_rows` clamped up to [`TILE_ROWS`].
+/// This is what the tile loops execute once `spg-check` has proved it.
 ///
 /// # Panics
 ///
-/// Panics if `lanes == 0` or `out_w < lanes`.
-pub fn x_tiles(out_w: usize, lanes: usize) -> Vec<XTile> {
-    x_plan_lanes(out_w, lanes)
-        .into_iter()
-        .map(|(x, wide)| XTile { x, vectors: if wide { 2 } else { 1 } })
-        .collect()
+/// Panics if `lanes == 0` or `spec.out_w() < lanes`.
+pub fn tiled_plan(spec: &ConvSpec, lanes: usize, cache_rows: usize) -> ForwardPlan {
+    ForwardPlan::StencilTiled {
+        lanes,
+        tile_rows: TILE_ROWS,
+        cache_rows: cache_rows.max(TILE_ROWS),
+        x_tiles: x_plan_lanes(spec.out_w(), lanes),
+        phased: spec.sx() > 1,
+    }
 }
 
 #[cfg(test)]
@@ -60,8 +66,8 @@ mod tests {
             for out_w in lanes..5 * lanes {
                 let plan = x_plan_lanes(out_w, lanes);
                 let mut covered = vec![false; out_w];
-                for &(x, wide) in &plan {
-                    let w = if wide { 2 * lanes } else { lanes };
+                for tile in &plan {
+                    let (x, w) = (tile.x, tile.vectors * lanes);
                     assert!(x + w <= out_w, "tile escapes: x={x} w={w} out_w={out_w}");
                     for c in covered.iter_mut().skip(x).take(w) {
                         *c = true;
@@ -75,14 +81,14 @@ mod tests {
     #[test]
     fn exact_multiples_have_no_tail_overlap() {
         let plan = x_plan_lanes(32, 8);
-        assert_eq!(plan, vec![(0, true), (16, true)]);
+        assert_eq!(plan, vec![XTile { x: 0, vectors: 2 }, XTile { x: 16, vectors: 2 }]);
         let plan = x_plan_lanes(32, 16);
-        assert_eq!(plan, vec![(0, true)]);
+        assert_eq!(plan, vec![XTile { x: 0, vectors: 2 }]);
     }
 
     #[test]
-    fn tiles_translate_to_ir() {
-        let tiles = x_tiles(24, 16);
+    fn ragged_width_gets_an_overlapping_tail() {
+        let tiles = x_plan_lanes(24, 16);
         assert_eq!(tiles.len(), 2);
         assert_eq!((tiles[0].x, tiles[0].vectors), (0, 1));
         assert_eq!((tiles[1].x, tiles[1].vectors), (8, 1));

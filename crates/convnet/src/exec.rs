@@ -8,22 +8,23 @@
 //! permuted-layout copies in the scratch instead of allocating, so the
 //! per-sample hot path is heap-free once the scratch has warmed up. The
 //! substrate ships the two conventional executors ([`ReferenceExecutor`]
-//! and [`UnfoldGemmExecutor`]); the `spg-core` crate plugs its stencil
-//! forward kernel and sparse backward kernel in through this trait, and the
-//! paper's scheduler swaps executors per layer and per phase (Sec. 4.4).
+//! and [`UnfoldGemmExecutor`]); the `spg-core` crate plugs its lowered
+//! per-layer programs in through this trait, and the paper's scheduler
+//! swaps executors per layer and per phase (Sec. 4.4).
 //!
 //! # Kernel dispatch layers beneath this seam
 //!
-//! Specialized-kernel selection does **not** go through the executor
-//! seam: `spg-core`'s `StencilExecutor` consults the `spg-codegen`
-//! registry of monomorphized instances inside its own `forward` and falls
-//! back to the generic runtime-parameterized loops for unlisted shapes.
-//! Executor choice answers *which algorithm* runs a phase (unfold-GEMM vs
-//! stencil vs reference); instance choice answers *which compiled body*
-//! runs that algorithm, and the two stay orthogonal. Callers swapping
-//! executors never observe the difference — specialized and generic
-//! stencil bodies are bit-identical by contract, enforced by `spg-check`
-//! verification and the golden Table 2 suite.
+//! The seam itself is stateless and knows nothing of plans. `spg-core`
+//! fills it with one executor type: a lowered, `spg-check`-verified
+//! program (`ConvProgram`) installed in a layer's forward and backward
+//! slots. Which algorithm runs a phase (unfold-GEMM, stencil, banded
+//! stencil, sparse), with what tiles, bands and worker counts, and which
+//! compiled body runs it (a `spg-codegen` instance or the generic loops)
+//! are all decided once, when the layer's plan is lowered; the program's
+//! per-call work is a single `match` on that plan. Callers swapping
+//! executors never observe the instance choice — specialized and generic
+//! stencil bodies are bit-identical by contract, enforced by the golden
+//! Table 2 suite.
 
 use std::fmt;
 use std::sync::Arc;

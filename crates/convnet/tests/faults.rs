@@ -7,6 +7,7 @@
 
 #![cfg(feature = "fault-injection")]
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -16,6 +17,15 @@ use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
 use spg_convnet::{ConvSpec, Network, TrainError, Trainer, TrainerConfig};
 use spg_sync::FaultPlan;
 use spg_tensor::Shape3;
+
+/// Both drills bump the process-global `train.faulted_samples` counter,
+/// and the first asserts an exact delta on it: they must not interleave.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn serialized() -> MutexGuard<'static, ()> {
+    // A drill that failed while holding the lock left no state behind.
+    COUNTERS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn build_network(seed: u64) -> Network {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -49,6 +59,7 @@ fn config(threads: usize) -> TrainerConfig {
 /// and weights — while the restart shows up in the telemetry counters.
 #[test]
 fn training_recovers_from_injected_panic_bit_identically() {
+    let _serial = serialized();
     let mut clean_net = build_network(21);
     let clean = Trainer::new(config(3))
         .try_train(&mut clean_net, &mut dataset())
@@ -87,6 +98,7 @@ fn training_recovers_from_injected_panic_bit_identically() {
 /// down promptly instead of deadlocking on its in-flight channels.
 #[test]
 fn exhausted_budget_fails_with_typed_error_without_deadlock() {
+    let _serial = serialized();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let plan = Some(FaultPlan::panic_on(0, 1));

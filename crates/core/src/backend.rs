@@ -39,20 +39,16 @@
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
 
+use spg_check::{BackwardPlan, ScratchCapacity};
 use spg_codegen::{Isa, KernelChoice};
-use spg_convnet::exec::SharedExecutor;
 use spg_convnet::layer::ConvLayer;
 use spg_convnet::ConvSpec;
 
 use crate::autotune::Phase;
-use crate::compiled::CompiledConv;
+use crate::compiled::{CompiledConv, ConvProgram};
 use crate::schedule::{LayerPlan, Technique};
-use crate::sparse::DEFAULT_TILE_WIDTH;
-use crate::specialized::select_kernel;
-use crate::stencil::StencilExecutor;
-use crate::verify::{verify_plan, verify_technique};
+use crate::verify::{lower, lower_backward, lower_phase, verify_technique};
 use crate::SpgError;
 
 /// Descriptor of one convolution problem instance: the layer geometry plus
@@ -123,6 +119,35 @@ impl AlgoChoice {
     pub fn id(self) -> String {
         format!("{}+{}/{}", self.forward.id(), self.backward.id(), self.kernel.id())
     }
+
+    /// Lowers and verifies this algorithm for `spec` at `cores` workers:
+    /// the program both [`Backend::compile`] and
+    /// [`install`](spg_convnet::LayerAlgo::install) execute.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpgError::PlanRejected`] if the verifier rejects the
+    /// lowered plan, or [`SpgError::InvalidNetwork`] if lowering does not
+    /// bind the specialized instance this algorithm names (wrong forward
+    /// technique, unlisted shape, or an ISA this host does not prefer).
+    pub fn lower(self, spec: &ConvSpec, cores: usize) -> Result<ConvProgram, SpgError> {
+        let choice = match self.kernel {
+            AlgoKernel::Generic => KernelChoice::Generic,
+            AlgoKernel::Specialized(_) => KernelChoice::Auto,
+        };
+        let program = lower(spec, self.plan(), cores.max(1), choice)?;
+        match (self.kernel, program.specialized_kernel()) {
+            (AlgoKernel::Generic, _) => Ok(program),
+            (AlgoKernel::Specialized(isa), Some(inst)) if inst.isa() == isa => Ok(program),
+            (AlgoKernel::Specialized(isa), _) => Err(SpgError::InvalidNetwork {
+                message: format!(
+                    "no verified {} specialized kernel for {} on this shape and host",
+                    isa.name(),
+                    self.forward.id()
+                ),
+            }),
+        }
+    }
 }
 
 impl fmt::Display for AlgoChoice {
@@ -182,58 +207,40 @@ pub trait Backend {
 /// `desc` reaches — the arithmetic behind every backend's
 /// [`workspace_size`](Backend::workspace_size).
 ///
-/// The geometry-determined buffers reproduce
+/// The geometry-determined buffers are the verifier's
+/// [`ScratchCapacity::reserved_for`] — what
 /// [`ConvScratch::reserve`](spg_convnet::workspace::ConvScratch::reserve)
-/// exactly; on top of that the backward technique's lazily-grown storage
-/// is bounded: the GEMM panel packs of the single-threaded backward-data
-/// transposed multiply ([`spg_gemm::pack_high_water`]) for
-/// GEMM-in-Parallel-style backwards, and the dense-gradient CT-CSR
-/// capacity for Sparse-Kernel (BP).
+/// provides; on top of that the lowered backward plan's lazily-grown
+/// storage is bounded: the GEMM panel packs of the single-threaded
+/// backward-data transposed multiply ([`spg_gemm::pack_high_water`]) for
+/// serial GEMM backwards, and the dense-gradient CT-CSR capacity for the
+/// sparse pointer-shift backward.
 ///
 /// [`ConvScratch`]: spg_convnet::workspace::ConvScratch
 pub fn conv_workspace_bytes(desc: &ConvDescriptor, algo: AlgoChoice) -> usize {
     let spec = &desc.spec;
-    let f32s = std::mem::size_of::<f32>();
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
     let features = spec.features();
-    let ishape = spec.input_shape();
-    // The strided stencil path stages a phased input copy whose padded
-    // length can exceed the input itself (mirrors ConvScratch::reserve).
-    let phased = ishape.c * ishape.h * spec.sx() * ishape.w.div_ceil(spec.sx());
-    let reserved = patches * patch_len.max(features)   // mat_a
-        + patches * patch_len                          // mat_b
-        + ishape.len().max(phased)                     // hwc_in
-        + spec.output_shape().len()                    // hwc_out
-        + spec.weight_shape().len(); // wperm
-    let extra = match algo.backward {
-        // Single-threaded backward-data runs the transposed multiply
+    let reserved = ScratchCapacity::reserved_for(spec).elems();
+    let extra = match lower_backward(algo.backward, desc.cores) {
+        // The single-threaded backward-data runs the transposed multiply
         // E_U = E_O^T W through the scratch pack buffers: k = features,
         // m = patches, n = patch_len.
-        Technique::GemmInParallel
-        | Technique::StencilFp
-        | Technique::StencilYBand
-        | Technique::StencilXBand
-        | Technique::StencilOutChannel => {
+        BackwardPlan::UnfoldGemm { threads: 1 } => {
             let (a, b) = spg_gemm::pack_high_water(patches, features, patch_len);
             a + b
         }
+        // With more workers it stages E_O^T in mat_a (already counted) and
+        // packs per-worker locally, outside the scratch.
+        BackwardPlan::UnfoldGemm { .. } => 0,
         // CT-CSR staging: values + column indices bounded by a dense
         // gradient, plus one row-pointer array per column tile.
-        Technique::SparseBp => {
-            patches * features * 2 + features.div_ceil(DEFAULT_TILE_WIDTH) * (patches + 1)
+        BackwardPlan::SparsePointerShift { tile_width } => {
+            patches * features * 2 + features.div_ceil(tile_width) * (patches + 1)
         }
-        // At one core the Parallel-GEMM backward degenerates to the same
-        // single-threaded packed multiply as GEMM-in-Parallel; with more
-        // cores it stages E_O^T in mat_a (already counted) and packs
-        // per-worker locally, outside the scratch.
-        Technique::ParallelGemm if desc.cores == 1 => {
-            let (a, b) = spg_gemm::pack_high_water(patches, features, patch_len);
-            a + b
-        }
-        Technique::ParallelGemm => 0,
     };
-    (reserved + extra) * f32s
+    (reserved + extra) * std::mem::size_of::<f32>()
 }
 
 /// The real CPU SIMD backend: algorithms are the verified
@@ -249,18 +256,15 @@ impl CpuBackend {
     }
 
     /// The algorithm the default ([`KernelChoice::Auto`]) compile path
-    /// binds for `plan`: the specialized instance when the registry
-    /// resolves and verifies one for a stencil forward, generic loops
-    /// otherwise. `compile(desc, algo_for(desc, plan), ..)` is
-    /// bit-identical to [`CompiledConv::compile`].
+    /// binds for `plan`: the specialized instance when lowering resolves
+    /// and verifies one for the plan's forward, generic loops otherwise.
+    /// `compile(desc, algo_for(desc, plan), ..)` is bit-identical to
+    /// [`CompiledConv::compile`].
     pub fn algo_for(&self, desc: &ConvDescriptor, plan: LayerPlan) -> AlgoChoice {
-        let kernel = match plan.forward {
-            Technique::StencilFp => match select_kernel(&desc.spec) {
-                Some(inst) => AlgoKernel::Specialized(inst.isa()),
-                None => AlgoKernel::Generic,
-            },
-            _ => AlgoKernel::Generic,
-        };
+        let bound = lower(&desc.spec, plan, desc.cores, KernelChoice::Auto)
+            .ok()
+            .and_then(|program| program.specialized_kernel());
+        let kernel = bound.map_or(AlgoKernel::Generic, |inst| AlgoKernel::Specialized(inst.isa()));
         AlgoChoice { forward: plan.forward, backward: plan.backward, kernel }
     }
 }
@@ -275,29 +279,31 @@ impl Backend for CpuBackend {
     fn get_algos(&self, desc: &ConvDescriptor) -> impl Iterator<Item = AlgoChoice> {
         let spec = desc.spec;
         let cores = desc.cores;
-        let fwd: Vec<Technique> = Technique::forward_candidates()
+        // Each verified forward candidate, with the ISA of the instance
+        // Auto lowering binds to it (none for all but the stencil forward).
+        let fwd: Vec<(Technique, Option<Isa>)> = Technique::forward_candidates()
             .iter()
-            .copied()
-            .filter(|t| verify_technique(&spec, *t, Phase::Forward, cores).is_ok())
+            .filter_map(|&t| {
+                let program =
+                    lower_phase(&spec, t, Phase::Forward, cores, KernelChoice::Auto).ok()?;
+                Some((t, program.specialized_kernel().map(|inst| inst.isa())))
+            })
             .collect();
         let bwd: Vec<Technique> = Technique::backward_candidates()
             .iter()
             .copied()
             .filter(|t| verify_technique(&spec, *t, Phase::Backward, cores).is_ok())
             .collect();
-        let specialized = select_kernel(&spec).map(|inst| inst.isa());
         let mut algos = Vec::with_capacity(fwd.len() * bwd.len() * 2);
-        for &forward in &fwd {
+        for &(forward, isa) in &fwd {
             for &backward in &bwd {
                 algos.push(AlgoChoice { forward, backward, kernel: AlgoKernel::Generic });
-                if forward == Technique::StencilFp {
-                    if let Some(isa) = specialized {
-                        algos.push(AlgoChoice {
-                            forward,
-                            backward,
-                            kernel: AlgoKernel::Specialized(isa),
-                        });
-                    }
+                if let Some(isa) = isa {
+                    algos.push(AlgoChoice {
+                        forward,
+                        backward,
+                        kernel: AlgoKernel::Specialized(isa),
+                    });
                 }
             }
         }
@@ -314,79 +320,22 @@ impl Backend for CpuBackend {
         algo: AlgoChoice,
         weights: &[f32],
     ) -> Result<CompiledConv, SpgError> {
-        let choice = match algo.kernel {
-            AlgoKernel::Generic => KernelChoice::Generic,
-            AlgoKernel::Specialized(isa) => {
-                if algo.forward != Technique::StencilFp {
-                    return Err(SpgError::InvalidNetwork {
-                        message: format!(
-                            "specialized {} kernel requires a stencil-fp forward, got {}",
-                            isa.name(),
-                            algo.forward.id()
-                        ),
-                    });
-                }
-                match select_kernel(&desc.spec) {
-                    // Auto re-resolves the same verified instance
-                    // deterministically inside compile_with_kernel.
-                    Some(inst) if inst.isa() == isa => KernelChoice::Auto,
-                    _ => {
-                        return Err(SpgError::InvalidNetwork {
-                            message: format!(
-                                "no verified {} specialized kernel for this shape on this host",
-                                isa.name()
-                            ),
-                        })
-                    }
-                }
-            }
-        };
-        CompiledConv::compile_with_kernel(desc.spec, algo.plan(), weights, desc.cores, choice)
+        CompiledConv::from_program(algo.lower(&desc.spec, desc.cores)?, algo.plan(), weights)
     }
 }
 
 /// An [`AlgoChoice`] installs on an [`Engine`](spg_convnet::Engine) layer
 /// via [`algo_override`](spg_convnet::Engine::algo_override): the plan is
-/// verified for the layer's geometry, then the matching executors are
-/// bound (the pinned-generic stencil executor when the kernel binding is
-/// [`AlgoKernel::Generic`], mirroring the autotuner's deployment).
+/// lowered and verified for the layer's geometry with the algorithm's
+/// kernel binding, and the resulting program fills both executor slots.
 impl spg_convnet::LayerAlgo for AlgoChoice {
     fn id(&self) -> String {
         AlgoChoice::id(*self)
     }
 
     fn install(&self, conv: &mut ConvLayer, cores: usize) -> Result<(), spg_error::Error> {
-        let spec = *conv.spec();
-        let cores = cores.max(1);
-        verify_plan(&spec, self.plan(), cores)?;
-        let forward: SharedExecutor = match (self.forward, self.kernel) {
-            (Technique::StencilFp, AlgoKernel::Generic) => Arc::new(StencilExecutor::generic()),
-            (Technique::StencilFp, AlgoKernel::Specialized(isa)) => match select_kernel(&spec) {
-                Some(inst) if inst.isa() == isa => Technique::StencilFp.executor(cores),
-                _ => {
-                    return Err(SpgError::InvalidNetwork {
-                        message: format!(
-                            "no verified {} specialized kernel for this shape on this host",
-                            isa.name()
-                        ),
-                    }
-                    .into())
-                }
-            },
-            (forward, AlgoKernel::Specialized(isa)) => {
-                return Err(SpgError::InvalidNetwork {
-                    message: format!(
-                        "specialized {} kernel requires a stencil-fp forward, got {}",
-                        isa.name(),
-                        forward.id()
-                    ),
-                }
-                .into())
-            }
-            (forward, AlgoKernel::Generic) => forward.executor(cores),
-        };
-        conv.set_forward_executor(forward);
-        conv.set_backward_executor(self.backward.executor(cores));
+        let program = self.lower(conv.spec(), cores)?;
+        program.install(conv, &[Phase::Forward, Phase::Backward]);
         Ok(())
     }
 }
@@ -394,6 +343,7 @@ impl spg_convnet::LayerAlgo for AlgoChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::select_kernel;
     use spg_convnet::workspace::ConvScratch;
 
     fn specs() -> Vec<ConvSpec> {

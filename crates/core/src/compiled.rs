@@ -1,36 +1,300 @@
-//! Compiled per-layer kernels — the artifact the paper's code generator
-//! produces.
+//! Executing a lowered plan: [`ConvProgram`] and its weight-owning form,
+//! [`CompiledConv`] — the artifact the paper's code generator produces.
 //!
 //! spg-CNN is a *code generation* framework: for each convolution layer it
-//! emits specialized kernels whose setup work — weight layout transforms,
-//! register-tile and cache-schedule planning — happens once per layer (or
-//! once per parameter update), not once per sample. The stateless
-//! [`ConvExecutor`] seam pays those costs
-//! on every call; [`CompiledConv`] is the amortized form: compile once,
-//! [`set_weights`](CompiledConv::set_weights) after each SGD step, and run
-//! every sample of the batch against the cached plan.
+//! decides once which kernels run and with what tiles, bands and worker
+//! counts. Here that decision is a [`ConvProgram`]: the plan
+//! [`verify::lower`](crate::verify::lower) lowered and `spg-check` proved,
+//! plus the `spg-codegen` instance bound to it. The program's three phase
+//! methods are the only dispatch in the crate — one `match` on the lowered
+//! [`ForwardPlan`] / [`BackwardPlan`] — and both entry points go through
+//! them: training installs [`ConvProgram::executor_for`] on a
+//! [`ConvLayer`] through the stateless
+//! [`ConvExecutor`] seam, serving holds a [`CompiledConv`], which adds the
+//! per-update weight transforms (compile once,
+//! [`set_weights`](CompiledConv::set_weights) after each SGD step, run
+//! every sample of the batch against the cached transforms).
 
 use std::fmt;
+use std::sync::Arc;
 
+use spg_check::{BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
 use spg_codegen::{KernelChoice, SpecializedKernel};
 use spg_tensor::{layout, Tensor};
 
-use spg_convnet::exec::ConvExecutor;
+use spg_convnet::exec::{ConvExecutor, SharedExecutor};
+use spg_convnet::layer::ConvLayer;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::{gemm_exec, ConvSpec};
 
+use crate::autotune::Phase;
 use crate::hybrid::HybridExecutor;
-use crate::schedule::{LayerPlan, Technique};
-use crate::sparse::{kernel as sparse_kernel, DEFAULT_TILE_WIDTH};
-use crate::specialized::select_kernel;
+use crate::schedule::LayerPlan;
+use crate::sparse::kernel as sparse_kernel;
 use crate::stencil::{
     kernel as stencil_kernel, plan_cache_schedule, plan_register_tile, render_basic_block,
-    CacheSchedule, RegisterTilePlan, VECTOR_WIDTH,
 };
 
-/// A convolution layer compiled against a [`LayerPlan`]: cached weight
-/// transforms plus the generator's tile plans, executable over any number
-/// of samples.
+/// A verified, kernel-bound layer plan, executable over any number of
+/// samples with caller-provided weights. Built only by
+/// [`verify::lower`](crate::verify::lower).
+#[derive(Debug)]
+pub struct ConvProgram {
+    plan: VerifiedPlan,
+    /// The `spg-codegen` instance the tiled forward runs, bound at
+    /// lowering; `None` runs the generic loops.
+    kernel: Option<&'static SpecializedKernel>,
+    /// Worker staging for banded forward plans (empty otherwise).
+    bands: HybridExecutor,
+}
+
+impl ConvProgram {
+    /// Binds a proved plan to the instance lowering chose for it.
+    pub(crate) fn bind(plan: VerifiedPlan, kernel: Option<&'static SpecializedKernel>) -> Self {
+        ConvProgram { plan, kernel, bands: HybridExecutor::default() }
+    }
+
+    /// The convolution this program was lowered for.
+    pub fn spec(&self) -> &ConvSpec {
+        self.plan.spec()
+    }
+
+    /// The lowered plan `spg-check` proved — the one that executes.
+    pub fn plan(&self) -> &ConvPlan {
+        self.plan.plan()
+    }
+
+    /// What the proof covered.
+    pub fn report(&self) -> CheckReport {
+        self.plan.report()
+    }
+
+    /// The bound specialized instance, if any.
+    pub fn specialized_kernel(&self) -> Option<&'static SpecializedKernel> {
+        self.kernel
+    }
+
+    /// This program as a [`ConvLayer`]
+    /// executor for `phase`'s slot. Both slots' executors run all three
+    /// phases identically; `phase` only selects which half of the plan
+    /// [`ConvExecutor::name`] reports (`"stencil-fp"`, `"sparse-bp"`, ...).
+    pub fn executor_for(self: &Arc<Self>, phase: Phase) -> SharedExecutor {
+        Arc::new(PlanExecutor { program: Arc::clone(self), phase })
+    }
+
+    /// Installs this program in `conv`'s executor slots for `slots`; the
+    /// other slot keeps whatever it held.
+    pub fn install(self, conv: &mut ConvLayer, slots: &[Phase]) {
+        let program = Arc::new(self);
+        for &phase in slots {
+            match phase {
+                Phase::Forward => conv.set_forward_executor(program.executor_for(phase)),
+                Phase::Backward => conv.set_backward_executor(program.executor_for(phase)),
+            }
+        }
+    }
+
+    /// Forward propagation for one sample. `output` is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if buffer lengths do not match the spec.
+    pub fn forward(
+        &self,
+        input: &[f32],
+        weights: &[f32],
+        output: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        self.forward_with(input, weights, None, output, scratch);
+    }
+
+    /// [`forward`](ConvProgram::forward), with the narrow plan's permuted
+    /// weights when the caller caches them.
+    fn forward_with(
+        &self,
+        input: &[f32],
+        weights: &[f32],
+        w_kkcf: Option<&[f32]>,
+        output: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        let spec = self.plan.spec();
+        match &self.plan.plan().forward {
+            ForwardPlan::StencilTiled { .. } => {
+                let tiled =
+                    self.plan.tiled().unwrap_or_else(|| unreachable!("forward is StencilTiled"));
+                match self.kernel {
+                    Some(inst) => inst.forward(tiled, input, weights, output, scratch),
+                    None => stencil_kernel::forward_tiled(tiled, input, weights, output, scratch),
+                }
+            }
+            ForwardPlan::StencilNarrow => match w_kkcf {
+                Some(w_kkcf) => stencil_kernel::forward_narrow_pretransformed_scratch(
+                    spec, input, w_kkcf, output, scratch,
+                ),
+                None => {
+                    stencil_kernel::forward_narrow_scratch(spec, input, weights, output, scratch)
+                }
+            },
+            ForwardPlan::StencilBanded { .. } => {
+                self.bands.forward(&self.plan, input, weights, output);
+            }
+            ForwardPlan::UnfoldGemm { threads } => {
+                gemm_exec::forward_scratch(spec, input, weights, output, *threads, scratch);
+            }
+        }
+    }
+
+    /// Backward error propagation for one sample. `grad_in` is
+    /// overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if buffer lengths do not match the spec.
+    pub fn backward_data(
+        &self,
+        weights: &[f32],
+        grad_out: &[f32],
+        grad_in: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        self.backward_data_with(weights, None, grad_out, grad_in, scratch);
+    }
+
+    /// [`backward_data`](ConvProgram::backward_data), with the sparse
+    /// plan's `[ky, kx, f, c]` weights when the caller caches them.
+    fn backward_data_with(
+        &self,
+        weights: &[f32],
+        w_kkfc: Option<&[f32]>,
+        grad_out: &[f32],
+        grad_in: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        let spec = self.plan.spec();
+        match (self.plan.plan().backward, w_kkfc) {
+            (BackwardPlan::SparsePointerShift { tile_width }, Some(w_kkfc)) => {
+                sparse_kernel::backward_data_pretransformed_scratch(
+                    spec, w_kkfc, grad_out, grad_in, tile_width, scratch,
+                );
+            }
+            (BackwardPlan::SparsePointerShift { tile_width }, None) => {
+                sparse_kernel::backward_data_scratch(
+                    spec, weights, grad_out, grad_in, tile_width, scratch,
+                );
+            }
+            (BackwardPlan::UnfoldGemm { threads }, _) => {
+                gemm_exec::backward_data_scratch(
+                    spec, weights, grad_out, grad_in, threads, scratch,
+                );
+            }
+        }
+    }
+
+    /// Delta-weight computation for one sample. `grad_weights` is
+    /// overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if buffer lengths do not match the spec.
+    pub fn backward_weights(
+        &self,
+        input: &[f32],
+        grad_out: &[f32],
+        grad_weights: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        let spec = self.plan.spec();
+        match self.plan.plan().backward {
+            BackwardPlan::SparsePointerShift { tile_width } => {
+                sparse_kernel::backward_weights_scratch(
+                    spec,
+                    input,
+                    grad_out,
+                    grad_weights,
+                    tile_width,
+                    scratch,
+                );
+            }
+            BackwardPlan::UnfoldGemm { threads } => gemm_exec::backward_weights_scratch(
+                spec,
+                input,
+                grad_out,
+                grad_weights,
+                threads,
+                scratch,
+            ),
+        }
+    }
+}
+
+/// A [`ConvProgram`] behind the stateless [`ConvExecutor`] seam, named for
+/// the [`ConvLayer`] slot it fills.
+#[derive(Debug)]
+struct PlanExecutor {
+    program: Arc<ConvProgram>,
+    phase: Phase,
+}
+
+impl ConvExecutor for PlanExecutor {
+    fn name(&self) -> &str {
+        // What `UnfoldGemmExecutor` reports at `threads` workers.
+        let gemm = |threads| if threads > 1 { "unfold+parallel-gemm" } else { "unfold+gemm" };
+        let plan = self.program.plan();
+        match (self.phase, &plan.forward, plan.backward) {
+            (Phase::Backward, _, BackwardPlan::SparsePointerShift { .. }) => "sparse-bp",
+            (Phase::Backward, _, BackwardPlan::UnfoldGemm { threads }) => gemm(threads),
+            (_, ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilNarrow, _) => "stencil-fp",
+            (_, ForwardPlan::StencilBanded { dim: BandDim::YRows, .. }, _) => "stencil-yband",
+            (_, ForwardPlan::StencilBanded { dim: BandDim::XCols, .. }, _) => "stencil-xband",
+            (_, ForwardPlan::StencilBanded { dim: BandDim::OutChannels, .. }, _) => {
+                "stencil-ochannel"
+            }
+            (_, ForwardPlan::UnfoldGemm { threads }, _) => gemm(*threads),
+        }
+    }
+
+    fn forward(
+        &self,
+        spec: &ConvSpec,
+        input: &[f32],
+        weights: &[f32],
+        output: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        assert_eq!(spec, self.program.spec(), "executor was lowered for another layer");
+        self.program.forward(input, weights, output, scratch);
+    }
+
+    fn backward_data(
+        &self,
+        spec: &ConvSpec,
+        weights: &[f32],
+        grad_out: &[f32],
+        grad_in: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        assert_eq!(spec, self.program.spec(), "executor was lowered for another layer");
+        self.program.backward_data(weights, grad_out, grad_in, scratch);
+    }
+
+    fn backward_weights(
+        &self,
+        spec: &ConvSpec,
+        input: &[f32],
+        grad_out: &[f32],
+        grad_weights: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        assert_eq!(spec, self.program.spec(), "executor was lowered for another layer");
+        self.program.backward_weights(input, grad_out, grad_weights, scratch);
+    }
+}
+
+/// A convolution layer compiled against a [`LayerPlan`]: the lowered
+/// [`ConvProgram`] plus owned weights and their cached transforms,
+/// executable over any number of samples.
 ///
 /// # Example
 ///
@@ -53,29 +317,20 @@ use crate::stencil::{
 /// # Ok::<(), spg_core::SpgError>(())
 /// ```
 pub struct CompiledConv {
-    spec: ConvSpec,
+    program: ConvProgram,
     plan: LayerPlan,
-    cores: usize,
-    tile_width: usize,
     /// Owned weights in canonical FCKK order.
     weights: Tensor,
     /// Cached `[ky, kx, f, c]` weights for the sparse backward kernel.
     w_kkfc: Option<Tensor>,
     /// Cached `[ky][kx] (Nc x Nf)` weights for the narrow stencil path.
     w_kkcf: Option<Vec<f32>>,
-    /// Verified `spg-codegen` instance for the forward stencil, when one
-    /// resolved (stencil plans compiled with [`KernelChoice::Auto`] only).
-    specialized: Option<&'static SpecializedKernel>,
-    /// Banded intra-sample executor for hybrid forward plans; owns the
-    /// per-worker staging pool so repeated calls allocate nothing.
-    hybrid: Option<HybridExecutor>,
-    register_tile: RegisterTilePlan,
-    cache_schedule: CacheSchedule,
 }
 
 impl CompiledConv {
-    /// Compiles a layer: plans the register tile and cache schedule and
-    /// pre-computes every weight transform the chosen techniques need.
+    /// Compiles a layer: lowers and verifies the plan (binding a
+    /// specialized instance where one resolves) and pre-computes every
+    /// weight transform the lowered plan needs.
     ///
     /// # Errors
     ///
@@ -93,12 +348,10 @@ impl CompiledConv {
     }
 
     /// [`compile`](CompiledConv::compile) with an explicit forward-kernel
-    /// choice: [`KernelChoice::Auto`] consults the `spg-codegen` registry
-    /// after the plan verifies (a resolved instance is itself re-verified
-    /// against its own lowered plan before it is kept);
-    /// [`KernelChoice::Generic`] pins the generic runtime-parameterized
-    /// loops — what the autotuner passes when per-layer measurement
-    /// favours them.
+    /// choice: [`KernelChoice::Auto`] binds the `spg-codegen` instance
+    /// lowering resolves for the shape; [`KernelChoice::Generic`] pins the
+    /// generic runtime-parameterized loops — what the autotuner passes
+    /// when per-layer measurement favours them.
     ///
     /// # Errors
     ///
@@ -113,38 +366,31 @@ impl CompiledConv {
         cores: usize,
         kernel_choice: KernelChoice,
     ) -> Result<Self, crate::SpgError> {
-        if weights.len() != spec.weight_shape().len() {
+        let program = crate::verify::lower(&spec, plan, cores.max(1), kernel_choice)?;
+        Self::from_program(program, plan, weights)
+    }
+
+    /// Pairs an already lowered `program` (of `plan`) with its weights.
+    pub(crate) fn from_program(
+        program: ConvProgram,
+        plan: LayerPlan,
+        weights: &[f32],
+    ) -> Result<Self, crate::SpgError> {
+        let expected = program.spec().weight_shape().len();
+        if weights.len() != expected {
             return Err(crate::SpgError::InvalidNetwork {
                 message: format!(
-                    "weight buffer has {} elements, spec requires {}",
+                    "weight buffer has {} elements, spec requires {expected}",
                     weights.len(),
-                    spec.weight_shape().len()
                 ),
             });
         }
-        // Plan-time gate: prove every access range of the lowered plan
-        // in-bounds, disjoint across workers, and within scratch capacity
-        // before constructing anything that will execute it.
-        crate::verify::verify_plan(&spec, plan, cores.max(1))?;
-        // Registry consult, after the generic plan passed: a specialized
-        // instance is kept only if its own lowered plan also verifies
-        // (select_kernel gates through verify_specialized).
-        let specialized = match (plan.forward, kernel_choice) {
-            (Technique::StencilFp, KernelChoice::Auto) => select_kernel(&spec),
-            _ => None,
-        };
         let mut compiled = CompiledConv {
-            spec,
+            program,
             plan,
-            cores: cores.max(1),
-            tile_width: DEFAULT_TILE_WIDTH,
             weights: Tensor::zeros(weights.len()),
             w_kkfc: None,
             w_kkcf: None,
-            specialized,
-            hybrid: plan.forward.band_dim().map(|dim| HybridExecutor::new(dim, cores.max(1))),
-            register_tile: plan_register_tile(&spec),
-            cache_schedule: plan_cache_schedule(&spec),
         };
         compiled.set_weights(weights);
         Ok(compiled)
@@ -157,27 +403,25 @@ impl CompiledConv {
     /// Panics if `weights.len()` differs from the compiled spec's weight
     /// count (the geometry was fixed at compile time).
     pub fn set_weights(&mut self, weights: &[f32]) {
-        assert_eq!(weights.len(), self.spec.weight_shape().len(), "weights length");
+        let spec = self.program.spec();
+        assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
         self.weights = Tensor::from_vec(weights.to_vec());
-        self.w_kkfc = if self.plan.backward == Technique::SparseBp {
-            match layout::fckk_to_kkfc(&self.weights, self.spec.weight_shape()) {
+        let lowered = self.program.plan();
+        self.w_kkfc = if matches!(lowered.backward, BackwardPlan::SparsePointerShift { .. }) {
+            match layout::fckk_to_kkfc(&self.weights, spec.weight_shape()) {
                 Ok(kkfc) => Some(kkfc),
                 Err(_) => unreachable!("weight length asserted at entry"),
             }
         } else {
             None
         };
-        self.w_kkcf =
-            if self.plan.forward == Technique::StencilFp && self.spec.out_w() < VECTOR_WIDTH {
-                Some(stencil_kernel::narrow_weights(&self.spec, weights))
-            } else {
-                None
-            };
+        self.w_kkcf = matches!(lowered.forward, ForwardPlan::StencilNarrow)
+            .then(|| stencil_kernel::narrow_weights(spec, weights));
     }
 
     /// The compiled convolution's specification.
     pub fn spec(&self) -> &ConvSpec {
-        &self.spec
+        self.program.spec()
     }
 
     /// The plan the layer was compiled against.
@@ -185,21 +429,16 @@ impl CompiledConv {
         self.plan
     }
 
-    /// The generator's register-tile choice.
-    pub fn register_tile(&self) -> RegisterTilePlan {
-        self.register_tile
-    }
-
-    /// The generator's cache-schedule choice.
-    pub fn cache_schedule(&self) -> CacheSchedule {
-        self.cache_schedule
+    /// The lowered, verified program this layer executes.
+    pub fn program(&self) -> &ConvProgram {
+        &self.program
     }
 
     /// Which forward kernel this layer runs: `"specialized"` when a
     /// verified `spg-codegen` instance was bound at compile time,
     /// `"generic"` otherwise.
     pub fn kernel_kind(&self) -> &'static str {
-        if self.specialized.is_some() {
+        if self.program.specialized_kernel().is_some() {
             "specialized"
         } else {
             "generic"
@@ -208,7 +447,7 @@ impl CompiledConv {
 
     /// The bound specialized instance, if any.
     pub fn specialized_kernel(&self) -> Option<&'static SpecializedKernel> {
-        self.specialized
+        self.program.specialized_kernel()
     }
 
     /// Forward propagation for one sample running out of a
@@ -220,62 +459,13 @@ impl CompiledConv {
     ///
     /// Panics if buffer lengths do not match the spec.
     pub fn forward_scratch(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        match self.plan.forward {
-            Technique::StencilFp => {
-                if let Some(w_kkcf) = &self.w_kkcf {
-                    stencil_kernel::forward_narrow_pretransformed_scratch(
-                        &self.spec, input, w_kkcf, output, scratch,
-                    );
-                } else if let Some(inst) = self.specialized {
-                    inst.forward(
-                        &self.spec,
-                        input,
-                        self.weights.as_slice(),
-                        output,
-                        scratch,
-                        self.cache_schedule.y_tile,
-                    );
-                } else {
-                    stencil_kernel::forward_scratch(
-                        &self.spec,
-                        input,
-                        self.weights.as_slice(),
-                        output,
-                        scratch,
-                    );
-                }
-            }
-            Technique::ParallelGemm => {
-                gemm_exec::forward_scratch(
-                    &self.spec,
-                    input,
-                    self.weights.as_slice(),
-                    output,
-                    self.cores,
-                    scratch,
-                );
-            }
-            Technique::StencilYBand | Technique::StencilXBand | Technique::StencilOutChannel => {
-                // The compile-time verifier proved the banded plan, so the
-                // executor (sharing its band source of truth) runs it.
-                self.hybrid
-                    .as_ref()
-                    .unwrap_or_else(|| {
-                        unreachable!("hybrid plan compiled with its banded executor")
-                    })
-                    .forward(&self.spec, input, self.weights.as_slice(), output, scratch);
-            }
-            Technique::GemmInParallel | Technique::SparseBp => {
-                gemm_exec::forward_scratch(
-                    &self.spec,
-                    input,
-                    self.weights.as_slice(),
-                    output,
-                    1,
-                    scratch,
-                );
-            }
-        }
+        self.program.forward_with(
+            input,
+            self.weights.as_slice(),
+            self.w_kkcf.as_deref(),
+            output,
+            scratch,
+        );
     }
 
     /// Backward error propagation for one sample running out of a
@@ -290,34 +480,13 @@ impl CompiledConv {
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        match (&self.plan.backward, &self.w_kkfc) {
-            (Technique::SparseBp, Some(w_kkfc)) => {
-                sparse_kernel::backward_data_pretransformed_scratch(
-                    &self.spec,
-                    w_kkfc.as_slice(),
-                    grad_out,
-                    grad_in,
-                    self.tile_width,
-                    scratch,
-                )
-            }
-            (Technique::ParallelGemm, _) => gemm_exec::backward_data_scratch(
-                &self.spec,
-                self.weights.as_slice(),
-                grad_out,
-                grad_in,
-                self.cores,
-                scratch,
-            ),
-            _ => gemm_exec::backward_data_scratch(
-                &self.spec,
-                self.weights.as_slice(),
-                grad_out,
-                grad_in,
-                1,
-                scratch,
-            ),
-        }
+        self.program.backward_data_with(
+            self.weights.as_slice(),
+            self.w_kkfc.as_ref().map(Tensor::as_slice),
+            grad_out,
+            grad_in,
+            scratch,
+        );
     }
 
     /// Delta-weight computation for one sample running out of a
@@ -333,39 +502,15 @@ impl CompiledConv {
         grad_weights: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        match self.plan.backward {
-            Technique::SparseBp => sparse_kernel::backward_weights_scratch(
-                &self.spec,
-                input,
-                grad_out,
-                grad_weights,
-                self.tile_width,
-                scratch,
-            ),
-            Technique::ParallelGemm => gemm_exec::backward_weights_scratch(
-                &self.spec,
-                input,
-                grad_out,
-                grad_weights,
-                self.cores,
-                scratch,
-            ),
-            _ => gemm_exec::backward_weights_scratch(
-                &self.spec,
-                input,
-                grad_out,
-                grad_weights,
-                1,
-                scratch,
-            ),
-        }
+        self.program.backward_weights(input, grad_out, grad_weights, scratch);
     }
 
     /// Renders the generated kernels as readable pseudo-C: the stencil
-    /// basic block for stencil forward plans, and the pointer-shifting
-    /// sparse kernel for sparse backward plans.
+    /// basic block for tiled stencil forward plans, and the
+    /// pointer-shifting sparse kernel for sparse backward plans.
     pub fn render(&self) -> String {
-        let kernel = match self.specialized {
+        let spec = self.program.spec();
+        let kernel = match self.program.specialized_kernel() {
             Some(inst) => {
                 format!(
                     "specialized ({}, {}, {} lanes)",
@@ -378,14 +523,18 @@ impl CompiledConv {
         };
         let mut out = format!(
             "/* compiled conv: {}\n   plan: {}\n   cache schedule: {}\n   forward kernel: {} */\n",
-            self.spec, self.plan, self.cache_schedule, kernel
+            spec,
+            self.plan,
+            plan_cache_schedule(spec),
+            kernel
         );
-        if self.plan.forward == Technique::StencilFp && self.spec.out_w() >= VECTOR_WIDTH {
-            out.push_str(&render_basic_block(&self.spec, Some(self.register_tile)));
+        let lowered = self.program.plan();
+        if matches!(lowered.forward, ForwardPlan::StencilTiled { .. }) {
+            out.push_str(&render_basic_block(spec, Some(plan_register_tile(spec))));
         }
-        if self.plan.backward == Technique::SparseBp {
+        if let BackwardPlan::SparsePointerShift { tile_width } = lowered.backward {
             out.push('\n');
-            out.push_str(&crate::sparse::render_backward_kernel(&self.spec, self.tile_width));
+            out.push_str(&crate::sparse::render_backward_kernel(spec, tile_width));
         }
         out
     }
@@ -393,17 +542,14 @@ impl CompiledConv {
 
 impl fmt::Debug for CompiledConv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CompiledConv({}, {}, tile {}, schedule {})",
-            self.spec, self.plan, self.register_tile, self.cache_schedule
-        )
+        write!(f, "CompiledConv({}, {}, {})", self.program.spec(), self.plan, self.kernel_kind())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Technique;
     use spg_convnet::reference;
 
     fn pseudo(n: usize, salt: usize) -> Vec<f32> {

@@ -182,78 +182,113 @@ impl NetworkDescription {
 
     /// Builds a trainable [`Network`] with seeded random initialization.
     ///
+    /// Every activation and parameter count is computed with checked
+    /// arithmetic and held to [`MAX_NETWORK_ELEMS`] before the layer that
+    /// needs it is constructed, so a hostile description is refused
+    /// without allocating from its numbers.
+    ///
     /// # Errors
     ///
-    /// Returns [`SpgError::InvalidNetwork`] when layer geometry does not
-    /// chain (e.g. a kernel larger than its input).
+    /// Returns [`SpgError::InvalidNetwork`] naming the layer when its
+    /// geometry does not chain (e.g. a kernel larger than its input), when
+    /// a count is zero or overflows, or when the network exceeds the
+    /// element bound.
     pub fn build(&self, seed: u64) -> Result<Network, SpgError> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut shape = self.input;
-        let mut flat: Option<usize> = None;
+        // Current activation count, and whether an fc has flattened it.
+        let mut len = elems("input", &[shape.c, shape.h, shape.w])?;
+        let mut flat = false;
+        let mut params = 0usize;
         let mut layers: Vec<Box<dyn Layer>> = Vec::new();
         for (i, desc) in self.layers.iter().enumerate() {
+            let at = |what: &str| format!("layer {i}: {what}");
+            let invalid = |e: &dyn std::fmt::Display| SpgError::InvalidNetwork {
+                message: at(&e.to_string()),
+            };
+            // Spatial layers need the CHW geometry an fc flattens away.
+            let spatial = |name: &str| match flat {
+                true => Err(invalid(&format_args!("{name} after fc is unsupported"))),
+                false => Ok(()),
+            };
             match *desc {
                 LayerDesc::Conv { features, kernel, stride } => {
-                    if flat.is_some() {
-                        return Err(SpgError::InvalidNetwork {
-                            message: format!("layer {i}: conv after fc is unsupported"),
-                        });
-                    }
+                    spatial("conv")?;
                     let spec = ConvSpec::new(
                         shape.c, shape.h, shape.w, features, kernel, kernel, stride, stride,
                     )
-                    .map_err(|e| SpgError::InvalidNetwork { message: format!("layer {i}: {e}") })?;
+                    .map_err(|e| invalid(&e))?;
+                    let weights = elems(&at("conv weights"), &[features, shape.c, kernel, kernel])?;
+                    params = charge(params, weights, &at("conv weights"))?;
                     shape = spec.output_shape();
+                    len = elems(&at("conv output"), &[shape.c, shape.h, shape.w])?;
                     layers.push(Box::new(ConvLayer::new(spec, &mut rng)));
                 }
-                LayerDesc::Relu => {
-                    let len = flat.unwrap_or(shape.len());
-                    layers.push(Box::new(ReluLayer::new(len)));
-                }
+                LayerDesc::Relu => layers.push(Box::new(ReluLayer::new(len))),
                 LayerDesc::Pool { window } => {
-                    if flat.is_some() {
-                        return Err(SpgError::InvalidNetwork {
-                            message: format!("layer {i}: pool after fc is unsupported"),
-                        });
-                    }
-                    let pool = MaxPoolLayer::new(shape, window).map_err(|e| {
-                        SpgError::InvalidNetwork { message: format!("layer {i}: {e}") }
-                    })?;
+                    spatial("pool")?;
+                    let pool = MaxPoolLayer::new(shape, window).map_err(|e| invalid(&e))?;
                     shape = pool.out_shape();
+                    len = elems(&at("pool output"), &[shape.c, shape.h, shape.w])?;
                     layers.push(Box::new(pool));
                 }
                 LayerDesc::Fc { outputs } => {
-                    let in_len = flat.unwrap_or(shape.len());
-                    layers.push(Box::new(FcLayer::new(in_len, outputs, &mut rng)));
-                    flat = Some(outputs);
+                    let weights = elems(&at("fc weights"), &[len, outputs])?;
+                    params = charge(params, weights, &at("fc weights"))?;
+                    params = charge(params, outputs, &at("fc biases"))?;
+                    layers.push(Box::new(FcLayer::new(len, outputs, &mut rng)));
+                    len = outputs;
+                    flat = true;
                 }
                 LayerDesc::Dropout { rate_pct } => {
-                    let len = flat.unwrap_or(shape.len());
                     // The mask seed derives from the layer position only —
                     // not from the weight-initialization seed — so a saved
                     // model restored into a freshly built shell computes
                     // the same function (see `io`).
                     let layer = DropoutLayer::new(len, rate_pct as f32 / 100.0, 0xd20b ^ i as u64)
-                        .map_err(|e| SpgError::InvalidNetwork {
-                            message: format!("layer {i}: {e}"),
-                        })?;
+                        .map_err(|e| invalid(&e))?;
                     layers.push(Box::new(layer));
                 }
                 LayerDesc::Lrn { size } => {
-                    if flat.is_some() {
-                        return Err(SpgError::InvalidNetwork {
-                            message: format!("layer {i}: lrn after fc is unsupported"),
-                        });
-                    }
-                    let layer = LrnLayer::new(shape.c, shape.plane(), size).map_err(|e| {
-                        SpgError::InvalidNetwork { message: format!("layer {i}: {e}") }
-                    })?;
+                    spatial("lrn")?;
+                    let layer =
+                        LrnLayer::new(shape.c, shape.plane(), size).map_err(|e| invalid(&e))?;
                     layers.push(Box::new(layer));
                 }
             }
         }
         Network::new(layers).map_err(|e| SpgError::InvalidNetwork { message: e.to_string() })
     }
+}
+
+/// Largest single activation, and largest total parameter count, in `f32`
+/// elements that [`NetworkDescription::build`] accepts: 1 GiB of `f32`s,
+/// an order of magnitude above the full ImageNet-22K description.
+pub const MAX_NETWORK_ELEMS: usize = 1 << 28;
+
+/// The product of `factors` as an element count `build` may allocate:
+/// non-zero, computed without overflow, and within [`MAX_NETWORK_ELEMS`].
+fn elems(what: &str, factors: &[usize]) -> Result<usize, SpgError> {
+    factors
+        .iter()
+        .try_fold(1usize, |n, &f| n.checked_mul(f))
+        .filter(|n| (1..=MAX_NETWORK_ELEMS).contains(n))
+        .ok_or_else(|| SpgError::InvalidNetwork {
+            message: format!(
+                "{what}: {factors:?} elements is zero or above the {MAX_NETWORK_ELEMS}-element bound"
+            ),
+        })
+}
+
+/// `params + more`, held to [`MAX_NETWORK_ELEMS`] for the whole network.
+fn charge(params: usize, more: usize, what: &str) -> Result<usize, SpgError> {
+    params.checked_add(more).filter(|&n| n <= MAX_NETWORK_ELEMS).ok_or_else(|| {
+        SpgError::InvalidNetwork {
+            message: format!(
+                "{what}: network exceeds {MAX_NETWORK_ELEMS} parameters ({params} + {more})"
+            ),
+        }
+    })
 }
 
 /// Tokenizer yielding `(line, token)` pairs; `{`/`}` are their own tokens,

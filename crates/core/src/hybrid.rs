@@ -12,21 +12,20 @@
 //!
 //! **Bit-identity.** Every output element's reduction is a single FMA chain
 //! ordered `(channel asc, ky asc, kx asc)` regardless of tile position or
-//! band offsets, and the banded executor is gated (by `band_ranges` and the
-//! `spg-check` banded proof) to the wide tiled path where that invariant
+//! band offsets, and a banded plan only exists (by [`band_ranges`] and the
+//! `spg-check` banded proof) on the wide tiled path where that invariant
 //! holds. Banded outputs are therefore bit-identical to the sequential
 //! kernel — the golden suite asserts exact equality, not a tolerance.
 
 use std::fmt;
 use std::sync::Mutex;
 
-use spg_check::band_sub_spec;
 pub use spg_check::BandDim;
-use spg_convnet::exec::ConvExecutor;
+use spg_check::{ForwardPlan, VerifiedPlan, VECTOR_WIDTH as LANES};
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
-use spg_convnet::{gemm_exec, ConvSpec};
+use spg_convnet::ConvSpec;
 
-use crate::stencil::kernel::{self, LANES};
+use crate::stencil::kernel;
 
 /// The split extent of `spec` along `dim`.
 fn extent(spec: &ConvSpec, dim: BandDim) -> usize {
@@ -38,9 +37,10 @@ fn extent(spec: &ConvSpec, dim: BandDim) -> usize {
 }
 
 /// The contiguous per-worker bands a hybrid decomposition of `spec` along
-/// `dim` uses at `workers` workers: the single source of truth shared by
-/// plan lowering (so the verifier proves the very bands that run) and the
-/// executor (so it runs the very bands that were proved).
+/// `dim` uses at `workers` workers. Lowering turns these into the plan's
+/// `bands`, which is what the verifier proves and [`HybridExecutor`] runs;
+/// the planner heuristics and `spg-simcpu` call it to predict whether and
+/// how a layer splits.
 ///
 /// Returns one band — i.e. "no decomposition available" — when the spec is
 /// too narrow for the wide tiled kernel (`out_w < LANES`, where the
@@ -78,46 +78,23 @@ struct BandWorkspace {
     scratch: ConvScratch,
 }
 
-/// [`ConvExecutor`] running the forward pass as disjoint per-worker bands
-/// of one sample along a fixed [`BandDim`], each band executing the wide
-/// register-tiled stencil on its restriction of the spec. Backward phases
-/// fall back to single-threaded Unfold+GEMM, exactly like
-/// [`StencilExecutor`](crate::stencil::StencilExecutor): the hybrid
-/// techniques are forward-phase candidates.
-///
-/// Specs the decomposition cannot split (see [`band_ranges`]) fall back to
-/// the sequential generic stencil kernel — same kernel, same bits.
+/// Runs a proved banded forward plan: one scoped worker per band of the
+/// plan, each executing the band's own proved tiled plan on its
+/// restriction of the spec. Owns the per-worker staging pool, so a
+/// long-lived holder (a [`ConvProgram`](crate::compiled::ConvProgram))
+/// allocates nothing per sample once warm.
+#[derive(Default)]
 pub struct HybridExecutor {
-    dim: BandDim,
-    workers: usize,
     pool: Mutex<Vec<BandWorkspace>>,
 }
 
 impl fmt::Debug for HybridExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HybridExecutor")
-            .field("dim", &self.dim)
-            .field("workers", &self.workers)
-            .finish_non_exhaustive()
+        f.debug_struct("HybridExecutor").finish_non_exhaustive()
     }
 }
 
 impl HybridExecutor {
-    /// Creates a banded executor splitting `dim` across `workers` workers.
-    pub fn new(dim: BandDim, workers: usize) -> Self {
-        HybridExecutor { dim, workers: workers.max(1), pool: Mutex::new(Vec::new()) }
-    }
-
-    /// The split dimension this executor bands.
-    pub fn dim(&self) -> BandDim {
-        self.dim
-    }
-
-    /// The worker count this executor decomposes for.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     fn take_workspace(&self) -> BandWorkspace {
         self.pool.lock().unwrap_or_else(|p| p.into_inner()).pop().unwrap_or_default()
     }
@@ -126,123 +103,110 @@ impl HybridExecutor {
         self.pool.lock().unwrap_or_else(|p| p.into_inner()).push(ws);
     }
 
+    /// Forward propagation of one sample over the bands of `plan`.
+    /// `output` is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan`'s forward is not [`ForwardPlan::StencilBanded`] or
+    /// buffer lengths do not match `plan.spec()`.
+    pub fn forward(&self, plan: &VerifiedPlan, input: &[f32], weights: &[f32], output: &mut [f32]) {
+        let ForwardPlan::StencilBanded { dim, .. } = &plan.plan().forward else {
+            panic!("HybridExecutor runs banded forward plans only");
+        };
+        let (spec, dim) = (plan.spec(), *dim);
+        assert_eq!(input.len(), spec.input_shape().len(), "input length");
+        assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
+        assert_eq!(output.len(), spec.output_shape().len(), "output length");
+        match dim {
+            BandDim::OutChannels => self.forward_out_channels(plan, input, weights, output),
+            BandDim::YRows | BandDim::XCols => {
+                self.forward_spatial(plan, dim, input, weights, output);
+            }
+        }
+    }
+
     /// Output-feature slices: no staging — workers write disjoint
     /// `split_at_mut` plane slices of the parent output directly.
     fn forward_out_channels(
         &self,
-        spec: &ConvSpec,
+        plan: &VerifiedPlan,
         input: &[f32],
         weights: &[f32],
         output: &mut [f32],
-        ranges: &[(usize, usize)],
     ) {
+        let spec = plan.spec();
         let plane = spec.out_h() * spec.out_w();
         let per_feature = spec.weight_shape().per_feature();
         let mut rest = output;
-        let mut slices = Vec::with_capacity(ranges.len());
-        for &(lo, hi) in ranges {
-            let (band, tail) = rest.split_at_mut((hi - lo) * plane);
-            slices.push((lo, hi, band));
-            rest = tail;
-        }
         std::thread::scope(|s| {
-            for (lo, hi, band_out) in slices {
-                let sub = band_sub_spec(spec, BandDim::OutChannels, lo, hi)
-                    .unwrap_or_else(|_| unreachable!("band restriction is a valid convolution"));
+            for ((lo, hi), band) in plan.bands() {
+                let (band_out, tail) = rest.split_at_mut((hi - lo) * plane);
+                rest = tail;
                 let band_weights = &weights[lo * per_feature..hi * per_feature];
                 s.spawn(move || {
                     let mut ws = self.take_workspace();
-                    kernel::forward_scratch(&sub, input, band_weights, band_out, &mut ws.scratch);
+                    kernel::forward_tiled(band, input, band_weights, band_out, &mut ws.scratch);
                     self.put_workspace(ws);
                 });
             }
         });
     }
 
-    /// Spatial bands: each worker stages its input band (rows or columns,
-    /// with the stencil halo), runs the kernel into a staged band output,
-    /// and the bands are scattered into the parent output after the join —
-    /// a deterministic gather, not a shared-write.
+    /// Spatial bands: each worker stages its input band — the rectangle of
+    /// rows (y-bands) or columns (x-bands), stencil halo included, that its
+    /// outputs read — runs the kernel into a staged band output, and the
+    /// bands are scattered into the parent output after the join: a
+    /// deterministic gather, not a shared-write.
     fn forward_spatial(
         &self,
-        spec: &ConvSpec,
+        plan: &VerifiedPlan,
+        dim: BandDim,
         input: &[f32],
         weights: &[f32],
         output: &mut [f32],
-        ranges: &[(usize, usize)],
     ) {
+        let spec = plan.spec();
         let (nc, nf) = (spec.in_c(), spec.features());
         let (in_h, in_w) = (spec.in_h(), spec.in_w());
         let (out_h, out_w) = (spec.out_h(), spec.out_w());
+        // Where band [lo, ..) starts in a plane, as (row, column) output
+        // coordinates; scaled by the stride for the input plane.
+        let origin = |lo: usize| if dim == BandDim::YRows { (lo, 0) } else { (0, lo) };
         std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| {
-                    let sub = band_sub_spec(spec, self.dim, lo, hi).unwrap_or_else(|_| {
-                        unreachable!("band restriction is a valid convolution")
-                    });
+            let handles: Vec<_> = plan
+                .bands()
+                .map(|((lo, _), band)| {
                     s.spawn(move || {
+                        let sub = band.spec();
                         let mut ws = self.take_workspace();
                         let BandWorkspace { input: stage_in, output: stage_out, scratch } = &mut ws;
                         let band_in = zeroed_slice(stage_in, sub.input_shape().len());
-                        match self.dim {
-                            BandDim::YRows => {
-                                // Rows [lo*sy, lo*sy + in_h') of each channel
-                                // are contiguous: one copy per channel.
-                                let rows = sub.in_h();
-                                let row_lo = lo * spec.sy();
-                                for c in 0..nc {
-                                    let src = (c * in_h + row_lo) * in_w;
-                                    band_in[c * rows * in_w..(c + 1) * rows * in_w]
-                                        .copy_from_slice(&input[src..src + rows * in_w]);
-                                }
-                            }
-                            BandDim::XCols => {
-                                // Columns [lo*sx, lo*sx + in_w') of every row.
-                                let cols = sub.in_w();
-                                let col_lo = lo * spec.sx();
-                                for c in 0..nc {
-                                    for r in 0..in_h {
-                                        let src = (c * in_h + r) * in_w + col_lo;
-                                        let dst = (c * in_h + r) * cols;
-                                        band_in[dst..dst + cols]
-                                            .copy_from_slice(&input[src..src + cols]);
-                                    }
-                                }
-                            }
-                            BandDim::OutChannels => {
-                                unreachable!("out-channel bands take the unstaged path")
+                        let (rows, cols) = (sub.in_h(), sub.in_w());
+                        let (r0, c0) = origin(lo);
+                        let (r0, c0) = (r0 * spec.sy(), c0 * spec.sx());
+                        for c in 0..nc {
+                            for r in 0..rows {
+                                let src = (c * in_h + r0 + r) * in_w + c0;
+                                let dst = (c * rows + r) * cols;
+                                band_in[dst..dst + cols].copy_from_slice(&input[src..src + cols]);
                             }
                         }
                         let band_out = zeroed_slice(stage_out, sub.output_shape().len());
-                        kernel::forward_scratch(&sub, band_in, weights, band_out, scratch);
-                        (lo, hi, ws)
+                        kernel::forward_tiled(band, band_in, weights, band_out, scratch);
+                        (lo, sub.out_h(), sub.out_w(), ws)
                     })
                 })
                 .collect();
             for handle in handles {
-                let (lo, hi, ws) = handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                let len = hi - lo;
-                match self.dim {
-                    BandDim::YRows => {
-                        for f in 0..nf {
-                            let src = f * len * out_w;
-                            let dst = (f * out_h + lo) * out_w;
-                            output[dst..dst + len * out_w]
-                                .copy_from_slice(&ws.output[src..src + len * out_w]);
-                        }
-                    }
-                    BandDim::XCols => {
-                        for f in 0..nf {
-                            for r in 0..out_h {
-                                let src = (f * out_h + r) * len;
-                                let dst = (f * out_h + r) * out_w + lo;
-                                output[dst..dst + len].copy_from_slice(&ws.output[src..src + len]);
-                            }
-                        }
-                    }
-                    BandDim::OutChannels => {
-                        unreachable!("out-channel bands take the unstaged path")
+                let (lo, rows, cols, ws) =
+                    handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                let (r0, c0) = origin(lo);
+                for f in 0..nf {
+                    for r in 0..rows {
+                        let src = (f * rows + r) * cols;
+                        let dst = (f * out_h + r0 + r) * out_w + c0;
+                        output[dst..dst + cols].copy_from_slice(&ws.output[src..src + cols]);
                     }
                 }
                 self.put_workspace(ws);
@@ -251,75 +215,41 @@ impl HybridExecutor {
     }
 }
 
-impl ConvExecutor for HybridExecutor {
-    fn name(&self) -> &str {
-        match self.dim {
-            BandDim::YRows => "stencil-yband",
-            BandDim::XCols => "stencil-xband",
-            BandDim::OutChannels => "stencil-ochannel",
-        }
-    }
-
-    fn forward(
-        &self,
-        spec: &ConvSpec,
-        input: &[f32],
-        weights: &[f32],
-        output: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
-        assert_eq!(input.len(), spec.input_shape().len(), "input length");
-        assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-        assert_eq!(output.len(), spec.output_shape().len(), "output length");
-        let ranges = band_ranges(spec, self.dim, self.workers);
-        if ranges.len() <= 1 {
-            kernel::forward_scratch(spec, input, weights, output, scratch);
-            return;
-        }
-        match self.dim {
-            BandDim::OutChannels => {
-                self.forward_out_channels(spec, input, weights, output, &ranges);
-            }
-            BandDim::YRows | BandDim::XCols => {
-                self.forward_spatial(spec, input, weights, output, &ranges);
-            }
-        }
-    }
-
-    fn backward_data(
-        &self,
-        spec: &ConvSpec,
-        weights: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
-        gemm_exec::backward_data_scratch(spec, weights, grad_out, grad_in, 1, scratch);
-    }
-
-    fn backward_weights(
-        &self,
-        spec: &ConvSpec,
-        input: &[f32],
-        grad_out: &[f32],
-        grad_weights: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
-        gemm_exec::backward_weights_scratch(spec, input, grad_out, grad_weights, 1, scratch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotune::Phase;
+    use crate::compiled::ConvProgram;
+    use crate::schedule::Technique;
+    use crate::verify::lower_phase;
+    use spg_codegen::KernelChoice;
 
     fn pseudo(n: usize, salt: usize) -> Vec<f32> {
         (0..n).map(|i| (((i * 31 + salt * 17) % 23) as f32 - 11.0) / 7.0).collect()
     }
 
+    /// `forward` lowered for `spec` on the generic loops, proved.
+    fn program(spec: &ConvSpec, forward: Technique, workers: usize) -> ConvProgram {
+        lower_phase(spec, forward, Phase::Forward, workers, KernelChoice::Generic)
+            .expect("plan verifies")
+    }
+
+    fn banded(dim: BandDim) -> Technique {
+        match dim {
+            BandDim::YRows => Technique::StencilYBand,
+            BandDim::XCols => Technique::StencilXBand,
+            BandDim::OutChannels => Technique::StencilOutChannel,
+        }
+    }
+
     fn sequential(spec: &ConvSpec, input: &[f32], weights: &[f32]) -> Vec<f32> {
         let mut out = vec![0f32; spec.output_shape().len()];
-        kernel::forward_scratch(spec, input, weights, &mut out, &mut ConvScratch::new());
+        program(spec, Technique::StencilFp, 1).forward(
+            input,
+            weights,
+            &mut out,
+            &mut ConvScratch::new(),
+        );
         out
     }
 
@@ -327,9 +257,9 @@ mod tests {
         let input = pseudo(spec.input_shape().len(), 1);
         let weights = pseudo(spec.weight_shape().len(), 2);
         let oracle = sequential(&spec, &input, &weights);
-        let exec = HybridExecutor::new(dim, workers);
+        let exec = program(&spec, banded(dim), workers);
         let mut banded = vec![0f32; spec.output_shape().len()];
-        exec.forward(&spec, &input, &weights, &mut banded, &mut ConvScratch::new());
+        exec.forward(&input, &weights, &mut banded, &mut ConvScratch::new());
         assert_eq!(oracle, banded, "{spec} {dim:?} x{workers} not bit-identical");
     }
 
@@ -346,23 +276,16 @@ mod tests {
     }
 
     #[test]
-    fn narrow_spec_falls_back_to_sequential() {
+    fn narrow_spec_has_no_banded_plan() {
         // 4x4 output: no wide tiles, so band_ranges refuses to split and
-        // the executor runs the plain kernel (here: shifted-GEMM path).
+        // lowering yields a single band the verifier rejects — there is
+        // nothing to run, where the executor used to fall back silently.
         let spec = ConvSpec::square(8, 6, 4, 5, 1);
         assert_eq!(band_ranges(&spec, BandDim::YRows, 8), vec![(0, spec.out_h())]);
-        let input = pseudo(spec.input_shape().len(), 3);
-        let weights = pseudo(spec.weight_shape().len(), 4);
-        let oracle = sequential(&spec, &input, &weights);
-        let mut out = vec![0f32; spec.output_shape().len()];
-        HybridExecutor::new(BandDim::YRows, 8).forward(
-            &spec,
-            &input,
-            &weights,
-            &mut out,
-            &mut ConvScratch::new(),
-        );
-        assert_eq!(oracle, out);
+        let err =
+            lower_phase(&spec, Technique::StencilYBand, Phase::Forward, 8, KernelChoice::Generic)
+                .unwrap_err();
+        assert!(matches!(err, crate::SpgError::PlanRejected { technique: "stencil-yband", .. }));
     }
 
     #[test]
@@ -381,14 +304,19 @@ mod tests {
         let spec = ConvSpec::square(34, 4, 2, 3, 1);
         let input = pseudo(spec.input_shape().len(), 5);
         let weights = pseudo(spec.weight_shape().len(), 6);
-        let exec = HybridExecutor::new(BandDim::YRows, 4);
-        let mut scratch = ConvScratch::new();
+        let plan = spg_check::verify_conv_plan(
+            &spec,
+            program(&spec, Technique::StencilYBand, 4).plan().clone(),
+            &spg_check::ScratchCapacity::reserved_for(&spec),
+        )
+        .expect("plan verifies");
+        let exec = HybridExecutor::default();
         let mut a = vec![0f32; spec.output_shape().len()];
         let mut b = vec![0f32; spec.output_shape().len()];
-        exec.forward(&spec, &input, &weights, &mut a, &mut scratch);
+        exec.forward(&plan, &input, &weights, &mut a);
         let pooled = exec.pool.lock().unwrap().len();
         assert!(pooled >= 1, "workers should return workspaces to the pool");
-        exec.forward(&spec, &input, &weights, &mut b, &mut scratch);
+        exec.forward(&plan, &input, &weights, &mut b);
         assert_eq!(a, b);
         assert!(exec.pool.lock().unwrap().len() >= pooled);
     }

@@ -13,6 +13,11 @@
 //! | Dense BP wastes goodput on ~85–95 % sparse error gradients (R1, R3, R5) | **Sparse-Kernel (BP)** — CT-CSR gradients composed in place as small dense MMs by pointer shifting | [`sparse`] |
 //! | Which technique where? | measure-and-pick scheduler with epoch re-tuning | [`autotune`] |
 //!
+//! A chosen plan becomes code in one place: [`verify`] lowers it to the
+//! `spg-check` plan IR and has it proved, and [`compiled`] runs the proved
+//! plan — the same program whether installed on a training layer or held
+//! by the serving path.
+//!
 //! Supporting modules: [`ait`] (the Sec. 3 characterization math),
 //! [`region`] (the Fig. 1 classifier), and [`config`] (a protobuf-text-like
 //! network description parser, standing in for the paper's Protocol Buffer
@@ -45,7 +50,6 @@ pub mod hybrid;
 pub mod region;
 pub mod schedule;
 pub mod sparse;
-pub mod specialized;
 pub mod stencil;
 pub mod verify;
 

@@ -2,15 +2,11 @@
 //! empirical selection heuristics (Sec. 4.4).
 
 use std::fmt;
-use std::sync::Arc;
 
-use spg_convnet::exec::{SharedExecutor, UnfoldGemmExecutor};
 use spg_convnet::ConvSpec;
 
-use crate::hybrid::{band_ranges, HybridExecutor};
+use crate::hybrid::band_ranges;
 use crate::region::{HIGH_FEATURE_THRESHOLD, LOW_FEATURE_THRESHOLD, SPARSE_THRESHOLD};
-use crate::sparse::SparseBpExecutor;
-use crate::stencil::StencilExecutor;
 
 /// An execution technique for one phase of one convolution layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,8 +78,7 @@ impl Technique {
         &[Technique::ParallelGemm, Technique::GemmInParallel, Technique::SparseBp]
     }
 
-    /// Stable machine-readable identifier used in metrics JSON (matches
-    /// the executor names where an executor exists for the technique).
+    /// Stable machine-readable identifier used in metrics JSON.
     pub fn id(self) -> &'static str {
         match self {
             Technique::ParallelGemm => "parallel-gemm",
@@ -119,28 +114,6 @@ impl Technique {
             Technique::StencilXBand => Some(spg_check::BandDim::XCols),
             Technique::StencilOutChannel => Some(spg_check::BandDim::OutChannels),
             _ => None,
-        }
-    }
-
-    /// Builds the executor implementing this technique.
-    ///
-    /// `cores` configures Parallel-GEMM's partitioning and the hybrid
-    /// banded stencils' worker count; the other techniques are
-    /// single-threaded per sample by design (their parallelism comes from
-    /// running samples concurrently).
-    pub fn executor(self, cores: usize) -> SharedExecutor {
-        match self {
-            Technique::ParallelGemm => Arc::new(UnfoldGemmExecutor::new(cores.max(1))),
-            Technique::GemmInParallel => Arc::new(UnfoldGemmExecutor::new(1)),
-            Technique::StencilFp => Arc::new(StencilExecutor::new()),
-            Technique::StencilYBand | Technique::StencilXBand | Technique::StencilOutChannel => {
-                // band_dim is Some for exactly these variants.
-                let dim = self
-                    .band_dim()
-                    .unwrap_or_else(|| unreachable!("band_dim is Some for hybrid variants"));
-                Arc::new(HybridExecutor::new(dim, cores.max(1)))
-            }
-            Technique::SparseBp => Arc::new(SparseBpExecutor::new()),
         }
     }
 }
@@ -282,14 +255,6 @@ mod tests {
         let plan = recommended_plan(&spec, 0.5, 1);
         assert_eq!(plan.forward, Technique::ParallelGemm);
         assert_eq!(plan.backward, Technique::ParallelGemm);
-    }
-
-    #[test]
-    fn executors_are_constructible_for_all_techniques() {
-        for &t in Technique::forward_candidates().iter().chain(Technique::backward_candidates()) {
-            let exec = t.executor(4);
-            assert!(!exec.name().is_empty());
-        }
     }
 
     #[test]

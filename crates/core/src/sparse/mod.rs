@@ -26,10 +26,8 @@
 
 pub mod kernel;
 
-mod executor;
 mod render;
 
-pub use executor::SparseBpExecutor;
 pub use render::render_backward_kernel;
 
 /// Default CT-CSR column-tile width (features per tile). 64 channels of

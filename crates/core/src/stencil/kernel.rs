@@ -1,67 +1,36 @@
-//! Direct-convolution forward kernel (paper Sec. 4.3).
+//! Direct-convolution forward kernels (paper Sec. 4.3).
 //!
-//! Three execution strategies, chosen by geometry and CPU features:
+//! Two plans execute here, chosen when the layer's plan is lowered
+//! ([`verify::lower`](crate::verify::lower)), never per call:
 //!
-//! * **Register-tiled AVX basic block** (`x86_64` with AVX2+FMA, output
-//!   rows at least one vector wide): the paper's Fig. 7 structure. An
-//!   `ry`-row output register tile is held in YMM accumulators while the
-//!   `(c, ky, kx)` reduction streams over it; every loaded input vector
-//!   feeds up to `min(ry, Fy)` output rows — the spatial reuse that
-//!   restores the arithmetic intensity unfolding destroys. Non-unit `x`
-//!   strides first apply the Eq. 21 phase transform so the strided loads
-//!   become contiguous.
-//! * **Shifted small dense MMs** (outputs narrower than one vector):
-//!   vectorizing along 4-element rows is pointless, so the kernel
-//!   vectorizes along *features* instead: inputs and outputs are viewed
-//!   in HWC layout and, for every kernel offset `(ky, kx)`, a small dense
-//!   `out_w x Nf x Nc` multiply accumulates the shifted input rows into
-//!   the output — convolution composed in place as a series of small
-//!   dense MMs by pointer shifting, with no unfolded matrix.
-//! * **Scalar shift-and-scale** fallback with identical semantics.
+//! * **Register-tiled basic block** ([`forward_tiled`], plans with output
+//!   rows at least one vector wide): the paper's Fig. 7 structure. On
+//!   `x86_64` with AVX2+FMA an `ry`-row output register tile is held in YMM
+//!   accumulators while the `(c, ky, kx)` reduction streams over it; every
+//!   loaded input vector feeds up to `min(ry, Fy)` output rows — the
+//!   spatial reuse that restores the arithmetic intensity unfolding
+//!   destroys. The loops iterate the x-tiles and cache row block of the
+//!   [`VerifiedTiled`] plan they are handed. Non-unit `x` strides first
+//!   apply the Eq. 21 phase transform so the strided loads become
+//!   contiguous. Hosts without AVX2+FMA run a scalar shift-and-scale
+//!   fallback with identical semantics.
+//! * **Shifted small dense MMs** ([`forward_narrow_scratch`], outputs
+//!   narrower than one vector): vectorizing along 4-element rows is
+//!   pointless, so the kernel vectorizes along *features* instead: inputs
+//!   and outputs are viewed in HWC layout and, for every kernel offset
+//!   `(ky, kx)`, a small dense `out_w x Nf x Nc` multiply accumulates the
+//!   shifted input rows into the output — convolution composed in place
+//!   as a series of small dense MMs by pointer shifting, with no unfolded
+//!   matrix.
 
+use spg_check::{VerifiedTiled, VECTOR_WIDTH};
+use spg_codegen::TILE_ROWS;
 use spg_tensor::transform::StridedLayout;
 use spg_tensor::{layout, Shape3};
 
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
 use spg_gemm::gemm_slice;
-
-/// Output rows held in the AVX register tile. Six accumulators mirror the
-/// GEMM micro-kernel's register budget and give `6*Fy / (Fy + 5)` input
-/// reuse. Public so the plan verifier lowers the exact tile the kernel runs.
-pub const TILE_ROWS: usize = 6;
-/// f32 lanes per vector. Public for the same reason as [`TILE_ROWS`].
-pub const LANES: usize = 8;
-
-/// `x` tile plan covering `0..out_w`: 16-wide tiles while they fit, then
-/// 8-wide, then one overlapping 8-wide tail for ragged widths. Returns
-/// `(x, wide)` pairs; `wide` means two vectors (16 columns).
-///
-/// This is the segmentation the AVX basic block executes; it is portable
-/// pure arithmetic, public so the plan verifier proves bounds for the very
-/// tile list the kernel will iterate, not a reconstruction of it.
-///
-/// # Panics
-///
-/// Debug-asserts `out_w >= LANES` (narrower outputs take the shifted-GEMM
-/// path and have no x plan).
-pub fn x_plan(out_w: usize) -> Vec<(usize, bool)> {
-    debug_assert!(out_w >= LANES);
-    let mut plan = Vec::new();
-    let mut x = 0;
-    while x + 2 * LANES <= out_w {
-        plan.push((x, true));
-        x += 2 * LANES;
-    }
-    while x + LANES <= out_w {
-        plan.push((x, false));
-        x += LANES;
-    }
-    if x < out_w {
-        plan.push((out_w - LANES, false));
-    }
-    plan
-}
 
 /// Builds the Eq. 21 phase layout for `spec`'s x stride.
 fn phase_layout(spec: &ConvSpec) -> StridedLayout {
@@ -72,73 +41,100 @@ fn phase_layout(spec: &ConvSpec) -> StridedLayout {
     }
 }
 
-/// Forward propagation by direct (stencil-style) convolution, staging its
-/// layout transforms and gathered patch blocks in a caller-provided
+/// Forward propagation by the generic register-tiled stencil over a proved
+/// plan, staging the phase transform (strided plans) in a caller-provided
 /// [`ConvScratch`]: the per-sample hot path performs no heap allocation
 /// once the scratch has warmed up to this geometry.
 ///
 /// Semantically identical to
-/// [`reference::forward`](spg_convnet::reference::forward); layout
-/// transforms for strided convolutions are performed internally and their
-/// cost is part of this call (the paper includes transform time in its
-/// stencil measurements, Sec. 4.3).
+/// [`reference::forward`](spg_convnet::reference::forward) on
+/// `plan.spec()`; the layout transform's cost is part of this call (the
+/// paper includes transform time in its stencil measurements, Sec. 4.3).
 ///
 /// # Panics
 ///
-/// Panics if any buffer length does not match the spec.
-pub fn forward_scratch(
-    spec: &ConvSpec,
+/// Panics if any buffer length does not match `plan.spec()`, or if the
+/// plan was lowered for a register tile other than the generic kernel's
+/// ([`VECTOR_WIDTH`] lanes, [`TILE_ROWS`] rows).
+pub fn forward_tiled(
+    plan: VerifiedTiled<'_>,
     input: &[f32],
     weights: &[f32],
     output: &mut [f32],
     scratch: &mut ConvScratch,
 ) {
+    let spec = plan.spec();
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
     assert_eq!(output.len(), spec.output_shape().len(), "output length");
+    assert!(
+        plan.lanes() == VECTOR_WIDTH && plan.tile_rows() == TILE_ROWS,
+        "plan was lowered for a different register tile"
+    );
 
     // The stencil kernel computes the full dense convolution, so every
     // charged flop is useful (goodput 1, Sec. 3.3).
     let ops = spec.arithmetic_ops();
     spg_telemetry::record_flops(ops, ops);
 
-    if spec.out_w() < LANES {
-        forward_shifted_gemm(spec, input, weights, output, scratch);
-        return;
+    if plan.phased() {
+        let lay = phase_layout(spec);
+        let phased = zeroed_slice(&mut scratch.hwc_in, lay.transformed_len());
+        lay.apply_into(input, phased);
+        // Eq. 21 staging: each (c, h) row group is sx phases of pw columns,
+        // and tap kx reads phase kx % sx from column kx / sx.
+        let (sx, pw) = (spec.sx(), lay.phase_width());
+        run_tiled(plan, phased, sx * pw, |kx| (kx % sx) * pw + kx / sx, weights, output);
+    } else {
+        run_tiled(plan, input, spec.in_w(), |kx| kx, weights, output);
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            if spec.sx() == 1 {
-                // SAFETY: AVX2+FMA presence checked above; buffer lengths
-                // validated at function entry.
-                unsafe { avx::forward_tiled(spec, input, weights, output) };
-            } else {
-                let lay = phase_layout(spec);
-                let phased = zeroed_slice(&mut scratch.hwc_in, lay.transformed_len());
-                lay.apply_into(input, phased);
-                // SAFETY: as above; the phased buffer geometry comes from
-                // the layout itself.
-                unsafe { avx::forward_tiled_phased(spec, &lay, phased, weights, output) };
-            }
-            return;
-        }
-    }
-    forward_scalar(spec, input, weights, output, scratch);
 }
 
-/// Narrow-output path: compose the convolution as shifted small dense
-/// MMs over channel/feature-major views (one `out_w x Nf x Nc` multiply
-/// per kernel offset and output row), vectorized by the GEMM micro-kernel
-/// along features.
-fn forward_shifted_gemm(
+/// One tiled pass over `input` — the CHW input (`row_stride = in_w`,
+/// `koff = kx`) or its phase-transformed staging — on the AVX2+FMA basic
+/// block where the host has it, the scalar shift-and-scale loops otherwise.
+/// Only [`forward_tiled`] calls this, after its entry asserts.
+fn run_tiled(
+    plan: VerifiedTiled<'_>,
+    input: &[f32],
+    row_stride: usize,
+    koff: impl Fn(usize) -> usize + Copy,
+    weights: &[f32],
+    output: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: AVX2+FMA presence checked above; the caller asserted the
+        // plan's register tile and the weight/output lengths against
+        // plan.spec(), and passes one of the two layouts of that spec's
+        // input — unit-stride exactly when the plan is not phased, else the
+        // freshly staged buffer whose row groups the plan's phase-group
+        // containment proof is about.
+        unsafe { avx::forward_tiled(plan, input, row_stride, koff, weights, output) };
+        return;
+    }
+    forward_scalar(plan.spec(), input, row_stride, koff, weights, output);
+}
+
+/// Narrow-output forward path: compose the convolution as shifted small
+/// dense MMs over channel/feature-major views (one `out_w x Nf x Nc`
+/// multiply per kernel offset), vectorized by the GEMM micro-kernel along
+/// features. Permutes the weights per call (staged in `scratch.wperm`);
+/// callers holding weights across samples pre-compute
+/// [`narrow_weights`] and call [`forward_narrow_pretransformed_scratch`].
+///
+/// # Panics
+///
+/// Panics if any buffer length does not match the spec.
+pub fn forward_narrow_scratch(
     spec: &ConvSpec,
     input: &[f32],
     weights: &[f32],
     output: &mut [f32],
     scratch: &mut ConvScratch,
 ) {
+    let ops = spec.arithmetic_ops();
+    spg_telemetry::record_flops(ops, ops);
     // The weight permutation stages through `wperm`, which must stay
     // borrowable alongside the rest of the scratch below.
     let mut w_kkcf = std::mem::take(&mut scratch.wperm);
@@ -191,8 +187,8 @@ pub fn narrow_weights_into(spec: &ConvSpec, weights: &[f32], w_kkcf: &mut [f32])
 /// [`narrow_weights`], staging the HWC views and the gathered patch block
 /// in a caller-provided [`ConvScratch`]. Used directly by
 /// [`CompiledConv`](crate::compiled::CompiledConv); prefer
-/// [`forward_scratch`] unless you are amortizing the weight transform
-/// yourself.
+/// [`forward_narrow_scratch`] unless you are amortizing the weight
+/// transform yourself.
 ///
 /// # Panics
 ///
@@ -244,30 +240,19 @@ pub fn forward_narrow_pretransformed_scratch(
     layout::hwc_to_chw_into(out_hwc, Shape3::new(nf, out_h, out_w), output);
 }
 
-/// Portable shift-and-scale path (also the oracle for the AVX tile).
+/// Portable shift-and-scale path over either input layout of
+/// [`run_tiled`] (also the oracle for the AVX tile).
 fn forward_scalar(
     spec: &ConvSpec,
     input: &[f32],
+    row_stride: usize,
+    koff: impl Fn(usize) -> usize,
     weights: &[f32],
     output: &mut [f32],
-    scratch: &mut ConvScratch,
 ) {
-    if spec.sx() == 1 {
-        scalar_unit_stride(spec, input, weights, output);
-    } else {
-        let lay = phase_layout(spec);
-        let phased = zeroed_slice(&mut scratch.hwc_in, lay.transformed_len());
-        lay.apply_into(input, phased);
-        scalar_phased(spec, &lay, phased, weights, output);
-    }
-}
-
-fn scalar_unit_stride(spec: &ConvSpec, input: &[f32], weights: &[f32], output: &mut [f32]) {
     output.fill(0.0);
-    let ishape = spec.input_shape();
     let wshape = spec.weight_shape();
-    let (out_h, out_w) = (spec.out_h(), spec.out_w());
-    let sy = spec.sy();
+    let (in_h, out_h, out_w, sy) = (spec.in_h(), spec.out_h(), spec.out_w(), spec.sy());
     for f in 0..spec.features() {
         let out_plane = &mut output[f * out_h * out_w..(f + 1) * out_h * out_w];
         for c in 0..spec.in_c() {
@@ -278,43 +263,8 @@ fn scalar_unit_stride(spec: &ConvSpec, input: &[f32], weights: &[f32], output: &
                         continue;
                     }
                     for y in 0..out_h {
-                        let in_base = ishape.index(c, y * sy + ky, kx);
-                        let in_row = &input[in_base..in_base + out_w];
-                        let out_row = &mut out_plane[y * out_w..(y + 1) * out_w];
-                        for (o, &i) in out_row.iter_mut().zip(in_row) {
-                            *o += w * i;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn scalar_phased(
-    spec: &ConvSpec,
-    lay: &StridedLayout,
-    phased: &[f32],
-    weights: &[f32],
-    output: &mut [f32],
-) {
-    output.fill(0.0);
-    let wshape = spec.weight_shape();
-    let (out_h, out_w) = (spec.out_h(), spec.out_w());
-    let (sy, sx) = (spec.sy(), spec.sx());
-    for f in 0..spec.features() {
-        let out_plane = &mut output[f * out_h * out_w..(f + 1) * out_h * out_w];
-        for c in 0..spec.in_c() {
-            for ky in 0..spec.ky() {
-                for kx in 0..spec.kx() {
-                    let w = weights[wshape.index(f, c, ky, kx)];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let (phase, col0) = (kx % sx, kx / sx);
-                    for y in 0..out_h {
-                        let base = lay.index(c, y * sy + ky, phase, col0);
-                        let in_row = &phased[base..base + out_w];
+                        let base = (c * in_h + y * sy + ky) * row_stride + koff(kx);
+                        let in_row = &input[base..base + out_w];
                         let out_row = &mut out_plane[y * out_w..(y + 1) * out_w];
                         for (o, &i) in out_row.iter_mut().zip(in_row) {
                             *o += w * i;
@@ -328,9 +278,7 @@ fn scalar_phased(
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{LANES, TILE_ROWS};
-    use spg_convnet::ConvSpec;
-    use spg_tensor::transform::StridedLayout;
+    use super::{VerifiedTiled, TILE_ROWS, VECTOR_WIDTH as LANES};
     use std::arch::x86_64::*;
 
     /// Register-tiled basic block over a `rows x LANES` output tile,
@@ -393,10 +341,10 @@ mod avx {
                     let off = kx_offset(kx);
                     let mut ivec = [_mm256_setzero_ps(); RX];
                     for (rx, v) in ivec.iter_mut().enumerate() {
-                        // SAFETY: the caller contract (verified at plan time
-                        // by spg-check's x-tile and row-range proofs)
-                        // guarantees in_row(c, iy) + kx_offset(kx) +
-                        // RX * LANES stays inside the input buffer.
+                        // SAFETY: the caller contract (an x-tile and row
+                        // range taken from a `VerifiedTiled`) guarantees
+                        // in_row(c, iy) + kx_offset(kx) + RX * LANES stays
+                        // inside the input buffer.
                         *v = unsafe { _mm256_loadu_ps(base.add(off + rx * LANES)) };
                     }
                     for ty in ty_lo..=ty_hi {
@@ -423,29 +371,36 @@ mod avx {
         }
     }
 
-    use super::x_plan;
-
-    /// Unit-`x`-stride register-tiled forward pass.
+    /// Register-tiled forward pass over a proved plan: feature plane,
+    /// cache row block, register tile, then each of the plan's own
+    /// x-tiles. `input` is the CHW input (unit `x` stride, `row_stride =
+    /// in_w`, `koff = kx`) or its Eq. 21 phase-transformed staging
+    /// (`row_stride = sx * pw`, `koff = (kx % sx) * pw + kx / sx`).
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX2+FMA and buffers matching `spec`.
+    /// Caller guarantees AVX2+FMA, `plan.lanes() == LANES`,
+    /// `plan.tile_rows() == TILE_ROWS`, `weights`/`output` lengths matching
+    /// `plan.spec()`, and that `input`/`row_stride`/`koff` are one of the
+    /// two layouts above for `plan.spec()`'s input, unit-stride exactly
+    /// when `!plan.phased()`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn forward_tiled(
-        spec: &ConvSpec,
+        plan: VerifiedTiled<'_>,
         input: &[f32],
+        row_stride: usize,
+        koff: impl Fn(usize) -> usize + Copy,
         weights: &[f32],
         output: &mut [f32],
     ) {
-        let (in_h, in_w) = (spec.in_h(), spec.in_w());
+        let spec = plan.spec();
+        let in_h = spec.in_h();
         let (out_h, out_w) = (spec.out_h(), spec.out_w());
         let (fy, fx) = (spec.ky(), spec.kx());
         let (nc, nf, sy) = (spec.in_c(), spec.features(), spec.sy());
         let in_ptr = input.as_ptr();
         let w_ptr = weights.as_ptr();
 
-        let cache_tile = crate::stencil::plan_cache_schedule(spec).y_tile.max(TILE_ROWS);
-        let xs = x_plan(out_w);
         for f in 0..nf {
             // SAFETY: f < nf, so the plane offset stays inside the output
             // buffer whose length the caller validated against the spec.
@@ -455,119 +410,32 @@ mod avx {
             // moving down the image.
             let mut y0 = 0;
             while y0 < out_h {
-                let y1 = (y0 + cache_tile).min(out_h);
+                let y1 = (y0 + plan.cache_rows()).min(out_h);
                 let mut y = y0;
                 while y < y1 {
                     let rows = TILE_ROWS.min(y1 - y);
-                    for &(x, wide) in &xs {
+                    for tile in plan.x_tiles() {
+                        let x = tile.x;
                         // SAFETY: c < nc, y*sy + iy <= (out_h-1)*sy + fy - 1
-                        // < in_h and x + kx + 2*LANES <= in_w for every tile
-                        // of the x plan — the exact ranges spg-check proves
-                        // in-bounds for this plan at compile (plan) time.
+                        // < in_h, and x + koff(kx) + vectors*LANES stays in
+                        // the row (unit stride) or the (c, h) phase group
+                        // (phased): `tile` and the row range are read from
+                        // `plan`, the value spg-check constructed by proving
+                        // exactly these ranges in-bounds.
                         let in_row = |c: usize, iy: usize| unsafe {
-                            in_ptr.add((c * in_h + y * sy + iy) * in_w + x)
+                            in_ptr.add((c * in_h + y * sy + iy) * row_stride + x)
                         };
                         // SAFETY: f < nf and c < nc index whole fy*fx blocks
                         // of the validated weight buffer.
                         let w_fc = |c: usize| unsafe { w_ptr.add((f * nc + c) * fy * fx) };
-                        // SAFETY: y < out_h and x + tile width <= out_w
-                        // (x-plan segment proof), inside the f-th plane.
+                        // SAFETY: y < out_h and x + vectors*LANES <= out_w
+                        // (this tile's proved segment), inside the f-th plane.
                         let dst = unsafe { out_plane.add(y * out_w + x) };
                         // SAFETY: AVX2+FMA guaranteed by the caller; the
                         // closure contracts above bound every access the
                         // block performs.
                         unsafe {
-                            if wide {
-                                tile_block::<2>(
-                                    rows,
-                                    fy,
-                                    fx,
-                                    sy,
-                                    nc,
-                                    in_row,
-                                    w_fc,
-                                    |kx| kx,
-                                    dst,
-                                    out_w,
-                                );
-                            } else {
-                                tile_block::<1>(
-                                    rows,
-                                    fy,
-                                    fx,
-                                    sy,
-                                    nc,
-                                    in_row,
-                                    w_fc,
-                                    |kx| kx,
-                                    dst,
-                                    out_w,
-                                );
-                            }
-                        }
-                    }
-                    y += rows;
-                }
-                y0 = y1;
-            }
-        }
-    }
-
-    /// Strided (phase-transformed) register-tiled forward pass.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2+FMA and that `phased` came from `lay`
-    /// applied to the input of `spec`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn forward_tiled_phased(
-        spec: &ConvSpec,
-        lay: &StridedLayout,
-        phased: &[f32],
-        weights: &[f32],
-        output: &mut [f32],
-    ) {
-        let (out_h, out_w) = (spec.out_h(), spec.out_w());
-        let (fy, fx) = (spec.ky(), spec.kx());
-        let (nc, nf, sy, sx) = (spec.in_c(), spec.features(), spec.sy(), spec.sx());
-        let pw = lay.phase_width();
-        let in_ptr = phased.as_ptr();
-        let w_ptr = weights.as_ptr();
-
-        let cache_tile = crate::stencil::plan_cache_schedule(spec).y_tile.max(TILE_ROWS);
-        let xs = x_plan(out_w);
-        for f in 0..nf {
-            // SAFETY: f < nf keeps the plane offset inside the validated
-            // output buffer.
-            let out_plane = unsafe { output.as_mut_ptr().add(f * out_h * out_w) };
-            let mut y0 = 0;
-            while y0 < out_h {
-                let y1 = (y0 + cache_tile).min(out_h);
-                let mut y = y0;
-                while y < y1 {
-                    let rows = TILE_ROWS.min(y1 - y);
-                    for &(x, wide) in &xs {
-                        // Base of row (y*sy + iy) at phase 0, column 0; the
-                        // kx offset selects phase kx % sx at column
-                        // kx / sx + x (the Eq. 21 access pattern).
-                        // SAFETY: the phased loads stay inside the (c, h)
-                        // phase group — spg-check's phased row-group
-                        // containment proof — within the staged buffer of
-                        // lay.transformed_len() elements.
-                        let in_row = |c: usize, iy: usize| unsafe {
-                            in_ptr.add(lay.index(c, y * sy + iy, 0, 0))
-                        };
-                        // SAFETY: f < nf and c < nc index whole fy*fx blocks
-                        // of the validated weight buffer.
-                        let w_fc = |c: usize| unsafe { w_ptr.add((f * nc + c) * fy * fx) };
-                        let koff = |kx: usize| (kx % sx) * pw + kx / sx + x;
-                        // SAFETY: y < out_h and x + tile width <= out_w,
-                        // inside the f-th plane.
-                        let dst = unsafe { out_plane.add(y * out_w + x) };
-                        // SAFETY: AVX2+FMA guaranteed by the caller; closure
-                        // contracts above bound every access in the block.
-                        unsafe {
-                            if wide {
+                            if tile.vectors == 2 {
                                 tile_block::<2>(
                                     rows, fy, fx, sy, nc, in_row, w_fc, koff, dst, out_w,
                                 );
@@ -589,10 +457,28 @@ mod avx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotune::Phase;
+    use crate::schedule::Technique;
+    use crate::verify::lower_phase;
+    use spg_codegen::KernelChoice;
     use spg_convnet::reference;
 
     fn pseudo(n: usize, salt: usize) -> Vec<f32> {
         (0..n).map(|i| (((i * 29 + salt * 13) % 19) as f32 - 9.0) / 5.0).collect()
+    }
+
+    /// The stencil forward as lowering deploys it on the generic loops:
+    /// the tiled plan on wide outputs, shifted GEMM on narrow ones.
+    fn forward_scratch(
+        spec: &ConvSpec,
+        input: &[f32],
+        weights: &[f32],
+        output: &mut [f32],
+        scratch: &mut ConvScratch,
+    ) {
+        lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
+            .expect("stencil plans verify on every valid spec")
+            .forward(input, weights, output, scratch);
     }
 
     fn check(spec: ConvSpec) {

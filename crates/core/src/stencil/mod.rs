@@ -17,26 +17,26 @@
 //!   generator**: picks output cache tiles whose working set fits L1 and
 //!   whose footprint respects the TLB budget; the kernel holds one such
 //!   tile across the whole channel reduction.
-//! * [`kernel`] — executes the planned direct convolution: an AVX2+FMA
-//!   register-tiled basic block under the cache schedule, with the
-//!   Eq. 21 strided-layout transform applied first when the
-//!   convolution's `x`-stride is not 1, a feature-vectorized
-//!   shifted-GEMM path for outputs narrower than one vector, and a
-//!   portable scalar fallback.
+//! * [`kernel`] — executes a proved tiled plan: an AVX2+FMA
+//!   register-tiled basic block over the plan's own x-tiles and cache row
+//!   block, with the Eq. 21 strided-layout transform applied first when
+//!   the convolution's `x`-stride is not 1, a portable scalar fallback,
+//!   and the feature-vectorized shifted-GEMM path narrow plans run.
 //! * [`render_basic_block`] — emits the generated basic block as readable
 //!   pseudo-C intrinsics, mirroring the paper's Fig. 7 listing.
-//! * [`StencilExecutor`] — plugs the kernel into the training stack as a
-//!   forward-phase [`ConvExecutor`](spg_convnet::exec::ConvExecutor).
+//!
+//! Which of these runs for a layer is decided once, when
+//! [`verify::lower`](crate::verify::lower) lowers the layer's plan.
 
-mod executor;
 pub mod kernel;
 mod plan;
 mod render;
 mod schedule;
 
-pub use executor::StencilExecutor;
-pub use plan::{plan_register_tile, RegisterTilePlan, ACCUMULATOR_BUDGET, VECTOR_WIDTH};
+pub use plan::{plan_register_tile, RegisterTilePlan};
 pub use render::render_basic_block;
-pub use schedule::{
-    plan_cache_schedule, CacheSchedule, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES,
+pub use schedule::{plan_cache_schedule, CacheSchedule};
+// The generators search under the budgets the verifier judges against.
+pub use spg_check::{
+    ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
 };

@@ -2,15 +2,8 @@
 
 use std::fmt;
 
+use spg_check::{ACCUMULATOR_BUDGET, VECTOR_WIDTH};
 use spg_convnet::ConvSpec;
-
-/// SIMD vector width in f32 lanes (AVX: 8).
-pub const VECTOR_WIDTH: usize = 8;
-
-/// Vector registers available for output accumulators. Commodity x86-64
-/// has 16 YMM registers; the kernel reserves some for the input vector,
-/// the broadcast weight, and a temporary, as in the paper's Fig. 7.
-pub const ACCUMULATOR_BUDGET: usize = 12;
 
 /// A chosen output register tile for the stencil basic block.
 ///

@@ -10,19 +10,8 @@
 
 use std::fmt;
 
+use spg_check::{L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES};
 use spg_convnet::ConvSpec;
-
-/// Target L1 data-cache budget for one tile's working set, in f32
-/// elements (half of a typical 32 KiB L1d, leaving room for weights and
-/// stack traffic).
-pub const L1_BUDGET_ELEMS: usize = 4 * 1024;
-
-/// Conventional 4 KiB page size in f32 elements, used for the TLB bound.
-pub const PAGE_ELEMS: usize = 1024;
-
-/// Maximum distinct pages a tile may touch (a slice of a typical 64-entry
-/// L1 DTLB, shared with the other operands).
-pub const TLB_BUDGET_PAGES: usize = 16;
 
 /// A cache/TLB tile for the stencil loop nest: the kernel sweeps `(f, c)`
 /// over output blocks of `y_tile` rows by `x_tile` columns.

@@ -1,70 +1,54 @@
-//! Plan-time static verification: lowers a [`LayerPlan`] into `spg-check`'s
-//! plan IR and proves it safe before it is measured or deployed.
+//! Lowering: the one place a [`LayerPlan`] is interpreted.
 //!
-//! The lowering mirrors the executors' dispatch logic exactly — the same
-//! narrow-output cutoff, phase-transform condition, x-tile segmentation, and
-//! worker count the kernels use at run time — so the proof is about the code
-//! that runs. [`CompiledConv::compile`](crate::compiled::CompiledConv::compile)
-//! and the autotuner both call [`verify_plan`] / [`verify_technique`]; a
-//! rejected plan surfaces as [`SpgError::PlanRejected`] naming the offending
-//! access instead of executing.
+//! The pipeline is **lower → verify → execute**. [`lower`] turns a
+//! technique pair into `spg-check`'s plan IR — choosing the narrow-output
+//! cutoff, the phase transform, the x-tile segmentation, the band ranges
+//! and sub-specs, the GEMM worker counts and the sparse tile width, and
+//! binding a `spg-codegen` instance when one resolves — hands that IR to
+//! the verifier, and wraps the [`VerifiedPlan`](spg_check::VerifiedPlan) it
+//! gets back in a [`ConvProgram`]. The program's single dispatch
+//! ([`compiled`](crate::compiled)) and the kernels beneath it read those
+//! same fields; nothing downstream looks at a [`Technique`] again, so the
+//! bounds that were proved are the bounds that execute by construction.
+//! A rejected plan surfaces as [`SpgError::PlanRejected`] naming the
+//! offending access, and no program exists for it.
 
 use spg_check::{
     band_sub_spec, BackwardPlan, BandDim, BandPlan, CheckReport, ConvPlan, ForwardPlan,
-    RegisterTile, ScheduleTile, ScratchCapacity, XTile,
+    RegisterTile, ScheduleTile, ScratchCapacity, VECTOR_WIDTH,
 };
+use spg_codegen::xplan::tiled_plan;
+use spg_codegen::{KernelChoice, SpecializedKernel};
 use spg_convnet::ConvSpec;
 
 use crate::autotune::Phase;
+use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
 use crate::schedule::{LayerPlan, Technique};
 use crate::sparse::DEFAULT_TILE_WIDTH;
-use crate::stencil::kernel::{x_plan, LANES, TILE_ROWS};
 use crate::stencil::{plan_cache_schedule, plan_register_tile};
 use crate::SpgError;
 
-/// Lowers a forward technique to the verifier's IR, reproducing the
-/// executors' dispatch: the narrow-output shifted-GEMM cutoff
-/// (`out_w < LANES`), the Eq. 21 phase transform condition (`sx > 1`), the
-/// kernel's x-tile segmentation, and the GEMM worker count.
-pub fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize) -> ForwardPlan {
-    match technique {
-        Technique::StencilFp => {
-            if spec.out_w() < LANES {
-                ForwardPlan::StencilNarrow
-            } else {
-                ForwardPlan::StencilTiled {
-                    lanes: LANES,
-                    tile_rows: TILE_ROWS,
-                    cache_rows: plan_cache_schedule(spec).y_tile.max(TILE_ROWS),
-                    x_tiles: x_plan(spec.out_w())
-                        .into_iter()
-                        .map(|(x, wide)| XTile { x, vectors: if wide { 2 } else { 1 } })
-                        .collect(),
-                    phased: spec.sx() > 1,
-                }
-            }
-        }
-        Technique::StencilYBand | Technique::StencilXBand | Technique::StencilOutChannel => {
-            let dim = technique
-                .band_dim()
-                .unwrap_or_else(|| unreachable!("band_dim is Some for hybrid variants"));
-            lower_banded(spec, dim, cores)
-        }
-        Technique::ParallelGemm => ForwardPlan::UnfoldGemm { threads: cores.max(1) },
+/// Lowers a forward technique: the narrow-output shifted-GEMM cutoff
+/// (`out_w < VECTOR_WIDTH`), the wide tiled plan at `lanes` lanes (the
+/// generic loops' 8, or a bound instance's own width), the banded
+/// decompositions, and the GEMM worker count.
+fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usize) -> ForwardPlan {
+    match (technique, technique.band_dim()) {
+        (_, Some(dim)) => lower_banded(spec, dim, cores),
+        (Technique::StencilFp, _) if spec.out_w() < VECTOR_WIDTH => ForwardPlan::StencilNarrow,
+        (Technique::StencilFp, _) => tiled_plan(spec, lanes, plan_cache_schedule(spec).y_tile),
+        (Technique::ParallelGemm, _) => ForwardPlan::UnfoldGemm { threads: cores.max(1) },
         // GEMM-in-Parallel runs one serial GEMM per training input; the
         // sparse technique has no forward kernel and falls back likewise.
-        Technique::GemmInParallel | Technique::SparseBp => ForwardPlan::UnfoldGemm { threads: 1 },
+        _ => ForwardPlan::UnfoldGemm { threads: 1 },
     }
 }
 
-/// Lowers a banded hybrid decomposition: the very band ranges the
-/// [`HybridExecutor`](crate::hybrid::HybridExecutor) will run (from the
-/// shared [`band_ranges`] source of truth), each band carrying the
-/// checker's own restriction of the spec and a recursively lowered wide
-/// tiled plan. Unsplittable specs lower to a single band, which the
-/// verifier rejects — exactly the candidates the executor could not
-/// decompose.
+/// Lowers a banded hybrid decomposition: the [`band_ranges`] split, each
+/// band carrying the checker's own restriction of the spec and the generic
+/// wide tiled plan on it. Unsplittable specs lower to a single band, which
+/// the verifier rejects.
 fn lower_banded(spec: &ConvSpec, dim: BandDim, cores: usize) -> ForwardPlan {
     let bands = band_ranges(spec, dim, cores)
         .into_iter()
@@ -78,16 +62,15 @@ fn lower_banded(spec: &ConvSpec, dim: BandDim, cores: usize) -> ForwardPlan {
             BandPlan {
                 range: (lo, hi),
                 spec: sub,
-                plan: lower_forward(&sub, Technique::StencilFp, 1),
+                plan: lower_forward(&sub, Technique::StencilFp, 1, VECTOR_WIDTH),
             }
         })
         .collect();
     ForwardPlan::StencilBanded { dim, bands }
 }
 
-/// Lowers a backward technique to the verifier's IR.
-pub fn lower_backward(spec: &ConvSpec, technique: Technique, cores: usize) -> BackwardPlan {
-    let _ = spec;
+/// Lowers a backward technique.
+pub(crate) fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     match technique {
         Technique::SparseBp => BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH },
         Technique::ParallelGemm => BackwardPlan::UnfoldGemm { threads: cores.max(1) },
@@ -101,28 +84,33 @@ pub fn lower_backward(spec: &ConvSpec, technique: Technique, cores: usize) -> Ba
     }
 }
 
-/// Lowers a complete [`LayerPlan`] — both techniques plus the generators'
-/// register tile and cache schedule for `spec` — to the verifier's IR.
-pub fn lower_plan(spec: &ConvSpec, plan: LayerPlan, cores: usize) -> ConvPlan {
+/// The generators' register tile and cache schedule for `spec`, in the
+/// verifier's IR.
+fn generated_tiles(spec: &ConvSpec) -> (RegisterTile, ScheduleTile) {
     let tile = plan_register_tile(spec);
     let schedule = plan_cache_schedule(spec);
-    ConvPlan {
-        forward: lower_forward(spec, plan.forward, cores),
-        backward: lower_backward(spec, plan.backward, cores),
-        register_tile: RegisterTile { rx: tile.rx, ry: tile.ry },
-        schedule: ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile },
-    }
+    (
+        RegisterTile { rx: tile.rx, ry: tile.ry },
+        ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile },
+    )
 }
 
-/// Scratch capacities the verifier judges staging footprints against: what
-/// [`ConvScratch::reserve`](spg_convnet::workspace::ConvScratch::reserve)
-/// provides for this spec, which every `_scratch` entry point establishes.
-fn capacities(spec: &ConvSpec) -> ScratchCapacity {
-    ScratchCapacity::reserved_for(spec)
+/// The specialized instance [`lower`] binds to a stencil forward on `spec`
+/// under [`KernelChoice::Auto`], if any.
+#[cfg(test)]
+pub(crate) fn select_kernel(spec: &ConvSpec) -> Option<&'static SpecializedKernel> {
+    lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Auto)
+        .ok()?
+        .specialized_kernel()
 }
 
-/// Verifies one technique for one phase of `spec` — the autotuner's
-/// per-candidate gate.
+/// Lowers `plan` for `spec` at `cores` workers, proves the result, and
+/// returns the executable [`ConvProgram`]. [`KernelChoice::Auto`] binds a
+/// sequential stencil forward to the registry instance for the shape
+/// ([`spg_codegen::lookup`]) when the tiled plan at that instance's lane
+/// width passes the verifier; every other case — unlisted geometry, narrow
+/// output, missing CPU features, `SPG_FORCE_GENERIC`, a rejected instance
+/// plan, or [`KernelChoice::Generic`] — lowers to the generic loops.
 ///
 /// # Errors
 ///
@@ -130,65 +118,120 @@ fn capacities(spec: &ConvSpec) -> ScratchCapacity {
 /// [`CheckError`](spg_check::CheckError) if any symbolic access range
 /// escapes its buffer, worker regions overlap, staging overflows the
 /// reserved scratch, or the tile shapes contradict the spec.
+pub fn lower(
+    spec: &ConvSpec,
+    plan: LayerPlan,
+    cores: usize,
+    kernel: KernelChoice,
+) -> Result<ConvProgram, SpgError> {
+    let instance = match (plan.forward, kernel) {
+        (Technique::StencilFp, KernelChoice::Auto) => spg_codegen::lookup(spec),
+        _ => None,
+    };
+    if let Some(program) = instance.and_then(|inst| prove(spec, plan, cores, Some(inst)).ok()) {
+        return Ok(program);
+    }
+    prove(spec, plan, cores, None)
+}
+
+/// Lowers `plan` with its tiled forward at `kernel`'s lane width (the
+/// generic loops' [`VECTOR_WIDTH`] for `None`) and proves it.
+fn prove(
+    spec: &ConvSpec,
+    plan: LayerPlan,
+    cores: usize,
+    kernel: Option<&'static SpecializedKernel>,
+) -> Result<ConvProgram, SpgError> {
+    let (register_tile, schedule) = generated_tiles(spec);
+    let lowered = ConvPlan {
+        forward: lower_forward(
+            spec,
+            plan.forward,
+            cores,
+            kernel.map_or(VECTOR_WIDTH, |k| k.lanes()),
+        ),
+        backward: lower_backward(plan.backward, cores),
+        register_tile,
+        schedule,
+    };
+    // What ConvScratch::reserve provides for this spec, which every
+    // `_scratch` entry point establishes.
+    let cap = ScratchCapacity::reserved_for(spec);
+    match spg_check::verify_conv_plan(spec, lowered, &cap) {
+        Ok(verified) => Ok(ConvProgram::bind(verified, kernel)),
+        Err(check) => {
+            let technique = match check {
+                // Attribute the rejection to the phase whose kernel faulted;
+                // tile-shape errors precede the phase dispatch and blame
+                // forward.
+                spg_check::CheckError::OutOfBounds { buffer, .. }
+                | spg_check::CheckError::ScratchOverflow { buffer, .. }
+                    if matches!(
+                        buffer,
+                        spg_check::Buf::GradIn
+                            | spg_check::Buf::GradOut
+                            | spg_check::Buf::GradWeights
+                    ) =>
+                {
+                    plan.backward.id()
+                }
+                _ => plan.forward.id(),
+            };
+            Err(SpgError::PlanRejected { technique, check })
+        }
+    }
+}
+
+/// [`lower`] for measuring or running one phase of one technique: the
+/// other phase gets the always-applicable serial GEMM baseline.
+///
+/// # Errors
+///
+/// As [`lower`].
+pub fn lower_phase(
+    spec: &ConvSpec,
+    technique: Technique,
+    phase: Phase,
+    cores: usize,
+    kernel: KernelChoice,
+) -> Result<ConvProgram, SpgError> {
+    let baseline = Technique::GemmInParallel;
+    let plan = match phase {
+        Phase::Forward => LayerPlan { forward: technique, backward: baseline },
+        Phase::Backward => LayerPlan { forward: baseline, backward: technique },
+    };
+    lower(spec, plan, cores, kernel)
+}
+
+/// Verifies one technique for one phase of `spec` without building a
+/// program — the per-candidate gate of algorithm enumeration and
+/// `spgcnn verify`.
+///
+/// # Errors
+///
+/// Returns [`SpgError::PlanRejected`] as [`lower`] does.
 pub fn verify_technique(
     spec: &ConvSpec,
     technique: Technique,
     phase: Phase,
     cores: usize,
 ) -> Result<CheckReport, SpgError> {
-    let cap = capacities(spec);
-    let tile = plan_register_tile(spec);
-    let schedule = plan_cache_schedule(spec);
+    let cap = ScratchCapacity::reserved_for(spec);
     let result = match phase {
-        Phase::Forward => spg_check::verify_forward(
-            spec,
-            &lower_forward(spec, technique, cores),
-            RegisterTile { rx: tile.rx, ry: tile.ry },
-            ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile },
-            &cap,
-        ),
+        Phase::Forward => {
+            let (register_tile, schedule) = generated_tiles(spec);
+            let forward = lower_forward(spec, technique, cores, VECTOR_WIDTH);
+            spg_check::verify_forward(spec, &forward, register_tile, schedule, &cap)
+        }
         Phase::Backward => {
-            spg_check::verify_backward(spec, &lower_backward(spec, technique, cores), &cap)
+            spg_check::verify_backward(spec, &lower_backward(technique, cores), &cap)
         }
     };
     result.map_err(|check| SpgError::PlanRejected { technique: technique.id(), check })
 }
 
-/// Verifies a specialized registry instance for `spec`: lowers the
-/// instance's own plan — its lane width, tile rows, cache block, and
-/// x-tile list, which may differ from the generic kernel's (AVX-512
-/// instances run 16 lanes) — and proves it through `spg-check` with the
-/// generators' register tile and cache schedule.
-/// [`select_kernel`](crate::specialized::select_kernel) calls this before
-/// any instance is dispatched; a rejection silently routes the layer to
-/// the generic loops.
-///
-/// # Errors
-///
-/// Returns [`SpgError::PlanRejected`] (technique
-/// `"stencil-fp-specialized"`) with the verifier's typed
-/// [`CheckError`](spg_check::CheckError) if any access range of the
-/// instance's lowered plan escapes its buffer or overflows scratch.
-pub fn verify_specialized(
-    spec: &ConvSpec,
-    inst: &spg_codegen::SpecializedKernel,
-) -> Result<CheckReport, SpgError> {
-    let cap = capacities(spec);
-    let tile = plan_register_tile(spec);
-    let schedule = plan_cache_schedule(spec);
-    spg_check::verify_forward(
-        spec,
-        &inst.plan(spec, schedule.y_tile.max(TILE_ROWS)),
-        RegisterTile { rx: tile.rx, ry: tile.ry },
-        ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile },
-        &cap,
-    )
-    .map_err(|check| SpgError::PlanRejected { technique: "stencil-fp-specialized", check })
-}
-
-/// Verifies a complete layer plan against `spec` — the gate
-/// [`CompiledConv::compile`](crate::compiled::CompiledConv::compile) runs
-/// before constructing the kernel.
+/// Verifies a complete layer plan (generic kernel binding) against `spec`
+/// and reports what was proved.
 ///
 /// # Errors
 ///
@@ -213,24 +256,7 @@ pub fn verify_plan(
     plan: LayerPlan,
     cores: usize,
 ) -> Result<CheckReport, SpgError> {
-    let lowered = lower_plan(spec, plan, cores);
-    spg_check::verify_conv_plan(spec, &lowered, &capacities(spec)).map_err(|check| {
-        let technique = match check {
-            // Attribute the rejection to the phase whose kernel faulted;
-            // tile-shape errors precede the phase dispatch and blame forward.
-            spg_check::CheckError::OutOfBounds { buffer, .. }
-            | spg_check::CheckError::ScratchOverflow { buffer, .. }
-                if matches!(
-                    buffer,
-                    spg_check::Buf::GradIn | spg_check::Buf::GradOut | spg_check::Buf::GradWeights
-                ) =>
-            {
-                plan.backward.id()
-            }
-            _ => plan.forward.id(),
-        };
-        SpgError::PlanRejected { technique, check }
-    })
+    lower(spec, plan, cores, KernelChoice::Generic).map(|program| program.report())
 }
 
 #[cfg(test)]
@@ -268,40 +294,29 @@ mod tests {
         }
     }
 
-    /// The lowering reproduces the executor's narrow-output cutoff.
+    /// Lowering applies the narrow-output cutoff.
     #[test]
     fn narrow_output_lowers_to_shifted_gemm() {
         let narrow = ConvSpec::square(7, 6, 4, 3, 1);
-        assert_eq!(lower_forward(&narrow, Technique::StencilFp, 1), ForwardPlan::StencilNarrow);
+        assert_eq!(
+            lower_forward(&narrow, Technique::StencilFp, 1, VECTOR_WIDTH),
+            ForwardPlan::StencilNarrow
+        );
         let wide = ConvSpec::square(14, 5, 3, 3, 1);
         assert!(matches!(
-            lower_forward(&wide, Technique::StencilFp, 1),
+            lower_forward(&wide, Technique::StencilFp, 1, VECTOR_WIDTH),
             ForwardPlan::StencilTiled { phased: false, .. }
         ));
     }
 
-    /// Strided layers lower with the phase transform, mirroring the kernel's
-    /// `sx > 1` dispatch.
+    /// Strided layers lower with the phase transform (`sx > 1`).
     #[test]
     fn strided_layer_lowers_phased() {
         let strided = ConvSpec::square(28, 8, 3, 5, 2);
         assert!(matches!(
-            lower_forward(&strided, Technique::StencilFp, 1),
+            lower_forward(&strided, Technique::StencilFp, 1, VECTOR_WIDTH),
             ForwardPlan::StencilTiled { phased: true, .. }
         ));
-    }
-
-    /// The spg-check budget constants must stay equal to the generators'.
-    /// (The verifier re-derives admissibility; divergence would let it
-    /// reject plans the generator legitimately emits or vice versa.)
-    #[test]
-    fn verifier_constants_match_generators() {
-        assert_eq!(spg_check::VECTOR_WIDTH, crate::stencil::VECTOR_WIDTH);
-        assert_eq!(spg_check::ACCUMULATOR_BUDGET, crate::stencil::ACCUMULATOR_BUDGET);
-        assert_eq!(spg_check::L1_BUDGET_ELEMS, crate::stencil::L1_BUDGET_ELEMS);
-        assert_eq!(spg_check::PAGE_ELEMS, crate::stencil::PAGE_ELEMS);
-        assert_eq!(spg_check::TLB_BUDGET_PAGES, crate::stencil::TLB_BUDGET_PAGES);
-        assert_eq!(spg_check::VECTOR_WIDTH, LANES);
     }
 
     /// Every specialized registry instance's lowered plan verifies clean
@@ -318,20 +333,35 @@ mod tests {
                 Ok(s) => s,
                 Err(e) => panic!("spec for {k}: {e:?}"),
             };
-            let report = verify_specialized(&spec, inst).unwrap();
+            let (register_tile, schedule) = generated_tiles(&spec);
+            let report = spg_check::verify_forward(
+                &spec,
+                &lower_forward(&spec, Technique::StencilFp, 1, inst.lanes()),
+                register_tile,
+                schedule,
+                &ScratchCapacity::reserved_for(&spec),
+            )
+            .unwrap();
             assert!(report.accesses_proved > 0, "{inst:?} on {spec}");
         }
     }
 
-    /// The codegen crate's lane-parameterized x segmentation and tile
-    /// height must reproduce the generic kernel's at 8 lanes — the
-    /// bit-identity and plan-equivalence arguments both rest on it.
+    /// Shapes the registry covers bind an instance iff the host can run
+    /// SIMD and `SPG_FORCE_GENERIC` is unset; unlisted geometries never do.
     #[test]
-    fn codegen_plan_constants_match_generic_kernel() {
-        assert_eq!(spg_codegen::TILE_ROWS, TILE_ROWS);
-        for w in LANES..6 * LANES {
-            assert_eq!(spg_codegen::xplan::x_plan_lanes(w, LANES), x_plan(w), "out_w={w}");
+    fn kernel_binding_is_gated() {
+        let spec = ConvSpec::square(20, 4, 2, 3, 1); // 18-wide output, 3x3 s1
+        let bound = select_kernel(&spec);
+        if spg_codegen::force_generic()
+            || spg_gemm::detect_simd_level() < spg_gemm::SimdLevel::Avx2Fma
+        {
+            assert!(bound.is_none());
+        } else {
+            let inst = bound.expect("registry shape on a SIMD host");
+            assert_eq!(inst.key(), spg_codegen::KernelKey::of(&spec));
         }
+        let unlisted = ConvSpec::new(1, 40, 40, 3, 4, 4, 3, 3).expect("valid spec");
+        assert!(select_kernel(&unlisted).is_none());
     }
 
     /// Per-phase verification covers each candidate list end to end.
@@ -354,9 +384,9 @@ mod tests {
         }
     }
 
-    /// Hybrid lowering emits the executor's own band ranges and verifies
-    /// clean on a splittable spec; unsplittable specs lower to a single
-    /// band that the verifier rejects.
+    /// Hybrid lowering emits the [`band_ranges`] split and verifies clean
+    /// on a splittable spec; unsplittable specs lower to a single band
+    /// that the verifier rejects.
     #[test]
     fn hybrid_lowering_verifies_when_splittable() {
         // ImageNet-22K L0 (Table 2): 128x128 output, stride 2.

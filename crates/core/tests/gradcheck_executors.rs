@@ -10,12 +10,14 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use spg_convnet::exec::{ConvExecutor, ReferenceExecutor, UnfoldGemmExecutor};
+use spg_codegen::KernelChoice;
+use spg_convnet::exec::{ConvExecutor, ReferenceExecutor, SharedExecutor, UnfoldGemmExecutor};
 use spg_convnet::gradcheck::check_gradients;
 use spg_convnet::layer::{ConvLayer, FcLayer};
 use spg_convnet::{ConvScratch, ConvSpec, Network};
-use spg_core::sparse::SparseBpExecutor;
-use spg_core::stencil::StencilExecutor;
+use spg_core::autotune::Phase;
+use spg_core::schedule::{LayerPlan, Technique};
+use spg_core::verify::lower;
 use spg_tensor::Tensor;
 
 fn pseudo(n: usize, salt: u64) -> Vec<f32> {
@@ -25,6 +27,14 @@ fn pseudo(n: usize, salt: u64) -> Vec<f32> {
             ((v >> 40) as f32 / (1u64 << 24) as f32) - 0.5
         })
         .collect()
+}
+
+/// The stencil-forward + sparse-backward plan lowered for `spec`, as the
+/// executors of the two `ConvLayer` slots.
+fn optimized_executors(spec: &ConvSpec) -> (SharedExecutor, SharedExecutor) {
+    let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::SparseBp };
+    let program = std::sync::Arc::new(lower(spec, plan, 1, KernelChoice::Auto).unwrap());
+    (program.executor_for(Phase::Forward), program.executor_for(Phase::Backward))
 }
 
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -41,14 +51,12 @@ fn workspace_executors_match_reference_on_all_phases() {
         ConvSpec::new(3, 10, 10, 5, 5, 5, 1, 1).unwrap(),
         ConvSpec::new(2, 9, 9, 3, 3, 3, 2, 2).unwrap(),
     ];
-    let execs: Vec<Box<dyn ConvExecutor>> = vec![
-        Box::new(UnfoldGemmExecutor::new(2)),
-        Box::new(StencilExecutor::new()),
-        Box::new(SparseBpExecutor::new()),
-    ];
     let mut scratch = ConvScratch::new();
     let mut oracle_scratch = ConvScratch::new();
     for (si, spec) in specs.iter().enumerate() {
+        let (stencil, sparse) = optimized_executors(spec);
+        let execs: Vec<SharedExecutor> =
+            vec![std::sync::Arc::new(UnfoldGemmExecutor::new(2)), stencil, sparse];
         let salt = 0xA11 + si as u64;
         let input = pseudo(spec.input_shape().len(), salt);
         let weights = pseudo(spec.weight_shape().len(), salt ^ 0x77);
@@ -109,8 +117,9 @@ fn gradcheck_passes_with_optimized_executors() {
     let spec = ConvSpec::new(1, 8, 8, 3, 3, 3, 1, 1).unwrap();
     let out = spec.output_shape();
     let mut conv = ConvLayer::new(spec, &mut rng);
-    conv.set_forward_executor(std::sync::Arc::new(StencilExecutor::new()));
-    conv.set_backward_executor(std::sync::Arc::new(SparseBpExecutor::new()));
+    let (stencil, sparse) = optimized_executors(&spec);
+    conv.set_forward_executor(stencil);
+    conv.set_backward_executor(sparse);
     let mut net =
         Network::new(vec![Box::new(conv), Box::new(FcLayer::new(out.len(), 2, &mut rng))]).unwrap();
     let input = Tensor::random_uniform(64, 1.0, &mut rng);

@@ -4,17 +4,19 @@
 
 use proptest::prelude::*;
 
+use spg_codegen::KernelChoice;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::{reference, ConvSpec};
 use spg_core::ait::{mm_ait, mm_ait_per_core, mm_ait_per_core_best, mm_ait_per_core_cols};
+use spg_core::autotune::Phase;
 use spg_core::compiled::CompiledConv;
 use spg_core::region::{classify_by_features, Region};
 use spg_core::schedule::{recommended_plan, LayerPlan, Technique};
 use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::stencil::{
-    kernel as stencil_kernel, plan_cache_schedule, plan_register_tile, ACCUMULATOR_BUDGET,
-    L1_BUDGET_ELEMS,
+    plan_cache_schedule, plan_register_tile, ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS,
 };
+use spg_core::verify::lower_phase;
 
 fn conv_spec() -> impl Strategy<Value = ConvSpec> {
     (1usize..4, 4usize..14, 4usize..14, 1usize..6, 1usize..5, 1usize..5, 1usize..4, 1usize..4)
@@ -54,7 +56,9 @@ proptest! {
         let olen = spec.output_shape().len();
         let mut ours = vec![0.0; olen];
         let mut oracle = vec![0.0; olen];
-        stencil_kernel::forward_scratch(&spec, &input, &weights, &mut ours, &mut ConvScratch::new());
+        lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
+            .unwrap()
+            .forward(&input, &weights, &mut ours, &mut ConvScratch::new());
         reference::forward(&spec, &input, &weights, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
     }

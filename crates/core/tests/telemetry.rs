@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use spg_codegen::KernelChoice;
 use spg_convnet::exec::{ConvExecutor, UnfoldGemmExecutor};
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
@@ -16,7 +17,7 @@ use spg_core::ait::conv_gemm_dims;
 use spg_core::autotune::tune_layer;
 use spg_core::schedule::Technique;
 use spg_core::sparse::kernel as sparse_kernel;
-use spg_core::stencil::kernel as stencil_kernel;
+use spg_core::verify::lower_phase;
 use spg_telemetry::Phase;
 
 /// Current `(useful, total, tile_nnz, tile_capacity)` of one bucket.
@@ -111,14 +112,16 @@ fn stencil_counters_match_arithmetic_ops() {
         let input = pseudo(spec.input_shape().len(), 7);
         let weights = pseudo(spec.weight_shape().len(), 8);
         let mut output = vec![0.0; spec.output_shape().len()];
+        let stencil = lower_phase(
+            &spec,
+            Technique::StencilFp,
+            spg_core::autotune::Phase::Forward,
+            1,
+            KernelChoice::Generic,
+        )
+        .unwrap();
         let got = record_under(label, Phase::Forward, || {
-            stencil_kernel::forward_scratch(
-                &spec,
-                &input,
-                &weights,
-                &mut output,
-                &mut ConvScratch::new(),
-            );
+            stencil.forward(&input, &weights, &mut output, &mut ConvScratch::new());
         });
         let ops = spec.arithmetic_ops();
         assert_eq!(got, (ops, ops, 0, 0), "{label}");

@@ -50,7 +50,7 @@ pub mod time;
 
 /// The production `BoundedQueue` source, compiled against the model
 /// primitives. `crate::sync_prims` inside the included file resolves to
-/// [`sync_prims`] here (model types) and to std + `spg-sync` when the
+/// `sync_prims` here (model types) and to std + `spg-sync` when the
 /// same file is compiled inside `spg-serve`.
 #[path = "../../serve/src/queue.rs"]
 pub mod queue;

@@ -50,7 +50,7 @@ fn canonical() -> f32 {
 }
 
 /// Workers compute out of order (the scheduler sees to that); the
-/// merger must still accumulate bit-identically to [`canonical`] on
+/// merger must still accumulate bit-identically to `canonical` on
 /// every interleaving.
 pub fn merge_order(mutation: Option<Mutation>) -> Result<Report, RaceError> {
     let name = match mutation {

@@ -15,12 +15,12 @@
 
 use std::time::Instant;
 
-use spg_check::BandDim;
-use spg_convnet::exec::ConvExecutor;
+use spg_codegen::KernelChoice;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
-use spg_core::hybrid::{band_ranges, HybridExecutor};
-use spg_core::stencil::kernel;
+use spg_core::autotune::Phase;
+use spg_core::schedule::Technique;
+use spg_core::verify::lower_phase;
 use spg_workloads::table2::Benchmark;
 
 /// Default timing repetitions (median taken).
@@ -160,31 +160,36 @@ fn run_layer(benchmark: String, layer: usize, spec: &ConvSpec, reps: usize) -> L
     let weights = pseudo(spec.weight_shape().len(), 2);
     let mut oracle = vec![0f32; spec.output_shape().len()];
     let mut scratch = ConvScratch::new();
+    // Every forward here runs the generic loops, so the banded outputs are
+    // compared against the very kernel their bands split.
+    let lowered = |technique, workers| {
+        lower_phase(spec, technique, Phase::Forward, workers, KernelChoice::Generic)
+    };
+    let sequential = lowered(Technique::StencilFp, 1)
+        .unwrap_or_else(|e| panic!("sequential stencil plan for {spec}: {e}"));
     // Warm-up pays one-time buffer growth, then the starved baseline.
-    kernel::forward_scratch(spec, &input, &weights, &mut oracle, &mut scratch);
-    let sample_ms = time_ms(
-        || kernel::forward_scratch(spec, &input, &weights, &mut oracle, &mut scratch),
-        iters,
-        reps,
-    );
+    sequential.forward(&input, &weights, &mut oracle, &mut scratch);
+    let sample_ms =
+        time_ms(|| sequential.forward(&input, &weights, &mut oracle, &mut scratch), iters, reps);
 
     let mut bit_identical = true;
     let mut points = Vec::new();
     for workers in WORKER_SWEEP {
         let mut dims = [None, None, None];
-        for (slot, dim) in
-            [BandDim::YRows, BandDim::XCols, BandDim::OutChannels].into_iter().enumerate()
+        for (slot, technique) in
+            [Technique::StencilYBand, Technique::StencilXBand, Technique::StencilOutChannel]
+                .into_iter()
+                .enumerate()
         {
-            if band_ranges(spec, dim, workers).len() <= 1 {
-                continue;
-            }
-            let exec = HybridExecutor::new(dim, workers);
+            // A layer that does not split this way at this count has no
+            // verified banded plan and is left out of the point.
+            let Ok(exec) = lowered(technique, workers) else { continue };
             let mut banded = vec![0f32; spec.output_shape().len()];
             let mut hybrid_scratch = ConvScratch::new();
-            exec.forward(spec, &input, &weights, &mut banded, &mut hybrid_scratch);
+            exec.forward(&input, &weights, &mut banded, &mut hybrid_scratch);
             bit_identical &= banded == oracle;
             dims[slot] = Some(time_ms(
-                || exec.forward(spec, &input, &weights, &mut banded, &mut hybrid_scratch),
+                || exec.forward(&input, &weights, &mut banded, &mut hybrid_scratch),
                 iters,
                 reps,
             ));

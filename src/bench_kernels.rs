@@ -4,8 +4,8 @@
 //! `tools/bench_gate.sh` diffs against.
 //!
 //! Per layer, the benchmark times the generic runtime-parameterized
-//! stencil loops ([`StencilExecutor::generic`]) against the verified
-//! `spg-codegen` registry instance for the shape (when one resolves on
+//! stencil loops ([`KernelChoice::Generic`]) against the verified
+//! `spg-codegen` registry instance lowering binds for the shape (when one resolves on
 //! this host), single-core, median-of-`reps` with a **pinned, flop-derived
 //! iteration count** so reruns measure identical work. The headline
 //! number per layer is the dimensionless `speedup` ratio
@@ -14,11 +14,13 @@
 
 use std::time::Instant;
 
-use spg_convnet::exec::ConvExecutor;
+use spg_codegen::KernelChoice;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
-use spg_core::specialized::select_kernel;
-use spg_core::stencil::StencilExecutor;
+use spg_core::autotune::Phase;
+use spg_core::compiled::ConvProgram;
+use spg_core::schedule::Technique;
+use spg_core::verify::lower_phase;
 use spg_workloads::table2::{all_layers, Benchmark};
 
 /// Layers at or above this many arithmetic ops per sample are "hot": the
@@ -92,8 +94,7 @@ pub fn pinned_iters(flops: u64) -> usize {
 /// Times one repetition — `iters` forward calls through `exec` — and
 /// returns its GFLOP/s.
 fn time_rep(
-    spec: &ConvSpec,
-    exec: &dyn ConvExecutor,
+    exec: &ConvProgram,
     input: &[f32],
     weights: &[f32],
     output: &mut [f32],
@@ -102,11 +103,11 @@ fn time_rep(
 ) -> f64 {
     let start = Instant::now();
     for _ in 0..iters {
-        exec.forward(spec, input, weights, output, scratch);
+        exec.forward(input, weights, output, scratch);
     }
     let secs = start.elapsed().as_secs_f64().max(1e-12);
     #[allow(clippy::cast_precision_loss)]
-    let work = (spec.arithmetic_ops() * iters as u64) as f64;
+    let work = (exec.spec().arithmetic_ops() * iters as u64) as f64;
     work / secs / 1e9
 }
 
@@ -153,16 +154,20 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
     let mut output = vec![0.0f32; spec.output_shape().len()];
     let mut scratch = ConvScratch::new();
 
-    let generic_exec = StencilExecutor::generic();
-    // StencilExecutor::new() dispatches through the verified registry
-    // instance for this shape when select_kernel resolves one.
-    let auto_exec = StencilExecutor::new();
-    let inst = select_kernel(spec);
+    let lowered = |kernel| {
+        lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, kernel)
+            .unwrap_or_else(|e| panic!("stencil plan for {spec}: {e}"))
+    };
+    let generic_exec = lowered(KernelChoice::Generic);
+    // Auto lowering binds the verified registry instance for this shape
+    // when one resolves on this host.
+    let auto_exec = lowered(KernelChoice::Auto);
+    let inst = auto_exec.specialized_kernel();
 
     // Warm-up pays one-time buffer growth and code-path warming.
-    generic_exec.forward(spec, &input, &weights, &mut output, &mut scratch);
+    generic_exec.forward(&input, &weights, &mut output, &mut scratch);
     if inst.is_some() {
-        auto_exec.forward(spec, &input, &weights, &mut output, &mut scratch);
+        auto_exec.forward(&input, &weights, &mut output, &mut scratch);
     }
     // Interleave generic/specialized repetitions so machine-load drift
     // over the run hits both kernels alike: the per-layer speedup ratio
@@ -172,7 +177,6 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
     let mut special_samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         generic_samples.push(time_rep(
-            spec,
             &generic_exec,
             &input,
             &weights,
@@ -182,7 +186,6 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
         ));
         if inst.is_some() {
             special_samples.push(time_rep(
-                spec,
                 &auto_exec,
                 &input,
                 &weights,

@@ -406,10 +406,14 @@ layer {i}: {spec}"
             (Phase::Forward, "FP", Technique::forward_candidates()),
             (Phase::Backward, "BP", Technique::backward_candidates()),
         ] {
-            let mut timings: Vec<(Technique, std::time::Duration)> = candidates
-                .iter()
-                .map(|&t| (t, measure_technique(spec, t, phase, sparsity, cores, reps)))
-                .collect();
+            let mut timings: Vec<(Technique, std::time::Duration)> = Vec::new();
+            for &t in candidates {
+                // A rejected plan never runs, not even to be measured.
+                match measure_technique(spec, t, phase, sparsity, cores, reps) {
+                    Ok(d) => timings.push((t, d)),
+                    Err(e) => println!("  {label} {:<24} rejected: {e}", t.to_string()),
+                }
+            }
             timings.sort_by_key(|&(_, d)| d);
             for (rank, (t, d)) in timings.iter().enumerate() {
                 let marker = if rank == 0 { "  <- fastest" } else { "" };

@@ -12,7 +12,8 @@
 //! counts (kernel and stride preserved) so the same 12 layer shapes stay
 //! covered without the unoptimized kernels taking minutes per forward.
 
-use spg_cnn::convnet::layer::Layer;
+use spg_cnn::check::{verify_conv_plan, ScratchCapacity};
+use spg_cnn::convnet::layer::{ConvLayer, Layer};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{ConvSpec, Engine, LayerAlgo, Network};
 use spg_cnn::core::backend::{AlgoChoice, Backend, ConvDescriptor, CpuBackend};
@@ -107,6 +108,74 @@ fn algo_override_matches_backend_compile_for_every_enumerated_algo() {
         }
     }
     assert!(compared >= 12, "suspiciously few (layer, algo) pairs compared: {compared}");
+}
+
+/// The two entry points are one program. For every enumerated algorithm
+/// on the shrunk Table 2 layers — plus two layers wide enough to lower to
+/// the tiled, instance-bound and banded plans the 4-wide shrunk outputs
+/// never reach — at 1 and 2 cores, the executor `install` puts on a
+/// `ConvLayer` (training, `Engine::forward`) and the `CompiledConv` from
+/// `Backend::compile` (serving) produce the same bits in all three phases,
+/// and both run the plan `spg-check` verified.
+#[test]
+fn installed_executor_and_compiled_conv_are_one_program() {
+    let backend = CpuBackend::new();
+    let mut specs: Vec<(String, ConvSpec)> = table2::all_layers()
+        .into_iter()
+        .map(|(bench, i, spec)| (format!("{} layer {i}", bench.label()), table2::shrunk(&spec)))
+        .collect();
+    specs.push(("wide 3x3".into(), ConvSpec::square(34, 6, 3, 3, 1)));
+    specs.push(("wide strided 7x7".into(), ConvSpec::square(69, 4, 3, 7, 2)));
+    let mut compared = 0usize;
+    for (label, spec) in specs {
+        let ops = conv_operands(&spec, 0.8, 0x13);
+        let (input, grad_out) = (ops.input.as_slice(), ops.grad_out.as_slice());
+        let (olen, ilen, wlen) =
+            (spec.output_shape().len(), spec.input_shape().len(), spec.weight_shape().len());
+        for cores in [1, 2] {
+            let desc = ConvDescriptor::new(spec, cores);
+            for algo in backend.get_algos(&desc).collect::<Vec<AlgoChoice>>() {
+                let at = format!("{label} x{cores} {algo}");
+                let mut conv = ConvLayer::with_weights(spec, ops.weights.clone()).expect("weights");
+                algo.install(&mut conv, cores).expect("enumerated algos install");
+                let compiled = backend
+                    .compile(&desc, algo, ops.weights.as_slice())
+                    .expect("enumerated algos compile");
+
+                // install() runs exactly algo.lower()'s program.
+                let installed = algo.lower(&spec, cores).expect("enumerated algos lower");
+                assert_eq!(installed.plan(), compiled.program().plan(), "{at}: plans differ");
+                assert_eq!(
+                    installed.specialized_kernel().map(|k| k.isa()),
+                    compiled.specialized_kernel().map(|k| k.isa()),
+                    "{at}: kernel bindings differ"
+                );
+                let proved = verify_conv_plan(
+                    &spec,
+                    installed.plan().clone(),
+                    &ScratchCapacity::reserved_for(&spec),
+                )
+                .expect("the reported plan is the verified one");
+                assert_eq!(proved.plan(), compiled.program().plan(), "{at}");
+
+                let mut scratch = ConvScratch::new();
+                let (mut out_a, mut out_b) = (vec![0f32; olen], vec![0f32; olen]);
+                conv.forward(input, &mut out_a, &mut scratch);
+                compiled.forward_scratch(input, &mut out_b, &mut scratch);
+                assert_eq!(out_a, out_b, "{at}: forward");
+
+                let (mut gin_a, mut gin_b) = (vec![0f32; ilen], vec![0f32; ilen]);
+                let (mut gw_a, mut gw_b) = (Tensor::zeros(wlen), vec![0f32; wlen]);
+                conv.backward(input, &out_a, grad_out, &mut gin_a, &mut gw_a, &mut scratch);
+                compiled.backward_data_scratch(grad_out, &mut gin_b, &mut scratch);
+                compiled.backward_weights_scratch(input, grad_out, &mut gw_b, &mut scratch);
+                assert_eq!(gin_a, gin_b, "{at}: backward data");
+                assert_eq!(gw_a.as_slice(), &gw_b[..], "{at}: backward weights");
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared >= 14 * 2 * 9, "only {compared} (layer, cores, algo) triples compared");
 }
 
 /// `Backend::workspace_size` upper-bounds the scratch high-water the

@@ -7,16 +7,26 @@
 //! training stacks rely on: unlisted shapes silently take the generic
 //! path, and the autotuner records which kernel it deployed per layer.
 
+use spg_cnn::check::{
+    verify_conv_plan, BackwardPlan, ConvPlan, RegisterTile, ScheduleTile, ScratchCapacity,
+};
+use spg_cnn::codegen::xplan::tiled_plan;
 use spg_cnn::codegen::{all_instances, lookup, KernelChoice, KernelKey};
-use spg_cnn::convnet::exec::ConvExecutor;
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::ConvSpec;
-use spg_cnn::core::compiled::CompiledConv;
+use spg_cnn::core::autotune::Phase;
+use spg_cnn::core::compiled::{CompiledConv, ConvProgram};
 use spg_cnn::core::schedule::{LayerPlan, Technique};
-use spg_cnn::core::stencil::StencilExecutor;
+use spg_cnn::core::verify::lower_phase;
 use spg_cnn::gemm::{detect_simd_level, SimdLevel};
 use spg_cnn::workloads::synth::conv_operands;
 use spg_cnn::workloads::table2;
+
+/// The sequential stencil forward lowered for `spec` under `kernel`.
+fn stencil(spec: &ConvSpec, kernel: KernelChoice) -> ConvProgram {
+    lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, kernel)
+        .expect("stencil plan verifies")
+}
 
 /// Every registry instance the host can execute is bit-identical
 /// (`assert_eq!`, not approximate) to the generic stencil kernel on every
@@ -32,7 +42,6 @@ fn every_runnable_instance_bit_matches_generic_on_table2() {
         return;
     }
     let level = detect_simd_level();
-    let generic = StencilExecutor::generic();
     let mut pairs = 0usize;
     for (bench, i, spec) in table2::all_layers() {
         let key = KernelKey::of(&spec);
@@ -44,16 +53,24 @@ fn every_runnable_instance_bit_matches_generic_on_table2() {
             let mut scratch = ConvScratch::new();
             let mut got = vec![0.0f32; spec.output_shape().len()];
             let mut want = vec![0.0f32; spec.output_shape().len()];
+            // The instance's own tiled plan (cache row block 6), proved:
+            // the only way to run an instance.
+            let plan = ConvPlan {
+                forward: tiled_plan(&spec, inst.lanes(), 6),
+                backward: BackwardPlan::UnfoldGemm { threads: 1 },
+                register_tile: RegisterTile { rx: 1, ry: 1 },
+                schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
+            };
+            let proved = verify_conv_plan(&spec, plan, &ScratchCapacity::reserved_for(&spec))
+                .expect("instance plan verifies");
             inst.forward(
-                &spec,
+                proved.tiled().expect("lowered tiled"),
                 ops.input.as_slice(),
                 ops.weights.as_slice(),
                 &mut got,
                 &mut scratch,
-                6,
             );
-            generic.forward(
-                &spec,
+            stencil(&spec, KernelChoice::Generic).forward(
                 ops.input.as_slice(),
                 ops.weights.as_slice(),
                 &mut want,
@@ -85,15 +102,13 @@ fn unlisted_shape_silently_takes_the_generic_path() {
     let mut scratch = ConvScratch::new();
     let mut auto_out = vec![0.0f32; spec.output_shape().len()];
     let mut generic_out = vec![0.0f32; spec.output_shape().len()];
-    StencilExecutor::new().forward(
-        &spec,
+    stencil(&spec, KernelChoice::Auto).forward(
         ops.input.as_slice(),
         ops.weights.as_slice(),
         &mut auto_out,
         &mut scratch,
     );
-    StencilExecutor::generic().forward(
-        &spec,
+    stencil(&spec, KernelChoice::Generic).forward(
         ops.input.as_slice(),
         ops.weights.as_slice(),
         &mut generic_out,

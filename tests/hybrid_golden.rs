@@ -11,13 +11,12 @@
 //! difference at all is a bug.
 
 use spg_cnn::check::BandDim;
-use spg_cnn::convnet::exec::ConvExecutor;
+use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::core::autotune::Phase;
-use spg_cnn::core::hybrid::{band_ranges, HybridExecutor};
+use spg_cnn::core::hybrid::band_ranges;
 use spg_cnn::core::schedule::Technique;
-use spg_cnn::core::stencil::kernel;
-use spg_cnn::core::verify::verify_technique;
+use spg_cnn::core::verify::{lower_phase, verify_technique};
 use spg_cnn::workloads::table2::all_layers;
 
 /// The worker count of the issue's strong-scaling sweep: more workers than
@@ -91,14 +90,17 @@ fn hybrid_outputs_bit_identical_on_table2() {
         let input = pseudo(spec.input_shape().len(), 3 * i + 1);
         let weights = pseudo(spec.weight_shape().len(), 5 * i + 2);
         let mut oracle = vec![0f32; spec.output_shape().len()];
-        kernel::forward_scratch(&spec, &input, &weights, &mut oracle, &mut ConvScratch::new());
-        for (_, dim) in hybrids() {
+        let lowered =
+            |t, workers| lower_phase(&spec, t, Phase::Forward, workers, KernelChoice::Generic);
+        let sequential = lowered(Technique::StencilFp, 1).expect("stencil plan verifies");
+        sequential.forward(&input, &weights, &mut oracle, &mut ConvScratch::new());
+        for (t, dim) in hybrids() {
             if band_ranges(&spec, dim, WORKERS).len() <= 1 {
                 continue;
             }
-            let exec = HybridExecutor::new(dim, WORKERS);
+            let exec = lowered(t, WORKERS).expect("splittable layer verifies");
             let mut banded = vec![0f32; spec.output_shape().len()];
-            exec.forward(&spec, &input, &weights, &mut banded, &mut ConvScratch::new());
+            exec.forward(&input, &weights, &mut banded, &mut ConvScratch::new());
             assert_eq!(oracle, banded, "{} layer {i} {dim:?} not bit-identical", bench.label());
             checked += 1;
         }
