@@ -13,16 +13,19 @@
 //! the shard from the hash ring — consistent hashing re-routes *only*
 //! that shard's keys — and respawns the backend through the
 //! [`ShardSpawner`] under the router's restart budget with exponential
-//! backoff, the same supervision shape as the training pool's worker
-//! respawn. Requests already queued on the shard are not failed: they
-//! wait for the respawned backend, so a kill drill produces exactly one
-//! `ShardFault`-class error and every other key's result is unchanged.
+//! backoff: each forwarder is one [`spg_sync::supervise`] call, the same
+//! restart loop as the serving and training pools', whose incarnation is
+//! "obtain a backend, serve until it dies". Requests already queued on
+//! the shard are not failed: they wait for the respawned backend, so a
+//! kill drill produces exactly one `ShardFault`-class error and every
+//! other key's result is unchanged.
 
 use std::io::{Read, Write};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spg_serve::{BoundedQueue, PushError, ServeError};
+use spg_sync::Restarts;
 
 use crate::hash::HashRing;
 use crate::wire::{read_frame, write_frame, Message, WireError};
@@ -272,6 +275,7 @@ impl Router {
                 let evictions = Arc::clone(&evictions);
                 let respawns = Arc::clone(&respawns);
                 let config = config.clone();
+                // lint: allow(thread-spawn) long-lived service thread: one shard's forwarder
                 std::thread::spawn(move || {
                     forward_loop(
                         shard, backend, &queue, &ring, &*spawner, &config, &evictions, &respawns,
@@ -315,7 +319,9 @@ impl Router {
     }
 
     /// Blocking submission with a deadline, mirroring
-    /// [`spg_serve::Server::submit_timeout`].
+    /// [`spg_serve::Server::submit_timeout`] — including that a `timeout`
+    /// too large to represent as a deadline waits for space for as long as
+    /// the shard's queue stays open.
     ///
     /// # Errors
     ///
@@ -335,7 +341,7 @@ impl Router {
         queue
             .push_deadline(
                 RouterRequest { key: key.to_vec(), input, reply: tx },
-                Instant::now() + timeout,
+                deadline_after(Instant::now(), timeout),
             )
             .map_err(|e| match e {
                 PushError::Full | PushError::TimedOut => {
@@ -401,12 +407,24 @@ impl Drop for Router {
     }
 }
 
+/// `start + timeout`, or — where that sum overflows `Instant`, which `+`
+/// answers with a panic — the furthest deadline halving `timeout` can
+/// represent: centuries out, so only space or `close` ends the wait.
+fn deadline_after(start: Instant, mut timeout: Duration) -> Instant {
+    loop {
+        if let Some(deadline) = start.checked_add(timeout) {
+            return deadline;
+        }
+        timeout /= 2;
+    }
+}
+
 /// Drains one shard's queue forever: serve, and on a fatal backend
 /// error evict + respawn under the restart budget.
 #[allow(clippy::too_many_arguments)]
 fn forward_loop(
     shard: usize,
-    mut backend: Box<dyn ShardBackend>,
+    backend: Box<dyn ShardBackend>,
     queue: &BoundedQueue<RouterRequest>,
     ring: &Mutex<HashRing>,
     spawner: &dyn ShardSpawner,
@@ -414,47 +432,57 @@ fn forward_loop(
     evictions: &spg_sync::ProgressCounter,
     respawns: &spg_sync::ProgressCounter,
 ) {
-    let mut restarts = 0usize;
-    while let Some(req) = queue.pop() {
-        match backend.infer(shard, &req.key, req.input) {
-            Ok(reply) => {
-                let _ = req.reply.send(Ok(reply));
-            }
-            Err(ShardError::Request(e)) => {
-                let _ = req.reply.send(Err(e));
-            }
-            Err(ShardError::Fatal(e)) => {
-                // Evict first (so new submissions re-route), then fail
-                // exactly the in-flight request; queued requests wait
-                // for the respawned backend.
-                spg_sync::lock(ring).evict(shard);
-                evictions.bump();
-                spg_telemetry::record_counter("cluster.router.evictions", 1);
-                let _ = req.reply.send(Err(e));
-                loop {
-                    restarts += 1;
-                    if restarts > config.restart_budget {
-                        // Budget spent: this shard stays evicted and its
-                        // remaining queue drains with typed errors.
-                        queue.close();
-                        while let Some(stale) = queue.try_pop() {
-                            let _ = stale.reply.send(Err(ClusterError::ShardFault {
-                                shard,
-                                message: "shard retired: restart budget exhausted".to_string(),
-                            }));
-                        }
-                        return;
+    let restarts = Restarts { budget: config.restart_budget, backoff: config.restart_backoff };
+    // The first incarnation serves with the backend `Router::start`
+    // spawned; every later one respawns its own. A failed respawn is a
+    // fault like any other: it charges the budget and backs off.
+    let mut first = Some(backend);
+    let retired = spg_sync::supervise(
+        restarts,
+        || {
+            let mut backend = match first.take() {
+                Some(backend) => backend,
+                None => {
+                    let fresh = spawner.spawn(shard).map_err(drop)?;
+                    spg_sync::lock(ring).insert(shard);
+                    respawns.bump();
+                    spg_telemetry::record_counter("cluster.router.respawns", 1);
+                    fresh
+                }
+            };
+            while let Some(req) = queue.pop() {
+                match backend.infer(shard, &req.key, req.input) {
+                    Ok(reply) => {
+                        let _ = req.reply.send(Ok(reply));
                     }
-                    std::thread::sleep(spg_sync::backoff_delay(config.restart_backoff, restarts));
-                    if let Ok(fresh) = spawner.spawn(shard) {
-                        backend = fresh;
-                        spg_sync::lock(ring).insert(shard);
-                        respawns.bump();
-                        spg_telemetry::record_counter("cluster.router.respawns", 1);
-                        break;
+                    Err(ShardError::Request(e)) => {
+                        let _ = req.reply.send(Err(e));
+                    }
+                    Err(ShardError::Fatal(e)) => {
+                        // Evict first (so new submissions re-route), then
+                        // fail exactly the in-flight request; queued
+                        // requests wait for the respawned backend.
+                        spg_sync::lock(ring).evict(shard);
+                        evictions.bump();
+                        spg_telemetry::record_counter("cluster.router.evictions", 1);
+                        let _ = req.reply.send(Err(e));
+                        return Err(());
                     }
                 }
             }
+            Ok(())
+        },
+        |_, ()| {},
+    );
+    if retired.is_err() {
+        // Budget spent: this shard stays evicted and its remaining queue
+        // drains with typed errors.
+        queue.close();
+        while let Some(stale) = queue.try_pop() {
+            let _ = stale.reply.send(Err(ClusterError::ShardFault {
+                shard,
+                message: "shard retired: restart budget exhausted".to_string(),
+            }));
         }
     }
 }
@@ -569,6 +597,65 @@ mod tests {
         assert_eq!(router.respawns(), 1);
         assert_eq!(router.live_shards(), 2, "shard respawned and re-inserted");
         router.shutdown();
+    }
+
+    /// Regression: `Instant::now() + timeout` panicked on overflow, so
+    /// `Duration::MAX` ("wait as long as it takes") aborted the caller.
+    #[test]
+    fn submit_timeout_accepts_an_unrepresentable_deadline() {
+        let config = RouterConfig { shards: 1, ..Default::default() };
+        let router = Router::start(scripted_spawner(None), &config).unwrap();
+        let pending = router.submit_timeout(b"k", vec![3.0], Duration::MAX).unwrap();
+        assert_eq!(pending.wait().unwrap().logits, [3.0]);
+        router.shutdown();
+    }
+
+    /// ... and on a full queue such a deadline waits for space for as
+    /// long as the queue stays open: `close` releases it, typed.
+    #[test]
+    fn unrepresentable_deadline_on_a_full_queue_waits_for_close() {
+        /// Holds every request until the test releases the gate.
+        struct Gated(mpsc::Receiver<()>);
+        impl ShardBackend for Gated {
+            fn infer(
+                &mut self,
+                shard: usize,
+                _key: &[u8],
+                input: Vec<f32>,
+            ) -> Result<RouteReply, ShardError> {
+                let _ = self.0.recv();
+                Ok(RouteReply { logits: input, class: 0, shard })
+            }
+        }
+        let (gate, gated) = mpsc::channel();
+        let gated = Mutex::new(Some(gated));
+        let spawner = Arc::new(move |_: usize| {
+            let gate = spg_sync::lock(&gated).take().expect("one incarnation");
+            Ok(Box::new(Gated(gate)) as Box<dyn ShardBackend>)
+        });
+        let config = RouterConfig { shards: 1, queue_capacity: 1, ..Default::default() };
+        let router = Router::start(spawner, &config).unwrap();
+
+        // `a` is popped into the gated backend; once `b` is accepted
+        // behind it the one-slot queue is full and nothing drains it.
+        let in_flight = router.try_submit(b"a", vec![1.0]).unwrap();
+        let queued = loop {
+            match router.try_submit(b"b", vec![2.0]) {
+                Ok(pending) => break pending,
+                Err(ClusterError::Rejected { .. }) => std::thread::yield_now(),
+                Err(other) => panic!("unexpected error {other:?}"),
+            }
+        };
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| router.submit_timeout(b"c", vec![3.0], Duration::MAX));
+            router.slots[0].queue.close();
+            let released = parked.join().expect("the submitter must not panic");
+            assert!(matches!(released, Err(ClusterError::ShuttingDown)), "got {released:?}");
+        });
+        // Open the gate: accepted requests still drain after close.
+        drop(gate);
+        assert_eq!(in_flight.wait().unwrap().logits, [1.0]);
+        assert_eq!(queued.wait().unwrap().logits, [2.0]);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use spg_convnet::data::Dataset;
 use spg_convnet::sgd::{self, BatchFold, Progress, Shared};
 use spg_convnet::workspace::Workspace;
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
+use spg_sync::Restarts;
 
 use crate::allreduce::{ring_allreduce, AllReduce, RingLink, SampleGrad};
 use crate::ClusterError;
@@ -349,26 +350,38 @@ pub fn train_in_proc(
     let fresh = RankState::fresh(&seed_net);
     drop(seed_net);
     let mut states: Vec<RankState> = vec![fresh; opts.world];
+    // One-shot drill: only the first attempt carries it.
+    let mut fault = opts.fault;
 
-    for attempt in 0..=opts.restart_budget {
-        let fault = if attempt == 0 { opts.fault } else { None };
-        let fabrics: Vec<Comm> = if opts.world == 1 {
-            vec![Comm::Solo]
-        } else {
-            ring_fabric(opts.world)
-                .map_err(|e| ClusterError::Config { detail: format!("building fabric: {e}") })?
-        };
+    // One incarnation is one whole-ring attempt. Its `Err` is a rank
+    // fault, which `supervise` answers with a replay under the budget;
+    // what no replay can cure (fabric setup, ranks disagreeing) rides
+    // out in the `Ok` side as the run's own final `Err`.
+    let restarts = Restarts { budget: opts.restart_budget, backoff: opts.restart_backoff };
+    spg_sync::supervise(
+        restarts,
+        || {
+            let fault = fault.take();
+            let fabrics: Vec<Comm> = if opts.world == 1 {
+                vec![Comm::Solo]
+            } else {
+                match ring_fabric(opts.world) {
+                    Ok(fabrics) => fabrics,
+                    Err(e) => {
+                        return Ok(Err(ClusterError::Config {
+                            detail: format!("building fabric: {e}"),
+                        }))
+                    }
+                }
+            };
 
-        let outcomes: Vec<(RankState, Result<Vec<EpochStats>, ClusterError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = fabrics
-                    .into_iter()
-                    .enumerate()
-                    .zip(states.iter())
-                    .map(|((rank, mut comm), state)| {
+            // Rank 0 runs on the calling thread, ranks 1.. on their own.
+            let outcomes: Vec<(RankState, Result<Vec<EpochStats>, ClusterError>)> =
+                spg_sync::fork_join(fabrics.into_iter().enumerate().zip(&states).map(
+                    |((rank, mut comm), state)| {
                         let mut state = state.clone();
                         let mut data = data.clone();
-                        scope.spawn(move || {
+                        move || {
                             let opts = RankOptions {
                                 rank,
                                 world: opts.world,
@@ -384,51 +397,13 @@ pub fn train_in_proc(
                                 }),
                             };
                             (state, result)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
-            });
+                        }
+                    },
+                ));
 
-        let mut first_err = None;
-        for (_, result) in &outcomes {
-            if let Err(e) = result {
-                first_err.get_or_insert_with(|| e.clone());
-            }
-        }
-        match first_err {
-            None => {
-                // All ranks finished; they must agree bit-for-bit.
-                let reference: Vec<u64> = outcomes[0]
-                    .1
-                    .as_ref()
-                    .expect("checked ok")
-                    .iter()
-                    .map(|s| s.mean_loss.to_bits())
-                    .collect();
-                for (rank, (_, result)) in outcomes.iter().enumerate().skip(1) {
-                    let got: Vec<u64> = result
-                        .as_ref()
-                        .expect("checked ok")
-                        .iter()
-                        .map(|s| s.mean_loss.to_bits())
-                        .collect();
-                    if got != reference {
-                        return Err(ClusterError::Protocol {
-                            rank,
-                            detail: "ranks disagree on epoch losses after all-reduce".to_string(),
-                        });
-                    }
-                }
-                let (_, result) = outcomes.into_iter().next().expect("world >= 1");
-                return result;
-            }
-            Some(err) => {
+            if let Some(err) = outcomes.iter().find_map(|(_, result)| result.as_ref().err()) {
+                let err = err.clone();
                 spg_telemetry::record_counter("cluster.train.faults", 1);
-                if attempt == opts.restart_budget {
-                    return Err(err);
-                }
-                spg_telemetry::record_counter("cluster.train.restarts", 1);
                 // Resume from the most-advanced committed state; with
                 // synchronous updates every committed state at the same
                 // position is identical, so "most advanced" is unique.
@@ -438,14 +413,26 @@ pub fn train_in_proc(
                     .max_by_key(|s| (s.progress.next_epoch, s.progress.next_batch))
                     .expect("world >= 1");
                 states = vec![best; opts.world];
-                let backoff = spg_sync::backoff_delay(opts.restart_backoff, attempt + 1);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
+                return Err(err);
+            }
+            // All ranks finished; they must agree bit-for-bit.
+            let mut stats = outcomes.into_iter().map(|(_, result)| result.expect("checked ok"));
+            let reference = stats.next().expect("world >= 1");
+            let loss_bits = |s: &[EpochStats]| -> Vec<u64> {
+                s.iter().map(|e| e.mean_loss.to_bits()).collect()
+            };
+            for (rank, got) in stats.enumerate() {
+                if loss_bits(&got) != loss_bits(&reference) {
+                    return Ok(Err(ClusterError::Protocol {
+                        rank: rank + 1,
+                        detail: "ranks disagree on epoch losses after all-reduce".to_string(),
+                    }));
                 }
             }
-        }
-    }
-    unreachable!("loop returns on success or exhausted budget")
+            Ok(Ok(reference))
+        },
+        |_, _| spg_telemetry::record_counter("cluster.train.restarts", 1),
+    )?
 }
 
 #[cfg(test)]

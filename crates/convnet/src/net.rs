@@ -312,18 +312,13 @@ impl Network {
             return inputs.iter().map(|input| self.predict_with(input, &mut ws)).collect();
         }
         let chunk = inputs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .map(|batch| {
-                    scope.spawn(move || {
-                        let mut ws = Workspace::for_network(self);
-                        batch.iter().map(|i| self.predict_with(i, &mut ws)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("inference worker panicked")).collect()
-        })
+        let classes = spg_sync::fork_join(inputs.chunks(chunk).map(|batch| {
+            move || {
+                let mut ws = Workspace::for_network(self);
+                batch.iter().map(|i| self.predict_with(i, &mut ws)).collect::<Vec<_>>()
+            }
+        }));
+        classes.into_iter().flatten().collect()
     }
 
     /// Applies averaged parameter gradients: `params -= lr * grads / scale`.

@@ -22,21 +22,23 @@
 //! f32 gradient accumulation is bit-identical for every worker count.
 //!
 //! The pool is *supervised*: each worker runs every sample inside
-//! [`std::panic::catch_unwind`], so a panicking kernel reports a fault
-//! instead of poisoning the shared locks. The folding thread respawns the
-//! crashed worker with a fresh [`Workspace`], replays the lost samples in
-//! order (preserving bit-identical merges), and only fails the run with a
-//! typed [`TrainError::WorkerFault`] once
-//! [`TrainerConfig::restart_budget`] is spent.
+//! [`std::panic::catch_unwind`], so a panicking kernel is a fault instead
+//! of a poisoned lock, and each worker is its own supervisor — one
+//! [`spg_sync::supervise`] call per slot. After a fault the worker
+//! rebuilds its [`Workspace`] and retries the faulted sample *in place*:
+//! its job and result channels outlive the incarnation, so nothing is
+//! lost, nothing is replayed from the merge loop, and the merge stays a
+//! plain in-order `recv` (hence bit-identical). Only once
+//! [`TrainerConfig::restart_budget`] is spent does the worker report the
+//! fault, which fails the run with a typed [`TrainError::WorkerFault`].
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::RwLock;
-use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use spg_sync::{FaultInjector, FaultPlan};
+use spg_sync::{FaultInjector, FaultPlan, Restarts};
 use spg_tensor::Tensor;
 
 use crate::data::Dataset;
@@ -225,6 +227,7 @@ impl Trainer {
             let mut fold = LocalFold::new(&spg_sync::read(&shared.net));
             let Ok(()) = self.run(&shared, &mut fold, &mut progress, after_epoch);
         } else {
+            // lint: allow(thread-spawn) the pool's lifetime: workers live for the whole run
             std::thread::scope(|scope| {
                 // Dropped when this closure returns — on success or on a
                 // typed fault — which closes the job channels, so the
@@ -475,30 +478,25 @@ impl BatchFold for LocalFold {
 /// travels back in.
 type Job = (usize, SampleResult);
 
+/// What a worker sends back for a job: the filled buffer, or — once its
+/// restart budget is spent — the panic message of the fault that spent it.
+type JobResult = Result<SampleResult, String>;
+
 /// The pool fold: `sample_threads` persistent workers, spawned once, each
 /// owning one [`Workspace`]. Jobs carry recycled [`SampleResult`] buffers
 /// out and back, so the steady-state loop is allocation-free end to end.
-///
-/// The folding thread is the supervisor: a worker that panics sends a
-/// fault message (its sample's position in the in-order merge) and exits;
-/// the supervisor respawns the slot with a fresh [`Workspace`], replays
-/// the lost samples in order, and charges the slot's restart budget.
-struct PoolFold<'scope, 'env, 'a> {
-    scope: &'scope Scope<'scope, 'env>,
-    /// The run's [`Shared`] (the value `fold` is handed), which the
-    /// workers read through.
-    shared: &'env Shared<'a>,
+/// Supervision lives in the workers ([`pool_worker`]); the fold only
+/// deals jobs round-robin and merges results in sample order.
+struct PoolFold {
     job_txs: Vec<mpsc::Sender<Job>>,
-    result_rxs: Vec<mpsc::Receiver<Result<SampleResult, String>>>,
-    restarts_used: Vec<usize>,
+    result_rxs: Vec<mpsc::Receiver<JobResult>>,
     free: Vec<SampleResult>,
-    config: &'env TrainerConfig,
 }
 
-impl<'scope, 'env, 'a> PoolFold<'scope, 'env, 'a> {
-    fn spawn(
-        scope: &'scope Scope<'scope, 'env>,
-        shared: &'env Shared<'a>,
+impl PoolFold {
+    fn spawn<'scope, 'env>(
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        shared: &'env Shared<'_>,
         config: &'env TrainerConfig,
     ) -> Self {
         // Batch-starvation clamp: jobs round-robin as `j % workers`, so a
@@ -512,43 +510,52 @@ impl<'scope, 'env, 'a> PoolFold<'scope, 'env, 'a> {
             spg_telemetry::record_counter("train.starved_workers", starved as u64);
         }
         let injector = FaultInjector::new(config.fault_plan);
-        let (job_txs, result_rxs) =
-            (0..workers).map(|w| Self::spawn_worker(scope, shared, w, injector.clone())).unzip();
-        // Enough result slots that a full batch can be in flight.
+        let (job_txs, result_rxs) = (0..workers)
+            .map(|w| {
+                let (job_tx, job_rx) = mpsc::channel();
+                let (result_tx, result_rx) = mpsc::channel();
+                let injector = injector.clone();
+                scope.spawn(move || pool_worker(shared, config, w, &injector, &job_rx, &result_tx));
+                (job_tx, result_rx)
+            })
+            .unzip();
+        // One result slot per sample that can be in flight.
         let free = {
             let net = spg_sync::read(&shared.net);
-            (0..config.batch_size.max(workers)).map(|_| SampleResult::for_network(&net)).collect()
+            (0..config.batch_size).map(|_| SampleResult::for_network(&net)).collect()
         };
-        PoolFold {
-            scope,
-            shared,
-            job_txs,
-            result_rxs,
-            restarts_used: vec![0; workers],
-            free,
-            config,
-        }
+        PoolFold { job_txs, result_rxs, free }
     }
+}
 
-    /// Spawns one worker incarnation for slot `w`; re-invoked by the
-    /// supervisor with a disarmed injector after a fault.
-    fn spawn_worker(
-        scope: &'scope Scope<'scope, 'env>,
-        shared: &'env Shared<'a>,
-        w: usize,
-        injector: FaultInjector,
-    ) -> (mpsc::Sender<Job>, mpsc::Receiver<Result<SampleResult, String>>) {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (result_tx, result_rx) = mpsc::channel();
-        scope.spawn(move || {
+/// Slot `w`'s thread for the whole run: a self-supervising worker. Each
+/// incarnation owns a fresh [`Workspace`] (a panic may have left the old
+/// one mid-update) and drains `jobs`, running every sample inside a panic
+/// boundary. A fault ends the incarnation with the interrupted job kept
+/// for the next one to retry first, so results still leave in job order.
+/// The one-shot injector cannot re-trip on the retry; a real
+/// deterministic panic re-fires and burns the budget down to the typed
+/// report. Blocked on `recv` the worker holds no locks; it retires when
+/// the pool drops its job sender.
+fn pool_worker(
+    shared: &Shared<'_>,
+    config: &TrainerConfig,
+    w: usize,
+    injector: &FaultInjector,
+    jobs: &mpsc::Receiver<Job>,
+    results: &mpsc::Sender<JobResult>,
+) {
+    let restarts = Restarts { budget: config.restart_budget, backoff: config.restart_backoff };
+    let mut jobs_started: u64 = 0;
+    let mut retry: Option<Job> = None;
+    let spent = spg_sync::supervise(
+        restarts,
+        || {
             let mut ws = Workspace::for_network(&spg_sync::read(&shared.net));
-            let mut jobs_done: u64 = 0;
-            // Blocked on recv the worker holds no locks; it exits when
-            // the pool drops its job sender, or after reporting a fault.
-            while let Ok((i, mut slot)) = job_rx.recv() {
-                jobs_done += 1;
+            while let Some((i, mut slot)) = retry.take().or_else(|| jobs.recv().ok()) {
+                jobs_started += 1;
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    injector.check(w, jobs_done);
+                    injector.check(w, jobs_started);
                     let net = spg_sync::read(&shared.net);
                     let data = spg_sync::read(&shared.data);
                     let (loss, correct) = process_sample(&net, &data, i, &mut ws);
@@ -556,37 +563,27 @@ impl<'scope, 'env, 'a> PoolFold<'scope, 'env, 'a> {
                 }));
                 match outcome {
                     Ok(()) => {
-                        if result_tx.send(Ok(slot)).is_err() {
+                        if results.send(Ok(slot)).is_err() {
                             break;
                         }
                     }
                     Err(payload) => {
-                        // The workspace may be mid-update: report the
-                        // fault (in order, as this sample's result) and
-                        // exit so the supervisor can respawn a clean
-                        // incarnation.
-                        let _ = result_tx.send(Err(spg_sync::panic_message(payload.as_ref())));
-                        break;
+                        spg_telemetry::record_counter("train.faulted_samples", 1);
+                        retry = Some((i, slot));
+                        return Err(spg_sync::panic_message(payload.as_ref()));
                     }
                 }
             }
-        });
-        (job_tx, result_rx)
-    }
-
-    /// Sends dataset position `i` to worker `w`. A send only fails when
-    /// the worker already crashed; its pending fault is handled (and the
-    /// lost jobs are replayed) by the merge loop.
-    fn send(&mut self, w: usize, i: usize) {
-        let slot = self
-            .free
-            .pop()
-            .unwrap_or_else(|| SampleResult::for_network(&spg_sync::read(&self.shared.net)));
-        let _ = self.job_txs[w].send((i, slot));
+            Ok(())
+        },
+        |_, _| spg_telemetry::record_counter("train.worker_restarts", 1),
+    );
+    if let Err(message) = spent {
+        let _ = results.send(Err(message));
     }
 }
 
-impl BatchFold for PoolFold<'_, '_, '_> {
+impl BatchFold for PoolFold {
     type Error = TrainError;
 
     fn fold(
@@ -598,57 +595,32 @@ impl BatchFold for PoolFold<'_, '_, '_> {
         acc: &mut BatchAcc,
     ) -> Result<(), TrainError> {
         let workers = self.job_txs.len();
-        // Sample j -> worker j % workers, round-robin.
+        // Sample j -> worker j % workers, round-robin. A send only fails
+        // to a worker that already reported its final fault, which the
+        // merge below returns.
         for (j, i) in samples.clone().enumerate() {
-            self.send(j % workers, i);
+            let slot = self.free.pop().expect("one result slot per in-flight sample");
+            let _ = self.job_txs[j % workers].send((i, slot));
         }
         // Receive in sample order: worker j % workers returns its results
         // FIFO, so this merge order — and with it the f32 accumulation —
         // is the `BatchFold` contract's regardless of worker count, fault
         // or no fault.
-        let mut j = 0;
-        while j < samples.len() {
+        for j in 0..samples.len() {
             let w = j % workers;
             match self.result_rxs[w].recv() {
                 Ok(Ok(r)) => {
                     acc.absorb(r.loss, r.correct, &r.param_grads, &r.grad_sparsity);
                     self.free.push(r);
-                    j += 1;
                 }
+                // Worker w spent its restart budget on sample j, or died
+                // without reporting.
                 fault => {
-                    // Worker w crashed on sample j (faults are reported
-                    // in-order as that sample's result) or died without
-                    // reporting.
                     let message = match fault {
                         Ok(Err(message)) => message,
                         _ => "training worker disconnected".to_string(),
                     };
-                    spg_telemetry::record_counter("train.faulted_samples", 1);
-                    if self.restarts_used[w] >= self.config.restart_budget {
-                        return Err(TrainError::WorkerFault { worker: w, epoch, batch, message });
-                    }
-                    self.restarts_used[w] += 1;
-                    spg_telemetry::record_counter("train.worker_restarts", 1);
-                    let backoff =
-                        spg_sync::backoff_delay(self.config.restart_backoff, self.restarts_used[w]);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    // Respawn with a disarmed injector: the one-shot plan
-                    // must not re-trip on the replayed samples. Real
-                    // deterministic panics re-fire on replay and burn
-                    // down the budget to a typed error.
-                    let (job_tx, result_rx) =
-                        Self::spawn_worker(self.scope, self.shared, w, FaultInjector::disarmed());
-                    self.job_txs[w] = job_tx;
-                    self.result_rxs[w] = result_rx;
-                    // Replay the faulted sample and every later sample of
-                    // this batch owned by the slot — those jobs died with
-                    // the old channel. Replay preserves order, so the
-                    // merge stays bit-identical.
-                    for j2 in (j..samples.len()).filter(|j2| j2 % workers == w) {
-                        self.send(w, samples.start + j2);
-                    }
+                    return Err(TrainError::WorkerFault { worker: w, epoch, batch, message });
                 }
             }
         }

@@ -8,7 +8,11 @@
 //! implements the three intra-sample decompositions the plan IR can prove
 //! safe ([`spg_check::BandDim`]): contiguous output-row bands, output-column
 //! bands, and output-feature slices, each band running the same wide
-//! register-tiled stencil kernel as the sequential path.
+//! register-tiled stencil kernel as the sequential path. The bands are the
+//! partition; the fan-out itself is the workspace's one fork-join
+//! (`spg_sync::fork_join`, reached here as `spg_gemm::fork_join`): the
+//! calling thread runs the first band, and a panicking band's own payload
+//! reaches the caller once its siblings have finished.
 //!
 //! **Bit-identity.** Every output element's reduction is a single FMA chain
 //! ordered `(channel asc, ky asc, kx asc)` regardless of tile position or
@@ -78,7 +82,7 @@ struct BandWorkspace {
     scratch: ConvScratch,
 }
 
-/// Runs a proved banded forward plan: one scoped worker per band of the
+/// Runs a proved banded forward plan: one `fork_join` task per band of the
 /// plan, each executing the band's own proved tiled plan on its
 /// restriction of the spec. Owns the per-worker staging pool, so a
 /// long-lived holder (a [`ConvProgram`](crate::compiled::ConvProgram))
@@ -139,18 +143,16 @@ impl HybridExecutor {
         let plane = spec.out_h() * spec.out_w();
         let per_feature = spec.weight_shape().per_feature();
         let mut rest = output;
-        std::thread::scope(|s| {
-            for ((lo, hi), band) in plan.bands() {
-                let (band_out, tail) = rest.split_at_mut((hi - lo) * plane);
-                rest = tail;
-                let band_weights = &weights[lo * per_feature..hi * per_feature];
-                s.spawn(move || {
-                    let mut ws = self.take_workspace();
-                    kernel::forward_tiled(band, input, band_weights, band_out, &mut ws.scratch);
-                    self.put_workspace(ws);
-                });
+        spg_gemm::fork_join(plan.bands().map(|((lo, hi), band)| {
+            let (band_out, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * plane);
+            rest = tail;
+            let band_weights = &weights[lo * per_feature..hi * per_feature];
+            move || {
+                let mut ws = self.take_workspace();
+                kernel::forward_tiled(band, input, band_weights, band_out, &mut ws.scratch);
+                self.put_workspace(ws);
             }
-        });
+        }));
     }
 
     /// Spatial bands: each worker stages its input band — the rectangle of
@@ -173,45 +175,38 @@ impl HybridExecutor {
         // Where band [lo, ..) starts in a plane, as (row, column) output
         // coordinates; scaled by the stride for the input plane.
         let origin = |lo: usize| if dim == BandDim::YRows { (lo, 0) } else { (0, lo) };
-        std::thread::scope(|s| {
-            let handles: Vec<_> = plan
-                .bands()
-                .map(|((lo, _), band)| {
-                    s.spawn(move || {
-                        let sub = band.spec();
-                        let mut ws = self.take_workspace();
-                        let BandWorkspace { input: stage_in, output: stage_out, scratch } = &mut ws;
-                        let band_in = zeroed_slice(stage_in, sub.input_shape().len());
-                        let (rows, cols) = (sub.in_h(), sub.in_w());
-                        let (r0, c0) = origin(lo);
-                        let (r0, c0) = (r0 * spec.sy(), c0 * spec.sx());
-                        for c in 0..nc {
-                            for r in 0..rows {
-                                let src = (c * in_h + r0 + r) * in_w + c0;
-                                let dst = (c * rows + r) * cols;
-                                band_in[dst..dst + cols].copy_from_slice(&input[src..src + cols]);
-                            }
-                        }
-                        let band_out = zeroed_slice(stage_out, sub.output_shape().len());
-                        kernel::forward_tiled(band, band_in, weights, band_out, scratch);
-                        (lo, sub.out_h(), sub.out_w(), ws)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (lo, rows, cols, ws) =
-                    handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        let staged = spg_gemm::fork_join(plan.bands().map(|((lo, _), band)| {
+            move || {
+                let sub = band.spec();
+                let mut ws = self.take_workspace();
+                let BandWorkspace { input: stage_in, output: stage_out, scratch } = &mut ws;
+                let band_in = zeroed_slice(stage_in, sub.input_shape().len());
+                let (rows, cols) = (sub.in_h(), sub.in_w());
                 let (r0, c0) = origin(lo);
-                for f in 0..nf {
+                let (r0, c0) = (r0 * spec.sy(), c0 * spec.sx());
+                for c in 0..nc {
                     for r in 0..rows {
-                        let src = (f * rows + r) * cols;
-                        let dst = (f * out_h + r0 + r) * out_w + c0;
-                        output[dst..dst + cols].copy_from_slice(&ws.output[src..src + cols]);
+                        let src = (c * in_h + r0 + r) * in_w + c0;
+                        let dst = (c * rows + r) * cols;
+                        band_in[dst..dst + cols].copy_from_slice(&input[src..src + cols]);
                     }
                 }
-                self.put_workspace(ws);
+                let band_out = zeroed_slice(stage_out, sub.output_shape().len());
+                kernel::forward_tiled(band, band_in, weights, band_out, scratch);
+                (lo, sub.out_h(), sub.out_w(), ws)
             }
-        });
+        }));
+        for (lo, rows, cols, ws) in staged {
+            let (r0, c0) = origin(lo);
+            for f in 0..nf {
+                for r in 0..rows {
+                    let src = (f * rows + r) * cols;
+                    let dst = (f * out_h + r0 + r) * out_w + c0;
+                    output[dst..dst + cols].copy_from_slice(&ws.output[src..src + cols]);
+                }
+            }
+            self.put_workspace(ws);
+        }
     }
 }
 

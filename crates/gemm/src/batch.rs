@@ -110,18 +110,16 @@ pub fn gemm_in_parallel_into(
     // Hand each result slot to exactly one claimer through a Vec of options
     // guarded by the same index the atomic distributes.
     let slots: Vec<_> = results.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let mut out = spg_sync::lock(&slots[i]);
-                run_job(&jobs[i], &mut out);
-            });
+    spg_sync::fork_join((0..workers).map(|_| {
+        || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs.len() {
+                break;
+            }
+            let mut out = spg_sync::lock(&slots[i]);
+            run_job(&jobs[i], &mut out);
         }
-    });
+    }));
     Ok(())
 }
 

@@ -54,6 +54,10 @@ pub use kernels::{detect_simd_level, simd_backend_name, SimdLevel};
 pub use naive::{gemm_naive, gemm_naive_into};
 pub use parallel::{parallel_gemm, parallel_gemm_cols, parallel_gemm_slice};
 pub use sparse_dense::{spmm_csr_dense, spmm_ctcsr_dense, spmm_ctcsr_dense_into};
+/// The workspace's one fork-join, which the parallel schedules here fan
+/// out through; re-exported for crates above this one (`spg-core`'s
+/// banded stencil) that have no `spg-sync` edge of their own.
+pub use spg_sync::fork_join;
 pub use transposed::{gemm_at_b, gemm_at_b_slice};
 
 /// Number of floating-point operations in an `m x k` by `k x n` multiply

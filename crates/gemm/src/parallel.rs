@@ -80,17 +80,12 @@ pub fn parallel_gemm_slice(
     }
     // Partition C (and A) into row bands, one per worker.
     let band = m.div_ceil(workers);
-    let mut bands: Vec<&mut [f32]> = c.chunks_mut(band * n).collect();
-    std::thread::scope(|scope| {
-        for (w, cband) in bands.iter_mut().enumerate() {
-            let row0 = w * band;
-            let rows = (m - row0).min(band);
-            let aband = &a[row0 * k..(row0 + rows) * k];
-            scope.spawn(move || {
-                gemm_slice(rows, n, k, aband, k, b, n, cband, n);
-            });
-        }
-    });
+    spg_sync::fork_join(c.chunks_mut(band * n).enumerate().map(|(w, cband)| {
+        let row0 = w * band;
+        let rows = (m - row0).min(band);
+        let aband = &a[row0 * k..(row0 + rows) * k];
+        move || gemm_slice(rows, n, k, aband, k, b, n, cband, n)
+    }));
 }
 
 /// **Parallel-GEMM, column partitioning**: one multiply split across
@@ -133,33 +128,19 @@ pub fn parallel_gemm_cols(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matr
     let bv = b.as_slice();
     // Compute each band into a private buffer, then stitch: avoids
     // aliasing &mut access to interleaved columns.
-    let bands: Vec<(usize, usize)> = (0..workers)
+    let bands = (0..workers)
         .map(|w| ((w * band).min(n), ((w + 1) * band).min(n)))
-        .filter(|(c0, c1)| c0 < c1)
-        .collect();
-    let partials: Vec<(usize, usize, Vec<f32>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bands
-            .iter()
-            .map(|&(c0, c1)| {
-                scope.spawn(move || {
-                    let cols = c1 - c0;
-                    let mut part = vec![0.0f32; m * cols];
-                    // B column band: rows of b offset by c0, width cols.
-                    gemm_slice(m, cols, k, av, k, &bv[c0..], n, &mut part, cols);
-                    (c0, c1, part)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(part) => part,
-                // Re-raise the worker's own panic payload on the caller.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    // The stitch runs strictly after the scope joins, so the result slice
+        .filter(|(c0, c1)| c0 < c1);
+    let partials = spg_sync::fork_join(bands.map(|(c0, c1)| {
+        move || {
+            let cols = c1 - c0;
+            let mut part = vec![0.0f32; m * cols];
+            // B column band: rows of b offset by c0, width cols.
+            gemm_slice(m, cols, k, av, k, &bv[c0..], n, &mut part, cols);
+            (c0, c1, part)
+        }
+    }));
+    // The stitch runs strictly after the join, so the result slice
     // needs no lock: write each band straight into `c`.
     let cv = c.as_mut_slice();
     for (c0, c1, part) in partials {

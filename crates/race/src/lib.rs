@@ -19,11 +19,13 @@
 //! * [`sched`](fn.explore.html) — the DFS scheduler: bounded
 //!   preemptions, state-hash pruning, logical-time timeouts, typed
 //!   findings ([`RaceError`]).
-//! * [`queue`] — the **production** `BoundedQueue` source from
-//!   `spg-serve`, compiled unchanged against the model via the
-//!   `sync_prims` indirection (`#[path]` inclusion, so `crate::` in
-//!   the shared source resolves here to model types and in `spg-serve`
-//!   to std + `spg-sync`).
+//! * [`queue`], [`supervise`] — the **production** `BoundedQueue`
+//!   source from `spg-serve` and the production restart loop
+//!   (`supervise` / `Restarts` / `backoff_delay`) from `spg-sync`,
+//!   compiled unchanged against the model via the `sync_prims`
+//!   indirection (`#[path]` inclusion, so `crate::` in the shared
+//!   source resolves here to model types and in the owning crate to
+//!   std + `spg-sync`).
 //! * [`scenarios`] — the proof suite: queue, serve-pool supervision,
 //!   SGD merge order, router eviction/respawn, ring all-reduce fault
 //!   replay. Each scenario accepts a `Mutation` so the test suite can
@@ -35,9 +37,11 @@
 //!
 //! Exploration is exhaustive over schedules of the *model* up to the
 //! configured preemption bound. The queue scenarios run the production
-//! queue source; the pool/ring scenarios run distilled protocol models
-//! of the production supervisors (the real ones drive OS processes and
-//! kernel pools), so they prove the *protocol*, and the lints plus
+//! queue source and the serve-pool scenario the production restart loop
+//! around it — the supervisor every pool in the workspace calls; the
+//! lock-order, SGD-merge, router and ring scenarios run distilled
+//! protocol models of code the model cannot host (OS processes, kernel
+//! pools, sockets), so they prove the *protocol*, and the lints plus
 //! ThreadSanitizer CI tie the production code to that protocol. See
 //! DESIGN.md "Concurrency invariants" for the invariant-by-invariant
 //! mapping.
@@ -55,18 +59,25 @@ pub mod time;
 #[path = "../../serve/src/queue.rs"]
 pub mod queue;
 
+/// The production restart loop (`spg_sync::{supervise, Restarts,
+/// backoff_delay}`), compiled against the model clock the same way:
+/// its backoff `sleep` resolves to [`time::sleep`] here.
+#[path = "../../sync/src/supervise.rs"]
+pub mod supervise;
+
 pub use sched::explore;
 
 use std::fmt;
 
 /// Model-facing names for the primitives the shared production sources
 /// import. The twin module in `spg-serve` re-exports std's `Mutex`,
-/// `Condvar` and `Instant` plus `spg-sync`'s poison-recovering helpers;
-/// this one re-exports the model equivalents (the model does not
-/// poison — a panic is a typed finding instead).
+/// `Condvar` and `Instant` plus `spg-sync`'s poison-recovering helpers,
+/// the one in `spg-sync` std's `sleep`; this one re-exports the model
+/// equivalents (the model does not poison — a panic is a typed finding
+/// instead).
 pub(crate) mod sync_prims {
     pub use crate::sync::{Condvar, Mutex, MutexGuard};
-    pub use crate::time::Instant;
+    pub use crate::time::{sleep, Instant};
 
     /// Model twin of `spg_sync::lock`.
     pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

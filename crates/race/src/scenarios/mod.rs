@@ -15,17 +15,20 @@
 //! | scenario | code under test |
 //! |---|---|
 //! | [`queue`] | production `BoundedQueue` source (`#[path]`-included) |
+//! | [`serve_pool`] | production `supervise` restart loop around the production `BoundedQueue` (both `#[path]`-included) |
 //! | [`locks`] | protocol model (lock-order discipline) |
-//! | [`serve_pool`] | protocol model of the serve supervisor |
 //! | [`sgd_merge`] | protocol model of the `spg_convnet::sgd` pool fold's merge |
-//! | [`router`] | protocol model of the cluster router |
+//! | [`router`] | protocol model of the cluster router's eviction |
 //! | [`ring`] | protocol model of the chain-in-ring all-reduce |
 //!
-//! The protocol models distill the production supervisors (which drive
-//! OS processes and kernel pools the model cannot host) down to their
-//! synchronization skeletons; the lock-order and blocking-under-lock
-//! lints plus the ThreadSanitizer CI legs tie the production code back
-//! to these skeletons.
+//! `supervise` is the one restart loop every pool calls, so the
+//! `serve_pool` proof covers the budget/restart-event/backoff skeleton
+//! of the SGD workers, router forwarders and ring driver too; what is
+//! particular to each (kernels, OS processes, sockets) the model cannot
+//! host, and the four protocol models distill it to its synchronization
+//! skeleton. The lock-order, blocking-under-lock and thread-spawn lints
+//! plus the ThreadSanitizer CI legs tie the production code back to
+//! these skeletons.
 
 pub mod locks;
 pub mod queue;
@@ -46,6 +49,7 @@ pub fn run_smoke() -> Result<Vec<Report>, RaceError> {
         queue::close_while_empty(None)?,
         locks::lock_order(None)?,
         serve_pool::supervised_respawn(None)?,
+        serve_pool::retired_slot_strands_nothing()?,
         sgd_merge::merge_order(None)?,
         router::evict_respawn(None)?,
         ring::fault_replay(None)?,

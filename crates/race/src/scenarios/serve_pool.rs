@@ -1,146 +1,173 @@
-//! Serve-pool supervision: a faulted worker's slot is respawned by
-//! exactly one supervisor.
+//! Serve-pool supervision, proved on the supervisor that ships.
 //!
-//! Distills `spg-serve`'s `supervise_worker` to its synchronization
-//! skeleton: worker slots are claimed/released under one lock, a fault
-//! is announced on a condvar, and *two* supervision threads (the
-//! per-slot supervisor plus a pool watchdog — the shape the production
-//! code would grow into) race to observe it. The single-claim
-//! invariant — a slot is never claimed twice concurrently, so a
-//! respawn never double-spawns a worker — must hold on every
-//! interleaving. The `DoubleClaim` mutation removes the
-//! take-under-lock step that makes observation exclusive, which the
-//! checker must catch.
+//! Each model worker thread is one pool slot running the **production**
+//! restart loop (`spg_sync::supervise`, `#[path]`-included as
+//! [`crate::supervise`]) around a batch loop over the **production**
+//! `BoundedQueue` ([`crate::queue`]) — the shape of `spg-serve`'s worker
+//! threads, with the kernels replaced by a scripted fault: slot 0's first
+//! incarnation faults on the first item it pops (if it ever gets one).
+//! The scenario side only adds bookkeeping: which slot has a live
+//! incarnation, and who answered what.
+//!
+//! Proved on every interleaving: each pushed item is answered exactly
+//! once (a reply xor a typed fault); a fault is followed by exactly one
+//! restart event, recorded before the next incarnation pops anything;
+//! `close` drains the queue and both threads retire. The budget-0
+//! variant proves the claim in `server.rs` that a retired slot strands
+//! nothing while another slot lives.
+//!
+//! The `DoubleClaim` mutation is seeded from the scenario side — no hook
+//! enters production source: a second thread supervises slot 0 too, the
+//! double-spawn a respawn protocol must never produce, and the checker
+//! must catch the two live incarnations.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use crate::sync::{Condvar, Mutex};
+use crate::queue::BoundedQueue;
+use crate::supervise::{supervise, Restarts};
+use crate::sync::Mutex;
+use crate::time::Instant;
 use crate::{explore, invariant, thread, Config, RaceError, Report};
 
 /// Seeded bug classes for the supervision scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// Supervisors observe the fault without taking it under the lock,
-    /// so two of them can both decide to respawn the same slot.
+    /// Two threads supervise the same slot, so two incarnations of it
+    /// can be live at once.
     DoubleClaim,
 }
 
 const SLOTS: usize = 2;
+const ITEMS: u32 = 3;
 
+#[derive(Default)]
 struct PoolState {
-    claimed: [bool; SLOTS],
-    /// A faulted slot awaiting respawn, set by the dying worker.
-    fault_pending: Option<usize>,
-    /// Set once a supervisor has taken responsibility for the fault.
-    handled: bool,
-    respawns: u32,
+    /// Slot has a live incarnation.
+    live: [bool; SLOTS],
+    faults: [usize; SLOTS],
+    restarts: [usize; SLOTS],
+    /// `(item, answered with the typed fault rather than a reply)`.
+    answers: Vec<(u32, bool)>,
 }
 
 struct Pool {
+    queue: BoundedQueue<u32>,
     state: Mutex<PoolState>,
-    fault_cv: Condvar,
 }
 
 impl Pool {
+    /// An incarnation of `slot` starts: the slot must be free, and every
+    /// earlier fault of it must already have had its restart event.
     fn claim(&self, slot: usize, who: &str) {
         let mut st = self.state.lock();
-        invariant(!st.claimed[slot], "serve.single-claim-respawn", || {
-            format!("{who} claimed slot {slot} while it was already claimed")
+        invariant(!st.live[slot], "serve.single-claim-respawn", || {
+            format!("{who} started an incarnation of slot {slot} while one was live")
         });
-        st.claimed[slot] = true;
+        invariant(st.restarts[slot] == st.faults[slot], "serve.respawn-exactly-once", || {
+            format!(
+                "{who} starts slot {slot} after {} fault(s) but {} restart event(s)",
+                st.faults[slot], st.restarts[slot]
+            )
+        });
+        st.live[slot] = true;
     }
 
-    fn release(&self, slot: usize) {
-        let mut st = self.state.lock();
-        invariant(st.claimed[slot], "serve.release-owned-slot", || {
-            format!("slot {slot} released while unclaimed")
-        });
-        st.claimed[slot] = false;
+    /// One slot's thread: the production supervisor around a
+    /// micro-batching worker loop (`max_batch` 2, `max_delay` 0).
+    /// Returns whether the slot retired with its budget spent.
+    fn run_slot(&self, slot: usize, who: &str, budget: usize) -> bool {
+        let mut incarnations = 0;
+        supervise(
+            Restarts { budget, backoff: Duration::ZERO },
+            || {
+                incarnations += 1;
+                self.claim(slot, who);
+                let mut batches = 0;
+                while let Some(first) = self.queue.pop() {
+                    batches += 1;
+                    // The panicking batch: its request gets the typed
+                    // fault and the incarnation ends.
+                    let faulted = slot == 0 && incarnations == 1 && batches == 1;
+                    let second =
+                        if faulted { None } else { self.queue.pop_deadline(Instant::now()) };
+                    let mut st = self.state.lock();
+                    st.answers.extend(std::iter::once(first).chain(second).map(|i| (i, faulted)));
+                    if faulted {
+                        st.faults[slot] += 1;
+                        st.live[slot] = false;
+                        return Err(());
+                    }
+                }
+                self.state.lock().live[slot] = false;
+                Ok(())
+            },
+            |_, ()| self.state.lock().restarts[slot] += 1,
+        )
+        .is_err()
     }
 }
 
-/// One worker faults; the supervisor and the watchdog race to respawn
-/// it. Clean: the fault is *taken* (`Option::take`) under the lock, so
-/// exactly one supervisor respawns and the other parks back until
-/// `handled`. Mutated: both read the fault and both respawn.
-pub fn supervised_respawn(mutation: Option<Mutation>) -> Result<Report, RaceError> {
-    let name = match mutation {
-        None => "serve.supervised_respawn",
-        Some(Mutation::DoubleClaim) => "serve.supervised_respawn[double-claim]",
-    };
+fn serve_pool(name: &str, budget: usize, double_claim: bool) -> Result<Report, RaceError> {
     let cfg = Config::new(name).spurious(1);
-    let double_claim = mutation == Some(Mutation::DoubleClaim);
     explore(&cfg, move || {
-        let pool = Arc::new(Pool {
-            state: Mutex::new(PoolState {
-                claimed: [false; SLOTS],
-                fault_pending: None,
-                handled: false,
-                respawns: 0,
-            }),
-            fault_cv: Condvar::new(),
-        });
-
-        // Generation-0 worker in slot 0: runs, faults, announces.
-        pool.claim(0, "spawner");
-        let worker = {
-            let pool = Arc::clone(&pool);
-            thread::spawn_named("worker-0.gen0", move || {
-                pool.release(0);
-                let mut st = pool.state.lock();
-                st.fault_pending = Some(0);
-                drop(st);
-                pool.fault_cv.notify_all();
-            })
-        };
-
-        // A healthy worker occupies slot 1 for the whole run: respawn
-        // must target the faulted slot, never a busy one.
-        pool.claim(1, "spawner");
-
-        let supervisors: Vec<_> = ["supervisor", "watchdog"]
+        let pool =
+            Arc::new(Pool { queue: BoundedQueue::new(2), state: Mutex::new(PoolState::default()) });
+        let mut owners = vec![(0, "worker-0"), (1, "worker-1")];
+        if double_claim {
+            owners.push((0, "worker-0.twin"));
+        }
+        let workers: Vec<_> = owners
             .into_iter()
-            .map(|role| {
+            .map(|(slot, who)| {
                 let pool = Arc::clone(&pool);
-                thread::spawn_named(role, move || {
-                    let mut st = pool.state.lock();
-                    loop {
-                        let slot = if double_claim {
-                            // Mutation: observe without taking — both
-                            // supervisors can see the same fault.
-                            st.fault_pending
-                        } else {
-                            st.fault_pending.take()
-                        };
-                        if let Some(slot) = slot {
-                            st.handled = true;
-                            drop(st);
-                            pool.fault_cv.notify_all();
-                            // Respawn: re-claim the slot for gen 1.
-                            pool.claim(slot, role);
-                            let mut st = pool.state.lock();
-                            st.respawns += 1;
-                            drop(st);
-                            pool.release(slot);
-                            return true;
-                        }
-                        if st.handled {
-                            return false;
-                        }
-                        st = pool.fault_cv.wait(st);
-                    }
-                })
+                thread::spawn_named(who, move || pool.run_slot(slot, who, budget))
             })
             .collect();
 
-        worker.join();
-        let outcomes: Vec<bool> = supervisors.into_iter().map(thread::JoinHandle::join).collect();
+        for item in 0..ITEMS {
+            // A rejected push shows up below as an unanswered item.
+            let _ = pool.queue.push_deadline(item, Instant::now() + Duration::from_secs(3600));
+        }
+        pool.queue.close();
+        let retired: Vec<bool> = workers.into_iter().map(thread::JoinHandle::join).collect();
+
         let st = pool.state.lock();
-        invariant(st.respawns == 1, "serve.respawn-exactly-once", || {
-            format!("{} respawns for one fault (outcomes {outcomes:?})", st.respawns)
-        });
-        invariant(!st.claimed[0] && st.claimed[1], "serve.slots-consistent-after-respawn", || {
-            format!("claimed = {:?} after supervision settled", st.claimed)
-        });
+        let mut answered: Vec<u32> = st.answers.iter().map(|&(item, _)| item).collect();
+        answered.sort_unstable();
+        invariant(
+            answered == (0..ITEMS).collect::<Vec<_>>(),
+            "serve.answered-exactly-once",
+            || format!("answers {:?} for items 0..{ITEMS}", st.answers),
+        );
+        invariant(
+            st.restarts[0] == st.faults[0].min(budget) && st.restarts[1] == 0,
+            "serve.respawn-exactly-once",
+            || format!("restarts {:?} for faults {:?} at budget {budget}", st.restarts, st.faults),
+        );
+        // Only a slot whose fault found the budget spent ends in `Err`.
+        let spent = retired.iter().filter(|&&r| r).count();
+        invariant(
+            spent == usize::from(st.faults[0] > budget) && st.live == [false; SLOTS],
+            "serve.slots-retire-after-close",
+            || format!("retired {retired:?}, live {:?}, faults {:?}", st.live, st.faults),
+        );
     })
+}
+
+/// Budget 1: slot 0 faults at most once and is restarted exactly once
+/// per fault; mutated, a twin thread supervises slot 0 as well.
+pub fn supervised_respawn(mutation: Option<Mutation>) -> Result<Report, RaceError> {
+    match mutation {
+        None => serve_pool("serve.supervised_respawn", 1, false),
+        Some(Mutation::DoubleClaim) => {
+            serve_pool("serve.supervised_respawn[double-claim]", 1, true)
+        }
+    }
+}
+
+/// Budget 0: slot 0's fault retires it for good, and slot 1 alone still
+/// answers every other item before it retires at close.
+pub fn retired_slot_strands_nothing() -> Result<Report, RaceError> {
+    serve_pool("serve.retired_slot_strands_nothing", 0, false)
 }

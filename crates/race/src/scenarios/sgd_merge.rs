@@ -2,18 +2,24 @@
 //! schedule.
 //!
 //! Distills the merge protocol of `spg_convnet::sgd`'s pool fold (the
-//! supervised-pool implementation of `BatchFold`): sample `j` goes
+//! worker-pool implementation of `BatchFold`): sample `j` goes
 //! to worker `j % W` over a per-worker job channel, workers push
 //! per-sample gradients back on per-worker result channels, and the
 //! merger folds **in sample order** — `recv` from `result_rx[j % W]`
 //! for `j = 0, 1, 2, …` — so the f32 accumulation order (and hence the
 //! bit pattern of every weight) is a function of the batch alone, not
-//! of worker timing. The gradient values are chosen so that a changed
-//! association is a changed bit pattern (`1e8 + 1 - 1e8 ≠ 1e8 - 1e8 +
-//! 1` in f32). The `MergeArrivalOrder` mutation merges from one shared
-//! channel in arrival order instead — bit-identical only on lucky
-//! schedules, which is exactly the flakiness the in-order protocol
-//! exists to kill, and the checker must find a schedule that differs.
+//! of worker timing. Supervision does not enter this protocol: a faulted
+//! worker retries its sample in place (under `spg_sync::supervise`, which
+//! [`super::serve_pool`] proves) on the same two channels, so the merger
+//! sees one result per job, in job order, fault or no fault — the merge
+//! modelled here is the whole of the production merge.
+//!
+//! The gradient values are chosen so that a changed association is a
+//! changed bit pattern (`1e8 + 1 - 1e8 ≠ 1e8 - 1e8 + 1` in f32). The
+//! `MergeArrivalOrder` mutation merges from one shared channel in
+//! arrival order instead — bit-identical only on lucky schedules, which
+//! is exactly the flakiness the in-order protocol exists to kill, and the
+//! checker must find a schedule that differs.
 
 use crate::sync::{channel, Receiver, Sender};
 use crate::{explore, invariant, thread, Config, RaceError, Report};

@@ -46,6 +46,20 @@ impl Add<Duration> for Instant {
     }
 }
 
+/// Model twin of `std::thread::sleep`: parks the calling model thread
+/// until the logical clock has advanced by `dur`. Like every timed wait
+/// it only fires at quiescence, so a sleeping thread never spins the
+/// explorer (an injected spurious wakeup may cut it short — callers of
+/// `sleep` must not rely on it for synchronization, which is the point).
+///
+/// # Panics
+///
+/// Panics outside [`crate::explore`].
+pub fn sleep(dur: Duration) {
+    let lock = crate::sync::Mutex::new(());
+    let _ = crate::sync::Condvar::new().wait_timeout(lock.lock(), dur);
+}
+
 fn nanos_to_duration(nanos: u128) -> Duration {
     let secs = u64::try_from(nanos / 1_000_000_000).unwrap_or(u64::MAX);
     let sub = u32::try_from(nanos % 1_000_000_000).unwrap_or(0);

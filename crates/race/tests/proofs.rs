@@ -44,8 +44,42 @@ fn locks_ordered_acquisition_clean() {
 
 #[test]
 fn serve_pool_supervised_respawn_clean() {
-    let report = serve_pool::supervised_respawn(None).expect("no findings");
-    assert!(report.schedules > 1, "explorer must branch: {report}");
+    // The production supervisor over the production queue, with budget
+    // left (restart) and without (the slot retires, nothing strands).
+    for report in [
+        serve_pool::supervised_respawn(None).expect("no findings"),
+        serve_pool::retired_slot_strands_nothing().expect("no findings"),
+    ] {
+        assert!(report.schedules > 1, "explorer must branch: {report}");
+    }
+}
+
+/// The included `supervise` sleeps through the model clock, which only
+/// exists inside an exploration — so outside one, a zero backoff passing
+/// proves the production loop never sleeps a zero delay, and a non-zero
+/// one panicking proves the hook it would have slept through is live.
+#[test]
+fn production_supervise_never_sleeps_a_zero_backoff() {
+    use spg_race::supervise::{supervise, Restarts};
+    use std::time::Duration;
+    let run = |backoff| {
+        let mut runs = 0;
+        supervise(
+            Restarts { budget: 3, backoff },
+            || {
+                runs += 1;
+                if runs <= 3 {
+                    Err(runs)
+                } else {
+                    Ok(runs)
+                }
+            },
+            |_, _| {},
+        )
+    };
+    assert_eq!(run(Duration::ZERO), Ok::<_, i32>(4));
+    let slept = std::panic::catch_unwind(|| run(Duration::from_millis(1)));
+    assert!(slept.is_err(), "a non-zero backoff reaches the model sleep");
 }
 
 #[test]

@@ -9,11 +9,12 @@
 //! * each persistent worker pops a request and gathers a dynamic
 //!   micro-batch (up to `max_batch` requests or `max_delay` of waiting);
 //! * every worker owns one warm
-//!   [`ConvScratch`](spg_convnet::workspace::ConvScratch) and one
+//!   [`ConvScratch`](spg_convnet::workspace::ConvScratch) and runs one
 //!   single-threaded autotuner-selected
 //!   [`CompiledConv`](spg_core::compiled::CompiledConv) per convolution
-//!   layer, so the steady-state request path allocates nothing and pays
-//!   no weight-transform cost;
+//!   layer — compiled once at startup and shared by the pool — so the
+//!   steady-state request path allocates nothing and pays no
+//!   weight-transform cost;
 //! * a full queue *rejects* ([`ServeError::Rejected`] /
 //!   [`ServeError::Timeout`]) instead of buffering unbounded work, and
 //!   shutdown drains every accepted request before the workers exit.
@@ -24,8 +25,8 @@
 //! giving per-worker goodput in the metrics document.
 //!
 //! Workers are *supervised*: a panic inside a micro-batch fails only that
-//! batch (its requests get [`ServeError::WorkerFault`]) and the worker is
-//! respawned with fresh warm state up to a configurable restart budget —
+//! batch (its requests get [`ServeError::WorkerFault`]) and the worker
+//! restarts with fresh scratch up to a configurable restart budget —
 //! see the [`server`](ServeConfig) docs and the `fault-injection` cargo
 //! feature for the deterministic crash-testing harness. The
 //! `serve.worker_restarts` / `serve.faulted_batches` counters surface the

@@ -9,15 +9,18 @@
 //!
 //! # Fault isolation & supervision
 //!
-//! Each worker thread is its own supervisor. The inner worker loop runs
-//! every micro-batch inside [`std::panic::catch_unwind`]: a panicking
-//! kernel fails only that batch — its requests get a typed
-//! [`ServeError::WorkerFault`] reply — and the supervisor respawns the
-//! worker with freshly compiled kernels and a fresh warm [`ConvScratch`],
-//! up to [`ServeConfig::restart_budget`] restarts with exponential
-//! backoff. Lock handling everywhere in this crate recovers from
-//! poisoning (see [`spg_sync`]), so one crash never cascades into
-//! process-wide aborts.
+//! Each worker thread is its own supervisor: one [`spg_sync::supervise`]
+//! call around the worker loop. The loop runs every micro-batch inside
+//! [`std::panic::catch_unwind`]: a panicking kernel fails only that
+//! batch — its requests get a typed [`ServeError::WorkerFault`] reply —
+//! and ends the incarnation; the next one starts with a fresh
+//! [`ConvScratch`] and fresh activation buffers, up to
+//! [`ServeConfig::restart_budget`] restarts with exponential backoff.
+//! The compiled kernels are immutable (`forward_scratch` takes `&self`),
+//! so they are compiled once in [`Server::start`] and shared by every
+//! worker and incarnation; only what a panic can leave torn is rebuilt.
+//! Lock handling everywhere in this crate recovers from poisoning (see
+//! [`spg_sync`]), so one crash never cascades into process-wide aborts.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,7 +34,7 @@ use spg_convnet::Network;
 use spg_core::backend::{Backend, ConvDescriptor, CpuBackend};
 use spg_core::compiled::CompiledConv;
 use spg_core::schedule::{recommended_plan, LayerPlan};
-use spg_sync::{FaultInjector, FaultPlan};
+use spg_sync::{FaultInjector, FaultPlan, Restarts};
 
 use crate::queue::{BoundedQueue, PushError};
 
@@ -190,8 +193,8 @@ struct PoolStats {
 }
 
 /// The batched inference server: a bounded request queue feeding a pool
-/// of persistent workers, each owning one warm [`ConvScratch`] and one
-/// compiled kernel per convolution layer.
+/// of persistent workers, each owning one warm [`ConvScratch`] and sharing
+/// one compiled kernel per convolution layer.
 ///
 /// Dropping the server performs the same graceful shutdown as
 /// [`shutdown`](Self::shutdown): the queue closes, in-flight and queued
@@ -209,10 +212,10 @@ impl Server {
     /// `plans` maps convolution-layer indices to their autotuned
     /// [`LayerPlan`]s (as returned by
     /// `Framework::plan_network_forward`); conv layers without an entry
-    /// fall back to the paper's heuristic plan. Every worker compiles its
-    /// own single-threaded [`CompiledConv`] per conv layer — weight
-    /// transforms are paid once per worker at startup (and once per
-    /// respawn), never per request.
+    /// fall back to the paper's heuristic plan. One single-threaded
+    /// [`CompiledConv`] per conv layer is compiled here and shared by every
+    /// worker — weight transforms are paid once per server, never per
+    /// worker, respawn or request.
     ///
     /// # Errors
     ///
@@ -231,12 +234,7 @@ impl Server {
         assert!(config.workers > 0, "worker count must be positive");
         assert!(config.max_batch > 0, "max batch must be positive");
         let plan_by_layer: HashMap<usize, LayerPlan> = plans.iter().copied().collect();
-        // Compile once up front to surface errors before spawning, then
-        // once per worker so each owns private warm state. The startup
-        // pass also records which backend algorithm each conv layer will
-        // serve with (a no-op when telemetry is disabled).
-        compile_kernels(&net, &plan_by_layer)?;
-        record_compile_decisions(&net, &plan_by_layer);
+        let kernels = Arc::new(compile_kernels(&net, &plan_by_layer)?);
 
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let input_len = net.input_len();
@@ -244,9 +242,8 @@ impl Server {
         let injector = FaultInjector::new(config.fault_plan);
         // Batch-starvation clamp: the bounded queue can hold at most
         // `queue_capacity` requests, so a pool wider than the queue keeps
-        // slots that can never all find work — each one still compiles a
-        // full set of per-layer kernels at startup. Spawn only as many
-        // workers as the queue can feed and count the declined slots.
+        // slots that can never all find work. Spawn only as many workers
+        // as the queue can feed and count the declined slots.
         let effective_workers = config.workers.min(config.queue_capacity).max(1);
         let starved = config.workers - effective_workers;
         if starved > 0 {
@@ -257,11 +254,24 @@ impl Server {
                 let net = Arc::clone(&net);
                 let queue = Arc::clone(&queue);
                 let stats = Arc::clone(&stats);
-                let plan_by_layer = plan_by_layer.clone();
+                let kernels = Arc::clone(&kernels);
                 let injector = injector.clone();
                 let config = config.clone();
+                let restarts =
+                    Restarts { budget: config.restart_budget, backoff: config.restart_backoff };
+                // lint: allow(thread-spawn) long-lived service thread: one serve worker slot
                 std::thread::spawn(move || {
-                    supervise_worker(w, &net, &plan_by_layer, &queue, &config, &stats, injector)
+                    // `Err` is a fault with the budget spent: the slot
+                    // retires. Remaining workers keep serving; queued
+                    // requests are never lost unless every slot retires.
+                    let _ = spg_sync::supervise(
+                        restarts,
+                        || worker_loop(w, &net, &kernels, &queue, &config, &stats, &injector),
+                        |_, ()| {
+                            stats.restarts.bump();
+                            spg_telemetry::record_counter("serve.worker_restarts", 1);
+                        },
+                    );
                 })
             })
             .collect();
@@ -285,7 +295,9 @@ impl Server {
     }
 
     /// Submission that tolerates backpressure for up to `patience`, then
-    /// times out rather than blocking indefinitely.
+    /// times out rather than blocking indefinitely. A patience too large
+    /// to represent as a deadline (`Duration::MAX`) waits for space for as
+    /// long as the queue stays open.
     ///
     /// # Errors
     ///
@@ -298,7 +310,7 @@ impl Server {
     ) -> Result<PendingResponse, ServeError> {
         let request = self.make_request(input)?;
         let start = Instant::now();
-        match self.queue.push_deadline(request.0, start + patience) {
+        match self.queue.push_deadline(request.0, deadline_after(start, patience)) {
             Ok(()) => Ok(request.1),
             Err(PushError::TimedOut | PushError::Full) => {
                 Err(ServeError::Timeout { waited: start.elapsed() })
@@ -358,24 +370,24 @@ impl Drop for Server {
     }
 }
 
-/// The serving plan for one conv layer: its descriptor and the backend
-/// algorithm the worker pool compiles for it.
-///
-/// cores = 1 everywhere: each serving worker is one independent
-/// single-threaded pipeline (the GEMM-in-Parallel analogue).
-fn layer_algo(
-    spec: &spg_convnet::ConvSpec,
-    plan: LayerPlan,
-) -> (ConvDescriptor, spg_core::backend::AlgoChoice) {
-    let desc = ConvDescriptor::new(*spec, 1);
-    let algo = CpuBackend::new().algo_for(&desc, plan);
-    (desc, algo)
+/// `start + patience`, or — where that sum overflows `Instant`, which `+`
+/// answers with a panic — the furthest deadline halving `patience` can
+/// represent: centuries out, so only space or `close` ends the wait.
+fn deadline_after(start: Instant, mut patience: Duration) -> Instant {
+    loop {
+        if let Some(deadline) = start.checked_add(patience) {
+            return deadline;
+        }
+        patience /= 2;
+    }
 }
 
 /// Compiles one single-threaded kernel per convolution layer, indexed by
 /// layer position (`None` for non-conv layers), dispatching through the
 /// [`CpuBackend`] so serving runs exactly the algorithms the backend
-/// enumerates.
+/// enumerates, and records one telemetry decision per conv layer naming
+/// the backend and algorithm it is served with (schema minor 6; a no-op
+/// when telemetry is disabled).
 fn compile_kernels(
     net: &Network,
     plan_by_layer: &HashMap<usize, LayerPlan>,
@@ -389,102 +401,44 @@ fn compile_kernels(
             let plan =
                 plan_by_layer.get(&i).copied().unwrap_or_else(|| recommended_plan(spec, 0.0, 1));
             let weights = layer.params().expect("conv layers expose parameters");
-            let (desc, algo) = layer_algo(spec, plan);
+            // cores = 1: each serving worker is one independent
+            // single-threaded pipeline (the GEMM-in-Parallel analogue).
+            let desc = ConvDescriptor::new(*spec, 1);
+            let algo = backend.algo_for(&desc, plan);
             let compiled = backend.compile(&desc, algo, weights)?;
+            spg_telemetry::record_decision(spg_telemetry::Decision {
+                label: format!("serve-conv{i}"),
+                phase: spg_telemetry::Phase::Forward,
+                chosen: plan.forward.id().to_string(),
+                sparsity: 0.0,
+                cores: 1,
+                candidates: Vec::new(),
+                rejected: Vec::new(),
+                kernel: None,
+                backend: Some(backend.name().to_string()),
+                algo: Some(algo.id()),
+                partition: Some(plan.forward.partition_dim().id().to_string()),
+            });
             Ok(Some(compiled))
         })
         .collect()
 }
 
-/// Records one telemetry decision per conv layer naming the backend and
-/// algorithm the worker pool serves it with (schema minor 6). A no-op
-/// when telemetry is disabled.
-fn record_compile_decisions(net: &Network, plan_by_layer: &HashMap<usize, LayerPlan>) {
-    let backend = CpuBackend::new();
-    for (i, layer) in net.layers().iter().enumerate() {
-        let Some(spec) = layer.conv_spec() else { continue };
-        let plan = plan_by_layer.get(&i).copied().unwrap_or_else(|| recommended_plan(spec, 0.0, 1));
-        let (_, algo) = layer_algo(spec, plan);
-        spg_telemetry::record_decision(spg_telemetry::Decision {
-            label: format!("serve-conv{i}"),
-            phase: spg_telemetry::Phase::Forward,
-            chosen: plan.forward.id().to_string(),
-            sparsity: 0.0,
-            cores: 1,
-            candidates: Vec::new(),
-            rejected: Vec::new(),
-            kernel: None,
-            backend: Some(backend.name().to_string()),
-            algo: Some(algo.id()),
-            partition: Some(plan.forward.partition_dim().id().to_string()),
-        });
-    }
-}
-
-/// Why one incarnation of the inner worker loop returned.
-enum WorkerExit {
-    /// The queue closed and drained: normal shutdown.
-    Drained,
-    /// A micro-batch panicked; the batch's requests were failed with
-    /// [`ServeError::WorkerFault`] and the worker state is suspect.
-    Faulted,
-}
-
-/// The per-thread supervisor: runs worker incarnations, respawning after
-/// a fault with freshly compiled kernels and a fresh warm scratch until
-/// the restart budget is spent.
-fn supervise_worker(
-    worker: usize,
-    net: &Network,
-    plan_by_layer: &HashMap<usize, LayerPlan>,
-    queue: &BoundedQueue<Request>,
-    config: &ServeConfig,
-    stats: &PoolStats,
-    injector: FaultInjector,
-) {
-    let mut restarts_used = 0usize;
-    loop {
-        // Fresh warm state per incarnation: a panic may have left the
-        // previous kernels/scratch mid-update.
-        let Ok(kernels) = compile_kernels(net, plan_by_layer) else {
-            // Compilation succeeded in Server::start; a failure here means
-            // the network itself is unusable — retire the slot. Other
-            // workers keep draining the queue.
-            return;
-        };
-        match worker_loop(worker, net, kernels, queue, config, stats, &injector) {
-            WorkerExit::Drained => return,
-            WorkerExit::Faulted => {
-                if restarts_used >= config.restart_budget {
-                    // Budget spent: retire this slot. Remaining workers
-                    // keep serving; queued requests are never lost unless
-                    // every slot retires.
-                    return;
-                }
-                restarts_used += 1;
-                stats.restarts.bump();
-                spg_telemetry::record_counter("serve.worker_restarts", 1);
-                let backoff = spg_sync::backoff_delay(config.restart_backoff, restarts_used);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    }
-}
-
-/// One worker incarnation: pop one request, gather a micro-batch until
-/// `max_batch` or `max_delay`, run it inside a panic boundary, reply,
-/// repeat until the queue is closed and drained or a batch faults.
+/// One worker incarnation, with its own fresh scratch and activation
+/// buffers: pop one request, gather a micro-batch until `max_batch` or
+/// `max_delay`, run it inside a panic boundary, reply, repeat until the
+/// queue is closed and drained (`Ok`) or a batch panics (`Err`: its
+/// requests were failed with [`ServeError::WorkerFault`] and this
+/// incarnation's scratch is suspect).
 fn worker_loop(
     worker: usize,
     net: &Network,
-    kernels: Vec<Option<CompiledConv>>,
+    kernels: &[Option<CompiledConv>],
     queue: &BoundedQueue<Request>,
     config: &ServeConfig,
     stats: &PoolStats,
     injector: &FaultInjector,
-) -> WorkerExit {
+) -> Result<(), ()> {
     let label = format!("serve-worker{worker}");
     let mut scratch = ConvScratch::new();
     // Ping-pong activation buffers sized for the widest layer boundary.
@@ -525,14 +479,8 @@ fn worker_loop(
             let _scope = spg_telemetry::scope(&label, spg_telemetry::Phase::Forward);
             let mut replies = Vec::with_capacity(batch_size);
             for request in batch.iter() {
-                let class = forward_sample(
-                    net,
-                    &kernels,
-                    &request.input,
-                    &mut cur,
-                    &mut next,
-                    &mut scratch,
-                );
+                let class =
+                    forward_sample(net, kernels, &request.input, &mut cur, &mut next, &mut scratch);
                 let logits = cur[..net.output_len()].to_vec();
                 replies.push((logits, class));
             }
@@ -573,11 +521,11 @@ fn worker_loop(
                         message: message.clone(),
                     }));
                 }
-                return WorkerExit::Faulted;
+                return Err(());
             }
         }
     }
-    WorkerExit::Drained
+    Ok(())
 }
 
 /// Runs one sample through the layer chain, leaving the logits in
@@ -610,4 +558,33 @@ fn forward_sample(
         }
     }
     best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Regression: `start + Duration::MAX` panicked in the submitter. An
+    /// unrepresentable deadline on a full queue waits for as long as the
+    /// queue stays open, and `close` releases it with `ShuttingDown`.
+    /// (Closing under a parked `&self` submitter needs the queue itself,
+    /// so this case lives here; the has-room case is in
+    /// `tests/serving.rs`.)
+    #[test]
+    fn unrepresentable_deadline_on_a_full_queue_waits_for_close() {
+        // No workers: nothing ever drains the queue.
+        let server = Server {
+            queue: Arc::new(BoundedQueue::new(1)),
+            workers: Vec::new(),
+            input_len: 2,
+            stats: Arc::default(),
+        };
+        let _queued = server.try_submit(vec![0.0; 2]).expect("room for one");
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| server.submit_timeout(vec![0.0; 2], Duration::MAX));
+            server.queue.close();
+            let released = parked.join().expect("the submitter must not panic");
+            assert!(matches!(released, Err(ServeError::ShuttingDown)), "got {released:?}");
+        });
+    }
 }

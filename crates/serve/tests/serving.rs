@@ -152,6 +152,22 @@ fn full_queue_rejects_rather_than_blocking() {
     server.shutdown();
 }
 
+/// Regression: `submit_timeout` computed `start + patience`, and
+/// `Instant + Duration` panics on overflow — so `Duration::MAX` ("wait
+/// as long as it takes") aborted the submitter instead of submitting.
+#[test]
+fn submit_timeout_accepts_an_unrepresentable_deadline() {
+    let net = Arc::new(build_network(9));
+    let server = Server::start(Arc::clone(&net), &[], ServeConfig::default()).unwrap();
+    let response = server
+        .submit_timeout(sample_input(net.input_len(), 3), Duration::MAX)
+        .expect("a queue with room accepts at any patience")
+        .wait()
+        .expect("served");
+    assert_eq!(response.logits.len(), net.output_len());
+    server.shutdown();
+}
+
 /// Regression: a pool wider than the request queue (workers=8,
 /// queue_capacity=1) used to spawn all 8 workers even though the queue
 /// can never feed them simultaneously. The clamp must keep serving

@@ -1,6 +1,18 @@
-//! Synchronization support for the persistent worker pools: lock helpers
-//! that *recover* from poisoning instead of propagating it, and a
+//! The worker runtime every pool in the workspace is a client of: one
+//! restart loop ([`supervise`]), one fork-join ([`fork_join`]), lock
+//! helpers that *recover* from poisoning instead of propagating it, and a
 //! deterministic fault-injection harness for supervision testing.
+//!
+//! # One restart loop, one fork-join
+//!
+//! The paper's scalability idea is P independent single-threaded workers
+//! with private warm state and a static partition of the work. Two shapes
+//! recur wherever that idea is applied, and each exists exactly once,
+//! here: a long-lived worker that runs incarnations under a restart
+//! budget with exponential backoff ([`supervise`], [`Restarts`]), and a
+//! short-lived fan-out of n independent tasks that joins and re-raises a
+//! worker's panic ([`fork_join`]). Both are plain safe Rust over
+//! `std::thread` — scoped threads, no lifetime erasure.
 //!
 //! # Poison recovery
 //!
@@ -29,6 +41,14 @@
 //! to a no-op.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+
+mod fork_join;
+mod supervise;
+mod sync_prims;
+
+pub use fork_join::fork_join;
+pub use supervise::{backoff_delay, supervise, Restarts};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
@@ -80,19 +100,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "worker panicked".to_string()
     }
-}
-
-/// Supervisor backoff schedule: `base * 2^(n-1)` before the `n`-th
-/// restart of the same worker, capped at one second.
-///
-/// Saturates instead of overflowing at every stage: the exponent is
-/// clamped (a restart count in the billions shifts by at most 10), the
-/// multiply is saturating, and the cap bounds the result — so extreme
-/// `base` or `restart` values degrade to the one-second cap, never to a
-/// panic or a wrapped-around near-zero delay.
-pub fn backoff_delay(base: Duration, restart: usize) -> Duration {
-    let factor = 1u32 << restart.saturating_sub(1).min(10);
-    base.saturating_mul(factor).min(Duration::from_secs(1))
 }
 
 /// A monotone event counter that threads can park on: the supervision
@@ -370,6 +377,75 @@ mod tests {
         assert_eq!(backoff_delay(Duration::MAX, usize::MAX), Duration::from_secs(1));
         assert_eq!(backoff_delay(Duration::from_nanos(1), 64), Duration::from_nanos(1024));
         assert_eq!(backoff_delay(Duration::ZERO, usize::MAX), Duration::ZERO);
+    }
+
+    #[test]
+    fn supervise_without_budget_runs_one_incarnation() {
+        let mut runs = 0;
+        let result: Result<(), &str> = supervise(
+            Restarts { budget: 0, backoff: Duration::from_secs(1) },
+            || {
+                runs += 1;
+                Err("fault")
+            },
+            |_, _| panic!("budget 0 never restarts"),
+        );
+        assert_eq!((result, runs), (Err("fault"), 1));
+    }
+
+    #[test]
+    fn supervise_restarts_exactly_budget_times_then_returns_the_last_fault() {
+        let (mut runs, mut seen) = (0usize, Vec::new());
+        let result: Result<(), usize> = supervise(
+            Restarts { budget: 3, backoff: Duration::ZERO },
+            || {
+                runs += 1;
+                Err(runs)
+            },
+            |n, fault| seen.push((n, *fault)),
+        );
+        // Four incarnations; restart n was caused by incarnation n's fault.
+        assert_eq!(result, Err(4));
+        assert_eq!(seen, [(1, 1), (2, 2), (3, 3)]);
+    }
+
+    #[test]
+    fn supervise_returns_a_later_ok_as_is() {
+        let (mut runs, mut restarts) = (0, 0);
+        let result: Result<&str, ()> = supervise(
+            Restarts { budget: 5, backoff: Duration::ZERO },
+            || {
+                runs += 1;
+                if runs < 3 {
+                    Err(())
+                } else {
+                    Ok("done")
+                }
+            },
+            |n, ()| restarts = n,
+        );
+        assert_eq!((result, runs, restarts), (Ok("done"), 3, 2));
+    }
+
+    #[test]
+    fn supervise_sleeps_the_backoff_after_the_restart_event() {
+        let base = Duration::from_millis(10);
+        let mut event_at = None;
+        let mut second_start = None;
+        let mut first = true;
+        let _: Result<(), ()> = supervise(
+            Restarts { budget: 1, backoff: base },
+            || {
+                if std::mem::take(&mut first) {
+                    return Err(());
+                }
+                second_start = Some(std::time::Instant::now());
+                Ok(())
+            },
+            |_, ()| event_at = Some(std::time::Instant::now()),
+        );
+        let slept = second_start.unwrap().duration_since(event_at.unwrap());
+        assert!(slept >= base, "restart event precedes a {base:?} backoff, saw {slept:?}");
     }
 
     #[test]

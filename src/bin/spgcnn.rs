@@ -1004,6 +1004,7 @@ impl ShardProc {
         let supervisor = {
             let shutdown = Arc::clone(&shutdown);
             let slot = Arc::clone(&child);
+            // lint: allow(thread-spawn) long-lived service thread: polls an OS child, no restart budget
             std::thread::spawn(move || {
                 let mut first = true;
                 while !shutdown.load(Ordering::Acquire) {

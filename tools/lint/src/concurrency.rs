@@ -1,4 +1,4 @@
-//! Concurrency lints: lock-order cycles and blocking-under-lock.
+//! Concurrency lints: lock-order cycles, blocking-under-lock, thread-spawn.
 //!
 //! Like the rest of `spg-lint` this is a conservative line scanner
 //! (offline build, no `syn`), tuned to the workspace's conventions:
@@ -24,9 +24,19 @@
 //! Condvar `wait`/`wait_timeout` are exempt (they release the guard),
 //! and a rebinding through them keeps the guard tracked.
 //!
-//! Both passes honor a trailing or preceding
-//! `// lint: allow(lock-order)` / `// lint: allow(blocking-under-lock)`
-//! marker for the rare justified exception.
+//! **Thread-spawn pass.** Thread creation belongs to `spg-sync`:
+//! `fork_join` for fan-outs, `supervise` inside the few long-lived
+//! service threads. Any `thread::scope`, `thread::spawn` or
+//! `thread::Builder` elsewhere (outside `spg-race`, which models
+//! threads, and test code) is a finding unless it carries a
+//! `// lint: allow(thread-spawn) <reason>` marker with the reason
+//! spelled out — so the count of thread-creation idioms in the tree is
+//! a number this tool prints, not a grep someone has to remember.
+//!
+//! All passes honor a trailing or preceding
+//! `// lint: allow(lock-order)` / `// lint: allow(blocking-under-lock)` /
+//! `// lint: allow(thread-spawn)` marker for the rare justified
+//! exception.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -156,6 +166,60 @@ pub fn scan(root: &Path, files: &[std::path::PathBuf], findings: &mut Vec<String
         findings.extend(file_findings);
         findings.extend(find_cycles(&edges));
     }
+}
+
+/// Source trees that own thread creation: the worker runtime itself and
+/// the model checker's thread model.
+const THREAD_OWNERS: &[&str] = &["crates/sync/src", "crates/race/src"];
+
+/// The thread-creation idioms of `std`.
+const THREAD_CREATION: &[&str] = &["thread::scope", "thread::spawn", "thread::Builder"];
+
+/// Thread-spawn pass over `files`: appends a finding per unexcused
+/// thread-creation site outside [`THREAD_OWNERS`] and returns the
+/// excused sites (`file:line: reason`).
+pub fn scan_thread_spawn(
+    root: &Path,
+    files: &[std::path::PathBuf],
+    findings: &mut Vec<String>,
+) -> Vec<String> {
+    const MARKER: &str = "lint: allow(thread-spawn)";
+    let mut allowed = Vec::new();
+    for file in files {
+        let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
+        if THREAD_OWNERS.iter().any(|owner| rel.starts_with(owner)) {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(file) else {
+            continue;
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, raw) in lines.iter().enumerate() {
+            if super::in_test_region(&lines, i) {
+                break;
+            }
+            let code = super::code_part(raw);
+            let Some(idiom) = THREAD_CREATION.iter().find(|idiom| code.contains(*idiom)) else {
+                continue;
+            };
+            let reason = [*raw, if i > 0 { lines[i - 1] } else { "" }]
+                .iter()
+                .find_map(|l| l.split_once(MARKER))
+                .map(|(_, reason)| reason.trim());
+            match reason {
+                Some(reason) if !reason.is_empty() => {
+                    allowed.push(format!("{rel}:{}: {reason}", i + 1));
+                }
+                _ => findings.push(format!(
+                    "{rel}:{}: `{idiom}` outside spg-sync — fan out through \
+                     `spg_sync::fork_join`, or mark a long-lived service thread with \
+                     `// {MARKER} <reason>`",
+                    i + 1
+                )),
+            }
+        }
+    }
+    allowed
 }
 
 /// Detect cycles in one file's acquisition graph and describe them.
@@ -410,6 +474,31 @@ mod tests {
         ];
         let (_, findings) = scan_file("f.rs", &lines);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn thread_creation_needs_a_reasoned_marker() {
+        let dir = std::env::temp_dir().join(format!("spg-lint-spawn-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("crates/sync/src")).unwrap();
+        let write = |rel: &str, text: &str| {
+            let path = dir.join(rel);
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+        let files = [
+            write("a.rs", "fn f() {\n    std::thread::spawn(|| ());\n}\n"),
+            write("b.rs", "// lint: allow(thread-spawn)\nstd::thread::scope(|s| ());\n"),
+            write("c.rs", "// lint: allow(thread-spawn) service thread\nthread::Builder::new();\n"),
+            write("d.rs", "#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| ()); } }\n"),
+            write("crates/sync/src/e.rs", "fn f() { std::thread::scope(|s| ()); }\n"),
+        ];
+        let mut findings = Vec::new();
+        let allowed = scan_thread_spawn(&dir, &files, &mut findings);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].starts_with("a.rs:2:"), "{findings:?}");
+        assert!(findings[1].starts_with("b.rs:2:"), "a bare marker gives no reason: {findings:?}");
+        assert_eq!(allowed, ["c.rs:2: service thread"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Workspace hygiene lint, run by CI.
 //!
-//! Two passes over the workspace sources (no external parser — the build
+//! Five passes over the workspace sources (no external parser — the build
 //! environment is offline, so this is a deliberately conservative line
 //! scanner rather than a `syn` AST walk):
 //!
@@ -17,6 +17,11 @@
 //!    shape; reported with both acquisition sites.
 //! 4. **Blocking under a lock** (see [`concurrency`]) — channel
 //!    `recv`/`send`, `join` or `sleep` while a lock guard is live.
+//! 5. **Thread spawn** (see [`concurrency`]) — `thread::scope` /
+//!    `thread::spawn` / `thread::Builder` outside `spg-sync` (the worker
+//!    runtime) and `spg-race` needs a reasoned
+//!    `// lint: allow(thread-spawn)` marker; the excused sites are
+//!    printed, so the tree's thread-creation idioms are a CI line.
 //!
 //! Test code is exempt: files under `tests/` or `benches/`, and everything
 //! from a line containing `#[cfg(test)]` to the end of the file (the
@@ -58,9 +63,18 @@ fn main() -> ExitCode {
             scan_unwrap(&root, &file, &mut findings);
         }
     }
+    let mut spawn_sites = Vec::new();
     for rel in UNSAFE_ROOTS {
         let files = rust_files(&root.join(rel));
         concurrency::scan(&root, &files, &mut findings);
+        spawn_sites.extend(concurrency::scan_thread_spawn(&root, &files, &mut findings));
+    }
+    println!(
+        "spg-lint: {} thread-creation site(s) outside spg-sync, each excused:",
+        spawn_sites.len()
+    );
+    for site in &spawn_sites {
+        println!("    {site}");
     }
     if findings.is_empty() {
         println!("spg-lint: ok");
@@ -83,10 +97,15 @@ fn self_test(root: &Path) -> ExitCode {
     }
     let mut findings = Vec::new();
     concurrency::scan(root, &files, &mut findings);
+    let excused = concurrency::scan_thread_spawn(root, &files, &mut findings);
     let mut failures = Vec::new();
+    if !excused.iter().any(|site| site.contains("thread_spawn.rs")) {
+        failures.push("reasoned allow(thread-spawn) marker in thread_spawn.rs not honored".into());
+    }
     for (fixture, needle) in [
         ("lock_cycle.rs", "lock-order cycle"),
         ("blocking_under_lock.rs", "blocking on another thread"),
+        ("thread_spawn.rs", "outside spg-sync"),
     ] {
         if !findings.iter().any(|f| f.contains(fixture) && f.contains(needle)) {
             failures.push(format!("seeded bug in {fixture} not caught (wanted: {needle})"));
