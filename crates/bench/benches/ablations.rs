@@ -12,7 +12,7 @@ use spg_convnet::{unfold, ConvScratch, ConvSpec};
 use spg_core::sparse::kernel as sparse;
 use spg_gemm::{spmm_csr_dense, spmm_ctcsr_dense};
 use spg_tensor::sparse::{Csr, CtCsr};
-use spg_tensor::Matrix;
+use spg_tensor::{layout, Matrix};
 use spg_workloads::synth::conv_operands;
 
 use rand::rngs::SmallRng;
@@ -58,12 +58,13 @@ fn bench_pointer_shifting(c: &mut Criterion) {
     let ops = conv_operands(&spec, 0.9, 0x88);
     let mut grad_in = vec![0.0f32; spec.input_shape().len()];
     let mut scratch = ConvScratch::new();
+    let w_kkfc = layout::fckk_to_kkfc(&ops.weights, spec.weight_shape()).expect("weights fit");
     group.throughput(Throughput::Elements(spec.arithmetic_ops()));
     group.bench_function("in_place_pointer_shifting", |bch| {
         bch.iter(|| {
             sparse::backward_data_scratch(
                 &spec,
-                ops.weights.as_slice(),
+                w_kkfc.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 64,
@@ -91,13 +92,14 @@ fn bench_tile_width_sweep(c: &mut Criterion) {
     let ops = conv_operands(&spec, 0.9, 0x99);
     let mut grad_in = vec![0.0f32; spec.input_shape().len()];
     let mut scratch = ConvScratch::new();
+    let w_kkfc = layout::fckk_to_kkfc(&ops.weights, spec.weight_shape()).expect("weights fit");
     group.throughput(Throughput::Elements(spec.arithmetic_ops()));
     for tw in [8usize, 32, 64, 128] {
         group.bench_with_input(BenchmarkId::new("sparse_bp_tile", tw), &tw, |bch, &tw| {
             bch.iter(|| {
                 sparse::backward_data_scratch(
                     &spec,
-                    ops.weights.as_slice(),
+                    w_kkfc.as_slice(),
                     ops.grad_out.as_slice(),
                     &mut grad_in,
                     tw,
@@ -109,56 +111,33 @@ fn bench_tile_width_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compiled-vs-stateless ablation: the paper's generated code pays layout
-/// transforms once per layer, not once per sample. CIFAR-10 L1 (4x4
-/// outputs) is the worst case for per-call transforms.
-fn bench_compiled_amortization(c: &mut Criterion) {
+/// Per-update vs per-sample ablation: the weight permutations run once per
+/// SGD update (`set_weights`, what a layer's `apply_update` pays), the
+/// kernels once per sample. CIFAR-10 L1 (4x4 outputs, narrow forward and
+/// sparse backward) is where a per-sample permutation would cost the most:
+/// it is several times either kernel call.
+fn bench_update_amortization(c: &mut Criterion) {
     use spg_core::compiled::CompiledConv;
     use spg_core::schedule::{LayerPlan, Technique};
-    use spg_core::stencil::kernel as stencil;
 
-    let mut group = c.benchmark_group("ablation_compiled");
+    let mut group = c.benchmark_group("ablation_per_update");
     group.sample_size(10);
     let spec = ConvSpec::square(8, 64, 64, 5, 1); // CIFAR-10 L1
     let ops = conv_operands(&spec, 0.9, 0xaa);
     let mut out = vec![0.0f32; spec.output_shape().len()];
+    let mut grad_in = vec![0.0f32; spec.input_shape().len()];
     let mut scratch = ConvScratch::new();
-    group.throughput(Throughput::Elements(spec.arithmetic_ops()));
-
-    group.bench_function("stencil_fp_stateless", |bch| {
-        bch.iter(|| {
-            // 4x4 outputs lower to the narrow plan; this is its stateless
-            // form, permuting the weights on every call.
-            stencil::forward_narrow_scratch(
-                &spec,
-                ops.input.as_slice(),
-                ops.weights.as_slice(),
-                &mut out,
-                &mut scratch,
-            )
-        });
-    });
     let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::SparseBp };
-    let compiled =
+    let mut compiled =
         CompiledConv::compile(spec, plan, ops.weights.as_slice(), 1).expect("valid weights");
-    group.bench_function("stencil_fp_compiled", |bch| {
+
+    group.bench_function("prepare_weights_per_update", |bch| {
+        bch.iter(|| compiled.set_weights(ops.weights.as_slice()));
+    });
+    group.bench_function("stencil_fp_per_sample", |bch| {
         bch.iter(|| compiled.forward_scratch(ops.input.as_slice(), &mut out, &mut scratch));
     });
-
-    let mut grad_in = vec![0.0f32; spec.input_shape().len()];
-    group.bench_function("sparse_bp_stateless", |bch| {
-        bch.iter(|| {
-            sparse::backward_data_scratch(
-                &spec,
-                ops.weights.as_slice(),
-                ops.grad_out.as_slice(),
-                &mut grad_in,
-                64,
-                &mut scratch,
-            )
-        });
-    });
-    group.bench_function("sparse_bp_compiled", |bch| {
+    group.bench_function("sparse_bp_per_sample", |bch| {
         bch.iter(|| {
             compiled.backward_data_scratch(ops.grad_out.as_slice(), &mut grad_in, &mut scratch)
         });
@@ -194,7 +173,7 @@ criterion_group!(
     bench_ctcsr_vs_csr,
     bench_pointer_shifting,
     bench_tile_width_sweep,
-    bench_compiled_amortization,
+    bench_update_amortization,
     bench_partition_axis
 );
 criterion_main!(benches);

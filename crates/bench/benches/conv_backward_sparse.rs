@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use spg_convnet::{gemm_exec, ConvScratch, ConvSpec};
 use spg_core::sparse::kernel as sparse;
 use spg_core::sparse::DEFAULT_TILE_WIDTH;
+use spg_tensor::layout;
 use spg_workloads::synth::conv_operands;
 
 fn bench_backward(c: &mut Criterion) {
@@ -41,11 +42,13 @@ fn bench_backward(c: &mut Criterion) {
                 );
             });
         });
+        // Permuted once, as a layer permutes once per update.
+        let w_kkfc = layout::fckk_to_kkfc(&ops.weights, spec.weight_shape()).expect("weights fit");
         group.bench_with_input(BenchmarkId::new("sparse_bp", &label), &spec, |bch, spec| {
             bch.iter(|| {
                 sparse::backward_data_scratch(
                     spec,
-                    ops.weights.as_slice(),
+                    w_kkfc.as_slice(),
                     ops.grad_out.as_slice(),
                     &mut grad_in,
                     DEFAULT_TILE_WIDTH,

@@ -44,15 +44,9 @@ fn bench_forward(c: &mut Criterion) {
         let stencil =
             lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
                 .unwrap_or_else(|e| panic!("stencil plan for {spec}: {e}"));
+        let weights = stencil.prepared(ops.weights.as_slice());
         group.bench_with_input(BenchmarkId::new("stencil", name), &spec, |bch, _| {
-            bch.iter(|| {
-                stencil.forward(
-                    ops.input.as_slice(),
-                    ops.weights.as_slice(),
-                    &mut out,
-                    &mut scratch,
-                )
-            });
+            bch.iter(|| stencil.forward(ops.input.as_slice(), &weights, &mut out, &mut scratch));
         });
     }
     group.finish();

@@ -36,21 +36,13 @@ fn bench_specialized(c: &mut Criterion) {
         let ops = conv_operands(&spec, 0.0, 0x5a);
         let mut out = vec![0.0f32; spec.output_shape().len()];
         let mut scratch = ConvScratch::default();
+        let weights = generic.prepared(ops.weights.as_slice());
         group.throughput(Throughput::Elements(spec.arithmetic_ops()));
         group.bench_with_input(BenchmarkId::new("specialized", &name), &spec, |bch, _| {
-            bch.iter(|| {
-                auto.forward(ops.input.as_slice(), ops.weights.as_slice(), &mut out, &mut scratch)
-            });
+            bch.iter(|| auto.forward(ops.input.as_slice(), &weights, &mut out, &mut scratch));
         });
         group.bench_with_input(BenchmarkId::new("generic", &name), &spec, |bch, _| {
-            bch.iter(|| {
-                generic.forward(
-                    ops.input.as_slice(),
-                    ops.weights.as_slice(),
-                    &mut out,
-                    &mut scratch,
-                )
-            });
+            bch.iter(|| generic.forward(ops.input.as_slice(), &weights, &mut out, &mut scratch));
         });
     }
     group.finish();

@@ -18,6 +18,7 @@ use spg_core::schedule::Technique;
 use spg_core::sparse::kernel as sparse;
 use spg_core::sparse::DEFAULT_TILE_WIDTH;
 use spg_core::verify::lower_phase;
+use spg_tensor::layout;
 use spg_workloads::synth::conv_operands;
 
 fn bench_forward_paths(c: &mut Criterion) {
@@ -60,26 +61,15 @@ fn bench_forward_paths(c: &mut Criterion) {
         let stencil =
             lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
                 .unwrap_or_else(|e| panic!("stencil plan for {spec}: {e}"));
+        let weights = stencil.prepared(ops.weights.as_slice());
         group.bench_with_input(BenchmarkId::new("stencil_alloc", name), &spec, |bch, _| {
             bch.iter(|| {
-                stencil.forward(
-                    ops.input.as_slice(),
-                    ops.weights.as_slice(),
-                    &mut out,
-                    &mut ConvScratch::new(),
-                )
+                stencil.forward(ops.input.as_slice(), &weights, &mut out, &mut ConvScratch::new())
             });
         });
         let mut scratch = ConvScratch::new();
         group.bench_with_input(BenchmarkId::new("stencil_workspace", name), &spec, |bch, _| {
-            bch.iter(|| {
-                stencil.forward(
-                    ops.input.as_slice(),
-                    ops.weights.as_slice(),
-                    &mut out,
-                    &mut scratch,
-                )
-            });
+            bch.iter(|| stencil.forward(ops.input.as_slice(), &weights, &mut out, &mut scratch));
         });
     }
     group.finish();
@@ -136,11 +126,13 @@ fn bench_backward_paths(c: &mut Criterion) {
         });
     });
 
+    // Permuted once, as a layer permutes once per update.
+    let w_kkfc = layout::fckk_to_kkfc(&ops.weights, spec.weight_shape()).expect("weights fit");
     group.bench_with_input(BenchmarkId::new("sparse_bp", "alloc"), &spec, |bch, spec| {
         bch.iter(|| {
             sparse::backward_data_scratch(
                 spec,
-                ops.weights.as_slice(),
+                w_kkfc.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 DEFAULT_TILE_WIDTH,
@@ -161,7 +153,7 @@ fn bench_backward_paths(c: &mut Criterion) {
         bch.iter(|| {
             sparse::backward_data_scratch(
                 spec,
-                ops.weights.as_slice(),
+                w_kkfc.as_slice(),
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 DEFAULT_TILE_WIDTH,

@@ -12,7 +12,7 @@ fn main() {
     print!("{}", spg_bench::figures::fig4d_report(&machine));
 
     println!("\nmeasured single-core stencil/unfold+GEMM FP speedups on this host");
-    println!("(stateless pays layout transforms per call; compiled amortizes them per batch):");
+    println!("(generic runs the runtime-parameterized loops; compiled binds a registry instance):");
     let cases = [
         ("MNIST L0", spg_convnet::ConvSpec::square(28, 20, 1, 5, 1)),
         ("CIFAR L1", spg_convnet::ConvSpec::square(8, 64, 64, 5, 1)),
@@ -24,5 +24,5 @@ fn main() {
         let compiled = spg_bench::measured::stencil_fp_compiled_gflops(&spec, 5);
         rows.push(vec![name.to_owned(), fmt_speedup(stencil / gemm), fmt_speedup(compiled / gemm)]);
     }
-    print!("{}", render_table(&["layer", "stateless speedup", "compiled speedup"], &rows));
+    print!("{}", render_table(&["layer", "generic speedup", "compiled speedup"], &rows));
 }

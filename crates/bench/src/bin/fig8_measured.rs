@@ -6,8 +6,8 @@
 //! the same schedule, so the multicore GiP gains of Fig. 8 live in the
 //! `fig8` model harness; what *can* be measured here is the per-layer
 //! kernel contest the scheduler adjudicates: Unfold+GEMM vs the stencil
-//! kernel for FP (stateless and batch-amortized compiled forms), and
-//! dense vs sparse BP.
+//! kernel for FP (generic loops and the compiled, instance-bound form),
+//! and dense vs sparse BP.
 
 use spg_bench::measured::{
     sparse_bp_measurement, stencil_fp_compiled_gflops, stencil_fp_gflops, unfold_gemm_fp_gflops,
@@ -57,7 +57,13 @@ fn main() {
     print!(
         "{}",
         render_table(
-            &["layer", "U+GEMM GF", "stencil FP", "stencil FP (compiled)", "sparse BP @0.85",],
+            &[
+                "layer",
+                "U+GEMM GF",
+                "stencil FP (generic)",
+                "stencil FP (compiled)",
+                "sparse BP @0.85",
+            ],
             &rows
         )
     );

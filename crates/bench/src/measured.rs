@@ -5,16 +5,17 @@
 //! printed alongside them — real wall-clock timings of the workspace's
 //! kernels on this host, demonstrating that the implemented kernels show
 //! the same single-core ordering the model predicts.
-
 //!
 //! Every kernel runs through its `_scratch` entry point with one reused
-//! [`ConvScratch`] — the allocation-free path that ships.
+//! [`ConvScratch`], against weights prepared once outside the timed loop —
+//! the per-sample path that ships (weight permutations are per update).
 
 use std::time::Instant;
 
 use spg_convnet::{gemm_exec, ConvScratch, ConvSpec};
-use spg_core::sparse::kernel as sparse_kernel;
-use spg_core::sparse::DEFAULT_TILE_WIDTH;
+use spg_core::autotune::Phase;
+use spg_core::schedule::Technique;
+use spg_core::verify::lower_phase;
 use spg_workloads::synth::conv_operands;
 
 /// Measured single-core GFlops of one forward convolution under the
@@ -46,31 +47,34 @@ pub fn unfold_gemm_fp_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     })
 }
 
-/// Measured GFlops of the stencil forward kernel on this host, paying
-/// all layout transforms on every call (stateless executor path).
+/// Measured GFlops of the stencil forward on this host's *generic*
+/// runtime-parameterized loops (no `spg-codegen` instance bound).
 pub fn stencil_fp_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     let ops = conv_operands(spec, 0.0, 0xbeef);
     let mut out = vec![0.0f32; spec.output_shape().len()];
     let mut scratch = ConvScratch::new();
-    let stencil = spg_core::verify::lower_phase(
+    let stencil = lower_phase(
         spec,
-        spg_core::schedule::Technique::StencilFp,
-        spg_core::autotune::Phase::Forward,
+        Technique::StencilFp,
+        Phase::Forward,
         1,
         spg_codegen::KernelChoice::Generic,
     )
     .expect("stencil plans verify on every valid spec");
+    let weights = stencil.prepared(ops.weights.as_slice());
     time_forward(spec.arithmetic_ops(), reps, || {
-        stencil.forward(ops.input.as_slice(), ops.weights.as_slice(), &mut out, &mut scratch);
+        stencil.forward(ops.input.as_slice(), &weights, &mut out, &mut scratch);
     })
 }
 
-/// Measured GFlops of the *compiled* stencil forward kernel on this host:
-/// weight transforms paid once at compile time, as the paper's generated
-/// code amortizes them across a batch.
+/// Measured GFlops of the stencil forward as [`CompiledConv`] deploys it
+/// on this host: the same program, with the registry instance bound where
+/// one resolves for the shape.
+///
+/// [`CompiledConv`]: spg_core::compiled::CompiledConv
 pub fn stencil_fp_compiled_gflops(spec: &ConvSpec, reps: usize) -> f64 {
     use spg_core::compiled::CompiledConv;
-    use spg_core::schedule::{LayerPlan, Technique};
+    use spg_core::schedule::LayerPlan;
     let ops = conv_operands(spec, 0.0, 0xbeef);
     let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::SparseBp };
     let kernel =
@@ -136,21 +140,16 @@ pub fn sparse_bp_measurement(spec: &ConvSpec, sparsity: f64, reps: usize) -> Spa
     }
     let dense_secs = start.elapsed().as_secs_f64() / reps as f64;
 
+    let program =
+        lower_phase(spec, Technique::SparseBp, Phase::Backward, 1, spg_codegen::KernelChoice::Auto)
+            .expect("sparse plans verify on every valid spec");
+    let weights = program.prepared(ops.weights.as_slice());
     let mut sparse = || {
-        sparse_kernel::backward_data_scratch(
-            spec,
-            ops.weights.as_slice(),
-            ops.grad_out.as_slice(),
-            &mut grad_in,
-            DEFAULT_TILE_WIDTH,
-            &mut scratch,
-        );
-        sparse_kernel::backward_weights_scratch(
-            spec,
+        program.backward_data(&weights, ops.grad_out.as_slice(), &mut grad_in, &mut scratch);
+        program.backward_weights(
             ops.input.as_slice(),
             ops.grad_out.as_slice(),
             &mut grad_w,
-            DEFAULT_TILE_WIDTH,
             &mut scratch,
         );
     };

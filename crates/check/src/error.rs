@@ -26,7 +26,7 @@ pub enum Buf {
     HwcIn,
     /// `ConvScratch::hwc_out` (HWC output staging).
     HwcOut,
-    /// `ConvScratch::wperm` (permuted weight / weight-gradient staging).
+    /// `ConvScratch::wperm` (permuted-order weight-gradient staging).
     Wperm,
 }
 

@@ -25,7 +25,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spg_serve::{BoundedQueue, PushError, ServeError};
-use spg_sync::Restarts;
+use spg_sync::{deadline_after, Restarts};
 
 use crate::hash::HashRing;
 use crate::wire::{read_frame, write_frame, Message, WireError};
@@ -404,18 +404,6 @@ impl Router {
 impl Drop for Router {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// `start + timeout`, or — where that sum overflows `Instant`, which `+`
-/// answers with a panic — the furthest deadline halving `timeout` can
-/// represent: centuries out, so only space or `close` ends the wait.
-fn deadline_after(start: Instant, mut timeout: Duration) -> Instant {
-    loop {
-        if let Some(deadline) = start.checked_add(timeout) {
-            return deadline;
-        }
-        timeout /= 2;
     }
 }
 

@@ -4,7 +4,8 @@
 //! [`Network`], a worker count, a [`TrainerConfig`], and an optional
 //! [`NetworkPlanner`] (the autotuner, injected by `spg-core` or any other
 //! planner implementation), so application code never constructs
-//! `Workspace`/`ConvScratch`/executor plumbing by hand.
+//! `Workspace`/`ConvScratch`/executor plumbing by hand. Inference through
+//! it builds an activation trace and a scratch, not a training workspace.
 //!
 //! # Example
 //!
@@ -30,8 +31,8 @@ use spg_tensor::Tensor;
 
 use crate::data::Dataset;
 use crate::layer::ConvLayer;
-use crate::workspace::Workspace;
-use crate::{ConvSpec, EpochStats, Network, Trainer, TrainerConfig};
+use crate::workspace::ConvScratch;
+use crate::{ConvSpec, EpochStats, Network, SampleTrace, Trainer, TrainerConfig};
 
 /// Executor-planning strategy injected into an [`Engine`].
 ///
@@ -484,9 +485,9 @@ impl Engine {
                 ),
             ));
         }
-        let mut ws = Workspace::for_network(&self.net);
-        self.net.forward_into(input, &mut ws);
-        Ok(ws.trace.logits().clone())
+        let mut trace = SampleTrace::for_network(&self.net);
+        self.net.forward_walk(input, &mut trace, &mut ConvScratch::new());
+        Ok(trace.logits().clone())
     }
 
     /// Consumes the engine, returning the network behind an [`Arc`] for

@@ -5,32 +5,70 @@
 //! propagation, backward error propagation, and weight gradients — for a
 //! given [`ConvSpec`]. Every phase runs out of a caller-provided
 //! [`ConvScratch`]: executors stage unfold matrices, packed panels, and
-//! permuted-layout copies in the scratch instead of allocating, so the
-//! per-sample hot path is heap-free once the scratch has warmed up. The
+//! per-sample layout transforms in the scratch instead of allocating, so
+//! the per-sample hot path is heap-free once the scratch has warmed up. The
 //! substrate ships the two conventional executors ([`ReferenceExecutor`]
 //! and [`UnfoldGemmExecutor`]); the `spg-core` crate plugs its lowered
 //! per-layer programs in through this trait, and the paper's scheduler
 //! swaps executors per layer and per phase (Sec. 4.4).
 //!
+//! # What changes per update vs per sample
+//!
+//! Weights change once per SGD update; a phase runs once per *sample*. The
+//! weights therefore reach every phase as [`PreparedWeights`] — the
+//! canonical tensor plus whichever permuted copies (Sec. 4.2, Fig. 5b) the
+//! installed executors read — which the owning layer refreshes through
+//! [`ConvExecutor::prepare`] whenever its weights or executors change, and
+//! never while samples are in flight. No phase permutes weights.
+//!
 //! # Kernel dispatch layers beneath this seam
 //!
-//! The seam itself is stateless and knows nothing of plans. `spg-core`
-//! fills it with one executor type: a lowered, `spg-check`-verified
-//! program (`ConvProgram`) installed in a layer's forward and backward
-//! slots. Which algorithm runs a phase (unfold-GEMM, stencil, banded
-//! stencil, sparse), with what tiles, bands and worker counts, and which
-//! compiled body runs it (a `spg-codegen` instance or the generic loops)
-//! are all decided once, when the layer's plan is lowered; the program's
-//! per-call work is a single `match` on that plan. Callers swapping
-//! executors never observe the instance choice — specialized and generic
-//! stencil bodies are bit-identical by contract, enforced by the golden
-//! Table 2 suite.
+//! The seam itself holds no per-sample state and knows nothing of plans.
+//! `spg-core` fills it with one executor type: a lowered,
+//! `spg-check`-verified program (`ConvProgram`) installed in a layer's
+//! forward and backward slots. Which algorithm runs a phase (unfold-GEMM,
+//! stencil, banded stencil, sparse), with what tiles, bands and worker
+//! counts, and which compiled body runs it (a `spg-codegen` instance or
+//! the generic loops) are all decided once, when the layer's plan is
+//! lowered; the program's per-call work is a single `match` on that plan.
+//! Callers swapping executors never observe the instance choice —
+//! specialized and generic stencil bodies are bit-identical by contract,
+//! enforced by the golden Table 2 suite.
 
 use std::fmt;
 use std::sync::Arc;
 
+use spg_tensor::Tensor;
+
 use crate::workspace::ConvScratch;
 use crate::{gemm_exec, reference, ConvSpec};
+
+/// A convolution layer's weights in every layout its installed executors
+/// read: the canonical tensor the optimizer updates, plus the permuted
+/// copies an executor's [`prepare`](ConvExecutor::prepare) asked for.
+///
+/// A copy is empty until an executor fills it, and a kernel handed an
+/// empty copy panics on its length assert — a missing `prepare` is loud,
+/// never a stale read. The fields are public for the same reason
+/// [`ConvScratch`]'s are: executors outside this crate fill and read them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PreparedWeights {
+    /// Canonical `[f, c, ky, kx]` weights.
+    pub fckk: Tensor,
+    /// `[ky, kx, f, c]` copy (channel fastest), read by the sparse
+    /// backward-data kernel.
+    pub kkfc: Vec<f32>,
+    /// `[ky][kx]` blocks of `(Nc x Nf)` matrices (feature fastest), read by
+    /// the narrow-output stencil forward.
+    pub kkcf: Vec<f32>,
+}
+
+impl PreparedWeights {
+    /// Wraps canonical weights with no permuted copy yet.
+    pub fn new(fckk: impl Into<Tensor>) -> Self {
+        PreparedWeights { fckk: fckk.into(), kkfc: Vec::new(), kkcf: Vec::new() }
+    }
+}
 
 /// Strategy object computing the three phases of a convolution layer.
 ///
@@ -42,12 +80,19 @@ pub trait ConvExecutor: Send + Sync + fmt::Debug {
     /// Short human-readable name used in logs and benchmark output.
     fn name(&self) -> &str;
 
+    /// Fills the permuted copies of `weights.fckk` that the phases of the
+    /// [`ConvLayer`](crate::layer::ConvLayer) slot this executor sits in
+    /// read. The layer calls it when its weights or executors change —
+    /// once per update, not per sample. Executors reading only the
+    /// canonical layout keep this default.
+    fn prepare(&self, _spec: &ConvSpec, _weights: &mut PreparedWeights) {}
+
     /// Forward propagation (Eq. 2). `output` is overwritten.
     fn forward(
         &self,
         spec: &ConvSpec,
         input: &[f32],
-        weights: &[f32],
+        weights: &PreparedWeights,
         output: &mut [f32],
         scratch: &mut ConvScratch,
     );
@@ -56,7 +101,7 @@ pub trait ConvExecutor: Send + Sync + fmt::Debug {
     fn backward_data(
         &self,
         spec: &ConvSpec,
-        weights: &[f32],
+        weights: &PreparedWeights,
         grad_out: &[f32],
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
@@ -100,22 +145,22 @@ impl ConvExecutor for ReferenceExecutor {
         &self,
         spec: &ConvSpec,
         input: &[f32],
-        weights: &[f32],
+        weights: &PreparedWeights,
         output: &mut [f32],
         _scratch: &mut ConvScratch,
     ) {
-        reference::forward(spec, input, weights, output);
+        reference::forward(spec, input, weights.fckk.as_slice(), output);
     }
 
     fn backward_data(
         &self,
         spec: &ConvSpec,
-        weights: &[f32],
+        weights: &PreparedWeights,
         grad_out: &[f32],
         grad_in: &mut [f32],
         _scratch: &mut ConvScratch,
     ) {
-        reference::backward_data(spec, weights, grad_out, grad_in);
+        reference::backward_data(spec, weights.fckk.as_slice(), grad_out, grad_in);
     }
 
     fn backward_weights(
@@ -177,22 +222,36 @@ impl ConvExecutor for UnfoldGemmExecutor {
         &self,
         spec: &ConvSpec,
         input: &[f32],
-        weights: &[f32],
+        weights: &PreparedWeights,
         output: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        gemm_exec::forward_scratch(spec, input, weights, output, self.threads, scratch);
+        gemm_exec::forward_scratch(
+            spec,
+            input,
+            weights.fckk.as_slice(),
+            output,
+            self.threads,
+            scratch,
+        );
     }
 
     fn backward_data(
         &self,
         spec: &ConvSpec,
-        weights: &[f32],
+        weights: &PreparedWeights,
         grad_out: &[f32],
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        gemm_exec::backward_data_scratch(spec, weights, grad_out, grad_in, self.threads, scratch);
+        gemm_exec::backward_data_scratch(
+            spec,
+            weights.fckk.as_slice(),
+            grad_out,
+            grad_in,
+            self.threads,
+            scratch,
+        );
     }
 
     fn backward_weights(
@@ -223,8 +282,9 @@ mod tests {
         let spec = ConvSpec::new(2, 6, 6, 3, 3, 3, 1, 1).unwrap();
         let input: Vec<f32> =
             (0..spec.input_shape().len()).map(|i| (i as f32 * 0.3).sin()).collect();
-        let weights: Vec<f32> =
-            (0..spec.weight_shape().len()).map(|i| (i as f32 * 0.7).cos()).collect();
+        let weights = PreparedWeights::new(
+            (0..spec.weight_shape().len()).map(|i| (i as f32 * 0.7).cos()).collect::<Tensor>(),
+        );
         let olen = spec.output_shape().len();
 
         let mut scratch = ConvScratch::new();

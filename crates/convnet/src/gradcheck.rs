@@ -8,6 +8,7 @@
 
 use spg_tensor::Tensor;
 
+use crate::workspace::Workspace;
 use crate::Network;
 
 /// One analytic-vs-numeric disagreement found by [`check_gradients`].
@@ -64,9 +65,11 @@ pub fn check_gradients(
     assert!(eps > 0.0, "epsilon must be positive");
 
     // Analytic gradients from one backward pass.
-    let trace = net.forward(input);
-    let (_, loss_grad) = Network::loss_and_gradient(trace.logits(), label);
-    let analytic = net.backward(&trace, &loss_grad).params;
+    let mut ws = Workspace::for_network(net);
+    net.forward_into(input.as_slice(), &mut ws);
+    let (_, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
+    net.backward_into(loss_grad.as_slice(), &mut ws);
+    let analytic = ws.param_grads;
 
     let loss_of = |net: &Network| {
         let trace = net.forward(input);
@@ -77,11 +80,10 @@ pub fn check_gradients(
     let layer_count = net.layers().len();
     #[allow(clippy::needless_range_loop)] // net is mutably re-borrowed inside
     for layer_idx in 0..layer_count {
-        let Some(grads) = &analytic[layer_idx] else { continue };
-        let original: Vec<f32> = net.layers()[layer_idx]
-            .params()
-            .expect("layers with gradients have parameters")
-            .to_vec();
+        let grads = &analytic[layer_idx];
+        let Some(original) = net.layers()[layer_idx].params().map(<[f32]>::to_vec) else {
+            continue;
+        };
         for pi in (0..original.len()).step_by(stride) {
             let mut perturbed = original.clone();
             perturbed[pi] = original[pi] + eps;

@@ -13,7 +13,7 @@ use std::fmt;
 use rand::Rng;
 use spg_tensor::{Shape3, Tensor};
 
-use crate::exec::{SharedExecutor, UnfoldGemmExecutor};
+use crate::exec::{PreparedWeights, SharedExecutor, UnfoldGemmExecutor};
 use crate::workspace::ConvScratch;
 use crate::{ConvError, ConvSpec};
 
@@ -96,9 +96,16 @@ pub trait Layer: Send + Sync + fmt::Debug {
 /// Forward and backward executors are independent because the paper's
 /// framework picks them independently: e.g. Stencil-Kernel for FP and
 /// Sparse-Kernel for BP on the same layer (Sec. 4.4).
+///
+/// The layer keeps its weights [prepared](PreparedWeights) for the
+/// executors it holds: every `&mut self` entry that changes the weights or
+/// an executor re-runs their [`prepare`] hook, so `forward`/`backward`
+/// (`&self`, on any number of workers) only read.
+///
+/// [`prepare`]: crate::exec::ConvExecutor::prepare
 pub struct ConvLayer {
     spec: ConvSpec,
-    weights: Tensor,
+    weights: PreparedWeights,
     fwd: SharedExecutor,
     bwd: SharedExecutor,
 }
@@ -110,8 +117,27 @@ impl ConvLayer {
         let fan_in = spec.weight_shape().per_feature() as f32;
         let scale = (2.0 / fan_in).sqrt();
         let weights = Tensor::random_uniform(spec.weight_shape().len(), scale, rng);
+        Self::assemble(spec, weights)
+    }
+
+    /// A layer over `weights` (length already checked) with the default
+    /// executor in both slots.
+    fn assemble(spec: ConvSpec, weights: Tensor) -> Self {
         let exec: SharedExecutor = std::sync::Arc::new(UnfoldGemmExecutor::default());
-        ConvLayer { spec, weights, fwd: exec.clone(), bwd: exec }
+        let weights = PreparedWeights::new(weights);
+        let mut layer = ConvLayer { spec, weights, fwd: exec.clone(), bwd: exec };
+        layer.prepare();
+        layer
+    }
+
+    /// Drops the permuted weight copies and has both installed executors
+    /// refill the ones they read. Runs wherever weights or executors
+    /// change — all `&mut self`, so never while a sample is in flight.
+    fn prepare(&mut self) {
+        self.weights.kkfc.clear();
+        self.weights.kkcf.clear();
+        self.fwd.prepare(&self.spec, &mut self.weights);
+        self.bwd.prepare(&self.spec, &mut self.weights);
     }
 
     /// Creates a layer with explicit weights (used by tests and oracles).
@@ -127,8 +153,7 @@ impl ConvLayer {
                 actual: weights.len(),
             });
         }
-        let exec: SharedExecutor = std::sync::Arc::new(UnfoldGemmExecutor::default());
-        Ok(ConvLayer { spec, weights, fwd: exec.clone(), bwd: exec })
+        Ok(Self::assemble(spec, weights))
     }
 
     /// The convolution specification.
@@ -138,18 +163,20 @@ impl ConvLayer {
 
     /// Borrows the weights.
     pub fn weights(&self) -> &Tensor {
-        &self.weights
+        &self.weights.fckk
     }
 
     /// Replaces the forward-phase executor.
     pub fn set_forward_executor(&mut self, exec: SharedExecutor) {
         self.fwd = exec;
+        self.prepare();
     }
 
     /// Replaces the backward-phase executor (used for both error and
     /// weight-gradient computation).
     pub fn set_backward_executor(&mut self, exec: SharedExecutor) {
         self.bwd = exec;
+        self.prepare();
     }
 
     /// Names of the current forward and backward executors.
@@ -178,7 +205,7 @@ impl Layer for ConvLayer {
     }
 
     fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        self.fwd.forward(&self.spec, input, self.weights.as_slice(), output, scratch);
+        self.fwd.forward(&self.spec, input, &self.weights, output, scratch);
         spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
     }
 
@@ -191,12 +218,12 @@ impl Layer for ConvLayer {
         param_grads: &mut Tensor,
         scratch: &mut ConvScratch,
     ) {
-        assert_eq!(param_grads.len(), self.weights.len(), "parameter gradient length");
+        assert_eq!(param_grads.len(), self.weights.fckk.len(), "parameter gradient length");
         // Split the two kernel sub-phases under the enclosing layer scope
         // so goodput is observable per kernel, not just per layer.
         {
             let _telemetry = spg_telemetry::phase_scope(spg_telemetry::Phase::BackwardData);
-            self.bwd.backward_data(&self.spec, self.weights.as_slice(), grad_out, grad_in, scratch);
+            self.bwd.backward_data(&self.spec, &self.weights, grad_out, grad_in, scratch);
             spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
         }
         {
@@ -213,14 +240,15 @@ impl Layer for ConvLayer {
     }
 
     fn param_count(&self) -> usize {
-        self.weights.len()
+        self.weights.fckk.len()
     }
 
     fn apply_update(&mut self, grads: &Tensor, lr: f32) {
-        assert_eq!(grads.len(), self.weights.len(), "gradient length");
-        for (w, g) in self.weights.iter_mut().zip(grads.iter()) {
+        assert_eq!(grads.len(), self.weights.fckk.len(), "gradient length");
+        for (w, g) in self.weights.fckk.iter_mut().zip(grads.iter()) {
             *w -= lr * g;
         }
+        self.prepare();
     }
 
     fn conv_spec(&self) -> Option<&ConvSpec> {
@@ -232,12 +260,13 @@ impl Layer for ConvLayer {
     }
 
     fn params(&self) -> Option<&[f32]> {
-        Some(self.weights.as_slice())
+        Some(self.weights.fckk.as_slice())
     }
 
     fn set_params(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.weights.len(), "parameter length");
-        self.weights.as_mut_slice().copy_from_slice(params);
+        assert_eq!(params.len(), self.weights.fckk.len(), "parameter length");
+        self.weights.fckk.as_mut_slice().copy_from_slice(params);
+        self.prepare();
     }
 }
 

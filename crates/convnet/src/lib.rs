@@ -51,7 +51,7 @@ pub mod workspace;
 
 pub use engine::{Engine, EngineBuilder, LayerAlgo, NetworkPlanner};
 pub use error::{ConvError, TrainError};
-pub use net::{scope_label, LayerGradients, Network, SampleTrace};
+pub use net::{scope_label, Network, SampleTrace};
 pub use sgd::{EpochStats, Trainer, TrainerConfig};
 pub use spec::ConvSpec;
 pub use workspace::{ConvScratch, Workspace};

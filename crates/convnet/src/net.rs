@@ -1,16 +1,18 @@
 //! Sequential network container with per-sample forward/backward passes
 //! and the gradient-sparsity instrumentation behind the paper's Fig. 3b.
 //!
-//! The hot-path entry points are [`Network::forward_into`] and
-//! [`Network::backward_into`], which run a sample entirely out of a
-//! caller-provided [`Workspace`] — no per-sample heap allocation. The
-//! allocating [`Network::forward`] / [`Network::backward`] wrappers remain
-//! for one-shot callers and tests.
+//! Training runs a sample through [`Network::forward_into`] and
+//! [`Network::backward_into`], entirely out of a caller-provided
+//! [`Workspace`] — no per-sample heap allocation. Inference
+//! ([`Network::forward`], [`Network::predict`], [`Network::infer_batch`])
+//! runs the same forward walk over what forward reads only: an activation
+//! trace and a [`ConvScratch`], never a training workspace's gradient
+//! buffers.
 
 use spg_tensor::Tensor;
 
 use crate::layer::Layer;
-use crate::workspace::Workspace;
+use crate::workspace::{ConvScratch, Workspace};
 use crate::ConvError;
 
 /// Telemetry scope label for layer `index` with [`Layer::name`] `name`:
@@ -59,23 +61,23 @@ impl SampleTrace {
     }
 }
 
-/// Per-layer results of one sample's backward pass.
-#[derive(Debug, Clone)]
-pub struct LayerGradients {
-    /// Flattened parameter gradients per layer (`None` for parameter-free
-    /// layers), in layer order.
-    pub params: Vec<Option<Tensor>>,
-    /// Sparsity (zero fraction) of the *output-side* error gradient each
-    /// layer received — the quantity plotted in Fig. 3b for conv layers.
-    pub grad_sparsity: Vec<f64>,
-}
-
 /// Zero fraction of a slice (the [`Tensor::sparsity`] measure on borrows).
 fn slice_sparsity(s: &[f32]) -> f64 {
     if s.is_empty() {
         return 0.0;
     }
     s.iter().filter(|v| **v == 0.0).count() as f64 / s.len() as f64
+}
+
+/// Index of the largest logit (the first, on ties).
+fn argmax(logits: &Tensor) -> usize {
+    let mut best = 0;
+    for i in 1..logits.len() {
+        if logits[i] > logits[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// A sequential stack of layers with a softmax + cross-entropy loss head.
@@ -167,8 +169,18 @@ impl Network {
     /// Panics if `input.len() != self.input_len()` or `ws` was planned for
     /// a different network geometry.
     pub fn forward_into(&self, input: &[f32], ws: &mut Workspace) {
+        self.forward_walk(input, &mut ws.trace, &mut ws.scratch);
+    }
+
+    /// The forward pass: fills `trace` layer by layer, staging through
+    /// `scratch`. Everything a forward needs and nothing a backward does.
+    pub(crate) fn forward_walk(
+        &self,
+        input: &[f32],
+        trace: &mut SampleTrace,
+        scratch: &mut ConvScratch,
+    ) {
         assert_eq!(input.len(), self.input_len(), "input length");
-        let Workspace { trace, scratch, .. } = ws;
         assert_eq!(trace.activations.len(), self.layers.len() + 1, "workspace trace length");
         trace.activations[0].as_mut_slice().copy_from_slice(input);
         for (i, layer) in self.layers.iter().enumerate() {
@@ -188,9 +200,9 @@ impl Network {
     ///
     /// Panics if `input.len() != self.input_len()`.
     pub fn forward(&self, input: &Tensor) -> SampleTrace {
-        let mut ws = Workspace::for_network(self);
-        self.forward_into(input.as_slice(), &mut ws);
-        ws.into_trace()
+        let mut trace = SampleTrace::for_network(self);
+        self.forward_walk(input.as_slice(), &mut trace, &mut ConvScratch::new());
+        trace
     }
 
     /// Softmax + cross-entropy loss and its gradient w.r.t. the logits.
@@ -214,8 +226,9 @@ impl Network {
     /// Runs one sample backward from a loss gradient at the logits, using
     /// the activations [`Network::forward_into`] left in `ws.trace` and
     /// writing per-layer parameter gradients into `ws.param_grads` and
-    /// gradient-sparsity measurements into `ws.grad_sparsity` — the
-    /// allocation-free hot-path variant of [`Network::backward`].
+    /// gradient-sparsity measurements (the zero fraction of the
+    /// *output-side* error gradient each layer received — Fig. 3b's
+    /// quantity for conv layers) into `ws.grad_sparsity`.
     ///
     /// # Panics
     ///
@@ -246,31 +259,6 @@ impl Network {
         }
     }
 
-    /// Runs one sample backward from a loss gradient at the logits,
-    /// returning per-layer parameter gradients and gradient-sparsity
-    /// measurements.
-    ///
-    /// Allocates a fresh workspace per call; training uses
-    /// [`Network::backward_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace does not match this network or the gradient
-    /// length does not match the output length.
-    pub fn backward(&self, trace: &SampleTrace, loss_grad: &Tensor) -> LayerGradients {
-        assert_eq!(trace.activations.len(), self.layers.len() + 1, "trace length");
-        let mut ws = Workspace::for_network(self);
-        ws.trace = trace.clone();
-        self.backward_into(loss_grad.as_slice(), &mut ws);
-        let params = self
-            .layers
-            .iter()
-            .zip(&ws.param_grads)
-            .map(|(l, g)| if l.param_count() > 0 { Some(g.clone()) } else { None })
-            .collect();
-        LayerGradients { params, grad_sparsity: ws.grad_sparsity }
-    }
-
     /// Predicted class (argmax of logits) for one sample, reusing `ws`.
     ///
     /// # Panics
@@ -278,26 +266,19 @@ impl Network {
     /// Panics if the input length or workspace geometry mismatches.
     pub fn predict_with(&self, input: &Tensor, ws: &mut Workspace) -> usize {
         self.forward_into(input.as_slice(), ws);
-        let logits = ws.trace.logits();
-        let mut best = 0;
-        for i in 1..logits.len() {
-            if logits[i] > logits[best] {
-                best = i;
-            }
-        }
-        best
+        argmax(ws.trace.logits())
     }
 
     /// Predicted class (argmax of logits) for one sample.
     pub fn predict(&self, input: &Tensor) -> usize {
-        self.predict_with(input, &mut Workspace::for_network(self))
+        argmax(self.forward(input).logits())
     }
 
     /// Classifies a batch of samples, distributing whole samples across
     /// `threads` workers — inference under the GEMM-in-Parallel schedule
     /// (forward propagation is the inference subset of training, Sec. 6).
-    /// Each worker plans one [`Workspace`] and reuses it for every sample
-    /// it classifies.
+    /// Each worker builds one trace and one scratch and reuses them for
+    /// every sample it classifies.
     ///
     /// Returns the predicted class per sample, in input order.
     ///
@@ -307,40 +288,28 @@ impl Network {
     pub fn infer_batch(&self, inputs: &[Tensor], threads: usize) -> Vec<usize> {
         assert!(threads > 0, "thread count must be positive");
         let workers = threads.min(inputs.len().max(1));
+        let classify = |batch: &[Tensor]| {
+            let mut trace = SampleTrace::for_network(self);
+            let mut scratch = ConvScratch::new();
+            let classes = batch.iter().map(|input| {
+                self.forward_walk(input.as_slice(), &mut trace, &mut scratch);
+                argmax(trace.logits())
+            });
+            classes.collect::<Vec<_>>()
+        };
         if workers <= 1 {
-            let mut ws = Workspace::for_network(self);
-            return inputs.iter().map(|input| self.predict_with(input, &mut ws)).collect();
+            return classify(inputs);
         }
         let chunk = inputs.len().div_ceil(workers);
-        let classes = spg_sync::fork_join(inputs.chunks(chunk).map(|batch| {
-            move || {
-                let mut ws = Workspace::for_network(self);
-                batch.iter().map(|i| self.predict_with(i, &mut ws)).collect::<Vec<_>>()
-            }
-        }));
+        let classes =
+            spg_sync::fork_join(inputs.chunks(chunk).map(|batch| move || classify(batch)));
         classes.into_iter().flatten().collect()
-    }
-
-    /// Applies averaged parameter gradients: `params -= lr * grads / scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` does not have one entry per layer.
-    pub fn apply_gradients(&mut self, grads: &[Option<Tensor>], lr: f32, scale: f32) {
-        assert_eq!(grads.len(), self.layers.len(), "one gradient slot per layer");
-        for (layer, grad) in self.layers.iter_mut().zip(grads) {
-            if let Some(g) = grad {
-                let scaled: Tensor = g.iter().map(|v| v / scale).collect();
-                layer.apply_update(&scaled, lr);
-            }
-        }
     }
 
     /// Applies averaged parameter gradients from a dense per-layer slice:
     /// `params -= (lr / scale) * grads`. Empty tensors (parameter-free
-    /// layers) are skipped. Unlike [`Network::apply_gradients`] this never
-    /// allocates — the form the trainer's hot loop uses with
-    /// [`Workspace`]-accumulated gradients.
+    /// layers) are skipped. Never allocates — the trainer's hot loop calls
+    /// it with [`Workspace`]-accumulated gradients.
     ///
     /// # Panics
     ///
@@ -413,12 +382,13 @@ mod tests {
         let input = Tensor::random_uniform(64, 1.0, &mut rng);
         let label = 1;
         let mut losses = Vec::new();
+        let mut ws = Workspace::for_network(&net);
         for _ in 0..12 {
-            let trace = net.forward(&input);
-            let (loss, grad) = Network::loss_and_gradient(trace.logits(), label);
+            net.forward_into(input.as_slice(), &mut ws);
+            let (loss, grad) = Network::loss_and_gradient(ws.trace.logits(), label);
             losses.push(loss);
-            let grads = net.backward(&trace, &grad);
-            net.apply_gradients(&grads.params, 0.05, 1.0);
+            net.backward_into(grad.as_slice(), &mut ws);
+            net.apply_gradient_slices(&ws.param_grads, 0.05, 1.0);
         }
         assert!(
             losses.last().unwrap() < losses.first().unwrap(),
@@ -430,40 +400,15 @@ mod tests {
     fn backward_measures_sparsity_per_layer() {
         let mut rng = SmallRng::seed_from_u64(3);
         let net = tiny_net(&mut rng);
-        let trace = net.forward(&Tensor::random_uniform(64, 1.0, &mut rng));
-        let (_, grad) = Network::loss_and_gradient(trace.logits(), 0);
-        let grads = net.backward(&trace, &grad);
-        assert_eq!(grads.grad_sparsity.len(), 4);
+        let mut ws = Workspace::for_network(&net);
+        net.forward_into(Tensor::random_uniform(64, 1.0, &mut rng).as_slice(), &mut ws);
+        let (_, grad) = Network::loss_and_gradient(ws.trace.logits(), 0);
+        net.backward_into(grad.as_slice(), &mut ws);
+        assert_eq!(ws.grad_sparsity.len(), 4);
         // The conv layer's incoming gradient passed through ReLU+pool and
         // must show some sparsity; the logits gradient is dense.
-        assert!(grads.grad_sparsity[0] > 0.0);
-        assert_eq!(grads.grad_sparsity[3], 0.0);
-    }
-
-    #[test]
-    fn workspace_pass_matches_allocating_pass() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let net = tiny_net(&mut rng);
-        let input = Tensor::random_uniform(64, 1.0, &mut rng);
-        let trace = net.forward(&input);
-        let (_, grad) = Network::loss_and_gradient(trace.logits(), 1);
-        let lg = net.backward(&trace, &grad);
-
-        let mut ws = Workspace::for_network(&net);
-        // Two passes through the same workspace: the second must be
-        // bit-identical to the allocating path (no stale-state leakage).
-        for _ in 0..2 {
-            net.forward_into(input.as_slice(), &mut ws);
-            net.backward_into(grad.as_slice(), &mut ws);
-        }
-        assert_eq!(ws.trace.logits().as_slice(), trace.logits().as_slice());
-        assert_eq!(ws.grad_sparsity, lg.grad_sparsity);
-        for (slot, dense) in lg.params.iter().zip(&ws.param_grads) {
-            match slot {
-                Some(g) => assert_eq!(g.as_slice(), dense.as_slice()),
-                None => assert_eq!(dense.len(), 0),
-            }
-        }
+        assert!(ws.grad_sparsity[0] > 0.0);
+        assert_eq!(ws.grad_sparsity[3], 0.0);
     }
 
     #[test]

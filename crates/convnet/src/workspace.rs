@@ -9,9 +9,10 @@
 //! allocation-free:
 //!
 //! * [`ConvScratch`] — per-call scratch for a
-//!   [`ConvExecutor`](crate::exec::ConvExecutor): unfold matrices, GEMM pack buffers, HWC
-//!   staging, permuted-weight accumulators, and CT-CSR staging. Buffers
-//!   grow on first use (warm-up) and are recycled afterwards.
+//!   [`ConvExecutor`](crate::exec::ConvExecutor): unfold matrices, GEMM
+//!   pack buffers, HWC staging, the permuted-order weight-gradient
+//!   accumulator, and CT-CSR staging. Buffers grow on first use (warm-up)
+//!   and are recycled afterwards.
 //! * [`Workspace`] — everything one training sample needs end to end:
 //!   an activation trace, ping-pong error-gradient buffers, per-layer
 //!   parameter-gradient buffers, and one shared [`ConvScratch`]. The
@@ -55,7 +56,10 @@ pub struct ConvScratch {
     pub hwc_in: Vec<f32>,
     /// Output-sized HWC staging buffer.
     pub hwc_out: Vec<f32>,
-    /// Permuted-order weight / weight-gradient buffer (`kkfc` or `kkcf`).
+    /// Permuted-order (`kkfc`) weight-gradient accumulator of the sparse
+    /// backward-weights kernel. (Permuted *weights* are per update, not
+    /// per sample: they live in the layer's
+    /// [`PreparedWeights`](crate::exec::PreparedWeights).)
     pub wperm: Vec<f32>,
     /// CT-CSR staging for the sparse backward kernels, rebuilt in place.
     pub ctcsr: CtCsr,
@@ -167,11 +171,6 @@ impl Workspace {
             grad_a: Tensor::zeros(max_act),
             grad_b: Tensor::zeros(max_act),
         }
-    }
-
-    /// Consumes the workspace and returns its activation trace.
-    pub fn into_trace(self) -> SampleTrace {
-        self.trace
     }
 
     /// Current footprint of all workspace buffers in bytes.

@@ -7,24 +7,25 @@
 //! [`verify::lower`](crate::verify::lower) lowered and `spg-check` proved,
 //! plus the `spg-codegen` instance bound to it. The program's three phase
 //! methods are the only dispatch in the crate — one `match` on the lowered
-//! [`ForwardPlan`] / [`BackwardPlan`] — and both entry points go through
-//! them: training installs [`ConvProgram::executor_for`] on a
-//! [`ConvLayer`] through the stateless
-//! [`ConvExecutor`] seam, serving holds a [`CompiledConv`], which adds the
-//! per-update weight transforms (compile once,
-//! [`set_weights`](CompiledConv::set_weights) after each SGD step, run
-//! every sample of the batch against the cached transforms).
+//! [`ForwardPlan`] / [`BackwardPlan`] — and its `prepare` is the only
+//! place that knows which weight permutation such a plan reads. Both
+//! entry points are those four functions over a [`PreparedWeights`]:
+//! training installs [`ConvProgram::executor_for`] on a [`ConvLayer`],
+//! which owns the prepared weights and refreshes them per update through
+//! the [`ConvExecutor`] seam; serving holds a [`CompiledConv`] — program,
+//! plan and its own prepared weights, refreshed by
+//! [`set_weights`](CompiledConv::set_weights).
 
 use std::fmt;
 use std::sync::Arc;
 
 use spg_check::{BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
 use spg_codegen::{KernelChoice, SpecializedKernel};
-use spg_tensor::{layout, Tensor};
+use spg_tensor::layout;
 
-use spg_convnet::exec::{ConvExecutor, SharedExecutor};
+use spg_convnet::exec::{ConvExecutor, PreparedWeights, SharedExecutor};
 use spg_convnet::layer::ConvLayer;
-use spg_convnet::workspace::ConvScratch;
+use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::{gemm_exec, ConvSpec};
 
 use crate::autotune::Phase;
@@ -36,7 +37,8 @@ use crate::stencil::{
 };
 
 /// A verified, kernel-bound layer plan, executable over any number of
-/// samples with caller-provided weights. Built only by
+/// samples against weights [prepared](ConvProgram::prepared) for it. Built
+/// only by
 /// [`verify::lower`](crate::verify::lower).
 #[derive(Debug)]
 pub struct ConvProgram {
@@ -74,10 +76,11 @@ impl ConvProgram {
         self.kernel
     }
 
-    /// This program as a [`ConvLayer`]
-    /// executor for `phase`'s slot. Both slots' executors run all three
-    /// phases identically; `phase` only selects which half of the plan
-    /// [`ConvExecutor::name`] reports (`"stencil-fp"`, `"sparse-bp"`, ...).
+    /// This program as a [`ConvLayer`] executor for `phase`'s slot. Both
+    /// slots' executors run all three phases identically; `phase` selects
+    /// which half of the plan [`ConvExecutor::name`] reports
+    /// (`"stencil-fp"`, `"sparse-bp"`, ...) and
+    /// [`ConvExecutor::prepare`] prepares weights for.
     pub fn executor_for(self: &Arc<Self>, phase: Phase) -> SharedExecutor {
         Arc::new(PlanExecutor { program: Arc::clone(self), phase })
     }
@@ -94,54 +97,71 @@ impl ConvProgram {
         }
     }
 
+    /// Refreshes in `weights` the permuted copies of `weights.fckk` that
+    /// `phases` of this plan read: the narrow stencil forward's `kkcf`, the
+    /// sparse backward-data's `kkfc`, nothing for every other plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.fckk` does not match the spec's weight count.
+    pub(crate) fn prepare(&self, phases: &[Phase], weights: &mut PreparedWeights) {
+        let shape = self.plan.spec().weight_shape();
+        let lowered = self.plan.plan();
+        let PreparedWeights { fckk, kkfc, kkcf } = weights;
+        if phases.contains(&Phase::Forward) && lowered.forward == ForwardPlan::StencilNarrow {
+            layout::narrow_weights_into(fckk.as_slice(), shape, zeroed_slice(kkcf, fckk.len()));
+        }
+        if phases.contains(&Phase::Backward)
+            && matches!(lowered.backward, BackwardPlan::SparsePointerShift { .. })
+        {
+            layout::fckk_to_kkfc_into(fckk.as_slice(), shape, zeroed_slice(kkfc, fckk.len()));
+        }
+    }
+
+    /// `weights` prepared for both phases of this plan — what a caller
+    /// without a layer (measurement, tests) runs the phase methods against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` does not match the spec's weight count.
+    pub fn prepared(&self, weights: &[f32]) -> PreparedWeights {
+        let mut prepared = PreparedWeights::new(weights.to_vec());
+        self.prepare(&[Phase::Forward, Phase::Backward], &mut prepared);
+        prepared
+    }
+
     /// Forward propagation for one sample. `output` is overwritten.
     ///
     /// # Panics
     ///
-    /// Panics if buffer lengths do not match the spec.
+    /// Panics if buffer lengths do not match the spec, or `weights` was
+    /// not [prepared](ConvProgram::prepared) for this plan's forward.
     pub fn forward(
         &self,
         input: &[f32],
-        weights: &[f32],
-        output: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
-        self.forward_with(input, weights, None, output, scratch);
-    }
-
-    /// [`forward`](ConvProgram::forward), with the narrow plan's permuted
-    /// weights when the caller caches them.
-    fn forward_with(
-        &self,
-        input: &[f32],
-        weights: &[f32],
-        w_kkcf: Option<&[f32]>,
+        weights: &PreparedWeights,
         output: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
         let spec = self.plan.spec();
+        let fckk = weights.fckk.as_slice();
         match &self.plan.plan().forward {
             ForwardPlan::StencilTiled { .. } => {
                 let tiled =
                     self.plan.tiled().unwrap_or_else(|| unreachable!("forward is StencilTiled"));
                 match self.kernel {
-                    Some(inst) => inst.forward(tiled, input, weights, output, scratch),
-                    None => stencil_kernel::forward_tiled(tiled, input, weights, output, scratch),
+                    Some(inst) => inst.forward(tiled, input, fckk, output, scratch),
+                    None => stencil_kernel::forward_tiled(tiled, input, fckk, output, scratch),
                 }
             }
-            ForwardPlan::StencilNarrow => match w_kkcf {
-                Some(w_kkcf) => stencil_kernel::forward_narrow_pretransformed_scratch(
-                    spec, input, w_kkcf, output, scratch,
-                ),
-                None => {
-                    stencil_kernel::forward_narrow_scratch(spec, input, weights, output, scratch)
-                }
-            },
+            ForwardPlan::StencilNarrow => {
+                stencil_kernel::forward_narrow_scratch(spec, input, &weights.kkcf, output, scratch);
+            }
             ForwardPlan::StencilBanded { .. } => {
-                self.bands.forward(&self.plan, input, weights, output);
+                self.bands.forward(&self.plan, input, fckk, output);
             }
             ForwardPlan::UnfoldGemm { threads } => {
-                gemm_exec::forward_scratch(spec, input, weights, output, *threads, scratch);
+                gemm_exec::forward_scratch(spec, input, fckk, output, *threads, scratch);
             }
         }
     }
@@ -151,42 +171,35 @@ impl ConvProgram {
     ///
     /// # Panics
     ///
-    /// Panics if buffer lengths do not match the spec.
+    /// Panics if buffer lengths do not match the spec, or `weights` was
+    /// not [prepared](ConvProgram::prepared) for this plan's backward.
     pub fn backward_data(
         &self,
-        weights: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
-        self.backward_data_with(weights, None, grad_out, grad_in, scratch);
-    }
-
-    /// [`backward_data`](ConvProgram::backward_data), with the sparse
-    /// plan's `[ky, kx, f, c]` weights when the caller caches them.
-    fn backward_data_with(
-        &self,
-        weights: &[f32],
-        w_kkfc: Option<&[f32]>,
+        weights: &PreparedWeights,
         grad_out: &[f32],
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
         let spec = self.plan.spec();
-        match (self.plan.plan().backward, w_kkfc) {
-            (BackwardPlan::SparsePointerShift { tile_width }, Some(w_kkfc)) => {
-                sparse_kernel::backward_data_pretransformed_scratch(
-                    spec, w_kkfc, grad_out, grad_in, tile_width, scratch,
-                );
-            }
-            (BackwardPlan::SparsePointerShift { tile_width }, None) => {
+        match self.plan.plan().backward {
+            BackwardPlan::SparsePointerShift { tile_width } => {
                 sparse_kernel::backward_data_scratch(
-                    spec, weights, grad_out, grad_in, tile_width, scratch,
+                    spec,
+                    &weights.kkfc,
+                    grad_out,
+                    grad_in,
+                    tile_width,
+                    scratch,
                 );
             }
-            (BackwardPlan::UnfoldGemm { threads }, _) => {
+            BackwardPlan::UnfoldGemm { threads } => {
                 gemm_exec::backward_data_scratch(
-                    spec, weights, grad_out, grad_in, threads, scratch,
+                    spec,
+                    weights.fckk.as_slice(),
+                    grad_out,
+                    grad_in,
+                    threads,
+                    scratch,
                 );
             }
         }
@@ -229,8 +242,8 @@ impl ConvProgram {
     }
 }
 
-/// A [`ConvProgram`] behind the stateless [`ConvExecutor`] seam, named for
-/// the [`ConvLayer`] slot it fills.
+/// A [`ConvProgram`] behind the [`ConvExecutor`] seam, named for the
+/// [`ConvLayer`] slot it fills and preparing that slot's phase.
 #[derive(Debug)]
 struct PlanExecutor {
     program: Arc<ConvProgram>,
@@ -255,11 +268,16 @@ impl ConvExecutor for PlanExecutor {
         }
     }
 
+    fn prepare(&self, spec: &ConvSpec, weights: &mut PreparedWeights) {
+        assert_eq!(spec, self.program.spec(), "executor was lowered for another layer");
+        self.program.prepare(&[self.phase], weights);
+    }
+
     fn forward(
         &self,
         spec: &ConvSpec,
         input: &[f32],
-        weights: &[f32],
+        weights: &PreparedWeights,
         output: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
@@ -270,7 +288,7 @@ impl ConvExecutor for PlanExecutor {
     fn backward_data(
         &self,
         spec: &ConvSpec,
-        weights: &[f32],
+        weights: &PreparedWeights,
         grad_out: &[f32],
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
@@ -293,8 +311,9 @@ impl ConvExecutor for PlanExecutor {
 }
 
 /// A convolution layer compiled against a [`LayerPlan`]: the lowered
-/// [`ConvProgram`] plus owned weights and their cached transforms,
-/// executable over any number of samples.
+/// [`ConvProgram`] plus its own [`PreparedWeights`], executable over any
+/// number of samples — what a [`ConvLayer`] with the program installed in
+/// both slots holds, without the layer.
 ///
 /// # Example
 ///
@@ -319,18 +338,14 @@ impl ConvExecutor for PlanExecutor {
 pub struct CompiledConv {
     program: ConvProgram,
     plan: LayerPlan,
-    /// Owned weights in canonical FCKK order.
-    weights: Tensor,
-    /// Cached `[ky, kx, f, c]` weights for the sparse backward kernel.
-    w_kkfc: Option<Tensor>,
-    /// Cached `[ky][kx] (Nc x Nf)` weights for the narrow stencil path.
-    w_kkcf: Option<Vec<f32>>,
+    /// Owned weights, prepared for both phases of `program`.
+    weights: PreparedWeights,
 }
 
 impl CompiledConv {
     /// Compiles a layer: lowers and verifies the plan (binding a
-    /// specialized instance where one resolves) and pre-computes every
-    /// weight transform the lowered plan needs.
+    /// specialized instance where one resolves) and prepares the weights
+    /// for it.
     ///
     /// # Errors
     ///
@@ -385,38 +400,20 @@ impl CompiledConv {
                 ),
             });
         }
-        let mut compiled = CompiledConv {
-            program,
-            plan,
-            weights: Tensor::zeros(weights.len()),
-            w_kkfc: None,
-            w_kkcf: None,
-        };
-        compiled.set_weights(weights);
-        Ok(compiled)
+        let weights = program.prepared(weights);
+        Ok(CompiledConv { program, plan, weights })
     }
 
-    /// Refreshes the cached weight transforms after a parameter update.
+    /// Replaces the weights after a parameter update and re-prepares them.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len()` differs from the compiled spec's weight
     /// count (the geometry was fixed at compile time).
     pub fn set_weights(&mut self, weights: &[f32]) {
-        let spec = self.program.spec();
-        assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-        self.weights = Tensor::from_vec(weights.to_vec());
-        let lowered = self.program.plan();
-        self.w_kkfc = if matches!(lowered.backward, BackwardPlan::SparsePointerShift { .. }) {
-            match layout::fckk_to_kkfc(&self.weights, spec.weight_shape()) {
-                Ok(kkfc) => Some(kkfc),
-                Err(_) => unreachable!("weight length asserted at entry"),
-            }
-        } else {
-            None
-        };
-        self.w_kkcf = matches!(lowered.forward, ForwardPlan::StencilNarrow)
-            .then(|| stencil_kernel::narrow_weights(spec, weights));
+        assert_eq!(weights.len(), self.weights.fckk.len(), "weights length");
+        self.weights.fckk.as_mut_slice().copy_from_slice(weights);
+        self.program.prepare(&[Phase::Forward, Phase::Backward], &mut self.weights);
     }
 
     /// The compiled convolution's specification.
@@ -459,13 +456,7 @@ impl CompiledConv {
     ///
     /// Panics if buffer lengths do not match the spec.
     pub fn forward_scratch(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        self.program.forward_with(
-            input,
-            self.weights.as_slice(),
-            self.w_kkcf.as_deref(),
-            output,
-            scratch,
-        );
+        self.program.forward(input, &self.weights, output, scratch);
     }
 
     /// Backward error propagation for one sample running out of a
@@ -480,13 +471,7 @@ impl CompiledConv {
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        self.program.backward_data_with(
-            self.weights.as_slice(),
-            self.w_kkfc.as_ref().map(Tensor::as_slice),
-            grad_out,
-            grad_in,
-            scratch,
-        );
+        self.program.backward_data(&self.weights, grad_out, grad_in, scratch);
     }
 
     /// Delta-weight computation for one sample running out of a

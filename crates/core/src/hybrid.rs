@@ -239,12 +239,8 @@ mod tests {
 
     fn sequential(spec: &ConvSpec, input: &[f32], weights: &[f32]) -> Vec<f32> {
         let mut out = vec![0f32; spec.output_shape().len()];
-        program(spec, Technique::StencilFp, 1).forward(
-            input,
-            weights,
-            &mut out,
-            &mut ConvScratch::new(),
-        );
+        let exec = program(spec, Technique::StencilFp, 1);
+        exec.forward(input, &exec.prepared(weights), &mut out, &mut ConvScratch::new());
         out
     }
 
@@ -254,7 +250,7 @@ mod tests {
         let oracle = sequential(&spec, &input, &weights);
         let exec = program(&spec, banded(dim), workers);
         let mut banded = vec![0f32; spec.output_shape().len()];
-        exec.forward(&input, &weights, &mut banded, &mut ConvScratch::new());
+        exec.forward(&input, &exec.prepared(&weights), &mut banded, &mut ConvScratch::new());
         assert_eq!(oracle, banded, "{spec} {dim:?} x{workers} not bit-identical");
     }
 

@@ -15,8 +15,9 @@
 //!
 //! A chosen plan becomes code in one place: [`verify`] lowers it to the
 //! `spg-check` plan IR and has it proved, and [`compiled`] runs the proved
-//! plan — the same program whether installed on a training layer or held
-//! by the serving path.
+//! plan — the same program over the same prepared weights (permuted once
+//! per update, never per sample) whether installed on a training layer or
+//! held by the serving path.
 //!
 //! Supporting modules: [`ait`] (the Sec. 3 characterization math),
 //! [`region`] (the Fig. 1 classifier), and [`config`] (a protobuf-text-like

@@ -1,4 +1,11 @@
 //! The pointer-shifting sparse backward kernels (paper Sec. 4.2).
+//!
+//! One entry per phase. Backward-data reads the weights in the permuted
+//! `[ky, kx, f, c]` layout of Fig. 5b and never produces it: weights change
+//! once per update, so the permutation belongs to whoever owns them (a
+//! layer's or a `CompiledConv`'s `PreparedWeights`), not to a per-sample
+//! call. What is per-sample — the gradient's HWC transform and CT-CSR
+//! build — is staged in the caller's scratch here.
 
 use spg_tensor::layout;
 use spg_tensor::Shape3;
@@ -6,10 +13,13 @@ use spg_tensor::Shape3;
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
 
-/// Backward error propagation exploiting gradient sparsity (Eq. 11–15),
-/// staging the weight permutation, layout transforms, and CT-CSR build in
-/// a caller-provided [`ConvScratch`]: the per-sample path performs no
-/// heap allocation once the scratch has warmed up.
+/// Backward error propagation exploiting gradient sparsity (Eq. 11–15)
+/// against weights already permuted to `[ky, kx, f, c]` order
+/// ([`spg_tensor::layout::fckk_to_kkfc_into`] — the layer's
+/// [`PreparedWeights::kkfc`](spg_convnet::exec::PreparedWeights::kkfc),
+/// refreshed once per update), staging the per-sample gradient transform
+/// and CT-CSR build in a caller-provided [`ConvScratch`]: the per-sample
+/// path performs no heap allocation once the scratch has warmed up.
 ///
 /// Semantically identical to
 /// [`reference::backward_data`](spg_convnet::reference::backward_data):
@@ -22,42 +32,6 @@ use spg_convnet::ConvSpec;
 ///
 /// Panics if buffer lengths do not match the spec or `tile_width == 0`.
 pub fn backward_data_scratch(
-    spec: &ConvSpec,
-    weights: &[f32],
-    grad_out: &[f32],
-    grad_in: &mut [f32],
-    tile_width: usize,
-    scratch: &mut ConvScratch,
-) {
-    assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-    // Data layout transformation: weights -> [ky, kx, f, c] (c fastest).
-    // See Sec. 4.2 / Fig. 5b. Staged through `wperm`, taken out so the
-    // rest of the scratch stays borrowable for the kernel proper.
-    let mut w_kkfc = std::mem::take(&mut scratch.wperm);
-    layout::fckk_to_kkfc_into(
-        weights,
-        spec.weight_shape(),
-        zeroed_slice(&mut w_kkfc, weights.len()),
-    );
-    backward_data_pretransformed_scratch(spec, &w_kkfc, grad_out, grad_in, tile_width, scratch);
-    scratch.wperm = w_kkfc;
-}
-
-/// Sparse backward-data with the weight tensor already permuted to
-/// `[ky, kx, f, c]` order (see [`spg_tensor::layout::fckk_to_kkfc`]),
-/// staging the gradient transform and CT-CSR build in a caller-provided
-/// [`ConvScratch`] (the permuted weight tensor is the caller's own
-/// buffer, e.g. a compiled plan's).
-///
-/// Weights change once per parameter update but the kernel runs once per
-/// *sample*; pre-transforming them amortizes the layout cost across a
-/// batch, which is how the paper's generated code uses it. The
-/// per-sample gradient transform and CT-CSR build still happen here.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
-pub fn backward_data_pretransformed_scratch(
     spec: &ConvSpec,
     w_kkfc: &[f32],
     grad_out: &[f32],
@@ -165,7 +139,7 @@ pub fn backward_weights_scratch(
     }
     let eo_sparse = &*ctcsr;
 
-    // Same goodput accounting as `backward_data_pretransformed`: the
+    // Same goodput accounting as `backward_data_scratch`: the
     // delta-weight reduction also visits one `(c, ky, kx)` block per
     // stored gradient value (Eq. 4 executed sparsely).
     let nnz = eo_sparse.nnz() as u64;
@@ -221,6 +195,13 @@ mod tests {
         (0..n).map(|i| (((i * 11 + salt * 3) % 19) as f32 - 9.0) / 6.0).collect()
     }
 
+    /// `weights` in the `[ky, kx, f, c]` order backward-data reads.
+    fn kkfc(spec: &ConvSpec, weights: &[f32]) -> Vec<f32> {
+        let mut out = vec![0f32; weights.len()];
+        layout::fckk_to_kkfc_into(weights, spec.weight_shape(), &mut out);
+        out
+    }
+
     fn spec_cases() -> Vec<ConvSpec> {
         vec![
             ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap(),
@@ -241,7 +222,7 @@ mod tests {
             for tw in [1, 2, 64] {
                 backward_data_scratch(
                     &spec,
-                    &weights,
+                    &kkfc(&spec, &weights),
                     &grad_out,
                     &mut ours,
                     tw,
@@ -285,7 +266,8 @@ mod tests {
         let weights = pseudo(spec.weight_shape().len(), 9);
         let zeros = vec![0f32; spec.output_shape().len()];
         let mut gin = vec![1.0; spec.input_shape().len()];
-        backward_data_scratch(&spec, &weights, &zeros, &mut gin, 64, &mut ConvScratch::new());
+        let w_kkfc = kkfc(&spec, &weights);
+        backward_data_scratch(&spec, &w_kkfc, &zeros, &mut gin, 64, &mut ConvScratch::new());
         assert!(gin.iter().all(|v| *v == 0.0));
         let input = pseudo(spec.input_shape().len(), 10);
         let mut dw = vec![1.0; spec.weight_shape().len()];
@@ -301,7 +283,8 @@ mod tests {
         let grad_out = pseudo(spec.output_shape().len(), 5);
         let mut ours = vec![0f32; spec.input_shape().len()];
         let mut oracle = vec![0f32; spec.input_shape().len()];
-        backward_data_scratch(&spec, &weights, &grad_out, &mut ours, 64, &mut ConvScratch::new());
+        let w_kkfc = kkfc(&spec, &weights);
+        backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, 64, &mut ConvScratch::new());
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
         let diff = ours.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
         assert!(diff < 1e-4, "diff {diff}");

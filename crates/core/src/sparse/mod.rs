@@ -11,8 +11,9 @@
 //! The paper's kernel — implemented in [`kernel`] — works as follows:
 //!
 //! 1. **Layout transforms**: weights are permuted to `[ky, kx, f, c]`
-//!    (channels fastest) and activations/gradients to HWC, so every
-//!    non-zero gradient element multiplies *contiguous* channel vectors.
+//!    (channels fastest; once per update, by whoever owns them) and
+//!    activations/gradients to HWC (per sample), so every non-zero
+//!    gradient element multiplies *contiguous* channel vectors.
 //! 2. **CT-CSR**: the gradient matrix (spatial positions × features) is
 //!    stored column-tiled (Fig. 5a) for cache and TLB locality.
 //! 3. **Pointer shifting** (Eq. 11–15, Fig. 6): instead of unfolding, each

@@ -21,7 +21,9 @@
 //!   `(ky, kx)`, a small dense `out_w x Nf x Nc` multiply accumulates the
 //!   shifted input rows into the output — convolution composed in place
 //!   as a series of small dense MMs by pointer shifting, with no unfolded
-//!   matrix.
+//!   matrix. The weights arrive already permuted into those multiplies'
+//!   right-hand operands; like the sparse backward, this kernel reads the
+//!   permuted layout and never produces it.
 
 use spg_check::{VerifiedTiled, VECTOR_WIDTH};
 use spg_codegen::TILE_ROWS;
@@ -119,81 +121,16 @@ fn run_tiled(
 /// Narrow-output forward path: compose the convolution as shifted small
 /// dense MMs over channel/feature-major views (one `out_w x Nf x Nc`
 /// multiply per kernel offset), vectorized by the GEMM micro-kernel along
-/// features. Permutes the weights per call (staged in `scratch.wperm`);
-/// callers holding weights across samples pre-compute
-/// [`narrow_weights`] and call [`forward_narrow_pretransformed_scratch`].
+/// features. `w_kkcf` is the weights as those multiplies' right-hand
+/// operands ([`spg_tensor::layout::narrow_weights_into`] — the layer's
+/// [`PreparedWeights::kkcf`](spg_convnet::exec::PreparedWeights::kkcf),
+/// refreshed once per update); the per-sample HWC views and gathered patch
+/// block are staged in a caller-provided [`ConvScratch`].
 ///
 /// # Panics
 ///
 /// Panics if any buffer length does not match the spec.
 pub fn forward_narrow_scratch(
-    spec: &ConvSpec,
-    input: &[f32],
-    weights: &[f32],
-    output: &mut [f32],
-    scratch: &mut ConvScratch,
-) {
-    let ops = spec.arithmetic_ops();
-    spg_telemetry::record_flops(ops, ops);
-    // The weight permutation stages through `wperm`, which must stay
-    // borrowable alongside the rest of the scratch below.
-    let mut w_kkcf = std::mem::take(&mut scratch.wperm);
-    narrow_weights_into(spec, weights, zeroed_slice(&mut w_kkcf, weights.len()));
-    forward_narrow_pretransformed_scratch(spec, input, &w_kkcf, output, scratch);
-    scratch.wperm = w_kkcf;
-}
-
-/// Permutes weights into the `[ky][kx]` blocks of `(Nc x Nf)` matrices
-/// (features fastest) that the narrow-output shifted-GEMM path multiplies
-/// against. Pre-compute once per parameter update and pass to
-/// [`forward_narrow_pretransformed_scratch`] to amortize the transform across a
-/// batch of samples.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != spec.weight_shape().len()`.
-pub fn narrow_weights(spec: &ConvSpec, weights: &[f32]) -> Vec<f32> {
-    let mut w_kkcf = vec![0f32; weights.len()];
-    narrow_weights_into(spec, weights, &mut w_kkcf);
-    w_kkcf
-}
-
-/// [`narrow_weights`] writing into a caller-provided buffer of the same
-/// length as `weights` (every element is overwritten).
-///
-/// # Panics
-///
-/// Panics if `weights.len() != spec.weight_shape().len()` or the output
-/// buffer length differs from the weight length.
-pub fn narrow_weights_into(spec: &ConvSpec, weights: &[f32], w_kkcf: &mut [f32]) {
-    let wshape = spec.weight_shape();
-    assert_eq!(weights.len(), wshape.len(), "weights length");
-    assert_eq!(w_kkcf.len(), wshape.len(), "permuted weights length");
-    let (nc, nf) = (spec.in_c(), spec.features());
-    let (fy, fx) = (spec.ky(), spec.kx());
-    for f in 0..nf {
-        for c in 0..nc {
-            for ky in 0..fy {
-                for kx in 0..fx {
-                    w_kkcf[((ky * fx + kx) * nc + c) * nf + f] =
-                        weights[wshape.index(f, c, ky, kx)];
-                }
-            }
-        }
-    }
-}
-
-/// The narrow-output forward path with weights already permuted by
-/// [`narrow_weights`], staging the HWC views and the gathered patch block
-/// in a caller-provided [`ConvScratch`]. Used directly by
-/// [`CompiledConv`](crate::compiled::CompiledConv); prefer
-/// [`forward_narrow_scratch`] unless you are amortizing the weight
-/// transform yourself.
-///
-/// # Panics
-///
-/// Panics if buffer lengths do not match the spec.
-pub fn forward_narrow_pretransformed_scratch(
     spec: &ConvSpec,
     input: &[f32],
     w_kkcf: &[f32],
@@ -203,6 +140,9 @@ pub fn forward_narrow_pretransformed_scratch(
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
     assert_eq!(w_kkcf.len(), spec.weight_shape().len(), "weights length");
     assert_eq!(output.len(), spec.output_shape().len(), "output length");
+    // Like the tiled plan, the full dense convolution: goodput 1.
+    let ops = spec.arithmetic_ops();
+    spg_telemetry::record_flops(ops, ops);
     let (nc, nf) = (spec.in_c(), spec.features());
     let (in_w, out_h, out_w) = (spec.in_w(), spec.out_h(), spec.out_w());
     let (sy, sx) = (spec.sy(), spec.sx());
@@ -476,9 +416,10 @@ mod tests {
         output: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
-            .expect("stencil plans verify on every valid spec")
-            .forward(input, weights, output, scratch);
+        let stencil =
+            lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
+                .expect("stencil plans verify on every valid spec");
+        stencil.forward(input, &stencil.prepared(weights), output, scratch);
     }
 
     fn check(spec: ConvSpec) {

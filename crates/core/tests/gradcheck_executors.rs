@@ -11,7 +11,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use spg_codegen::KernelChoice;
-use spg_convnet::exec::{ConvExecutor, ReferenceExecutor, SharedExecutor, UnfoldGemmExecutor};
+use spg_convnet::exec::{
+    ConvExecutor, PreparedWeights, ReferenceExecutor, SharedExecutor, UnfoldGemmExecutor,
+};
 use spg_convnet::gradcheck::check_gradients;
 use spg_convnet::layer::{ConvLayer, FcLayer};
 use spg_convnet::{ConvScratch, ConvSpec, Network};
@@ -59,7 +61,12 @@ fn workspace_executors_match_reference_on_all_phases() {
             vec![std::sync::Arc::new(UnfoldGemmExecutor::new(2)), stencil, sparse];
         let salt = 0xA11 + si as u64;
         let input = pseudo(spec.input_shape().len(), salt);
-        let weights = pseudo(spec.weight_shape().len(), salt ^ 0x77);
+        // Prepared as a layer holding both slots prepares: each executor
+        // fills what its slot's phase reads.
+        let mut weights = PreparedWeights::new(pseudo(spec.weight_shape().len(), salt ^ 0x77));
+        for exec in &execs {
+            exec.prepare(spec, &mut weights);
+        }
         let grad_out = pseudo(spec.output_shape().len(), salt ^ 0x99);
 
         let mut oracle_out = vec![0f32; spec.output_shape().len()];

@@ -17,6 +17,7 @@ use spg_core::stencil::{
     plan_cache_schedule, plan_register_tile, ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS,
 };
 use spg_core::verify::lower_phase;
+use spg_tensor::layout;
 
 fn conv_spec() -> impl Strategy<Value = ConvSpec> {
     (1usize..4, 4usize..14, 4usize..14, 1usize..6, 1usize..5, 1usize..5, 1usize..4, 1usize..4)
@@ -56,9 +57,10 @@ proptest! {
         let olen = spec.output_shape().len();
         let mut ours = vec![0.0; olen];
         let mut oracle = vec![0.0; olen];
-        lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
-            .unwrap()
-            .forward(&input, &weights, &mut ours, &mut ConvScratch::new());
+        let stencil =
+            lower_phase(&spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Generic)
+                .unwrap();
+        stencil.forward(&input, &stencil.prepared(&weights), &mut ours, &mut ConvScratch::new());
         reference::forward(&spec, &input, &weights, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
     }
@@ -76,7 +78,9 @@ proptest! {
         let ilen = spec.input_shape().len();
         let mut ours = vec![0.0; ilen];
         let mut oracle = vec![0.0; ilen];
-        sparse_kernel::backward_data_scratch(&spec, &weights, &grad_out, &mut ours, tile_width, &mut ConvScratch::new());
+        let mut w_kkfc = vec![0.0; weights.len()];
+        layout::fckk_to_kkfc_into(&weights, spec.weight_shape(), &mut w_kkfc);
+        sparse_kernel::backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, tile_width, &mut ConvScratch::new());
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
     }

@@ -10,15 +10,18 @@
 use proptest::prelude::*;
 
 use spg_codegen::KernelChoice;
-use spg_convnet::exec::{ConvExecutor, UnfoldGemmExecutor};
+use spg_convnet::exec::{ConvExecutor, PreparedWeights, UnfoldGemmExecutor};
+use spg_convnet::layer::{ConvLayer, Layer};
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 use spg_core::ait::conv_gemm_dims;
 use spg_core::autotune::tune_layer;
-use spg_core::schedule::Technique;
+use spg_core::compiled::CompiledConv;
+use spg_core::schedule::{LayerPlan, Technique};
 use spg_core::sparse::kernel as sparse_kernel;
-use spg_core::verify::lower_phase;
+use spg_core::verify::{lower, lower_phase};
 use spg_telemetry::Phase;
+use spg_tensor::{layout, Tensor};
 
 /// Current `(useful, total, tile_nnz, tile_capacity)` of one bucket.
 fn bucket(label: &str, phase: Phase) -> (u64, u64, u64, u64) {
@@ -63,7 +66,7 @@ fn unfold_gemm_counters_match_ait_analytics() {
     let flops = |(m, n, k): (usize, usize, usize)| 2 * (m * n * k) as u64;
 
     let input = pseudo(spec.input_shape().len(), 1);
-    let weights = pseudo(spec.weight_shape().len(), 2);
+    let weights = PreparedWeights::new(pseudo(spec.weight_shape().len(), 2));
     let grad_out = pseudo(spec.output_shape().len(), 3);
     let mut output = vec![0.0; spec.output_shape().len()];
     let mut grad_in = vec![0.0; spec.input_shape().len()];
@@ -120,12 +123,46 @@ fn stencil_counters_match_arithmetic_ops() {
             KernelChoice::Generic,
         )
         .unwrap();
+        let weights = stencil.prepared(&weights);
         let got = record_under(label, Phase::Forward, || {
             stencil.forward(&input, &weights, &mut output, &mut ConvScratch::new());
         });
         let ops = spec.arithmetic_ops();
         assert_eq!(got, (ops, ops, 0, 0), "{label}");
     }
+}
+
+/// A narrow-output stencil forward records its flops on both ways to run
+/// it: a `CompiledConv` (every served request — this reported 0 while the
+/// accounting sat in a raw-weights wrapper serving never called) and the
+/// executor installed on a `ConvLayer`.
+#[test]
+fn narrow_stencil_records_flops_compiled_and_installed() {
+    let spec = ConvSpec::square(8, 6, 4, 5, 1); // 4x4 output
+    let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
+    let weights = pseudo(spec.weight_shape().len(), 11);
+    let input = pseudo(spec.input_shape().len(), 12);
+    let mut output = vec![0.0; spec.output_shape().len()];
+    let ops = spec.arithmetic_ops();
+
+    let compiled = CompiledConv::compile(spec, plan, &weights, 1).unwrap();
+    assert_eq!(compiled.program().plan().forward, spg_check::ForwardPlan::StencilNarrow);
+    let mut scratch = ConvScratch::new();
+    for call in 0..2 {
+        let got = record_under("tel_narrow_compiled", Phase::Forward, || {
+            compiled.forward_scratch(&input, &mut output, &mut scratch);
+        });
+        assert_eq!(got, (ops, ops, 0, 0), "compiled call {call}");
+    }
+
+    let mut conv = ConvLayer::with_weights(spec, Tensor::from_vec(weights)).unwrap();
+    lower(&spec, plan, 1, KernelChoice::Auto)
+        .unwrap()
+        .install(&mut conv, &[spg_core::autotune::Phase::Forward]);
+    let got = record_under("tel_narrow_installed", Phase::Forward, || {
+        conv.forward(&input, &mut output, &mut scratch);
+    });
+    assert_eq!(got, (ops, ops, 0, 0), "installed executor");
 }
 
 /// Every `tune_layer` call must log one decision per phase, carrying the
@@ -199,10 +236,12 @@ proptest! {
         let mut grad_in = vec![0.0; spec.input_shape().len()];
         let mut grad_w = vec![0.0; spec.weight_shape().len()];
 
+        let mut w_kkfc = vec![0.0; weights.len()];
+        layout::fckk_to_kkfc_into(&weights, spec.weight_shape(), &mut w_kkfc);
         let data = record_under("tel_sparse", Phase::BackwardData, || {
             sparse_kernel::backward_data_scratch(
                 &spec,
-                &weights,
+                &w_kkfc,
                 &grad_out,
                 &mut grad_in,
                 tile_width,

@@ -34,7 +34,7 @@ use spg_convnet::Network;
 use spg_core::backend::{Backend, ConvDescriptor, CpuBackend};
 use spg_core::compiled::CompiledConv;
 use spg_core::schedule::{recommended_plan, LayerPlan};
-use spg_sync::{FaultInjector, FaultPlan, Restarts};
+use spg_sync::{deadline_after, FaultInjector, FaultPlan, Restarts};
 
 use crate::queue::{BoundedQueue, PushError};
 
@@ -367,18 +367,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown_in_place();
-    }
-}
-
-/// `start + patience`, or — where that sum overflows `Instant`, which `+`
-/// answers with a panic — the furthest deadline halving `patience` can
-/// represent: centuries out, so only space or `close` ends the wait.
-fn deadline_after(start: Instant, mut patience: Duration) -> Instant {
-    loop {
-        if let Some(deadline) = start.checked_add(patience) {
-            return deadline;
-        }
-        patience /= 2;
     }
 }
 

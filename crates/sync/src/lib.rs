@@ -52,7 +52,7 @@ pub use supervise::{backoff_delay, supervise, Restarts};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -87,6 +87,19 @@ pub fn wait_timeout<'a, T>(
             let (guard, timeout) = poisoned.into_inner();
             (guard, timeout.timed_out())
         }
+    }
+}
+
+/// `start + patience`, or — where that sum overflows `Instant`, which `+`
+/// answers with a panic — the furthest deadline halving `patience` can
+/// represent: centuries out, so a bounded wait on it only ends when what
+/// it waits for happens.
+pub fn deadline_after(start: Instant, mut patience: Duration) -> Instant {
+    loop {
+        if let Some(deadline) = start.checked_add(patience) {
+            return deadline;
+        }
+        patience /= 2;
     }
 }
 

@@ -170,6 +170,29 @@ pub fn kkfc_to_fckk_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
     }
 }
 
+/// Permutes a weight tensor from `[f, c, ky, kx]` into `[ky][kx]` blocks of
+/// `(Nc x Nf)` matrices (feature fastest-varying) — the right-hand operands
+/// of the narrow-output stencil's shifted small dense multiplies, one block
+/// per kernel offset.
+///
+/// # Panics
+///
+/// Panics if `src.len()` or `out.len()` differs from `shape.len()`.
+pub fn narrow_weights_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
+    assert_eq!(src.len(), shape.len(), "narrow_weights_into: src length mismatch");
+    assert_eq!(out.len(), shape.len(), "narrow_weights_into: out length mismatch");
+    let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
+    for f in 0..f_n {
+        for c in 0..c_n {
+            for ky in 0..ky_n {
+                for kx in 0..kx_n {
+                    out[((ky * kx_n + kx) * c_n + c) * f_n + f] = src[shape.index(f, c, ky, kx)];
+                }
+            }
+        }
+    }
+}
+
 fn check_len(actual: usize, expected: usize) -> Result<(), TensorError> {
     if actual != expected {
         Err(TensorError::LengthMismatch { expected, actual })
@@ -224,6 +247,17 @@ mod tests {
         let kkfc = fckk_to_kkfc(&t, shape).unwrap();
         // With ky=kx=0, layout is [f=0 channels..., f=1 channels...]
         assert_eq!(kkfc.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn narrow_weights_are_feature_contiguous_per_offset() {
+        let shape = Shape4::new(2, 3, 1, 2);
+        let t = iota(shape.len());
+        let mut kkcf = vec![0.0f32; shape.len()];
+        narrow_weights_into(t.as_slice(), shape, &mut kkcf);
+        // Block kx=0: rows c=0..3 of [f=0, f=1]; src[f, c, 0, kx] = (f*3 + c)*2 + kx.
+        assert_eq!(&kkcf[..6], &[0.0, 6.0, 2.0, 8.0, 4.0, 10.0]);
+        assert_eq!(&kkcf[6..], &[1.0, 7.0, 3.0, 9.0, 5.0, 11.0]);
     }
 
     #[test]

@@ -168,9 +168,10 @@ fn run_layer(benchmark: String, layer: usize, spec: &ConvSpec, reps: usize) -> L
     let sequential = lowered(Technique::StencilFp, 1)
         .unwrap_or_else(|e| panic!("sequential stencil plan for {spec}: {e}"));
     // Warm-up pays one-time buffer growth, then the starved baseline.
-    sequential.forward(&input, &weights, &mut oracle, &mut scratch);
+    let prepared = sequential.prepared(&weights);
+    sequential.forward(&input, &prepared, &mut oracle, &mut scratch);
     let sample_ms =
-        time_ms(|| sequential.forward(&input, &weights, &mut oracle, &mut scratch), iters, reps);
+        time_ms(|| sequential.forward(&input, &prepared, &mut oracle, &mut scratch), iters, reps);
 
     let mut bit_identical = true;
     let mut points = Vec::new();
@@ -186,10 +187,11 @@ fn run_layer(benchmark: String, layer: usize, spec: &ConvSpec, reps: usize) -> L
             let Ok(exec) = lowered(technique, workers) else { continue };
             let mut banded = vec![0f32; spec.output_shape().len()];
             let mut hybrid_scratch = ConvScratch::new();
-            exec.forward(&input, &weights, &mut banded, &mut hybrid_scratch);
+            let prepared = exec.prepared(&weights);
+            exec.forward(&input, &prepared, &mut banded, &mut hybrid_scratch);
             bit_identical &= banded == oracle;
             dims[slot] = Some(time_ms(
-                || exec.forward(&input, &weights, &mut banded, &mut hybrid_scratch),
+                || exec.forward(&input, &prepared, &mut banded, &mut hybrid_scratch),
                 iters,
                 reps,
             ));

@@ -15,6 +15,7 @@
 use std::time::Instant;
 
 use spg_codegen::KernelChoice;
+use spg_convnet::exec::PreparedWeights;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 use spg_core::autotune::Phase;
@@ -96,7 +97,7 @@ pub fn pinned_iters(flops: u64) -> usize {
 fn time_rep(
     exec: &ConvProgram,
     input: &[f32],
-    weights: &[f32],
+    weights: &PreparedWeights,
     output: &mut [f32],
     scratch: &mut ConvScratch,
     iters: usize,
@@ -163,6 +164,8 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
     // when one resolves on this host.
     let auto_exec = lowered(KernelChoice::Auto);
     let inst = auto_exec.specialized_kernel();
+    // Both lower the same forward technique, so one preparation serves both.
+    let weights = generic_exec.prepared(&weights);
 
     // Warm-up pays one-time buffer growth and code-path warming.
     generic_exec.forward(&input, &weights, &mut output, &mut scratch);

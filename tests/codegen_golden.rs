@@ -70,9 +70,10 @@ fn every_runnable_instance_bit_matches_generic_on_table2() {
                 &mut got,
                 &mut scratch,
             );
-            stencil(&spec, KernelChoice::Generic).forward(
+            let generic = stencil(&spec, KernelChoice::Generic);
+            generic.forward(
                 ops.input.as_slice(),
-                ops.weights.as_slice(),
+                &generic.prepared(ops.weights.as_slice()),
                 &mut want,
                 &mut scratch,
             );
@@ -102,18 +103,11 @@ fn unlisted_shape_silently_takes_the_generic_path() {
     let mut scratch = ConvScratch::new();
     let mut auto_out = vec![0.0f32; spec.output_shape().len()];
     let mut generic_out = vec![0.0f32; spec.output_shape().len()];
-    stencil(&spec, KernelChoice::Auto).forward(
-        ops.input.as_slice(),
-        ops.weights.as_slice(),
-        &mut auto_out,
-        &mut scratch,
-    );
-    stencil(&spec, KernelChoice::Generic).forward(
-        ops.input.as_slice(),
-        ops.weights.as_slice(),
-        &mut generic_out,
-        &mut scratch,
-    );
+    let (auto, generic) =
+        (stencil(&spec, KernelChoice::Auto), stencil(&spec, KernelChoice::Generic));
+    let weights = generic.prepared(ops.weights.as_slice());
+    auto.forward(ops.input.as_slice(), &weights, &mut auto_out, &mut scratch);
+    generic.forward(ops.input.as_slice(), &weights, &mut generic_out, &mut scratch);
     assert_eq!(auto_out, generic_out);
 
     let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::SparseBp };

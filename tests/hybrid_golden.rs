@@ -93,14 +93,16 @@ fn hybrid_outputs_bit_identical_on_table2() {
         let lowered =
             |t, workers| lower_phase(&spec, t, Phase::Forward, workers, KernelChoice::Generic);
         let sequential = lowered(Technique::StencilFp, 1).expect("stencil plan verifies");
-        sequential.forward(&input, &weights, &mut oracle, &mut ConvScratch::new());
+        let prepared = sequential.prepared(&weights);
+        sequential.forward(&input, &prepared, &mut oracle, &mut ConvScratch::new());
         for (t, dim) in hybrids() {
             if band_ranges(&spec, dim, WORKERS).len() <= 1 {
                 continue;
             }
             let exec = lowered(t, WORKERS).expect("splittable layer verifies");
             let mut banded = vec![0f32; spec.output_shape().len()];
-            exec.forward(&input, &weights, &mut banded, &mut ConvScratch::new());
+            let prepared = exec.prepared(&weights);
+            exec.forward(&input, &prepared, &mut banded, &mut ConvScratch::new());
             assert_eq!(oracle, banded, "{} layer {i} {dim:?} not bit-identical", bench.label());
             checked += 1;
         }

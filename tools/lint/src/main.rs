@@ -31,6 +31,11 @@
 //! fixtures in `tools/lint/fixtures/` and fails unless each planted bug
 //! is found and the clean fixture stays clean — a liveness check for
 //! the linter itself, run by CI next to the real pass.
+//!
+//! `spg-lint --loc` prints the non-test source size — per crate and in
+//! total, the non-blank non-comment lines of `crates/*/src` and `src/`
+//! outside the test regions above — so "this PR removed N lines" is one
+//! method, not one per author. It reports; it gates nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -51,6 +56,9 @@ fn main() -> ExitCode {
     let root = workspace_root();
     if std::env::args().any(|a| a == "--self-test") {
         return self_test(&root);
+    }
+    if std::env::args().any(|a| a == "--loc") {
+        return report_loc(&root);
     }
     let mut findings = Vec::new();
     for rel in UNSAFE_ROOTS {
@@ -122,6 +130,37 @@ fn self_test(root: &Path) -> ExitCode {
         eprintln!("spg-lint --self-test: {f}");
     }
     ExitCode::FAILURE
+}
+
+/// Prints non-test source lines per crate (`crates/*/src`, then the facade's
+/// `src/`) and in total.
+fn report_loc(root: &Path) -> ExitCode {
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map(|entries| entries.flatten().map(|e| e.path().join("src")).collect())
+        .unwrap_or_default();
+    crates.sort();
+    crates.push(root.join("src"));
+    let mut total = 0;
+    for src in crates {
+        let lines: usize = rust_files(&src)
+            .iter()
+            .filter_map(|file| std::fs::read_to_string(file).ok())
+            .map(|text| source_lines(&text))
+            .sum();
+        println!("{lines:>7}  {}", src.strip_prefix(root).unwrap_or(&src).display());
+        total += lines;
+    }
+    println!("{total:>7}  total (non-blank, non-comment, outside test regions)");
+    ExitCode::SUCCESS
+}
+
+/// Lines of `text` before its test region that carry code: not blank and
+/// not a whole-line `//` comment (doc comments included).
+fn source_lines(text: &str) -> usize {
+    text.lines()
+        .take_while(|line| !opens_test_region(line))
+        .filter(|line| !code_part(line).trim().is_empty())
+        .count()
 }
 
 /// The workspace root: the directory holding the top-level Cargo.toml, found
@@ -231,9 +270,14 @@ fn scan_unwrap(root: &Path, file: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// Whether `line` opens the file's trailing `#[cfg(test)]` module.
+fn opens_test_region(line: &str) -> bool {
+    line.trim_start().starts_with("#[cfg(test)]")
+}
+
 /// Whether line `idx` is at or past the file's trailing `#[cfg(test)]` module.
 fn in_test_region(lines: &[&str], idx: usize) -> bool {
-    lines[..=idx].iter().any(|l| l.trim_start().starts_with("#[cfg(test)]"))
+    lines[..=idx].iter().any(|l| opens_test_region(l))
 }
 
 #[cfg(test)]
@@ -244,6 +288,13 @@ mod tests {
     fn code_part_strips_comments() {
         assert_eq!(code_part("let x = 1; // .unwrap()"), "let x = 1; ");
         assert_eq!(code_part("// all comment"), "");
+    }
+
+    #[test]
+    fn source_lines_skip_blanks_comments_and_the_test_region() {
+        let text =
+            "//! docs\n\nuse a::b; // trailing\n/// doc\nfn f() {}\n\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(source_lines(text), 2);
     }
 
     #[test]
