@@ -31,10 +31,34 @@
 //! for honestly. Scalars (the f64 loss sum, the correct count, the conv
 //! sparsity sums) ride an [`Message::AccMeta`] frame and fold in the
 //! same order, so epoch statistics are bit-identical too.
+//!
+//! # Buffers and flushes
+//!
+//! [`ring_allreduce_into`] allocates nothing proportional to the
+//! gradient. The accumulator is the caller's and is reduced **in place**:
+//! an incoming chunk is decoded straight into its slice of
+//! `acc.grads`, this rank's samples fold onto that slice, and the slice
+//! is encoded from there — rank 0 is the same loop folding onto zeros.
+//! Every frame, inbound and outbound, passes through the one
+//! caller-owned `frame` buffer, which is free for reuse as soon as the
+//! call that filled it returns.
+//!
+//! Frames are written without flushing, so a caller that owns its links
+//! for many batches wraps them once in a `BufReader`/`BufWriter`
+//! (`spg-cluster::train::run_rank` does) and pays a syscall per buffer
+//! instead of per 4 KB frame. Two rules keep that safe. *Flush before
+//! read:* each leg ends with a flush before the rank next blocks on a
+//! read, so no peer ever waits on bytes parked in a buffer. *The reader
+//! outlives the batch:* a buffered reader may have pulled the next
+//! batch's first bytes off the socket, so it must be the same reader for
+//! the link's whole life — never one made per call.
 
 use std::io::{Read, Write};
 
-use crate::wire::{read_frame, write_frame, Message, WireError};
+use crate::wire::{
+    decode_chunk_into, decode_frame, encode_chunk_into, encode_frame, read_frame_into, ChunkHead,
+    Message, WireError,
+};
 use crate::ClusterError;
 
 /// The all-reduce algorithm the distributed trainer runs. There is one:
@@ -53,7 +77,7 @@ pub enum AllReduce {
 
 /// One sample's contribution to the batch accumulator, captured by the
 /// owning rank before the all-reduce starts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleGrad {
     /// Flattened parameter gradients (all layers concatenated in layer
     /// order).
@@ -101,13 +125,6 @@ impl BatchAcc {
             *dst += src;
         }
     }
-
-    /// Folds one sample's full gradient vector in.
-    fn fold_grads(&mut self, s: &SampleGrad) {
-        for (a, &g) in self.grads.iter_mut().zip(&s.grads) {
-            *a += g;
-        }
-    }
 }
 
 /// The two directed stream halves a rank holds in the ring topology.
@@ -122,154 +139,232 @@ pub struct RingLink<'a> {
     pub tx_next: &'a mut dyn Write,
 }
 
-/// Maps a transport error on the ring to a typed cluster error.
-fn ring_err(rank: usize, epoch: u32, batch: u32, e: WireError) -> ClusterError {
-    ClusterError::RingFault {
-        rank,
-        epoch: epoch as usize,
-        batch: batch as usize,
-        message: e.to_string(),
-    }
-}
-
-/// Sequence-checks a received frame against the current (epoch, batch).
-fn check_seq(
-    rank: usize,
+/// One batch's all-reduce on one rank: the link, the (epoch, batch)
+/// every frame is sequence-checked against, and the reused frame buffer.
+struct Ring<'l, 'a> {
+    link: &'l mut RingLink<'a>,
     epoch: u32,
     batch: u32,
-    got_epoch: u32,
-    got_batch: u32,
-) -> Result<(), ClusterError> {
-    if got_epoch != epoch || got_batch != batch {
-        return Err(ClusterError::Protocol {
-            rank,
-            detail: format!(
-                "sequence mismatch: expected epoch {epoch} batch {batch}, \
-                 peer sent epoch {got_epoch} batch {got_batch}"
-            ),
-        });
+    frame: &'l mut Vec<u8>,
+}
+
+impl Ring<'_, '_> {
+    fn protocol(&self, detail: String) -> ClusterError {
+        ClusterError::Protocol { rank: self.link.rank, detail }
     }
-    Ok(())
-}
 
-/// Number of chunks a `grad_len`-float vector splits into.
-fn chunk_count(grad_len: usize, chunk_floats: usize) -> usize {
-    grad_len.div_ceil(chunk_floats.max(1))
-}
+    /// Maps a wire error on the ring to a typed cluster error: a frame
+    /// that verified but does not mean what the protocol needs here is
+    /// the peer's violation; anything else is the link failing.
+    fn wire_err(&self, e: WireError) -> ClusterError {
+        match e {
+            WireError::BadPayload { .. } => self.protocol(e.to_string()),
+            e => ClusterError::RingFault {
+                rank: self.link.rank,
+                epoch: self.epoch as usize,
+                batch: self.batch as usize,
+                message: e.to_string(),
+            },
+        }
+    }
 
-/// Sends the accumulator's scalars as one `AccMeta` frame.
-fn send_meta(tx: &mut dyn Write, epoch: u32, batch: u32, acc: &BatchAcc) -> Result<(), WireError> {
-    write_frame(
-        tx,
-        &Message::AccMeta {
-            epoch,
-            batch,
+    /// Sequence-checks a received frame against the current (epoch, batch).
+    fn check_seq(&self, got_epoch: u32, got_batch: u32) -> Result<(), ClusterError> {
+        if (got_epoch, got_batch) != (self.epoch, self.batch) {
+            return Err(self.protocol(format!(
+                "sequence mismatch: expected epoch {} batch {}, \
+                 peer sent epoch {got_epoch} batch {got_batch}",
+                self.epoch, self.batch
+            )));
+        }
+        Ok(())
+    }
+
+    /// Ends a leg: everything queued reaches the peer before this rank
+    /// blocks on its next read.
+    fn flush(&mut self) -> Result<(), ClusterError> {
+        self.link.tx_next.flush().map_err(|e| self.wire_err(e.into()))
+    }
+
+    fn recv(&mut self) -> Result<(), ClusterError> {
+        read_frame_into(&mut *self.link.rx_prev, self.frame).map_err(|e| self.wire_err(e))
+    }
+
+    /// Queues the accumulator's scalars as one `AccMeta` frame.
+    fn send_meta(&mut self, acc: &BatchAcc) -> Result<(), ClusterError> {
+        let meta = encode_frame(&Message::AccMeta {
+            epoch: self.epoch,
+            batch: self.batch,
             loss_sum_bits: acc.loss_sum.to_bits(),
             correct: acc.correct,
             sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
-        },
-    )
-}
-
-/// Sends the accumulator as one `AccMeta` plus chunked frames of
-/// `kind` (0x10 reduce / 0x11 broadcast).
-fn send_acc(
-    tx: &mut dyn Write,
-    broadcast: bool,
-    epoch: u32,
-    batch: u32,
-    acc: &BatchAcc,
-    chunk_floats: usize,
-) -> Result<(), WireError> {
-    send_meta(tx, epoch, batch, acc)?;
-    for (i, piece) in acc.grads.chunks(chunk_floats.max(1)).enumerate() {
-        let chunk = u32::try_from(i).expect("chunk index fits u32");
-        let data = piece.to_vec();
-        let msg = if broadcast {
-            Message::BroadcastChunk { epoch, batch, chunk, data }
-        } else {
-            Message::ReduceChunk { epoch, batch, chunk, data }
-        };
-        write_frame(tx, &msg)?;
-        spg_telemetry::record_counter(
-            if broadcast { "cluster.ring.broadcast_chunks" } else { "cluster.ring.reduce_chunks" },
-            1,
-        );
-    }
-    Ok(())
-}
-
-/// Receives an `AccMeta` frame, sequence-checked, into `acc`'s scalars.
-fn recv_meta(
-    rx: &mut dyn Read,
-    rank: usize,
-    epoch: u32,
-    batch: u32,
-    acc: &mut BatchAcc,
-) -> Result<(), ClusterError> {
-    match read_frame(rx).map_err(|e| ring_err(rank, epoch, batch, e))? {
-        Message::AccMeta { epoch: ge, batch: gb, loss_sum_bits, correct, sparsity_bits } => {
-            check_seq(rank, epoch, batch, ge, gb)?;
-            acc.loss_sum = f64::from_bits(loss_sum_bits);
-            acc.correct = correct;
-            acc.sparsity_sums = sparsity_bits.into_iter().map(f64::from_bits).collect();
-            Ok(())
-        }
-        other => Err(ClusterError::Protocol {
-            rank,
-            detail: format!("expected AccMeta, got frame type {:#04x}", other.tag()),
-        }),
-    }
-}
-
-/// Receives one sequence-checked gradient chunk of the expected kind
-/// and index, returning its data.
-fn recv_chunk(
-    rx: &mut dyn Read,
-    rank: usize,
-    broadcast: bool,
-    epoch: u32,
-    batch: u32,
-    expect_chunk: usize,
-) -> Result<Vec<f32>, ClusterError> {
-    let msg = read_frame(rx).map_err(|e| ring_err(rank, epoch, batch, e))?;
-    let (ge, gb, gc, data, got_broadcast) = match msg {
-        Message::ReduceChunk { epoch, batch, chunk, data } => (epoch, batch, chunk, data, false),
-        Message::BroadcastChunk { epoch, batch, chunk, data } => (epoch, batch, chunk, data, true),
-        other => {
-            return Err(ClusterError::Protocol {
-                rank,
-                detail: format!("expected gradient chunk, got frame type {:#04x}", other.tag()),
-            })
-        }
-    };
-    check_seq(rank, epoch, batch, ge, gb)?;
-    if got_broadcast != broadcast || gc as usize != expect_chunk {
-        return Err(ClusterError::Protocol {
-            rank,
-            detail: format!(
-                "chunk sequence violation: expected {} chunk {expect_chunk}, got {} chunk {gc}",
-                if broadcast { "broadcast" } else { "reduce" },
-                if got_broadcast { "broadcast" } else { "reduce" },
-            ),
         });
+        self.link.tx_next.write_all(&meta).map_err(|e| self.wire_err(e.into()))
     }
-    Ok(data)
+
+    /// Receives an `AccMeta` frame, sequence-checked, into `acc`'s scalars.
+    fn recv_meta(&mut self, acc: &mut BatchAcc) -> Result<(), ClusterError> {
+        self.recv()?;
+        match decode_frame(self.frame).map_err(|e| self.wire_err(e))?.0 {
+            Message::AccMeta { epoch, batch, loss_sum_bits, correct, sparsity_bits } => {
+                self.check_seq(epoch, batch)?;
+                acc.loss_sum = f64::from_bits(loss_sum_bits);
+                acc.correct = correct;
+                acc.sparsity_sums.clear();
+                acc.sparsity_sums.extend(sparsity_bits.into_iter().map(f64::from_bits));
+                Ok(())
+            }
+            other => {
+                Err(self.protocol(format!("expected AccMeta, got frame type {:#04x}", other.tag())))
+            }
+        }
+    }
+
+    /// Queues `data` as chunk `chunk` of the given leg.
+    fn send_chunk(
+        &mut self,
+        broadcast: bool,
+        chunk: usize,
+        data: &[f32],
+    ) -> Result<(), ClusterError> {
+        let chunk = u32::try_from(chunk).expect("chunk index fits u32");
+        let head = ChunkHead { broadcast, epoch: self.epoch, batch: self.batch, chunk };
+        encode_chunk_into(head, data, self.frame);
+        self.link.tx_next.write_all(self.frame).map_err(|e| self.wire_err(e.into()))
+    }
+
+    /// Receives chunk `chunk` of the given leg into `out` — exactly
+    /// `out.len()` floats, or the decoder rejects the peer's count —
+    /// checking the sequence, the leg and the index.
+    fn recv_chunk_into(
+        &mut self,
+        broadcast: bool,
+        chunk: usize,
+        out: &mut [f32],
+    ) -> Result<(), ClusterError> {
+        self.recv()?;
+        let got = decode_chunk_into(self.frame, out).map_err(|e| self.wire_err(e))?;
+        self.check_seq(got.epoch, got.batch)?;
+        if got.broadcast != broadcast || got.chunk as usize != chunk {
+            let leg = |b| if b { "broadcast" } else { "reduce" };
+            return Err(self.protocol(format!(
+                "chunk sequence violation: expected {} chunk {chunk}, got {} chunk {}",
+                leg(broadcast),
+                leg(got.broadcast),
+                got.chunk
+            )));
+        }
+        Ok(())
+    }
 }
 
-/// Runs the ordered chain-in-ring all-reduce for one batch.
+/// Runs the ordered chain-in-ring all-reduce for one batch, in place.
 ///
-/// `samples` are this rank's contributions in its local sample order;
-/// `grad_len` is the flattened gradient length (identical on every
-/// rank); `conv_count` the number of conv layers. Returns the finished
+/// `samples` are this rank's contributions in its local sample order,
+/// each `acc.grads.len()` floats long (the flattened gradient length,
+/// identical on every rank). On return `acc` holds the finished
 /// accumulator, identical — bit for bit — on every rank, and equal to
-/// what the single-process pool computes for the same batch.
+/// what the single-process pool computes for the same batch; what it
+/// held on entry is irrelevant. `frame` is scratch (see the module docs
+/// for the buffer and flush rules); the call allocates nothing that
+/// grows with the gradient.
 ///
 /// # Errors
 ///
 /// [`ClusterError::RingFault`] when a neighbor drops mid-reduce (the
 /// typed mid-all-reduce failure the recovery drill exercises) and
-/// [`ClusterError::Protocol`] on sequence violations.
+/// [`ClusterError::Protocol`] on sequence violations, including a chunk
+/// whose float count is not this rank's (mismatched `chunk_floats`).
+///
+/// # Panics
+///
+/// Panics if a sample's gradient is shorter than `acc.grads`.
+pub fn ring_allreduce_into(
+    link: &mut RingLink<'_>,
+    epoch: u32,
+    batch: u32,
+    samples: &[SampleGrad],
+    acc: &mut BatchAcc,
+    chunk_floats: usize,
+    frame: &mut Vec<u8>,
+) -> Result<(), ClusterError> {
+    let (first, last) = (link.rank == 0, link.rank == link.world - 1);
+    let chunk_floats = chunk_floats.max(1);
+    let mut ring = Ring { link, epoch, batch, frame };
+
+    // ---- Reduce leg: 0 → 1 → … → W-1, folding in rank order. ----
+    if first {
+        acc.loss_sum = 0.0;
+        acc.correct = 0;
+        acc.sparsity_sums.fill(0.0);
+    } else {
+        ring.recv_meta(acc)?;
+    }
+    for s in samples {
+        acc.fold_scalars(s);
+    }
+    if !last {
+        ring.send_meta(acc)?;
+    }
+    for (c, slice) in acc.grads.chunks_mut(chunk_floats).enumerate() {
+        if first {
+            slice.fill(0.0);
+        } else {
+            ring.recv_chunk_into(false, c, slice)?;
+        }
+        // Fold this rank's samples onto the running accumulator slice,
+        // sample by sample: per element the addition order is the global
+        // sample order, exactly the pool's association.
+        let span = c * chunk_floats..c * chunk_floats + slice.len();
+        for s in samples {
+            for (a, &g) in slice.iter_mut().zip(&s.grads[span.clone()]) {
+                *a += g;
+            }
+        }
+        if !last {
+            ring.send_chunk(false, c, slice)?;
+        }
+    }
+    ring.flush()?;
+    let chunks = acc.grads.len().div_ceil(chunk_floats) as u64;
+    if !last {
+        spg_telemetry::record_counter("cluster.ring.reduce_chunks", chunks);
+    }
+
+    // ---- Broadcast leg: W-1 → 0 → 1 → … → W-2. ----
+    // A rank sends unless its next rank is the leg's origin W-1 (which
+    // at W = 1 is the rank itself: no traffic at all).
+    let forward = (ring.link.rank + 1) % ring.link.world != ring.link.world - 1;
+    if !last {
+        ring.recv_meta(acc)?;
+    }
+    if forward {
+        ring.send_meta(acc)?;
+    }
+    for (c, slice) in acc.grads.chunks_mut(chunk_floats).enumerate() {
+        if !last {
+            ring.recv_chunk_into(true, c, slice)?;
+        }
+        if forward {
+            ring.send_chunk(true, c, slice)?;
+        }
+    }
+    ring.flush()?;
+    if forward {
+        spg_telemetry::record_counter("cluster.ring.broadcast_chunks", chunks);
+    }
+    spg_telemetry::record_counter("cluster.ring.batches", 1);
+    Ok(())
+}
+
+/// [`ring_allreduce_into`] for a caller without long-lived buffers:
+/// allocates the accumulator (`grad_len` floats, `conv_count` sparsity
+/// sums) and the frame buffer per call and returns the finished
+/// accumulator.
+///
+/// # Errors
+///
+/// As [`ring_allreduce_into`].
 pub fn ring_allreduce(
     link: &mut RingLink<'_>,
     epoch: u32,
@@ -279,112 +374,25 @@ pub fn ring_allreduce(
     conv_count: usize,
     chunk_floats: usize,
 ) -> Result<BatchAcc, ClusterError> {
-    let (rank, world) = (link.rank, link.world);
     let mut acc = BatchAcc::zeroed(grad_len, conv_count);
-    let chunks = chunk_count(grad_len, chunk_floats);
-
-    if world == 1 {
-        for s in samples {
-            acc.fold_scalars(s);
-            acc.fold_grads(s);
-        }
-        return Ok(acc);
-    }
-
-    // ---- Reduce leg: 0 → 1 → … → W-1, folding in rank order. ----
-    if rank == 0 {
-        for s in samples {
-            acc.fold_scalars(s);
-            acc.fold_grads(s);
-        }
-        send_acc(link.tx_next, false, epoch, batch, &acc, chunk_floats)
-            .map_err(|e| ring_err(rank, epoch, batch, e))?;
-    } else {
-        recv_meta(link.rx_prev, rank, epoch, batch, &mut acc)?;
-        for s in samples {
-            acc.fold_scalars(s);
-        }
-        let last = rank == world - 1;
-        if !last {
-            send_meta(link.tx_next, epoch, batch, &acc)
-                .map_err(|e| ring_err(rank, epoch, batch, e))?;
-        }
-        for c in 0..chunks {
-            let mut data = recv_chunk(link.rx_prev, rank, false, epoch, batch, c)?;
-            let off = c * chunk_floats.max(1);
-            // Fold this rank's samples onto the incoming accumulator
-            // slice, sample by sample: per element the addition order is
-            // the global sample order, exactly the pool's association.
-            let len = data.len();
-            for s in samples {
-                for (a, &g) in data.iter_mut().zip(&s.grads[off..off + len]) {
-                    *a += g;
-                }
-            }
-            if !last {
-                write_frame(
-                    link.tx_next,
-                    &Message::ReduceChunk {
-                        epoch,
-                        batch,
-                        chunk: u32::try_from(c).expect("chunk index fits u32"),
-                        data: data.clone(),
-                    },
-                )
-                .map_err(|e| ring_err(rank, epoch, batch, e))?;
-                spg_telemetry::record_counter("cluster.ring.reduce_chunks", 1);
-            }
-            acc.grads[off..off + data.len()].copy_from_slice(&data);
-        }
-    }
-
-    // ---- Broadcast leg: W-1 → 0 → 1 → … → W-2. ----
-    if rank == world - 1 {
-        send_acc(link.tx_next, true, epoch, batch, &acc, chunk_floats)
-            .map_err(|e| ring_err(rank, epoch, batch, e))?;
-    } else {
-        let forward = (rank + 1) % world != world - 1;
-        recv_meta(link.rx_prev, rank, epoch, batch, &mut acc)?;
-        if forward {
-            send_meta(link.tx_next, epoch, batch, &acc)
-                .map_err(|e| ring_err(rank, epoch, batch, e))?;
-        }
-        for c in 0..chunks {
-            let data = recv_chunk(link.rx_prev, rank, true, epoch, batch, c)?;
-            let off = c * chunk_floats.max(1);
-            acc.grads[off..off + data.len()].copy_from_slice(&data);
-            if forward {
-                write_frame(
-                    link.tx_next,
-                    &Message::BroadcastChunk {
-                        epoch,
-                        batch,
-                        chunk: u32::try_from(c).expect("chunk index fits u32"),
-                        data,
-                    },
-                )
-                .map_err(|e| ring_err(rank, epoch, batch, e))?;
-                spg_telemetry::record_counter("cluster.ring.broadcast_chunks", 1);
-            }
-        }
-    }
-    spg_telemetry::record_counter("cluster.ring.batches", 1);
+    ring_allreduce_into(link, epoch, batch, samples, &mut acc, chunk_floats, &mut Vec::new())?;
     Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufReader, BufWriter};
     use std::os::unix::net::UnixStream;
 
     /// Synthetic per-rank sample blocks: `world` ranks, `per_rank`
-    /// samples each, `grad_len` parameters.
-    fn blocks(world: usize, per_rank: usize, grad_len: usize) -> Vec<Vec<SampleGrad>> {
+    /// samples each, `grad_len` parameters; `salt` varies them per batch.
+    fn blocks(world: usize, per_rank: usize, grad_len: usize, salt: usize) -> Vec<Vec<SampleGrad>> {
         (0..world)
             .map(|w| {
                 (0..per_rank)
                     .map(|j| {
-                        let g = (w * per_rank + j) as f32;
+                        let g = (w * per_rank + j + 7 * salt) as f32;
                         let grads: Vec<f32> =
                             (0..grad_len).map(|e| (e as f32).sin() * 0.25 + g * 0.001).collect();
                         SampleGrad {
@@ -402,37 +410,55 @@ mod tests {
     /// The oracle: the single-process pool's fold (global sample order).
     fn sequential_fold(blocks: &[Vec<SampleGrad>], grad_len: usize) -> BatchAcc {
         let mut acc = BatchAcc::zeroed(grad_len, 1);
-        for block in blocks {
-            for s in block {
-                acc.fold_scalars(s);
-                acc.fold_grads(s);
+        for s in blocks.iter().flatten() {
+            acc.fold_scalars(s);
+            for (a, &g) in acc.grads.iter_mut().zip(&s.grads) {
+                *a += g;
             }
         }
         acc
     }
 
-    /// Runs the ring all-reduce across `world` threads over socketpairs.
-    fn run_ring(blocks: Vec<Vec<SampleGrad>>, grad_len: usize, chunk: usize) -> Vec<BatchAcc> {
-        let world = blocks.len();
-        // Edge r -> (r+1) % world: pair.0 is r's tx, pair.1 is next's rx.
-        let mut txs: Vec<Option<UnixStream>> = Vec::new();
+    fn assert_bit_equal(got: &BatchAcc, expect: &BatchAcc, what: &str) {
+        assert_eq!(got.loss_sum.to_bits(), expect.loss_sum.to_bits(), "{what}: loss");
+        assert_eq!(got.correct, expect.correct, "{what}: correct");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.grads), bits(&expect.grads), "{what}: grads");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.sparsity_sums), bits(&expect.sparsity_sums), "{what}: sparsity");
+    }
+
+    /// Socketpairs for a `world`-rank ring: element `r` is rank `r`'s
+    /// `(rx_prev, tx_next)`.
+    fn fabric(world: usize) -> Vec<(UnixStream, UnixStream)> {
+        let mut txs = Vec::new();
         let mut rxs: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
         for r in 0..world {
             let (a, b) = UnixStream::pair().expect("socketpair");
-            txs.push(Some(a));
+            txs.push(a);
             rxs[(r + 1) % world] = Some(b);
         }
+        rxs.into_iter().map(|rx| rx.expect("fabric complete")).zip(txs).collect()
+    }
+
+    /// Runs `ring_allreduce` across one thread per block over bare
+    /// socketpairs, rank `r` chunking by `chunk(r)`; every rank's result.
+    fn run_ring(
+        blocks: Vec<Vec<SampleGrad>>,
+        grad_len: usize,
+        chunk: impl Fn(usize) -> usize + Sync,
+    ) -> Vec<Result<BatchAcc, ClusterError>> {
+        let world = blocks.len();
+        let chunk = &chunk;
         std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .into_iter()
+                .zip(fabric(world))
                 .enumerate()
-                .zip(txs.iter_mut().zip(rxs.iter_mut()))
-                .map(|((rank, samples), (tx, rx))| {
-                    let mut tx = tx.take().unwrap();
-                    let mut rx = rx.take().unwrap();
+                .map(|(rank, (samples, (mut rx, mut tx)))| {
                     scope.spawn(move || {
                         let mut link = RingLink { rank, world, rx_prev: &mut rx, tx_next: &mut tx };
-                        ring_allreduce(&mut link, 1, 0, &samples, grad_len, 1, chunk).unwrap()
+                        ring_allreduce(&mut link, 1, 0, &samples, grad_len, 1, chunk(rank))
                     })
                 })
                 .collect();
@@ -445,46 +471,129 @@ mod tests {
         for world in [1usize, 2, 3, 5] {
             for chunk in [3usize, 16, 1024] {
                 let grad_len = 37;
-                let blocks = blocks(world, 4, grad_len);
+                let blocks = blocks(world, 4, grad_len, 0);
                 let expect = sequential_fold(&blocks, grad_len);
-                let got = run_ring(blocks, grad_len, chunk);
-                for (rank, acc) in got.iter().enumerate() {
-                    assert_eq!(
-                        acc.loss_sum.to_bits(),
-                        expect.loss_sum.to_bits(),
-                        "world {world} chunk {chunk} rank {rank} loss"
-                    );
-                    assert_eq!(acc.correct, expect.correct);
-                    for (a, b) in acc.grads.iter().zip(&expect.grads) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "world {world} chunk {chunk}");
-                    }
-                    for (a, b) in acc.sparsity_sums.iter().zip(&expect.sparsity_sums) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
+                for (rank, acc) in run_ring(blocks, grad_len, |_| chunk).into_iter().enumerate() {
+                    let what = format!("world {world} chunk {chunk} rank {rank}");
+                    assert_bit_equal(&acc.unwrap(), &expect, &what);
                 }
             }
         }
     }
 
+    /// Several batches back to back over the *same* buffered links, with
+    /// no barrier between them and a chunk size that does not divide the
+    /// gradient: a reader's read-ahead must survive into the next batch,
+    /// middle ranks (world >= 3) must flush what they forward, and no
+    /// gradient-sized buffer may be reallocated once the first batch has
+    /// sized them.
+    #[test]
+    fn consecutive_batches_share_buffered_links_and_buffers() {
+        const BATCHES: usize = 4;
+        let (grad_len, chunk) = (1000, 48);
+        for world in [3usize, 4] {
+            let per_batch: Vec<_> = (0..BATCHES).map(|b| blocks(world, 3, grad_len, b)).collect();
+            let expect: Vec<_> = per_batch.iter().map(|b| sequential_fold(b, grad_len)).collect();
+            let (per_batch, expect) = (&per_batch, &expect);
+            std::thread::scope(|scope| {
+                for (rank, (rx, tx)) in fabric(world).into_iter().enumerate() {
+                    scope.spawn(move || {
+                        let mut rx = BufReader::new(rx);
+                        let mut tx = BufWriter::new(tx);
+                        let mut link = RingLink { rank, world, rx_prev: &mut rx, tx_next: &mut tx };
+                        let mut acc = BatchAcc::zeroed(grad_len, 1);
+                        let mut frame = Vec::new();
+                        let mut sized = None;
+                        for (b, blocks) in per_batch.iter().enumerate() {
+                            let batch = u32::try_from(b).unwrap();
+                            let mine = &blocks[rank];
+                            ring_allreduce_into(
+                                &mut link, 1, batch, mine, &mut acc, chunk, &mut frame,
+                            )
+                            .unwrap();
+                            let what = format!("world {world} rank {rank} batch {b}");
+                            assert_bit_equal(&acc, &expect[b], &what);
+                            let now = (frame.as_ptr(), frame.capacity(), acc.grads.as_ptr());
+                            assert_eq!(*sized.get_or_insert(now), now, "{what}: buffers moved");
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    /// One rank of a 2-ring fed `frames` by a scripted peer; the rank's
+    /// outbound link goes nowhere.
+    fn rank1_fed(frames: &[Vec<u8>], grad_len: usize, chunk: usize) -> ClusterError {
+        let (mut a, mut b) = UnixStream::pair().unwrap();
+        for f in frames {
+            a.write_all(f).unwrap();
+        }
+        let (mut dead_tx, _keep) = UnixStream::pair().unwrap();
+        let mut link = RingLink { rank: 1, world: 2, rx_prev: &mut b, tx_next: &mut dead_tx };
+        ring_allreduce(&mut link, 1, 0, &blocks(1, 2, grad_len, 0)[0], grad_len, 1, chunk)
+            .unwrap_err()
+    }
+
+    fn meta(epoch: u32) -> Vec<u8> {
+        encode_frame(&Message::AccMeta {
+            epoch,
+            batch: 0,
+            loss_sum_bits: 0,
+            correct: 0,
+            sparsity_bits: vec![0],
+        })
+    }
+
+    fn reduce_chunk(chunk: u32, floats: usize) -> Vec<u8> {
+        encode_frame(&Message::ReduceChunk { epoch: 1, batch: 0, chunk, data: vec![1.0; floats] })
+    }
+
     #[test]
     fn sequence_mismatch_is_a_typed_protocol_error() {
-        let (mut a, mut b) = UnixStream::pair().unwrap();
         // Rank 1 of 2 expects epoch 1 / batch 0; its "previous rank"
         // sends epoch 9 instead.
-        let sender = std::thread::spawn(move || {
-            let acc = BatchAcc::zeroed(4, 1);
-            send_acc(&mut a, false, 9, 0, &acc, 4).unwrap();
-        });
-        let err = {
-            let (mut dead_tx, _keep) = UnixStream::pair().unwrap();
-            let mut link = RingLink { rank: 1, world: 2, rx_prev: &mut b, tx_next: &mut dead_tx };
-            ring_allreduce(&mut link, 1, 0, &[], 4, 1, 4).unwrap_err()
-        };
-        sender.join().unwrap();
+        let err = rank1_fed(&[meta(9)], 4, 4);
         assert!(
             matches!(err, ClusterError::Protocol { rank: 1, .. }),
             "expected Protocol error, got {err:?}"
         );
+    }
+
+    /// Regression: the ring used to take a chunk's float count from the
+    /// peer. A longer chunk indexed past the sample gradients and
+    /// panicked the rank; a shorter one was folded and forwarded as if
+    /// complete, silently dropping the tail of the sum.
+    #[test]
+    fn wrong_chunk_length_is_a_typed_protocol_error() {
+        for (floats, what) in [(5usize, "too long"), (3, "too short"), (0, "empty")] {
+            let err = rank1_fed(&[meta(1), reduce_chunk(0, floats)], 4, 4);
+            match err {
+                ClusterError::Protocol { rank: 1, detail } => {
+                    assert!(detail.contains("chunk_floats"), "{what}: {detail}");
+                }
+                other => panic!("{what}: expected Protocol error, got {other:?}"),
+            }
+        }
+        // A short *final* chunk is the same violation, not a hang.
+        let err = rank1_fed(&[meta(1), reduce_chunk(0, 4), reduce_chunk(1, 1)], 6, 4);
+        assert!(matches!(err, ClusterError::Protocol { rank: 1, .. }), "short tail: {err:?}");
+    }
+
+    /// What two ranks configured with different `chunk_floats` do to each
+    /// other: the first disagreeing chunk is a typed error on the rank
+    /// that sees it, and its neighbor fails typed too instead of hanging.
+    #[test]
+    fn mismatched_chunk_floats_fail_typed_on_both_ranks() {
+        for (c0, c1) in [(16usize, 17usize), (17, 16)] {
+            let got = run_ring(blocks(2, 2, 37, 0), 37, |rank| [c0, c1][rank]);
+            assert!(
+                matches!(got[1], Err(ClusterError::Protocol { rank: 1, .. })),
+                "chunks {c0}/{c1}: rank 1 got {:?}",
+                got[1]
+            );
+            assert!(got[0].is_err(), "chunks {c0}/{c1}: rank 0 must not succeed");
+        }
     }
 
     #[test]

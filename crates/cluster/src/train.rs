@@ -8,15 +8,19 @@
 //! schedule, epoch statistics, momentum update and resume logic are the
 //! trainer's own code, not a copy. What this module adds is the ring
 //! implementation of the loop's one seam, `spg_convnet::sgd::BatchFold`
-//! — a rank's block of samples folded through [`ring_allreduce`] in
+//! — a rank's block of samples folded through [`ring_allreduce_into`] in
 //! global sample order, which is that seam's contract — plus the
 //! rank-specific fault handling below. The bit-identity tests pin 1, 2,
 //! 3, and 4 ranks against the pool.
 //!
 //! # Fault recovery
 //!
-//! The loop advances a rank's [`RankState`] only at batch commit (after
-//! the update applies), so a rank dropping mid-all-reduce leaves every
+//! The loop advances a rank's progress only at batch commit (after the
+//! update applies) and leaves the network at the last committed batch
+//! whether it returns `Ok` or `Err`, so [`run_rank`] snapshots the
+//! weights into the [`RankState`] once, on its way out — that snapshot
+//! *is* the committed state, without serializing every parameter after
+//! every batch. A rank dropping mid-all-reduce therefore leaves every
 //! surviving rank with a consistent committed state and a typed
 //! [`ClusterError::RingFault`]. The in-process driver
 //! [`train_in_proc`] then replays: it takes the state with the most
@@ -26,7 +30,7 @@
 //! the recovered run's losses are bit-identical to a fault-free run —
 //! the distributed analogue of PR 4's in-order sample replay.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -36,7 +40,7 @@ use spg_convnet::workspace::Workspace;
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
 
-use crate::allreduce::{ring_allreduce, AllReduce, RingLink, SampleGrad};
+use crate::allreduce::{self, ring_allreduce_into, AllReduce, RingLink, SampleGrad};
 use crate::ClusterError;
 
 /// A deterministic mid-all-reduce fault drill: the named rank drops its
@@ -96,8 +100,9 @@ pub struct RankOptions {
 
 /// Everything a rank has durably committed: a weight snapshot plus the
 /// trainer's own [`Progress`] (optimizer state, partial epoch statistics,
-/// resume position). Both change only once a batch's update has been
-/// applied.
+/// resume position). The progress advances only once a batch's update
+/// has been applied; the snapshot is taken when [`run_rank`] returns, at
+/// which point the network holds exactly that last committed batch.
 #[derive(Debug, Clone)]
 pub struct RankState {
     /// Weight snapshot (`spg_convnet::io` format) at the last commit.
@@ -126,20 +131,35 @@ pub fn block_bounds(batch_len: usize, world: usize, rank: usize) -> (usize, usiz
     (start, start + len)
 }
 
+/// Capacity of the buffers a rank's links are wrapped in: sixteen 4 KB
+/// frames per syscall. A constant, not a knob — it only has to be
+/// several frames large.
+const LINK_BUF: usize = 64 * 1024;
+
+/// A rank's `(rx_prev, tx_next)`, buffered once for the whole run.
+type BufferedLinks<'r> = (BufReader<&'r mut dyn Read>, BufWriter<&'r mut dyn Write>);
+
 /// The ring implementation of the trainer's [`BatchFold`] seam: this
 /// rank runs its [`block_bounds`] block of the batch and the ordered
 /// chain-in-ring all-reduce folds every rank's samples in global sample
-/// order, which is exactly the seam's contract. Also carries the two
-/// rank-specific duties that hang off the same per-batch points: the
-/// fault drill (before a batch) and the weight snapshot (at its commit).
+/// order, which is exactly the seam's contract. Also carries the fault
+/// drill, which hangs off the same per-batch point.
+///
+/// Every gradient-sized buffer lives here for the whole run — the
+/// per-sample block, the reduced accumulator, the wire frame — so a
+/// steady-state step allocates nothing that grows with the model.
 struct RingFold<'r> {
     opts: &'r RankOptions,
-    comm: &'r mut Comm,
-    /// [`RankState::weights`], re-snapshotted at every commit.
-    weights: &'r mut Vec<u8>,
+    /// The ring links, buffered once for the run (`None`: one rank, no
+    /// communication). The reader must live as long as the link: it may
+    /// hold the next batch's first bytes (see [`allreduce`]).
+    links: Option<BufferedLinks<'r>>,
     ws: Workspace,
     conv_layers: Vec<usize>,
-    grad_len: usize,
+    /// This rank's per-sample gradients; grows to the largest block seen.
+    block: Vec<SampleGrad>,
+    reduced: allreduce::BatchAcc,
+    frame: Vec<u8>,
 }
 
 impl BatchFold for RingFold<'_> {
@@ -167,7 +187,7 @@ impl BatchFold for RingFold<'_> {
         }
         let net = spg_sync::read(&shared.net);
         let data = spg_sync::read(&shared.data);
-        let Comm::Ring { rx_prev, tx_next } = &mut *self.comm else {
+        let Some((rx_prev, tx_next)) = &mut self.links else {
             // One rank owns the whole batch: the trainer's local fold.
             for i in samples {
                 acc.absorb_sample(&net, &data, i, &mut self.ws);
@@ -175,47 +195,42 @@ impl BatchFold for RingFold<'_> {
             return Ok(());
         };
         let (s0, s1) = block_bounds(samples.len(), world, rank);
-        let mut block = Vec::with_capacity(s1 - s0);
-        for i in samples.start + s0..samples.start + s1 {
-            let (loss, correct) = sgd::process_sample(&net, &data, i, &mut self.ws);
-            let mut grads = Vec::with_capacity(self.grad_len);
-            for g in &self.ws.param_grads {
-                grads.extend_from_slice(g.as_slice());
-            }
-            block.push(SampleGrad {
-                grads,
-                loss,
-                correct,
-                sparsity: self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]).collect(),
-            });
+        if self.block.len() < s1 - s0 {
+            self.block.resize_with(s1 - s0, SampleGrad::default);
         }
-        let mut link =
-            RingLink { rank, world, rx_prev: rx_prev.as_mut(), tx_next: tx_next.as_mut() };
-        let reduced = ring_allreduce(
+        let block = &mut self.block[..s1 - s0];
+        for (slot, i) in block.iter_mut().zip(samples.start + s0..) {
+            (slot.loss, slot.correct) = sgd::process_sample(&net, &data, i, &mut self.ws);
+            slot.grads.resize(self.reduced.grads.len(), 0.0);
+            let mut rest = slot.grads.as_mut_slice();
+            for g in &self.ws.param_grads {
+                let (layer, tail) = rest.split_at_mut(g.len());
+                layer.copy_from_slice(g.as_slice());
+                rest = tail;
+            }
+            slot.sparsity.clear();
+            slot.sparsity.extend(self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]));
+        }
+        let mut link = RingLink { rank, world, rx_prev, tx_next };
+        ring_allreduce_into(
             &mut link,
             u32::try_from(epoch).expect("epoch fits u32"),
             u32::try_from(batch).expect("batch index fits u32"),
-            &block,
-            self.grad_len,
-            self.conv_layers.len(),
+            block,
+            &mut self.reduced,
             chunk_floats,
+            &mut self.frame,
         )?;
-        acc.loss_sum = reduced.loss_sum;
-        acc.correct = usize::try_from(reduced.correct).expect("correct count fits usize");
-        acc.sparsity_sums.clone_from(&reduced.sparsity_sums);
-        let mut off = 0;
+        acc.loss_sum = self.reduced.loss_sum;
+        acc.correct = usize::try_from(self.reduced.correct).expect("correct count fits usize");
+        acc.sparsity_sums.clone_from(&self.reduced.sparsity_sums);
+        let mut rest = self.reduced.grads.as_slice();
         for g in &mut acc.grads {
-            let layer = g.as_mut_slice();
-            layer.copy_from_slice(&reduced.grads[off..off + layer.len()]);
-            off += layer.len();
+            let (layer, tail) = rest.split_at(g.len());
+            g.as_mut_slice().copy_from_slice(layer);
+            rest = tail;
         }
         Ok(())
-    }
-
-    fn committed(&mut self, shared: &Shared<'_>) {
-        self.weights.clear();
-        io::save_weights(&spg_sync::read(&shared.net), &mut *self.weights)
-            .expect("in-memory weight snapshot");
     }
 }
 
@@ -256,16 +271,32 @@ pub fn run_rank(
 
     io::load_weights(net, state.weights.as_slice())
         .map_err(|e| ClusterError::Config { detail: format!("restoring rank state: {e}") })?;
+    let conv_layers = sgd::conv_layer_indices(net);
+    let grad_len = net.layers().iter().map(|l| l.param_count()).sum();
     let mut fold = RingFold {
         opts,
-        comm,
-        weights: &mut state.weights,
+        links: match comm {
+            Comm::Solo => None,
+            Comm::Ring { rx_prev, tx_next } => Some((
+                BufReader::with_capacity(LINK_BUF, &mut **rx_prev),
+                BufWriter::with_capacity(LINK_BUF, &mut **tx_next),
+            )),
+        },
         ws: Workspace::for_network(net),
-        conv_layers: sgd::conv_layer_indices(net),
-        grad_len: net.layers().iter().map(|l| l.param_count()).sum(),
+        reduced: allreduce::BatchAcc::zeroed(grad_len, conv_layers.len()),
+        conv_layers,
+        block: Vec::new(),
+        frame: Vec::new(),
     };
-    let shared = Shared::new(net, data);
-    Trainer::new(trainer.clone()).run(&shared, &mut fold, &mut state.progress, |_, _| {})?;
+    let result = {
+        let shared = Shared::new(net, data);
+        Trainer::new(trainer.clone()).run(&shared, &mut fold, &mut state.progress, |_, _| {})
+    };
+    // `Trainer::run` leaves the network at the last committed batch on
+    // `Ok` and `Err` alike, so this one snapshot is the committed state.
+    state.weights.clear();
+    io::save_weights(net, &mut state.weights).expect("in-memory weight snapshot");
+    result?;
     Ok(state.progress.stats.clone())
 }
 

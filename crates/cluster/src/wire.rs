@@ -15,7 +15,8 @@
 //! `payload` bytes, so a flipped bit anywhere after the magic is caught
 //! before the payload is interpreted. Decoding NEVER panics: every
 //! malformed input maps to a typed [`WireError`] variant, which the
-//! round-trip and corruption proptests in `tests/wire.rs` pin down.
+//! round-trip and corruption proptests in `tests/wire_proptests.rs` pin
+//! down.
 //!
 //! Integers are little-endian; floating-point values travel as raw IEEE
 //! bit patterns (`f32::to_bits` / `f64::to_bits`), which is what makes
@@ -41,11 +42,18 @@ pub const HEADER_LEN: usize = 8;
 /// Trailing checksum bytes.
 pub const TRAILER_LEN: usize = 4;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, computed at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i: u32 = 0;
+/// The little-endian `u32` at the front of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) slicing tables, computed at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which is what lets [`crc32`] fold sixteen input bytes per step.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0u32;
     while i < 256 {
         let mut crc = i;
         let mut bit = 0;
@@ -53,17 +61,37 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i as usize] = crc;
+        tables[0][i as usize] = crc;
         i += 1;
     }
-    table
+    let mut n = 256;
+    while n < 16 * 256 {
+        let prev = tables[n / 256 - 1][n % 256];
+        tables[n / 256][n % 256] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+        n += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, slicing-by-16: sixteen table lookups per
+/// sixteen input bytes with no dependency between them, instead of one
+/// dependent lookup per byte. Same polynomial, same values.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let words =
+            [crc ^ le_u32(block), le_u32(&block[4..]), le_u32(&block[8..]), le_u32(&block[12..])];
+        crc = 0;
+        for (w, tables) in words.iter().zip(CRC_TABLES.rchunks_exact(4)) {
+            crc ^= tables[3][(w & 0xFF) as usize]
+                ^ tables[2][((w >> 8) & 0xFF) as usize]
+                ^ tables[1][((w >> 16) & 0xFF) as usize]
+                ^ tables[0][(w >> 24) as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -251,13 +279,27 @@ impl Message {
     }
 }
 
-/// Little-endian payload writer.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+/// Header fields of a gradient chunk frame
+/// ([`Message::ReduceChunk`] / [`Message::BroadcastChunk`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkHead {
+    /// `true` for the broadcast leg (type `0x11`), `false` for the reduce
+    /// leg (type `0x10`).
+    pub broadcast: bool,
+    /// Epoch the chunk belongs to.
+    pub epoch: u32,
+    /// Batch within the epoch.
+    pub batch: u32,
+    /// Chunk index within the flattened gradient vector.
+    pub chunk: u32,
 }
 
-impl Enc {
+/// Little-endian payload writer, appending to a caller-owned buffer.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
+}
+
+impl Enc<'_> {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -271,10 +313,15 @@ impl Enc {
         self.len_prefix(b.len());
         self.buf.extend_from_slice(b);
     }
+    /// One bulk conversion: the destination is sized once and filled by
+    /// a fixed-width loop the compiler turns into a block copy on
+    /// little-endian targets.
     fn f32s(&mut self, v: &[f32]) {
         self.len_prefix(v.len());
-        for x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * 4, 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
         }
     }
     fn u64s(&mut self, v: &[u64]) {
@@ -282,6 +329,20 @@ impl Enc {
         for x in v {
             self.buf.extend_from_slice(&x.to_le_bytes());
         }
+    }
+    fn chunk(&mut self, head: ChunkHead, data: &[f32]) {
+        self.u32(head.epoch);
+        self.u32(head.batch);
+        self.u32(head.chunk);
+        self.f32s(data);
+    }
+}
+
+/// Bulk inverse of [`Enc::f32s`]'s body: `raw` holds `out.len()`
+/// little-endian bit patterns.
+fn f32s_from_le(raw: &[u8], out: &mut [f32]) {
+    for (dst, c) in out.iter_mut().zip(raw.chunks_exact(4)) {
+        *dst = f32::from_bits(le_u32(c));
     }
 }
 
@@ -308,8 +369,7 @@ impl<'a> Dec<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.take(4).map(le_u32)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
@@ -322,14 +382,17 @@ impl<'a> Dec<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
+    /// A counted f32 sequence, still as its little-endian bytes.
+    fn f32s_raw(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
-        let raw = self
-            .take(n.checked_mul(4).ok_or(WireError::BadPayload { what: "f32 count overflow" })?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect())
+        self.take(n.checked_mul(4).ok_or(WireError::BadPayload { what: "f32 count overflow" })?)
+    }
+
+    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
+        let raw = self.f32s_raw()?;
+        let mut out = vec![0.0; raw.len() / 4];
+        f32s_from_le(raw, &mut out);
+        Ok(out)
     }
 
     fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
@@ -342,6 +405,12 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
+    /// A gradient chunk's header fields; its floats follow as one counted
+    /// sequence ([`f32s`](Self::f32s) / [`f32s_raw`](Self::f32s_raw)).
+    fn chunk_head(&mut self, broadcast: bool) -> Result<ChunkHead, WireError> {
+        Ok(ChunkHead { broadcast, epoch: self.u32()?, batch: self.u32()?, chunk: self.u32()? })
+    }
+
     fn finish(self) -> Result<(), WireError> {
         if self.pos != self.buf.len() {
             return Err(WireError::BadPayload { what: "trailing bytes after payload" });
@@ -350,11 +419,26 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Serializes one message's payload (everything between the length
-/// prefix and the checksum).
-fn encode_payload(msg: &Message) -> Vec<u8> {
-    let mut e = Enc::default();
-    match msg {
+/// Writes one complete frame of type `tag` into `frame` (cleared first,
+/// capacity kept): the payload is serialized in place behind the header,
+/// then the length is patched in and the checksum appended.
+fn seal_frame(frame: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Enc<'_>)) {
+    frame.clear();
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&[VERSION, tag, 0, 0, 0, 0]);
+    payload(&mut Enc { buf: frame });
+    let len = frame.len() - HEADER_LEN;
+    debug_assert!(len <= MAX_PAYLOAD as usize, "oversized frame payload");
+    let len = u32::try_from(len).expect("payload length fits the wire format's u32");
+    frame[4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&frame[2..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Encodes `msg` as one complete frame.
+pub fn encode_frame(msg: &Message) -> Vec<u8> {
+    let mut frame = Vec::new();
+    seal_frame(&mut frame, msg.tag(), |e| match msg {
         Message::InferRequest { id, key, input } => {
             e.u64(*id);
             e.bytes(key);
@@ -371,10 +455,8 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
         }
         Message::ReduceChunk { epoch, batch, chunk, data }
         | Message::BroadcastChunk { epoch, batch, chunk, data } => {
-            e.u32(*epoch);
-            e.u32(*batch);
-            e.u32(*chunk);
-            e.f32s(data);
+            let broadcast = matches!(msg, Message::BroadcastChunk { .. });
+            e.chunk(ChunkHead { broadcast, epoch: *epoch, batch: *batch, chunk: *chunk }, data);
         }
         Message::AccMeta { epoch, batch, loss_sum_bits, correct, sparsity_bits } => {
             e.u32(*epoch);
@@ -388,12 +470,61 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             e.u32(*world);
         }
         Message::Shutdown => {}
-    }
-    e.buf
+    });
+    frame
 }
 
-/// Deserializes one message payload for type byte `tag`.
-fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
+/// Encodes a gradient chunk straight from a borrowed slice into a reused
+/// frame buffer (cleared first, capacity kept) — byte for byte the frame
+/// [`encode_frame`] produces for the matching [`Message::ReduceChunk`] /
+/// [`Message::BroadcastChunk`], whose arms run this same payload writer.
+pub fn encode_chunk_into(head: ChunkHead, data: &[f32], frame: &mut Vec<u8>) {
+    seal_frame(frame, if head.broadcast { 0x11 } else { 0x10 }, |e| e.chunk(head, data));
+}
+
+/// Verifies the frame at the front of `bytes` — magic, length cap,
+/// completeness, checksum, version, in that order — and returns its type
+/// byte, its payload and the number of bytes it occupies.
+fn open_frame(bytes: &[u8]) -> Result<(u8, &[u8], usize), WireError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(WireError::Truncated { needed: HEADER_LEN, got: bytes.len() });
+    }
+    if bytes[0..2] != MAGIC {
+        return Err(WireError::BadMagic { found: [bytes[0], bytes[1]] });
+    }
+    let version = bytes[2];
+    let len = le_u32(&bytes[4..]);
+    if len > MAX_PAYLOAD {
+        return Err(WireError::TooLarge { len });
+    }
+    let body_end = HEADER_LEN + len as usize;
+    let total = body_end + TRAILER_LEN;
+    if bytes.len() < total {
+        return Err(WireError::Truncated { needed: total, got: bytes.len() });
+    }
+    let carried = le_u32(&bytes[body_end..]);
+    let computed = crc32(&bytes[2..body_end]);
+    if computed != carried {
+        return Err(WireError::BadChecksum { computed, carried });
+    }
+    // Version is checked after the checksum so a corrupted version byte
+    // reports as corruption, and a clean future-version frame as
+    // BadVersion.
+    if version != VERSION {
+        return Err(WireError::BadVersion { found: version });
+    }
+    Ok((bytes[3], &bytes[HEADER_LEN..body_end], total))
+}
+
+/// Decodes one frame from the front of `bytes`, returning the message
+/// and the number of bytes consumed.
+///
+/// # Errors
+///
+/// Any malformed input returns the matching [`WireError`] variant; this
+/// function never panics on arbitrary bytes (pinned by proptests).
+pub fn decode_frame(bytes: &[u8]) -> Result<(Message, usize), WireError> {
+    let (tag, payload, total) = open_frame(bytes)?;
     let mut d = Dec::new(payload);
     let msg = match tag {
         0x01 => {
@@ -416,14 +547,12 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
             Message::InferError { id, message }
         }
         0x10 | 0x11 => {
-            let epoch = d.u32()?;
-            let batch = d.u32()?;
-            let chunk = d.u32()?;
+            let ChunkHead { broadcast, epoch, batch, chunk } = d.chunk_head(tag == 0x11)?;
             let data = d.f32s()?;
-            if tag == 0x10 {
-                Message::ReduceChunk { epoch, batch, chunk, data }
-            } else {
+            if broadcast {
                 Message::BroadcastChunk { epoch, batch, chunk, data }
+            } else {
+                Message::ReduceChunk { epoch, batch, chunk, data }
             }
         }
         0x12 => {
@@ -443,68 +572,36 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, WireError> {
         tag => return Err(WireError::UnknownType { tag }),
     };
     d.finish()?;
-    Ok(msg)
+    Ok((msg, total))
 }
 
-/// Encodes `msg` as one complete frame.
-pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let payload = encode_payload(msg);
-    debug_assert!(payload.len() <= MAX_PAYLOAD as usize, "oversized frame payload");
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(msg.tag());
-    let len = u32::try_from(payload.len()).expect("payload length fits the wire format's u32");
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&payload);
-    let crc = crc32(&frame[2..]);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame
-}
-
-/// Decodes one frame from the front of `bytes`, returning the message
-/// and the number of bytes consumed.
+/// Decodes the gradient chunk frame at the front of `frame` straight
+/// into `out`: the borrowed counterpart of [`decode_frame`], with the
+/// same checks in the same order and no owned `Vec`.
 ///
 /// # Errors
 ///
-/// Any malformed input returns the matching [`WireError`] variant; this
-/// function never panics on arbitrary bytes (pinned by proptests).
-pub fn decode_frame(bytes: &[u8]) -> Result<(Message, usize), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WireError::Truncated { needed: HEADER_LEN, got: bytes.len() });
+/// Everything [`decode_frame`] reports, plus [`WireError::BadPayload`]
+/// for a well-formed frame of any other type or one that does not carry
+/// exactly `out.len()` floats (the count is the peer's claim); `out` is
+/// written only on `Ok`.
+pub fn decode_chunk_into(frame: &[u8], out: &mut [f32]) -> Result<ChunkHead, WireError> {
+    let (tag, payload, _) = open_frame(frame)?;
+    if !matches!(tag, 0x10 | 0x11) {
+        return Err(WireError::BadPayload { what: "not a gradient chunk frame" });
     }
-    if bytes[0..2] != MAGIC {
-        return Err(WireError::BadMagic { found: [bytes[0], bytes[1]] });
+    let mut d = Dec::new(payload);
+    let head = d.chunk_head(tag == 0x11)?;
+    let raw = d.f32s_raw()?;
+    d.finish()?;
+    if raw.len() != out.len() * 4 {
+        return Err(WireError::BadPayload {
+            what: "gradient chunk does not carry the expected float count \
+                   (do the ranks agree on chunk_floats?)",
+        });
     }
-    let version = bytes[2];
-    let tag = bytes[3];
-    let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::TooLarge { len });
-    }
-    let total = HEADER_LEN + len as usize + TRAILER_LEN;
-    if bytes.len() < total {
-        return Err(WireError::Truncated { needed: total, got: bytes.len() });
-    }
-    let body = &bytes[2..HEADER_LEN + len as usize];
-    let carried = u32::from_le_bytes([
-        bytes[total - 4],
-        bytes[total - 3],
-        bytes[total - 2],
-        bytes[total - 1],
-    ]);
-    let computed = crc32(body);
-    if computed != carried {
-        return Err(WireError::BadChecksum { computed, carried });
-    }
-    // Version is checked after the checksum so a corrupted version byte
-    // reports as corruption, and a clean future-version frame as
-    // BadVersion.
-    if version != VERSION {
-        return Err(WireError::BadVersion { found: version });
-    }
-    let msg = decode_payload(tag, &bytes[HEADER_LEN..HEADER_LEN + len as usize])?;
-    Ok((msg, total))
+    f32s_from_le(raw, out);
+    Ok(head)
 }
 
 /// Writes one frame to `w` and flushes it.
@@ -519,83 +616,54 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, msg: &Message) -> Result<(), Wi
     Ok(())
 }
 
-/// Upper bound on one allocation/read step while filling a frame body.
-/// The body buffer grows chunk by chunk as bytes actually arrive, so a
-/// hostile length prefix costs the sender real bandwidth instead of
-/// driving one up-front [`MAX_PAYLOAD`]-sized allocation on the receiver
-/// before the checksum is ever verified.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Reads exactly one frame from `r`.
+/// Reads exactly one frame's bytes from `r` into `frame` (cleared first,
+/// capacity kept), checking only what framing needs — the magic and the
+/// length cap. Hand the bytes to [`decode_frame`] or
+/// [`decode_chunk_into`] for the checksum and everything after it.
 ///
-/// The payload buffer is sized by the bytes received, not by the
-/// untrusted length prefix: a claimed-but-never-sent length allocates at
-/// most one 64 KiB chunk (`READ_CHUNK`) before the truncation surfaces.
+/// The buffer grows with the bytes received, not with the untrusted
+/// length prefix: a hostile prefix costs the sender real bandwidth
+/// instead of driving a [`MAX_PAYLOAD`]-sized allocation on the receiver
+/// before the checksum is ever verified.
 ///
 /// # Errors
 ///
 /// [`WireError::Closed`] when the peer hung up cleanly between frames;
 /// [`WireError::Truncated`] when it hung up mid-frame;
-/// [`WireError::TooLarge`] for a length prefix over [`MAX_PAYLOAD`]; the
-/// other variants for malformed bytes.
-pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Message, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_or(r, &mut header, true)?;
-    if header[0..2] != MAGIC {
-        return Err(WireError::BadMagic { found: [header[0], header[1]] });
+/// [`WireError::BadMagic`]; [`WireError::TooLarge`] for a length prefix
+/// over [`MAX_PAYLOAD`]; [`WireError::Io`].
+pub fn read_frame_into<R: Read + ?Sized>(r: &mut R, frame: &mut Vec<u8>) -> Result<(), WireError> {
+    frame.clear();
+    match r.take(HEADER_LEN as u64).read_to_end(frame)? {
+        // A clean close is only clean at a frame boundary.
+        0 => return Err(WireError::Closed),
+        HEADER_LEN => {}
+        got => return Err(WireError::Truncated { needed: HEADER_LEN, got }),
     }
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if frame[0..2] != MAGIC {
+        return Err(WireError::BadMagic { found: [frame[0], frame[1]] });
+    }
+    let len = le_u32(&frame[4..]);
     if len > MAX_PAYLOAD {
         return Err(WireError::TooLarge { len });
     }
-    let total = len as usize + TRAILER_LEN;
-    let mut rest = vec![0u8; total.min(READ_CHUNK)];
-    let mut filled = 0;
-    while filled < total {
-        match r.read(&mut rest[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Truncated { needed: HEADER_LEN + total, got: filled });
-            }
-            Ok(n) => {
-                filled += n;
-                if filled == rest.len() && filled < total {
-                    // Grow only after the previous chunk actually arrived.
-                    rest.resize((rest.len() + READ_CHUNK).min(total), 0);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + rest.len());
-    frame.extend_from_slice(&header);
-    frame.extend_from_slice(&rest);
-    decode_frame(&frame).map(|(msg, _)| msg)
-}
-
-/// `read_exact` that distinguishes a clean close at a frame boundary
-/// (`at_boundary`) from a mid-frame truncation.
-fn read_exact_or<R: Read + ?Sized>(
-    r: &mut R,
-    buf: &mut [u8],
-    at_boundary: bool,
-) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated { needed: buf.len(), got: filled }
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+    let rest = len as usize + TRAILER_LEN;
+    let got = r.take(rest as u64).read_to_end(frame)?;
+    if got < rest {
+        return Err(WireError::Truncated { needed: HEADER_LEN + rest, got });
     }
     Ok(())
+}
+
+/// Reads and decodes exactly one frame from `r`.
+///
+/// # Errors
+///
+/// Everything [`read_frame_into`] and [`decode_frame`] report.
+pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Message, WireError> {
+    let mut frame = Vec::new();
+    read_frame_into(r, &mut frame)?;
+    decode_frame(&frame).map(|(msg, _)| msg)
 }
 
 #[cfg(test)]
@@ -713,11 +781,11 @@ mod tests {
         assert_eq!(decode_frame(&frame), Err(WireError::TooLarge { len: MAX_PAYLOAD + 1 }));
     }
 
-    /// A frame whose body is larger than one [`READ_CHUNK`] exercises the
+    /// A frame far larger than any read buffer exercises the
     /// grow-as-bytes-arrive path and still round-trips exactly.
     #[test]
     fn large_frame_crosses_chunked_read_boundary() {
-        let data = vec![1.5f32; READ_CHUNK / 4 + 123];
+        let data = vec![1.5f32; (64 << 10) / 4 + 123];
         let msg = Message::ReduceChunk { epoch: 1, batch: 0, chunk: 0, data };
         let mut buf = Vec::new();
         write_frame(&mut buf, &msg).unwrap();
@@ -730,5 +798,40 @@ mod tests {
     fn crc32_known_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time loop the slicing implementation replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Every length around the 16-byte block size at every start offset
+    /// (so every split between whole blocks and the byte-wise tail, at
+    /// every alignment), then long buffers of odd lengths.
+    #[test]
+    fn crc32_slicing_matches_bytewise() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.to_le_bytes()[3]
+        };
+        let buf: Vec<u8> = (0..64 + 64).map(|_| next()).collect();
+        for start in 0..64 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        for len in [65usize, 1000, 4110, 4111, 65_537, 300_003] {
+            let long: Vec<u8> = (0..len).map(|_| next()).collect();
+            assert_eq!(crc32(&long), crc32_bytewise(&long), "len {len}");
+            assert_eq!(crc32(&long[3..]), crc32_bytewise(&long[3..]), "len {len} offset 3");
+        }
     }
 }

@@ -50,12 +50,18 @@ pub fn save_weights<W: Write>(net: &Network, mut writer: W) -> std::io::Result<(
     writer.write_all(&VERSION.to_le_bytes())?;
     let layer_count = u32::try_from(net.layers().len()).expect("layer count fits the format's u32");
     writer.write_all(&layer_count.to_le_bytes())?;
+    // One buffer and one `write_all` per layer, not one per float: on an
+    // unbuffered `File` each of those was a syscall.
+    let mut buf = Vec::new();
     for layer in net.layers() {
         let params = layer.params().unwrap_or(&[]);
-        writer.write_all(&(params.len() as u64).to_le_bytes())?;
-        for p in params {
-            writer.write_all(&p.to_le_bytes())?;
+        buf.clear();
+        buf.extend_from_slice(&(params.len() as u64).to_le_bytes());
+        buf.resize(8 + params.len() * 4, 0);
+        for (dst, p) in buf[8..].chunks_exact_mut(4).zip(params) {
+            dst.copy_from_slice(&p.to_le_bytes());
         }
+        writer.write_all(&buf)?;
     }
     Ok(())
 }
@@ -88,6 +94,7 @@ pub fn load_weights<R: Read>(net: &mut Network, mut reader: R) -> Result<(), Loa
     // network's own parameter counts (the file's count field is only
     // compared against them), so a hostile length cannot drive allocation.
     let mut staged: Vec<Vec<f32>> = Vec::with_capacity(layer_count);
+    let mut raw = Vec::new();
     for (i, layer) in net.layers().iter().enumerate() {
         let mut count_bytes = [0u8; 8];
         reader.read_exact(&mut count_bytes)?;
@@ -100,13 +107,11 @@ pub fn load_weights<R: Read>(net: &mut Network, mut reader: R) -> Result<(), Loa
                 layer.param_count()
             )));
         }
-        let mut params = vec![0.0f32; count];
-        let mut buf = [0u8; 4];
-        for p in &mut params {
-            reader.read_exact(&mut buf)?;
-            *p = f32::from_le_bytes(buf);
-        }
-        staged.push(params);
+        raw.resize(count * 4, 0);
+        reader.read_exact(&mut raw)?;
+        staged.push(
+            raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect(),
+        );
     }
     for (layer, params) in net.layers_mut().iter_mut().zip(&staged) {
         if !params.is_empty() {

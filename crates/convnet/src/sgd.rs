@@ -289,7 +289,6 @@ impl Trainer {
                     samples.len(),
                 );
                 progress.next_batch = batch + 1;
-                fold.committed(shared);
             }
             let stats = progress.epoch_acc.finish(epoch, data_len, start.elapsed().as_secs_f64());
             after_epoch(&mut spg_sync::write(&shared.net), &stats);
@@ -379,10 +378,6 @@ pub trait BatchFold {
         samples: Range<usize>,
         acc: &mut BatchAcc,
     ) -> Result<(), Self::Error>;
-
-    /// Called once the batch's update is applied and [`Progress`] has
-    /// advanced past it: the hook for state captured at commit points.
-    fn committed(&mut self, _shared: &Shared<'_>) {}
 }
 
 /// Everything the loop has committed besides the weights (which live in

@@ -1,9 +1,11 @@
-//! Property tests for the weight-file loader.
+//! Property tests for the weight-file format.
 //!
 //! Pins the contract documented on `io::load_weights`: any malformed
 //! stream — truncated, bit-flipped, or prefixed with garbage — returns a
 //! typed [`LoadError`] instead of panicking, and a failed load leaves the
-//! receiving network exactly as it was.
+//! receiving network exactly as it was. And the other half of a
+//! checkpoint's contract: what `save_weights` writes is fixed byte for
+//! byte, and every f32 bit pattern survives the round trip.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -76,6 +78,96 @@ fn truncation_at_every_offset_is_a_typed_error() {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "offset {len}")
             }
             other => panic!("offset {len}: expected Io(UnexpectedEof), got {other:?}"),
+        }
+    }
+}
+
+/// The file format, byte for byte: magic, version, layer count, then per
+/// layer a u64 count and raw little-endian f32 bit patterns — NaN payload
+/// and negative zero included, nothing canonicalized.
+#[test]
+fn golden_bytes_pin_the_format() {
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut net = Network::new(vec![
+        Box::new(FcLayer::new(2, 1, &mut rng)),
+        Box::new(ReluLayer::new(1)),
+        Box::new(FcLayer::new(1, 1, &mut rng)),
+    ])
+    .unwrap();
+    net.layers_mut()[0].set_params(&[1.0, -0.0, f32::from_bits(0x7fc0_0001)]);
+    net.layers_mut()[2].set_params(&[f32::from_bits(1), -2.5]);
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        b'S', b'P', b'G', b'W', 1, 0, 0, 0, 3, 0, 0, 0,
+        3, 0, 0, 0, 0, 0, 0, 0,
+        0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0xc0, 0x7f,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0xc0,
+    ];
+    let mut file = Vec::new();
+    save_weights(&net, &mut file).unwrap();
+    assert_eq!(file, golden);
+
+    net.layers_mut()[0].set_params(&[0.0; 3]);
+    load_weights(&mut net, golden).unwrap();
+    assert_eq!(
+        param_bits(&net),
+        vec![vec![0x3f80_0000, 0x8000_0000, 0x7fc0_0001], vec![], vec![1, 0xc020_0000]]
+    );
+}
+
+/// Any f32 bit pattern, weighted toward the ones a value-level copy
+/// would mangle: NaN payloads (quiet and signalling, both signs), -0.0,
+/// subnormals, infinities.
+fn any_f32_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0u32..u32::MAX,
+        Just(0x8000_0000u32),
+        Just(0x7fc0_0001u32),
+        Just(0xffc1_2345u32),
+        Just(0x7f80_0001u32),
+        Just(0x0000_0001u32),
+        Just(0x807f_ffffu32),
+        Just(0x7f80_0000u32),
+        Just(0xff80_0000u32),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A checkpoint round-trips by bits: whatever patterns the weights
+    /// hold, save → load restores exactly them, a second save reproduces
+    /// the file, and the file cut anywhere is a typed error that leaves
+    /// the receiving network untouched.
+    #[test]
+    fn checkpoint_round_trips_every_bit_pattern(
+        pool in proptest::collection::vec(any_f32_bits(), 256..257),
+    ) {
+        let mut source = make_net(1);
+        let mut next = pool.iter().cycle().map(|&b| f32::from_bits(b));
+        for layer in source.layers_mut() {
+            let params: Vec<f32> = next.by_ref().take(layer.param_count()).collect();
+            if !params.is_empty() {
+                layer.set_params(&params);
+            }
+        }
+        let mut file = Vec::new();
+        save_weights(&source, &mut file).unwrap();
+
+        let mut target = make_net(2);
+        load_weights(&mut target, file.as_slice()).expect("a saved checkpoint loads");
+        prop_assert_eq!(param_bits(&target), param_bits(&source));
+        let mut again = Vec::new();
+        save_weights(&target, &mut again).unwrap();
+        prop_assert_eq!(&again, &file);
+
+        for cut in 0..file.len() {
+            prop_assert!(
+                matches!(load_checked(&file[..cut]), Err(LoadError::Io(_))),
+                "cut at {} of {}", cut, file.len()
+            );
         }
     }
 }

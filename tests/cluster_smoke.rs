@@ -53,24 +53,31 @@ fn serve_cluster_shard_kill_drill_recovers() {
     assert!(stdout.contains("shard-kill drill passed"), "stdout: {stdout}");
 }
 
-/// Ring all-reduce across two real rank processes rendezvousing over Unix
-/// sockets reproduces the single-process pool's epoch losses bit for bit.
+/// Ring all-reduce across real rank processes rendezvousing over Unix
+/// sockets reproduces the single-process pool's epoch losses bit for bit
+/// — at world 2, and at world 3, where a middle rank receives, folds and
+/// forwards through its buffered links (and the batch splits unevenly).
 #[test]
 fn train_cluster_ring_matches_pool_across_processes() {
-    let (stdout, stderr, ok) = spgcnn(&[
-        "train-cluster",
-        "--smoke",
-        "--world",
-        "2",
-        "--epochs",
-        "2",
-        "--samples",
-        "16",
-        "--batch",
-        "8",
-    ]);
-    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.contains("bit-identical to the single-process pool"), "stdout: {stdout}");
+    for world in ["2", "3"] {
+        let (stdout, stderr, ok) = spgcnn(&[
+            "train-cluster",
+            "--smoke",
+            "--world",
+            world,
+            "--epochs",
+            "2",
+            "--samples",
+            "16",
+            "--batch",
+            "8",
+        ]);
+        assert!(ok, "world {world}\nstdout: {stdout}\nstderr: {stderr}");
+        assert!(
+            stdout.contains("bit-identical to the single-process pool"),
+            "world {world}\nstdout: {stdout}"
+        );
+    }
 }
 
 /// An injected rank fault mid-all-reduce is replayed from committed rank
