@@ -1,8 +1,10 @@
 //! Regenerates Fig. 3a: Parallel-GEMM GFlops/core vs core count for the
 //! Table 1 convolutions (machine model), with measured single-core
-//! Unfold+GEMM anchors from this host's real kernels.
+//! Unfold+GEMM anchors from the autotuner's own measurement on this host.
 
-use spg_bench::{fmt, render_table};
+use spg_bench::{anchor_gflops, fmt, render_table};
+use spg_core::autotune::Phase;
+use spg_core::schedule::Technique;
 use spg_simcpu::Machine;
 
 fn main() {
@@ -19,7 +21,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (id, spec) in shrunk {
-        let gf = spg_bench::measured::unfold_gemm_fp_gflops(&spec, 3);
+        let gf = anchor_gflops(&spec, Technique::GemmInParallel, Phase::Forward, 0.0, 3);
         rows.push(vec![format!("ID {id} (shrunk)"), fmt(gf, 2)]);
     }
     print!("{}", render_table(&["conv", "GFlops (1 core, this host)"], &rows));

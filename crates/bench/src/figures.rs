@@ -5,7 +5,7 @@
 //! tests assert their qualitative shape (who wins, where the crossovers
 //! fall). Scaling curves come from the `spg-simcpu` machine model; the
 //! single-core anchors printed next to them are measured on this host by
-//! [`crate::measured`].
+//! [`crate::anchor_gflops`].
 
 use spg_convnet::ConvSpec;
 use spg_core::region::classify_by_features;

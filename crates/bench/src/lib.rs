@@ -3,14 +3,47 @@
 //! Each table and figure of the paper has a dedicated binary in
 //! `src/bin/` (see `DESIGN.md` for the full index); this library holds
 //! the table-formatting and series-printing helpers they share, so every
-//! harness prints rows the same way `EXPERIMENTS.md` records them.
+//! harness prints rows the same way `EXPERIMENTS.md` records them, and
+//! [`anchor_gflops`], the one host measurement they print.
 
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod measured;
 
 use std::fmt::Write as _;
+
+use spg_convnet::ConvSpec;
+use spg_core::autotune::{measure_technique, Phase};
+use spg_core::schedule::Technique;
+
+/// Measured single-core GFlop/s of one technique on one phase of `spec` on
+/// this host — the anchor the figure binaries print under a model curve.
+///
+/// The timing is [`measure_technique`] at one core, the measurement the
+/// scheduler itself picks plans from (Sec. 4.4): kernels bind as they
+/// deploy, weights are prepared outside the timed loop. Forward counts
+/// `|A|` operations; backward (error + delta-weights) counts `2|A|` scaled
+/// by the requested gradient density `1 - sparsity`, i.e. goodput.
+///
+/// # Panics
+///
+/// Panics if `reps == 0` or the verifier rejects `technique` for `spec`.
+pub fn anchor_gflops(
+    spec: &ConvSpec,
+    technique: Technique,
+    phase: Phase,
+    sparsity: f64,
+    reps: usize,
+) -> f64 {
+    let secs = measure_technique(spec, technique, phase, sparsity, 1, reps)
+        .expect("the figures measure techniques that verify on every valid spec at one core")
+        .as_secs_f64();
+    let ops = match phase {
+        Phase::Forward => spec.arithmetic_ops() as f64,
+        Phase::Backward => 2.0 * spec.arithmetic_ops() as f64 * (1.0 - sparsity),
+    };
+    ops / secs / 1e9
+}
 
 /// Renders a fixed-width text table: a header row, a separator, and one
 /// line per data row. Columns are sized to the widest cell.
@@ -89,6 +122,21 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_rows_panic() {
         render_table(&["a", "b"], &[vec!["1".into()]]);
+    }
+
+    /// Every (technique, phase) pair `fig3a`, `fig4cd` and `fig4ef` print.
+    #[test]
+    fn anchors_are_finite_and_positive() {
+        let tiny = ConvSpec::new(2, 12, 12, 4, 3, 3, 1, 1).expect("valid fixed spec");
+        for (technique, phase, sparsity) in [
+            (Technique::GemmInParallel, Phase::Forward, 0.0),
+            (Technique::StencilFp, Phase::Forward, 0.0),
+            (Technique::GemmInParallel, Phase::Backward, 0.9),
+            (Technique::SparseBp, Phase::Backward, 0.9),
+        ] {
+            let gf = anchor_gflops(&tiny, technique, phase, sparsity, 1);
+            assert!(gf.is_finite() && gf > 0.0, "{technique:?} {phase:?}: {gf}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use router::{
 pub use shard::{serve_connection, ConnectionEnd, KillDrill};
 pub use train::{
     block_bounds, run_rank, train_in_proc, Comm, InProcTrainOptions, RankOptions, RankState,
-    TrainFault,
+    TrainFault, DEFAULT_CHUNK_FLOATS,
 };
 pub use wire::{Message, WireError};
 
@@ -275,7 +275,7 @@ impl Default for ClusterConfig {
             restart_budget: 3,
             restart_backoff: Duration::from_millis(5),
             transport: Transport::InProc,
-            chunk_floats: 4096,
+            chunk_floats: DEFAULT_CHUNK_FLOATS,
         }
     }
 }
@@ -637,6 +637,17 @@ mod tests {
         assert_eq!(err.kind(), spg_error::ErrorKind::Cluster);
         let err = Cluster::builder().build().unwrap_err();
         assert_eq!(err.kind(), spg_error::ErrorKind::Cluster);
+    }
+
+    /// A default `Cluster::builder()` parent must be able to ring with a
+    /// default `train_in_proc` / `cluster-rank` peer: ranks that disagree
+    /// on the chunk size fail the all-reduce with a `Protocol` error.
+    #[test]
+    fn every_default_names_one_chunk_size() {
+        assert_eq!(
+            ClusterConfig::default().chunk_floats,
+            InProcTrainOptions::default().chunk_floats
+        );
     }
 
     #[test]

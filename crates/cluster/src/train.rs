@@ -85,6 +85,12 @@ pub enum Comm {
     },
 }
 
+/// Floats per all-reduce wire chunk unless a caller sets another value.
+/// Every rank of a ring must agree on it (a mismatch is a typed
+/// `Protocol` error), so each `Default` and the CLI's rank processes all
+/// name this one constant.
+pub const DEFAULT_CHUNK_FLOATS: usize = 1024;
+
 /// Per-rank training options.
 #[derive(Debug, Clone)]
 pub struct RankOptions {
@@ -324,7 +330,7 @@ impl Default for InProcTrainOptions {
         InProcTrainOptions {
             world: 2,
             algo: AllReduce::Ring,
-            chunk_floats: 1024,
+            chunk_floats: DEFAULT_CHUNK_FLOATS,
             restart_budget: 2,
             restart_backoff: Duration::from_millis(1),
             fault: None,

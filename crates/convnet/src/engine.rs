@@ -43,42 +43,27 @@ use crate::{ConvSpec, EpochStats, Network, SampleTrace, Trainer, TrainerConfig};
 /// drifts).
 pub trait NetworkPlanner: Send + Sync {
     /// Installs forward and backward executors for a full training run at
-    /// the given expected backward gradient sparsity.
-    fn plan(&self, net: &mut Network, sparsity: f64);
-
-    /// Installs forward executors only — the inference/serving path never
-    /// runs backward propagation, so backward tuning work is skipped.
-    fn plan_forward(&self, net: &mut Network);
-
-    /// Re-plans after an epoch using its observed statistics (Sec. 4.4's
-    /// sparsity-drift retuning). Implementations may be a no-op.
-    fn retune(&self, net: &mut Network, stats: &EpochStats);
-
-    /// Fallible variant of [`plan`](NetworkPlanner::plan): planners whose
+    /// the given expected backward gradient sparsity. Planners whose
     /// chosen plans can be rejected (e.g. by a plan-time verifier) report
-    /// that as an error instead of panicking, and install nothing on
-    /// failure. The default delegates to the infallible `plan`.
+    /// that as an error and install nothing on failure.
     ///
     /// # Errors
     ///
     /// Implementation-defined; the `spg-core` autotuner returns
     /// [`ErrorKind::Tuning`] when a chosen plan fails verification.
-    fn try_plan(&self, net: &mut Network, sparsity: f64) -> Result<(), Error> {
-        self.plan(net, sparsity);
-        Ok(())
-    }
+    fn try_plan(&self, net: &mut Network, sparsity: f64) -> Result<(), Error>;
 
-    /// Fallible variant of [`plan_forward`](NetworkPlanner::plan_forward);
-    /// see [`try_plan`](NetworkPlanner::try_plan).
+    /// Installs forward executors only — the inference/serving path never
+    /// runs backward propagation, so backward tuning work is skipped.
     ///
     /// # Errors
     ///
-    /// Implementation-defined; the default delegates to the infallible
-    /// `plan_forward` and never fails.
-    fn try_plan_forward(&self, net: &mut Network) -> Result<(), Error> {
-        self.plan_forward(net);
-        Ok(())
-    }
+    /// Implementation-defined; see [`try_plan`](NetworkPlanner::try_plan).
+    fn try_plan_forward(&self, net: &mut Network) -> Result<(), Error>;
+
+    /// Re-plans after an epoch using its observed statistics (Sec. 4.4's
+    /// sparsity-drift retuning). Implementations may be a no-op.
+    fn retune(&self, net: &mut Network, stats: &EpochStats);
 }
 
 /// A per-layer algorithm choice installable on a [`ConvLayer`].
@@ -333,35 +318,10 @@ impl Engine {
     }
 
     /// Installs forward-and-backward executor plans for training at the
-    /// given expected gradient sparsity. No-op without a planner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the planner rejects a chosen plan; use
-    /// [`Engine::try_tune`] to receive that as a typed error instead.
-    pub fn tune(&mut self, sparsity: f64) {
-        if let Err(e) = self.try_tune(sparsity) {
-            panic!("{e}")
-        }
-    }
-
-    /// Installs forward-only executor plans (the serving path). No-op
-    /// without a planner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the planner rejects a chosen plan; use
-    /// [`Engine::try_tune_forward`] to receive that as a typed error
-    /// instead.
-    pub fn tune_forward(&mut self) {
-        if let Err(e) = self.try_tune_forward() {
-            panic!("{e}")
-        }
-    }
-
-    /// Fallible variant of [`Engine::tune`]: plans executors through the
-    /// injected [`NetworkPlanner`] and re-applies any
-    /// [`algo_override`](Engine::algo_override) pins on top.
+    /// given expected gradient sparsity through the injected
+    /// [`NetworkPlanner`] and re-applies any
+    /// [`algo_override`](Engine::algo_override) pins on top. Without a
+    /// planner only the pins are applied.
     ///
     /// # Errors
     ///
@@ -375,7 +335,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Fallible variant of [`Engine::tune_forward`].
+    /// Installs forward-only executor plans (the serving path); see
+    /// [`Engine::try_tune`].
     ///
     /// # Errors
     ///

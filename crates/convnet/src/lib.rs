@@ -41,7 +41,6 @@ pub mod gradcheck;
 pub mod io;
 pub mod layer;
 mod net;
-pub mod profile;
 pub mod reference;
 pub mod regularize;
 pub mod sgd;

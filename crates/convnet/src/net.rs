@@ -259,16 +259,6 @@ impl Network {
         }
     }
 
-    /// Predicted class (argmax of logits) for one sample, reusing `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input length or workspace geometry mismatches.
-    pub fn predict_with(&self, input: &Tensor, ws: &mut Workspace) -> usize {
-        self.forward_into(input.as_slice(), ws);
-        argmax(ws.trace.logits())
-    }
-
     /// Predicted class (argmax of logits) for one sample.
     pub fn predict(&self, input: &Tensor) -> usize {
         argmax(self.forward(input).logits())

@@ -583,14 +583,6 @@ impl Framework {
 }
 
 impl spg_convnet::NetworkPlanner for Framework {
-    fn plan(&self, net: &mut Network, sparsity: f64) {
-        self.plan_network(net, sparsity);
-    }
-
-    fn plan_forward(&self, net: &mut Network) {
-        self.plan_network_forward(net);
-    }
-
     fn retune(&self, net: &mut Network, stats: &EpochStats) {
         Framework::retune(self, net, stats);
     }

@@ -166,71 +166,6 @@ pub fn training_throughput(
     }
 }
 
-/// Predicted inference-serving throughput (requests/second) for a stack
-/// of convolution layers at a given worker count — the forward-only
-/// analogue of [`training_throughput`], modeling the `spg-serve` worker
-/// pool.
-///
-/// The Parallel-GEMM configurations model one multi-threaded kernel
-/// cooperating on each request; the GEMM-in-Parallel-family
-/// configurations model `workers` independent single-threaded pipelines
-/// (each `spg-serve` worker owns its own warm compiled kernels), which is
-/// what preserves per-core arithmetic intensity and near-linear scaling.
-/// Backward-phase technique choices are irrelevant here: serving never
-/// runs backward propagation.
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or `layers` is empty.
-pub fn serving_throughput(
-    machine: &Machine,
-    layers: &[LayerCost],
-    config: Config,
-    workers: usize,
-) -> f64 {
-    assert!(workers > 0, "worker count must be positive");
-    assert!(!layers.is_empty(), "layer list must be non-empty");
-
-    let physical = workers.min(machine.cores) as f64;
-    let effective = physical + HYPERTHREAD_YIELD * (workers as f64 - physical).max(0.0);
-
-    match config {
-        Config::ParallelGemmCaffe | Config::ParallelGemmAdam => {
-            // All threads cooperate on one request at a time: forward-only
-            // work (1x arithmetic_ops, vs 3x for training's three phases).
-            let mut time = 0.0;
-            for layer in layers {
-                let per_core = parallel_gemm_gflops_per_core(machine, &layer.spec, workers);
-                let rate = per_core * effective * 1e9;
-                time += layer.spec.arithmetic_ops() as f64 / rate;
-            }
-            time *= 1.0 + NON_CONV_OVERHEAD;
-            let eff = if config == Config::ParallelGemmCaffe {
-                CAFFE_PLATFORM_EFF
-            } else {
-                ADAM_PLATFORM_EFF
-            };
-            eff / time
-        }
-        Config::GemmInParallel | Config::GipFpSparseBp | Config::StencilFpSparseBp => {
-            // Each worker serves whole requests with single-threaded
-            // kernels, so throughput is per-pipeline rate x worker count.
-            let mut time = 0.0;
-            for layer in layers {
-                let fp_rate = match config {
-                    Config::StencilFpSparseBp => {
-                        stencil_gflops_per_core(machine, &layer.spec, workers)
-                    }
-                    _ => gemm_in_parallel_gflops_per_core(machine, &layer.spec, workers),
-                } * 1e9;
-                time += layer.spec.arithmetic_ops() as f64 / fp_rate;
-            }
-            time *= 1.0 + NON_CONV_OVERHEAD;
-            ADAM_PLATFORM_EFF * effective / time
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,47 +239,6 @@ mod tests {
             let caffe = cifar10_throughput(&m, Config::ParallelGemmCaffe, threads, 0.85);
             let adam = cifar10_throughput(&m, Config::ParallelGemmAdam, threads, 0.85);
             assert!(adam < caffe);
-        }
-    }
-
-    /// The bench-serve acceptance bar: the sim workload must show >= 3x
-    /// serving throughput at 4 workers vs 1 for the independent-pipeline
-    /// (GEMM-in-Parallel-family) configurations.
-    #[test]
-    fn serving_scales_3x_at_4_workers() {
-        let m = machine();
-        let layers = cifar10_layers();
-        for config in [Config::GemmInParallel, Config::StencilFpSparseBp] {
-            let one = serving_throughput(&m, &layers, config, 1);
-            let four = serving_throughput(&m, &layers, config, 4);
-            assert!(
-                four >= 3.0 * one,
-                "{config:?}: 4 workers {four:.1} req/s < 3x 1 worker {one:.1} req/s"
-            );
-        }
-    }
-
-    /// Serving with multi-threaded Parallel-GEMM kernels plateaus the
-    /// same way training does — the motivation for the worker-pool design.
-    #[test]
-    fn parallel_gemm_serving_plateaus() {
-        let m = machine();
-        let layers = cifar10_layers();
-        let four = serving_throughput(&m, &layers, Config::ParallelGemmCaffe, 4);
-        let one = serving_throughput(&m, &layers, Config::ParallelGemmCaffe, 1);
-        assert!(four < 3.0 * one, "Parallel-GEMM serving must scale sublinearly");
-    }
-
-    /// Forward-only serving is faster than full training at the same
-    /// worker count (no backward phases).
-    #[test]
-    fn serving_outpaces_training() {
-        let m = machine();
-        let layers = cifar10_layers();
-        for workers in [1, 4, 16] {
-            let serve = serving_throughput(&m, &layers, Config::GemmInParallel, workers);
-            let train = training_throughput(&m, &layers, Config::GemmInParallel, workers, 0.85);
-            assert!(serve > train, "serving {serve} <= training {train} at {workers} workers");
         }
     }
 

@@ -44,8 +44,7 @@ mod sparse;
 
 pub use backend::{AlgoPrediction, SimBackend};
 pub use endtoend::{
-    cifar10_layers, cifar10_throughput, serving_throughput, training_throughput,
-    Config as EndToEndConfig, LayerCost,
+    cifar10_layers, cifar10_throughput, training_throughput, Config as EndToEndConfig, LayerCost,
 };
 pub use interconnect::{cluster_scaling, ClusterPoint, Interconnect};
 pub use machine::Machine;

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use spg_cnn::cluster::{
     run_rank, serve_connection, train_in_proc, Cluster, ClusterError, Comm, ConnectionEnd,
     InProcTrainOptions, KillDrill, RankOptions, RankState, TrainFault, Transport,
+    DEFAULT_CHUNK_FLOATS,
 };
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::{io, ConvSpec, Engine, Trainer, TrainerConfig};
@@ -32,9 +33,7 @@ use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::core::region::classify;
 use spg_cnn::core::schedule::recommended_plan;
 use spg_cnn::serve::{FaultPlan, ServeConfig, ServeError, Server};
-use spg_cnn::simcpu::{
-    cifar10_layers, cluster_scaling, serving_throughput, EndToEndConfig, Interconnect, Machine,
-};
+use spg_cnn::simcpu::{cluster_scaling, Interconnect, Machine};
 use spg_cnn::tensor::{Shape3, Tensor};
 
 const USAGE: &str = "\
@@ -82,24 +81,12 @@ usage:
       one worker on purpose (SPEC is `worker:batch` or `any:batch`,
       1-based batch) and checks the pool supervisor isolates the fault;
       it needs a build with the `fault-injection` cargo feature.
-  spgcnn bench-serve [--requests N] [--max-batch N] [--max-delay-ms MS]
-      Measure serving throughput at 1/2/4 workers on this machine, then
-      print the analytical multicore model's serving-scaling table
-      (forward-only Sec. 4.1: one single-threaded kernel per worker).
   spgcnn bench-kernels [--json FILE] [--reps N]
       Race the generic stencil forward loops against the specialized
       codegen registry instance on every Table 2 layer, single-core,
       median-of-N with pinned iteration counts. With --json, write the
       spgcnn-bench-kernels document CI's bench gate diffs against the
       committed BENCH_kernels.json baseline.
-  spgcnn bench-hybrid [--json FILE] [--reps N] [--smoke]
-      Strong-scaling sweep at batch = 1 (the regime where sample
-      parallelism starves): time the sequential kernel against the
-      y-band / x-band / out-channel hybrid decompositions at 1/2/4/8
-      workers on the small-batch/large-image Table 2 layers, proving
-      every banded output bit-identical before trusting its timing.
-      With --json, write the spgcnn-bench-hybrid document (the committed
-      BENCH_hybrid.json baseline); --smoke sweeps one tiny layer instead.
   spgcnn serve-cluster <net.cfg>|--smoke [--shards N] [--workers N] [--requests N]
                [--transport uds|tcp|inproc] [--base-port P]
                [--inject-fault SHARD:AFTER_N] [--metrics-json FILE]
@@ -151,9 +138,7 @@ fn main() -> ExitCode {
         Some("check") => check(&args[1..]),
         Some("algos") => algos(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("bench-serve") => bench_serve(&args[1..]),
         Some("bench-kernels") => bench_kernels(&args[1..]),
-        Some("bench-hybrid") => bench_hybrid(&args[1..]),
         Some("serve-cluster") => serve_cluster(&args[1..]),
         Some("train-cluster") => train_cluster(&args[1..]),
         Some("bench-cluster") => bench_cluster(&args[1..]),
@@ -268,7 +253,9 @@ fn plan(args: &[String], render: bool) -> Result<(), String> {
     let mut net = desc.build(42).map_err(|e| e.to_string())?;
     println!("network `{}`: {net:?}", desc.name);
     let framework = Framework::new(cores, TuningMode::Heuristic, 2);
-    for (i, layer_plan) in framework.plan_network(&mut net, sparsity) {
+    for (i, layer_plan) in
+        framework.try_plan_network(&mut net, sparsity).map_err(|e| e.to_string())?
+    {
         let spec = *net.layers()[i].conv_spec().expect("planned layers are conv");
         println!("\nlayer {i}: {spec}");
         println!("  {} | {layer_plan}", classify(&spec, sparsity));
@@ -616,7 +603,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     // single-threaded kernel, GEMM-in-Parallel across the pool (Sec. 4.1
     // applied to inference).
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
+    let plans = framework.try_plan_network_forward(&mut net).map_err(|e| e.to_string())?;
     let engine =
         Engine::builder().network(net).workers(workers).build().map_err(|e| e.to_string())?;
 
@@ -728,98 +715,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn bench_serve(args: &[String]) -> Result<(), String> {
-    let requests = flag(args, "--requests", 64usize)?.max(1);
-    let max_batch = flag(args, "--max-batch", 8usize)?.max(1);
-    let max_delay_ms = flag(args, "--max-delay-ms", 1u64)?;
-
-    let desc = NetworkDescription::parse(SMOKE_NETWORK).map_err(|e| e.to_string())?;
-    let mut net = desc.build(42).map_err(|e| e.to_string())?;
-    let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
-    let engine = Engine::builder().network(net).build().map_err(|e| e.to_string())?;
-
-    let shape = Shape3::new(desc.input.c, desc.input.h, desc.input.w);
-    let data = Dataset::synthetic(shape, engine.network().output_len(), requests, 0.15, 13);
-    let inputs: Vec<Vec<f32>> =
-        (0..data.len()).map(|i| data.image(i).as_slice().to_vec()).collect();
-    let expected: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|x| engine.forward(x).map(|t| t.as_slice().to_vec()))
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
-    let net = engine.into_shared();
-
-    println!(
-        "measured serving throughput on this machine ({requests} requests, max batch {max_batch}):"
-    );
-    println!("workers  requests/s  mean batch  bit-identical");
-    for workers in [1usize, 2, 4] {
-        let config = ServeConfig {
-            workers,
-            max_batch,
-            max_delay: Duration::from_millis(max_delay_ms),
-            queue_capacity: requests.max(8),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(Arc::clone(&net), &plans, config).map_err(|e| e.to_string())?;
-        let started = Instant::now();
-        let pending: Vec<_> = inputs
-            .iter()
-            .map(|x| server.submit_timeout(x.clone(), Duration::from_secs(60)))
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
-        let mut batch_total = 0usize;
-        let mut identical = true;
-        for (i, p) in pending.into_iter().enumerate() {
-            let r = p.wait().map_err(|e| e.to_string())?;
-            batch_total += r.batch_size;
-            identical &= r.logits == expected[i];
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        server.shutdown();
-        if !identical {
-            return Err(format!(
-                "worker count {workers}: responses diverged from the single-sample forward path"
-            ));
-        }
-        println!(
-            "{workers:>7}  {:>10.0}  {:>10.2}  yes",
-            requests as f64 / elapsed,
-            batch_total as f64 / requests as f64
-        );
-    }
-
-    // Wall-clock scaling above is bounded by this container's physical
-    // core count; the paper-scale claim comes from the analytical model
-    // of the 16-core evaluation machine.
-    let machine = Machine::xeon_e5_2650();
-    let layers = cifar10_layers();
-    println!(
-        "\nmodeled CIFAR-10 serving throughput (images/s) on the {}-core Xeon E5-2650:",
-        machine.cores
-    );
-    println!("workers  Parallel-GEMM  GEMM-in-Parallel  Stencil-FP");
-    for workers in [1usize, 2, 4, 8, 16] {
-        let pg = serving_throughput(&machine, &layers, EndToEndConfig::ParallelGemmAdam, workers);
-        let gip = serving_throughput(&machine, &layers, EndToEndConfig::GemmInParallel, workers);
-        let st = serving_throughput(&machine, &layers, EndToEndConfig::StencilFpSparseBp, workers);
-        println!("{workers:>7}  {pg:>13.1}  {gip:>16.1}  {st:>10.1}");
-    }
-    let one = serving_throughput(&machine, &layers, EndToEndConfig::StencilFpSparseBp, 1);
-    let four = serving_throughput(&machine, &layers, EndToEndConfig::StencilFpSparseBp, 4);
-    let scaling = four / one;
-    println!(
-        "\nper-core-kernel serving scaling at 4 workers: {scaling:.2}x vs 1 worker (target >= 3.0x)"
-    );
-    if scaling < 3.0 {
-        return Err(format!(
-            "modeled serving scaling at 4 workers is {scaling:.2}x, below the 3x target"
-        ));
-    }
-    Ok(())
-}
-
 fn bench_kernels(args: &[String]) -> Result<(), String> {
     let reps = flag(args, "--reps", spg_cnn::bench_kernels::DEFAULT_REPS)?.max(1);
     let json_path = opt_flag(args, "--json")?;
@@ -833,28 +728,6 @@ fn bench_kernels(args: &[String]) -> Result<(), String> {
             specialized.iter().filter(|l| l.hot && l.speedup.is_some_and(|s| s >= 1.15)).count();
         println!("\nhot layers at >= 1.15x specialized speedup: {hot_wins}");
     }
-    if let Some(path) = json_path {
-        std::fs::write(&path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("report written to {path}");
-    }
-    Ok(())
-}
-
-fn bench_hybrid(args: &[String]) -> Result<(), String> {
-    let reps = flag(args, "--reps", spg_cnn::bench_hybrid::DEFAULT_REPS)?.max(1);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = opt_flag(args, "--json")?;
-    let report = spg_cnn::bench_hybrid::run(reps, smoke);
-    print!("{}", report.render_table());
-    if report.layers.iter().any(|l| !l.bit_identical) {
-        return Err("a banded output diverged from the sequential kernel".into());
-    }
-    println!(
-        "\nhybrid beats starved sample parallelism at {} workers on {}/{} layer(s)",
-        spg_cnn::bench_hybrid::WORKER_SWEEP[spg_cnn::bench_hybrid::WORKER_SWEEP.len() - 1],
-        report.hybrid_wins_at_top(),
-        report.layers.len()
-    );
     if let Some(path) = json_path {
         std::fs::write(&path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("report written to {path}");
@@ -1146,7 +1019,7 @@ fn serve_cluster(args: &[String]) -> Result<(), String> {
     // mirrors — responses must be bit-identical to this engine's forward.
     let mut net = desc.build(42).map_err(|e| e.to_string())?;
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let _plans = framework.plan_network_forward(&mut net);
+    framework.try_plan_network_forward(&mut net).map_err(|e| e.to_string())?;
     let engine = Engine::builder().network(net).build().map_err(|e| e.to_string())?;
     let shape = Shape3::new(desc.input.c, desc.input.h, desc.input.w);
     let data = Dataset::synthetic(shape, engine.network().output_len(), requests, 0.15, 11);
@@ -1305,7 +1178,7 @@ fn cluster_shard(args: &[String]) -> Result<(), String> {
     // Same deterministic seed and forward planning as the parent's
     // reference engine, so this replica's replies are bit-identical to it.
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
+    let plans = framework.try_plan_network_forward(&mut net).map_err(|e| e.to_string())?;
     let server = Server::start(
         Arc::new(net),
         &plans,
@@ -1411,7 +1284,7 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
         let stats = if fault.is_some() {
             let opts = InProcTrainOptions {
                 world,
-                chunk_floats: 1024,
+                chunk_floats: DEFAULT_CHUNK_FLOATS,
                 restart_budget: 2,
                 restart_backoff: Duration::from_millis(5),
                 fault,
@@ -1421,7 +1294,7 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
         } else {
             let cluster = Cluster::builder()
                 .shards(world)
-                .chunk_floats(1024)
+                .chunk_floats(DEFAULT_CHUNK_FLOATS)
                 .factory(factory)
                 .build()
                 .map_err(|e| e.to_string())?;
@@ -1544,7 +1417,7 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
         let (rx, _) = listener.accept().map_err(|e| e.to_string())?;
         Comm::Ring { rx_prev: Box::new(rx), tx_next: Box::new(tx) }
     };
-    let opts = RankOptions { rank, world, chunk_floats: 1024, fault: None };
+    let opts = RankOptions { rank, world, chunk_floats: DEFAULT_CHUNK_FLOATS, fault: None };
     let mut state = RankState::fresh(&net);
     let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut state)
         .map_err(|e| e.to_string())?;

@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_hybrid;
 pub mod bench_kernels;
 
 pub use spg_check as check;
