@@ -18,7 +18,7 @@
 //! executing. Verification runs at plan time (microseconds per layer), never
 //! per sample, and its success is a value: [`verify_conv_plan`] returns a
 //! [`VerifiedPlan`], the only thing the kernels' `unsafe` tile loops accept
-//! their bounds from.
+//! their bounds — and, split across workers, their output — from.
 //!
 //! [`ConvScratch`]: spg_convnet::workspace::ConvScratch
 
@@ -32,15 +32,14 @@ mod sparse;
 mod stencil;
 mod verified;
 
-pub use banded::band_sub_spec;
 pub use capacity::ScratchCapacity;
 pub use error::{Buf, CheckError};
 pub use interval::Span;
 pub use plan::{
-    BackwardPlan, BandDim, BandPlan, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, XTile,
+    BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, XTile,
     ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
 };
-pub use verified::{VerifiedPlan, VerifiedTiled};
+pub use verified::{TileRegion, VerifiedPlan, VerifiedTiled};
 
 use spg_convnet::ConvSpec;
 
@@ -131,8 +130,8 @@ pub fn verify_forward(
             )?;
         }
         ForwardPlan::StencilNarrow => stencil::check_forward_narrow(&mut interp, spec, cap)?,
-        ForwardPlan::StencilBanded { dim, bands } => {
-            banded::check_forward_banded(&mut interp, spec, *dim, bands, cap)?;
+        ForwardPlan::StencilBanded { dim, tiled, bands } => {
+            banded::check_forward_banded(&mut interp, spec, *dim, tiled, bands, cap)?;
         }
         ForwardPlan::UnfoldGemm { threads } => {
             gemm::check_forward_gemm(&mut interp, spec, *threads, cap)?;

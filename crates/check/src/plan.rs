@@ -62,24 +62,8 @@ pub struct ScheduleTile {
 pub enum BandDim {
     /// Contiguous bands of output rows (spatial-`y` partitioning).
     YRows,
-    /// Contiguous bands of output columns (spatial-`x` partitioning).
-    XCols,
     /// Contiguous slices of output features (channel partitioning).
     OutChannels,
-}
-
-/// One worker's band of a [`ForwardPlan::StencilBanded`] decomposition: the
-/// half-open output range it owns along the split dimension, the sub-spec
-/// its kernel executes, and the (recursively verified) plan it runs on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BandPlan {
-    /// Half-open `[lo, hi)` range along the split dimension, in output
-    /// rows / columns / features according to the parent's [`BandDim`].
-    pub range: (usize, usize),
-    /// The restricted convolution this band's worker executes.
-    pub spec: ConvSpec,
-    /// The forward plan the band runs on its sub-spec.
-    pub plan: ForwardPlan,
 }
 
 /// How the forward pass executes under the candidate plan.
@@ -101,14 +85,19 @@ pub enum ForwardPlan {
     },
     /// Narrow-output stencil: per-tap gather into a patch block + small GEMM.
     StencilNarrow,
-    /// Hybrid intra-layer decomposition: disjoint contiguous worker bands
-    /// along one output dimension, each running the wide register-tiled
-    /// stencil on its restricted sub-spec.
+    /// Hybrid intra-layer decomposition: the layer's own tiled plan with
+    /// one axis of its loop nest partitioned into disjoint contiguous
+    /// worker bands. A band is not a convolution of its own — it is a
+    /// range of that loop nest, reading the parent input and writing the
+    /// parent output.
     StencilBanded {
         /// The output dimension the bands split.
         dim: BandDim,
-        /// Per-worker bands; must disjointly cover the split extent.
-        bands: Vec<BandPlan>,
+        /// The whole layer's plan; must be [`ForwardPlan::StencilTiled`].
+        tiled: Box<ForwardPlan>,
+        /// Per-worker half-open `[lo, hi)` ranges of output rows or
+        /// features (by `dim`); must disjointly cover the split extent.
+        bands: Vec<(usize, usize)>,
     },
     /// Unfold + GEMM with `threads` parallel row bands (Parallel-GEMM when
     /// `threads > 1`, GEMM-in-Parallel's per-core serial GEMM when 1).

@@ -1,14 +1,19 @@
 //! The proof-carrying result of verification.
 //!
 //! [`verify_conv_plan`](crate::verify_conv_plan) is the only constructor of
-//! a [`VerifiedPlan`], and a `VerifiedPlan` the only source of a
-//! [`VerifiedTiled`] — the value the `unsafe` stencil tile loops take their
-//! bounds from. The x-tiles, cache rows and band ranges a kernel iterates
-//! are the very `Vec`s the abstract interpretation judged.
+//! a [`VerifiedPlan`], a `VerifiedPlan` the only source of a
+//! [`VerifiedTiled`], and [`VerifiedTiled::regions`] the only source of a
+//! [`TileRegion`] — the values the `unsafe` stencil tile loops take their
+//! bounds and their output rows from. The x-tiles, cache rows and band
+//! ranges a kernel iterates are the very `Vec`s the abstract interpretation
+//! judged, and the rows of the output two workers write are the ranges it
+//! proved disjoint.
+
+use std::marker::PhantomData;
 
 use spg_convnet::ConvSpec;
 
-use crate::plan::{ConvPlan, ForwardPlan, XTile};
+use crate::plan::{BandDim, ConvPlan, ForwardPlan, XTile};
 use crate::CheckReport;
 
 /// A [`ConvPlan`] proved safe for one [`ConvSpec`]: it exists only if the
@@ -43,26 +48,33 @@ impl VerifiedPlan {
     }
 
     /// The forward plan as the tile loops consume it, when it is the wide
-    /// register-tiled stencil.
+    /// register-tiled stencil — sequential, or banded across workers.
     pub fn tiled(&self) -> Option<VerifiedTiled<'_>> {
-        VerifiedTiled::of(&self.spec, &self.plan.forward)
-    }
-
-    /// The worker bands of a banded forward plan in worker order: output
-    /// range along the split dimension and the band's proved tiled plan on
-    /// its sub-spec. Empty for every other forward plan.
-    pub fn bands(&self) -> impl Iterator<Item = ((usize, usize), VerifiedTiled<'_>)> {
-        let bands = match &self.plan.forward {
-            ForwardPlan::StencilBanded { bands, .. } => bands.as_slice(),
-            _ => &[],
+        let (tiled, bands) = match &self.plan.forward {
+            ForwardPlan::StencilBanded { dim, tiled, bands } => {
+                (&**tiled, Some((*dim, &bands[..])))
+            }
+            sequential => (sequential, None),
         };
-        // The banded check rejects any band whose inner plan is not the
-        // tiled stencil, so no band is dropped here.
-        bands.iter().filter_map(|b| Some((b.range, VerifiedTiled::of(&b.spec, &b.plan)?)))
+        match tiled {
+            ForwardPlan::StencilTiled { lanes, tile_rows, cache_rows, x_tiles, phased } => {
+                Some(VerifiedTiled {
+                    spec: &self.spec,
+                    lanes: *lanes,
+                    tile_rows: *tile_rows,
+                    cache_rows: *cache_rows,
+                    x_tiles,
+                    phased: *phased,
+                    bands,
+                })
+            }
+            _ => None,
+        }
     }
 }
 
-/// A proved [`ForwardPlan::StencilTiled`] bound to its spec: what
+/// A proved [`ForwardPlan::StencilTiled`] bound to its spec, with the
+/// proved worker partition of its loop nest when the plan is banded: what
 /// `spg-core`'s tile loops and `spg_codegen::SpecializedKernel::forward`
 /// accept. Obtainable only from a [`VerifiedPlan`].
 #[derive(Debug, Clone, Copy)]
@@ -73,26 +85,11 @@ pub struct VerifiedTiled<'a> {
     cache_rows: usize,
     x_tiles: &'a [XTile],
     phased: bool,
+    bands: Option<(BandDim, &'a [(usize, usize)])>,
 }
 
 impl<'a> VerifiedTiled<'a> {
-    fn of(spec: &'a ConvSpec, plan: &'a ForwardPlan) -> Option<Self> {
-        match plan {
-            ForwardPlan::StencilTiled { lanes, tile_rows, cache_rows, x_tiles, phased } => {
-                Some(VerifiedTiled {
-                    spec,
-                    lanes: *lanes,
-                    tile_rows: *tile_rows,
-                    cache_rows: *cache_rows,
-                    x_tiles,
-                    phased: *phased,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The convolution (or band restriction) the tiles were proved for.
+    /// The convolution the tiles were proved for.
     pub fn spec(&self) -> &'a ConvSpec {
         self.spec
     }
@@ -120,5 +117,166 @@ impl<'a> VerifiedTiled<'a> {
     /// Whether the input is staged through the Eq. 21 phase transform.
     pub fn phased(&self) -> bool {
         self.phased
+    }
+
+    /// Splits `output` into the regions of the plan's loop nest, one per
+    /// worker in band order: the whole layer for a sequential plan, one
+    /// region per proved band otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output.len()` is not the spec's output length.
+    pub fn regions<'r>(self, output: &'r mut [f32]) -> impl Iterator<Item = TileRegion<'r>>
+    where
+        'a: 'r,
+    {
+        let (nf, out_h, out_w) = (self.spec.features(), self.spec.out_h(), self.spec.out_w());
+        assert_eq!(output.len(), nf * out_h * out_w, "output length");
+        // The borrow ends here as a reference and lives on in the regions'
+        // `PhantomData`: from now on the output is reached through this
+        // pointer alone, so no `&mut` aliases a region's stores.
+        let out = output.as_mut_ptr();
+        (0..self.bands.map_or(1, |(_, bands)| bands.len())).map(move |i| {
+            let (features, rows) = match self.bands {
+                None => ((0, nf), (0, out_h)),
+                Some((BandDim::YRows, bands)) => ((0, nf), bands[i]),
+                Some((BandDim::OutChannels, bands)) => (bands[i], (0, out_h)),
+            };
+            TileRegion { features, rows, out, out_h, out_w, borrow: PhantomData }
+        })
+    }
+}
+
+/// One worker's share of a proved tiled forward: the features and output
+/// rows of the parent loop nest it runs, and — through
+/// [`plane_rows`](TileRegion::plane_rows) — the part of the output it
+/// stores to. Obtainable only from [`VerifiedTiled::regions`], so the
+/// ranges are the ones `spg-check` proved in-bounds and disjoint from every
+/// sibling's.
+#[derive(Debug)]
+pub struct TileRegion<'r> {
+    features: (usize, usize),
+    rows: (usize, usize),
+    /// Start of the whole output, shared with the sibling regions.
+    out: *mut f32,
+    out_h: usize,
+    out_w: usize,
+    borrow: PhantomData<&'r mut [f32]>,
+}
+
+// SAFETY: the only non-`Send` field is `out`, a pointer into the output
+// slice `regions` took mutably borrowed for `'r` and gave up as a
+// reference. Sibling regions hold the same pointer, and each dereferences
+// it only in `plane_rows`, at its own features and rows — which the banded
+// proof behind the `VerifiedPlan` (band ranges disjointly cover the split
+// extent) showed pairwise disjoint. No element is reachable from two
+// threads.
+unsafe impl Send for TileRegion<'_> {}
+
+impl TileRegion<'_> {
+    /// Half-open range of output features the region computes.
+    pub fn features(&self) -> (usize, usize) {
+        self.features
+    }
+
+    /// Half-open range of output rows the region computes.
+    pub fn rows(&self) -> (usize, usize) {
+        self.rows
+    }
+
+    /// Rows [`rows`](TileRegion::rows) of feature `f`'s output plane, the
+    /// region's own: `(hi - lo) * out_w` contiguous elements starting at
+    /// row `lo`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is outside [`features`](TileRegion::features).
+    pub fn plane_rows(&mut self, f: usize) -> &mut [f32] {
+        assert!((self.features.0..self.features.1).contains(&f), "feature outside the region");
+        let (lo, hi) = self.rows;
+        // SAFETY: `regions` checked the output holds `features x out_h x
+        // out_w` elements, and the proved ranges keep `f` below the feature
+        // count and `hi` at most `out_h`, so the slice lies inside it. It
+        // overlaps no sibling's (their features or rows are disjoint from
+        // these), the `&mut self` receiver keeps this region from holding
+        // two at once, and `'r` keeps the output borrowed meanwhile.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                self.out.add((f * self.out_h + lo) * self.out_w),
+                (hi - lo) * self.out_w,
+            )
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{BackwardPlan, RegisterTile, ScheduleTile, VECTOR_WIDTH};
+    use crate::{verify_conv_plan, ScratchCapacity};
+
+    fn proved(spec: &ConvSpec, bands: Option<(BandDim, Vec<(usize, usize)>)>) -> VerifiedPlan {
+        let tiled = ForwardPlan::StencilTiled {
+            lanes: VECTOR_WIDTH,
+            tile_rows: 6,
+            cache_rows: 6,
+            x_tiles: vec![XTile { x: 0, vectors: 2 }, XTile { x: 2, vectors: 2 }],
+            phased: false,
+        };
+        let forward = match bands {
+            Some((dim, bands)) => ForwardPlan::StencilBanded { dim, tiled: Box::new(tiled), bands },
+            None => tiled,
+        };
+        let plan = ConvPlan {
+            forward,
+            backward: BackwardPlan::UnfoldGemm { threads: 1 },
+            register_tile: RegisterTile { rx: 2, ry: 6 },
+            schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
+        };
+        verify_conv_plan(spec, plan, &ScratchCapacity::reserved_for(spec)).expect("plan verifies")
+    }
+
+    /// The regions of a plan — sequential, row-banded, feature-sliced —
+    /// written from one thread each, hand out every output element exactly
+    /// once (and, under Miri or TSan, to exactly one thread).
+    #[test]
+    fn regions_partition_the_output() {
+        let spec = ConvSpec::square(20, 5, 2, 3, 1); // 5 planes of 18x18
+        let splits = [
+            (None, 1),
+            (Some((BandDim::YRows, vec![(0, 7), (7, 13), (13, 18)])), 3),
+            (Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])), 2),
+        ];
+        for (bands, count) in splits {
+            let plan = proved(&spec, bands);
+            let tiled = plan.tiled().expect("tiled forward");
+            let mut output = vec![0f32; spec.output_shape().len()];
+            let regions: Vec<_> = tiled.regions(&mut output).collect();
+            assert_eq!(regions.len(), count);
+            let fill = |mut region: TileRegion<'_>| {
+                let ((f_lo, f_hi), (y_lo, y_hi)) = (region.features(), region.rows());
+                for f in f_lo..f_hi {
+                    let rows = region.plane_rows(f);
+                    assert_eq!(rows.len(), (y_hi - y_lo) * spec.out_w());
+                    rows.iter_mut().for_each(|o| *o += 1.0);
+                }
+            };
+            std::thread::scope(|scope| {
+                let workers: Vec<_> =
+                    regions.into_iter().map(|region| scope.spawn(move || fill(region))).collect();
+                workers.into_iter().for_each(|worker| worker.join().expect("worker finished"));
+            });
+            assert!(output.iter().all(|&o| o == 1.0), "{:?}", plan.plan().forward);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "feature outside the region")]
+    fn plane_rows_refuses_a_siblings_feature() {
+        let spec = ConvSpec::square(20, 5, 2, 3, 1);
+        let plan = proved(&spec, Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])));
+        let mut output = vec![0f32; spec.output_shape().len()];
+        let mut first = plan.tiled().expect("tiled forward").regions(&mut output).next().unwrap();
+        first.plane_rows(2);
     }
 }

@@ -13,9 +13,8 @@
 use proptest::prelude::*;
 
 use spg_check::{
-    band_sub_spec, gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, BandPlan, Buf,
-    CheckError, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan,
-    XTile, VECTOR_WIDTH,
+    gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, Buf, CheckError, ConvPlan,
+    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan, XTile, VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
@@ -103,7 +102,10 @@ fn verify_tiles(
     match (&judged, executable) {
         (Ok(()), Ok(proved)) => {
             assert_eq!((proved.spec(), proved.plan()), (spec, &plan));
-            assert_eq!(proved.tiled().is_some(), matches!(fwd, ForwardPlan::StencilTiled { .. }));
+            assert_eq!(
+                proved.tiled().is_some(),
+                matches!(fwd, ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilBanded { .. })
+            );
         }
         (Err(expected), Err(err)) => assert_eq!(&err, expected),
         (judged, executable) => panic!("verdicts disagree: {judged:?} vs {executable:?}"),
@@ -111,12 +113,12 @@ fn verify_tiles(
     judged
 }
 
-/// Specs whose output splits into two vector-wide bands along every
-/// dimension: spatial extents of at least 18 (two x-bands of >= 9
-/// columns) and at least 4 output features (two non-trivial slices).
+/// Specs whose output splits into two bands along either dimension: at
+/// least 18 output rows on the wide tiled path, and at least 4 output
+/// features (two non-trivial slices).
 fn splittable_spec() -> impl Strategy<Value = ConvSpec> {
     (1usize..3, 20usize..44, 4usize..8, 1usize..4, 1usize..3).prop_filter_map(
-        "two vector-wide bands per split dimension",
+        "two bands per split dimension",
         |(c, n, f, k, s)| {
             let spec = ConvSpec::new(c, n, n, f, k, k, s, s).ok()?;
             (spec.out_w() >= 18 && spec.out_h() >= 18).then_some(spec)
@@ -125,36 +127,21 @@ fn splittable_spec() -> impl Strategy<Value = ConvSpec> {
 }
 
 fn band_dims() -> impl Strategy<Value = BandDim> {
-    prop_oneof![Just(BandDim::YRows), Just(BandDim::XCols), Just(BandDim::OutChannels)]
+    prop_oneof![Just(BandDim::YRows), Just(BandDim::OutChannels)]
 }
 
-/// The split extent of `spec` along `dim` (output rows / columns / features).
+/// The split extent of `spec` along `dim` (output rows / features).
 fn extent_for(spec: &ConvSpec, dim: BandDim) -> usize {
     match dim {
         BandDim::YRows => spec.out_h(),
-        BandDim::XCols => spec.out_w(),
         BandDim::OutChannels => spec.features(),
     }
 }
 
-/// A banded plan over `ranges`, each band carrying its re-derived
-/// sub-spec and the mirrored tiled inner plan.
+/// A banded plan: the known-good tiled plan of the whole layer with its
+/// rows or features split over `ranges`.
 fn banded_plan(spec: &ConvSpec, dim: BandDim, ranges: &[(usize, usize)]) -> ForwardPlan {
-    let bands = ranges
-        .iter()
-        .map(|&(lo, hi)| {
-            let sub = band_sub_spec(spec, dim, lo, hi).expect("band restriction is a valid spec");
-            let plan = ForwardPlan::StencilTiled {
-                lanes: VECTOR_WIDTH,
-                tile_rows: 2,
-                cache_rows: 2,
-                x_tiles: x_tiles(sub.out_w()),
-                phased: sub.sx() > 1,
-            };
-            BandPlan { range: (lo, hi), spec: sub, plan }
-        })
-        .collect();
-    ForwardPlan::StencilBanded { dim, bands }
+    ForwardPlan::StencilBanded { dim, tiled: Box::new(good_tiled(spec)), bands: ranges.to_vec() }
 }
 
 proptest! {
@@ -322,7 +309,7 @@ proptest! {
     }
 
     /// Baseline for the band mutations: a two-band split of any dimension
-    /// — y-rows, x-columns, or out-channel slices — verifies clean.
+    /// — y-rows or out-channel slices — verifies clean.
     #[test]
     fn good_band_split_verifies(spec in splittable_spec(), dim in band_dims()) {
         let cap = ScratchCapacity::reserved_for(&spec);
@@ -376,25 +363,36 @@ proptest! {
         );
     }
 
-    /// A band claiming a sub-spec that is not the exact restriction of the
-    /// parent to its range is a PlanShapeMismatch naming a `band sub-spec`
-    /// field, on every split dimension.
+    /// Bands are ranges of the parent's loop nest, so a fault in the
+    /// parent plan is a fault in every band: a well-split plan over a
+    /// parent that lost an x-tile is rejected with the parent's own
+    /// IncompleteCover, on every split dimension.
     #[test]
-    fn wrong_band_sub_spec_rejected(spec in splittable_spec(), dim in band_dims()) {
+    fn band_split_of_a_broken_parent_plan_rejected(
+        spec in splittable_spec(),
+        dim in band_dims(),
+    ) {
         let cap = ScratchCapacity::reserved_for(&spec);
         let e = extent_for(&spec, dim);
         let mut plan = banded_plan(&spec, dim, &[(0, e / 2), (e / 2, e)]);
-        if let ForwardPlan::StencilBanded { bands, .. } = &mut plan {
-            // Claim the restriction of a one-unit-longer band instead.
-            bands[0].spec = band_sub_spec(&spec, dim, 0, e / 2 + 1).unwrap();
+        if let ForwardPlan::StencilBanded { tiled, .. } = &mut plan {
+            if let ForwardPlan::StencilTiled { x_tiles, .. } = &mut **tiled {
+                x_tiles.remove(0);
+            }
         }
         let err = verify(&spec, &plan, &cap).unwrap_err();
-        match err {
-            CheckError::PlanShapeMismatch { context, .. } => {
-                prop_assert!(context.starts_with("band sub-spec"), "context {context}");
-            }
-            other => prop_assert!(false, "unexpected error {other:?}"),
-        }
+        prop_assert!(
+            matches!(
+                err,
+                CheckError::IncompleteCover {
+                    buffer: Buf::Output,
+                    context: "stencil x-tile row coverage",
+                    missing: 0,
+                    ..
+                }
+            ),
+            "unexpected error {err:?}"
+        );
     }
 
     /// The full-plan entry point rejects a corrupted backward tile width,

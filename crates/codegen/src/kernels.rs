@@ -23,8 +23,8 @@ use spg_convnet::ConvSpec;
 use spg_tensor::transform::StridedLayout;
 
 /// Signature of a monomorphized forward instance: the proved tiled plan
-/// (spec, x-tiles and cache row block), the operands, and the scratch the
-/// phase transform stages in.
+/// (spec, x-tiles, cache row block and the regions of its loop nest), the
+/// operands, and the scratch the phase transform stages in.
 ///
 /// # Safety
 ///
@@ -59,7 +59,7 @@ macro_rules! define_simd_forward {
         pub(crate) mod $mod_ {
             use std::arch::x86_64::*;
 
-            use spg_check::VerifiedTiled;
+            use spg_check::{TileRegion, VerifiedTiled};
             use spg_convnet::workspace::zeroed_slice;
 
             use super::{phase_layout, ConvScratch};
@@ -156,43 +156,46 @@ macro_rules! define_simd_forward {
                 }
             }
 
-            /// Drives [`tile_block`] over the proved plan: feature plane,
-            /// cache row block, register tile, then each of the plan's own
-            /// x-tiles — the loop nest of the generic kernel.
+            /// Drives [`tile_block`] over one proved region of the plan:
+            /// its feature planes, cache row blocks of its rows, register
+            /// tiles, then each of the plan's own x-tiles — the loop nest
+            /// of the generic kernel.
             ///
             /// # Safety
             ///
             /// Caller guarantees the target features of this module, that
-            /// `plan.lanes() == LANES`, and that
-            /// `in_ptr`/`c_stride`/`row_stride`/`koff` describe the input
-            /// (or its phase-transformed staging) of `plan.spec()` — so
-            /// every access the tile blocks perform lies in the ranges
-            /// spg-check proved to produce `plan`. `weights` and `output`
+            /// `plan.lanes() == LANES`, that `region` is one of
+            /// `plan.regions(output)` for an output of `plan.spec()`, and
+            /// that `input`/`c_stride`/`row_stride`/`koff` describe the
+            /// input (or its phase-transformed staging) of `plan.spec()` —
+            /// so every access the tile blocks perform lies in the ranges
+            /// spg-check proved to produce `plan`, and every store in the
+            /// part of the output it proved this region's alone. `weights`
             /// must match `plan.spec()`.
             #[target_feature(enable = $feat)]
             #[allow(clippy::too_many_arguments)]
             unsafe fn forward_tiled<const FY: usize, const FX: usize, const SY: usize>(
                 plan: VerifiedTiled<'_>,
-                in_ptr: *const f32,
+                region: &mut TileRegion<'_>,
+                input: &[f32],
                 c_stride: usize,
                 row_stride: usize,
                 koff: [usize; FX],
-                weights: *const f32,
-                output: *mut f32,
+                weights: &[f32],
             ) {
-                let spec = plan.spec();
-                let (out_h, out_w) = (spec.out_h(), spec.out_w());
-                let (nc, nf) = (spec.in_c(), spec.features());
-                for f in 0..nf {
-                    // SAFETY: f < nf keeps the plane offset inside the
-                    // validated output buffer.
-                    let out_plane = unsafe { output.add(f * out_h * out_w) };
+                let out_w = plan.spec().out_w();
+                let nc = plan.spec().in_c();
+                let in_ptr = input.as_ptr();
+                let (f_lo, f_hi) = region.features();
+                let (y_lo, y_hi) = region.rows();
+                for f in f_lo..f_hi {
+                    let out_rows = region.plane_rows(f).as_mut_ptr();
                     // SAFETY: f < nf keeps the weight block offset inside
                     // the validated weight buffer.
-                    let w_f = unsafe { weights.add(f * nc * FY * FX) };
-                    let mut y0 = 0;
-                    while y0 < out_h {
-                        let y1 = (y0 + plan.cache_rows()).min(out_h);
+                    let w_f = unsafe { weights.as_ptr().add(f * nc * FY * FX) };
+                    let mut y0 = y_lo;
+                    while y0 < y_hi {
+                        let y1 = (y0 + plan.cache_rows()).min(y_hi);
                         let mut y = y0;
                         while y < y1 {
                             let rows = TILE_ROWS.min(y1 - y);
@@ -204,14 +207,16 @@ macro_rules! define_simd_forward {
                                 // in-tile iy, the proved x-tile segment covers
                                 // x + koff[kx] + RX*LANES.
                                 let in_tile = unsafe { in_ptr.add(y * SY * row_stride + x) };
-                                // SAFETY: y < out_h and x + tile width <=
-                                // out_w (this tile's proved segment), inside
-                                // the f-th plane.
-                                let dst = unsafe { out_plane.add(y * out_w + x) };
+                                // SAFETY: y_lo <= y < y_hi and x + tile width
+                                // <= out_w (this tile's proved segment),
+                                // inside the region's rows of the f-th plane.
+                                let dst = unsafe { out_rows.add((y - y_lo) * out_w + x) };
                                 // SAFETY: target features guaranteed by the
                                 // caller; the pointer arguments satisfy the
-                                // tile-block contract because `tile` comes
-                                // from the caller's `VerifiedTiled`.
+                                // tile-block contract because `tile` and the
+                                // row range come from a `TileRegion` of the
+                                // caller's `VerifiedTiled`, which also makes
+                                // the stored elements this worker's alone.
                                 unsafe {
                                     if tile.vectors == 2 {
                                         tile_block::<2, FY, FX, SY>(
@@ -236,8 +241,9 @@ macro_rules! define_simd_forward {
             /// The registry entry point for one `(Fy, Fx, sy, sx)` key:
             /// validates buffer lengths and the plan's shape against the
             /// instance, applies the Eq. 21 phase transform when `SX > 1`
-            /// (a compile-time branch), and runs the monomorphized tiled
-            /// driver over the proved plan.
+            /// (a compile-time branch) once for the whole sample, and runs
+            /// the monomorphized tiled driver over each region of the
+            /// proved plan, banded regions in parallel.
             ///
             /// # Safety
             ///
@@ -258,7 +264,6 @@ macro_rules! define_simd_forward {
                 let spec = plan.spec();
                 assert_eq!(input.len(), spec.input_shape().len(), "input length");
                 assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-                assert_eq!(output.len(), spec.output_shape().len(), "output length");
                 assert!(
                     (spec.ky(), spec.kx(), spec.sy(), spec.sx()) == (FY, FX, SY, SX),
                     "spec geometry does not match the monomorphized instance"
@@ -280,24 +285,32 @@ macro_rules! define_simd_forward {
                     let pw = lay.phase_width();
                     (phased, SX * pw, std::array::from_fn(|kx| (kx % SX) * pw + kx / SX))
                 };
-                // SAFETY: target features guaranteed by the caller; `staged`
-                // is the length-checked input of plan.spec() or the freshly
-                // staged buffer of lay.transformed_len() elements, in rows of
-                // `row_stride` and channel planes of in_h rows; the lane and
-                // geometry asserts above tie this instance to the plan
-                // spg-check proved, whose x-tile and phase-group containment
-                // judgments bound every koff access.
-                unsafe {
-                    forward_tiled::<FY, FX, SY>(
-                        plan,
-                        staged.as_ptr(),
-                        spec.in_h() * row_stride,
-                        row_stride,
-                        koff,
-                        weights.as_ptr(),
-                        output.as_mut_ptr(),
-                    );
-                }
+                let c_stride = spec.in_h() * row_stride;
+                // One task per proved region: the whole layer on the calling
+                // thread for a sequential plan, one band per worker for a
+                // banded one, all reading the one staging above.
+                spg_gemm::fork_join(plan.regions(output).map(|mut region| {
+                    // SAFETY: target features guaranteed by the caller;
+                    // `staged` is the length-checked input of plan.spec() or
+                    // the freshly staged buffer of lay.transformed_len()
+                    // elements, in rows of `row_stride` and channel planes of
+                    // in_h rows; the lane and geometry asserts above tie this
+                    // instance to the plan spg-check proved, whose x-tile and
+                    // phase-group containment judgments bound every koff
+                    // access; `region` comes from that plan's own split of
+                    // the length-checked `output`.
+                    move || unsafe {
+                        forward_tiled::<FY, FX, SY>(
+                            plan,
+                            &mut region,
+                            staged,
+                            c_stride,
+                            row_stride,
+                            koff,
+                            weights,
+                        );
+                    }
+                }));
             }
         }
     };

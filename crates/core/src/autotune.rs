@@ -231,9 +231,25 @@ fn pick_with_gate(
     // algorithms, so everything measured below is deployable; rejections
     // are logged, never run.
     let (safe, mut rejected) = phase_candidates(spec, phase, algos, cores);
+    // Generic-vs-specialized race for the stencil forward kernel, first —
+    // only when the verifier admitted the stencil technique (a rejected
+    // plan must never run, not even for measurement). Its choice is the
+    // one the layer deploys under, so every candidate below — the banded
+    // stencils bind the same kernel — is timed as the program that would
+    // be installed.
+    let kernel = match phase {
+        Phase::Forward if safe.contains(&Technique::StencilFp) => {
+            Some(tune_forward_kernel(spec, sparsity, reps))
+        }
+        _ => None,
+    };
+    let choice = kernel.map_or(KernelChoice::Auto, |(choice, _)| choice);
     let mut timed: Vec<(Technique, Duration)> = safe
         .iter()
-        .filter_map(|&t| Some((t, measure_technique(spec, t, phase, sparsity, cores, reps).ok()?)))
+        .filter_map(|&t| {
+            let program = lower_phase(spec, t, phase, cores, choice).ok()?;
+            Some((t, measure_program(&program, phase, sparsity, reps)))
+        })
         .collect();
     let chosen = loop {
         let fastest =
@@ -256,27 +272,16 @@ fn pick_with_gate(
             }
         }
     };
-    // Generic-vs-specialized race for the stencil forward kernel — only
-    // when the verifier admitted the stencil technique (a rejected plan
-    // must never run, not even for measurement).
-    let kernel = match phase {
-        Phase::Forward if safe.contains(&Technique::StencilFp) => {
-            Some(tune_forward_kernel(spec, sparsity, reps))
-        }
-        _ => None,
-    };
     // Log the measure-and-pick evidence so `spgcnn tune --json` can
     // report not just the winner but why it won.
     if spg_telemetry::enabled() {
         // Per-phase algo spelling: `<technique>/<kernel>`, where the
-        // kernel leg is the race winner for a chosen stencil forward and
-        // `generic` everywhere else (only the stencil forward has a
-        // specialized binding to choose).
-        let algo_kernel = if chosen == Technique::StencilFp {
-            kernel.map_or("generic", |(_, name)| name)
-        } else {
-            "generic"
-        };
+        // kernel leg is what deploying the winner under the race's choice
+        // binds — an instance for a stencil forward, sequential or banded,
+        // that resolves and verifies one; `generic` everywhere else.
+        let bound = lower_phase(spec, chosen, phase, cores, choice)
+            .is_ok_and(|program| program.specialized_kernel().is_some());
+        let algo_kernel = if bound { "specialized" } else { "generic" };
         spg_telemetry::record_decision(spg_telemetry::Decision {
             label: spg_telemetry::current_label().unwrap_or_else(|| "unscoped".to_string()),
             phase: match phase {
@@ -305,7 +310,7 @@ fn pick_with_gate(
             },
         });
     }
-    (chosen, kernel.map_or(KernelChoice::Auto, |(choice, _)| choice))
+    (chosen, choice)
 }
 
 /// Races the specialized instance lowering binds (when one resolves)
@@ -835,10 +840,7 @@ mod tests {
             match d.phase {
                 spg_telemetry::Phase::Forward => {
                     let p = d.partition.as_deref().expect("forward decision names its partition");
-                    assert!(
-                        ["sample", "y-band", "x-band", "out-channel"].contains(&p),
-                        "partition = {p}"
-                    );
+                    assert!(["sample", "y-band", "out-channel"].contains(&p), "partition = {p}");
                 }
                 _ => assert!(d.partition.is_none(), "backward decisions carry no partition"),
             }

@@ -280,7 +280,7 @@ impl Backend for CpuBackend {
         let spec = desc.spec;
         let cores = desc.cores;
         // Each verified forward candidate, with the ISA of the instance
-        // Auto lowering binds to it (none for all but the stencil forward).
+        // Auto lowering binds to it (none for all but the stencil forwards).
         let fwd: Vec<(Technique, Option<Isa>)> = Technique::forward_candidates()
             .iter()
             .filter_map(|&t| {
@@ -375,7 +375,8 @@ mod tests {
                 }
             }
             // Specialized entries appear exactly when the registry
-            // resolves, and only on stencil forwards.
+            // resolves, and only on stencil forwards — sequential or
+            // banded, which run the same kernel.
             let resolved = select_kernel(&spec).is_some();
             let any_specialized =
                 algos.iter().any(|a| matches!(a.kernel, AlgoKernel::Specialized(_)));
@@ -384,7 +385,7 @@ mod tests {
             assert!(algos
                 .iter()
                 .filter(|a| matches!(a.kernel, AlgoKernel::Specialized(_)))
-                .all(|a| a.forward == Technique::StencilFp));
+                .all(|a| a.forward == Technique::StencilFp || a.forward.band_dim().is_some()));
         }
     }
 

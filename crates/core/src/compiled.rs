@@ -29,7 +29,6 @@ use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::{gemm_exec, ConvSpec};
 
 use crate::autotune::Phase;
-use crate::hybrid::HybridExecutor;
 use crate::schedule::LayerPlan;
 use crate::sparse::kernel as sparse_kernel;
 use crate::stencil::{
@@ -43,17 +42,15 @@ use crate::stencil::{
 #[derive(Debug)]
 pub struct ConvProgram {
     plan: VerifiedPlan,
-    /// The `spg-codegen` instance the tiled forward runs, bound at
-    /// lowering; `None` runs the generic loops.
+    /// The `spg-codegen` instance the tiled forward — sequential or
+    /// banded — runs, bound at lowering; `None` runs the generic loops.
     kernel: Option<&'static SpecializedKernel>,
-    /// Worker staging for banded forward plans (empty otherwise).
-    bands: HybridExecutor,
 }
 
 impl ConvProgram {
     /// Binds a proved plan to the instance lowering chose for it.
     pub(crate) fn bind(plan: VerifiedPlan, kernel: Option<&'static SpecializedKernel>) -> Self {
-        ConvProgram { plan, kernel, bands: HybridExecutor::default() }
+        ConvProgram { plan, kernel }
     }
 
     /// The convolution this program was lowered for.
@@ -146,9 +143,10 @@ impl ConvProgram {
         let spec = self.plan.spec();
         let fckk = weights.fckk.as_slice();
         match &self.plan.plan().forward {
-            ForwardPlan::StencilTiled { .. } => {
-                let tiled =
-                    self.plan.tiled().unwrap_or_else(|| unreachable!("forward is StencilTiled"));
+            // A banded plan is the tiled plan with its loop nest split
+            // across workers: same kernel, same scratch.
+            ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilBanded { .. } => {
+                let tiled = self.plan.tiled().unwrap_or_else(|| unreachable!("forward is tiled"));
                 match self.kernel {
                     Some(inst) => inst.forward(tiled, input, fckk, output, scratch),
                     None => stencil_kernel::forward_tiled(tiled, input, fckk, output, scratch),
@@ -156,9 +154,6 @@ impl ConvProgram {
             }
             ForwardPlan::StencilNarrow => {
                 stencil_kernel::forward_narrow_scratch(spec, input, &weights.kkcf, output, scratch);
-            }
-            ForwardPlan::StencilBanded { .. } => {
-                self.bands.forward(&self.plan, input, fckk, output);
             }
             ForwardPlan::UnfoldGemm { threads } => {
                 gemm_exec::forward_scratch(spec, input, fckk, output, *threads, scratch);
@@ -260,7 +255,6 @@ impl ConvExecutor for PlanExecutor {
             (Phase::Backward, _, BackwardPlan::UnfoldGemm { threads }) => gemm(threads),
             (_, ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilNarrow, _) => "stencil-fp",
             (_, ForwardPlan::StencilBanded { dim: BandDim::YRows, .. }, _) => "stencil-yband",
-            (_, ForwardPlan::StencilBanded { dim: BandDim::XCols, .. }, _) => "stencil-xband",
             (_, ForwardPlan::StencilBanded { dim: BandDim::OutChannels, .. }, _) => {
                 "stencil-ochannel"
             }

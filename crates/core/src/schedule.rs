@@ -23,9 +23,6 @@ pub enum Technique {
     /// Stencil kernel with contiguous output-row bands split across
     /// workers within one sample (spatial-`y` hybrid parallelism).
     StencilYBand,
-    /// Stencil kernel with contiguous output-column bands split across
-    /// workers within one sample (spatial-`x` hybrid parallelism).
-    StencilXBand,
     /// Stencil kernel with output-feature slices split across workers
     /// within one sample (output-channel hybrid parallelism).
     StencilOutChannel,
@@ -34,7 +31,7 @@ pub enum Technique {
 }
 
 /// The worker-decomposition dimension a technique parallelizes over —
-/// the {sample, y-band, x-band, out-channel} split space of Jia et al.
+/// the {sample, y-band, out-channel} split space of Jia et al.
 /// and Dryden et al., reported in the autotuner's decision log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionDim {
@@ -42,8 +39,6 @@ pub enum PartitionDim {
     Sample,
     /// Output rows of one sample banded across workers.
     YBand,
-    /// Output columns of one sample banded across workers.
-    XBand,
     /// Output features of one sample sliced across workers.
     OutChannel,
 }
@@ -54,7 +49,6 @@ impl PartitionDim {
         match self {
             PartitionDim::Sample => "sample",
             PartitionDim::YBand => "y-band",
-            PartitionDim::XBand => "x-band",
             PartitionDim::OutChannel => "out-channel",
         }
     }
@@ -68,7 +62,6 @@ impl Technique {
             Technique::GemmInParallel,
             Technique::StencilFp,
             Technique::StencilYBand,
-            Technique::StencilXBand,
             Technique::StencilOutChannel,
         ]
     }
@@ -85,7 +78,6 @@ impl Technique {
             Technique::GemmInParallel => "gemm-in-parallel",
             Technique::StencilFp => "stencil-fp",
             Technique::StencilYBand => "stencil-yband",
-            Technique::StencilXBand => "stencil-xband",
             Technique::StencilOutChannel => "stencil-ochannel",
             Technique::SparseBp => "sparse-bp",
         }
@@ -102,7 +94,6 @@ impl Technique {
                 PartitionDim::Sample
             }
             Technique::StencilYBand => PartitionDim::YBand,
-            Technique::StencilXBand => PartitionDim::XBand,
             Technique::StencilOutChannel => PartitionDim::OutChannel,
         }
     }
@@ -111,7 +102,6 @@ impl Technique {
     pub fn band_dim(self) -> Option<spg_check::BandDim> {
         match self {
             Technique::StencilYBand => Some(spg_check::BandDim::YRows),
-            Technique::StencilXBand => Some(spg_check::BandDim::XCols),
             Technique::StencilOutChannel => Some(spg_check::BandDim::OutChannels),
             _ => None,
         }
@@ -125,7 +115,6 @@ impl fmt::Display for Technique {
             Technique::GemmInParallel => "GEMM-in-Parallel",
             Technique::StencilFp => "Stencil-Kernel (FP)",
             Technique::StencilYBand => "Stencil-Kernel (FP, y-band)",
-            Technique::StencilXBand => "Stencil-Kernel (FP, x-band)",
             Technique::StencilOutChannel => "Stencil-Kernel (FP, out-channel)",
             Technique::SparseBp => "Sparse-Kernel (BP)",
         };
@@ -211,10 +200,9 @@ pub fn recommended_plan_for_batch(
         return base;
     }
     // Sample parallelism covers only `batch` of the `cores` workers; spend
-    // the idle ones inside the sample. Prefer y-bands (contiguous staging,
-    // smallest halo), then x-bands, then out-channel slices.
-    let hybrids = [Technique::StencilYBand, Technique::StencilXBand, Technique::StencilOutChannel];
-    for technique in hybrids {
+    // the idle ones inside the sample. Prefer y-bands (each worker reads
+    // only its rows of the input), then out-channel slices.
+    for technique in [Technique::StencilYBand, Technique::StencilOutChannel] {
         let dim = technique
             .band_dim()
             .unwrap_or_else(|| unreachable!("band_dim is Some for hybrid variants"));
@@ -287,7 +275,6 @@ mod tests {
         assert_eq!(Technique::GemmInParallel.partition_dim().id(), "sample");
         assert_eq!(Technique::StencilFp.partition_dim().id(), "sample");
         assert_eq!(Technique::StencilYBand.partition_dim().id(), "y-band");
-        assert_eq!(Technique::StencilXBand.partition_dim().id(), "x-band");
         assert_eq!(Technique::StencilOutChannel.partition_dim().id(), "out-channel");
         // Parallel-GEMM row-bands the GEMM over output features.
         assert_eq!(Technique::ParallelGemm.partition_dim().id(), "out-channel");

@@ -10,10 +10,13 @@
 //!   loaded input vector feeds up to `min(ry, Fy)` output rows — the
 //!   spatial reuse that restores the arithmetic intensity unfolding
 //!   destroys. The loops iterate the x-tiles and cache row block of the
-//!   [`VerifiedTiled`] plan they are handed. Non-unit `x` strides first
-//!   apply the Eq. 21 phase transform so the strided loads become
-//!   contiguous. Hosts without AVX2+FMA run a scalar shift-and-scale
-//!   fallback with identical semantics.
+//!   [`VerifiedTiled`] plan they are handed and the features and rows of
+//!   each of its [`TileRegion`]s: one region on the calling thread for a
+//!   sequential plan, one per worker for a banded one, all reading the
+//!   parent input and writing the parent output. Non-unit `x`
+//!   strides first apply the Eq. 21 phase transform, once per sample, so
+//!   the strided loads become contiguous. Hosts without AVX2+FMA run a
+//!   scalar shift-and-scale fallback with identical semantics.
 //! * **Shifted small dense MMs** ([`forward_narrow_scratch`], outputs
 //!   narrower than one vector): vectorizing along 4-element rows is
 //!   pointless, so the kernel vectorizes along *features* instead: inputs
@@ -25,7 +28,7 @@
 //!   right-hand operands; like the sparse backward, this kernel reads the
 //!   permuted layout and never produces it.
 
-use spg_check::{VerifiedTiled, VECTOR_WIDTH};
+use spg_check::{TileRegion, VerifiedTiled, VECTOR_WIDTH};
 use spg_codegen::TILE_ROWS;
 use spg_tensor::transform::StridedLayout;
 use spg_tensor::{layout, Shape3};
@@ -44,9 +47,11 @@ fn phase_layout(spec: &ConvSpec) -> StridedLayout {
 }
 
 /// Forward propagation by the generic register-tiled stencil over a proved
-/// plan, staging the phase transform (strided plans) in a caller-provided
-/// [`ConvScratch`]: the per-sample hot path performs no heap allocation
-/// once the scratch has warmed up to this geometry.
+/// plan — each of its regions a `fork_join` task, so a banded plan's bands
+/// run in parallel — staging the phase transform (strided plans) once in a
+/// caller-provided [`ConvScratch`]: the per-sample hot path uses no memory
+/// outside the scratch, and performs no heap allocation once it has warmed
+/// up to this geometry.
 ///
 /// Semantically identical to
 /// [`reference::forward`](spg_convnet::reference::forward) on
@@ -68,7 +73,6 @@ pub fn forward_tiled(
     let spec = plan.spec();
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-    assert_eq!(output.len(), spec.output_shape().len(), "output length");
     assert!(
         plan.lanes() == VECTOR_WIDTH && plan.tile_rows() == TILE_ROWS,
         "plan was lowered for a different register tile"
@@ -93,29 +97,38 @@ pub fn forward_tiled(
 }
 
 /// One tiled pass over `input` — the CHW input (`row_stride = in_w`,
-/// `koff = kx`) or its phase-transformed staging — on the AVX2+FMA basic
-/// block where the host has it, the scalar shift-and-scale loops otherwise.
-/// Only [`forward_tiled`] calls this, after its entry asserts.
+/// `koff = kx`) or its phase-transformed staging — one task per region of
+/// the plan, on the AVX2+FMA basic block where the host has it, the scalar
+/// shift-and-scale loops otherwise. Only [`forward_tiled`] calls this,
+/// after its entry asserts.
 fn run_tiled(
     plan: VerifiedTiled<'_>,
     input: &[f32],
     row_stride: usize,
-    koff: impl Fn(usize) -> usize + Copy,
+    koff: impl Fn(usize) -> usize + Copy + Send,
     weights: &[f32],
     output: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2+FMA presence checked above; the caller asserted the
-        // plan's register tile and the weight/output lengths against
-        // plan.spec(), and passes one of the two layouts of that spec's
-        // input — unit-stride exactly when the plan is not phased, else the
-        // freshly staged buffer whose row groups the plan's phase-group
-        // containment proof is about.
-        unsafe { avx::forward_tiled(plan, input, row_stride, koff, weights, output) };
-        return;
-    }
-    forward_scalar(plan.spec(), input, row_stride, koff, weights, output);
+    spg_gemm::fork_join(plan.regions(output).map(|mut region| {
+        move || {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                // SAFETY: AVX2+FMA presence checked above; the caller
+                // asserted the plan's register tile and the weight length
+                // against plan.spec(), `region` is one of that plan's own
+                // regions of the length-checked output, and the caller
+                // passes one of the two layouts of that spec's input —
+                // unit-stride exactly when the plan is not phased, else the
+                // freshly staged buffer whose row groups the plan's
+                // phase-group containment proof is about.
+                unsafe { avx::forward_tiled(plan, &mut region, input, row_stride, koff, weights) };
+                return;
+            }
+            forward_scalar(plan.spec(), &mut region, input, row_stride, koff, weights);
+        }
+    }));
 }
 
 /// Narrow-output forward path: compose the convolution as shifted small
@@ -181,20 +194,23 @@ pub fn forward_narrow_scratch(
 }
 
 /// Portable shift-and-scale path over either input layout of
-/// [`run_tiled`] (also the oracle for the AVX tile).
+/// [`run_tiled`] (also the oracle for the AVX tile), over one region's
+/// features and rows.
 fn forward_scalar(
     spec: &ConvSpec,
+    region: &mut TileRegion<'_>,
     input: &[f32],
     row_stride: usize,
     koff: impl Fn(usize) -> usize,
     weights: &[f32],
-    output: &mut [f32],
 ) {
-    output.fill(0.0);
     let wshape = spec.weight_shape();
-    let (in_h, out_h, out_w, sy) = (spec.in_h(), spec.out_h(), spec.out_w(), spec.sy());
-    for f in 0..spec.features() {
-        let out_plane = &mut output[f * out_h * out_w..(f + 1) * out_h * out_w];
+    let (in_h, out_w, sy) = (spec.in_h(), spec.out_w(), spec.sy());
+    let (f_lo, f_hi) = region.features();
+    let (y_lo, y_hi) = region.rows();
+    for f in f_lo..f_hi {
+        let out_rows = region.plane_rows(f);
+        out_rows.fill(0.0);
         for c in 0..spec.in_c() {
             for ky in 0..spec.ky() {
                 for kx in 0..spec.kx() {
@@ -202,10 +218,9 @@ fn forward_scalar(
                     if w == 0.0 {
                         continue;
                     }
-                    for y in 0..out_h {
+                    for (y, out_row) in (y_lo..y_hi).zip(out_rows.chunks_exact_mut(out_w)) {
                         let base = (c * in_h + y * sy + ky) * row_stride + koff(kx);
                         let in_row = &input[base..base + out_w];
-                        let out_row = &mut out_plane[y * out_w..(y + 1) * out_w];
                         for (o, &i) in out_row.iter_mut().zip(in_row) {
                             *o += w * i;
                         }
@@ -218,7 +233,7 @@ fn forward_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{VerifiedTiled, TILE_ROWS, VECTOR_WIDTH as LANES};
+    use super::{TileRegion, VerifiedTiled, TILE_ROWS, VECTOR_WIDTH as LANES};
     use std::arch::x86_64::*;
 
     /// Register-tiled basic block over a `rows x LANES` output tile,
@@ -311,46 +326,46 @@ mod avx {
         }
     }
 
-    /// Register-tiled forward pass over a proved plan: feature plane,
-    /// cache row block, register tile, then each of the plan's own
-    /// x-tiles. `input` is the CHW input (unit `x` stride, `row_stride =
-    /// in_w`, `koff = kx`) or its Eq. 21 phase-transformed staging
-    /// (`row_stride = sx * pw`, `koff = (kx % sx) * pw + kx / sx`).
+    /// Register-tiled forward pass over one proved region of a plan: its
+    /// feature planes, cache row blocks of its rows, register tiles, then
+    /// each of the plan's x-tiles. `input` is the CHW input (unit `x` stride,
+    /// `row_stride = in_w`, `koff = kx`) or its Eq. 21 phase-transformed
+    /// staging (`row_stride = sx * pw`, `koff = (kx % sx) * pw + kx / sx`).
     ///
     /// # Safety
     ///
     /// Caller guarantees AVX2+FMA, `plan.lanes() == LANES`,
-    /// `plan.tile_rows() == TILE_ROWS`, `weights`/`output` lengths matching
-    /// `plan.spec()`, and that `input`/`row_stride`/`koff` are one of the
-    /// two layouts above for `plan.spec()`'s input, unit-stride exactly
-    /// when `!plan.phased()`.
+    /// `plan.tile_rows() == TILE_ROWS`, a `weights` length matching
+    /// `plan.spec()`, that `region` is one of `plan.regions(output)` for an
+    /// output of `plan.spec()`, and that `input`/`row_stride`/`koff` are
+    /// one of the two layouts above for `plan.spec()`'s input, unit-stride
+    /// exactly when `!plan.phased()`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn forward_tiled(
         plan: VerifiedTiled<'_>,
+        region: &mut TileRegion<'_>,
         input: &[f32],
         row_stride: usize,
         koff: impl Fn(usize) -> usize + Copy,
         weights: &[f32],
-        output: &mut [f32],
     ) {
         let spec = plan.spec();
-        let in_h = spec.in_h();
-        let (out_h, out_w) = (spec.out_h(), spec.out_w());
+        let (in_h, out_w) = (spec.in_h(), spec.out_w());
         let (fy, fx) = (spec.ky(), spec.kx());
-        let (nc, nf, sy) = (spec.in_c(), spec.features(), spec.sy());
+        let (nc, sy) = (spec.in_c(), spec.sy());
         let in_ptr = input.as_ptr();
         let w_ptr = weights.as_ptr();
+        let (f_lo, f_hi) = region.features();
+        let (y_lo, y_hi) = region.rows();
 
-        for f in 0..nf {
-            // SAFETY: f < nf, so the plane offset stays inside the output
-            // buffer whose length the caller validated against the spec.
-            let out_plane = unsafe { output.as_mut_ptr().add(f * out_h * out_w) };
+        for f in f_lo..f_hi {
+            let out_rows = region.plane_rows(f).as_mut_ptr();
             // Cache schedule: sweep one block of output rows completely
             // (all channels reduced inside the register tiles) before
             // moving down the image.
-            let mut y0 = 0;
-            while y0 < out_h {
-                let y1 = (y0 + plan.cache_rows()).min(out_h);
+            let mut y0 = y_lo;
+            while y0 < y_hi {
+                let y1 = (y0 + plan.cache_rows()).min(y_hi);
                 let mut y = y0;
                 while y < y1 {
                     let rows = TILE_ROWS.min(y1 - y);
@@ -359,21 +374,24 @@ mod avx {
                         // SAFETY: c < nc, y*sy + iy <= (out_h-1)*sy + fy - 1
                         // < in_h, and x + koff(kx) + vectors*LANES stays in
                         // the row (unit stride) or the (c, h) phase group
-                        // (phased): `tile` and the row range are read from
-                        // `plan`, the value spg-check constructed by proving
-                        // exactly these ranges in-bounds.
+                        // (phased): `tile` is read from `plan` and the row
+                        // range from a region of it, the values spg-check
+                        // constructed by proving exactly these ranges
+                        // in-bounds.
                         let in_row = |c: usize, iy: usize| unsafe {
                             in_ptr.add((c * in_h + y * sy + iy) * row_stride + x)
                         };
                         // SAFETY: f < nf and c < nc index whole fy*fx blocks
                         // of the validated weight buffer.
                         let w_fc = |c: usize| unsafe { w_ptr.add((f * nc + c) * fy * fx) };
-                        // SAFETY: y < out_h and x + vectors*LANES <= out_w
-                        // (this tile's proved segment), inside the f-th plane.
-                        let dst = unsafe { out_plane.add(y * out_w + x) };
+                        // SAFETY: y_lo <= y < y_hi and x + vectors*LANES <=
+                        // out_w (this tile's proved segment), inside the
+                        // region's rows of the f-th plane.
+                        let dst = unsafe { out_rows.add((y - y_lo) * out_w + x) };
                         // SAFETY: AVX2+FMA guaranteed by the caller; the
                         // closure contracts above bound every access the
-                        // block performs.
+                        // block performs, and the stored elements lie in
+                        // this region's rows of its own feature plane.
                         unsafe {
                             if tile.vectors == 2 {
                                 tile_block::<2>(
@@ -493,6 +511,51 @@ mod tests {
         reference::forward(&spec, &input, &weights, &mut oracle);
         let diff = stencil.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
         assert!(diff < 5e-4, "diff {diff}");
+    }
+
+    /// The scalar fallback — what hosts without AVX2+FMA and Miri run —
+    /// is invariant under banding, region by region, and agrees with the
+    /// reference.
+    #[test]
+    fn scalar_fallback_over_band_regions_equals_the_sequential_pass() {
+        let unit = ConvSpec::square(22, 5, 2, 3, 1); // 20x20 output
+        let strided = ConvSpec::square(47, 3, 2, 7, 2); // 21x21 output, sx 2
+        for spec in [unit, strided] {
+            let input = pseudo(spec.input_shape().len(), 5);
+            let weights = pseudo(spec.weight_shape().len(), 6);
+            let lay = phase_layout(&spec);
+            let mut phased = vec![0f32; lay.transformed_len()];
+            lay.apply_into(&input, &mut phased);
+            let (sx, pw) = (spec.sx(), lay.phase_width());
+            let scalar = |technique, workers| {
+                let lowered =
+                    lower_phase(&spec, technique, Phase::Forward, workers, KernelChoice::Generic)
+                        .expect("plan verifies");
+                let proved = spg_check::verify_conv_plan(
+                    &spec,
+                    lowered.plan().clone(),
+                    &spg_check::ScratchCapacity::reserved_for(&spec),
+                )
+                .expect("lowered plans verify");
+                let tiled = proved.tiled().expect("stencil plans are tiled");
+                let mut out = vec![f32::NAN; spec.output_shape().len()];
+                for mut region in tiled.regions(&mut out) {
+                    // The Eq. 21 layout of the input (the identity at sx = 1).
+                    let koff = |kx: usize| (kx % sx) * pw + kx / sx;
+                    forward_scalar(&spec, &mut region, &phased, sx * pw, koff, &weights);
+                }
+                out
+            };
+            let sequential = scalar(Technique::StencilFp, 1);
+            let mut oracle = vec![0f32; spec.output_shape().len()];
+            reference::forward(&spec, &input, &weights, &mut oracle);
+            let diff =
+                sequential.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+            assert!(diff < 5e-4, "{spec}: diff {diff}");
+            for banded in [Technique::StencilYBand, Technique::StencilOutChannel] {
+                assert_eq!(scalar(banded, 2), sequential, "{spec} {banded}");
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The pipeline is **lower → verify → execute**. [`lower`] turns a
 //! technique pair into `spg-check`'s plan IR — choosing the narrow-output
 //! cutoff, the phase transform, the x-tile segmentation, the band ranges
-//! and sub-specs, the GEMM worker counts and the sparse tile width, and
-//! binding a `spg-codegen` instance when one resolves — hands that IR to
-//! the verifier, and wraps the [`VerifiedPlan`](spg_check::VerifiedPlan) it
-//! gets back in a [`ConvProgram`]. The program's single dispatch
+//! over that plan's loop nest, the GEMM worker counts and the sparse tile
+//! width, and binding a `spg-codegen` instance when one resolves — hands
+//! that IR to the verifier, and wraps the
+//! [`VerifiedPlan`](spg_check::VerifiedPlan) it gets back in a
+//! [`ConvProgram`]. The program's single dispatch
 //! ([`compiled`](crate::compiled)) and the kernels beneath it read those
 //! same fields; nothing downstream looks at a [`Technique`] again, so the
 //! bounds that were proved are the bounds that execute by construction.
@@ -14,8 +15,8 @@
 //! offending access, and no program exists for it.
 
 use spg_check::{
-    band_sub_spec, BackwardPlan, BandDim, BandPlan, CheckReport, ConvPlan, ForwardPlan,
-    RegisterTile, ScheduleTile, ScratchCapacity, VECTOR_WIDTH,
+    BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile,
+    ScratchCapacity, VECTOR_WIDTH,
 };
 use spg_codegen::xplan::tiled_plan;
 use spg_codegen::{KernelChoice, SpecializedKernel};
@@ -32,10 +33,10 @@ use crate::SpgError;
 /// Lowers a forward technique: the narrow-output shifted-GEMM cutoff
 /// (`out_w < VECTOR_WIDTH`), the wide tiled plan at `lanes` lanes (the
 /// generic loops' 8, or a bound instance's own width), the banded
-/// decompositions, and the GEMM worker count.
+/// decompositions of that plan, and the GEMM worker count.
 fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usize) -> ForwardPlan {
     match (technique, technique.band_dim()) {
-        (_, Some(dim)) => lower_banded(spec, dim, cores),
+        (_, Some(dim)) => lower_banded(spec, dim, cores, lanes),
         (Technique::StencilFp, _) if spec.out_w() < VECTOR_WIDTH => ForwardPlan::StencilNarrow,
         (Technique::StencilFp, _) => tiled_plan(spec, lanes, plan_cache_schedule(spec).y_tile),
         (Technique::ParallelGemm, _) => ForwardPlan::UnfoldGemm { threads: cores.max(1) },
@@ -45,28 +46,13 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
     }
 }
 
-/// Lowers a banded hybrid decomposition: the [`band_ranges`] split, each
-/// band carrying the checker's own restriction of the spec and the generic
-/// wide tiled plan on it. Unsplittable specs lower to a single band, which
-/// the verifier rejects.
-fn lower_banded(spec: &ConvSpec, dim: BandDim, cores: usize) -> ForwardPlan {
-    let bands = band_ranges(spec, dim, cores)
-        .into_iter()
-        .map(|(lo, hi)| {
-            let sub = match band_sub_spec(spec, dim, lo, hi) {
-                Ok(sub) => sub,
-                // Degenerate restriction: carry the parent spec so the
-                // verifier's sub-spec re-derivation names the mismatch.
-                Err(_) => *spec,
-            };
-            BandPlan {
-                range: (lo, hi),
-                spec: sub,
-                plan: lower_forward(&sub, Technique::StencilFp, 1, VECTOR_WIDTH),
-            }
-        })
-        .collect();
-    ForwardPlan::StencilBanded { dim, bands }
+/// Lowers a banded hybrid decomposition: the sequential stencil's plan for
+/// the whole layer plus the [`band_ranges`] split of one axis of its loop
+/// nest. Unsplittable specs lower to a single band, which the verifier
+/// rejects.
+fn lower_banded(spec: &ConvSpec, dim: BandDim, cores: usize, lanes: usize) -> ForwardPlan {
+    let tiled = Box::new(lower_forward(spec, Technique::StencilFp, 1, lanes));
+    ForwardPlan::StencilBanded { dim, tiled, bands: band_ranges(spec, dim, cores) }
 }
 
 /// Lowers a backward technique.
@@ -79,7 +65,6 @@ pub(crate) fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan
         Technique::GemmInParallel
         | Technique::StencilFp
         | Technique::StencilYBand
-        | Technique::StencilXBand
         | Technique::StencilOutChannel => BackwardPlan::UnfoldGemm { threads: 1 },
     }
 }
@@ -106,11 +91,12 @@ pub(crate) fn select_kernel(spec: &ConvSpec) -> Option<&'static SpecializedKerne
 
 /// Lowers `plan` for `spec` at `cores` workers, proves the result, and
 /// returns the executable [`ConvProgram`]. [`KernelChoice::Auto`] binds a
-/// sequential stencil forward to the registry instance for the shape
-/// ([`spg_codegen::lookup`]) when the tiled plan at that instance's lane
-/// width passes the verifier; every other case — unlisted geometry, narrow
-/// output, missing CPU features, `SPG_FORCE_GENERIC`, a rejected instance
-/// plan, or [`KernelChoice::Generic`] — lowers to the generic loops.
+/// stencil forward — sequential or banded — to the registry instance for
+/// the shape ([`spg_codegen::lookup`]) when the plan at that instance's
+/// lane width passes the verifier; every other case — unlisted geometry,
+/// narrow output, missing CPU features, `SPG_FORCE_GENERIC`, a rejected
+/// instance plan (an output narrower than the instance's vector), or
+/// [`KernelChoice::Generic`] — lowers to the generic loops.
 ///
 /// # Errors
 ///
@@ -124,8 +110,9 @@ pub fn lower(
     cores: usize,
     kernel: KernelChoice,
 ) -> Result<ConvProgram, SpgError> {
-    let instance = match (plan.forward, kernel) {
-        (Technique::StencilFp, KernelChoice::Auto) => spg_codegen::lookup(spec),
+    let stencil = plan.forward == Technique::StencilFp || plan.forward.band_dim().is_some();
+    let instance = match kernel {
+        KernelChoice::Auto if stencil => spg_codegen::lookup(spec),
         _ => None,
     };
     if let Some(program) = instance.and_then(|inst| prove(spec, plan, cores, Some(inst)).ok()) {
@@ -373,7 +360,7 @@ mod tests {
                 Ok(_) => {}
                 Err(err) => {
                     // Only hybrids without an available decomposition may
-                    // be rejected (here: x-bands on a 10-wide output).
+                    // be rejected.
                     let dim = t.band_dim().unwrap_or_else(|| panic!("{spec} {t} rejected: {err}"));
                     assert!(band_ranges(&spec, dim, 8).len() <= 1, "{spec} {t}: {err}");
                 }
@@ -391,13 +378,13 @@ mod tests {
     fn hybrid_lowering_verifies_when_splittable() {
         // ImageNet-22K L0 (Table 2): 128x128 output, stride 2.
         let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        for t in [Technique::StencilYBand, Technique::StencilXBand, Technique::StencilOutChannel] {
+        for t in [Technique::StencilYBand, Technique::StencilOutChannel] {
             let report = verify_technique(&spec, t, Phase::Forward, 8).unwrap();
             assert!(report.worker_regions >= 8, "{t}: {report:?}");
         }
         // Narrow output: single band, rejected at verification.
         let narrow = ConvSpec::square(7, 6, 4, 3, 1);
-        for t in [Technique::StencilYBand, Technique::StencilXBand, Technique::StencilOutChannel] {
+        for t in [Technique::StencilYBand, Technique::StencilOutChannel] {
             verify_technique(&narrow, t, Phase::Forward, 8).unwrap_err();
         }
     }

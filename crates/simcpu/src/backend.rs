@@ -97,7 +97,7 @@ impl SimBackend {
                 gemm_in_parallel_gflops_per_core(&self.machine, &desc.spec, desc.cores)
             }
             Technique::StencilFp => stencil_gflops_per_core(&self.machine, &desc.spec, desc.cores),
-            Technique::StencilYBand | Technique::StencilXBand | Technique::StencilOutChannel => {
+            Technique::StencilYBand | Technique::StencilOutChannel => {
                 let dim = technique.band_dim().expect("hybrid technique carries a band dim");
                 stencil_banded_gflops_per_core(&self.machine, &desc.spec, dim, desc.cores)
             }

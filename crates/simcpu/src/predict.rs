@@ -96,7 +96,7 @@ pub fn stencil_gflops_per_core(machine: &Machine, spec: &ConvSpec, cores: usize)
 }
 
 /// Predicted GFlops per core for an intra-sample banded stencil
-/// decomposition (`stencil-yband` / `stencil-xband` / `stencil-ochannel`)
+/// decomposition (`stencil-yband` / `stencil-ochannel`)
 /// of one sample across `cores` workers.
 ///
 /// Sample parallelism keeps each core's working set whole, but it needs
@@ -104,20 +104,18 @@ pub fn stencil_gflops_per_core(machine: &Machine, spec: &ConvSpec, cores: usize)
 /// trade a little per-core intensity for intra-sample scaling, and the
 /// trade differs per split dimension (Sec. 3 AIT terms):
 ///
-/// * **y-band / x-band** — each worker stages its input band (a `1/p`
-///   slice plus a `(Fy - sy)⁺`- or `(Fx - sx)⁺`-row halo shared with the
-///   neighbouring band) and scatters its `1/p` output slice, but still
+/// * **y-band** — each worker reads its input band in place (a `1/p`
+///   slice plus a `(Fy - sy)⁺`-row halo shared with the neighbouring band)
+///   and writes its `1/p` slice of the parent output, once each, but still
 ///   reads the **whole** weight tensor — the analogue of Parallel-GEMM's
-///   whole-`B` term, small here because stencil layers are
-///   weight-light. Staging is charged at 3× (read parent, write stage,
-///   kernel read) and scatter at 3× the band output.
+///   whole-`B` term, small here because stencil layers are weight-light.
 /// * **out-channel** — each worker reads the **whole** input but only its
-///   `1/p` slice of weights and output; no staging or scatter.
+///   `1/p` slice of weights and output.
 ///
 /// The effective worker count is the number of bands the band planner
-/// actually produces (`spg_core::hybrid::band_ranges`); x-bands shed
-/// workers until every band is vector-wide. When the spec admits only a
-/// single band the prediction degenerates to the sequential stencil rate.
+/// actually produces (`spg_core::hybrid::band_ranges`). When the spec
+/// admits only a single band the prediction degenerates to the sequential
+/// stencil rate.
 ///
 /// # Panics
 ///
@@ -142,12 +140,7 @@ pub fn stencil_banded_gflops_per_core(
         BandDim::YRows => {
             let halo_rows = spec.ky().saturating_sub(spec.sy()) as f64;
             let halo = (pf - 1.0) * halo_rows * (spec.in_w() * spec.in_c()) as f64 / pf;
-            weights + 3.0 * (input / pf + halo) + 3.0 * output / pf
-        }
-        BandDim::XCols => {
-            let halo_cols = spec.kx().saturating_sub(spec.sx()) as f64;
-            let halo = (pf - 1.0) * halo_cols * (spec.in_h() * spec.in_c()) as f64 / pf;
-            weights + 3.0 * (input / pf + halo) + 3.0 * output / pf
+            weights + input / pf + halo + output / pf
         }
         BandDim::OutChannels => input + weights / pf + output / pf,
     };
@@ -300,7 +293,7 @@ mod tests {
         ] {
             // batch = 1: GiP occupies a single core.
             let starved_machine_rate = gemm_in_parallel_gflops_per_core(&m, &spec, 1);
-            for dim in [BandDim::YRows, BandDim::XCols, BandDim::OutChannels] {
+            for dim in [BandDim::YRows, BandDim::OutChannels] {
                 let p = band_ranges(&spec, dim, cores).len();
                 assert!(p > 1, "{spec} must split on {dim:?}");
                 let banded_machine_rate =
@@ -321,7 +314,7 @@ mod tests {
     fn banded_per_core_rate_is_discounted_and_decays() {
         let m = Machine::default();
         let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        for dim in [BandDim::YRows, BandDim::XCols, BandDim::OutChannels] {
+        for dim in [BandDim::YRows, BandDim::OutChannels] {
             for cores in [2, 4, 8] {
                 let banded = stencil_banded_gflops_per_core(&m, &spec, dim, cores);
                 let sequential = stencil_gflops_per_core(&m, &spec, cores);
@@ -338,7 +331,7 @@ mod tests {
     fn single_band_prediction_matches_sequential_stencil() {
         let m = Machine::default();
         let narrow = ConvSpec::square(8, 6, 4, 3, 1); // out_w < 8
-        for dim in [BandDim::YRows, BandDim::XCols, BandDim::OutChannels] {
+        for dim in [BandDim::YRows, BandDim::OutChannels] {
             let banded = stencil_banded_gflops_per_core(&m, &narrow, dim, 8);
             let sequential = stencil_gflops_per_core(&m, &narrow, 8);
             assert!((banded - sequential).abs() < 1e-12, "{dim:?}");

@@ -29,8 +29,12 @@ where
 {
     let mut tasks = tasks.into_iter();
     let Some(first) = tasks.next() else { return Vec::new() };
+    // A lone task needs no scope: a sequential stencil plan is one region
+    // and runs here once per sample.
+    let Some(second) = tasks.next() else { return vec![first()] };
     let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let rest: Vec<_> = tasks.map(|task| scope.spawn(task)).collect();
+        let rest: Vec<_> =
+            std::iter::once(second).chain(tasks).map(|task| scope.spawn(task)).collect();
         let first = catch_unwind(AssertUnwindSafe(first));
         std::iter::once(first).chain(rest.into_iter().map(|handle| handle.join())).collect()
     });

@@ -398,7 +398,8 @@ pub fn validate_metrics(text: &str) -> Result<(), String> {
         }
         // Added in schema minor 8; older documents legitimately omit it.
         // Unlike `backend`/`algo`, the partition vocabulary is closed: a
-        // decision can only split work along one of the four dimensions.
+        // decision can only split work along one of these dimensions
+        // (`x-band` from writers that predate the column bands' removal).
         if let Some(partition) = decision.get("partition") {
             let partition = partition
                 .as_str()

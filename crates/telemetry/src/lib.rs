@@ -72,7 +72,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// replays, `cluster.shard.requests` for shard-process serving); minor 8
 /// added the optional per-decision `partition` field naming the worker
 /// decomposition the chosen forward technique splits the layer along
-/// (`"sample"`, `"y-band"`, `"x-band"`, `"out-channel"`), plus the
+/// (`"sample"`, `"y-band"`, `"out-channel"`; `"x-band"` only from writers
+/// that predate the column bands' removal), plus the
 /// starved-pool counters (`serve.starved_workers`,
 /// `train.starved_workers`) counting workers a pool declined to spawn
 /// because the batch had fewer items than the configured pool width.
@@ -177,7 +178,8 @@ pub struct Decision {
     /// minor 6; `None` in documents from older writers.
     pub algo: Option<String>,
     /// Worker decomposition the chosen forward technique splits the layer
-    /// along: `"sample"`, `"y-band"`, `"x-band"`, or `"out-channel"`.
+    /// along: `"sample"`, `"y-band"` or `"out-channel"` (`"x-band"` in
+    /// documents from writers that still had column bands).
     /// Schema minor 8; `None` on backward decisions and in documents from
     /// older writers.
     pub partition: Option<String>,

@@ -422,6 +422,7 @@ layer {i}: {spec}"
 /// `CompiledConv::compile` and the autotuner; this command surfaces it.
 fn check(args: &[String]) -> Result<(), String> {
     use spg_cnn::core::autotune::Phase;
+    use spg_cnn::core::hybrid::band_ranges;
     use spg_cnn::core::schedule::Technique;
     use spg_cnn::core::verify::verify_technique;
 
@@ -447,6 +448,15 @@ fn check(args: &[String]) -> Result<(), String> {
             (Phase::Backward, "BP", Technique::backward_candidates()),
         ] {
             for &t in candidates {
+                // A hybrid with nothing to split on this shape is not a
+                // candidate — no planner emits it — so it is not a fault.
+                if t.band_dim().is_some_and(|dim| band_ranges(spec, dim, cores).len() <= 1) {
+                    println!(
+                        "  {label} {:<24} n/a: this shape has no intra-sample split",
+                        t.to_string()
+                    );
+                    continue;
+                }
                 match verify_technique(spec, t, phase, cores) {
                     Ok(report) => {
                         proved += report.accesses_proved;
