@@ -12,7 +12,10 @@
 //!   broadcast and store of every tile position in the layer, hence of
 //!   every band (the narrow shifted-GEMM path accumulates in a different
 //!   order and cannot be banded);
-//! * the bands **disjointly cover** the split extent (race-free, complete).
+//! * the bands **disjointly cover** the split extent (race-free, complete)
+//!   in **ascending order**, so that a run of consecutive bands is a
+//!   contiguous range — what a call with fewer cores than bands runs as
+//!   one region.
 
 use crate::capacity::ScratchCapacity;
 use crate::error::{Buf, CheckError};
@@ -73,7 +76,18 @@ pub(crate) fn check_forward_banded(
         BandDim::YRows => (spec.out_h(), "banded stencil y-band output rows"),
         BandDim::OutChannels => (spec.features(), "banded stencil out-channel feature slices"),
     };
-    check_row_bands(interp, Buf::Output, cover_context, extent, 1, bands)
+    check_row_bands(interp, Buf::Output, cover_context, extent, 1, bands)?;
+    // A call with fewer cores than bands runs consecutive bands as one
+    // region (`VerifiedTiled::regions`), so list order must be range
+    // order: in a disjoint cover, each band starting where the last ended.
+    match bands.windows(2).find(|pair| pair[1].0 != pair[0].1) {
+        Some(pair) => Err(CheckError::PlanShapeMismatch {
+            context: "banded stencil bands must ascend",
+            expected: pair[0].1,
+            found: pair[1].0,
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +156,18 @@ mod tests {
                 context: "banded stencil must split the wide tiled kernel",
                 ..
             }
+        ));
+    }
+
+    #[test]
+    fn descending_bands_rejected() {
+        // A disjoint cover in the wrong order: merging neighbours in the
+        // list would not be merging neighbours in the output.
+        let spec = ConvSpec::square(34, 16, 4, 3, 1);
+        let err = check(&spec, BandDim::YRows, &[(16, 32), (0, 16)]).unwrap_err();
+        assert!(matches!(
+            err,
+            CheckError::PlanShapeMismatch { context: "banded stencil bands must ascend", .. }
         ));
     }
 

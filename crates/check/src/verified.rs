@@ -119,14 +119,23 @@ impl<'a> VerifiedTiled<'a> {
         self.phased
     }
 
-    /// Splits `output` into the regions of the plan's loop nest, one per
-    /// worker in band order: the whole layer for a sequential plan, one
-    /// region per proved band otherwise.
+    /// Splits `output` into the regions of the plan's loop nest a call with
+    /// `cores` cores runs, one per thread in band order: the whole layer
+    /// for a sequential plan; for a banded plan its proved bands, as they
+    /// are when `cores` reaches their count, and otherwise as `cores`
+    /// contiguous runs of whole bands, each run one region. One core
+    /// therefore gets one region spanning the layer — the sequential parent
+    /// plan — and no region is ever anything but a union of bands the
+    /// proof showed in-bounds, disjoint and in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `output.len()` is not the spec's output length.
-    pub fn regions<'r>(self, output: &'r mut [f32]) -> impl Iterator<Item = TileRegion<'r>>
+    pub fn regions<'r>(
+        self,
+        output: &'r mut [f32],
+        cores: usize,
+    ) -> impl Iterator<Item = TileRegion<'r>>
     where
         'a: 'r,
     {
@@ -136,11 +145,18 @@ impl<'a> VerifiedTiled<'a> {
         // `PhantomData`: from now on the output is reached through this
         // pointer alone, so no `&mut` aliases a region's stores.
         let out = output.as_mut_ptr();
-        (0..self.bands.map_or(1, |(_, bands)| bands.len())).map(move |i| {
+        let bands = self.bands.map_or(1, |(_, bands)| bands.len());
+        let threads = cores.clamp(1, bands);
+        (0..threads).map(move |t| {
+            // Thread t runs bands [first, last]; ascending bands that
+            // cover the extent make first.lo..last.hi their union.
+            let (first, last) = (t * bands / threads, (t + 1) * bands / threads - 1);
             let (features, rows) = match self.bands {
                 None => ((0, nf), (0, out_h)),
-                Some((BandDim::YRows, bands)) => ((0, nf), bands[i]),
-                Some((BandDim::OutChannels, bands)) => (bands[i], (0, out_h)),
+                Some((BandDim::YRows, bands)) => ((0, nf), (bands[first].0, bands[last].1)),
+                Some((BandDim::OutChannels, bands)) => {
+                    ((bands[first].0, bands[last].1), (0, out_h))
+                }
             };
             TileRegion { features, rows, out, out_h, out_w, borrow: PhantomData }
         })
@@ -167,10 +183,10 @@ pub struct TileRegion<'r> {
 // SAFETY: the only non-`Send` field is `out`, a pointer into the output
 // slice `regions` took mutably borrowed for `'r` and gave up as a
 // reference. Sibling regions hold the same pointer, and each dereferences
-// it only in `plane_rows`, at its own features and rows — which the banded
-// proof behind the `VerifiedPlan` (band ranges disjointly cover the split
-// extent) showed pairwise disjoint. No element is reachable from two
-// threads.
+// it only in `plane_rows`, at its own features and rows — unions of
+// consecutive bands, which the banded proof behind the `VerifiedPlan` (band
+// ranges ascend and disjointly cover the split extent) showed pairwise
+// disjoint. No element is reachable from two threads.
 unsafe impl Send for TileRegion<'_> {}
 
 impl TileRegion<'_> {
@@ -242,17 +258,28 @@ mod tests {
     #[test]
     fn regions_partition_the_output() {
         let spec = ConvSpec::square(20, 5, 2, 3, 1); // 5 planes of 18x18
+        let rows = || Some((BandDim::YRows, vec![(0, 7), (7, 13), (13, 18)]));
+        // (bands, cores, regions): a region per band with the cores for
+        // it, runs of bands with fewer, the whole layer with one.
         let splits = [
-            (None, 1),
-            (Some((BandDim::YRows, vec![(0, 7), (7, 13), (13, 18)])), 3),
-            (Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])), 2),
+            (None, 4, 1),
+            (rows(), 3, 3),
+            (rows(), 8, 3),
+            (rows(), 2, 2),
+            (rows(), 1, 1),
+            (Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])), 2, 2),
+            (Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])), 1, 1),
         ];
-        for (bands, count) in splits {
+        for (bands, cores, count) in splits {
             let plan = proved(&spec, bands);
             let tiled = plan.tiled().expect("tiled forward");
             let mut output = vec![0f32; spec.output_shape().len()];
-            let regions: Vec<_> = tiled.regions(&mut output).collect();
+            let regions: Vec<_> = tiled.regions(&mut output, cores).collect();
             assert_eq!(regions.len(), count);
+            if count == 1 {
+                let whole = ((0, spec.features()), (0, spec.out_h()));
+                assert_eq!((regions[0].features(), regions[0].rows()), whole);
+            }
             let fill = |mut region: TileRegion<'_>| {
                 let ((f_lo, f_hi), (y_lo, y_hi)) = (region.features(), region.rows());
                 for f in f_lo..f_hi {
@@ -276,7 +303,8 @@ mod tests {
         let spec = ConvSpec::square(20, 5, 2, 3, 1);
         let plan = proved(&spec, Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])));
         let mut output = vec![0f32; spec.output_shape().len()];
-        let mut first = plan.tiled().expect("tiled forward").regions(&mut output).next().unwrap();
+        let mut first =
+            plan.tiled().expect("tiled forward").regions(&mut output, 2).next().unwrap();
         first.plane_rows(2);
     }
 }

@@ -165,7 +165,7 @@ macro_rules! define_simd_forward {
             ///
             /// Caller guarantees the target features of this module, that
             /// `plan.lanes() == LANES`, that `region` is one of
-            /// `plan.regions(output)` for an output of `plan.spec()`, and
+            /// `plan.regions(output, _)` for an output of `plan.spec()`, and
             /// that `input`/`c_stride`/`row_stride`/`koff` describe the
             /// input (or its phase-transformed staging) of `plan.spec()` —
             /// so every access the tile blocks perform lies in the ranges
@@ -276,6 +276,7 @@ macro_rules! define_simd_forward {
                 // for strided keys, its Eq. 21 staging: (c, h) row groups of
                 // SX phases x pw columns, tap kx in phase kx % SX at column
                 // kx / SX. `SX` is a compile-time branch.
+                let cores = scratch.cores;
                 let (staged, row_stride, koff): (&[f32], usize, [usize; FX]) = if SX == 1 {
                     (input, spec.in_w(), std::array::from_fn(|kx| kx))
                 } else {
@@ -286,10 +287,11 @@ macro_rules! define_simd_forward {
                     (phased, SX * pw, std::array::from_fn(|kx| (kx % SX) * pw + kx / SX))
                 };
                 let c_stride = spec.in_h() * row_stride;
-                // One task per proved region: the whole layer on the calling
-                // thread for a sequential plan, one band per worker for a
-                // banded one, all reading the one staging above.
-                spg_gemm::fork_join(plan.regions(output).map(|mut region| {
+                // One task per region the plan has at the call's core
+                // budget: the whole layer on the calling thread for a
+                // sequential plan or a single core, else runs of proved
+                // bands, all reading the one staging above.
+                spg_gemm::fork_join(plan.regions(output, cores).map(|mut region| {
                     // SAFETY: target features guaranteed by the caller;
                     // `staged` is the length-checked input of plan.spec() or
                     // the freshly staged buffer of lay.transformed_len()

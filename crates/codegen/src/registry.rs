@@ -90,9 +90,9 @@ impl SpecializedKernel {
 
     /// Runs the monomorphized forward kernel for one sample over a proved
     /// plan: the instance iterates `plan`'s own x-tiles and cache row
-    /// block over each of its regions — one per worker when the plan is
-    /// banded — staging the phase transform (strided keys) once in
-    /// `scratch`.
+    /// block over each of its regions — one per core of `scratch`'s core
+    /// budget when the plan is banded — staging the phase transform
+    /// (strided keys) once in `scratch`.
     /// Lower with [`tiled_plan`](crate::xplan::tiled_plan) at this
     /// instance's [`lanes`](SpecializedKernel::lanes).
     ///

@@ -5,7 +5,13 @@
 //! [`NetworkPlanner`] (the autotuner, injected by `spg-core` or any other
 //! planner implementation), so application code never constructs
 //! `Workspace`/`ConvScratch`/executor plumbing by hand. Inference through
-//! it builds an activation trace and a scratch, not a training workspace.
+//! it runs out of an activation trace and a scratch, not a training
+//! workspace; [`Engine::forward`] keeps one such pair warm between calls.
+//!
+//! The worker count is the one core figure a caller gives. Whole samples
+//! go to workers first (GEMM-in-Parallel, Sec. 4.1); when a call has fewer
+//! samples than workers the engine hands the idle cores to the samples it
+//! does have, as the [core budget](ConvScratch::cores) of their walk.
 //!
 //! # Example
 //!
@@ -22,7 +28,7 @@
 //! # Ok::<(), spg_error::Error>(())
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -149,8 +155,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker count used by [`Engine::infer`] and as the trainer's
-    /// `sample_threads` unless a trainer config overrides it.
+    /// The cores the engine may use: [`Engine::infer`]'s sample workers,
+    /// the cores [`Engine::forward`] spends inside its one sample, and the
+    /// trainer's `sample_threads` unless a trainer config set after this
+    /// call overrides it. Outputs never depend on it.
     ///
     /// # Panics
     ///
@@ -224,6 +232,7 @@ impl EngineBuilder {
             planner: self.planner,
             trainer: self.trainer,
             overrides: Vec::new(),
+            warm: Mutex::new(None),
         })
     }
 }
@@ -272,6 +281,10 @@ pub struct Engine {
     /// Explicit per-layer algorithm pins, re-applied after every planner
     /// pass so they win over autotune and epoch retunes.
     overrides: Vec<(usize, Arc<dyn LayerAlgo>)>,
+    /// The buffers the last [`Engine::forward`] ran out of, parked for the
+    /// next one. Taken for the length of a call and put back after it; the
+    /// lock is held only for the take and the put.
+    warm: Mutex<Option<(SampleTrace, ConvScratch)>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -297,8 +310,10 @@ impl Engine {
     }
 
     /// Mutable access to the underlying network (escape hatch for callers
-    /// that need layer-level surgery).
+    /// that need layer-level surgery). Drops the warm forward buffers: the
+    /// caller may replace the network with one of another geometry.
     pub fn network_mut(&mut self) -> &mut Network {
+        *self.warm.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         &mut self.net
     }
 
@@ -307,7 +322,8 @@ impl Engine {
         self.net
     }
 
-    /// The configured worker count.
+    /// The configured worker count: the cores [`Engine::infer`] and
+    /// [`Engine::forward`] use (see [`EngineBuilder::workers`]).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -423,13 +439,27 @@ impl Engine {
             .map_err(Error::from)
     }
 
-    /// Classifies a batch of samples across the configured worker count
-    /// (whole samples per worker — inference under GEMM-in-Parallel).
+    /// Classifies a batch of samples across the configured worker count:
+    /// whole samples per worker (inference under GEMM-in-Parallel), and
+    /// when there are fewer samples than workers, the spare workers' cores
+    /// inside the samples there are ([`Network::infer_batch`]). The
+    /// classes are the same for every worker count.
     pub fn infer(&self, inputs: &[Tensor]) -> Vec<usize> {
         self.net.infer_batch(inputs, self.workers)
     }
 
     /// Runs one forward pass, returning the logits.
+    ///
+    /// One sample cannot occupy [`workers`](Engine::workers) cores by
+    /// sample parallelism, so the call spends them inside the sample:
+    /// every layer that can split runs on up to that many threads
+    /// (the [core budget](ConvScratch::cores)), and the logits are
+    /// bit-identical to [`Network::forward`]'s at every worker count. The
+    /// walk runs out of a trace and scratch the engine keeps warm, so after
+    /// the first call it builds no buffers: what it still allocates is the
+    /// returned logits, the blocked GEMM's transient pack panels and the
+    /// scoped threads of its forks. Concurrent callers are fine: one of
+    /// them gets the warm buffers and the others build their own.
     ///
     /// # Errors
     ///
@@ -446,9 +476,14 @@ impl Engine {
                 ),
             ));
         }
-        let mut trace = SampleTrace::for_network(&self.net);
-        self.net.forward_walk(input, &mut trace, &mut ConvScratch::new());
-        Ok(trace.logits().clone())
+        let (mut trace, mut scratch) = spg_sync::lock(&self.warm)
+            .take()
+            .unwrap_or_else(|| (SampleTrace::for_network(&self.net), ConvScratch::new()));
+        scratch.cores = self.workers;
+        self.net.forward_walk(input, &mut trace, &mut scratch);
+        let logits = trace.logits().clone();
+        *spg_sync::lock(&self.warm) = Some((trace, scratch));
+        Ok(logits)
     }
 
     /// Consumes the engine, returning the network behind an [`Arc`] for

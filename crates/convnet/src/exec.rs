@@ -180,7 +180,11 @@ impl ConvExecutor for ReferenceExecutor {
 /// With `threads == 1` this is the building block of the GEMM-in-Parallel
 /// schedule; with `threads > 1` each GEMM is row-partitioned across cores
 /// (Parallel-GEMM), reproducing the baseline whose per-core arithmetic
-/// intensity shrinks as cores are added.
+/// intensity shrinks as cores are added. The forward GEMM's `threads` row
+/// bands run on as many threads as the call's
+/// [core budget](ConvScratch::cores) allows — none beyond the caller's own
+/// inside a sample worker — with the same output bits either way; the
+/// backward GEMMs always fork `threads`.
 #[derive(Debug, Clone, Copy)]
 pub struct UnfoldGemmExecutor {
     threads: usize,
@@ -287,7 +291,7 @@ mod tests {
         );
         let olen = spec.output_shape().len();
 
-        let mut scratch = ConvScratch::new();
+        let mut scratch = ConvScratch { cores: 2, ..ConvScratch::new() };
         let mut a = vec![0f32; olen];
         let mut b = vec![0f32; olen];
         ReferenceExecutor.forward(&spec, &input, &weights, &mut a, &mut scratch);

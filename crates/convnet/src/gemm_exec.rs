@@ -6,10 +6,13 @@
 //! tensor `[f][c*ky*kx]` *is* the GEMM weight matrix and the CHW gradient
 //! `[f][out_h*out_w]` *is* `E_O`, so neither is ever copied. The only
 //! materialized intermediates — the unfold matrix and the patch-space
-//! gradient — live in a caller-provided [`ConvScratch`], making the
-//! steady-state per-sample path allocation-free.
+//! gradient — live in a caller-provided [`ConvScratch`]; what a
+//! steady-state sample still allocates is the blocked GEMM's two operand
+//! pack panels ([`spg_gemm::gemm_slice`] builds them per call, so row bands
+//! can run it concurrently; only the transposed backward-data multiply
+//! packs into the scratch).
 
-use spg_gemm::{gemm_at_b_slice, gemm_flops, gemm_slice, parallel_gemm_slice};
+use spg_gemm::{gemm_at_b_slice, gemm_flops, parallel_gemm_slice};
 
 use crate::unfold::{fold, unfold_into, unfold_transposed_into};
 use crate::workspace::ConvScratch;
@@ -18,9 +21,14 @@ use crate::ConvSpec;
 /// Forward propagation via `O = W_mat * U^T` (Fig. 2c), running out of a
 /// caller-owned [`ConvScratch`].
 ///
-/// `threads == 1` runs the single-threaded blocked GEMM (the
-/// GEMM-in-Parallel building block); `threads > 1` uses the row-partitioned
-/// Parallel-GEMM schedule.
+/// `threads` is the row-band partition of the GEMM the plan was proved
+/// for; the call runs it on `min(threads, scratch.cores)` threads — the
+/// [core budget](ConvScratch::cores) its walker handed it. A sample worker
+/// of a saturated batch (budget 1) therefore runs the single-threaded
+/// blocked GEMM, the GEMM-in-Parallel building block, whatever `threads`
+/// says, and a lone sample with the whole machine runs Parallel-GEMM;
+/// the output bits are the same either way
+/// ([`spg_gemm::parallel_gemm_slice`]).
 ///
 /// # Panics
 ///
@@ -44,11 +52,8 @@ pub fn forward_scratch(
     output.fill(0.0);
     let (m, n, k) = (spec.features(), patches, patch_len);
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
-    if threads > 1 {
-        parallel_gemm_slice(m, n, k, weights, scratch.mat_a.as_slice(), output, threads);
-    } else {
-        gemm_slice(m, n, k, weights, k, scratch.mat_a.as_slice(), n, output, n);
-    }
+    let unfolded = scratch.mat_a.as_slice();
+    parallel_gemm_slice(m, n, k, weights, unfolded, output, threads, scratch.cores);
 }
 
 /// Backward error propagation via `E_U = E_O^T * W_mat`, then `col2im`,
@@ -95,6 +100,7 @@ pub fn backward_data_scratch(
             weights,
             scratch.mat_b.as_mut_slice(),
             threads,
+            threads,
         );
     } else {
         // Transpose folded into panel packing; pack buffers are recycled.
@@ -135,11 +141,8 @@ pub fn backward_weights_scratch(
     grad_weights.fill(0.0);
     let (m, n, k) = (spec.features(), patch_len, patches);
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
-    if threads > 1 {
-        parallel_gemm_slice(m, n, k, grad_out, scratch.mat_a.as_slice(), grad_weights, threads);
-    } else {
-        gemm_slice(m, n, k, grad_out, k, scratch.mat_a.as_slice(), n, grad_weights, n);
-    }
+    let unfolded = scratch.mat_a.as_slice();
+    parallel_gemm_slice(m, n, k, grad_out, unfolded, grad_weights, threads, threads);
 }
 
 #[cfg(test)]
@@ -168,12 +171,30 @@ mod tests {
             let mut via_gemm = vec![0f32; spec.output_shape().len()];
             let mut oracle = vec![0f32; spec.output_shape().len()];
             for threads in [1, 3] {
-                let mut scratch = ConvScratch::new();
+                let mut scratch = ConvScratch { cores: threads, ..ConvScratch::new() };
                 forward_scratch(&spec, &input, &weights, &mut via_gemm, threads, &mut scratch);
                 reference::forward(&spec, &input, &weights, &mut oracle);
                 let diff =
                     via_gemm.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
                 assert!(diff < 1e-4, "{spec}: diff {diff}");
+            }
+        }
+    }
+
+    /// The core budget decides how many threads run a forward, never its
+    /// bits: a 3-band plan on 1, 2 or 3 cores is the serial GEMM.
+    #[test]
+    fn forward_bits_do_not_depend_on_the_core_budget() {
+        for spec in spec_cases() {
+            let input = pseudo(spec.input_shape().len(), 1);
+            let weights = pseudo(spec.weight_shape().len(), 2);
+            let mut serial = vec![0f32; spec.output_shape().len()];
+            forward_scratch(&spec, &input, &weights, &mut serial, 1, &mut ConvScratch::new());
+            for cores in [1, 2, 3, 8] {
+                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                let mut banded = vec![0f32; serial.len()];
+                forward_scratch(&spec, &input, &weights, &mut banded, 3, &mut scratch);
+                assert_eq!(banded, serial, "{spec} cores={cores}");
             }
         }
     }

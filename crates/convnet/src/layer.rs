@@ -420,7 +420,49 @@ impl Layer for MaxPoolLayer {
     }
 }
 
+/// Independent partial sums [`dot`] keeps in flight: enough to fill the
+/// widest vector unit twice over, so the loop is bound by the weight
+/// stream and not by one add's latency.
+const DOT_LANES: usize = 32;
+
+/// `sum(w[i] * x[i])` at a summation order fixed by this source, not by
+/// the compiler or the ISA: element `i` accumulates (multiply, then add —
+/// Rust never fuses the two) into partial sum `i % DOT_LANES`, the partial
+/// sums fold by a halving tree (lane `l` takes in lane `l + 16`, then
+/// `l + 8`, ... `l + 1`), and the tail past the last whole block of
+/// [`DOT_LANES`] is added last, in order. The partial sums are
+/// independent, so the loop vectorizes at whatever width the target has,
+/// and every host, worker count and row split computes the same bits.
+fn dot(w: &[f32], x: &[f32]) -> f32 {
+    assert_eq!(w.len(), x.len(), "dot operand lengths");
+    let (blocks_w, blocks_x) = (w.chunks_exact(DOT_LANES), x.chunks_exact(DOT_LANES));
+    let (tail_w, tail_x) = (blocks_w.remainder(), blocks_x.remainder());
+    let mut acc = [0.0f32; DOT_LANES];
+    for (bw, bx) in blocks_w.zip(blocks_x) {
+        for ((a, wi), xi) in acc.iter_mut().zip(bw).zip(bx) {
+            *a += wi * xi;
+        }
+    }
+    let mut width = DOT_LANES / 2;
+    while width > 0 {
+        let (lo, hi) = acc.split_at_mut(width);
+        for (l, h) in lo.iter_mut().zip(hi.iter()) {
+            *l += h;
+        }
+        width /= 2;
+    }
+    tail_w.iter().zip(tail_x).fold(acc[0], |sum, (wi, xi)| sum + wi * xi)
+}
+
 /// A fully-connected (dense) layer with bias: `y = W x + b`.
+///
+/// Forward is one dot product per output row, summed in an order fixed by
+/// the source — 32 independent partial sums over whole blocks of the row,
+/// folded by a halving tree, then the tail — so it vectorizes and gives
+/// the same bits on every host. A call whose
+/// [core budget](ConvScratch::cores) exceeds 1 splits the rows over that
+/// many threads; a row is one thread's dot product whichever thread gets
+/// it, so the logits do not depend on the split.
 #[derive(Debug)]
 pub struct FcLayer {
     in_len: usize,
@@ -461,12 +503,20 @@ impl Layer for FcLayer {
         self.out_len
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        let w = self.weights();
-        let b = self.biases();
-        for (o, (wrow, &bias)) in output.iter_mut().zip(w.chunks(self.in_len).zip(b)) {
-            *o = bias + wrow.iter().zip(input).map(|(wi, xi)| wi * xi).sum::<f32>();
-        }
+    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
+        assert_eq!(output.len(), self.out_len, "output length");
+        let (w, b, n) = (self.weights(), self.biases(), self.in_len);
+        // One task of rows per thread; a budget of 1 is one task, which
+        // `fork_join` runs right here.
+        let threads = scratch.cores.clamp(1, self.out_len.max(1));
+        let per_thread = self.out_len.div_ceil(threads).max(1);
+        spg_sync::fork_join(output.chunks_mut(per_thread).enumerate().map(|(t, rows)| {
+            move || {
+                for (o, r) in rows.iter_mut().zip(t * per_thread..) {
+                    *o = b[r] + dot(&w[r * n..(r + 1) * n], input);
+                }
+            }
+        }));
     }
 
     fn backward(
@@ -586,6 +636,65 @@ mod tests {
         let mut out = [0.0; 2];
         fc.forward(&[1.0, 1.0], &mut out, &mut ConvScratch::new());
         assert_eq!(out, [13.0, 27.0]);
+    }
+
+    /// Lengths around the block size, and the ImageNet-22K head's row.
+    const DOT_LENGTHS: [usize; 6] = [0, 1, DOT_LANES - 1, DOT_LANES, DOT_LANES + 1, 48_600];
+
+    #[test]
+    fn dot_agrees_with_an_f64_reference() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for len in DOT_LENGTHS {
+            for _ in 0..3 {
+                let w = Tensor::random_uniform(len, 1.0, &mut rng);
+                let x = Tensor::random_uniform(len, 1.0, &mut rng);
+                let terms = w.iter().zip(x.iter()).map(|(&a, &b)| f64::from(a) * f64::from(b));
+                let (want, scale) = terms.fold((0.0, 0.0), |(s, m), t| (s + t, m + t.abs()));
+                let got = f64::from(dot(w.as_slice(), x.as_slice()));
+                assert!((got - want).abs() <= 1e-5 * scale, "len {len}: {got} vs {want}");
+            }
+        }
+        assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    /// The order is the source's: block partial sums, the halving tree,
+    /// then the tail — spelled out here element by element.
+    #[test]
+    fn dot_order_is_blocks_then_tree_then_tail() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let len = 3 * DOT_LANES + 5;
+        let w = Tensor::random_uniform(len, 1.0, &mut rng);
+        let x = Tensor::random_uniform(len, 1.0, &mut rng);
+        let mut lanes = [0.0f32; DOT_LANES];
+        for i in 0..3 * DOT_LANES {
+            lanes[i % DOT_LANES] += w[i] * x[i];
+        }
+        for width in [16, 8, 4, 2, 1] {
+            for l in 0..width {
+                lanes[l] += lanes[l + width];
+            }
+        }
+        let mut want = lanes[0];
+        for i in 3 * DOT_LANES..len {
+            want += w[i] * x[i];
+        }
+        assert_eq!(dot(w.as_slice(), x.as_slice()).to_bits(), want.to_bits());
+    }
+
+    /// A row is one thread's dot product whichever thread runs it.
+    #[test]
+    fn fc_logits_do_not_depend_on_the_core_budget() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let fc = FcLayer::new(67, 10, &mut rng);
+        let input = Tensor::random_uniform(67, 1.0, &mut rng);
+        let mut serial = [0.0f32; 10];
+        fc.forward(input.as_slice(), &mut serial, &mut ConvScratch::new());
+        for cores in [2, 3, 7, 64] {
+            let mut split = [f32::NAN; 10];
+            let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+            fc.forward(input.as_slice(), &mut split, &mut scratch);
+            assert_eq!(split.map(f32::to_bits), serial.map(f32::to_bits), "cores {cores}");
+        }
     }
 
     #[test]

@@ -174,6 +174,7 @@ impl Network {
 
     /// The forward pass: fills `trace` layer by layer, staging through
     /// `scratch`. Everything a forward needs and nothing a backward does.
+    /// The caller has set `scratch.cores` to the cores this sample owns.
     pub(crate) fn forward_walk(
         &self,
         input: &[f32],
@@ -268,7 +269,11 @@ impl Network {
     /// `threads` workers — inference under the GEMM-in-Parallel schedule
     /// (forward propagation is the inference subset of training, Sec. 6).
     /// Each worker builds one trace and one scratch and reuses them for
-    /// every sample it classifies.
+    /// every sample it classifies. A batch smaller than `threads` leaves
+    /// cores without a sample; each worker then gets `threads /
+    /// inputs.len()` of them as its [core budget](ConvScratch::cores) and
+    /// spends them inside its sample. The classes do not depend on
+    /// `threads`.
     ///
     /// Returns the predicted class per sample, in input order.
     ///
@@ -280,7 +285,7 @@ impl Network {
         let workers = threads.min(inputs.len().max(1));
         let classify = |batch: &[Tensor]| {
             let mut trace = SampleTrace::for_network(self);
-            let mut scratch = ConvScratch::new();
+            let mut scratch = ConvScratch { cores: threads / workers, ..ConvScratch::new() };
             let classes = batch.iter().map(|input| {
                 self.forward_walk(input.as_slice(), &mut trace, &mut scratch);
                 argmax(trace.logits())

@@ -45,8 +45,25 @@ pub fn zeroed_slice(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// fields are public so executor implementations outside this crate — the
 /// stencil and sparse kernels and the autotuner's compiled executor in
 /// `spg-core` — can stage through the same pool.
-#[derive(Debug, Default)]
+///
+/// # The core budget
+///
+/// [`cores`](ConvScratch::cores) is how many cores this call may spend
+/// *inside one sample*. It is not a setting: the code that walks a network
+/// derives it from what it knows — `(workers, samples in flight)` — and it
+/// travels to every layer with the scratch the layer already receives. A
+/// trainer pool worker, a serving worker and a worker of a saturated
+/// inference batch own one core each and keep the default 1;
+/// [`Engine::forward`](crate::Engine::forward) has the engine's workers
+/// and one sample, and passes them all; [`Network::infer_batch`] divides
+/// its threads among fewer inputs. Layers that can split a sample — a
+/// conv plan proved for `n` regions, the fully-connected layer's rows —
+/// run on `min(n, cores)` threads, and at 1 run the sequential program.
+#[derive(Debug)]
 pub struct ConvScratch {
+    /// Cores the current call may spend inside one sample (at least 1);
+    /// see the type-level docs. Set by whoever walks the network.
+    pub cores: usize,
     /// Patch-matrix scratch: the unfold matrix `U` / `U^T`, or the
     /// transposed gradient `E_O^T` in the Parallel-GEMM backward path.
     pub mat_a: Matrix,
@@ -69,8 +86,25 @@ pub struct ConvScratch {
     pub pack_b: Vec<f32>,
 }
 
+impl Default for ConvScratch {
+    fn default() -> Self {
+        ConvScratch {
+            cores: 1,
+            mat_a: Matrix::default(),
+            mat_b: Matrix::default(),
+            hwc_in: Vec::new(),
+            hwc_out: Vec::new(),
+            wperm: Vec::new(),
+            ctcsr: CtCsr::default(),
+            pack_a: Vec::new(),
+            pack_b: Vec::new(),
+        }
+    }
+}
+
 impl ConvScratch {
-    /// Creates an empty scratch whose buffers grow on first use.
+    /// Creates an empty scratch whose buffers grow on first use, with a
+    /// core budget of 1.
     pub fn new() -> Self {
         ConvScratch::default()
     }

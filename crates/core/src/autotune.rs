@@ -89,8 +89,9 @@ fn measure_program(program: &ConvProgram, phase: Phase, sparsity: f64, reps: usi
     let mut grad_w = vec![0.0f32; spec.weight_shape().len()];
     // One scratch reused across warm-up and all reps: the warm-up run
     // pays the buffer growth, so the timed runs measure the steady-state
-    // (allocation-free) path the trainer actually executes.
-    let mut scratch = ConvScratch::new();
+    // (allocation-free) path the trainer actually executes. A measurement
+    // is one sample with the program's cores to itself.
+    let mut scratch = ConvScratch { cores: program.cores(), ..ConvScratch::new() };
 
     let mut run = |scratch: &mut ConvScratch| match phase {
         Phase::Forward => program.forward(&input, &weights, &mut output, scratch),

@@ -320,7 +320,7 @@ impl Backend for CpuBackend {
         algo: AlgoChoice,
         weights: &[f32],
     ) -> Result<CompiledConv, SpgError> {
-        CompiledConv::from_program(algo.lower(&desc.spec, desc.cores)?, algo.plan(), weights)
+        CompiledConv::from_program(algo.lower(&desc.spec, desc.cores)?, weights)
     }
 }
 

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use spg_check::{BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
+use spg_check::{BackwardPlan, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
 use spg_codegen::{KernelChoice, SpecializedKernel};
 use spg_tensor::layout;
 
@@ -29,7 +29,7 @@ use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::{gemm_exec, ConvSpec};
 
 use crate::autotune::Phase;
-use crate::schedule::LayerPlan;
+use crate::schedule::{LayerPlan, Technique};
 use crate::sparse::kernel as sparse_kernel;
 use crate::stencil::{
     kernel as stencil_kernel, plan_cache_schedule, plan_register_tile, render_basic_block,
@@ -45,12 +45,22 @@ pub struct ConvProgram {
     /// The `spg-codegen` instance the tiled forward — sequential or
     /// banded — runs, bound at lowering; `None` runs the generic loops.
     kernel: Option<&'static SpecializedKernel>,
+    /// The technique pair `plan` was lowered from.
+    techniques: LayerPlan,
+    /// The cores `plan` was lowered for: how many regions its splits have.
+    cores: usize,
 }
 
 impl ConvProgram {
-    /// Binds a proved plan to the instance lowering chose for it.
-    pub(crate) fn bind(plan: VerifiedPlan, kernel: Option<&'static SpecializedKernel>) -> Self {
-        ConvProgram { plan, kernel }
+    /// Binds a proved plan to the instance lowering chose for it, with the
+    /// technique pair and core count it was lowered from.
+    pub(crate) fn bind(
+        plan: VerifiedPlan,
+        kernel: Option<&'static SpecializedKernel>,
+        techniques: LayerPlan,
+        cores: usize,
+    ) -> Self {
+        ConvProgram { plan, kernel, techniques, cores }
     }
 
     /// The convolution this program was lowered for.
@@ -71,6 +81,19 @@ impl ConvProgram {
     /// The bound specialized instance, if any.
     pub fn specialized_kernel(&self) -> Option<&'static SpecializedKernel> {
         self.kernel
+    }
+
+    /// The technique pair this program was lowered from.
+    pub fn techniques(&self) -> LayerPlan {
+        self.techniques
+    }
+
+    /// The cores this program was lowered for. A caller that owns them all
+    /// for one sample — a [`CompiledConv`], a measurement — runs the phase
+    /// methods with this as the scratch's
+    /// [core budget](ConvScratch::cores); a network walk passes its own.
+    pub fn cores(&self) -> usize {
+        self.cores
     }
 
     /// This program as a [`ConvLayer`] executor for `phase`'s slot. Both
@@ -127,7 +150,10 @@ impl ConvProgram {
         prepared
     }
 
-    /// Forward propagation for one sample. `output` is overwritten.
+    /// Forward propagation for one sample. `output` is overwritten. The
+    /// plan's regions — stencil bands, GEMM row bands — run on as many
+    /// threads as `scratch`'s [core budget](ConvScratch::cores) allows;
+    /// the output bits do not depend on it.
     ///
     /// # Panics
     ///
@@ -144,7 +170,7 @@ impl ConvProgram {
         let fckk = weights.fckk.as_slice();
         match &self.plan.plan().forward {
             // A banded plan is the tiled plan with its loop nest split
-            // across workers: same kernel, same scratch.
+            // across the call's cores: same kernel, same scratch.
             ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilBanded { .. } => {
                 let tiled = self.plan.tiled().unwrap_or_else(|| unreachable!("forward is tiled"));
                 match self.kernel {
@@ -247,18 +273,26 @@ struct PlanExecutor {
 
 impl ConvExecutor for PlanExecutor {
     fn name(&self) -> &str {
-        // What `UnfoldGemmExecutor` reports at `threads` workers.
-        let gemm = |threads| if threads > 1 { "unfold+parallel-gemm" } else { "unfold+gemm" };
-        let plan = self.program.plan();
-        match (self.phase, &plan.forward, plan.backward) {
-            (Phase::Backward, _, BackwardPlan::SparsePointerShift { .. }) => "sparse-bp",
-            (Phase::Backward, _, BackwardPlan::UnfoldGemm { threads }) => gemm(threads),
-            (_, ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilNarrow, _) => "stencil-fp",
-            (_, ForwardPlan::StencilBanded { dim: BandDim::YRows, .. }, _) => "stencil-yband",
-            (_, ForwardPlan::StencilBanded { dim: BandDim::OutChannels, .. }, _) => {
-                "stencil-ochannel"
-            }
-            (_, ForwardPlan::UnfoldGemm { threads }, _) => gemm(*threads),
+        // Named for the technique, not for the lowered plan: at more than
+        // one core a sample-partitioned technique's plan carries a split it
+        // runs only when a call is starved of samples. The GEMM names are
+        // `UnfoldGemmExecutor`'s.
+        let gemm = |parallel| if parallel { "unfold+parallel-gemm" } else { "unfold+gemm" };
+        let parallel = self.program.cores() > 1;
+        let techniques = self.program.techniques();
+        match self.phase {
+            Phase::Forward => match techniques.forward {
+                Technique::ParallelGemm => gemm(parallel),
+                // GEMM-in-Parallel, and the sparse technique's fallback.
+                Technique::GemmInParallel | Technique::SparseBp => gemm(false),
+                stencil => stencil.id(),
+            },
+            Phase::Backward => match techniques.backward {
+                Technique::SparseBp => "sparse-bp",
+                Technique::ParallelGemm => gemm(parallel),
+                // The stencil family has no backward kernel: serial GEMM.
+                _ => gemm(false),
+            },
         }
     }
 
@@ -307,7 +341,10 @@ impl ConvExecutor for PlanExecutor {
 /// A convolution layer compiled against a [`LayerPlan`]: the lowered
 /// [`ConvProgram`] plus its own [`PreparedWeights`], executable over any
 /// number of samples — what a [`ConvLayer`] with the program installed in
-/// both slots holds, without the layer.
+/// both slots holds, without the layer. Without a walker, too: a compiled
+/// layer runs its forward on the cores it was compiled for
+/// ([`ConvProgram::cores`]) — a serving worker compiles at 1 and stays on
+/// its thread, a `cores`-wide compile of a lone layer uses them all.
 ///
 /// # Example
 ///
@@ -331,7 +368,6 @@ impl ConvExecutor for PlanExecutor {
 /// ```
 pub struct CompiledConv {
     program: ConvProgram,
-    plan: LayerPlan,
     /// Owned weights, prepared for both phases of `program`.
     weights: PreparedWeights,
 }
@@ -376,13 +412,12 @@ impl CompiledConv {
         kernel_choice: KernelChoice,
     ) -> Result<Self, crate::SpgError> {
         let program = crate::verify::lower(&spec, plan, cores.max(1), kernel_choice)?;
-        Self::from_program(program, plan, weights)
+        Self::from_program(program, weights)
     }
 
-    /// Pairs an already lowered `program` (of `plan`) with its weights.
+    /// Pairs an already lowered `program` with its weights.
     pub(crate) fn from_program(
         program: ConvProgram,
-        plan: LayerPlan,
         weights: &[f32],
     ) -> Result<Self, crate::SpgError> {
         let expected = program.spec().weight_shape().len();
@@ -395,7 +430,7 @@ impl CompiledConv {
             });
         }
         let weights = program.prepared(weights);
-        Ok(CompiledConv { program, plan, weights })
+        Ok(CompiledConv { program, weights })
     }
 
     /// Replaces the weights after a parameter update and re-prepares them.
@@ -417,7 +452,7 @@ impl CompiledConv {
 
     /// The plan the layer was compiled against.
     pub fn plan(&self) -> LayerPlan {
-        self.plan
+        self.program.techniques()
     }
 
     /// The lowered, verified program this layer executes.
@@ -450,7 +485,11 @@ impl CompiledConv {
     ///
     /// Panics if buffer lengths do not match the spec.
     pub fn forward_scratch(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
+        // A compiled layer owns the cores it was compiled for, whoever
+        // lends it the scratch.
+        let lent = std::mem::replace(&mut scratch.cores, self.program.cores());
         self.program.forward(input, &self.weights, output, scratch);
+        scratch.cores = lent;
     }
 
     /// Backward error propagation for one sample running out of a
@@ -503,7 +542,7 @@ impl CompiledConv {
         let mut out = format!(
             "/* compiled conv: {}\n   plan: {}\n   cache schedule: {}\n   forward kernel: {} */\n",
             spec,
-            self.plan,
+            self.plan(),
             plan_cache_schedule(spec),
             kernel
         );
@@ -521,7 +560,7 @@ impl CompiledConv {
 
 impl fmt::Debug for CompiledConv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CompiledConv({}, {}, {})", self.program.spec(), self.plan, self.kernel_kind())
+        write!(f, "CompiledConv({}, {}, {})", self.program.spec(), self.plan(), self.kernel_kind())
     }
 }
 

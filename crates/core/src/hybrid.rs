@@ -11,11 +11,18 @@
 //! output-feature slices — are partitions of one axis of the sequential
 //! stencil's own loop nest. This module owns only that
 //! partition, [`band_ranges`]. Lowering attaches it to the layer's tiled
-//! plan; the verifier proves it a disjoint cover; and the one stencil
-//! kernel (generic loops or bound `spg-codegen` instance) runs each band as
-//! a [`TileRegion`](spg_check::TileRegion) of the parent tensors — phase
-//! transform staged once in the caller's scratch, one `fork_join` task per
-//! band, no copies in or out.
+//! plan; the verifier proves it an ascending disjoint cover; and the one
+//! stencil kernel (generic loops or bound `spg-codegen` instance) runs the
+//! bands as [`TileRegion`](spg_check::TileRegion)s of the parent tensors —
+//! phase transform staged once in the caller's scratch, no copies in or
+//! out, one `fork_join` task per band when the call's
+//! [core budget](spg_convnet::workspace::ConvScratch::cores) covers them
+//! all, runs of neighbouring bands as one region when it covers fewer, and
+//! the whole layer as the one sequential region at a budget of 1. Both the
+//! explicit band techniques and the sequential stencil lowered at more
+//! than one core ([`verify::lower`](crate::verify::lower)) carry such a
+//! split; which of them a layer was planned with decides only the
+//! dimension.
 //!
 //! **Bit-identity.** Every output element's reduction is a single FMA chain
 //! ordered `(channel asc, ky asc, kx asc)` regardless of which tile, cache
@@ -84,6 +91,7 @@ mod tests {
 
     const DIMS: [BandDim; 2] = [BandDim::YRows, BandDim::OutChannels];
 
+    /// One forward with every core the program was lowered for.
     fn run(
         exec: &ConvProgram,
         input: &[f32],
@@ -91,6 +99,7 @@ mod tests {
         scratch: &mut ConvScratch,
     ) -> Vec<f32> {
         let mut out = vec![0f32; exec.spec().output_shape().len()];
+        scratch.cores = exec.cores();
         exec.forward(input, &exec.prepared(weights), &mut out, scratch);
         out
     }
@@ -106,7 +115,24 @@ mod tests {
             let exec = program(&spec, banded(dim), workers, kernel);
             let banded = run(&exec, &input, &weights, &mut ConvScratch::new());
             assert_eq!(oracle, banded, "{spec} {dim:?} x{workers} {kernel:?} not bit-identical");
+            // Fewer cores than bands: runs of neighbouring bands, down to
+            // the whole layer on the calling thread.
+            for cores in [1, workers.div_ceil(2)] {
+                let mut out = vec![f32::NAN; oracle.len()];
+                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                exec.forward(&input, &exec.prepared(&weights), &mut out, &mut scratch);
+                assert_eq!(oracle, out, "{spec} {dim:?} x{workers} on {cores} cores {kernel:?}");
+            }
         }
+        // The sequential stencil lowered at `workers` cores carries the
+        // same kind of split and obeys the same budget.
+        let carried = program(&spec, Technique::StencilFp, workers, KernelChoice::Auto);
+        assert!(
+            matches!(carried.plan().forward, spg_check::ForwardPlan::StencilBanded { .. }),
+            "{spec} x{workers}: {:?}",
+            carried.plan().forward
+        );
+        assert_eq!(oracle, run(&carried, &input, &weights, &mut ConvScratch::new()));
     }
 
     #[test]

@@ -182,13 +182,31 @@ pub fn recommended_plan(spec: &ConvSpec, bp_sparsity: f64, cores: usize) -> Laye
     LayerPlan { forward, backward }
 }
 
+/// The banded form of the sequential stencil that spends `cores` cores
+/// inside one sample of `spec`, if the layer can be split: y-bands first
+/// (each worker reads only its rows of the input), then out-channel
+/// slices. This is the one place that preference lives —
+/// [`recommended_plan_for_batch`] pins the technique it names, and
+/// lowering attaches the same split to [`Technique::StencilFp`] itself so
+/// that a starved call can take it ([`verify::lower`](crate::verify::lower)).
+pub(crate) fn starved_stencil_split(spec: &ConvSpec, cores: usize) -> Option<Technique> {
+    [Technique::StencilYBand, Technique::StencilOutChannel].into_iter().find(|technique| {
+        technique.band_dim().is_some_and(|dim| band_ranges(spec, dim, cores).len() > 1)
+    })
+}
+
 /// Batch-aware variant of [`recommended_plan`]: when the batch cannot keep
 /// every core busy with whole samples (`batch < cores`), sample-parallel
-/// forward techniques starve, so the heuristic prefers an intra-sample
+/// forward techniques starve, so the heuristic names an intra-sample
 /// banded decomposition for layers wide enough to split (Jia et al.'s
 /// hybrid dimension choice, restricted to the plan shapes `spg-check` can
 /// prove). Falls back to [`recommended_plan`] whenever the batch saturates
 /// the machine or no banding is available.
+///
+/// A walk needs no such pin to use its idle cores: every plan lowered at
+/// `cores > 1` carries its split and runs it when the call's core budget
+/// allows. Pinning is for forcing the stencil onto a layer the planner
+/// gave to GEMM.
 pub fn recommended_plan_for_batch(
     spec: &ConvSpec,
     bp_sparsity: f64,
@@ -199,18 +217,10 @@ pub fn recommended_plan_for_batch(
     if cores <= 1 || batch >= cores {
         return base;
     }
-    // Sample parallelism covers only `batch` of the `cores` workers; spend
-    // the idle ones inside the sample. Prefer y-bands (each worker reads
-    // only its rows of the input), then out-channel slices.
-    for technique in [Technique::StencilYBand, Technique::StencilOutChannel] {
-        let dim = technique
-            .band_dim()
-            .unwrap_or_else(|| unreachable!("band_dim is Some for hybrid variants"));
-        if band_ranges(spec, dim, cores).len() > 1 {
-            return LayerPlan { forward: technique, backward: base.backward };
-        }
+    match starved_stencil_split(spec, cores) {
+        Some(forward) => LayerPlan { forward, backward: base.backward },
+        None => base,
     }
-    base
 }
 
 #[cfg(test)]

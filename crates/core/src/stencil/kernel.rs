@@ -47,11 +47,13 @@ fn phase_layout(spec: &ConvSpec) -> StridedLayout {
 }
 
 /// Forward propagation by the generic register-tiled stencil over a proved
-/// plan — each of its regions a `fork_join` task, so a banded plan's bands
-/// run in parallel — staging the phase transform (strided plans) once in a
-/// caller-provided [`ConvScratch`]: the per-sample hot path uses no memory
-/// outside the scratch, and performs no heap allocation once it has warmed
-/// up to this geometry.
+/// plan — each of the regions it has at the scratch's
+/// [core budget](ConvScratch::cores) a `fork_join` task, so a banded
+/// plan's bands run in parallel when the call owns the cores for them and
+/// as the one sequential region when it owns one — staging the phase
+/// transform (strided plans) once in a caller-provided [`ConvScratch`]: the
+/// per-sample hot path uses no memory outside the scratch, and performs no
+/// heap allocation once it has warmed up to this geometry.
 ///
 /// Semantically identical to
 /// [`reference::forward`](spg_convnet::reference::forward) on
@@ -83,6 +85,7 @@ pub fn forward_tiled(
     let ops = spec.arithmetic_ops();
     spg_telemetry::record_flops(ops, ops);
 
+    let cores = scratch.cores;
     if plan.phased() {
         let lay = phase_layout(spec);
         let phased = zeroed_slice(&mut scratch.hwc_in, lay.transformed_len());
@@ -90,26 +93,27 @@ pub fn forward_tiled(
         // Eq. 21 staging: each (c, h) row group is sx phases of pw columns,
         // and tap kx reads phase kx % sx from column kx / sx.
         let (sx, pw) = (spec.sx(), lay.phase_width());
-        run_tiled(plan, phased, sx * pw, |kx| (kx % sx) * pw + kx / sx, weights, output);
+        run_tiled(plan, cores, phased, sx * pw, |kx| (kx % sx) * pw + kx / sx, weights, output);
     } else {
-        run_tiled(plan, input, spec.in_w(), |kx| kx, weights, output);
+        run_tiled(plan, cores, input, spec.in_w(), |kx| kx, weights, output);
     }
 }
 
 /// One tiled pass over `input` — the CHW input (`row_stride = in_w`,
 /// `koff = kx`) or its phase-transformed staging — one task per region of
-/// the plan, on the AVX2+FMA basic block where the host has it, the scalar
-/// shift-and-scale loops otherwise. Only [`forward_tiled`] calls this,
-/// after its entry asserts.
+/// the plan at `cores` cores, on the AVX2+FMA basic block where the host
+/// has it, the scalar shift-and-scale loops otherwise. Only
+/// [`forward_tiled`] calls this, after its entry asserts.
 fn run_tiled(
     plan: VerifiedTiled<'_>,
+    cores: usize,
     input: &[f32],
     row_stride: usize,
     koff: impl Fn(usize) -> usize + Copy + Send,
     weights: &[f32],
     output: &mut [f32],
 ) {
-    spg_gemm::fork_join(plan.regions(output).map(|mut region| {
+    spg_gemm::fork_join(plan.regions(output, cores).map(|mut region| {
         move || {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2")
@@ -336,7 +340,7 @@ mod avx {
     ///
     /// Caller guarantees AVX2+FMA, `plan.lanes() == LANES`,
     /// `plan.tile_rows() == TILE_ROWS`, a `weights` length matching
-    /// `plan.spec()`, that `region` is one of `plan.regions(output)` for an
+    /// `plan.spec()`, that `region` is one of `plan.regions(output, _)` for an
     /// output of `plan.spec()`, and that `input`/`row_stride`/`koff` are
     /// one of the two layouts above for `plan.spec()`'s input, unit-stride
     /// exactly when `!plan.phased()`.
@@ -539,7 +543,7 @@ mod tests {
                 .expect("lowered plans verify");
                 let tiled = proved.tiled().expect("stencil plans are tiled");
                 let mut out = vec![f32::NAN; spec.output_shape().len()];
-                for mut region in tiled.regions(&mut out) {
+                for mut region in tiled.regions(&mut out, workers) {
                     // The Eq. 21 layout of the input (the identity at sx = 1).
                     let koff = |kx: usize| (kx % sx) * pw + kx / sx;
                     forward_scalar(&spec, &mut region, &phased, sx * pw, koff, &weights);

@@ -25,24 +25,37 @@ use spg_convnet::ConvSpec;
 use crate::autotune::Phase;
 use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
-use crate::schedule::{LayerPlan, Technique};
+use crate::schedule::{starved_stencil_split, LayerPlan, Technique};
 use crate::sparse::DEFAULT_TILE_WIDTH;
 use crate::stencil::{plan_cache_schedule, plan_register_tile};
 use crate::SpgError;
 
 /// Lowers a forward technique: the narrow-output shifted-GEMM cutoff
 /// (`out_w < VECTOR_WIDTH`), the wide tiled plan at `lanes` lanes (the
-/// generic loops' 8, or a bound instance's own width), the banded
-/// decompositions of that plan, and the GEMM worker count.
+/// generic loops' 8, or a bound instance's own width), and the split of
+/// either kernel over `cores` regions.
+///
+/// Every technique lowers *with* its intra-sample split. How many of the
+/// proved regions run concurrently is not the plan's business: a call runs
+/// them on `min(regions, core budget)` threads
+/// ([`ConvScratch::cores`](spg_convnet::workspace::ConvScratch::cores)),
+/// and at a budget of 1 — a sample worker of a saturated batch — the
+/// sequential program. So the two GEMM techniques share one row-band
+/// partition (GEMM-in-Parallel is that plan in a walk that owns one core,
+/// Parallel-GEMM the same plan in a walk that owns them all), and the
+/// sequential stencil carries the band split the starved-batch heuristic
+/// would pin for the layer.
 fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usize) -> ForwardPlan {
-    match (technique, technique.band_dim()) {
+    let banded = match technique {
+        Technique::StencilFp => starved_stencil_split(spec, cores),
+        explicit => Some(explicit),
+    };
+    match (technique, banded.and_then(Technique::band_dim)) {
         (_, Some(dim)) => lower_banded(spec, dim, cores, lanes),
         (Technique::StencilFp, _) if spec.out_w() < VECTOR_WIDTH => ForwardPlan::StencilNarrow,
         (Technique::StencilFp, _) => tiled_plan(spec, lanes, plan_cache_schedule(spec).y_tile),
-        (Technique::ParallelGemm, _) => ForwardPlan::UnfoldGemm { threads: cores.max(1) },
-        // GEMM-in-Parallel runs one serial GEMM per training input; the
-        // sparse technique has no forward kernel and falls back likewise.
-        _ => ForwardPlan::UnfoldGemm { threads: 1 },
+        // The sparse technique has no forward kernel and falls back to GEMM.
+        _ => ForwardPlan::UnfoldGemm { threads: cores.max(1) },
     }
 }
 
@@ -89,7 +102,9 @@ pub(crate) fn select_kernel(spec: &ConvSpec) -> Option<&'static SpecializedKerne
         .specialized_kernel()
 }
 
-/// Lowers `plan` for `spec` at `cores` workers, proves the result, and
+/// Lowers `plan` for `spec` at `cores` cores — every forward technique
+/// with the split of its kernel over that many regions, which a call runs
+/// only as far as its core budget reaches — proves the result, and
 /// returns the executable [`ConvProgram`]. [`KernelChoice::Auto`] binds a
 /// stencil forward — sequential or banded — to the registry instance for
 /// the shape ([`spg_codegen::lookup`]) when the plan at that instance's
@@ -145,7 +160,7 @@ fn prove(
     // `_scratch` entry point establishes.
     let cap = ScratchCapacity::reserved_for(spec);
     match spg_check::verify_conv_plan(spec, lowered, &cap) {
-        Ok(verified) => Ok(ConvProgram::bind(verified, kernel)),
+        Ok(verified) => Ok(ConvProgram::bind(verified, kernel, plan, cores)),
         Err(check) => {
             let technique = match check {
                 // Attribute the rejection to the phase whose kernel faulted;

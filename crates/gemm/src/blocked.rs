@@ -93,7 +93,10 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<(), GemmError
 ///
 /// This is the primitive the parallel schedules build on: Parallel-GEMM
 /// hands each worker a contiguous row band of `A` and `C` through this
-/// entry point without copying.
+/// entry point without copying. The operand panels are packed into two
+/// buffers the call allocates and frees (at most [`pack_high_water`]
+/// elements, about 1 MB): a call touches no shared scratch, which is what
+/// lets row bands run it concurrently, and is not allocation-free.
 ///
 /// # Panics
 ///

@@ -41,22 +41,36 @@ pub fn parallel_gemm(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, G
     // Recorded on the calling thread so the flops land in the caller's
     // scope; worker threads have no scope stack of their own.
     spg_telemetry::record_flops(crate::gemm_flops(m, n, k), crate::gemm_flops(m, n, k));
-    parallel_gemm_slice(m, n, k, a.as_slice(), b.as_slice(), c.as_mut_slice(), threads);
+    parallel_gemm_slice(m, n, k, a.as_slice(), b.as_slice(), c.as_mut_slice(), threads, threads);
     Ok(c)
 }
 
 /// Raw-slice Parallel-GEMM: accumulates `C += A * B` into caller-owned
-/// storage, row-partitioned across `threads` workers.
+/// storage, the rows of `C` split into `bands` contiguous row bands run on
+/// at most `threads` threads.
 ///
 /// Operands are contiguous row-major slices (`a` is `m x k`, `b` is
 /// `k x n`, `c` is `m x n`). Like [`gemm_slice`] this **accumulates** and
 /// records no telemetry — the workspace-threaded executors own both the
-/// zeroing and the flop accounting. Allocation-free.
+/// zeroing and the flop accounting — and like it each band packs its
+/// operand panels into buffers of its own.
+///
+/// The partition is `bands.min(m)` bands of `ceil(m / bands)` rows, the
+/// last truncated: the split `spg-check` proves disjoint and covering for
+/// an `UnfoldGemm { threads: bands }` plan. With fewer threads than bands
+/// each thread takes a contiguous run of whole bands as one band, so one
+/// thread is the serial [`gemm_slice`] — the instructions of a plan never
+/// split at all. Every element of `C` is the same `KC`-blocked chain of
+/// multiply-adds whichever band holds its row (the micro-kernel
+/// accumulates each `(row, column)` independently and the `k` blocks are
+/// visited in one order), so the result is bit-identical for every
+/// `bands` and `threads`.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the given dimensions or
-/// `threads == 0`.
+/// `bands` or `threads` is zero.
+#[allow(clippy::too_many_arguments)]
 pub fn parallel_gemm_slice(
     m: usize,
     n: usize,
@@ -64,26 +78,32 @@ pub fn parallel_gemm_slice(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    bands: usize,
     threads: usize,
 ) {
-    assert!(threads > 0, "parallel_gemm_slice: zero threads");
+    assert!(bands > 0 && threads > 0, "parallel_gemm_slice: zero threads");
     assert_eq!(a.len(), m * k, "parallel_gemm_slice: a length mismatch");
     assert_eq!(b.len(), k * n, "parallel_gemm_slice: b length mismatch");
     assert_eq!(c.len(), m * n, "parallel_gemm_slice: c length mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let workers = threads.min(m);
-    if workers <= 1 {
+    let band = m.div_ceil(bands.min(m));
+    let bands = m.div_ceil(band);
+    let threads = threads.min(bands);
+    if threads == 1 {
         gemm_slice(m, n, k, a, k, b, n, c, n);
         return;
     }
-    // Partition C (and A) into row bands, one per worker.
-    let band = m.div_ceil(workers);
-    spg_sync::fork_join(c.chunks_mut(band * n).enumerate().map(|(w, cband)| {
-        let row0 = w * band;
-        let rows = (m - row0).min(band);
-        let aband = &a[row0 * k..(row0 + rows) * k];
+    // Thread t runs bands [t * bands / threads, (t + 1) * bands / threads).
+    let (mut rest, mut row0) = (c, 0);
+    spg_sync::fork_join((1..=threads).map(|t| {
+        let row1 = (t * bands / threads * band).min(m);
+        let (cband, tail) = std::mem::take(&mut rest).split_at_mut((row1 - row0) * n);
+        rest = tail;
+        let aband = &a[row0 * k..row1 * k];
+        let rows = row1 - row0;
+        row0 = row1;
         move || gemm_slice(rows, n, k, aband, k, b, n, cband, n)
     }));
 }
@@ -189,9 +209,28 @@ mod tests {
         let b = Matrix::random_uniform(6, 11, 1.0, &mut rng);
         let oracle = gemm_naive(&a, &b).unwrap();
         let mut c = vec![1.0f32; 9 * 11];
-        parallel_gemm_slice(9, 11, 6, a.as_slice(), b.as_slice(), &mut c, 3);
+        parallel_gemm_slice(9, 11, 6, a.as_slice(), b.as_slice(), &mut c, 3, 3);
         for (got, want) in c.iter().zip(oracle.as_slice()) {
             assert!((got - (want + 1.0)).abs() < 1e-3);
+        }
+    }
+
+    /// Any row split — ragged against `MR` and `MC`, more bands than
+    /// threads — leaves every `C` element's FMA chain the serial GEMM's.
+    #[test]
+    fn row_bands_are_bit_identical_to_the_serial_gemm() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        // m crosses MC (72) and divides by neither it nor MR (6); k
+        // crosses KC (256), so bands accumulate over two k blocks.
+        let (m, k, n) = if cfg!(miri) { (11, 9, 19) } else { (83, 300, 37) };
+        let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
+        let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
+        let mut serial = vec![0.5f32; m * n];
+        gemm_slice(m, n, k, a.as_slice(), k, b.as_slice(), n, &mut serial, n);
+        for (bands, threads) in [(2, 2), (3, 3), (7, 7), (7, 3), (7, 2), (3, 1), (200, 5)] {
+            let mut c = vec![0.5f32; m * n];
+            parallel_gemm_slice(m, n, k, a.as_slice(), b.as_slice(), &mut c, bands, threads);
+            assert_eq!(c, serial, "bands={bands} threads={threads}");
         }
     }
 

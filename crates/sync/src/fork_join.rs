@@ -8,6 +8,19 @@
 //! wrong: result order, and what happens to a worker's panic.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Threads [`fork_join`] has spawned in this process.
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// Threads [`fork_join`] has spawned in this process so far — every task
+/// but a call's first. A statistic (relaxed, process-wide): a test that
+/// runs alone reads it before and after to assert that a walk which owns
+/// no spare cores forked nothing, and a profile divides its delta by a
+/// call count to get forks per call.
+pub fn fork_join_spawns() -> u64 {
+    SPAWNED.load(Ordering::Relaxed)
+}
 
 /// Runs every task to completion and returns their results in task
 /// order.
@@ -35,6 +48,7 @@ where
     let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
         let rest: Vec<_> =
             std::iter::once(second).chain(tasks).map(|task| scope.spawn(task)).collect();
+        SPAWNED.fetch_add(rest.len() as u64, Ordering::Relaxed);
         let first = catch_unwind(AssertUnwindSafe(first));
         std::iter::once(first).chain(rest.into_iter().map(|handle| handle.join())).collect()
     });
@@ -70,7 +84,10 @@ mod tests {
     fn the_caller_runs_the_first_task_and_one_task_spawns_nothing() {
         let me = std::thread::current().id();
         assert_eq!(fork_join([|| std::thread::current().id()]), vec![me]);
+        let spawned = fork_join_spawns();
         let ids = fork_join((0..3).map(|_| || std::thread::current().id()));
+        // Sibling tests fork too, so the process-wide count is a floor.
+        assert!(fork_join_spawns() >= spawned + 2, "two spawns counted");
         assert_eq!(ids[0], me, "first task on the calling thread");
         assert!(ids[1] != me && ids[2] != me && ids[1] != ids[2], "one thread per other task");
     }

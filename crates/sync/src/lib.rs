@@ -47,7 +47,7 @@ mod fork_join;
 mod supervise;
 mod sync_prims;
 
-pub use fork_join::fork_join;
+pub use fork_join::{fork_join, fork_join_spawns};
 pub use supervise::{backoff_delay, supervise, Restarts};
 
 use std::sync::atomic::{AtomicBool, Ordering};

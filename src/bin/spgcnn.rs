@@ -54,7 +54,9 @@ usage:
       is smaller than --threads the SGD pool clamps itself to the
       available work and counts the idled workers in train.starved_workers.
   spgcnn eval <net.cfg> <weights.spgw> [--samples N]
-      Load trained weights and report accuracy on a fresh synthetic set.
+      Load trained weights and report accuracy on a fresh synthetic set
+      (for a single sample, also its class), planned for and run on every
+      core the process may use; the classes do not depend on how many.
   spgcnn tune <net.cfg> [--cores N] [--sparsity S] [--reps N] [--json]
       Measure every technique on every conv layer of this machine and
       report the timings and winners (the paper's measure-and-pick step).
@@ -820,8 +822,19 @@ fn eval(args: &[String]) -> Result<(), String> {
     let samples = flag(args, "--samples", 64usize)?;
     let net = desc.build(42).map_err(|e| e.to_string())?;
     let bytes = std::fs::read(weights_path).map_err(|e| format!("{weights_path}: {e}"))?;
-    let engine =
-        Engine::builder().network(net).weights_bytes(bytes).build().map_err(|e| e.to_string())?;
+    // Forward plans for the cores this process may run on. Neither the
+    // plans nor the core count can change a class: whole samples go to
+    // workers while there are enough, and fewer samples than workers
+    // spend the spare cores inside each sample.
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let mut engine = Engine::builder()
+        .network(net)
+        .weights_bytes(bytes)
+        .workers(workers)
+        .planner(Arc::new(Framework::new(workers, TuningMode::Heuristic, 1)))
+        .build()
+        .map_err(|e| e.to_string())?;
+    engine.try_tune_forward().map_err(|e| e.to_string())?;
 
     let shape = Shape3::new(desc.input.c, desc.input.h, desc.input.w);
     let data = Dataset::synthetic(shape, engine.network().output_len(), samples, 0.15, 7);
@@ -834,6 +847,9 @@ fn eval(args: &[String]) -> Result<(), String> {
         weights_path,
         correct as f64 / samples as f64
     );
+    if let [class] = classes[..] {
+        println!("class {class}");
+    }
     Ok(())
 }
 

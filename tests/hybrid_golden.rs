@@ -105,15 +105,20 @@ fn hybrid_outputs_bit_identical_on_table2() {
             for kernel in [KernelChoice::Auto, KernelChoice::Generic] {
                 let exec = lower_phase(&spec, t, Phase::Forward, WORKERS, kernel)
                     .expect("splittable layer verifies");
-                let mut banded = vec![0f32; spec.output_shape().len()];
                 let prepared = exec.prepared(&weights);
-                exec.forward(&input, &prepared, &mut banded, &mut ConvScratch::new());
-                assert_eq!(
-                    oracle,
-                    banded,
-                    "{} layer {i} {dim:?} {kernel:?} not bit-identical",
-                    bench.label()
-                );
+                // Every band on a thread of its own, then three threads
+                // running runs of neighbouring bands.
+                for cores in [WORKERS, 3] {
+                    let mut banded = vec![0f32; spec.output_shape().len()];
+                    let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                    exec.forward(&input, &prepared, &mut banded, &mut scratch);
+                    assert_eq!(
+                        oracle,
+                        banded,
+                        "{} layer {i} {dim:?} {kernel:?} on {cores} cores not bit-identical",
+                        bench.label()
+                    );
+                }
             }
             checked += 1;
         }
