@@ -75,8 +75,8 @@ impl VerifiedPlan {
 
 /// A proved [`ForwardPlan::StencilTiled`] bound to its spec, with the
 /// proved worker partition of its loop nest when the plan is banded: what
-/// `spg-core`'s tile loops and `spg_codegen::SpecializedKernel::forward`
-/// accept. Obtainable only from a [`VerifiedPlan`].
+/// `spg_codegen::forward_tiled` — every instance of the one tile loop nest
+/// — accepts. Obtainable only from a [`VerifiedPlan`].
 #[derive(Debug, Clone, Copy)]
 pub struct VerifiedTiled<'a> {
     spec: &'a ConvSpec,

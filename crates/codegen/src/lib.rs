@@ -1,32 +1,35 @@
-//! Specialized-kernel codegen (JIT-lite) for the spg-CNN stencil forward
-//! pass.
+//! Stencil forward kernels for spg-CNN: one loop nest, instantiated per
+//! kernel geometry and instruction set (JIT-lite codegen).
 //!
 //! The paper's basic-block generator chooses a register tile; this crate
 //! finishes the job the way Georganas et al. describe for SIMD
-//! convolutions: **specialize the kernel per (tile, stride, layout)
-//! tuple** so the inner loops are branch-free with compile-time-constant
-//! trip counts. Rust const generics play the role of the JIT — each
-//! registry entry is a monomorphized instance of the tiled basic block
-//! with `Fy`, `Fx`, `sy`, `sx` baked in — and the registry covers the
-//! kernel geometries of the paper's Table 2 benchmarks in both AVX2+FMA
-//! (8-lane) and AVX-512F+FMA (16-lane) variants.
+//! convolutions: **specialize one parameterized kernel per (tile, stride,
+//! layout) tuple** so the inner loops are branch-free with
+//! compile-time-constant trip counts. The register-tiled basic block, its
+//! region driver and its entry exist once (`kernels`); Rust const generics
+//! play the role of the JIT — each registry entry is that loop nest with
+//! `Fy`, `Fx`, `sy`, `sx` baked in, covering the kernel geometries of the
+//! paper's Table 2 benchmarks in both AVX2+FMA (8-lane) and AVX-512F+FMA
+//! (16-lane) variants — and the same source with the geometry read from the
+//! plan's spec at run time is the "generic" kernel every other shape runs.
 //!
 //! Contracts:
 //!
 //! * **Verified before run.** Every instance lowers to the same
-//!   `spg-check` `StencilTiled` plan IR as the generic kernel
-//!   ([`xplan::tiled_plan`] at the instance's lane width), and
-//!   [`SpecializedKernel::forward`] accepts only the
-//!   [`spg_check::VerifiedTiled`] the verifier hands back — the tile list
-//!   the monomorphized code iterates is the one that was proved.
-//! * **Bit-identical.** Instances reproduce the generic kernel's
-//!   per-output-element reduction order (channels, `ky`, `kx`,
-//!   single-rounded FMA), so their outputs are bit-identical to the
-//!   generic AVX path — asserted over the full golden Table 2 suite.
+//!   `spg-check` `StencilTiled` plan IR ([`xplan::tiled_plan`] at the
+//!   instance's lane width, 8 for the run-time-geometry one), and
+//!   [`forward_tiled`] accepts only the [`spg_check::VerifiedTiled`] the
+//!   verifier hands back — the tile list
+//!   the loops iterate is the one that was proved.
+//! * **Bit-identical.** Every instance is the same source, so all share
+//!   the per-output-element reduction order (channels, `ky`, `kx`,
+//!   single-rounded FMA) and their outputs are bit-identical by
+//!   construction — confirmed over the full golden Table 2 suite.
 //! * **Guaranteed fallback.** [`lookup`] returns `None` for unlisted
 //!   geometries, narrow outputs, missing CPU features, or when
-//!   `SPG_FORCE_GENERIC` is set; callers then run the generic
-//!   runtime-parameterized loops. Dispatch never fails loudly.
+//!   `SPG_FORCE_GENERIC` is set; [`forward_tiled`] then runs the
+//!   run-time-geometry instance (portable scalar loops on hosts without
+//!   AVX2+FMA). Dispatch never fails loudly.
 
 #![warn(missing_docs)]
 
@@ -36,23 +39,24 @@ mod kernels;
 mod registry;
 pub mod xplan;
 
-pub use registry::{all_instances, lookup, Isa, KernelKey, SpecializedKernel};
+pub use registry::{all_instances, forward_tiled, lookup, Isa, KernelKey, SpecializedKernel};
 
-/// Output rows held in the register tile, by the generic kernel in
-/// `spg-core` and by every instance here: six rows of up to two vectors
-/// fill the verifier's accumulator budget at either lane width.
+/// Output rows held in the register tile by every instance of the loop
+/// nest: six rows of up to two vectors fill the verifier's accumulator
+/// budget at either lane width.
 pub const TILE_ROWS: usize = 6;
 
 /// Which stencil forward kernel a caller wants deployed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelChoice {
     /// Use the specialized instance when one exists, verifies clean, and
-    /// the CPU can run it; otherwise the generic loops (the default).
+    /// the CPU can run it; otherwise the run-time-geometry ("generic")
+    /// instance (the default).
     #[default]
     Auto,
-    /// Always run the generic runtime-parameterized loops (what the
-    /// autotuner deploys when measurement favours them, and what
-    /// `SPG_FORCE_GENERIC=1` forces process-wide).
+    /// Always run the run-time-geometry instance (what the autotuner
+    /// deploys when measurement favours it, and what `SPG_FORCE_GENERIC=1`
+    /// forces process-wide).
     Generic,
 }
 
@@ -82,65 +86,52 @@ pub fn force_generic() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spg_check::{
-        BackwardPlan, ConvPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan,
-    };
+    use crate::kernels::tests::{proved, pseudo};
     use spg_convnet::workspace::ConvScratch;
     use spg_convnet::{reference, ConvSpec};
     use spg_gemm::SimdLevel;
 
-    fn pseudo(n: usize, salt: usize) -> Vec<f32> {
-        (0..n).map(|i| (((i * 29 + salt * 13) % 19) as f32 - 9.0) / 5.0).collect()
-    }
-
-    /// `inst`'s tiled plan for `spec`, proved: the only way to run it.
-    fn verified(spec: &ConvSpec, inst: &SpecializedKernel, cache_rows: usize) -> VerifiedPlan {
-        let plan = ConvPlan {
-            forward: xplan::tiled_plan(spec, inst.lanes(), cache_rows),
-            backward: BackwardPlan::UnfoldGemm { threads: 1 },
-            register_tile: RegisterTile { rx: 1, ry: 1 },
-            schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
-        };
-        match spg_check::verify_conv_plan(spec, plan, &ScratchCapacity::reserved_for(spec)) {
-            Ok(v) => v,
-            Err(e) => panic!("{inst:?} on {spec}: {e}"),
-        }
-    }
-
-    /// Every instance the host can run matches the reference oracle on a
-    /// spec of its key (tolerance: reduction order differs from the
-    /// reference's).
+    /// Every instance the host can run is the run-time-geometry instance
+    /// bit for bit — one loop nest, whatever supplies `Fy, Fx, sy, sx` and
+    /// however wide the lanes — and matches the reference oracle
+    /// (tolerance: reduction order differs from the reference's), on a
+    /// spec of its key with a ragged row (one vector and an overlapping
+    /// tail) and a partial last register tile.
     #[test]
-    fn runnable_instances_match_reference() {
+    fn runnable_instances_match_the_dynamic_instance_and_reference() {
         let level = spg_gemm::detect_simd_level();
         for inst in all_instances() {
             if !inst.isa().runnable_at(level) {
                 continue;
             }
             let k = inst.key();
-            // An input tall/wide enough for at least `lanes` output
-            // columns and a couple of register tiles of rows.
-            let n = k.sx * (inst.lanes() + 3) + k.fx;
-            let spec = match ConvSpec::new(2, n, n, 3, k.fy, k.fx, k.sy, k.sx) {
+            let (out_h, out_w) = (14, inst.lanes() + 3);
+            let (in_h, in_w) = (k.sy * (out_h - 1) + k.fy, k.sx * (out_w - 1) + k.fx);
+            let spec = match ConvSpec::new(2, in_h, in_w, 3, k.fy, k.fx, k.sy, k.sx) {
                 Ok(s) => s,
                 Err(e) => panic!("spec for {k}: {e:?}"),
             };
-            assert!(spec.out_w() >= inst.lanes());
+            assert_eq!((spec.out_h(), spec.out_w()), (out_h, out_w));
             let input = pseudo(spec.input_shape().len(), 1);
             let weights = pseudo(spec.weight_shape().len(), 2);
             let mut out = vec![0f32; spec.output_shape().len()];
-            let mut oracle = out.clone();
-            let plan = verified(&spec, inst, 12);
+            let (mut dynamic, mut oracle) = (out.clone(), out.clone());
+            let mut scratch = ConvScratch::new();
+            let plan = proved(&spec, inst.lanes(), None);
             let tiled = plan.tiled().unwrap_or_else(|| unreachable!("lowered tiled"));
-            inst.forward(tiled, &input, &weights, &mut out, &mut ConvScratch::new());
+            forward_tiled(Some(inst), tiled, &input, &weights, &mut out, &mut scratch);
+            let plan = proved(&spec, spg_check::VECTOR_WIDTH, None);
+            let tiled = plan.tiled().unwrap_or_else(|| unreachable!("lowered tiled"));
+            forward_tiled(None, tiled, &input, &weights, &mut dynamic, &mut scratch);
+            assert_eq!(out, dynamic, "{inst:?} on {spec} diverged from the dynamic instance");
             reference::forward(&spec, &input, &weights, &mut oracle);
             let diff = out.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
             assert!(diff < 5e-4, "{inst:?} on {spec}: diff {diff}");
         }
     }
 
-    /// Unlisted geometries resolve to no instance — the silent generic
-    /// fallback.
+    /// Unlisted geometries resolve to no instance — the silent fallback to
+    /// the run-time-geometry instance.
     #[test]
     fn unlisted_shape_falls_back() {
         // 4x4 kernel at stride 3 is in no registry key.
@@ -208,7 +199,7 @@ mod tests {
     /// lane width: the proof is about a different tile list.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    #[should_panic(expected = "lane width")]
+    #[should_panic(expected = "different register tile")]
     fn instance_rejects_a_plan_of_another_lane_width() {
         let spec = ConvSpec::square(40, 2, 2, 3, 1);
         let of_lanes = |lanes: usize| {
@@ -217,9 +208,10 @@ mod tests {
                 .find(|k| k.lanes() == lanes && k.key() == KernelKey::of(&spec));
             found.unwrap_or_else(|| unreachable!("3x3 s1 has both ISAs"))
         };
-        let wrong = verified(&spec, of_lanes(16), 6);
+        let wrong = proved(&spec, 16, None);
         let mut out = vec![0f32; spec.output_shape().len()];
-        of_lanes(8).forward(
+        forward_tiled(
+            Some(of_lanes(8)),
             wrong.tiled().unwrap_or_else(|| unreachable!("lowered tiled")),
             &pseudo(spec.input_shape().len(), 1),
             &pseudo(spec.weight_shape().len(), 2),

@@ -1,13 +1,15 @@
-//! The specialized-kernel registry: monomorphized instances keyed by
-//! kernel geometry, resolved by runtime CPU features, runnable only on a
-//! plan `spg-check` proved.
+//! The specialized-kernel registry: compile-time-geometry instances of the
+//! stencil loop nest keyed by kernel geometry, resolved by runtime CPU
+//! features, runnable only on a plan `spg-check` proved — and
+//! [`forward_tiled`], the one call that runs a proved plan on the instance
+//! bound to it or on the run-time-geometry instance.
 
 use spg_check::VerifiedTiled;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 use spg_gemm::SimdLevel;
 
-use crate::kernels::ForwardFn;
+use crate::kernels::{self, Dynamic, RegionFn};
 
 /// The geometry tuple a specialized instance is monomorphized for —
 /// the registry key, derived from a `ConvSpec`.
@@ -69,7 +71,7 @@ pub struct SpecializedKernel {
     pub(crate) key: KernelKey,
     pub(crate) isa: Isa,
     pub(crate) lanes: usize,
-    pub(crate) forward: ForwardFn,
+    pub(crate) run: RegionFn,
 }
 
 impl SpecializedKernel {
@@ -86,47 +88,6 @@ impl SpecializedKernel {
     /// f32 lanes per vector (8 for AVX2, 16 for AVX-512).
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Runs the monomorphized forward kernel for one sample over a proved
-    /// plan: the instance iterates `plan`'s own x-tiles and cache row
-    /// block over each of its regions — one per core of `scratch`'s core
-    /// budget when the plan is banded — staging the phase transform
-    /// (strided keys) once in `scratch`.
-    /// Lower with [`tiled_plan`](crate::xplan::tiled_plan) at this
-    /// instance's [`lanes`](SpecializedKernel::lanes).
-    ///
-    /// The flop traffic is recorded against telemetry exactly like the
-    /// generic kernel (full dense convolution: goodput 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths do not match `plan.spec()`, if the plan's
-    /// geometry, lane width or tile rows do not match this instance, or if
-    /// the running CPU lacks this instance's instruction set.
-    pub fn forward(
-        &self,
-        plan: VerifiedTiled<'_>,
-        input: &[f32],
-        weights: &[f32],
-        output: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
-        assert_eq!(KernelKey::of(plan.spec()), self.key, "spec geometry vs instance key");
-        assert_eq!(plan.lanes(), self.lanes, "plan lane width vs instance");
-        assert!(
-            self.isa.runnable_at(spg_gemm::detect_simd_level()),
-            "CPU lacks the {} features this instance requires",
-            self.isa.name()
-        );
-        let ops = plan.spec().arithmetic_ops();
-        spg_telemetry::record_flops(ops, ops);
-        // SAFETY: the ISA assertion above guarantees the instance's target
-        // features; the key and lane assertions tie this instance to the
-        // plan, and the entry re-checks them against its const parameters
-        // along with the buffer lengths. Every bound the tile loops use
-        // comes from `plan`, which only spg-check can construct.
-        unsafe { (self.forward)(plan, input, weights, output, scratch) };
     }
 }
 
@@ -146,14 +107,14 @@ macro_rules! instances {
                 SpecializedKernel {
                     key: KernelKey { fy: $fy, fx: $fx, sy: $sy, sx: $sx },
                     isa: Isa::Avx512,
-                    lanes: crate::kernels::avx512::LANES,
-                    forward: crate::kernels::avx512::forward_entry::<$fy, $fx, $sy, $sx>,
+                    lanes: kernels::avx512::LANES,
+                    run: kernels::avx512::forward_tiled::<kernels::Fixed<$fy, $fx, $sy, $sx>>,
                 },
                 SpecializedKernel {
                     key: KernelKey { fy: $fy, fx: $fx, sy: $sy, sx: $sx },
                     isa: Isa::Avx2,
-                    lanes: crate::kernels::avx2::LANES,
-                    forward: crate::kernels::avx2::forward_entry::<$fy, $fx, $sy, $sx>,
+                    lanes: kernels::avx2::LANES,
+                    run: kernels::avx2::forward_tiled::<kernels::Fixed<$fy, $fx, $sy, $sx>>,
                 },
             )*
         ]
@@ -164,13 +125,13 @@ macro_rules! instances {
 /// The key set covers the kernel geometries of the paper's Table 2
 /// benchmarks — (7x7, s2), (5x5, s2), (3x3, s1), (5x5, s1), (11x11, s4) —
 /// which is where the autotuner spends its forward time; anything else
-/// falls back to the generic runtime-parameterized loops.
+/// runs the run-time-geometry instance.
 #[cfg(target_arch = "x86_64")]
 static REGISTRY: &[SpecializedKernel] =
     instances![(3, 3, 1, 1), (5, 5, 1, 1), (5, 5, 2, 2), (7, 7, 2, 2), (11, 11, 4, 4),];
 
 /// Non-x86 hosts have no specialized instances: every shape takes the
-/// generic path, which is the guaranteed-fallback contract.
+/// run-time-geometry path, which is the guaranteed-fallback contract.
 #[cfg(not(target_arch = "x86_64"))]
 static REGISTRY: &[SpecializedKernel] = &[];
 
@@ -192,4 +153,63 @@ pub fn lookup(spec: &ConvSpec) -> Option<&'static SpecializedKernel> {
     let key = KernelKey::of(spec);
     let level = spg_gemm::detect_simd_level();
     REGISTRY.iter().find(|k| k.key == key && k.isa.runnable_at(level) && spec.out_w() >= k.lanes)
+}
+
+/// Runs a proved tiled stencil forward — sequential or banded — for one
+/// sample: on `kernel`, the registry instance lowering bound to the plan
+/// (lowered with [`tiled_plan`](crate::xplan::tiled_plan) at the instance's
+/// [`lanes`](SpecializedKernel::lanes)), or, with none, on the
+/// run-time-geometry instance of the same loop nest (the "generic" kernel:
+/// geometry read from `plan.spec()`, 8-lane AVX2+FMA where the host has it,
+/// portable scalar loops otherwise). Either iterates `plan`'s own x-tiles
+/// and cache row block over each of its regions, on as many threads as
+/// `scratch`'s [core budget](ConvScratch::cores) allows; the phase
+/// transform of a strided plan is staged once in `scratch`, and the
+/// per-sample path allocates nothing once the scratch has warmed up to this
+/// geometry.
+///
+/// Semantically identical to
+/// [`reference::forward`](spg_convnet::reference::forward) on
+/// `plan.spec()`; the layout transform's cost is part of this call (the
+/// paper includes transform time in its stencil measurements, Sec. 4.3).
+///
+/// # Panics
+///
+/// Panics if any buffer length does not match `plan.spec()`; if the plan
+/// was lowered for another register tile than the instance that runs it
+/// ([`spg_check::VECTOR_WIDTH`] lanes for the run-time-geometry one,
+/// [`TILE_ROWS`](crate::TILE_ROWS) rows for all); or if `kernel`'s key is
+/// not `plan.spec()`'s geometry or the running CPU lacks its instruction
+/// set.
+pub fn forward_tiled(
+    kernel: Option<&SpecializedKernel>,
+    plan: VerifiedTiled<'_>,
+    input: &[f32],
+    weights: &[f32],
+    output: &mut [f32],
+    scratch: &mut ConvScratch,
+) {
+    let (run, lanes): (RegionFn, usize) = match kernel {
+        Some(inst) => {
+            assert_eq!(KernelKey::of(plan.spec()), inst.key, "spec geometry vs instance key");
+            assert!(
+                inst.isa.runnable_at(spg_gemm::detect_simd_level()),
+                "CPU lacks the {} features this instance requires",
+                inst.isa.name()
+            );
+            (inst.run, inst.lanes)
+        }
+        #[cfg(target_arch = "x86_64")]
+        None if Isa::Avx2.runnable_at(spg_gemm::detect_simd_level()) => {
+            (kernels::avx2::forward_tiled::<Dynamic>, kernels::avx2::LANES)
+        }
+        None => (kernels::forward_scalar::<Dynamic>, spg_check::VECTOR_WIDTH),
+    };
+    // SAFETY: `run` is the scalar loops, or a SIMD driver whose target
+    // features the ISA checks above found on this CPU, paired with its own
+    // module's lane width; a registry instance's key matches the spec, and
+    // the driver re-checks that against its const parameters. Every bound
+    // the tile loops use comes from `plan`, which only spg-check can
+    // construct.
+    unsafe { kernels::forward(run, lanes, plan, input, weights, output, scratch) };
 }

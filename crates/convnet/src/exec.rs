@@ -28,12 +28,13 @@
 //! `spg-check`-verified program (`ConvProgram`) installed in a layer's
 //! forward and backward slots. Which algorithm runs a phase (unfold-GEMM,
 //! stencil, banded stencil, sparse), with what tiles, bands and worker
-//! counts, and which compiled body runs it (a `spg-codegen` instance or
-//! the generic loops) are all decided once, when the layer's plan is
-//! lowered; the program's per-call work is a single `match` on that plan.
-//! Callers swapping executors never observe the instance choice —
-//! specialized and generic stencil bodies are bit-identical by contract,
-//! enforced by the golden Table 2 suite.
+//! counts, and which instance of the stencil loop nest runs it (a
+//! `spg-codegen` registry instance or the run-time-geometry one) are all
+//! decided once, when the layer's plan is lowered; the program's per-call
+//! work is a single `match` on that plan. Callers swapping executors never
+//! observe the instance choice — specialized and generic stencil bodies
+//! are one source text, bit-identical by construction, confirmed by the
+//! golden Table 2 suite.
 
 use std::fmt;
 use std::sync::Arc;

@@ -245,13 +245,26 @@ fn pick_with_gate(
         _ => None,
     };
     let choice = kernel.map_or(KernelChoice::Auto, |(choice, _)| choice);
-    let mut timed: Vec<(Technique, Duration)> = safe
-        .iter()
-        .filter_map(|&t| {
-            let program = lower_phase(spec, t, phase, cores, choice).ok()?;
-            Some((t, measure_program(&program, phase, sparsity, reps)))
-        })
-        .collect();
+    // Two names can lower to one program — both GEMM techniques' forward,
+    // the sequential stencil at `cores > 1` and the band it splits into —
+    // and one program is one measurement: a later name takes the earlier
+    // one's time, and `min_by_key` gives the exact tie to the first name in
+    // candidate order instead of letting noise pick the id that is logged.
+    let mut timed: Vec<(Technique, Duration)> = Vec::with_capacity(safe.len());
+    let mut programs: Vec<ConvProgram> = Vec::with_capacity(safe.len());
+    for &t in &safe {
+        let Ok(program) = lower_phase(spec, t, phase, cores, choice) else { continue };
+        let twin = programs.iter().position(|seen| match phase {
+            Phase::Forward => seen.plan().forward == program.plan().forward,
+            Phase::Backward => seen.plan().backward == program.plan().backward,
+        });
+        let wall = match twin {
+            Some(first) => timed[first].1,
+            None => measure_program(&program, phase, sparsity, reps),
+        };
+        timed.push((t, wall));
+        programs.push(program);
+    }
     let chosen = loop {
         let fastest =
             timed.iter().enumerate().min_by_key(|&(_, &(_, d))| d).map(|(i, &(t, _))| (i, t));

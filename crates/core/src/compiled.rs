@@ -32,7 +32,7 @@ use crate::autotune::Phase;
 use crate::schedule::{LayerPlan, Technique};
 use crate::sparse::kernel as sparse_kernel;
 use crate::stencil::{
-    kernel as stencil_kernel, plan_cache_schedule, plan_register_tile, render_basic_block,
+    kernel as stencil_kernel, plan_cache_schedule, plan_register_tile, render_tiled_block,
 };
 
 /// A verified, kernel-bound layer plan, executable over any number of
@@ -43,7 +43,8 @@ use crate::stencil::{
 pub struct ConvProgram {
     plan: VerifiedPlan,
     /// The `spg-codegen` instance the tiled forward — sequential or
-    /// banded — runs, bound at lowering; `None` runs the generic loops.
+    /// banded — runs, bound at lowering; `None` runs the run-time-geometry
+    /// instance.
     kernel: Option<&'static SpecializedKernel>,
     /// The technique pair `plan` was lowered from.
     techniques: LayerPlan,
@@ -173,10 +174,7 @@ impl ConvProgram {
             // across the call's cores: same kernel, same scratch.
             ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilBanded { .. } => {
                 let tiled = self.plan.tiled().unwrap_or_else(|| unreachable!("forward is tiled"));
-                match self.kernel {
-                    Some(inst) => inst.forward(tiled, input, fckk, output, scratch),
-                    None => stencil_kernel::forward_tiled(tiled, input, fckk, output, scratch),
-                }
+                spg_codegen::forward_tiled(self.kernel, tiled, input, fckk, output, scratch);
             }
             ForwardPlan::StencilNarrow => {
                 stencil_kernel::forward_narrow_scratch(spec, input, &weights.kkcf, output, scratch);
@@ -523,9 +521,10 @@ impl CompiledConv {
         self.program.backward_weights(input, grad_out, grad_weights, scratch);
     }
 
-    /// Renders the generated kernels as readable pseudo-C: the stencil
-    /// basic block for tiled stencil forward plans, and the
-    /// pointer-shifting sparse kernel for sparse backward plans.
+    /// Renders the generated kernels as readable pseudo-C: the basic block
+    /// a tiled stencil forward — sequential or banded — executes, beside
+    /// the tile the Sec. 4.3 search would pick, and the pointer-shifting
+    /// sparse kernel for sparse backward plans.
     pub fn render(&self) -> String {
         let spec = self.program.spec();
         let kernel = match self.program.specialized_kernel() {
@@ -540,16 +539,21 @@ impl CompiledConv {
             None => "generic".to_string(),
         };
         let mut out = format!(
-            "/* compiled conv: {}\n   plan: {}\n   cache schedule: {}\n   forward kernel: {} */\n",
+            "/* compiled conv: {}\n   plan: {}\n   cache schedule: {}\n   forward kernel: {}",
             spec,
             self.plan(),
             plan_cache_schedule(spec),
             kernel
         );
-        let lowered = self.program.plan();
-        if matches!(lowered.forward, ForwardPlan::StencilTiled { .. }) {
-            out.push_str(&render_basic_block(spec, Some(plan_register_tile(spec))));
+        match self.program.plan.tiled() {
+            Some(tiled) => {
+                let model = plan_register_tile(spec);
+                out.push_str(&format!("\n   model optimum (Sec. 4.3): {model} */\n"));
+                out.push_str(&render_tiled_block(tiled));
+            }
+            None => out.push_str(" */\n"),
         }
+        let lowered = self.program.plan();
         if let BackwardPlan::SparsePointerShift { tile_width } = lowered.backward {
             out.push('\n');
             out.push_str(&crate::sparse::render_backward_kernel(spec, tile_width));
@@ -713,6 +717,10 @@ mod tests {
         assert!(listing.contains("Stencil-Kernel"));
         assert!(listing.contains("_mm256_fmadd_ps"));
         assert!(listing.contains("output tile"));
+        // What executes (6 rows of the 14-wide row's one vector), and what
+        // the search models, labelled.
+        assert!(listing.contains("1x6 register tile of 8-lane vectors"));
+        assert!(listing.contains("model optimum (Sec. 4.3): "));
     }
 
     /// A pinned-generic compile never binds an instance, and its output is

@@ -12,7 +12,8 @@
 //! stencil's own loop nest. This module owns only that
 //! partition, [`band_ranges`]. Lowering attaches it to the layer's tiled
 //! plan; the verifier proves it an ascending disjoint cover; and the one
-//! stencil kernel (generic loops or bound `spg-codegen` instance) runs the
+//! stencil loop nest (`spg-codegen`: the bound instance, or the
+//! run-time-geometry one) runs the
 //! bands as [`TileRegion`](spg_check::TileRegion)s of the parent tensors —
 //! phase transform staged once in the caller's scratch, no copies in or
 //! out, one `fork_join` task per band when the call's

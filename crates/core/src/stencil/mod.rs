@@ -17,13 +17,17 @@
 //!   generator**: picks output cache tiles whose working set fits L1 and
 //!   whose footprint respects the TLB budget; the kernel holds one such
 //!   tile across the whole channel reduction.
-//! * [`kernel`] — executes a proved tiled plan: an AVX2+FMA
-//!   register-tiled basic block over the plan's own x-tiles and cache row
-//!   block, with the Eq. 21 strided-layout transform applied first when
-//!   the convolution's `x`-stride is not 1, a portable scalar fallback,
-//!   and the feature-vectorized shifted-GEMM path narrow plans run.
-//! * [`render_basic_block`] — emits the generated basic block as readable
-//!   pseudo-C intrinsics, mirroring the paper's Fig. 7 listing.
+//! * The **register-tiled basic block** a wide plan runs is
+//!   [`spg_codegen::forward_tiled`]: one loop nest over the proved plan's
+//!   own x-tiles and cache row block, instantiated with compile-time
+//!   geometry (registry instances) and run-time geometry (every other
+//!   shape), the Eq. 21 strided-layout transform applied first when the
+//!   convolution's `x`-stride is not 1.
+//! * [`kernel`] — the feature-vectorized shifted-GEMM path narrow plans
+//!   run.
+//! * [`render_tiled_block`] / [`render_basic_block`] — emit the basic
+//!   block a proved plan executes, and the one the search models, as
+//!   readable pseudo-C intrinsics, mirroring the paper's Fig. 7 listing.
 //!
 //! Which of these runs for a layer is decided once, when
 //! [`verify::lower`](crate::verify::lower) lowers the layer's plan.
@@ -34,7 +38,7 @@ mod render;
 mod schedule;
 
 pub use plan::{plan_register_tile, RegisterTilePlan};
-pub use render::render_basic_block;
+pub use render::{render_basic_block, render_tiled_block};
 pub use schedule::{plan_cache_schedule, CacheSchedule};
 // The generators search under the budgets the verifier judges against.
 pub use spg_check::{

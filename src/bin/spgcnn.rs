@@ -349,7 +349,7 @@ fn train(args: &[String]) -> Result<(), String> {
 
 fn tune(args: &[String]) -> Result<(), String> {
     use spg_cnn::convnet::scope_label;
-    use spg_cnn::core::autotune::{measure_technique, tune_layer, Phase};
+    use spg_cnn::core::autotune::tune_layer;
     use spg_cnn::core::schedule::Technique;
 
     let desc = load(args)?;
@@ -358,20 +358,22 @@ fn tune(args: &[String]) -> Result<(), String> {
     let reps = flag(args, "--reps", 3usize)?;
     let json = args.iter().any(|a| a == "--json");
     let net = desc.build(42).map_err(|e| e.to_string())?;
+    // One contest, both outputs: run the measure-and-pick primitive under
+    // per-layer Tune scopes so every decision is captured with the
+    // candidate timings, rejections and deploy gate that justified it.
+    spg_cnn::telemetry::reset();
+    spg_cnn::telemetry::set_enabled(true);
+    for (i, layer) in net.layers().iter().enumerate() {
+        let Some(spec) = layer.conv_spec() else { continue };
+        let _tune = spg_cnn::telemetry::scope(
+            &scope_label(i, layer.name()),
+            spg_cnn::telemetry::Phase::Tune,
+        );
+        tune_layer(spec, sparsity, cores, reps);
+    }
+    spg_cnn::telemetry::set_enabled(false);
     if json {
-        // Machine-readable mode: run the real measure-and-pick primitive
-        // under per-layer Tune scopes so every decision is captured with
-        // the candidate timings that justified it, then emit the
-        // spgcnn-metrics document on stdout.
-        spg_cnn::telemetry::reset();
-        spg_cnn::telemetry::set_enabled(true);
-        for (i, layer) in net.layers().iter().enumerate() {
-            let label = scope_label(i, layer.name());
-            let Some(spec) = layer.conv_spec() else { continue };
-            let _tune = spg_cnn::telemetry::scope(&label, spg_cnn::telemetry::Phase::Tune);
-            tune_layer(spec, sparsity, cores, reps);
-        }
-        spg_cnn::telemetry::set_enabled(false);
+        // Machine-readable mode: the spgcnn-metrics document on stdout.
         let meta = [
             ("command", "tune".to_string()),
             ("network", desc.name.clone()),
@@ -385,32 +387,32 @@ fn tune(args: &[String]) -> Result<(), String> {
         "measuring `{}` on this machine ({cores} core(s), sparsity {sparsity:.2}, {reps} reps)",
         desc.name
     );
+    // The same decisions as a table: the row marked fastest is `chosen`.
+    let name = |id: &str| {
+        let mut all =
+            Technique::forward_candidates().iter().chain(Technique::backward_candidates());
+        all.find(|t| t.id() == id).map_or_else(|| id.to_string(), |t| t.to_string())
+    };
+    let decisions = spg_cnn::telemetry::snapshot().decisions;
     for (i, layer) in net.layers().iter().enumerate() {
         let Some(spec) = layer.conv_spec() else { continue };
-        println!(
-            "
-layer {i}: {spec}"
-        );
-        for (phase, label, candidates) in [
-            (Phase::Forward, "FP", Technique::forward_candidates()),
-            (Phase::Backward, "BP", Technique::backward_candidates()),
-        ] {
-            let mut timings: Vec<(Technique, std::time::Duration)> = Vec::new();
-            for &t in candidates {
-                // A rejected plan never runs, not even to be measured.
-                match measure_technique(spec, t, phase, sparsity, cores, reps) {
-                    Ok(d) => timings.push((t, d)),
-                    Err(e) => println!("  {label} {:<24} rejected: {e}", t.to_string()),
-                }
+        println!("\nlayer {i}: {spec}");
+        let label = scope_label(i, layer.name());
+        for decision in decisions.iter().filter(|d| d.label == label) {
+            let phase = match decision.phase {
+                spg_cnn::telemetry::Phase::Forward => "FP",
+                _ => "BP",
+            };
+            // A rejected plan never runs, not even to be measured.
+            for r in &decision.rejected {
+                println!("  {phase} {:<32} rejected: {}", name(&r.technique), r.reason);
             }
-            timings.sort_by_key(|&(_, d)| d);
-            for (rank, (t, d)) in timings.iter().enumerate() {
-                let marker = if rank == 0 { "  <- fastest" } else { "" };
-                println!(
-                    "  {label} {:<24} {:>10.3} ms{marker}",
-                    t.to_string(),
-                    d.as_secs_f64() * 1e3
-                );
+            let mut timings: Vec<_> = decision.candidates.iter().collect();
+            timings.sort_by_key(|c| c.wall_ns);
+            for c in timings {
+                let marker = if c.technique == decision.chosen { "  <- fastest" } else { "" };
+                let ms = std::time::Duration::from_nanos(c.wall_ns).as_secs_f64() * 1e3;
+                println!("  {phase} {:<32} {ms:>10.3} ms{marker}", name(&c.technique));
             }
         }
     }

@@ -60,6 +60,34 @@ fn render_emits_generated_kernels() {
     assert!(stdout.contains("CT-CSR"));
 }
 
+/// The listing is the tile the bound kernel executes — six rows of the
+/// plan's x-tiles — whether the stencil lowered sequential (`--cores 1`)
+/// or banded (`--cores 2`, where the listing used to vanish), with the
+/// Sec. 4.3 search's tile kept as one labelled line.
+#[test]
+fn render_lists_the_executed_tile_for_tiled_and_banded_plans() {
+    let path = write_net("spgcnn_render_tile_test.cfg");
+    for cores in ["1", "2"] {
+        let (stdout, _, ok) = spgcnn(&[
+            "render",
+            path.to_str().expect("utf-8 path"),
+            "--cores",
+            cores,
+            "--sparsity",
+            "0.9",
+        ]);
+        assert!(ok, "cores {cores}: {stdout}");
+        assert!(stdout.contains("Stencil-Kernel (FP)"), "cores {cores}: {stdout}");
+        // 10-wide output rows: one 8-lane vector, six rows per block.
+        assert!(
+            stdout.contains("3x3 kernel, 1x6 register tile of 8-lane vectors, y stride 1"),
+            "cores {cores}: {stdout}"
+        );
+        assert_eq!(stdout.matches("_mm256_storeu_ps").count(), 6, "cores {cores}");
+        assert_eq!(stdout.matches("model optimum (Sec. 4.3): 1x10 tile").count(), 1);
+    }
+}
+
 #[test]
 fn train_reports_epochs() {
     let path = write_net("spgcnn_train_test.cfg");
@@ -233,6 +261,32 @@ fn tune_measures_all_techniques() {
     assert!(stdout.contains("fastest"));
     assert!(stdout.contains("Stencil-Kernel"));
     assert!(stdout.contains("Sparse-Kernel"));
+
+    // The table is the decision log `--json` emits, so its `<- fastest`
+    // rows are the JSON's `chosen` — compared on a layer with an outright
+    // winner per phase (a 1x1 kernel and a dense gradient: GEMM by 4x and
+    // more, whose two names at one core are one program, first name wins).
+    let path = std::env::temp_dir().join("spgcnn_tune_decisive_test.cfg");
+    let net = r#"
+        name: "decisive"
+        input { channels: 64 height: 12 width: 12 }
+        conv  { features: 256 kernel: 1 }
+        fc    { outputs: 3 }
+        "#;
+    std::fs::write(&path, net).expect("temp dir is writable");
+    let args = ["tune", path.to_str().expect("utf-8 path"), "--reps", "8", "--sparsity", "0"];
+    let (table, _, ok) = spgcnn(&args);
+    assert!(ok, "stdout: {table}");
+    let fastest: Vec<&str> = table.lines().filter(|l| l.ends_with("<- fastest")).collect();
+    let (json, _, ok) = spgcnn(&[&args[..], &["--json"]].concat());
+    assert!(ok, "stdout: {json}");
+    let doc = spg_cnn::telemetry::json::parse(&json).expect("tune --json emits JSON");
+    let decisions = doc.get("decisions").and_then(|d| d.as_array()).expect("decision log");
+    assert_eq!((fastest.len(), decisions.len()), (2, 2), "one winner per phase:\n{table}");
+    for (row, decision) in fastest.iter().zip(decisions) {
+        assert_eq!(decision.get("chosen").and_then(|c| c.as_str()), Some("parallel-gemm"));
+        assert!(row.contains(" Parallel-GEMM "), "{row}");
+    }
 }
 
 /// The smoke network's 6x6 output is too narrow to band: the hybrids are

@@ -11,7 +11,7 @@ use spg_cnn::check::{
     verify_conv_plan, BackwardPlan, ConvPlan, RegisterTile, ScheduleTile, ScratchCapacity,
 };
 use spg_cnn::codegen::xplan::tiled_plan;
-use spg_cnn::codegen::{all_instances, lookup, KernelChoice, KernelKey};
+use spg_cnn::codegen::{all_instances, forward_tiled, lookup, KernelChoice, KernelKey};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::ConvSpec;
 use spg_cnn::core::autotune::Phase;
@@ -63,7 +63,8 @@ fn every_runnable_instance_bit_matches_generic_on_table2() {
             };
             let proved = verify_conv_plan(&spec, plan, &ScratchCapacity::reserved_for(&spec))
                 .expect("instance plan verifies");
-            inst.forward(
+            forward_tiled(
+                Some(inst),
                 proved.tiled().expect("lowered tiled"),
                 ops.input.as_slice(),
                 ops.weights.as_slice(),
