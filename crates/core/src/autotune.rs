@@ -7,8 +7,12 @@
 //! checks for a change in relative performance ... after a pre-specified
 //! number of epochs as error gradient sparsity changes during training."
 //!
-//! [`tune_layer`] is the measurement primitive; [`Framework`] applies
-//! plans to whole networks and re-tunes between epochs.
+//! [`tune_layer`] is the measurement primitive: one contest per phase over
+//! [`Technique::forward_candidates`] / [`Technique::backward_candidates`],
+//! each candidate lowered once, timed at the core budget the deployed walk
+//! will pass, the winner's own program read for the decision log.
+//! [`Framework`] applies plans to whole networks and re-tunes between
+//! epochs.
 
 use std::time::{Duration, Instant};
 
@@ -16,10 +20,9 @@ use spg_codegen::KernelChoice;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::{ConvSpec, EpochStats, Network};
 
-use crate::backend::{AlgoChoice, Backend, ConvDescriptor, CpuBackend};
 use crate::compiled::ConvProgram;
 use crate::schedule::{recommended_plan, LayerPlan, Technique};
-use crate::verify::{lower, lower_phase};
+use crate::verify::{lower, lower_phase, verify_technique};
 use crate::SpgError;
 
 /// Which phase of a convolution layer a measurement exercises.
@@ -33,7 +36,8 @@ pub enum Phase {
 
 /// Times one technique on one phase of a convolution at a given gradient
 /// sparsity, returning the mean wall time of `reps` runs (after one
-/// warm-up run that also pays allocation and code-path warming costs).
+/// warm-up run that also pays allocation and code-path warming costs) of
+/// one sample with all `cores` cores to itself.
 ///
 /// The synthetic operands are deterministic, so repeated calls measure
 /// the same work.
@@ -56,17 +60,24 @@ pub fn measure_technique(
     reps: usize,
 ) -> Result<Duration, SpgError> {
     let program = lower_phase(spec, technique, phase, cores, KernelChoice::Auto)?;
-    Ok(measure_program(&program, phase, sparsity, reps))
+    Ok(measure_program(&program, phase, sparsity, cores, reps))
 }
 
-/// Times one lowered program on one phase — the primitive behind
-/// [`measure_technique`], also used to race the generic stencil loops
-/// against a specialized registry instance for the same technique.
+/// Times one lowered program on one phase, one sample at a time, with
+/// `budget` cores for the sample to spend inside itself
+/// ([`ConvScratch::cores`]) — the primitive behind [`measure_technique`]
+/// and the contest.
 ///
 /// # Panics
 ///
 /// Panics if `reps == 0`.
-fn measure_program(program: &ConvProgram, phase: Phase, sparsity: f64, reps: usize) -> Duration {
+fn measure_program(
+    program: &ConvProgram,
+    phase: Phase,
+    sparsity: f64,
+    budget: usize,
+    reps: usize,
+) -> Duration {
     assert!(reps > 0, "repetition count must be positive");
     let spec = program.spec();
     let input: Vec<f32> =
@@ -89,9 +100,8 @@ fn measure_program(program: &ConvProgram, phase: Phase, sparsity: f64, reps: usi
     let mut grad_w = vec![0.0f32; spec.weight_shape().len()];
     // One scratch reused across warm-up and all reps: the warm-up run
     // pays the buffer growth, so the timed runs measure the steady-state
-    // (allocation-free) path the trainer actually executes. A measurement
-    // is one sample with the program's cores to itself.
-    let mut scratch = ConvScratch { cores: program.cores(), ..ConvScratch::new() };
+    // (allocation-free) path the trainer actually executes.
+    let mut scratch = ConvScratch { cores: budget, ..ConvScratch::new() };
 
     let mut run = |scratch: &mut ConvScratch| match phase {
         Phase::Forward => program.forward(&input, &weights, &mut output, scratch),
@@ -111,191 +121,133 @@ fn measure_program(program: &ConvProgram, phase: Phase, sparsity: f64, reps: usi
 }
 
 /// Measures every applicable technique for both phases and returns the
-/// fastest pair — the paper's per-layer selection step.
+/// fastest pair — the paper's per-layer selection step. Candidates are
+/// lowered at `cores` and timed one sample at a time at `budget`, the
+/// cores the deployed walk lends one sample: 1 for a trainer's sample
+/// worker, `cores` for a call that owns them all.
 ///
 /// # Panics
 ///
 /// Panics if `reps == 0`.
-pub fn tune_layer(spec: &ConvSpec, sparsity: f64, cores: usize, reps: usize) -> LayerPlan {
-    tune_layer_with_kernels(spec, sparsity, cores, reps).plan
-}
-
-/// What tuning one layer produced: the technique pair plus which stencil
-/// forward kernel — specialized registry instance or generic loops — the
-/// per-layer measurement favoured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunedLayer {
-    /// The fastest technique pair.
-    pub plan: LayerPlan,
-    /// Forward stencil kernel choice: [`KernelChoice::Generic`] when the
-    /// generic loops measured faster than the specialized instance (or
-    /// the caller should pin them), [`KernelChoice::Auto`] otherwise.
-    pub fp_kernel: KernelChoice,
-}
-
-/// [`tune_layer`] returning the forward kernel choice alongside the
-/// technique pair. The candidate space is the CPU backend's
-/// [`get_algos`](Backend::get_algos) enumeration — the generic search the
-/// backend abstraction makes possible — so the autotuner measures exactly
-/// the algorithms any other backend consumer can compile. When the
-/// stencil forward technique is enumerated with a verified specialized
-/// instance, the instance is raced against the generic loops and the
-/// winner is recorded in the decision log (schema minor 5, `kernel`
-/// field; the chosen backend/algo ids land in the minor-6 fields).
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn tune_layer_with_kernels(
+pub fn tune_layer(
     spec: &ConvSpec,
     sparsity: f64,
     cores: usize,
+    budget: usize,
     reps: usize,
-) -> TunedLayer {
-    let desc = ConvDescriptor::new(*spec, cores);
-    let algos: Vec<AlgoChoice> = CpuBackend::new().get_algos(&desc).collect();
-    let (forward, fp_kernel) = pick(spec, Phase::Forward, &algos, sparsity, cores, reps);
-    let (backward, _) = pick(spec, Phase::Backward, &algos, sparsity, cores, reps);
-    TunedLayer { plan: LayerPlan { forward, backward }, fp_kernel }
+) -> LayerPlan {
+    LayerPlan {
+        forward: pick(spec, Phase::Forward, sparsity, cores, budget, reps),
+        backward: pick(spec, Phase::Backward, sparsity, cores, budget, reps),
+    }
 }
 
-/// The techniques the backend enumeration admits for one phase, in
-/// [`Technique`] candidate order, plus the rejection evidence for the
-/// candidates it filtered out (re-deriving the verifier's reason, since
-/// [`Backend::get_algos`] yields only survivors).
-fn phase_candidates(
-    spec: &ConvSpec,
-    phase: Phase,
-    algos: &[AlgoChoice],
-    cores: usize,
-) -> (Vec<Technique>, Vec<spg_telemetry::RejectedCandidate>) {
+/// Measures only the forward-phase candidates, with all `cores` inside the
+/// one sample, and returns the fastest — the inference subset of
+/// [`tune_layer`] for a forward-only deployment
+/// ([`Engine::forward`](spg_convnet::Engine::forward) spends every worker
+/// inside the sample). Backward candidates are never run.
+///
+/// # Panics
+///
+/// Panics if `reps == 0`.
+pub fn tune_layer_forward(spec: &ConvSpec, cores: usize, reps: usize) -> Technique {
+    pick(spec, Phase::Forward, 0.0, cores, cores, reps)
+}
+
+/// One candidate of a contest: the technique and what lowering it gave.
+type Lowered = (Technique, Result<ConvProgram, SpgError>);
+
+/// Every candidate of `phase` at `cores`, each lowered once.
+fn lower_candidates(spec: &ConvSpec, phase: Phase, cores: usize) -> Vec<Lowered> {
     let candidates = match phase {
         Phase::Forward => Technique::forward_candidates(),
-        Phase::Backward => Technique::backward_candidates(),
+        Phase::Backward => Technique::backward_candidates(cores),
     };
-    let of_phase = |a: &AlgoChoice| match phase {
-        Phase::Forward => a.forward,
-        Phase::Backward => a.backward,
-    };
-    let mut safe = Vec::with_capacity(candidates.len());
-    let mut rejected = Vec::new();
-    for &t in candidates {
-        if algos.iter().any(|a| of_phase(a) == t) {
-            safe.push(t);
-        } else if let Err(e) = crate::verify::verify_technique(spec, t, phase, cores) {
-            rejected.push(spg_telemetry::RejectedCandidate {
-                technique: t.id().to_string(),
-                reason: e.to_string(),
-            });
-        }
-    }
-    (safe, rejected)
+    candidates
+        .iter()
+        .map(|&t| (t, lower_phase(spec, t, phase, cores, KernelChoice::Auto)))
+        .collect()
 }
 
-/// Measures the backend-enumerated techniques for one phase and picks the
-/// fastest, recording the decision (with the forward stencil kernel
-/// choice, the chosen backend/algo ids, and the winner's partition
-/// dimension) when telemetry is enabled.
+/// Runs the contest of `phase` over its candidates' lowered programs.
 fn pick(
     spec: &ConvSpec,
     phase: Phase,
-    algos: &[AlgoChoice],
     sparsity: f64,
     cores: usize,
+    budget: usize,
     reps: usize,
-) -> (Technique, KernelChoice) {
+) -> Technique {
     // The deploy gate re-proves the winner through the plan-time verifier
-    // at the moment it is about to be installed, so a plan that was
-    // enumerable when the race started but is rejected by the time it
-    // would deploy is demoted, not installed.
-    pick_with_gate(spec, phase, algos, sparsity, cores, reps, &|t| {
-        crate::verify::verify_technique(spec, t, phase, cores).map(|_| ())
+    // at the moment it is about to be installed, so a plan that verified
+    // when the race started but is rejected by the time it would deploy is
+    // demoted, not installed.
+    contest(phase, lower_candidates(spec, phase, cores), sparsity, cores, budget, reps, &|t| {
+        verify_technique(spec, t, phase, cores).map(|_| ())
     })
 }
 
-/// [`pick`] with an explicit deploy-time gate, the seam fault-injection
-/// tests use to reject a candidate mid-race. A gated-out winner is moved
-/// to the decision's `rejected` list and the race re-picks from the
-/// remaining timings; if the gate refuses every measured candidate the
-/// layer falls back to the GEMM-in-Parallel serial baseline rather than
-/// panicking or dropping the layer.
-fn pick_with_gate(
-    spec: &ConvSpec,
+/// Times each lowered candidate (a rejected plan never runs, not even to
+/// be measured: its `Err` is the logged rejection), picks the fastest and
+/// records the decision — the winner's own program supplies the `algo`,
+/// `kernel` and `partition` fields — when telemetry is enabled.
+///
+/// `gate` is the deploy-time check, a seam fault-injection tests use to
+/// reject a candidate mid-race. A gated-out winner is moved to the
+/// decision's `rejected` list and the race re-picks from the remaining
+/// timings; if the gate refuses every measured candidate the layer falls
+/// back to the GEMM-in-Parallel serial baseline rather than panicking or
+/// dropping the layer.
+fn contest(
     phase: Phase,
-    algos: &[AlgoChoice],
+    lowered: Vec<Lowered>,
     sparsity: f64,
     cores: usize,
+    budget: usize,
     reps: usize,
-    gate: &dyn Fn(Technique) -> Result<(), crate::SpgError>,
-) -> (Technique, KernelChoice) {
-    // Plan-time gate: the backend enumerates only verifier-approved
-    // algorithms, so everything measured below is deployable; rejections
-    // are logged, never run.
-    let (safe, mut rejected) = phase_candidates(spec, phase, algos, cores);
-    // Generic-vs-specialized race for the stencil forward kernel, first —
-    // only when the verifier admitted the stencil technique (a rejected
-    // plan must never run, not even for measurement). Its choice is the
-    // one the layer deploys under, so every candidate below — the banded
-    // stencils bind the same kernel — is timed as the program that would
-    // be installed.
-    let kernel = match phase {
-        Phase::Forward if safe.contains(&Technique::StencilFp) => {
-            Some(tune_forward_kernel(spec, sparsity, reps))
-        }
-        _ => None,
+    gate: &dyn Fn(Technique) -> Result<(), SpgError>,
+) -> Technique {
+    let reject = |t: Technique, e: &SpgError| spg_telemetry::RejectedCandidate {
+        technique: t.id().to_string(),
+        reason: e.to_string(),
     };
-    let choice = kernel.map_or(KernelChoice::Auto, |(choice, _)| choice);
-    // Two names can lower to one program — both GEMM techniques' forward,
-    // the sequential stencil at `cores > 1` and the band it splits into —
-    // and one program is one measurement: a later name takes the earlier
-    // one's time, and `min_by_key` gives the exact tie to the first name in
-    // candidate order instead of letting noise pick the id that is logged.
-    let mut timed: Vec<(Technique, Duration)> = Vec::with_capacity(safe.len());
-    let mut programs: Vec<ConvProgram> = Vec::with_capacity(safe.len());
-    for &t in &safe {
-        let Ok(program) = lower_phase(spec, t, phase, cores, choice) else { continue };
-        let twin = programs.iter().position(|seen| match phase {
-            Phase::Forward => seen.plan().forward == program.plan().forward,
-            Phase::Backward => seen.plan().backward == program.plan().backward,
-        });
-        let wall = match twin {
-            Some(first) => timed[first].1,
-            None => measure_program(&program, phase, sparsity, reps),
-        };
-        timed.push((t, wall));
-        programs.push(program);
+    let mut rejected = Vec::new();
+    let mut timed: Vec<(Technique, ConvProgram, Duration)> = Vec::with_capacity(lowered.len());
+    // What the stencil candidate bound, for the log's `kernel` field.
+    let mut kernel = None;
+    for (t, program) in lowered {
+        match program {
+            Ok(program) => {
+                if t == Technique::StencilFp {
+                    kernel = Some(program.kernel_kind());
+                }
+                let wall = measure_program(&program, phase, sparsity, budget, reps);
+                timed.push((t, program, wall));
+            }
+            Err(e) => rejected.push(reject(t, &e)),
+        }
     }
-    let chosen = loop {
-        let fastest =
-            timed.iter().enumerate().min_by_key(|&(_, &(_, d))| d).map(|(i, &(t, _))| (i, t));
-        let Some((idx, candidate)) = fastest else {
-            // GEMM-in-Parallel is the always-applicable serial baseline;
-            // it backstops the all-candidates-rejected case.
-            break Technique::GemmInParallel;
-        };
+    let winner = loop {
+        let fastest = timed.iter().enumerate().min_by_key(|(_, c)| c.2).map(|(i, c)| (i, c.0));
+        let Some((idx, candidate)) = fastest else { break None };
         match gate(candidate) {
-            Ok(()) => break candidate,
+            Ok(()) => break Some(idx),
+            // Rejected mid-race: record the refusal and re-pick from the
+            // remaining timings.
             Err(e) => {
-                // Rejected mid-race: record the refusal and re-pick from
-                // the remaining timings.
-                rejected.push(spg_telemetry::RejectedCandidate {
-                    technique: candidate.id().to_string(),
-                    reason: e.to_string(),
-                });
+                rejected.push(reject(candidate, &e));
                 timed.remove(idx);
             }
         }
     };
+    // GEMM-in-Parallel is the always-applicable serial baseline; it
+    // backstops the all-candidates-rejected case.
+    let chosen = winner.map_or(Technique::GemmInParallel, |idx| timed[idx].0);
     // Log the measure-and-pick evidence so `spgcnn tune --json` can
     // report not just the winner but why it won.
     if spg_telemetry::enabled() {
-        // Per-phase algo spelling: `<technique>/<kernel>`, where the
-        // kernel leg is what deploying the winner under the race's choice
-        // binds — an instance for a stencil forward, sequential or banded,
-        // that resolves and verifies one; `generic` everywhere else.
-        let bound = lower_phase(spec, chosen, phase, cores, choice)
-            .is_ok_and(|program| program.specialized_kernel().is_some());
-        let algo_kernel = if bound { "specialized" } else { "generic" };
+        let program = winner.map(|idx| &timed[idx].1);
         spg_telemetry::record_decision(spg_telemetry::Decision {
             label: spg_telemetry::current_label().unwrap_or_else(|| "unscoped".to_string()),
             phase: match phase {
@@ -307,82 +259,35 @@ fn pick_with_gate(
             cores,
             candidates: timed
                 .iter()
-                .map(|&(t, d)| spg_telemetry::CandidateTiming {
+                .map(|(t, _, d)| spg_telemetry::CandidateTiming {
                     technique: t.id().to_string(),
-                    wall_ns: duration_ns(d),
+                    wall_ns: duration_ns(*d),
                 })
                 .collect(),
             rejected,
-            kernel: kernel.map(|(_, name)| name.to_string()),
+            kernel: kernel.map(str::to_string),
             backend: Some("cpu".to_string()),
-            algo: Some(format!("{}/{algo_kernel}", chosen.id())),
-            // Minor-8 field: which dimension the winner splits the layer
-            // along. Backward techniques always split by sample.
+            // Per-phase algo spelling: `<technique>/<kernel>`, the kernel
+            // leg being what the winner's program bound.
+            algo: Some(format!(
+                "{}/{}",
+                chosen.id(),
+                program.map_or("generic", ConvProgram::kernel_kind)
+            )),
+            // Minor-8 field: the dimension the winner's forward plan
+            // splits one sample along. Backward plans have no such split.
             partition: match phase {
-                Phase::Forward => Some(chosen.partition_dim().id().to_string()),
+                Phase::Forward => program.map(|p| p.partition().to_string()),
                 Phase::Backward => None,
             },
         });
     }
-    (chosen, choice)
-}
-
-/// Races the specialized instance lowering binds (when one resolves)
-/// against the generic loops for the stencil forward kernel, returning the
-/// deployment choice and its decision-log spelling. Shapes with no
-/// runnable instance skip the measurement: `Auto` lowering already binds
-/// the generic loops there.
-fn tune_forward_kernel(
-    spec: &ConvSpec,
-    sparsity: f64,
-    reps: usize,
-) -> (KernelChoice, &'static str) {
-    let lowered = |kernel| lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, kernel);
-    let (auto, generic) = match (lowered(KernelChoice::Auto), lowered(KernelChoice::Generic)) {
-        (Ok(auto), Ok(generic)) if auto.specialized_kernel().is_some() => (auto, generic),
-        _ => return (KernelChoice::Auto, "generic"),
-    };
-    let specialized = measure_program(&auto, Phase::Forward, sparsity, reps);
-    let generic = measure_program(&generic, Phase::Forward, sparsity, reps);
-    if specialized <= generic {
-        (KernelChoice::Auto, "specialized")
-    } else {
-        (KernelChoice::Generic, "generic")
-    }
+    chosen
 }
 
 /// Saturating nanosecond count for telemetry (u64 holds ~584 years).
 fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Measures only the forward-phase candidates and returns the fastest —
-/// the inference/serving subset of [`tune_layer`]. Backward candidates
-/// are never run, so tuning for a forward-only deployment costs roughly
-/// a third of a full training tune.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn tune_layer_forward(spec: &ConvSpec, cores: usize, reps: usize) -> Technique {
-    tune_layer_forward_with_kernels(spec, cores, reps).0
-}
-
-/// [`tune_layer_forward`] returning the stencil kernel choice alongside
-/// the technique — the serving path's analogue of
-/// [`tune_layer_with_kernels`].
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn tune_layer_forward_with_kernels(
-    spec: &ConvSpec,
-    cores: usize,
-    reps: usize,
-) -> (Technique, KernelChoice) {
-    let desc = ConvDescriptor::new(*spec, cores);
-    let algos: Vec<AlgoChoice> = CpuBackend::new().get_algos(&desc).collect();
-    pick(spec, Phase::Forward, &algos, 0.0, cores, reps)
 }
 
 /// How the framework chooses techniques.
@@ -440,23 +345,13 @@ impl Framework {
         self.mode
     }
 
-    /// Plans one layer at the given gradient sparsity.
+    /// Plans one layer for training at the given gradient sparsity. A
+    /// measured plan is judged one sample on one core, as a trainer's
+    /// sample worker runs it.
     pub fn plan_layer(&self, spec: &ConvSpec, sparsity: f64) -> LayerPlan {
-        self.plan_layer_with_kernels(spec, sparsity).plan
-    }
-
-    /// Plans one layer and reports the forward stencil kernel choice
-    /// alongside the technique pair. Heuristic mode never measures, so it
-    /// keeps [`KernelChoice::Auto`] (specialized where available).
-    pub fn plan_layer_with_kernels(&self, spec: &ConvSpec, sparsity: f64) -> TunedLayer {
         match self.mode {
-            TuningMode::Heuristic => TunedLayer {
-                plan: recommended_plan(spec, sparsity, self.cores),
-                fp_kernel: KernelChoice::Auto,
-            },
-            TuningMode::Measured { reps } => {
-                tune_layer_with_kernels(spec, sparsity, self.cores, reps)
-            }
+            TuningMode::Heuristic => recommended_plan(spec, sparsity, self.cores),
+            TuningMode::Measured { reps } => tune_layer(spec, sparsity, self.cores, 1, reps),
         }
     }
 
@@ -469,7 +364,7 @@ impl Framework {
         &self,
         net: &mut Network,
         slots: &[Phase],
-        choose: impl Fn(usize, &ConvSpec) -> TunedLayer,
+        choose: impl Fn(usize, &ConvSpec) -> LayerPlan,
     ) -> Result<Vec<(usize, LayerPlan)>, SpgError> {
         let mut lowered = Vec::new();
         for (i, layer) in net.layers_mut().iter_mut().enumerate() {
@@ -477,8 +372,8 @@ impl Framework {
             let Some(conv) = layer.as_conv_mut() else { continue };
             let _tune = spg_telemetry::scope(&label, spg_telemetry::Phase::Tune);
             let spec = *conv.spec();
-            let tuned = choose(lowered.len(), &spec);
-            lowered.push((i, tuned.plan, lower(&spec, tuned.plan, self.cores, tuned.fp_kernel)?));
+            let plan = choose(lowered.len(), &spec);
+            lowered.push((i, plan, lower(&spec, plan, self.cores, KernelChoice::Auto)?));
         }
         let mut plans = Vec::with_capacity(lowered.len());
         for (i, plan, program) in lowered {
@@ -492,12 +387,11 @@ impl Framework {
     }
 
     /// Plans every convolution layer of a network assuming `sparsity`
-    /// backward-gradient sparsity, lowers and verifies each chosen plan
-    /// (with the stencil forward kernel pinned to the generic loops where
-    /// measurement favoured them), installs the resulting programs, and
-    /// returns `(layer index, plan)` pairs for reporting. Nothing is
-    /// installed unless every layer's plan verifies. This is what
-    /// [`Engine::try_tune`] reaches via [`NetworkPlanner::try_plan`].
+    /// backward-gradient sparsity, lowers and verifies each chosen plan,
+    /// installs the resulting programs, and returns `(layer index, plan)`
+    /// pairs for reporting. Nothing is installed unless every layer's plan
+    /// verifies. This is what [`Engine::try_tune`] reaches via
+    /// [`NetworkPlanner::try_plan`].
     ///
     /// [`Engine::try_tune`]: spg_convnet::Engine::try_tune
     /// [`NetworkPlanner::try_plan`]: spg_convnet::NetworkPlanner::try_plan
@@ -514,7 +408,7 @@ impl Framework {
         sparsity: f64,
     ) -> Result<Vec<(usize, LayerPlan)>, SpgError> {
         self.install_plans(net, &[Phase::Forward, Phase::Backward], |_, spec| {
-            self.plan_layer_with_kernels(spec, sparsity)
+            self.plan_layer(spec, sparsity)
         })
     }
 
@@ -528,21 +422,13 @@ impl Framework {
         self.try_plan_network(net, sparsity).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Plans one layer's forward technique only (the serving path).
+    /// Plans one layer's forward technique only (the serving path). A
+    /// measured plan is judged with every core inside the one sample, as
+    /// [`Engine::forward`](spg_convnet::Engine::forward) runs it.
     pub fn plan_layer_forward(&self, spec: &ConvSpec) -> Technique {
-        self.plan_layer_forward_with_kernels(spec).0
-    }
-
-    /// [`plan_layer_forward`](Framework::plan_layer_forward) reporting the
-    /// stencil kernel choice alongside the technique.
-    pub fn plan_layer_forward_with_kernels(&self, spec: &ConvSpec) -> (Technique, KernelChoice) {
         match self.mode {
-            TuningMode::Heuristic => {
-                (recommended_plan(spec, 0.0, self.cores).forward, KernelChoice::Auto)
-            }
-            TuningMode::Measured { reps } => {
-                tune_layer_forward_with_kernels(spec, self.cores, reps)
-            }
+            TuningMode::Heuristic => recommended_plan(spec, 0.0, self.cores).forward,
+            TuningMode::Measured { reps } => tune_layer_forward(spec, self.cores, reps),
         }
     }
 
@@ -560,10 +446,9 @@ impl Framework {
         &self,
         net: &mut Network,
     ) -> Result<Vec<(usize, LayerPlan)>, SpgError> {
-        self.install_plans(net, &[Phase::Forward], |_, spec| {
-            let (forward, fp_kernel) = self.plan_layer_forward_with_kernels(spec);
-            let backward = recommended_plan(spec, 0.0, self.cores).backward;
-            TunedLayer { plan: LayerPlan { forward, backward }, fp_kernel }
+        self.install_plans(net, &[Phase::Forward], |_, spec| LayerPlan {
+            forward: self.plan_layer_forward(spec),
+            backward: recommended_plan(spec, 0.0, self.cores).backward,
         })
     }
 
@@ -595,7 +480,7 @@ impl Framework {
         }
         self.install_plans(net, &[Phase::Backward], |conv_idx, spec| {
             let sparsity = stats.conv_grad_sparsity.get(conv_idx).copied().unwrap_or(0.0);
-            self.plan_layer_with_kernels(spec, sparsity)
+            self.plan_layer(spec, sparsity)
         })
         .unwrap_or_else(|e| panic!("{e}"));
     }
@@ -635,9 +520,23 @@ mod tests {
 
     #[test]
     fn tune_layer_returns_applicable_techniques() {
-        let plan = tune_layer(&small_spec(), 0.9, 1, 1);
+        let plan = tune_layer(&small_spec(), 0.9, 1, 1, 1);
         assert!(Technique::forward_candidates().contains(&plan.forward));
-        assert!(Technique::backward_candidates().contains(&plan.backward));
+        assert!(Technique::backward_candidates(1).contains(&plan.backward));
+    }
+
+    /// One `tune_layer` call lowers each candidate once per phase: the
+    /// contest times, gates and logs the programs it was handed.
+    #[test]
+    fn tune_layer_lowers_each_candidate_once_per_phase() {
+        use crate::verify::LOWERINGS;
+        spg_telemetry::set_enabled(true);
+        let cores = 2;
+        let before = LOWERINGS.with(std::cell::Cell::get);
+        tune_layer(&small_spec(), 0.9, cores, 1, 1);
+        let candidates =
+            Technique::forward_candidates().len() + Technique::backward_candidates(cores).len();
+        assert_eq!(LOWERINGS.with(std::cell::Cell::get) - before, candidates);
     }
 
     #[test]
@@ -718,19 +617,19 @@ mod tests {
         assert!(logged(&label) > before, "epoch 2 re-plans and logs its decision");
     }
 
-    /// Forward decisions carry the minor-5 `kernel` field whenever the
-    /// stencil technique was measured; backward decisions never do.
+    /// Forward decisions carry the minor-5 `kernel` field — what the
+    /// stencil candidate bound — whenever the stencil technique was
+    /// measured; backward decisions never do.
     #[test]
-    fn forward_decisions_record_kernel_choice() {
+    fn forward_decisions_record_the_bound_kernel() {
         spg_telemetry::set_enabled(true);
-        // Registry shape (3x3 s1) with an 18-wide output: stencil-fp
-        // verifies, so the generic-vs-specialized race runs.
+        // Registry shape (3x3 s1) with an 18-wide output.
         let spec = ConvSpec::new(2, 20, 20, 3, 3, 3, 1, 1).unwrap();
         {
             let _scope = spg_telemetry::scope("kernel-decision-layer", spg_telemetry::Phase::Tune);
-            let tuned = tune_layer_with_kernels(&spec, 0.5, 1, 1);
-            assert!(matches!(tuned.fp_kernel, KernelChoice::Auto | KernelChoice::Generic));
+            tune_layer(&spec, 0.5, 1, 1, 1);
         }
+        let bound = crate::verify::select_kernel(&spec).map_or("generic", |_| "specialized");
         let snap = spg_telemetry::snapshot();
         let mine: Vec<_> =
             snap.decisions.iter().filter(|d| d.label == "kernel-decision-layer").collect();
@@ -738,16 +637,15 @@ mod tests {
             mine.iter().filter(|d| d.phase == spg_telemetry::Phase::Forward).collect();
         assert!(!forward.is_empty(), "forward decision logged");
         for d in &forward {
-            let kernel = d.kernel.as_deref().expect("forward decision records kernel");
-            assert!(kernel == "specialized" || kernel == "generic", "kernel = {kernel}");
+            assert_eq!(d.kernel.as_deref(), Some(bound), "forward decision records kernel");
         }
         for d in mine.iter().filter(|d| d.phase == spg_telemetry::Phase::Backward) {
             assert!(d.kernel.is_none(), "backward decisions carry no kernel field");
         }
     }
 
-    /// A stencil plan deploys under the stencil name whichever kernel
-    /// measurement favoured; a GEMM plan never does.
+    /// A stencil plan deploys under the stencil name whichever kernel it
+    /// was lowered with; a GEMM plan never does.
     #[test]
     fn forward_executor_honours_kernel_choice() {
         let deployed = |technique, kernel| {
@@ -770,8 +668,6 @@ mod tests {
     fn gate_rejecting_everything_falls_back_to_gip() {
         spg_telemetry::set_enabled(true);
         let spec = small_spec();
-        let desc = ConvDescriptor::new(spec, 1);
-        let algos: Vec<AlgoChoice> = CpuBackend::new().get_algos(&desc).collect();
         let reject_all = |t: Technique| {
             Err(crate::SpgError::PlanRejected {
                 technique: t.id(),
@@ -784,7 +680,15 @@ mod tests {
         };
         let chosen = {
             let _scope = spg_telemetry::scope("gate-fault-layer", spg_telemetry::Phase::Tune);
-            pick_with_gate(&spec, Phase::Forward, &algos, 0.0, 1, 1, &reject_all).0
+            contest(
+                Phase::Forward,
+                lower_candidates(&spec, Phase::Forward, 1),
+                0.0,
+                1,
+                1,
+                1,
+                &reject_all,
+            )
         };
         assert_eq!(chosen, Technique::GemmInParallel, "baseline fallback");
         let snap = spg_telemetry::snapshot();
@@ -809,8 +713,6 @@ mod tests {
     #[test]
     fn gate_rejecting_the_winner_repicks_a_survivor() {
         let spec = small_spec();
-        let desc = ConvDescriptor::new(spec, 1);
-        let algos: Vec<AlgoChoice> = CpuBackend::new().get_algos(&desc).collect();
         use std::sync::Mutex;
         let refused: Mutex<Option<Technique>> = Mutex::new(None);
         let reject_first = |t: Technique| {
@@ -831,41 +733,60 @@ mod tests {
                 Some(_) => Ok(()),
             }
         };
-        let (chosen, _) = pick_with_gate(&spec, Phase::Forward, &algos, 0.0, 1, 1, &reject_first);
+        let chosen = contest(
+            Phase::Forward,
+            lower_candidates(&spec, Phase::Forward, 1),
+            0.0,
+            1,
+            1,
+            1,
+            &reject_first,
+        );
         let first = refused.lock().unwrap().expect("gate saw the race winner");
         assert_ne!(chosen, first, "refused winner must not deploy");
         assert!(Technique::forward_candidates().contains(&chosen));
     }
 
-    /// Forward decisions record the minor-8 `partition` field naming the
-    /// winner's worker decomposition; backward decisions leave it absent.
+    /// Forward decisions record the minor-8 `partition` field read off the
+    /// winner's lowered plan; backward decisions leave it absent.
     #[test]
-    fn decisions_record_partition_dimension() {
+    fn decisions_record_the_partition_the_winner_was_lowered_with() {
         spg_telemetry::set_enabled(true);
-        let spec = small_spec();
+        // ImageNet-22K L0 (Table 2), one candidate per contest so the
+        // winner is known.
+        let spec = ConvSpec::square(262, 120, 3, 7, 2);
+        let logged = |label: &str, technique, cores| {
+            let program = lower_phase(&spec, technique, Phase::Forward, cores, KernelChoice::Auto);
+            {
+                let _scope = spg_telemetry::scope(label, spg_telemetry::Phase::Tune);
+                contest(Phase::Forward, vec![(technique, program)], 0.0, cores, cores, 1, &|_| {
+                    Ok(())
+                });
+            }
+            let snap = spg_telemetry::snapshot();
+            let decision = snap.decisions.iter().find(|d| d.label == label).cloned();
+            decision.expect("decision logged").partition
+        };
+        let partition = logged("partition-stencil-8", Technique::StencilFp, 8);
+        assert_eq!(partition.as_deref(), Some("y-band"));
+        let partition = logged("partition-stencil-1", Technique::StencilFp, 1);
+        assert_eq!(partition.as_deref(), Some("sample"));
+        let partition = logged("partition-gemm-8", Technique::GemmInParallel, 8);
+        assert_eq!(partition.as_deref(), Some("out-channel"));
         {
-            let _scope = spg_telemetry::scope("partition-layer", spg_telemetry::Phase::Tune);
-            tune_layer(&spec, 0.5, 1, 1);
+            let _scope = spg_telemetry::scope("partition-backward", spg_telemetry::Phase::Tune);
+            pick(&small_spec(), Phase::Backward, 0.5, 1, 1, 1);
         }
         let snap = spg_telemetry::snapshot();
-        let mine: Vec<_> = snap.decisions.iter().filter(|d| d.label == "partition-layer").collect();
-        assert!(!mine.is_empty());
-        for d in &mine {
-            match d.phase {
-                spg_telemetry::Phase::Forward => {
-                    let p = d.partition.as_deref().expect("forward decision names its partition");
-                    assert!(["sample", "y-band", "out-channel"].contains(&p), "partition = {p}");
-                }
-                _ => assert!(d.partition.is_none(), "backward decisions carry no partition"),
-            }
-        }
+        let backward = snap.decisions.iter().find(|d| d.label == "partition-backward");
+        assert!(backward.expect("decision logged").partition.is_none());
     }
 
     #[test]
     fn measured_mode_runs_end_to_end() {
         let fw = Framework::new(1, TuningMode::Measured { reps: 1 }, 1);
         let plan = fw.plan_layer(&small_spec(), 0.85);
-        assert!(Technique::backward_candidates().contains(&plan.backward));
+        assert!(Technique::backward_candidates(1).contains(&plan.backward));
     }
 
     #[test]

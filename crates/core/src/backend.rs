@@ -162,8 +162,7 @@ impl fmt::Display for AlgoChoice {
 ///
 /// Implemented by [`CpuBackend`] (real SIMD execution) and
 /// `spg_simcpu::SimBackend` (analytical predictions from the Sec. 3
-/// model); the autotuner, `Engine`, and `spg-serve` all dispatch through
-/// this trait.
+/// model); `Engine` pins and `spg-serve` dispatch through this trait.
 pub trait Backend {
     /// What [`compile`](Backend::compile) produces: an executable
     /// [`CompiledConv`] for the CPU backend, an analytical prediction for
@@ -280,7 +279,7 @@ impl Backend for CpuBackend {
         let spec = desc.spec;
         let cores = desc.cores;
         // Each verified forward candidate, with the ISA of the instance
-        // Auto lowering binds to it (none for all but the stencil forwards).
+        // Auto lowering binds to it (none for all but the stencil forward).
         let fwd: Vec<(Technique, Option<Isa>)> = Technique::forward_candidates()
             .iter()
             .filter_map(|&t| {
@@ -289,7 +288,7 @@ impl Backend for CpuBackend {
                 Some((t, program.specialized_kernel().map(|inst| inst.isa())))
             })
             .collect();
-        let bwd: Vec<Technique> = Technique::backward_candidates()
+        let bwd: Vec<Technique> = Technique::backward_candidates(cores)
             .iter()
             .copied()
             .filter(|t| verify_technique(&spec, *t, Phase::Backward, cores).is_ok())
@@ -365,7 +364,7 @@ mod tests {
             // Every enumerated generic pair verifies; every verified pair
             // is enumerated.
             for f in Technique::forward_candidates() {
-                for b in Technique::backward_candidates() {
+                for b in Technique::backward_candidates(desc.cores) {
                     let runnable = verify_technique(&spec, *f, Phase::Forward, desc.cores).is_ok()
                         && verify_technique(&spec, *b, Phase::Backward, desc.cores).is_ok();
                     let listed = algos.iter().any(|a| {
@@ -375,8 +374,7 @@ mod tests {
                 }
             }
             // Specialized entries appear exactly when the registry
-            // resolves, and only on stencil forwards — sequential or
-            // banded, which run the same kernel.
+            // resolves, and only on the stencil forward.
             let resolved = select_kernel(&spec).is_some();
             let any_specialized =
                 algos.iter().any(|a| matches!(a.kernel, AlgoKernel::Specialized(_)));
@@ -385,7 +383,7 @@ mod tests {
             assert!(algos
                 .iter()
                 .filter(|a| matches!(a.kernel, AlgoKernel::Specialized(_)))
-                .all(|a| a.forward == Technique::StencilFp || a.forward.band_dim().is_some()));
+                .all(|a| a.forward == Technique::StencilFp));
         }
     }
 

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use spg_check::{BackwardPlan, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
+use spg_check::{BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
 use spg_codegen::{KernelChoice, SpecializedKernel};
 use spg_tensor::layout;
 
@@ -84,9 +84,33 @@ impl ConvProgram {
         self.kernel
     }
 
+    /// Which forward kernel this program runs: `"specialized"` when a
+    /// verified `spg-codegen` instance was bound at lowering, `"generic"`
+    /// otherwise.
+    pub fn kernel_kind(&self) -> &'static str {
+        if self.kernel.is_some() {
+            "specialized"
+        } else {
+            "generic"
+        }
+    }
+
     /// The technique pair this program was lowered from.
     pub fn techniques(&self) -> LayerPlan {
         self.techniques
+    }
+
+    /// The dimension the forward plan splits one sample along, as the
+    /// decision log spells it: `"y-band"` / `"out-channel"` for a banded
+    /// stencil, `"out-channel"` for GEMM row bands, `"sample"` for a plan
+    /// with nothing to run beside itself.
+    pub fn partition(&self) -> &'static str {
+        match &self.plan.plan().forward {
+            ForwardPlan::StencilBanded { dim: BandDim::YRows, .. } => "y-band",
+            ForwardPlan::StencilBanded { dim: BandDim::OutChannels, .. } => "out-channel",
+            ForwardPlan::UnfoldGemm { threads } if *threads > 1 => "out-channel",
+            _ => "sample",
+        }
     }
 
     /// The cores this program was lowered for. A caller that owns them all
@@ -275,22 +299,16 @@ impl ConvExecutor for PlanExecutor {
         // one core a sample-partitioned technique's plan carries a split it
         // runs only when a call is starved of samples. The GEMM names are
         // `UnfoldGemmExecutor`'s.
-        let gemm = |parallel| if parallel { "unfold+parallel-gemm" } else { "unfold+gemm" };
-        let parallel = self.program.cores() > 1;
         let techniques = self.program.techniques();
-        match self.phase {
-            Phase::Forward => match techniques.forward {
-                Technique::ParallelGemm => gemm(parallel),
-                // GEMM-in-Parallel, and the sparse technique's fallback.
-                Technique::GemmInParallel | Technique::SparseBp => gemm(false),
-                stencil => stencil.id(),
-            },
-            Phase::Backward => match techniques.backward {
-                Technique::SparseBp => "sparse-bp",
-                Technique::ParallelGemm => gemm(parallel),
-                // The stencil family has no backward kernel: serial GEMM.
-                _ => gemm(false),
-            },
+        let (technique, own_kernel) = match self.phase {
+            Phase::Forward => (techniques.forward, Technique::StencilFp),
+            Phase::Backward => (techniques.backward, Technique::SparseBp),
+        };
+        match technique {
+            t if t == own_kernel => t.id(),
+            Technique::ParallelGemm if self.program.cores() > 1 => "unfold+parallel-gemm",
+            // GEMM-in-Parallel, and the other phase's kernel falling back.
+            _ => "unfold+gemm",
         }
     }
 
@@ -393,8 +411,9 @@ impl CompiledConv {
     /// [`compile`](CompiledConv::compile) with an explicit forward-kernel
     /// choice: [`KernelChoice::Auto`] binds the `spg-codegen` instance
     /// lowering resolves for the shape; [`KernelChoice::Generic`] pins the
-    /// generic runtime-parameterized loops — what the autotuner passes
-    /// when per-layer measurement favours them.
+    /// generic runtime-parameterized loops — the bit-identity reference
+    /// and what an [`AlgoKernel::Generic`](crate::backend::AlgoKernel) pin
+    /// lowers with.
     ///
     /// # Errors
     ///
@@ -462,11 +481,7 @@ impl CompiledConv {
     /// verified `spg-codegen` instance was bound at compile time,
     /// `"generic"` otherwise.
     pub fn kernel_kind(&self) -> &'static str {
-        if self.program.specialized_kernel().is_some() {
-            "specialized"
-        } else {
-            "generic"
-        }
+        self.program.kernel_kind()
     }
 
     /// The bound specialized instance, if any.
@@ -584,15 +599,7 @@ mod tests {
 
     fn check_all_phases(spec: ConvSpec, plan: LayerPlan) {
         let weights = pseudo(spec.weight_shape().len(), 1);
-        let kernel = match CompiledConv::compile(spec, plan, &weights, 2) {
-            Ok(kernel) => kernel,
-            // Hybrid forwards are legitimately rejected on specs they
-            // cannot band; every other plan must compile.
-            Err(err) => {
-                assert!(plan.forward.band_dim().is_some(), "{spec} {plan}: {err}");
-                return;
-            }
-        };
+        let kernel = CompiledConv::compile(spec, plan, &weights, 2).expect("plan compiles");
         let input = pseudo(spec.input_shape().len(), 2);
         let grad_out = sparse_grad(spec.output_shape().len(), 4);
 
@@ -625,7 +632,7 @@ mod tests {
         let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5-wide output
         for spec in [wide, narrow] {
             for &fwd in Technique::forward_candidates() {
-                for &bwd in Technique::backward_candidates() {
+                for &bwd in Technique::backward_candidates(2) {
                     check_all_phases(spec, LayerPlan { forward: fwd, backward: bwd });
                 }
             }
@@ -642,15 +649,9 @@ mod tests {
         let grad_out = sparse_grad(spec.output_shape().len(), 3);
         let mut scratch = ConvScratch::new();
         for &fwd in Technique::forward_candidates() {
-            for &bwd in Technique::backward_candidates() {
+            for &bwd in Technique::backward_candidates(2) {
                 let plan = LayerPlan { forward: fwd, backward: bwd };
-                let kernel = match CompiledConv::compile(spec, plan, &weights, 2) {
-                    Ok(kernel) => kernel,
-                    Err(err) => {
-                        assert!(plan.forward.band_dim().is_some(), "{plan}: {err}");
-                        continue;
-                    }
-                };
+                let kernel = CompiledConv::compile(spec, plan, &weights, 2).expect("plan compiles");
                 let olen = spec.output_shape().len();
                 let (ilen, wlen) = (spec.input_shape().len(), spec.weight_shape().len());
                 let mut a = vec![0f32; olen];

@@ -19,11 +19,10 @@
 //! out, one `fork_join` task per band when the call's
 //! [core budget](spg_convnet::workspace::ConvScratch::cores) covers them
 //! all, runs of neighbouring bands as one region when it covers fewer, and
-//! the whole layer as the one sequential region at a budget of 1. Both the
-//! explicit band techniques and the sequential stencil lowered at more
-//! than one core ([`verify::lower`](crate::verify::lower)) carry such a
-//! split; which of them a layer was planned with decides only the
-//! dimension.
+//! the whole layer as the one sequential region at a budget of 1. No
+//! technique names a split: the stencil lowered at more than one core
+//! ([`verify::lower`](crate::verify::lower)) carries one, along output rows
+//! where the layer has rows to split and output features otherwise.
 //!
 //! **Bit-identity.** Every output element's reduction is a single FMA chain
 //! ordered `(channel asc, ky asc, kx asc)` regardless of which tile, cache
@@ -39,9 +38,8 @@ use spg_convnet::ConvSpec;
 
 /// The contiguous per-worker bands a hybrid decomposition of `spec` along
 /// `dim` uses at `workers` workers. Lowering turns these into the plan's
-/// `bands`, which is what the verifier proves and the stencil kernel runs;
-/// the planner heuristics and `spg-simcpu` call it to predict whether and
-/// how a layer splits.
+/// `bands`, which is what the verifier proves and the stencil kernel runs,
+/// and asks it whether a layer splits along `dim` at all.
 ///
 /// Returns one band — i.e. "no decomposition available" — when the spec is
 /// too narrow for the wide tiled kernel (`out_w < LANES`, where the
@@ -64,8 +62,9 @@ mod tests {
     use crate::autotune::Phase;
     use crate::backend::{AlgoKernel, ConvDescriptor, CpuBackend};
     use crate::compiled::{CompiledConv, ConvProgram};
-    use crate::schedule::{LayerPlan, Technique};
+    use crate::schedule::{stencil_split, LayerPlan, Technique};
     use crate::verify::lower_phase;
+    use spg_check::ForwardPlan;
     use spg_codegen::KernelChoice;
     use spg_convnet::workspace::ConvScratch;
 
@@ -73,24 +72,23 @@ mod tests {
         (0..n).map(|i| (((i * 31 + salt * 17) % 23) as f32 - 11.0) / 7.0).collect()
     }
 
-    /// `forward` lowered for `spec` under `kernel`, proved.
-    fn program(
-        spec: &ConvSpec,
-        forward: Technique,
-        workers: usize,
-        kernel: KernelChoice,
-    ) -> ConvProgram {
-        lower_phase(spec, forward, Phase::Forward, workers, kernel).expect("plan verifies")
+    /// The stencil lowered for `spec` at `workers` cores under `kernel`,
+    /// proved.
+    fn program(spec: &ConvSpec, workers: usize, kernel: KernelChoice) -> ConvProgram {
+        lower_phase(spec, Technique::StencilFp, Phase::Forward, workers, kernel)
+            .expect("plan verifies")
     }
 
-    fn banded(dim: BandDim) -> Technique {
-        match dim {
-            BandDim::YRows => Technique::StencilYBand,
-            BandDim::OutChannels => Technique::StencilOutChannel,
-        }
+    /// 32x32 output, 7x7 stride 2 (a registry key): splits by output rows.
+    fn rows_spec() -> ConvSpec {
+        ConvSpec::square(69, 4, 3, 7, 2)
     }
 
-    const DIMS: [BandDim; 2] = [BandDim::YRows, BandDim::OutChannels];
+    /// The same kernel over a one-row, 32-wide output: only the features
+    /// are left to split.
+    fn one_row_spec() -> ConvSpec {
+        ConvSpec::new(3, 7, 69, 4, 7, 7, 2, 2).expect("valid spec")
+    }
 
     /// One forward with every core the program was lowered for.
     fn run(
@@ -108,12 +106,17 @@ mod tests {
     fn check_bit_identical(spec: ConvSpec, dim: BandDim, workers: usize) {
         let input = pseudo(spec.input_shape().len(), 1);
         let weights = pseudo(spec.weight_shape().len(), 2);
-        let sequential = program(&spec, Technique::StencilFp, 1, KernelChoice::Generic);
+        let sequential = program(&spec, 1, KernelChoice::Generic);
         let oracle = run(&sequential, &input, &weights, &mut ConvScratch::new());
         // Auto binds the registry instance where the host has one (and is
         // the generic loops again under SPG_FORCE_GENERIC=1).
         for kernel in [KernelChoice::Auto, KernelChoice::Generic] {
-            let exec = program(&spec, banded(dim), workers, kernel);
+            let exec = program(&spec, workers, kernel);
+            assert!(
+                matches!(&exec.plan().forward, ForwardPlan::StencilBanded { dim: d, .. } if *d == dim),
+                "{spec} x{workers}: {:?}",
+                exec.plan().forward
+            );
             let banded = run(&exec, &input, &weights, &mut ConvScratch::new());
             assert_eq!(oracle, banded, "{spec} {dim:?} x{workers} {kernel:?} not bit-identical");
             // Fewer cores than bands: runs of neighbouring bands, down to
@@ -125,29 +128,18 @@ mod tests {
                 assert_eq!(oracle, out, "{spec} {dim:?} x{workers} on {cores} cores {kernel:?}");
             }
         }
-        // The sequential stencil lowered at `workers` cores carries the
-        // same kind of split and obeys the same budget.
-        let carried = program(&spec, Technique::StencilFp, workers, KernelChoice::Auto);
-        assert!(
-            matches!(carried.plan().forward, spg_check::ForwardPlan::StencilBanded { .. }),
-            "{spec} x{workers}: {:?}",
-            carried.plan().forward
-        );
-        assert_eq!(oracle, run(&carried, &input, &weights, &mut ConvScratch::new()));
     }
 
     #[test]
     fn bands_are_bit_identical_to_sequential_kernel() {
         let unit = ConvSpec::square(34, 6, 3, 3, 1); // 32x32 output
-        let strided = ConvSpec::square(69, 4, 3, 7, 2); // 32x32 output, sx 2
 
         // Interpreted, one ragged worker count races the bands enough.
         let workers: &[usize] = if cfg!(miri) { &[3] } else { &[2, 3, 8] };
-        for dim in DIMS {
-            for &workers in workers {
-                check_bit_identical(unit, dim, workers);
-                check_bit_identical(strided, dim, workers);
-            }
+        for &workers in workers {
+            check_bit_identical(unit, BandDim::YRows, workers);
+            check_bit_identical(rows_spec(), BandDim::YRows, workers);
+            check_bit_identical(one_row_spec(), BandDim::OutChannels, workers);
         }
     }
 
@@ -155,28 +147,26 @@ mod tests {
     /// sequential stencil does, and reports it.
     #[test]
     fn banded_plan_binds_the_instance_the_sequential_plan_gets() {
-        let spec = ConvSpec::square(69, 4, 3, 7, 2); // 7x7 s2: a registry key
-        let sequential = program(&spec, Technique::StencilFp, 1, KernelChoice::Auto);
-        for dim in DIMS {
-            let exec = program(&spec, banded(dim), 2, KernelChoice::Auto);
+        for spec in [rows_spec(), one_row_spec()] {
+            let sequential = program(&spec, 1, KernelChoice::Auto);
+            let exec = program(&spec, 2, KernelChoice::Auto);
+            assert!(matches!(exec.plan().forward, ForwardPlan::StencilBanded { .. }), "{spec}");
             assert_eq!(
                 exec.specialized_kernel().map(|k| k.isa()),
                 sequential.specialized_kernel().map(|k| k.isa()),
-                "{dim:?}"
+                "{spec}"
             );
-            let pinned = program(&spec, banded(dim), 2, KernelChoice::Generic);
-            assert!(pinned.specialized_kernel().is_none(), "{dim:?}");
+            let pinned = program(&spec, 2, KernelChoice::Generic);
+            assert!(pinned.specialized_kernel().is_none(), "{spec}");
             let weights = pseudo(spec.weight_shape().len(), 2);
-            let plan = LayerPlan { forward: banded(dim), backward: Technique::GemmInParallel };
+            let plan =
+                LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
             let compiled = CompiledConv::compile(spec, plan, &weights, 2).expect("compiles");
-            let bound = sequential.specialized_kernel();
-            assert_eq!(
-                compiled.kernel_kind(),
-                if bound.is_some() { "specialized" } else { "generic" }
-            );
+            assert_eq!(compiled.kernel_kind(), sequential.kernel_kind());
             let algo = CpuBackend::new().algo_for(&ConvDescriptor::new(spec, 2), plan);
+            let bound = sequential.specialized_kernel();
             let kernel = bound.map_or(AlgoKernel::Generic, |k| AlgoKernel::Specialized(k.isa()));
-            assert_eq!(algo.kernel, kernel, "{dim:?}: {algo}");
+            assert_eq!(algo.kernel, kernel, "{spec}: {algo}");
         }
     }
 
@@ -185,34 +175,34 @@ mod tests {
     /// `conv_workspace_bytes`' bound — is all it touches.
     #[test]
     fn banded_forward_runs_in_exactly_the_reserved_scratch() {
-        let spec = ConvSpec::square(69, 4, 3, 7, 2);
-        let input = pseudo(spec.input_shape().len(), 3);
-        let weights = pseudo(spec.weight_shape().len(), 4);
-        let reserved = spg_check::ScratchCapacity::reserved_for(&spec);
-        for dim in DIMS {
-            let exec = program(&spec, banded(dim), 2, KernelChoice::Auto);
+        for spec in [rows_spec(), one_row_spec()] {
+            let input = pseudo(spec.input_shape().len(), 3);
+            let weights = pseudo(spec.weight_shape().len(), 4);
+            let reserved = spg_check::ScratchCapacity::reserved_for(&spec);
+            let exec = program(&spec, 2, KernelChoice::Auto);
             let mut fresh = ConvScratch::new();
             let a = run(&exec, &input, &weights, &mut fresh);
-            assert_eq!(fresh.hwc_in.len(), reserved.hwc_in, "{dim:?}: phase staging");
+            assert_eq!(fresh.hwc_in.len(), reserved.hwc_in, "{spec}: phase staging");
             let mut scratch = ConvScratch::new();
             scratch.reserve(&spec);
             let b = run(&exec, &input, &weights, &mut scratch);
-            assert_eq!(spg_check::ScratchCapacity::of_scratch(&scratch), reserved, "{dim:?}");
-            assert_eq!(scratch.bytes(), reserved.elems() * 4, "{dim:?}");
-            assert_eq!(a, b, "{dim:?}");
+            assert_eq!(spg_check::ScratchCapacity::of_scratch(&scratch), reserved, "{spec}");
+            assert_eq!(scratch.bytes(), reserved.elems() * 4, "{spec}");
+            assert_eq!(a, b, "{spec}");
         }
     }
 
     #[test]
     fn narrow_spec_has_no_banded_plan() {
-        // 4x4 output: no wide tiles, so band_ranges refuses to split and
-        // lowering yields a single band the verifier rejects — there is
-        // nothing to run.
+        // 4x4 output: no wide tiles, so band_ranges refuses to split, no
+        // dimension is picked, and the stencil lowers to the narrow kernel
+        // at any core count.
         let spec = ConvSpec::square(8, 6, 4, 5, 1);
         assert_eq!(band_ranges(&spec, BandDim::YRows, 8), vec![(0, spec.out_h())]);
-        let err =
-            lower_phase(&spec, Technique::StencilYBand, Phase::Forward, 8, KernelChoice::Generic)
-                .unwrap_err();
-        assert!(matches!(err, crate::SpgError::PlanRejected { technique: "stencil-yband", .. }));
+        assert_eq!(stencil_split(&spec, 8), None);
+        assert_eq!(
+            program(&spec, 8, KernelChoice::Generic).plan().forward,
+            ForwardPlan::StencilNarrow
+        );
     }
 }

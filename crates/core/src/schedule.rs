@@ -1,8 +1,16 @@
 //! The computation scheduler: techniques, per-layer plans, and the paper's
 //! empirical selection heuristics (Sec. 4.4).
+//!
+//! A [`Technique`] names a *kernel* — the paper's three, plus the
+//! Parallel-GEMM baseline they are measured against. How a kernel's work
+//! is split across the cores of one sample is not a fifth name: lowering
+//! ([`verify::lower`](crate::verify::lower)) attaches the split to the plan
+//! — GEMM row bands, or the stencil bands `stencil_split` picks — and the
+//! call's core budget decides how much of it runs.
 
 use std::fmt;
 
+use spg_check::BandDim;
 use spg_convnet::ConvSpec;
 
 use crate::hybrid::band_ranges;
@@ -20,55 +28,27 @@ pub enum Technique {
     /// Generated direct-convolution stencil kernel, forward phase
     /// (Sec. 4.3).
     StencilFp,
-    /// Stencil kernel with contiguous output-row bands split across
-    /// workers within one sample (spatial-`y` hybrid parallelism).
-    StencilYBand,
-    /// Stencil kernel with output-feature slices split across workers
-    /// within one sample (output-channel hybrid parallelism).
-    StencilOutChannel,
     /// CT-CSR + pointer-shifting sparse kernel, backward phase (Sec. 4.2).
     SparseBp,
 }
 
-/// The worker-decomposition dimension a technique parallelizes over —
-/// the {sample, y-band, out-channel} split space of Jia et al.
-/// and Dryden et al., reported in the autotuner's decision log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PartitionDim {
-    /// Whole samples distributed across workers (data parallelism).
-    Sample,
-    /// Output rows of one sample banded across workers.
-    YBand,
-    /// Output features of one sample sliced across workers.
-    OutChannel,
-}
-
-impl PartitionDim {
-    /// Stable machine-readable identifier used in metrics JSON.
-    pub fn id(self) -> &'static str {
-        match self {
-            PartitionDim::Sample => "sample",
-            PartitionDim::YBand => "y-band",
-            PartitionDim::OutChannel => "out-channel",
-        }
-    }
-}
-
 impl Technique {
-    /// All techniques applicable to the forward phase.
+    /// The techniques a forward contest measures. The GEMM kernel has one
+    /// forward name: both GEMM techniques lower to the same row-banded
+    /// program, and whether it runs as Parallel-GEMM or as one serial GEMM
+    /// per sample is the call's core budget, not a technique.
     pub fn forward_candidates() -> &'static [Technique] {
-        &[
-            Technique::ParallelGemm,
-            Technique::GemmInParallel,
-            Technique::StencilFp,
-            Technique::StencilYBand,
-            Technique::StencilOutChannel,
-        ]
+        &[Technique::GemmInParallel, Technique::StencilFp]
     }
 
-    /// All techniques applicable to the backward phase.
-    pub fn backward_candidates() -> &'static [Technique] {
-        &[Technique::ParallelGemm, Technique::GemmInParallel, Technique::SparseBp]
+    /// The techniques a backward contest measures at `cores` cores. At one
+    /// core Parallel-GEMM is GEMM-in-Parallel's program and is not listed.
+    pub fn backward_candidates(cores: usize) -> &'static [Technique] {
+        if cores > 1 {
+            &[Technique::ParallelGemm, Technique::GemmInParallel, Technique::SparseBp]
+        } else {
+            &[Technique::GemmInParallel, Technique::SparseBp]
+        }
     }
 
     /// Stable machine-readable identifier used in metrics JSON.
@@ -77,34 +57,15 @@ impl Technique {
             Technique::ParallelGemm => "parallel-gemm",
             Technique::GemmInParallel => "gemm-in-parallel",
             Technique::StencilFp => "stencil-fp",
-            Technique::StencilYBand => "stencil-yband",
-            Technique::StencilOutChannel => "stencil-ochannel",
             Technique::SparseBp => "sparse-bp",
         }
     }
 
-    /// The worker-decomposition dimension this technique splits.
-    /// Parallel-GEMM row-bands each GEMM's output over features, so it
-    /// reports out-channel; the per-sample serial techniques scale by
-    /// running samples concurrently and report sample.
-    pub fn partition_dim(self) -> PartitionDim {
-        match self {
-            Technique::ParallelGemm => PartitionDim::OutChannel,
-            Technique::GemmInParallel | Technique::StencilFp | Technique::SparseBp => {
-                PartitionDim::Sample
-            }
-            Technique::StencilYBand => PartitionDim::YBand,
-            Technique::StencilOutChannel => PartitionDim::OutChannel,
-        }
-    }
-
-    /// The banded-stencil split dimension, for the hybrid techniques only.
-    pub fn band_dim(self) -> Option<spg_check::BandDim> {
-        match self {
-            Technique::StencilYBand => Some(spg_check::BandDim::YRows),
-            Technique::StencilOutChannel => Some(spg_check::BandDim::OutChannels),
-            _ => None,
-        }
+    /// No technique names a band split any more; `benchmark/` still asks.
+    /// Remove with ROADMAP item 5.
+    #[doc(hidden)]
+    pub fn band_dim(self) -> Option<BandDim> {
+        None
     }
 }
 
@@ -114,8 +75,6 @@ impl fmt::Display for Technique {
             Technique::ParallelGemm => "Parallel-GEMM",
             Technique::GemmInParallel => "GEMM-in-Parallel",
             Technique::StencilFp => "Stencil-Kernel (FP)",
-            Technique::StencilYBand => "Stencil-Kernel (FP, y-band)",
-            Technique::StencilOutChannel => "Stencil-Kernel (FP, out-channel)",
             Technique::SparseBp => "Sparse-Kernel (BP)",
         };
         f.write_str(name)
@@ -138,12 +97,13 @@ impl fmt::Display for LayerPlan {
 }
 
 /// The paper's empirical selection heuristics (Sec. 4.4):
-/// GEMM-in-Parallel beats Parallel-GEMM below 1024 features,
-/// Stencil-Kernel beats GEMM-in-Parallel below 128 output features, and
+/// Stencil-Kernel beats the unfolded GEMM below 128 output features,
+/// GEMM-in-Parallel beats Parallel-GEMM below 1024 features, and
 /// Sparse-Kernel beats dense BP above 75 % gradient sparsity.
 ///
-/// `cores` only matters for the degenerate single-core case, where
-/// Parallel-GEMM and GEMM-in-Parallel coincide and the former is reported.
+/// The forward GEMM is always named [`Technique::GemmInParallel`]: its
+/// plan carries the Parallel-GEMM row bands, and a walk that owns more
+/// than one core runs them. On one core the same holds for backward.
 ///
 /// # Example
 ///
@@ -159,54 +119,38 @@ impl fmt::Display for LayerPlan {
 /// ```
 pub fn recommended_plan(spec: &ConvSpec, bp_sparsity: f64, cores: usize) -> LayerPlan {
     let features = spec.features();
-    let forward = if cores <= 1 {
-        if features < LOW_FEATURE_THRESHOLD {
-            Technique::StencilFp
-        } else {
-            Technique::ParallelGemm
-        }
-    } else if features < LOW_FEATURE_THRESHOLD {
+    let forward = if features < LOW_FEATURE_THRESHOLD {
         Technique::StencilFp
-    } else if features < HIGH_FEATURE_THRESHOLD {
-        Technique::GemmInParallel
     } else {
-        Technique::ParallelGemm
+        Technique::GemmInParallel
     };
     let backward = if bp_sparsity > SPARSE_THRESHOLD {
         Technique::SparseBp
-    } else if cores > 1 && features < HIGH_FEATURE_THRESHOLD {
-        Technique::GemmInParallel
-    } else {
+    } else if cores > 1 && features >= HIGH_FEATURE_THRESHOLD {
         Technique::ParallelGemm
+    } else {
+        Technique::GemmInParallel
     };
     LayerPlan { forward, backward }
 }
 
-/// The banded form of the sequential stencil that spends `cores` cores
-/// inside one sample of `spec`, if the layer can be split: y-bands first
-/// (each worker reads only its rows of the input), then out-channel
-/// slices. This is the one place that preference lives —
-/// [`recommended_plan_for_batch`] pins the technique it names, and
-/// lowering attaches the same split to [`Technique::StencilFp`] itself so
-/// that a starved call can take it ([`verify::lower`](crate::verify::lower)).
-pub(crate) fn starved_stencil_split(spec: &ConvSpec, cores: usize) -> Option<Technique> {
-    [Technique::StencilYBand, Technique::StencilOutChannel].into_iter().find(|technique| {
-        technique.band_dim().is_some_and(|dim| band_ranges(spec, dim, cores).len() > 1)
-    })
+/// The dimension the stencil's loop nest splits along to spend `cores`
+/// cores inside one sample of `spec`, if the layer can be split: output
+/// rows first (each worker reads only its rows of the input), else output
+/// features. The one place the dimension is chosen — lowering attaches
+/// this split to [`Technique::StencilFp`] at every `cores > 1`
+/// ([`verify::lower`](crate::verify::lower)).
+pub(crate) fn stencil_split(spec: &ConvSpec, cores: usize) -> Option<BandDim> {
+    [BandDim::YRows, BandDim::OutChannels]
+        .into_iter()
+        .find(|&dim| band_ranges(spec, dim, cores).len() > 1)
 }
 
-/// Batch-aware variant of [`recommended_plan`]: when the batch cannot keep
-/// every core busy with whole samples (`batch < cores`), sample-parallel
-/// forward techniques starve, so the heuristic names an intra-sample
-/// banded decomposition for layers wide enough to split (Jia et al.'s
-/// hybrid dimension choice, restricted to the plan shapes `spg-check` can
-/// prove). Falls back to [`recommended_plan`] whenever the batch saturates
-/// the machine or no banding is available.
-///
-/// A walk needs no such pin to use its idle cores: every plan lowered at
-/// `cores > 1` carries its split and runs it when the call's core budget
-/// allows. Pinning is for forcing the stencil onto a layer the planner
-/// gave to GEMM.
+/// [`recommended_plan`] with the stencil pinned onto every layer that can
+/// spend a starved batch's idle cores (`batch < cores`) inside one sample.
+/// Kept for `benchmark/`'s banded probe; remove with ROADMAP item 5. A
+/// walk needs no such pin: every plan lowered at `cores > 1` carries its
+/// split and runs it when the call's core budget allows.
 pub fn recommended_plan_for_batch(
     spec: &ConvSpec,
     bp_sparsity: f64,
@@ -214,12 +158,10 @@ pub fn recommended_plan_for_batch(
     batch: usize,
 ) -> LayerPlan {
     let base = recommended_plan(spec, bp_sparsity, cores);
-    if cores <= 1 || batch >= cores {
-        return base;
-    }
-    match starved_stencil_split(spec, cores) {
-        Some(forward) => LayerPlan { forward, backward: base.backward },
-        None => base,
+    if batch < cores && stencil_split(spec, cores).is_some() {
+        LayerPlan { forward: Technique::StencilFp, ..base }
+    } else {
+        base
     }
 }
 
@@ -237,7 +179,8 @@ mod tests {
         assert_eq!(recommended_plan(&mnist, 0.5, 16).forward, Technique::StencilFp);
         // ID 1 of Table 1 (1024 features): Parallel-GEMM remains best.
         let big = ConvSpec::square(64, 1024, 512, 2, 1);
-        assert_eq!(recommended_plan(&big, 0.5, 16).forward, Technique::ParallelGemm);
+        assert_eq!(recommended_plan(&big, 0.5, 16).forward, Technique::GemmInParallel);
+        assert_eq!(recommended_plan(&big, 0.5, 16).backward, Technique::ParallelGemm);
     }
 
     #[test]
@@ -248,46 +191,48 @@ mod tests {
     }
 
     #[test]
-    fn single_core_collapses_to_parallel_gemm() {
+    fn single_core_collapses_to_gemm_in_parallel() {
         let spec = ConvSpec::square(32, 256, 64, 3, 1);
         let plan = recommended_plan(&spec, 0.5, 1);
-        assert_eq!(plan.forward, Technique::ParallelGemm);
-        assert_eq!(plan.backward, Technique::ParallelGemm);
+        assert_eq!(plan.forward, Technique::GemmInParallel);
+        assert_eq!(plan.backward, Technique::GemmInParallel);
     }
 
     #[test]
     fn candidate_lists_are_phase_correct() {
         assert!(Technique::forward_candidates().contains(&Technique::StencilFp));
         assert!(!Technique::forward_candidates().contains(&Technique::SparseBp));
-        assert!(Technique::backward_candidates().contains(&Technique::SparseBp));
-        assert!(!Technique::backward_candidates().contains(&Technique::StencilFp));
+        assert!(!Technique::forward_candidates().contains(&Technique::ParallelGemm));
+        for cores in [1, 16] {
+            let backward = Technique::backward_candidates(cores);
+            assert!(backward.contains(&Technique::SparseBp));
+            assert!(!backward.contains(&Technique::StencilFp));
+            assert_eq!(backward.contains(&Technique::ParallelGemm), cores > 1);
+        }
     }
 
     #[test]
-    fn starved_batch_prefers_intra_sample_bands() {
+    fn starved_batch_pins_the_stencil_where_it_splits() {
         // ImageNet-22K L0 geometry (Table 2) at batch 1 on 8 cores: whole
-        // samples cover one worker, so the y-band decomposition wins.
+        // samples cover one worker, and the stencil splits by output rows.
         let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        let plan = recommended_plan_for_batch(&spec, 0.5, 8, 1);
-        assert_eq!(plan.forward, Technique::StencilYBand);
+        assert_eq!(stencil_split(&spec, 8), Some(BandDim::YRows));
+        assert_eq!(recommended_plan_for_batch(&spec, 0.5, 8, 1).forward, Technique::StencilFp);
+        // A layer the heuristic gives to GEMM is pinned too.
+        let wide = ConvSpec::square(55, 256, 96, 5, 1);
+        assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 1).forward, Technique::StencilFp);
         // A saturating batch falls back to the sample-parallel heuristic.
-        assert_eq!(recommended_plan_for_batch(&spec, 0.5, 8, 8), recommended_plan(&spec, 0.5, 8));
+        assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 8), recommended_plan(&wide, 0.5, 8));
+        // One output row: only the features are left to split.
+        let one_row = ConvSpec::new(3, 7, 69, 4, 7, 7, 2, 2).expect("valid spec");
+        assert_eq!(stencil_split(&one_row, 2), Some(BandDim::OutChannels));
         // Narrow outputs cannot band: fall back even when starved.
         let narrow = ConvSpec::square(8, 64, 64, 5, 1); // 4x4 output
+        assert_eq!(stencil_split(&narrow, 8), None);
         assert_eq!(
             recommended_plan_for_batch(&narrow, 0.5, 8, 1),
             recommended_plan(&narrow, 0.5, 8)
         );
-    }
-
-    #[test]
-    fn partition_dims_cover_the_split_space() {
-        assert_eq!(Technique::GemmInParallel.partition_dim().id(), "sample");
-        assert_eq!(Technique::StencilFp.partition_dim().id(), "sample");
-        assert_eq!(Technique::StencilYBand.partition_dim().id(), "y-band");
-        assert_eq!(Technique::StencilOutChannel.partition_dim().id(), "out-channel");
-        // Parallel-GEMM row-bands the GEMM over output features.
-        assert_eq!(Technique::ParallelGemm.partition_dim().id(), "out-channel");
     }
 
     #[test]

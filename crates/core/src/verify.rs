@@ -15,8 +15,8 @@
 //! offending access, and no program exists for it.
 
 use spg_check::{
-    BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile,
-    ScratchCapacity, VECTOR_WIDTH,
+    BackwardPlan, CheckReport, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity,
+    VECTOR_WIDTH,
 };
 use spg_codegen::xplan::tiled_plan;
 use spg_codegen::{KernelChoice, SpecializedKernel};
@@ -25,7 +25,7 @@ use spg_convnet::ConvSpec;
 use crate::autotune::Phase;
 use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
-use crate::schedule::{starved_stencil_split, LayerPlan, Technique};
+use crate::schedule::{stencil_split, LayerPlan, Technique};
 use crate::sparse::DEFAULT_TILE_WIDTH;
 use crate::stencil::{plan_cache_schedule, plan_register_tile};
 use crate::SpgError;
@@ -43,29 +43,25 @@ use crate::SpgError;
 /// sequential program. So the two GEMM techniques share one row-band
 /// partition (GEMM-in-Parallel is that plan in a walk that owns one core,
 /// Parallel-GEMM the same plan in a walk that owns them all), and the
-/// sequential stencil carries the band split the starved-batch heuristic
-/// would pin for the layer.
+/// stencil carries the [`band_ranges`] split of one axis of its loop nest,
+/// along the dimension [`stencil_split`] picks for the layer.
 fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usize) -> ForwardPlan {
-    let banded = match technique {
-        Technique::StencilFp => starved_stencil_split(spec, cores),
-        explicit => Some(explicit),
-    };
-    match (technique, banded.and_then(Technique::band_dim)) {
-        (_, Some(dim)) => lower_banded(spec, dim, cores, lanes),
-        (Technique::StencilFp, _) if spec.out_w() < VECTOR_WIDTH => ForwardPlan::StencilNarrow,
-        (Technique::StencilFp, _) => tiled_plan(spec, lanes, plan_cache_schedule(spec).y_tile),
+    if technique != Technique::StencilFp {
         // The sparse technique has no forward kernel and falls back to GEMM.
-        _ => ForwardPlan::UnfoldGemm { threads: cores.max(1) },
+        return ForwardPlan::UnfoldGemm { threads: cores.max(1) };
     }
-}
-
-/// Lowers a banded hybrid decomposition: the sequential stencil's plan for
-/// the whole layer plus the [`band_ranges`] split of one axis of its loop
-/// nest. Unsplittable specs lower to a single band, which the verifier
-/// rejects.
-fn lower_banded(spec: &ConvSpec, dim: BandDim, cores: usize, lanes: usize) -> ForwardPlan {
-    let tiled = Box::new(lower_forward(spec, Technique::StencilFp, 1, lanes));
-    ForwardPlan::StencilBanded { dim, tiled, bands: band_ranges(spec, dim, cores) }
+    if spec.out_w() < VECTOR_WIDTH {
+        return ForwardPlan::StencilNarrow;
+    }
+    let tiled = tiled_plan(spec, lanes, plan_cache_schedule(spec).y_tile);
+    match stencil_split(spec, cores) {
+        Some(dim) => ForwardPlan::StencilBanded {
+            dim,
+            tiled: Box::new(tiled),
+            bands: band_ranges(spec, dim, cores),
+        },
+        None => tiled,
+    }
 }
 
 /// Lowers a backward technique.
@@ -73,12 +69,9 @@ pub(crate) fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan
     match technique {
         Technique::SparseBp => BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH },
         Technique::ParallelGemm => BackwardPlan::UnfoldGemm { threads: cores.max(1) },
-        // The stencil-family techniques (sequential and banded) are
-        // forward-phase kernels; backward falls back to a serial GEMM.
-        Technique::GemmInParallel
-        | Technique::StencilFp
-        | Technique::StencilYBand
-        | Technique::StencilOutChannel => BackwardPlan::UnfoldGemm { threads: 1 },
+        // The stencil is a forward-phase kernel; backward falls back to a
+        // serial GEMM.
+        Technique::GemmInParallel | Technique::StencilFp => BackwardPlan::UnfoldGemm { threads: 1 },
     }
 }
 
@@ -100,6 +93,13 @@ pub(crate) fn select_kernel(spec: &ConvSpec) -> Option<&'static SpecializedKerne
     lower_phase(spec, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Auto)
         .ok()?
         .specialized_kernel()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`lower`] calls made on this thread, for the test that the contest
+    /// lowers each candidate once.
+    pub(crate) static LOWERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Lowers `plan` for `spec` at `cores` cores — every forward technique
@@ -125,9 +125,10 @@ pub fn lower(
     cores: usize,
     kernel: KernelChoice,
 ) -> Result<ConvProgram, SpgError> {
-    let stencil = plan.forward == Technique::StencilFp || plan.forward.band_dim().is_some();
+    #[cfg(test)]
+    LOWERINGS.with(|n| n.set(n.get() + 1));
     let instance = match kernel {
-        KernelChoice::Auto if stencil => spg_codegen::lookup(spec),
+        KernelChoice::Auto if plan.forward == Technique::StencilFp => spg_codegen::lookup(spec),
         _ => None,
     };
     if let Some(program) = instance.and_then(|inst| prove(spec, plan, cores, Some(inst)).ok()) {
@@ -274,23 +275,11 @@ mod tests {
         let strided = ConvSpec::square(28, 8, 3, 5, 2);
         for spec in [wide, narrow, strided] {
             for &fwd in Technique::forward_candidates() {
-                for &bwd in Technique::backward_candidates() {
+                for &bwd in Technique::backward_candidates(4) {
                     let plan = LayerPlan { forward: fwd, backward: bwd };
-                    match verify_plan(&spec, plan, 4) {
-                        Ok(report) => assert!(report.accesses_proved > 0, "{spec} {plan}"),
-                        // Hybrid candidates are legitimately rejected on
-                        // specs the decomposition cannot split at this
-                        // worker count; everything else must verify.
-                        Err(err) => {
-                            let dim = fwd.band_dim().unwrap_or_else(|| {
-                                panic!("{spec} {plan} rejected: {err}");
-                            });
-                            assert!(
-                                band_ranges(&spec, dim, 4).len() <= 1,
-                                "{spec} {plan} rejected despite available bands: {err}"
-                            );
-                        }
-                    }
+                    let report = verify_plan(&spec, plan, 4)
+                        .unwrap_or_else(|err| panic!("{spec} {plan} rejected: {err}"));
+                    assert!(report.accesses_proved > 0, "{spec} {plan}");
                 }
             }
         }
@@ -368,39 +357,33 @@ mod tests {
 
     /// Per-phase verification covers each candidate list end to end.
     #[test]
-    fn per_phase_candidates_verify() {
+    fn every_candidate_verifies_for_its_phase() {
         let spec = ConvSpec::square(12, 16, 4, 3, 1);
         for &t in Technique::forward_candidates() {
-            match verify_technique(&spec, t, Phase::Forward, 8) {
-                Ok(_) => {}
-                Err(err) => {
-                    // Only hybrids without an available decomposition may
-                    // be rejected.
-                    let dim = t.band_dim().unwrap_or_else(|| panic!("{spec} {t} rejected: {err}"));
-                    assert!(band_ranges(&spec, dim, 8).len() <= 1, "{spec} {t}: {err}");
-                }
-            }
+            verify_technique(&spec, t, Phase::Forward, 8).unwrap();
         }
-        for &t in Technique::backward_candidates() {
+        for &t in Technique::backward_candidates(8) {
             verify_technique(&spec, t, Phase::Backward, 8).unwrap();
         }
     }
 
-    /// Hybrid lowering emits the [`band_ranges`] split and verifies clean
-    /// on a splittable spec; unsplittable specs lower to a single band
-    /// that the verifier rejects.
+    /// The stencil lowered at more than one core carries the
+    /// [`band_ranges`] split and verifies clean on a splittable spec; an
+    /// unsplittable spec lowers to the sequential plan at any core count.
     #[test]
-    fn hybrid_lowering_verifies_when_splittable() {
+    fn stencil_lowers_with_its_split_when_splittable() {
         // ImageNet-22K L0 (Table 2): 128x128 output, stride 2.
         let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        for t in [Technique::StencilYBand, Technique::StencilOutChannel] {
-            let report = verify_technique(&spec, t, Phase::Forward, 8).unwrap();
-            assert!(report.worker_regions >= 8, "{t}: {report:?}");
-        }
-        // Narrow output: single band, rejected at verification.
+        let report = verify_technique(&spec, Technique::StencilFp, Phase::Forward, 8).unwrap();
+        assert!(report.worker_regions >= 8, "{report:?}");
+        assert!(matches!(
+            lower_forward(&spec, Technique::StencilFp, 8, VECTOR_WIDTH),
+            ForwardPlan::StencilBanded { dim: spg_check::BandDim::YRows, .. }
+        ));
         let narrow = ConvSpec::square(7, 6, 4, 3, 1);
-        for t in [Technique::StencilYBand, Technique::StencilOutChannel] {
-            verify_technique(&narrow, t, Phase::Forward, 8).unwrap_err();
-        }
+        assert_eq!(
+            lower_forward(&narrow, Technique::StencilFp, 8, VECTOR_WIDTH),
+            ForwardPlan::StencilNarrow
+        );
     }
 }

@@ -154,7 +154,7 @@ proptest! {
     ) {
         let plan = recommended_plan(&spec, sparsity, cores);
         prop_assert!(Technique::forward_candidates().contains(&plan.forward));
-        prop_assert!(Technique::backward_candidates().contains(&plan.backward));
+        prop_assert!(Technique::backward_candidates(cores).contains(&plan.backward));
         prop_assert_eq!(plan.backward == Technique::SparseBp, sparsity > 0.75);
     }
 
@@ -180,9 +180,10 @@ proptest! {
         fwd_idx in 0usize..3,
         bwd_idx in 0usize..3,
     ) {
+        let forward = [Technique::ParallelGemm, Technique::GemmInParallel, Technique::StencilFp];
         let plan = LayerPlan {
-            forward: Technique::forward_candidates()[fwd_idx],
-            backward: Technique::backward_candidates()[bwd_idx],
+            forward: forward[fwd_idx],
+            backward: Technique::backward_candidates(2)[bwd_idx],
         };
         let weights = pseudo(spec.weight_shape().len(), salt);
         let kernel = CompiledConv::compile(spec, plan, &weights, 2).expect("valid weights");

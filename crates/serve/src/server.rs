@@ -405,7 +405,7 @@ fn compile_kernels(
                 kernel: None,
                 backend: Some(backend.name().to_string()),
                 algo: Some(algo.id()),
-                partition: Some(plan.forward.partition_dim().id().to_string()),
+                partition: Some(compiled.program().partition().to_string()),
             });
             Ok(Some(compiled))
         })

@@ -33,7 +33,7 @@ use spg_core::SpgError;
 
 use crate::{
     gemm_in_parallel_gflops_per_core, parallel_gemm_gflops_per_core, sparse_bp_prediction,
-    stencil_banded_gflops_per_core, stencil_gflops_per_core, Machine,
+    stencil_gflops_per_core, Machine,
 };
 
 /// What the analytical backend "compiles": the model's predictions for
@@ -97,10 +97,6 @@ impl SimBackend {
                 gemm_in_parallel_gflops_per_core(&self.machine, &desc.spec, desc.cores)
             }
             Technique::StencilFp => stencil_gflops_per_core(&self.machine, &desc.spec, desc.cores),
-            Technique::StencilYBand | Technique::StencilOutChannel => {
-                let dim = technique.band_dim().expect("hybrid technique carries a band dim");
-                stencil_banded_gflops_per_core(&self.machine, &desc.spec, dim, desc.cores)
-            }
         }
     }
 
@@ -135,7 +131,7 @@ impl Backend for SimBackend {
             .iter()
             .filter(|t| verify_technique(&desc.spec, **t, Phase::Forward, desc.cores).is_ok())
             .flat_map(|&forward| {
-                Technique::backward_candidates()
+                Technique::backward_candidates(desc.cores)
                     .iter()
                     .filter(|t| {
                         verify_technique(&desc.spec, **t, Phase::Backward, desc.cores).is_ok()

@@ -49,7 +49,6 @@ pub use endtoend::{
 pub use interconnect::{cluster_scaling, ClusterPoint, Interconnect};
 pub use machine::Machine;
 pub use predict::{
-    gemm_in_parallel_gflops_per_core, parallel_gemm_gflops_per_core,
-    stencil_banded_gflops_per_core, stencil_gflops_per_core,
+    gemm_in_parallel_gflops_per_core, parallel_gemm_gflops_per_core, stencil_gflops_per_core,
 };
 pub use sparse::{sparse_bp_prediction, SparseBpPrediction};

@@ -19,7 +19,6 @@
 
 use spg_convnet::ConvSpec;
 use spg_core::ait::conv_gemm_dims;
-use spg_core::hybrid::{band_ranges, BandDim};
 
 use crate::Machine;
 
@@ -93,62 +92,6 @@ pub fn stencil_gflops_per_core(machine: &Machine, spec: &ConvSpec, cores: usize)
         * machine.saturation(spec.intrinsic_ait())
         * machine.stencil_efficiency
         * machine.contention(cores)
-}
-
-/// Predicted GFlops per core for an intra-sample banded stencil
-/// decomposition (`stencil-yband` / `stencil-ochannel`)
-/// of one sample across `cores` workers.
-///
-/// Sample parallelism keeps each core's working set whole, but it needs
-/// `batch >= cores` samples to occupy the machine. The banded schedules
-/// trade a little per-core intensity for intra-sample scaling, and the
-/// trade differs per split dimension (Sec. 3 AIT terms):
-///
-/// * **y-band** — each worker reads its input band in place (a `1/p`
-///   slice plus a `(Fy - sy)⁺`-row halo shared with the neighbouring band)
-///   and writes its `1/p` slice of the parent output, once each, but still
-///   reads the **whole** weight tensor — the analogue of Parallel-GEMM's
-///   whole-`B` term, small here because stencil layers are weight-light.
-/// * **out-channel** — each worker reads the **whole** input but only its
-///   `1/p` slice of weights and output.
-///
-/// The effective worker count is the number of bands the band planner
-/// actually produces (`spg_core::hybrid::band_ranges`). When the spec
-/// admits only a single band the prediction degenerates to the sequential
-/// stencil rate.
-///
-/// # Panics
-///
-/// Panics if `cores == 0`.
-pub fn stencil_banded_gflops_per_core(
-    machine: &Machine,
-    spec: &ConvSpec,
-    dim: BandDim,
-    cores: usize,
-) -> f64 {
-    assert!(cores > 0, "core count must be positive");
-    let p = band_ranges(spec, dim, cores).len();
-    if p <= 1 {
-        return stencil_gflops_per_core(machine, spec, cores);
-    }
-    let pf = p as f64;
-    let flops = spec.arithmetic_ops() as f64 / pf;
-    let input = spec.input_elems() as f64;
-    let weights = spec.weight_shape().len() as f64;
-    let output = spec.output_shape().len() as f64;
-    let traffic = match dim {
-        BandDim::YRows => {
-            let halo_rows = spec.ky().saturating_sub(spec.sy()) as f64;
-            let halo = (pf - 1.0) * halo_rows * (spec.in_w() * spec.in_c()) as f64 / pf;
-            weights + input / pf + halo + output / pf
-        }
-        BandDim::OutChannels => input + weights / pf + output / pf,
-    };
-    let ait = (flops / traffic).min(spec.intrinsic_ait());
-    machine.peak_gflops_per_core
-        * machine.saturation(ait)
-        * machine.stencil_efficiency
-        * machine.contention(p)
 }
 
 #[cfg(test)]
@@ -277,65 +220,6 @@ mod tests {
         let p1 = stencil_gflops_per_core(&m, &spec, 1);
         let p16 = stencil_gflops_per_core(&m, &spec, 16);
         assert!(p16 > 0.85 * p1);
-    }
-
-    /// Batch-starvation headline: with one sample on the machine, sample
-    /// parallelism runs one core and idles the rest, so its whole-machine
-    /// rate is `gip(1) / cores`. For the large-image small-batch layers
-    /// every banded decomposition must beat that at 8 workers.
-    #[test]
-    fn banded_beats_starved_sample_parallelism_on_large_images() {
-        let m = Machine::default();
-        let cores = 8;
-        for spec in [
-            ConvSpec::square(262, 120, 3, 7, 2), // ImageNet22K L0
-            ConvSpec::square(224, 96, 3, 11, 4), // ImageNet1K L0
-        ] {
-            // batch = 1: GiP occupies a single core.
-            let starved_machine_rate = gemm_in_parallel_gflops_per_core(&m, &spec, 1);
-            for dim in [BandDim::YRows, BandDim::OutChannels] {
-                let p = band_ranges(&spec, dim, cores).len();
-                assert!(p > 1, "{spec} must split on {dim:?}");
-                let banded_machine_rate =
-                    stencil_banded_gflops_per_core(&m, &spec, dim, cores) * p as f64;
-                assert!(
-                    banded_machine_rate > starved_machine_rate,
-                    "{spec} {dim:?}: banded {banded_machine_rate} <= starved {starved_machine_rate}"
-                );
-            }
-        }
-    }
-
-    /// Splitting costs intensity: per-core banded throughput never
-    /// exceeds the sequential stencil rate at the same core count, and
-    /// out-channel bands (whole-input reads) decay with worker count like
-    /// Parallel-GEMM's whole-`B` term.
-    #[test]
-    fn banded_per_core_rate_is_discounted_and_decays() {
-        let m = Machine::default();
-        let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        for dim in [BandDim::YRows, BandDim::OutChannels] {
-            for cores in [2, 4, 8] {
-                let banded = stencil_banded_gflops_per_core(&m, &spec, dim, cores);
-                let sequential = stencil_gflops_per_core(&m, &spec, cores);
-                assert!(banded <= sequential * 1.0001, "{dim:?}@{cores}");
-            }
-        }
-        let oc2 = stencil_banded_gflops_per_core(&m, &spec, BandDim::OutChannels, 2);
-        let oc16 = stencil_banded_gflops_per_core(&m, &spec, BandDim::OutChannels, 16);
-        assert!(oc16 < oc2, "out-channel rate must fall with workers: {oc16} vs {oc2}");
-    }
-
-    /// Unsplittable specs degenerate to the sequential stencil rate.
-    #[test]
-    fn single_band_prediction_matches_sequential_stencil() {
-        let m = Machine::default();
-        let narrow = ConvSpec::square(8, 6, 4, 3, 1); // out_w < 8
-        for dim in [BandDim::YRows, BandDim::OutChannels] {
-            let banded = stencil_banded_gflops_per_core(&m, &narrow, dim, 8);
-            let sequential = stencil_gflops_per_core(&m, &narrow, 8);
-            assert!((banded - sequential).abs() < 1e-12, "{dim:?}");
-        }
     }
 
     /// At one core GiP and Parallel-GEMM are the same schedule.

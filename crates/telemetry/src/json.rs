@@ -597,5 +597,16 @@ mod tests {
         }
         assert!(validate_metrics(&decision(r#", "partition": "diagonal""#)).is_err());
         assert!(validate_metrics(&decision(r#", "partition": 3"#)).is_err());
+        // A decision from a writer that still had band technique names and
+        // timed one GEMM program under two: technique ids are open-ended.
+        let old = r#"{"schema": "spgcnn-metrics", "schema_version": 1, "meta": {},
+            "scopes": [], "decisions": [{"label": "conv0", "phase": "forward",
+            "chosen": "stencil-ochannel", "sparsity": 0.0, "cores": 8,
+            "candidates": [{"technique": "parallel-gemm", "wall_ns": 4100},
+                           {"technique": "gemm-in-parallel", "wall_ns": 4100},
+                           {"technique": "stencil-ochannel", "wall_ns": 3900}],
+            "kernel": "generic", "backend": "cpu", "algo": "stencil-ochannel/generic",
+            "partition": "x-band"}]}"#;
+        validate_metrics(old).expect("pre-PR-21 document still accepted");
     }
 }

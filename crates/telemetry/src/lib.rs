@@ -58,7 +58,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// per-decision `rejected` array listing autotune candidates the static
 /// plan verifier refused before measurement, with the refusal reason;
 /// minor 5 added the optional per-decision `kernel` field recording which
-/// stencil forward kernel the autotuner measured fastest for the layer
+/// stencil forward kernel the contest's stencil candidate bound
 /// (`"specialized"` for a codegen registry instance, `"generic"` for the
 /// runtime-parameterized loops; absent on backward decisions); minor 6
 /// added the optional per-decision `backend` and `algo` fields naming the
@@ -70,8 +70,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// rank's loop reports under the `trainer` scope, being the trainer's
 /// own), `cluster.train.*` for distributed-training faults and
 /// replays, `cluster.shard.requests` for shard-process serving); minor 8
-/// added the optional per-decision `partition` field naming the worker
-/// decomposition the chosen forward technique splits the layer along
+/// added the optional per-decision `partition` field naming the dimension
+/// the chosen technique's lowered forward plan splits one sample along
 /// (`"sample"`, `"y-band"`, `"out-channel"`; `"x-band"` only from writers
 /// that predate the column bands' removal), plus the
 /// starved-pool counters (`serve.starved_workers`,
@@ -163,7 +163,7 @@ pub struct Decision {
     /// Candidates the static verifier refused before measurement
     /// (schema minor 4; empty in the common all-candidates-safe case).
     pub rejected: Vec<RejectedCandidate>,
-    /// Which stencil forward kernel measurement favoured for the layer:
+    /// Which stencil forward kernel the contest's stencil candidate bound:
     /// `"specialized"` (codegen registry instance) or `"generic"`
     /// (runtime-parameterized loops). Schema minor 5; `None` on backward
     /// decisions and when the stencil technique was not measured.
@@ -177,9 +177,10 @@ pub struct Decision {
     /// `"stencil-fp+sparse-bp/avx2"` from a serve kernel compile). Schema
     /// minor 6; `None` in documents from older writers.
     pub algo: Option<String>,
-    /// Worker decomposition the chosen forward technique splits the layer
-    /// along: `"sample"`, `"y-band"` or `"out-channel"` (`"x-band"` in
-    /// documents from writers that still had column bands).
+    /// The dimension the chosen technique's lowered forward plan splits
+    /// one sample along: `"sample"` (no split), `"y-band"` or
+    /// `"out-channel"` (`"x-band"` in documents from writers that still
+    /// had column bands).
     /// Schema minor 8; `None` on backward decisions and in documents from
     /// older writers.
     pub partition: Option<String>,

@@ -369,7 +369,7 @@ fn tune(args: &[String]) -> Result<(), String> {
             &scope_label(i, layer.name()),
             spg_cnn::telemetry::Phase::Tune,
         );
-        tune_layer(spec, sparsity, cores, reps);
+        tune_layer(spec, sparsity, cores, cores, reps);
     }
     spg_cnn::telemetry::set_enabled(false);
     if json {
@@ -390,7 +390,7 @@ fn tune(args: &[String]) -> Result<(), String> {
     // The same decisions as a table: the row marked fastest is `chosen`.
     let name = |id: &str| {
         let mut all =
-            Technique::forward_candidates().iter().chain(Technique::backward_candidates());
+            Technique::forward_candidates().iter().chain(Technique::backward_candidates(cores));
         all.find(|t| t.id() == id).map_or_else(|| id.to_string(), |t| t.to_string())
     };
     let decisions = spg_cnn::telemetry::snapshot().decisions;
@@ -426,7 +426,6 @@ fn tune(args: &[String]) -> Result<(), String> {
 /// `CompiledConv::compile` and the autotuner; this command surfaces it.
 fn check(args: &[String]) -> Result<(), String> {
     use spg_cnn::core::autotune::Phase;
-    use spg_cnn::core::hybrid::band_ranges;
     use spg_cnn::core::schedule::Technique;
     use spg_cnn::core::verify::verify_technique;
 
@@ -449,18 +448,9 @@ fn check(args: &[String]) -> Result<(), String> {
         println!("\nlayer {i}: {spec}");
         for (phase, label, candidates) in [
             (Phase::Forward, "FP", Technique::forward_candidates()),
-            (Phase::Backward, "BP", Technique::backward_candidates()),
+            (Phase::Backward, "BP", Technique::backward_candidates(cores)),
         ] {
             for &t in candidates {
-                // A hybrid with nothing to split on this shape is not a
-                // candidate — no planner emits it — so it is not a fault.
-                if t.band_dim().is_some_and(|dim| band_ranges(spec, dim, cores).len() <= 1) {
-                    println!(
-                        "  {label} {:<24} n/a: this shape has no intra-sample split",
-                        t.to_string()
-                    );
-                    continue;
-                }
                 match verify_technique(spec, t, phase, cores) {
                     Ok(report) => {
                         proved += report.accesses_proved;
@@ -522,7 +512,7 @@ fn algos(args: &[String]) -> Result<(), String> {
                 let algos: Vec<_> = backend.get_algos(&d).collect();
                 println!("\nlayer {i}: {spec}");
                 for fwd in Technique::forward_candidates() {
-                    for bwd in Technique::backward_candidates() {
+                    for bwd in Technique::backward_candidates(cores) {
                         let matching: Vec<_> = algos
                             .iter()
                             .filter(|a| a.forward == *fwd && a.backward == *bwd)

@@ -8,12 +8,15 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::{Engine, Network};
 use spg_cnn::core::autotune::{Framework, TuningMode};
+use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::core::schedule::LayerPlan;
+use spg_cnn::gemm::{detect_simd_level, SimdLevel};
 use spg_cnn::serve::{ServeConfig, Server};
 use spg_cnn::tensor::Tensor;
-use spg_cnn::workloads::networks::build_scaled;
+use spg_cnn::workloads::networks::{build_scaled, scaled_description};
 use spg_cnn::workloads::table2::Benchmark;
 
 const BENCHMARKS: [Benchmark; 3] =
@@ -92,6 +95,42 @@ fn forward_bits_do_not_depend_on_the_worker_count() {
                 assert_eq!(&bits(&reply.logits), want, "{bench:?} x{workers}: served");
             }
             server.shutdown();
+        }
+    }
+}
+
+/// `Engine::forward` logits of the three scaled nets (seed 42, heuristic
+/// plans, first image of the seed-42 synthetic set) as recorded when the
+/// stencil loop nest became single-source. The worker-count test above
+/// compares runs with each other; this pins them to words on the page, so
+/// a change of summation order in any layer shows.
+#[test]
+fn forward_logits_match_the_recorded_words() {
+    if detect_simd_level() < SimdLevel::Avx2Fma {
+        eprintln!("skipping: the words were recorded with fused multiply-adds");
+        return;
+    }
+    let recorded = [
+        "bc207556 bc7430c0 3cb6ce80 ba0e128a 3d22606f bd56e3b0 bc67cbf1 bd7ecde7 3a81a8ce \
+         3d02827d bc190f3d bda28cdf bd5c79c8 bd10b6c7 bd05d1b5 3d15d817 3db9a853 3dcd3b74 \
+         3db9ba87 3e3674a2",
+        "bdba35bd bd60d01d bd75d017 3e1e45c9 ba040880 bc10b540 bcace1da 3df3a301 bb51ee60 \
+         bdc8f04b bde35f19 3d137181 3da5e38a 3d67482f bda39864 3d3ed470 be2b8d0b bd11870f \
+         3c773d02 3e056690",
+        "3e0e83d3 bc444b78 3e9ddc9d 3e278a70 be35821f bb368760 bd01e06a 3dbba44c bdc0f43e 3c922e28",
+    ];
+    for (bench, want) in BENCHMARKS.into_iter().zip(recorded) {
+        let shape = NetworkDescription::parse(&scaled_description(bench)).expect("parses").input;
+        let image = Dataset::synthetic(shape, 8, 4, 0.15, 42).image(0).as_slice().to_vec();
+        for workers in [1, 2] {
+            let mut net = build_scaled(bench, 42).expect("built-in description builds");
+            Framework::new(workers, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+            let engine =
+                Engine::builder().network(net).workers(workers).build().expect("engine builds");
+            let logits = engine.forward(&image).expect("input fits");
+            let got: Vec<String> =
+                bits(logits.as_slice()).iter().map(|w| format!("{w:08x}")).collect();
+            assert_eq!(got.join(" "), want, "{bench:?} x{workers}");
         }
     }
 }

@@ -6,10 +6,10 @@
 //! it at deployment time, so this test failing means either a kernel regressed
 //! or the verifier's lowering diverged from the executor dispatch.
 
+use spg_cnn::codegen::KernelChoice;
 use spg_cnn::core::autotune::{Framework, Phase, TuningMode};
-use spg_cnn::core::hybrid::band_ranges;
 use spg_cnn::core::schedule::{recommended_plan, Technique};
-use spg_cnn::core::verify::{verify_plan, verify_technique};
+use spg_cnn::core::verify::{lower_phase, verify_plan, verify_technique};
 use spg_cnn::workloads::table2::all_layers;
 
 /// Every heuristic-recommended plan for every Table 2 layer, across the
@@ -36,32 +36,55 @@ fn every_recommended_table2_plan_verifies() {
 /// Every candidate technique the autotuner would measure — not just the
 /// winners — verifies on every Table 2 layer, so the measure-and-pick loop
 /// never has its candidate pool narrowed by the safety gate on real layers.
-/// The one sanctioned exception: hybrid candidates on layers (or worker
-/// counts) their decomposition cannot split, where the verifier rejecting
-/// the single-band plan is the gate working as designed.
 #[test]
 fn every_autotune_candidate_verifies_on_table2() {
     for (bench, i, spec) in all_layers() {
         for cores in [1usize, 16] {
             for &t in Technique::forward_candidates() {
-                match verify_technique(&spec, t, Phase::Forward, cores) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        let dim = t.band_dim().unwrap_or_else(|| {
-                            panic!("{} layer {i}: forward {t} rejected: {e}", bench.label())
-                        });
+                verify_technique(&spec, t, Phase::Forward, cores).unwrap_or_else(|e| {
+                    panic!("{} layer {i}: forward {t} rejected: {e}", bench.label())
+                });
+            }
+            for &t in Technique::backward_candidates(cores) {
+                verify_technique(&spec, t, Phase::Backward, cores).unwrap_or_else(|e| {
+                    panic!("{} layer {i}: backward {t} rejected: {e}", bench.label())
+                });
+            }
+        }
+    }
+}
+
+/// No two candidates of one contest lower to the same phase plan, on any
+/// Table 2 layer at any core count: the contest never times one program
+/// under two names, so it needs no rule for which name a tie logs.
+#[test]
+fn contest_candidates_never_share_a_plan() {
+    for (bench, i, spec) in all_layers() {
+        for cores in [1usize, 2, 8] {
+            for (phase, candidates) in [
+                (Phase::Forward, Technique::forward_candidates()),
+                (Phase::Backward, Technique::backward_candidates(cores)),
+            ] {
+                let programs: Vec<_> = candidates
+                    .iter()
+                    .map(|&t| {
+                        let lowered = lower_phase(&spec, t, phase, cores, KernelChoice::Auto);
+                        (t, lowered.expect("candidates verify on Table 2"))
+                    })
+                    .collect();
+                for (n, (a, pa)) in programs.iter().enumerate() {
+                    for (b, pb) in &programs[n + 1..] {
+                        let distinct = match phase {
+                            Phase::Forward => pa.plan().forward != pb.plan().forward,
+                            Phase::Backward => pa.plan().backward != pb.plan().backward,
+                        };
                         assert!(
-                            band_ranges(&spec, dim, cores).len() <= 1,
-                            "{} layer {i}: {t} rejected despite available bands: {e}",
+                            distinct,
+                            "{} layer {i} x{cores} {phase:?}: {a} and {b} are one program",
                             bench.label()
                         );
                     }
                 }
-            }
-            for &t in Technique::backward_candidates() {
-                verify_technique(&spec, t, Phase::Backward, cores).unwrap_or_else(|e| {
-                    panic!("{} layer {i}: backward {t} rejected: {e}", bench.label())
-                });
             }
         }
     }
