@@ -207,13 +207,17 @@ impl BatchFold for RingFold<'_> {
         let block = &mut self.block[..s1 - s0];
         for (slot, i) in block.iter_mut().zip(samples.start + s0..) {
             (slot.loss, slot.correct) = sgd::process_sample(&net, &data, i, &mut self.ws);
+            // The wire carries dense gradients: expand this sample's
+            // records into its slot, `0.0 + g` per element, through the
+            // trainer's own fold.
             slot.grads.resize(self.reduced.grads.len(), 0.0);
             let mut rest = slot.grads.as_mut_slice();
-            for g in &self.ws.param_grads {
-                let (layer, tail) = rest.split_at_mut(g.len());
-                layer.copy_from_slice(g.as_slice());
+            let dense = net.layers().iter().map(|layer| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(layer.param_count());
                 rest = tail;
-            }
+                head
+            });
+            sgd::fold_records(&net, std::slice::from_ref(&self.ws.param_grads), 1, true, dense);
             slot.sparsity.clear();
             slot.sparsity.extend(self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]));
         }

@@ -8,6 +8,7 @@
 
 use spg_tensor::Tensor;
 
+use crate::sgd::{fold_records, zero_param_grads};
 use crate::workspace::Workspace;
 use crate::Network;
 
@@ -69,7 +70,10 @@ pub fn check_gradients(
     net.forward_into(input.as_slice(), &mut ws);
     let (_, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
     net.backward_into(loss_grad.as_slice(), &mut ws);
-    let analytic = ws.param_grads;
+    // The dense gradient is the fold of this one sample's records.
+    let mut analytic = zero_param_grads(net);
+    let dense = analytic.iter_mut().map(Tensor::as_mut_slice);
+    fold_records(net, std::slice::from_ref(&ws.param_grads), 1, true, dense);
 
     let loss_of = |net: &Network| {
         let trace = net.forward(input);
@@ -194,13 +198,20 @@ mod tests {
                 scratch: &mut crate::workspace::ConvScratch,
             ) {
                 self.inner.backward(input, output, grad_out, grad_in, param_grads, scratch);
-                // Double every parameter gradient: wrong by construction.
+                // Distort the record (both factors of the inner layer's
+                // gradient): wrong by construction.
                 for v in param_grads.iter_mut() {
                     *v = *v * 2.0 + 0.5;
                 }
             }
             fn param_count(&self) -> usize {
                 self.inner.param_count()
+            }
+            fn grad_record_len(&self) -> usize {
+                self.inner.grad_record_len()
+            }
+            fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
+                self.inner.add_grads(records, at, acc);
             }
             fn params(&self) -> Option<&[f32]> {
                 self.inner.params()

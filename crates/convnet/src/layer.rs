@@ -20,10 +20,23 @@ use crate::{ConvError, ConvSpec};
 /// A differentiable network layer.
 ///
 /// `forward` writes `output` from `input`; `backward` writes `grad_in` from
-/// the saved activations and `grad_out`, and overwrites `param_grads`
-/// (sized [`Layer::param_count`]; ignored by parameter-free layers). Both
+/// the saved activations and `grad_out`, and overwrites `param_grads` with
+/// the sample's gradient *record* (ignored by parameter-free layers). Both
 /// stage any intermediates in the caller's [`ConvScratch`] instead of
 /// allocating.
+///
+/// # Gradient records
+///
+/// What `backward` leaves in `param_grads` is whatever the layer needs to
+/// add this sample's parameter gradient into an accumulator later — not
+/// necessarily the gradient itself. Three methods define the format and
+/// travel together: [`backward`](Layer::backward) writes a record of
+/// [`grad_record_len`](Layer::grad_record_len) floats, and
+/// [`add_grads`](Layer::add_grads) reads records back. By default the
+/// record *is* the dense gradient ([`ConvLayer`]); [`FcLayer`]'s is the
+/// two factors of its rank-1 gradient. A layer that wraps another and
+/// forwards `backward` must forward the other two as well, or the fold
+/// misreads the inner layer's records.
 pub trait Layer: Send + Sync + fmt::Debug {
     /// Short human-readable layer name.
     fn name(&self) -> &str;
@@ -38,9 +51,15 @@ pub trait Layer: Send + Sync + fmt::Debug {
     fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch);
 
     /// Backward propagation for one sample. `grad_in` is overwritten; for
-    /// layers with parameters, `param_grads` (length
-    /// [`Layer::param_count`]) is overwritten with this sample's flattened
-    /// parameter gradients.
+    /// layers with parameters, the first
+    /// [`grad_record_len`](Layer::grad_record_len) floats of `param_grads`
+    /// are overwritten — every one of them, so a recycled buffer carries
+    /// nothing over — with this sample's gradient record.
+    ///
+    /// [`Network::backward_into`](crate::Network::backward_into) hands a
+    /// convolution at layer 0 an *empty* `grad_in`: nothing reads the
+    /// gradient with respect to the image, and a layer that reports a
+    /// [`conv_spec`](Layer::conv_spec) must then compute the record only.
     fn backward(
         &self,
         input: &[f32],
@@ -54,6 +73,32 @@ pub trait Layer: Send + Sync + fmt::Debug {
     /// Number of trainable parameters (0 for activation/pooling layers).
     fn param_count(&self) -> usize {
         0
+    }
+
+    /// Floats in one sample's gradient record, as
+    /// [`backward`](Layer::backward) writes it: [`Layer::param_count`]
+    /// unless the layer keeps something smaller than its dense gradient.
+    fn grad_record_len(&self) -> usize {
+        self.param_count()
+    }
+
+    /// Adds elements `at..at + acc.len()` of each record's flattened
+    /// parameter gradient to `acc`: `acc[k]` takes element `at + k` of
+    /// every sample **in slice order, one rounded add per sample**, so a
+    /// fold over any split of the parameters or of the sample list gives
+    /// the bits of adding dense gradients one sample at a time.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `at + acc.len() > param_count()` or a
+    /// record is shorter than [`grad_record_len`](Layer::grad_record_len).
+    fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
+        let span = at..at + acc.len();
+        for record in records {
+            for (a, g) in acc.iter_mut().zip(&record[span.clone()]) {
+                *a += g;
+            }
+        }
     }
 
     /// Applies `params -= lr * grads` for layers with parameters.
@@ -220,8 +265,10 @@ impl Layer for ConvLayer {
     ) {
         assert_eq!(param_grads.len(), self.weights.fckk.len(), "parameter gradient length");
         // Split the two kernel sub-phases under the enclosing layer scope
-        // so goodput is observable per kernel, not just per layer.
-        {
+        // so goodput is observable per kernel, not just per layer. An
+        // empty `grad_in` is layer 0's: nobody reads the image gradient,
+        // and each sub-phase stages its own operands.
+        if !grad_in.is_empty() {
             let _telemetry = spg_telemetry::phase_scope(spg_telemetry::Phase::BackwardData);
             self.bwd.backward_data(&self.spec, &self.weights, grad_out, grad_in, scratch);
             spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
@@ -463,6 +510,12 @@ fn dot(w: &[f32], x: &[f32]) -> f32 {
 /// [core budget](ConvScratch::cores) exceeds 1 splits the rows over that
 /// many threads; a row is one thread's dot product whichever thread gets
 /// it, so the logits do not depend on the split.
+///
+/// Backward keeps the weight gradient `dW = δ ⊗ x` as its two factors: the
+/// gradient record is `[δ (out_len) | x (in_len)]`, and
+/// [`add_grads`](Layer::add_grads) forms `acc[r][c] += δ[r] * x[c]` per
+/// sample — multiply, then add, which is operation for operation what
+/// adding a dense `dW` would do — only where and when a fold asks for it.
 #[derive(Debug)]
 pub struct FcLayer {
     in_len: usize,
@@ -528,26 +581,58 @@ impl Layer for FcLayer {
         param_grads: &mut Tensor,
         _scratch: &mut ConvScratch,
     ) {
-        assert_eq!(param_grads.len(), self.params.len(), "parameter gradient length");
+        // `>=`, not `==`: the frozen benchmark probe hands every layer a
+        // `param_count()`-long buffer. Tighten with ROADMAP item 5.
+        assert!(param_grads.len() >= self.grad_record_len(), "gradient record length");
+        let (delta, x) =
+            param_grads.as_mut_slice()[..self.out_len + self.in_len].split_at_mut(self.out_len);
+        delta.copy_from_slice(grad_out);
+        x.copy_from_slice(input);
         let w = self.weights();
         grad_in.fill(0.0);
-        let gv = param_grads.as_mut_slice();
         for (r, &g) in grad_out.iter().enumerate() {
             let wrow = &w[r * self.in_len..(r + 1) * self.in_len];
-            let dwrow = &mut gv[r * self.in_len..(r + 1) * self.in_len];
-            for ((gi, dw), (&wi, &xi)) in
-                grad_in.iter_mut().zip(dwrow.iter_mut()).zip(wrow.iter().zip(input))
-            {
+            for (gi, &wi) in grad_in.iter_mut().zip(wrow) {
                 *gi += g * wi;
-                *dw = g * xi;
             }
         }
-        let bias_grads = &mut gv[self.in_len * self.out_len..];
-        bias_grads.copy_from_slice(grad_out);
     }
 
     fn param_count(&self) -> usize {
         self.params.len()
+    }
+
+    fn grad_record_len(&self) -> usize {
+        self.out_len + self.in_len
+    }
+
+    fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
+        let (n, weights) = (self.in_len, self.in_len * self.out_len);
+        assert!(at + acc.len() <= self.params.len(), "parameter range");
+        let (mut at, mut rest) = (at, acc);
+        // Weight rows the range touches; the first and last may be partial.
+        while at < weights && !rest.is_empty() {
+            let (r, c) = (at / n, at % n);
+            let len = (n - c).min(rest.len());
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            for record in records {
+                let (delta, x) = (record[r], &record[self.out_len + c..self.out_len + n]);
+                for (a, xi) in row.iter_mut().zip(x) {
+                    *a += delta * xi;
+                }
+            }
+            at += len;
+            rest = tail;
+        }
+        // What is left lies in the bias rows, whose gradient is `δ` itself.
+        if !rest.is_empty() {
+            let first = at - weights;
+            for record in records {
+                for (a, delta) in rest.iter_mut().zip(&record[first..self.out_len]) {
+                    *a += delta;
+                }
+            }
+        }
     }
 
     fn apply_update(&mut self, grads: &Tensor, lr: f32) {
@@ -707,8 +792,10 @@ mod tests {
         let mut out = [0.0; 2];
         fc.forward(&input, &mut out, &mut scratch);
         let mut gin = [0.0; 3];
+        let mut record = Tensor::zeros(fc.grad_record_len());
+        fc.backward(&input, &out, &gout, &mut gin, &mut record, &mut scratch);
         let mut grads = Tensor::zeros(fc.param_count());
-        fc.backward(&input, &out, &gout, &mut gin, &mut grads, &mut scratch);
+        fc.add_grads(&[record.as_slice()], 0, grads.as_mut_slice());
 
         // Check dW[0][1] and db[0] by finite differences on <y, gout>.
         let eps = 1e-3;

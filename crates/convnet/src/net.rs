@@ -226,10 +226,13 @@ impl Network {
 
     /// Runs one sample backward from a loss gradient at the logits, using
     /// the activations [`Network::forward_into`] left in `ws.trace` and
-    /// writing per-layer parameter gradients into `ws.param_grads` and
+    /// writing per-layer gradient records (see [`Layer`]) into
+    /// `ws.param_grads` and
     /// gradient-sparsity measurements (the zero fraction of the
     /// *output-side* error gradient each layer received — Fig. 3b's
-    /// quantity for conv layers) into `ws.grad_sparsity`.
+    /// quantity for conv layers) into `ws.grad_sparsity`. A convolution
+    /// at layer 0 is handed an empty `grad_in`: the gradient with respect
+    /// to the image has no reader, so it is not computed.
     ///
     /// # Panics
     ///
@@ -248,6 +251,7 @@ impl Network {
             let in_len = layer.input_len();
             let grad_out = &grad_a.as_slice()[..out_len];
             grad_sparsity[i] = slice_sparsity(grad_out);
+            let in_len = if i == 0 && layer.conv_spec().is_some() { 0 } else { in_len };
             layer.backward(
                 trace.activations[i].as_slice(),
                 trace.activations[i + 1].as_slice(),
@@ -378,12 +382,15 @@ mod tests {
         let label = 1;
         let mut losses = Vec::new();
         let mut ws = Workspace::for_network(&net);
+        let mut grads = crate::sgd::zero_param_grads(&net);
         for _ in 0..12 {
             net.forward_into(input.as_slice(), &mut ws);
             let (loss, grad) = Network::loss_and_gradient(ws.trace.logits(), label);
             losses.push(loss);
             net.backward_into(grad.as_slice(), &mut ws);
-            net.apply_gradient_slices(&ws.param_grads, 0.05, 1.0);
+            let dense = grads.iter_mut().map(Tensor::as_mut_slice);
+            crate::sgd::fold_records(&net, std::slice::from_ref(&ws.param_grads), 1, true, dense);
+            net.apply_gradient_slices(&grads, 0.05, 1.0);
         }
         assert!(
             losses.last().unwrap() < losses.first().unwrap(),

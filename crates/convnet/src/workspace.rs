@@ -15,9 +15,25 @@
 //!   and are recycled afterwards.
 //! * [`Workspace`] — everything one training sample needs end to end:
 //!   an activation trace, ping-pong error-gradient buffers, per-layer
-//!   parameter-gradient buffers, and one shared [`ConvScratch`]. The
+//!   gradient-*record* buffers, and one shared [`ConvScratch`]. The
 //!   trainer's persistent worker pool owns one `Workspace` per worker for
 //!   the lifetime of training.
+//!
+//! The same argument sizes the record buffers. A fully-connected layer's
+//! per-sample weight gradient is a rank-1 product: written out, the
+//! ImageNet-1K classifier's (20 736 x 1000) is 83 MB stored to perform
+//! 20.7 M multiplies — 4 bytes per flop before anything reads it back —
+//! and the old step moved it four more times (copy to a result slot, add
+//! into the accumulator, the accumulator's own zero-fill): about 2.7 GB
+//! per 4-sample step for 166 Mflop of useful work, and `batch + workers`
+//! resident copies. The record ([`Layer::grad_record_len`]) of that layer
+//! is its two factors, 21 736 floats; the product is formed once per
+//! batch inside [`fold_records`], tile by tile, so the step writes the
+//! 97 MB accumulator once (about 1 byte per multiply-add at batch 4,
+//! falling as 1/batch) and a workspace is 86 MB instead of 174 MB.
+//!
+//! [`Layer::grad_record_len`]: crate::layer::Layer::grad_record_len
+//! [`fold_records`]: crate::sgd::fold_records
 
 use spg_tensor::sparse::CtCsr;
 use spg_tensor::{Matrix, Tensor};
@@ -169,8 +185,10 @@ impl ConvScratch {
 pub struct Workspace {
     /// Reusable activation trace filled by [`Network::forward_into`].
     pub trace: SampleTrace,
-    /// Per-layer parameter-gradient buffers (empty tensors for
-    /// parameter-free layers), overwritten by [`Network::backward_into`].
+    /// Per-layer gradient records, each
+    /// [`grad_record_len`](crate::layer::Layer::grad_record_len) long
+    /// (empty tensors for parameter-free layers), overwritten by
+    /// [`Network::backward_into`].
     pub param_grads: Vec<Tensor>,
     /// Output-side gradient sparsity observed per layer during backward.
     pub grad_sparsity: Vec<f64>,
@@ -181,15 +199,21 @@ pub struct Workspace {
     pub(crate) grad_b: Tensor,
 }
 
+/// One zeroed gradient-record buffer per layer of `net`: what one sample's
+/// [`Network::backward_into`] fills.
+pub(crate) fn record_buffers(net: &Network) -> Vec<Tensor> {
+    net.layers().iter().map(|l| Tensor::zeros(l.grad_record_len())).collect()
+}
+
 impl Workspace {
     /// Plans a workspace for `net`: preallocates the activation trace, the
-    /// gradient ping-pong buffers, one parameter-gradient buffer per
-    /// layer, and conv scratch sized for the largest conv layer.
+    /// gradient ping-pong buffers, one gradient-record buffer per layer,
+    /// and conv scratch sized for the largest conv layer.
     pub fn for_network(net: &Network) -> Self {
         let trace = SampleTrace::for_network(net);
         let max_act =
             net.layers().iter().map(|l| l.input_len().max(l.output_len())).max().unwrap_or(0);
-        let param_grads = net.layers().iter().map(|l| Tensor::zeros(l.param_count())).collect();
+        let param_grads = record_buffers(net);
         let grad_sparsity = vec![0.0; net.layers().len()];
         let mut scratch = ConvScratch::new();
         for layer in net.layers() {

@@ -4,11 +4,13 @@
 //! Distills the merge protocol of `spg_convnet::sgd`'s pool fold (the
 //! worker-pool implementation of `BatchFold`): sample `j` goes
 //! to worker `j % W` over a per-worker job channel, workers push
-//! per-sample gradients back on per-worker result channels, and the
-//! merger folds **in sample order** — `recv` from `result_rx[j % W]`
-//! for `j = 0, 1, 2, …` — so the f32 accumulation order (and hence the
-//! bit pattern of every weight) is a function of the batch alone, not
-//! of worker timing. Supervision does not enter this protocol: a faulted
+//! per-sample gradient records back on per-worker result channels, and
+//! the merger receives **in sample order** — `recv` from
+//! `result_rx[j % W]` for `j = 0, 1, 2, …` — then folds the batch once,
+//! every parameter adding its samples in that order (the model folds as
+//! it receives, which is the same sequence of additions), so the f32
+//! accumulation order (and hence the bit pattern of every weight) is a
+//! function of the batch alone, not of worker timing. Supervision does not enter this protocol: a faulted
 //! worker retries its sample in place (under `spg_sync::supervise`, which
 //! [`super::serve_pool`] proves) on the same two channels, so the merger
 //! sees one result per job, in job order, fault or no fault — the merge
