@@ -413,6 +413,50 @@ mod tests {
         }
     }
 
+    /// The serial backward-data multiply packs for the tile this CPU
+    /// dispatches; its pack buffers stay inside the workspace bound and
+    /// stop growing once warm (ImageNet-1K conv1-3, both CIFAR-10 layers).
+    #[test]
+    fn serial_backward_data_packs_stay_inside_the_bound() {
+        let specs = [
+            ConvSpec::square(55, 256, 96, 5, 1),
+            ConvSpec::square(25, 384, 256, 3, 1),
+            ConvSpec::square(11, 256, 384, 3, 1),
+            ConvSpec::square(36, 64, 3, 5, 1),
+            ConvSpec::square(8, 64, 64, 5, 1),
+        ];
+        let algo = AlgoChoice {
+            forward: Technique::ParallelGemm,
+            backward: Technique::GemmInParallel,
+            kernel: AlgoKernel::Generic,
+        };
+        for spec in specs {
+            let mut scratch = ConvScratch::new();
+            scratch.reserve(&spec);
+            let reserved = scratch.bytes();
+            let weights = vec![0.01; spec.weight_shape().len()];
+            let grad_out = vec![0.02; spec.output_shape().len()];
+            let mut grad_in = vec![0.0; spec.input_shape().len()];
+            let caps: Vec<_> = (0..2)
+                .map(|_| {
+                    spg_convnet::gemm_exec::backward_data_scratch(
+                        &spec,
+                        &weights,
+                        &grad_out,
+                        &mut grad_in,
+                        1,
+                        &mut scratch,
+                    );
+                    (scratch.pack_a.capacity(), scratch.pack_b.capacity())
+                })
+                .collect();
+            assert_eq!(caps[0], caps[1], "{spec:?}: packs grew on the second call");
+            let packs = (caps[1].0 + caps[1].1) * std::mem::size_of::<f32>();
+            let bound = conv_workspace_bytes(&ConvDescriptor::new(spec, 1), algo);
+            assert!(reserved + packs <= bound, "{spec:?}: {reserved} + {packs} > {bound}");
+        }
+    }
+
     #[test]
     fn algo_for_reproduces_auto_kernel_binding() {
         let backend = CpuBackend::new();

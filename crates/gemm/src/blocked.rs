@@ -1,42 +1,50 @@
 use spg_tensor::Matrix;
 
-use crate::kernels::{microkernel, pack_a, pack_b, MR, NR};
+use crate::kernels::{pack_a, pack_b, Tile, ACC_LEN};
 use crate::{check_dims, GemmError};
 
-/// Cache block of the `k` dimension (packed A/B panel depth).
-const KC: usize = 256;
+/// Cache block of the `k` dimension (packed A/B panel depth). This alone
+/// fixes each element of C's arithmetic: a chain of multiply-adds over `k`
+/// inside each `KC`-deep block, the blocks added to C in order.
+pub(crate) const KC: usize = 256;
 /// Cache block of the `m` dimension (rows of packed A per block).
-const MC: usize = 72;
+pub(crate) const MC: usize = 72;
 /// Cache block of the `n` dimension (columns of packed B per block).
 const NC: usize = 1024;
+
+/// Packs an `mc x kc` block of the left operand at `(row0, col0)` for a
+/// tile: [`pack_a`] for `A`, [`pack_at`](crate::kernels::pack_at) for an
+/// `A` stored transposed.
+pub(crate) type PackA = fn(Tile, &[f32], usize, usize, usize, usize, usize, &mut Vec<f32>);
 
 /// High-water element counts of the operand pack buffers a blocked
 /// multiply of the given geometry fills: `(a_pack, b_pack)` lengths in
 /// `f32` elements for an `m x k` by `k x n` multiply (either `gemm_slice`
-/// or the transposed `gemm_at_b_slice`, which share the block sizes).
+/// or the transposed `gemm_at_b_slice`, which share the block sizes), for
+/// the register tile this CPU dispatches.
 ///
 /// Callers that own the pack buffers — the workspace-sizing query in
 /// `spg-core`'s backend layer — use this to bound scratch growth without
-/// this crate exposing its cache-block constants.
+/// this crate exposing its cache-block constants or tile shapes.
 ///
 /// # Example
 ///
 /// ```
-/// let (a, b) = spg_gemm::pack_high_water(6, 256, 16);
-/// assert_eq!((a, b), (6 * 256, 16 * 256));
+/// // Full cache blocks are whole multiples of every tile.
+/// let (a, b) = spg_gemm::pack_high_water(72, 256, 1024);
+/// assert_eq!((a, b), (72 * 256, 1024 * 256));
 /// ```
 pub fn pack_high_water(m: usize, k: usize, n: usize) -> (usize, usize) {
-    let kc = k.min(KC);
-    let a = m.min(MC).div_ceil(MR) * MR * kc;
-    let b = n.min(NC).div_ceil(NR) * NR * kc;
-    (a, b)
+    let (tile, kc) = (Tile::host(), k.min(KC));
+    (m.min(MC).div_ceil(tile.mr) * tile.mr * kc, n.min(NC).div_ceil(tile.nr) * tile.nr * kc)
 }
 
 /// Blocked, packed, register-tiled matrix multiply: `C = A * B`.
 ///
 /// This is the workspace's stand-in for an optimized BLAS `sgemm`: a
-/// three-level cache blocking (`KC`/`MC`/`NC`) around a 6x16 AVX2+FMA
-/// micro-kernel (scalar fallback elsewhere), with both operands packed into
+/// three-level cache blocking (`KC`/`MC`/`NC`) around a register-tiled
+/// micro-kernel at the host's vector width (12x32 under AVX-512F, 6x16
+/// under AVX2+FMA, scalar elsewhere), with both operands packed into
 /// contiguous panels — the structure described by Goto & van de Geijn and
 /// referenced by the paper's locality discussion (Sec. 4.2).
 ///
@@ -121,33 +129,48 @@ pub fn gemm_slice(
         return;
     }
 
-    let mut a_pack = Vec::new();
-    let mut b_pack = Vec::new();
-    let mut acc = [0.0f32; MR * NR];
+    let (mut a_pack, mut b_pack) = (Vec::new(), Vec::new());
+    gemm_blocked(Tile::host(), pack_a, m, n, k, a, lda, b, ldb, c, ldc, &mut a_pack, &mut b_pack);
+}
 
+/// The blocked loop nest behind every multiply in this crate:
+/// `C += op(A) * B` with `op(A)`'s blocks packed by `pack` and both
+/// operands packed for `tile`, the micro-kernel's tiles added into `C`.
+/// Assumes the caller checked the geometry; a zero dimension is a no-op.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_blocked(
+    tile: Tile,
+    pack: PackA,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    a_pack: &mut Vec<f32>,
+    b_pack: &mut Vec<f32>,
+) {
+    let (mr, nr) = (tile.mr, tile.nr);
+    let mut acc = [0.0f32; ACC_LEN];
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
-            pack_b(b, ldb, pc, jc, kc, nc, &mut b_pack);
+            pack_b(tile, b, ldb, pc, jc, kc, nc, b_pack);
             for ic in (0..m).step_by(MC) {
                 let mc = (m - ic).min(MC);
-                pack_a(a, lda, ic, pc, mc, kc, &mut a_pack);
-                let m_panels = mc.div_ceil(MR);
-                let n_panels = nc.div_ceil(NR);
-                for jp in 0..n_panels {
-                    let bp = &b_pack[jp * kc * NR..(jp + 1) * kc * NR];
-                    let cols = (nc - jp * NR).min(NR);
-                    for ip in 0..m_panels {
-                        let ap = &a_pack[ip * kc * MR..(ip + 1) * kc * MR];
-                        microkernel(kc, ap, bp, &mut acc);
-                        let rows = (mc - ip * MR).min(MR);
-                        for mr in 0..rows {
-                            let crow = ic + ip * MR + mr;
-                            let cbase = crow * ldc + jc + jp * NR;
-                            let dst = &mut c[cbase..cbase + cols];
-                            let src = &acc[mr * NR..mr * NR + cols];
-                            for (d, s) in dst.iter_mut().zip(src) {
+                pack(tile, a, lda, ic, pc, mc, kc, a_pack);
+                for (jp, bp) in b_pack.chunks_exact(kc * nr).enumerate() {
+                    let cols = (nc - jp * nr).min(nr);
+                    for (ip, ap) in a_pack.chunks_exact(kc * mr).enumerate() {
+                        tile.run(kc, ap, bp, &mut acc);
+                        let rows = (mc - ip * mr).min(mr);
+                        for (r, src) in acc.chunks_exact(nr).take(rows).enumerate() {
+                            let cbase = (ic + ip * mr + r) * ldc + jc + jp * nr;
+                            for (d, s) in c[cbase..cbase + cols].iter_mut().zip(src) {
                                 *d += s;
                             }
                         }
@@ -235,5 +258,57 @@ mod tests {
         let mut c = [1.0f32; 4];
         gemm_slice(0, 2, 2, &[], 2, &[1.0, 2.0, 3.0, 4.0], 2, &mut c, 2);
         assert_eq!(c, [1.0; 4]);
+    }
+
+    /// Every SIMD tile computes each element of C as the same FMA chain,
+    /// so the blocked, transposed and row-banded multiplies agree to the
+    /// bit across the tiers this host runs — on `m`, `n` ragged against
+    /// every tile, around each `KC` boundary, into a pre-filled C. The only
+    /// test that runs the AVX2 tile on an AVX-512 host. Without SIMD (Miri)
+    /// the scalar tile stands in, and the three entries must still agree.
+    #[test]
+    fn simd_tiers_are_bit_identical() {
+        use crate::kernels::{pack_at, tests::tiles, SimdLevel};
+        use crate::parallel::parallel_gemm_slice_on;
+
+        let all = tiles();
+        let simd: Vec<Tile> =
+            all.iter().filter(|(level, _)| *level > SimdLevel::Scalar).map(|&(_, t)| t).collect();
+        let tiers = if simd.is_empty() { vec![all[0].1] } else { simd };
+        let (shapes, depths): (&[(usize, usize)], &[usize]) = if cfg!(miri) {
+            (&[(7, 19)], &[0, 1, 257])
+        } else {
+            (&[(77, 37), (5, 1043)], &[0, 1, 255, 256, 257, 600])
+        };
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = SmallRng::seed_from_u64(3);
+        for &(m, n) in shapes {
+            for &k in depths {
+                let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
+                let at = a.transposed();
+                let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
+                let c0: Vec<f32> = (0..m * n).map(|i| (i % 5) as f32 - 2.5).collect();
+                let (av, atv, bv) = (a.as_slice(), at.as_slice(), b.as_slice());
+                let mut want = None;
+                for &tile in &tiers {
+                    let (mut pa, mut pb) = (Vec::new(), Vec::new());
+                    let mut c = c0.clone();
+                    gemm_blocked(tile, pack_a, m, n, k, av, k, bv, n, &mut c, n, &mut pa, &mut pb);
+                    let want = want.get_or_insert_with(|| bits(&c));
+                    let at_shape = (m, n, k, tile.mr, tile.nr);
+                    assert_eq!(&bits(&c), want, "gemm_slice {at_shape:?}");
+                    let mut c = c0.clone();
+                    gemm_blocked(
+                        tile, pack_at, m, n, k, atv, m, bv, n, &mut c, n, &mut pa, &mut pb,
+                    );
+                    assert_eq!(&bits(&c), want, "gemm_at_b_slice {at_shape:?}");
+                    for split in [1, 2, 3, 7] {
+                        let mut c = c0.clone();
+                        parallel_gemm_slice_on(tile, m, n, k, av, bv, &mut c, split, split);
+                        assert_eq!(&bits(&c), want, "parallel_gemm_slice/{split} {at_shape:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,9 +5,11 @@
 //! on general matrix multiply. This crate supplies:
 //!
 //! * [`gemm`] — a cache-blocked, panel-packed, register-tiled
-//!   single-threaded GEMM with an AVX2+FMA micro-kernel (runtime-detected,
-//!   with a portable scalar fallback). This plays the role OpenBLAS / MKL
-//!   play in the paper.
+//!   single-threaded GEMM whose micro-kernel runs at the host's vector
+//!   width: one source expanded per instruction set, a 12x32 tile under
+//!   AVX-512F and 6x16 under AVX2+FMA (detected once per call), a portable
+//!   scalar fallback elsewhere. This plays the role OpenBLAS / MKL play in
+//!   the paper.
 //! * [`gemm_naive`] — the unblocked triple loop, used as the correctness
 //!   oracle for every other kernel in the workspace.
 //! * [`parallel_gemm`] — **Parallel-GEMM**: one multiply, row-partitioned

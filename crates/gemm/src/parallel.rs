@@ -1,5 +1,7 @@
 use spg_tensor::Matrix;
 
+use crate::blocked::gemm_blocked;
+use crate::kernels::{pack_a, Tile};
 use crate::{check_dims, gemm_slice, GemmError};
 
 /// **Parallel-GEMM**: one matrix multiply partitioned across `threads`
@@ -88,11 +90,31 @@ pub fn parallel_gemm_slice(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    parallel_gemm_slice_on(Tile::host(), m, n, k, a, b, c, bands, threads);
+}
+
+/// [`parallel_gemm_slice`] on a given register tile — every band runs the
+/// one the call resolved — over checked, non-empty operands.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn parallel_gemm_slice_on(
+    tile: Tile,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    bands: usize,
+    threads: usize,
+) {
+    let run = |rows, a, c: &mut [f32]| {
+        gemm_blocked(tile, pack_a, rows, n, k, a, k, b, n, c, n, &mut Vec::new(), &mut Vec::new())
+    };
     let band = m.div_ceil(bands.min(m));
     let bands = m.div_ceil(band);
     let threads = threads.min(bands);
     if threads == 1 {
-        gemm_slice(m, n, k, a, k, b, n, c, n);
+        run(m, a, c);
         return;
     }
     // Thread t runs bands [t * bands / threads, (t + 1) * bands / threads).
@@ -104,7 +126,7 @@ pub fn parallel_gemm_slice(
         let aband = &a[row0 * k..row1 * k];
         let rows = row1 - row0;
         row0 = row1;
-        move || gemm_slice(rows, n, k, aband, k, b, n, cband, n)
+        move || run(rows, aband, cband)
     }));
 }
 

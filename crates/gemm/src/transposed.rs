@@ -9,39 +9,9 @@
 
 use spg_tensor::Matrix;
 
-use crate::kernels::{microkernel, pack_b, MR, NR};
+use crate::blocked::gemm_blocked;
+use crate::kernels::{pack_at, Tile};
 use crate::{check_dims, GemmError};
-
-const KC: usize = 256;
-const MC: usize = 72;
-const NC: usize = 1024;
-
-/// Packs an `mc x kc` block of `A^T` into MR-row panels by reading `a`
-/// (the untransposed `k x m` matrix, leading dimension `lda`)
-/// column-wise: element `(r, c)` of `A^T` is `a[c * lda + r]`.
-fn pack_at(
-    a: &[f32],
-    lda: usize,
-    row0: usize, // row offset into A^T == column offset into A
-    col0: usize, // column offset into A^T == row offset into A
-    mc: usize,
-    kc: usize,
-    out: &mut Vec<f32>,
-) {
-    let panels = mc.div_ceil(MR);
-    out.clear();
-    out.resize(panels * kc * MR, 0.0);
-    for panel in 0..panels {
-        let base = panel * kc * MR;
-        let rows = (mc - panel * MR).min(MR);
-        for p in 0..kc {
-            let src_row = (col0 + p) * lda + row0 + panel * MR;
-            for mr in 0..rows {
-                out[base + p * MR + mr] = a[src_row + mr];
-            }
-        }
-    }
-}
 
 /// Computes `C = A^T * B` where `a` is `k x m` and `b` is `k x n`, both
 /// row-major. Equivalent to `gemm(&a.transposed(), b)` without the
@@ -118,46 +88,14 @@ pub fn gemm_at_b_slice(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let (av, bv, cv) = (a, b, c);
-    let lda = m;
-
-    let mut acc = [0.0f32; MR * NR];
-    for jc in (0..n).step_by(NC) {
-        let nc = (n - jc).min(NC);
-        for pc in (0..k).step_by(KC) {
-            let kc = (k - pc).min(KC);
-            pack_b(bv, n, pc, jc, kc, nc, b_pack);
-            for ic in (0..m).step_by(MC) {
-                let mc = (m - ic).min(MC);
-                pack_at(av, lda, ic, pc, mc, kc, a_pack);
-                let m_panels = mc.div_ceil(MR);
-                let n_panels = nc.div_ceil(NR);
-                for jp in 0..n_panels {
-                    let bp = &b_pack[jp * kc * NR..(jp + 1) * kc * NR];
-                    let cols = (nc - jp * NR).min(NR);
-                    for ip in 0..m_panels {
-                        let ap = &a_pack[ip * kc * MR..(ip + 1) * kc * MR];
-                        microkernel(kc, ap, bp, &mut acc);
-                        let rows = (mc - ip * MR).min(MR);
-                        for mr in 0..rows {
-                            let crow = ic + ip * MR + mr;
-                            let cbase = crow * n + jc + jp * NR;
-                            let dst = &mut cv[cbase..cbase + cols];
-                            let src = &acc[mr * NR..mr * NR + cols];
-                            for (d, s) in dst.iter_mut().zip(src) {
-                                *d += s;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // A^T is m x k, read column-wise out of the k x m `a` (lda = m).
+    gemm_blocked(Tile::host(), pack_at, m, n, k, a, m, b, n, c, n, a_pack, b_pack);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocked::{KC, MC};
     use crate::{gemm, gemm_naive};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
