@@ -74,9 +74,9 @@ pub trait NetworkPlanner: Send + Sync {
 
 /// A per-layer algorithm choice installable on a [`ConvLayer`].
 ///
-/// This is the seam through which backend algorithm enumeration (the
-/// `spg-core` `AlgoChoice`) reaches the [`Engine`] without `spg-convnet`
-/// depending on the backend crate: [`Engine::algo_override`] accepts any
+/// This is the seam through which an algorithm pin (the `spg-core`
+/// `AlgoChoice`) reaches the [`Engine`] without `spg-convnet` depending
+/// on `spg-core`: [`Engine::algo_override`] accepts any
 /// `LayerAlgo` and re-installs it after every planner pass so an explicit
 /// choice survives tuning and epoch retunes.
 pub trait LayerAlgo: Send + Sync {
@@ -89,7 +89,7 @@ pub trait LayerAlgo: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Implementation-defined; the `spg-core` backend rejects algorithms
+    /// Implementation-defined; `spg-core`'s `AlgoChoice` rejects algorithms
     /// whose lowered plans fail verification for the layer's geometry.
     fn install(&self, conv: &mut ConvLayer, cores: usize) -> Result<(), Error>;
 }
@@ -366,10 +366,10 @@ impl Engine {
         Ok(())
     }
 
-    /// Pins an explicit per-layer algorithm (a backend
+    /// Pins an explicit per-layer algorithm (an `spg-core`
     /// [`AlgoChoice`](LayerAlgo)), installing its executors immediately
     /// and re-installing them after every subsequent planner pass — the
-    /// cuDNN-style escape hatch from autotuning.
+    /// escape hatch from autotuning.
     ///
     /// # Errors
     ///

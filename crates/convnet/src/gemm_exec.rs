@@ -224,6 +224,42 @@ mod tests {
         }
     }
 
+    /// The serial backward-data multiply packs into the scratch for the
+    /// tile this CPU dispatches, and its pack buffers stop growing once
+    /// warm (ImageNet-1K conv1-3, both CIFAR-10 layers).
+    #[test]
+    fn serial_backward_data_packs_stop_growing_after_the_first_call() {
+        let specs = [
+            ConvSpec::square(55, 256, 96, 5, 1),
+            ConvSpec::square(25, 384, 256, 3, 1),
+            ConvSpec::square(11, 256, 384, 3, 1),
+            ConvSpec::square(36, 64, 3, 5, 1),
+            ConvSpec::square(8, 64, 64, 5, 1),
+        ];
+        for spec in specs {
+            let mut scratch = ConvScratch::new();
+            scratch.reserve(&spec);
+            let weights = vec![0.01; spec.weight_shape().len()];
+            let grad_out = vec![0.02; spec.output_shape().len()];
+            let mut grad_in = vec![0.0; spec.input_shape().len()];
+            let caps: Vec<_> = (0..2)
+                .map(|_| {
+                    backward_data_scratch(
+                        &spec,
+                        &weights,
+                        &grad_out,
+                        &mut grad_in,
+                        1,
+                        &mut scratch,
+                    );
+                    (scratch.pack_a.capacity(), scratch.pack_b.capacity())
+                })
+                .collect();
+            assert!(caps[0].0 > 0 && caps[0].1 > 0, "{spec}: packed outside the scratch");
+            assert_eq!(caps[0], caps[1], "{spec}: packs grew on the second call");
+        }
+    }
+
     #[test]
     fn backward_weights_matches_reference() {
         for spec in spec_cases() {

@@ -60,7 +60,7 @@ pub fn band_ranges(spec: &ConvSpec, dim: BandDim, workers: usize) -> Vec<(usize,
 mod tests {
     use super::*;
     use crate::autotune::Phase;
-    use crate::backend::{AlgoKernel, ConvDescriptor, CpuBackend};
+    use crate::backend::{AlgoChoice, AlgoKernel};
     use crate::compiled::{CompiledConv, ConvProgram};
     use crate::schedule::{stencil_split, LayerPlan, Technique};
     use crate::verify::lower_phase;
@@ -163,7 +163,7 @@ mod tests {
                 LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
             let compiled = CompiledConv::compile(spec, plan, &weights, 2).expect("compiles");
             assert_eq!(compiled.kernel_kind(), sequential.kernel_kind());
-            let algo = CpuBackend::new().algo_for(&ConvDescriptor::new(spec, 2), plan);
+            let algo = AlgoChoice::of(compiled.program());
             let bound = sequential.specialized_kernel();
             let kernel = bound.map_or(AlgoKernel::Generic, |k| AlgoKernel::Specialized(k.isa()));
             assert_eq!(algo.kernel, kernel, "{spec}: {algo}");
@@ -172,7 +172,7 @@ mod tests {
 
     /// A banded forward lives in the caller's scratch: it stages the phase
     /// transform there, and a scratch reserved for the spec —
-    /// `conv_workspace_bytes`' bound — is all it touches.
+    /// `ScratchCapacity::reserved_for` — is all it touches.
     #[test]
     fn banded_forward_runs_in_exactly_the_reserved_scratch() {
         for spec in [rows_spec(), one_row_spec()] {

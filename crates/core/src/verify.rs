@@ -65,7 +65,7 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
 }
 
 /// Lowers a backward technique.
-pub(crate) fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
+fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     match technique {
         Technique::SparseBp => BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH },
         Technique::ParallelGemm => BackwardPlan::UnfoldGemm { threads: cores.max(1) },
@@ -207,8 +207,7 @@ pub fn lower_phase(
 }
 
 /// Verifies one technique for one phase of `spec` without building a
-/// program — the per-candidate gate of algorithm enumeration and
-/// `spgcnn verify`.
+/// program — the contest's deploy gate and `spgcnn check`'s verdict.
 ///
 /// # Errors
 ///

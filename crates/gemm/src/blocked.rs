@@ -17,28 +17,6 @@ const NC: usize = 1024;
 /// `A` stored transposed.
 pub(crate) type PackA = fn(Tile, &[f32], usize, usize, usize, usize, usize, &mut Vec<f32>);
 
-/// High-water element counts of the operand pack buffers a blocked
-/// multiply of the given geometry fills: `(a_pack, b_pack)` lengths in
-/// `f32` elements for an `m x k` by `k x n` multiply (either `gemm_slice`
-/// or the transposed `gemm_at_b_slice`, which share the block sizes), for
-/// the register tile this CPU dispatches.
-///
-/// Callers that own the pack buffers — the workspace-sizing query in
-/// `spg-core`'s backend layer — use this to bound scratch growth without
-/// this crate exposing its cache-block constants or tile shapes.
-///
-/// # Example
-///
-/// ```
-/// // Full cache blocks are whole multiples of every tile.
-/// let (a, b) = spg_gemm::pack_high_water(72, 256, 1024);
-/// assert_eq!((a, b), (72 * 256, 1024 * 256));
-/// ```
-pub fn pack_high_water(m: usize, k: usize, n: usize) -> (usize, usize) {
-    let (tile, kc) = (Tile::host(), k.min(KC));
-    (m.min(MC).div_ceil(tile.mr) * tile.mr * kc, n.min(NC).div_ceil(tile.nr) * tile.nr * kc)
-}
-
 /// Blocked, packed, register-tiled matrix multiply: `C = A * B`.
 ///
 /// This is the workspace's stand-in for an optimized BLAS `sgemm`: a
@@ -102,8 +80,8 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<(), GemmError
 /// This is the primitive the parallel schedules build on: Parallel-GEMM
 /// hands each worker a contiguous row band of `A` and `C` through this
 /// entry point without copying. The operand panels are packed into two
-/// buffers the call allocates and frees (at most [`pack_high_water`]
-/// elements, about 1 MB): a call touches no shared scratch, which is what
+/// buffers the call allocates and frees (at most one `MC x KC` and one
+/// `KC x NC` block, about 1 MB): a call touches no shared scratch, which is what
 /// lets row bands run it concurrently, and is not allocation-free.
 ///
 /// # Panics

@@ -50,7 +50,7 @@ mod sparse_dense;
 mod transposed;
 
 pub use batch::{gemm_in_parallel, gemm_in_parallel_into, BatchJob};
-pub use blocked::{gemm, gemm_into, gemm_slice, pack_high_water};
+pub use blocked::{gemm, gemm_into, gemm_slice};
 pub use error::GemmError;
 pub use kernels::{detect_simd_level, simd_backend_name, SimdLevel};
 pub use naive::{gemm_naive, gemm_naive_into};

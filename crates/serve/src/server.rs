@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::Network;
-use spg_core::backend::{Backend, ConvDescriptor, CpuBackend};
+use spg_core::backend::AlgoChoice;
 use spg_core::compiled::CompiledConv;
 use spg_core::schedule::{recommended_plan, LayerPlan};
 use spg_sync::{deadline_after, FaultInjector, FaultPlan, Restarts};
@@ -371,16 +371,13 @@ impl Drop for Server {
 }
 
 /// Compiles one single-threaded kernel per convolution layer, indexed by
-/// layer position (`None` for non-conv layers), dispatching through the
-/// [`CpuBackend`] so serving runs exactly the algorithms the backend
-/// enumerates, and records one telemetry decision per conv layer naming
-/// the backend and algorithm it is served with (schema minor 6; a no-op
-/// when telemetry is disabled).
+/// layer position (`None` for non-conv layers), and records one telemetry
+/// decision per conv layer naming the algorithm its compiled program runs
+/// (schema minor 6; a no-op when telemetry is disabled).
 fn compile_kernels(
     net: &Network,
     plan_by_layer: &HashMap<usize, LayerPlan>,
 ) -> Result<Vec<Option<CompiledConv>>, spg_error::Error> {
-    let backend = CpuBackend::new();
     net.layers()
         .iter()
         .enumerate()
@@ -391,9 +388,7 @@ fn compile_kernels(
             let weights = layer.params().expect("conv layers expose parameters");
             // cores = 1: each serving worker is one independent
             // single-threaded pipeline (the GEMM-in-Parallel analogue).
-            let desc = ConvDescriptor::new(*spec, 1);
-            let algo = backend.algo_for(&desc, plan);
-            let compiled = backend.compile(&desc, algo, weights)?;
+            let compiled = CompiledConv::compile(*spec, plan, weights, 1)?;
             spg_telemetry::record_decision(spg_telemetry::Decision {
                 label: format!("serve-conv{i}"),
                 phase: spg_telemetry::Phase::Forward,
@@ -403,8 +398,8 @@ fn compile_kernels(
                 candidates: Vec::new(),
                 rejected: Vec::new(),
                 kernel: None,
-                backend: Some(backend.name().to_string()),
-                algo: Some(algo.id()),
+                backend: Some("cpu".to_string()),
+                algo: Some(AlgoChoice::of(compiled.program()).id()),
                 partition: Some(compiled.program().partition().to_string()),
             });
             Ok(Some(compiled))
@@ -551,6 +546,44 @@ fn forward_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spg_core::backend::{ConvDescriptor, CpuBackend};
+    use spg_core::config::NetworkDescription;
+
+    /// Each `serve-conv{i}` decision names the algorithm of the kernel the
+    /// workers run, spelled as `CpuBackend::algo_for` spells it, and the
+    /// `"cpu"` backend.
+    #[test]
+    fn serve_decisions_name_the_algorithm_each_kernel_runs() {
+        const SMOKE: &str = r#"
+            name: "smoke"
+            input { channels: 1 height: 8 width: 8 }
+            conv { features: 4 kernel: 3 stride: 1 }
+            relu { }
+            pool { window: 2 }
+            fc { outputs: 3 }
+        "#;
+        let net = NetworkDescription::parse(SMOKE).expect("parses").build(42).expect("builds");
+        spg_telemetry::reset();
+        spg_telemetry::set_enabled(true);
+        let kernels = compile_kernels(&net, &HashMap::new()).expect("smoke net compiles");
+        spg_telemetry::set_enabled(false);
+        let decisions = spg_telemetry::snapshot().decisions;
+        let mut logged = Vec::new();
+        for (i, kernel) in kernels.iter().enumerate() {
+            let Some(kernel) = kernel else { continue };
+            let label = format!("serve-conv{i}");
+            let decision = decisions.iter().find(|d| d.label == label).expect("one per conv");
+            let algo = decision.algo.clone().expect("serve decisions name an algo");
+            assert_eq!(algo, AlgoChoice::of(kernel.program()).id(), "{label}");
+            let routed =
+                CpuBackend::new().algo_for(&ConvDescriptor::new(*kernel.spec(), 1), kernel.plan());
+            assert_eq!(algo, routed.id(), "{label}");
+            assert_eq!(decision.backend.as_deref(), Some("cpu"), "{label}");
+            logged.push(algo);
+        }
+        // The 6-wide output lowers to the narrow stencil: no instance binds.
+        assert_eq!(logged, ["stencil-fp+gemm-in-parallel/generic"]);
+    }
 
     /// Regression: `start + Duration::MAX` panicked in the submitter. An
     /// unrepresentable deadline on a full queue waits for as long as the

@@ -19,6 +19,7 @@
 
 use spg_convnet::ConvSpec;
 use spg_core::ait::conv_gemm_dims;
+use spg_core::schedule::Technique;
 
 use crate::Machine;
 
@@ -92,6 +93,28 @@ pub fn stencil_gflops_per_core(machine: &Machine, spec: &ConvSpec, cores: usize)
         * machine.saturation(spec.intrinsic_ait())
         * machine.stencil_efficiency
         * machine.contention(cores)
+}
+
+/// Predicted GFlops per core of `technique` as a forward phase on `cores`
+/// cores. The sparse technique has no forward kernel and runs the
+/// GEMM-in-Parallel forward.
+///
+/// # Panics
+///
+/// Panics if `cores == 0`.
+pub fn forward_gflops_per_core(
+    machine: &Machine,
+    spec: &ConvSpec,
+    technique: Technique,
+    cores: usize,
+) -> f64 {
+    match technique {
+        Technique::ParallelGemm => parallel_gemm_gflops_per_core(machine, spec, cores),
+        Technique::GemmInParallel | Technique::SparseBp => {
+            gemm_in_parallel_gflops_per_core(machine, spec, cores)
+        }
+        Technique::StencilFp => stencil_gflops_per_core(machine, spec, cores),
+    }
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// (`"specialized"` for a codegen registry instance, `"generic"` for the
 /// runtime-parameterized loops; absent on backward decisions); minor 6
 /// added the optional per-decision `backend` and `algo` fields naming the
-/// execution backend (`"cpu"`, `"sim"`) and the backend algorithm
+/// execution backend (`"cpu"`; `"sim"` is never written) and the algorithm
 /// identifier the decision chose or compiled; minor 7 added the cluster
 /// counters (`cluster.router.*` for shard routing/eviction/respawn,
 /// `cluster.ring.*` for per-ring-step all-reduce traffic (the
@@ -168,9 +168,9 @@ pub struct Decision {
     /// (runtime-parameterized loops). Schema minor 5; `None` on backward
     /// decisions and when the stencil technique was not measured.
     pub kernel: Option<String>,
-    /// Execution backend that produced the decision (`"cpu"` for the real
-    /// SIMD backend, `"sim"` for the analytical model). Schema minor 6;
-    /// `None` in documents from older writers.
+    /// Execution backend that produced the decision. Every writer records
+    /// `"cpu"`; `"sim"` is never written. Schema minor 6; `None` in
+    /// documents from older writers.
     pub backend: Option<String>,
     /// Backend algorithm identifier the decision chose or compiled (e.g.
     /// `"stencil-fp/specialized"` from the autotuner,

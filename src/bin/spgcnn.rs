@@ -65,14 +65,10 @@ usage:
       Statically verify every candidate execution plan for every conv
       layer: prove all kernel access ranges in-bounds, parallel worker
       regions disjoint, and scratch capacities sufficient — without
-      running anything. Exits non-zero if any plan is rejected.
-  spgcnn algos <net.cfg>|--smoke [--cores N] [--backend cpu|sim]
-      Enumerate every backend algorithm for every conv layer with its
-      closed-form workspace bound — the cuDNN-style get_algos /
-      workspace_size queries surfaced as a command. The default cpu
-      backend prints the full candidate space, marking verifier-rejected
-      pairs with the refusal reason; --backend sim ranks the runnable
-      algorithms by the analytical model's predicted GFlops/core.
+      running anything. Each verified forward candidate also shows the
+      kernel lowering binds (generic, avx2, avx512) and the Sec. 3
+      model's predicted GFlops/core on the 16-core Xeon E5-2650. Exits
+      non-zero if any plan is rejected.
   spgcnn serve <net.cfg>|--smoke [--workers N] [--requests N] [--max-batch N]
                [--max-delay-ms MS] [--metrics-json FILE] [--inject-fault SPEC]
       Run the batched serving engine over a synthetic request stream,
@@ -138,7 +134,6 @@ fn main() -> ExitCode {
         Some("eval") => eval(&args[1..]),
         Some("tune") => tune(&args[1..]),
         Some("check") => check(&args[1..]),
-        Some("algos") => algos(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("bench-kernels") => bench_kernels(&args[1..]),
         Some("serve-cluster") => serve_cluster(&args[1..]),
@@ -420,14 +415,19 @@ fn tune(args: &[String]) -> Result<(), String> {
 }
 
 /// Audits a whole network config with the plan-time verifier: every
-/// candidate technique for every conv layer, both phases, plus the
-/// recommended plan — proving all access ranges safe without running any
-/// kernel. The serving/training paths run the same verification inside
-/// `CompiledConv::compile` and the autotuner; this command surfaces it.
+/// candidate the contest measures for every conv layer, both phases —
+/// proving all access ranges safe without running any kernel. A verified
+/// forward candidate also shows the kernel lowering binds and the Sec. 3
+/// model's predicted GFlops/core on the paper's Xeon. The serving/training
+/// paths run the same verification inside `CompiledConv::compile` and the
+/// autotuner; this command surfaces it.
 fn check(args: &[String]) -> Result<(), String> {
+    use spg_cnn::codegen::KernelChoice;
     use spg_cnn::core::autotune::Phase;
+    use spg_cnn::core::backend::AlgoChoice;
     use spg_cnn::core::schedule::Technique;
-    use spg_cnn::core::verify::verify_technique;
+    use spg_cnn::core::verify::{lower_phase, verify_technique};
+    use spg_cnn::simcpu::forward_gflops_per_core;
 
     let desc = if args.iter().any(|a| a == "--smoke") {
         NetworkDescription::parse(SMOKE_NETWORK).map_err(|e| e.to_string())?
@@ -436,6 +436,7 @@ fn check(args: &[String]) -> Result<(), String> {
     };
     let cores = flag(args, "--cores", 16usize)?.max(1);
     let net = desc.build(42).map_err(|e| e.to_string())?;
+    let machine = Machine::xeon_e5_2650();
     println!(
         "checking `{}` ({cores} core(s)): plan-time verification of every candidate",
         desc.name
@@ -455,12 +456,19 @@ fn check(args: &[String]) -> Result<(), String> {
                     Ok(report) => {
                         proved += report.accesses_proved;
                         regions += report.worker_regions;
-                        println!(
+                        let mut line = format!(
                             "  {label} {:<24} ok: {} access range(s), {} worker region(s)",
                             t.to_string(),
                             report.accesses_proved,
                             report.worker_regions
                         );
+                        if phase == Phase::Forward {
+                            let kernel = lower_phase(spec, t, phase, cores, KernelChoice::Auto)
+                                .map_or("generic", |p| AlgoChoice::of(&p).kernel.id());
+                            let model = forward_gflops_per_core(&machine, spec, t, cores);
+                            line += &format!(", kernel {kernel}, model {model:.1} GFlops/core");
+                        }
+                        println!("{line}");
                     }
                     Err(e) => {
                         rejections += 1;
@@ -477,99 +485,6 @@ fn check(args: &[String]) -> Result<(), String> {
         return Err(format!("{rejections} candidate plan(s) rejected by the static verifier"));
     }
     println!("all candidate plans verified safe");
-    Ok(())
-}
-
-/// Enumerates every backend algorithm for every conv layer — the
-/// cuDNN-style `get_algos` / `workspace_size` queries surfaced as a
-/// command. The cpu backend prints the full candidate space, marking
-/// verifier-rejected pairs with the refusal reason; the sim backend ranks
-/// the runnable algorithms by the analytical model's predicted rates.
-fn algos(args: &[String]) -> Result<(), String> {
-    use spg_cnn::core::autotune::Phase;
-    use spg_cnn::core::backend::{Backend, ConvDescriptor, CpuBackend};
-    use spg_cnn::core::schedule::Technique;
-    use spg_cnn::core::verify::verify_technique;
-    use spg_cnn::simcpu::SimBackend;
-
-    let desc = if args.iter().any(|a| a == "--smoke") {
-        NetworkDescription::parse(SMOKE_NETWORK).map_err(|e| e.to_string())?
-    } else {
-        load(args)?
-    };
-    let cores = flag(args, "--cores", 16usize)?.max(1);
-    let backend_name = flag(args, "--backend", "cpu".to_string())?;
-    let net = desc.build(42).map_err(|e| e.to_string())?;
-    match backend_name.as_str() {
-        "cpu" => {
-            let backend = CpuBackend::new();
-            println!("`{}` ({cores} core(s)): cpu backend algorithm enumeration", desc.name);
-            let mut enumerated = 0usize;
-            let mut rejected = 0usize;
-            for (i, layer) in net.layers().iter().enumerate() {
-                let Some(spec) = layer.conv_spec() else { continue };
-                let d = ConvDescriptor::new(*spec, cores);
-                let algos: Vec<_> = backend.get_algos(&d).collect();
-                println!("\nlayer {i}: {spec}");
-                for fwd in Technique::forward_candidates() {
-                    for bwd in Technique::backward_candidates(cores) {
-                        let matching: Vec<_> = algos
-                            .iter()
-                            .filter(|a| a.forward == *fwd && a.backward == *bwd)
-                            .collect();
-                        if matching.is_empty() {
-                            rejected += 1;
-                            let reason = verify_technique(spec, *fwd, Phase::Forward, cores)
-                                .err()
-                                .or_else(|| {
-                                    verify_technique(spec, *bwd, Phase::Backward, cores).err()
-                                })
-                                .map_or_else(|| "not enumerated".to_string(), |e| e.to_string());
-                            let pair = format!("{}+{}", fwd.id(), bwd.id());
-                            println!("  {pair:<36} REJECTED: {reason}");
-                        }
-                        for algo in matching {
-                            enumerated += 1;
-                            println!(
-                                "  {:<36} ok  workspace {:>12} B",
-                                algo.id(),
-                                backend.workspace_size(&d, *algo)
-                            );
-                        }
-                    }
-                }
-            }
-            println!("\n{enumerated} algorithm(s) enumerated, {rejected} pair(s) rejected");
-        }
-        "sim" => {
-            let machine = Machine::xeon_e5_2650();
-            let backend = SimBackend::new(machine);
-            println!(
-                "`{}` ({cores} core(s)): analytical backend ranking on the {}-core Xeon E5-2650",
-                desc.name,
-                backend.machine().cores
-            );
-            for (i, layer) in net.layers().iter().enumerate() {
-                let Some(spec) = layer.conv_spec() else { continue };
-                let d = ConvDescriptor::new(*spec, cores);
-                let weights = vec![0.0f32; spec.weight_shape().len()];
-                println!("\nlayer {i}: {spec}");
-                for (rank, algo) in backend.get_algos(&d).enumerate() {
-                    let p = backend.compile(&d, algo, &weights).map_err(|e| e.to_string())?;
-                    println!(
-                        "  {:>2}. {:<36} fwd {:>6.1}  bwd {:>6.1} GFlops/core  \
-                         workspace {:>12} B",
-                        rank + 1,
-                        algo.id(),
-                        p.fwd_gflops_per_core,
-                        p.bwd_gflops_per_core,
-                        p.workspace_bytes
-                    );
-                }
-            }
-        }
-        other => return Err(format!("unknown backend `{other}` (expected `cpu` or `sim`)")),
-    }
     Ok(())
 }
 

@@ -1,11 +1,10 @@
-//! Golden suite for the backend abstraction (`spg_core::backend`).
+//! Golden suite for algorithm pins (`spg_core::backend`).
 //!
-//! The backend contract is *bit-identity*: routing a layer through
-//! `Backend::compile` — on the default path or with any explicitly
-//! enumerated [`AlgoChoice`] — may never change a single output bit
-//! relative to the pre-backend compile path, and the closed-form
-//! `workspace_size` answer must upper-bound the scratch high-water the
-//! telemetry gauge observes while that algorithm actually runs.
+//! The contract is *bit-identity*: routing a layer through
+//! `Backend::compile` — on the default path or with any [`AlgoChoice`] of
+//! the contest's candidate space — may never change a single output bit
+//! relative to `CompiledConv::compile`, and a pin installed on an engine
+//! runs the program the compiled layer runs.
 //!
 //! Release builds sweep the full Table 2 geometry set (all 12 layers);
 //! debug builds shrink each layer's spatial extent and channel/feature
@@ -13,13 +12,15 @@
 //! covered without the unoptimized kernels taking minutes per forward.
 
 use spg_cnn::check::{verify_conv_plan, ScratchCapacity};
+use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::layer::{ConvLayer, Layer};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{ConvSpec, Engine, LayerAlgo, Network};
 use spg_cnn::core::backend::{AlgoChoice, Backend, ConvDescriptor, CpuBackend};
 use spg_cnn::core::compiled::CompiledConv;
 use spg_cnn::core::config::NetworkDescription;
-use spg_cnn::core::schedule::recommended_plan;
+use spg_cnn::core::schedule::{recommended_plan, LayerPlan, Technique};
+use spg_cnn::core::verify::lower;
 use spg_cnn::tensor::Tensor;
 use spg_cnn::workloads::synth::conv_operands;
 use spg_cnn::workloads::table2;
@@ -55,6 +56,26 @@ fn conv_network(spec: &ConvSpec) -> Network {
     NetworkDescription::parse(&text).expect("valid text").build(42).expect("valid net")
 }
 
+/// The contest's candidate space for `spec` at `cores`: every forward
+/// candidate × every backward candidate, on the generic kernel and on the
+/// one `KernelChoice::Auto` binds, kept where lowering succeeds.
+fn candidates(spec: &ConvSpec, cores: usize) -> Vec<AlgoChoice> {
+    let mut algos = Vec::new();
+    for &forward in Technique::forward_candidates() {
+        for &backward in Technique::backward_candidates(cores) {
+            for kernel in [KernelChoice::Generic, KernelChoice::Auto] {
+                let plan = LayerPlan { forward, backward };
+                let Ok(program) = lower(spec, plan, cores, kernel) else { continue };
+                let algo = AlgoChoice::of(&program);
+                if !algos.contains(&algo) {
+                    algos.push(algo);
+                }
+            }
+        }
+    }
+    algos
+}
+
 /// The default path rerouted through the backend is bit-identical to the
 /// pre-backend `CompiledConv::compile` on every Table 2 layer: same
 /// kernel binding, same output bits.
@@ -80,10 +101,10 @@ fn default_path_through_the_backend_is_bit_identical() {
     }
 }
 
-/// `Engine::algo_override` with each enumerated algorithm produces the
+/// `Engine::algo_override` with each candidate algorithm produces the
 /// same output bits as compiling that algorithm through the backend
 /// directly — the executor-install path and the compiled-kernel path
-/// agree for the whole enumerated space on every Table 2 layer.
+/// agree for the whole candidate space on every Table 2 layer.
 #[test]
 fn algo_override_matches_backend_compile_for_every_enumerated_algo() {
     let backend = CpuBackend::new();
@@ -94,14 +115,13 @@ fn algo_override_matches_backend_compile_for_every_enumerated_algo() {
         let mut engine =
             Engine::builder().network(conv_network(&spec)).build().expect("engine builds");
         let weights = engine.network().layers()[0].params().expect("conv has weights").to_vec();
-        for algo in backend.get_algos(&desc).collect::<Vec<AlgoChoice>>() {
-            let compiled =
-                backend.compile(&desc, algo, &weights).expect("enumerated algos compile");
+        for algo in candidates(&spec, 1) {
+            let compiled = backend.compile(&desc, algo, &weights).expect("candidates compile");
             let mut scratch = ConvScratch::new();
             let mut want = vec![0.0f32; spec.output_shape().len()];
             compiled.forward_scratch(ops.input.as_slice(), &mut want, &mut scratch);
 
-            engine.algo_override(0, algo).expect("enumerated algos install");
+            engine.algo_override(0, algo).expect("candidates install");
             let got = engine.forward(ops.input.as_slice()).expect("forward succeeds");
             assert_eq!(got.as_slice(), &want[..], "{label}: {algo} override diverged");
             compared += 1;
@@ -110,7 +130,7 @@ fn algo_override_matches_backend_compile_for_every_enumerated_algo() {
     assert!(compared >= 12, "suspiciously few (layer, algo) pairs compared: {compared}");
 }
 
-/// The two entry points are one program. For every enumerated algorithm
+/// The two entry points are one program. For every candidate algorithm
 /// on the shrunk Table 2 layers — plus two layers wide enough to lower to
 /// the tiled, instance-bound and banded plans the 4-wide shrunk outputs
 /// never reach — at 1 and 2 cores, the executor `install` puts on a
@@ -134,16 +154,16 @@ fn installed_executor_and_compiled_conv_are_one_program() {
             (spec.output_shape().len(), spec.input_shape().len(), spec.weight_shape().len());
         for cores in [1, 2] {
             let desc = ConvDescriptor::new(spec, cores);
-            for algo in backend.get_algos(&desc).collect::<Vec<AlgoChoice>>() {
+            for algo in candidates(&spec, cores) {
                 let at = format!("{label} x{cores} {algo}");
                 let mut conv = ConvLayer::with_weights(spec, ops.weights.clone()).expect("weights");
-                algo.install(&mut conv, cores).expect("enumerated algos install");
+                algo.install(&mut conv, cores).expect("candidates install");
                 let compiled = backend
                     .compile(&desc, algo, ops.weights.as_slice())
-                    .expect("enumerated algos compile");
+                    .expect("candidates compile");
 
                 // install() runs exactly algo.lower()'s program.
-                let installed = algo.lower(&spec, cores).expect("enumerated algos lower");
+                let installed = algo.lower(&spec, cores).expect("candidates lower");
                 assert_eq!(installed.plan(), compiled.program().plan(), "{at}: plans differ");
                 assert_eq!(
                     installed.specialized_kernel().map(|k| k.isa()),
@@ -177,61 +197,4 @@ fn installed_executor_and_compiled_conv_are_one_program() {
     }
     // Two forward names, and two backward names at one core, three at two.
     assert!(compared >= 14 * (2 * 2 + 2 * 3), "only {compared} (layer, cores, algo) compared");
-}
-
-/// `Backend::workspace_size` upper-bounds the scratch high-water the
-/// telemetry gauge records while the algorithm runs one forward and one
-/// backward pass — the query is trustworthy for capacity planning.
-#[test]
-fn workspace_query_bounds_the_observed_high_water() {
-    let backend = CpuBackend::new();
-    spg_cnn::telemetry::reset();
-    spg_cnn::telemetry::set_enabled(true);
-    let mut bounds: Vec<(String, usize)> = Vec::new();
-    for (label, spec) in golden_specs() {
-        let desc = ConvDescriptor::new(spec, 1);
-        let ops = conv_operands(&spec, 0.5, 0x77);
-        let mut net = conv_network(&spec);
-        let conv = net.layers_mut()[0].as_conv_mut().expect("layer 0 is conv");
-        for (ai, algo) in backend.get_algos(&desc).enumerate() {
-            algo.install(conv, 1).expect("enumerated algos install");
-            let scope = format!("ws/{label}/{ai}");
-            let mut scratch = ConvScratch::new();
-            let mut out = vec![0.0f32; spec.output_shape().len()];
-            let mut grad_in = vec![0.0f32; spec.input_shape().len()];
-            let mut param_grads = Tensor::zeros(spec.weight_shape().len());
-            {
-                let _s = spg_cnn::telemetry::scope(&scope, spg_cnn::telemetry::Phase::Forward);
-                conv.forward(ops.input.as_slice(), &mut out, &mut scratch);
-                conv.backward(
-                    ops.input.as_slice(),
-                    &out,
-                    ops.grad_out.as_slice(),
-                    &mut grad_in,
-                    &mut param_grads,
-                    &mut scratch,
-                );
-            }
-            bounds.push((scope, backend.workspace_size(&desc, algo)));
-        }
-    }
-    spg_cnn::telemetry::set_enabled(false);
-    let snap = spg_cnn::telemetry::snapshot();
-    assert!(!bounds.is_empty());
-    for (scope, bound) in bounds {
-        // Sub-phase scopes (backward data/weights) share the label; the
-        // bound must hold for the largest high-water any of them saw.
-        let observed = snap
-            .scopes
-            .iter()
-            .filter(|s| s.label == scope)
-            .map(|s| s.workspace_bytes)
-            .max()
-            .expect("scope recorded");
-        assert!(
-            observed <= bound as u64,
-            "{scope}: observed workspace high-water {observed} B exceeds the \
-             backend's workspace_size answer {bound} B"
-        );
-    }
 }

@@ -298,4 +298,14 @@ fn check_smoke_verifies_every_candidate() {
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("all candidate plans verified safe"));
     assert!(!stdout.contains("REJECTED"));
+    // Each forward candidate of the smoke conv (6-wide output: the narrow
+    // stencil, no specialized instance) names its kernel and the model's
+    // prediction; backward candidates carry neither.
+    let forward: Vec<&str> = stdout.lines().filter(|l| l.trim_start().starts_with("FP ")).collect();
+    assert_eq!(forward.len(), 2, "{stdout}");
+    for line in forward {
+        assert!(line.contains(", kernel generic, model "), "{line}");
+        assert!(line.ends_with(" GFlops/core"), "{line}");
+    }
+    assert!(stdout.lines().filter(|l| l.contains("BP ")).all(|l| !l.contains("kernel")));
 }

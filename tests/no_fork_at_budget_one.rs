@@ -10,12 +10,14 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::layer::ConvLayer;
 use spg_cnn::convnet::{Engine, LayerAlgo, TrainerConfig};
-use spg_cnn::core::backend::{AlgoChoice, ConvDescriptor, CpuBackend};
+use spg_cnn::core::backend::AlgoChoice;
 use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::core::schedule::{LayerPlan, Technique};
+use spg_cnn::core::verify::lower;
 use spg_cnn::serve::{ServeConfig, Server};
 use spg_cnn::sync::fork_join_spawns;
 
@@ -67,7 +69,8 @@ fn pinned(cores: usize) -> Engine {
         .build()
         .expect("engine builds");
     let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
-    let algo = CpuBackend::new().algo_for(&ConvDescriptor::new(spec, cores), plan);
+    let program = lower(&spec, plan, cores, KernelChoice::Auto).expect("the stencil plan verifies");
+    let algo = AlgoChoice::of(&program);
     engine.algo_override(0, LoweredAt(algo, cores)).expect("the stencil plan verifies");
     engine
 }

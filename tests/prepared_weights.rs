@@ -16,12 +16,13 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 
 use spg_cnn::check::{BackwardPlan, ForwardPlan};
+use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::exec::{ConvExecutor, PreparedWeights, UnfoldGemmExecutor};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{io, ConvSpec, Engine, EpochStats, Network, Trainer, TrainerConfig};
 use spg_cnn::core::autotune::{Framework, TuningMode};
-use spg_cnn::core::backend::{AlgoChoice, AlgoKernel, Backend, ConvDescriptor, CpuBackend};
+use spg_cnn::core::backend::{AlgoChoice, AlgoKernel};
 use spg_cnn::core::compiled::CompiledConv;
 use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::core::schedule::{LayerPlan, Technique};
@@ -156,13 +157,12 @@ fn layer_phases_never_read_stale_prepared_weights() {
     let conv0 = *plans.keys().next().expect("two conv layers");
     let mut engine =
         Engine::builder().network(net).workers(CORES).build().expect("network supplied");
-    engine.algo_override(conv0, pin).expect("enumerated algorithm installs");
+    engine.algo_override(conv0, pin).expect("the pinned plan installs");
     let compile_rest = compile_planned(&plans);
     assert_fresh(engine.network(), "algo_override", |i, spec, w| {
         if i == conv0 {
-            CpuBackend::new()
-                .compile(&ConvDescriptor::new(spec, CORES), pin, w)
-                .expect("enumerated algorithm compiles")
+            CompiledConv::compile_with_kernel(spec, pin.plan(), w, CORES, KernelChoice::Generic)
+                .expect("the pinned plan compiles")
         } else {
             compile_rest(i, spec, w)
         }
