@@ -9,10 +9,11 @@
 
 use spg_convnet::ConvSpec;
 use spg_core::region::classify_by_features;
-use spg_core::schedule::recommended_plan;
+use spg_core::schedule::{recommended_plan, Technique};
 use spg_simcpu::{
-    cifar10_throughput, gemm_in_parallel_gflops_per_core, parallel_gemm_gflops_per_core,
-    sparse_bp_prediction, stencil_gflops_per_core, EndToEndConfig, Machine,
+    cifar10_throughput, forward_gflops_per_core, gemm_in_parallel_gflops_per_core,
+    parallel_gemm_gflops_per_core, sparse_bp_prediction, stencil_gflops_per_core, EndToEndConfig,
+    Machine,
 };
 use spg_workloads::sparsity::{modeled_curve, SparsityBenchmark};
 use spg_workloads::{table1, table2};
@@ -232,29 +233,16 @@ pub fn fig8_report(machine: &Machine) -> String {
     );
     let mut rows = Vec::new();
     for (bench, layer, spec) in table2::all_layers() {
-        let plan = recommended_plan(&spec, sparsity, cores);
+        let plan = recommended_plan(&spec, sparsity);
         let pg = parallel_gemm_gflops_per_core(machine, &spec, cores);
-        let fp_rate = match plan.forward {
-            spg_core::schedule::Technique::StencilFp => {
-                stencil_gflops_per_core(machine, &spec, cores)
-            }
-            spg_core::schedule::Technique::GemmInParallel => {
-                gemm_in_parallel_gflops_per_core(machine, &spec, cores)
-            }
-            _ => pg,
-        };
-        let fp_speedup = fp_rate / pg;
+        let fp_speedup = forward_gflops_per_core(machine, &spec, plan.forward, cores) / pg;
         // BP speedup: dense Parallel-GEMM BP time vs planned BP time.
         let bp_flops = 2.0 * spec.arithmetic_ops() as f64;
         let pg_bp_time = bp_flops / (pg * 1e9);
-        let bp_time = match plan.backward {
-            spg_core::schedule::Technique::SparseBp => {
-                sparse_bp_prediction(machine, &spec, sparsity, cores).time_s
-            }
-            spg_core::schedule::Technique::GemmInParallel => {
-                bp_flops / (gemm_in_parallel_gflops_per_core(machine, &spec, cores) * 1e9)
-            }
-            _ => pg_bp_time,
+        let bp_time = if plan.backward == Technique::SparseBp {
+            sparse_bp_prediction(machine, &spec, sparsity, cores).time_s
+        } else {
+            bp_flops / (gemm_in_parallel_gflops_per_core(machine, &spec, cores) * 1e9)
         };
         rows.push(vec![
             format!("{} L{layer}", bench.label()),

@@ -32,11 +32,10 @@ impl ScratchCapacity {
     pub fn reserved_for(spec: &ConvSpec) -> Self {
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
-        let unfold_area = patches * patch_len.max(spec.features());
         let ishape = spec.input_shape();
         let phased = ishape.c * ishape.h * spec.sx() * ishape.w.div_ceil(spec.sx());
         ScratchCapacity {
-            mat_a: unfold_area,
+            mat_a: patches * patch_len,
             mat_b: patches * patch_len,
             hwc_in: ishape.len().max(phased),
             hwc_out: spec.output_shape().len(),
@@ -88,6 +87,8 @@ mod tests {
             ConvSpec::square(32, 16, 8, 5, 1),
             ConvSpec::square(31, 7, 3, 3, 2),
             ConvSpec::new(3, 13, 27, 5, 2, 4, 1, 3).unwrap(),
+            // More features than patch elements (64 > 2 * 3 * 3).
+            ConvSpec::square(8, 64, 2, 3, 1),
         ] {
             let mut scratch = ConvScratch::new();
             scratch.reserve(&spec);

@@ -18,7 +18,7 @@ pub enum Buf {
     GradOut,
     /// The weight-gradient tensor written by backward-weights.
     GradWeights,
-    /// `ConvScratch::mat_a` (unfold / gather / transpose staging).
+    /// `ConvScratch::mat_a` (unfold / gather staging).
     MatA,
     /// `ConvScratch::mat_b` (backward-data unfolded gradient).
     MatB,

@@ -182,7 +182,8 @@ pub(crate) fn check_forward_gemm(
 }
 
 /// Verifies the unfold + GEMM backward plan: both the backward-data GEMM
-/// (into `mat_b`, folded into `grad_in`) and the backward-weights GEMM.
+/// (into `mat_b`, folded into `grad_in`) and the backward-weights GEMM,
+/// and (for `threads > 1`) each one's row-band split of its output.
 pub(crate) fn check_backward_gemm(
     interp: &mut Interp,
     spec: &ConvSpec,
@@ -202,27 +203,18 @@ pub(crate) fn check_backward_gemm(
     let w_len = spec.weight_shape().len();
     let out_len = spec.output_shape().len();
 
-    // Backward-data: E_U (patches x patch_len) = E_O^T (patches x nf) * W.
+    // Backward-data: E_U (patches x patch_len) = E_O^T (patches x nf) * W,
+    // computed as A^T B with A = E_O (nf x patches) read in place: prove
+    // the operand extents the transposed kernel reads, and the E_U row
+    // bands (each band reads its columns of E_O) when the plan splits.
     interp.capacity(Buf::MatB, "backward-data E_U staging", patches * patch_len, cap.mat_b)?;
     let (m, n, k) = (patches, patch_len, nf);
+    interp.access(Buf::GradOut, "backward-data E_O read", Span::iter(k * m), out_len)?;
+    interp.access(Buf::Weights, "backward-data weight read", Span::iter(k * n), w_len)?;
+    interp.proved(1);
     if threads > 1 {
-        interp.capacity(Buf::MatA, "staged E_O^T transpose", patches * nf, cap.mat_a)?;
-        check_gemm_dims(
-            interp,
-            "backward-data unfold GEMM operands",
-            (m, n, k),
-            Operand { buf: Buf::MatA, len: patches * nf, ld: k },
-            Operand { buf: Buf::Weights, len: w_len, ld: n },
-            Operand { buf: Buf::MatB, len: patches * patch_len, ld: n },
-        )?;
         let bands = row_bands(m, threads);
         check_row_bands(interp, Buf::MatB, "backward-data Parallel-GEMM row bands", m, n, &bands)?;
-    } else {
-        // Serial path computes A^T B with A = E_O (nf x patches): prove the
-        // operand extents the transposed kernel reads.
-        interp.access(Buf::GradOut, "backward-data E_O read", Span::iter(k * m), out_len)?;
-        interp.access(Buf::Weights, "backward-data weight read", Span::iter(k * n), w_len)?;
-        interp.proved(1);
     }
     // Fold scatters E_U back into CHW grad_in along the patch geometry:
     // dst = (c*in_h + y*sy + ky)*in_w + x*sx + kx.

@@ -509,7 +509,7 @@ impl Cluster {
                                 i,
                                 spg_core::schedule::LayerPlan {
                                     forward: framework.plan_layer_forward(spec),
-                                    backward: spg_core::schedule::recommended_plan(spec, 0.0, 1)
+                                    backward: spg_core::schedule::recommended_plan(spec, 0.0)
                                         .backward,
                                 },
                             )

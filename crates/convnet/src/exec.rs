@@ -181,11 +181,10 @@ impl ConvExecutor for ReferenceExecutor {
 /// With `threads == 1` this is the building block of the GEMM-in-Parallel
 /// schedule; with `threads > 1` each GEMM is row-partitioned across cores
 /// (Parallel-GEMM), reproducing the baseline whose per-core arithmetic
-/// intensity shrinks as cores are added. The forward GEMM's `threads` row
-/// bands run on as many threads as the call's
-/// [core budget](ConvScratch::cores) allows — none beyond the caller's own
-/// inside a sample worker — with the same output bits either way; the
-/// backward GEMMs always fork `threads`.
+/// intensity shrinks as cores are added. Each phase's `threads` row bands
+/// run on as many threads as the call's [core budget](ConvScratch::cores)
+/// allows — none beyond the caller's own inside a sample worker — with the
+/// same bits either way.
 #[derive(Debug, Clone, Copy)]
 pub struct UnfoldGemmExecutor {
     threads: usize,

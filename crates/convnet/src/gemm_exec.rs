@@ -9,8 +9,15 @@
 //! gradient — live in a caller-provided [`ConvScratch`]; what a
 //! steady-state sample still allocates is the blocked GEMM's two operand
 //! pack panels ([`spg_gemm::gemm_slice`] builds them per call, so row bands
-//! can run it concurrently; only the transposed backward-data multiply
-//! packs into the scratch).
+//! can run it concurrently; only the serial transposed backward-data
+//! multiply packs into the scratch).
+//!
+//! Each phase's GEMM runs the row-band partition its plan was proved for
+//! on as many threads as the call's [core budget](ConvScratch::cores)
+//! allows, with the same bits at every budget: a sample worker of a
+//! saturated batch (budget 1) runs one serial GEMM per phase — the
+//! GEMM-in-Parallel building block — and a lone sample with the whole
+//! machine runs Parallel-GEMM.
 
 use spg_gemm::{gemm_at_b_slice, gemm_flops, parallel_gemm_slice};
 
@@ -59,6 +66,12 @@ pub fn forward_scratch(
 /// Backward error propagation via `E_U = E_O^T * W_mat`, then `col2im`,
 /// running out of a caller-owned [`ConvScratch`].
 ///
+/// `threads` is the row-band partition of `E_U` the plan was proved for,
+/// run on `min(threads, scratch.cores)` threads as [`forward_scratch`]
+/// runs its own; each band reads its columns of `E_O` in place, so no
+/// transposed copy is staged. On one thread the multiply packs into the
+/// scratch's recycled pack buffers.
+///
 /// # Panics
 ///
 /// Panics if buffer lengths do not match the spec.
@@ -76,50 +89,29 @@ pub fn backward_data_scratch(
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
-    let features = spec.features();
     // grad_out is CHW = features x patches row-major; E_U = E_O^T * W.
-    let (m, n, k) = (patches, patch_len, features);
+    let (m, n, k) = (patches, patch_len, spec.features());
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
     scratch.mat_b.resize(patches, patch_len);
-    if threads > 1 {
-        // Parallel-GEMM partitions by rows of E_U, so stage the explicit
-        // transpose of E_O in recycled scratch.
-        scratch.mat_a.resize(patches, features);
-        let eot = scratch.mat_a.as_mut_slice();
-        for f in 0..features {
-            let row = &grad_out[f * patches..(f + 1) * patches];
-            for (p, &v) in row.iter().enumerate() {
-                eot[p * features + f] = v;
-            }
-        }
-        parallel_gemm_slice(
-            m,
-            n,
-            k,
-            scratch.mat_a.as_slice(),
-            weights,
-            scratch.mat_b.as_mut_slice(),
-            threads,
-            threads,
-        );
-    } else {
-        // Transpose folded into panel packing; pack buffers are recycled.
-        gemm_at_b_slice(
-            k,
-            m,
-            n,
-            grad_out,
-            weights,
-            scratch.mat_b.as_mut_slice(),
-            &mut scratch.pack_a,
-            &mut scratch.pack_b,
-        );
-    }
+    gemm_at_b_slice(
+        k,
+        m,
+        n,
+        grad_out,
+        weights,
+        scratch.mat_b.as_mut_slice(),
+        threads,
+        scratch.cores,
+        &mut scratch.pack_a,
+        &mut scratch.pack_b,
+    );
     fold(spec, &scratch.mat_b, grad_in);
 }
 
 /// Weight-gradient computation via `dW = E_O * U`, running out of a
-/// caller-owned [`ConvScratch`].
+/// caller-owned [`ConvScratch`], its `threads` row bands run on
+/// `min(threads, scratch.cores)` threads as [`forward_scratch`] runs its
+/// own.
 ///
 /// # Panics
 ///
@@ -142,7 +134,7 @@ pub fn backward_weights_scratch(
     let (m, n, k) = (spec.features(), patch_len, patches);
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
     let unfolded = scratch.mat_a.as_slice();
-    parallel_gemm_slice(m, n, k, grad_out, unfolded, grad_weights, threads, threads);
+    parallel_gemm_slice(m, n, k, grad_out, unfolded, grad_weights, threads, scratch.cores);
 }
 
 #[cfg(test)]
@@ -199,6 +191,32 @@ mod tests {
         }
     }
 
+    /// The backward twin of the forward's budget rule: a 3-band plan's
+    /// backward-data and backward-weights bits on 1, 2, 3 or 8 cores are
+    /// the serial GEMMs'.
+    #[test]
+    fn backward_bits_do_not_depend_on_the_core_budget() {
+        let specs = spec_cases();
+        let specs = if cfg!(miri) { &specs[1..3] } else { &specs[..] };
+        for spec in specs {
+            let (input, weights) =
+                (pseudo(spec.input_shape().len(), 5), pseudo(spec.weight_shape().len(), 3));
+            let grad_out = pseudo(spec.output_shape().len(), 4);
+            let run = |cores| {
+                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                let mut grad_in = vec![0f32; spec.input_shape().len()];
+                let mut grad_w = vec![0f32; spec.weight_shape().len()];
+                backward_data_scratch(spec, &weights, &grad_out, &mut grad_in, 3, &mut scratch);
+                backward_weights_scratch(spec, &input, &grad_out, &mut grad_w, 3, &mut scratch);
+                (grad_in, grad_w)
+            };
+            let serial = run(1);
+            for cores in [2, 3, 8] {
+                assert_eq!(run(cores), serial, "{spec} cores={cores}");
+            }
+        }
+    }
+
     #[test]
     fn backward_data_matches_reference() {
         for spec in spec_cases() {
@@ -207,7 +225,7 @@ mod tests {
             let mut via_gemm = vec![0f32; spec.input_shape().len()];
             let mut oracle = vec![0f32; spec.input_shape().len()];
             for threads in [1, 3] {
-                let mut scratch = ConvScratch::new();
+                let mut scratch = ConvScratch { cores: threads, ..ConvScratch::new() };
                 backward_data_scratch(
                     &spec,
                     &weights,
@@ -267,7 +285,7 @@ mod tests {
             let grad_out = pseudo(spec.output_shape().len(), 6);
             let mut via_gemm = vec![0f32; spec.weight_shape().len()];
             let mut oracle = vec![0f32; spec.weight_shape().len()];
-            let mut scratch = ConvScratch::new();
+            let mut scratch = ConvScratch { cores: 2, ..ConvScratch::new() };
             backward_weights_scratch(&spec, &input, &grad_out, &mut via_gemm, 2, &mut scratch);
             reference::backward_weights(&spec, &input, &grad_out, &mut oracle);
             let diff =

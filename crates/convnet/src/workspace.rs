@@ -80,8 +80,7 @@ pub struct ConvScratch {
     /// Cores the current call may spend inside one sample (at least 1);
     /// see the type-level docs. Set by whoever walks the network.
     pub cores: usize,
-    /// Patch-matrix scratch: the unfold matrix `U` / `U^T`, or the
-    /// transposed gradient `E_O^T` in the Parallel-GEMM backward path.
+    /// Patch-matrix scratch: the unfold matrix `U` / `U^T`.
     pub mat_a: Matrix,
     /// Patch-space gradient `E_U` for the backward-data fold.
     pub mat_b: Matrix,
@@ -133,9 +132,8 @@ impl ConvScratch {
     pub fn reserve(&mut self, spec: &ConvSpec) {
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
-        let unfold_area = patches * patch_len.max(spec.features());
-        if self.mat_a.len() < unfold_area {
-            self.mat_a.resize(patches, patch_len.max(spec.features()));
+        if self.mat_a.len() < patches * patch_len {
+            self.mat_a.resize(patches, patch_len);
         }
         if self.mat_b.len() < patches * patch_len {
             self.mat_b.resize(patches, patch_len);

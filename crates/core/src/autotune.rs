@@ -162,7 +162,7 @@ type Lowered = (Technique, Result<ConvProgram, SpgError>);
 fn lower_candidates(spec: &ConvSpec, phase: Phase, cores: usize) -> Vec<Lowered> {
     let candidates = match phase {
         Phase::Forward => Technique::forward_candidates(),
-        Phase::Backward => Technique::backward_candidates(cores),
+        Phase::Backward => Technique::backward_candidates(),
     };
     candidates
         .iter()
@@ -350,7 +350,7 @@ impl Framework {
     /// sample worker runs it.
     pub fn plan_layer(&self, spec: &ConvSpec, sparsity: f64) -> LayerPlan {
         match self.mode {
-            TuningMode::Heuristic => recommended_plan(spec, sparsity, self.cores),
+            TuningMode::Heuristic => recommended_plan(spec, sparsity),
             TuningMode::Measured { reps } => tune_layer(spec, sparsity, self.cores, 1, reps),
         }
     }
@@ -427,7 +427,7 @@ impl Framework {
     /// [`Engine::forward`](spg_convnet::Engine::forward) runs it.
     pub fn plan_layer_forward(&self, spec: &ConvSpec) -> Technique {
         match self.mode {
-            TuningMode::Heuristic => recommended_plan(spec, 0.0, self.cores).forward,
+            TuningMode::Heuristic => recommended_plan(spec, 0.0).forward,
             TuningMode::Measured { reps } => tune_layer_forward(spec, self.cores, reps),
         }
     }
@@ -448,7 +448,7 @@ impl Framework {
     ) -> Result<Vec<(usize, LayerPlan)>, SpgError> {
         self.install_plans(net, &[Phase::Forward], |_, spec| LayerPlan {
             forward: self.plan_layer_forward(spec),
-            backward: recommended_plan(spec, 0.0, self.cores).backward,
+            backward: recommended_plan(spec, 0.0).backward,
         })
     }
 
@@ -522,7 +522,7 @@ mod tests {
     fn tune_layer_returns_applicable_techniques() {
         let plan = tune_layer(&small_spec(), 0.9, 1, 1, 1);
         assert!(Technique::forward_candidates().contains(&plan.forward));
-        assert!(Technique::backward_candidates(1).contains(&plan.backward));
+        assert!(Technique::backward_candidates().contains(&plan.backward));
     }
 
     /// One `tune_layer` call lowers each candidate once per phase: the
@@ -535,7 +535,7 @@ mod tests {
         let before = LOWERINGS.with(std::cell::Cell::get);
         tune_layer(&small_spec(), 0.9, cores, 1, 1);
         let candidates =
-            Technique::forward_candidates().len() + Technique::backward_candidates(cores).len();
+            Technique::forward_candidates().len() + Technique::backward_candidates().len();
         assert_eq!(LOWERINGS.with(std::cell::Cell::get) - before, candidates);
     }
 
@@ -786,7 +786,7 @@ mod tests {
     fn measured_mode_runs_end_to_end() {
         let fw = Framework::new(1, TuningMode::Measured { reps: 1 }, 1);
         let plan = fw.plan_layer(&small_spec(), 0.85);
-        assert!(Technique::backward_candidates(1).contains(&plan.backward));
+        assert!(Technique::backward_candidates().contains(&plan.backward));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! let spec = ConvSpec::square(12, 16, 4, 3, 1);
 //! let weights = vec![0.01; spec.weight_shape().len()];
-//! let kernel = CompiledConv::compile(spec, recommended_plan(&spec, 0.0, 4), &weights, 4)?;
+//! let kernel = CompiledConv::compile(spec, recommended_plan(&spec, 0.0), &weights, 4)?;
 //! let algo = AlgoChoice::of(kernel.program());
 //! assert_eq!(algo.plan(), kernel.plan());
 //! assert_eq!(algo.lower(&spec, 4)?.plan(), kernel.program().plan());
@@ -256,7 +256,7 @@ mod tests {
     fn of_reads_back_the_lowered_algorithm() {
         for spec in specs() {
             for &forward in Technique::forward_candidates() {
-                for &backward in Technique::backward_candidates(2) {
+                for &backward in Technique::backward_candidates() {
                     let generic = AlgoChoice { forward, backward, kernel: AlgoKernel::Generic };
                     let Ok(program) = generic.lower(&spec, 2) else { continue };
                     assert_eq!(AlgoChoice::of(&program), generic, "{spec:?}");
@@ -307,7 +307,7 @@ mod tests {
             kernel: AlgoKernel::Specialized(Isa::Avx2),
         };
         assert!(backend.compile(&desc, algo, &weights).is_err());
-        let wrong_fwd = AlgoChoice { forward: Technique::ParallelGemm, ..algo };
+        let wrong_fwd = AlgoChoice { forward: Technique::GemmInParallel, ..algo };
         assert!(backend.compile(&desc, wrong_fwd, &weights).is_err());
     }
 

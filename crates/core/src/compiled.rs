@@ -210,7 +210,9 @@ impl ConvProgram {
     }
 
     /// Backward error propagation for one sample. `grad_in` is
-    /// overwritten.
+    /// overwritten. A GEMM plan's row bands run on as many threads as
+    /// `scratch`'s [core budget](ConvScratch::cores) allows; the bits do
+    /// not depend on it.
     ///
     /// # Panics
     ///
@@ -249,7 +251,8 @@ impl ConvProgram {
     }
 
     /// Delta-weight computation for one sample. `grad_weights` is
-    /// overwritten.
+    /// overwritten; core budget as for
+    /// [`backward_data`](ConvProgram::backward_data).
     ///
     /// # Panics
     ///
@@ -296,19 +299,18 @@ struct PlanExecutor {
 impl ConvExecutor for PlanExecutor {
     fn name(&self) -> &str {
         // Named for the technique, not for the lowered plan: at more than
-        // one core a sample-partitioned technique's plan carries a split it
-        // runs only when a call is starved of samples. The GEMM names are
-        // `UnfoldGemmExecutor`'s.
+        // one core every plan carries a split it runs only when a call is
+        // starved of samples. The GEMM name is `UnfoldGemmExecutor`'s.
         let techniques = self.program.techniques();
         let (technique, own_kernel) = match self.phase {
             Phase::Forward => (techniques.forward, Technique::StencilFp),
             Phase::Backward => (techniques.backward, Technique::SparseBp),
         };
-        match technique {
-            t if t == own_kernel => t.id(),
-            Technique::ParallelGemm if self.program.cores() > 1 => "unfold+parallel-gemm",
-            // GEMM-in-Parallel, and the other phase's kernel falling back.
-            _ => "unfold+gemm",
+        if technique == own_kernel {
+            technique.id()
+        } else {
+            // The GEMM, and the other phase's kernel falling back to it.
+            "unfold+gemm"
         }
     }
 
@@ -358,7 +360,7 @@ impl ConvExecutor for PlanExecutor {
 /// [`ConvProgram`] plus its own [`PreparedWeights`], executable over any
 /// number of samples — what a [`ConvLayer`] with the program installed in
 /// both slots holds, without the layer. Without a walker, too: a compiled
-/// layer runs its forward on the cores it was compiled for
+/// layer runs all three phases on the cores it was compiled for
 /// ([`ConvProgram::cores`]) — a serving worker compiles at 1 and stays on
 /// its thread, a `cores`-wide compile of a lone layer uses them all.
 ///
@@ -371,7 +373,7 @@ impl ConvExecutor for PlanExecutor {
 /// use spg_core::schedule::recommended_plan;
 ///
 /// let spec = ConvSpec::square(12, 16, 4, 3, 1);
-/// let plan = recommended_plan(&spec, 0.9, 16);
+/// let plan = recommended_plan(&spec, 0.9);
 /// let weights = vec![0.01; spec.weight_shape().len()];
 /// let kernel = CompiledConv::compile(spec, plan, &weights, 1)?;
 ///
@@ -498,11 +500,7 @@ impl CompiledConv {
     ///
     /// Panics if buffer lengths do not match the spec.
     pub fn forward_scratch(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        // A compiled layer owns the cores it was compiled for, whoever
-        // lends it the scratch.
-        let lent = std::mem::replace(&mut scratch.cores, self.program.cores());
-        self.program.forward(input, &self.weights, output, scratch);
-        scratch.cores = lent;
+        self.on_own_cores(scratch, |s| self.program.forward(input, &self.weights, output, s));
     }
 
     /// Backward error propagation for one sample running out of a
@@ -517,7 +515,9 @@ impl CompiledConv {
         grad_in: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        self.program.backward_data(&self.weights, grad_out, grad_in, scratch);
+        self.on_own_cores(scratch, |s| {
+            self.program.backward_data(&self.weights, grad_out, grad_in, s);
+        });
     }
 
     /// Delta-weight computation for one sample running out of a
@@ -533,7 +533,18 @@ impl CompiledConv {
         grad_weights: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        self.program.backward_weights(input, grad_out, grad_weights, scratch);
+        self.on_own_cores(scratch, |s| {
+            self.program.backward_weights(input, grad_out, grad_weights, s);
+        });
+    }
+
+    /// Runs `phase` with `scratch`'s core budget set to the cores this
+    /// layer was compiled for: a compiled layer owns them, whoever lends it
+    /// the scratch.
+    fn on_own_cores(&self, scratch: &mut ConvScratch, phase: impl FnOnce(&mut ConvScratch)) {
+        let lent = std::mem::replace(&mut scratch.cores, self.program.cores());
+        phase(scratch);
+        scratch.cores = lent;
     }
 
     /// Renders the generated kernels as readable pseudo-C: the basic block
@@ -632,7 +643,7 @@ mod tests {
         let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5-wide output
         for spec in [wide, narrow] {
             for &fwd in Technique::forward_candidates() {
-                for &bwd in Technique::backward_candidates(2) {
+                for &bwd in Technique::backward_candidates() {
                     check_all_phases(spec, LayerPlan { forward: fwd, backward: bwd });
                 }
             }
@@ -649,7 +660,7 @@ mod tests {
         let grad_out = sparse_grad(spec.output_shape().len(), 3);
         let mut scratch = ConvScratch::new();
         for &fwd in Technique::forward_candidates() {
-            for &bwd in Technique::backward_candidates(2) {
+            for &bwd in Technique::backward_candidates() {
                 let plan = LayerPlan { forward: fwd, backward: bwd };
                 let kernel = CompiledConv::compile(spec, plan, &weights, 2).expect("plan compiles");
                 let olen = spec.output_shape().len();

@@ -30,10 +30,10 @@
 //! use spg_convnet::ConvSpec;
 //! use spg_core::schedule::{recommended_plan, Technique};
 //!
-//! // CIFAR-10 layer 1 (Table 2): 64 features, 5x5, on 16 cores with
-//! // 85 % gradient sparsity.
+//! // CIFAR-10 layer 1 (Table 2): 64 features, 5x5, with 85 % gradient
+//! // sparsity.
 //! let spec = ConvSpec::square(8, 64, 64, 5, 1);
-//! let plan = recommended_plan(&spec, 0.85, 16);
+//! let plan = recommended_plan(&spec, 0.85);
 //! assert_eq!(plan.forward, Technique::StencilFp);     // < 128 features
 //! assert_eq!(plan.backward, Technique::SparseBp);      // > 75 % sparse
 //! ```

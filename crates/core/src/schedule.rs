@@ -1,12 +1,14 @@
 //! The computation scheduler: techniques, per-layer plans, and the paper's
 //! empirical selection heuristics (Sec. 4.4).
 //!
-//! A [`Technique`] names a *kernel* — the paper's three, plus the
-//! Parallel-GEMM baseline they are measured against. How a kernel's work
-//! is split across the cores of one sample is not a fifth name: lowering
+//! A [`Technique`] names a *kernel*: the unfolded GEMM, the stencil and
+//! the sparse kernel. How a kernel's work is split across the cores of one
+//! sample is not a technique: lowering
 //! ([`verify::lower`](crate::verify::lower)) attaches the split to the plan
 //! — GEMM row bands, or the stencil bands `stencil_split` picks — and the
-//! call's core budget decides how much of it runs.
+//! call's core budget decides how much of it runs. So the paper's
+//! Parallel-GEMM and GEMM-in-Parallel are one technique: the same GEMM
+//! program in a walk that owns every core, or one core per sample.
 
 use std::fmt;
 
@@ -14,16 +16,16 @@ use spg_check::BandDim;
 use spg_convnet::ConvSpec;
 
 use crate::hybrid::band_ranges;
-use crate::region::{HIGH_FEATURE_THRESHOLD, LOW_FEATURE_THRESHOLD, SPARSE_THRESHOLD};
+use crate::region::{LOW_FEATURE_THRESHOLD, SPARSE_THRESHOLD};
 
 /// An execution technique for one phase of one convolution layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technique {
-    /// `Unfold + Parallel-GEMM`: each GEMM partitioned across all cores
-    /// (the conventional baseline).
-    ParallelGemm,
-    /// `Unfold + GEMM-in-Parallel`: single-threaded GEMMs, whole training
-    /// inputs distributed across cores (Sec. 4.1).
+    /// `Unfold + GEMM`, lowered with the Parallel-GEMM row bands of each
+    /// multiply: a sample worker of a saturated batch runs them as one
+    /// single-threaded GEMM (GEMM-in-Parallel, Sec. 4.1), a call that owns
+    /// every core for one sample runs them in parallel (the conventional
+    /// Parallel-GEMM baseline).
     GemmInParallel,
     /// Generated direct-convolution stencil kernel, forward phase
     /// (Sec. 4.3).
@@ -33,28 +35,19 @@ pub enum Technique {
 }
 
 impl Technique {
-    /// The techniques a forward contest measures. The GEMM kernel has one
-    /// forward name: both GEMM techniques lower to the same row-banded
-    /// program, and whether it runs as Parallel-GEMM or as one serial GEMM
-    /// per sample is the call's core budget, not a technique.
+    /// The techniques a forward contest measures.
     pub fn forward_candidates() -> &'static [Technique] {
         &[Technique::GemmInParallel, Technique::StencilFp]
     }
 
-    /// The techniques a backward contest measures at `cores` cores. At one
-    /// core Parallel-GEMM is GEMM-in-Parallel's program and is not listed.
-    pub fn backward_candidates(cores: usize) -> &'static [Technique] {
-        if cores > 1 {
-            &[Technique::ParallelGemm, Technique::GemmInParallel, Technique::SparseBp]
-        } else {
-            &[Technique::GemmInParallel, Technique::SparseBp]
-        }
+    /// The techniques a backward contest measures.
+    pub fn backward_candidates() -> &'static [Technique] {
+        &[Technique::GemmInParallel, Technique::SparseBp]
     }
 
     /// Stable machine-readable identifier used in metrics JSON.
     pub fn id(self) -> &'static str {
         match self {
-            Technique::ParallelGemm => "parallel-gemm",
             Technique::GemmInParallel => "gemm-in-parallel",
             Technique::StencilFp => "stencil-fp",
             Technique::SparseBp => "sparse-bp",
@@ -72,7 +65,6 @@ impl Technique {
 impl fmt::Display for Technique {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            Technique::ParallelGemm => "Parallel-GEMM",
             Technique::GemmInParallel => "GEMM-in-Parallel",
             Technique::StencilFp => "Stencil-Kernel (FP)",
             Technique::SparseBp => "Sparse-Kernel (BP)",
@@ -97,13 +89,13 @@ impl fmt::Display for LayerPlan {
 }
 
 /// The paper's empirical selection heuristics (Sec. 4.4):
-/// Stencil-Kernel beats the unfolded GEMM below 128 output features,
-/// GEMM-in-Parallel beats Parallel-GEMM below 1024 features, and
+/// Stencil-Kernel beats the unfolded GEMM below 128 output features, and
 /// Sparse-Kernel beats dense BP above 75 % gradient sparsity.
 ///
-/// The forward GEMM is always named [`Technique::GemmInParallel`]: its
-/// plan carries the Parallel-GEMM row bands, and a walk that owns more
-/// than one core runs them. On one core the same holds for backward.
+/// The third rule — GEMM-in-Parallel beats Parallel-GEMM below 1024
+/// features — is about a core budget, not a plan: every GEMM plan carries
+/// the Parallel-GEMM row bands, and a walk that lends one sample more than
+/// one core runs them.
 ///
 /// # Example
 ///
@@ -113,21 +105,18 @@ impl fmt::Display for LayerPlan {
 ///
 /// // AlexNet layer 1 (Table 2): 256 features -> GiP forward.
 /// let spec = ConvSpec::square(55, 256, 96, 5, 1);
-/// let plan = recommended_plan(&spec, 0.85, 16);
+/// let plan = recommended_plan(&spec, 0.85);
 /// assert_eq!(plan.forward, Technique::GemmInParallel);
 /// assert_eq!(plan.backward, Technique::SparseBp);
 /// ```
-pub fn recommended_plan(spec: &ConvSpec, bp_sparsity: f64, cores: usize) -> LayerPlan {
-    let features = spec.features();
-    let forward = if features < LOW_FEATURE_THRESHOLD {
+pub fn recommended_plan(spec: &ConvSpec, bp_sparsity: f64) -> LayerPlan {
+    let forward = if spec.features() < LOW_FEATURE_THRESHOLD {
         Technique::StencilFp
     } else {
         Technique::GemmInParallel
     };
     let backward = if bp_sparsity > SPARSE_THRESHOLD {
         Technique::SparseBp
-    } else if cores > 1 && features >= HIGH_FEATURE_THRESHOLD {
-        Technique::ParallelGemm
     } else {
         Technique::GemmInParallel
     };
@@ -157,7 +146,7 @@ pub fn recommended_plan_for_batch(
     cores: usize,
     batch: usize,
 ) -> LayerPlan {
-    let base = recommended_plan(spec, bp_sparsity, cores);
+    let base = recommended_plan(spec, bp_sparsity);
     if batch < cores && stencil_split(spec, cores).is_some() {
         LayerPlan { forward: Technique::StencilFp, ..base }
     } else {
@@ -173,42 +162,34 @@ mod tests {
     fn table2_layer_plans_match_paper_narrative() {
         // ImageNet-22K L2 (400 features): GiP forward (Sec. 5.2).
         let l2 = ConvSpec::square(15, 400, 250, 3, 1);
-        assert_eq!(recommended_plan(&l2, 0.5, 16).forward, Technique::GemmInParallel);
+        assert_eq!(recommended_plan(&l2, 0.5).forward, Technique::GemmInParallel);
         // MNIST L0 (20 features): stencil forward (Sec. 5.2).
         let mnist = ConvSpec::square(28, 20, 1, 5, 1);
-        assert_eq!(recommended_plan(&mnist, 0.5, 16).forward, Technique::StencilFp);
-        // ID 1 of Table 1 (1024 features): Parallel-GEMM remains best.
+        assert_eq!(recommended_plan(&mnist, 0.5).forward, Technique::StencilFp);
+        // ID 1 of Table 1 (1024 features): the GEMM in both phases, whose
+        // row bands run in parallel wherever a sample owns the cores.
         let big = ConvSpec::square(64, 1024, 512, 2, 1);
-        assert_eq!(recommended_plan(&big, 0.5, 16).forward, Technique::GemmInParallel);
-        assert_eq!(recommended_plan(&big, 0.5, 16).backward, Technique::ParallelGemm);
+        let plan = recommended_plan(&big, 0.5);
+        assert_eq!(
+            (plan.forward, plan.backward),
+            (Technique::GemmInParallel, Technique::GemmInParallel)
+        );
     }
 
     #[test]
     fn sparsity_gates_sparse_bp() {
         let spec = ConvSpec::square(32, 256, 64, 3, 1);
-        assert_eq!(recommended_plan(&spec, 0.74, 16).backward, Technique::GemmInParallel);
-        assert_eq!(recommended_plan(&spec, 0.76, 16).backward, Technique::SparseBp);
-    }
-
-    #[test]
-    fn single_core_collapses_to_gemm_in_parallel() {
-        let spec = ConvSpec::square(32, 256, 64, 3, 1);
-        let plan = recommended_plan(&spec, 0.5, 1);
-        assert_eq!(plan.forward, Technique::GemmInParallel);
-        assert_eq!(plan.backward, Technique::GemmInParallel);
+        assert_eq!(recommended_plan(&spec, 0.74).backward, Technique::GemmInParallel);
+        assert_eq!(recommended_plan(&spec, 0.76).backward, Technique::SparseBp);
     }
 
     #[test]
     fn candidate_lists_are_phase_correct() {
         assert!(Technique::forward_candidates().contains(&Technique::StencilFp));
         assert!(!Technique::forward_candidates().contains(&Technique::SparseBp));
-        assert!(!Technique::forward_candidates().contains(&Technique::ParallelGemm));
-        for cores in [1, 16] {
-            let backward = Technique::backward_candidates(cores);
-            assert!(backward.contains(&Technique::SparseBp));
-            assert!(!backward.contains(&Technique::StencilFp));
-            assert_eq!(backward.contains(&Technique::ParallelGemm), cores > 1);
-        }
+        let backward = Technique::backward_candidates();
+        assert!(backward.contains(&Technique::SparseBp));
+        assert!(!backward.contains(&Technique::StencilFp));
     }
 
     #[test]
@@ -222,17 +203,14 @@ mod tests {
         let wide = ConvSpec::square(55, 256, 96, 5, 1);
         assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 1).forward, Technique::StencilFp);
         // A saturating batch falls back to the sample-parallel heuristic.
-        assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 8), recommended_plan(&wide, 0.5, 8));
+        assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 8), recommended_plan(&wide, 0.5));
         // One output row: only the features are left to split.
         let one_row = ConvSpec::new(3, 7, 69, 4, 7, 7, 2, 2).expect("valid spec");
         assert_eq!(stencil_split(&one_row, 2), Some(BandDim::OutChannels));
         // Narrow outputs cannot band: fall back even when starved.
         let narrow = ConvSpec::square(8, 64, 64, 5, 1); // 4x4 output
         assert_eq!(stencil_split(&narrow, 8), None);
-        assert_eq!(
-            recommended_plan_for_batch(&narrow, 0.5, 8, 1),
-            recommended_plan(&narrow, 0.5, 8)
-        );
+        assert_eq!(recommended_plan_for_batch(&narrow, 0.5, 8, 1), recommended_plan(&narrow, 0.5));
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::SpgError;
 /// them on `min(regions, core budget)` threads
 /// ([`ConvScratch::cores`](spg_convnet::workspace::ConvScratch::cores)),
 /// and at a budget of 1 — a sample worker of a saturated batch — the
-/// sequential program. So the two GEMM techniques share one row-band
-/// partition (GEMM-in-Parallel is that plan in a walk that owns one core,
+/// sequential program. So the GEMM carries one row-band partition
+/// (GEMM-in-Parallel is that plan in a walk that owns one core,
 /// Parallel-GEMM the same plan in a walk that owns them all), and the
 /// stencil carries the [`band_ranges`] split of one axis of its loop nest,
 /// along the dimension [`stencil_split`] picks for the layer.
@@ -64,14 +64,16 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
     }
 }
 
-/// Lowers a backward technique.
+/// Lowers a backward technique. As in [`lower_forward`], the GEMM lowers
+/// with the row-band split of its two multiplies over `cores`, which a
+/// call runs only as far as its core budget reaches. The stencil is a
+/// forward-phase kernel; its backward falls back to the GEMM.
 fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     match technique {
         Technique::SparseBp => BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH },
-        Technique::ParallelGemm => BackwardPlan::UnfoldGemm { threads: cores.max(1) },
-        // The stencil is a forward-phase kernel; backward falls back to a
-        // serial GEMM.
-        Technique::GemmInParallel | Technique::StencilFp => BackwardPlan::UnfoldGemm { threads: 1 },
+        Technique::GemmInParallel | Technique::StencilFp => {
+            BackwardPlan::UnfoldGemm { threads: cores.max(1) }
+        }
     }
 }
 
@@ -248,7 +250,7 @@ pub fn verify_technique(
 /// use spg_core::verify::verify_plan;
 ///
 /// let spec = ConvSpec::square(12, 16, 4, 3, 1);
-/// let plan = recommended_plan(&spec, 0.9, 16);
+/// let plan = recommended_plan(&spec, 0.9);
 /// let report = verify_plan(&spec, plan, 16)?;
 /// assert!(report.accesses_proved > 0);
 /// # Ok::<(), spg_core::SpgError>(())
@@ -274,7 +276,7 @@ mod tests {
         let strided = ConvSpec::square(28, 8, 3, 5, 2);
         for spec in [wide, narrow, strided] {
             for &fwd in Technique::forward_candidates() {
-                for &bwd in Technique::backward_candidates(4) {
+                for &bwd in Technique::backward_candidates() {
                     let plan = LayerPlan { forward: fwd, backward: bwd };
                     let report = verify_plan(&spec, plan, 4)
                         .unwrap_or_else(|err| panic!("{spec} {plan} rejected: {err}"));
@@ -361,7 +363,7 @@ mod tests {
         for &t in Technique::forward_candidates() {
             verify_technique(&spec, t, Phase::Forward, 8).unwrap();
         }
-        for &t in Technique::backward_candidates(8) {
+        for &t in Technique::backward_candidates() {
             verify_technique(&spec, t, Phase::Backward, 8).unwrap();
         }
     }

@@ -180,7 +180,7 @@ fn tune_layer_logs_decisions_with_candidate_timings() {
     let ours: Vec<_> = snap.decisions.iter().filter(|d| d.label == "tel_tune").collect();
     assert_eq!(ours.len(), 2, "one decision per phase");
     for (decision, candidates) in
-        [(ours[0], Technique::forward_candidates()), (ours[1], Technique::backward_candidates(1))]
+        [(ours[0], Technique::forward_candidates()), (ours[1], Technique::backward_candidates())]
     {
         // Every candidate is accounted for: timed in the race or recorded
         // as rejected.

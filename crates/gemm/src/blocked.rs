@@ -239,15 +239,16 @@ mod tests {
     }
 
     /// Every SIMD tile computes each element of C as the same FMA chain,
-    /// so the blocked, transposed and row-banded multiplies agree to the
-    /// bit across the tiers this host runs — on `m`, `n` ragged against
-    /// every tile, around each `KC` boundary, into a pre-filled C. The only
-    /// test that runs the AVX2 tile on an AVX-512 host. Without SIMD (Miri)
-    /// the scalar tile stands in, and the three entries must still agree.
+    /// so the blocked and transposed multiplies and their row bands agree
+    /// to the bit across the tiers this host runs — on `m`, `n` ragged
+    /// against every tile, around each `KC` boundary, into a pre-filled C.
+    /// The only test that runs the AVX2 tile on an AVX-512 host. Without
+    /// SIMD (Miri) the scalar tile stands in, and every entry must still
+    /// agree.
     #[test]
     fn simd_tiers_are_bit_identical() {
         use crate::kernels::{pack_at, tests::tiles, SimdLevel};
-        use crate::parallel::parallel_gemm_slice_on;
+        use crate::parallel::gemm_row_bands;
 
         let all = tiles();
         let simd: Vec<Tile> =
@@ -280,10 +281,18 @@ mod tests {
                         tile, pack_at, m, n, k, atv, m, bv, n, &mut c, n, &mut pa, &mut pb,
                     );
                     assert_eq!(&bits(&c), want, "gemm_at_b_slice {at_shape:?}");
+                    let left = [
+                        ("row bands", (pack_a as PackA, k, k), av),
+                        ("A^T bands", (pack_at, m, 1), atv),
+                    ];
                     for split in [1, 2, 3, 7] {
-                        let mut c = c0.clone();
-                        parallel_gemm_slice_on(tile, m, n, k, av, bv, &mut c, split, split);
-                        assert_eq!(&bits(&c), want, "parallel_gemm_slice/{split} {at_shape:?}");
+                        for (name, packing, a) in left {
+                            let mut c = c0.clone();
+                            let packs = (&mut pa, &mut pb);
+                            let (bands, dims) = ((split, split), (m, n, k));
+                            gemm_row_bands(tile, packing, dims, a, bv, &mut c, bands, packs);
+                            assert_eq!(&bits(&c), want, "{name}/{split} {at_shape:?}");
+                        }
                     }
                 }
             }

@@ -1,6 +1,6 @@
 use spg_tensor::Matrix;
 
-use crate::blocked::gemm_blocked;
+use crate::blocked::{gemm_blocked, PackA};
 use crate::kernels::{pack_a, Tile};
 use crate::{check_dims, gemm_slice, GemmError};
 
@@ -87,34 +87,41 @@ pub fn parallel_gemm_slice(
     assert_eq!(a.len(), m * k, "parallel_gemm_slice: a length mismatch");
     assert_eq!(b.len(), k * n, "parallel_gemm_slice: b length mismatch");
     assert_eq!(c.len(), m * n, "parallel_gemm_slice: c length mismatch");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    parallel_gemm_slice_on(Tile::host(), m, n, k, a, b, c, bands, threads);
+    let packs = (&mut Vec::new(), &mut Vec::new());
+    gemm_row_bands(Tile::host(), (pack_a, k, k), (m, n, k), a, b, c, (bands, threads), packs);
 }
 
-/// [`parallel_gemm_slice`] on a given register tile — every band runs the
-/// one the call resolved — over checked, non-empty operands.
+/// The row-banded multiply behind [`parallel_gemm_slice`] and
+/// [`gemm_at_b_slice`](crate::gemm_at_b_slice), over checked operands:
+/// `C += op(A) * B` on register tile `tile`, `op(A)`'s blocks
+/// packed by `pack` from `a` at leading dimension `lda`, with row `r` of
+/// `op(A)` starting at `a[r * row_step..]` (`lda` for [`pack_a`], 1 for a
+/// left operand stored transposed). The rows of `C` split as
+/// [`parallel_gemm_slice`] documents. One thread runs the serial multiply
+/// on the caller's `a_pack` / `b_pack`; with more, each band packs into
+/// buffers of its own.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_gemm_slice_on(
+pub(crate) fn gemm_row_bands(
     tile: Tile,
-    m: usize,
-    n: usize,
-    k: usize,
+    (pack, lda, row_step): (PackA, usize, usize),
+    (m, n, k): (usize, usize, usize),
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    bands: usize,
-    threads: usize,
+    (bands, threads): (usize, usize),
+    (a_pack, b_pack): (&mut Vec<f32>, &mut Vec<f32>),
 ) {
-    let run = |rows, a, c: &mut [f32]| {
-        gemm_blocked(tile, pack_a, rows, n, k, a, k, b, n, c, n, &mut Vec::new(), &mut Vec::new())
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let run = |rows, a, c: &mut [f32], a_pack: &mut _, b_pack: &mut _| {
+        gemm_blocked(tile, pack, rows, n, k, a, lda, b, n, c, n, a_pack, b_pack)
     };
     let band = m.div_ceil(bands.min(m));
     let bands = m.div_ceil(band);
     let threads = threads.min(bands);
     if threads == 1 {
-        run(m, a, c);
+        run(m, a, c, a_pack, b_pack);
         return;
     }
     // Thread t runs bands [t * bands / threads, (t + 1) * bands / threads).
@@ -123,10 +130,10 @@ pub(crate) fn parallel_gemm_slice_on(
         let row1 = (t * bands / threads * band).min(m);
         let (cband, tail) = std::mem::take(&mut rest).split_at_mut((row1 - row0) * n);
         rest = tail;
-        let aband = &a[row0 * k..row1 * k];
+        let aband = &a[row0 * row_step..];
         let rows = row1 - row0;
         row0 = row1;
-        move || run(rows, aband, cband)
+        move || run(rows, aband, cband, &mut Vec::new(), &mut Vec::new())
     }));
 }
 

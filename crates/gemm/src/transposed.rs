@@ -9,8 +9,8 @@
 
 use spg_tensor::Matrix;
 
-use crate::blocked::gemm_blocked;
 use crate::kernels::{pack_at, Tile};
+use crate::parallel::gemm_row_bands;
 use crate::{check_dims, GemmError};
 
 /// Computes `C = A^T * B` where `a` is `k x m` and `b` is `k x n`, both
@@ -53,24 +53,34 @@ pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
         a.as_slice(),
         b.as_slice(),
         c.as_mut_slice(),
+        1,
+        1,
         &mut a_pack,
         &mut b_pack,
     );
     Ok(c)
 }
 
-/// Raw-slice `C += A^T * B` with caller-owned packing buffers.
+/// Raw-slice `C += A^T * B` with caller-owned packing buffers, the rows
+/// of `C` split into `bands` row bands run on at most `threads` threads.
 ///
 /// `a` is the untransposed `k x m` left operand and `b` is `k x n`, both
 /// contiguous row-major; the product accumulates into the `m x n` slice
-/// `c`. `a_pack` / `b_pack` are panel-packing scratch vectors that grow on
-/// first use and are reused afterwards, so steady-state calls with stable
-/// shapes perform no heap allocation. Records no telemetry — callers own
-/// the flop accounting (mirroring [`gemm_slice`](crate::gemm_slice)).
+/// `c`. A band of rows of `C` reads the matching *columns* of `a`, so the
+/// split needs no transposed copy. The partition and its bit-identity for
+/// every `bands` and `threads` are [`parallel_gemm_slice`]'s. On one
+/// thread `a_pack` / `b_pack` are the panel-packing scratch vectors, grown
+/// on first use and reused afterwards, so steady-state calls with stable
+/// shapes perform no heap allocation; with more, each band packs into
+/// buffers of its own. Records no telemetry — callers own the flop
+/// accounting (mirroring [`gemm_slice`](crate::gemm_slice)).
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with the given dimensions.
+/// Panics if a slice length disagrees with the given dimensions or
+/// `bands` or `threads` is zero.
+///
+/// [`parallel_gemm_slice`]: crate::parallel_gemm_slice
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_at_b_slice(
     k: usize,
@@ -79,17 +89,19 @@ pub fn gemm_at_b_slice(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    bands: usize,
+    threads: usize,
     a_pack: &mut Vec<f32>,
     b_pack: &mut Vec<f32>,
 ) {
+    assert!(bands > 0 && threads > 0, "gemm_at_b_slice: zero threads");
     assert_eq!(a.len(), k * m, "gemm_at_b_slice: a length mismatch");
     assert_eq!(b.len(), k * n, "gemm_at_b_slice: b length mismatch");
     assert_eq!(c.len(), m * n, "gemm_at_b_slice: c length mismatch");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    // A^T is m x k, read column-wise out of the k x m `a` (lda = m).
-    gemm_blocked(Tile::host(), pack_at, m, n, k, a, m, b, n, c, n, a_pack, b_pack);
+    // A^T is m x k, read column-wise out of the k x m `a` (lda = m): row r
+    // of A^T starts at column r of `a`.
+    let packs = (a_pack, b_pack);
+    gemm_row_bands(Tile::host(), (pack_at, m, 1), (m, n, k), a, b, c, (bands, threads), packs);
 }
 
 #[cfg(test)]
@@ -131,13 +143,39 @@ mod tests {
         let oracle = gemm_naive(&a.transposed(), &b).unwrap();
         let mut c = vec![0.0f32; 9 * 7];
         let (mut pa, mut pb) = (Vec::new(), Vec::new());
-        gemm_at_b_slice(12, 9, 7, a.as_slice(), b.as_slice(), &mut c, &mut pa, &mut pb);
+        gemm_at_b_slice(12, 9, 7, a.as_slice(), b.as_slice(), &mut c, 1, 1, &mut pa, &mut pb);
         let caps = (pa.capacity(), pb.capacity());
         // Second call accumulates and must not regrow the pack buffers.
-        gemm_at_b_slice(12, 9, 7, a.as_slice(), b.as_slice(), &mut c, &mut pa, &mut pb);
+        gemm_at_b_slice(12, 9, 7, a.as_slice(), b.as_slice(), &mut c, 1, 1, &mut pa, &mut pb);
         assert_eq!(caps, (pa.capacity(), pb.capacity()));
         for (got, want) in c.iter().zip(oracle.as_slice()) {
             assert!((got - 2.0 * want).abs() < 1e-3);
+        }
+    }
+
+    /// Row bands of the transposed multiply — ragged against `MR` and
+    /// `MC`, more bands than threads — are the serial `gemm_at_b_slice`
+    /// and `gemm_slice` on an explicit transpose, to the bit.
+    #[test]
+    fn row_bands_are_bit_identical_to_the_serial_transposed_gemm() {
+        let mut rng = SmallRng::seed_from_u64(80);
+        // m crosses MC (72) and divides by neither it nor MR (6); k
+        // crosses KC (256), so bands accumulate over two k blocks.
+        let (m, k, n) = if cfg!(miri) { (11, 9, 19) } else { (83, 300, 37) };
+        let a = Matrix::random_uniform(k, m, 1.0, &mut rng);
+        let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
+        let (at, av, bv) = (a.transposed(), a.as_slice(), b.as_slice());
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut pa, mut pb) = (Vec::new(), Vec::new());
+        let mut serial = vec![0.5f32; m * n];
+        gemm_at_b_slice(k, m, n, av, bv, &mut serial, 1, 1, &mut pa, &mut pb);
+        let mut explicit = vec![0.5f32; m * n];
+        crate::gemm_slice(m, n, k, at.as_slice(), k, bv, n, &mut explicit, n);
+        assert_eq!(bits(&serial), bits(&explicit), "serial vs explicit transpose");
+        for (bands, threads) in [(2, 2), (3, 3), (7, 7), (7, 3), (7, 2), (3, 1), (200, 5)] {
+            let mut c = vec![0.5f32; m * n];
+            gemm_at_b_slice(k, m, n, av, bv, &mut c, bands, threads, &mut pa, &mut pb);
+            assert_eq!(bits(&c), bits(&serial), "bands={bands} threads={threads}");
         }
     }
 

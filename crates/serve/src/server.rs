@@ -384,7 +384,7 @@ fn compile_kernels(
         .map(|(i, layer)| {
             let Some(spec) = layer.conv_spec() else { return Ok(None) };
             let plan =
-                plan_by_layer.get(&i).copied().unwrap_or_else(|| recommended_plan(spec, 0.0, 1));
+                plan_by_layer.get(&i).copied().unwrap_or_else(|| recommended_plan(spec, 0.0));
             let weights = layer.params().expect("conv layers expose parameters");
             // cores = 1: each serving worker is one independent
             // single-threaded pipeline (the GEMM-in-Parallel analogue).

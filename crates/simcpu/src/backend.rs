@@ -104,12 +104,7 @@ mod tests {
         let backend = SimBackend::new(machine.clone());
         let desc = ConvDescriptor::new(ConvSpec::square(32, 32, 32, 4, 1), 16);
         let weights = vec![0.0; desc.spec.weight_shape().len()];
-        for forward in [
-            Technique::ParallelGemm,
-            Technique::GemmInParallel,
-            Technique::StencilFp,
-            Technique::SparseBp,
-        ] {
+        for forward in [Technique::GemmInParallel, Technique::StencilFp, Technique::SparseBp] {
             let algo =
                 AlgoChoice { forward, backward: Technique::SparseBp, kernel: AlgoKernel::Generic };
             let p = backend.compile(&desc, algo, &weights).unwrap();

@@ -96,8 +96,10 @@ pub fn stencil_gflops_per_core(machine: &Machine, spec: &ConvSpec, cores: usize)
 }
 
 /// Predicted GFlops per core of `technique` as a forward phase on `cores`
-/// cores. The sparse technique has no forward kernel and runs the
-/// GEMM-in-Parallel forward.
+/// cores, one sample per core: the GEMM at the GEMM-in-Parallel rate
+/// ([`parallel_gemm_gflops_per_core`] models the same program with one
+/// sample spread over every core). The sparse technique has no forward
+/// kernel and runs the GEMM forward.
 ///
 /// # Panics
 ///
@@ -109,7 +111,6 @@ pub fn forward_gflops_per_core(
     cores: usize,
 ) -> f64 {
     match technique {
-        Technique::ParallelGemm => parallel_gemm_gflops_per_core(machine, spec, cores),
         Technique::GemmInParallel | Technique::SparseBp => {
             gemm_in_parallel_gflops_per_core(machine, spec, cores)
         }

@@ -43,7 +43,7 @@ fn main() {
     println!("-- Fig. 1 placement and Sec. 4.4 plan --");
     for sparsity in [0.0, 0.85] {
         let region = classify(&spec, sparsity);
-        let plan = recommended_plan(&spec, sparsity, 16);
+        let plan = recommended_plan(&spec, sparsity);
         println!("  sparsity {sparsity:.2}: {region} -> {plan}");
     }
     println!();

@@ -231,7 +231,7 @@ fn characterize(args: &[String]) -> Result<(), String> {
         println!(
             "at sparsity {sparsity:.2} : {} -> {}",
             classify(&spec, sparsity),
-            recommended_plan(&spec, sparsity, 16)
+            recommended_plan(&spec, sparsity)
         );
     }
     Ok(())
@@ -385,7 +385,7 @@ fn tune(args: &[String]) -> Result<(), String> {
     // The same decisions as a table: the row marked fastest is `chosen`.
     let name = |id: &str| {
         let mut all =
-            Technique::forward_candidates().iter().chain(Technique::backward_candidates(cores));
+            Technique::forward_candidates().iter().chain(Technique::backward_candidates());
         all.find(|t| t.id() == id).map_or_else(|| id.to_string(), |t| t.to_string())
     };
     let decisions = spg_cnn::telemetry::snapshot().decisions;
@@ -449,7 +449,7 @@ fn check(args: &[String]) -> Result<(), String> {
         println!("\nlayer {i}: {spec}");
         for (phase, label, candidates) in [
             (Phase::Forward, "FP", Technique::forward_candidates()),
-            (Phase::Backward, "BP", Technique::backward_candidates(cores)),
+            (Phase::Backward, "BP", Technique::backward_candidates()),
         ] {
             for &t in candidates {
                 match verify_technique(spec, t, phase, cores) {

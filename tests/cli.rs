@@ -294,7 +294,7 @@ fn tune_measures_all_techniques() {
 /// rejection, and the command succeeds (CI runs it as a gate).
 #[test]
 fn check_smoke_verifies_every_candidate() {
-    let (stdout, stderr, ok) = spgcnn(&["check", "--smoke"]);
+    let (stdout, stderr, ok) = spgcnn(&["check", "--smoke", "--cores", "16"]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("all candidate plans verified safe"));
     assert!(!stdout.contains("REJECTED"));
@@ -308,4 +308,13 @@ fn check_smoke_verifies_every_candidate() {
         assert!(line.ends_with(" GFlops/core"), "{line}");
     }
     assert!(stdout.lines().filter(|l| l.contains("BP ")).all(|l| !l.contains("kernel")));
+    // One GEMM name per phase at every core count: the backward contest
+    // is the GEMM and the sparse kernel, even on 16 cores.
+    let backward: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("BP "))
+        .filter_map(|l| l.split(" ok:").next())
+        .map(str::trim_end)
+        .collect();
+    assert_eq!(backward, ["GEMM-in-Parallel", "Sparse-Kernel (BP)"], "{stdout}");
 }

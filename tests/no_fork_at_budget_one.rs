@@ -1,8 +1,10 @@
 //! A walk that owns one core forks nothing, whatever its plans could
 //! split: a trainer pool worker and a serving worker run a band plan as
-//! the sequential stencil it splits, on their own thread. (Before the core
-//! budget each of the trainer's P sample workers forked P band threads for
-//! a layer whose plan was banded.)
+//! the sequential stencil it splits, and a GEMM plan's row bands — forward
+//! and backward — as one serial GEMM, on their own thread. (Before the
+//! core budget each of the trainer's P sample workers forked P band
+//! threads for a layer whose plan was banded, and later still P GEMM
+//! threads for a layer whose backward was Parallel-GEMM.)
 //!
 //! The tests read deltas of `fork_join_spawns`, a process-wide count, so
 //! they take turns.
@@ -10,11 +12,14 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use spg_cnn::check::BackwardPlan;
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::layer::ConvLayer;
+use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{Engine, LayerAlgo, TrainerConfig};
 use spg_cnn::core::backend::AlgoChoice;
+use spg_cnn::core::compiled::CompiledConv;
 use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::core::schedule::{LayerPlan, Technique};
 use spg_cnn::core::verify::lower;
@@ -52,8 +57,16 @@ impl LayerAlgo for LoweredAt {
     }
 }
 
-/// The engine with its conv pinned to the stencil lowered at `cores`.
-fn pinned(cores: usize) -> Engine {
+/// The stencil forward, the GEMM backward.
+const STENCIL: LayerPlan =
+    LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
+
+/// The GEMM in both phases.
+const GEMM: LayerPlan =
+    LayerPlan { forward: Technique::GemmInParallel, backward: Technique::GemmInParallel };
+
+/// The engine with its conv pinned to `plan` lowered at `cores`.
+fn pinned(plan: LayerPlan, cores: usize) -> Engine {
     let desc = NetworkDescription::parse(NET).expect("description parses");
     let net = desc.build(23).expect("description builds");
     let spec = *net.layers()[0].conv_spec().expect("layer 0 is the conv");
@@ -68,35 +81,85 @@ fn pinned(cores: usize) -> Engine {
         })
         .build()
         .expect("engine builds");
-    let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
-    let program = lower(&spec, plan, cores, KernelChoice::Auto).expect("the stencil plan verifies");
+    let program = lower(&spec, plan, cores, KernelChoice::Auto).expect("the plan verifies");
+    // Every GEMM backward carries the row bands of the cores it was
+    // lowered at.
+    assert_eq!(program.plan().backward, BackwardPlan::UnfoldGemm { threads: cores });
     let algo = AlgoChoice::of(&program);
-    engine.algo_override(0, LoweredAt(algo, cores)).expect("the stencil plan verifies");
+    engine.algo_override(0, LoweredAt(algo, cores)).expect("the plan verifies");
     engine
+}
+
+/// The epoch-loss words of training the engine pinned to `plan` at
+/// `cores`, and the threads the training forked.
+fn train(plan: LayerPlan, cores: usize) -> (Vec<u64>, u64) {
+    let mut engine = pinned(plan, cores);
+    let mut data = Dataset::synthetic(spg_cnn::tensor::Shape3::new(2, 20, 20), 4, 16, 0.1, 5);
+    let before = fork_join_spawns();
+    let stats = engine.try_train(&mut data).expect("training completes");
+    let bits: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
+    (bits, fork_join_spawns() - before)
 }
 
 #[test]
 fn a_band_pinned_net_trains_on_the_pools_threads_alone() {
     let _turn = serialized();
-    let losses = |cores| {
-        let mut engine = pinned(cores);
-        let mut data = Dataset::synthetic(spg_cnn::tensor::Shape3::new(2, 20, 20), 4, 16, 0.1, 5);
-        let before = fork_join_spawns();
-        let stats = engine.try_train(&mut data).expect("training completes");
-        let bits: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        (bits, fork_join_spawns() - before)
-    };
-    let (banded, banded_forks) = losses(WORKERS);
-    let (sequential, sequential_forks) = losses(1);
+    let (banded, banded_forks) = train(STENCIL, WORKERS);
+    let (sequential, sequential_forks) = train(STENCIL, 1);
     assert_eq!(banded_forks, 0, "a sample worker owns one core and forks nothing");
     assert_eq!(sequential_forks, 0);
     assert_eq!(banded, sequential, "the band plan ran as the stencil it splits");
     // The same engine does fork when a call owns the cores: one band
     // thread, and one for the classifier's rows.
-    let engine = pinned(WORKERS);
+    let engine = pinned(STENCIL, WORKERS);
     let before = fork_join_spawns();
     engine.forward(&vec![0.25; engine.network().input_len()]).expect("input fits");
     assert_eq!(fork_join_spawns() - before, 2 * (WORKERS as u64 - 1));
+}
+
+/// The backward GEMM follows the core budget as the forward does: lowered
+/// at `WORKERS`, its row bands run as one serial GEMM inside each sample
+/// worker, with the loss words of the plan lowered at 1.
+#[test]
+fn a_gemm_pinned_net_trains_on_the_pools_threads_alone() {
+    let _turn = serialized();
+    let (banded, banded_forks) = train(GEMM, WORKERS);
+    let (serial, serial_forks) = train(GEMM, 1);
+    assert_eq!(banded_forks, 0, "a sample worker owns one core and forks nothing");
+    assert_eq!(serial_forks, 0);
+    assert_eq!(banded, serial, "the row bands ran as the serial GEMM");
+}
+
+/// A layer compiled at `WORKERS` owns those cores in every phase, whoever
+/// lends it the scratch: each backward GEMM forks its second band, and the
+/// bits are those of the layer compiled at 1.
+#[test]
+fn a_compiled_layer_runs_its_backward_on_its_own_cores() {
+    let _turn = serialized();
+    let desc = NetworkDescription::parse(NET).expect("description parses");
+    let net = desc.build(23).expect("description builds");
+    let layer = &net.layers()[0];
+    let spec = *layer.conv_spec().expect("layer 0 is the conv");
+    let weights = layer.params().expect("conv layers expose parameters");
+    let input: Vec<f32> = (0..spec.input_shape().len()).map(|i| (i % 7) as f32 - 3.0).collect();
+    let grad_out: Vec<f32> = (0..spec.output_shape().len()).map(|i| (i % 5) as f32 - 2.0).collect();
+    let backward = |cores| {
+        let compiled = CompiledConv::compile(spec, GEMM, weights, cores).expect("plan compiles");
+        let mut scratch = ConvScratch::new();
+        let mut grad_in = vec![0.0; spec.input_shape().len()];
+        let mut grad_w = vec![0.0; spec.weight_shape().len()];
+        let before = fork_join_spawns();
+        compiled.backward_data_scratch(&grad_out, &mut grad_in, &mut scratch);
+        compiled.backward_weights_scratch(&input, &grad_out, &mut grad_w, &mut scratch);
+        let forks = fork_join_spawns() - before;
+        assert_eq!(scratch.cores, 1, "the lent budget is handed back");
+        (grad_in, grad_w, forks)
+    };
+    let (gin, gw, forks) = backward(WORKERS);
+    let (gin_serial, gw_serial, serial_forks) = backward(1);
+    assert_eq!(forks, 2 * (WORKERS as u64 - 1), "one band thread per backward GEMM");
+    assert_eq!(serial_forks, 0);
+    assert_eq!((gin, gw), (gin_serial, gw_serial), "the bits do not depend on the cores");
 }
 
 #[test]
@@ -105,7 +168,6 @@ fn a_serving_worker_forks_nothing() {
     let desc = NetworkDescription::parse(NET).expect("description parses");
     let net = desc.build(23).expect("description builds");
     // Workers compile their plans for the one core each of them owns.
-    let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
     let config = ServeConfig {
         workers: WORKERS,
         max_batch: 2,
@@ -114,7 +176,7 @@ fn a_serving_worker_forks_nothing() {
         ..ServeConfig::default()
     };
     let input = vec![0.25; net.input_len()];
-    let server = Server::start(Arc::new(net), &[(0, plan)], config).expect("plan compiles");
+    let server = Server::start(Arc::new(net), &[(0, STENCIL)], config).expect("plan compiles");
     let before = fork_join_spawns();
     let pending: Vec<_> = (0..6)
         .map(|_| server.submit_timeout(input.clone(), Duration::from_secs(10)).expect("room"))
