@@ -3,7 +3,8 @@
 //! Pins the contract documented on `io::load_weights`: any malformed
 //! stream — truncated, bit-flipped, or prefixed with garbage — returns a
 //! typed [`LoadError`] instead of panicking, and a failed load leaves the
-//! receiving network exactly as it was. And the other half of a
+//! receiving network exactly as it was, parameters and forward logits
+//! alike. And the other half of a
 //! checkpoint's contract: what `save_weights` writes is fixed byte for
 //! byte, and every f32 bit pattern survives the round trip.
 
@@ -13,6 +14,7 @@ use rand::SeedableRng;
 use spg_convnet::io::{load_weights, save_weights, LoadError};
 use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
 use spg_convnet::{ConvSpec, Network};
+use spg_tensor::Tensor;
 
 /// magic + version + layer count.
 const HEADER_LEN: usize = 12;
@@ -43,27 +45,27 @@ fn param_bits(net: &Network) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// The network's forward logits on a fixed input, as bits.
+fn logit_bits(net: &Network) -> Vec<u32> {
+    let input = Tensor::filled(36, 0.3);
+    net.forward(&input).logits().as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// Loads `bytes` into a fresh network; on `Err` asserts the network is
-/// unchanged. Returns the outcome.
+/// unchanged — its parameters and what it computes. Returns the outcome.
 fn load_checked(bytes: &[u8]) -> Result<(), LoadError> {
     let mut net = make_net(2);
     let before = param_bits(&net);
     let result = load_weights(&mut net, bytes);
     if result.is_err() {
         assert_eq!(param_bits(&net), before, "failed load modified the network");
+        assert_eq!(logit_bits(&net), logit_bits(&make_net(2)), "failed load changed the logits");
     }
     result
 }
 
 fn byte() -> impl Strategy<Value = u8> {
     (0u32..256).prop_map(|v| u8::try_from(v).expect("in byte range"))
-}
-
-/// Maps a fraction in `[0, 1)` onto an index into `len` bytes.
-fn index_for(frac: f64, len: usize) -> usize {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = ((len as f64) * frac) as usize;
-    idx.min(len.saturating_sub(1))
 }
 
 /// Truncation at *every* offset (the file is small enough to sweep
@@ -78,6 +80,36 @@ fn truncation_at_every_offset_is_a_typed_error() {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "offset {len}")
             }
             other => panic!("offset {len}: expected Io(UnexpectedEof), got {other:?}"),
+        }
+    }
+}
+
+/// Every single-byte flip — all 255 masks at every offset — of a saved
+/// conv + relu + fc file. A flip in the magic, version, layer count or a
+/// per-layer `u64` count is a typed format error that leaves the network
+/// (and its logits) untouched; a flip in the parameter bytes loads, since
+/// the format carries no checksum. No input panics.
+#[test]
+fn every_single_byte_flip_is_ok_or_a_typed_error() {
+    let file = valid_file();
+    // Each layer's count field, ahead of its parameters.
+    let mut counts = Vec::new();
+    let mut at = HEADER_LEN;
+    for layer in make_net(2).layers() {
+        counts.push(at..at + 8);
+        at += 8 + 4 * layer.param_count();
+    }
+    assert_eq!(at, file.len(), "offsets cover the file");
+    for at in 0..file.len() {
+        let in_structure = at < HEADER_LEN || counts.iter().any(|field| field.contains(&at));
+        for mask in 1..=u8::MAX {
+            let mut flipped = file.clone();
+            flipped[at] ^= mask;
+            match load_checked(&flipped) {
+                Err(LoadError::Format(_)) if in_structure => {}
+                Ok(()) if !in_structure => {}
+                other => panic!("flip {mask:#04x} at {at} (structural: {in_structure}): {other:?}"),
+            }
         }
     }
 }
@@ -174,21 +206,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// A single flipped byte in the header or a count field is a typed
-    /// format error; in a parameter payload it is indistinguishable from
-    /// other weights (the format carries no checksum) and loads. Either
-    /// way: no panic, and `Err` leaves the network unchanged.
-    #[test]
-    fn single_byte_flip_never_panics(frac in 0.0f64..1.0, mask in 1u32..256) {
-        let mut file = valid_file();
-        let at = index_for(frac, file.len());
-        file[at] ^= u8::try_from(mask).expect("in byte range");
-        let result = load_checked(&file);
-        if at < HEADER_LEN {
-            prop_assert!(matches!(result, Err(LoadError::Format(_))), "header flip at {}: {:?}", at, result);
-        }
-    }
 
     /// Garbage in front of a valid file: the magic no longer lines up.
     #[test]

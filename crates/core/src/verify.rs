@@ -129,14 +129,25 @@ pub fn lower(
 ) -> Result<ConvProgram, SpgError> {
     #[cfg(test)]
     LOWERINGS.with(|n| n.set(n.get() + 1));
-    let instance = match kernel {
-        KernelChoice::Auto if plan.forward == Technique::StencilFp => spg_codegen::lookup(spec),
-        _ => None,
-    };
-    if let Some(program) = instance.and_then(|inst| prove(spec, plan, cores, Some(inst)).ok()) {
+    let bound = instance(spec, plan.forward, kernel);
+    if let Some(program) = bound.and_then(|inst| prove(spec, plan, cores, Some(inst)).ok()) {
         return Ok(program);
     }
     prove(spec, plan, cores, None)
+}
+
+/// The registry instance [`lower`] tries first for a `forward` technique
+/// on `spec` under `kernel`: the shape's ([`spg_codegen::lookup`]) for a
+/// stencil forward under [`KernelChoice::Auto`], none otherwise.
+fn instance(
+    spec: &ConvSpec,
+    forward: Technique,
+    kernel: KernelChoice,
+) -> Option<&'static SpecializedKernel> {
+    match kernel {
+        KernelChoice::Auto if forward == Technique::StencilFp => spg_codegen::lookup(spec),
+        _ => None,
+    }
 }
 
 /// Lowers `plan` with its tiled forward at `kernel`'s lane width (the
@@ -209,7 +220,10 @@ pub fn lower_phase(
 }
 
 /// Verifies one technique for one phase of `spec` without building a
-/// program — the contest's deploy gate and `spgcnn check`'s verdict.
+/// program — the contest's deploy gate. The phase plan proved is the one
+/// [`lower_phase`] deploys under [`KernelChoice::Auto`]: a stencil forward
+/// at its bound instance's lane width when that plan proves, else at the
+/// generic loops'.
 ///
 /// # Errors
 ///
@@ -224,8 +238,14 @@ pub fn verify_technique(
     let result = match phase {
         Phase::Forward => {
             let (register_tile, schedule) = generated_tiles(spec);
-            let forward = lower_forward(spec, technique, cores, VECTOR_WIDTH);
-            spg_check::verify_forward(spec, &forward, register_tile, schedule, &cap)
+            let prove_at = |lanes| {
+                let forward = lower_forward(spec, technique, cores, lanes);
+                spg_check::verify_forward(spec, &forward, register_tile, schedule, &cap)
+            };
+            // `lower`'s fallback: a rejected instance plan runs generic.
+            instance(spec, technique, KernelChoice::Auto)
+                .and_then(|inst| prove_at(inst.lanes()).ok())
+                .map_or_else(|| prove_at(VECTOR_WIDTH), Ok)
         }
         Phase::Backward => {
             spg_check::verify_backward(spec, &lower_backward(technique, cores), &cap)
@@ -234,8 +254,8 @@ pub fn verify_technique(
     result.map_err(|check| SpgError::PlanRejected { technique: technique.id(), check })
 }
 
-/// Verifies a complete layer plan (generic kernel binding) against `spec`
-/// and reports what was proved.
+/// Verifies a complete layer plan against `spec`, bound as [`lower`]
+/// deploys it under [`KernelChoice::Auto`], and reports what was proved.
 ///
 /// # Errors
 ///
@@ -260,7 +280,7 @@ pub fn verify_plan(
     plan: LayerPlan,
     cores: usize,
 ) -> Result<CheckReport, SpgError> {
-    lower(spec, plan, cores, KernelChoice::Generic).map(|program| program.report())
+    lower(spec, plan, cores, KernelChoice::Auto).map(|program| program.report())
 }
 
 #[cfg(test)]

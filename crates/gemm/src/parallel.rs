@@ -2,7 +2,7 @@ use spg_tensor::Matrix;
 
 use crate::blocked::{gemm_blocked, PackA};
 use crate::kernels::{pack_a, Tile};
-use crate::{check_dims, gemm_slice, GemmError};
+use crate::{check_dims, GemmError};
 
 /// **Parallel-GEMM**: one matrix multiply partitioned across `threads`
 /// cores by rows of the output (`C = A * B`).
@@ -72,6 +72,8 @@ pub fn parallel_gemm(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, G
 ///
 /// Panics if a slice length disagrees with the given dimensions or
 /// `bands` or `threads` is zero.
+///
+/// [`gemm_slice`]: crate::gemm_slice
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_gemm_slice(
     m: usize,
@@ -137,74 +139,10 @@ pub(crate) fn gemm_row_bands(
     }));
 }
 
-/// **Parallel-GEMM, column partitioning**: one multiply split across
-/// `threads` cores by *columns* of the output.
-///
-/// Each worker computes a column band of `C` from the matching column
-/// band of `B` and the **entire** `A` — the mirror image of
-/// [`parallel_gemm`]'s row partitioning, with the same pathology: the
-/// replicated operand's traffic does not shrink with the core count
-/// (Sec. 3.2 notes the partitioning choice only swaps which operand is
-/// replicated). The ablation bench compares the two on asymmetric shapes.
-///
-/// # Errors
-///
-/// Returns [`GemmError::DimensionMismatch`] if `a.cols() != b.rows()`, or
-/// [`GemmError::ZeroThreads`] if `threads == 0`.
-pub fn parallel_gemm_cols(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, GemmError> {
-    check_dims(a.rows(), a.cols(), b.rows(), b.cols())?;
-    if threads == 0 {
-        return Err(GemmError::ZeroThreads);
-    }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(c);
-    }
-    spg_telemetry::record_flops(crate::gemm_flops(m, n, k), crate::gemm_flops(m, n, k));
-
-    let workers = threads.min(n);
-    if workers <= 1 {
-        gemm_slice(m, n, k, a.as_slice(), k, b.as_slice(), n, c.as_mut_slice(), n);
-        return Ok(c);
-    }
-
-    // Column bands share rows of C, so workers write disjoint column
-    // ranges of every row; hand each worker a raw sub-view via split
-    // boundaries computed up front.
-    let band = n.div_ceil(workers);
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    // Compute each band into a private buffer, then stitch: avoids
-    // aliasing &mut access to interleaved columns.
-    let bands = (0..workers)
-        .map(|w| ((w * band).min(n), ((w + 1) * band).min(n)))
-        .filter(|(c0, c1)| c0 < c1);
-    let partials = spg_sync::fork_join(bands.map(|(c0, c1)| {
-        move || {
-            let cols = c1 - c0;
-            let mut part = vec![0.0f32; m * cols];
-            // B column band: rows of b offset by c0, width cols.
-            gemm_slice(m, cols, k, av, k, &bv[c0..], n, &mut part, cols);
-            (c0, c1, part)
-        }
-    }));
-    // The stitch runs strictly after the join, so the result slice
-    // needs no lock: write each band straight into `c`.
-    let cv = c.as_mut_slice();
-    for (c0, c1, part) in partials {
-        let cols = c1 - c0;
-        for r in 0..m {
-            cv[r * n + c0..r * n + c1].copy_from_slice(&part[r * cols..(r + 1) * cols]);
-        }
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm_naive;
+    use crate::{gemm_naive, gemm_slice};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -268,30 +206,6 @@ mod tests {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(2, 2);
         assert!(matches!(parallel_gemm(&a, &b, 0), Err(GemmError::ZeroThreads)));
-        assert!(matches!(parallel_gemm_cols(&a, &b, 0), Err(GemmError::ZeroThreads)));
-    }
-
-    #[test]
-    fn column_partition_matches_naive() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        let a = Matrix::random_uniform(13, 21, 1.0, &mut rng);
-        let b = Matrix::random_uniform(21, 29, 1.0, &mut rng);
-        let slow = gemm_naive(&a, &b).unwrap();
-        for threads in [1, 2, 3, 7, 32] {
-            let fast = parallel_gemm_cols(&a, &b, threads).unwrap();
-            let diff = fast.max_abs_diff(&slow).unwrap();
-            assert!(diff < 1e-3, "threads={threads} diff={diff}");
-        }
-    }
-
-    #[test]
-    fn row_and_column_partitions_agree() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let a = Matrix::random_uniform(17, 9, 1.0, &mut rng);
-        let b = Matrix::random_uniform(9, 23, 1.0, &mut rng);
-        let rows = parallel_gemm(&a, &b, 4).unwrap();
-        let cols = parallel_gemm_cols(&a, &b, 4).unwrap();
-        assert!(rows.max_abs_diff(&cols).unwrap() < 1e-4);
     }
 
     #[test]

@@ -7,59 +7,8 @@
 //! Packing already reorders operands into panels, so the transpose can be
 //! folded into the A-panel packing for free.
 
-use spg_tensor::Matrix;
-
 use crate::kernels::{pack_at, Tile};
 use crate::parallel::gemm_row_bands;
-use crate::{check_dims, GemmError};
-
-/// Computes `C = A^T * B` where `a` is `k x m` and `b` is `k x n`, both
-/// row-major. Equivalent to `gemm(&a.transposed(), b)` without the
-/// intermediate transpose.
-///
-/// # Errors
-///
-/// Returns [`GemmError::DimensionMismatch`] if `a.rows() != b.rows()`.
-///
-/// # Example
-///
-/// ```
-/// use spg_tensor::Matrix;
-/// use spg_gemm::{gemm, gemm_at_b};
-///
-/// let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])?;
-/// let b = Matrix::from_vec(2, 2, vec![7.0, 8.0, 9.0, 10.0])?;
-/// let fused = gemm_at_b(&a, &b)?;
-/// let via_transpose = gemm(&a.transposed(), &b)?;
-/// assert_eq!(fused.as_slice(), via_transpose.as_slice());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn gemm_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
-    // A^T is m x k with m = a.cols(), k = a.rows(); inner dim must match
-    // b.rows().
-    check_dims(a.cols(), a.rows(), b.rows(), b.cols())?;
-    let (m, k, n) = (a.cols(), a.rows(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(c);
-    }
-    spg_telemetry::record_flops(crate::gemm_flops(m, n, k), crate::gemm_flops(m, n, k));
-    let mut a_pack = Vec::new();
-    let mut b_pack = Vec::new();
-    gemm_at_b_slice(
-        k,
-        m,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        1,
-        1,
-        &mut a_pack,
-        &mut b_pack,
-    );
-    Ok(c)
-}
 
 /// Raw-slice `C += A^T * B` with caller-owned packing buffers, the rows
 /// of `C` split into `bands` row bands run on at most `threads` threads.
@@ -111,6 +60,16 @@ mod tests {
     use crate::{gemm, gemm_naive};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use spg_tensor::Matrix;
+
+    /// `a^T * b` on one thread into a fresh matrix.
+    fn at_b(a: &Matrix, b: &Matrix) -> Matrix {
+        let (k, m, n) = (a.rows(), a.cols(), b.cols());
+        let mut c = Matrix::zeros(m, n);
+        let (av, bv, cv) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+        gemm_at_b_slice(k, m, n, av, bv, cv, 1, 1, &mut Vec::new(), &mut Vec::new());
+        c
+    }
 
     #[test]
     fn matches_explicit_transpose() {
@@ -118,7 +77,7 @@ mod tests {
         for &(k, m, n) in &[(1usize, 1usize, 1usize), (7, 5, 9), (17, 23, 13), (64, 100, 37)] {
             let a = Matrix::random_uniform(k, m, 1.0, &mut rng);
             let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
-            let fused = gemm_at_b(&a, &b).unwrap();
+            let fused = at_b(&a, &b);
             let oracle = gemm_naive(&a.transposed(), &b).unwrap();
             let diff = fused.max_abs_diff(&oracle).unwrap();
             assert!(diff < 1e-3, "{k}x{m}x{n}: {diff}");
@@ -130,7 +89,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(78);
         let a = Matrix::random_uniform(KC + 9, MC + 5, 1.0, &mut rng);
         let b = Matrix::random_uniform(KC + 9, 40, 1.0, &mut rng);
-        let fused = gemm_at_b(&a, &b).unwrap();
+        let fused = at_b(&a, &b);
         let oracle = gemm(&a.transposed(), &b).unwrap();
         assert!(fused.max_abs_diff(&oracle).unwrap() < 1e-2);
     }
@@ -180,17 +139,18 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_rejected() {
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::zeros(4, 2); // inner dims 3 vs 4
-        assert!(matches!(gemm_at_b(&a, &b), Err(GemmError::DimensionMismatch { .. })));
+    #[should_panic(expected = "b length mismatch")]
+    fn dimension_mismatch_panics() {
+        // a is 3 x 2 (k = 3), b is 4 x 2: the inner dimensions differ.
+        let (a, b, mut c) = ([0.0f32; 6], [0.0f32; 8], [0.0f32; 4]);
+        gemm_at_b_slice(3, 2, 2, &a, &b, &mut c, 1, 1, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
     fn empty_operands() {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(0, 2);
-        let c = gemm_at_b(&a, &b).unwrap();
+        let c = at_b(&a, &b);
         assert_eq!((c.rows(), c.cols()), (3, 2));
         assert!(c.as_slice().iter().all(|v| *v == 0.0));
     }

@@ -1,14 +1,9 @@
 //! Property-based tests: every optimized GEMM path must agree with the
-//! naive triple-loop oracle on arbitrary shapes, thread counts, and
-//! sparsity levels.
+//! naive triple-loop oracle on arbitrary shapes and thread counts.
 
 use proptest::prelude::*;
 
-use spg_gemm::{
-    gemm, gemm_in_parallel, gemm_naive, parallel_gemm, parallel_gemm_cols, spmm_csr_dense,
-    spmm_ctcsr_dense, BatchJob,
-};
-use spg_tensor::sparse::{Csr, CtCsr};
+use spg_gemm::{gemm, gemm_naive, parallel_gemm};
 use spg_tensor::Matrix;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -38,41 +33,6 @@ proptest! {
         let fast = parallel_gemm(&a, &b, threads).expect("dims agree");
         let slow = gemm_naive(&a, &b).expect("dims agree");
         prop_assert!(close(&fast, &slow));
-    }
-
-    #[test]
-    fn column_partition_matches_naive((a, b) in mm_pair(), threads in 1usize..9) {
-        let fast = parallel_gemm_cols(&a, &b, threads).expect("dims agree");
-        let slow = gemm_naive(&a, &b).expect("dims agree");
-        prop_assert!(close(&fast, &slow));
-    }
-
-    #[test]
-    fn batch_matches_naive((a, b) in mm_pair(), threads in 1usize..5, copies in 1usize..4) {
-        let jobs: Vec<BatchJob> = (0..copies).map(|_| BatchJob::new(&a, &b)).collect();
-        let out = gemm_in_parallel(&jobs, threads).expect("dims agree");
-        let slow = gemm_naive(&a, &b).expect("dims agree");
-        for c in &out {
-            prop_assert!(close(c, &slow));
-        }
-    }
-
-    #[test]
-    fn spmm_matches_naive((a, b) in mm_pair(), tile_width in 1usize..10) {
-        // Sparsify A deterministically: zero every third element.
-        let mut av = a.as_slice().to_vec();
-        for (i, v) in av.iter_mut().enumerate() {
-            if i % 3 != 0 {
-                *v = 0.0;
-            }
-        }
-        let a_sparse = Matrix::from_vec(a.rows(), a.cols(), av).expect("length matches");
-        let oracle = gemm_naive(&a_sparse, &b).expect("dims agree");
-        let via_csr = spmm_csr_dense(&Csr::from_dense(&a_sparse), &b).expect("dims agree");
-        prop_assert!(close(&via_csr, &oracle));
-        let tiled = CtCsr::from_dense(&a_sparse, tile_width).expect("positive width");
-        let via_tiled = spmm_ctcsr_dense(&tiled, &b).expect("dims agree");
-        prop_assert!(close(&via_tiled, &oracle));
     }
 
     #[test]

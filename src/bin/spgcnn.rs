@@ -415,18 +415,20 @@ fn tune(args: &[String]) -> Result<(), String> {
 }
 
 /// Audits a whole network config with the plan-time verifier: every
-/// candidate the contest measures for every conv layer, both phases —
-/// proving all access ranges safe without running any kernel. A verified
-/// forward candidate also shows the kernel lowering binds and the Sec. 3
-/// model's predicted GFlops/core on the paper's Xeon. The serving/training
-/// paths run the same verification inside `CompiledConv::compile` and the
-/// autotuner; this command surfaces it.
+/// candidate the contest measures for every conv layer, both phases, each
+/// lowered once as the contest lowers it — proving all access ranges safe
+/// without running any kernel. A candidate's line reports the proof of the
+/// program it lowers to (its phase plus the GEMM baseline in the other); a
+/// forward candidate also shows the kernel that program binds and the
+/// Sec. 3 model's predicted GFlops/core on the paper's Xeon. The
+/// serving/training paths run the same lowering inside
+/// `CompiledConv::compile` and the autotuner; this command surfaces it.
 fn check(args: &[String]) -> Result<(), String> {
     use spg_cnn::codegen::KernelChoice;
     use spg_cnn::core::autotune::Phase;
     use spg_cnn::core::backend::AlgoChoice;
     use spg_cnn::core::schedule::Technique;
-    use spg_cnn::core::verify::{lower_phase, verify_technique};
+    use spg_cnn::core::verify::lower_phase;
     use spg_cnn::simcpu::forward_gflops_per_core;
 
     let desc = if args.iter().any(|a| a == "--smoke") {
@@ -452,8 +454,9 @@ fn check(args: &[String]) -> Result<(), String> {
             (Phase::Backward, "BP", Technique::backward_candidates()),
         ] {
             for &t in candidates {
-                match verify_technique(spec, t, phase, cores) {
-                    Ok(report) => {
+                match lower_phase(spec, t, phase, cores, KernelChoice::Auto) {
+                    Ok(program) => {
+                        let report = program.report();
                         proved += report.accesses_proved;
                         regions += report.worker_regions;
                         let mut line = format!(
@@ -463,8 +466,7 @@ fn check(args: &[String]) -> Result<(), String> {
                             report.worker_regions
                         );
                         if phase == Phase::Forward {
-                            let kernel = lower_phase(spec, t, phase, cores, KernelChoice::Auto)
-                                .map_or("generic", |p| AlgoChoice::of(&p).kernel.id());
+                            let kernel = AlgoChoice::of(&program).kernel.id();
                             let model = forward_gflops_per_core(&machine, spec, t, cores);
                             line += &format!(", kernel {kernel}, model {model:.1} GFlops/core");
                         }

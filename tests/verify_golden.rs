@@ -6,6 +6,7 @@
 //! it at deployment time, so this test failing means either a kernel regressed
 //! or the verifier's lowering diverged from the executor dispatch.
 
+use spg_cnn::check::{verify_forward, ScratchCapacity};
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::core::autotune::{Framework, Phase, TuningMode};
 use spg_cnn::core::schedule::{recommended_plan, Technique};
@@ -49,6 +50,34 @@ fn every_autotune_candidate_verifies_on_table2() {
                 verify_technique(&spec, t, Phase::Backward, cores).unwrap_or_else(|e| {
                     panic!("{} layer {i}: backward {t} rejected: {e}", bench.label())
                 });
+            }
+        }
+    }
+}
+
+/// The deploy gate judges the forward plan that deploys: on every Table 2
+/// layer, `verify_technique`'s forward proof is the verifier's report on
+/// the forward `lower_phase` binds under `KernelChoice::Auto` — the
+/// instance's lane width where the host runs one (16 lanes on AVX-512),
+/// the generic loops' where it falls back.
+#[test]
+fn verify_technique_proves_the_deployed_forward() {
+    for (bench, i, spec) in all_layers() {
+        let cap = ScratchCapacity::reserved_for(&spec);
+        for cores in [1usize, 2, 8] {
+            for &t in Technique::forward_candidates() {
+                let program = lower_phase(&spec, t, Phase::Forward, cores, KernelChoice::Auto)
+                    .expect("candidates verify on Table 2");
+                let plan = program.plan();
+                let deployed =
+                    verify_forward(&spec, &plan.forward, plan.register_tile, plan.schedule, &cap);
+                assert_eq!(
+                    verify_technique(&spec, t, Phase::Forward, cores).expect("gate admits it"),
+                    deployed.expect("a lowered forward proves"),
+                    "{} layer {i} x{cores}: {t} ({} kernel)",
+                    bench.label(),
+                    program.kernel_kind()
+                );
             }
         }
     }

@@ -23,7 +23,7 @@
 //!    `// lint: allow(thread-spawn)` marker; the excused sites are
 //!    printed, so the tree's thread-creation idioms are a CI line.
 //!
-//! Test code is exempt: files under `tests/` or `benches/`, and everything
+//! Test code is exempt: files under `tests/`, and everything
 //! from a line containing `#[cfg(test)]` to the end of the file (the
 //! workspace convention keeps test modules trailing).
 //!
@@ -186,7 +186,7 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "tests" || name == "benches" || name == "target" {
+            if name == "tests" || name == "target" {
                 continue;
             }
             out.extend(rust_files(&path));
