@@ -445,14 +445,7 @@ pub fn train_in_proc(
             if let Some(err) = outcomes.iter().find_map(|(_, result)| result.as_ref().err()) {
                 let err = err.clone();
                 spg_telemetry::record_counter("cluster.train.faults", 1);
-                // Resume from the most-advanced committed state; with
-                // synchronous updates every committed state at the same
-                // position is identical, so "most advanced" is unique.
-                let best = outcomes
-                    .into_iter()
-                    .map(|(state, _)| state)
-                    .max_by_key(|s| (s.progress.next_epoch, s.progress.next_batch))
-                    .expect("world >= 1");
+                let best = most_committed(outcomes.into_iter().map(|(state, _)| state));
                 states = vec![best; opts.world];
                 return Err(err);
             }
@@ -474,6 +467,17 @@ pub fn train_in_proc(
         },
         |_, _| spg_telemetry::record_counter("cluster.train.restarts", 1),
     )?
+}
+
+/// The state a ring replays from after a rank fault: the most-advanced
+/// committed one, whatever order the ranks' states arrive in. With
+/// synchronous updates every committed state at the same position is
+/// identical, so "most advanced" is unique.
+fn most_committed(states: impl IntoIterator<Item = RankState>) -> RankState {
+    states
+        .into_iter()
+        .max_by_key(|s| (s.progress.next_epoch, s.progress.next_batch))
+        .expect("world >= 1")
 }
 
 #[cfg(test)]
@@ -563,6 +567,26 @@ mod tests {
         let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
         let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
         assert_eq!(got, expect, "recovered run diverged from the fault-free pool run");
+    }
+
+    /// A fault can leave the ranks' commits staggered, and their states
+    /// reach the replay choice in any order: every arrival order, the
+    /// four where a stale state comes first included, must replay from
+    /// the most-committed one.
+    #[test]
+    fn replay_takes_the_most_committed_state_in_any_arrival_order() {
+        let fresh = RankState::fresh(&make_net().unwrap());
+        let staggered = [(1, 2), (2, 0), (2, 1)];
+        let at = |i: usize| {
+            let mut s = fresh.clone();
+            (s.progress.next_epoch, s.progress.next_batch) = staggered[i];
+            s
+        };
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let best = most_committed(order.map(at));
+            let position = (best.progress.next_epoch, best.progress.next_batch);
+            assert_eq!(position, (2, 1), "arrival order {order:?}");
+        }
     }
 
     /// The trainer's own local fold, failing once at a chosen batch: the

@@ -1,21 +1,18 @@
 //! `spg-race`: a loom-style deterministic-interleaving model checker
 //! for the spg concurrency layer.
 //!
-//! The repo's headline correctness property — epoch losses and served
-//! outputs bit-identical for any worker count, shard kill, or
-//! mid-all-reduce rank fault — rests on the scheduling behaviour of
-//! `spg-sync` locks, `BoundedQueue`, the serve/SGD supervisors, and
-//! the chain-in-ring all-reduce. PR 5 proved every memory-access plan
-//! safe before it runs; this crate does the same for every *schedule*:
-//! small configurations (2–3 workers, 2–3 ranks, queue depth 2) are
-//! explored exhaustively under a bounded-preemption DFS scheduler, and
-//! the concurrency invariants are asserted on every interleaving.
+//! The serving pool's hand-off and every pool's restart loop rest on
+//! the scheduling behaviour of `spg-serve`'s `BoundedQueue` and
+//! `spg-sync`'s `supervise`. This crate compiles those two sources
+//! unchanged against model primitives and explores every *schedule*
+//! of small configurations (2–5 threads, queue depth 1–2) under a
+//! bounded-preemption DFS scheduler, asserting the concurrency
+//! invariants on every interleaving.
 //!
 //! # Layers
 //!
 //! * [`sync`], [`thread`], [`time`] — model primitives (Mutex, Condvar,
-//!   channels, atomics with a modeled happens-before relation,
-//!   [`sync::RaceCell`] for data-race detection, a logical clock).
+//!   named threads, a logical clock).
 //! * [`sched`](fn.explore.html) — the DFS scheduler: bounded
 //!   preemptions, state-hash pruning, logical-time timeouts, typed
 //!   findings ([`RaceError`]).
@@ -26,25 +23,19 @@
 //!   indirection (`#[path]` inclusion, so `crate::` in the shared
 //!   source resolves here to model types and in the owning crate to
 //!   std + `spg-sync`).
-//! * [`scenarios`] — the proof suite: queue, serve-pool supervision,
-//!   SGD merge order, router eviction/respawn, ring all-reduce fault
-//!   replay. Each scenario accepts a `Mutation` so the test suite can
-//!   prove the checker *catches* seeded bugs (reordered merge, dropped
-//!   notify, swapped lock order, double slot claim, stale replay) with
-//!   a typed finding, mirroring PR 5's plan-mutation proptests.
+//! * [`scenarios`] — the proof suite: queue hand-off and close, and
+//!   serve-pool supervision. Each scenario accepts a `Mutation` so the
+//!   test suite can prove the checker *catches* a seeded bug (dropped
+//!   notify, double slot claim) with a typed finding.
 //!
 //! # What "proved" means here
 //!
-//! Exploration is exhaustive over schedules of the *model* up to the
-//! configured preemption bound. The queue scenarios run the production
-//! queue source and the serve-pool scenario the production restart loop
-//! around it — the supervisor every pool in the workspace calls; the
-//! lock-order, SGD-merge, router and ring scenarios run distilled
-//! protocol models of code the model cannot host (OS processes, kernel
-//! pools, sockets), so they prove the *protocol*, and the lints plus
-//! ThreadSanitizer CI tie the production code to that protocol. See
-//! DESIGN.md "Concurrency invariants" for the invariant-by-invariant
-//! mapping.
+//! Exploration is exhaustive over schedules of the shipped sources up
+//! to the preemption bound. Properties of code the model cannot host
+//! (kernels, OS processes, sockets) are checked on that code instead:
+//! the bit-identity tests, the fault-replay drills, `spg-lint`'s
+//! lock-order pass and the ThreadSanitizer legs. See DESIGN.md
+//! "Concurrency invariants" for the invariant-by-invariant mapping.
 
 pub mod scenarios;
 mod sched;
@@ -99,51 +90,24 @@ pub(crate) mod sync_prims {
     }
 }
 
-/// Exploration parameters for one scenario.
+/// Exploration parameters for one scenario. The preemption bound and
+/// the schedule and step budgets are the scheduler's own constants.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Scenario name, carried into findings and reports.
-    pub name: String,
-    /// Preemption budget per schedule: switches away from a thread that
-    /// could still run. Forced switches (current thread blocked) are
-    /// free. 2 is CHESS's classic "most bugs need ≤2" bound.
-    pub max_preemptions: usize,
-    /// Hard cap on schedules explored; exceeding it is a
-    /// [`RaceError::ScheduleLimit`] so a proof test can never silently
-    /// under-explore.
-    pub max_schedules: u64,
-    /// Hard cap on scheduler steps within one schedule (livelock guard).
-    pub max_steps: u64,
+    pub(crate) name: String,
     /// Budget of spurious condvar wakeups to inject per schedule (each
     /// is a branch point), proving wait-site predicate loops.
-    pub spurious_wakeups: u32,
+    pub(crate) spurious_wakeups: u32,
     /// Mutation hook: silently drop the nth (1-based) notify of the
     /// run, proving lost wakeups are caught as deadlock findings.
-    pub drop_nth_notify: Option<u64>,
-    /// Merge schedule branches whose scheduler-visible state (thread
-    /// statuses and op counts, lock owners, waiter queues, channel
-    /// occupancy, logical clock) was already explored with at least as
-    /// much preemption budget.
-    pub state_hash_pruning: bool,
+    pub(crate) drop_nth_notify: Option<u64>,
 }
 
 impl Config {
-    /// Defaults tuned for the bundled small-config scenarios.
+    /// No spurious wakeups, no dropped notify.
     pub fn new(name: impl Into<String>) -> Config {
-        Config {
-            name: name.into(),
-            max_preemptions: 2,
-            max_schedules: 500_000,
-            max_steps: 100_000,
-            spurious_wakeups: 0,
-            drop_nth_notify: None,
-            state_hash_pruning: true,
-        }
-    }
-
-    pub fn preemptions(mut self, n: usize) -> Config {
-        self.max_preemptions = n;
-        self
+        Config { name: name.into(), spurious_wakeups: 0, drop_nth_notify: None }
     }
 
     pub fn spurious(mut self, n: u32) -> Config {
@@ -189,9 +153,6 @@ pub enum RaceError {
     Deadlock { scenario: String, schedule: u64, waiting: Vec<String> },
     /// A [`invariant`] assertion failed on some interleaving.
     InvariantViolation { scenario: String, schedule: u64, invariant: String, detail: String },
-    /// Two unordered accesses to a [`sync::RaceCell`], at least one a
-    /// write (no happens-before edge between them).
-    DataRace { scenario: String, schedule: u64, location: String },
     /// A model thread panicked (not a cancellation).
     Panic { scenario: String, schedule: u64, thread: String, message: String },
     /// Exploration exceeded a hard budget — the proof is inconclusive,
@@ -213,9 +174,6 @@ impl fmt::Display for RaceError {
                     f,
                     "{scenario}: invariant '{invariant}' violated on schedule {schedule}: {detail}"
                 )
-            }
-            RaceError::DataRace { scenario, schedule, location } => {
-                write!(f, "{scenario}: data race on schedule {schedule} at {location}")
             }
             RaceError::Panic { scenario, schedule, thread, message } => {
                 write!(

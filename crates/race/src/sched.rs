@@ -1,31 +1,32 @@
 //! The deterministic scheduler at the heart of `spg-race`.
 //!
 //! Model threads are real OS threads, but only one is ever *runnable* at
-//! a time: every model operation (lock, wait, send, atomic op, …) passes
-//! through [`Engine::step`], which hands control to exactly one thread
-//! chosen by a recorded decision. A run is therefore fully described by
-//! its decision vector, and the explorer enumerates runs by depth-first
-//! backtracking over that vector: replay the shared prefix, take the
-//! next untried branch at the deepest unexhausted decision, extend
-//! greedily (choice 0 = keep running the current thread).
+//! a time: every model operation (lock, wait, notify, spawn, join)
+//! passes through [`Engine::step`], which hands control to exactly one
+//! thread chosen by a recorded decision. A run is therefore fully
+//! described by its decision vector, and the explorer enumerates runs by
+//! depth-first backtracking over that vector: replay the shared prefix,
+//! take the next untried branch at the deepest unexhausted decision,
+//! extend greedily (choice 0 = keep running the current thread).
 //!
 //! Two standard reductions keep small configs tractable without giving
 //! up soundness for the bundled scenarios:
 //!
 //! * **Bounded preemptions** — switching away from a thread that could
-//!   still run costs one unit of a per-run budget; forced switches (the
-//!   current thread blocked or finished) are free. Most real
-//!   concurrency bugs need very few preemptions (CHESS's observation),
-//!   and the bound makes the schedule tree finite.
+//!   still run costs one unit of a per-run budget
+//!   ([`MAX_PREEMPTIONS`]); forced switches (the current thread blocked
+//!   or finished) are free. Most real concurrency bugs need very few
+//!   preemptions (CHESS's observation), and the bound makes the schedule
+//!   tree finite.
 //! * **State-hash pruning** — at a fresh decision node the scheduler
 //!   hashes the scheduler-visible state (thread statuses and per-thread
-//!   op counts, lock owners, condvar waiter queues, channel occupancy,
-//!   the logical clock). If that hash was already reached with at least
-//!   as much remaining preemption budget, the node's alternatives are
-//!   pruned and the run completes greedily. Because per-thread op
-//!   counts are part of the hash, two merged states have each thread at
-//!   the same point of its own history; scenarios whose invariants are
-//!   checked on every completed run (ours all are) lose no findings.
+//!   op counts, lock owners, condvar waiter queues, the logical clock).
+//!   If that hash was already reached with at least as much remaining
+//!   preemption budget, the node's alternatives are pruned and the run
+//!   completes greedily. Because per-thread op counts are part of the
+//!   hash, two merged states have each thread at the same point of its
+//!   own history; scenarios whose invariants are checked on every
+//!   completed run (ours all are) lose no findings.
 //!
 //! Timeouts use a logical clock: a timed wait only fires when *nothing
 //! else can run* (quiescence), at which point the clock jumps to the
@@ -49,6 +50,16 @@ use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as Std
 use std::time::Duration;
 
 use crate::{Config, RaceError, Report};
+
+/// Preemption budget per schedule. 2 is CHESS's classic "most bugs need
+/// ≤2" bound.
+const MAX_PREEMPTIONS: usize = 2;
+/// Schedules explored before the proof is declared inconclusive
+/// ([`RaceError::ScheduleLimit`]), so a proof test can never silently
+/// under-explore.
+const MAX_SCHEDULES: u64 = 500_000;
+/// Scheduler steps within one schedule (livelock guard).
+const MAX_STEPS: u64 = 100_000;
 
 /// Panic payload used to unwind model threads when a run is cancelled.
 /// Never escapes the crate: the explorer and the spawn wrapper swallow
@@ -85,37 +96,6 @@ pub(crate) fn panic_msg(payload: &(dyn Any + Send)) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Vector clocks (happens-before)
-// ---------------------------------------------------------------------------
-
-/// A vector clock over model thread ids. Grown on demand; a missing
-/// component reads as zero.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct VClock(Vec<u64>);
-
-impl VClock {
-    pub(crate) fn tick(&mut self, tid: usize) {
-        if self.0.len() <= tid {
-            self.0.resize(tid + 1, 0);
-        }
-        self.0[tid] += 1;
-    }
-
-    pub(crate) fn join(&mut self, other: &VClock) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (mine, theirs) in self.0.iter_mut().zip(other.0.iter()) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
-    pub(crate) fn get(&self, tid: usize) -> u64 {
-        self.0.get(tid).copied().unwrap_or(0)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scheduler state
 // ---------------------------------------------------------------------------
 
@@ -124,8 +104,6 @@ enum Block {
     Lock { mutex: usize },
     CvWait { condvar: usize, mutex: usize, deadline: Option<u128> },
     Join { thread: usize },
-    Recv { channel: usize },
-    Send { channel: usize },
 }
 
 #[derive(Clone, Debug)]
@@ -138,7 +116,6 @@ enum Status {
 struct ThreadInfo {
     name: String,
     status: Status,
-    clock: VClock,
     /// Model operations executed so far; part of the state hash so two
     /// merged states have each thread at the same point of its history.
     ops: u64,
@@ -147,30 +124,10 @@ struct ThreadInfo {
     wake_timed_out: bool,
 }
 
-struct MutexObj {
-    owner: Option<usize>,
-    /// Release clock: joined into the acquirer to model the
-    /// happens-before edge through the lock.
-    clock: VClock,
-}
-
-struct CvObj {
-    /// FIFO: `notify_one` wakes the longest waiter, deterministically.
-    waiters: VecDeque<usize>,
-}
-
-struct ChanObj {
-    len: usize,
-    cap: Option<usize>,
-    senders: usize,
-    receivers: usize,
-}
-
-struct CellObj {
-    location: &'static str,
-    /// `(tid, tid-component of the writer's clock at the write)`.
-    last_write: Option<(usize, u64)>,
-    reads: Vec<(usize, u64)>,
+impl ThreadInfo {
+    fn new(name: String) -> Self {
+        ThreadInfo { name, status: Status::Runnable, ops: 0, wake_timed_out: false }
+    }
 }
 
 /// One branch point in a run. `natural` is how many options existed,
@@ -190,9 +147,8 @@ pub(crate) struct Decision {
 pub(crate) enum Finding {
     Deadlock { waiting: Vec<String> },
     InvariantViolation { invariant: String, detail: String },
-    DataRace { location: String },
     Panic { thread: String, message: String },
-    StepLimit { limit: u64 },
+    StepLimit,
     Nondeterminism { detail: String },
 }
 
@@ -204,12 +160,11 @@ impl Finding {
             Finding::InvariantViolation { invariant, detail } => {
                 RaceError::InvariantViolation { scenario, schedule, invariant, detail }
             }
-            Finding::DataRace { location } => RaceError::DataRace { scenario, schedule, location },
             Finding::Panic { thread, message } => {
                 RaceError::Panic { scenario, schedule, thread, message }
             }
-            Finding::StepLimit { limit } => {
-                RaceError::ScheduleLimit { scenario, limit, what: "steps per schedule" }
+            Finding::StepLimit => {
+                RaceError::ScheduleLimit { scenario, limit: MAX_STEPS, what: "steps per schedule" }
             }
             Finding::Nondeterminism { detail } => RaceError::Nondeterminism { scenario, detail },
         }
@@ -219,11 +174,11 @@ impl Finding {
 pub(crate) struct EngineState {
     active: usize,
     threads: Vec<ThreadInfo>,
-    mutexes: Vec<MutexObj>,
-    condvars: Vec<CvObj>,
-    channels: Vec<ChanObj>,
-    cells: Vec<CellObj>,
-    atomics: Vec<VClock>,
+    /// Owner of each registered mutex.
+    mutexes: Vec<Option<usize>>,
+    /// FIFO waiters of each registered condvar: `notify_one` wakes the
+    /// longest waiter, deterministically.
+    condvars: Vec<VecDeque<usize>>,
     decisions: Vec<Decision>,
     cursor: usize,
     preemptions: usize,
@@ -281,18 +236,9 @@ impl Engine {
         Engine {
             state: StdMutex::new(EngineState {
                 active: 0,
-                threads: vec![ThreadInfo {
-                    name: "main".to_string(),
-                    status: Status::Runnable,
-                    clock: VClock::default(),
-                    ops: 0,
-                    wake_timed_out: false,
-                }],
+                threads: vec![ThreadInfo::new("main".to_string())],
                 mutexes: Vec::new(),
                 condvars: Vec::new(),
-                channels: Vec::new(),
-                cells: Vec::new(),
-                atomics: Vec::new(),
                 decisions: prefix,
                 cursor: 0,
                 preemptions: 0,
@@ -348,9 +294,9 @@ impl Engine {
             return d.taken;
         }
         let mut lim = limit;
-        if prunable && self.cfg.state_hash_pruning && lim > 1 {
+        if prunable && lim > 1 {
             let hash = state_hash(st);
-            let remaining = self.cfg.max_preemptions.saturating_sub(st.preemptions);
+            let remaining = MAX_PREEMPTIONS.saturating_sub(st.preemptions);
             let mut seen = self.visited.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             match seen.get(&hash) {
                 Some(&best) if best >= remaining => {
@@ -397,7 +343,7 @@ impl Engine {
             if let Some((deadline, t)) = earliest {
                 st.clock_ns = st.clock_ns.max(deadline);
                 if let Status::Blocked(Block::CvWait { condvar, .. }) = st.threads[t].status {
-                    st.condvars[condvar].waiters.retain(|&w| w != t);
+                    st.condvars[condvar].retain(|&w| w != t);
                 }
                 st.threads[t].wake_timed_out = true;
                 st.threads[t].status = Status::Runnable;
@@ -409,8 +355,7 @@ impl Engine {
             }
         }
         let natural = opts.len();
-        let limit =
-            if me_runnable && st.preemptions >= self.cfg.max_preemptions { 1 } else { natural };
+        let limit = if me_runnable && st.preemptions >= MAX_PREEMPTIONS { 1 } else { natural };
         let choice = self.decide(st, natural, limit, true);
         let next = opts[choice.min(natural - 1)];
         if me_runnable && next != me {
@@ -450,13 +395,11 @@ impl Engine {
             panic_cancel();
         }
         st.steps += 1;
-        if st.steps > self.cfg.max_steps {
-            let limit = self.cfg.max_steps;
-            self.cancel_with(&mut st, Finding::StepLimit { limit });
+        if st.steps > MAX_STEPS {
+            self.cancel_with(&mut st, Finding::StepLimit);
             drop(st);
             panic_cancel();
         }
-        st.threads[me].clock.tick(me);
         st.threads[me].ops += 1;
         self.reschedule(&mut st, me);
         self.wait_my_turn(st, me)
@@ -494,32 +437,14 @@ impl Engine {
 
     pub(crate) fn register_mutex(&self) -> usize {
         let mut st = self.lock_state();
-        st.mutexes.push(MutexObj { owner: None, clock: VClock::default() });
+        st.mutexes.push(None);
         st.mutexes.len() - 1
     }
 
     pub(crate) fn register_condvar(&self) -> usize {
         let mut st = self.lock_state();
-        st.condvars.push(CvObj { waiters: VecDeque::new() });
+        st.condvars.push(VecDeque::new());
         st.condvars.len() - 1
-    }
-
-    pub(crate) fn register_channel(&self, cap: Option<usize>) -> usize {
-        let mut st = self.lock_state();
-        st.channels.push(ChanObj { len: 0, cap, senders: 1, receivers: 1 });
-        st.channels.len() - 1
-    }
-
-    pub(crate) fn register_cell(&self, location: &'static str) -> usize {
-        let mut st = self.lock_state();
-        st.cells.push(CellObj { location, last_write: None, reads: Vec::new() });
-        st.cells.len() - 1
-    }
-
-    pub(crate) fn register_atomic(&self) -> usize {
-        let mut st = self.lock_state();
-        st.atomics.push(VClock::default());
-        st.atomics.len() - 1
     }
 
     // -- mutex --------------------------------------------------------------
@@ -527,10 +452,8 @@ impl Engine {
     pub(crate) fn mutex_lock(&self, me: usize, m: usize) {
         loop {
             let mut st = self.step(me);
-            if st.mutexes[m].owner.is_none() {
-                st.mutexes[m].owner = Some(me);
-                let release_clock = st.mutexes[m].clock.clone();
-                st.threads[me].clock.join(&release_clock);
+            if st.mutexes[m].is_none() {
+                st.mutexes[m] = Some(me);
                 return;
             }
             let st = self.block_here(st, me, Block::Lock { mutex: m });
@@ -538,16 +461,18 @@ impl Engine {
         }
     }
 
-    /// Unlock is *not* a decision point: the release itself is invisible;
-    /// the next acquisition by a waiter is where schedules diverge, and
-    /// that happens at the releaser's (or acquirer's) next `step`. Being
-    /// panic-free also makes guard drops safe during cancel unwinding.
-    pub(crate) fn mutex_unlock(&self, me: usize, m: usize) {
-        let mut st = self.lock_state();
-        let thread_clock = st.threads[me].clock.clone();
-        st.mutexes[m].clock.join(&thread_clock);
-        st.mutexes[m].owner = None;
-        Self::wake_where(&mut st, |b| matches!(b, Block::Lock { mutex } if *mutex == m));
+    /// Release `m` and wake every thread blocked acquiring it. Not a
+    /// decision point: the release itself is invisible; the next
+    /// acquisition by a waiter is where schedules diverge, and that
+    /// happens at the releaser's (or acquirer's) next `step`.
+    fn release(st: &mut EngineState, m: usize) {
+        st.mutexes[m] = None;
+        Self::wake_where(st, |b| matches!(b, Block::Lock { mutex } if *mutex == m));
+    }
+
+    /// Being panic-free makes guard drops safe during cancel unwinding.
+    pub(crate) fn mutex_unlock(&self, m: usize) {
+        Self::release(&mut self.lock_state(), m);
         self.cv.notify_all();
     }
 
@@ -570,17 +495,14 @@ impl Engine {
             st.spurious_left -= 1;
             spurious = true;
         }
-        let thread_clock = st.threads[me].clock.clone();
-        st.mutexes[m].clock.join(&thread_clock);
-        st.mutexes[m].owner = None;
-        Self::wake_where(&mut st, |b| matches!(b, Block::Lock { mutex } if *mutex == m));
+        Self::release(&mut st, m);
         let timed_out = if spurious {
             st.threads[me].wake_timed_out = false;
             drop(st);
             false
         } else {
             let deadline = timeout.map(|d| st.clock_ns + d.as_nanos());
-            st.condvars[cv].waiters.push_back(me);
+            st.condvars[cv].push_back(me);
             let st = self.block_here(st, me, Block::CvWait { condvar: cv, mutex: m, deadline });
             let timed_out = st.threads[me].wake_timed_out;
             drop(st);
@@ -600,169 +522,21 @@ impl Engine {
             return;
         }
         if all {
-            while let Some(t) = st.condvars[cv].waiters.pop_front() {
+            while let Some(t) = st.condvars[cv].pop_front() {
                 Self::wake(&mut st, t, false);
             }
-        } else if let Some(t) = st.condvars[cv].waiters.pop_front() {
+        } else if let Some(t) = st.condvars[cv].pop_front() {
             Self::wake(&mut st, t, false);
         }
         self.cv.notify_all();
     }
 
-    // -- channels -----------------------------------------------------------
-
-    /// Reserve a slot for one message. Returns `false` when no receiver
-    /// is left. The caller pushes the payload into its own buffer under
-    /// the engine lock via the callback, keeping the operation atomic.
-    pub(crate) fn chan_send(&self, me: usize, ch: usize, push: impl FnOnce(VClock)) -> bool {
-        loop {
-            let mut st = self.step(me);
-            if st.channels[ch].receivers == 0 {
-                return false;
-            }
-            if let Some(cap) = st.channels[ch].cap {
-                if st.channels[ch].len >= cap {
-                    let st = self.block_here(st, me, Block::Send { channel: ch });
-                    drop(st);
-                    continue;
-                }
-            }
-            st.channels[ch].len += 1;
-            push(st.threads[me].clock.clone());
-            Self::wake_where(&mut st, |b| matches!(b, Block::Recv { channel } if *channel == ch));
-            self.cv.notify_all();
-            return true;
-        }
-    }
-
-    /// Take one message. Returns `false` when the channel is empty and
-    /// every sender is gone. The callback pops the payload and returns
-    /// the sender's clock, joined into the receiver (per-message
-    /// happens-before).
-    pub(crate) fn chan_recv(&self, me: usize, ch: usize, pop: impl Fn() -> VClock) -> bool {
-        loop {
-            let mut st = self.step(me);
-            if st.channels[ch].len > 0 {
-                st.channels[ch].len -= 1;
-                let sender_clock = pop();
-                st.threads[me].clock.join(&sender_clock);
-                Self::wake_where(
-                    &mut st,
-                    |b| matches!(b, Block::Send { channel } if *channel == ch),
-                );
-                self.cv.notify_all();
-                return true;
-            }
-            if st.channels[ch].senders == 0 {
-                return false;
-            }
-            let st = self.block_here(st, me, Block::Recv { channel: ch });
-            drop(st);
-        }
-    }
-
-    pub(crate) fn chan_add_sender(&self, ch: usize) {
-        let mut st = self.lock_state();
-        st.channels[ch].senders += 1;
-    }
-
-    pub(crate) fn chan_drop_sender(&self, ch: usize) {
-        let mut st = self.lock_state();
-        st.channels[ch].senders -= 1;
-        if st.channels[ch].senders == 0 {
-            Self::wake_where(&mut st, |b| matches!(b, Block::Recv { channel } if *channel == ch));
-            self.cv.notify_all();
-        }
-    }
-
-    pub(crate) fn chan_drop_receiver(&self, ch: usize) {
-        let mut st = self.lock_state();
-        st.channels[ch].receivers -= 1;
-        if st.channels[ch].receivers == 0 {
-            Self::wake_where(&mut st, |b| matches!(b, Block::Send { channel } if *channel == ch));
-            self.cv.notify_all();
-        }
-    }
-
-    // -- atomics and race cells ---------------------------------------------
-
-    /// A SeqCst atomic op: a decision point that joins clocks both ways
-    /// (every SeqCst op synchronizes with every other on the same
-    /// object). The caller applies the real operation under the
-    /// returned guard.
-    pub(crate) fn atomic_sync(&self, me: usize, id: usize) -> StdMutexGuard<'_, EngineState> {
-        let mut st = self.step(me);
-        let obj_clock = st.atomics[id].clone();
-        st.threads[me].clock.join(&obj_clock);
-        let thread_clock = st.threads[me].clock.clone();
-        st.atomics[id].join(&thread_clock);
-        st
-    }
-
-    pub(crate) fn cell_read(&self, me: usize, id: usize) -> StdMutexGuard<'_, EngineState> {
-        let mut st = self.step(me);
-        if let Some((wtid, wtick)) = st.cells[id].last_write {
-            if wtid != me && st.threads[me].clock.get(wtid) < wtick {
-                let location = format!(
-                    "{} (read vs write by {})",
-                    st.cells[id].location, st.threads[wtid].name
-                );
-                self.cancel_with(&mut st, Finding::DataRace { location });
-                drop(st);
-                panic_cancel();
-            }
-        }
-        let tick = st.threads[me].clock.get(me);
-        st.cells[id].reads.push((me, tick));
-        st
-    }
-
-    pub(crate) fn cell_write(&self, me: usize, id: usize) -> StdMutexGuard<'_, EngineState> {
-        let mut st = self.step(me);
-        let mut conflict: Option<usize> = None;
-        if let Some((wtid, wtick)) = st.cells[id].last_write {
-            if wtid != me && st.threads[me].clock.get(wtid) < wtick {
-                conflict = Some(wtid);
-            }
-        }
-        for &(rtid, rtick) in &st.cells[id].reads {
-            if rtid != me && st.threads[me].clock.get(rtid) < rtick {
-                conflict = Some(rtid);
-            }
-        }
-        if let Some(other) = conflict {
-            let location = format!(
-                "{} (write vs access by {})",
-                st.cells[id].location, st.threads[other].name
-            );
-            self.cancel_with(&mut st, Finding::DataRace { location });
-            drop(st);
-            panic_cancel();
-        }
-        let tick = st.threads[me].clock.get(me);
-        st.cells[id].last_write = Some((me, tick));
-        st.cells[id].reads.clear();
-        st
-    }
-
     // -- threads ------------------------------------------------------------
 
-    pub(crate) fn spawn_thread(self: &Arc<Self>, me: usize, mut name: String) -> usize {
+    pub(crate) fn spawn_thread(&self, me: usize, name: String) -> usize {
         let mut st = self.step(me);
-        let tid = st.threads.len();
-        if name.is_empty() {
-            name = format!("t{tid}");
-        }
-        let mut clock = st.threads[me].clock.clone();
-        clock.tick(tid);
-        st.threads.push(ThreadInfo {
-            name,
-            status: Status::Runnable,
-            clock,
-            ops: 0,
-            wake_timed_out: false,
-        });
-        tid
+        st.threads.push(ThreadInfo::new(name));
+        st.threads.len() - 1
     }
 
     pub(crate) fn store_handle(&self, handle: std::thread::JoinHandle<()>) {
@@ -773,10 +547,6 @@ impl Engine {
         loop {
             let st = self.step(me);
             if matches!(st.threads[target].status, Status::Finished) {
-                let target_clock = st.threads[target].clock.clone();
-                drop(st);
-                let mut st = self.lock_state();
-                st.threads[me].clock.join(&target_clock);
                 return;
             }
             let st = self.block_here(st, me, Block::Join { thread: target });
@@ -869,8 +639,6 @@ fn describe_waiting(st: &EngineState) -> Vec<String> {
             Status::Blocked(Block::Join { thread }) => {
                 format!("joining {}", st.threads[*thread].name)
             }
-            Status::Blocked(Block::Recv { channel }) => format!("receiving on channel #{channel}"),
-            Status::Blocked(Block::Send { channel }) => format!("sending on channel #{channel}"),
         };
         out.push(format!("{}: {what}", info.name));
     }
@@ -891,21 +659,16 @@ fn state_hash(st: &EngineState) -> u64 {
                         (1u8, *condvar, *mutex, *deadline).hash(&mut h);
                     }
                     Block::Join { thread } => (2u8, *thread).hash(&mut h),
-                    Block::Recv { channel } => (3u8, *channel).hash(&mut h),
-                    Block::Send { channel } => (4u8, *channel).hash(&mut h),
                 }
             }
         }
         info.ops.hash(&mut h);
     }
-    for m in &st.mutexes {
-        m.owner.hash(&mut h);
+    for owner in &st.mutexes {
+        owner.hash(&mut h);
     }
-    for c in &st.condvars {
-        c.waiters.hash(&mut h);
-    }
-    for c in &st.channels {
-        (c.len, c.senders, c.receivers).hash(&mut h);
+    for waiters in &st.condvars {
+        waiters.hash(&mut h);
     }
     st.clock_ns.hash(&mut h);
     st.spurious_left.hash(&mut h);
@@ -916,7 +679,7 @@ fn state_hash(st: &EngineState) -> u64 {
 // Spawn wrapper and the explorer
 // ---------------------------------------------------------------------------
 
-/// Spawn a model thread. Used by [`crate::thread::spawn`].
+/// Spawn a model thread. Used by [`crate::thread::spawn_named`].
 pub(crate) fn spawn_model<F, T>(name: String, f: F) -> (usize, Arc<StdMutex<Option<T>>>)
 where
     F: FnOnce() -> T + Send + 'static,
@@ -968,10 +731,10 @@ pub fn explore<F: Fn()>(cfg: &Config, scenario: F) -> Result<Report, RaceError> 
     let mut pruned: u64 = 0;
     let mut max_depth: usize = 0;
     loop {
-        if schedules >= cfg.max_schedules {
+        if schedules >= MAX_SCHEDULES {
             return Err(RaceError::ScheduleLimit {
                 scenario: cfg.name.clone(),
-                limit: cfg.max_schedules,
+                limit: MAX_SCHEDULES,
                 what: "schedules",
             });
         }

@@ -10,14 +10,11 @@
 //! reported as a typed finding instead.
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
 use std::time::Duration;
 
-use crate::sched::{current, Engine, VClock};
+use crate::sched::{current, Engine};
 
 // ---------------------------------------------------------------------------
 // Mutex
@@ -62,8 +59,8 @@ impl<T> Mutex<T> {
 /// not a decision point, so guard drops are safe during cancellation).
 pub struct MutexGuard<'a, T> {
     mutex: &'a Mutex<T>,
-    /// Guards must be dropped on the acquiring thread (the engine needs
-    /// the owner's id at release), so they are deliberately `!Send`.
+    /// Like std's guard, it must be dropped on the acquiring thread, so
+    /// it is deliberately `!Send`.
     _not_send: PhantomData<*mut ()>,
 }
 
@@ -85,8 +82,7 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
 
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        let (_, me) = current();
-        self.mutex.eng.mutex_unlock(me, self.mutex.id);
+        self.mutex.eng.mutex_unlock(self.mutex.id);
     }
 }
 
@@ -158,289 +154,5 @@ impl Condvar {
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Channels
-// ---------------------------------------------------------------------------
-
-/// Error returned by [`Sender::send`] when every receiver is gone.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-/// Error returned by [`Receiver::recv`] when the channel is empty and
-/// every sender is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-struct Chan<T> {
-    eng: Arc<Engine>,
-    id: usize,
-    /// Payloads with the sender's clock at the send: receiving joins
-    /// that clock, giving per-message happens-before.
-    buf: StdMutex<VecDeque<(T, VClock)>>,
-}
-
-impl<T> Chan<T> {
-    fn buf(&self) -> std::sync::MutexGuard<'_, VecDeque<(T, VClock)>> {
-        self.buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Sending half of a model channel (mpsc-shaped, clonable).
-pub struct Sender<T> {
-    chan: Arc<Chan<T>>,
-}
-
-/// Receiving half of a model channel.
-pub struct Receiver<T> {
-    chan: Arc<Chan<T>>,
-}
-
-/// An unbounded model channel.
-///
-/// # Panics
-///
-/// Panics outside [`crate::explore`].
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    channel_inner(None)
-}
-
-/// A bounded model channel: `send` blocks at `cap` queued messages.
-pub fn sync_channel<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    channel_inner(Some(cap))
-}
-
-fn channel_inner<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
-    let (eng, _me) = current();
-    let id = eng.register_channel(cap);
-    let chan = Arc::new(Chan { eng, id, buf: StdMutex::new(VecDeque::new()) });
-    (Sender { chan: Arc::clone(&chan) }, Receiver { chan })
-}
-
-impl<T> Sender<T> {
-    /// Sends one message, blocking while a bounded channel is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message when every receiver has been dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let (_, me) = current();
-        let mut slot = Some(value);
-        let ok = self.chan.eng.chan_send(me, self.chan.id, |clock| {
-            self.chan.buf().push_back((slot.take().expect("send payload"), clock));
-        });
-        match slot {
-            None => Ok(()),
-            Some(v) => {
-                debug_assert!(!ok);
-                Err(SendError(v))
-            }
-        }
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.chan.eng.chan_add_sender(self.chan.id);
-        Sender { chan: Arc::clone(&self.chan) }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        self.chan.eng.chan_drop_sender(self.chan.id);
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Receives one message, blocking while the channel is empty.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError`] once the channel is drained and every sender is
-    /// dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let (_, me) = current();
-        let got = self.chan.eng.chan_recv(me, self.chan.id, || {
-            // Peek the clock; the payload is popped right after under
-            // the same engine guard.
-            self.chan.buf().front().map(|(_, c)| c.clone()).unwrap_or_default()
-        });
-        if got {
-            let (v, _) = self.chan.buf().pop_front().expect("chan_recv reserved a message");
-            Ok(v)
-        } else {
-            Err(RecvError)
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.chan.eng.chan_drop_receiver(self.chan.id);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Atomics
-// ---------------------------------------------------------------------------
-
-macro_rules! model_atomic {
-    ($name:ident, $std:ty, $prim:ty) => {
-        /// A model atomic. Every operation is a scheduler decision
-        /// point and (conservatively, SeqCst-style) a full
-        /// happens-before join with the object, whatever `Ordering` the
-        /// caller passes — the model explores interleavings, not
-        /// memory-order weakness.
-        pub struct $name {
-            eng: Arc<Engine>,
-            id: usize,
-            value: $std,
-        }
-
-        impl $name {
-            /// Registers a new atomic with the active exploration.
-            ///
-            /// # Panics
-            ///
-            /// Panics outside [`crate::explore`].
-            pub fn new(value: $prim) -> Self {
-                let (eng, _me) = current();
-                let id = eng.register_atomic();
-                $name { eng, id, value: <$std>::new(value) }
-            }
-
-            pub fn load(&self, _order: Ordering) -> $prim {
-                let (_, me) = current();
-                let st = self.eng.atomic_sync(me, self.id);
-                let v = self.value.load(Ordering::SeqCst);
-                drop(st);
-                v
-            }
-
-            pub fn store(&self, value: $prim, _order: Ordering) {
-                let (_, me) = current();
-                let st = self.eng.atomic_sync(me, self.id);
-                self.value.store(value, Ordering::SeqCst);
-                drop(st);
-            }
-
-            pub fn swap(&self, value: $prim, _order: Ordering) -> $prim {
-                let (_, me) = current();
-                let st = self.eng.atomic_sync(me, self.id);
-                let v = self.value.swap(value, Ordering::SeqCst);
-                drop(st);
-                v
-            }
-        }
-    };
-}
-
-model_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-model_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-model_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
-
-impl AtomicU64 {
-    pub fn fetch_add(&self, n: u64, _order: Ordering) -> u64 {
-        let (_, me) = current();
-        let st = self.eng.atomic_sync(me, self.id);
-        let v = self.value.fetch_add(n, Ordering::SeqCst);
-        drop(st);
-        v
-    }
-}
-
-impl AtomicUsize {
-    pub fn fetch_add(&self, n: usize, _order: Ordering) -> usize {
-        let (_, me) = current();
-        let st = self.eng.atomic_sync(me, self.id);
-        let v = self.value.fetch_add(n, Ordering::SeqCst);
-        drop(st);
-        v
-    }
-
-    /// Compare-and-swap; the model's single-runnable-thread discipline
-    /// makes it atomic, the engine records the happens-before edge.
-    pub fn compare_exchange(
-        &self,
-        expected: usize,
-        new: usize,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<usize, usize> {
-        let (_, me) = current();
-        let st = self.eng.atomic_sync(me, self.id);
-        let r = self.value.compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst);
-        drop(st);
-        r
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RaceCell
-// ---------------------------------------------------------------------------
-
-/// Plain (non-atomic) shared data under happens-before surveillance:
-/// two accesses, at least one a write, with no happens-before edge
-/// between them are reported as [`crate::RaceError::DataRace`].
-///
-/// The raw pointer access itself is physically serialized under the
-/// engine lock, so even a *detected* race never dereferences
-/// concurrently — the model reports the bug instead of exhibiting UB.
-pub struct RaceCell<T> {
-    eng: Arc<Engine>,
-    id: usize,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: all access goes through `get`/`set`/`with_mut`, each of which
-// holds the engine's global state lock while touching the cell, so the
-// raw accesses are mutually exclusive in real time even when the model
-// flags them as a logical data race.
-unsafe impl<T: Send> Send for RaceCell<T> {}
-// SAFETY: as above — physical access is serialized by the engine lock.
-unsafe impl<T: Send> Sync for RaceCell<T> {}
-
-impl<T> RaceCell<T> {
-    /// Registers the cell under `location` (used in race reports).
-    ///
-    /// # Panics
-    ///
-    /// Panics outside [`crate::explore`].
-    pub fn new(location: &'static str, value: T) -> Self {
-        let (eng, _me) = current();
-        let id = eng.register_cell(location);
-        RaceCell { eng, id, data: UnsafeCell::new(value) }
-    }
-
-    pub fn set(&self, value: T) {
-        let (_, me) = current();
-        let st = self.eng.cell_write(me, self.id);
-        // SAFETY: engine state lock held (`st`); physical exclusivity.
-        unsafe { *self.data.get() = value };
-        drop(st);
-    }
-
-    /// Mutate in place through a closure (counts as one write access).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let (_, me) = current();
-        let st = self.eng.cell_write(me, self.id);
-        // SAFETY: engine state lock held (`st`); physical exclusivity.
-        let r = f(unsafe { &mut *self.data.get() });
-        drop(st);
-        r
-    }
-}
-
-impl<T: Copy> RaceCell<T> {
-    pub fn get(&self) -> T {
-        let (_, me) = current();
-        let st = self.eng.cell_read(me, self.id);
-        // SAFETY: engine state lock held (`st`); physical exclusivity.
-        let v = unsafe { *self.data.get() };
-        drop(st);
-        v
     }
 }

@@ -16,22 +16,12 @@ pub struct JoinHandle<T> {
     result: Arc<StdMutex<Option<T>>>,
 }
 
-/// Spawns a model thread with a default name (`t<id>`).
+/// Spawns a model thread whose name appears in deadlock and panic
+/// findings — name supervisor/worker roles for readable reports.
 ///
 /// # Panics
 ///
 /// Panics outside [`crate::explore`].
-pub fn spawn<F, T>(f: F) -> JoinHandle<T>
-where
-    F: FnOnce() -> T + Send + 'static,
-    T: Send + 'static,
-{
-    let (tid, result) = spawn_model(String::new(), f);
-    JoinHandle { tid, result }
-}
-
-/// Spawns a model thread whose name appears in deadlock and panic
-/// findings — name supervisor/worker roles for readable reports.
 pub fn spawn_named<F, T>(name: impl Into<String>, f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,

@@ -32,11 +32,6 @@ impl Instant {
         let nanos = self.0.checked_sub(earlier.0)?;
         Some(nanos_to_duration(nanos))
     }
-
-    /// `self - earlier`, clamped to zero.
-    pub fn saturating_duration_since(&self, earlier: Instant) -> Duration {
-        self.checked_duration_since(earlier).unwrap_or(Duration::ZERO)
-    }
 }
 
 impl Add<Duration> for Instant {

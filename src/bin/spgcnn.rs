@@ -110,12 +110,12 @@ usage:
       (the committed BENCH_cluster.json scaling baseline).
   spgcnn race [--smoke]
       Run the spg-race deterministic-interleaving model checker over the
-      concurrency proof scenarios (bounded queue, lock order, serve
-      supervisor, SGD merge, shard router, all-reduce ring), exploring
-      every schedule up to the preemption bound and printing one line
-      per scenario. --smoke runs the small configs only; without it the
-      larger full-proof configs run too. Exits non-zero on any finding
-      (deadlock, lost wakeup, invariant violation, data race).
+      concurrency proof scenarios (the shipped bounded queue and the
+      serve supervisor around it), exploring every schedule up to the
+      preemption bound and printing one line per scenario. --smoke runs
+      the small configs only; without it the larger full-proof configs
+      run too. Exits non-zero on any finding (deadlock, lost wakeup,
+      invariant violation).
   spgcnn smoke [--metrics-json FILE]
       Train a tiny built-in network for two epochs with telemetry enabled
       and emit spgcnn-metrics JSON (to stdout, or FILE if given). Exits
