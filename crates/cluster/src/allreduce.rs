@@ -24,7 +24,7 @@
 //!   leg circulates it `W-1 → 0 → 1 → … → W-2`.
 //!
 //! Per link the traffic is ≤ 2·G (one reduce pass + one broadcast pass,
-//! pipelined in [`chunk_floats`](crate::ClusterConfig::chunk_floats)-
+//! pipelined in [`chunk_floats`](crate::InProcTrainOptions::chunk_floats)-
 //! sized frames), the same asymptotic bandwidth as the classic ring —
 //! what is given up is overlap *within* the fold (the chain is serial
 //! across ranks), which the interconnect model in `spg-simcpu` charges

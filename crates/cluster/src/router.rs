@@ -19,6 +19,13 @@
 //! the shard are not failed: they wait for the respawned backend, so a
 //! kill drill produces exactly one `ShardFault`-class error and every
 //! other key's result is unchanged.
+//!
+//! A backend lives exactly as long as its incarnation: the forwarder
+//! drops a dead backend before it backs off and calls the spawner again,
+//! drops a retired shard's last one, and drops every live one when the
+//! router shuts down (or fails to start). A backend that owns a shard
+//! process kills and reaps it on drop, so this one restart loop starts,
+//! restarts and retires the process too.
 
 use std::io::{Read, Write};
 use std::sync::{mpsc, Arc, Mutex};
@@ -245,12 +252,14 @@ pub struct Router {
 }
 
 impl Router {
-    /// Starts the router: spawns every shard backend (failing fast if
-    /// one cannot start) and one forwarder thread per shard.
+    /// Starts the router: spawns every shard backend in shard order
+    /// (failing fast if one cannot start) and one forwarder thread per
+    /// shard.
     ///
     /// # Errors
     ///
-    /// The first shard's spawn error.
+    /// The first shard's spawn error; the shards already started are
+    /// shut down and their backends dropped.
     ///
     /// # Panics
     ///
@@ -262,18 +271,23 @@ impl Router {
         assert!(config.shards > 0, "router needs at least one shard");
         let ring =
             Arc::new(Mutex::new(HashRing::new(config.shards, config.vnodes, config.hash_seed)));
-        let evictions = Arc::new(spg_sync::ProgressCounter::new());
-        let respawns = Arc::new(spg_sync::ProgressCounter::new());
-        let mut slots = Vec::with_capacity(config.shards);
+        let mut router = Router {
+            ring,
+            slots: Vec::with_capacity(config.shards),
+            evictions: Arc::new(spg_sync::ProgressCounter::new()),
+            respawns: Arc::new(spg_sync::ProgressCounter::new()),
+        };
         for shard in 0..config.shards {
+            // On an error `router` drops here, stopping the forwarders
+            // already started.
             let backend = spawner.spawn(shard)?;
             let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
             let forwarder = {
                 let queue = Arc::clone(&queue);
-                let ring = Arc::clone(&ring);
+                let ring = Arc::clone(&router.ring);
                 let spawner = Arc::clone(&spawner);
-                let evictions = Arc::clone(&evictions);
-                let respawns = Arc::clone(&respawns);
+                let evictions = Arc::clone(&router.evictions);
+                let respawns = Arc::clone(&router.respawns);
                 let config = config.clone();
                 // lint: allow(thread-spawn) long-lived service thread: one shard's forwarder
                 std::thread::spawn(move || {
@@ -282,9 +296,9 @@ impl Router {
                     );
                 })
             };
-            slots.push(ShardSlot { queue, forwarder: Some(forwarder) });
+            router.slots.push(ShardSlot { queue, forwarder: Some(forwarder) });
         }
-        Ok(Router { ring, slots, evictions, respawns })
+        Ok(router)
     }
 
     /// Routes `key` on the ring.
@@ -450,6 +464,8 @@ fn forward_loop(
                         // Evict first (so new submissions re-route), then
                         // fail exactly the in-flight request; queued
                         // requests wait for the respawned backend.
+                        // Returning drops the dead backend before
+                        // `supervise` backs off and respawns.
                         spg_sync::lock(ring).evict(shard);
                         evictions.bump();
                         spg_telemetry::record_counter("cluster.router.evictions", 1);
@@ -678,5 +694,121 @@ mod tests {
         // Shard 0's keys re-route to the survivor; other shards serve on.
         let reply = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait().unwrap();
         assert_eq!(reply.shard, 1, "evicted shard's keys moved to the survivor");
+    }
+
+    /// A [`Scripted`] backend that counts its drops. A backend owning a
+    /// shard process kills and reaps it on drop, so these drops are what
+    /// reaps the CLI's shard processes.
+    struct Counted {
+        inner: Scripted,
+        drops: Arc<spg_sync::ProgressCounter>,
+    }
+
+    impl ShardBackend for Counted {
+        fn infer(
+            &mut self,
+            shard: usize,
+            key: &[u8],
+            input: Vec<f32>,
+        ) -> Result<RouteReply, ShardError> {
+            self.inner.infer(shard, key, input)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.bump();
+        }
+    }
+
+    #[test]
+    fn backends_drop_before_respawn_on_retirement_and_at_shutdown() {
+        // Every incarnation of shard 0 dies on its first request; shard
+        // 1 stays healthy throughout.
+        let drops = Arc::new(spg_sync::ProgressCounter::new());
+        let spawns = Arc::new(AtomicUsize::new(0));
+        // How many backends were alive when each spawn of shard 0 began.
+        let live_at_spawn = Arc::new(Mutex::new(Vec::new()));
+        let spawner = {
+            let (drops, spawns) = (Arc::clone(&drops), Arc::clone(&spawns));
+            let live_at_spawn = Arc::clone(&live_at_spawn);
+            Arc::new(move |shard: usize| {
+                let spawned = spawns.fetch_add(1, Ordering::SeqCst) as u64;
+                let die_on = (shard == 0).then_some(1);
+                if shard == 0 {
+                    spg_sync::lock(&live_at_spawn).push(spawned - drops.get());
+                }
+                let inner = Scripted { shard, served: 0, die_on };
+                Ok(Box::new(Counted { inner, drops: Arc::clone(&drops) }) as Box<dyn ShardBackend>)
+            })
+        };
+        let config = RouterConfig {
+            shards: 2,
+            restart_budget: 1,
+            restart_backoff: Duration::from_millis(1),
+            ..Default::default()
+        };
+        let router = Router::start(spawner, &config).unwrap();
+        let ring = HashRing::new(2, config.vnodes, config.hash_seed);
+        let key0: String = (0..200)
+            .map(|i| format!("key-{i}"))
+            .find(|k| ring.route(k.as_bytes()) == Some(0))
+            .unwrap();
+        // The first incarnation dies: by the time the spawner runs again
+        // only shard 1's backend is alive.
+        let _ = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait();
+        assert!(router.wait_respawns(1, Duration::from_secs(5)));
+        assert_eq!(*spg_sync::lock(&live_at_spawn), [0, 1], "dead backend dropped before respawn");
+        // The second death spends the budget: the retired backend drops.
+        let _ = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait();
+        assert!(drops.wait_until_timeout(2, Duration::from_secs(5)), "retired backend dropped");
+        assert_eq!(router.live_shards(), 1);
+        // Shutdown drops the one live backend left, shard 1's.
+        router.shutdown();
+        assert_eq!(drops.get(), 3);
+        assert_eq!(spawns.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_failed_start_drops_the_shards_already_started() {
+        let drops = Arc::new(spg_sync::ProgressCounter::new());
+        let spawner = {
+            let drops = Arc::clone(&drops);
+            Arc::new(move |shard: usize| {
+                if shard == 2 {
+                    return Err(ClusterError::Config { detail: "no third shard".to_string() });
+                }
+                let inner = Scripted { shard, served: 0, die_on: None };
+                Ok(Box::new(Counted { inner, drops: Arc::clone(&drops) }) as Box<dyn ShardBackend>)
+            })
+        };
+        let config = RouterConfig { shards: 3, ..Default::default() };
+        let err = Router::start(spawner, &config).err().expect("shard 2 cannot start");
+        assert!(matches!(err, ClusterError::Config { .. }), "got {err:?}");
+        assert_eq!(drops.get(), 2, "shards 0 and 1 stopped and dropped");
+    }
+
+    /// An in-process replica keeps `ServeError` semantics: a bad input
+    /// fails its request typed and evicts nothing.
+    #[test]
+    fn in_proc_shard_keeps_serve_error_semantics() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let fc = spg_convnet::layer::FcLayer::new(4, 3, &mut rng);
+        let net = Arc::new(spg_convnet::Network::new(vec![Box::new(fc)]).unwrap());
+        let spawner = Arc::new(move |_: usize| {
+            let config = spg_serve::ServeConfig::default();
+            let server = spg_serve::Server::start(Arc::clone(&net), &[], config)
+                .map_err(|e| ClusterError::Config { detail: e.to_string() })?;
+            Ok(Box::new(InProcShard::new(server)) as Box<dyn ShardBackend>)
+        });
+        let config = RouterConfig { shards: 1, ..Default::default() };
+        let router = Router::start(spawner, &config).unwrap();
+        let err = router.try_submit(b"k", vec![1.0]).unwrap().wait().unwrap_err();
+        assert!(matches!(err, ClusterError::BadInput { expected: 4, actual: 1 }), "got {err:?}");
+        assert_eq!(router.evictions(), 0);
+        let reply = router.try_submit(b"k", vec![0.5; 4]).unwrap().wait().unwrap();
+        assert_eq!(reply.logits.len(), 3);
+        router.shutdown();
     }
 }

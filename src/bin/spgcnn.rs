@@ -14,16 +14,16 @@
 //! [`Engine`] facade rather than hand-built workspace plumbing.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::process::{Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spg_cnn::cluster::{
-    run_rank, serve_connection, train_in_proc, Cluster, ClusterError, Comm, ConnectionEnd,
-    InProcTrainOptions, KillDrill, RankOptions, RankState, TrainFault, Transport,
-    DEFAULT_CHUNK_FLOATS,
+    run_rank, serve_connection, train_in_proc, ClusterError, Comm, ConnectionEnd, InProcShard,
+    InProcTrainOptions, KillDrill, RankOptions, RankState, RemoteShard, RouteReply, Router,
+    RouterConfig, ShardBackend, ShardError, ShardSpawner, TrainFault, DEFAULT_CHUNK_FLOATS,
 };
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::{io, ConvSpec, Engine, Trainer, TrainerConfig};
@@ -89,12 +89,15 @@ usage:
                [--transport uds|tcp|inproc] [--base-port P]
                [--inject-fault SHARD:AFTER_N] [--metrics-json FILE]
       Serve through the consistent-hash shard router over N model
-      replicas. The uds/tcp transports spawn one shard process per
-      replica and exercise the framed wire protocol end to end; every
-      response is checked bit-identical to the single-sample forward
-      path. --inject-fault kills shard SHARD after it served AFTER_N
-      requests and checks exactly one in-flight request fails with a
-      typed ShardFault while the router evicts and respawns the shard.
+      replicas. The uds/tcp transports run one shard process per
+      replica (tcp: shard i listens on port P+i) and exercise the
+      framed wire protocol end to end; the router starts each process,
+      restarts it under its restart budget when it dies, and reaps it
+      at shutdown. Every response is checked bit-identical to the
+      single-sample forward path. --inject-fault kills shard SHARD
+      after it served AFTER_N requests and checks exactly one in-flight
+      request fails with a typed ShardFault while the router evicts the
+      shard and respawns its process.
   spgcnn train-cluster <net.cfg>|--smoke [--world N] [--epochs N] [--samples N]
                [--batch N] [--in-proc] [--inject-fault RANK:EPOCH:BATCH]
                [--metrics-json FILE]
@@ -780,88 +783,86 @@ fn child_desc(args: &[String]) -> Result<NetworkDescription, String> {
     }
 }
 
-/// Retries a Unix-socket connect until the peer's listener is up.
-fn connect_uds_retry(path: &std::path::Path) -> Result<std::os::unix::net::UnixStream, String> {
+/// Retries `connect` until the peer's listener is up (a child process
+/// takes a moment to bind); gives up with the last error after 10 s.
+fn connect_retry<S>(mut connect: impl FnMut() -> std::io::Result<S>) -> std::io::Result<S> {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match std::os::unix::net::UnixStream::connect(path) {
+        match connect() {
             Ok(s) => return Ok(s),
-            Err(e) if Instant::now() >= deadline => {
-                return Err(format!("{}: {e}", path.display()));
-            }
+            Err(e) if Instant::now() >= deadline => return Err(e),
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
 }
 
-/// A supervised shard child process: spawned from our own binary
-/// (`cluster-shard`), polled for exit, and respawned when it dies — the
-/// process-level analogue of the worker supervision inside the serving
-/// pool. A `--die-after` kill drill rides only on the first incarnation,
-/// so a killed shard always comes back healthy.
-struct ShardProc {
-    shutdown: Arc<AtomicBool>,
-    child: Arc<Mutex<Option<std::process::Child>>>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
+/// Kills a child process (if it still runs) and reaps it.
+fn reap(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
-impl ShardProc {
-    fn spawn(child_args: Vec<String>, die_after: Option<u64>) -> ShardProc {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let child = Arc::new(Mutex::new(None));
-        let supervisor = {
-            let shutdown = Arc::clone(&shutdown);
-            let slot = Arc::clone(&child);
-            // lint: allow(thread-spawn) long-lived service thread: polls an OS child, no restart budget
-            std::thread::spawn(move || {
-                let mut first = true;
-                while !shutdown.load(Ordering::Acquire) {
-                    let Ok(exe) = std::env::current_exe() else { return };
-                    let mut cmd = Command::new(exe);
-                    cmd.args(&child_args).stdout(Stdio::null());
-                    if first {
-                        if let Some(n) = die_after {
-                            cmd.args(["--die-after", &n.to_string()]);
-                        }
-                    }
-                    first = false;
-                    let spawned = match cmd.spawn() {
-                        Ok(c) => c,
-                        Err(_) => {
-                            std::thread::sleep(Duration::from_millis(100));
-                            continue;
-                        }
-                    };
-                    *spg_sync::lock(&slot) = Some(spawned);
-                    loop {
-                        if shutdown.load(Ordering::Acquire) {
-                            return; // stop() kills and reaps what's left
-                        }
-                        let exited = match spg_sync::lock(&slot).as_mut() {
-                            Some(c) => !matches!(c.try_wait(), Ok(None)),
-                            None => true,
-                        };
-                        if exited {
-                            spg_sync::lock(&slot).take();
-                            std::thread::sleep(Duration::from_millis(50));
-                            break; // respawn without the drill
-                        }
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                }
-            })
-        };
-        ShardProc { shutdown, child, supervisor: Some(supervisor) }
-    }
+/// A uds/tcp shard's backend: a `cluster-shard` process and the framed
+/// stream to it. Dropping it kills and reaps the process, so the router's
+/// restart loop — which drops a dead backend before it respawns, and a
+/// retired one for good — is the only thing that restarts a shard.
+struct ShardChild<S: Read + Write + Send> {
+    remote: RemoteShard<S>,
+    child: Child,
+}
 
-    fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.supervisor.take() {
-            let _ = handle.join();
+impl<S: Read + Write + Send> ShardBackend for ShardChild<S> {
+    fn infer(
+        &mut self,
+        shard: usize,
+        key: &[u8],
+        input: Vec<f32>,
+    ) -> Result<RouteReply, ShardError> {
+        self.remote.infer(shard, key, input)
+    }
+}
+
+impl<S: Read + Write + Send> Drop for ShardChild<S> {
+    fn drop(&mut self) {
+        reap(&mut self.child);
+    }
+}
+
+/// Starts shard processes for the router's spawner: this binary re-exec'd
+/// as `cluster-shard`.
+struct ShardLauncher {
+    exe: PathBuf,
+    /// Arguments every shard gets (`--workers`, and `--net` if given).
+    common: Vec<String>,
+    /// `(shard, after)`: `--die-after` rides only that shard's first
+    /// spawn, so a killed shard comes back healthy.
+    drill: Mutex<Option<(usize, u64)>>,
+}
+
+impl ShardLauncher {
+    /// Starts `shard` listening at `listen` (`--socket PATH` or
+    /// `--tcp-port PORT`) and dials it; a child that cannot be reached is
+    /// reaped before the error returns.
+    fn launch<S: Read + Write + Send + 'static>(
+        &self,
+        shard: usize,
+        listen: [&str; 2],
+        connect: impl FnMut() -> std::io::Result<S>,
+    ) -> Result<Box<dyn ShardBackend>, ClusterError> {
+        let fault = |message: String| ClusterError::ShardFault { shard, message };
+        let mut cmd = Command::new(&self.exe);
+        cmd.arg("cluster-shard").args(listen).args(&self.common).stdout(Stdio::null());
+        let drill = spg_sync::lock(&self.drill).take_if(|(s, _)| *s == shard);
+        if let Some((_, after)) = drill {
+            cmd.args(["--die-after", &after.to_string()]);
         }
-        if let Some(mut c) = spg_sync::lock(&self.child).take() {
-            let _ = c.kill();
-            let _ = c.wait();
+        let mut child = cmd.spawn().map_err(|e| fault(format!("starting cluster-shard: {e}")))?;
+        match connect_retry(connect) {
+            Ok(stream) => Ok(Box::new(ShardChild { remote: RemoteShard::new(stream), child })),
+            Err(e) => {
+                reap(&mut child);
+                Err(fault(format!("connecting to {}: {e}", listen[1])))
+            }
         }
     }
 }
@@ -873,17 +874,22 @@ struct DriveOutcome {
     faulted: usize,
     shards_seen: HashSet<usize>,
     elapsed: Duration,
+    evictions: u64,
+    respawns: u64,
 }
 
-/// Submits every input through the router (sequentially, so at most one
-/// request is in flight when a kill drill fires) and checks each reply
-/// against the single-sample forward path.
+/// Starts the router over `spawner`, submits every input through it
+/// (sequentially, so at most one request is in flight when a kill drill
+/// fires), checks each reply against the single-sample forward path, and
+/// shuts the router down, which drops every shard backend.
 fn drive_requests(
-    router: &spg_cnn::cluster::Router,
+    spawner: Arc<dyn ShardSpawner>,
+    config: &RouterConfig,
     inputs: &[Vec<f32>],
     expected: &[Vec<f32>],
     drill_armed: bool,
 ) -> Result<DriveOutcome, String> {
+    let router = Router::start(spawner, config).map_err(|e| e.to_string())?;
     let started = Instant::now();
     let mut out = DriveOutcome {
         answered: 0,
@@ -891,6 +897,8 @@ fn drive_requests(
         faulted: 0,
         shards_seen: HashSet::new(),
         elapsed: Duration::ZERO,
+        evictions: 0,
+        respawns: 0,
     };
     for (i, x) in inputs.iter().enumerate() {
         let key = format!("request-{i}");
@@ -912,6 +920,15 @@ fn drive_requests(
         }
     }
     out.elapsed = started.elapsed();
+    if out.faulted > 0 {
+        // The forwarder evicts before it fails the request, but the
+        // respawn (process restart + reconnect) completes asynchronously:
+        // block on the respawn event instead of sleep-polling.
+        let _ = router.wait_respawns(1, Duration::from_secs(10));
+    }
+    out.evictions = router.evictions();
+    out.respawns = router.respawns();
+    router.shutdown();
     Ok(out)
 }
 
@@ -954,7 +971,7 @@ fn serve_cluster(args: &[String]) -> Result<(), String> {
     // mirrors — responses must be bit-identical to this engine's forward.
     let mut net = desc.build(42).map_err(|e| e.to_string())?;
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    framework.try_plan_network_forward(&mut net).map_err(|e| e.to_string())?;
+    let plans = framework.try_plan_network_forward(&mut net).map_err(|e| e.to_string())?;
     let engine = Engine::builder().network(net).build().map_err(|e| e.to_string())?;
     let shape = Shape3::new(desc.input.c, desc.input.h, desc.input.w);
     let data = Dataset::synthetic(shape, engine.network().output_len(), requests, 0.15, 11);
@@ -966,89 +983,67 @@ fn serve_cluster(args: &[String]) -> Result<(), String> {
         .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?;
     let net = engine.into_shared();
+    let config =
+        RouterConfig { shards, queue_capacity: requests.max(8), ..RouterConfig::default() };
 
-    let mut shard_procs: Vec<ShardProc> = Vec::new();
+    let mut common = vec!["--workers".to_string(), workers.to_string()];
+    if let Some(p) = &net_path {
+        common.extend(["--net".to_string(), p.clone()]);
+    }
+    let launcher = ShardLauncher {
+        exe: std::env::current_exe().map_err(|e| e.to_string())?,
+        common,
+        drill: Mutex::new(drill),
+    };
     let mut tmp_dir: Option<PathBuf> = None;
-    let transport = match transport_name.as_str() {
+    let spawner: Arc<dyn ShardSpawner> = match transport_name.as_str() {
         "inproc" => {
             if drill.is_some() {
                 return Err(
                     "--inject-fault kills a shard process; use --transport uds or tcp".into()
                 );
             }
-            Transport::InProc
+            let serve_config = ServeConfig {
+                workers,
+                queue_capacity: config.queue_capacity,
+                ..ServeConfig::default()
+            };
+            Arc::new(move |_shard: usize| {
+                let server = Server::start(Arc::clone(&net), &plans, serve_config.clone())
+                    .map_err(|e| ClusterError::Config { detail: e.to_string() })?;
+                Ok(Box::new(InProcShard::new(server)) as Box<dyn ShardBackend>)
+            })
         }
         "uds" => {
             let dir = std::env::temp_dir().join(format!("spgcnn-cluster-{}", std::process::id()));
             std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-            for shard in 0..shards {
-                let socket = dir.join(format!("shard_{shard}.sock"));
-                let mut child_args = vec![
-                    "cluster-shard".to_string(),
-                    "--socket".to_string(),
-                    socket.display().to_string(),
-                    "--workers".to_string(),
-                    workers.to_string(),
-                ];
-                if let Some(p) = &net_path {
-                    child_args.push("--net".to_string());
-                    child_args.push(p.clone());
-                }
-                let die = drill.and_then(|(s, n)| (s == shard).then_some(n));
-                shard_procs.push(ShardProc::spawn(child_args, die));
-            }
             tmp_dir = Some(dir.clone());
-            Transport::Uds { dir }
+            Arc::new(move |shard: usize| {
+                let socket = dir.join(format!("shard_{shard}.sock"));
+                launcher.launch(shard, ["--socket", &socket.display().to_string()], || {
+                    std::os::unix::net::UnixStream::connect(&socket)
+                })
+            })
         }
         "tcp" => {
             let base_port = flag(args, "--base-port", 17870u16)?;
-            for shard in 0..shards {
-                let port = u16::try_from(shard)
-                    .ok()
-                    .and_then(|s| base_port.checked_add(s))
-                    .ok_or("--base-port too high for the shard count")?;
-                let mut child_args = vec![
-                    "cluster-shard".to_string(),
-                    "--tcp-port".to_string(),
-                    port.to_string(),
-                    "--workers".to_string(),
-                    workers.to_string(),
-                ];
-                if let Some(p) = &net_path {
-                    child_args.push("--net".to_string());
-                    child_args.push(p.clone());
-                }
-                let die = drill.and_then(|(s, n)| (s == shard).then_some(n));
-                shard_procs.push(ShardProc::spawn(child_args, die));
-            }
-            Transport::Tcp { host: "127.0.0.1".to_string(), base_port }
+            let ports = (0..shards)
+                .map(|s| u16::try_from(s).ok().and_then(|s| base_port.checked_add(s)))
+                .collect::<Option<Vec<u16>>>()
+                .ok_or("--base-port too high for the shard count")?;
+            Arc::new(move |shard: usize| {
+                let port = ports[shard];
+                launcher.launch(shard, ["--tcp-port", &port.to_string()], || {
+                    let stream = std::net::TcpStream::connect(("127.0.0.1", port))?;
+                    stream.set_nodelay(true).ok();
+                    Ok(stream)
+                })
+            })
         }
         other => return Err(format!("unknown transport `{other}` (expected uds, tcp, or inproc)")),
     };
 
-    let cluster = Cluster::builder()
-        .shards(shards)
-        .workers_per_shard(workers)
-        .queue_capacity(requests.max(8))
-        .transport(transport)
-        .network(Arc::clone(&net))
-        .build()
-        .map_err(|e| e.to_string())?;
-    let router = cluster.serve().map_err(|e| e.to_string())?;
-
-    let outcome = drive_requests(&router, &inputs, &expected, drill.is_some());
-    if drill.is_some() && matches!(&outcome, Ok(o) if o.faulted > 0) {
-        // The forwarder evicts before it fails the request, but the
-        // respawn (child restart + reconnect) completes asynchronously:
-        // block on the respawn event instead of sleep-polling.
-        let _ = router.wait_respawns(1, Duration::from_secs(10));
-    }
-    let evictions = router.evictions();
-    let respawns = router.respawns();
-    router.shutdown();
-    for p in shard_procs {
-        p.stop();
-    }
+    let outcome = drive_requests(spawner, &config, &inputs, &expected, drill.is_some());
     if let Some(dir) = tmp_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1072,12 +1067,11 @@ fn serve_cluster(args: &[String]) -> Result<(), String> {
         return Err("consistent hashing sent every key to one shard".into());
     }
     if drill.is_some() {
-        if outcome.faulted != 1 || evictions == 0 || respawns == 0 {
+        if outcome.faulted != 1 || outcome.evictions == 0 || outcome.respawns == 0 {
             return Err(format!(
                 "shard-kill drill expected exactly one typed ShardFault plus an eviction \
-                 and a respawn; saw {} fault(s), {evictions} eviction(s), {respawns} \
-                 respawn(s)",
-                outcome.faulted
+                 and a respawn; saw {} fault(s), {} eviction(s), {} respawn(s)",
+                outcome.faulted, outcome.evictions, outcome.respawns
             ));
         }
         println!(
@@ -1216,25 +1210,8 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
             d.build(42).map_err(|e| bad(e.to_string()))
         };
         let data = Dataset::synthetic(shape, classes, samples, 0.15, 77);
-        let stats = if fault.is_some() {
-            let opts = InProcTrainOptions {
-                world,
-                chunk_floats: DEFAULT_CHUNK_FLOATS,
-                restart_budget: 2,
-                restart_backoff: Duration::from_millis(5),
-                fault,
-                ..InProcTrainOptions::default()
-            };
-            train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?
-        } else {
-            let cluster = Cluster::builder()
-                .shards(world)
-                .chunk_floats(DEFAULT_CHUNK_FLOATS)
-                .factory(factory)
-                .build()
-                .map_err(|e| e.to_string())?;
-            cluster.train(&data, &trainer).map_err(|e| e.to_string())?
-        };
+        let opts = InProcTrainOptions { world, fault, ..InProcTrainOptions::default() };
+        let stats = train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?;
         let bits: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
         if bits != ref_bits {
             return Err("cluster epoch losses diverged from the single-process pool".into());
@@ -1348,7 +1325,8 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
         let listener = std::os::unix::net::UnixListener::bind(&my_sock)
             .map_err(|e| format!("{}: {e}", my_sock.display()))?;
         let next = dir.join(format!("rank_{}.sock", (rank + 1) % world));
-        let tx = connect_uds_retry(&next)?;
+        let tx = connect_retry(|| std::os::unix::net::UnixStream::connect(&next))
+            .map_err(|e| format!("{}: {e}", next.display()))?;
         let (rx, _) = listener.accept().map_err(|e| e.to_string())?;
         Comm::Ring { rx_prev: Box::new(rx), tx_next: Box::new(tx) }
     };

@@ -1,10 +1,11 @@
 //! Multi-process cluster smoke tests driving the `spgcnn` binary.
 //!
 //! These are the CI acceptance drills for `spg-cluster`: the shard router
-//! serving across real shard processes over Unix sockets, the shard-kill
-//! recovery drill, and synchronous data-parallel SGD whose ring all-reduce
-//! must be bit-identical to the single-process SGD pool.
+//! serving across real shard processes over Unix sockets and TCP, the
+//! shard-kill recovery drill, and synchronous data-parallel SGD whose ring
+//! all-reduce must be bit-identical to the single-process SGD pool.
 
+use std::net::TcpListener;
 use std::process::Command;
 
 fn spgcnn(args: &[&str]) -> (String, String, bool) {
@@ -24,6 +25,41 @@ fn spgcnn(args: &[&str]) -> (String, String, bool) {
 #[test]
 fn serve_cluster_routes_across_shard_processes() {
     let (stdout, stderr, ok) = spgcnn(&["serve-cluster", "--smoke", "--requests", "16"]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stdout.contains("all completed responses bit-identical to the single-sample forward path"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("2 shard(s) answered"), "stdout: {stdout}");
+}
+
+/// A free loopback port `P` whose neighbour `P + 1` is free too: the TCP
+/// transport's two shards listen on `base_port + shard`.
+fn free_port_pair() -> u16 {
+    for _ in 0..64 {
+        let first = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let port = first.local_addr().expect("bound address").port();
+        if port < u16::MAX && TcpListener::bind(("127.0.0.1", port + 1)).is_ok() {
+            return port;
+        }
+    }
+    panic!("no two adjacent free loopback ports");
+}
+
+/// The same drive over loopback TCP shard processes.
+#[test]
+fn serve_cluster_routes_across_tcp_shard_processes() {
+    let base_port = free_port_pair().to_string();
+    let (stdout, stderr, ok) = spgcnn(&[
+        "serve-cluster",
+        "--smoke",
+        "--transport",
+        "tcp",
+        "--base-port",
+        &base_port,
+        "--requests",
+        "16",
+    ]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert!(
         stdout.contains("all completed responses bit-identical to the single-sample forward path"),
