@@ -14,34 +14,48 @@
 //!
 //! * samples are owned in **contiguous blocks** by rank: rank `w` owns
 //!   batch positions `[w·B/W .. (w+1)·B/W)` (same order the pool merges);
-//! * rank 0 folds its samples, one at a time and in order, into a zeroed
-//!   accumulator and streams it to rank 1 in chunks;
-//! * each rank `r > 0` holds its per-sample gradients, folds them — in
-//!   its local sample order — **on top of** the incoming accumulator
-//!   chunk, and forwards; per element, the addition order is exactly the
-//!   global sample order;
-//! * rank `W-1` ends up with the finished accumulator and a broadcast
-//!   leg circulates it `W-1 → 0 → 1 → … → W-2`.
+//! * a **reduce leg** runs `0 → 1 → … → W-1`, each rank adding its block
+//!   on top of what arrives, and a **broadcast leg** circulates the
+//!   finished batch `W-1 → 0 → 1 → … → W-2`.
 //!
-//! Per link the traffic is ≤ 2·G (one reduce pass + one broadcast pass,
-//! pipelined in [`chunk_floats`](crate::InProcTrainOptions::chunk_floats)-
-//! sized frames), the same asymptotic bandwidth as the classic ring —
-//! what is given up is overlap *within* the fold (the chain is serial
-//! across ranks), which the interconnect model in `spg-simcpu` charges
-//! for honestly. Scalars (the f64 loss sum, the correct count, the conv
-//! sparsity sums) ride an [`Message::AccMeta`] frame and fold in the
-//! same order, so epoch statistics are bit-identical too.
+//! # Two forms, one chain
+//!
+//! A step's gradient crosses the chain as a *layout*: spans in wire
+//! order, each a contiguous buffer, each in one of two forms.
+//!
+//! * **Summed**: a running accumulator. Rank 0 folds its samples onto
+//!   zeros; each later rank folds its samples, in its local sample
+//!   order, **on top of** the incoming sum and forwards it. Per element
+//!   the addition order is exactly the global sample order.
+//! * **Record**: one sample's gradient *record* (for a fully-connected
+//!   layer, its `(δ, x)` factors), put on the chain by the rank that owns
+//!   the sample and carried by every later one. The reduce leg into rank
+//!   `r` carries the records of the samples before its block, the
+//!   broadcast leg the whole batch's; every rank then folds the batch
+//!   itself, the same fold on the same records in the same order. Nothing
+//!   is summed on the wire.
+//!
+//! The caller picks the form per layer (`spg-cluster::train` takes
+//! whichever is fewer floats). Per link, a layer of G parameters costs at
+//! most 2·G floats summed (one reduce pass, one broadcast pass) and at
+//! most 2·B·R gathered as B records of R floats, so at most
+//! `min(2·G, 2·B·R)` — both pipelined in
+//! [`chunk_floats`](crate::InProcTrainOptions::chunk_floats)-sized frames
+//! whose indices run over the whole layout. What is given up is overlap
+//! *within* the fold (the chain is serial across ranks), which the
+//! interconnect model in `spg-simcpu` charges for honestly. Scalars (the
+//! f64 loss sum, the correct count, the conv sparsity sums) ride an
+//! [`Message::AccMeta`] frame and fold in the same order, so epoch
+//! statistics are bit-identical too.
 //!
 //! # Buffers and flushes
 //!
-//! [`ring_allreduce_into`] allocates nothing proportional to the
-//! gradient. The accumulator is the caller's and is reduced **in place**:
-//! an incoming chunk is decoded straight into its slice of
-//! `acc.grads`, this rank's samples fold onto that slice, and the slice
-//! is encoded from there — rank 0 is the same loop folding onto zeros.
-//! Every frame, inbound and outbound, passes through the one
-//! caller-owned `frame` buffer, which is free for reuse as soon as the
-//! call that filled it returns.
+//! The chain allocates nothing. Every span is the caller's
+//! buffer and is filled **in place**: an incoming chunk is decoded
+//! straight into its slice, a summed span's fold runs on it there, and
+//! the slice is encoded from there. Every frame, inbound and outbound,
+//! passes through the one caller-owned `frame` buffer, which is free for
+//! reuse as soon as the call that filled it returns.
 //!
 //! Frames are written without flushing, so a caller that owns its links
 //! for many batches wraps them once in a `BufReader`/`BufWriter`
@@ -54,6 +68,7 @@
 //! the link's whole life — never one made per call.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use crate::wire::{
     decode_chunk_into, decode_frame, encode_chunk_into, encode_frame, read_frame_into, ChunkHead,
@@ -75,8 +90,7 @@ pub enum AllReduce {
     Ring,
 }
 
-/// One sample's contribution to the batch accumulator, captured by the
-/// owning rank before the all-reduce starts.
+/// One sample's dense contribution to [`ring_allreduce`].
 #[derive(Debug, Clone, Default)]
 pub struct SampleGrad {
     /// Flattened parameter gradients (all layers concatenated in layer
@@ -90,8 +104,9 @@ pub struct SampleGrad {
     pub sparsity: Vec<f64>,
 }
 
-/// The fully reduced batch accumulator — the distributed equivalent of
-/// the SGD pool's per-batch accumulator.
+/// The fully reduced batch accumulator [`ring_allreduce`] returns. The
+/// chain itself folds and carries only its scalars, which ride one
+/// `AccMeta` frame per leg; the gradient travels as the step's spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchAcc {
     /// Flattened summed gradients.
@@ -116,15 +131,47 @@ impl BatchAcc {
         }
     }
 
-    /// Folds one sample's scalars in, in order — the same statements the
-    /// pool's `BatchAcc::absorb` executes.
-    fn fold_scalars(&mut self, s: &SampleGrad) {
-        self.loss_sum += f64::from(s.loss);
-        self.correct += u64::from(s.correct);
-        for (dst, &src) in self.sparsity_sums.iter_mut().zip(&s.sparsity) {
+    /// Folds one sample's scalars in — the same statements the pool's
+    /// `BatchAcc::add_scalars` executes.
+    pub(crate) fn add_scalars(&mut self, loss: f32, correct: bool, sparsity: &[f64]) {
+        self.loss_sum += f64::from(loss);
+        self.correct += u64::from(correct);
+        for (dst, &src) in self.sparsity_sums.iter_mut().zip(sparsity) {
             *dst += src;
         }
     }
+}
+
+/// The form a span of a step's layout takes on the chain (see the
+/// module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Span {
+    /// A running sum each rank folds its block onto.
+    Summed,
+    /// The gradient record of the sample at this batch position.
+    Record(usize),
+}
+
+/// One rank's side of one batch's chain: the step's layout — spans in
+/// wire order, each backed by a contiguous buffer that every rank sizes
+/// alike — and what this rank adds to it. The records of this rank's own
+/// samples are in their spans' buffers before the chain starts.
+pub(crate) trait Step {
+    /// This rank's block of batch positions.
+    fn block(&self) -> Range<usize>;
+
+    /// How many spans the layout has.
+    fn spans(&self) -> usize;
+
+    /// Span `k`: its form and its buffer.
+    fn span(&mut self, k: usize) -> (Span, &mut [f32]);
+
+    /// Folds this rank's block, in sample order, onto summed span `k`'s
+    /// buffer — onto zeros when `zero`, whatever the buffer held.
+    fn fold(&mut self, k: usize, zero: bool);
+
+    /// Folds this rank's block's scalars onto `acc`, in sample order.
+    fn fold_scalars(&self, acc: &mut BatchAcc);
 }
 
 /// The two directed stream halves a rank holds in the ring topology.
@@ -140,12 +187,15 @@ pub struct RingLink<'a> {
 }
 
 /// One batch's all-reduce on one rank: the link, the (epoch, batch)
-/// every frame is sequence-checked against, and the reused frame buffer.
+/// every frame is sequence-checked against, the chunk size, the reused
+/// frame buffer and the bytes sent so far.
 struct Ring<'l, 'a> {
     link: &'l mut RingLink<'a>,
     epoch: u32,
     batch: u32,
+    chunk_floats: usize,
     frame: &'l mut Vec<u8>,
+    sent: u64,
 }
 
 impl Ring<'_, '_> {
@@ -199,10 +249,12 @@ impl Ring<'_, '_> {
             correct: acc.correct,
             sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
         });
-        self.link.tx_next.write_all(&meta).map_err(|e| self.wire_err(e.into()))
+        self.link.tx_next.write_all(&meta).map_err(|e| self.wire_err(e.into()))?;
+        self.sent += meta.len() as u64;
+        Ok(())
     }
 
-    /// Receives an `AccMeta` frame, sequence-checked, into `acc`'s scalars.
+    /// Receives an `AccMeta` frame, sequence-checked, into `acc`.
     fn recv_meta(&mut self, acc: &mut BatchAcc) -> Result<(), ClusterError> {
         self.recv()?;
         match decode_frame(self.frame).map_err(|e| self.wire_err(e))?.0 {
@@ -230,7 +282,9 @@ impl Ring<'_, '_> {
         let chunk = u32::try_from(chunk).expect("chunk index fits u32");
         let head = ChunkHead { broadcast, epoch: self.epoch, batch: self.batch, chunk };
         encode_chunk_into(head, data, self.frame);
-        self.link.tx_next.write_all(self.frame).map_err(|e| self.wire_err(e.into()))
+        self.link.tx_next.write_all(self.frame).map_err(|e| self.wire_err(e.into()))?;
+        self.sent += self.frame.len() as u64;
+        Ok(())
     }
 
     /// Receives chunk `chunk` of the given leg into `out` — exactly
@@ -256,18 +310,42 @@ impl Ring<'_, '_> {
         }
         Ok(())
     }
+
+    /// Carries one span through this rank on one leg, chunk by chunk:
+    /// each chunk is received into place when `rx` counts the leg's
+    /// received chunks, then sent on when `tx` counts its sent ones.
+    fn relay(
+        &mut self,
+        broadcast: bool,
+        span: &mut [f32],
+        mut rx: Option<&mut usize>,
+        mut tx: Option<&mut usize>,
+    ) -> Result<(), ClusterError> {
+        for slice in span.chunks_mut(self.chunk_floats) {
+            if let Some(c) = rx.as_deref_mut() {
+                self.recv_chunk_into(broadcast, *c, slice)?;
+                *c += 1;
+            }
+            if let Some(c) = tx.as_deref_mut() {
+                self.send_chunk(broadcast, *c, slice)?;
+                *c += 1;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Runs the ordered chain-in-ring all-reduce for one batch, in place.
 ///
-/// `samples` are this rank's contributions in its local sample order,
-/// each `acc.grads.len()` floats long (the flattened gradient length,
-/// identical on every rank). On return `acc` holds the finished
-/// accumulator, identical — bit for bit — on every rank, and equal to
-/// what the single-process pool computes for the same batch; what it
-/// held on entry is irrelevant. `frame` is scratch (see the module docs
-/// for the buffer and flush rules); the call allocates nothing that
-/// grows with the gradient.
+/// On return every summed span of `step` holds the batch's sum, every
+/// record span the record of its sample, and `acc` the batch's scalars
+/// (its `grads` are not touched) —
+/// identical, bit for bit, on every rank, and equal to what the
+/// single-process pool computes for the same batch. What `acc` and the
+/// spans (other than this rank's own records) held on entry is
+/// irrelevant. `frame` is scratch (see the module docs for the buffer and
+/// flush rules); the call allocates nothing that grows with the
+/// gradient. Records `cluster.ring.wire_bytes`: the bytes this rank sent.
 ///
 /// # Errors
 ///
@@ -275,24 +353,20 @@ impl Ring<'_, '_> {
 /// typed mid-all-reduce failure the recovery drill exercises) and
 /// [`ClusterError::Protocol`] on sequence violations, including a chunk
 /// whose float count is not this rank's (mismatched `chunk_floats`).
-///
-/// # Panics
-///
-/// Panics if a sample's gradient is shorter than `acc.grads`.
-pub fn ring_allreduce_into(
+pub(crate) fn ring_allreduce_into(
     link: &mut RingLink<'_>,
     epoch: u32,
     batch: u32,
-    samples: &[SampleGrad],
+    step: &mut impl Step,
     acc: &mut BatchAcc,
     chunk_floats: usize,
     frame: &mut Vec<u8>,
 ) -> Result<(), ClusterError> {
     let (first, last) = (link.rank == 0, link.rank == link.world - 1);
-    let chunk_floats = chunk_floats.max(1);
-    let mut ring = Ring { link, epoch, batch, frame };
+    let mut ring = Ring { link, epoch, batch, chunk_floats: chunk_floats.max(1), frame, sent: 0 };
+    let block = step.block();
 
-    // ---- Reduce leg: 0 → 1 → … → W-1, folding in rank order. ----
+    // ---- Reduce leg: 0 → 1 → … → W-1, adding blocks in rank order. ----
     if first {
         acc.loss_sum = 0.0;
         acc.correct = 0;
@@ -300,38 +374,36 @@ pub fn ring_allreduce_into(
     } else {
         ring.recv_meta(acc)?;
     }
-    for s in samples {
-        acc.fold_scalars(s);
-    }
+    step.fold_scalars(acc);
     if !last {
         ring.send_meta(acc)?;
     }
-    for (c, slice) in acc.grads.chunks_mut(chunk_floats).enumerate() {
-        if first {
-            slice.fill(0.0);
-        } else {
-            ring.recv_chunk_into(false, c, slice)?;
-        }
-        // Fold this rank's samples onto the running accumulator slice,
-        // sample by sample: per element the addition order is the global
-        // sample order, exactly the pool's association.
-        let span = c * chunk_floats..c * chunk_floats + slice.len();
-        for s in samples {
-            for (a, &g) in slice.iter_mut().zip(&s.grads[span.clone()]) {
-                *a += g;
+    let (mut rx, mut tx) = (0, 0);
+    for k in 0..step.spans() {
+        let (form, span) = step.span(k);
+        // A sum arrives from every rank but the first; a record only if
+        // its sample precedes this rank's block. Both go on unless this
+        // rank is the last, a record only once its sample is added.
+        let (recv, send) = match form {
+            Span::Summed => (!first, !last),
+            Span::Record(s) => (s < block.start, s < block.end && !last),
+        };
+        if form == Span::Summed {
+            ring.relay(false, span, recv.then_some(&mut rx), None)?;
+            step.fold(k, first);
+            if send {
+                ring.relay(false, step.span(k).1, None, Some(&mut tx))?;
             }
-        }
-        if !last {
-            ring.send_chunk(false, c, slice)?;
+        } else {
+            ring.relay(false, span, recv.then_some(&mut rx), send.then_some(&mut tx))?;
         }
     }
     ring.flush()?;
-    let chunks = acc.grads.len().div_ceil(chunk_floats) as u64;
     if !last {
-        spg_telemetry::record_counter("cluster.ring.reduce_chunks", chunks);
+        spg_telemetry::record_counter("cluster.ring.reduce_chunks", tx as u64);
     }
 
-    // ---- Broadcast leg: W-1 → 0 → 1 → … → W-2. ----
+    // ---- Broadcast leg: W-1 → 0 → 1 → … → W-2, every span whole. ----
     // A rank sends unless its next rank is the leg's origin W-1 (which
     // at W = 1 is the rank itself: no traffic at all).
     let forward = (ring.link.rank + 1) % ring.link.world != ring.link.world - 1;
@@ -341,30 +413,86 @@ pub fn ring_allreduce_into(
     if forward {
         ring.send_meta(acc)?;
     }
-    for (c, slice) in acc.grads.chunks_mut(chunk_floats).enumerate() {
-        if !last {
-            ring.recv_chunk_into(true, c, slice)?;
-        }
-        if forward {
-            ring.send_chunk(true, c, slice)?;
-        }
+    let (mut rx, mut tx) = (0, 0);
+    for k in 0..step.spans() {
+        let span = step.span(k).1;
+        ring.relay(true, span, (!last).then_some(&mut rx), forward.then_some(&mut tx))?;
     }
     ring.flush()?;
     if forward {
-        spg_telemetry::record_counter("cluster.ring.broadcast_chunks", chunks);
+        spg_telemetry::record_counter("cluster.ring.broadcast_chunks", tx as u64);
     }
+    spg_telemetry::record_counter("cluster.ring.wire_bytes", ring.sent);
     spg_telemetry::record_counter("cluster.ring.batches", 1);
     Ok(())
 }
 
-/// [`ring_allreduce_into`] for a caller without long-lived buffers:
-/// allocates the accumulator (`grad_len` floats, `conv_count` sparsity
+/// The dense entry's step: the whole gradient summed, one span per
+/// chunk so that each chunk is folded and forwarded as soon as it
+/// arrives, and every sample a dense [`SampleGrad`].
+struct Dense<'a> {
+    samples: &'a [SampleGrad],
+    grads: &'a mut [f32],
+    span: usize,
+}
+
+impl Dense<'_> {
+    /// The gradient elements span `k` covers.
+    fn range(&self, k: usize) -> Range<usize> {
+        k * self.span..((k + 1) * self.span).min(self.grads.len())
+    }
+}
+
+impl Step for Dense<'_> {
+    fn block(&self) -> Range<usize> {
+        0..0
+    }
+
+    fn spans(&self) -> usize {
+        self.grads.len().div_ceil(self.span)
+    }
+
+    fn span(&mut self, k: usize) -> (Span, &mut [f32]) {
+        let range = self.range(k);
+        (Span::Summed, &mut self.grads[range])
+    }
+
+    fn fold(&mut self, k: usize, zero: bool) {
+        let range = self.range(k);
+        let sum = &mut self.grads[range.clone()];
+        if zero {
+            sum.fill(0.0);
+        }
+        for s in self.samples {
+            for (a, &g) in sum.iter_mut().zip(&s.grads[range.clone()]) {
+                *a += g;
+            }
+        }
+    }
+
+    fn fold_scalars(&self, acc: &mut BatchAcc) {
+        for s in self.samples {
+            acc.add_scalars(s.loss, s.correct, &s.sparsity);
+        }
+    }
+}
+
+/// The all-reduce of dense per-sample gradients: `samples` are this
+/// rank's contributions in its local sample order, each at least
+/// `grad_len` floats; the whole gradient crosses the chain summed.
+/// Allocates the accumulator (`grad_len` floats, `conv_count` sparsity
 /// sums) and the frame buffer per call and returns the finished
 /// accumulator.
 ///
 /// # Errors
 ///
-/// As [`ring_allreduce_into`].
+/// [`ClusterError::RingFault`] when a neighbor drops mid-reduce and
+/// [`ClusterError::Protocol`] on sequence violations, including a chunk
+/// whose float count is not this rank's (mismatched `chunk_floats`).
+///
+/// # Panics
+///
+/// Panics if a sample's gradient is shorter than `grad_len`.
 pub fn ring_allreduce(
     link: &mut RingLink<'_>,
     epoch: u32,
@@ -375,7 +503,10 @@ pub fn ring_allreduce(
     chunk_floats: usize,
 ) -> Result<BatchAcc, ClusterError> {
     let mut acc = BatchAcc::zeroed(grad_len, conv_count);
-    ring_allreduce_into(link, epoch, batch, samples, &mut acc, chunk_floats, &mut Vec::new())?;
+    let mut grads = std::mem::take(&mut acc.grads);
+    let mut dense = Dense { samples, grads: &mut grads, span: chunk_floats.max(1) };
+    ring_allreduce_into(link, epoch, batch, &mut dense, &mut acc, chunk_floats, &mut Vec::new())?;
+    acc.grads = grads;
     Ok(acc)
 }
 
@@ -411,7 +542,7 @@ mod tests {
     fn sequential_fold(blocks: &[Vec<SampleGrad>], grad_len: usize) -> BatchAcc {
         let mut acc = BatchAcc::zeroed(grad_len, 1);
         for s in blocks.iter().flatten() {
-            acc.fold_scalars(s);
+            acc.add_scalars(s.loss, s.correct, &s.sparsity);
             for (a, &g) in acc.grads.iter_mut().zip(&s.grads) {
                 *a += g;
             }
@@ -501,19 +632,22 @@ mod tests {
                         let mut rx = BufReader::new(rx);
                         let mut tx = BufWriter::new(tx);
                         let mut link = RingLink { rank, world, rx_prev: &mut rx, tx_next: &mut tx };
-                        let mut acc = BatchAcc::zeroed(grad_len, 1);
+                        let mut acc = BatchAcc::zeroed(0, 1);
+                        let mut grads = vec![0.0; grad_len];
                         let mut frame = Vec::new();
                         let mut sized = None;
                         for (b, blocks) in per_batch.iter().enumerate() {
                             let batch = u32::try_from(b).unwrap();
-                            let mine = &blocks[rank];
+                            let samples = &blocks[rank];
+                            let mut dense = Dense { samples, grads: &mut grads, span: chunk };
                             ring_allreduce_into(
-                                &mut link, 1, batch, mine, &mut acc, chunk, &mut frame,
+                                &mut link, 1, batch, &mut dense, &mut acc, chunk, &mut frame,
                             )
                             .unwrap();
                             let what = format!("world {world} rank {rank} batch {b}");
-                            assert_bit_equal(&acc, &expect[b], &what);
-                            let now = (frame.as_ptr(), frame.capacity(), acc.grads.as_ptr());
+                            let got = BatchAcc { grads: grads.clone(), ..acc.clone() };
+                            assert_bit_equal(&got, &expect[b], &what);
+                            let now = (frame.as_ptr(), frame.capacity(), grads.as_ptr());
                             assert_eq!(*sized.get_or_insert(now), now, "{what}: buffers moved");
                         }
                     });

@@ -8,10 +8,21 @@
 //! schedule, epoch statistics, momentum update and resume logic are the
 //! trainer's own code, not a copy. What this module adds is the ring
 //! implementation of the loop's one seam, `spg_convnet::sgd::BatchFold`
-//! — a rank's block of samples folded through [`ring_allreduce_into`] in
+//! — a rank's block of samples folded through the ordered chain in
 //! global sample order, which is that seam's contract — plus the
 //! rank-specific fault handling below. The bit-identity tests pin 1, 2,
 //! 3, and 4 ranks against the pool.
+//!
+//! # What crosses the ring
+//!
+//! Per batch, each layer crosses the chain in whichever form is fewer
+//! floats (see [`allreduce`](crate::allreduce)): *summed*, as the
+//! running sum of its dense gradient, or *gathered*, as the batch's
+//! gradient records, which every rank then folds with the trainer's own
+//! `sgd::fold_records`. Conv layers are summed; a fully-connected layer,
+//! whose record is its `(δ, x)` factors, is gathered until the batch is
+//! about as large as its input. Either way every element is
+//! `0.0 + g_0 + g_1 + …` in sample order, the pool's bits.
 //!
 //! # Fault recovery
 //!
@@ -35,12 +46,14 @@ use std::ops::Range;
 use std::time::Duration;
 
 use spg_convnet::data::Dataset;
+use spg_convnet::layer::Layer;
 use spg_convnet::sgd::{self, BatchFold, Progress, Shared};
 use spg_convnet::workspace::Workspace;
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
+use spg_tensor::Tensor;
 
-use crate::allreduce::{self, ring_allreduce_into, AllReduce, RingLink, SampleGrad};
+use crate::allreduce::{ring_allreduce_into, AllReduce, BatchAcc, RingLink, Span, Step};
 use crate::ClusterError;
 
 /// A deterministic mid-all-reduce fault drill: the named rank drops its
@@ -145,27 +158,98 @@ const LINK_BUF: usize = 64 * 1024;
 /// A rank's `(rx_prev, tx_next)`, buffered once for the whole run.
 type BufferedLinks<'r> = (BufReader<&'r mut dyn Read>, BufWriter<&'r mut dyn Write>);
 
+/// The size rule: a layer crosses the chain *gathered*, as the batch's
+/// gradient records, when those are fewer floats than its dense
+/// gradient, and *summed* otherwise (see [`allreduce`](crate::allreduce)).
+/// A conv layer's record is its dense gradient, so conv layers are
+/// always summed; a fully-connected layer is gathered until the batch has
+/// about as many samples as it has inputs. Every rank computes the rule
+/// from the same two numbers, so the layout needs no agreement on the
+/// wire.
+fn gathered(layer: &dyn Layer, batch_len: usize) -> bool {
+    batch_len * layer.grad_record_len() < layer.param_count()
+}
+
+/// `grads` as an accumulator for `sgd::fold_records`, with every layer
+/// `keep` rejects left out.
+fn masked(grads: &mut [Tensor], keep: impl Fn(usize) -> bool) -> impl Iterator<Item = &mut [f32]> {
+    grads.iter_mut().enumerate().map(move |(l, g)| if keep(l) { g.as_mut_slice() } else { &mut [] })
+}
+
 /// The ring implementation of the trainer's [`BatchFold`] seam: this
 /// rank runs its [`block_bounds`] block of the batch and the ordered
 /// chain-in-ring all-reduce folds every rank's samples in global sample
 /// order, which is exactly the seam's contract. Also carries the fault
 /// drill, which hangs off the same per-batch point.
 ///
-/// Every gradient-sized buffer lives here for the whole run — the
-/// per-sample block, the reduced accumulator, the wire frame — so a
-/// steady-state step allocates nothing that grows with the model.
+/// Every buffer lives here for the whole run — the record slots, the
+/// layout, the wire frame — so a steady-state step allocates nothing
+/// that grows with the model.
 struct RingFold<'r> {
     opts: &'r RankOptions,
     /// The ring links, buffered once for the run (`None`: one rank, no
     /// communication). The reader must live as long as the link: it may
-    /// hold the next batch's first bytes (see [`allreduce`]).
+    /// hold the next batch's first bytes (see
+    /// [`allreduce`](crate::allreduce)).
     links: Option<BufferedLinks<'r>>,
     ws: Workspace,
     conv_layers: Vec<usize>,
-    /// This rank's per-sample gradients; grows to the largest block seen.
-    block: Vec<SampleGrad>,
-    reduced: allreduce::BatchAcc,
+    /// Gradient records by batch position; grows to the largest batch
+    /// seen. This rank's samples land here from `ws` by swap, and the
+    /// records of gathered layers arrive here off the wire.
+    records: Vec<Vec<Tensor>>,
+    /// This rank's samples' losses and correct flags, in block order.
+    scalars: Vec<(f32, bool)>,
+    /// ... and their conv-layer sparsities, `conv_layers.len()` a sample.
+    sparsity: Vec<f64>,
+    /// The batch's layout: `(layer, span)` in wire order.
+    layout: Vec<(usize, Span)>,
+    reduced: BatchAcc,
     frame: Vec<u8>,
+}
+
+/// One batch of [`RingFold`] as the chain sees it.
+struct RankStep<'a> {
+    net: &'a Network,
+    layout: &'a [(usize, Span)],
+    block: Range<usize>,
+    records: &'a mut [Vec<Tensor>],
+    grads: &'a mut [Tensor],
+    scalars: &'a [(f32, bool)],
+    sparsity: &'a [f64],
+    conv_count: usize,
+}
+
+impl Step for RankStep<'_> {
+    fn block(&self) -> Range<usize> {
+        self.block.clone()
+    }
+
+    fn spans(&self) -> usize {
+        self.layout.len()
+    }
+
+    fn span(&mut self, k: usize) -> (Span, &mut [f32]) {
+        let (l, span) = self.layout[k];
+        let buf = match span {
+            Span::Summed => &mut self.grads[l],
+            Span::Record(s) => &mut self.records[s][l],
+        };
+        (span, buf.as_mut_slice())
+    }
+
+    fn fold(&mut self, k: usize, zero: bool) {
+        let layer = self.layout[k].0;
+        let sum = masked(self.grads, |l| l == layer);
+        sgd::fold_records(self.net, &self.records[self.block.clone()], 1, zero, sum);
+    }
+
+    fn fold_scalars(&self, acc: &mut BatchAcc) {
+        let n = self.conv_count;
+        for (j, &(loss, correct)) in self.scalars.iter().enumerate() {
+            acc.add_scalars(loss, correct, &self.sparsity[j * n..(j + 1) * n]);
+        }
+    }
 }
 
 impl BatchFold for RingFold<'_> {
@@ -200,46 +284,55 @@ impl BatchFold for RingFold<'_> {
             }
             return Ok(());
         };
-        let (s0, s1) = block_bounds(samples.len(), world, rank);
-        if self.block.len() < s1 - s0 {
-            self.block.resize_with(s1 - s0, SampleGrad::default);
+        let batch_len = samples.len();
+        let (s0, s1) = block_bounds(batch_len, world, rank);
+        if self.records.len() < batch_len {
+            self.records.resize_with(batch_len, || self.ws.param_grads.clone());
         }
-        let block = &mut self.block[..s1 - s0];
-        for (slot, i) in block.iter_mut().zip(samples.start + s0..) {
-            (slot.loss, slot.correct) = sgd::process_sample(&net, &data, i, &mut self.ws);
-            // The wire carries dense gradients: expand this sample's
-            // records into its slot, `0.0 + g` per element, through the
-            // trainer's own fold.
-            slot.grads.resize(self.reduced.grads.len(), 0.0);
-            let mut rest = slot.grads.as_mut_slice();
-            let dense = net.layers().iter().map(|layer| {
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(layer.param_count());
-                rest = tail;
-                head
-            });
-            sgd::fold_records(&net, std::slice::from_ref(&self.ws.param_grads), 1, true, dense);
-            slot.sparsity.clear();
-            slot.sparsity.extend(self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]));
+        self.scalars.clear();
+        self.sparsity.clear();
+        for (s, i) in (s0..s1).zip(samples.start + s0..) {
+            self.scalars.push(sgd::process_sample(&net, &data, i, &mut self.ws));
+            self.sparsity.extend(self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]));
+            // `backward` overwrites a record in full, so the workspace
+            // can take the slot's old buffers in exchange.
+            std::mem::swap(&mut self.ws.param_grads, &mut self.records[s]);
         }
+        self.layout.clear();
+        for (l, layer) in net.layers().iter().enumerate().filter(|(_, l)| l.param_count() > 0) {
+            if gathered(&**layer, batch_len) {
+                self.layout.extend((0..batch_len).map(|s| (l, Span::Record(s))));
+            } else {
+                self.layout.push((l, Span::Summed));
+            }
+        }
+        let mut step = RankStep {
+            net: &net,
+            layout: &self.layout,
+            block: s0..s1,
+            records: &mut self.records,
+            grads: &mut acc.grads,
+            scalars: &self.scalars,
+            sparsity: &self.sparsity,
+            conv_count: self.conv_layers.len(),
+        };
         let mut link = RingLink { rank, world, rx_prev, tx_next };
         ring_allreduce_into(
             &mut link,
             u32::try_from(epoch).expect("epoch fits u32"),
             u32::try_from(batch).expect("batch index fits u32"),
-            block,
+            &mut step,
             &mut self.reduced,
             chunk_floats,
             &mut self.frame,
         )?;
+        // Every rank now holds the whole batch's records of the gathered
+        // layers, and folds them with the trainer's own fold.
+        let sums = masked(&mut acc.grads, |l| gathered(&*net.layers()[l], batch_len));
+        sgd::fold_records(&net, &self.records[..batch_len], 1, true, sums);
         acc.loss_sum = self.reduced.loss_sum;
         acc.correct = usize::try_from(self.reduced.correct).expect("correct count fits usize");
         acc.sparsity_sums.clone_from(&self.reduced.sparsity_sums);
-        let mut rest = self.reduced.grads.as_slice();
-        for g in &mut acc.grads {
-            let (layer, tail) = rest.split_at(g.len());
-            g.as_mut_slice().copy_from_slice(layer);
-            rest = tail;
-        }
         Ok(())
     }
 }
@@ -282,7 +375,6 @@ pub fn run_rank(
     io::load_weights(net, state.weights.as_slice())
         .map_err(|e| ClusterError::Config { detail: format!("restoring rank state: {e}") })?;
     let conv_layers = sgd::conv_layer_indices(net);
-    let grad_len = net.layers().iter().map(|l| l.param_count()).sum();
     let mut fold = RingFold {
         opts,
         links: match comm {
@@ -293,9 +385,12 @@ pub fn run_rank(
             )),
         },
         ws: Workspace::for_network(net),
-        reduced: allreduce::BatchAcc::zeroed(grad_len, conv_layers.len()),
+        reduced: BatchAcc::zeroed(0, conv_layers.len()),
         conv_layers,
-        block: Vec::new(),
+        records: Vec::new(),
+        scalars: Vec::new(),
+        sparsity: Vec::new(),
+        layout: Vec::new(),
         frame: Vec::new(),
     };
     let result = {
@@ -487,7 +582,12 @@ mod tests {
     use rand::SeedableRng;
     use spg_convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
     use spg_convnet::ConvSpec;
+    use spg_core::config::NetworkDescription;
     use spg_tensor::Shape3;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use crate::wire::{encode_chunk_into, encode_frame, ChunkHead, Message};
 
     fn make_net() -> Result<Network, spg_error::Error> {
         let mut rng = SmallRng::seed_from_u64(42);
@@ -567,6 +667,223 @@ mod tests {
         let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
         let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
         assert_eq!(got, expect, "recovered run diverged from the fault-free pool run");
+    }
+
+    /// [`make_net`] with a hidden layer: at batch 8, FC 36→32 crosses the
+    /// chain gathered (8 × 68 record floats < 1 184 parameters) and FC
+    /// 32→3 summed (8 × 35 ≥ 99); on a batch of two the latter flips to
+    /// gathered as well (2 × 35 < 99).
+    fn make_gathered_net() -> Result<Network, spg_error::Error> {
+        let mut rng = SmallRng::seed_from_u64(42);
+        let spec = ConvSpec::new(1, 8, 8, 4, 3, 3, 1, 1).unwrap();
+        let out = spec.output_shape();
+        Network::new(vec![
+            Box::new(ConvLayer::new(spec, &mut rng)),
+            Box::new(ReluLayer::new(out.len())),
+            Box::new(MaxPoolLayer::new(Shape3::new(out.c, out.h, out.w), 2).unwrap()),
+            Box::new(FcLayer::new(4 * 3 * 3, 32, &mut rng)),
+            Box::new(ReluLayer::new(32)),
+            Box::new(FcLayer::new(32, 3, &mut rng)),
+        ])
+        .map_err(|e| spg_error::Error::new(spg_error::ErrorKind::InvalidNetwork, e.to_string()))
+    }
+
+    /// Epoch-loss bits of a ring run on [`make_gathered_net`] over
+    /// `samples` samples, and of the solo trainer on the same.
+    fn gathered_bits(samples: usize, opts: &InProcTrainOptions) -> (Vec<u64>, Vec<u64>) {
+        let data = || Dataset::synthetic(Shape3::new(1, 8, 8), 3, samples, 0.15, 77);
+        let bits = |s: &[EpochStats]| s.iter().map(|e| e.mean_loss.to_bits()).collect();
+        let ring = train_in_proc(&make_gathered_net, &data(), &trainer_cfg(), opts).unwrap();
+        let solo =
+            Trainer::new(trainer_cfg()).train(&mut make_gathered_net().unwrap(), &mut data());
+        (bits(&ring), bits(&solo))
+    }
+
+    #[test]
+    fn gathered_layers_are_bit_identical_to_the_pool() {
+        let net = make_gathered_net().unwrap();
+        assert!(gathered(&*net.layers()[3], 8) && !gathered(&*net.layers()[5], 8));
+        for world in [1usize, 2, 3, 4] {
+            let opts = InProcTrainOptions { world, ..Default::default() };
+            let (ring, solo) = gathered_bits(24, &opts);
+            assert_eq!(ring, solo, "world {world} diverged from the single-process pool");
+        }
+        // Chunks of 17 floats end inside the 68-float records, and world
+        // 3 deals the batch of 8 in blocks of 3/3/2.
+        assert_eq!([0, 1, 2].map(|r| block_bounds(8, 3, r)), [(0, 3), (3, 6), (6, 8)]);
+        let opts = InProcTrainOptions { world: 3, chunk_floats: 17, ..Default::default() };
+        let (ring, solo) = gathered_bits(24, &opts);
+        assert_eq!(ring, solo, "chunk_floats 17 changed the bits");
+    }
+
+    #[test]
+    fn gathered_layers_recover_a_mid_allreduce_fault_bit_identically() {
+        let opts = InProcTrainOptions {
+            world: 3,
+            fault: Some(TrainFault { rank: 1, epoch: 2, batch: 1 }),
+            ..Default::default()
+        };
+        let (ring, solo) = gathered_bits(24, &opts);
+        assert_eq!(ring, solo, "recovered run diverged from the fault-free pool run");
+    }
+
+    /// 26 samples at batch 8 end each epoch on a batch of two: fewer
+    /// samples than ranks, so the last ranks' blocks are empty, and FC
+    /// 32→3 crosses that batch gathered while it crossed the others
+    /// summed.
+    #[test]
+    fn a_short_batch_with_empty_blocks_and_a_flipped_layer_keeps_the_bits() {
+        let fc = make_gathered_net().unwrap();
+        assert!(!gathered(&*fc.layers()[5], 8) && gathered(&*fc.layers()[5], 2));
+        for world in [3usize, 4] {
+            assert_eq!(block_bounds(2, world, world - 1), (2, 2));
+            for chunk_floats in [17, DEFAULT_CHUNK_FLOATS] {
+                let opts = InProcTrainOptions { world, chunk_floats, ..Default::default() };
+                let (ring, solo) = gathered_bits(26, &opts);
+                assert_eq!(ring, solo, "world {world} chunk {chunk_floats}");
+            }
+        }
+    }
+
+    /// The lengths of the spans `rank` sends in one batch, reduce leg
+    /// then broadcast leg, as the layout predicts them: a layer of G
+    /// parameters costs G floats per leg summed, and gathered its records
+    /// of R floats — up to this rank's block's end on the reduce leg, the
+    /// whole batch on the broadcast leg.
+    fn sent_spans(net: &Network, batch_len: usize, world: usize, rank: usize) -> Vec<usize> {
+        let end = block_bounds(batch_len, world, rank).1;
+        let reduce = rank != world - 1;
+        let broadcast = (rank + 1) % world != world - 1;
+        let mut spans = Vec::new();
+        for (leg_sends, samples) in [(reduce, end), (broadcast, batch_len)] {
+            for layer in net.layers().iter().filter(|l| leg_sends && l.param_count() > 0) {
+                if gathered(&**layer, batch_len) {
+                    spans.extend(std::iter::repeat_n(layer.grad_record_len(), samples));
+                } else {
+                    spans.push(layer.param_count());
+                }
+            }
+        }
+        spans
+    }
+
+    /// The paper's full-geometry MNIST and CIFAR-10 networks (Table 2).
+    fn full_net(layers: &str) -> Network {
+        NetworkDescription::parse(layers).unwrap().build(1).unwrap()
+    }
+
+    const MNIST: &str = "input { channels: 1 height: 28 width: 28 }
+        conv { features: 20 kernel: 5 } relu { } pool { window: 2 }
+        fc { outputs: 500 } fc { outputs: 10 }";
+
+    const CIFAR10: &str = "input { channels: 3 height: 36 width: 36 }
+        conv { features: 64 kernel: 5 } relu { } pool { window: 4 }
+        conv { features: 64 kernel: 5 } relu { } fc { outputs: 10 }";
+
+    #[test]
+    fn the_size_rule_gathers_only_layers_whose_records_are_smaller() {
+        let forms = |net: &Network, batch_len| -> Vec<(bool, bool)> {
+            let params = net.layers().iter().filter(|l| l.param_count() > 0);
+            params.map(|l| (l.conv_spec().is_some(), gathered(&**l, batch_len))).collect()
+        };
+        // MNIST at batch 8: the conv layer summed, both FC layers gathered.
+        let mnist = full_net(MNIST);
+        assert_eq!(forms(&mnist, 8), [(true, false), (false, true), (false, true)]);
+        // World 2: rank 0 sends the conv sum and its 4 samples' records,
+        // rank 1 the conv sum and all 8 samples' records.
+        let fc = [3380, 510];
+        let expect = [500 + 4 * (fc[0] + fc[1]), 500 + 8 * (fc[0] + fc[1])];
+        for (rank, want) in expect.into_iter().enumerate() {
+            assert_eq!(sent_spans(&mnist, 8, 2, rank).iter().sum::<usize>(), want, "rank {rank}");
+        }
+        // CIFAR-10 at batch 32: every layer summed, so a conv-heavy ring
+        // sends what it sent when the whole gradient was summed.
+        let cifar = full_net(CIFAR10);
+        assert!(forms(&cifar, 32).iter().all(|&(_, gathered)| !gathered));
+        let dense: usize = cifar.layers().iter().map(|l| l.param_count()).sum();
+        // World 3: rank 0 sends on both legs, rank 1 only reduces and
+        // rank 2 only broadcasts.
+        for (rank, want) in [2 * dense, dense, dense].into_iter().enumerate() {
+            assert_eq!(sent_spans(&cifar, 32, 3, rank).iter().sum::<usize>(), want, "rank {rank}");
+        }
+    }
+
+    /// A `Write` that counts what passes through it.
+    struct Counted<W> {
+        inner: W,
+        bytes: Arc<AtomicU64>,
+    }
+
+    impl<W: Write> Write for Counted<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.inner.write(buf)?;
+            self.bytes.fetch_add(n as u64, Ordering::Relaxed);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// One step of the full-geometry MNIST net at world 2, batch 8: each
+    /// rank's link carries exactly the frames the layout predicts, and
+    /// the whole step is under 0.3 MB, where the dense gradient alone is
+    /// 5.8 MB a leg.
+    #[test]
+    fn the_wire_carries_what_the_layout_predicts() {
+        let (world, batch_len, chunk_floats) = (2, 8, DEFAULT_CHUNK_FLOATS);
+        let data = Dataset::synthetic(Shape3::new(1, 28, 28), 10, batch_len, 0.15, 3);
+        let trainer =
+            TrainerConfig { epochs: 1, batch_size: batch_len, ..TrainerConfig::default() };
+        let counters: Vec<Arc<AtomicU64>> = (0..world).map(|_| Arc::default()).collect();
+        let mut comms = ring_fabric(world).unwrap();
+        for (comm, bytes) in comms.iter_mut().zip(&counters) {
+            let Comm::Ring { tx_next, .. } = comm else { unreachable!("a ring fabric") };
+            let inner = std::mem::replace(tx_next, Box::new(std::io::sink()));
+            *tx_next = Box::new(Counted { inner, bytes: Arc::clone(bytes) });
+        }
+        std::thread::scope(|scope| {
+            for (rank, mut comm) in comms.into_iter().enumerate() {
+                let (data, trainer) = (&data, &trainer);
+                scope.spawn(move || {
+                    let mut net = full_net(MNIST);
+                    let opts = RankOptions { rank, world, chunk_floats, fault: None };
+                    let mut state = RankState::fresh(&net);
+                    let mut data = data.clone();
+                    run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut state).unwrap();
+                });
+            }
+        });
+
+        let net = full_net(MNIST);
+        let meta = encode_frame(&Message::AccMeta {
+            epoch: 1,
+            batch: 0,
+            loss_sum_bits: 0,
+            correct: 0,
+            sparsity_bits: vec![0; 1],
+        })
+        .len();
+        let frame = |floats: usize| {
+            let mut f = Vec::new();
+            let head = ChunkHead { broadcast: false, epoch: 1, batch: 0, chunk: 0 };
+            encode_chunk_into(head, &vec![0.0; floats], &mut f);
+            f.len()
+        };
+        let chunked = |span: usize| {
+            let (full, tail) = (span / chunk_floats, span % chunk_floats);
+            full * frame(chunk_floats) + if tail > 0 { frame(tail) } else { 0 }
+        };
+        let mut total = 0;
+        for (rank, bytes) in counters.iter().enumerate() {
+            // One leg each at world 2: rank 0 reduces, rank 1 broadcasts.
+            let spans = sent_spans(&net, batch_len, world, rank);
+            let predicted = (meta + spans.iter().map(|&s| chunked(s)).sum::<usize>()) as u64;
+            assert_eq!(bytes.load(Ordering::Relaxed), predicted, "rank {rank}");
+            total += predicted;
+        }
+        assert!(total < 300_000, "a world-2 MNIST step put {total} bytes on the wire");
     }
 
     /// A fault can leave the ranks' commits staggered, and their states

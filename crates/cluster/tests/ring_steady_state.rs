@@ -2,9 +2,12 @@
 //!
 //! Counts, under a counting global allocator, the heap requests at least
 //! half a gradient large made by whole `train_in_proc` runs. Set-up makes
-//! some (networks, workspaces, the per-rank block, accumulator and link
-//! buffers); the count must not depend on how many steps the run then
-//! takes. This file holds one test on purpose: the counter is global.
+//! some (networks, workspaces, the accumulator, the record slots that
+//! gathered layers cross the ring in, link buffers); the count must not
+//! depend on how many steps the run then takes. At batch 9 the net's FC
+//! 256→96 crosses the ring gathered, as records, and FC 96→4 summed, so
+//! both forms run. This file holds one test on purpose: the counter is
+//! global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -715,7 +715,8 @@ const FORK_FLOOR: usize = 2 * 1024 * 1024;
 ///
 /// `records[s].as_ref()[l]` is sample `s`'s record for layer `l` as
 /// [`Network::backward_into`] left it; `acc` yields one
-/// [`param_count`](Layer::param_count)-long slice per layer.
+/// [`param_count`](Layer::param_count)-long slice per layer, or an empty
+/// one to leave that layer out (its records are then not read).
 /// With `zero`, what `acc` held is dead and every element becomes
 /// `0.0 + g_0 + g_1 + ...`; without, the records are added onto it (a batch
 /// folded a few samples at a time). Per element the adds run in slice
@@ -736,10 +737,10 @@ pub fn fold_records<'a, R: AsRef<[Tensor]>>(
 ) {
     let mut layer_records: Vec<&[f32]> = Vec::with_capacity(records.len());
     for ((l, layer), acc) in net.layers().iter().enumerate().zip(acc) {
-        assert_eq!(acc.len(), layer.param_count(), "accumulator shaped for the network");
         if acc.is_empty() {
             continue;
         }
+        assert_eq!(acc.len(), layer.param_count(), "accumulator shaped for the network");
         layer_records.clear();
         layer_records.extend(records.iter().map(|r| r.as_ref()[l].as_slice()));
         let ranges = cores.min(acc.len() * records.len() / FORK_FLOOR).max(1);
