@@ -289,14 +289,17 @@ impl BatchFold for RingFold<'_> {
         if self.records.len() < batch_len {
             self.records.resize_with(batch_len, || self.ws.param_grads.clone());
         }
+        // The block runs layer by layer, writing its records straight into
+        // their batch slots (`backward` overwrites a record in full).
         self.scalars.clear();
+        self.scalars.resize(s1 - s0, (0.0, false));
+        let block = samples.start + s0..samples.start + s1;
+        let slots = &mut self.records[s0..s1];
+        sgd::process_block(&net, &data, block, &mut self.ws, slots, &mut self.scalars);
         self.sparsity.clear();
-        for (s, i) in (s0..s1).zip(samples.start + s0..) {
-            self.scalars.push(sgd::process_sample(&net, &data, i, &mut self.ws));
-            self.sparsity.extend(self.conv_layers.iter().map(|&li| self.ws.grad_sparsity[li]));
-            // `backward` overwrites a record in full, so the workspace
-            // can take the slot's old buffers in exchange.
-            std::mem::swap(&mut self.ws.param_grads, &mut self.records[s]);
+        let layers = net.layers().len();
+        for sample in self.ws.grad_sparsity.chunks_exact(layers).take(s1 - s0) {
+            self.sparsity.extend(self.conv_layers.iter().map(|&li| sample[li]));
         }
         self.layout.clear();
         for (l, layer) in net.layers().iter().enumerate().filter(|(_, l)| l.param_count() > 0) {

@@ -480,7 +480,7 @@ impl Engine {
             .take()
             .unwrap_or_else(|| (SampleTrace::for_network(&self.net), ConvScratch::new()));
         scratch.cores = self.workers;
-        self.net.forward_walk(input, &mut trace, &mut scratch);
+        self.net.forward_sample(input, &mut trace, &mut scratch);
         let logits = trace.logits().clone();
         *spg_sync::lock(&self.warm) = Some((trace, scratch));
         Ok(logits)

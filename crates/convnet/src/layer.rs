@@ -9,8 +9,10 @@
 //! what makes steady-state training allocation-free.
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::Rng;
+use spg_gemm::FcKernels;
 use spg_tensor::{Shape3, Tensor};
 
 use crate::exec::{PreparedWeights, SharedExecutor, UnfoldGemmExecutor};
@@ -24,6 +26,16 @@ use crate::{ConvError, ConvSpec};
 /// the sample's gradient *record* (ignored by parameter-free layers). Both
 /// stage any intermediates in the caller's [`ConvScratch`] instead of
 /// allocating.
+///
+/// # Blocks
+///
+/// The training walk runs a *block* of samples layer by layer:
+/// [`forward_block`](Layer::forward_block) and
+/// [`backward_block`](Layer::backward_block) take the block's samples back
+/// to back in one slice per operand. By default they run the per-sample
+/// method once per sample; a layer that can share work across the block
+/// overrides them — [`FcLayer`] loads each weight row once for the whole
+/// block. Either way every sample gets the bits a block of one gives it.
 ///
 /// # Gradient records
 ///
@@ -69,6 +81,47 @@ pub trait Layer: Send + Sync + fmt::Debug {
         param_grads: &mut Tensor,
         scratch: &mut ConvScratch,
     );
+
+    /// Forward propagation for a block of samples: `inputs` holds them
+    /// back to back, [`input_len`](Layer::input_len) floats each, and
+    /// `outputs` receives theirs the same way. The default runs
+    /// [`forward`](Layer::forward) once per sample.
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
+        let (n, m) = (self.input_len(), self.output_len());
+        for (input, output) in inputs.chunks_exact(n).zip(outputs.chunks_exact_mut(m)) {
+            self.forward(input, output, scratch);
+        }
+    }
+
+    /// Backward propagation for a block of `param_grads.len()` samples,
+    /// stored back to back as in [`forward_block`](Layer::forward_block):
+    /// sample `s` reads its slices of `inputs`, `outputs` and `grad_outs`,
+    /// writes its slice of `grad_ins` and its record into `param_grads[s]`,
+    /// as [`backward`](Layer::backward) does. An empty `grad_ins` hands
+    /// every sample an empty `grad_in`. The default runs `backward` once
+    /// per sample.
+    fn backward_block(
+        &self,
+        inputs: &[f32],
+        outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        param_grads: &mut [Tensor],
+        scratch: &mut ConvScratch,
+    ) {
+        let (n, m) = (self.input_len(), self.output_len());
+        let gn = if grad_ins.is_empty() { 0 } else { n };
+        for (s, record) in param_grads.iter_mut().enumerate() {
+            self.backward(
+                &inputs[s * n..(s + 1) * n],
+                &outputs[s * m..(s + 1) * m],
+                &grad_outs[s * m..(s + 1) * m],
+                &mut grad_ins[s * gn..(s + 1) * gn],
+                record,
+                scratch,
+            );
+        }
+    }
 
     /// Number of trainable parameters (0 for activation/pooling layers).
     fn param_count(&self) -> usize {
@@ -467,48 +520,25 @@ impl Layer for MaxPoolLayer {
     }
 }
 
-/// Independent partial sums [`dot`] keeps in flight: enough to fill the
-/// widest vector unit twice over, so the loop is bound by the weight
-/// stream and not by one add's latency.
-const DOT_LANES: usize = 32;
-
-/// `sum(w[i] * x[i])` at a summation order fixed by this source, not by
-/// the compiler or the ISA: element `i` accumulates (multiply, then add —
-/// Rust never fuses the two) into partial sum `i % DOT_LANES`, the partial
-/// sums fold by a halving tree (lane `l` takes in lane `l + 16`, then
-/// `l + 8`, ... `l + 1`), and the tail past the last whole block of
-/// [`DOT_LANES`] is added last, in order. The partial sums are
-/// independent, so the loop vectorizes at whatever width the target has,
-/// and every host, worker count and row split computes the same bits.
-fn dot(w: &[f32], x: &[f32]) -> f32 {
-    assert_eq!(w.len(), x.len(), "dot operand lengths");
-    let (blocks_w, blocks_x) = (w.chunks_exact(DOT_LANES), x.chunks_exact(DOT_LANES));
-    let (tail_w, tail_x) = (blocks_w.remainder(), blocks_x.remainder());
-    let mut acc = [0.0f32; DOT_LANES];
-    for (bw, bx) in blocks_w.zip(blocks_x) {
-        for ((a, wi), xi) in acc.iter_mut().zip(bw).zip(bx) {
-            *a += wi * xi;
-        }
-    }
-    let mut width = DOT_LANES / 2;
-    while width > 0 {
-        let (lo, hi) = acc.split_at_mut(width);
-        for (l, h) in lo.iter_mut().zip(hi.iter()) {
-            *l += h;
-        }
-        width /= 2;
-    }
-    tail_w.iter().zip(tail_x).fold(acc[0], |sum, (wi, xi)| sum + wi * xi)
-}
+/// Samples per call of the FC kernels: the kernels group them further by
+/// what their tier's registers hold, so this only bounds the stack buffer
+/// the per-row results and deltas pass through.
+const KERNEL_SAMPLES: usize = 8;
 
 /// A fully-connected (dense) layer with bias: `y = W x + b`.
 ///
-/// Forward is one dot product per output row, summed in an order fixed by
-/// the source — 32 independent partial sums over whole blocks of the row,
-/// folded by a halving tree, then the tail — so it vectorizes and gives
-/// the same bits on every host. A call whose
+/// Forward is one dot product per output row and sample, summed in an order
+/// fixed by the source — 32 independent partial sums over whole blocks of
+/// the row, folded by a halving tree, then the tail — so it gives the same
+/// bits on every host. The kernels are [`spg_gemm::FcKernels`], one source
+/// per instruction-set tier (portable, AVX2, AVX-512), picked at run time
+/// from the host, each multiplying and adding separately in the portable
+/// source's order. A block of samples
+/// ([`forward_block`](Layer::forward_block),
+/// [`backward_block`](Layer::backward_block)) loads each weight row once
+/// for the whole block, forward and backward. A call whose
 /// [core budget](ConvScratch::cores) exceeds 1 splits the rows over that
-/// many threads; a row is one thread's dot product whichever thread gets
+/// many threads; a row is one thread's dot products whichever thread gets
 /// it, so the logits do not depend on the split.
 ///
 /// Backward keeps the weight gradient `dW = δ ⊗ x` as its two factors: the
@@ -541,6 +571,31 @@ impl FcLayer {
     fn biases(&self) -> &[f32] {
         &self.params.as_slice()[self.in_len * self.out_len..]
     }
+
+    /// Rows `rows` of a block of `k` samples' outputs, each handed to
+    /// `write(sample, row, value)`: per row, the weight row is loaded once
+    /// for the whole block.
+    fn forward_rows(
+        &self,
+        fc: FcKernels,
+        rows: Range<usize>,
+        k: usize,
+        inputs: &[f32],
+        mut write: impl FnMut(usize, usize, f32),
+    ) {
+        let (w, b, n) = (self.weights(), self.biases(), self.in_len);
+        let mut sums = [0.0f32; KERNEL_SAMPLES];
+        for r in rows {
+            let row = &w[r * n..(r + 1) * n];
+            for s0 in (0..k).step_by(KERNEL_SAMPLES) {
+                let sums = &mut sums[..(k - s0).min(KERNEL_SAMPLES)];
+                fc.dot(row, &inputs[s0 * n..(s0 + sums.len()) * n], sums);
+                for (s, dot) in (s0..).zip(sums.iter()) {
+                    write(s, r, b[r] + dot);
+                }
+            }
+        }
+    }
 }
 
 impl Layer for FcLayer {
@@ -558,16 +613,32 @@ impl Layer for FcLayer {
 
     fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
         assert_eq!(output.len(), self.out_len, "output length");
-        let (w, b, n) = (self.weights(), self.biases(), self.in_len);
-        // One task of rows per thread; a budget of 1 is one task, which
-        // `fork_join` runs right here.
-        let threads = scratch.cores.clamp(1, self.out_len.max(1));
-        let per_thread = self.out_len.div_ceil(threads).max(1);
-        spg_sync::fork_join(output.chunks_mut(per_thread).enumerate().map(|(t, rows)| {
+        self.forward_block(input, output, scratch);
+    }
+
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
+        let (n, m) = (self.in_len, self.out_len);
+        let k = outputs.len() / m;
+        assert_eq!((inputs.len(), outputs.len()), (k * n, k * m), "block lengths");
+        let fc = FcKernels::host();
+        let per_thread = m.div_ceil(scratch.cores.clamp(1, m.max(1))).max(1);
+        if per_thread >= m {
+            return self.forward_rows(fc, 0..m, k, inputs, |s, r, y| outputs[s * m + r] = y);
+        }
+        // One task of rows per thread, each holding its rows of every
+        // sample's output.
+        let mut tasks: Vec<Vec<&mut [f32]>> = Vec::new();
+        tasks.resize_with(m.div_ceil(per_thread), || Vec::with_capacity(k));
+        for output in outputs.chunks_mut(m) {
+            for (task, rows) in tasks.iter_mut().zip(output.chunks_mut(per_thread)) {
+                task.push(rows);
+            }
+        }
+        spg_sync::fork_join(tasks.into_iter().enumerate().map(|(t, mut rows)| {
             move || {
-                for (o, r) in rows.iter_mut().zip(t * per_thread..) {
-                    *o = b[r] + dot(&w[r * n..(r + 1) * n], input);
-                }
+                let r0 = t * per_thread;
+                let r1 = (r0 + per_thread).min(m);
+                self.forward_rows(fc, r0..r1, k, inputs, |s, r, y| rows[s][r - r0] = y);
             }
         }));
     }
@@ -575,25 +646,47 @@ impl Layer for FcLayer {
     fn backward(
         &self,
         input: &[f32],
-        _output: &[f32],
+        output: &[f32],
         grad_out: &[f32],
         grad_in: &mut [f32],
         param_grads: &mut Tensor,
+        scratch: &mut ConvScratch,
+    ) {
+        let record = std::slice::from_mut(param_grads);
+        self.backward_block(input, output, grad_out, grad_in, record, scratch);
+    }
+
+    fn backward_block(
+        &self,
+        inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        param_grads: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
-        // `>=`, not `==`: the frozen benchmark probe hands every layer a
-        // `param_count()`-long buffer. Tighten with ROADMAP item 5.
-        assert!(param_grads.len() >= self.grad_record_len(), "gradient record length");
-        let (delta, x) =
-            param_grads.as_mut_slice()[..self.out_len + self.in_len].split_at_mut(self.out_len);
-        delta.copy_from_slice(grad_out);
-        x.copy_from_slice(input);
-        let w = self.weights();
-        grad_in.fill(0.0);
-        for (r, &g) in grad_out.iter().enumerate() {
-            let wrow = &w[r * self.in_len..(r + 1) * self.in_len];
-            for (gi, &wi) in grad_in.iter_mut().zip(wrow) {
-                *gi += g * wi;
+        let (n, m, k) = (self.in_len, self.out_len, param_grads.len());
+        for (s, record) in param_grads.iter_mut().enumerate() {
+            // `>=`, not `==`: the frozen benchmark probe hands every layer a
+            // `param_count()`-long buffer. Tighten with ROADMAP item 5.
+            assert!(record.len() >= self.grad_record_len(), "gradient record length");
+            let (delta, x) = record.as_mut_slice()[..m + n].split_at_mut(m);
+            delta.copy_from_slice(&grad_outs[s * m..(s + 1) * m]);
+            x.copy_from_slice(&inputs[s * n..(s + 1) * n]);
+        }
+        // `grad_in = Wᵀ δ`, row by row in row order, each row loaded once
+        // for the whole block.
+        grad_ins.fill(0.0);
+        let (w, fc) = (self.weights(), FcKernels::host());
+        let mut deltas = [0.0f32; KERNEL_SAMPLES];
+        for r in 0..m {
+            let row = &w[r * n..(r + 1) * n];
+            for s0 in (0..k).step_by(KERNEL_SAMPLES) {
+                let deltas = &mut deltas[..(k - s0).min(KERNEL_SAMPLES)];
+                for (d, s) in deltas.iter_mut().zip(s0..) {
+                    *d = grad_outs[s * m + r];
+                }
+                fc.sweep(row, deltas, &mut grad_ins[s0 * n..(s0 + deltas.len()) * n]);
             }
         }
     }
@@ -609,18 +702,14 @@ impl Layer for FcLayer {
     fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
         let (n, weights) = (self.in_len, self.in_len * self.out_len);
         assert!(at + acc.len() <= self.params.len(), "parameter range");
+        let fc = FcKernels::host();
         let (mut at, mut rest) = (at, acc);
         // Weight rows the range touches; the first and last may be partial.
         while at < weights && !rest.is_empty() {
             let (r, c) = (at / n, at % n);
             let len = (n - c).min(rest.len());
             let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            for record in records {
-                let (delta, x) = (record[r], &record[self.out_len + c..self.out_len + n]);
-                for (a, xi) in row.iter_mut().zip(x) {
-                    *a += delta * xi;
-                }
-            }
+            fc.fold(records, r, self.out_len + c, row);
             at += len;
             rest = tail;
         }
@@ -657,6 +746,14 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use spg_gemm::DOT_LANES;
+
+    /// One row dot through the host's FC kernel.
+    fn dot(w: &[f32], x: &[f32]) -> f32 {
+        let mut out = [0.0];
+        FcKernels::host().dot(w, x, &mut out);
+        out[0]
+    }
 
     #[test]
     fn relu_clamps_and_masks() {

@@ -1,13 +1,16 @@
-//! Sequential network container with per-sample forward/backward passes
-//! and the gradient-sparsity instrumentation behind the paper's Fig. 3b.
+//! Sequential network container with its forward and backward walks and
+//! the gradient-sparsity instrumentation behind the paper's Fig. 3b.
 //!
-//! Training runs a sample through [`Network::forward_into`] and
-//! [`Network::backward_into`], entirely out of a caller-provided
-//! [`Workspace`] — no per-sample heap allocation. Inference
-//! ([`Network::forward`], [`Network::predict`], [`Network::infer_batch`])
-//! runs the same forward walk over what forward reads only: an activation
-//! trace and a [`ConvScratch`], never a training workspace's gradient
-//! buffers.
+//! There is one training walk, layer-major over a *block* of samples: each
+//! layer runs the whole block ([`Layer::forward_block`],
+//! [`Layer::backward_block`]) before the next layer starts, entirely out of
+//! a caller-provided [`Workspace`] — no heap allocation once it is warm.
+//! A single sample is a block of one ([`Network::forward_into`],
+//! [`Network::backward_into`]); a ring rank runs its whole block of each
+//! batch (`sgd::process_block`). Inference ([`Network::forward`],
+//! [`Network::predict`], [`Network::infer_batch`]) runs the same forward
+//! walk over what forward reads only: an activation trace and a
+//! [`ConvScratch`], never a training workspace's gradient buffers.
 
 use spg_tensor::Tensor;
 
@@ -27,11 +30,13 @@ pub fn scope_label(index: usize, name: &str) -> String {
     format!("{name}{index}")
 }
 
-/// All activations recorded during one sample's forward pass.
+/// All activations recorded during one forward pass.
 ///
 /// `activations[0]` is the input; `activations[i + 1]` is the output of
-/// layer `i`. The trace is what `backward` consumes, which keeps the
-/// layers themselves stateless and shareable across worker threads.
+/// layer `i`. A trace built here holds one sample; a training walk over a
+/// block of `k` samples holds theirs back to back in each tensor. The trace
+/// is what `backward` consumes, which keeps the layers themselves
+/// stateless and shareable across worker threads.
 #[derive(Debug, Clone)]
 pub struct SampleTrace {
     /// Input followed by each layer's output, in order.
@@ -69,6 +74,30 @@ fn slice_sparsity(s: &[f32]) -> f64 {
     s.iter().filter(|v| **v == 0.0).count() as f64 / s.len() as f64
 }
 
+/// Softmax + cross-entropy of `logits` against `label`, returning the loss
+/// and writing its gradient with respect to the logits,
+/// `softmax(logits) - onehot(label)`, into `grad` — in place, so a training
+/// walk allocates nothing for it.
+///
+/// # Panics
+///
+/// Panics if `label >= logits.len()` or `grad.len() != logits.len()`.
+pub(crate) fn loss_into(logits: &[f32], label: usize, grad: &mut [f32]) -> f32 {
+    assert!(label < logits.len(), "label out of range");
+    assert_eq!(grad.len(), logits.len(), "one gradient per logit");
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for (g, v) in grad.iter_mut().zip(logits) {
+        *g = (v - max).exp();
+    }
+    let sum: f32 = grad.iter().sum();
+    for g in grad.iter_mut() {
+        *g /= sum;
+    }
+    let loss = -(grad[label].max(1e-12)).ln();
+    grad[label] -= 1.0;
+    loss
+}
+
 /// Index of the largest logit (the first, on ties).
 fn argmax(logits: &Tensor) -> usize {
     let mut best = 0;
@@ -103,6 +132,9 @@ fn argmax(logits: &Tensor) -> usize {
 /// ```
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
+    /// [`scope_label`] of each layer, built once: a walk with telemetry off
+    /// formats nothing.
+    labels: Vec<String>,
 }
 
 impl std::fmt::Debug for Network {
@@ -137,7 +169,8 @@ impl Network {
                 return Err(ConvError::LayerMismatch { layer: i, produced, expected });
             }
         }
-        Ok(Network { layers })
+        let labels = layers.iter().enumerate().map(|(i, l)| scope_label(i, l.name())).collect();
+        Ok(Network { layers, labels })
     }
 
     /// The layers, in order.
@@ -145,7 +178,8 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layers (for executor re-planning).
+    /// Mutable access to the layers (for executor re-planning). A layer
+    /// put in another's place keeps that layer's telemetry label.
     pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
@@ -169,26 +203,33 @@ impl Network {
     /// Panics if `input.len() != self.input_len()` or `ws` was planned for
     /// a different network geometry.
     pub fn forward_into(&self, input: &[f32], ws: &mut Workspace) {
-        self.forward_walk(input, &mut ws.trace, &mut ws.scratch);
+        ws.shape_block(self, 1);
+        self.forward_sample(input, &mut ws.trace, &mut ws.scratch);
     }
 
-    /// The forward pass: fills `trace` layer by layer, staging through
-    /// `scratch`. Everything a forward needs and nothing a backward does.
-    /// The caller has set `scratch.cores` to the cores this sample owns.
-    pub(crate) fn forward_walk(
+    /// One sample's forward pass: copies `input` into a one-sample
+    /// `trace` and walks it.
+    pub(crate) fn forward_sample(
         &self,
         input: &[f32],
         trace: &mut SampleTrace,
         scratch: &mut ConvScratch,
     ) {
         assert_eq!(input.len(), self.input_len(), "input length");
-        assert_eq!(trace.activations.len(), self.layers.len() + 1, "workspace trace length");
         trace.activations[0].as_mut_slice().copy_from_slice(input);
+        self.forward_walk(trace, scratch);
+    }
+
+    /// The forward walk: from the block of inputs in `trace.activations[0]`
+    /// it fills every later activation, layer by layer, staging through
+    /// `scratch`. Everything a forward needs and nothing a backward does.
+    /// The caller has set `scratch.cores` to the cores this block owns.
+    pub(crate) fn forward_walk(&self, trace: &mut SampleTrace, scratch: &mut ConvScratch) {
+        assert_eq!(trace.activations.len(), self.layers.len() + 1, "workspace trace length");
         for (i, layer) in self.layers.iter().enumerate() {
-            let _telemetry =
-                spg_telemetry::scope(&scope_label(i, layer.name()), spg_telemetry::Phase::Forward);
+            let _telemetry = spg_telemetry::scope(&self.labels[i], spg_telemetry::Phase::Forward);
             let (prev, rest) = trace.activations.split_at_mut(i + 1);
-            layer.forward(prev[i].as_slice(), rest[0].as_mut_slice(), scratch);
+            layer.forward_block(prev[i].as_slice(), rest[0].as_mut_slice(), scratch);
         }
     }
 
@@ -202,7 +243,7 @@ impl Network {
     /// Panics if `input.len() != self.input_len()`.
     pub fn forward(&self, input: &Tensor) -> SampleTrace {
         let mut trace = SampleTrace::for_network(self);
-        self.forward_walk(input.as_slice(), &mut trace, &mut ConvScratch::new());
+        self.forward_sample(input.as_slice(), &mut trace, &mut ConvScratch::new());
         trace
     }
 
@@ -214,13 +255,8 @@ impl Network {
     ///
     /// Panics if `label >= logits.len()`.
     pub fn loss_and_gradient(logits: &Tensor, label: usize) -> (f32, Tensor) {
-        assert!(label < logits.len(), "label out of range");
-        let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = logits.iter().map(|v| (v - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        let mut grad = Tensor::from_vec(exps.iter().map(|e| e / sum).collect());
-        let loss = -(grad[label].max(1e-12)).ln();
-        grad[label] -= 1.0;
+        let mut grad = Tensor::zeros(logits.len());
+        let loss = loss_into(logits.as_slice(), label, grad.as_mut_slice());
         (loss, grad)
     }
 
@@ -240,26 +276,48 @@ impl Network {
     /// for a different network geometry.
     pub fn backward_into(&self, loss_grad: &[f32], ws: &mut Workspace) {
         assert_eq!(loss_grad.len(), self.output_len(), "loss gradient length");
-        let Workspace { trace, param_grads, grad_sparsity, scratch, grad_a, grad_b } = ws;
-        assert_eq!(trace.activations.len(), self.layers.len() + 1, "workspace trace length");
-        assert_eq!(param_grads.len(), self.layers.len(), "workspace gradient slots");
-        grad_a.as_mut_slice()[..loss_grad.len()].copy_from_slice(loss_grad);
+        ws.grad_a.as_mut_slice()[..loss_grad.len()].copy_from_slice(loss_grad);
+        let mut records = std::mem::take(&mut ws.param_grads);
+        self.backward_walk(ws, std::slice::from_mut(&mut records));
+        ws.param_grads = records;
+    }
+
+    /// The backward walk over the block of `records.len()` samples whose
+    /// forward walk `ws.trace` holds, from their loss gradients back to
+    /// back at the head of `ws.grad_a`: layer by layer in reverse, sample
+    /// `s`'s records land in `records[s]` and its output-side gradient
+    /// sparsities in `ws.grad_sparsity[s * layers..]`.
+    pub(crate) fn backward_walk(&self, ws: &mut Workspace, records: &mut [Vec<Tensor>]) {
+        let (k, layers) = (records.len(), self.layers.len());
+        let Workspace { trace, grad_sparsity, scratch, grad_a, grad_b, staging, .. } = ws;
+        assert_eq!(trace.activations.len(), layers + 1, "workspace trace length");
+        assert_eq!(trace.activations[0].len(), k * self.input_len(), "one trace per record set");
+        assert!(records.iter().all(|r| r.len() == layers), "gradient slots per sample");
+        staging.resize_with(k, Tensor::default);
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let _telemetry =
-                spg_telemetry::scope(&scope_label(i, layer.name()), spg_telemetry::Phase::Backward);
+            let _telemetry = spg_telemetry::scope(&self.labels[i], spg_telemetry::Phase::Backward);
             let out_len = layer.output_len();
-            let in_len = layer.input_len();
-            let grad_out = &grad_a.as_slice()[..out_len];
-            grad_sparsity[i] = slice_sparsity(grad_out);
-            let in_len = if i == 0 && layer.conv_spec().is_some() { 0 } else { in_len };
-            layer.backward(
+            let grad_outs = &grad_a.as_slice()[..k * out_len];
+            for (s, grad_out) in grad_outs.chunks_exact(out_len).enumerate() {
+                grad_sparsity[s * layers + i] = slice_sparsity(grad_out);
+            }
+            let in_len = if i == 0 && layer.conv_spec().is_some() { 0 } else { layer.input_len() };
+            // The layer takes this layer's record of every sample as one
+            // slice: move them in, and back once it has written them.
+            for (slot, record) in staging.iter_mut().zip(records.iter_mut()) {
+                std::mem::swap(slot, &mut record[i]);
+            }
+            layer.backward_block(
                 trace.activations[i].as_slice(),
                 trace.activations[i + 1].as_slice(),
-                grad_out,
-                &mut grad_b.as_mut_slice()[..in_len],
-                &mut param_grads[i],
+                grad_outs,
+                &mut grad_b.as_mut_slice()[..k * in_len],
+                staging,
                 scratch,
             );
+            for (slot, record) in staging.iter_mut().zip(records.iter_mut()) {
+                std::mem::swap(slot, &mut record[i]);
+            }
             std::mem::swap(grad_a, grad_b);
         }
     }
@@ -291,7 +349,7 @@ impl Network {
             let mut trace = SampleTrace::for_network(self);
             let mut scratch = ConvScratch { cores: threads / workers, ..ConvScratch::new() };
             let classes = batch.iter().map(|input| {
-                self.forward_walk(input.as_slice(), &mut trace, &mut scratch);
+                self.forward_sample(input.as_slice(), &mut trace, &mut scratch);
                 argmax(trace.logits())
             });
             classes.collect::<Vec<_>>()
@@ -438,6 +496,140 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let net = tiny_net(&mut rng);
         assert!(net.infer_batch(&[], 4).is_empty());
+    }
+
+    /// conv/relu/pool/fc/relu/fc, the net the block walk is tested on.
+    fn block_net(rng: &mut SmallRng) -> Network {
+        let spec = ConvSpec::new(1, 8, 8, 4, 3, 3, 1, 1).unwrap();
+        let out = spec.output_shape();
+        Network::new(vec![
+            Box::new(ConvLayer::new(spec, rng)),
+            Box::new(ReluLayer::new(out.len())),
+            Box::new(MaxPoolLayer::new(Shape3::new(out.c, out.h, out.w), 2).unwrap()),
+            Box::new(FcLayer::new(4 * 3 * 3, 40, rng)),
+            Box::new(ReluLayer::new(40)),
+            Box::new(FcLayer::new(40, 3, rng)),
+        ])
+        .unwrap()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A block of k samples leaves each sample the bits k walks of one
+    /// leave it: every activation, every gradient record, the gradient
+    /// sparsities, the loss and the verdict.
+    #[test]
+    fn a_block_walk_matches_single_sample_walks() {
+        use crate::sgd::process_block;
+        use crate::workspace::record_buffers;
+
+        let mut rng = SmallRng::seed_from_u64(8);
+        let net = block_net(&mut rng);
+        let layers = net.layers().len();
+        let data = crate::data::Dataset::synthetic(Shape3::new(1, 8, 8), 3, 5, 0.2, 5);
+        let mut ws = Workspace::for_network(&net);
+        let singles: Vec<_> = (0..5)
+            .map(|i| {
+                let (mut records, mut result) = (vec![record_buffers(&net)], [(0.0, false)]);
+                process_block(&net, &data, i..i + 1, &mut ws, &mut records, &mut result);
+                let (loss, correct) = result[0];
+                let acts = ws.trace.activations.clone();
+                (acts, records.remove(0), ws.grad_sparsity.clone(), loss.to_bits(), correct)
+            })
+            .collect();
+        for k in 1..=5 {
+            let mut ws = Workspace::for_network(&net);
+            let mut records: Vec<_> = (0..k).map(|_| record_buffers(&net)).collect();
+            let mut results = vec![(f32::NAN, false); k];
+            process_block(&net, &data, 0..k, &mut ws, &mut records, &mut results);
+            for (s, (acts, one_records, sparsity, loss, correct)) in singles[..k].iter().enumerate()
+            {
+                for (i, (block, one)) in ws.trace.activations.iter().zip(acts).enumerate() {
+                    let at = s * one.len()..(s + 1) * one.len();
+                    assert_eq!(
+                        bits(&block.as_slice()[at]),
+                        bits(one.as_slice()),
+                        "k {k} s {s} act {i}"
+                    );
+                }
+                for (l, (block, one)) in records[s].iter().zip(one_records).enumerate() {
+                    assert_eq!(
+                        bits(block.as_slice()),
+                        bits(one.as_slice()),
+                        "k {k} s {s} record {l}"
+                    );
+                }
+                let block_sparsity = &ws.grad_sparsity[s * layers..(s + 1) * layers];
+                assert_eq!(block_sparsity, &sparsity[..], "k {k} s {s} sparsity");
+                assert_eq!(
+                    (results[s].0.to_bits(), results[s].1),
+                    (*loss, *correct),
+                    "k {k} s {s}"
+                );
+            }
+        }
+    }
+
+    /// Each layer's block methods give every sample what its per-sample
+    /// methods give it — outputs, input gradients and records — at block
+    /// sizes that cross the FC kernels' groups, and the FC rows split over
+    /// cores as well.
+    #[test]
+    fn layer_block_methods_match_per_sample_calls() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let net = block_net(&mut rng);
+        for (i, layer) in net.layers().iter().enumerate() {
+            let (n, m) = (layer.input_len(), layer.output_len());
+            let grad_len = if i == 0 { 0 } else { n };
+            for k in [1, 2, 3, 4, 5, 9] {
+                let inputs = Tensor::random_uniform(k * n, 1.0, &mut rng);
+                // Every third output gradient is zero, as behind a ReLU.
+                let mut grad_outs = Tensor::random_uniform(k * m, 1.0, &mut rng);
+                grad_outs.iter_mut().step_by(3).for_each(|g| *g = 0.0);
+                let (inputs, grad_outs) = (inputs.as_slice(), grad_outs.as_slice());
+                let mut one_out = vec![0.0; k * m];
+                let mut one_grad_in = vec![f32::NAN; k * grad_len];
+                let mut one_records = vec![Tensor::zeros(layer.grad_record_len()); k];
+                let mut scratch = ConvScratch::new();
+                for s in 0..k {
+                    let output = &mut one_out[s * m..(s + 1) * m];
+                    layer.forward(&inputs[s * n..(s + 1) * n], output, &mut scratch);
+                }
+                for (s, record) in one_records.iter_mut().enumerate() {
+                    layer.backward(
+                        &inputs[s * n..(s + 1) * n],
+                        &one_out[s * m..(s + 1) * m],
+                        &grad_outs[s * m..(s + 1) * m],
+                        &mut one_grad_in[s * grad_len..(s + 1) * grad_len],
+                        record,
+                        &mut scratch,
+                    );
+                }
+                for cores in [1, 3] {
+                    let at = (i, k, cores);
+                    let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                    let mut out = vec![f32::NAN; k * m];
+                    layer.forward_block(inputs, &mut out, &mut scratch);
+                    assert_eq!(bits(&out), bits(&one_out), "forward {at:?}");
+                    let mut grad_in = vec![f32::NAN; k * grad_len];
+                    let mut records = vec![Tensor::filled(layer.grad_record_len(), 7.0); k];
+                    layer.backward_block(
+                        inputs,
+                        &out,
+                        grad_outs,
+                        &mut grad_in,
+                        &mut records,
+                        &mut scratch,
+                    );
+                    assert_eq!(bits(&grad_in), bits(&one_grad_in), "grad_in {at:?}");
+                    let record_bits =
+                        |r: &[Tensor]| r.iter().map(|t| bits(t.as_slice())).collect::<Vec<_>>();
+                    assert_eq!(record_bits(&records), record_bits(&one_records), "records {at:?}");
+                }
+            }
+        }
     }
 
     #[test]

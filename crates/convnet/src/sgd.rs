@@ -61,7 +61,7 @@ use spg_tensor::Tensor;
 use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::layer::Layer;
-use crate::net::Network;
+use crate::net::{loss_into, Network};
 use crate::workspace::{record_buffers, Workspace};
 
 /// Configuration for [`Trainer`].
@@ -449,17 +449,45 @@ pub(crate) fn zero_param_grads(net: &Network) -> Vec<Tensor> {
     net.layers().iter().map(|l| Tensor::zeros(l.param_count())).collect()
 }
 
-/// Runs one sample forward + backward inside `ws` (leaving its parameter
-/// gradients and gradient sparsities there), returning its loss and
-/// whether the prediction was correct.
-pub fn process_sample(net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) -> (f32, bool) {
-    net.forward_into(data.image(i).as_slice(), ws);
-    let label = data.label(i);
-    let (loss, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
-    let logits = ws.trace.logits();
-    let pred = (0..logits.len()).max_by(|&a, &b| logits[a].total_cmp(&logits[b])).unwrap_or(0);
-    net.backward_into(loss_grad.as_slice(), ws);
-    (loss, pred == label)
+/// Runs dataset positions `samples` forward and backward as one block, in
+/// `ws`: layer by layer, each layer over the whole block before the next
+/// (see [`Network`]'s walk). Sample `j` of the block leaves its gradient
+/// records in `records[j]` (one buffer per layer, as
+/// [`Workspace::param_grads`] is shaped), its loss and whether its
+/// prediction was correct in `scalars[j]`, and its gradient sparsities in
+/// `ws.grad_sparsity`. Every sample gets the bits a block of one gives it.
+///
+/// # Panics
+///
+/// Panics if `records` or `scalars` does not hold one entry per sample, or
+/// `ws` or a record set is not shaped for `net`.
+pub fn process_block(
+    net: &Network,
+    data: &Dataset,
+    samples: Range<usize>,
+    ws: &mut Workspace,
+    records: &mut [Vec<Tensor>],
+    scalars: &mut [(f32, bool)],
+) {
+    let k = samples.len();
+    assert_eq!((records.len(), scalars.len()), (k, k), "one record set and one result per sample");
+    ws.shape_block(net, k);
+    let inputs = ws.trace.activations[0].as_mut_slice();
+    for (input, i) in inputs.chunks_exact_mut(net.input_len()).zip(samples.clone()) {
+        input.copy_from_slice(data.image(i).as_slice());
+    }
+    net.forward_walk(&mut ws.trace, &mut ws.scratch);
+    // The loss gradients go where the backward walk starts from.
+    let classes = net.output_len();
+    let logits = ws.trace.logits().as_slice().chunks_exact(classes);
+    let grads = ws.grad_a.as_mut_slice().chunks_exact_mut(classes);
+    for (((scalar, i), logits), grad) in scalars.iter_mut().zip(samples).zip(logits).zip(grads) {
+        let label = data.label(i);
+        let loss = loss_into(logits, label, grad);
+        let pred = (0..classes).max_by(|&a, &b| logits[a].total_cmp(&logits[b])).unwrap_or(0);
+        *scalar = (loss, pred == label);
+    }
+    net.backward_walk(ws, records);
 }
 
 /// The local fold: every sample runs on the calling thread in one
@@ -586,8 +614,11 @@ fn pool_worker(
                     injector.check(w, jobs_started);
                     let net = spg_sync::read(&shared.net);
                     let data = spg_sync::read(&shared.data);
-                    let (loss, correct) = process_sample(&net, &data, i, &mut ws);
-                    slot.capture(&mut ws, loss, correct);
+                    let mut result = [(0.0, false)];
+                    let records = std::slice::from_mut(&mut slot.param_grads);
+                    process_block(&net, &data, i..i + 1, &mut ws, records, &mut result);
+                    (slot.loss, slot.correct) = result[0];
+                    slot.grad_sparsity.copy_from_slice(&ws.grad_sparsity);
                 }));
                 match outcome {
                     Ok(()) => {
@@ -661,8 +692,8 @@ impl BatchFold for PoolFold {
 }
 
 /// One sample's results, shuttled main -> worker -> main and recycled; the
-/// gradient records change hands with the worker's [`Workspace`] by swap,
-/// so the worker can start its next sample while the batch completes.
+/// worker's walk writes the gradient records straight into the slot, so
+/// the worker can start its next sample while the batch completes.
 struct SampleResult {
     loss: f32,
     correct: bool,
@@ -678,16 +709,6 @@ impl SampleResult {
             param_grads: record_buffers(net),
             grad_sparsity: vec![0.0; net.layers().len()],
         }
-    }
-
-    /// Takes the sample `ws` just ran. The workspace gets this slot's old
-    /// record buffers in exchange: `backward` overwrites every record in
-    /// full, so what they hold does not matter.
-    fn capture(&mut self, ws: &mut Workspace, loss: f32, correct: bool) {
-        self.loss = loss;
-        self.correct = correct;
-        std::mem::swap(&mut self.param_grads, &mut ws.param_grads);
-        self.grad_sparsity.copy_from_slice(&ws.grad_sparsity);
     }
 }
 
@@ -803,16 +824,20 @@ impl BatchAcc {
         self.stale = true;
     }
 
-    /// Runs sample `i` through [`process_sample`] in `ws` and absorbs it.
+    /// Runs sample `i` through [`process_block`] in `ws`, as a block of
+    /// one whose records land in `ws.param_grads`, and absorbs it.
     pub fn absorb_sample(&mut self, net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) {
-        let (loss, correct) = process_sample(net, data, i, ws);
-        self.add_scalars(loss, correct, &ws.grad_sparsity);
-        self.add_records(net, std::slice::from_ref(&ws.param_grads), 1);
+        let mut records = std::mem::take(&mut ws.param_grads);
+        let mut result = [(0.0, false)];
+        process_block(net, data, i..i + 1, ws, std::slice::from_mut(&mut records), &mut result);
+        self.add_scalars(result[0].0, result[0].1, &ws.grad_sparsity);
+        self.add_records(net, std::slice::from_ref(&records), 1);
+        ws.param_grads = records;
     }
 
     /// Absorbs one sample's scalars: its loss, whether it was classified
     /// correctly, and its per-layer gradient sparsities as
-    /// [`process_sample`] leaves them in the [`Workspace`].
+    /// [`process_block`] leaves a block of one's in the [`Workspace`].
     fn add_scalars(&mut self, loss: f32, correct: bool, grad_sparsity: &[f64]) {
         self.loss_sum += loss as f64;
         self.correct += correct as usize;

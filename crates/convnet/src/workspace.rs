@@ -173,12 +173,17 @@ impl ConvScratch {
     }
 }
 
-/// Everything one training sample needs, preallocated.
+/// Everything one training sample needs, preallocated — or one block of
+/// samples, which share the scratch.
 ///
 /// The trainer's worker pool builds one `Workspace` per worker from the
 /// network's geometry and reuses it for every sample the worker processes;
 /// [`Network::forward_into`] and [`Network::backward_into`] run entirely
-/// out of these buffers.
+/// out of these buffers. A walk over a block of `k` samples
+/// ([`process_block`](crate::sgd::process_block)) grows the trace, the
+/// error-gradient buffers and the sparsities to `k` samples back to back
+/// on its first call and reuses them after; its records go to slots the
+/// caller owns, so a block adds no record buffers here.
 #[derive(Debug)]
 pub struct Workspace {
     /// Reusable activation trace filled by [`Network::forward_into`].
@@ -188,13 +193,23 @@ pub struct Workspace {
     /// (empty tensors for parameter-free layers), overwritten by
     /// [`Network::backward_into`].
     pub param_grads: Vec<Tensor>,
-    /// Output-side gradient sparsity observed per layer during backward.
+    /// Output-side gradient sparsity observed per layer during backward;
+    /// after a block, sample `s`'s are at `s * layers..(s + 1) * layers`.
     pub grad_sparsity: Vec<f64>,
-    /// Executor scratch shared by all layers.
+    /// Executor scratch shared by all layers (and all samples of a block).
     pub scratch: ConvScratch,
-    /// Ping-pong error-gradient buffers sized to the longest activation.
+    /// Ping-pong error-gradient buffers, one longest activation per sample.
     pub(crate) grad_a: Tensor,
     pub(crate) grad_b: Tensor,
+    /// One layer's records of a block's samples while that layer writes
+    /// them in the backward walk; empty tensors between layers.
+    pub(crate) staging: Vec<Tensor>,
+}
+
+/// Floats in the longest activation of `net`, input or output of a layer:
+/// one sample's share of the error-gradient ping-pong buffers.
+fn longest_activation(net: &Network) -> usize {
+    net.layers().iter().map(|l| l.input_len().max(l.output_len())).max().unwrap_or(0)
 }
 
 /// One zeroed gradient-record buffer per layer of `net`: what one sample's
@@ -209,8 +224,7 @@ impl Workspace {
     /// and conv scratch sized for the largest conv layer.
     pub fn for_network(net: &Network) -> Self {
         let trace = SampleTrace::for_network(net);
-        let max_act =
-            net.layers().iter().map(|l| l.input_len().max(l.output_len())).max().unwrap_or(0);
+        let max_act = longest_activation(net);
         let param_grads = record_buffers(net);
         let grad_sparsity = vec![0.0; net.layers().len()];
         let mut scratch = ConvScratch::new();
@@ -226,7 +240,32 @@ impl Workspace {
             scratch,
             grad_a: Tensor::zeros(max_act),
             grad_b: Tensor::zeros(max_act),
+            staging: vec![Tensor::default()],
         }
+    }
+
+    /// Shapes the per-sample buffers for a walk over `k` samples of `net`.
+    /// A buffer already that long keeps its contents; one that changes
+    /// length is zeroed, and reuses its allocation once it has held `k`
+    /// samples.
+    pub(crate) fn shape_block(&mut self, net: &Network, k: usize) {
+        fn shape(t: &mut Tensor, len: usize) {
+            if t.len() != len {
+                let mut data = std::mem::take(t).into_vec();
+                data.clear();
+                data.resize(len, 0.0);
+                *t = Tensor::from_vec(data);
+            }
+        }
+        let acts = &mut self.trace.activations;
+        shape(&mut acts[0], k * net.input_len());
+        for (act, layer) in acts[1..].iter_mut().zip(net.layers()) {
+            shape(act, k * layer.output_len());
+        }
+        let max_act = longest_activation(net);
+        shape(&mut self.grad_a, k * max_act);
+        shape(&mut self.grad_b, k * max_act);
+        self.grad_sparsity.resize(k * net.layers().len(), 0.0);
     }
 
     /// Current footprint of all workspace buffers in bytes.

@@ -1,0 +1,122 @@
+//! A warm training walk allocates nothing with telemetry off.
+//!
+//! Counts, under a counting global allocator, every heap request made by
+//! forward and backward walks of a conv/relu/pool/fc net after one warm-up
+//! sample: the single-sample entries (`forward_into`, `backward_into`) and
+//! the trainer's block walk (`process_block`, which writes the loss
+//! gradient in place), at a block of one and of three. Telemetry is off, so
+//! each instrumentation site is one relaxed load — no scope label is
+//! formatted. The conv runs the reference executor in both phases: the
+//! blocked GEMM still builds its pack panels per call (ROADMAP item 4).
+//! This file holds one test on purpose: the counter is global.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use spg_convnet::data::Dataset;
+use spg_convnet::exec::ReferenceExecutor;
+use spg_convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
+use spg_convnet::sgd::process_block;
+use spg_convnet::{ConvSpec, Network, Workspace};
+use spg_tensor::{Shape3, Tensor};
+
+static REQUESTS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a relaxed
+// atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (that is, from `System`) with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn make_net() -> Network {
+    let mut rng = SmallRng::seed_from_u64(9);
+    let spec = ConvSpec::new(1, 12, 12, 4, 3, 3, 1, 1).expect("valid spec");
+    let mut conv = ConvLayer::new(spec, &mut rng);
+    conv.set_forward_executor(Arc::new(ReferenceExecutor));
+    conv.set_backward_executor(Arc::new(ReferenceExecutor));
+    let out = spec.output_shape();
+    let pooled = MaxPoolLayer::new(Shape3::new(out.c, out.h, out.w), 2).expect("valid pool");
+    let flat = pooled.out_shape().len();
+    Network::new(vec![
+        Box::new(conv),
+        Box::new(ReluLayer::new(out.len())),
+        Box::new(pooled),
+        Box::new(FcLayer::new(flat, 40, &mut rng)),
+        Box::new(ReluLayer::new(40)),
+        Box::new(FcLayer::new(40, 5, &mut rng)),
+    ])
+    .expect("layers chain")
+}
+
+/// Heap requests `walk` makes over `reps` calls.
+fn requests(reps: usize, mut walk: impl FnMut(usize)) -> usize {
+    let before = REQUESTS.load(Ordering::Relaxed);
+    for rep in 0..reps {
+        walk(rep);
+    }
+    REQUESTS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn warm_walks_allocate_nothing() {
+    spg_telemetry::set_enabled(false);
+    let net = make_net();
+    let data = Dataset::synthetic(Shape3::new(1, 12, 12), 5, 8, 0.2, 3);
+    let mut ws = Workspace::for_network(&net);
+    let loss_grad = Tensor::filled(net.output_len(), 0.1);
+
+    // The single-sample entries, after one warm-up call.
+    let mut single = |i: usize| {
+        net.forward_into(data.image(i % data.len()).as_slice(), &mut ws);
+        net.backward_into(loss_grad.as_slice(), &mut ws);
+    };
+    single(0);
+    assert_eq!(requests(6, &mut single), 0, "forward_into + backward_into");
+
+    // The trainer's walk, loss gradient included, at two block sizes.
+    let slots = |k: usize| -> Vec<Vec<Tensor>> {
+        (0..k)
+            .map(|_| net.layers().iter().map(|l| Tensor::zeros(l.grad_record_len())).collect())
+            .collect()
+    };
+    for k in [1, 3] {
+        let (mut records, mut scalars) = (slots(k), vec![(0.0, false); k]);
+        let mut block = |rep: usize| {
+            let start = rep % (data.len() - k + 1);
+            process_block(&net, &data, start..start + k, &mut ws, &mut records, &mut scalars);
+        };
+        block(0);
+        assert_eq!(requests(6, &mut block), 0, "process_block of {k}");
+    }
+}

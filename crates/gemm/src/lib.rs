@@ -17,6 +17,9 @@
 //!   added (Sec. 3.2).
 //! * [`gemm_at_b_slice`] — `C += A^T * B` with the transpose folded into
 //!   the panel packing, for the Unfold+GEMM backward.
+//! * [`FcKernels`] — the fully-connected layer's row dot, backward row
+//!   sweep and gradient-record fold, at the host's vector width and with
+//!   one weight-row load per block of samples.
 //!
 //! GEMM-in-Parallel (Sec. 4.1) is not an entry here: it is the training
 //! pool in `spg-convnet`, whose workers each run one sample's
@@ -41,6 +44,7 @@
 
 mod blocked;
 mod error;
+mod fc;
 mod kernels;
 mod naive;
 mod parallel;
@@ -48,6 +52,7 @@ mod transposed;
 
 pub use blocked::{gemm, gemm_into, gemm_slice};
 pub use error::GemmError;
+pub use fc::{FcKernels, DOT_LANES};
 pub use kernels::{detect_simd_level, simd_backend_name, SimdLevel};
 pub use naive::{gemm_naive, gemm_naive_into};
 pub use parallel::{parallel_gemm, parallel_gemm_slice};
