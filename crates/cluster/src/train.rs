@@ -515,30 +515,33 @@ pub fn train_in_proc(
             };
 
             // Rank 0 runs on the calling thread, ranks 1.. on their own.
+            // Each rank takes its state rather than a copy (a fault hands
+            // the ranks new ones below), so no rank holds a second weight
+            // snapshot and optimizer state. Its copy of the data is made
+            // on its own thread, which also frees it: no rank allocates or
+            // frees in the heap of a thread that is running another.
+            let ranks = fabrics.into_iter().enumerate().zip(std::mem::take(&mut states));
             let outcomes: Vec<(RankState, Result<Vec<EpochStats>, ClusterError>)> =
-                spg_sync::fork_join(fabrics.into_iter().enumerate().zip(&states).map(
-                    |((rank, mut comm), state)| {
-                        let mut state = state.clone();
+                spg_sync::fork_join(ranks.map(|((rank, mut comm), mut state)| {
+                    move || {
                         let mut data = data.clone();
-                        move || {
-                            let opts = RankOptions {
-                                rank,
-                                world: opts.world,
-                                chunk_floats: opts.chunk_floats,
-                                fault,
-                            };
-                            let result = match factory() {
-                                Ok(mut net) => run_rank(
-                                    &mut net, &mut data, trainer, &opts, &mut comm, &mut state,
-                                ),
-                                Err(e) => Err(ClusterError::Config {
-                                    detail: format!("network factory: {e}"),
-                                }),
-                            };
-                            (state, result)
-                        }
-                    },
-                ));
+                        let opts = RankOptions {
+                            rank,
+                            world: opts.world,
+                            chunk_floats: opts.chunk_floats,
+                            fault,
+                        };
+                        let result = match factory() {
+                            Ok(mut net) => {
+                                run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut state)
+                            }
+                            Err(e) => Err(ClusterError::Config {
+                                detail: format!("network factory: {e}"),
+                            }),
+                        };
+                        (state, result)
+                    }
+                }));
 
             if let Some(err) = outcomes.iter().find_map(|(_, result)| result.as_ref().err()) {
                 let err = err.clone();
