@@ -504,7 +504,7 @@ pub(crate) mod tests {
         let plan = proved(spec, VECTOR_WIDTH, split);
         let tiled = plan.tiled().unwrap_or_else(|| unreachable!("lowered tiled"));
         let mut out = vec![f32::NAN; spec.output_shape().len()];
-        let mut scratch = ConvScratch { cores: split.map_or(1, |(_, n)| n), ..ConvScratch::new() };
+        let mut scratch = ConvScratch::with_cores(split.map_or(1, |(_, n)| n));
         kernel(tiled, input, weights, &mut out, &mut scratch);
         out
     }

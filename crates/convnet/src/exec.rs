@@ -291,7 +291,7 @@ mod tests {
         );
         let olen = spec.output_shape().len();
 
-        let mut scratch = ConvScratch { cores: 2, ..ConvScratch::new() };
+        let mut scratch = ConvScratch::with_cores(2);
         let mut a = vec![0f32; olen];
         let mut b = vec![0f32; olen];
         ReferenceExecutor.forward(&spec, &input, &weights, &mut a, &mut scratch);

@@ -35,7 +35,9 @@ use crate::ConvSpec;
 /// blocked GEMM, the GEMM-in-Parallel building block, whatever `threads`
 /// says, and a lone sample with the whole machine runs Parallel-GEMM;
 /// the output bits are the same either way
-/// ([`spg_gemm::parallel_gemm_slice`]).
+/// ([`spg_gemm::parallel_gemm_slice`]). The unfold that feeds it splits
+/// the rows of `U^T`, a channel's at a time, over the same budget
+/// ([`unfold_transposed_into`]).
 ///
 /// # Panics
 ///
@@ -53,7 +55,7 @@ pub fn forward_scratch(
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
-    unfold_transposed_into(spec, input, &mut scratch.mat_a);
+    unfold_transposed_into(spec, input, &mut scratch.mat_a, scratch.cores);
     // The weight tensor is row-major [f][c*ky*kx]: already the GEMM left
     // operand. The slice kernels accumulate, so clear the output first.
     output.fill(0.0);
@@ -163,7 +165,7 @@ mod tests {
             let mut via_gemm = vec![0f32; spec.output_shape().len()];
             let mut oracle = vec![0f32; spec.output_shape().len()];
             for threads in [1, 3] {
-                let mut scratch = ConvScratch { cores: threads, ..ConvScratch::new() };
+                let mut scratch = ConvScratch::with_cores(threads);
                 forward_scratch(&spec, &input, &weights, &mut via_gemm, threads, &mut scratch);
                 reference::forward(&spec, &input, &weights, &mut oracle);
                 let diff =
@@ -183,7 +185,7 @@ mod tests {
             let mut serial = vec![0f32; spec.output_shape().len()];
             forward_scratch(&spec, &input, &weights, &mut serial, 1, &mut ConvScratch::new());
             for cores in [1, 2, 3, 8] {
-                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                let mut scratch = ConvScratch::with_cores(cores);
                 let mut banded = vec![0f32; serial.len()];
                 forward_scratch(&spec, &input, &weights, &mut banded, 3, &mut scratch);
                 assert_eq!(banded, serial, "{spec} cores={cores}");
@@ -203,7 +205,7 @@ mod tests {
                 (pseudo(spec.input_shape().len(), 5), pseudo(spec.weight_shape().len(), 3));
             let grad_out = pseudo(spec.output_shape().len(), 4);
             let run = |cores| {
-                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                let mut scratch = ConvScratch::with_cores(cores);
                 let mut grad_in = vec![0f32; spec.input_shape().len()];
                 let mut grad_w = vec![0f32; spec.weight_shape().len()];
                 backward_data_scratch(spec, &weights, &grad_out, &mut grad_in, 3, &mut scratch);
@@ -225,7 +227,7 @@ mod tests {
             let mut via_gemm = vec![0f32; spec.input_shape().len()];
             let mut oracle = vec![0f32; spec.input_shape().len()];
             for threads in [1, 3] {
-                let mut scratch = ConvScratch { cores: threads, ..ConvScratch::new() };
+                let mut scratch = ConvScratch::with_cores(threads);
                 backward_data_scratch(
                     &spec,
                     &weights,
@@ -285,7 +287,7 @@ mod tests {
             let grad_out = pseudo(spec.output_shape().len(), 6);
             let mut via_gemm = vec![0f32; spec.weight_shape().len()];
             let mut oracle = vec![0f32; spec.weight_shape().len()];
-            let mut scratch = ConvScratch { cores: 2, ..ConvScratch::new() };
+            let mut scratch = ConvScratch::with_cores(2);
             backward_weights_scratch(&spec, &input, &grad_out, &mut via_gemm, 2, &mut scratch);
             reference::backward_weights(&spec, &input, &grad_out, &mut oracle);
             let diff =

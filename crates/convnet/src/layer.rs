@@ -16,6 +16,7 @@ use spg_gemm::FcKernels;
 use spg_tensor::{Shape3, Tensor};
 
 use crate::exec::{PreparedWeights, SharedExecutor, UnfoldGemmExecutor};
+use crate::split;
 use crate::workspace::ConvScratch;
 use crate::{ConvError, ConvSpec};
 
@@ -370,11 +371,28 @@ impl Layer for ConvLayer {
     }
 }
 
+/// Activations a ReLU forward part must cover before it gets a thread of
+/// its own.
+///
+/// Measured on a 2-vCPU AVX-512 host: one core clamps 1.97 M activations
+/// (the ImageNet-22K net's first ReLU) in 0.72 ms, 0.36 ns each, and an
+/// empty two-task `fork_join` costs ~35 µs (`sgd`'s fold floor was set
+/// against 70 µs), so a part of 512 Ki is ~0.19 ms — five spawns' worth.
+/// At budget 2 that ReLU splits (0.72 → 0.41 ms alone, 1.6 → 1.0 ms in the
+/// forward) and the net's next one, 225 K, does not.
+const RELU_FLOOR: usize = 512 * 1024;
+
 /// Rectified linear unit: `y = max(0, x)`.
 ///
 /// ReLU is the source of the error-gradient sparsity the paper exploits:
 /// wherever the forward activation clamped to zero, the backward gradient
 /// is zeroed too, and trained networks clamp most activations (Fig. 3b).
+///
+/// A forward whose [core budget](ConvScratch::cores) exceeds 1 cuts the
+/// activations into up to that many contiguous ranges, a thread each, when
+/// each range would hold at least `RELU_FLOOR` of them. Every output is
+/// the same `max(x, 0.0)` of its own input whichever thread writes it, so
+/// the bits do not depend on the budget.
 #[derive(Debug, Clone, Copy)]
 pub struct ReluLayer {
     len: usize,
@@ -400,10 +418,8 @@ impl Layer for ReluLayer {
         self.len
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        for (o, &i) in output.iter_mut().zip(input) {
-            *o = i.max(0.0);
-        }
+    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
+        relu(input, output, scratch.cores, RELU_FLOOR);
     }
 
     fn backward(
@@ -421,7 +437,38 @@ impl Layer for ReluLayer {
     }
 }
 
+/// `output = max(input, 0)`, cut into contiguous ranges by the split rule.
+fn relu(input: &[f32], output: &mut [f32], cores: usize, floor: usize) {
+    split::for_each_part(output, 1, input.len(), cores, floor, |first, range| {
+        for (o, &i) in range.iter_mut().zip(&input[first..]) {
+            *o = i.max(0.0);
+        }
+    });
+}
+
+/// Input cells a max-pool part must read before it gets a thread of its
+/// own. Measured as `RELU_FLOOR` is, against the cheaper direction: the
+/// forward row kernel reads the 22K net's first pool, 1.97 M cells, in
+/// 0.51 ms on one core (0.26 ns a cell; the backward takes 0.86 ns), so a
+/// part of 512 Ki cells is ~0.14 ms, four spawns' worth. At budget 2 that
+/// pool splits and the net's second (225 K cells) does not.
+const POOL_FLOOR: usize = 512 * 1024;
+
 /// Non-overlapping max pooling over square windows.
+///
+/// Forward is a row kernel: each output row starts at `-inf` and each of
+/// its window's input rows is folded into it with `f32::max`, so every
+/// output is the maximum over its window taken in `(dy, dx)` order from
+/// `-inf`. Backward sends each output's gradient to the first cell of its
+/// window holding the window's strict maximum (`>` in `(dy, dx)` order);
+/// a window with no cell above `-inf` (all `-inf` or NaN) sends it to its
+/// own first cell.
+///
+/// A call whose [core budget](ConvScratch::cores) exceeds 1 splits the
+/// channel planes into up to that many contiguous runs, a thread each,
+/// when each run would read at least `POOL_FLOOR` input cells. A plane is
+/// the same loop whichever thread runs it and the planes do not share a
+/// cell, so the bits do not depend on the budget.
 #[derive(Debug, Clone, Copy)]
 pub struct MaxPoolLayer {
     in_shape: Shape3,
@@ -468,22 +515,8 @@ impl Layer for MaxPoolLayer {
         self.out_shape().len()
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        let out = self.out_shape();
-        let k = self.window;
-        for c in 0..out.c {
-            for y in 0..out.h {
-                for x in 0..out.w {
-                    let mut best = f32::NEG_INFINITY;
-                    for dy in 0..k {
-                        for dx in 0..k {
-                            best = best.max(input[self.in_shape.index(c, y * k + dy, x * k + dx)]);
-                        }
-                    }
-                    output[out.index(c, y, x)] = best;
-                }
-            }
-        }
+    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
+        self.forward_split(input, output, scratch.cores, POOL_FLOOR);
     }
 
     fn backward(
@@ -493,27 +526,102 @@ impl Layer for MaxPoolLayer {
         grad_out: &[f32],
         grad_in: &mut [f32],
         _param_grads: &mut Tensor,
-        _scratch: &mut ConvScratch,
+        scratch: &mut ConvScratch,
     ) {
-        grad_in.fill(0.0);
-        let out = self.out_shape();
-        let k = self.window;
-        for c in 0..out.c {
-            for y in 0..out.h {
-                for x in 0..out.w {
-                    // Route the gradient to the argmax cell of the window.
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for dy in 0..k {
-                        for dx in 0..k {
-                            let idx = self.in_shape.index(c, y * k + dy, x * k + dx);
-                            if input[idx] > best {
-                                best = input[idx];
-                                best_idx = idx;
+        self.backward_split(input, grad_out, grad_in, scratch.cores, POOL_FLOOR);
+    }
+}
+
+impl MaxPoolLayer {
+    /// [`Layer::forward`] on up to `cores` threads, none reading fewer
+    /// than `floor` input cells.
+    fn forward_split(&self, input: &[f32], output: &mut [f32], cores: usize, floor: usize) {
+        let (ishape, out) = (self.in_shape, self.out_shape());
+        let (in_plane, out_plane) = (ishape.h * ishape.w, out.h * out.w);
+        assert_eq!(input.len(), ishape.len(), "input length");
+        assert_eq!(output.len(), out.len(), "output length");
+        split::for_each_part(output, out_plane, input.len(), cores, floor, |c0, outputs| {
+            let inputs = &input[c0 * in_plane..];
+            // The shipped nets' windows get a copy of the kernel each,
+            // compiled for their width.
+            match self.window {
+                2 => self.forward_planes(2, inputs, outputs),
+                4 => self.forward_planes(4, inputs, outputs),
+                k => self.forward_planes(k, inputs, outputs),
+            }
+        });
+    }
+
+    /// Pools the channel planes `outputs` holds from the planes `inputs`
+    /// starts with; `k` is the window, a literal where it can be.
+    #[inline(always)]
+    fn forward_planes(&self, k: usize, inputs: &[f32], outputs: &mut [f32]) {
+        let (w, out) = (self.in_shape.w, self.out_shape());
+        let in_planes = inputs.chunks_exact(self.in_shape.h * w);
+        for (o_plane, i_plane) in outputs.chunks_exact_mut(out.h * out.w).zip(in_planes) {
+            // Output row `y` folds input rows `y * k .. y * k + k`.
+            for (o_row, band) in o_plane.chunks_exact_mut(out.w).zip(i_plane.chunks_exact(k * w)) {
+                o_row.fill(f32::NEG_INFINITY);
+                for i_row in band.chunks_exact(w) {
+                    for (o, cells) in o_row.iter_mut().zip(i_row.chunks_exact(k)) {
+                        for &v in cells {
+                            *o = o.max(v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Layer::backward`] on up to `cores` threads, none reading fewer
+    /// than `floor` input cells.
+    fn backward_split(
+        &self,
+        input: &[f32],
+        grad_out: &[f32],
+        grad_in: &mut [f32],
+        cores: usize,
+        floor: usize,
+    ) {
+        let (ishape, out) = (self.in_shape, self.out_shape());
+        let (in_plane, out_plane) = (ishape.h * ishape.w, out.h * out.w);
+        assert_eq!(input.len(), ishape.len(), "input length");
+        assert_eq!(grad_in.len(), ishape.len(), "grad_in length");
+        assert_eq!(grad_out.len(), out.len(), "grad_out length");
+        split::for_each_part(grad_in, in_plane, input.len(), cores, floor, |c0, grad_ins| {
+            let (inputs, grad_outs) = (&input[c0 * in_plane..], &grad_out[c0 * out_plane..]);
+            match self.window {
+                2 => self.backward_planes(2, inputs, grad_outs, grad_ins),
+                4 => self.backward_planes(4, inputs, grad_outs, grad_ins),
+                k => self.backward_planes(k, inputs, grad_outs, grad_ins),
+            }
+        });
+    }
+
+    /// Routes the gradients of the planes `grad_outs` starts with into the
+    /// planes `grad_ins` holds, as [`forward_planes`](Self::forward_planes)
+    /// pools.
+    #[inline(always)]
+    fn backward_planes(&self, k: usize, inputs: &[f32], grad_outs: &[f32], grad_ins: &mut [f32]) {
+        let (w, out) = (self.in_shape.w, self.out_shape());
+        let in_plane = self.in_shape.h * w;
+        let planes = inputs.chunks_exact(in_plane).zip(grad_outs.chunks_exact(out.h * out.w));
+        for (g_plane, (i_plane, go_plane)) in grad_ins.chunks_exact_mut(in_plane).zip(planes) {
+            g_plane.fill(0.0);
+            for (y, go_row) in go_plane.chunks_exact(out.w).enumerate() {
+                for (x, &go) in go_row.iter().enumerate() {
+                    // The first strict maximum in (dy, dx) order, or the
+                    // window's first cell if no cell beats -inf.
+                    let first = y * k * w + x * k;
+                    let (mut best, mut best_at) = (f32::NEG_INFINITY, first);
+                    for row in (first..).step_by(w).take(k) {
+                        for (at, &v) in (row..).zip(&i_plane[row..row + k]) {
+                            if v > best {
+                                (best, best_at) = (v, at);
                             }
                         }
                     }
-                    grad_in[best_idx] += grad_out[out.index(c, y, x)];
+                    g_plane[best_at] += go;
                 }
             }
         }
@@ -803,6 +911,137 @@ mod tests {
         assert_eq!(gin.iter().sum::<f32>(), 10.0);
     }
 
+    /// The budgets every split kernel is checked at.
+    const BUDGETS: [usize; 4] = [1, 2, 3, 7];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Inputs salted with the values `max` and `>` treat specially.
+    fn salted(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let special = [f32::NAN, 0.0, -0.0, f32::NEG_INFINITY, f32::INFINITY];
+        (0..len)
+            .map(|i| match rng.gen_range(0..8) {
+                0 => special[i % special.len()],
+                1 => 0.0,
+                2 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    /// The scalar max-pool forward the row kernel replaced.
+    fn pool_forward_oracle(in_shape: Shape3, k: usize, input: &[f32]) -> Vec<f32> {
+        let out = Shape3::new(in_shape.c, in_shape.h / k, in_shape.w / k);
+        let mut output = vec![0.0; out.len()];
+        for c in 0..out.c {
+            for y in 0..out.h {
+                for x in 0..out.w {
+                    let mut best = f32::NEG_INFINITY;
+                    for dy in 0..k {
+                        for dx in 0..k {
+                            best = best.max(input[in_shape.index(c, y * k + dy, x * k + dx)]);
+                        }
+                    }
+                    output[out.index(c, y, x)] = best;
+                }
+            }
+        }
+        output
+    }
+
+    /// The scalar max-pool backward the row kernel replaced, with its
+    /// argmax starting at the window's first cell instead of index 0.
+    fn pool_backward_oracle(
+        in_shape: Shape3,
+        k: usize,
+        input: &[f32],
+        grad_out: &[f32],
+    ) -> Vec<f32> {
+        let out = Shape3::new(in_shape.c, in_shape.h / k, in_shape.w / k);
+        let mut grad_in = vec![0.0; in_shape.len()];
+        for c in 0..out.c {
+            for y in 0..out.h {
+                for x in 0..out.w {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = in_shape.index(c, y * k, x * k);
+                    for dy in 0..k {
+                        for dx in 0..k {
+                            let idx = in_shape.index(c, y * k + dy, x * k + dx);
+                            if input[idx] > best {
+                                best = input[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    grad_in[best_idx] += grad_out[out.index(c, y, x)];
+                }
+            }
+        }
+        grad_in
+    }
+
+    #[test]
+    fn pool_row_kernels_match_the_scalar_loops_at_every_budget() {
+        for k in 1..=4 {
+            // Extents the window divides and extents it leaves a tail of.
+            for (c, h, w) in [(3, 4 * k, 4 * k), (5, 4 * k + 1, 3 * k + k - 1), (2, k, 2 * k + 1)] {
+                let shape = Shape3::new(c, h, w);
+                let pool = MaxPoolLayer::new(shape, k).unwrap();
+                let input = salted(shape.len(), (k * 100 + h) as u64);
+                let grad_out = salted(pool.out_shape().len(), (k * 100 + w) as u64);
+                let want_out = bits(&pool_forward_oracle(shape, k, &input));
+                let want_grad = bits(&pool_backward_oracle(shape, k, &input, &grad_out));
+                for cores in BUDGETS {
+                    let at = (k, c, h, w, cores);
+                    let mut out = vec![f32::NAN; pool.out_shape().len()];
+                    pool.forward_split(&input, &mut out, cores, 1);
+                    assert_eq!(bits(&out), want_out, "forward {at:?}");
+                    let mut grad_in = vec![f32::NAN; shape.len()];
+                    pool.backward_split(&input, &grad_out, &mut grad_in, cores, 1);
+                    assert_eq!(bits(&grad_in), want_grad, "backward {at:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_minus_infinity_window_routes_to_its_own_first_cell() {
+        let shape = Shape3::new(2, 2, 4);
+        let pool = MaxPoolLayer::new(shape, 2).unwrap();
+        // Channel 1's first window holds only -inf and NaN.
+        let mut input: Vec<f32> = (0..shape.len()).map(|i| i as f32).collect();
+        for (y, x) in [(0, 0), (0, 1), (1, 0)] {
+            input[shape.index(1, y, x)] = f32::NEG_INFINITY;
+        }
+        input[shape.index(1, 1, 1)] = f32::NAN;
+        let mut scratch = ConvScratch::new();
+        let mut out = vec![0.0; pool.out_shape().len()];
+        pool.forward(&input, &mut out, &mut scratch);
+        assert_eq!(out[2], f32::NEG_INFINITY);
+        let grad_out = [1.0, 2.0, 3.0, 4.0];
+        let mut grad_in = vec![0.0; shape.len()];
+        pool.backward(&input, &out, &grad_out, &mut grad_in, &mut Tensor::default(), &mut scratch);
+        assert_eq!(grad_in[shape.index(1, 0, 0)], 3.0, "the window's own first cell");
+        assert_eq!(grad_in[0], 0.0, "channel 0's first cell is not in the window");
+        assert_eq!(grad_in.iter().sum::<f32>(), 10.0);
+    }
+
+    #[test]
+    fn relu_split_matches_the_serial_loop_at_every_budget() {
+        for len in [0, 1, 7, 64, 1000] {
+            let input = salted(len, len as u64);
+            let want: Vec<u32> = input.iter().map(|x| x.max(0.0).to_bits()).collect();
+            for cores in BUDGETS {
+                let mut out = vec![f32::NAN; len];
+                relu(&input, &mut out, cores, 1);
+                assert_eq!(bits(&out), want, "len {len}, cores {cores}");
+            }
+        }
+    }
+
     #[test]
     fn maxpool_validates_window() {
         assert!(MaxPoolLayer::new(Shape3::new(1, 4, 4), 0).is_err());
@@ -873,7 +1112,7 @@ mod tests {
         fc.forward(input.as_slice(), &mut serial, &mut ConvScratch::new());
         for cores in [2, 3, 7, 64] {
             let mut split = [f32::NAN; 10];
-            let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+            let mut scratch = ConvScratch::with_cores(cores);
             fc.forward(input.as_slice(), &mut split, &mut scratch);
             assert_eq!(split.map(f32::to_bits), serial.map(f32::to_bits), "cores {cores}");
         }

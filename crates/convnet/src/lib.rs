@@ -45,6 +45,7 @@ pub mod reference;
 pub mod regularize;
 pub mod sgd;
 mod spec;
+mod split;
 pub mod unfold;
 pub mod workspace;
 

@@ -347,7 +347,7 @@ impl Network {
         let workers = threads.min(inputs.len().max(1));
         let classify = |batch: &[Tensor]| {
             let mut trace = SampleTrace::for_network(self);
-            let mut scratch = ConvScratch { cores: threads / workers, ..ConvScratch::new() };
+            let mut scratch = ConvScratch::with_cores(threads / workers);
             let classes = batch.iter().map(|input| {
                 self.forward_sample(input.as_slice(), &mut trace, &mut scratch);
                 argmax(trace.logits())
@@ -609,7 +609,7 @@ mod tests {
                 }
                 for cores in [1, 3] {
                     let at = (i, k, cores);
-                    let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                    let mut scratch = ConvScratch::with_cores(cores);
                     let mut out = vec![f32::NAN; k * m];
                     layer.forward_block(inputs, &mut out, &mut scratch);
                     assert_eq!(bits(&out), bits(&one_out), "forward {at:?}");

@@ -62,6 +62,7 @@ use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::layer::Layer;
 use crate::net::{loss_into, Network};
+use crate::split;
 use crate::workspace::{record_buffers, Workspace};
 
 /// Configuration for [`Trainer`].
@@ -764,25 +765,30 @@ pub fn fold_records<'a, R: AsRef<[Tensor]>>(
         assert_eq!(acc.len(), layer.param_count(), "accumulator shaped for the network");
         layer_records.clear();
         layer_records.extend(records.iter().map(|r| r.as_ref()[l].as_slice()));
-        let ranges = cores.min(acc.len() * records.len() / FORK_FLOOR).max(1);
-        fold_ranges(&**layer, &layer_records, ranges, zero, acc);
+        fold_ranges(&**layer, &layer_records, cores, FORK_FLOOR, zero, acc);
     }
 }
 
-/// One layer's fold: `acc` cut into `ranges` contiguous ranges, a thread
-/// each, every range walked tile by tile.
-fn fold_ranges(layer: &dyn Layer, records: &[&[f32]], ranges: usize, zero: bool, acc: &mut [f32]) {
-    let per_range = acc.len().div_ceil(ranges);
-    spg_sync::fork_join(acc.chunks_mut(per_range).enumerate().map(|(r, range)| {
-        move || {
-            for (t, tile) in range.chunks_mut(FOLD_TILE).enumerate() {
-                if zero {
-                    tile.fill(0.0);
-                }
-                layer.add_grads(records, r * per_range + t * FOLD_TILE, tile);
+/// One layer's fold: `acc` cut into up to `cores` contiguous ranges, none
+/// covering fewer than `floor` element-adds, a thread each, every range
+/// walked tile by tile.
+fn fold_ranges(
+    layer: &dyn Layer,
+    records: &[&[f32]],
+    cores: usize,
+    floor: usize,
+    zero: bool,
+    acc: &mut [f32],
+) {
+    let work = acc.len() * records.len();
+    split::for_each_part(acc, 1, work, cores, floor, |start, range| {
+        for (t, tile) in range.chunks_mut(FOLD_TILE).enumerate() {
+            if zero {
+                tile.fill(0.0);
             }
+            layer.add_grads(records, start + t * FOLD_TILE, tile);
         }
-    }));
+    });
 }
 
 /// Per-batch accumulator, refilled by the [`BatchFold`] every batch.
@@ -1087,15 +1093,15 @@ mod tests {
         let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
         for ranges in [1, 2, 3] {
             let mut acc = vec![f32::NAN; fc.param_count()];
-            fold_ranges(&fc, &records, ranges, true, &mut acc);
+            fold_ranges(&fc, &records, ranges, 1, true, &mut acc);
             assert_eq!(
                 acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want,
                 "{ranges} ranges"
             );
             // The same batch a sample at a time, as the local fold does.
-            fold_ranges(&fc, &records[..1], ranges, true, &mut acc);
-            fold_ranges(&fc, &records[1..], ranges, false, &mut acc);
+            fold_ranges(&fc, &records[..1], ranges, 1, true, &mut acc);
+            fold_ranges(&fc, &records[1..], ranges, 1, false, &mut acc);
             assert_eq!(
                 acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want,

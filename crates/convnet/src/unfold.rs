@@ -12,6 +12,7 @@
 
 use spg_tensor::Matrix;
 
+use crate::split;
 use crate::ConvSpec;
 
 /// Unfolds a CHW input into the patch matrix `U`
@@ -70,35 +71,78 @@ pub fn unfold_into(spec: &ConvSpec, input: &[f32], u: &mut Matrix) {
 /// Panics if `input.len() != spec.input_shape().len()`.
 pub fn unfold_transposed(spec: &ConvSpec, input: &[f32]) -> Matrix {
     let mut ut = Matrix::default();
-    unfold_transposed_into(spec, input, &mut ut);
+    unfold_transposed_into(spec, input, &mut ut, 1);
     ut
 }
 
-/// [`unfold_transposed`] into a caller-owned matrix, reshaped in place.
+/// Elements of `U^T` an unfold part must write before it gets a thread of
+/// its own. Measured on a 2-vCPU AVX-512 host: one core writes the
+/// ImageNet-22K net's GEMM unfolds at 0.55–0.75 ns an element (Table 2's
+/// stride-2 conv1, 2.7 M elements, in 2.0 ms alone and 4.3 ms inside the
+/// forward), and an empty two-task `fork_join` costs ~35 µs, so a part of
+/// 512 Ki elements is ≥ 0.29 ms — eight spawns' worth. At budget 2 conv1's
+/// unfold splits (4.3 → 3.6 ms inside the forward) and those of conv2–4
+/// (291 K – 435 K) do not.
+const UNFOLD_FLOOR: usize = 512 * 1024;
+
+/// [`unfold_transposed`] into a caller-owned matrix, reshaped in place, on
+/// up to `cores` threads.
+///
+/// The rows of `U^T` — one per `(c, ky, kx)` — are cut, whole channels'
+/// rows at a time, into contiguous runs, a thread each, when each run
+/// would write at least `UNFOLD_FLOOR` elements; it is a copy, so the result does not depend on `cores`. At
+/// one core nothing forks.
 ///
 /// # Panics
 ///
 /// Panics if `input.len() != spec.input_shape().len()`.
-pub fn unfold_transposed_into(spec: &ConvSpec, input: &[f32], ut: &mut Matrix) {
+pub fn unfold_transposed_into(spec: &ConvSpec, input: &[f32], ut: &mut Matrix, cores: usize) {
+    unfold_transposed_split(spec, input, ut, cores, UNFOLD_FLOOR);
+}
+
+/// [`unfold_transposed_into`] with its split floor as a parameter.
+fn unfold_transposed_split(
+    spec: &ConvSpec,
+    input: &[f32],
+    ut: &mut Matrix,
+    cores: usize,
+    floor: usize,
+) {
     let ishape = spec.input_shape();
     assert_eq!(input.len(), ishape.len(), "input length");
-    let patches = spec.out_h() * spec.out_w();
+    let (out_w, patches) = (spec.out_w(), spec.out_h() * spec.out_w());
     let patch_len = spec.in_c() * spec.ky() * spec.kx();
     ut.resize(patch_len, patches);
     let (sy, sx, kx_n, ky_n) = (spec.sy(), spec.sx(), spec.kx(), spec.ky());
     let uv = ut.as_mut_slice();
-    for c in 0..spec.in_c() {
-        for ky in 0..ky_n {
-            for kx in 0..kx_n {
-                let urow = ((c * ky_n + ky) * kx_n + kx) * patches;
-                for y in 0..spec.out_h() {
-                    let src = ishape.index(c, y * sy + ky, kx);
-                    for x in 0..spec.out_w() {
-                        uv[urow + y * spec.out_w() + x] = input[src + x * sx];
+    let work = uv.len();
+    // A channel's rows are one item: its `ky * kx` rows of `patches`.
+    let channel_rows = ky_n * kx_n * patches;
+    split::for_each_part(uv, channel_rows, work, cores, floor, |c0, channels| {
+        for (c, rows) in (c0..).zip(channels.chunks_exact_mut(channel_rows)) {
+            for (ky, ky_rows) in rows.chunks_exact_mut(kx_n * patches).enumerate() {
+                for (kx, urow) in ky_rows.chunks_exact_mut(patches).enumerate() {
+                    for (y, dst) in urow.chunks_exact_mut(out_w).enumerate() {
+                        let src = &input[ishape.index(c, y * sy + ky, kx)..];
+                        // Stride 2 gets a copy compiled for its stride.
+                        match sx {
+                            1 => dst.copy_from_slice(&src[..out_w]),
+                            2 => gather(dst, src, 2),
+                            sx => gather(dst, src, sx),
+                        }
                     }
                 }
             }
         }
+    });
+}
+
+/// `dst[x] = src[x * sx]`.
+#[inline(always)]
+fn gather(dst: &mut [f32], src: &[f32], sx: usize) {
+    let src = &src[..(dst.len() - 1) * sx + 1];
+    for (x, d) in dst.iter_mut().enumerate() {
+        *d = src[x * sx];
     }
 }
 
@@ -162,6 +206,53 @@ mod tests {
         let u = unfold(&spec, &input);
         let ut = unfold_transposed(&spec, &input);
         assert_eq!(ut, u.transposed());
+    }
+
+    /// The element-wise loop the row-sliced, split unfold replaced.
+    fn unfold_transposed_oracle(spec: &ConvSpec, input: &[f32]) -> Vec<f32> {
+        let ishape = spec.input_shape();
+        let patches = spec.out_h() * spec.out_w();
+        let (sy, sx, kx_n, ky_n) = (spec.sy(), spec.sx(), spec.kx(), spec.ky());
+        let mut uv = vec![0.0; spec.in_c() * ky_n * kx_n * patches];
+        for c in 0..spec.in_c() {
+            for ky in 0..ky_n {
+                for kx in 0..kx_n {
+                    let urow = ((c * ky_n + ky) * kx_n + kx) * patches;
+                    for y in 0..spec.out_h() {
+                        let src = ishape.index(c, y * sy + ky, kx);
+                        for x in 0..spec.out_w() {
+                            uv[urow + y * spec.out_w() + x] = input[src + x * sx];
+                        }
+                    }
+                }
+            }
+        }
+        uv
+    }
+
+    #[test]
+    fn split_unfold_matches_the_element_loop_at_every_budget() {
+        // The ImageNet-22K convs shrunk (channels, features and sides
+        // capped; kernel and stride kept), plus strides the nets skip.
+        let specs = [
+            ConvSpec::new(3, 19, 19, 8, 7, 7, 2, 2),
+            ConvSpec::new(12, 15, 16, 10, 5, 5, 2, 2),
+            ConvSpec::new(10, 8, 8, 12, 3, 3, 1, 1),
+            ConvSpec::new(12, 7, 9, 12, 3, 3, 1, 1),
+            ConvSpec::new(4, 9, 11, 6, 3, 2, 1, 2),
+            ConvSpec::new(2, 10, 9, 3, 2, 3, 2, 1),
+        ];
+        for spec in specs.map(|s| s.unwrap()) {
+            let input: Vec<f32> =
+                (0..spec.input_shape().len()).map(|i| (i as f32 * 0.37).sin()).collect();
+            let want = unfold_transposed_oracle(&spec, &input);
+            for cores in [1, 2, 3, 7] {
+                let mut ut = Matrix::default();
+                unfold_transposed_split(&spec, &input, &mut ut, cores, 1);
+                let got = ut.as_slice().iter().map(|v| v.to_bits());
+                assert!(got.eq(want.iter().map(|v| v.to_bits())), "{spec:?} at {cores} cores");
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,9 @@ pub fn zeroed_slice(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// its threads among fewer inputs. Layers that can split a sample — a
 /// conv plan proved for `n` regions, the fully-connected layer's rows —
 /// run on `min(n, cores)` threads, and at 1 run the sequential program.
+/// The ReLU, the max-pool and the unfold ahead of a GEMM split their
+/// output over up to `cores` threads when each part carries enough work
+/// to pay for its thread.
 #[derive(Debug)]
 pub struct ConvScratch {
     /// Cores the current call may spend inside one sample (at least 1);
@@ -122,6 +125,19 @@ impl ConvScratch {
     /// core budget of 1.
     pub fn new() -> Self {
         ConvScratch::default()
+    }
+
+    /// Creates an empty scratch with a core budget of `cores`: what a walk
+    /// that owns `cores` cores for one sample hands its layers. (A
+    /// [`new`](ConvScratch::new) scratch runs every layer's sequential
+    /// program.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0`.
+    pub fn with_cores(cores: usize) -> Self {
+        assert!(cores > 0, "a core budget is at least 1");
+        ConvScratch { cores, ..ConvScratch::default() }
     }
 
     /// Pre-grows every geometry-determined buffer for `spec`, so the first

@@ -101,7 +101,7 @@ fn measure_program(
     // One scratch reused across warm-up and all reps: the warm-up run
     // pays the buffer growth, so the timed runs measure the steady-state
     // (allocation-free) path the trainer actually executes.
-    let mut scratch = ConvScratch { cores: budget, ..ConvScratch::new() };
+    let mut scratch = ConvScratch::with_cores(budget);
 
     let mut run = |scratch: &mut ConvScratch| match phase {
         Phase::Forward => program.forward(&input, &weights, &mut output, scratch),

@@ -123,7 +123,7 @@ mod tests {
             // the whole layer on the calling thread.
             for cores in [1, workers.div_ceil(2)] {
                 let mut out = vec![f32::NAN; oracle.len()];
-                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                let mut scratch = ConvScratch::with_cores(cores);
                 exec.forward(&input, &exec.prepared(&weights), &mut out, &mut scratch);
                 assert_eq!(oracle, out, "{spec} {dim:?} x{workers} on {cores} cores {kernel:?}");
             }

@@ -54,7 +54,7 @@ fn workspace_executors_match_reference_on_all_phases() {
         ConvSpec::new(2, 9, 9, 3, 3, 3, 2, 2).unwrap(),
     ];
     // Two cores, so the Parallel-GEMM executor's forward forks too.
-    let mut scratch = ConvScratch { cores: 2, ..ConvScratch::new() };
+    let mut scratch = ConvScratch::with_cores(2);
     let mut oracle_scratch = ConvScratch::new();
     for (si, spec) in specs.iter().enumerate() {
         let (stencil, sparse) = optimized_executors(spec);

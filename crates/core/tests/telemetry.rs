@@ -74,7 +74,7 @@ fn unfold_gemm_counters_match_ait_analytics() {
 
     for (threads, label) in [(1usize, "tel_unfold_gip"), (4, "tel_unfold_pg")] {
         let exec = UnfoldGemmExecutor::new(threads);
-        let mut scratch = ConvScratch { cores: threads, ..ConvScratch::new() };
+        let mut scratch = ConvScratch::with_cores(threads);
         let fwd = record_under(label, Phase::Forward, || {
             exec.forward(&spec, &input, &weights, &mut output, &mut scratch);
         });

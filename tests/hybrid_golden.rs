@@ -103,7 +103,7 @@ fn hybrid_outputs_bit_identical_on_table2() {
             // running runs of neighbouring bands.
             for cores in [WORKERS, 3] {
                 let mut banded = vec![0f32; spec.output_shape().len()];
-                let mut scratch = ConvScratch { cores, ..ConvScratch::new() };
+                let mut scratch = ConvScratch::with_cores(cores);
                 exec.forward(&input, &prepared, &mut banded, &mut scratch);
                 assert_eq!(
                     oracle,

@@ -15,9 +15,10 @@ use std::time::Duration;
 use spg_cnn::check::BackwardPlan;
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::data::Dataset;
-use spg_cnn::convnet::layer::ConvLayer;
+use spg_cnn::convnet::layer::{ConvLayer, Layer, MaxPoolLayer, ReluLayer};
+use spg_cnn::convnet::unfold::unfold_transposed_into;
 use spg_cnn::convnet::workspace::ConvScratch;
-use spg_cnn::convnet::{Engine, LayerAlgo, TrainerConfig};
+use spg_cnn::convnet::{ConvSpec, Engine, LayerAlgo, TrainerConfig};
 use spg_cnn::core::backend::AlgoChoice;
 use spg_cnn::core::compiled::CompiledConv;
 use spg_cnn::core::config::NetworkDescription;
@@ -25,6 +26,7 @@ use spg_cnn::core::schedule::{LayerPlan, Technique};
 use spg_cnn::core::verify::lower;
 use spg_cnn::serve::{ServeConfig, Server};
 use spg_cnn::sync::fork_join_spawns;
+use spg_cnn::tensor::{Shape3, Tensor};
 
 static SPAWN_COUNT: Mutex<()> = Mutex::new(());
 
@@ -160,6 +162,41 @@ fn a_compiled_layer_runs_its_backward_on_its_own_cores() {
     assert_eq!(forks, 2 * (WORKERS as u64 - 1), "one band thread per backward GEMM");
     assert_eq!(serial_forks, 0);
     assert_eq!((gin, gw), (gin_serial, gw_serial), "the bits do not depend on the cores");
+}
+
+/// The threads a ReLU, a max-pool (both phases) and a stride-2 unfold
+/// over `shape` fork at `cores`.
+fn elementwise_forks(shape: Shape3, cores: usize) -> u64 {
+    let relu = ReluLayer::new(shape.len());
+    let pool = MaxPoolLayer::new(shape, 2).expect("valid pool");
+    let spec = ConvSpec::new(shape.c, shape.h, shape.w, 1, 3, 3, 2, 2).expect("valid spec");
+    let input: Vec<f32> = (0..shape.len()).map(|i| (i % 7) as f32 - 3.0).collect();
+    let mut scratch = ConvScratch::with_cores(cores);
+    let mut activations = vec![0.0; shape.len()];
+    let mut pooled = vec![0.0; pool.output_len()];
+    let mut grad_in = vec![0.0; shape.len()];
+    let before = fork_join_spawns();
+    relu.forward(&input, &mut activations, &mut scratch);
+    pool.forward(&activations, &mut pooled, &mut scratch);
+    let grad_out = pooled.clone();
+    let mut none = Tensor::default();
+    pool.backward(&activations, &pooled, &grad_out, &mut grad_in, &mut none, &mut scratch);
+    unfold_transposed_into(&spec, &input, &mut scratch.mat_a, scratch.cores);
+    fork_join_spawns() - before
+}
+
+/// The layers between the convs follow the budget as the convs do: at
+/// budget 1 a ReLU, a max-pool and an unfold fork nothing however large,
+/// and at budget 2 one below its split floor forks nothing either.
+#[test]
+fn relu_pool_and_unfold_fork_only_above_budget_one_and_their_floor() {
+    let _turn = serialized();
+    // 2.1 M activations, 4.7 M unfolded elements: above every floor.
+    let large = Shape3::new(8, 512, 512);
+    let small = Shape3::new(6, 24, 24);
+    assert_eq!(elementwise_forks(large, 1), 0, "a one-core walk forks nothing");
+    assert_eq!(elementwise_forks(small, 2), 0, "below the floor nothing forks");
+    assert_eq!(elementwise_forks(large, 2), 4, "one thread per call above the floor");
 }
 
 #[test]
