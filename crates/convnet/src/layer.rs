@@ -168,6 +168,12 @@ pub trait Layer: Send + Sync + fmt::Debug {
         None
     }
 
+    /// Access as a [`ConvLayer`], for convolution layers only: what a
+    /// caller reads of the executors a network has installed.
+    fn as_conv(&self) -> Option<&ConvLayer> {
+        None
+    }
+
     /// Mutable access as a [`ConvLayer`], for convolution layers only.
     /// The spg-CNN framework uses this to swap executors on a built
     /// network when re-tuning between epochs (Sec. 4.4).
@@ -354,6 +360,10 @@ impl Layer for ConvLayer {
 
     fn conv_spec(&self) -> Option<&ConvSpec> {
         Some(&self.spec)
+    }
+
+    fn as_conv(&self) -> Option<&ConvLayer> {
+        Some(self)
     }
 
     fn as_conv_mut(&mut self) -> Option<&mut ConvLayer> {

@@ -208,8 +208,17 @@ impl Network {
     }
 
     /// One sample's forward pass: copies `input` into a one-sample
-    /// `trace` and walks it.
-    pub(crate) fn forward_sample(
+    /// `trace` (see [`SampleTrace::for_network`]) and walks it, every
+    /// layer staging through `scratch` at its [core
+    /// budget](ConvScratch::cores). The logits are `trace.logits()`. A
+    /// caller that serves many samples keeps one trace and one scratch
+    /// and allocates nothing once they are warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len() != self.input_len()` or `trace` is not
+    /// shaped for one sample of this network.
+    pub fn forward_sample(
         &self,
         input: &[f32],
         trace: &mut SampleTrace,

@@ -10,11 +10,13 @@
 //! [`ForwardPlan`] / [`BackwardPlan`] — and its `prepare` is the only
 //! place that knows which weight permutation such a plan reads. Both
 //! entry points are those four functions over a [`PreparedWeights`]:
-//! training installs [`ConvProgram::executor_for`] on a [`ConvLayer`],
-//! which owns the prepared weights and refreshes them per update through
-//! the [`ConvExecutor`] seam; serving holds a [`CompiledConv`] — program,
-//! plan and its own prepared weights, refreshed by
-//! [`set_weights`](CompiledConv::set_weights).
+//! a network — trained, run or served — installs
+//! [`ConvProgram::executor_for`] on a [`ConvLayer`], which owns the
+//! prepared weights and refreshes them per update through the
+//! [`ConvExecutor`] seam; a [`CompiledConv`] — program, plan and its own
+//! prepared weights, refreshed by
+//! [`set_weights`](CompiledConv::set_weights) — runs one layer on its
+//! own, for measurement and rendering.
 
 use std::fmt;
 use std::sync::Arc;
@@ -361,8 +363,8 @@ impl ConvExecutor for PlanExecutor {
 /// number of samples — what a [`ConvLayer`] with the program installed in
 /// both slots holds, without the layer. Without a walker, too: a compiled
 /// layer runs all three phases on the cores it was compiled for
-/// ([`ConvProgram::cores`]) — a serving worker compiles at 1 and stays on
-/// its thread, a `cores`-wide compile of a lone layer uses them all.
+/// ([`ConvProgram::cores`]) — a compile at 1 stays on its thread, a
+/// `cores`-wide compile of a lone layer uses them all.
 ///
 /// # Example
 ///

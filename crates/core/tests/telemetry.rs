@@ -133,9 +133,9 @@ fn stencil_counters_match_arithmetic_ops() {
 }
 
 /// A narrow-output stencil forward records its flops on both ways to run
-/// it: a `CompiledConv` (every served request — this reported 0 while the
-/// accounting sat in a raw-weights wrapper serving never called) and the
-/// executor installed on a `ConvLayer`.
+/// it: a `CompiledConv` (this reported 0 while the accounting sat in a
+/// raw-weights wrapper the compiled layer never called) and the executor
+/// installed on a `ConvLayer` (every served request).
 #[test]
 fn narrow_stencil_records_flops_compiled_and_installed() {
     let spec = ConvSpec::square(8, 6, 4, 5, 1); // 4x4 output

@@ -8,21 +8,24 @@
 //! * single-sample requests land on a bounded MPMC [`queue`];
 //! * each persistent worker pops a request and gathers a dynamic
 //!   micro-batch (up to `max_batch` requests or `max_delay` of waiting);
-//! * every worker owns one warm
-//!   [`ConvScratch`](spg_convnet::workspace::ConvScratch) and runs one
-//!   single-threaded autotuner-selected
-//!   [`CompiledConv`](spg_core::compiled::CompiledConv) per convolution
-//!   layer — compiled once at startup and shared by the pool — so the
-//!   steady-state request path allocates nothing and pays no
+//! * every worker owns one warm one-sample
+//!   [`SampleTrace`](spg_convnet::SampleTrace) and
+//!   [`ConvScratch`](spg_convnet::workspace::ConvScratch) and runs each
+//!   request through the network's own forward walk
+//!   ([`Network::forward_sample`](spg_convnet::Network::forward_sample))
+//!   at a core budget of one — the executors the autotuner installed on
+//!   the shared network, with no second compiled copy of any layer — so
+//!   the steady-state request path allocates nothing and pays no
 //!   weight-transform cost;
 //! * a full queue *rejects* ([`ServeError::Rejected`] /
 //!   [`ServeError::Timeout`]) instead of buffering unbounded work, and
 //!   shutdown drains every accepted request before the workers exit.
 //!
 //! Per-request latency and per-batch histograms are recorded through
-//! `spg_telemetry` (`serve.request` / `serve.batch` labels), and each
-//! worker's kernel flops accumulate under its `serve-worker{i}` scope,
-//! giving per-worker goodput in the metrics document.
+//! `spg_telemetry` (`serve.request` / `serve.batch` labels). Each
+//! worker's wall time accumulates under its `serve-worker{i}` scope; the
+//! kernels' flops land in the walk's per-layer forward scopes (`conv0`,
+//! `relu1`, ...), as in every other forward.
 //!
 //! Workers are *supervised*: a panic inside a micro-batch fails only that
 //! batch (its requests get [`ServeError::WorkerFault`]) and the worker

@@ -2,9 +2,10 @@
 //!
 //! Requests enter on a bounded MPMC queue; each of `workers` persistent
 //! threads pops a request, gathers more until `max_batch` or `max_delay`
-//! elapses, then runs the whole micro-batch through its own warm
-//! single-threaded kernels — the serving analogue of GEMM-in-Parallel:
-//! instead of one multi-threaded kernel per request, many independent
+//! elapses, then runs each request of the micro-batch through the
+//! network's own forward walk ([`Network::forward_sample`]) at a core
+//! budget of one — the serving analogue of GEMM-in-Parallel: instead of
+//! one multi-threaded kernel per request, many independent
 //! single-threaded pipelines preserve per-core arithmetic intensity.
 //!
 //! # Fault isolation & supervision
@@ -14,26 +15,25 @@
 //! [`std::panic::catch_unwind`]: a panicking kernel fails only that
 //! batch — its requests get a typed [`ServeError::WorkerFault`] reply —
 //! and ends the incarnation; the next one starts with a fresh
-//! [`ConvScratch`] and fresh activation buffers, up to
+//! [`ConvScratch`] and a fresh one-sample [`SampleTrace`], up to
 //! [`ServeConfig::restart_budget`] restarts with exponential backoff.
-//! The compiled kernels are immutable (`forward_scratch` takes `&self`),
-//! so they are compiled once in [`Server::start`] and shared by every
-//! worker and incarnation; only what a panic can leave torn is rebuilt.
+//! The network is immutable behind its [`Arc`] (the forward walk takes
+//! `&self`), so every worker and incarnation shares it; only what a
+//! panic can leave torn is rebuilt.
 //! Lock handling everywhere in this crate recovers from poisoning (see
 //! [`spg_sync`]), so one crash never cascades into process-wide aborts.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use spg_convnet::layer::ConvLayer;
 use spg_convnet::workspace::ConvScratch;
-use spg_convnet::Network;
-use spg_core::backend::AlgoChoice;
-use spg_core::compiled::CompiledConv;
-use spg_core::schedule::{recommended_plan, LayerPlan};
+use spg_convnet::{Network, SampleTrace};
+use spg_core::schedule::{LayerPlan, Technique};
+use spg_error::{Error, ErrorKind};
 use spg_sync::{deadline_after, FaultInjector, FaultPlan, Restarts};
 
 use crate::queue::{BoundedQueue, PushError};
@@ -41,7 +41,7 @@ use crate::queue::{BoundedQueue, PushError};
 /// Configuration for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads, each owning warm per-layer kernels and scratch.
+    /// Worker threads, each owning a warm activation trace and scratch.
     pub workers: usize,
     /// Maximum requests per micro-batch.
     pub max_batch: usize,
@@ -193,8 +193,11 @@ struct PoolStats {
 }
 
 /// The batched inference server: a bounded request queue feeding a pool
-/// of persistent workers, each owning one warm [`ConvScratch`] and sharing
-/// one compiled kernel per convolution layer.
+/// of persistent workers that share one network and each own one warm
+/// one-sample [`SampleTrace`] and [`ConvScratch`]. A worker runs every
+/// request through the network's own forward walk at a core budget of
+/// one — the kernels the network has installed, with no second compiled
+/// copy of any layer.
 ///
 /// Dropping the server performs the same graceful shutdown as
 /// [`shutdown`](Self::shutdown): the queue closes, in-flight and queued
@@ -207,20 +210,22 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts `config.workers` worker threads serving `net`.
+    /// Starts `config.workers` worker threads serving `net` as it is:
+    /// each request runs the forward executors installed on `net` (by
+    /// `Framework::plan_network_forward`, say) through
+    /// [`Network::forward_sample`] at a core budget of one, so the served
+    /// logits are the bits [`Network::forward`] returns. A program lowered
+    /// for more cores runs its sequential program.
     ///
-    /// `plans` maps convolution-layer indices to their autotuned
-    /// [`LayerPlan`]s (as returned by
-    /// `Framework::plan_network_forward`); conv layers without an entry
-    /// fall back to the paper's heuristic plan. One single-threaded
-    /// [`CompiledConv`] per conv layer is compiled here and shared by every
-    /// worker — weight transforms are paid once per server, never per
-    /// worker, respawn or request.
+    /// `plans` is what the caller installed, as that call returned it:
+    /// it is checked, not compiled. Conv layers it does not name are
+    /// served with whatever executor they hold.
     ///
     /// # Errors
     ///
-    /// Returns [`spg_error::ErrorKind::InvalidNetwork`] if a conv layer's
-    /// weights cannot be compiled.
+    /// Returns [`ErrorKind::InvalidNetwork`] if an entry of `plans` names
+    /// a layer that is not a convolution, or a convolution whose installed
+    /// forward executor does not run the entry's forward technique.
     ///
     /// # Panics
     ///
@@ -230,11 +235,11 @@ impl Server {
         net: Arc<Network>,
         plans: &[(usize, LayerPlan)],
         config: ServeConfig,
-    ) -> Result<Self, spg_error::Error> {
+    ) -> Result<Self, Error> {
         assert!(config.workers > 0, "worker count must be positive");
         assert!(config.max_batch > 0, "max batch must be positive");
-        let plan_by_layer: HashMap<usize, LayerPlan> = plans.iter().copied().collect();
-        let kernels = Arc::new(compile_kernels(&net, &plan_by_layer)?);
+        check_plans(&net, plans)?;
+        record_decisions(&net);
 
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let input_len = net.input_len();
@@ -254,7 +259,6 @@ impl Server {
                 let net = Arc::clone(&net);
                 let queue = Arc::clone(&queue);
                 let stats = Arc::clone(&stats);
-                let kernels = Arc::clone(&kernels);
                 let injector = injector.clone();
                 let config = config.clone();
                 let restarts =
@@ -266,7 +270,7 @@ impl Server {
                     // requests are never lost unless every slot retires.
                     let _ = spg_sync::supervise(
                         restarts,
-                        || worker_loop(w, &net, &kernels, &queue, &config, &stats, &injector),
+                        || worker_loop(w, &net, &queue, &config, &stats, &injector),
                         |_, ()| {
                             stats.restarts.bump();
                             spg_telemetry::record_counter("serve.worker_restarts", 1);
@@ -370,45 +374,55 @@ impl Drop for Server {
     }
 }
 
-/// Compiles one single-threaded kernel per convolution layer, indexed by
-/// layer position (`None` for non-conv layers), and records one telemetry
-/// decision per conv layer naming the algorithm its compiled program runs
-/// (schema minor 6; a no-op when telemetry is disabled).
-fn compile_kernels(
-    net: &Network,
-    plan_by_layer: &HashMap<usize, LayerPlan>,
-) -> Result<Vec<Option<CompiledConv>>, spg_error::Error> {
-    net.layers()
-        .iter()
-        .enumerate()
-        .map(|(i, layer)| {
-            let Some(spec) = layer.conv_spec() else { return Ok(None) };
-            let plan =
-                plan_by_layer.get(&i).copied().unwrap_or_else(|| recommended_plan(spec, 0.0));
-            let weights = layer.params().expect("conv layers expose parameters");
-            // cores = 1: each serving worker is one independent
-            // single-threaded pipeline (the GEMM-in-Parallel analogue).
-            let compiled = CompiledConv::compile(*spec, plan, weights, 1)?;
-            spg_telemetry::record_decision(spg_telemetry::Decision {
-                label: format!("serve-conv{i}"),
-                phase: spg_telemetry::Phase::Forward,
-                chosen: plan.forward.id().to_string(),
-                sparsity: 0.0,
-                cores: 1,
-                candidates: Vec::new(),
-                rejected: Vec::new(),
-                kernel: None,
-                backend: Some("cpu".to_string()),
-                algo: Some(AlgoChoice::of(compiled.program()).id()),
-                partition: Some(compiled.program().partition().to_string()),
-            });
-            Ok(Some(compiled))
-        })
-        .collect()
+/// The forward technique `conv`'s installed executor runs.
+fn installed_forward(conv: &ConvLayer) -> Technique {
+    if conv.executor_names().0 == Technique::StencilFp.id() {
+        Technique::StencilFp
+    } else {
+        Technique::GemmInParallel
+    }
 }
 
-/// One worker incarnation, with its own fresh scratch and activation
-/// buffers: pop one request, gather a micro-batch until `max_batch` or
+/// Checks that each `(i, plan)` names a convolution layer of `net` whose
+/// installed forward executor runs `plan.forward`.
+fn check_plans(net: &Network, plans: &[(usize, LayerPlan)]) -> Result<(), Error> {
+    for &(i, plan) in plans {
+        let installed =
+            net.layers().get(i).and_then(|layer| layer.as_conv()).map(installed_forward);
+        if installed != Some(plan.forward) {
+            let runs = installed.map_or("no convolution", Technique::id);
+            let message =
+                format!("a {} plan names layer {i}, which runs {runs}", plan.forward.id());
+            return Err(Error::new(ErrorKind::InvalidNetwork, message));
+        }
+    }
+    Ok(())
+}
+
+/// Records one telemetry decision per convolution layer naming the
+/// forward technique its installed executor runs — one sample on one core
+/// (a no-op when telemetry is disabled).
+fn record_decisions(net: &Network) {
+    for (i, layer) in net.layers().iter().enumerate() {
+        let Some(conv) = layer.as_conv() else { continue };
+        spg_telemetry::record_decision(spg_telemetry::Decision {
+            label: format!("serve-conv{i}"),
+            phase: spg_telemetry::Phase::Forward,
+            chosen: installed_forward(conv).id().to_string(),
+            sparsity: 0.0,
+            cores: 1,
+            candidates: Vec::new(),
+            rejected: Vec::new(),
+            kernel: None,
+            backend: Some("cpu".to_string()),
+            algo: None,
+            partition: Some("sample".to_string()),
+        });
+    }
+}
+
+/// One worker incarnation, with its own fresh scratch and one-sample
+/// trace: pop one request, gather a micro-batch until `max_batch` or
 /// `max_delay`, run it inside a panic boundary, reply, repeat until the
 /// queue is closed and drained (`Ok`) or a batch panics (`Err`: its
 /// requests were failed with [`ServeError::WorkerFault`] and this
@@ -416,23 +430,15 @@ fn compile_kernels(
 fn worker_loop(
     worker: usize,
     net: &Network,
-    kernels: &[Option<CompiledConv>],
     queue: &BoundedQueue<Request>,
     config: &ServeConfig,
     stats: &PoolStats,
     injector: &FaultInjector,
 ) -> Result<(), ()> {
     let label = format!("serve-worker{worker}");
+    // Budget 1: this worker is one of the pool's single-core pipelines.
     let mut scratch = ConvScratch::new();
-    // Ping-pong activation buffers sized for the widest layer boundary.
-    let buf_len = net
-        .layers()
-        .iter()
-        .flat_map(|l| [l.input_len(), l.output_len()])
-        .max()
-        .unwrap_or(net.input_len());
-    let mut cur = vec![0.0f32; buf_len];
-    let mut next = vec![0.0f32; buf_len];
+    let mut trace = SampleTrace::for_network(net);
     let mut batch: Vec<Request> = Vec::with_capacity(config.max_batch);
     let mut batch_index: u64 = 0;
 
@@ -456,15 +462,15 @@ fn worker_loop(
         // so a request never observes both a response and a fault.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             injector.check(worker, batch_index);
-            // One telemetry scope per micro-batch: kernels attribute
-            // their flops to the innermost scope, so this bucket
-            // accumulates the worker's goodput for the whole run.
+            // One telemetry scope per micro-batch: it accumulates the
+            // worker's wall time; the kernels' flops land in the walk's
+            // per-layer scopes inside it.
             let _scope = spg_telemetry::scope(&label, spg_telemetry::Phase::Forward);
             let mut replies = Vec::with_capacity(batch_size);
             for request in batch.iter() {
-                let class =
-                    forward_sample(net, kernels, &request.input, &mut cur, &mut next, &mut scratch);
-                let logits = cur[..net.output_len()].to_vec();
+                net.forward_sample(&request.input, &mut trace, &mut scratch);
+                let logits = trace.logits().as_slice().to_vec();
+                let class = argmax(&logits);
                 replies.push((logits, class));
             }
             replies
@@ -511,78 +517,58 @@ fn worker_loop(
     Ok(())
 }
 
-/// Runs one sample through the layer chain, leaving the logits in
-/// `cur[..net.output_len()]` and returning the argmax class (identical
-/// tie-breaking to `Network::predict`: first maximum wins).
-fn forward_sample(
-    net: &Network,
-    kernels: &[Option<CompiledConv>],
-    input: &[f32],
-    cur: &mut Vec<f32>,
-    next: &mut Vec<f32>,
-    scratch: &mut ConvScratch,
-) -> usize {
-    cur[..input.len()].copy_from_slice(input);
-    for (layer, kernel) in net.layers().iter().zip(kernels) {
-        let (in_len, out_len) = (layer.input_len(), layer.output_len());
-        match kernel {
-            Some(compiled) => {
-                compiled.forward_scratch(&cur[..in_len], &mut next[..out_len], scratch)
-            }
-            None => layer.forward(&cur[..in_len], &mut next[..out_len], scratch),
-        }
-        std::mem::swap(cur, next);
-    }
-    let logits = &cur[..net.output_len()];
-    let mut best = 0;
-    for i in 1..logits.len() {
-        if logits[i] > logits[best] {
-            best = i;
-        }
-    }
-    best
+/// Index of the largest logit, the first on ties (as
+/// [`Network::predict`] breaks them).
+fn argmax(logits: &[f32]) -> usize {
+    (1..logits.len()).fold(0, |best, i| if logits[i] > logits[best] { i } else { best })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spg_core::backend::{ConvDescriptor, CpuBackend};
+    use spg_convnet::exec::UnfoldGemmExecutor;
+    use spg_core::autotune::{Framework, TuningMode};
     use spg_core::config::NetworkDescription;
 
-    /// Each `serve-conv{i}` decision names the algorithm of the kernel the
-    /// workers run, spelled as `CpuBackend::algo_for` spells it, and the
-    /// `"cpu"` backend.
+    /// Each `serve-conv{i}` decision names the forward technique of the
+    /// executor installed on layer `i` — what the workers run, one sample
+    /// on one core.
     #[test]
-    fn serve_decisions_name_the_algorithm_each_kernel_runs() {
-        const SMOKE: &str = r#"
-            name: "smoke"
+    fn serve_decisions_name_the_installed_executor() {
+        const TWO_CONVS: &str = r#"
+            name: "two-convs"
             input { channels: 1 height: 8 width: 8 }
             conv { features: 4 kernel: 3 stride: 1 }
             relu { }
-            pool { window: 2 }
+            conv { features: 2 kernel: 3 stride: 1 }
             fc { outputs: 3 }
         "#;
-        let net = NetworkDescription::parse(SMOKE).expect("parses").build(42).expect("builds");
+        let mut net =
+            NetworkDescription::parse(TWO_CONVS).expect("parses").build(42).expect("builds");
+        Framework::new(1, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+        let conv2 = net.layers_mut()[2].as_conv_mut().expect("layer 2 is a conv");
+        conv2.set_forward_executor(Arc::new(UnfoldGemmExecutor::default()));
         spg_telemetry::reset();
         spg_telemetry::set_enabled(true);
-        let kernels = compile_kernels(&net, &HashMap::new()).expect("smoke net compiles");
+        record_decisions(&net);
         spg_telemetry::set_enabled(false);
         let decisions = spg_telemetry::snapshot().decisions;
-        let mut logged = Vec::new();
-        for (i, kernel) in kernels.iter().enumerate() {
-            let Some(kernel) = kernel else { continue };
+        let mut rows = Vec::new();
+        for (i, layer) in net.layers().iter().enumerate() {
+            let Some(conv) = layer.as_conv() else { continue };
             let label = format!("serve-conv{i}");
             let decision = decisions.iter().find(|d| d.label == label).expect("one per conv");
-            let algo = decision.algo.clone().expect("serve decisions name an algo");
-            assert_eq!(algo, AlgoChoice::of(kernel.program()).id(), "{label}");
-            let routed =
-                CpuBackend::new().algo_for(&ConvDescriptor::new(*kernel.spec(), 1), kernel.plan());
-            assert_eq!(algo, routed.id(), "{label}");
+            assert_eq!((decision.cores, decision.algo.as_deref()), (1, None), "{label}");
+            assert_eq!(decision.partition.as_deref(), Some("sample"), "{label}");
             assert_eq!(decision.backend.as_deref(), Some("cpu"), "{label}");
-            logged.push(algo);
+            rows.push((conv.executor_names().0, decision.chosen.clone()));
         }
-        // The 6-wide output lowers to the narrow stencil: no instance binds.
-        assert_eq!(logged, ["stencil-fp+gemm-in-parallel/generic"]);
+        let named = |executor: &str, chosen: &str| (executor.to_string(), chosen.to_string());
+        // The 6-wide output plans the narrow stencil; layer 2 was reset.
+        assert_eq!(
+            rows,
+            [named("stencil-fp", "stencil-fp"), named("unfold+gemm", "gemm-in-parallel")]
+        );
     }
 
     /// Regression: `start + Duration::MAX` panicked in the submitter. An

@@ -11,6 +11,8 @@ use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
 use spg_convnet::workspace::Workspace;
 use spg_convnet::{ConvSpec, Network};
 use spg_core::autotune::{Framework, TuningMode};
+use spg_core::schedule::{LayerPlan, Technique};
+use spg_error::ErrorKind;
 use spg_serve::{ServeConfig, ServeError, Server};
 
 /// conv -> relu -> fc classifier over 8x8x2 inputs.
@@ -32,24 +34,31 @@ fn sample_input(len: usize, salt: usize) -> Vec<f32> {
 
 /// The acceptance-criteria core: for every worker count and batch size,
 /// per-request logits from the batched server are bit-identical to the
-/// single-sample forward pass on the same (tuned) network.
+/// single-sample forward pass on the same network — tuned, or served as
+/// built with no plans.
 #[test]
 fn batched_serving_is_bit_identical_to_unbatched_forward() {
-    let mut net = build_network(42);
+    let mut planned = build_network(42);
     // Plan forward executors exactly as the serving CLI does: cores = 1,
     // the single-threaded-kernel-per-worker schedule.
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
-    let net = Arc::new(net);
+    let plans = framework.plan_network_forward(&mut planned);
+    // The unplanned net runs the executors it was built with.
+    let cases = [(Arc::new(planned), plans), (Arc::new(build_network(42)), Vec::new())];
+    for (net, plans) in &cases {
+        serves_bit_identical_logits(net, plans);
+    }
+}
 
+fn serves_bit_identical_logits(net: &Arc<Network>, plans: &[(usize, LayerPlan)]) {
     // Reference logits from the unbatched path.
-    let mut ws = Workspace::for_network(&net);
+    let mut ws = Workspace::for_network(net);
     let inputs: Vec<Vec<f32>> = (0..24).map(|s| sample_input(net.input_len(), s)).collect();
-    let expected: Vec<Vec<f32>> = inputs
+    let expected: Vec<Vec<u32>> = inputs
         .iter()
         .map(|input| {
             net.forward_into(input, &mut ws);
-            ws.trace.logits().as_slice().to_vec()
+            ws.trace.logits().iter().map(|v| v.to_bits()).collect()
         })
         .collect();
 
@@ -62,7 +71,7 @@ fn batched_serving_is_bit_identical_to_unbatched_forward() {
                 queue_capacity: 64,
                 ..ServeConfig::default()
             };
-            let server = Server::start(Arc::clone(&net), &plans, config).unwrap();
+            let server = Server::start(Arc::clone(net), plans, config).unwrap();
             let pending: Vec<_> = inputs
                 .iter()
                 .map(|input| {
@@ -73,9 +82,13 @@ fn batched_serving_is_bit_identical_to_unbatched_forward() {
                 .collect();
             for (i, p) in pending.into_iter().enumerate() {
                 let response = p.wait().expect("worker alive");
+                let bits: Vec<u32> = response.logits.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(
-                    response.logits, expected[i],
-                    "workers={workers} max_batch={max_batch} request {i}: logits diverged"
+                    bits,
+                    expected[i],
+                    "{} plans, workers={workers} max_batch={max_batch} request {i}: \
+                     logits diverged",
+                    plans.len()
                 );
                 assert!(response.batch_size >= 1 && response.batch_size <= max_batch);
                 assert!(response.worker < workers);
@@ -83,6 +96,27 @@ fn batched_serving_is_bit_identical_to_unbatched_forward() {
             server.shutdown();
         }
     }
+}
+
+/// `plans` is checked against the executors `net` has installed: an entry
+/// for a layer that is no convolution, or for a technique the layer's
+/// forward executor does not run, is an invalid network.
+#[test]
+fn start_rejects_plans_the_network_does_not_run() {
+    // Built, not planned: layer 0 runs unfold+gemm, layer 1 is a ReLU.
+    let net = Arc::new(build_network(42));
+    let stencil = LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
+    let gemm = LayerPlan { forward: Technique::GemmInParallel, ..stencil };
+    for (plans, why) in [
+        ([(1, gemm)], "layer 1 is a ReLU"),
+        ([(3, gemm)], "the net has three layers"),
+        ([(0, stencil)], "layer 0 runs unfold+gemm"),
+    ] {
+        let e = Server::start(Arc::clone(&net), &plans, ServeConfig::default()).err().expect(why);
+        assert_eq!(e.kind(), ErrorKind::InvalidNetwork, "{why}: {e}");
+    }
+    // The plan the layer does run is accepted.
+    Server::start(net, &[(0, gemm)], ServeConfig::default()).expect("layer 0 runs gemm").shutdown();
 }
 
 /// Backpressure: a full queue must reject immediately (`try_submit`) and

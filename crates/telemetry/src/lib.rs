@@ -172,10 +172,10 @@ pub struct Decision {
     /// `"cpu"`; `"sim"` is never written. Schema minor 6; `None` in
     /// documents from older writers.
     pub backend: Option<String>,
-    /// Backend algorithm identifier the decision chose or compiled (e.g.
-    /// `"stencil-fp/specialized"` from the autotuner,
-    /// `"stencil-fp+sparse-bp/avx2"` from a serve kernel compile). Schema
-    /// minor 6; `None` in documents from older writers.
+    /// Backend algorithm identifier the decision chose (e.g.
+    /// `"stencil-fp/specialized"` from the autotuner). Schema minor 6;
+    /// `None` in documents from older writers and on `serve-conv{i}` rows,
+    /// whose installed executors do not expose the bound kernel.
     pub algo: Option<String>,
     /// The dimension the chosen technique's lowered forward plan splits
     /// one sample along: `"sample"` (no split), `"y-band"` or

@@ -76,7 +76,8 @@ fn forward_bits_do_not_depend_on_the_worker_count() {
                 assert_eq!(engine.infer(&batch), want, "{bench:?} x{workers}, {count} inputs");
             }
 
-            // Serving workers compile the same plans at one core each.
+            // Serving workers run the same walk over the same installed
+            // plans, at one core each.
             let config = ServeConfig {
                 workers,
                 max_batch: 2,

@@ -19,6 +19,7 @@ use spg_cnn::convnet::layer::{ConvLayer, Layer, MaxPoolLayer, ReluLayer};
 use spg_cnn::convnet::unfold::unfold_transposed_into;
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{ConvSpec, Engine, LayerAlgo, TrainerConfig};
+use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::backend::AlgoChoice;
 use spg_cnn::core::compiled::CompiledConv;
 use spg_cnn::core::config::NetworkDescription;
@@ -199,12 +200,16 @@ fn relu_pool_and_unfold_fork_only_above_budget_one_and_their_floor() {
     assert_eq!(elementwise_forks(large, 2), 4, "one thread per call above the floor");
 }
 
+/// A net planned for the pool's cores is served at budget 1: whatever its
+/// programs split, a serving worker runs their sequential form.
 #[test]
 fn a_serving_worker_forks_nothing() {
     let _turn = serialized();
     let desc = NetworkDescription::parse(NET).expect("description parses");
-    let net = desc.build(23).expect("description builds");
-    // Workers compile their plans for the one core each of them owns.
+    let mut net = desc.build(23).expect("description builds");
+    // Plans lowered for the pool's cores; each worker walks them on the
+    // one core it owns.
+    let plans = Framework::new(WORKERS, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
     let config = ServeConfig {
         workers: WORKERS,
         max_batch: 2,
@@ -213,7 +218,7 @@ fn a_serving_worker_forks_nothing() {
         ..ServeConfig::default()
     };
     let input = vec![0.25; net.input_len()];
-    let server = Server::start(Arc::new(net), &[(0, STENCIL)], config).expect("plan compiles");
+    let server = Server::start(Arc::new(net), &plans, config).expect("the plans are installed");
     let before = fork_join_spawns();
     let pending: Vec<_> = (0..6)
         .map(|_| server.submit_timeout(input.clone(), Duration::from_secs(10)).expect("room"))
