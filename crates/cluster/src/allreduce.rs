@@ -10,10 +10,11 @@
 //! exact sample order `j = 0..B-1`, making losses bit-identical for any
 //! worker count. A reduce-scatter/allgather ring sums per-rank partial
 //! blocks in ring order — a *different* association — so it cannot hit
-//! the pool's bits. The ordered ring keeps the pool's association:
+//! the trainer's bits. The ordered ring keeps the trainer's association:
 //!
 //! * samples are owned in **contiguous blocks** by rank: rank `w` owns
-//!   batch positions `[w·B/W .. (w+1)·B/W)` (same order the pool merges);
+//!   batch positions `sgd::block_bounds(B, W, w)`, the blocks the
+//!   trainer's sample threads take;
 //! * a **reduce leg** runs `0 → 1 → … → W-1`, each rank adding its block
 //!   on top of what arrives, and a **broadcast leg** circulates the
 //!   finished batch `W-1 → 0 → 1 → … → W-2`.
@@ -86,7 +87,7 @@ use crate::ClusterError;
 /// drop both when the benchmark is next re-baselined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllReduce {
-    /// Ordered chain-in-ring: bit-identical to the single-process pool.
+    /// Ordered chain-in-ring: bit-identical to the single-process trainer.
     Ring,
 }
 
@@ -131,7 +132,7 @@ impl BatchAcc {
         }
     }
 
-    /// Folds one sample's scalars in — the same statements the pool's
+    /// Folds one sample's scalars in — the same statements the trainer's
     /// `BatchAcc::add_scalars` executes.
     pub(crate) fn add_scalars(&mut self, loss: f32, correct: bool, sparsity: &[f64]) {
         self.loss_sum += f64::from(loss);
@@ -341,7 +342,7 @@ impl Ring<'_, '_> {
 /// record span the record of its sample, and `acc` the batch's scalars
 /// (its `grads` are not touched) —
 /// identical, bit for bit, on every rank, and equal to what the
-/// single-process pool computes for the same batch. What `acc` and the
+/// single-process trainer computes for the same batch. What `acc` and the
 /// spans (other than this rank's own records) held on entry is
 /// irrelevant. `frame` is scratch (see the module docs for the buffer and
 /// flush rules); the call allocates nothing that grows with the

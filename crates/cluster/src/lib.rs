@@ -81,8 +81,8 @@ pub use router::{
 };
 pub use shard::{serve_connection, ConnectionEnd, KillDrill};
 pub use train::{
-    block_bounds, run_rank, train_in_proc, Comm, InProcTrainOptions, RankOptions, RankState,
-    TrainFault, DEFAULT_CHUNK_FLOATS,
+    run_rank, train_in_proc, Comm, InProcTrainOptions, RankOptions, RankState, TrainFault,
+    DEFAULT_CHUNK_FLOATS,
 };
 pub use wire::{Message, WireError};
 

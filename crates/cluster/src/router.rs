@@ -14,7 +14,7 @@
 //! that shard's keys — and respawns the backend through the
 //! [`ShardSpawner`] under the router's restart budget with exponential
 //! backoff: each forwarder is one [`spg_sync::supervise`] call, the same
-//! restart loop as the serving and training pools', whose incarnation is
+//! restart loop as the serving pool's and the trainer's, whose incarnation is
 //! "obtain a backend, serve until it dies". Requests already queued on
 //! the shard are not failed: they wait for the respawned backend, so a
 //! kill drill produces exactly one `ShardFault`-class error and every

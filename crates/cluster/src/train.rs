@@ -11,7 +11,7 @@
 //! — a rank's block of samples folded through the ordered chain in
 //! global sample order, which is that seam's contract — plus the
 //! rank-specific fault handling below. The bit-identity tests pin 1, 2,
-//! 3, and 4 ranks against the pool.
+//! 3, and 4 ranks against the single-process trainer.
 //!
 //! # What crosses the ring
 //!
@@ -22,7 +22,7 @@
 //! `sgd::fold_records`. Conv layers are summed; a fully-connected layer,
 //! whose record is its `(δ, x)` factors, is gathered until the batch is
 //! about as large as its input. Either way every element is
-//! `0.0 + g_0 + g_1 + …` in sample order, the pool's bits.
+//! `0.0 + g_0 + g_1 + …` in sample order, the trainer's bits.
 //!
 //! # Fault recovery
 //!
@@ -47,7 +47,7 @@ use std::time::Duration;
 
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::Layer;
-use spg_convnet::sgd::{self, BatchFold, Progress, Shared};
+use spg_convnet::sgd::{self, block_bounds, BatchFold, Progress};
 use spg_convnet::workspace::Workspace;
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
@@ -137,17 +137,6 @@ impl RankState {
         io::save_weights(net, &mut weights).expect("in-memory weight snapshot");
         RankState { weights, progress: Progress::fresh(net) }
     }
-}
-
-/// This rank's contiguous block `[start, end)` of a `batch_len`-sample
-/// batch: blocks partition the batch in rank order, sized as evenly as
-/// possible (first `batch_len % world` ranks get one extra).
-pub fn block_bounds(batch_len: usize, world: usize, rank: usize) -> (usize, usize) {
-    let base = batch_len / world;
-    let extra = batch_len % world;
-    let start = rank * base + rank.min(extra);
-    let len = base + usize::from(rank < extra);
-    (start, start + len)
 }
 
 /// Capacity of the buffers a rank's links are wrapped in: sixteen 4 KB
@@ -257,7 +246,8 @@ impl BatchFold for RingFold<'_> {
 
     fn fold(
         &mut self,
-        shared: &Shared<'_>,
+        net: &Network,
+        data: &Dataset,
         epoch: usize,
         batch: usize,
         samples: Range<usize>,
@@ -275,12 +265,10 @@ impl BatchFold for RingFold<'_> {
                 message: "injected fault: rank dropped before all-reduce".to_string(),
             });
         }
-        let net = spg_sync::read(&shared.net);
-        let data = spg_sync::read(&shared.data);
         let Some((rx_prev, tx_next)) = &mut self.links else {
-            // One rank owns the whole batch: the trainer's local fold.
+            // One rank owns the whole batch, a sample at a time.
             for i in samples {
-                acc.absorb_sample(&net, &data, i, &mut self.ws);
+                acc.absorb_sample(net, data, i, &mut self.ws);
             }
             return Ok(());
         };
@@ -295,7 +283,7 @@ impl BatchFold for RingFold<'_> {
         self.scalars.resize(s1 - s0, (0.0, false));
         let block = samples.start + s0..samples.start + s1;
         let slots = &mut self.records[s0..s1];
-        sgd::process_block(&net, &data, block, &mut self.ws, slots, &mut self.scalars);
+        sgd::process_block(net, data, block, &mut self.ws, slots, &mut self.scalars);
         self.sparsity.clear();
         let layers = net.layers().len();
         for sample in self.ws.grad_sparsity.chunks_exact(layers).take(s1 - s0) {
@@ -310,7 +298,7 @@ impl BatchFold for RingFold<'_> {
             }
         }
         let mut step = RankStep {
-            net: &net,
+            net,
             layout: &self.layout,
             block: s0..s1,
             records: &mut self.records,
@@ -332,7 +320,7 @@ impl BatchFold for RingFold<'_> {
         // Every rank now holds the whole batch's records of the gathered
         // layers, and folds them with the trainer's own fold.
         let sums = masked(&mut acc.grads, |l| gathered(&*net.layers()[l], batch_len));
-        sgd::fold_records(&net, &self.records[..batch_len], 1, true, sums);
+        sgd::fold_records(net, &self.records[..batch_len], 1, true, sums);
         acc.loss_sum = self.reduced.loss_sum;
         acc.correct = usize::try_from(self.reduced.correct).expect("correct count fits usize");
         acc.sparsity_sums.clone_from(&self.reduced.sparsity_sums);
@@ -396,10 +384,8 @@ pub fn run_rank(
         layout: Vec::new(),
         frame: Vec::new(),
     };
-    let result = {
-        let shared = Shared::new(net, data);
-        Trainer::new(trainer.clone()).run(&shared, &mut fold, &mut state.progress, |_, _| {})
-    };
+    let result =
+        Trainer::new(trainer.clone()).run(net, data, &mut fold, &mut state.progress, |_, _| {});
     // `Trainer::run` leaves the network at the last committed batch on
     // `Ok` and `Err` alike, so this one snapshot is the committed state.
     state.weights.clear();
@@ -624,22 +610,6 @@ mod tests {
             .iter()
             .map(|s| s.mean_loss.to_bits())
             .collect()
-    }
-
-    #[test]
-    fn block_bounds_partition_every_batch() {
-        for len in 0..20 {
-            for world in 1..6 {
-                let mut next = 0;
-                for rank in 0..world {
-                    let (s, e) = block_bounds(len, world, rank);
-                    assert_eq!(s, next, "len {len} world {world} rank {rank}");
-                    assert!(e >= s);
-                    next = e;
-                }
-                assert_eq!(next, len);
-            }
-        }
     }
 
     #[test]
@@ -925,7 +895,8 @@ mod tests {
 
         fn fold(
             &mut self,
-            shared: &Shared<'_>,
+            net: &Network,
+            data: &Dataset,
             epoch: usize,
             batch: usize,
             samples: Range<usize>,
@@ -934,7 +905,7 @@ mod tests {
             if self.at == Some((epoch, batch)) {
                 return Err((epoch, batch));
             }
-            let Ok(()) = self.inner.fold(shared, epoch, batch, samples, acc);
+            self.inner.fold(net, data, epoch, batch, samples, acc).expect("no sample faults");
             Ok(())
         }
     }
@@ -951,8 +922,7 @@ mod tests {
             let mut fold = StopAt { inner: sgd::LocalFold::new(&net), at: Some(stop) };
 
             let mut data = make_data();
-            let stopped =
-                trainer.run(&Shared::new(&mut net, &mut data), &mut fold, &mut progress, |_, _| {});
+            let stopped = trainer.run(&mut net, &mut data, &mut fold, &mut progress, |_, _| {});
             assert_eq!(stopped, Err(stop));
             assert_eq!((progress.next_epoch, progress.next_batch), stop);
 
@@ -960,9 +930,7 @@ mod tests {
             // dataset back in its original order, the same progress value.
             fold.at = None;
             let mut data = make_data();
-            trainer
-                .run(&Shared::new(&mut net, &mut data), &mut fold, &mut progress, |_, _| {})
-                .unwrap();
+            trainer.run(&mut net, &mut data, &mut fold, &mut progress, |_, _| {}).unwrap();
             let got: Vec<u64> = progress.stats.iter().map(|s| s.mean_loss.to_bits()).collect();
             assert_eq!(got, expect, "run stopped at {stop:?} diverged after resume");
         }

@@ -183,8 +183,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Arms a deterministic fault-injection plan for the training pool
-    /// (testing/ops drills). Inert unless the workspace is built with the
+    /// Arms a deterministic fault-injection plan for the trainer's sample
+    /// threads (testing/ops drills). Inert unless the workspace is built with the
     /// `fault-injection` feature.
     pub fn fault_plan(mut self, plan: spg_sync::FaultPlan) -> Self {
         self.trainer.fault_plan = Some(plan);
@@ -405,7 +405,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if a pool worker crashes and its restart budget is
+    /// Panics if a sample thread crashes and its restart budget is
     /// exhausted; use [`Engine::try_train`] to receive that fault as a
     /// typed error instead.
     pub fn train(&mut self, data: &mut Dataset) -> Vec<EpochStats> {
@@ -419,8 +419,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::Training`] when a pool worker panicked and the
-    /// supervisor's restart budget was already spent, so the run could not
+    /// Returns [`ErrorKind::Training`] when a sample panicked and its
+    /// slot's restart budget was already spent, so the run could not
     /// complete. The trained epochs before the fault are discarded — the
     /// network weights reflect every batch applied before the failing one.
     pub fn try_train(&mut self, data: &mut Dataset) -> Result<Vec<EpochStats>, Error> {

@@ -64,10 +64,10 @@ impl Error for ConvError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TrainError {
-    /// A pool worker panicked and the supervisor's restart budget was
+    /// A sample panicked and its sample thread's restart budget was
     /// already spent, so the epoch could not complete.
     WorkerFault {
-        /// Index of the worker that crashed.
+        /// Index of the sample thread (slot) whose block held the sample.
         worker: usize,
         /// 1-based epoch the fault occurred in.
         epoch: usize,

@@ -6,20 +6,23 @@
 //! accumulation, epoch statistics, momentum update, resumable
 //! [`Progress`] — and is parameterized by one seam, [`BatchFold`]: how a
 //! batch's per-sample results reach the accumulator in sample order.
-//! Three folds exist: [`LocalFold`] (this thread), the supervised worker
-//! pool below, and `spg-cluster`'s ring fold, whose ranks call this loop
-//! rather than copy it.
+//! Two folds exist: [`LocalFold`], this process's sample threads, and
+//! `spg-cluster`'s ring fold, whose ranks call this loop rather than copy
+//! it.
 //!
 //! The trainer's `sample_threads` knob *is* the GEMM-in-Parallel schedule
-//! at the training-loop level: each worker thread pushes whole samples
+//! at the training-loop level: each sample thread pushes whole samples
 //! through the shared network with single-threaded kernels, instead of
 //! every sample's GEMM being partitioned across all cores (Sec. 4.1).
 //!
-//! Workers are *persistent*: one pool is spawned for the whole training
-//! run, each worker owning one [`Workspace`] it reuses for every sample it
-//! ever processes. Sample `j` of a batch always goes to worker
-//! `j % workers` and results are received in exact sample order, so the
-//! f32 gradient accumulation is bit-identical for every worker count.
+//! The local fold owns one *slot* per sample thread, each with a
+//! [`Workspace`] it reuses for the whole run. Per batch, slot `w` runs
+//! the [`block_bounds`] block `w` of the batch — the same contiguous
+//! partition a ring rank runs — one sample at a time, all slots at once
+//! on one [`spg_sync::fork_join`]; no thread outlives the batch. Each
+//! sample leaves its records in that batch position's record set, so the
+//! fold that follows reads them in sample order and the f32 gradient
+//! accumulation is bit-identical for every thread count.
 //!
 //! # Records, folded once
 //!
@@ -33,26 +36,23 @@
 //! ranges, one per core it was given, and walks each range in
 //! cache-sized tiles — zero-fill the tile, add every sample into it in
 //! sample order — so the accumulator is written once per batch and never
-//! read cold. The pool folds when the batch is complete, on the cores its
-//! parked workers left idle; the local fold folds each sample as it
-//! finishes. Either way every parameter sums `0.0 + g_0 + g_1 + ...` in
-//! sample order, which is the [`BatchFold`] contract.
+//! read cold. The local fold folds when the batch is complete, on the
+//! cores its slots ran on, so even a one-thread run holds a batch of
+//! records. Every parameter sums `0.0 + g_0 + g_1 + ...` in sample order,
+//! which is the [`BatchFold`] contract.
 //!
-//! The pool is *supervised*: each worker runs every sample inside
-//! [`std::panic::catch_unwind`], so a panicking kernel is a fault instead
-//! of a poisoned lock, and each worker is its own supervisor — one
-//! [`spg_sync::supervise`] call per slot. After a fault the worker
-//! rebuilds its [`Workspace`] and retries the faulted sample *in place*:
-//! its job and result channels outlive the incarnation, so nothing is
-//! lost, nothing is replayed from the merge loop, and the merge stays a
-//! plain in-order `recv` followed by one fold (hence bit-identical). Only once
-//! [`TrainerConfig::restart_budget`] is spent does the worker report the
-//! fault, which fails the run with a typed [`TrainError::WorkerFault`].
+//! Each slot is *supervised*, at every thread count: it runs each sample
+//! inside [`std::panic::catch_unwind`], so a panicking kernel is a fault
+//! instead of a torn batch, under its own [`spg_sync::supervise`] call per
+//! batch. After a fault the slot rebuilds its [`Workspace`] and resumes at
+//! the faulted sample: the record sets are the batch's, not the
+//! workspace's, so nothing is lost and the fold stays one in-order pass
+//! (hence bit-identical). Only once the slot has spent its
+//! [`TrainerConfig::restart_budget`] for the run does a fault fail the
+//! batch with a typed [`TrainError::WorkerFault`].
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use spg_sync::{FaultInjector, FaultPlan, Restarts};
@@ -82,16 +82,19 @@ pub struct TrainerConfig {
     pub sample_threads: usize,
     /// Seed for per-epoch dataset shuffling.
     pub shuffle_seed: u64,
-    /// How many times a crashed pool worker is respawned (with a fresh
-    /// [`Workspace`]) before the run fails with
-    /// [`TrainError::WorkerFault`]. Per worker slot, not global.
+    /// How many times a sample thread's slot is restarted after a
+    /// panicking sample (with a fresh [`Workspace`]) before the run fails
+    /// with [`TrainError::WorkerFault`]. Per slot over the whole run, not
+    /// global.
     pub restart_budget: usize,
-    /// Base delay before the first respawn; doubles per consecutive
-    /// restart of the same worker (capped at one second).
+    /// Base delay before a slot's restart; doubles per further restart of
+    /// the same slot within one batch (capped at one second) and starts
+    /// over at the next batch.
     pub restart_backoff: Duration,
-    /// Deterministic fault to inject for supervision testing. Inert
-    /// unless the `fault-injection` cargo feature is enabled; forces the
-    /// pooled path even when `sample_threads == 1`.
+    /// Deterministic fault to inject for supervision testing: slot `K`
+    /// panics when it starts its `N`-th sample of the run, retries
+    /// included. Inert unless the `fault-injection` cargo feature is
+    /// enabled.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -178,20 +181,20 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if a pool worker crashes past its restart budget; use
+    /// Panics if a sample thread crashes past its restart budget; use
     /// [`try_train`](Self::try_train) for a typed error instead.
     pub fn train(&self, net: &mut Network, data: &mut Dataset) -> Vec<EpochStats> {
         self.train_with(net, data, |_, _| {})
     }
 
-    /// Fallible [`train`](Self::train): a pool worker crashing past the
+    /// Fallible [`train`](Self::train): a sample thread crashing past the
     /// restart budget surfaces as [`TrainError::WorkerFault`] instead of
     /// a panic.
     ///
     /// # Errors
     ///
-    /// [`TrainError::WorkerFault`] when a worker panicked and the
-    /// supervisor's restart budget was already spent.
+    /// [`TrainError::WorkerFault`] when a sample panicked and its slot's
+    /// restart budget was already spent.
     pub fn try_train(
         &self,
         net: &mut Network,
@@ -205,7 +208,7 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if a pool worker crashes past its restart budget; use
+    /// Panics if a sample thread crashes past its restart budget; use
     /// [`try_train_with`](Self::try_train_with) for a typed error.
     pub fn train_with<F>(
         &self,
@@ -226,8 +229,8 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// [`TrainError::WorkerFault`] when a worker panicked and the
-    /// supervisor's restart budget was already spent.
+    /// [`TrainError::WorkerFault`] when a sample panicked and its slot's
+    /// restart budget was already spent.
     pub fn try_train_with<F>(
         &self,
         net: &mut Network,
@@ -238,23 +241,8 @@ impl Trainer {
         F: FnMut(&mut Network, &EpochStats),
     {
         let mut progress = Progress::fresh(net);
-        let shared = Shared::new(net, data);
-        // The supervision machinery (and with it fault injection) lives
-        // in the pool; a configured fault plan forces it so that
-        // `--inject-fault` is never a silent no-op at one thread.
-        if self.config.sample_threads == 1 && self.config.fault_plan.is_none() {
-            let mut fold = LocalFold::new(&spg_sync::read(&shared.net));
-            let Ok(()) = self.run(&shared, &mut fold, &mut progress, after_epoch);
-        } else {
-            // lint: allow(thread-spawn) the pool's lifetime: workers live for the whole run
-            std::thread::scope(|scope| {
-                // Dropped when this closure returns — on success or on a
-                // typed fault — which closes the job channels, so the
-                // workers exit before the scope joins them: no deadlock.
-                let mut fold = PoolFold::spawn(scope, &shared, &self.config);
-                self.run(&shared, &mut fold, &mut progress, after_epoch)
-            })?;
-        }
+        let mut fold = LocalFold::for_config(net, &self.config);
+        self.run(net, data, &mut fold, &mut progress, after_epoch)?;
         Ok(progress.stats)
     }
 
@@ -275,19 +263,17 @@ impl Trainer {
     /// Whatever `fold` reports for the batch it could not fold.
     pub fn run<F: BatchFold>(
         &self,
-        shared: &Shared<'_>,
+        net: &mut Network,
+        data: &mut Dataset,
         fold: &mut F,
         progress: &mut Progress,
         mut after_epoch: impl FnMut(&mut Network, &EpochStats),
     ) -> Result<(), F::Error> {
         let batch_size = self.config.batch_size;
-        let mut acc = BatchAcc::for_network(&spg_sync::read(&shared.net));
+        let mut acc = BatchAcc::for_network(net);
         for epoch in 1..=self.config.epochs {
-            let data_len = {
-                let mut data = spg_sync::write(&shared.data);
-                data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
-                data.len()
-            };
+            data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
+            let data_len = data.len();
             if epoch < progress.next_epoch {
                 continue;
             }
@@ -299,18 +285,13 @@ impl Trainer {
                 let batch = progress.next_batch;
                 let samples = batch * batch_size..((batch + 1) * batch_size).min(data_len);
                 acc.begin_batch();
-                fold.fold(shared, epoch, batch, samples.clone(), &mut acc)?;
+                fold.fold(net, data, epoch, batch, samples.clone(), &mut acc)?;
                 progress.epoch_acc.absorb(&acc, samples.len());
-                self.apply_batch(
-                    &mut spg_sync::write(&shared.net),
-                    &mut progress.velocity,
-                    &acc,
-                    samples.len(),
-                );
+                self.apply_batch(net, &mut progress.velocity, &acc, samples.len());
                 progress.next_batch = batch + 1;
             }
             let stats = progress.epoch_acc.finish(epoch, data_len, start.elapsed().as_secs_f64());
-            after_epoch(&mut spg_sync::write(&shared.net), &stats);
+            after_epoch(net, &stats);
             progress.stats.push(stats);
             progress.next_epoch = epoch + 1;
             progress.next_batch = 0;
@@ -340,30 +321,6 @@ impl Trainer {
     }
 }
 
-/// The network and dataset of one training run, as the loop and its
-/// [`BatchFold`] share them.
-///
-/// The loop takes the write side only between batches (reshuffle,
-/// update, epoch callback); a fold — and any worker threads it owns —
-/// the read side only while it folds one. Acquisition goes through the
-/// poison-recovering `spg_sync` helpers: a worker panic is confined by
-/// `catch_unwind` while only read guards are held, and read guards never
-/// leave the data mid-update.
-#[derive(Debug)]
-pub struct Shared<'a> {
-    /// The network being trained.
-    pub net: RwLock<&'a mut Network>,
-    /// The dataset, reshuffled in place every epoch.
-    pub data: RwLock<&'a mut Dataset>,
-}
-
-impl<'a> Shared<'a> {
-    /// Wraps a run's network and dataset.
-    pub fn new(net: &'a mut Network, data: &'a mut Dataset) -> Self {
-        Shared { net: RwLock::new(net), data: RwLock::new(data) }
-    }
-}
-
 /// The one seam of the SGD loop: how a batch's per-sample results reach
 /// the accumulator.
 ///
@@ -375,7 +332,7 @@ impl<'a> Shared<'a> {
 /// happen in exactly that order. f32 addition is not associative, so this
 /// order is the whole determinism guarantee — every implementation that
 /// keeps it trains to the same bits, wherever the samples ran (this
-/// thread, a worker pool, other ranks of a ring) — and a reducer that
+/// process's sample threads, other ranks of a ring) — and a reducer that
 /// re-associates the sum (a tree, a reduce-scatter) cannot implement this
 /// trait.
 ///
@@ -392,8 +349,8 @@ pub trait BatchFold {
     /// What a batch that could not be folded reports.
     type Error;
 
-    /// Folds batch `batch` of (1-based) `epoch` — dataset positions
-    /// `samples` of the current shuffle — into `acc`.
+    /// Folds batch `batch` of (1-based) `epoch` — positions `samples` of
+    /// `data` in its current shuffle, run through `net` — into `acc`.
     ///
     /// # Errors
     ///
@@ -401,7 +358,8 @@ pub trait BatchFold {
     /// batch and returns the error.
     fn fold(
         &mut self,
-        shared: &Shared<'_>,
+        net: &Network,
+        data: &Dataset,
         epoch: usize,
         batch: usize,
         samples: Range<usize>,
@@ -491,231 +449,189 @@ pub fn process_block(
     net.backward_walk(ws, records);
 }
 
-/// The local fold: every sample runs on the calling thread in one
-/// long-lived [`Workspace`] and is absorbed as soon as it finishes, one
-/// [`fold_records`] call per sample on this one core — the reference
-/// implementation of the [`BatchFold`] contract.
+/// Slot `w`'s contiguous block `[start, end)` of a `batch_len`-sample
+/// batch cut `workers` ways: the blocks partition the batch in slot
+/// order, sized as evenly as possible (the first `batch_len % workers`
+/// get one extra). The one partition rule for a batch — the local fold's
+/// sample threads and a ring's ranks both take their samples by it.
+pub fn block_bounds(batch_len: usize, workers: usize, w: usize) -> (usize, usize) {
+    let base = batch_len / workers;
+    let extra = batch_len % workers;
+    let start = w * base + w.min(extra);
+    let len = base + usize::from(w < extra);
+    (start, start + len)
+}
+
+/// The in-process fold: `min(sample_threads, batch_size)` slots, each
+/// owning one [`Workspace`] and its supervision state for the whole run.
+/// Per batch the slots run their [`block_bounds`] blocks on one
+/// [`spg_sync::fork_join`], a sample at a time, each into its batch
+/// position's record set; then the records are folded by parameter range
+/// on as many cores as there are slots.
 #[derive(Debug)]
 pub struct LocalFold {
+    slots: Vec<Slot>,
+    /// Gradient records by batch position; grows to the largest batch.
+    records: Vec<Vec<Tensor>>,
+    /// Loss and verdict by batch position.
+    scalars: Vec<(f32, bool)>,
+    /// Per-layer gradient sparsities by batch position, `layers` each.
+    sparsity: Vec<f64>,
+    backoff: Duration,
+    injector: FaultInjector,
+}
+
+/// One sample thread's state, kept across batches.
+#[derive(Debug)]
+struct Slot {
     ws: Workspace,
+    /// Restarts this slot may still spend in the run.
+    restarts_left: usize,
+    /// Samples this slot has started, retries included: the work units a
+    /// [`FaultPlan`] counts.
+    started: u64,
+}
+
+/// One slot's share of a batch: its samples' positions in the dataset,
+/// and the batch's per-sample outputs for exactly those samples.
+struct Block<'a> {
+    samples: Range<usize>,
+    records: &'a mut [Vec<Tensor>],
+    scalars: &'a mut [(f32, bool)],
+    sparsity: &'a mut [f64],
 }
 
 impl LocalFold {
-    /// A fold with a workspace sized for `net`.
+    /// A one-slot fold for `net` with the default restart policy.
     pub fn new(net: &Network) -> Self {
-        LocalFold { ws: Workspace::for_network(net) }
+        Self::for_config(net, &TrainerConfig::default())
     }
-}
 
-impl BatchFold for LocalFold {
-    type Error = std::convert::Infallible;
-
-    fn fold(
-        &mut self,
-        shared: &Shared<'_>,
-        _epoch: usize,
-        _batch: usize,
-        samples: Range<usize>,
-        acc: &mut BatchAcc,
-    ) -> Result<(), Self::Error> {
-        let net = spg_sync::read(&shared.net);
-        let data = spg_sync::read(&shared.data);
-        for i in samples {
-            acc.absorb_sample(&net, &data, i, &mut self.ws);
-        }
-        Ok(())
-    }
-}
-
-/// One job: a dataset position and the recycled buffer its result
-/// travels back in.
-type Job = (usize, SampleResult);
-
-/// What a worker sends back for a job: the filled buffer, or — once its
-/// restart budget is spent — the panic message of the fault that spent it.
-type JobResult = Result<SampleResult, String>;
-
-/// The pool fold: `sample_threads` persistent workers, spawned once, each
-/// owning one [`Workspace`]. Jobs carry recycled [`SampleResult`] buffers
-/// out and back, so no steady-state step allocates a gradient-sized
-/// buffer. Supervision lives in the workers ([`pool_worker`]); the fold
-/// deals jobs round-robin, receives results in sample order, and once the
-/// batch is complete — every worker parked on its job channel — folds the
-/// records by parameter range on as many cores as there are workers.
-struct PoolFold {
-    job_txs: Vec<mpsc::Sender<Job>>,
-    result_rxs: Vec<mpsc::Receiver<JobResult>>,
-    free: Vec<SampleResult>,
-    /// The current batch's results, in sample order, until it is complete.
-    held: Vec<SampleResult>,
-}
-
-impl PoolFold {
-    fn spawn<'scope, 'env>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        shared: &'env Shared<'_>,
-        config: &'env TrainerConfig,
-    ) -> Self {
-        // Batch-starvation clamp: jobs round-robin as `j % workers`, so a
-        // pool wider than the batch leaves slots that never receive a
-        // sample — they would be spawned, idle for the whole run, and
-        // still charge scope/teardown cost. Spawn only as many workers as
-        // the batch can feed and count the declined slots.
+    /// The fold `config` asks for. A slot that could never receive a
+    /// sample — more sample threads than the batch has samples — is not
+    /// made, and is counted as starved instead.
+    fn for_config(net: &Network, config: &TrainerConfig) -> Self {
         let workers = config.sample_threads.min(config.batch_size).max(1);
         let starved = config.sample_threads - workers;
         if starved > 0 {
             spg_telemetry::record_counter("train.starved_workers", starved as u64);
         }
-        let injector = FaultInjector::new(config.fault_plan);
-        let (job_txs, result_rxs) = (0..workers)
-            .map(|w| {
-                let (job_tx, job_rx) = mpsc::channel();
-                let (result_tx, result_rx) = mpsc::channel();
-                let injector = injector.clone();
-                scope.spawn(move || pool_worker(shared, config, w, &injector, &job_rx, &result_tx));
-                (job_tx, result_rx)
-            })
-            .unzip();
-        // One result slot per sample that can be in flight.
-        let free = {
-            let net = spg_sync::read(&shared.net);
-            (0..config.batch_size).map(|_| SampleResult::for_network(&net)).collect()
+        let slot = || Slot {
+            ws: Workspace::for_network(net),
+            restarts_left: config.restart_budget,
+            started: 0,
         };
-        PoolFold { job_txs, result_rxs, free, held: Vec::with_capacity(config.batch_size) }
+        LocalFold {
+            slots: (0..workers).map(|_| slot()).collect(),
+            records: Vec::new(),
+            scalars: Vec::new(),
+            sparsity: Vec::new(),
+            backoff: config.restart_backoff,
+            injector: FaultInjector::new(config.fault_plan),
+        }
     }
 }
 
-/// Slot `w`'s thread for the whole run: a self-supervising worker. Each
-/// incarnation owns a fresh [`Workspace`] (a panic may have left the old
-/// one mid-update) and drains `jobs`, running every sample inside a panic
-/// boundary. A fault ends the incarnation with the interrupted job kept
-/// for the next one to retry first, so results still leave in job order.
-/// The one-shot injector cannot re-trip on the retry; a real
-/// deterministic panic re-fires and burns the budget down to the typed
-/// report. Blocked on `recv` the worker holds no locks; it retires when
-/// the pool drops its job sender.
-fn pool_worker(
-    shared: &Shared<'_>,
-    config: &TrainerConfig,
-    w: usize,
-    injector: &FaultInjector,
-    jobs: &mpsc::Receiver<Job>,
-    results: &mpsc::Sender<JobResult>,
-) {
-    let restarts = Restarts { budget: config.restart_budget, backoff: config.restart_backoff };
-    let mut jobs_started: u64 = 0;
-    let mut retry: Option<Job> = None;
-    let spent = spg_sync::supervise(
-        restarts,
-        || {
-            let mut ws = Workspace::for_network(&spg_sync::read(&shared.net));
-            while let Some((i, mut slot)) = retry.take().or_else(|| jobs.recv().ok()) {
-                jobs_started += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    injector.check(w, jobs_started);
-                    let net = spg_sync::read(&shared.net);
-                    let data = spg_sync::read(&shared.data);
-                    let mut result = [(0.0, false)];
-                    let records = std::slice::from_mut(&mut slot.param_grads);
-                    process_block(&net, &data, i..i + 1, &mut ws, records, &mut result);
-                    (slot.loss, slot.correct) = result[0];
-                    slot.grad_sparsity.copy_from_slice(&ws.grad_sparsity);
-                }));
-                match outcome {
-                    Ok(()) => {
-                        if results.send(Ok(slot)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(payload) => {
+impl Slot {
+    /// Runs `block` as slot `w`, one sample at a time, under this slot's
+    /// supervision: a panicking sample rebuilds the workspace and the
+    /// next incarnation resumes at that sample. The one-shot injector
+    /// cannot re-trip on the retry; a real deterministic panic re-fires
+    /// and burns the slot's budget down to the reported panic message.
+    fn run(
+        &mut self,
+        net: &Network,
+        data: &Dataset,
+        w: usize,
+        block: Block<'_>,
+        backoff: Duration,
+        injector: &FaultInjector,
+    ) -> Result<(), String> {
+        let Slot { ws, restarts_left, started } = self;
+        let Block { samples, records, scalars, sparsity } = block;
+        let layers = net.layers().len();
+        let mut next = 0;
+        let restarts = Restarts { budget: *restarts_left, backoff };
+        spg_sync::supervise(
+            restarts,
+            || {
+                for (j, i) in samples.clone().enumerate().skip(next) {
+                    *started += 1;
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        injector.check(w, *started);
+                        let (records, scalars) = (&mut records[j..=j], &mut scalars[j..=j]);
+                        process_block(net, data, i..i + 1, ws, records, scalars);
+                    }));
+                    if let Err(payload) = outcome {
                         spg_telemetry::record_counter("train.faulted_samples", 1);
-                        retry = Some((i, slot));
+                        // A panic may have left the workspace mid-update.
+                        *ws = Workspace::for_network(net);
                         return Err(spg_sync::panic_message(payload.as_ref()));
                     }
+                    sparsity[j * layers..(j + 1) * layers].copy_from_slice(&ws.grad_sparsity);
+                    next = j + 1;
                 }
-            }
-            Ok(())
-        },
-        |_, _| spg_telemetry::record_counter("train.worker_restarts", 1),
-    );
-    if let Err(message) = spent {
-        let _ = results.send(Err(message));
+                Ok(())
+            },
+            |_, _| {
+                *restarts_left -= 1;
+                spg_telemetry::record_counter("train.worker_restarts", 1);
+            },
+        )
     }
 }
 
-impl BatchFold for PoolFold {
+impl BatchFold for LocalFold {
     type Error = TrainError;
 
     fn fold(
         &mut self,
-        shared: &Shared<'_>,
+        net: &Network,
+        data: &Dataset,
         epoch: usize,
         batch: usize,
         samples: Range<usize>,
         acc: &mut BatchAcc,
     ) -> Result<(), TrainError> {
-        let workers = self.job_txs.len();
-        // Sample j -> worker j % workers, round-robin. A send only fails
-        // to a worker that already reported its final fault, which the
-        // merge below returns.
-        for (j, i) in samples.clone().enumerate() {
-            let slot = self.free.pop().expect("one result slot per in-flight sample");
-            let _ = self.job_txs[j % workers].send((i, slot));
+        let (len, layers, workers) = (samples.len(), net.layers().len(), self.slots.len());
+        if self.records.len() < len {
+            self.records.resize_with(len, || record_buffers(net));
+            self.scalars.resize(len, (0.0, false));
+            self.sparsity.resize(len * layers, 0.0);
         }
-        // Receive in sample order: worker j % workers returns its results
-        // FIFO, so `held` — and with it every f32 accumulation — is in the
-        // `BatchFold` contract's order regardless of worker count, fault
-        // or no fault.
-        for j in 0..samples.len() {
-            let w = j % workers;
-            match self.result_rxs[w].recv() {
-                Ok(Ok(r)) => {
-                    acc.add_scalars(r.loss, r.correct, &r.grad_sparsity);
-                    self.held.push(r);
-                }
-                // Worker w spent its restart budget on sample j, or died
-                // without reporting.
-                fault => {
-                    self.free.append(&mut self.held);
-                    let message = match fault {
-                        Ok(Err(message)) => message,
-                        _ => "training worker disconnected".to_string(),
-                    };
-                    return Err(TrainError::WorkerFault { worker: w, epoch, batch, message });
-                }
+        // Cut the batch's outputs into the slots' blocks, in slot order.
+        let (mut records, mut scalars) = (&mut self.records[..len], &mut self.scalars[..len]);
+        let mut sparsity = &mut self.sparsity[..len * layers];
+        let mut blocks = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let (start, end) = block_bounds(len, workers, w);
+            let k = end - start;
+            let (r, s, g);
+            (r, records) = std::mem::take(&mut records).split_at_mut(k);
+            (s, scalars) = std::mem::take(&mut scalars).split_at_mut(k);
+            (g, sparsity) = std::mem::take(&mut sparsity).split_at_mut(k * layers);
+            let samples = samples.start + start..samples.start + end;
+            blocks.push(Block { samples, records: r, scalars: s, sparsity: g });
+        }
+        let (backoff, injector) = (self.backoff, &self.injector);
+        // A slot whose block is empty (a batch shorter than the slots) is
+        // not forked.
+        let tasks = self.slots.iter_mut().zip(blocks).enumerate().take(len);
+        let outcomes =
+            spg_sync::fork_join(tasks.map(|(w, (slot, block))| {
+                move || slot.run(net, data, w, block, backoff, injector)
+            }));
+        for (worker, outcome) in outcomes.into_iter().enumerate() {
+            if let Err(message) = outcome {
+                return Err(TrainError::WorkerFault { worker, epoch, batch, message });
             }
         }
-        // Every worker is parked on `recv` now: their cores are the fold's.
-        acc.add_records(&spg_sync::read(&shared.net), &self.held, workers);
-        self.free.append(&mut self.held);
-        Ok(())
-    }
-}
-
-/// One sample's results, shuttled main -> worker -> main and recycled; the
-/// worker's walk writes the gradient records straight into the slot, so
-/// the worker can start its next sample while the batch completes.
-struct SampleResult {
-    loss: f32,
-    correct: bool,
-    param_grads: Vec<Tensor>,
-    grad_sparsity: Vec<f64>,
-}
-
-impl SampleResult {
-    fn for_network(net: &Network) -> Self {
-        SampleResult {
-            loss: 0.0,
-            correct: false,
-            param_grads: record_buffers(net),
-            grad_sparsity: vec![0.0; net.layers().len()],
+        for (j, &(loss, correct)) in self.scalars[..len].iter().enumerate() {
+            acc.add_scalars(loss, correct, &self.sparsity[j * layers..(j + 1) * layers]);
         }
-    }
-}
-
-impl AsRef<[Tensor]> for SampleResult {
-    fn as_ref(&self) -> &[Tensor] {
-        &self.param_grads
+        // Every slot is done: their cores are the fold's.
+        acc.add_records(net, &self.records[..len], workers);
+        Ok(())
     }
 }
 
@@ -964,15 +880,16 @@ mod tests {
 
     #[test]
     fn sample_thread_count_is_bit_deterministic() {
-        // In-order merging makes the accumulation order — and therefore
-        // every f32 rounding — independent of the worker count: epoch
+        // In-order folding makes the accumulation order — and therefore
+        // every f32 rounding — independent of the thread count: epoch
         // losses must match to the bit, not merely to a tolerance.
-        let run = |threads: usize| -> Vec<u64> {
+        let run = |batch_size: usize, threads: usize| -> Vec<u64> {
             let mut net = make_net(42);
             let mut data = make_data();
             let cfg = TrainerConfig {
                 epochs: 3,
                 momentum: 0.9,
+                batch_size,
                 sample_threads: threads,
                 ..Default::default()
             };
@@ -982,7 +899,30 @@ mod tests {
                 .map(|s| s.mean_loss.to_bits())
                 .collect()
         };
-        assert_eq!(run(1), run(4));
+        assert_eq!(run(8, 1), run(8, 4));
+        // 24 samples at batch 5 end each epoch on a batch of 4: blocks of
+        // 2/1/1 at three threads, and an empty fifth block at five.
+        assert_eq!([0, 1, 2].map(|w| block_bounds(4, 3, w)), [(0, 2), (2, 3), (3, 4)]);
+        assert_eq!(block_bounds(4, 5, 4), (4, 4));
+        let solo = run(5, 1);
+        assert_eq!(run(5, 3), solo, "batch 5, 3 threads");
+        assert_eq!(run(5, 5), solo, "batch 5, 5 threads");
+    }
+
+    #[test]
+    fn block_bounds_partition_every_batch() {
+        for len in 0..20 {
+            for workers in 1..6 {
+                let mut next = 0;
+                for w in 0..workers {
+                    let (s, e) = block_bounds(len, workers, w);
+                    assert_eq!(s, next, "len {len} workers {workers} slot {w}");
+                    assert!(e >= s);
+                    next = e;
+                }
+                assert_eq!(next, len);
+            }
+        }
     }
 
     #[test]
@@ -1017,8 +957,9 @@ mod tests {
 
     #[test]
     fn pooled_epoch_callback_can_retune_executors() {
-        // The callback takes &mut Network under the pool's write lock; a
-        // re-plan mid-training must not wedge or corrupt the run.
+        // The callback takes &mut Network between batches of a
+        // multi-thread run; a re-plan mid-training must not wedge or
+        // corrupt the run.
         let mut net = make_net(14);
         let mut data = make_data();
         let mut calls = 0;
@@ -1036,11 +977,11 @@ mod tests {
         assert_eq!(calls, 2);
     }
 
-    /// Regression: a pool configured wider than the batch (batch_size=1,
+    /// Regression: a fold configured wider than the batch (batch_size=1,
     /// sample_threads=8) used to spawn all 8 workers, 7 of which could
-    /// never receive a job through the `j % workers` round-robin. The
-    /// clamp must keep training correct (bit-identical to one thread) and
-    /// count the declined slots in the starvation telemetry.
+    /// never receive a sample. The clamp must keep training correct
+    /// (bit-identical to one thread) and count the declined slots in the
+    /// starvation telemetry.
     #[test]
     fn starved_pool_clamps_workers_to_batch() {
         spg_telemetry::set_enabled(true);
@@ -1064,8 +1005,8 @@ mod tests {
         let starved = run(8);
         assert_eq!(sequential, starved, "starved pool must train identically");
         let declined = spg_telemetry::snapshot().counter("train.starved_workers") - starved_before;
-        // The 8-thread run clamps to 1 worker per epoch-spanning pool:
-        // 7 declined slots recorded (the 1-thread run records none).
+        // The 8-thread run clamps to 1 slot for the run: 7 declined slots
+        // recorded (the 1-thread run records none).
         assert_eq!(declined, 7, "declined worker slots counted");
     }
 
@@ -1099,7 +1040,7 @@ mod tests {
                 want,
                 "{ranges} ranges"
             );
-            // The same batch a sample at a time, as the local fold does.
+            // The same batch a few samples at a time.
             fold_ranges(&fc, &records[..1], ranges, 1, true, &mut acc);
             fold_ranges(&fc, &records[1..], ranges, 1, false, &mut acc);
             assert_eq!(
@@ -1110,10 +1051,10 @@ mod tests {
         }
     }
 
-    /// A fault ends the batch early; the results received before it go
-    /// back to the free list instead of leaving with the error.
+    /// A fault is reported by the slot whose block holds the faulted
+    /// position: at batch 4 and two threads, position 3 is slot 1's.
     #[test]
-    fn a_faulted_batch_returns_the_slots_it_had_received() {
+    fn a_fault_names_the_slot_whose_block_holds_the_sample() {
         /// Identity, until it meets the poisoned image.
         #[derive(Debug)]
         struct Poison(Vec<f32>);
@@ -1144,11 +1085,10 @@ mod tests {
             }
         }
 
-        let mut data = make_data();
+        let data = make_data();
         let mut rng = SmallRng::seed_from_u64(32);
-        // Sample 1 is worker 1's first job: sample 0 is received before it.
-        let poison = Poison(data.image(1).as_slice().to_vec());
-        let mut net =
+        let poison = Poison(data.image(3).as_slice().to_vec());
+        let net =
             Network::new(vec![Box::new(poison), Box::new(FcLayer::new(64, 3, &mut rng))]).unwrap();
         let config = TrainerConfig {
             batch_size: 4,
@@ -1156,14 +1096,14 @@ mod tests {
             restart_budget: 0,
             ..Default::default()
         };
+        assert_eq!(block_bounds(4, 2, 1), (2, 4));
         let mut acc = BatchAcc::for_network(&net);
-        let shared = Shared::new(&mut net, &mut data);
-        std::thread::scope(|scope| {
-            let mut fold = PoolFold::spawn(scope, &shared, &config);
-            let fault = fold.fold(&shared, 1, 0, 0..4, &mut acc);
-            assert!(matches!(fault, Err(TrainError::WorkerFault { worker: 1, .. })), "{fault:?}");
-            assert_eq!((fold.held.len(), fold.free.len()), (0, 1));
-        });
+        let mut fold = LocalFold::for_config(&net, &config);
+        let fault = fold.fold(&net, &data, 1, 0, 0..4, &mut acc);
+        assert!(
+            matches!(fault, Err(TrainError::WorkerFault { worker: 1, epoch: 1, batch: 0, .. })),
+            "{fault:?}"
+        );
     }
 
     #[test]

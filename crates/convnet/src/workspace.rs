@@ -16,8 +16,8 @@
 //! * [`Workspace`] — everything one training sample needs end to end:
 //!   an activation trace, ping-pong error-gradient buffers, per-layer
 //!   gradient-*record* buffers, and one shared [`ConvScratch`]. The
-//!   trainer's persistent worker pool owns one `Workspace` per worker for
-//!   the lifetime of training.
+//!   trainer owns one `Workspace` per sample thread for the lifetime of
+//!   training.
 //!
 //! The same argument sizes the record buffers. A fully-connected layer's
 //! per-sample weight gradient is a rank-1 product: written out, the
@@ -68,7 +68,7 @@ pub fn zeroed_slice(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// *inside one sample*. It is not a setting: the code that walks a network
 /// derives it from what it knows — `(workers, samples in flight)` — and it
 /// travels to every layer with the scratch the layer already receives. A
-/// trainer pool worker, a serving worker and a worker of a saturated
+/// trainer sample thread, a serving worker and a worker of a saturated
 /// inference batch own one core each and keep the default 1;
 /// [`Engine::forward`](crate::Engine::forward) has the engine's workers
 /// and one sample, and passes them all; [`Network::infer_batch`] divides

@@ -1,5 +1,5 @@
-//! Deterministic fault-injection drills for the SGD worker pool. Only
-//! built with the `fault-injection` cargo feature:
+//! Deterministic fault-injection drills for the trainer's sample
+//! threads. Only built with the `fault-injection` cargo feature:
 //!
 //! ```text
 //! cargo test -p spg-convnet --features fault-injection
@@ -53,9 +53,9 @@ fn config(threads: usize) -> TrainerConfig {
     }
 }
 
-/// With budget left, an injected worker panic is invisible in the
-/// results: the supervisor respawns the worker, replays the lost
-/// samples in order, and the run finishes with bit-identical statistics
+/// With budget left, an injected panic is invisible in the results: the
+/// slot rebuilds its workspace, resumes at the faulted sample, and the
+/// run finishes with bit-identical statistics
 /// and weights — while the restart shows up in the telemetry counters.
 #[test]
 fn training_recovers_from_injected_panic_bit_identically() {
@@ -69,7 +69,8 @@ fn training_recovers_from_injected_panic_bit_identically() {
     let restarts_before = spg_telemetry::snapshot().counter("train.worker_restarts");
     let faulted_before = spg_telemetry::snapshot().counter("train.faulted_samples");
 
-    // Worker 1's second job: sample 1 of the second batch of epoch 1.
+    // Slot 1's second sample: at batch 4 and three threads its block is
+    // position 2 alone, so this is position 2 of epoch 1's second batch.
     let plan = Some(FaultPlan::panic_on(1, 2));
     let mut injected_net = build_network(21);
     let injected = Trainer::new(TrainerConfig { fault_plan: plan, ..config(3) })
@@ -94,8 +95,8 @@ fn training_recovers_from_injected_panic_bit_identically() {
 }
 
 /// With the budget already spent, the same panic surfaces as a typed
-/// `WorkerFault` carrying the crash coordinates — and the pool tears
-/// down promptly instead of deadlocking on its in-flight channels.
+/// `WorkerFault` carrying the crash coordinates — and the run returns
+/// promptly instead of waiting on the faulted slot.
 #[test]
 fn exhausted_budget_fails_with_typed_error_without_deadlock() {
     let _serial = serialized();

@@ -1,11 +1,11 @@
-//! The pooled trainer holds no per-sample dense gradient.
+//! The multi-thread trainer holds no per-sample dense gradient.
 //!
 //! Counts, under a counting global allocator, the heap requests at least
 //! half a dense gradient large made by whole `try_train` runs at two
 //! sample threads on a net whose parameters are almost all in one
 //! fully-connected layer. The batch accumulator and the momentum buffer
 //! are two such requests; the count must not depend on how many steps the
-//! run takes **nor on the batch size** — no result slot and no worker
+//! run takes **nor on the batch size** — no record set and no slot
 //! workspace is gradient-sized, because a sample's record of that layer
 //! is `(δ, x)`. The same runs pin the fold's fork budget and its bits.
 //! This file holds one test on purpose: both counters are process-wide.
@@ -112,14 +112,15 @@ fn pooled_steps_hold_no_dense_per_sample_gradient() {
     assert_eq!(long.large_requests, short.large_requests, "four extra steps");
     assert_eq!(wide.large_requests, short.large_requests, "four times the result slots");
 
-    // One layer is above the fork floor at either batch size: the fold
-    // spends the one parked worker's core on it, once per step.
-    assert_eq!((short.forks, long.forks, wide.forks), (2, 6, 2));
+    // Two forks a step: the second slot's block of samples, and — one
+    // layer is above the fork floor at either batch size — the fold's
+    // second range on that slot's core.
+    assert_eq!((short.forks, long.forks, wide.forks), (4, 12, 4));
 
     for (pooled, (batch, steps)) in [(&short, (4, 2)), (&long, (4, 6)), (&wide, (16, 2))] {
         let solo = run(1, batch, steps);
-        assert_eq!(solo.forks, 0, "one sample thread folds on its own core");
-        assert_eq!(solo.losses, pooled.losses, "batch {batch}: range fold vs local fold");
+        assert_eq!(solo.forks, 0, "one sample thread runs and folds on its own core");
+        assert_eq!(solo.losses, pooled.losses, "batch {batch}: two range folds vs one");
         assert_eq!(solo.large_requests, pooled.large_requests);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every "split n independent tasks over threads, join" site — the
 //! Parallel-GEMM row and column bands, GEMM-in-Parallel's job claimers,
-//! the banded stencil, batched inference, the in-process ring's ranks —
-//! is one [`fork_join`] call. Each site keeps its own partition
+//! the banded stencil, batched inference, the SGD fold's sample slots and
+//! its record fold, the in-process ring's ranks — is one [`fork_join`]
+//! call. Each site keeps its own partition
 //! arithmetic; what is shared is the part that is easy to get subtly
 //! wrong: result order, and what happens to a worker's panic.
 

@@ -20,9 +20,9 @@
 //! guard, and every later `lock()` returns `Err(PoisonError)`. The idiomatic
 //! `.expect("poisoned")` response turns one worker's panic into a
 //! process-wide cascade: every other worker that touches the same lock
-//! aborts too. The pools in spg-serve and spg-convnet instead confine a
-//! panic with `catch_unwind` at the worker-batch boundary and repair any
-//! invariants themselves, so for them poisoning carries no information —
+//! aborts too. The serving pool instead confines a panic with
+//! `catch_unwind` at the worker-batch boundary and repairs any invariants
+//! itself, so for it poisoning carries no information —
 //! these helpers simply take the guard back with
 //! [`PoisonError::into_inner`].
 //!
@@ -193,7 +193,8 @@ pub const ANY_WORKER: usize = usize::MAX;
 
 /// One deterministic injected fault: panic when worker `worker` starts its
 /// `batch`-th unit of work (1-based; a "unit" is a micro-batch for serving
-/// workers, a sample job for training workers).
+/// workers, and one sample started, retries included, for a trainer's
+/// sample slot over the whole run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Target worker index, or [`ANY_WORKER`] for the first worker to get

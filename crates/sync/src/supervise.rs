@@ -1,7 +1,8 @@
 //! The workspace's one restart loop.
 //!
-//! Every supervised pool — serve workers, router forwarders, SGD pool
-//! workers, the in-process ring driver — is a client of `supervise`:
+//! Every supervised worker — serve workers, router forwarders, the SGD
+//! fold's sample slots (one call per batch), the in-process ring driver
+//! — is a client of `supervise`:
 //! it is the only place a restart budget is counted and the only place
 //! `backoff_delay` is slept. A client supplies what is particular to
 //! it: what one incarnation does (and what fresh state it builds), and

@@ -16,6 +16,7 @@ use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{gemm_exec, reference, ConvSpec};
 use spg_cnn::core::sparse::kernel as sparse;
 use spg_cnn::core::sparse::DEFAULT_TILE_WIDTH;
+use spg_cnn::tensor::layout::fckk_to_kkfc_into;
 use spg_cnn::workloads::synth::conv_operands;
 
 fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -44,6 +45,10 @@ fn main() {
         let ops = conv_operands(&spec, sparsity, 0xabc);
         let mut grad_in = vec![0.0f32; spec.input_shape().len()];
         let mut grad_w = vec![0.0f32; spec.weight_shape().len()];
+        // The sparse backward-data kernel reads the weights permuted to
+        // `[ky, kx, f, c]`, as a layer's prepared weights hold them.
+        let mut w_kkfc = vec![0.0f32; spec.weight_shape().len()];
+        fckk_to_kkfc_into(ops.weights.as_slice(), spec.weight_shape(), &mut w_kkfc);
 
         let dense_secs = time(3, || {
             gemm_exec::backward_data_scratch(
@@ -66,7 +71,7 @@ fn main() {
         let sparse_secs = time(3, || {
             sparse::backward_data_scratch(
                 &spec,
-                ops.weights.as_slice(),
+                &w_kkfc,
                 ops.grad_out.as_slice(),
                 &mut grad_in,
                 DEFAULT_TILE_WIDTH,

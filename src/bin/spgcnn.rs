@@ -51,8 +51,9 @@ usage:
       Train the network on a seeded synthetic dataset and report per-epoch
       loss, accuracy, and gradient sparsity; optionally save the weights
       and/or write goodput telemetry as spgcnn-metrics JSON. When --batch
-      is smaller than --threads the SGD pool clamps itself to the
-      available work and counts the idled workers in train.starved_workers.
+      is smaller than --threads the trainer runs only as many sample
+      threads as the batch feeds and counts the idled ones in
+      train.starved_workers.
   spgcnn eval <net.cfg> <weights.spgw> [--samples N]
       Load trained weights and report accuracy on a fresh synthetic set
       (for a single sample, also its class), planned for and run on every
@@ -314,7 +315,7 @@ fn train(args: &[String]) -> Result<(), String> {
     println!("epoch  loss     accuracy  grad-sparsity  images/s");
     let stats = engine.try_train(&mut data).map_err(|e| e.to_string())?;
     if fault_plan.is_some() {
-        println!("fault drill passed: the training pool survived the injected panic");
+        println!("fault drill passed: the trainer survived the injected panic");
     }
     for s in &stats {
         let sparsity = s.conv_grad_sparsity.first().copied().unwrap_or(0.0);

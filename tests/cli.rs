@@ -171,8 +171,9 @@ fn serve_smoke_survives_injected_fault() {
     assert!(stdout.contains("1 worker restart(s)"), "stdout: {stdout}");
 }
 
-/// The training pool drill through the CLI: an injected panic inside the
-/// SGD pool is absorbed by the supervisor and training still completes.
+/// The training drill through the CLI: an injected panic in a sample
+/// thread is absorbed by its slot's supervisor and training still
+/// completes.
 #[cfg(feature = "fault-injection")]
 #[test]
 fn train_survives_injected_fault() {

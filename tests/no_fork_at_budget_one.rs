@@ -1,10 +1,12 @@
 //! A walk that owns one core forks nothing, whatever its plans could
-//! split: a trainer pool worker and a serving worker run a band plan as
-//! the sequential stencil it splits, and a GEMM plan's row bands — forward
-//! and backward — as one serial GEMM, on their own thread. (Before the
-//! core budget each of the trainer's P sample workers forked P band
-//! threads for a layer whose plan was banded, and later still P GEMM
-//! threads for a layer whose backward was Parallel-GEMM.)
+//! split: a trainer's sample thread and a serving worker run a band plan
+//! as the sequential stencil it splits, and a GEMM plan's row bands —
+//! forward and backward — as one serial GEMM, on their own thread. The
+//! only forks of a training run are the trainer's own: one thread per
+//! sample thread but the first, per batch. (Before the core budget each
+//! of the trainer's P sample workers forked P band threads for a layer
+//! whose plan was banded, and later still P GEMM threads for a layer
+//! whose backward was Parallel-GEMM.)
 //!
 //! The tests read deltas of `fork_join_spawns`, a process-wide count, so
 //! they take turns.
@@ -93,6 +95,13 @@ fn pinned(plan: LayerPlan, cores: usize) -> Engine {
     engine
 }
 
+/// Batches of a [`train`] run: 16 samples at batch 4, two epochs.
+const BATCHES: u64 = 2 * 16 / 4;
+
+/// The threads a [`train`] run forks for its sample threads alone: the
+/// fold's records are far below its fork floor.
+const TRAINER_FORKS: u64 = (WORKERS as u64 - 1) * BATCHES;
+
 /// The epoch-loss words of training the engine pinned to `plan` at
 /// `cores`, and the threads the training forked.
 fn train(plan: LayerPlan, cores: usize) -> (Vec<u64>, u64) {
@@ -109,8 +118,9 @@ fn a_band_pinned_net_trains_on_the_pools_threads_alone() {
     let _turn = serialized();
     let (banded, banded_forks) = train(STENCIL, WORKERS);
     let (sequential, sequential_forks) = train(STENCIL, 1);
-    assert_eq!(banded_forks, 0, "a sample worker owns one core and forks nothing");
-    assert_eq!(sequential_forks, 0);
+    assert_eq!(TRAINER_FORKS, 8);
+    assert_eq!(banded_forks, TRAINER_FORKS, "a sample thread owns one core and forks nothing");
+    assert_eq!(sequential_forks, TRAINER_FORKS);
     assert_eq!(banded, sequential, "the band plan ran as the stencil it splits");
     // The same engine does fork when a call owns the cores: one band
     // thread, and one for the classifier's rows.
@@ -122,14 +132,14 @@ fn a_band_pinned_net_trains_on_the_pools_threads_alone() {
 
 /// The backward GEMM follows the core budget as the forward does: lowered
 /// at `WORKERS`, its row bands run as one serial GEMM inside each sample
-/// worker, with the loss words of the plan lowered at 1.
+/// thread, with the loss words of the plan lowered at 1.
 #[test]
 fn a_gemm_pinned_net_trains_on_the_pools_threads_alone() {
     let _turn = serialized();
     let (banded, banded_forks) = train(GEMM, WORKERS);
     let (serial, serial_forks) = train(GEMM, 1);
-    assert_eq!(banded_forks, 0, "a sample worker owns one core and forks nothing");
-    assert_eq!(serial_forks, 0);
+    assert_eq!(banded_forks, TRAINER_FORKS, "a sample thread owns one core and forks nothing");
+    assert_eq!(serial_forks, TRAINER_FORKS);
     assert_eq!(banded, serial, "the row bands ran as the serial GEMM");
 }
 

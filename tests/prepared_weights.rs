@@ -8,7 +8,7 @@
 //!   with the same plan — the layer never reads a copy of older weights.
 //! * **Frequency.** The prepare hook runs once per install and once per
 //!   applied batch, whatever the batch size or worker count, and always on
-//!   the thread that owns the network — never on a pool worker.
+//!   the thread that owns the network — never on a sample thread.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

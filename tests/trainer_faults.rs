@@ -1,8 +1,8 @@
-//! The SGD pool's fault path, without the `fault-injection` feature: a
-//! layer that really panics stands in for a kernel bug. Each pool worker
-//! supervises itself (`spg_sync::supervise`): it rebuilds its workspace
-//! and retries the faulted sample in place, so a transient fault leaves
-//! no trace in the bits, and a deterministic one burns exactly the
+//! The trainer's fault path, without the `fault-injection` feature: a
+//! layer that really panics stands in for a kernel bug. Each sample
+//! thread's slot supervises itself (`spg_sync::supervise`): it rebuilds
+//! its workspace and resumes at the faulted sample, so a transient fault
+//! leaves no trace in the bits, and a deterministic one burns exactly the
 //! slot's restart budget before the run fails with a typed error.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,7 +42,7 @@ struct Tripwire {
     tripped: AtomicBool,
     /// A poisoned visit waits for this many healthy visits before it
     /// panics: the barrier that forces "the sibling got through its
-    /// queue while this slot was still faulting".
+    /// block while this slot was still faulting".
     after_healthy: usize,
     visits: Arc<Visits>,
 }
@@ -120,9 +120,9 @@ fn config(threads: usize) -> TrainerConfig {
         batch_size: BATCH,
         sample_threads: threads,
         restart_backoff: Duration::ZERO,
-        // Supervision lives in the pool, and a configured plan selects
-        // the pool even at one thread. This one never fires: no worker
-        // reaches job u64::MAX (and without the feature it is inert).
+        // Supervision runs at every thread count. This plan never fires:
+        // no slot starts its u64::MAX-th sample (and without the feature
+        // it is inert).
         fault_plan: Some(FaultPlan::panic_on(0, u64::MAX)),
         ..TrainerConfig::default()
     }
@@ -135,17 +135,18 @@ fn counters() -> (u64, u64) {
 
 /// A layer that panics on one input every time: the owning slot retries
 /// it `restart_budget` times, then the run fails with the typed fault
-/// naming that slot — while the sibling worker, never disturbed, worked
-/// through its own queued samples of the same batch.
+/// naming that slot — while the sibling slot, never disturbed, worked
+/// through its own block of the same batch.
 #[test]
 fn deterministic_panic_burns_the_slot_budget_then_fails_typed() {
     let _serial = serialized();
     spg_cnn::telemetry::set_enabled(true);
     let config = TrainerConfig { restart_budget: 2, ..config(2) };
     let visits = Arc::new(Visits::default());
-    // Batch 0 of epoch 1 deals positions 0, 2 to worker 0 and 1, 3 to
-    // worker 1. Position 0 is poisoned; its every visit waits until
-    // worker 1 has run both of its samples.
+    // Batch 0 of epoch 1 gives slot 0 the block of positions 0, 1 and
+    // slot 1 the block 2, 3. Position 0 is poisoned; its every visit
+    // waits until slot 1 has run both of its samples, and slot 0 never
+    // gets past it to position 1.
     let mut net = network(Tripwire {
         len: SHAPE.len(),
         poison: Some(first_epoch_image(&config, 0)),
@@ -180,8 +181,8 @@ fn deterministic_panic_burns_the_slot_budget_then_fails_typed() {
     assert_eq!(after.1 - before.1, 3, "every faulted attempt counted");
 }
 
-/// A layer that panics on its first visit only: the worker retries the
-/// sample in place, and losses and weights come out bit-identical to a
+/// A layer that panics on its first visit only: the slot resumes at the
+/// sample, and losses and weights come out bit-identical to a
 /// run that never faulted — at 1, 2 and 3 threads.
 #[test]
 fn transient_panic_trains_to_the_same_bits_as_a_clean_run() {
@@ -207,7 +208,8 @@ fn transient_panic_trains_to_the_same_bits_as_a_clean_run() {
     let clean = train(1, None);
     for threads in [1, 2, 3] {
         let before = counters();
-        // Position 5: the second batch, so committed state precedes it.
+        // Position 5: the second batch, so committed state precedes it;
+        // position 1 of that batch is slot 0's at every thread count.
         let faulted = train(threads, Some(first_epoch_image(&config(threads), 5)));
         assert_eq!(faulted, clean, "{threads} thread(s): a retried sample changed the bits");
         let after = counters();
