@@ -8,7 +8,7 @@
 //! clockwise point is unchanged, so it keeps routing to the same shard
 //! (pinned by a property test below).
 //!
-//! Hashing is FNV-1a seeded with the router's `hash_seed`, so placements
+//! Hashing is FNV-1a seeded with the router's ring seed, so placements
 //! are deterministic per configuration and independent of process
 //! layout. The empty key is a legal key: it hashes like any other byte
 //! string (to the seed's avalanche), so empty-key requests route
@@ -16,7 +16,7 @@
 
 /// Seeded FNV-1a over `bytes`.
 ///
-/// The seed is folded in first so distinct `hash_seed` configurations
+/// The seed is folded in first so distinct seeds
 /// produce unrelated ring layouts from the same key population.
 pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -97,11 +97,6 @@ impl HashRing {
         }
         self.live[shard] = false;
         self.points.retain(|&(_, s)| s != shard);
-    }
-
-    /// Whether `shard` is currently live.
-    pub fn is_live(&self, shard: usize) -> bool {
-        self.live.get(shard).copied().unwrap_or(false)
     }
 
     /// Number of live shards.

@@ -177,6 +177,11 @@ impl<S: Read + Write + Send> ShardBackend for RemoteShard<S> {
     }
 }
 
+/// Seed for the router's consistent-hash ring.
+const HASH_SEED: u64 = 0x5b9c;
+/// Virtual points per shard on the router's ring.
+const VNODES: usize = HashRing::DEFAULT_VNODES;
+
 /// Configuration for [`Router::start`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -184,10 +189,6 @@ pub struct RouterConfig {
     pub shards: usize,
     /// Per-shard bounded queue capacity.
     pub queue_capacity: usize,
-    /// Seed for the consistent-hash ring.
-    pub hash_seed: u64,
-    /// Virtual points per shard on the ring.
-    pub vnodes: usize,
     /// Respawns allowed per shard before its queue closes for good.
     pub restart_budget: usize,
     /// Base respawn backoff (doubles per consecutive restart).
@@ -199,8 +200,6 @@ impl Default for RouterConfig {
         RouterConfig {
             shards: 2,
             queue_capacity: 64,
-            hash_seed: 0x5b9c,
-            vnodes: HashRing::DEFAULT_VNODES,
             restart_budget: 3,
             restart_backoff: Duration::from_millis(5),
         }
@@ -269,8 +268,7 @@ impl Router {
         config: &RouterConfig,
     ) -> Result<Router, ClusterError> {
         assert!(config.shards > 0, "router needs at least one shard");
-        let ring =
-            Arc::new(Mutex::new(HashRing::new(config.shards, config.vnodes, config.hash_seed)));
+        let ring = Arc::new(Mutex::new(HashRing::new(config.shards, VNODES, HASH_SEED)));
         let mut router = Router {
             ring,
             slots: Vec::with_capacity(config.shards),
@@ -541,7 +539,7 @@ mod tests {
     fn routes_by_key_and_answers_from_the_owning_shard() {
         let config = RouterConfig { shards: 3, ..Default::default() };
         let router = Router::start(scripted_spawner(None), &config).unwrap();
-        let ring = HashRing::new(3, config.vnodes, config.hash_seed);
+        let ring = HashRing::new(3, VNODES, HASH_SEED);
         for i in 0..60 {
             let key = format!("key-{i}");
             let reply = router.try_submit(key.as_bytes(), vec![1.0]).unwrap().wait().unwrap();
@@ -571,7 +569,7 @@ mod tests {
         // The first backend incarnation dies on its second request.
         let router = Router::start(scripted_spawner(Some(2)), &config).unwrap();
         // Find keys owned by shard 0 (the first spawned incarnation).
-        let ring = HashRing::new(2, config.vnodes, config.hash_seed);
+        let ring = HashRing::new(2, VNODES, HASH_SEED);
         let keys: Vec<String> = (0..200)
             .map(|i| format!("key-{i}"))
             .filter(|k| ring.route(k.as_bytes()) == Some(0))
@@ -677,7 +675,7 @@ mod tests {
             ..Default::default()
         };
         let router = Router::start(zero_dies, &config).unwrap();
-        let ring = HashRing::new(2, config.vnodes, config.hash_seed);
+        let ring = HashRing::new(2, VNODES, HASH_SEED);
         let key0: String = (0..200)
             .map(|i| format!("key-{i}"))
             .find(|k| ring.route(k.as_bytes()) == Some(0))
@@ -749,7 +747,7 @@ mod tests {
             ..Default::default()
         };
         let router = Router::start(spawner, &config).unwrap();
-        let ring = HashRing::new(2, config.vnodes, config.hash_seed);
+        let ring = HashRing::new(2, VNODES, HASH_SEED);
         let key0: String = (0..200)
             .map(|i| format!("key-{i}"))
             .find(|k| ring.route(k.as_bytes()) == Some(0))

@@ -183,9 +183,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Arms a deterministic fault-injection plan for the trainer's sample
-    /// threads (testing/ops drills). Inert unless the workspace is built with the
-    /// `fault-injection` feature.
+    /// Sets a deterministic fault plan for the trainer's sample threads
+    /// (testing/ops drills): the planned slot panics once, and its
+    /// supervisor restarts it. See [`TrainerConfig::fault_plan`].
     pub fn fault_plan(mut self, plan: spg_sync::FaultPlan) -> Self {
         self.trainer.fault_plan = Some(plan);
         self
@@ -309,14 +309,6 @@ impl Engine {
         &self.net
     }
 
-    /// Mutable access to the underlying network (escape hatch for callers
-    /// that need layer-level surgery). Drops the warm forward buffers: the
-    /// caller may replace the network with one of another geometry.
-    pub fn network_mut(&mut self) -> &mut Network {
-        *self.warm.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-        &mut self.net
-    }
-
     /// Consumes the engine, returning the network.
     pub fn into_network(self) -> Network {
         self.net
@@ -326,11 +318,6 @@ impl Engine {
     /// [`Engine::forward`] use (see [`EngineBuilder::workers`]).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The training configuration in use.
-    pub fn trainer_config(&self) -> &TrainerConfig {
-        &self.trainer
     }
 
     /// Installs forward-and-backward executor plans for training at the

@@ -93,8 +93,8 @@ pub struct TrainerConfig {
     pub restart_backoff: Duration,
     /// Deterministic fault to inject for supervision testing: slot `K`
     /// panics when it starts its `N`-th sample of the run, retries
-    /// included. Inert unless the `fault-injection` cargo feature is
-    /// enabled.
+    /// included. It fires whenever set, once per run; `None` costs one
+    /// `Option` test per sample.
     pub fault_plan: Option<FaultPlan>,
 }
 

@@ -1,11 +1,6 @@
-//! Deterministic fault-injection drills for the trainer's sample
-//! threads. Only built with the `fault-injection` cargo feature:
-//!
-//! ```text
-//! cargo test -p spg-convnet --features fault-injection
-//! ```
-
-#![cfg(feature = "fault-injection")]
+//! Deterministic fault drills for the trainer's sample threads. A
+//! [`FaultPlan`] is plain configuration, so these run with every
+//! `cargo test`.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;

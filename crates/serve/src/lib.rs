@@ -30,8 +30,8 @@
 //! Workers are *supervised*: a panic inside a micro-batch fails only that
 //! batch (its requests get [`ServeError::WorkerFault`]) and the worker
 //! restarts with fresh scratch up to a configurable restart budget —
-//! see the [`server`](ServeConfig) docs and the `fault-injection` cargo
-//! feature for the deterministic crash-testing harness. The
+//! see the [`server`](ServeConfig) docs, and [`ServeConfig::fault_plan`]
+//! for the deterministic crash drill. The
 //! `serve.worker_restarts` / `serve.faulted_batches` counters surface the
 //! pool's fault history in the metrics document.
 //!

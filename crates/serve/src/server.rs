@@ -56,8 +56,10 @@ pub struct ServeConfig {
     /// Base delay before the first respawn; doubles per consecutive
     /// restart of the same worker (capped at one second).
     pub restart_backoff: Duration,
-    /// Deterministic fault to inject for supervision testing. Inert
-    /// unless the `fault-injection` cargo feature is enabled.
+    /// Deterministic fault to inject for supervision testing: worker `K`
+    /// (or any worker) panics when it starts its `N`-th micro-batch. It
+    /// fires whenever set, once per server; `None` costs one `Option`
+    /// test per micro-batch.
     pub fault_plan: Option<FaultPlan>,
 }
 

@@ -1,16 +1,10 @@
-//! Deterministic fault-injection drills for the serving pool. Only built
-//! with the `fault-injection` cargo feature:
+//! Deterministic fault drills for the serving pool. A [`FaultPlan`] is
+//! plain configuration, so these run with every `cargo test`.
 //!
-//! ```text
-//! cargo test -p spg-serve --features fault-injection
-//! ```
-//!
-//! The always-on supervision tests in `serving.rs` crash a worker through
+//! The supervision tests in `serving.rs` crash a worker through
 //! a purpose-built panicking layer; these drills instead use the real
 //! [`FaultPlan`] path that ships in the production config surface, i.e.
 //! exactly what `spgcnn serve --inject-fault` exercises in CI.
-
-#![cfg(feature = "fault-injection")]
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,10 +88,7 @@ fn four_worker_pool_survives_injected_panic() {
     // max_batch 1: the one-shot plan fails exactly one request.
     assert_eq!(faulted, 1, "exactly the faulted micro-batch fails");
     assert_eq!(server.faulted_batches(), 1);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while server.restarts() < 1 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(server.restarts(), 1, "the crashed worker was respawned");
+    assert!(server.wait_restarts(1, Duration::from_secs(5)), "the crashed worker was respawned");
+    assert_eq!(server.restarts(), 1, "exactly one respawn");
     server.shutdown();
 }

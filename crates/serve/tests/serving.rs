@@ -319,8 +319,8 @@ fn zero_max_delay_serves_every_request() {
 }
 
 /// A layer that panics when its input starts with NaN — a deterministic
-/// stand-in for a kernel bug, usable without the `fault-injection`
-/// feature.
+/// stand-in for a kernel bug that faults a chosen request, where a
+/// `FaultPlan` faults a chosen micro-batch.
 #[derive(Debug)]
 struct PanickingLayer {
     len: usize,
@@ -413,11 +413,8 @@ fn panicking_batch_is_isolated_and_worker_respawns() {
         other => panic!("expected WorkerFault, got {other:?}"),
     }
     // The supervisor bumps the restart counter just before respawning,
-    // so the faulted reply can race a step ahead of it: poll briefly.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.restarts() < 1 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // so the faulted reply can race a step ahead of it: wait for it.
+    assert!(server.wait_restarts(1, Duration::from_secs(5)), "the worker was respawned");
     assert_eq!(server.restarts(), 1, "one respawn");
     assert_eq!(server.faulted_batches(), 1, "one faulted batch");
     server.shutdown();

@@ -36,9 +36,9 @@
 //!
 //! [`FaultPlan`] describes one deterministic fault — "panic on the Nth
 //! batch of worker K" — and [`FaultInjector`] carries it into the pools.
-//! The panic site only exists when the `fault-injection` cargo feature is
-//! enabled; release builds without the feature compile the injector down
-//! to a no-op.
+//! Like the ring's `TrainFault` and the shard's `KillDrill`, it is plain
+//! configuration: an injector fires whenever its caller set a plan, and
+//! one without a plan costs one `Option` test per work unit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,22 +51,12 @@ pub use fork_join::{fork_join, fork_join_spawns};
 pub use supervise::{backoff_delay, supervise, Restarts};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Acquires a read guard, recovering from poisoning.
-pub fn read<T>(rwlock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    rwlock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Acquires a write guard, recovering from poisoning.
-pub fn write<T>(rwlock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    rwlock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Waits on a condvar, recovering the reacquired guard from poisoning.
@@ -194,7 +184,8 @@ pub const ANY_WORKER: usize = usize::MAX;
 /// One deterministic injected fault: panic when worker `worker` starts its
 /// `batch`-th unit of work (1-based; a "unit" is a micro-batch for serving
 /// workers, and one sample started, retries included, for a trainer's
-/// sample slot over the whole run).
+/// sample slot over the whole run). A pool fires the plan whenever its
+/// config carries one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Target worker index, or [`ANY_WORKER`] for the first worker to get
@@ -223,12 +214,6 @@ impl FaultPlan {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Whether the current build can actually fire injected faults (the
-    /// `fault-injection` cargo feature is enabled).
-    pub fn armed() -> bool {
-        cfg!(feature = "fault-injection")
     }
 
     /// Parses a CLI-style spec: `K:N` (worker K, batch N), `any:N`, with
@@ -295,11 +280,6 @@ impl FaultInjector {
         FaultInjector { plan, fired: Arc::new(AtomicBool::new(false)) }
     }
 
-    /// An injector that never fires.
-    pub fn disarmed() -> Self {
-        FaultInjector::new(None)
-    }
-
     /// Whether the injected fault has already fired.
     pub fn fired(&self) -> bool {
         self.fired.load(Ordering::SeqCst)
@@ -310,12 +290,9 @@ impl FaultInjector {
         self.plan
     }
 
-    /// Call at the top of each work unit. Panics iff the build has the
-    /// `fault-injection` feature, the plan targets this `(worker, batch)`,
-    /// and no clone of this injector has fired yet.
-    #[allow(unused_variables)]
+    /// Call at the top of each work unit. Panics iff the plan targets
+    /// this `(worker, batch)` and no clone of this injector has fired yet.
     pub fn check(&self, worker: usize, batch: u64) {
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = self.plan {
             if (plan.worker == ANY_WORKER || plan.worker == worker)
                 && batch == plan.batch
@@ -346,20 +323,6 @@ mod tests {
         assert_eq!(*lock(&mutex), 7);
         *lock(&mutex) = 8;
         assert_eq!(*lock(&mutex), 8);
-    }
-
-    #[test]
-    fn rwlock_recovers_from_poison() {
-        let rw = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let poisoner = Arc::clone(&rw);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.write().unwrap();
-            panic!("poison the rwlock");
-        })
-        .join();
-        assert_eq!(read(&rw).len(), 3);
-        write(&rw).push(4);
-        assert_eq!(read(&rw).len(), 4);
     }
 
     #[test]
@@ -505,15 +468,13 @@ mod tests {
         const THREADS: usize = 8;
         const ROUNDS: usize = 25;
         let mutex = Arc::new(Mutex::new(0u64));
-        let rw = Arc::new(RwLock::new(0u64));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let mutex = Arc::clone(&mutex);
-                let rw = Arc::clone(&rw);
                 std::thread::spawn(move || {
                     for round in 0..ROUNDS {
                         // Half the acquisitions panic under the guard,
-                        // poisoning the locks for everyone else.
+                        // poisoning the lock for everyone else.
                         let poison = (t + round) % 2 == 0;
                         let _ = catch_unwind(AssertUnwindSafe(|| {
                             let mut guard = lock(&mutex);
@@ -522,16 +483,8 @@ mod tests {
                                 panic!("poison the mutex");
                             }
                         }));
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            let mut guard = write(&rw);
-                            *guard += 1;
-                            if poison {
-                                panic!("poison the rwlock");
-                            }
-                        }));
                         // Readers interleave with the poisoners.
                         let _ = *lock(&mutex);
-                        let _ = *read(&rw);
                     }
                 })
             })
@@ -542,7 +495,6 @@ mod tests {
         // Every increment ran under a recovered guard exactly once:
         // the panics happened *after* the +1, so totals are exact.
         assert_eq!(*lock(&mutex), (THREADS * ROUNDS) as u64);
-        assert_eq!(*read(&rw), (THREADS * ROUNDS) as u64);
     }
 
     #[test]
@@ -574,15 +526,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fault-injection"))]
-    #[test]
-    fn injector_is_inert_without_the_feature() {
-        let injector = FaultInjector::new(Some(FaultPlan::any_worker(1)));
-        injector.check(0, 1); // would panic if armed
-        assert!(!injector.fired());
-    }
-
-    #[cfg(feature = "fault-injection")]
     mod armed {
         use super::*;
         use std::panic::{catch_unwind, AssertUnwindSafe};

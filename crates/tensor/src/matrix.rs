@@ -147,16 +147,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrows row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert!(r < self.rows, "row index out of bounds");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Borrows the full row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data

@@ -53,7 +53,9 @@ usage:
       and/or write goodput telemetry as spgcnn-metrics JSON. When --batch
       is smaller than --threads the trainer runs only as many sample
       threads as the batch feeds and counts the idled ones in
-      train.starved_workers.
+      train.starved_workers. --inject-fault panics one sample slot on
+      purpose (SPEC as for serve; the unit is a sample the slot starts)
+      and checks the slot's supervisor resumes training.
   spgcnn eval <net.cfg> <weights.spgw> [--samples N]
       Load trained weights and report accuracy on a fresh synthetic set
       (for a single sample, also its class), planned for and run on every
@@ -78,8 +80,7 @@ usage:
       With --smoke a tiny built-in network is served and the collected
       telemetry is emitted as spgcnn-metrics JSON. --inject-fault panics
       one worker on purpose (SPEC is `worker:batch` or `any:batch`,
-      1-based batch) and checks the pool supervisor isolates the fault;
-      it needs a build with the `fault-injection` cargo feature.
+      1-based batch) and checks the pool supervisor isolates the fault.
   spgcnn bench-kernels [--json FILE] [--reps N]
       Race the generic stencil forward loops against the specialized
       codegen registry instance on every Table 2 layer, single-core,
@@ -186,16 +187,9 @@ fn opt_flag(args: &[String], key: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// Parses `--inject-fault SPEC` into a [`FaultPlan`], rejecting the flag
-/// outright when the binary was built without the `fault-injection`
-/// feature (an inert drill would silently prove nothing).
+/// Parses `--inject-fault SPEC` into a [`FaultPlan`].
 fn fault_flag(args: &[String]) -> Result<Option<FaultPlan>, String> {
     let Some(spec) = opt_flag(args, "--inject-fault")? else { return Ok(None) };
-    if !FaultPlan::armed() {
-        return Err("--inject-fault requires a build with the `fault-injection` cargo feature \
-             (cargo build --features fault-injection)"
-            .into());
-    }
     FaultPlan::parse(&spec).map(Some)
 }
 

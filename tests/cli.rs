@@ -139,19 +139,8 @@ fn missing_file_is_a_clean_error() {
     assert!(stderr.contains("error"));
 }
 
-/// Without the `fault-injection` feature, `--inject-fault` must refuse
-/// loudly instead of running an inert drill that proves nothing.
-#[cfg(not(feature = "fault-injection"))]
-#[test]
-fn inject_fault_flag_requires_the_feature() {
-    let (_, stderr, ok) = spgcnn(&["serve", "--smoke", "--inject-fault", "any:2"]);
-    assert!(!ok);
-    assert!(stderr.contains("fault-injection"), "stderr: {stderr}");
-}
-
 /// The CI smoke drill: a 4-worker serve run with an injected panic must
 /// finish, report the fault and the respawn, and exit zero.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn serve_smoke_survives_injected_fault() {
     let (stdout, stderr, ok) = spgcnn(&[
@@ -174,7 +163,6 @@ fn serve_smoke_survives_injected_fault() {
 /// The training drill through the CLI: an injected panic in a sample
 /// thread is absorbed by its slot's supervisor and training still
 /// completes.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn train_survives_injected_fault() {
     let path = write_net("spgcnn_train_fault_test.cfg");

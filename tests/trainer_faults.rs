@@ -1,5 +1,5 @@
-//! The trainer's fault path, without the `fault-injection` feature: a
-//! layer that really panics stands in for a kernel bug. Each sample
+//! The trainer's fault path without a `FaultPlan`: a layer that really
+//! panics stands in for a kernel bug. Each sample
 //! thread's slot supervises itself (`spg_sync::supervise`): it rebuilds
 //! its workspace and resumes at the faulted sample, so a transient fault
 //! leaves no trace in the bits, and a deterministic one burns exactly the
@@ -121,8 +121,7 @@ fn config(threads: usize) -> TrainerConfig {
         sample_threads: threads,
         restart_backoff: Duration::ZERO,
         // Supervision runs at every thread count. This plan never fires:
-        // no slot starts its u64::MAX-th sample (and without the feature
-        // it is inert).
+        // no slot starts its u64::MAX-th sample.
         fault_plan: Some(FaultPlan::panic_on(0, u64::MAX)),
         ..TrainerConfig::default()
     }
