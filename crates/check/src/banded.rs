@@ -6,18 +6,19 @@
 //! spatial/channel parallelism applied per layer). A band is a range of
 //! that loop nest, not a convolution of its own: every worker reads the
 //! parent input and weights and writes the parent output through the one
-//! kernel, over the parent's x-tiles. The judgments here are:
+//! kernel, with the parent's register tile. The judgments here are:
 //!
-//! * the **parent tiled plan verifies** — which bounds every load, weight
-//!   broadcast and store of every tile position in the layer, hence of
-//!   every band (the narrow shifted-GEMM path accumulates in a different
-//!   order and cannot be banded);
+//! * the **parent tiled plan verifies** — which bounds every input
+//!   broadcast, weight load and store of every tile position in the
+//!   layer, hence of every band (the narrow shifted-GEMM path accumulates
+//!   in a different order and cannot be banded);
+//! * feature bands start on the tile's **feature blocks**, so every block a
+//!   region sweeps lies inside the padded weight layout;
 //! * the bands **disjointly cover** the split extent (race-free, complete)
 //!   in **ascending order**, so that a run of consecutive bands is a
 //!   contiguous range — what a call with fewer cores than bands runs as
 //!   one region.
 
-use crate::capacity::ScratchCapacity;
 use crate::error::{Buf, CheckError};
 use crate::gemm::check_row_bands;
 use crate::plan::{BandDim, ForwardPlan};
@@ -31,7 +32,6 @@ pub(crate) fn check_forward_banded(
     dim: BandDim,
     tiled: &ForwardPlan,
     bands: &[(usize, usize)],
-    cap: &ScratchCapacity,
 ) -> Result<(), CheckError> {
     if bands.len() < 2 {
         // A one-band "decomposition" is the sequential plan wearing a
@@ -52,23 +52,14 @@ pub(crate) fn check_forward_banded(
         }
     }
 
-    let ForwardPlan::StencilTiled { lanes, tile_rows, cache_rows, x_tiles, phased } = tiled else {
+    let ForwardPlan::StencilTiled { lanes, tile } = *tiled else {
         return Err(CheckError::PlanShapeMismatch {
             context: "banded stencil must split the wide tiled kernel",
             expected: 1,
             found: 0,
         });
     };
-    stencil::check_forward_tiled(
-        interp,
-        spec,
-        *lanes,
-        *tile_rows,
-        *cache_rows,
-        x_tiles,
-        *phased,
-        cap,
-    )?;
+    stencil::check_forward_tiled(interp, spec, lanes, tile)?;
 
     // Disjoint-cover proof over the split extent (unit stride: the ranges
     // are in output rows / features directly).
@@ -80,31 +71,40 @@ pub(crate) fn check_forward_banded(
     // A call with fewer cores than bands runs consecutive bands as one
     // region (`VerifiedTiled::regions`), so list order must be range
     // order: in a disjoint cover, each band starting where the last ended.
-    match bands.windows(2).find(|pair| pair[1].0 != pair[0].1) {
-        Some(pair) => Err(CheckError::PlanShapeMismatch {
+    if let Some(pair) = bands.windows(2).find(|pair| pair[1].0 != pair[0].1) {
+        return Err(CheckError::PlanShapeMismatch {
             context: "banded stencil bands must ascend",
             expected: pair[0].1,
             found: pair[1].0,
+        });
+    }
+    // A region sweeps its features in whole feature blocks of the tile
+    // from its first feature, reading the padded weight layout; a feature
+    // band must therefore start on a block boundary, or its blocks would
+    // straddle the layout's padding.
+    let block = lanes * tile.nfv;
+    match bands.iter().find(|&&(lo, _)| dim == BandDim::OutChannels && lo % block != 0) {
+        Some(&(lo, _)) => Err(CheckError::PlanShapeMismatch {
+            context: "out-channel band splits a register tile's feature block",
+            expected: lo / block * block,
+            found: lo,
         }),
-        None => Ok(()),
+        None => {
+            interp.proved(1);
+            Ok(())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{XTile, VECTOR_WIDTH};
+    use crate::plan::{RegisterTile, VECTOR_WIDTH};
 
-    /// A 32-wide row as lowering segments it: two 2-vector tiles.
-    fn tiled_plan(spec: &ConvSpec) -> ForwardPlan {
-        assert_eq!(spec.out_w(), 32);
-        ForwardPlan::StencilTiled {
-            lanes: VECTOR_WIDTH,
-            tile_rows: 6,
-            cache_rows: 6,
-            x_tiles: vec![XTile { x: 0, vectors: 2 }, XTile { x: 16, vectors: 2 }],
-            phased: spec.sx() > 1,
-        }
+    /// The generic instance's tile: 4 positions x 3 vectors of 8 features,
+    /// feature blocks of 24.
+    fn tiled_plan(_: &ConvSpec) -> ForwardPlan {
+        ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile: RegisterTile { nx: 4, nfv: 3 } }
     }
 
     fn check(spec: &ConvSpec, dim: BandDim, bands: &[(usize, usize)]) -> Result<(), CheckError> {
@@ -117,24 +117,30 @@ mod tests {
         tiled: &ForwardPlan,
         bands: &[(usize, usize)],
     ) -> Result<(), CheckError> {
-        let cap = ScratchCapacity::reserved_for(spec);
-        check_forward_banded(&mut Interp::default(), spec, dim, tiled, bands, &cap)
+        check_forward_banded(&mut Interp::default(), spec, dim, tiled, bands)
     }
 
     #[test]
     fn valid_bands_verify_on_all_dims() {
-        let spec = ConvSpec::square(34, 16, 4, 3, 1); // 32x32 output
+        let spec = ConvSpec::square(34, 50, 4, 3, 1); // 32x32 output
         check(&spec, BandDim::YRows, &[(0, 16), (16, 32)]).unwrap();
-        check(&spec, BandDim::OutChannels, &[(0, 8), (8, 16)]).unwrap();
+        check(&spec, BandDim::OutChannels, &[(0, 24), (24, 50)]).unwrap();
+    }
+
+    #[test]
+    fn feature_band_off_a_tile_block_rejected() {
+        let spec = ConvSpec::square(34, 50, 4, 3, 1);
+        let err = check(&spec, BandDim::OutChannels, &[(0, 16), (16, 50)]).unwrap_err();
+        assert!(matches!(err, CheckError::PlanShapeMismatch { expected: 0, found: 16, .. }));
     }
 
     #[test]
     fn strided_bands_verify() {
-        // Stride 2 in both dimensions: the bands index the parent's
-        // phase-transformed staging, proved once for the whole layer.
-        let spec = ConvSpec::square(69, 8, 3, 7, 2); // 32x32 output
+        // Stride 2 in both dimensions: the bands read the parent's input in
+        // place, proved once for the whole layer.
+        let spec = ConvSpec::square(69, 60, 3, 7, 2); // 32x32 output
         check(&spec, BandDim::YRows, &[(0, 11), (11, 22), (22, 32)]).unwrap();
-        check(&spec, BandDim::OutChannels, &[(0, 3), (3, 6), (6, 8)]).unwrap();
+        check(&spec, BandDim::OutChannels, &[(0, 24), (24, 48), (48, 60)]).unwrap();
     }
 
     #[test]

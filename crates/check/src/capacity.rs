@@ -32,12 +32,10 @@ impl ScratchCapacity {
     pub fn reserved_for(spec: &ConvSpec) -> Self {
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
-        let ishape = spec.input_shape();
-        let phased = ishape.c * ishape.h * spec.sx() * ishape.w.div_ceil(spec.sx());
         ScratchCapacity {
             mat_a: patches * patch_len,
             mat_b: patches * patch_len,
-            hwc_in: ishape.len().max(phased),
+            hwc_in: spec.input_shape().len(),
             hwc_out: spec.output_shape().len(),
             wperm: spec.weight_shape().len(),
         }

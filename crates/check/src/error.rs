@@ -22,7 +22,7 @@ pub enum Buf {
     MatA,
     /// `ConvScratch::mat_b` (backward-data unfolded gradient).
     MatB,
-    /// `ConvScratch::hwc_in` (HWC / phase-transformed input staging).
+    /// `ConvScratch::hwc_in` (HWC input staging).
     HwcIn,
     /// `ConvScratch::hwc_out` (HWC output staging).
     HwcOut,

@@ -36,8 +36,8 @@ pub use capacity::ScratchCapacity;
 pub use error::{Buf, CheckError};
 pub use interval::Span;
 pub use plan::{
-    BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, XTile,
-    ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
+    vector_registers, BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile,
+    L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
 };
 pub use verified::{TileRegion, VerifiedPlan, VerifiedTiled};
 
@@ -104,37 +104,26 @@ impl Interp {
     }
 }
 
-/// Verifies a forward plan (plus the generated register tile and schedule
-/// tile) against `spec` and the scratch capacities `cap`.
+/// Verifies a forward plan (plus the generated schedule tile) against
+/// `spec` and the scratch capacities `cap`.
 pub fn verify_forward(
     spec: &ConvSpec,
     forward: &ForwardPlan,
-    register_tile: RegisterTile,
     schedule: ScheduleTile,
     cap: &ScratchCapacity,
 ) -> Result<CheckReport, CheckError> {
     let mut interp = Interp::default();
-    plan::check_register_tile(&mut interp, spec, register_tile)?;
     plan::check_schedule_tile(&mut interp, spec, schedule)?;
-    match forward {
-        ForwardPlan::StencilTiled { lanes, tile_rows, cache_rows, x_tiles, phased } => {
-            stencil::check_forward_tiled(
-                &mut interp,
-                spec,
-                *lanes,
-                *tile_rows,
-                *cache_rows,
-                x_tiles,
-                *phased,
-                cap,
-            )?;
+    match *forward {
+        ForwardPlan::StencilTiled { lanes, tile } => {
+            stencil::check_forward_tiled(&mut interp, spec, lanes, tile)?;
         }
         ForwardPlan::StencilNarrow => stencil::check_forward_narrow(&mut interp, spec, cap)?,
-        ForwardPlan::StencilBanded { dim, tiled, bands } => {
-            banded::check_forward_banded(&mut interp, spec, *dim, tiled, bands, cap)?;
+        ForwardPlan::StencilBanded { dim, ref tiled, ref bands } => {
+            banded::check_forward_banded(&mut interp, spec, dim, tiled, bands)?;
         }
         ForwardPlan::UnfoldGemm { threads } => {
-            gemm::check_forward_gemm(&mut interp, spec, *threads, cap)?;
+            gemm::check_forward_gemm(&mut interp, spec, threads, cap)?;
         }
     }
     Ok(interp.report)
@@ -171,7 +160,7 @@ pub fn verify_conv_plan(
     plan: ConvPlan,
     cap: &ScratchCapacity,
 ) -> Result<VerifiedPlan, CheckError> {
-    let mut report = verify_forward(spec, &plan.forward, plan.register_tile, plan.schedule, cap)?;
+    let mut report = verify_forward(spec, &plan.forward, plan.schedule, cap)?;
     report.absorb(verify_backward(spec, &plan.backward, cap)?);
     Ok(VerifiedPlan::proved(*spec, plan, report))
 }

@@ -2,21 +2,30 @@
 //!
 //! `spg-core` lowers its `LayerPlan` + generated tile/schedule parameters into
 //! this IR before verification; the IR deliberately carries the *derived*
-//! quantities the kernels actually execute with (lane count, tile row count,
-//! x-tile list, worker count) rather than the planner's abstract knobs, so the
+//! quantities the kernels actually execute with (lane count, register tile,
+//! band ranges, worker count) rather than the planner's abstract knobs, so the
 //! proof is about the code that runs, not the heuristic that chose it.
 
 use crate::error::CheckError;
 use crate::Interp;
 use spg_convnet::ConvSpec;
 
-/// SIMD lanes per vector register the generic stencil basic block is
-/// generated for (AVX: 8). The one definition; `spg-core` re-exports it.
+/// SIMD lanes per vector register of the run-time-geometry ("generic")
+/// stencil instance (AVX2: 8), and the output width below which a stencil
+/// lowers to the narrow kernel. The one definition; `spg-core` re-exports
+/// it.
 pub const VECTOR_WIDTH: usize = 8;
 
-/// Architectural vector-accumulator budget for one basic block (Sec. 4.3:
-/// sixteen YMM registers minus operand/broadcast temporaries).
-pub const ACCUMULATOR_BUDGET: usize = 12;
+/// Architectural vector registers of the instruction set whose vectors
+/// hold `lanes` f32 lanes: sixteen YMM on AVX2 (8 lanes), thirty-two ZMM on
+/// AVX-512 (16 lanes). `None` for a lane width no instance runs.
+pub const fn vector_registers(lanes: usize) -> Option<usize> {
+    match lanes {
+        8 => Some(16),
+        16 => Some(32),
+        _ => None,
+    }
+}
 
 /// L1 working-set budget in `f32` elements the schedule generator targets.
 pub const L1_BUDGET_ELEMS: usize = 4 * 1024;
@@ -27,23 +36,25 @@ pub const PAGE_ELEMS: usize = 1024;
 /// Data-TLB entry budget the schedule generator targets.
 pub const TLB_BUDGET_PAGES: usize = 16;
 
-/// One contiguous x-segment of a stencil row, `vectors * lanes` columns wide,
-/// starting at output column `x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct XTile {
-    /// First output column the segment writes.
-    pub x: usize,
-    /// Vector registers per row of the segment (1 or 2).
-    pub vectors: usize,
+/// The stencil's register tile (Sec. 4.3's basic block, vectorized over
+/// output features): `nx` consecutive output positions of one row times
+/// `nfv` vectors of output features. Each kernel tap loads `nfv` weight
+/// vectors, broadcasts `nx` input values and issues `nx * nfv` FMAs into
+/// accumulators that live in registers for the whole reduction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RegisterTile {
+    /// Output positions (consecutive `x` of one row).
+    pub nx: usize,
+    /// Vectors of output features.
+    pub nfv: usize,
 }
 
-/// Register-tile shape chosen by the basic-block generator (Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegisterTile {
-    /// Vector registers along x.
-    pub rx: usize,
-    /// Rows along y.
-    pub ry: usize,
+impl RegisterTile {
+    /// Vector registers the tile keeps live: its accumulators, the weight
+    /// vectors of one tap and the broadcast input.
+    pub fn registers(self) -> usize {
+        self.nx * self.nfv + self.nfv + 1
+    }
 }
 
 /// Cache/TLB schedule tile chosen by the schedule generator.
@@ -69,19 +80,15 @@ pub enum BandDim {
 /// How the forward pass executes under the candidate plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ForwardPlan {
-    /// Register-tiled direct stencil over wide rows (`out_w >= lanes`),
-    /// optionally through the Eq. 21 phase transform when `sx > 1`.
+    /// Register-tiled direct stencil with output features as vector
+    /// lanes, reading the CHW input in place at every stride and the
+    /// feature-blocked (`[c][ky][kx][f]`, features padded to whole tiles)
+    /// weights.
     StencilTiled {
-        /// SIMD lanes per vector store.
+        /// f32 lanes per vector: output features per weight load.
         lanes: usize,
-        /// Output rows per basic-block invocation.
-        tile_rows: usize,
-        /// Output rows per cache tile wrapped around the basic block.
-        cache_rows: usize,
-        /// Row segmentation; must cover `0..out_w` without escaping it.
-        x_tiles: Vec<XTile>,
-        /// Whether the input is staged through the phase transform.
-        phased: bool,
+        /// The register tile every output row is swept with.
+        tile: RegisterTile,
     },
     /// Narrow-output stencil: per-tap gather into a patch block + small GEMM.
     StencilNarrow,
@@ -122,59 +129,66 @@ pub enum BackwardPlan {
     },
 }
 
-/// A complete lowered layer plan: both phases plus the generated tile shapes.
+/// A complete lowered layer plan: both phases plus the generated cache
+/// schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvPlan {
     /// Forward execution strategy.
     pub forward: ForwardPlan,
     /// Backward execution strategy.
     pub backward: BackwardPlan,
-    /// Basic-block register tile the generator chose for this spec.
-    pub register_tile: RegisterTile,
     /// Cache/TLB schedule tile the generator chose for this spec.
     pub schedule: ScheduleTile,
 }
 
-/// Proves the register tile admissible: within the accumulator budget and
-/// no larger than the output extent it tiles (the generator's own admissibility
-/// predicate, re-derived from the spec rather than trusted).
+/// Proves a stencil register tile admissible at `lanes` lanes: non-empty,
+/// within the instruction set's vector register file (accumulators, one
+/// tap's weight vectors and the broadcast), no wider than the group of
+/// `lanes` positions whose stores are transposed together, and no wider
+/// than the output row it sweeps — the last x-block overlaps its
+/// predecessor, so it needs a whole tile of positions inside the row.
 pub(crate) fn check_register_tile(
     interp: &mut Interp,
     spec: &ConvSpec,
+    lanes: usize,
     tile: RegisterTile,
 ) -> Result<(), CheckError> {
-    if tile.rx == 0 || tile.ry == 0 {
+    let Some(registers) = vector_registers(lanes) else {
+        return Err(CheckError::PlanShapeMismatch {
+            context: "no instruction set has vectors of this many lanes",
+            expected: VECTOR_WIDTH,
+            found: lanes,
+        });
+    };
+    if tile.nx == 0 || tile.nfv == 0 {
         return Err(CheckError::PlanShapeMismatch {
             context: "register tile must be at least 1x1",
             expected: 1,
             found: 0,
         });
     }
-    let accumulators = tile.rx * tile.ry;
-    if accumulators > ACCUMULATOR_BUDGET {
+    if tile.registers() > registers {
         return Err(CheckError::BudgetExceeded {
-            context: "register-tile vector accumulators",
-            used: accumulators,
-            budget: ACCUMULATOR_BUDGET,
+            context: "register-tile accumulators, weight vectors and broadcast",
+            used: tile.registers(),
+            budget: registers,
         });
     }
-    if tile.ry > spec.out_h() {
+    if tile.nx > lanes {
         return Err(CheckError::PlanShapeMismatch {
-            context: "register tile taller than the output",
-            expected: spec.out_h(),
-            found: tile.ry,
+            context: "register tile wider than a store group",
+            expected: lanes,
+            found: tile.nx,
         });
     }
-    // Mirrors the generator's width admissibility: the widest admissible tile
-    // keeps its last vector within one vector width of the row end.
-    if (tile.rx - 1) * VECTOR_WIDTH >= spec.out_w().max(1) + VECTOR_WIDTH {
+    if tile.nx > spec.out_w() {
         return Err(CheckError::PlanShapeMismatch {
-            context: "register tile wider than the output row admits",
+            context: "register tile wider than the output row",
             expected: spec.out_w(),
-            found: tile.rx * VECTOR_WIDTH,
+            found: tile.nx,
         });
     }
-    interp.proved(3);
+    interp.proved(4);
     Ok(())
 }
 
@@ -259,25 +273,35 @@ mod tests {
     #[test]
     fn budget_tile_accepted() {
         let mut interp = Interp::default();
-        check_register_tile(&mut interp, &spec(), RegisterTile { rx: 2, ry: 6 }).unwrap();
+        check_register_tile(&mut interp, &spec(), 16, RegisterTile { nx: 4, nfv: 6 }).unwrap();
+        check_register_tile(&mut interp, &spec(), 8, RegisterTile { nx: 4, nfv: 3 }).unwrap();
         check_schedule_tile(&mut interp, &spec(), ScheduleTile { y_tile: 4, x_tile: 28 }).unwrap();
     }
 
+    /// The budget is the instruction set's: a tile that fits the 32 ZMM
+    /// registers of AVX-512 overflows the 16 YMM registers of AVX2.
     #[test]
-    fn oversized_register_tile_rejected() {
+    fn register_tile_over_the_isa_register_file_rejected() {
         let mut interp = Interp::default();
-        let err =
-            check_register_tile(&mut interp, &spec(), RegisterTile { rx: 4, ry: 4 }).unwrap_err();
-        assert!(matches!(err, CheckError::BudgetExceeded { used: 16, budget: 12, .. }));
+        let tile = RegisterTile { nx: 4, nfv: 6 };
+        let err = check_register_tile(&mut interp, &spec(), 8, tile).unwrap_err();
+        assert!(matches!(err, CheckError::BudgetExceeded { used: 31, budget: 16, .. }));
+        let over = RegisterTile { nx: 4, nfv: 7 };
+        let err = check_register_tile(&mut interp, &spec(), 16, over).unwrap_err();
+        assert!(matches!(err, CheckError::BudgetExceeded { used: 36, budget: 32, .. }));
+        let err = check_register_tile(&mut interp, &spec(), 4, RegisterTile { nx: 1, nfv: 1 });
+        assert!(matches!(err, Err(CheckError::PlanShapeMismatch { found: 4, .. })));
     }
 
     #[test]
-    fn register_tile_taller_than_output_rejected() {
-        let small = ConvSpec::square(8, 4, 2, 3, 1); // 6x6 output
+    fn register_tile_wider_than_output_or_group_rejected() {
+        let small = ConvSpec::square(10, 4, 2, 3, 1); // 8x8 output
         let mut interp = Interp::default();
-        let err =
-            check_register_tile(&mut interp, &small, RegisterTile { rx: 1, ry: 12 }).unwrap_err();
-        assert!(matches!(err, CheckError::PlanShapeMismatch { found: 12, .. }));
+        let tile = RegisterTile { nx: 9, nfv: 1 };
+        let err = check_register_tile(&mut interp, &small, 16, tile).unwrap_err();
+        assert!(matches!(err, CheckError::PlanShapeMismatch { expected: 8, found: 9, .. }));
+        let err = check_register_tile(&mut interp, &spec(), 8, tile).unwrap_err();
+        assert!(matches!(err, CheckError::PlanShapeMismatch { expected: 8, found: 9, .. }));
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! a [`VerifiedPlan`], a `VerifiedPlan` the only source of a
 //! [`VerifiedTiled`], and [`VerifiedTiled::regions`] the only source of a
 //! [`TileRegion`] — the values the `unsafe` stencil tile loops take their
-//! bounds and their output rows from. The x-tiles, cache rows and band
-//! ranges a kernel iterates are the very `Vec`s the abstract interpretation
-//! judged, and the rows of the output two workers write are the ranges it
-//! proved disjoint.
+//! bounds and their output rows from. The register tile and band ranges a
+//! kernel iterates are the very values the abstract interpretation judged,
+//! and the features and rows of the output two workers write are the
+//! ranges it proved disjoint.
 
 use std::marker::PhantomData;
 
 use spg_convnet::ConvSpec;
 
-use crate::plan::{BandDim, ConvPlan, ForwardPlan, XTile};
+use crate::plan::{BandDim, ConvPlan, ForwardPlan, RegisterTile};
 use crate::CheckReport;
 
 /// A [`ConvPlan`] proved safe for one [`ConvSpec`]: it exists only if the
@@ -56,17 +56,9 @@ impl VerifiedPlan {
             }
             sequential => (sequential, None),
         };
-        match tiled {
-            ForwardPlan::StencilTiled { lanes, tile_rows, cache_rows, x_tiles, phased } => {
-                Some(VerifiedTiled {
-                    spec: &self.spec,
-                    lanes: *lanes,
-                    tile_rows: *tile_rows,
-                    cache_rows: *cache_rows,
-                    x_tiles,
-                    phased: *phased,
-                    bands,
-                })
+        match *tiled {
+            ForwardPlan::StencilTiled { lanes, tile } => {
+                Some(VerifiedTiled { spec: &self.spec, lanes, tile, bands })
             }
             _ => None,
         }
@@ -81,10 +73,7 @@ impl VerifiedPlan {
 pub struct VerifiedTiled<'a> {
     spec: &'a ConvSpec,
     lanes: usize,
-    tile_rows: usize,
-    cache_rows: usize,
-    x_tiles: &'a [XTile],
-    phased: bool,
+    tile: RegisterTile,
     bands: Option<(BandDim, &'a [(usize, usize)])>,
 }
 
@@ -94,29 +83,27 @@ impl<'a> VerifiedTiled<'a> {
         self.spec
     }
 
-    /// SIMD lanes per vector store.
+    /// f32 lanes per vector: output features per weight load.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
 
-    /// Output rows per basic-block invocation.
-    pub fn tile_rows(&self) -> usize {
-        self.tile_rows
+    /// The register tile, proved within the lane width's register file
+    /// and no wider than an output row.
+    pub fn tile(&self) -> RegisterTile {
+        self.tile
     }
 
-    /// Output rows per cache tile.
-    pub fn cache_rows(&self) -> usize {
-        self.cache_rows
+    /// Output features a tile computes: `nfv` vectors of `lanes`. Every
+    /// region's features start on a multiple of it.
+    pub fn feature_block(&self) -> usize {
+        self.lanes * self.tile.nfv
     }
 
-    /// The row segmentation, proved to cover `0..out_w` without escaping it.
-    pub fn x_tiles(&self) -> &'a [XTile] {
-        self.x_tiles
-    }
-
-    /// Whether the input is staged through the Eq. 21 phase transform.
-    pub fn phased(&self) -> bool {
-        self.phased
+    /// Features per tap of the weight layout the plan reads: the spec's
+    /// features padded to whole feature blocks.
+    pub fn padded_features(&self) -> usize {
+        crate::stencil::padded_features(self.spec, self.lanes, self.tile)
     }
 
     /// Splits `output` into the regions of the plan's loop nest a call with
@@ -207,6 +194,7 @@ impl TileRegion<'_> {
     /// # Panics
     ///
     /// Panics if `f` is outside [`features`](TileRegion::features).
+    #[inline]
     pub fn plane_rows(&mut self, f: usize) -> &mut [f32] {
         assert!((self.features.0..self.features.1).contains(&f), "feature outside the region");
         let (lo, hi) = self.rows;
@@ -228,17 +216,12 @@ impl TileRegion<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{BackwardPlan, RegisterTile, ScheduleTile, VECTOR_WIDTH};
+    use crate::plan::{BackwardPlan, ScheduleTile, VECTOR_WIDTH};
     use crate::{verify_conv_plan, ScratchCapacity};
 
     fn proved(spec: &ConvSpec, bands: Option<(BandDim, Vec<(usize, usize)>)>) -> VerifiedPlan {
-        let tiled = ForwardPlan::StencilTiled {
-            lanes: VECTOR_WIDTH,
-            tile_rows: 6,
-            cache_rows: 6,
-            x_tiles: vec![XTile { x: 0, vectors: 2 }, XTile { x: 2, vectors: 2 }],
-            phased: false,
-        };
+        let tile = RegisterTile { nx: 6, nfv: 1 };
+        let tiled = ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile };
         let forward = match bands {
             Some((dim, bands)) => ForwardPlan::StencilBanded { dim, tiled: Box::new(tiled), bands },
             None => tiled,
@@ -246,7 +229,6 @@ mod tests {
         let plan = ConvPlan {
             forward,
             backward: BackwardPlan::UnfoldGemm { threads: 1 },
-            register_tile: RegisterTile { rx: 2, ry: 6 },
             schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
         };
         verify_conv_plan(spec, plan, &ScratchCapacity::reserved_for(spec)).expect("plan verifies")
@@ -257,7 +239,7 @@ mod tests {
     /// once (and, under Miri or TSan, to exactly one thread).
     #[test]
     fn regions_partition_the_output() {
-        let spec = ConvSpec::square(20, 5, 2, 3, 1); // 5 planes of 18x18
+        let spec = ConvSpec::square(20, 20, 2, 3, 1); // 20 planes of 18x18
         let rows = || Some((BandDim::YRows, vec![(0, 7), (7, 13), (13, 18)]));
         // (bands, cores, regions): a region per band with the cores for
         // it, runs of bands with fewer, the whole layer with one.
@@ -267,8 +249,8 @@ mod tests {
             (rows(), 8, 3),
             (rows(), 2, 2),
             (rows(), 1, 1),
-            (Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])), 2, 2),
-            (Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])), 1, 1),
+            (Some((BandDim::OutChannels, vec![(0, 8), (8, 20)])), 2, 2),
+            (Some((BandDim::OutChannels, vec![(0, 8), (8, 20)])), 1, 1),
         ];
         for (bands, cores, count) in splits {
             let plan = proved(&spec, bands);
@@ -300,11 +282,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "feature outside the region")]
     fn plane_rows_refuses_a_siblings_feature() {
-        let spec = ConvSpec::square(20, 5, 2, 3, 1);
-        let plan = proved(&spec, Some((BandDim::OutChannels, vec![(0, 2), (2, 5)])));
+        let spec = ConvSpec::square(20, 20, 2, 3, 1);
+        let plan = proved(&spec, Some((BandDim::OutChannels, vec![(0, 8), (8, 20)])));
         let mut output = vec![0f32; spec.output_shape().len()];
         let mut first =
             plan.tiled().expect("tiled forward").regions(&mut output, 2).next().unwrap();
-        first.plane_rows(2);
+        first.plane_rows(8);
     }
 }

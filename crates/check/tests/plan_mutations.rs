@@ -1,6 +1,7 @@
 //! Property tests for the plan verifier: known-good plans verify clean, and
-//! every seeded mutation — off-by-one tile bounds, overlapping worker splits,
-//! gapped row coverage, undersized scratch — is rejected with the matching
+//! every seeded mutation — register tiles too wide or over budget,
+//! overlapping worker splits, gapped row coverage, feature bands off a tile
+//! block, undersized scratch — is rejected with the matching
 //! [`CheckError`] variant. The verifier's value is exactly this asymmetry:
 //! real plans pass, every corrupted neighbour of a real plan fails loudly.
 //!
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 
 use spg_check::{
     gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, Buf, CheckError, ConvPlan,
-    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan, XTile, VECTOR_WIDTH,
+    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
@@ -37,65 +38,29 @@ fn any_spec() -> impl Strategy<Value = ConvSpec> {
         })
 }
 
-/// The x segmentation lowering emits (16-wide greedy, then 8-wide, then an
-/// overlapping 8-wide remainder anchored at the row end), restated because
-/// `spg-check` sits below the crate that owns it.
-fn x_tiles(out_w: usize) -> Vec<XTile> {
-    let lanes = VECTOR_WIDTH;
-    let mut tiles = Vec::new();
-    let mut x = 0;
-    while x + 2 * lanes <= out_w {
-        tiles.push(XTile { x, vectors: 2 });
-        x += 2 * lanes;
-    }
-    while x + lanes <= out_w {
-        tiles.push(XTile { x, vectors: 1 });
-        x += lanes;
-    }
-    if x < out_w {
-        tiles.push(XTile { x: out_w - lanes, vectors: 1 });
-    }
-    tiles
+/// The known-good tiled stencil plan for a wide spec: one vector of 8
+/// features by 4 positions (feature blocks of 8), inside every lane
+/// width's register file and every tiled output row.
+fn good_tiled(_: &ConvSpec) -> ForwardPlan {
+    ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile: RegisterTile { nx: 4, nfv: 1 } }
 }
 
-/// The known-good tiled stencil plan for a wide spec.
-fn good_tiled(spec: &ConvSpec) -> ForwardPlan {
-    ForwardPlan::StencilTiled {
-        lanes: VECTOR_WIDTH,
-        tile_rows: 2,
-        cache_rows: 2,
-        x_tiles: x_tiles(spec.out_w()),
-        phased: spec.sx() > 1,
-    }
+/// A schedule tile that is always admissible (the generator's
+/// unconditional single-row fallback).
+fn good_schedule(spec: &ConvSpec) -> ScheduleTile {
+    ScheduleTile { y_tile: 1, x_tile: spec.out_w() }
 }
 
-/// A register/schedule tile pair that is always admissible (the generators'
-/// unconditional 1x1 / single-row fallbacks).
-fn good_tiles(spec: &ConvSpec) -> (RegisterTile, ScheduleTile) {
-    (RegisterTile { rx: 1, ry: 1 }, ScheduleTile { y_tile: 1, x_tile: spec.out_w() })
-}
-
+/// Judges `fwd` and shows the verdict is also the only way to (not)
+/// obtain the executable type: [`verify_conv_plan`] on the same forward
+/// plan (with the always-admissible serial GEMM backward) returns the
+/// identical error, or a [`VerifiedPlan`] holding this plan.
 fn verify(spec: &ConvSpec, fwd: &ForwardPlan, cap: &ScratchCapacity) -> Result<(), CheckError> {
-    let (rt, st) = good_tiles(spec);
-    verify_tiles(spec, fwd, rt, st, cap)
-}
-
-/// Judges `fwd` under the given tiles and shows the verdict is also the
-/// only way to (not) obtain the executable type: [`verify_conv_plan`] on
-/// the same forward plan (with the always-admissible serial GEMM backward)
-/// returns the identical error, or a [`VerifiedPlan`] holding this plan.
-fn verify_tiles(
-    spec: &ConvSpec,
-    fwd: &ForwardPlan,
-    register_tile: RegisterTile,
-    schedule: ScheduleTile,
-    cap: &ScratchCapacity,
-) -> Result<(), CheckError> {
-    let judged = verify_forward(spec, fwd, register_tile, schedule, cap).map(|_| ());
+    let schedule = good_schedule(spec);
+    let judged = verify_forward(spec, fwd, schedule, cap).map(|_| ());
     let plan = ConvPlan {
         forward: fwd.clone(),
         backward: BackwardPlan::UnfoldGemm { threads: 1 },
-        register_tile,
         schedule,
     };
     let executable: Result<VerifiedPlan, CheckError> = verify_conv_plan(spec, plan.clone(), cap);
@@ -114,10 +79,10 @@ fn verify_tiles(
 }
 
 /// Specs whose output splits into two bands along either dimension: at
-/// least 18 output rows on the wide tiled path, and at least 4 output
-/// features (two non-trivial slices).
+/// least 18 output rows on the wide tiled path, and at least 16 output
+/// features (two feature blocks of [`good_tiled`]'s tile).
 fn splittable_spec() -> impl Strategy<Value = ConvSpec> {
-    (1usize..3, 20usize..44, 4usize..8, 1usize..4, 1usize..3).prop_filter_map(
+    (1usize..3, 20usize..44, 16usize..40, 1usize..4, 1usize..3).prop_filter_map(
         "two bands per split dimension",
         |(c, n, f, k, s)| {
             let spec = ConvSpec::new(c, n, n, f, k, k, s, s).ok()?;
@@ -138,6 +103,16 @@ fn extent_for(spec: &ConvSpec, dim: BandDim) -> usize {
     }
 }
 
+/// Where a two-band split of `spec` along `dim` cuts: the middle row, or
+/// the feature-block boundary nearest below the middle feature.
+fn mid(spec: &ConvSpec, dim: BandDim) -> usize {
+    let e = extent_for(spec, dim);
+    match dim {
+        BandDim::YRows => e / 2,
+        BandDim::OutChannels => (e / 2 / VECTOR_WIDTH).max(1) * VECTOR_WIDTH,
+    }
+}
+
 /// A banded plan: the known-good tiled plan of the whole layer with its
 /// rows or features split over `ranges`.
 fn banded_plan(spec: &ConvSpec, dim: BandDim, ranges: &[(usize, usize)]) -> ForwardPlan {
@@ -154,70 +129,21 @@ proptest! {
         prop_assert!(verify(&spec, &good_tiled(&spec), &cap).is_ok());
     }
 
-    /// Off-by-one tile bound: shifting any x-tile one column right must be
-    /// rejected — either the segment escapes the row (OutOfBounds) or it
-    /// opens a one-column gap at its old position (IncompleteCover).
+    /// A register tile one position wider than the output row, or than a
+    /// 16-position store group, is refused: the overlapping last x-block
+    /// would start before the row or the group.
     #[test]
-    fn shifted_x_tile_rejected(spec in wide_spec(), pick in 0usize..64) {
+    fn tile_wider_than_the_row_rejected(spec in wide_spec()) {
+        // wide_spec() rows are at most 23 wide: past 15 the group bound
+        // (16 positions) is what a one-wider tile breaks first.
         let cap = ScratchCapacity::reserved_for(&spec);
-        let mut tiles = x_tiles(spec.out_w());
-        let i = pick % tiles.len();
-        tiles[i].x += 1;
-        let mutated = ForwardPlan::StencilTiled {
-            lanes: VECTOR_WIDTH,
-            tile_rows: 2,
-            cache_rows: 2,
-            x_tiles: tiles,
-            phased: spec.sx() > 1,
-        };
+        let tile = RegisterTile { nx: spec.out_w() + 1, nfv: 1 };
+        let mutated = ForwardPlan::StencilTiled { lanes: 16, tile };
         let err = verify(&spec, &mutated, &cap).unwrap_err();
         prop_assert!(
-            matches!(
-                err,
-                CheckError::OutOfBounds { buffer: Buf::Output, .. }
-                    | CheckError::IncompleteCover { buffer: Buf::Output, .. }
-            ),
+            matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == tile.nx),
             "unexpected error {err:?}"
         );
-    }
-
-    /// Dropping an x-tile leaves uncovered output columns: IncompleteCover.
-    /// (No tile is redundant: coverage below the remainder is tight, and the
-    /// remainder is the only segment reaching the row end.)
-    #[test]
-    fn dropped_x_tile_rejected(spec in wide_spec(), pick in 0usize..64) {
-        let cap = ScratchCapacity::reserved_for(&spec);
-        let mut tiles = x_tiles(spec.out_w());
-        let i = pick % tiles.len();
-        tiles.remove(i);
-        let mutated = ForwardPlan::StencilTiled {
-            lanes: VECTOR_WIDTH,
-            tile_rows: 2,
-            cache_rows: 2,
-            x_tiles: tiles,
-            phased: spec.sx() > 1,
-        };
-        let err = verify(&spec, &mutated, &cap).unwrap_err();
-        prop_assert!(
-            matches!(err, CheckError::IncompleteCover { buffer: Buf::Output, .. }),
-            "unexpected error {err:?}"
-        );
-    }
-
-    /// Claiming the phase transform on a unit-stride layer (or omitting it
-    /// on a strided one) contradicts the kernel dispatch: PlanShapeMismatch.
-    #[test]
-    fn wrong_phase_claim_rejected(spec in wide_spec()) {
-        let cap = ScratchCapacity::reserved_for(&spec);
-        let mutated = ForwardPlan::StencilTiled {
-            lanes: VECTOR_WIDTH,
-            tile_rows: 2,
-            cache_rows: 2,
-            x_tiles: x_tiles(spec.out_w()),
-            phased: spec.sx() == 1, // inverted
-        };
-        let err = verify(&spec, &mutated, &cap).unwrap_err();
-        prop_assert!(matches!(err, CheckError::PlanShapeMismatch { .. }));
     }
 
     /// Undersized scratch: shrinking a required staging capacity below the
@@ -233,21 +159,6 @@ proptest! {
             matches!(err, CheckError::ScratchOverflow { buffer: Buf::HwcIn, .. }),
             "unexpected error {err:?}"
         );
-    }
-
-    /// The phased tiled path stages the phase-transformed input in hwc_in;
-    /// one element short of its footprint is likewise a ScratchOverflow.
-    #[test]
-    fn undersized_phased_scratch_rejected(spec in wide_spec()) {
-        let mut cap = ScratchCapacity::reserved_for(&spec);
-        if spec.sx() > 1 {
-            cap.hwc_in -= 1;
-            let err = verify(&spec, &good_tiled(&spec), &cap).unwrap_err();
-            prop_assert!(
-                matches!(err, CheckError::ScratchOverflow { buffer: Buf::HwcIn, .. }),
-                "unexpected error {err:?}"
-            );
-        }
     }
 
     /// Overlapping worker splits: merging two adjacent GEMM row bands into
@@ -301,28 +212,36 @@ proptest! {
     #[test]
     fn forward_gemm_row_bands_verify(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (rt, st) = good_tiles(&spec);
+        let st = good_schedule(&spec);
         let plan = ForwardPlan::UnfoldGemm { threads: 3 };
-        let report = verify_forward(&spec, &plan, rt, st, &cap).unwrap();
+        let report = verify_forward(&spec, &plan, st, &cap).unwrap();
         prop_assert_eq!(report.worker_regions, gemm::row_bands(spec.features(), 3).len());
         prop_assert!(verify(&spec, &plan, &cap).is_ok());
-        let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, rt, st, &cap);
+        let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, st, &cap);
         prop_assert_eq!(serial.unwrap().worker_regions, 0);
         prop_assert!(verify(&spec, &ForwardPlan::UnfoldGemm { threads: 0 }, &cap).is_err());
     }
 
-    /// Oversized register tiles (accumulator budget) and zero-sized tiles
-    /// are rejected as BudgetExceeded / PlanShapeMismatch respectively.
+    /// Register tiles over their instruction set's register file, empty
+    /// tiles and lane widths no instruction set has are rejected as
+    /// BudgetExceeded / PlanShapeMismatch.
     #[test]
     fn bad_register_tiles_rejected(spec in wide_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let st = ScheduleTile { y_tile: 1, x_tile: spec.out_w() };
-        let over = RegisterTile { rx: 4, ry: 4 };
-        let err = verify_tiles(&spec, &good_tiled(&spec), over, st, &cap).unwrap_err();
-        prop_assert!(matches!(err, CheckError::BudgetExceeded { .. }));
-        let zero = RegisterTile { rx: 0, ry: 1 };
-        let err = verify_tiles(&spec, &good_tiled(&spec), zero, st, &cap).unwrap_err();
+        let tiled = |lanes, nx, nfv| ForwardPlan::StencilTiled {
+            lanes,
+            tile: RegisterTile { nx, nfv },
+        };
+        // 8 positions x 2 vectors: 19 registers, over AVX2's 16.
+        let err = verify(&spec, &tiled(8, 8, 2), &cap).unwrap_err();
+        prop_assert!(matches!(err, CheckError::BudgetExceeded { used: 19, budget: 16, .. }));
+        // 4 positions x 7 vectors: 36 registers, over AVX-512's 32.
+        let err = verify(&spec, &tiled(16, 4, 7), &cap).unwrap_err();
+        prop_assert!(matches!(err, CheckError::BudgetExceeded { used: 36, budget: 32, .. }));
+        let err = verify(&spec, &tiled(8, 0, 1), &cap).unwrap_err();
         prop_assert!(matches!(err, CheckError::PlanShapeMismatch { .. }));
+        let err = verify(&spec, &tiled(4, 1, 1), &cap).unwrap_err();
+        prop_assert!(matches!(err, CheckError::PlanShapeMismatch { found: 4, .. }));
     }
 
     /// Baseline for the band mutations: a two-band split of any dimension
@@ -330,8 +249,8 @@ proptest! {
     #[test]
     fn good_band_split_verifies(spec in splittable_spec(), dim in band_dims()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let e = extent_for(&spec, dim);
-        let plan = banded_plan(&spec, dim, &[(0, e / 2), (e / 2, e)]);
+        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
+        let plan = banded_plan(&spec, dim, &[(0, m), (m, e)]);
         prop_assert!(verify(&spec, &plan, &cap).is_ok());
     }
 
@@ -340,8 +259,8 @@ proptest! {
     #[test]
     fn overlapping_bands_rejected(spec in splittable_spec(), dim in band_dims()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let e = extent_for(&spec, dim);
-        let plan = banded_plan(&spec, dim, &[(0, e / 2 + 1), (e / 2, e)]);
+        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
+        let plan = banded_plan(&spec, dim, &[(0, m + 1), (m, e)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(
@@ -357,8 +276,8 @@ proptest! {
     #[test]
     fn gapped_bands_rejected(spec in splittable_spec(), dim in band_dims()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let e = extent_for(&spec, dim);
-        let plan = banded_plan(&spec, dim, &[(0, e / 2 - 1), (e / 2, e)]);
+        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
+        let plan = banded_plan(&spec, dim, &[(0, m - 1), (m, e)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(err, CheckError::IncompleteCover { buffer: Buf::Output, .. }),
@@ -371,8 +290,8 @@ proptest! {
     #[test]
     fn escaping_band_rejected(spec in splittable_spec(), dim in band_dims()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let e = extent_for(&spec, dim);
-        let plan = banded_plan(&spec, dim, &[(0, e / 2), (e / 2, e + 1)]);
+        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
+        let plan = banded_plan(&spec, dim, &[(0, m), (m, e + 1)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(err, CheckError::OutOfBounds { buffer: Buf::Output, .. }),
@@ -386,8 +305,8 @@ proptest! {
     #[test]
     fn descending_bands_rejected(spec in splittable_spec(), dim in band_dims()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let e = extent_for(&spec, dim);
-        let plan = banded_plan(&spec, dim, &[(e / 2, e), (0, e / 2)]);
+        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
+        let plan = banded_plan(&spec, dim, &[(m, e), (0, m)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(
@@ -398,31 +317,43 @@ proptest! {
         );
     }
 
+    /// A feature band that starts inside a tile's feature block is
+    /// rejected: its blocks would straddle the padded weight layout.
+    #[test]
+    fn feature_band_inside_a_tile_block_rejected(spec in splittable_spec()) {
+        let cap = ScratchCapacity::reserved_for(&spec);
+        let (m, e) = (mid(&spec, BandDim::OutChannels) + 1, spec.features());
+        let plan = banded_plan(&spec, BandDim::OutChannels, &[(0, m), (m, e)]);
+        let err = verify(&spec, &plan, &cap).unwrap_err();
+        prop_assert!(
+            matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == m),
+            "unexpected error {err:?}"
+        );
+    }
+
     /// Bands are ranges of the parent's loop nest, so a fault in the
     /// parent plan is a fault in every band: a well-split plan over a
-    /// parent that lost an x-tile is rejected with the parent's own
-    /// IncompleteCover, on every split dimension.
+    /// parent at a lane width no instruction set has is rejected with the
+    /// parent's own PlanShapeMismatch, on every split dimension.
     #[test]
     fn band_split_of_a_broken_parent_plan_rejected(
         spec in splittable_spec(),
         dim in band_dims(),
     ) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let e = extent_for(&spec, dim);
-        let mut plan = banded_plan(&spec, dim, &[(0, e / 2), (e / 2, e)]);
+        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
+        let mut plan = banded_plan(&spec, dim, &[(0, m), (m, e)]);
         if let ForwardPlan::StencilBanded { tiled, .. } = &mut plan {
-            if let ForwardPlan::StencilTiled { x_tiles, .. } = &mut **tiled {
-                x_tiles.remove(0);
+            if let ForwardPlan::StencilTiled { lanes, .. } = &mut **tiled {
+                *lanes = 4;
             }
         }
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(
                 err,
-                CheckError::IncompleteCover {
-                    buffer: Buf::Output,
-                    context: "stencil x-tile row coverage",
-                    missing: 0,
+                CheckError::PlanShapeMismatch {
+                    context: "no instruction set has vectors of this many lanes",
                     ..
                 }
             ),
@@ -435,11 +366,9 @@ proptest! {
     #[test]
     fn zero_sparse_tile_width_rejected(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (rt, _) = good_tiles(&spec);
         let plan = ConvPlan {
             forward: ForwardPlan::UnfoldGemm { threads: 1 },
             backward: BackwardPlan::SparsePointerShift { tile_width: 0 },
-            register_tile: rt,
             schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w().max(1) },
         };
         let err = verify_conv_plan(&spec, plan, &cap).unwrap_err();

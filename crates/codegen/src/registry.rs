@@ -8,6 +8,7 @@ use spg_check::VerifiedTiled;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 use spg_gemm::SimdLevel;
+use spg_tensor::layout::Ckkf;
 
 use crate::kernels::{self, Dynamic, RegionFn};
 
@@ -143,51 +144,51 @@ pub fn all_instances() -> &'static [SpecializedKernel] {
 }
 
 /// Resolves the specialized instance for `spec`, or `None` when the
-/// generic path must run: unlisted geometry, output rows narrower than
-/// the instance's vector, missing CPU features, or the
-/// `SPG_FORCE_GENERIC` escape hatch. Wider ISAs win ties.
+/// generic path must run: unlisted geometry, missing CPU features, or the
+/// `SPG_FORCE_GENERIC` escape hatch. Wider ISAs win ties: the lanes are
+/// output features, padded to whole vectors, so no output row is too
+/// narrow for a vector.
 pub fn lookup(spec: &ConvSpec) -> Option<&'static SpecializedKernel> {
     if crate::force_generic() {
         return None;
     }
     let key = KernelKey::of(spec);
     let level = spg_gemm::detect_simd_level();
-    REGISTRY.iter().find(|k| k.key == key && k.isa.runnable_at(level) && spec.out_w() >= k.lanes)
+    REGISTRY.iter().find(|k| k.key == key && k.isa.runnable_at(level))
 }
 
 /// Runs a proved tiled stencil forward — sequential or banded — for one
 /// sample: on `kernel`, the registry instance lowering bound to the plan
-/// (lowered with [`tiled_plan`](crate::xplan::tiled_plan) at the instance's
-/// [`lanes`](SpecializedKernel::lanes)), or, with none, on the
+/// (lowered at the instance's [`lanes`](SpecializedKernel::lanes) with one
+/// of its [`register_tiles`](crate::register_tiles)), or, with none, on the
 /// run-time-geometry instance of the same loop nest (the "generic" kernel:
 /// geometry read from `plan.spec()`, 8-lane AVX2+FMA where the host has it,
-/// portable scalar loops otherwise). Either iterates `plan`'s own x-tiles
-/// and cache row block over each of its regions, on as many threads as
-/// `scratch`'s [core budget](ConvScratch::cores) allows; the phase
-/// transform of a strided plan is staged once in `scratch`, and the
-/// per-sample path allocates nothing once the scratch has warmed up to this
-/// geometry.
+/// portable scalar loops otherwise). Either sweeps each of the plan's
+/// regions with the plan's register tile, on as many threads as
+/// `scratch`'s [core budget](ConvScratch::cores) allows, reading the CHW
+/// input in place at every stride and `weights` in the feature-blocked
+/// layout padded for the plan ([`VerifiedTiled::padded_features`]); it
+/// allocates nothing.
 ///
 /// Semantically identical to
 /// [`reference::forward`](spg_convnet::reference::forward) on
-/// `plan.spec()`; the layout transform's cost is part of this call (the
-/// paper includes transform time in its stencil measurements, Sec. 4.3).
+/// `plan.spec()`.
 ///
 /// # Panics
 ///
-/// Panics if any buffer length does not match `plan.spec()`; if the plan
-/// was lowered for another register tile than the instance that runs it
-/// ([`spg_check::VECTOR_WIDTH`] lanes for the run-time-geometry one,
-/// [`TILE_ROWS`](crate::TILE_ROWS) rows for all); or if `kernel`'s key is
-/// not `plan.spec()`'s geometry or the running CPU lacks its instruction
-/// set.
+/// Panics if a buffer length does not match `plan.spec()` or `weights`
+/// was padded for another tile; if the plan was lowered for another
+/// register tile than the instance that runs it has
+/// ([`spg_check::VECTOR_WIDTH`] lanes for the run-time-geometry one); or if
+/// `kernel`'s key is not `plan.spec()`'s geometry or the running CPU lacks
+/// its instruction set.
 pub fn forward_tiled(
     kernel: Option<&SpecializedKernel>,
     plan: VerifiedTiled<'_>,
     input: &[f32],
-    weights: &[f32],
+    weights: &Ckkf,
     output: &mut [f32],
-    scratch: &mut ConvScratch,
+    scratch: &ConvScratch,
 ) {
     let (run, lanes): (RegionFn, usize) = match kernel {
         Some(inst) => {
@@ -205,11 +206,12 @@ pub fn forward_tiled(
         }
         None => (kernels::forward_scalar::<Dynamic>, spg_check::VECTOR_WIDTH),
     };
+    let tiles = kernels::register_tiles(lanes);
     // SAFETY: `run` is the scalar loops, or a SIMD driver whose target
     // features the ISA checks above found on this CPU, paired with its own
-    // module's lane width; a registry instance's key matches the spec, and
-    // the driver re-checks that against its const parameters. Every bound
-    // the tile loops use comes from `plan`, which only spg-check can
-    // construct.
-    unsafe { kernels::forward(run, lanes, plan, input, weights, output, scratch) };
+    // module's lane width and tiles; a registry instance's key matches the
+    // spec, and the driver re-checks that against its const parameters.
+    // Every bound the tile loops use comes from `plan`, which only
+    // spg-check can construct.
+    unsafe { kernels::forward(run, lanes, tiles, plan, input, weights, output, scratch) };
 }

@@ -39,6 +39,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use spg_tensor::layout::{Ckkf, Kkcf, Kkfc};
 use spg_tensor::Tensor;
 
 use crate::workspace::ConvScratch;
@@ -48,26 +49,39 @@ use crate::{gemm_exec, reference, ConvSpec};
 /// read: the canonical tensor the optimizer updates, plus the permuted
 /// copies an executor's [`prepare`](ConvExecutor::prepare) asked for.
 ///
-/// A copy is empty until an executor fills it, and a kernel handed an
-/// empty copy panics on its length assert — a missing `prepare` is loud,
-/// never a stale read. The fields are public for the same reason
-/// [`ConvScratch`]'s are: executors outside this crate fill and read them.
+/// Each copy is its own type, built only from `fckk`, and each kernel's
+/// signature names the layout it reads, so canonical weights cannot reach
+/// a kernel that reads a permutation. A copy is empty until an executor
+/// fills it, and a kernel handed an empty copy panics on its length assert
+/// — a missing `prepare` is loud, never a stale read. The fields are
+/// public for the same reason [`ConvScratch`]'s are: executors outside
+/// this crate fill and read them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreparedWeights {
     /// Canonical `[f, c, ky, kx]` weights.
     pub fckk: Tensor,
     /// `[ky, kx, f, c]` copy (channel fastest), read by the sparse
     /// backward-data kernel.
-    pub kkfc: Vec<f32>,
+    pub kkfc: Kkfc,
     /// `[ky][kx]` blocks of `(Nc x Nf)` matrices (feature fastest), read by
     /// the narrow-output stencil forward.
-    pub kkcf: Vec<f32>,
+    pub kkcf: Kkcf,
+    /// `[c][ky][kx][f]` copy with the features padded to whole register
+    /// tiles, read by the tiled (feature-lane) stencil forward.
+    pub ckkf: Ckkf,
 }
 
 impl PreparedWeights {
     /// Wraps canonical weights with no permuted copy yet.
     pub fn new(fckk: impl Into<Tensor>) -> Self {
-        PreparedWeights { fckk: fckk.into(), kkfc: Vec::new(), kkcf: Vec::new() }
+        PreparedWeights { fckk: fckk.into(), ..PreparedWeights::default() }
+    }
+
+    /// Drops every permuted copy until an executor refills it.
+    pub fn clear_copies(&mut self) {
+        self.kkfc.clear();
+        self.kkcf.clear();
+        self.ckkf.clear();
     }
 }
 

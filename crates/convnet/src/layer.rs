@@ -239,8 +239,7 @@ impl ConvLayer {
     /// refill the ones they read. Runs wherever weights or executors
     /// change — all `&mut self`, so never while a sample is in flight.
     fn prepare(&mut self) {
-        self.weights.kkfc.clear();
-        self.weights.kkcf.clear();
+        self.weights.clear_copies();
         self.fwd.prepare(&self.spec, &mut self.weights);
         self.bwd.prepare(&self.spec, &mut self.weights);
     }

@@ -87,7 +87,7 @@ pub struct ConvScratch {
     pub mat_a: Matrix,
     /// Patch-space gradient `E_U` for the backward-data fold.
     pub mat_b: Matrix,
-    /// Input-sized HWC / phased staging buffer.
+    /// Input-sized HWC staging buffer.
     pub hwc_in: Vec<f32>,
     /// Output-sized HWC staging buffer.
     pub hwc_out: Vec<f32>,
@@ -154,11 +154,7 @@ impl ConvScratch {
         if self.mat_b.len() < patches * patch_len {
             self.mat_b.resize(patches, patch_len);
         }
-        // The strided stencil path stages a phased copy of the input whose
-        // padded length can exceed the input itself.
-        let ishape = spec.input_shape();
-        let phased = ishape.c * ishape.h * spec.sx() * ishape.w.div_ceil(spec.sx());
-        let in_len = ishape.len().max(phased);
+        let in_len = spec.input_shape().len();
         if self.hwc_in.len() < in_len {
             zeroed_slice(&mut self.hwc_in, in_len);
         }

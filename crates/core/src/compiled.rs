@@ -23,11 +23,10 @@ use std::sync::Arc;
 
 use spg_check::{BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
 use spg_codegen::{KernelChoice, SpecializedKernel};
-use spg_tensor::layout;
 
 use spg_convnet::exec::{ConvExecutor, PreparedWeights, SharedExecutor};
 use spg_convnet::layer::ConvLayer;
-use spg_convnet::workspace::{zeroed_slice, ConvScratch};
+use spg_convnet::workspace::ConvScratch;
 use spg_convnet::{gemm_exec, ConvSpec};
 
 use crate::autotune::Phase;
@@ -145,8 +144,10 @@ impl ConvProgram {
     }
 
     /// Refreshes in `weights` the permuted copies of `weights.fckk` that
-    /// `phases` of this plan read: the narrow stencil forward's `kkcf`, the
-    /// sparse backward-data's `kkfc`, nothing for every other plan.
+    /// `phases` of this plan read: the tiled stencil forward's `ckkf`
+    /// (features padded to the plan's feature blocks), the narrow stencil
+    /// forward's `kkcf`, the sparse backward-data's `kkfc`, nothing for
+    /// every other plan.
     ///
     /// # Panics
     ///
@@ -154,14 +155,18 @@ impl ConvProgram {
     pub(crate) fn prepare(&self, phases: &[Phase], weights: &mut PreparedWeights) {
         let shape = self.plan.spec().weight_shape();
         let lowered = self.plan.plan();
-        let PreparedWeights { fckk, kkfc, kkcf } = weights;
-        if phases.contains(&Phase::Forward) && lowered.forward == ForwardPlan::StencilNarrow {
-            layout::narrow_weights_into(fckk.as_slice(), shape, zeroed_slice(kkcf, fckk.len()));
+        let PreparedWeights { fckk, kkfc, kkcf, ckkf } = weights;
+        if phases.contains(&Phase::Forward) {
+            if let Some(tiled) = self.plan.tiled() {
+                ckkf.refresh(fckk.as_slice(), shape, tiled.feature_block());
+            } else if lowered.forward == ForwardPlan::StencilNarrow {
+                kkcf.refresh(fckk.as_slice(), shape);
+            }
         }
         if phases.contains(&Phase::Backward)
             && matches!(lowered.backward, BackwardPlan::SparsePointerShift { .. })
         {
-            layout::fckk_to_kkfc_into(fckk.as_slice(), shape, zeroed_slice(kkfc, fckk.len()));
+            kkfc.refresh(fckk.as_slice(), shape);
         }
     }
 
@@ -197,10 +202,11 @@ impl ConvProgram {
         let fckk = weights.fckk.as_slice();
         match &self.plan.plan().forward {
             // A banded plan is the tiled plan with its loop nest split
-            // across the call's cores: same kernel, same scratch.
+            // across the call's cores: same kernel, same weights.
             ForwardPlan::StencilTiled { .. } | ForwardPlan::StencilBanded { .. } => {
                 let tiled = self.plan.tiled().unwrap_or_else(|| unreachable!("forward is tiled"));
-                spg_codegen::forward_tiled(self.kernel, tiled, input, fckk, output, scratch);
+                let ckkf = &weights.ckkf;
+                spg_codegen::forward_tiled(self.kernel, tiled, input, ckkf, output, scratch);
             }
             ForwardPlan::StencilNarrow => {
                 stencil_kernel::forward_narrow_scratch(spec, input, &weights.kkcf, output, scratch);
@@ -550,9 +556,9 @@ impl CompiledConv {
     }
 
     /// Renders the generated kernels as readable pseudo-C: the basic block
-    /// a tiled stencil forward — sequential or banded — executes, beside
-    /// the tile the Sec. 4.3 search would pick, and the pointer-shifting
-    /// sparse kernel for sparse backward plans.
+    /// a tiled stencil forward — sequential or banded — executes (the tile
+    /// the Sec. 4.3 search picked at its lane width, with its costs), and
+    /// the pointer-shifting sparse kernel for sparse backward plans.
     pub fn render(&self) -> String {
         let spec = self.program.spec();
         let kernel = match self.program.specialized_kernel() {
@@ -575,8 +581,8 @@ impl CompiledConv {
         );
         match self.program.plan.tiled() {
             Some(tiled) => {
-                let model = plan_register_tile(spec);
-                out.push_str(&format!("\n   model optimum (Sec. 4.3): {model} */\n"));
+                let searched = plan_register_tile(spec, tiled.lanes());
+                out.push_str(&format!("\n   register tile (Sec. 4.3 search): {searched} */\n"));
                 out.push_str(&render_tiled_block(tiled));
             }
             None => out.push_str(" */\n"),
@@ -729,12 +735,13 @@ mod tests {
         let kernel = CompiledConv::compile(spec, plan, &weights, 1).expect("valid weights");
         let listing = kernel.render();
         assert!(listing.contains("Stencil-Kernel"));
-        assert!(listing.contains("_mm256_fmadd_ps"));
+        assert!(listing.contains("_fmadd_ps"));
         assert!(listing.contains("output tile"));
-        // What executes (6 rows of the 14-wide row's one vector), and what
-        // the search models, labelled.
-        assert!(listing.contains("1x6 register tile of 8-lane vectors"));
-        assert!(listing.contains("model optimum (Sec. 4.3): "));
+        // What executes (8 positions of the 14-wide row by the one vector
+        // of 4 features, at either lane width), and the search's choice,
+        // labelled.
+        assert!(listing.contains("8x1 register tile of"), "{listing}");
+        assert!(listing.contains("register tile (Sec. 4.3 search): 8x1 tile"), "{listing}");
     }
 
     /// A pinned-generic compile never binds an instance, and its output is

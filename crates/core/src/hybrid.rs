@@ -15,8 +15,7 @@
 //! stencil loop nest (`spg-codegen`: the bound instance, or the
 //! run-time-geometry one) runs the
 //! bands as [`TileRegion`](spg_check::TileRegion)s of the parent tensors —
-//! phase transform staged once in the caller's scratch, no copies in or
-//! out, one `fork_join` task per band when the call's
+//! no copies in or out, one `fork_join` task per band when the call's
 //! [core budget](spg_convnet::workspace::ConvScratch::cores) covers them
 //! all, runs of neighbouring bands as one region when it covers fewer, and
 //! the whole layer as the one sequential region at a budget of 1. No
@@ -37,23 +36,37 @@ use spg_check::VECTOR_WIDTH as LANES;
 use spg_convnet::ConvSpec;
 
 /// The contiguous per-worker bands a hybrid decomposition of `spec` along
-/// `dim` uses at `workers` workers. Lowering turns these into the plan's
-/// `bands`, which is what the verifier proves and the stencil kernel runs,
-/// and asks it whether a layer splits along `dim` at all.
+/// `dim` uses at `workers` workers, feature bands made of whole blocks of
+/// `block` features (the register tile's feature block: a region sweeps
+/// its features a block at a time from its first). Lowering turns these
+/// into the plan's `bands`, which is what the verifier proves and the
+/// stencil kernel runs, and asks it whether a layer splits along `dim` at
+/// all.
 ///
 /// Returns one band — i.e. "no decomposition available" — when the spec is
 /// too narrow for the wide tiled kernel (`out_w < LANES`, where the
 /// shifted-GEMM path's different accumulation order would break
 /// bit-identity), when `workers <= 1`, or when the extent cannot be split.
-pub fn band_ranges(spec: &ConvSpec, dim: BandDim, workers: usize) -> Vec<(usize, usize)> {
-    let extent = match dim {
-        BandDim::YRows => spec.out_h(),
-        BandDim::OutChannels => spec.features(),
+///
+/// # Panics
+///
+/// Panics if `block == 0`.
+pub fn band_ranges(
+    spec: &ConvSpec,
+    dim: BandDim,
+    workers: usize,
+    block: usize,
+) -> Vec<(usize, usize)> {
+    assert!(block > 0, "feature blocks hold at least one feature");
+    let (extent, unit) = match dim {
+        BandDim::YRows => (spec.out_h(), 1),
+        BandDim::OutChannels => (spec.features(), block),
     };
     if spec.out_w() < LANES || workers <= 1 {
         return vec![(0, extent)];
     }
-    spg_check::gemm::row_bands(extent, workers)
+    let units = spg_check::gemm::row_bands(extent.div_ceil(unit), workers);
+    units.into_iter().map(|(lo, hi)| (lo * unit, (hi * unit).min(extent))).collect()
 }
 
 #[cfg(test)]
@@ -85,9 +98,9 @@ mod tests {
     }
 
     /// The same kernel over a one-row, 32-wide output: only the features
-    /// are left to split.
+    /// are left to split, in two or more feature blocks of any tile.
     fn one_row_spec() -> ConvSpec {
-        ConvSpec::new(3, 7, 69, 4, 7, 7, 2, 2).expect("valid spec")
+        ConvSpec::new(3, 7, 69, 200, 7, 7, 2, 2).expect("valid spec")
     }
 
     /// One forward with every core the program was lowered for.
@@ -170,11 +183,12 @@ mod tests {
         }
     }
 
-    /// A banded forward lives in the caller's scratch: it stages the phase
-    /// transform there, and a scratch reserved for the spec —
-    /// `ScratchCapacity::reserved_for` — is all it touches.
+    /// A banded forward — strided included — reads its input in place and
+    /// stores straight into the output: it grows no scratch buffer, and a
+    /// scratch reserved for the spec keeps exactly
+    /// `ScratchCapacity::reserved_for`.
     #[test]
-    fn banded_forward_runs_in_exactly_the_reserved_scratch() {
+    fn banded_forward_stages_nothing_in_the_scratch() {
         for spec in [rows_spec(), one_row_spec()] {
             let input = pseudo(spec.input_shape().len(), 3);
             let weights = pseudo(spec.weight_shape().len(), 4);
@@ -182,7 +196,7 @@ mod tests {
             let exec = program(&spec, 2, KernelChoice::Auto);
             let mut fresh = ConvScratch::new();
             let a = run(&exec, &input, &weights, &mut fresh);
-            assert_eq!(fresh.hwc_in.len(), reserved.hwc_in, "{spec}: phase staging");
+            assert_eq!(fresh.bytes(), 0, "{spec}: staging");
             let mut scratch = ConvScratch::new();
             scratch.reserve(&spec);
             let b = run(&exec, &input, &weights, &mut scratch);
@@ -198,8 +212,8 @@ mod tests {
         // dimension is picked, and the stencil lowers to the narrow kernel
         // at any core count.
         let spec = ConvSpec::square(8, 6, 4, 5, 1);
-        assert_eq!(band_ranges(&spec, BandDim::YRows, 8), vec![(0, spec.out_h())]);
-        assert_eq!(stencil_split(&spec, 8), None);
+        assert_eq!(band_ranges(&spec, BandDim::YRows, 8, 1), vec![(0, spec.out_h())]);
+        assert_eq!(stencil_split(&spec, 8, 1), None);
         assert_eq!(
             program(&spec, 8, KernelChoice::Generic).plan().forward,
             ForwardPlan::StencilNarrow

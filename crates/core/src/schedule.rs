@@ -126,13 +126,14 @@ pub fn recommended_plan(spec: &ConvSpec, bp_sparsity: f64) -> LayerPlan {
 /// The dimension the stencil's loop nest splits along to spend `cores`
 /// cores inside one sample of `spec`, if the layer can be split: output
 /// rows first (each worker reads only its rows of the input), else output
-/// features. The one place the dimension is chosen — lowering attaches
-/// this split to [`Technique::StencilFp`] at every `cores > 1`
+/// features, in whole feature blocks of `block`. The one place the
+/// dimension is chosen — lowering attaches this split to
+/// [`Technique::StencilFp`] at every `cores > 1`
 /// ([`verify::lower`](crate::verify::lower)).
-pub(crate) fn stencil_split(spec: &ConvSpec, cores: usize) -> Option<BandDim> {
+pub(crate) fn stencil_split(spec: &ConvSpec, cores: usize, block: usize) -> Option<BandDim> {
     [BandDim::YRows, BandDim::OutChannels]
         .into_iter()
-        .find(|&dim| band_ranges(spec, dim, cores).len() > 1)
+        .find(|&dim| band_ranges(spec, dim, cores, block).len() > 1)
 }
 
 /// [`recommended_plan`] with the stencil pinned onto every layer that can
@@ -147,7 +148,7 @@ pub fn recommended_plan_for_batch(
     batch: usize,
 ) -> LayerPlan {
     let base = recommended_plan(spec, bp_sparsity);
-    if batch < cores && stencil_split(spec, cores).is_some() {
+    if batch < cores && stencil_split(spec, cores, 1).is_some() {
         LayerPlan { forward: Technique::StencilFp, ..base }
     } else {
         base
@@ -197,19 +198,21 @@ mod tests {
         // ImageNet-22K L0 geometry (Table 2) at batch 1 on 8 cores: whole
         // samples cover one worker, and the stencil splits by output rows.
         let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        assert_eq!(stencil_split(&spec, 8), Some(BandDim::YRows));
+        assert_eq!(stencil_split(&spec, 8, 64), Some(BandDim::YRows));
         assert_eq!(recommended_plan_for_batch(&spec, 0.5, 8, 1).forward, Technique::StencilFp);
         // A layer the heuristic gives to GEMM is pinned too.
         let wide = ConvSpec::square(55, 256, 96, 5, 1);
         assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 1).forward, Technique::StencilFp);
         // A saturating batch falls back to the sample-parallel heuristic.
         assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 8), recommended_plan(&wide, 0.5));
-        // One output row: only the features are left to split.
-        let one_row = ConvSpec::new(3, 7, 69, 4, 7, 7, 2, 2).expect("valid spec");
-        assert_eq!(stencil_split(&one_row, 2), Some(BandDim::OutChannels));
+        // One output row: only the features are left to split, in whole
+        // feature blocks.
+        let one_row = ConvSpec::new(3, 7, 69, 40, 7, 7, 2, 2).expect("valid spec");
+        assert_eq!(stencil_split(&one_row, 2, 16), Some(BandDim::OutChannels));
+        assert_eq!(stencil_split(&one_row, 2, 64), None);
         // Narrow outputs cannot band: fall back even when starved.
         let narrow = ConvSpec::square(8, 64, 64, 5, 1); // 4x4 output
-        assert_eq!(stencil_split(&narrow, 8), None);
+        assert_eq!(stencil_split(&narrow, 8, 1), None);
         assert_eq!(recommended_plan_for_batch(&narrow, 0.5, 8, 1), recommended_plan(&narrow, 0.5));
     }
 

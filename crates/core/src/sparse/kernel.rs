@@ -7,7 +7,7 @@
 //! call. What is per-sample — the gradient's HWC transform and CT-CSR
 //! build — is staged in the caller's scratch here.
 
-use spg_tensor::layout;
+use spg_tensor::layout::{self, Kkfc};
 use spg_tensor::Shape3;
 
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
@@ -15,7 +15,7 @@ use spg_convnet::ConvSpec;
 
 /// Backward error propagation exploiting gradient sparsity (Eq. 11–15)
 /// against weights already permuted to `[ky, kx, f, c]` order
-/// ([`spg_tensor::layout::fckk_to_kkfc_into`] — the layer's
+/// ([`Kkfc`] — the layer's
 /// [`PreparedWeights::kkfc`](spg_convnet::exec::PreparedWeights::kkfc),
 /// refreshed once per update), staging the per-sample gradient transform
 /// and CT-CSR build in a caller-provided [`ConvScratch`]: the per-sample
@@ -33,12 +33,13 @@ use spg_convnet::ConvSpec;
 /// Panics if buffer lengths do not match the spec or `tile_width == 0`.
 pub fn backward_data_scratch(
     spec: &ConvSpec,
-    w_kkfc: &[f32],
+    w_kkfc: &Kkfc,
     grad_out: &[f32],
     grad_in: &mut [f32],
     tile_width: usize,
     scratch: &mut ConvScratch,
 ) {
+    let w_kkfc = w_kkfc.as_slice();
     assert_eq!(w_kkfc.len(), spec.weight_shape().len(), "weights length");
     assert_eq!(grad_out.len(), spec.output_shape().len(), "grad_out length");
     assert_eq!(grad_in.len(), spec.input_shape().len(), "grad_in length");
@@ -196,10 +197,8 @@ mod tests {
     }
 
     /// `weights` in the `[ky, kx, f, c]` order backward-data reads.
-    fn kkfc(spec: &ConvSpec, weights: &[f32]) -> Vec<f32> {
-        let mut out = vec![0f32; weights.len()];
-        layout::fckk_to_kkfc_into(weights, spec.weight_shape(), &mut out);
-        out
+    fn kkfc(spec: &ConvSpec, weights: &[f32]) -> Kkfc {
+        Kkfc::from_fckk(weights, spec.weight_shape())
     }
 
     fn spec_cases() -> Vec<ConvSpec> {
@@ -295,6 +294,7 @@ mod tests {
     fn zero_tile_width_panics() {
         let spec = ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap();
         let mut gin = vec![0f32; 16];
-        backward_data_scratch(&spec, &[0.0; 4], &[0.0; 9], &mut gin, 0, &mut ConvScratch::new());
+        let w = kkfc(&spec, &[0.0; 4]);
+        backward_data_scratch(&spec, &w, &[0.0; 9], &mut gin, 0, &mut ConvScratch::new());
     }
 }

@@ -3,9 +3,10 @@
 //! Which stencil plan a layer runs is chosen when its plan is lowered
 //! ([`verify::lower`](crate::verify::lower)), never per call. Plans with
 //! output rows at least one vector wide are **register-tiled**: the paper's
-//! Fig. 7 basic block, whose one loop nest — compile-time- and
-//! run-time-geometry instances alike — lives in `spg-codegen`
-//! ([`spg_codegen::forward_tiled`]). What executes here is the other plan:
+//! Fig. 7 basic block with output features as lanes, whose one loop nest —
+//! compile-time- and run-time-geometry instances alike — lives in
+//! `spg-codegen` ([`spg_codegen::forward_tiled`]). What executes here is
+//! the other plan:
 //!
 //! **Shifted small dense MMs** ([`forward_narrow_scratch`], outputs
 //! narrower than one vector): vectorizing along 4-element rows is
@@ -18,7 +19,8 @@
 //! right-hand operands; like the sparse backward, this kernel reads the
 //! permuted layout and never produces it.
 
-use spg_tensor::{layout, Shape3};
+use spg_tensor::layout::{self, Kkcf};
+use spg_tensor::Shape3;
 
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
@@ -28,7 +30,7 @@ use spg_gemm::gemm_slice;
 /// dense MMs over channel/feature-major views (one `out_w x Nf x Nc`
 /// multiply per kernel offset), vectorized by the GEMM micro-kernel along
 /// features. `w_kkcf` is the weights as those multiplies' right-hand
-/// operands ([`spg_tensor::layout::narrow_weights_into`] — the layer's
+/// operands (the layer's
 /// [`PreparedWeights::kkcf`](spg_convnet::exec::PreparedWeights::kkcf),
 /// refreshed once per update); the per-sample HWC views and gathered patch
 /// block are staged in a caller-provided [`ConvScratch`].
@@ -39,10 +41,11 @@ use spg_gemm::gemm_slice;
 pub fn forward_narrow_scratch(
     spec: &ConvSpec,
     input: &[f32],
-    w_kkcf: &[f32],
+    w_kkcf: &Kkcf,
     output: &mut [f32],
     scratch: &mut ConvScratch,
 ) {
+    let w_kkcf = w_kkcf.as_slice();
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
     assert_eq!(w_kkcf.len(), spec.weight_shape().len(), "weights length");
     assert_eq!(output.len(), spec.output_shape().len(), "output length");

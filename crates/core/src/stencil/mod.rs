@@ -10,19 +10,21 @@
 //! The module mirrors the paper's two-stage generator:
 //!
 //! * [`RegisterTilePlan`] / [`plan_register_tile`] — the **basic block
-//!   generator**: searches output register-tile shapes `rx x ry`
-//!   (vectors wide x rows tall) for the one minimizing vector loads per
-//!   FMA, subject to the accumulator-register budget.
+//!   generator**: searches register tiles `nx x nfv` (output positions x
+//!   vectors of output features) within the instruction set's register
+//!   file for the one whose row sweep issues fewest, then loads least per
+//!   FMA. Its choice is the tile the plan carries and the kernel runs.
 //! * [`CacheSchedule`] / [`plan_cache_schedule`] — the **schedule
 //!   generator**: picks output cache tiles whose working set fits L1 and
 //!   whose footprint respects the TLB budget; the kernel holds one such
 //!   tile across the whole channel reduction.
 //! * The **register-tiled basic block** a wide plan runs is
-//!   [`spg_codegen::forward_tiled`]: one loop nest over the proved plan's
-//!   own x-tiles and cache row block, instantiated with compile-time
-//!   geometry (registry instances) and run-time geometry (every other
-//!   shape), the Eq. 21 strided-layout transform applied first when the
-//!   convolution's `x`-stride is not 1.
+//!   [`spg_codegen::forward_tiled`]: one loop nest sweeping the proved
+//!   plan's tile over its regions, output features as vector lanes,
+//!   instantiated with compile-time geometry (registry instances) and
+//!   run-time geometry (every other shape). The stride is a broadcast
+//!   offset, so strided layers read the CHW input in place — the paper's
+//!   Eq. 21 strided-layout transform is not needed.
 //! * [`kernel`] — the feature-vectorized shifted-GEMM path narrow plans
 //!   run.
 //! * [`render_tiled_block`] / [`render_basic_block`] — emit the basic
@@ -37,10 +39,8 @@ mod plan;
 mod render;
 mod schedule;
 
-pub use plan::{plan_register_tile, RegisterTilePlan};
+pub use plan::{plan_register_tile, RegisterTilePlan, L1_WEIGHT_BYTES};
 pub use render::{render_basic_block, render_tiled_block};
 pub use schedule::{plan_cache_schedule, CacheSchedule};
 // The generators search under the budgets the verifier judges against.
-pub use spg_check::{
-    ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
-};
+pub use spg_check::{L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH};

@@ -2,37 +2,73 @@
 
 use std::fmt;
 
-use spg_check::{ACCUMULATOR_BUDGET, VECTOR_WIDTH};
+use spg_check::RegisterTile;
 use spg_convnet::ConvSpec;
 
-/// A chosen output register tile for the stencil basic block.
+/// A chosen register tile for the stencil basic block, with what it costs
+/// on `spec`.
 ///
-/// The tile is `rx` vectors wide (each [`VECTOR_WIDTH`] outputs) and `ry`
-/// rows tall. Larger `ry` lets one loaded input vector feed up to
-/// `min(ry, Fy)` output rows (the spatial-reuse win); `rx` amortizes the
-/// weight broadcast.
+/// The tile is `nx` consecutive output positions of one row by `nfv`
+/// vectors of `lanes` output features. Each kernel tap loads `nfv` weight
+/// vectors and broadcasts `nx` input values, and every broadcast feeds
+/// `nfv` fused multiply-adds — the reuse that lets one input value serve a
+/// whole block of features while it sits in a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegisterTilePlan {
-    /// Tile width in vectors.
-    pub rx: usize,
-    /// Tile height in rows.
-    pub ry: usize,
-    /// Vector loads the basic block issues per `(c)` slice:
-    /// `(ry + Fy - 1) * Fx * rx`.
+    /// The tile: positions by feature vectors.
+    pub tile: RegisterTile,
+    /// f32 lanes per vector.
+    pub lanes: usize,
+    /// Vector loads (weight vectors and input broadcasts) the basic block
+    /// issues per `(c)` slice: `(nx + nfv) * Fy * Fx`.
     pub loads_per_block: usize,
-    /// Fused multiply-adds per block: `rx * ry * Fy * Fx`.
+    /// Fused multiply-adds per block: `nx * nfv * Fy * Fx`.
     pub fmas_per_block: usize,
+    /// Issue slots one output row costs per kernel tap: the tiles the
+    /// sweep runs (whole store groups of `lanes` positions and x-blocks
+    /// within them, the last of each overlapping; whole feature blocks,
+    /// padding included) times the largest of the tile's FMAs, its loads
+    /// (they issue on separate ports) and — when one feature block's
+    /// weights overflow [`L1_WEIGHT_BYTES`] — the slots its weight vectors
+    /// take to stream from L2.
+    pub row_cost: usize,
 }
 
+/// Bytes of weights the search assumes one feature block can keep in L1
+/// beside the input rows a tile reads. Past it every tile streams its
+/// block's weights from L2 at about 16 bytes a cycle (two FMA slots), so
+/// a tile must reuse each weight vector over more positions to stay
+/// FMA-bound.
+pub const L1_WEIGHT_BYTES: usize = 32 * 1024;
+
 impl RegisterTilePlan {
-    /// Vector loads per FMA — the quantity the search minimizes. Lower is
-    /// better; an unfolded GEMM of the same convolution effectively pays
-    /// one load per FMA element for small kernels.
+    /// `tile` at `lanes` lanes, costed on `spec`.
+    pub fn of(spec: &ConvSpec, lanes: usize, tile: RegisterTile) -> Self {
+        let (taps, RegisterTile { nx, nfv }) = (spec.ky() * spec.kx(), tile);
+        let width = lanes.min(spec.out_w());
+        let x_blocks = spec.out_w().div_ceil(width) * width.div_ceil(nx);
+        let tiles = x_blocks * spec.features().div_ceil(nfv * lanes);
+        let block_bytes = spec.in_c() * taps * nfv * lanes * std::mem::size_of::<f32>();
+        // 16 bytes a cycle, two FMA slots a cycle: lanes * 4 / 8 slots a vector.
+        let streamed = if block_bytes > L1_WEIGHT_BYTES { nfv * lanes / 2 } else { 0 };
+        RegisterTilePlan {
+            tile,
+            lanes,
+            loads_per_block: (nx + nfv) * taps,
+            fmas_per_block: nx * nfv * taps,
+            row_cost: tiles * (nx * nfv).max(nx + nfv).max(streamed),
+        }
+    }
+
+    /// Vector loads per FMA — the block's own load efficiency, the
+    /// search's tie-break. Lower is better; an unfolded GEMM of the same
+    /// convolution effectively pays one load per FMA element for small
+    /// kernels.
     pub fn loads_per_fma(&self) -> f64 {
         self.loads_per_block as f64 / self.fmas_per_block as f64
     }
 
-    /// Input reuse factor: FMAs served per loaded input vector.
+    /// Input reuse factor: FMAs served per vector load.
     pub fn reuse(&self) -> f64 {
         1.0 / self.loads_per_fma()
     }
@@ -42,20 +78,32 @@ impl fmt::Display for RegisterTilePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}x{} tile ({} loads / {} fmas per block)",
-            self.rx, self.ry, self.loads_per_block, self.fmas_per_block
+            "{}x{} tile of {}-lane vectors ({} loads / {} fmas per block)",
+            self.tile.nx, self.tile.nfv, self.lanes, self.loads_per_block, self.fmas_per_block
         )
     }
 }
 
-/// Searches all register tiles fitting the accumulator budget and returns
-/// the one minimizing vector loads per FMA, tie-breaking toward larger
-/// tiles (fewer loop iterations) and then wider tiles (fewer weight
-/// broadcasts).
+/// Searches the register tiles the stencil loop nest is compiled for at
+/// `lanes` lanes ([`spg_codegen::register_tiles`]: position counts that
+/// divide a store group of `lanes` positions, each with the most feature
+/// vectors the instruction set's register file holds) and returns the one whose row sweep of `spec` issues
+/// fewest ([`row_cost`](RegisterTilePlan::row_cost)), tie-breaking toward
+/// fewer loads per FMA, then larger tiles.
+/// Only tiles no wider than an output row are admissible (the last
+/// x-block overlaps its predecessor); should none be, the narrowest tile
+/// is returned — such outputs lower to the narrow kernel, never to a tile.
 ///
 /// This is the paper's "geometric optimization problem ... our code
 /// generator finds the optimal solution by iterating over all possible
-/// values for rx and ry" (Sec. 4.3).
+/// values" (Sec. 4.3), over positions x feature vectors: a sweep wastes the
+/// overlap of its last store group and the padding of its last feature
+/// block, so the tile with the fewest loads per FMA in isolation need not
+/// win.
+///
+/// # Panics
+///
+/// Panics if no instance has vectors of `lanes` lanes.
 ///
 /// # Example
 ///
@@ -63,116 +111,89 @@ impl fmt::Display for RegisterTilePlan {
 /// use spg_convnet::ConvSpec;
 /// use spg_core::stencil::plan_register_tile;
 ///
-/// // Taller tiles amortize input loads across kernel rows.
-/// let spec = ConvSpec::square(32, 16, 3, 3, 1);
-/// let plan = plan_register_tile(&spec);
-/// assert!(plan.ry > 1);
-/// assert!(plan.rx * plan.ry <= spg_core::stencil::ACCUMULATOR_BUDGET);
+/// // CIFAR-10 L0: 64 features are four 16-lane vectors, one block of a
+/// // 4-position by 4-vector tile.
+/// let spec = ConvSpec::square(36, 64, 3, 5, 1);
+/// let plan = plan_register_tile(&spec, 16);
+/// assert_eq!((plan.tile.nx, plan.tile.nfv), (4, 4));
+/// assert_eq!(plan.reuse(), 2.0); // each load feeds two FMAs
 /// ```
-pub fn plan_register_tile(spec: &ConvSpec) -> RegisterTilePlan {
-    let fy = spec.ky();
-    let fx = spec.kx();
-    // The 1x1 tile is always admissible, so the search below can only
-    // improve on this seed; `best` is never left at a worse candidate.
-    let mut best =
-        RegisterTilePlan { rx: 1, ry: 1, loads_per_block: fy * fx, fmas_per_block: fy * fx };
-    let mut seeded = true;
-    for ry in 1..=ACCUMULATOR_BUDGET {
-        for rx in 1..=ACCUMULATOR_BUDGET {
-            if rx * ry > ACCUMULATOR_BUDGET {
-                continue;
-            }
-            // Don't tile wider/taller than the output itself.
-            if ry > spec.out_h() || (rx - 1) * VECTOR_WIDTH >= spec.out_w().max(1) + VECTOR_WIDTH {
-                continue;
-            }
-            let candidate = RegisterTilePlan {
-                rx,
-                ry,
-                loads_per_block: (ry + fy - 1) * fx * rx,
-                fmas_per_block: rx * ry * fy * fx,
-            };
-            let better = if seeded {
-                true
-            } else {
-                let b = &best;
-                let (c, bb) = (candidate.loads_per_fma(), b.loads_per_fma());
-                c < bb - 1e-12
-                    || ((c - bb).abs() <= 1e-12
-                        && (candidate.rx * candidate.ry > b.rx * b.ry
-                            || (candidate.rx * candidate.ry == b.rx * b.ry && candidate.rx > b.rx)))
-            };
-            if better {
-                best = candidate;
-                seeded = false;
-            }
-        }
-    }
-    best
+pub fn plan_register_tile(spec: &ConvSpec, lanes: usize) -> RegisterTilePlan {
+    let tiles = spg_codegen::register_tiles(lanes);
+    let costed = |&tile: &RegisterTile| RegisterTilePlan::of(spec, lanes, tile);
+    let fits = tiles.iter().filter(|t| t.nx <= spec.out_w()).map(costed);
+    let best = fits.min_by(|a, b| {
+        let size = |p: &RegisterTilePlan| p.tile.nx * p.tile.nfv;
+        a.row_cost
+            .cmp(&b.row_cost)
+            .then(
+                (a.loads_per_block * b.fmas_per_block).cmp(&(b.loads_per_block * a.fmas_per_block)),
+            )
+            .then(size(b).cmp(&size(a)))
+    });
+    let narrowest = || tiles.iter().map(costed).min_by_key(|p| p.tile.nx);
+    best.or_else(narrowest).unwrap_or_else(|| panic!("no instance has {lanes}-lane vectors"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tile(spec: &ConvSpec, lanes: usize) -> (usize, usize) {
+        let plan = plan_register_tile(spec, lanes);
+        (plan.tile.nx, plan.tile.nfv)
+    }
+
+    /// The tiles the search picks on Table 2 geometries at both lane
+    /// widths: one whole feature block where its weights stay in L1, long
+    /// x-blocks that reuse each streamed weight vector where they do not.
     #[test]
-    fn fig7_example_counts() {
-        // Fig. 7: Fx=1, Fy=2 kernel with rx=1, ry=2 tile -> 3 loads, 4 FMAs.
-        let plan = RegisterTilePlan { rx: 1, ry: 2, loads_per_block: 3, fmas_per_block: 4 };
-        assert!((plan.loads_per_fma() - 0.75).abs() < 1e-12);
-        let spec = ConvSpec::new(1, 64, 64, 1, 2, 1, 1, 1).unwrap();
-        let searched = plan_register_tile(&spec);
-        // The searched plan must be at least as load-efficient as Fig. 7's.
-        assert!(searched.loads_per_fma() <= plan.loads_per_fma());
+    fn table2_tiles() {
+        let cifar0 = ConvSpec::square(36, 64, 3, 5, 1); // 32 wide, 4 vectors
+        let alex0 = ConvSpec::square(224, 96, 3, 11, 4); // 54 wide, 6 vectors
+        let adam0 = ConvSpec::square(262, 120, 3, 7, 2); // 128 wide, 7.5 vectors
+        let adam2 = ConvSpec::square(15, 400, 250, 3, 1); // 13 wide, 25 vectors
+        assert_eq!(tile(&cifar0, 16), (4, 4));
+        assert_eq!(tile(&alex0, 16), (8, 3));
+        assert_eq!(tile(&adam0, 16), (8, 2));
+        assert_eq!(tile(&adam2, 16), (8, 2));
+        assert_eq!(tile(&cifar0, 8), (4, 2));
     }
 
     #[test]
-    fn respects_budget_and_output_bounds() {
-        for (n, k) in [(32usize, 3usize), (8, 5), (64, 11), (4, 2)] {
-            let spec = ConvSpec::square(n, 8, 4, k, 1);
-            let plan = plan_register_tile(&spec);
-            assert!(plan.rx * plan.ry <= ACCUMULATOR_BUDGET);
-            assert!(plan.ry <= spec.out_h());
+    fn fits_the_register_file_and_the_row() {
+        for (n, k, f) in [(32usize, 3usize, 8usize), (10, 3, 64), (64, 11, 3), (12, 2, 200)] {
+            let spec = ConvSpec::square(n, f, 4, k, 1);
+            for lanes in [8, 16] {
+                let plan = plan_register_tile(&spec, lanes);
+                let registers =
+                    spg_check::vector_registers(lanes).unwrap_or_else(|| unreachable!());
+                assert!(plan.tile.registers() <= registers, "{spec}: {plan}");
+                assert!(plan.tile.nx <= spec.out_w(), "{spec}: {plan}");
+            }
         }
     }
 
     #[test]
-    fn taller_tiles_win_for_tall_kernels() {
-        // With Fy large, reuse grows with ry, so the plan maxes ry.
-        let spec = ConvSpec::square(64, 8, 4, 7, 1);
-        let plan = plan_register_tile(&spec);
-        assert_eq!(plan.ry, ACCUMULATOR_BUDGET, "plan was {plan}");
-        assert_eq!(plan.rx, 1);
+    fn one_vector_of_features_takes_the_widest_row_tile() {
+        // 8 features at 8 lanes: one vector, so only x-reuse is left.
+        let spec = ConvSpec::square(32, 8, 4, 3, 1);
+        assert_eq!(tile(&spec, 8), (8, 1));
     }
 
     #[test]
     fn loads_formula_consistency() {
-        let spec = ConvSpec::square(32, 8, 4, 3, 1);
-        let plan = plan_register_tile(&spec);
-        assert_eq!(plan.loads_per_block, (plan.ry + 3 - 1) * 3 * plan.rx);
-        assert_eq!(plan.fmas_per_block, plan.rx * plan.ry * 9);
-    }
-
-    #[test]
-    fn reuse_exceeds_one_for_multi_row_kernels() {
-        // Any Fy > 1 kernel must achieve input reuse > 1 with a good tile.
-        let spec = ConvSpec::square(32, 8, 4, 3, 1);
-        let plan = plan_register_tile(&spec);
+        let spec = ConvSpec::square(32, 40, 4, 3, 1);
+        let plan = plan_register_tile(&spec, 8);
+        let RegisterTile { nx, nfv } = plan.tile;
+        assert_eq!(plan.loads_per_block, (nx + nfv) * 9);
+        assert_eq!(plan.fmas_per_block, nx * nfv * 9);
         assert!(plan.reuse() > 1.0, "reuse {}", plan.reuse());
     }
 
     #[test]
-    fn one_by_one_kernel_has_no_reuse_to_find() {
-        let spec = ConvSpec::square(16, 8, 4, 1, 1);
-        let plan = plan_register_tile(&spec);
-        // loads == fmas regardless of tile for 1x1 kernels.
-        assert!((plan.loads_per_fma() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tiny_output_clamps_tile() {
-        let spec = ConvSpec::new(1, 3, 64, 1, 2, 2, 1, 1).unwrap(); // out_h = 2
-        let plan = plan_register_tile(&spec);
-        assert!(plan.ry <= 2);
+    fn rows_narrower_than_every_tile_get_the_narrowest() {
+        let spec = ConvSpec::new(1, 3, 3, 64, 2, 2, 1, 1).unwrap(); // out_w = 2
+        assert_eq!(tile(&spec, 16), (4, 4));
     }
 }

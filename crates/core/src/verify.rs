@@ -2,8 +2,7 @@
 //!
 //! The pipeline is **lower → verify → execute**. [`lower`] turns a
 //! technique pair into `spg-check`'s plan IR — choosing the narrow-output
-//! cutoff, the phase transform, the x-tile segmentation, the band ranges
-//! over that plan's loop nest, the GEMM worker counts and the sparse tile
+//! cutoff, the register tile, the band ranges over that plan's loop nest, the GEMM worker counts and the sparse tile
 //! width, and binding a `spg-codegen` instance when one resolves — hands
 //! that IR to the verifier, and wraps the
 //! [`VerifiedPlan`](spg_check::VerifiedPlan) it gets back in a
@@ -15,10 +14,8 @@
 //! offending access, and no program exists for it.
 
 use spg_check::{
-    BackwardPlan, CheckReport, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity,
-    VECTOR_WIDTH,
+    BackwardPlan, CheckReport, ConvPlan, ForwardPlan, ScheduleTile, ScratchCapacity, VECTOR_WIDTH,
 };
-use spg_codegen::xplan::tiled_plan;
 use spg_codegen::{KernelChoice, SpecializedKernel};
 use spg_convnet::ConvSpec;
 
@@ -32,8 +29,10 @@ use crate::SpgError;
 
 /// Lowers a forward technique: the narrow-output shifted-GEMM cutoff
 /// (`out_w < VECTOR_WIDTH`), the wide tiled plan at `lanes` lanes (the
-/// generic loops' 8, or a bound instance's own width), and the split of
-/// either kernel over `cores` regions.
+/// generic loops' 8, or a bound instance's own width) with the register
+/// tile [`plan_register_tile`] picks there, and the split of either kernel
+/// over `cores` regions — feature bands on whole feature blocks of that
+/// tile.
 ///
 /// Every technique lowers *with* its intra-sample split. How many of the
 /// proved regions run concurrently is not the plan's business: a call runs
@@ -53,12 +52,14 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
     if spec.out_w() < VECTOR_WIDTH {
         return ForwardPlan::StencilNarrow;
     }
-    let tiled = tiled_plan(spec, lanes, plan_cache_schedule(spec).y_tile);
-    match stencil_split(spec, cores) {
+    let tile = plan_register_tile(spec, lanes).tile;
+    let block = lanes * tile.nfv;
+    let tiled = ForwardPlan::StencilTiled { lanes, tile };
+    match stencil_split(spec, cores, block) {
         Some(dim) => ForwardPlan::StencilBanded {
             dim,
             tiled: Box::new(tiled),
-            bands: band_ranges(spec, dim, cores),
+            bands: band_ranges(spec, dim, cores, block),
         },
         None => tiled,
     }
@@ -77,15 +78,10 @@ fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     }
 }
 
-/// The generators' register tile and cache schedule for `spec`, in the
-/// verifier's IR.
-fn generated_tiles(spec: &ConvSpec) -> (RegisterTile, ScheduleTile) {
-    let tile = plan_register_tile(spec);
+/// The schedule generator's cache tile for `spec`, in the verifier's IR.
+fn generated_schedule(spec: &ConvSpec) -> ScheduleTile {
     let schedule = plan_cache_schedule(spec);
-    (
-        RegisterTile { rx: tile.rx, ry: tile.ry },
-        ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile },
-    )
+    ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile }
 }
 
 /// The specialized instance [`lower`] binds to a stencil forward on `spec`
@@ -138,14 +134,17 @@ pub fn lower(
 
 /// The registry instance [`lower`] tries first for a `forward` technique
 /// on `spec` under `kernel`: the shape's ([`spg_codegen::lookup`]) for a
-/// stencil forward under [`KernelChoice::Auto`], none otherwise.
+/// tiled stencil forward (outputs at least [`VECTOR_WIDTH`] wide) under
+/// [`KernelChoice::Auto`], none otherwise.
 fn instance(
     spec: &ConvSpec,
     forward: Technique,
     kernel: KernelChoice,
 ) -> Option<&'static SpecializedKernel> {
     match kernel {
-        KernelChoice::Auto if forward == Technique::StencilFp => spg_codegen::lookup(spec),
+        KernelChoice::Auto if forward == Technique::StencilFp && spec.out_w() >= VECTOR_WIDTH => {
+            spg_codegen::lookup(spec)
+        }
         _ => None,
     }
 }
@@ -158,7 +157,6 @@ fn prove(
     cores: usize,
     kernel: Option<&'static SpecializedKernel>,
 ) -> Result<ConvProgram, SpgError> {
-    let (register_tile, schedule) = generated_tiles(spec);
     let lowered = ConvPlan {
         forward: lower_forward(
             spec,
@@ -167,8 +165,7 @@ fn prove(
             kernel.map_or(VECTOR_WIDTH, |k| k.lanes()),
         ),
         backward: lower_backward(plan.backward, cores),
-        register_tile,
-        schedule,
+        schedule: generated_schedule(spec),
     };
     // What ConvScratch::reserve provides for this spec, which every
     // `_scratch` entry point establishes.
@@ -237,10 +234,10 @@ pub fn verify_technique(
     let cap = ScratchCapacity::reserved_for(spec);
     let result = match phase {
         Phase::Forward => {
-            let (register_tile, schedule) = generated_tiles(spec);
+            let schedule = generated_schedule(spec);
             let prove_at = |lanes| {
                 let forward = lower_forward(spec, technique, cores, lanes);
-                spg_check::verify_forward(spec, &forward, register_tile, schedule, &cap)
+                spg_check::verify_forward(spec, &forward, schedule, &cap)
             };
             // `lower`'s fallback: a rejected instance plan runs generic.
             instance(spec, technique, KernelChoice::Auto)
@@ -317,25 +314,30 @@ mod tests {
         let wide = ConvSpec::square(14, 5, 3, 3, 1);
         assert!(matches!(
             lower_forward(&wide, Technique::StencilFp, 1, VECTOR_WIDTH),
-            ForwardPlan::StencilTiled { phased: false, .. }
+            ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, .. }
         ));
     }
 
-    /// Strided layers lower with the phase transform (`sx > 1`).
+    /// The tiled plan carries the tile the Sec. 4.3 search picks at its
+    /// lane width, strided or not: the stride needs no plan attribute.
     #[test]
-    fn strided_layer_lowers_phased() {
-        let strided = ConvSpec::square(28, 8, 3, 5, 2);
-        assert!(matches!(
-            lower_forward(&strided, Technique::StencilFp, 1, VECTOR_WIDTH),
-            ForwardPlan::StencilTiled { phased: true, .. }
-        ));
+    fn tiled_plan_carries_the_searched_tile() {
+        for spec in [ConvSpec::square(28, 8, 3, 5, 2), ConvSpec::square(36, 64, 3, 5, 1)] {
+            for lanes in [8, 16] {
+                let tile = plan_register_tile(&spec, lanes).tile;
+                assert_eq!(
+                    lower_forward(&spec, Technique::StencilFp, 1, lanes),
+                    ForwardPlan::StencilTiled { lanes, tile },
+                    "{spec}"
+                );
+            }
+        }
     }
 
     /// Every specialized registry instance's lowered plan verifies clean
-    /// on a shape of its key wide enough for its lanes — including the
-    /// 16-lane AVX-512 plans, which exercise the verifier at a lane width
-    /// the generic kernel never lowers to. (Static proof: independent of
-    /// host CPU features.)
+    /// on a shape of its key — including the 16-lane AVX-512 plans, which
+    /// exercise the verifier at a lane width the generic kernel never
+    /// lowers to. (Static proof: independent of host CPU features.)
     #[test]
     fn specialized_instances_verify() {
         for inst in spg_codegen::all_instances() {
@@ -345,12 +347,10 @@ mod tests {
                 Ok(s) => s,
                 Err(e) => panic!("spec for {k}: {e:?}"),
             };
-            let (register_tile, schedule) = generated_tiles(&spec);
             let report = spg_check::verify_forward(
                 &spec,
                 &lower_forward(&spec, Technique::StencilFp, 1, inst.lanes()),
-                register_tile,
-                schedule,
+                generated_schedule(&spec),
                 &ScratchCapacity::reserved_for(&spec),
             )
             .unwrap();

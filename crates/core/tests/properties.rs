@@ -14,7 +14,7 @@ use spg_core::region::{classify_by_features, Region};
 use spg_core::schedule::{recommended_plan, LayerPlan, Technique};
 use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::stencil::{
-    plan_cache_schedule, plan_register_tile, ACCUMULATOR_BUDGET, L1_BUDGET_ELEMS,
+    plan_cache_schedule, plan_register_tile, RegisterTilePlan, L1_BUDGET_ELEMS,
 };
 use spg_core::verify::lower_phase;
 use spg_tensor::layout;
@@ -78,8 +78,7 @@ proptest! {
         let ilen = spec.input_shape().len();
         let mut ours = vec![0.0; ilen];
         let mut oracle = vec![0.0; ilen];
-        let mut w_kkfc = vec![0.0; weights.len()];
-        layout::fckk_to_kkfc_into(&weights, spec.weight_shape(), &mut w_kkfc);
+        let w_kkfc = layout::Kkfc::from_fckk(&weights, spec.weight_shape());
         sparse_kernel::backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, tile_width, &mut ConvScratch::new());
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
@@ -103,20 +102,25 @@ proptest! {
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
     }
 
-    /// The register-tile search must return an admissible plan that is at
-    /// least as good as every admissible alternative.
+    /// The register-tile search must return a tile the instruction set's
+    /// register file holds and the output row admits, whose row sweep
+    /// issues no more than any other admissible tile's.
     #[test]
-    fn register_tile_search_is_optimal(spec in conv_spec()) {
-        let plan = plan_register_tile(&spec);
-        prop_assert!(plan.rx * plan.ry <= ACCUMULATOR_BUDGET);
-        prop_assert!(plan.ry <= spec.out_h());
-        for ry in 1..=ACCUMULATOR_BUDGET.min(spec.out_h()) {
-            let loads = (ry + spec.ky() - 1) * spec.kx();
-            let fmas = ry * spec.ky() * spec.kx();
-            prop_assert!(
-                plan.loads_per_fma() <= loads as f64 / fmas as f64 + 1e-12,
-                "search missed ry={ry}"
-            );
+    fn register_tile_search_is_optimal(spec in conv_spec(), wide in 0usize..2) {
+        let lanes = if wide == 1 { 16 } else { 8 };
+        let plan = plan_register_tile(&spec, lanes);
+        let registers = spg_check::vector_registers(lanes).expect("an instance's lane width");
+        prop_assert!(plan.tile.registers() <= registers);
+        let admissible: Vec<_> = spg_codegen::register_tiles(lanes)
+            .iter()
+            .filter(|t| t.nx <= spec.out_w())
+            .collect();
+        if !admissible.is_empty() {
+            prop_assert!(plan.tile.nx <= spec.out_w());
+        }
+        for &tile in admissible {
+            let other = RegisterTilePlan::of(&spec, lanes, tile);
+            prop_assert!(plan.row_cost <= other.row_cost, "search missed {tile:?}");
         }
     }
 

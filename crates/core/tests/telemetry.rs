@@ -236,8 +236,7 @@ proptest! {
         let mut grad_in = vec![0.0; spec.input_shape().len()];
         let mut grad_w = vec![0.0; spec.weight_shape().len()];
 
-        let mut w_kkfc = vec![0.0; weights.len()];
-        layout::fckk_to_kkfc_into(&weights, spec.weight_shape(), &mut w_kkfc);
+        let w_kkfc = layout::Kkfc::from_fckk(&weights, spec.weight_shape());
         let data = record_under("tel_sparse", Phase::BackwardData, || {
             sparse_kernel::backward_data_scratch(
                 &spec,

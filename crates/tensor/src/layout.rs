@@ -171,16 +171,8 @@ pub fn kkfc_to_fckk_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
 }
 
 /// Permutes a weight tensor from `[f, c, ky, kx]` into `[ky][kx]` blocks of
-/// `(Nc x Nf)` matrices (feature fastest-varying) — the right-hand operands
-/// of the narrow-output stencil's shifted small dense multiplies, one block
-/// per kernel offset.
-///
-/// # Panics
-///
-/// Panics if `src.len()` or `out.len()` differs from `shape.len()`.
-pub fn narrow_weights_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
-    assert_eq!(src.len(), shape.len(), "narrow_weights_into: src length mismatch");
-    assert_eq!(out.len(), shape.len(), "narrow_weights_into: out length mismatch");
+/// `(Nc x Nf)` matrices (feature fastest-varying).
+fn narrow_weights_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
     let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
     for f in 0..f_n {
         for c in 0..c_n {
@@ -190,6 +182,146 @@ pub fn narrow_weights_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
                 }
             }
         }
+    }
+}
+
+/// `buf` resized to `len` elements, all zero, reusing its allocation.
+fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Canonical `[f, c, ky, kx]` weights permuted to `[ky, kx, f, c]`
+/// (channel fastest) — what the sparse backward-data kernel reads: for a
+/// kernel offset `(ky, kx)` and gradient feature `f`, the per-channel
+/// weights `W'[ky, kx, f, *]` are contiguous.
+///
+/// Built only from canonical weights ([`refresh`](Kkfc::refresh)), so a
+/// kernel whose signature takes a `Kkfc` cannot be handed them unpermuted.
+/// Empty until the first refresh.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Kkfc(Vec<f32>);
+
+impl Kkfc {
+    /// The `kkfc` copy of `fckk` weights of `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fckk.len() != shape.len()`.
+    pub fn from_fckk(fckk: &[f32], shape: Shape4) -> Self {
+        let mut copy = Kkfc::default();
+        copy.refresh(fckk, shape);
+        copy
+    }
+
+    /// Refills this copy from `fckk` weights of `shape`, reusing its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fckk.len() != shape.len()`.
+    pub fn refresh(&mut self, fckk: &[f32], shape: Shape4) {
+        fckk_to_kkfc_into(fckk, shape, zeroed(&mut self.0, shape.len()));
+    }
+
+    /// The permuted weights.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.0
+    }
+
+    /// Drops the copy (keeping its storage) until the next refresh.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Canonical `[f, c, ky, kx]` weights permuted into `[ky][kx]` blocks of
+/// `(Nc x Nf)` matrices (feature fastest) — the right-hand operands of the
+/// narrow-output stencil's shifted small dense multiplies, one block per
+/// kernel offset.
+///
+/// Built only from canonical weights ([`refresh`](Kkcf::refresh)); empty
+/// until the first refresh.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Kkcf(Vec<f32>);
+
+impl Kkcf {
+    /// Refills this copy from `fckk` weights of `shape`, reusing its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fckk.len() != shape.len()`.
+    pub fn refresh(&mut self, fckk: &[f32], shape: Shape4) {
+        assert_eq!(fckk.len(), shape.len(), "Kkcf::refresh: fckk length mismatch");
+        narrow_weights_into(fckk, shape, zeroed(&mut self.0, shape.len()));
+    }
+
+    /// The permuted weights.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.0
+    }
+
+    /// Drops the copy (keeping its storage) until the next refresh.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Canonical `[f, c, ky, kx]` weights permuted to `[c][ky][kx][f]`, with
+/// the feature axis zero-padded to a multiple of a block of features —
+/// what the feature-lane stencil reads: for every kernel tap `(c, ky, kx)`
+/// the weights of a block of output features are one aligned run of
+/// vectors, loaded once and fanned out over the tile's output positions.
+/// The padding lanes multiply to zero and are never stored.
+///
+/// Built only from canonical weights ([`refresh`](Ckkf::refresh)); empty
+/// until the first refresh.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Ckkf {
+    data: Vec<f32>,
+    padded: usize,
+}
+
+impl Ckkf {
+    /// Refills this copy from `fckk` weights of `shape` with the features
+    /// padded to a multiple of `block`, reusing its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fckk.len() != shape.len()` or `block == 0`.
+    pub fn refresh(&mut self, fckk: &[f32], shape: Shape4, block: usize) {
+        assert_eq!(fckk.len(), shape.len(), "Ckkf::refresh: fckk length mismatch");
+        assert!(block > 0, "Ckkf::refresh: empty feature block");
+        let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
+        let padded = f_n.div_ceil(block) * block;
+        let out = zeroed(&mut self.data, c_n * ky_n * kx_n * padded);
+        for f in 0..f_n {
+            for c in 0..c_n {
+                for ky in 0..ky_n {
+                    for kx in 0..kx_n {
+                        out[((c * ky_n + ky) * kx_n + kx) * padded + f] =
+                            fckk[shape.index(f, c, ky, kx)];
+                    }
+                }
+            }
+        }
+        self.padded = padded;
+    }
+
+    /// Features per tap, padding included: the stride between taps.
+    pub fn padded_features(&self) -> usize {
+        self.padded
+    }
+
+    /// The permuted weights.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Drops the copy (keeping its storage) until the next refresh.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.padded = 0;
     }
 }
 
@@ -253,11 +385,29 @@ mod tests {
     fn narrow_weights_are_feature_contiguous_per_offset() {
         let shape = Shape4::new(2, 3, 1, 2);
         let t = iota(shape.len());
-        let mut kkcf = vec![0.0f32; shape.len()];
-        narrow_weights_into(t.as_slice(), shape, &mut kkcf);
+        let mut kkcf = Kkcf::default();
+        kkcf.refresh(t.as_slice(), shape);
         // Block kx=0: rows c=0..3 of [f=0, f=1]; src[f, c, 0, kx] = (f*3 + c)*2 + kx.
-        assert_eq!(&kkcf[..6], &[0.0, 6.0, 2.0, 8.0, 4.0, 10.0]);
-        assert_eq!(&kkcf[6..], &[1.0, 7.0, 3.0, 9.0, 5.0, 11.0]);
+        assert_eq!(&kkcf.as_slice()[..6], &[0.0, 6.0, 2.0, 8.0, 4.0, 10.0]);
+        assert_eq!(&kkcf.as_slice()[6..], &[1.0, 7.0, 3.0, 9.0, 5.0, 11.0]);
+    }
+
+    #[test]
+    fn feature_blocked_weights_pad_each_tap_to_whole_blocks() {
+        // 3 features, 2 channels, 1x2 kernel, blocks of 2: 4 features a tap.
+        let shape = Shape4::new(3, 2, 1, 2);
+        let t = iota(shape.len());
+        let mut ckkf = Ckkf::default();
+        ckkf.refresh(t.as_slice(), shape, 2);
+        assert_eq!(ckkf.padded_features(), 4);
+        // Tap (c=0, kx=0): src[f, 0, 0, 0] = f*4; tap (c=1, kx=1): f*4 + 3.
+        assert_eq!(&ckkf.as_slice()[..4], &[0.0, 4.0, 8.0, 0.0]);
+        assert_eq!(&ckkf.as_slice()[12..], &[3.0, 7.0, 11.0, 0.0]);
+        assert_eq!(Kkfc::from_fckk(t.as_slice(), shape).as_slice(), {
+            let mut kkfc = vec![0.0; shape.len()];
+            fckk_to_kkfc_into(t.as_slice(), shape, &mut kkfc);
+            kkfc
+        });
     }
 
     #[test]

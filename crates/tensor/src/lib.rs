@@ -8,14 +8,13 @@
 //! * [`Tensor`] — an owned, contiguous `f32` buffer with a length, the
 //!   uniform currency for activations, weights, and gradients.
 //! * [`Matrix`] — a 2-D row-major owned matrix used by the GEMM kernels.
-//! * [`layout`] — axis-order descriptors and permutation transforms. The
-//!   paper's sparse backward kernel requires the channel dimension to be
-//!   fastest-varying in weights/outputs and the feature dimension
-//!   fastest-varying in the incoming gradient (Sec. 4.2); these transforms
-//!   implement that.
-//! * [`transform`] — the strided-convolution input relayout of Eq. 21
-//!   (`I[f, y, x] -> I[f, y, s, x']`), which converts unaligned strided
-//!   vector loads into contiguous ones for the stencil kernel.
+//! * [`layout`] — axis-order permutation transforms, and the permuted
+//!   weight copies the kernels read, each its own type built only from the
+//!   canonical `[f, c, ky, kx]` weights. The paper's sparse backward kernel
+//!   requires the channel dimension to be fastest-varying in
+//!   weights/outputs and the feature dimension fastest-varying in the
+//!   incoming gradient (Sec. 4.2); the stencils read feature-fastest
+//!   weights.
 //! * [`sparse`] — CSR and the paper's column-tiled CSR (CT-CSR, Fig. 5a)
 //!   sparse matrix formats, plus conversion and sparsity measurement.
 //!
@@ -39,7 +38,6 @@ mod matrix;
 mod shape;
 pub mod sparse;
 mod tensor;
-pub mod transform;
 
 pub use error::TensorError;
 pub use matrix::Matrix;

@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use spg_tensor::sparse::{Csr, CtCsr};
-use spg_tensor::transform::StridedLayout;
 use spg_tensor::{layout, Matrix, Shape3, Shape4, Tensor};
 
 fn sparse_matrix() -> impl Strategy<Value = Matrix> {
@@ -74,29 +73,6 @@ proptest! {
         let there = layout::fckk_to_kkfc(&t, shape).expect("matching length");
         let back = layout::kkfc_to_fckk(&there, shape).expect("matching length");
         prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn strided_layout_round_trips(c in 1usize..4, h in 1usize..6, w in 1usize..16, s in 1usize..5) {
-        let shape = Shape3::new(c, h, w);
-        let lay = StridedLayout::new(shape, s).expect("positive stride");
-        let t: Tensor = (0..shape.len()).map(|i| (i as f32).sin()).collect();
-        let phased = lay.apply(&t).expect("matching length");
-        prop_assert_eq!(lay.invert(&phased).expect("matching length"), t);
-    }
-
-    #[test]
-    fn strided_layout_preserves_multiset(w in 1usize..20, s in 1usize..5) {
-        let shape = Shape3::new(1, 1, w);
-        let lay = StridedLayout::new(shape, s).expect("positive stride");
-        let t: Tensor = (0..w).map(|i| (i + 1) as f32).collect();
-        let phased = lay.apply(&t).expect("matching length");
-        let mut original: Vec<f32> = t.as_slice().to_vec();
-        let mut nonpad: Vec<f32> =
-            phased.as_slice().iter().copied().filter(|v| *v != 0.0).collect();
-        original.sort_by(f32::total_cmp);
-        nonpad.sort_by(f32::total_cmp);
-        prop_assert_eq!(original, nonpad);
     }
 
     #[test]

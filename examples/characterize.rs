@@ -55,7 +55,9 @@ fn main() {
     println!();
 
     println!("-- Sec. 4.3: generated stencil basic block --");
-    let plan = plan_register_tile(&spec);
+    // At the lane width this host's dispatch runs the layer with.
+    let lanes = spg_cnn::codegen::lookup(&spec).map_or(spg_cnn::check::VECTOR_WIDTH, |k| k.lanes());
+    let plan = plan_register_tile(&spec, lanes);
     println!("register tile: {plan}");
     let listing = render_basic_block(&spec, Some(plan));
     // The full listing for a 5x5 kernel is long; show its head.

@@ -16,7 +16,7 @@ use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{gemm_exec, reference, ConvSpec};
 use spg_cnn::core::sparse::kernel as sparse;
 use spg_cnn::core::sparse::DEFAULT_TILE_WIDTH;
-use spg_cnn::tensor::layout::fckk_to_kkfc_into;
+use spg_cnn::tensor::layout::Kkfc;
 use spg_cnn::workloads::synth::conv_operands;
 
 fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -47,8 +47,7 @@ fn main() {
         let mut grad_w = vec![0.0f32; spec.weight_shape().len()];
         // The sparse backward-data kernel reads the weights permuted to
         // `[ky, kx, f, c]`, as a layer's prepared weights hold them.
-        let mut w_kkfc = vec![0.0f32; spec.weight_shape().len()];
-        fckk_to_kkfc_into(ops.weights.as_slice(), spec.weight_shape(), &mut w_kkfc);
+        let w_kkfc = Kkfc::from_fckk(ops.weights.as_slice(), spec.weight_shape());
 
         let dense_secs = time(3, || {
             gemm_exec::backward_data_scratch(

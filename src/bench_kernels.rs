@@ -164,13 +164,14 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
     // when one resolves on this host.
     let auto_exec = lowered(KernelChoice::Auto);
     let inst = auto_exec.specialized_kernel();
-    // Both lower the same forward technique, so one preparation serves both.
-    let weights = generic_exec.prepared(&weights);
+    // Each plan reads the weights padded to its own register tile.
+    let (generic_weights, auto_weights) =
+        (generic_exec.prepared(&weights), auto_exec.prepared(&weights));
 
     // Warm-up pays one-time buffer growth and code-path warming.
-    generic_exec.forward(&input, &weights, &mut output, &mut scratch);
+    generic_exec.forward(&input, &generic_weights, &mut output, &mut scratch);
     if inst.is_some() {
-        auto_exec.forward(&input, &weights, &mut output, &mut scratch);
+        auto_exec.forward(&input, &auto_weights, &mut output, &mut scratch);
     }
     // Interleave generic/specialized repetitions so machine-load drift
     // over the run hits both kernels alike: the per-layer speedup ratio
@@ -182,7 +183,7 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
         generic_samples.push(time_rep(
             &generic_exec,
             &input,
-            &weights,
+            &generic_weights,
             &mut output,
             &mut scratch,
             iters,
@@ -191,7 +192,7 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
             special_samples.push(time_rep(
                 &auto_exec,
                 &input,
-                &weights,
+                &auto_weights,
                 &mut output,
                 &mut scratch,
                 iters,

@@ -60,10 +60,11 @@ fn render_emits_generated_kernels() {
     assert!(stdout.contains("CT-CSR"));
 }
 
-/// The listing is the tile the bound kernel executes — six rows of the
-/// plan's x-tiles — whether the stencil lowered sequential (`--cores 1`)
-/// or banded (`--cores 2`, where the listing used to vanish), with the
-/// Sec. 4.3 search's tile kept as one labelled line.
+/// The listing is the tile the bound kernel executes — the register tile
+/// the Sec. 4.3 search picked, positions by feature vectors — whether the
+/// stencil lowered sequential (`--cores 1`) or banded (`--cores 2`, where
+/// the listing used to vanish), with the search's choice as one labelled
+/// line.
 #[test]
 fn render_lists_the_executed_tile_for_tiled_and_banded_plans() {
     let path = write_net("spgcnn_render_tile_test.cfg");
@@ -78,13 +79,13 @@ fn render_lists_the_executed_tile_for_tiled_and_banded_plans() {
         ]);
         assert!(ok, "cores {cores}: {stdout}");
         assert!(stdout.contains("Stencil-Kernel (FP)"), "cores {cores}: {stdout}");
-        // 10-wide output rows: one 8-lane vector, six rows per block.
-        assert!(
-            stdout.contains("3x3 kernel, 1x6 register tile of 8-lane vectors, y stride 1"),
-            "cores {cores}: {stdout}"
-        );
-        assert_eq!(stdout.matches("_mm256_storeu_ps").count(), 6, "cores {cores}");
-        assert_eq!(stdout.matches("model optimum (Sec. 4.3): 1x10 tile").count(), 1);
+        // 10-wide rows of 6 features: one feature vector by 8 positions
+        // at either lane width.
+        assert!(stdout.contains("3x3 kernel, 8x1 register tile of"), "cores {cores}: {stdout}");
+        assert!(stdout.contains("feature vectors, x stride 1"), "cores {cores}: {stdout}");
+        assert_eq!(stdout.matches("_storeu_ps").count(), 8, "cores {cores}");
+        assert_eq!(stdout.matches("_fmadd_ps").count(), 8 * 9, "cores {cores}");
+        assert_eq!(stdout.matches("register tile (Sec. 4.3 search): 8x1 tile").count(), 1);
     }
 }
 

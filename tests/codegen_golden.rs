@@ -8,15 +8,16 @@
 //! path, and the autotuner records which kernel it deployed per layer.
 
 use spg_cnn::check::{
-    verify_conv_plan, BackwardPlan, ConvPlan, RegisterTile, ScheduleTile, ScratchCapacity,
+    verify_conv_plan, BackwardPlan, ConvPlan, ForwardPlan, ScheduleTile, ScratchCapacity,
+    VECTOR_WIDTH,
 };
-use spg_cnn::codegen::xplan::tiled_plan;
 use spg_cnn::codegen::{all_instances, forward_tiled, lookup, KernelChoice, KernelKey};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::ConvSpec;
 use spg_cnn::core::autotune::Phase;
 use spg_cnn::core::compiled::{CompiledConv, ConvProgram};
 use spg_cnn::core::schedule::{LayerPlan, Technique};
+use spg_cnn::core::stencil::plan_register_tile;
 use spg_cnn::core::verify::lower_phase;
 use spg_cnn::gemm::{detect_simd_level, SimdLevel};
 use spg_cnn::workloads::synth::conv_operands;
@@ -33,8 +34,9 @@ fn stencil(spec: &ConvSpec, kernel: KernelChoice) -> ConvProgram {
 /// Table 2 layer whose geometry it specializes. Exact equality holds
 /// because the specialized bodies replicate the generic kernel's
 /// per-output-element reduction order — channels, then `ky`, then `kx`,
-/// single-rounded FMA throughout — and that chain is lane-width
-/// independent (each output column is one SIMD lane).
+/// single-rounded FMA throughout — and that chain is independent of the
+/// lane width and the register tile (each output element is one lane of
+/// one accumulator for its whole reduction).
 #[test]
 fn every_runnable_instance_bit_matches_generic_on_table2() {
     if detect_simd_level() < SimdLevel::Avx2Fma {
@@ -46,31 +48,29 @@ fn every_runnable_instance_bit_matches_generic_on_table2() {
     for (bench, i, spec) in table2::all_layers() {
         let key = KernelKey::of(&spec);
         for inst in all_instances() {
-            if inst.key() != key || spec.out_w() < inst.lanes() || !inst.isa().runnable_at(level) {
+            // Outputs under a vector wide lower to the narrow kernel, which
+            // binds no instance.
+            if inst.key() != key || spec.out_w() < VECTOR_WIDTH || !inst.isa().runnable_at(level) {
                 continue;
             }
             let ops = conv_operands(&spec, 0.0, 0x77);
             let mut scratch = ConvScratch::new();
             let mut got = vec![0.0f32; spec.output_shape().len()];
             let mut want = vec![0.0f32; spec.output_shape().len()];
-            // The instance's own tiled plan (cache row block 6), proved:
-            // the only way to run an instance.
+            // The instance's own tiled plan (the searched tile at its
+            // lanes), proved: the only way to run an instance.
+            let (lanes, tile) = (inst.lanes(), plan_register_tile(&spec, inst.lanes()).tile);
             let plan = ConvPlan {
-                forward: tiled_plan(&spec, inst.lanes(), 6),
+                forward: ForwardPlan::StencilTiled { lanes, tile },
                 backward: BackwardPlan::UnfoldGemm { threads: 1 },
-                register_tile: RegisterTile { rx: 1, ry: 1 },
                 schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
             };
             let proved = verify_conv_plan(&spec, plan, &ScratchCapacity::reserved_for(&spec))
                 .expect("instance plan verifies");
-            forward_tiled(
-                Some(inst),
-                proved.tiled().expect("lowered tiled"),
-                ops.input.as_slice(),
-                ops.weights.as_slice(),
-                &mut got,
-                &mut scratch,
-            );
+            let tiled = proved.tiled().expect("lowered tiled");
+            let mut weights = spg_cnn::tensor::layout::Ckkf::default();
+            weights.refresh(ops.weights.as_slice(), spec.weight_shape(), tiled.feature_block());
+            forward_tiled(Some(inst), tiled, ops.input.as_slice(), &weights, &mut got, &scratch);
             let generic = stencil(&spec, KernelChoice::Generic);
             generic.forward(
                 ops.input.as_slice(),
