@@ -37,7 +37,7 @@ pub use error::{Buf, CheckError};
 pub use interval::Span;
 pub use plan::{
     vector_registers, BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile,
-    L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
+    SparseBlock, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
 };
 pub use verified::{TileRegion, VerifiedPlan, VerifiedTiled};
 
@@ -137,8 +137,8 @@ pub fn verify_backward(
 ) -> Result<CheckReport, CheckError> {
     let mut interp = Interp::default();
     match backward {
-        BackwardPlan::SparsePointerShift { tile_width } => {
-            sparse::check_backward_sparse(&mut interp, spec, *tile_width, cap)?;
+        BackwardPlan::SparsePointerShift { tile_width, block } => {
+            sparse::check_backward_sparse(&mut interp, spec, *tile_width, *block, cap)?;
         }
         BackwardPlan::UnfoldGemm { threads } => {
             gemm::check_backward_gemm(&mut interp, spec, *threads, cap)?;

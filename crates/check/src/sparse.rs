@@ -1,23 +1,36 @@
-//! CT-CSR pointer-shift backward checks (Eq. 11–15).
+//! Sparse backward checks (Eq. 11–15), register blocked.
 //!
-//! The sparse backward kernels walk a column-tiled CSR of the output gradient
-//! and scatter `nc`-wide weight rows into the input-gradient (backward-data)
-//! or weight-gradient (backward-weights) accumulators. The pointer-shift
-//! composition means every store address is an affine function of the patch
-//! position and the kernel tap — exactly what the interval domain evaluates.
+//! Backward-weights walks each feature's non-zero gradients and gathers,
+//! per non-zero and kernel row, a `kx·c`-long run of the HWC input into a
+//! register block of the feature's `[ky][kx][c]` weight-gradient run.
+//! Backward-data walks a column-tiled CSR of the output gradient and, per
+//! non-zero row and tap, holds the `c`-long input-gradient row it shifts
+//! into (Eq. 15) in registers while the row's `kkfc` weight rows stream
+//! past. Every address is an affine function of the position, the tap and
+//! the chunk offset — exactly what the interval domain evaluates.
 
 use crate::error::{Buf, CheckError};
 use crate::interval::Span;
+use crate::plan::{check_sparse_block, SparseBlock};
 use crate::Interp;
 use spg_convnet::ConvSpec;
 
-/// Verifies the CT-CSR pointer-shift backward plan: staging capacities for
-/// both HWC gradients and the permuted weight accumulator, the Eq. 15 scatter
-/// ranges, and the `kkfc` weight-block reads.
+/// One past the last float a sweep of `n` floats in `block`'s chunks
+/// touches: the last chunk's last vector ends at its tail.
+fn chunk_cover(block: SparseBlock, n: usize) -> usize {
+    block.chunks(n).map(|(at, q, tail)| at + (q - 1) * block.lanes + tail).max().unwrap_or(0)
+}
+
+/// Verifies the register-blocked sparse backward plan: the register block
+/// inside its tier's register file; backward-weights' HWC input staging,
+/// its `kx·c` gathers and its `[f][ky][kx][c]` accumulator runs;
+/// backward-data's staging, CT-CSR tiling, Eq. 15 shifted rows and `kkfc`
+/// weight-row reads, all at the extent the block's chunks sweep.
 pub(crate) fn check_backward_sparse(
     interp: &mut Interp,
     spec: &ConvSpec,
     tile_width: usize,
+    block: SparseBlock,
     cap: &crate::ScratchCapacity,
 ) -> Result<(), CheckError> {
     if tile_width == 0 {
@@ -27,16 +40,32 @@ pub(crate) fn check_backward_sparse(
             found: 0,
         });
     }
+    check_sparse_block(interp, block)?;
     let (nc, in_w) = (spec.in_c(), spec.in_w());
     let (fy, fx, nf) = (spec.ky(), spec.kx(), spec.features());
     let in_len = spec.input_shape().len();
     let out_len = spec.output_shape().len();
     let w_len = spec.weight_shape().len();
 
-    // Staging: E_O in HWC (CT-CSR source), E_I accumulator in HWC, dW in kkfc.
+    // Window origin of the non-zero at (y', x'): ((y'*sy)*in_w + x'*sx)*nc,
+    // shifted by kernel row ky (and, for backward-data, column kx).
+    let rows = Span::iter(spec.out_h()).scale(spec.sy()).plus(Span::iter(fy)).scale(in_w);
+    let cols = Span::iter(spec.out_w()).scale(spec.sx());
+
+    // Backward-weights: the input staged in HWC, one `kx·c` run gathered
+    // per non-zero and kernel row, accumulated into `[f][ky][kx][c]`.
+    let run = fx * nc;
+    let run_cover = chunk_cover(block, run);
+    interp.capacity(Buf::HwcIn, "dW HWC input staging", in_len, cap.hwc_in)?;
+    let gather = rows.plus(cols).scale(nc).block(run_cover);
+    interp.access(Buf::HwcIn, "dW kx·c gather", gather, in_len)?;
+    interp.capacity(Buf::Wperm, "[f][ky][kx][c] weight-gradient accumulator", w_len, cap.wperm)?;
+    let runs = Span::iter(nf).scale(fy * run).plus(Span::iter(fy).scale(run)).block(run_cover);
+    interp.access(Buf::Wperm, "[f][ky][kx][c] accumulator runs", runs, w_len)?;
+
+    // Backward-data: E_O in HWC (CT-CSR source), E_I accumulated in HWC.
     interp.capacity(Buf::HwcOut, "CT-CSR E_O HWC staging", out_len, cap.hwc_out)?;
     interp.capacity(Buf::HwcIn, "pointer-shift E_I accumulator", in_len, cap.hwc_in)?;
-    interp.capacity(Buf::Wperm, "kkfc weight-gradient accumulator", w_len, cap.wperm)?;
 
     // Column tiles cover the nf features: tile t holds columns
     // [t*tile_width, min((t+1)*tile_width, nf)) — in-bounds by construction,
@@ -52,33 +81,25 @@ pub(crate) fn check_backward_sparse(
     }
     interp.access(Buf::HwcOut, "CT-CSR column-tile features", Span::iter(nf), nf)?;
 
-    // Eq. 15 scatter: dst = ((yp*sy + ky)*in_w + xp*sx + kx)*nc + 0..nc,
-    // shared by the backward-data store and the backward-weights gather.
-    let shift = Span::iter(spec.out_h())
-        .scale(spec.sy())
-        .plus(Span::iter(fy))
-        .scale(in_w)
-        .plus(Span::iter(spec.out_w()).scale(spec.sx()).plus(Span::iter(fx)))
-        .scale(nc)
-        .block(nc);
-    interp.access(Buf::HwcIn, "Eq. 15 pointer-shift scatter", shift, in_len)?;
+    // Eq. 15: the E_I row held in registers, at
+    // ((yp*sy + ky)*in_w + xp*sx + kx)*nc, swept in chunks of the block.
+    let row_cover = chunk_cover(block, nc);
+    let shift = rows.plus(cols.plus(Span::iter(fx))).scale(nc).block(row_cover);
+    interp.access(Buf::HwcIn, "Eq. 15 shifted E_I rows", shift, in_len)?;
 
-    // kkfc weight rows: base = ((ky*fx + kx)*nf + f)*nc, read/accumulated
-    // nc wide. Covers both the backward-data weight read and the
-    // backward-weights gradient store (same permuted layout).
+    // kkfc weight rows streamed past that row: ((ky*fx + kx)*nf + f)*nc.
     let w_rows = Span::iter(fy)
         .scale(fx)
         .plus(Span::iter(fx))
         .scale(nf)
         .plus(Span::iter(nf))
         .scale(nc)
-        .block(nc);
+        .block(row_cover);
     interp.access(Buf::Weights, "kkfc pointer-shift weight rows", w_rows, w_len)?;
-    interp.access(Buf::Wperm, "kkfc weight-gradient rows", w_rows, w_len)?;
 
     // Final transforms back to the caller's layouts.
     interp.access(Buf::GradIn, "E_I HWC-to-CHW store", Span::iter(in_len), in_len)?;
-    interp.access(Buf::GradWeights, "dW kkfc-to-fckk store", Span::iter(w_len), w_len)?;
+    interp.access(Buf::GradWeights, "dW [f][ky][kx][c]-to-fckk store", Span::iter(w_len), w_len)?;
     Ok(())
 }
 
@@ -86,6 +107,9 @@ pub(crate) fn check_backward_sparse(
 mod tests {
     use super::*;
     use crate::ScratchCapacity;
+
+    /// The AVX-512 tier's block: 16 vectors of 16 lanes.
+    const BLOCK: SparseBlock = SparseBlock { lanes: 16, vectors: 16 };
 
     #[test]
     fn pointer_shift_plan_verifies() {
@@ -96,7 +120,7 @@ mod tests {
         ] {
             let cap = ScratchCapacity::reserved_for(&spec);
             let mut interp = Interp::default();
-            check_backward_sparse(&mut interp, &spec, 8, &cap)
+            check_backward_sparse(&mut interp, &spec, 8, BLOCK, &cap)
                 .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         }
     }
@@ -106,7 +130,7 @@ mod tests {
         let spec = ConvSpec::square(32, 16, 8, 5, 1);
         let cap = ScratchCapacity::reserved_for(&spec);
         let mut interp = Interp::default();
-        let err = check_backward_sparse(&mut interp, &spec, 0, &cap).unwrap_err();
+        let err = check_backward_sparse(&mut interp, &spec, 0, BLOCK, &cap).unwrap_err();
         assert!(matches!(err, CheckError::PlanShapeMismatch { found: 0, .. }));
     }
 
@@ -116,7 +140,42 @@ mod tests {
         let mut cap = ScratchCapacity::reserved_for(&spec);
         cap.hwc_in = spec.input_shape().len() - 1;
         let mut interp = Interp::default();
-        let err = check_backward_sparse(&mut interp, &spec, 8, &cap).unwrap_err();
+        let err = check_backward_sparse(&mut interp, &spec, 8, BLOCK, &cap).unwrap_err();
         assert!(matches!(err, CheckError::ScratchOverflow { buffer: Buf::HwcIn, .. }));
+    }
+
+    /// The chunks sweep `0..n` in order, in whole vectors but the very
+    /// last, in power-of-two sizes no wider than the block.
+    #[test]
+    fn chunks_cover_each_run_exactly() {
+        for lanes in [8, 16] {
+            for vectors in [1, 2, 4, 8, 16] {
+                let block = SparseBlock { lanes, vectors };
+                for n in 0..300 {
+                    let mut next = 0;
+                    for (at, q, tail) in block.chunks(n) {
+                        assert_eq!(at, next, "{block:?} n={n}");
+                        assert!(q.is_power_of_two() && q <= vectors, "{block:?} n={n}");
+                        assert!((1..=lanes).contains(&tail), "{block:?} n={n}");
+                        next = at + (q - 1) * lanes + tail;
+                        assert!(tail == lanes || next == n, "{block:?} n={n}");
+                    }
+                    assert_eq!(next, n, "{block:?}");
+                    assert_eq!(chunk_cover(block, n), n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn register_block_over_the_register_file_rejected() {
+        let spec = ConvSpec::square(32, 16, 8, 5, 1);
+        let cap = ScratchCapacity::reserved_for(&spec);
+        let wide = SparseBlock { lanes: 8, vectors: 16 };
+        let err = check_backward_sparse(&mut Interp::default(), &spec, 8, wide, &cap).unwrap_err();
+        assert!(matches!(err, CheckError::BudgetExceeded { used: 19, budget: 16, .. }));
+        let odd = SparseBlock { lanes: 16, vectors: 12 };
+        let err = check_backward_sparse(&mut Interp::default(), &spec, 8, odd, &cap).unwrap_err();
+        assert!(matches!(err, CheckError::PlanShapeMismatch { found: 12, .. }));
     }
 }

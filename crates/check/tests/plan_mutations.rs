@@ -1,7 +1,8 @@
 //! Property tests for the plan verifier: known-good plans verify clean, and
 //! every seeded mutation — register tiles too wide or over budget,
 //! overlapping worker splits, gapped row coverage, feature bands off a tile
-//! block, undersized scratch — is rejected with the matching
+//! block, undersized scratch, a sparse gather or accumulator outside its
+//! staging, a sparse register block past its register file — is rejected with the matching
 //! [`CheckError`] variant. The verifier's value is exactly this asymmetry:
 //! real plans pass, every corrupted neighbour of a real plan fails loudly.
 //!
@@ -15,7 +16,8 @@ use proptest::prelude::*;
 
 use spg_check::{
     gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, Buf, CheckError, ConvPlan,
-    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
+    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, SparseBlock, VerifiedPlan,
+    VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
@@ -366,12 +368,80 @@ proptest! {
     #[test]
     fn zero_sparse_tile_width_rejected(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let plan = ConvPlan {
-            forward: ForwardPlan::UnfoldGemm { threads: 1 },
-            backward: BackwardPlan::SparsePointerShift { tile_width: 0 },
-            schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w().max(1) },
-        };
-        let err = verify_conv_plan(&spec, plan, &cap).unwrap_err();
+        let err = verify_sparse(&spec, 0, SPARSE_AVX512, &cap).unwrap_err();
         prop_assert!(matches!(err, CheckError::PlanShapeMismatch { .. }));
     }
+
+    /// Both tiers' register blocks verify on every spec.
+    #[test]
+    fn sparse_register_blocks_verify(spec in any_spec()) {
+        let cap = ScratchCapacity::reserved_for(&spec);
+        for block in [SPARSE_AVX2, SPARSE_AVX512] {
+            prop_assert!(verify_sparse(&spec, 64, block, &cap).is_ok(), "{:?}", block);
+        }
+    }
+
+    /// Backward-weights' `kx·c` gathers read the input staged in HWC: an
+    /// input staging one element short cannot hold the last window.
+    #[test]
+    fn sparse_gather_outside_the_hwc_input_rejected(spec in any_spec()) {
+        let mut cap = ScratchCapacity::reserved_for(&spec);
+        cap.hwc_in = spec.input_shape().len() - 1;
+        let err = verify_sparse(&spec, 64, SPARSE_AVX512, &cap).unwrap_err();
+        prop_assert!(
+            matches!(err, CheckError::ScratchOverflow { buffer: Buf::HwcIn, context, .. }
+                if context.contains("dW HWC input")),
+            "unexpected error {err:?}"
+        );
+    }
+
+    /// The `[f][ky][kx][c]` accumulator lives in `wperm`: one element
+    /// short and the last feature's last run escapes it.
+    #[test]
+    fn sparse_accumulator_outside_wperm_rejected(spec in any_spec()) {
+        let mut cap = ScratchCapacity::reserved_for(&spec);
+        cap.wperm = spec.weight_shape().len() - 1;
+        let err = verify_sparse(&spec, 64, SPARSE_AVX512, &cap).unwrap_err();
+        prop_assert!(
+            matches!(err, CheckError::ScratchOverflow { buffer: Buf::Wperm, .. }),
+            "unexpected error {err:?}"
+        );
+    }
+
+    /// A register block past its tier's register file — the AVX-512 block
+    /// at AVX2's lane width — is rejected, as is a block size the kernels
+    /// have no chunk instance of.
+    #[test]
+    fn sparse_register_block_over_the_file_rejected(spec in any_spec()) {
+        let cap = ScratchCapacity::reserved_for(&spec);
+        let wide = SparseBlock { lanes: 8, vectors: 16 };
+        let err = verify_sparse(&spec, 64, wide, &cap).unwrap_err();
+        prop_assert!(matches!(err, CheckError::BudgetExceeded { used: 19, budget: 16, .. }));
+        for vectors in [6, 32] {
+            let err = verify_sparse(&spec, 64, SparseBlock { lanes: 16, vectors }, &cap).unwrap_err();
+            prop_assert!(matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == vectors));
+        }
+    }
+}
+
+/// The AVX2 and portable tiers' sparse register block.
+const SPARSE_AVX2: SparseBlock = SparseBlock { lanes: 8, vectors: 8 };
+
+/// The AVX-512 tier's sparse register block.
+const SPARSE_AVX512: SparseBlock = SparseBlock { lanes: 16, vectors: 16 };
+
+/// Judges a sparse backward through the full-plan entry point, the only
+/// constructor of an executable plan.
+fn verify_sparse(
+    spec: &ConvSpec,
+    tile_width: usize,
+    block: SparseBlock,
+    cap: &ScratchCapacity,
+) -> Result<VerifiedPlan, CheckError> {
+    let plan = ConvPlan {
+        forward: ForwardPlan::UnfoldGemm { threads: 1 },
+        backward: BackwardPlan::SparsePointerShift { tile_width, block },
+        schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w().max(1) },
+    };
+    verify_conv_plan(spec, plan, cap)
 }

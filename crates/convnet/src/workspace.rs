@@ -11,8 +11,8 @@
 //! * [`ConvScratch`] — per-call scratch for a
 //!   [`ConvExecutor`](crate::exec::ConvExecutor): unfold matrices, GEMM
 //!   pack buffers, HWC staging, the permuted-order weight-gradient
-//!   accumulator, and CT-CSR staging. Buffers grow on first use (warm-up)
-//!   and are recycled afterwards.
+//!   accumulator, the compacted non-zeros and CT-CSR staging. Buffers
+//!   grow on first use (warm-up) and are recycled afterwards.
 //! * [`Workspace`] — everything one training sample needs end to end:
 //!   an activation trace, ping-pong error-gradient buffers, per-layer
 //!   gradient-*record* buffers, and one shared [`ConvScratch`]. The
@@ -91,12 +91,16 @@ pub struct ConvScratch {
     pub hwc_in: Vec<f32>,
     /// Output-sized HWC staging buffer.
     pub hwc_out: Vec<f32>,
-    /// Permuted-order (`kkfc`) weight-gradient accumulator of the sparse
-    /// backward-weights kernel. (Permuted *weights* are per update, not
-    /// per sample: they live in the layer's
+    /// Permuted-order (`[f][ky][kx][c]`) weight-gradient accumulator of
+    /// the sparse backward-weights kernel. (Permuted *weights* are per
+    /// update, not per sample: they live in the layer's
     /// [`PreparedWeights`](crate::exec::PreparedWeights).)
     pub wperm: Vec<f32>,
-    /// CT-CSR staging for the sparse backward kernels, rebuilt in place.
+    /// One feature's non-zero output gradients as `(input window offset,
+    /// value)`, compacted by the sparse backward-weights kernel; one entry
+    /// per output position plus one.
+    pub nonzeros: Vec<(u32, f32)>,
+    /// CT-CSR staging for the sparse backward-data kernel, rebuilt in place.
     pub ctcsr: CtCsr,
     /// GEMM panel-packing buffer (left operand).
     pub pack_a: Vec<f32>,
@@ -113,6 +117,7 @@ impl Default for ConvScratch {
             hwc_in: Vec::new(),
             hwc_out: Vec::new(),
             wperm: Vec::new(),
+            nonzeros: Vec::new(),
             ctcsr: CtCsr::default(),
             pack_a: Vec::new(),
             pack_b: Vec::new(),
@@ -143,8 +148,8 @@ impl ConvScratch {
     /// Pre-grows every geometry-determined buffer for `spec`, so the first
     /// sample through a layer of this shape allocates nothing.
     ///
-    /// Sparsity-dependent storage (the CT-CSR tiles, the GEMM pack
-    /// buffers) still warms up on first use.
+    /// The sparse backward's storage (the compacted non-zeros, the CT-CSR
+    /// tiles) and the GEMM pack buffers still warm up on first use.
     pub fn reserve(&mut self, spec: &ConvSpec) {
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
@@ -181,6 +186,7 @@ impl ConvScratch {
             + self.pack_a.len()
             + self.pack_b.len())
             * std::mem::size_of::<f32>()
+            + self.nonzeros.len() * std::mem::size_of::<(u32, f32)>()
             + self.ctcsr.storage_bytes()
     }
 }

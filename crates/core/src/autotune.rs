@@ -466,7 +466,10 @@ impl Framework {
     /// every `retune_every` epochs, re-plans each conv layer using that
     /// layer's measured gradient sparsity from the epoch statistics and
     /// installs the new plan's *backward* slot (forward plans do not
-    /// depend on sparsity).
+    /// depend on sparsity). In heuristic mode each re-planned layer logs
+    /// one backward decision — its observed sparsity and the deployed id,
+    /// no candidates — when telemetry is on; measured mode logs its
+    /// contests.
     ///
     /// # Panics
     ///
@@ -480,7 +483,25 @@ impl Framework {
         }
         self.install_plans(net, &[Phase::Backward], |conv_idx, spec| {
             let sparsity = stats.conv_grad_sparsity.get(conv_idx).copied().unwrap_or(0.0);
-            self.plan_layer(spec, sparsity)
+            let plan = self.plan_layer(spec, sparsity);
+            // Measured mode logs its contest; the heuristic logs what it
+            // deployed, so a trace shows when a layer went sparse.
+            if self.mode == TuningMode::Heuristic && spg_telemetry::enabled() {
+                spg_telemetry::record_decision(spg_telemetry::Decision {
+                    label: spg_telemetry::current_label().unwrap_or_else(|| "unscoped".to_string()),
+                    phase: spg_telemetry::Phase::Backward,
+                    chosen: plan.backward.id().to_string(),
+                    sparsity,
+                    cores: self.cores,
+                    candidates: Vec::new(),
+                    rejected: Vec::new(),
+                    kernel: None,
+                    backend: Some("cpu".to_string()),
+                    algo: None,
+                    partition: None,
+                });
+            }
+            plan
         })
         .unwrap_or_else(|e| panic!("{e}"));
     }

@@ -235,13 +235,14 @@ impl ConvProgram {
     ) {
         let spec = self.plan.spec();
         match self.plan.plan().backward {
-            BackwardPlan::SparsePointerShift { tile_width } => {
+            BackwardPlan::SparsePointerShift { tile_width, block } => {
                 sparse_kernel::backward_data_scratch(
                     spec,
                     &weights.kkfc,
                     grad_out,
                     grad_in,
                     tile_width,
+                    block,
                     scratch,
                 );
             }
@@ -274,13 +275,13 @@ impl ConvProgram {
     ) {
         let spec = self.plan.spec();
         match self.plan.plan().backward {
-            BackwardPlan::SparsePointerShift { tile_width } => {
+            BackwardPlan::SparsePointerShift { block, .. } => {
                 sparse_kernel::backward_weights_scratch(
                     spec,
                     input,
                     grad_out,
                     grad_weights,
-                    tile_width,
+                    block,
                     scratch,
                 );
             }
@@ -588,9 +589,9 @@ impl CompiledConv {
             None => out.push_str(" */\n"),
         }
         let lowered = self.program.plan();
-        if let BackwardPlan::SparsePointerShift { tile_width } = lowered.backward {
+        if let BackwardPlan::SparsePointerShift { tile_width, block } = lowered.backward {
             out.push('\n');
-            out.push_str(&crate::sparse::render_backward_kernel(spec, tile_width));
+            out.push_str(&crate::sparse::render_backward_kernel(spec, tile_width, block));
         }
         out
     }

@@ -1,17 +1,72 @@
-//! The pointer-shifting sparse backward kernels (paper Sec. 4.2).
+//! The sparse backward kernels (paper Sec. 4.2), register blocked at the
+//! host's vector width.
 //!
-//! One entry per phase. Backward-data reads the weights in the permuted
-//! `[ky, kx, f, c]` layout of Fig. 5b and never produces it: weights change
-//! once per update, so the permutation belongs to whoever owns them (a
-//! layer's or a `CompiledConv`'s `PreparedWeights`), not to a per-sample
-//! call. What is per-sample — the gradient's HWC transform and CT-CSR
-//! build — is staged in the caller's scratch here.
+//! One entry per phase, each one loop nest over a `Vector` type whose
+//! innermost step is a chunk of the plan's [`SparseBlock`]: up to
+//! `vectors` accumulators held in registers while a list of non-zero
+//! gradients streams past.
+//!
+//! * **Backward-weights** reads `E_O`'s own CHW rows: row `f` is feature
+//!   `f`'s positions in ascending `p`. The row's non-zeros are compacted
+//!   once, as (input window offset, value), and the feature's weight
+//!   gradient — `ky` runs of `kx·c` floats, each contiguous in the HWC
+//!   input — is accumulated chunk by chunk across them, then permuted once
+//!   to `fckk`. No HWC transform of `E_O` and no CT-CSR build.
+//! * **Backward-data** keeps the CT-CSR and the Eq. 15 pointer shift. Per
+//!   column tile, position `p` and tap `(ky, kx)`, the `c`-long `E_I` row
+//!   the shift lands on stays in registers across row `p`'s non-zeros in
+//!   the tile. It reads the weights in the permuted `[ky, kx, f, c]`
+//!   layout of Fig. 5b and never produces it: weights change once per
+//!   update, so the permutation belongs to whoever owns them (a layer's or
+//!   a `CompiledConv`'s `PreparedWeights`), not to a per-sample call.
+//!
+//! The tiers — portable, AVX2 and AVX-512F, picked at run time like
+//! [`FcKernels`](spg_gemm::FcKernels) — run the same loop nest, and every
+//! tier multiplies and then adds (never fused). Each output element takes
+//! its terms in the order of the unblocked scalar loops this kernel
+//! replaced — a weight-gradient element in ascending `p`, an input-gradient
+//! element in (tile, `p`, `f`) order — so every tier computes the same bits
+//! on every host. A gradient entry is a non-zero when `v != 0.0`: `-0.0`
+//! is skipped, a NaN is kept and propagates.
+//!
+//! What is per sample — the HWC transforms, the compaction and the CT-CSR
+//! build — is staged in the caller's [`ConvScratch`]; a warm call allocates
+//! nothing.
 
+use spg_check::SparseBlock;
+use spg_gemm::{detect_simd_level, SimdLevel};
 use spg_tensor::layout::{self, Kkfc};
+use spg_tensor::sparse::CtCsr;
 use spg_tensor::Shape3;
 
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
+
+/// The register block of the widest tier the running CPU has: 16
+/// accumulators of 16 lanes on AVX-512F, 8 of 8 lanes otherwise. What
+/// lowering puts in a sparse plan.
+pub fn host_block() -> SparseBlock {
+    match detect_simd_level() {
+        SimdLevel::Avx512Fma => SparseBlock { lanes: 16, vectors: 16 },
+        _ => SparseBlock { lanes: 8, vectors: 8 },
+    }
+}
+
+/// Whether the loop nests have an instance of every chunk `block` sweeps
+/// in: 1, 2, 4, 8 or 16 vectors.
+fn chunk_sizes_exist(block: SparseBlock) -> bool {
+    block.vectors.is_power_of_two() && block.vectors <= 16
+}
+
+/// The tier `block`'s lane width asks for; [`on_tier`] caps it at the
+/// host's.
+fn tier(block: SparseBlock) -> SimdLevel {
+    if block.lanes >= 16 {
+        SimdLevel::Avx512Fma
+    } else {
+        SimdLevel::Avx2Fma
+    }
+}
 
 /// Backward error propagation exploiting gradient sparsity (Eq. 11–15)
 /// against weights already permuted to `[ky, kx, f, c]` order
@@ -24,19 +79,37 @@ use spg_convnet::ConvSpec;
 /// Semantically identical to
 /// [`reference::backward_data`](spg_convnet::reference::backward_data):
 /// computes `E_I` from `E_O` and the weights, but touches only the
-/// non-zero gradient elements.
-///
-/// `tile_width` is the CT-CSR column-tile width in features.
+/// non-zero gradient elements. `tile_width` is the CT-CSR column-tile width
+/// in features; `block` is the plan's register block, whose lane width
+/// picks the tier.
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
+/// Panics if buffer lengths do not match the spec, `tile_width == 0`, or
+/// `block.vectors` is not a power of two up to 16.
 pub fn backward_data_scratch(
     spec: &ConvSpec,
     w_kkfc: &Kkfc,
     grad_out: &[f32],
     grad_in: &mut [f32],
     tile_width: usize,
+    block: SparseBlock,
+    scratch: &mut ConvScratch,
+) {
+    backward_data_on(tier(block), spec, w_kkfc, grad_out, grad_in, tile_width, block, scratch);
+}
+
+/// [`backward_data_scratch`] on the tier of `level`, or the host's when
+/// that is narrower.
+#[allow(clippy::too_many_arguments)]
+fn backward_data_on(
+    level: SimdLevel,
+    spec: &ConvSpec,
+    w_kkfc: &Kkfc,
+    grad_out: &[f32],
+    grad_in: &mut [f32],
+    tile_width: usize,
+    block: SparseBlock,
     scratch: &mut ConvScratch,
 ) {
     let w_kkfc = w_kkfc.as_slice();
@@ -44,135 +117,658 @@ pub fn backward_data_scratch(
     assert_eq!(grad_out.len(), spec.output_shape().len(), "grad_out length");
     assert_eq!(grad_in.len(), spec.input_shape().len(), "grad_in length");
     assert!(tile_width > 0, "tile width must be positive");
+    assert!(chunk_sizes_exist(block), "no chunk instance for {block:?}");
 
     let (nf, nc) = (spec.features(), spec.in_c());
     let (out_h, out_w) = (spec.out_h(), spec.out_w());
     let (in_h, in_w) = (spec.in_h(), spec.in_w());
-    let (sy, sx) = (spec.sy(), spec.sx());
-    let (fy, fx) = (spec.ky(), spec.kx());
-
     let ConvScratch { hwc_in, hwc_out, ctcsr, .. } = scratch;
 
-    // Per-sample transform: gradient -> [y', x', f] (f fastest).
-    let eo_hwc = zeroed_slice(hwc_out, nf * out_h * out_w);
-    layout::chw_to_hwc_into(grad_out, Shape3::new(nf, out_h, out_w), eo_hwc);
-
-    // Column-tiled CSR over (spatial positions x features), rebuilt in
+    // Per-sample transform: gradient -> [y', x', f] (f fastest), then the
+    // column-tiled CSR over (spatial positions x features), rebuilt in
     // place over the previous sample's tile storage.
+    let eo_hwc = staged(hwc_out, nf * out_h * out_w);
+    layout::chw_to_hwc_into(grad_out, Shape3::new(nf, out_h, out_w), eo_hwc);
     if ctcsr.assign_from_slice(out_h * out_w, nf, eo_hwc, tile_width).is_err() {
         unreachable!("tile width asserted positive above");
     }
-    let eo_sparse = &*ctcsr;
 
     // Goodput accounting (Sec. 3.3): each stored gradient value touches
     // one `(c, ky, kx)` weight block, so the kernel performs
     // `2 * nnz * kdim` flops where a dense backward pass performs
     // `2 * Nf * H' * W' * kdim` — the skipped zeros are the gap.
-    let nnz = eo_sparse.nnz() as u64;
-    let kdim = (nc * fy * fx) as u64;
-    spg_telemetry::record_flops(2 * nnz * kdim, spec.arithmetic_ops());
-    spg_telemetry::record_tile_occupancy(nnz, (out_h * out_w * nf) as u64);
+    record_goodput(spec, ctcsr.nnz());
 
-    // Accumulate E_I in HWC; each non-zero scatters a channel vector per
-    // kernel offset via the Eq. 15 pointer shift.
     let ei_hwc = zeroed_slice(hwc_in, in_h * in_w * nc);
-    let wv = w_kkfc;
-    for (f0, tile) in eo_sparse.iter() {
-        for p in 0..out_h * out_w {
-            let (yp, xp) = (p / out_w, p % out_w);
-            for (f_local, v) in tile.row_entries(p) {
-                let f = f0 + f_local;
-                for ky in 0..fy {
-                    let row = (yp * sy + ky) * in_w;
-                    for kx in 0..fx {
-                        let dst = (row + xp * sx + kx) * nc;
-                        let wbase = ((ky * fx + kx) * nf + f) * nc;
-                        let wrow = &wv[wbase..wbase + nc];
-                        let orow = &mut ei_hwc[dst..dst + nc];
-                        for (o, &w) in orow.iter_mut().zip(wrow) {
-                            *o += v * w;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    on_tier(level, DataJob { spec, w_kkfc, eo: ctcsr, ei_hwc, vectors: block.vectors });
 
     layout::hwc_to_chw_into(ei_hwc, Shape3::new(nc, in_h, in_w), grad_in);
 }
 
 /// Delta-weight computation exploiting gradient sparsity (Eq. 4, executed
 /// sparsely): `dW[f, c, ky, kx] = sum_{y,x} E_O[f, y, x] * I[c, y*sy+ky, x*sx+kx]`
-/// with the sum restricted to non-zero gradients, staging the layout
-/// transforms, CT-CSR build, and the permuted-order gradient accumulator
-/// in a caller-provided [`ConvScratch`].
+/// with the sum restricted to non-zero gradients, staging the input's HWC
+/// transform, each feature's compacted non-zeros and the `[f][ky][kx][c]`
+/// accumulator in a caller-provided [`ConvScratch`]. `block` is the plan's
+/// register block, whose lane width picks the tier.
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
+/// Panics if buffer lengths do not match the spec, `block.vectors` is not
+/// a power of two up to 16, or the input has more than `u32::MAX`
+/// elements.
 pub fn backward_weights_scratch(
     spec: &ConvSpec,
     input: &[f32],
     grad_out: &[f32],
     grad_weights: &mut [f32],
-    tile_width: usize,
+    block: SparseBlock,
+    scratch: &mut ConvScratch,
+) {
+    backward_weights_on(tier(block), spec, input, grad_out, grad_weights, block, scratch);
+}
+
+/// [`backward_weights_scratch`] on the tier of `level`, or the host's when
+/// that is narrower.
+fn backward_weights_on(
+    level: SimdLevel,
+    spec: &ConvSpec,
+    input: &[f32],
+    grad_out: &[f32],
+    grad_weights: &mut [f32],
+    block: SparseBlock,
     scratch: &mut ConvScratch,
 ) {
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
     assert_eq!(grad_out.len(), spec.output_shape().len(), "grad_out length");
     assert_eq!(grad_weights.len(), spec.weight_shape().len(), "grad_weights length");
-    assert!(tile_width > 0, "tile width must be positive");
+    assert!(chunk_sizes_exist(block), "no chunk instance for {block:?}");
+    assert!(u32::try_from(input.len()).is_ok(), "window offsets are u32");
 
-    let (nf, nc) = (spec.features(), spec.in_c());
-    let (out_h, out_w) = (spec.out_h(), spec.out_w());
-    let in_w = spec.in_w();
-    let (sy, sx) = (spec.sy(), spec.sx());
-    let (fy, fx) = (spec.ky(), spec.kx());
-
-    let ConvScratch { hwc_in, hwc_out, wperm, ctcsr, .. } = scratch;
-
-    let in_hwc = zeroed_slice(hwc_in, input.len());
+    let ConvScratch { hwc_in, wperm, nonzeros, .. } = scratch;
+    let in_hwc = staged(hwc_in, input.len());
     layout::chw_to_hwc_into(input, spec.input_shape(), in_hwc);
-    let eo_hwc = zeroed_slice(hwc_out, nf * out_h * out_w);
-    layout::chw_to_hwc_into(grad_out, Shape3::new(nf, out_h, out_w), eo_hwc);
-    if ctcsr.assign_from_slice(out_h * out_w, nf, eo_hwc, tile_width).is_err() {
-        unreachable!("tile width asserted positive above");
+    let positions = spec.out_h() * spec.out_w();
+    if nonzeros.len() <= positions {
+        nonzeros.resize(positions + 1, (0, 0.0));
     }
-    let eo_sparse = &*ctcsr;
+    let kdim = spec.weight_shape().per_feature();
+    let acc = staged(wperm, spec.weight_shape().len());
 
-    // Same goodput accounting as `backward_data_scratch`: the
-    // delta-weight reduction also visits one `(c, ky, kx)` block per
-    // stored gradient value (Eq. 4 executed sparsely).
-    let nnz = eo_sparse.nnz() as u64;
-    let kdim = (nc * fy * fx) as u64;
+    let job = WeightsJob { spec, in_hwc, grad_out, nonzeros, acc, vectors: block.vectors };
+    let nnz = on_tier(level, job);
+    // Same goodput accounting as `backward_data_scratch`: the delta-weight
+    // reduction also visits one `(c, ky, kx)` block per stored gradient
+    // value (Eq. 4 executed sparsely).
+    record_goodput(spec, nnz);
+
+    // Each feature's accumulator is `[ky][kx][c]`: an HWC block of shape
+    // (c, ky, kx), permuted to the caller's `[c][ky][kx]`.
+    let shape = Shape3::new(spec.in_c(), spec.ky(), spec.kx());
+    for (from, to) in acc.chunks_exact(kdim).zip(grad_weights.chunks_exact_mut(kdim)) {
+        layout::hwc_to_chw_into(from, shape, to);
+    }
+}
+
+/// The first `len` floats of `buf`, grown (never shrunk) to hold them:
+/// staging every element of which the caller overwrites, so it is not
+/// zeroed.
+fn staged(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// A phase's loop nest, runnable on any [`Vector`] tier.
+trait Nest {
+    /// What the nest returns.
+    type Out;
+
+    /// Runs the nest over `V`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has `V`'s target features.
+    unsafe fn run<V: Vector>(self) -> Self::Out;
+}
+
+/// Runs `nest` on the tier of `level`, or the host's when that is
+/// narrower.
+fn on_tier<N: Nest>(level: SimdLevel, nest: N) -> N::Out {
+    match level.min(detect_simd_level()) {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512Fma => {
+            // SAFETY: the running CPU reports AVX-512F.
+            unsafe { x86::avx512(nest) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => {
+            // SAFETY: the running CPU reports AVX2.
+            unsafe { x86::avx2(nest) }
+        }
+        // SAFETY: the portable tier needs no target feature.
+        _ => unsafe { nest.run::<Portable>() },
+    }
+}
+
+/// Telemetry of one sparse phase over `nnz` stored gradient values.
+fn record_goodput(spec: &ConvSpec, nnz: usize) {
+    let nnz = nnz as u64;
+    let kdim = spec.weight_shape().per_feature() as u64;
     spg_telemetry::record_flops(2 * nnz * kdim, spec.arithmetic_ops());
-    spg_telemetry::record_tile_occupancy(nnz, (out_h * out_w * nf) as u64);
+    spg_telemetry::record_tile_occupancy(nnz, spec.output_shape().len() as u64);
+}
 
-    // Accumulate dW in [ky, kx, f, c] (c fastest), then permute back.
-    let dw_kkfc = zeroed_slice(wperm, fy * fx * nf * nc);
-    let iv = &in_hwc[..];
-    for (f0, tile) in eo_sparse.iter() {
-        for p in 0..out_h * out_w {
+/// One tier's f32 vector: the operations both loop nests are spelled in.
+trait Vector: Copy {
+    /// f32 lanes per vector.
+    const LANES: usize;
+    /// Selects a vector's first lanes.
+    type Mask: Copy;
+
+    /// The mask of the first `n` lanes, `1 <= n <= LANES`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has the tier's target features.
+    unsafe fn first(n: usize) -> Self::Mask;
+
+    /// Every lane `x`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn splat(x: f32) -> Self;
+
+    /// The `LANES` floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`], and `LANES` floats at `p` are readable.
+    unsafe fn load(p: *const f32) -> Self;
+
+    /// The lanes of `m` from `p`; the other lanes read as `+0.0`, and the
+    /// memory behind them is not touched.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`], and the lanes of `m` at `p` are readable.
+    unsafe fn load_masked(p: *const f32, m: Self::Mask) -> Self;
+
+    /// Writes the lanes of `m` to `p`, and nothing else.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`], and the lanes of `m` at `p` are writable.
+    unsafe fn store_masked(self, p: *mut f32, m: Self::Mask);
+
+    /// `self + v * x`, rounded after the multiply and again after the add.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn mul_add(self, v: Self, x: Self) -> Self;
+}
+
+/// The portable tier: eight lanes of plain arithmetic.
+#[derive(Clone, Copy)]
+struct Portable([f32; 8]);
+
+/// # Safety
+///
+/// Every method's contract is the trait's; plain arithmetic needs no
+/// target feature, so only the pointer methods' lanes matter.
+impl Vector for Portable {
+    const LANES: usize = 8;
+    type Mask = usize;
+
+    #[inline(always)]
+    unsafe fn first(n: usize) -> usize {
+        n
+    }
+
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        Portable([x; 8])
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        // SAFETY: the caller guarantees 8 readable floats at `p`.
+        unsafe { Self::load_masked(p, 8) }
+    }
+
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f32, n: usize) -> Self {
+        let mut v = [0.0; 8];
+        for (i, lane) in v.iter_mut().enumerate().take(n) {
+            // SAFETY: lane i < n is readable (the caller's contract).
+            *lane = unsafe { *p.add(i) };
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    unsafe fn store_masked(self, p: *mut f32, n: usize) {
+        for (i, &lane) in self.0.iter().enumerate().take(n) {
+            // SAFETY: lane i < n is writable (the caller's contract).
+            unsafe { *p.add(i) = lane };
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn mul_add(self, v: Self, x: Self) -> Self {
+        let mut out = self.0;
+        for ((o, v), x) in out.iter_mut().zip(v.0).zip(x.0) {
+            *o += v * x;
+        }
+        Portable(out)
+    }
+}
+
+/// Backward-weights' operands, staged by its entry.
+struct WeightsJob<'a> {
+    spec: &'a ConvSpec,
+    /// The input in HWC, `u32`-indexable.
+    in_hwc: &'a [f32],
+    /// `E_O` in CHW: one row of positions per feature.
+    grad_out: &'a [f32],
+    /// At least one entry per output position plus one.
+    nonzeros: &'a mut [(u32, f32)],
+    /// The `[f][ky][kx][c]` accumulator, every element overwritten.
+    acc: &'a mut [f32],
+    vectors: usize,
+}
+
+/// # Safety
+///
+/// `run`'s contract is the trait's, which is [`weights_nest`]'s.
+impl Nest for WeightsJob<'_> {
+    type Out = usize;
+
+    #[inline(always)]
+    unsafe fn run<V: Vector>(self) -> usize {
+        // SAFETY: the caller's contract is `weights_nest`'s.
+        unsafe { weights_nest::<V>(self) }
+    }
+}
+
+/// Backward-weights' loop nest: per feature, compact its non-zeros in
+/// ascending `p` (branch-free: every position is written, the count only
+/// advances past a non-zero), then per kernel row and chunk of that row's
+/// `kx·c` run, sum the run's gathers over the non-zeros in registers.
+/// Returns the non-zeros counted.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features.
+#[inline(always)]
+unsafe fn weights_nest<V: Vector>(job: WeightsJob<'_>) -> usize {
+    let WeightsJob { spec, in_hwc, grad_out, nonzeros, acc, vectors } = job;
+    let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
+    let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
+    let (run, row_stride) = (fx * nc, in_w * nc);
+    let block = SparseBlock { lanes: V::LANES, vectors };
+    let mut nnz = 0;
+    let rows = grad_out.chunks_exact(spec.out_h() * out_w);
+    for (row, acc) in rows.zip(acc.chunks_exact_mut(fy * run)) {
+        let mut n = 0;
+        for (yp, positions) in row.chunks_exact(out_w).enumerate() {
+            let origin = yp * sy * row_stride;
+            for (xp, &v) in positions.iter().enumerate() {
+                // Lossless: the window origin lies inside the input, whose
+                // length the entry asserted fits a u32.
+                #[allow(clippy::cast_possible_truncation)]
+                let offset = (origin + xp * sx * nc) as u32;
+                nonzeros[n] = (offset, v);
+                n += usize::from(v != 0.0);
+            }
+        }
+        let nz = &nonzeros[..n];
+        nnz += n;
+        for (ky, acc_row) in acc.chunks_exact_mut(run).enumerate() {
+            for (at, q, tail) in block.chunks(run) {
+                let dst = &mut acc_row[at..at + (q - 1) * V::LANES + tail];
+                // SAFETY: `ky < fy` and `at < run` keep the pointer inside
+                // the input; with every non-zero's window origin the chunk
+                // reads inside the `kx·c` run of row `y'*sy + ky` — the
+                // "dW kx·c gather" spg-check proves for every spec, and
+                // the entry asserted the input's length; `dst` holds the
+                // chunk's lanes; the CPU has `V`'s features (this fn's
+                // contract).
+                unsafe {
+                    let src = in_hwc.as_ptr().add(ky * row_stride + at);
+                    match q {
+                        16 => gather::<V, 16>(nz, src, tail, dst),
+                        8 => gather::<V, 8>(nz, src, tail, dst),
+                        4 => gather::<V, 4>(nz, src, tail, dst),
+                        2 => gather::<V, 2>(nz, src, tail, dst),
+                        _ => gather::<V, 1>(nz, src, tail, dst),
+                    }
+                }
+            }
+        }
+    }
+    nnz
+}
+
+/// One chunk of a feature's weight gradient: `dst[j] = Σ v · src[off +
+/// j]` over the non-zeros `(off, v)`, in list order, from `+0.0` — `Q`
+/// accumulators, the last vector `tail` lanes wide.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features, `dst.len() == (Q - 1) *
+/// LANES + tail`, and for every non-zero that many floats at `src + off`
+/// are readable.
+#[inline(always)]
+unsafe fn gather<V: Vector, const Q: usize>(
+    nz: &[(u32, f32)],
+    src: *const f32,
+    tail: usize,
+    dst: &mut [f32],
+) {
+    // SAFETY: the caller's contract: the CPU has `V`'s features; every
+    // vector below reads a chunk lane of a non-zero's window, and the
+    // stores write `dst`'s lanes.
+    unsafe {
+        let m = V::first(tail);
+        let mut acc = [V::splat(0.0); Q];
+        for &(off, v) in nz {
+            let x = src.add(off as usize);
+            let v = V::splat(v);
+            for (q, a) in acc.iter_mut().enumerate() {
+                let p = x.add(q * V::LANES);
+                let xv = if q + 1 < Q { V::load(p) } else { V::load_masked(p, m) };
+                *a = a.mul_add(v, xv);
+            }
+        }
+        store::<V, Q>(&acc, m, dst);
+    }
+}
+
+/// Writes `Q` accumulators to `dst`, the last one through `m`.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features and `dst` holds `Q - 1`
+/// whole vectors plus the lanes of `m`.
+#[inline(always)]
+unsafe fn store<V: Vector, const Q: usize>(acc: &[V; Q], m: V::Mask, dst: &mut [f32]) {
+    for (q, a) in acc.iter().enumerate() {
+        // SAFETY: the caller's contract: vector q of `dst` is writable
+        // (whole below Q - 1, the lanes of `m` at Q - 1).
+        unsafe {
+            let p = dst.as_mut_ptr().add(q * V::LANES);
+            if q + 1 < Q {
+                a.store_masked(p, V::first(V::LANES));
+            } else {
+                a.store_masked(p, m);
+            }
+        }
+    }
+}
+
+/// Backward-data's operands, staged by its entry.
+struct DataJob<'a> {
+    spec: &'a ConvSpec,
+    /// The weights in `[ky][kx][f][c]` order.
+    w_kkfc: &'a [f32],
+    /// `E_O`'s CT-CSR over (positions × features).
+    eo: &'a CtCsr,
+    /// The zeroed `E_I` accumulator in HWC.
+    ei_hwc: &'a mut [f32],
+    vectors: usize,
+}
+
+/// # Safety
+///
+/// `run`'s contract is the trait's, which is [`data_nest`]'s.
+impl Nest for DataJob<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Vector>(self) {
+        // SAFETY: the caller's contract is `data_nest`'s.
+        unsafe { data_nest::<V>(self) }
+    }
+}
+
+/// Backward-data's loop nest: per column tile, position `p` with a
+/// non-zero in the tile, tap `(ky, kx)` and chunk of the `c`-long `E_I`
+/// row the Eq. 15 shift lands on, add the row's non-zeros' weight rows
+/// into that chunk in registers.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features.
+#[inline(always)]
+unsafe fn data_nest<V: Vector>(job: DataJob<'_>) {
+    let DataJob { spec, w_kkfc, eo, ei_hwc, vectors } = job;
+    let (nf, nc, in_w, out_w) = (spec.features(), spec.in_c(), spec.in_w(), spec.out_w());
+    let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
+    let block = SparseBlock { lanes: V::LANES, vectors };
+    for (f0, tile) in eo.iter() {
+        let (row_ptr, cols, vals) = (tile.row_ptr(), tile.col_indices(), tile.values());
+        for (p, bounds) in row_ptr.windows(2).enumerate() {
+            let (lo, hi) = (bounds[0] as usize, bounds[1] as usize);
+            if lo == hi {
+                continue;
+            }
+            let (cols, vals) = (&cols[lo..hi], &vals[lo..hi]);
             let (yp, xp) = (p / out_w, p % out_w);
-            for (f_local, v) in tile.row_entries(p) {
-                let f = f0 + f_local;
-                for ky in 0..fy {
-                    let row = (yp * sy + ky) * in_w;
-                    for kx in 0..fx {
-                        let src = (row + xp * sx + kx) * nc;
-                        let dwbase = ((ky * fx + kx) * nf + f) * nc;
-                        let irow = &iv[src..src + nc];
-                        let drow = &mut dw_kkfc[dwbase..dwbase + nc];
-                        for (d, &i) in drow.iter_mut().zip(irow) {
-                            *d += v * i;
+            for ky in 0..fy {
+                for kx in 0..fx {
+                    let dst = ((yp * sy + ky) * in_w + xp * sx + kx) * nc;
+                    let taps = ((ky * fx + kx) * nf + f0) * nc;
+                    for (at, q, tail) in block.chunks(nc) {
+                        let row = &mut ei_hwc[dst + at..dst + at + (q - 1) * V::LANES + tail];
+                        // SAFETY: tile columns are below the tile's width,
+                        // so `f0 + col < nf` and each weight row read lies
+                        // inside tap (ky, kx)'s `kkfc` block — the "kkfc
+                        // pointer-shift weight rows" spg-check proves, at
+                        // this chunk's lanes; `row` holds the chunk's
+                        // lanes; the CPU has `V`'s features (this fn's
+                        // contract).
+                        unsafe {
+                            let w = w_kkfc.as_ptr().add(taps + at);
+                            match q {
+                                16 => shift::<V, 16>(cols, vals, w, nc, tail, row),
+                                8 => shift::<V, 8>(cols, vals, w, nc, tail, row),
+                                4 => shift::<V, 4>(cols, vals, w, nc, tail, row),
+                                2 => shift::<V, 2>(cols, vals, w, nc, tail, row),
+                                _ => shift::<V, 1>(cols, vals, w, nc, tail, row),
+                            }
                         }
                     }
                 }
             }
         }
     }
+}
 
-    layout::kkfc_to_fckk_into(dw_kkfc, spec.weight_shape(), grad_weights);
+/// One chunk of an `E_I` row: `row[j] += v · w[f·nc + j]` for the row's
+/// non-zeros `(f, v)`, in column order — `Q` accumulators loaded from and
+/// stored back to `row`, the last vector `tail` lanes wide.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features, `row.len() == (Q - 1) *
+/// LANES + tail`, and for every column `f` that many floats at `w + f·nc`
+/// are readable.
+#[inline(always)]
+unsafe fn shift<V: Vector, const Q: usize>(
+    cols: &[u32],
+    vals: &[f32],
+    w: *const f32,
+    nc: usize,
+    tail: usize,
+    row: &mut [f32],
+) {
+    // SAFETY: the caller's contract: the CPU has `V`'s features; the
+    // loads and stores of `row` stay inside its lanes, and every weight
+    // vector read is a chunk lane of a non-zero's weight row.
+    unsafe {
+        let m = V::first(tail);
+        let at = |q: usize| row.as_ptr().add(q * V::LANES);
+        let mut acc: [V; Q] =
+            std::array::from_fn(
+                |q| {
+                    if q + 1 < Q {
+                        V::load(at(q))
+                    } else {
+                        V::load_masked(at(q), m)
+                    }
+                },
+            );
+        for (&f, &v) in cols.iter().zip(vals) {
+            let wf = w.add(f as usize * nc);
+            let v = V::splat(v);
+            for (q, a) in acc.iter_mut().enumerate() {
+                let p = wf.add(q * V::LANES);
+                let wv = if q + 1 < Q { V::load(p) } else { V::load_masked(p, m) };
+                *a = a.mul_add(v, wv);
+            }
+        }
+        store::<V, Q>(&acc, m, row);
+    }
+}
+
+/// The x86-64 tiers: each is the portable loop nest over its own vector,
+/// compiled with its target features.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    use super::{Nest, Vector};
+
+    /// The AVX2 tier: 8 lanes, tail masks in a vector register.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(__m256);
+
+    /// `-1` for lanes below a count, read at offset `8 - n`.
+    static AVX2_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// # Safety
+    ///
+    /// Every method's contract is the trait's: the CPU has AVX2, and the
+    /// pointer methods' lanes are readable or writable.
+    impl Vector for Avx2 {
+        const LANES: usize = 8;
+        type Mask = __m256i;
+
+        #[inline(always)]
+        unsafe fn first(n: usize) -> __m256i {
+            // SAFETY: 1 <= n <= 8, so the 8 ints at 8 - n are inside the
+            // table; the CPU has AVX (the caller's contract).
+            unsafe { _mm256_loadu_si256(AVX2_MASKS.as_ptr().add(8 - n).cast()) }
+        }
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            // SAFETY: the CPU has AVX (the caller's contract).
+            unsafe { Avx2(_mm256_set1_ps(x)) }
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            // SAFETY: 8 readable floats at `p` (the caller's contract).
+            unsafe { Avx2(_mm256_loadu_ps(p)) }
+        }
+
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, m: __m256i) -> Self {
+            // SAFETY: the lanes of `m` are readable; masked-off lanes are
+            // not accessed.
+            unsafe { Avx2(_mm256_maskload_ps(p, m)) }
+        }
+
+        #[inline(always)]
+        unsafe fn store_masked(self, p: *mut f32, m: __m256i) {
+            // SAFETY: the lanes of `m` are writable; masked-off lanes are
+            // not accessed.
+            unsafe { _mm256_maskstore_ps(p, m, self.0) }
+        }
+
+        #[inline(always)]
+        unsafe fn mul_add(self, v: Self, x: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx2(_mm256_add_ps(self.0, _mm256_mul_ps(v.0, x.0))) }
+        }
+    }
+
+    /// The AVX-512F tier: 16 lanes, tail masks in a mask register.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx512(__m512);
+
+    /// # Safety
+    ///
+    /// Every method's contract is the trait's: the CPU has AVX-512F, and
+    /// the pointer methods' lanes are readable or writable.
+    impl Vector for Avx512 {
+        const LANES: usize = 16;
+        type Mask = __mmask16;
+
+        #[inline(always)]
+        unsafe fn first(n: usize) -> __mmask16 {
+            u16::MAX >> (16 - n)
+        }
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            // SAFETY: the CPU has AVX-512F (the caller's contract).
+            unsafe { Avx512(_mm512_set1_ps(x)) }
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            // SAFETY: 16 readable floats at `p` (the caller's contract).
+            unsafe { Avx512(_mm512_loadu_ps(p)) }
+        }
+
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, m: __mmask16) -> Self {
+            // SAFETY: the lanes of `m` are readable; masked-off lanes are
+            // not accessed.
+            unsafe { Avx512(_mm512_maskz_loadu_ps(m, p)) }
+        }
+
+        #[inline(always)]
+        unsafe fn store_masked(self, p: *mut f32, m: __mmask16) {
+            // SAFETY: the lanes of `m` are writable; masked-off lanes are
+            // not accessed.
+            unsafe { _mm512_mask_storeu_ps(p, m, self.0) }
+        }
+
+        #[inline(always)]
+        unsafe fn mul_add(self, v: Self, x: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx512(_mm512_add_ps(self.0, _mm512_mul_ps(v.0, x.0))) }
+        }
+    }
+
+    /// `nest` on the AVX2 tier.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2<N: Nest>(nest: N) -> N::Out {
+        // SAFETY: this function's target features are `Avx2`'s.
+        unsafe { nest.run::<Avx2>() }
+    }
+
+    /// `nest` on the AVX-512F tier.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512<N: Nest>(nest: N) -> N::Out {
+        // SAFETY: this function's target features are `Avx512`'s.
+        unsafe { nest.run::<Avx512>() }
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +797,25 @@ mod tests {
         Kkfc::from_fckk(weights, spec.weight_shape())
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every tier the host runs, portable first (only the portable one
+    /// under Miri or on a host without SIMD), with its own register block.
+    fn tiers() -> Vec<(SimdLevel, SparseBlock)> {
+        [
+            (SimdLevel::Scalar, SparseBlock { lanes: 8, vectors: 8 }),
+            (SimdLevel::Avx2Fma, SparseBlock { lanes: 8, vectors: 8 }),
+            (SimdLevel::Avx512Fma, SparseBlock { lanes: 16, vectors: 16 }),
+        ]
+        .into_iter()
+        .filter(|&(level, _)| level <= detect_simd_level())
+        .collect()
+    }
+
+    /// Small specs around the lane widths: channel rows and `kx·c` runs
+    /// shorter than a vector, a whole vector plus a tail, several chunks.
     fn spec_cases() -> Vec<ConvSpec> {
         vec![
             ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap(),
@@ -208,7 +823,39 @@ mod tests {
             ConvSpec::new(2, 9, 7, 4, 2, 3, 2, 1).unwrap(),
             ConvSpec::new(4, 10, 10, 6, 3, 3, 2, 2).unwrap(),
             ConvSpec::new(2, 12, 12, 3, 5, 5, 1, 2).unwrap(),
+            ConvSpec::new(17, 6, 6, 3, 2, 2, 1, 1).unwrap(),
+            ConvSpec::new(40, 5, 5, 9, 2, 2, 1, 1).unwrap(),
         ]
+    }
+
+    fn data_at(
+        level: SimdLevel,
+        block: SparseBlock,
+        spec: &ConvSpec,
+        w: &[f32],
+        g: &[f32],
+        tw: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![f32::NAN; spec.input_shape().len()];
+        let w = kkfc(spec, w);
+        backward_data_on(level, spec, &w, g, &mut out, tw, block, &mut ConvScratch::new());
+        out
+    }
+
+    fn weights_at(
+        level: SimdLevel,
+        block: SparseBlock,
+        spec: &ConvSpec,
+        x: &[f32],
+        g: &[f32],
+    ) -> Vec<f32> {
+        let mut out = vec![f32::NAN; spec.weight_shape().len()];
+        backward_weights_on(level, spec, x, g, &mut out, block, &mut ConvScratch::new());
+        out
+    }
+
+    fn max_diff(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
     }
 
     #[test]
@@ -216,20 +863,12 @@ mod tests {
         for spec in spec_cases() {
             let weights = pseudo(spec.weight_shape().len(), 1);
             let grad_out = sparse_grad(spec.output_shape().len(), 5, 2);
-            let mut ours = vec![0f32; spec.input_shape().len()];
             let mut oracle = vec![0f32; spec.input_shape().len()];
+            reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
             for tw in [1, 2, 64] {
-                backward_data_scratch(
-                    &spec,
-                    &kkfc(&spec, &weights),
-                    &grad_out,
-                    &mut ours,
-                    tw,
-                    &mut ConvScratch::new(),
-                );
-                reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
-                let diff =
-                    ours.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+                let ours =
+                    data_at(detect_simd_level(), host_block(), &spec, &weights, &grad_out, tw);
+                let diff = max_diff(&ours, &oracle);
                 assert!(diff < 1e-4, "{spec} tw={tw}: diff {diff}");
             }
         }
@@ -240,22 +879,81 @@ mod tests {
         for spec in spec_cases() {
             let input = pseudo(spec.input_shape().len(), 3);
             let grad_out = sparse_grad(spec.output_shape().len(), 4, 1);
-            let mut ours = vec![0f32; spec.weight_shape().len()];
             let mut oracle = vec![0f32; spec.weight_shape().len()];
-            for tw in [1, 3, 64] {
-                backward_weights_scratch(
-                    &spec,
-                    &input,
-                    &grad_out,
-                    &mut ours,
-                    tw,
-                    &mut ConvScratch::new(),
-                );
-                reference::backward_weights(&spec, &input, &grad_out, &mut oracle);
-                let diff =
-                    ours.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-                assert!(diff < 1e-4, "{spec} tw={tw}: diff {diff}");
+            reference::backward_weights(&spec, &input, &grad_out, &mut oracle);
+            let ours = weights_at(detect_simd_level(), host_block(), &spec, &input, &grad_out);
+            let diff = max_diff(&ours, &oracle);
+            assert!(diff < 1e-4, "{spec}: diff {diff}");
+        }
+    }
+
+    /// Every tier, and every register block of every tier, computes the
+    /// portable tier's bits in both phases.
+    #[test]
+    fn tiers_and_blocks_are_bit_identical() {
+        for spec in spec_cases() {
+            let weights = pseudo(spec.weight_shape().len(), 5);
+            let input = pseudo(spec.input_shape().len(), 6);
+            let grad_out = sparse_grad(spec.output_shape().len(), 3, 4);
+            let portable = SparseBlock { lanes: 8, vectors: 8 };
+            let want_data = data_at(SimdLevel::Scalar, portable, &spec, &weights, &grad_out, 3);
+            let want_weights = weights_at(SimdLevel::Scalar, portable, &spec, &input, &grad_out);
+            for (level, block) in tiers() {
+                for vectors in [1, 2, 4, 8, block.vectors] {
+                    let block = SparseBlock { vectors, ..block };
+                    let at = (level, vectors, spec);
+                    let data = data_at(level, block, &spec, &weights, &grad_out, 3);
+                    assert_eq!(bits(&data), bits(&want_data), "dErr {at:?}");
+                    let dw = weights_at(level, block, &spec, &input, &grad_out);
+                    assert_eq!(bits(&dw), bits(&want_weights), "dW {at:?}");
+                }
             }
+        }
+    }
+
+    /// The non-zero predicate is `v != 0.0` on every tier and in both
+    /// phases, as in `reference::backward_*`: a `-0.0` gradient entry is
+    /// skipped (its window holds an infinity that would make NaNs), a NaN
+    /// entry is kept and propagates, and an infinite entry times a zero
+    /// input or weight makes a NaN. Every tier agrees with the reference on
+    /// which elements are NaN, and with the portable tier bit for bit.
+    #[test]
+    fn nonzero_predicate_keeps_nans_and_skips_negative_zero() {
+        let spec = ConvSpec::new(3, 7, 7, 4, 3, 3, 1, 1).unwrap();
+        let (out_len, in_len) = (spec.output_shape().len(), spec.input_shape().len());
+        let mut grad_out = sparse_grad(out_len, 4, 3);
+        let mut input = pseudo(in_len, 8);
+        let mut weights = pseudo(spec.weight_shape().len(), 9);
+        // -0.0 at feature 0, (0, 0), whose window holds an infinite input
+        // and meets an infinite weight.
+        grad_out[0] = -0.0;
+        input[0] = f32::INFINITY;
+        weights[0] = f32::NEG_INFINITY;
+        // A NaN at feature 1, (2, 3); +∞ at feature 2, (4, 1), whose
+        // window holds a zero input and which meets a zero weight.
+        grad_out[25 + 2 * 5 + 3] = f32::NAN;
+        grad_out[2 * 25 + 4 * 5 + 1] = f32::INFINITY;
+        input[2 * 49 + 5 * 7 + 2] = 0.0;
+        weights[2 * 27 + 9 + 4] = 0.0;
+        let nans = |v: &[f32]| v.iter().map(|x| x.is_nan()).collect::<Vec<_>>();
+        let mut want_data = vec![0f32; in_len];
+        reference::backward_data(&spec, &weights, &grad_out, &mut want_data);
+        let mut want_weights = vec![0f32; spec.weight_shape().len()];
+        reference::backward_weights(&spec, &input, &grad_out, &mut want_weights);
+        assert!(nans(&want_data).iter().any(|&n| n) && nans(&want_weights).iter().any(|&n| n));
+        let portable = SparseBlock { lanes: 8, vectors: 8 };
+        let base_data = data_at(SimdLevel::Scalar, portable, &spec, &weights, &grad_out, 2);
+        let base_weights = weights_at(SimdLevel::Scalar, portable, &spec, &input, &grad_out);
+        for (level, block) in tiers() {
+            let data = data_at(level, block, &spec, &weights, &grad_out, 2);
+            let dw = weights_at(level, block, &spec, &input, &grad_out);
+            assert_eq!(nans(&data), nans(&want_data), "dErr NaNs {level:?}");
+            assert_eq!(nans(&dw), nans(&want_weights), "dW NaNs {level:?}");
+            assert_eq!(bits(&data), bits(&base_data), "dErr {level:?}");
+            assert_eq!(bits(&dw), bits(&base_weights), "dW {level:?}");
+            // The skipped -0.0 leaves the infinities out of the elements
+            // whose only infinite term it would have been.
+            assert!(!dw[0].is_nan() && !data[0].is_nan(), "{level:?}");
         }
     }
 
@@ -264,14 +962,11 @@ mod tests {
         let spec = ConvSpec::new(2, 6, 6, 3, 3, 3, 1, 1).unwrap();
         let weights = pseudo(spec.weight_shape().len(), 9);
         let zeros = vec![0f32; spec.output_shape().len()];
-        let mut gin = vec![1.0; spec.input_shape().len()];
-        let w_kkfc = kkfc(&spec, &weights);
-        backward_data_scratch(&spec, &w_kkfc, &zeros, &mut gin, 64, &mut ConvScratch::new());
-        assert!(gin.iter().all(|v| *v == 0.0));
+        let gin = data_at(detect_simd_level(), host_block(), &spec, &weights, &zeros, 64);
+        assert!(gin.iter().all(|v| v.to_bits() == 0));
         let input = pseudo(spec.input_shape().len(), 10);
-        let mut dw = vec![1.0; spec.weight_shape().len()];
-        backward_weights_scratch(&spec, &input, &zeros, &mut dw, 64, &mut ConvScratch::new());
-        assert!(dw.iter().all(|v| *v == 0.0));
+        let dw = weights_at(detect_simd_level(), host_block(), &spec, &input, &zeros);
+        assert!(dw.iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]
@@ -280,13 +975,52 @@ mod tests {
         let spec = ConvSpec::new(2, 7, 7, 3, 3, 3, 1, 1).unwrap();
         let weights = pseudo(spec.weight_shape().len(), 4);
         let grad_out = pseudo(spec.output_shape().len(), 5);
-        let mut ours = vec![0f32; spec.input_shape().len()];
         let mut oracle = vec![0f32; spec.input_shape().len()];
-        let w_kkfc = kkfc(&spec, &weights);
-        backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, 64, &mut ConvScratch::new());
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
-        let diff = ours.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+        let ours = data_at(detect_simd_level(), host_block(), &spec, &weights, &grad_out, 64);
+        let diff = max_diff(&ours, &oracle);
         assert!(diff < 1e-4, "diff {diff}");
+    }
+
+    /// A warm call of either phase allocates nothing: the scratch's
+    /// buffers keep their storage.
+    #[test]
+    fn warm_calls_reuse_the_scratch() {
+        let spec = ConvSpec::new(4, 10, 10, 6, 3, 3, 1, 1).unwrap();
+        let weights = kkfc(&spec, &pseudo(spec.weight_shape().len(), 1));
+        let input = pseudo(spec.input_shape().len(), 2);
+        let grad_out = sparse_grad(spec.output_shape().len(), 3, 1);
+        let mut gin = vec![0f32; spec.input_shape().len()];
+        let mut dw = vec![0f32; spec.weight_shape().len()];
+        let mut scratch = ConvScratch::new();
+        let block = host_block();
+        let run = |scratch: &mut ConvScratch, gin: &mut [f32], dw: &mut [f32]| {
+            backward_data_scratch(&spec, &weights, &grad_out, gin, 2, block, scratch);
+            backward_weights_scratch(&spec, &input, &grad_out, dw, block, scratch);
+        };
+        run(&mut scratch, &mut gin, &mut dw);
+        let storage = |s: &ConvScratch| {
+            (s.hwc_in.as_ptr(), s.hwc_out.as_ptr(), s.wperm.as_ptr(), s.nonzeros.as_ptr())
+        };
+        let (before, bytes) = (storage(&scratch), scratch.bytes());
+        run(&mut scratch, &mut gin, &mut dw);
+        assert_eq!((storage(&scratch), scratch.bytes()), (before, bytes));
+    }
+
+    #[test]
+    #[should_panic(expected = "no chunk instance")]
+    fn a_block_with_no_chunk_instance_panics() {
+        let spec = ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap();
+        let mut dw = vec![0f32; 4];
+        let block = SparseBlock { lanes: 8, vectors: 3 };
+        backward_weights_scratch(
+            &spec,
+            &[0.0; 16],
+            &[1.0; 9],
+            &mut dw,
+            block,
+            &mut ConvScratch::new(),
+        );
     }
 
     #[test]
@@ -295,6 +1029,7 @@ mod tests {
         let spec = ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap();
         let mut gin = vec![0f32; 16];
         let w = kkfc(&spec, &[0.0; 4]);
-        backward_data_scratch(&spec, &w, &[0.0; 9], &mut gin, 0, &mut ConvScratch::new());
+        let block = host_block();
+        backward_data_scratch(&spec, &w, &[0.0; 9], &mut gin, 0, block, &mut ConvScratch::new());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The pipeline is **lower → verify → execute**. [`lower`] turns a
 //! technique pair into `spg-check`'s plan IR — choosing the narrow-output
-//! cutoff, the register tile, the band ranges over that plan's loop nest, the GEMM worker counts and the sparse tile
-//! width, and binding a `spg-codegen` instance when one resolves — hands
+//! cutoff, the register tile, the band ranges over that plan's loop nest,
+//! the GEMM worker counts, the sparse tile width and register block, and
+//! binding a `spg-codegen` instance when one resolves — hands
 //! that IR to the verifier, and wraps the
 //! [`VerifiedPlan`](spg_check::VerifiedPlan) it gets back in a
 //! [`ConvProgram`]. The program's single dispatch
@@ -23,6 +24,7 @@ use crate::autotune::Phase;
 use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
 use crate::schedule::{stencil_split, LayerPlan, Technique};
+use crate::sparse::kernel::host_block;
 use crate::sparse::DEFAULT_TILE_WIDTH;
 use crate::stencil::{plan_cache_schedule, plan_register_tile};
 use crate::SpgError;
@@ -71,7 +73,9 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
 /// forward-phase kernel; its backward falls back to the GEMM.
 fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     match technique {
-        Technique::SparseBp => BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH },
+        Technique::SparseBp => {
+            BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH, block: host_block() }
+        }
         Technique::GemmInParallel | Technique::StencilFp => {
             BackwardPlan::UnfoldGemm { threads: cores.max(1) }
         }

@@ -134,42 +134,6 @@ pub fn fckk_to_kkfc_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
     }
 }
 
-/// Permutes a weight tensor from `[ky, kx, f, c]` back to `[f, c, ky, kx]`.
-///
-/// Inverse of [`fckk_to_kkfc`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if `src.len() != shape.len()`.
-pub fn kkfc_to_fckk(src: &Tensor, shape: Shape4) -> Result<Tensor, TensorError> {
-    check_len(src.len(), shape.len())?;
-    let mut out = vec![0.0f32; src.len()];
-    kkfc_to_fckk_into(src.as_slice(), shape, &mut out);
-    Ok(Tensor::from_vec(out))
-}
-
-/// Slice-based [`kkfc_to_fckk`] writing into caller-owned storage.
-///
-/// # Panics
-///
-/// Panics if `src.len()` or `out.len()` differs from `shape.len()`.
-pub fn kkfc_to_fckk_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
-    assert_eq!(src.len(), shape.len(), "kkfc_to_fckk_into: src length mismatch");
-    assert_eq!(out.len(), shape.len(), "kkfc_to_fckk_into: out length mismatch");
-    let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
-    for ky in 0..ky_n {
-        for kx in 0..kx_n {
-            for f in 0..f_n {
-                for c in 0..c_n {
-                    let from = ((ky * kx_n + kx) * f_n + f) * c_n + c;
-                    let to = ((f * c_n + c) * ky_n + ky) * kx_n + kx;
-                    out[to] = src[from];
-                }
-            }
-        }
-    }
-}
-
 /// Permutes a weight tensor from `[f, c, ky, kx]` into `[ky][kx]` blocks of
 /// `(Nc x Nf)` matrices (feature fastest-varying).
 fn narrow_weights_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
@@ -363,12 +327,19 @@ mod tests {
     }
 
     #[test]
-    fn weight_permutation_round_trip() {
+    fn weight_permutation_moves_each_weight_to_its_kkfc_index() {
         let shape = Shape4::new(3, 2, 2, 2);
         let t = iota(shape.len());
         let kkfc = fckk_to_kkfc(&t, shape).unwrap();
-        let back = kkfc_to_fckk(&kkfc, shape).unwrap();
-        assert_eq!(back, t);
+        let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
+        for (f, c, ky, kx) in (0..f_n).flat_map(|f| {
+            (0..c_n).flat_map(move |c| {
+                (0..ky_n).flat_map(move |ky| (0..kx_n).map(move |kx| (f, c, ky, kx)))
+            })
+        }) {
+            let at = ((ky * kx_n + kx) * f_n + f) * c_n + c;
+            assert_eq!(kkfc.as_slice()[at], t.as_slice()[shape.index(f, c, ky, kx)]);
+        }
     }
 
     #[test]
@@ -426,9 +397,6 @@ mod tests {
         let mut kkfc = vec![0.0f32; wshape.len()];
         fckk_to_kkfc_into(w.as_slice(), wshape, &mut kkfc);
         assert_eq!(kkfc, fckk_to_kkfc(&w, wshape).unwrap().into_vec());
-        let mut fckk = vec![0.0f32; wshape.len()];
-        kkfc_to_fckk_into(&kkfc, wshape, &mut fckk);
-        assert_eq!(fckk, w.into_vec());
     }
 
     #[test]
@@ -439,6 +407,5 @@ mod tests {
         assert!(hwc_to_chw(&t, shape).is_err());
         let w = Shape4::new(2, 2, 2, 2);
         assert!(fckk_to_kkfc(&t, w).is_err());
-        assert!(kkfc_to_fckk(&t, w).is_err());
     }
 }

@@ -70,9 +70,9 @@ proptest! {
     fn weight_layout_is_bijective(f in 1usize..5, c in 1usize..5, ky in 1usize..4, kx in 1usize..4) {
         let shape = Shape4::new(f, c, ky, kx);
         let t: Tensor = (0..shape.len()).map(|i| i as f32).collect();
-        let there = layout::fckk_to_kkfc(&t, shape).expect("matching length");
-        let back = layout::kkfc_to_fckk(&there, shape).expect("matching length");
-        prop_assert_eq!(back, t);
+        let mut there = layout::fckk_to_kkfc(&t, shape).expect("matching length").into_vec();
+        there.sort_by(f32::total_cmp);
+        prop_assert_eq!(Tensor::from_vec(there), t);
     }
 
     #[test]

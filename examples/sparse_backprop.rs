@@ -1,117 +1,145 @@
-//! The goodput story (paper Sec. 3.3 / 4.2) on real kernels: measure how
-//! dense backward propagation wastes throughput on sparse error
-//! gradients, and how the CT-CSR pointer-shifting kernel converts
-//! sparsity into wall-clock speedup — including the format-construction
-//! and layout-transform costs.
+//! The goodput story (paper Sec. 3.3 / 4.2, Fig. 4e/4f) on real kernels:
+//! one core, full Table 2 geometry. For every layer the dense backward
+//! (Unfold+GEMM, both phases) is timed once — its work does not depend on
+//! the gradient's zeros — and the sparse backward across gradient
+//! sparsity, with its goodput (useful flops per second, Sec. 3.3) and the
+//! sparsity from which it stays ahead of the GEMM. Backward-data is not
+//! run on layer 0, as in training. The transform and format-construction
+//! costs are inside the timed calls.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example sparse_backprop
+//! cargo run --release --example sparse_backprop [-- LAYER]
 //! ```
+//!
+//! where `LAYER` keeps only the layers whose name contains it (e.g.
+//! `"ImageNet 1K L2"`). Pin it to one core (`taskset -c 1`) for stable
+//! numbers.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use spg_cnn::codegen::KernelChoice;
+use spg_cnn::convnet::exec::PreparedWeights;
 use spg_cnn::convnet::workspace::ConvScratch;
-use spg_cnn::convnet::{gemm_exec, reference, ConvSpec};
-use spg_cnn::core::sparse::kernel as sparse;
-use spg_cnn::core::sparse::DEFAULT_TILE_WIDTH;
-use spg_cnn::tensor::layout::Kkfc;
-use spg_cnn::workloads::synth::conv_operands;
+use spg_cnn::convnet::ConvSpec;
+use spg_cnn::core::autotune::Phase;
+use spg_cnn::core::compiled::ConvProgram;
+use spg_cnn::core::schedule::Technique;
+use spg_cnn::core::verify::lower_phase;
+use spg_cnn::workloads::synth::{conv_operands, ConvOperands};
+use spg_cnn::workloads::table2;
 
-fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warm-up
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
+/// Gradient sparsities of the sweep.
+const SPARSITIES: [f64; 8] = [0.5, 0.6, 0.7, 0.75, 0.8, 0.86, 0.9, 0.95];
+
+/// One backward of `program` on `ops`: weights, then data past layer 0,
+/// into `grads` (`dW`, `E_I`).
+fn backward(
+    program: &ConvProgram,
+    weights: &PreparedWeights,
+    ops: &ConvOperands,
+    with_data: bool,
+    grads: &mut (Vec<f32>, Vec<f32>),
+    scratch: &mut ConvScratch,
+) {
+    let (input, grad_out) = (black_box(ops.input.as_slice()), ops.grad_out.as_slice());
+    program.backward_weights(input, grad_out, &mut grads.0, scratch);
+    if with_data {
+        program.backward_data(weights, grad_out, &mut grads.1, scratch);
     }
-    start.elapsed().as_secs_f64() / reps as f64
+}
+
+/// Median seconds of [`backward`] after a warm-up call, on weights
+/// prepared once (as a layer prepares them once per update).
+fn time_backward(
+    program: &ConvProgram,
+    spec: &ConvSpec,
+    ops: &ConvOperands,
+    with_data: bool,
+    grads: &mut (Vec<f32>, Vec<f32>),
+) -> f64 {
+    let weights = program.prepared(ops.weights.as_slice());
+    let mut scratch = ConvScratch::new();
+    let reps = if spec.arithmetic_ops() > 400_000_000 { 3 } else { 9 };
+    let mut secs: Vec<f64> = (0..=reps)
+        .map(|_| {
+            let start = Instant::now();
+            backward(program, &weights, ops, with_data, grads, &mut scratch);
+            start.elapsed().as_secs_f64()
+        })
+        .skip(1)
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
+/// Largest difference between `a` and `b`, relative to `b`'s largest
+/// magnitude.
+fn relative_diff(a: &[f32], b: &[f32]) -> f32 {
+    let scale = b.iter().fold(1e-6f32, |m, x| m.max(x.abs()));
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max) / scale
 }
 
 fn main() {
-    // A shrunken Table 1 ID 0 geometry: small features, Region 4/5.
-    let spec = ConvSpec::square(32, 32, 32, 4, 1);
-    println!("convolution: {spec}");
-    println!("backward work: {} flops (error + delta-weights)\n", 2 * spec.arithmetic_ops());
-
+    let filter = std::env::args().nth(1).unwrap_or_default();
+    println!("one core; backward = backward-weights + backward-data (layer 0: weights only)");
     println!(
-        "{:>8}  {:>12} {:>12} {:>9}  {:>10} {:>10}",
-        "sparsity", "dense (ms)", "sparse (ms)", "speedup", "thru GF", "goodput GF"
+        "{:<16} {:>8} {:>11} {:>11} {:>8} {:>11} {:>11}",
+        "layer", "sparsity", "GEMM (ms)", "sparse (ms)", "speedup", "goodput GF", "GEMM GF"
     );
-    // One warm scratch reused across every timed call, exactly like the
-    // training and serving loops (the allocation-free path).
-    let mut scratch = ConvScratch::new();
-    for sparsity in [0.0, 0.5, 0.75, 0.9, 0.97] {
-        let ops = conv_operands(&spec, sparsity, 0xabc);
-        let mut grad_in = vec![0.0f32; spec.input_shape().len()];
-        let mut grad_w = vec![0.0f32; spec.weight_shape().len()];
-        // The sparse backward-data kernel reads the weights permuted to
-        // `[ky, kx, f, c]`, as a layer's prepared weights hold them.
-        let w_kkfc = Kkfc::from_fckk(ops.weights.as_slice(), spec.weight_shape());
-
-        let dense_secs = time(3, || {
-            gemm_exec::backward_data_scratch(
-                &spec,
-                ops.weights.as_slice(),
-                ops.grad_out.as_slice(),
-                &mut grad_in,
-                1,
-                &mut scratch,
+    for (bench, layer, spec) in table2::all_layers() {
+        let name = format!("{} L{layer}", bench.label());
+        if !name.contains(&filter) {
+            continue;
+        }
+        let lowered = |t| {
+            lower_phase(&spec, t, Phase::Backward, 1, KernelChoice::Auto)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let (gemm, sparse) = (lowered(Technique::GemmInParallel), lowered(Technique::SparseBp));
+        let with_data = layer > 0;
+        let phases = if with_data { 2.0 } else { 1.0 };
+        let dense_flops = phases * spec.arithmetic_ops() as f64;
+        let zeros =
+            || (vec![0.0f32; spec.weight_shape().len()], vec![0.0f32; spec.input_shape().len()]);
+        let (mut dense_grads, mut sparse_grads) = (zeros(), zeros());
+        let dense_secs =
+            time_backward(&gemm, &spec, &conv_operands(&spec, 0.5, 7), with_data, &mut dense_grads);
+        let mut crossover = None;
+        for sparsity in SPARSITIES {
+            let ops = conv_operands(&spec, sparsity, 7);
+            let secs = time_backward(&sparse, &spec, &ops, with_data, &mut sparse_grads);
+            // Goodput means nothing if the answer is wrong: the sparse
+            // gradients must match the GEMM's on the same operands.
+            let weights = gemm.prepared(ops.weights.as_slice());
+            let scratch = &mut ConvScratch::new();
+            backward(&gemm, &weights, &ops, with_data, &mut dense_grads, scratch);
+            let diff = relative_diff(&sparse_grads.0, &dense_grads.0).max(if with_data {
+                relative_diff(&sparse_grads.1, &dense_grads.1)
+            } else {
+                0.0
+            });
+            assert!(diff < 1e-4, "{name} at {sparsity}: sparse diverged from GEMM by {diff}");
+            let useful = dense_flops * (1.0 - ops.grad_out.sparsity());
+            crossover = match (crossover, secs <= dense_secs) {
+                (None, true) => Some(sparsity),
+                (_, false) => None,
+                (kept, true) => kept,
+            };
+            println!(
+                "{name:<16} {sparsity:>8.2} {:>11.3} {:>11.3} {:>7.2}x {:>11.1} {:>11.1}",
+                dense_secs * 1e3,
+                secs * 1e3,
+                dense_secs / secs,
+                useful / secs / 1e9,
+                dense_flops / dense_secs / 1e9,
             );
-            gemm_exec::backward_weights_scratch(
-                &spec,
-                ops.input.as_slice(),
-                ops.grad_out.as_slice(),
-                &mut grad_w,
-                1,
-                &mut scratch,
-            );
-        });
-        let sparse_secs = time(3, || {
-            sparse::backward_data_scratch(
-                &spec,
-                &w_kkfc,
-                ops.grad_out.as_slice(),
-                &mut grad_in,
-                DEFAULT_TILE_WIDTH,
-                &mut scratch,
-            );
-            sparse::backward_weights_scratch(
-                &spec,
-                ops.input.as_slice(),
-                ops.grad_out.as_slice(),
-                &mut grad_w,
-                DEFAULT_TILE_WIDTH,
-                &mut scratch,
-            );
-        });
-
-        // Verify the sparse kernel against the reference oracle while
-        // we're here — goodput means nothing if the answer is wrong.
-        let mut oracle = vec![0.0f32; spec.input_shape().len()];
-        reference::backward_data(
-            &spec,
-            ops.weights.as_slice(),
-            ops.grad_out.as_slice(),
-            &mut oracle,
-        );
-        let max_diff =
-            grad_in.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-        assert!(max_diff < 1e-3, "sparse kernel diverged from oracle: {max_diff}");
-
-        let actual = ops.grad_out.sparsity();
-        let total_flops = 2.0 * spec.arithmetic_ops() as f64;
-        let useful = total_flops * (1.0 - actual);
-        println!(
-            "{:>8.2}  {:>12.3} {:>12.3} {:>8.2}x  {:>10.2} {:>10.2}",
-            actual,
-            dense_secs * 1e3,
-            sparse_secs * 1e3,
-            dense_secs / sparse_secs,
-            total_flops / dense_secs / 1e9, // dense throughput
-            useful / sparse_secs / 1e9,     // sparse goodput
-        );
+        }
+        match crossover {
+            Some(s) => println!("{name:<16} sparse stays ahead of the GEMM from {s:.2}"),
+            None => println!("{name:<16} sparse does not stay ahead of the GEMM by 0.95"),
+        }
     }
-    println!("\nnote: dense throughput is constant but its *goodput* collapses with sparsity;");
-    println!("the sparse kernel keeps goodput high and wins past the ~0.75 crossover (Fig. 4f).");
 }

@@ -111,3 +111,45 @@ fn framework_retunes_to_sparse_backward_during_training() {
     // but the executor must be one of the two backward candidates.
     assert!(bwd == "sparse-bp" || bwd == "unfold+gemm", "unexpected executor {bwd}");
 }
+
+/// A heuristic retune leaves one backward decision per conv layer in the
+/// decision log. On the scaled CIFAR-10 net conv0's gradient is mostly
+/// zeros (a max-pool follows its ReLU), so the epoch-2 retune deploys the
+/// sparse kernel there, and the log says so with the sparsity it saw.
+#[test]
+fn heuristic_retune_logs_the_deployed_backward() {
+    use spg_cnn::convnet::data::Dataset;
+    use spg_cnn::workloads::networks::{build_scaled, scaled_description};
+    use spg_cnn::workloads::table2::Benchmark;
+
+    spg_cnn::telemetry::set_enabled(true);
+    let bench = Benchmark::Cifar10;
+    let shape = NetworkDescription::parse(&scaled_description(bench)).expect("parses").input;
+    let mut net = build_scaled(bench, 42).expect("built-in description builds");
+    let mut data = Dataset::synthetic(shape, 8, 16, 0.15, 42);
+    let framework = Framework::new(1, TuningMode::Heuristic, 2);
+    framework.plan_network(&mut net, 0.0);
+    let config = TrainerConfig { epochs: 2, batch_size: 8, ..TrainerConfig::default() };
+    let mut observed = None;
+    Trainer::new(config).train_with(&mut net, &mut data, |net, stats| {
+        if stats.epoch == 2 {
+            observed = Some(stats.conv_grad_sparsity[0]);
+        }
+        framework.retune(net, stats);
+    });
+    let sparsity = observed.expect("epoch 2 ran");
+    assert!(sparsity > 0.75, "conv0 gradient sparsity {sparsity}");
+    let label = spg_cnn::convnet::scope_label(0, net.layers()[0].name());
+    let logged = spg_cnn::telemetry::snapshot().decisions;
+    let decision = logged
+        .iter()
+        .rev()
+        .find(|d| d.label == label && d.sparsity == sparsity)
+        .unwrap_or_else(|| panic!("no decision for {label} at {sparsity}: {logged:?}"));
+    assert_eq!(decision.phase, spg_cnn::telemetry::Phase::Backward);
+    assert_eq!(decision.chosen, "sparse-bp");
+    assert_eq!(decision.cores, 1);
+    assert!(decision.candidates.is_empty());
+    let (_, bwd) = net.layers_mut()[0].as_conv_mut().expect("conv0").executor_names();
+    assert_eq!(bwd, "sparse-bp");
+}
