@@ -36,8 +36,8 @@ pub use capacity::ScratchCapacity;
 pub use error::{Buf, CheckError};
 pub use interval::Span;
 pub use plan::{
-    vector_registers, BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile, ScheduleTile,
-    SparseBlock, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
+    sparse_block, vector_registers, BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile,
+    ScheduleTile, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
 };
 pub use verified::{TileRegion, VerifiedPlan, VerifiedTiled};
 
@@ -137,8 +137,8 @@ pub fn verify_backward(
 ) -> Result<CheckReport, CheckError> {
     let mut interp = Interp::default();
     match backward {
-        BackwardPlan::SparsePointerShift { tile_width, block } => {
-            sparse::check_backward_sparse(&mut interp, spec, *tile_width, *block, cap)?;
+        BackwardPlan::SparsePointerShift { tile_width, lanes } => {
+            sparse::check_backward_sparse(&mut interp, spec, *tile_width, *lanes, cap)?;
         }
         BackwardPlan::UnfoldGemm { threads } => {
             gemm::check_backward_gemm(&mut interp, spec, *threads, cap)?;

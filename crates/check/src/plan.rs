@@ -114,55 +114,17 @@ pub enum ForwardPlan {
     },
 }
 
-/// Largest accumulator block, in vectors, the sparse backward kernels have
-/// an instance of; their blocks are powers of two up to it.
-const SPARSE_MAX_VECTORS: usize = 16;
-
-/// The sparse backward's register block, shared by both phases: up to
-/// `vectors` accumulators of `lanes` f32 lanes stay in registers while a
-/// list of non-zero gradients streams past — a chunk of one feature's
-/// `kx·c`-long weight-gradient run (backward-weights) or of one input
-/// position's `c`-long error row (backward-data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SparseBlock {
-    /// f32 lanes per vector of the instruction-set tier the kernel runs.
-    pub lanes: usize,
-    /// Accumulator vectors of the widest chunk: a power of two, at most 16.
-    pub vectors: usize,
-}
-
-impl SparseBlock {
-    /// Vector registers a chunk keeps live: its accumulators, the
-    /// broadcast non-zero, the loaded operand and the tail mask.
-    pub fn registers(self) -> usize {
-        self.vectors + 3
-    }
-
-    /// The chunks a run of `n` floats is swept in, as `(first float,
-    /// vectors, lanes of the last vector)`: whole blocks of `vectors`
-    /// first, then the vectors left in descending powers of two. They
-    /// cover `0..n` in order; only the last vector of the last chunk may
-    /// be partial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` or `vectors` is 0.
-    pub fn chunks(self, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-        let SparseBlock { lanes, vectors } = self;
-        assert!(lanes > 0 && vectors > 0, "a register block holds at least one lane");
-        let total = n.div_ceil(lanes);
-        let tail = n + lanes - total * lanes;
-        let mut at = 0;
-        std::iter::from_fn(move || {
-            let left = total - at;
-            if left == 0 {
-                return None;
-            }
-            let q = if left >= vectors { vectors } else { 1 << left.ilog2() };
-            let chunk = (at * lanes, q, if q == left { tail } else { lanes });
-            at += q;
-            Some(chunk)
-        })
+/// Accumulator vectors the sparse backward kernels hold in registers per
+/// chunk at `lanes` f32 lanes: 16 ZMM at 16 lanes, 8 YMM otherwise. A
+/// chunk of a `kx·c`-long weight-gradient run (backward-weights) or of a
+/// `c`-long error row (backward-data) stays in them while a list of
+/// non-zero gradients streams past. The one definition; the kernels' tiers
+/// read it, and [`BackwardPlan::SparsePointerShift`] is proved against it.
+pub const fn sparse_block(lanes: usize) -> usize {
+    if lanes >= 16 {
+        16
+    } else {
+        8
     }
 }
 
@@ -174,8 +136,9 @@ pub enum BackwardPlan {
     SparsePointerShift {
         /// Feature-tile width of backward-data's CT-CSR build.
         tile_width: usize,
-        /// The register block both phases run.
-        block: SparseBlock,
+        /// f32 lanes per vector of the tier both phases run; their register
+        /// block is [`sparse_block`]`(lanes)` vectors.
+        lanes: usize,
     },
     /// Unfold + GEMM backward (data and weights phases).
     UnfoldGemm {
@@ -247,36 +210,27 @@ pub(crate) fn check_register_tile(
     Ok(())
 }
 
-/// Proves a sparse register block admissible: a lane width some tier
-/// runs, a power of two no larger than 16 (the chunk sizes the kernels
-/// have instances of), and inside that tier's vector
-/// register file.
-pub(crate) fn check_sparse_block(
-    interp: &mut Interp,
-    block: SparseBlock,
-) -> Result<(), CheckError> {
-    let Some(registers) = vector_registers(block.lanes) else {
+/// Proves the sparse register block at `lanes` lanes admissible: a lane
+/// width some tier runs, and [`sparse_block`]`(lanes)` accumulators plus
+/// the broadcast non-zero, the loaded operand and the tail mask inside
+/// that tier's vector register file.
+pub(crate) fn check_sparse_lanes(interp: &mut Interp, lanes: usize) -> Result<(), CheckError> {
+    let Some(registers) = vector_registers(lanes) else {
         return Err(CheckError::PlanShapeMismatch {
             context: "no instruction set has vectors of this many lanes",
             expected: VECTOR_WIDTH,
-            found: block.lanes,
+            found: lanes,
         });
     };
-    if !block.vectors.is_power_of_two() || block.vectors > SPARSE_MAX_VECTORS {
-        return Err(CheckError::PlanShapeMismatch {
-            context: "sparse register block is not a chunk size the kernels have",
-            expected: SPARSE_MAX_VECTORS,
-            found: block.vectors,
-        });
-    }
-    if block.registers() > registers {
+    let used = sparse_block(lanes) + 3;
+    if used > registers {
         return Err(CheckError::BudgetExceeded {
             context: "sparse register block: accumulators, broadcast, operand and mask",
-            used: block.registers(),
+            used,
             budget: registers,
         });
     }
-    interp.proved(3);
+    interp.proved(2);
     Ok(())
 }
 

@@ -11,26 +11,21 @@
 
 use crate::error::{Buf, CheckError};
 use crate::interval::Span;
-use crate::plan::{check_sparse_block, SparseBlock};
+use crate::plan::check_sparse_lanes;
 use crate::Interp;
 use spg_convnet::ConvSpec;
 
-/// One past the last float a sweep of `n` floats in `block`'s chunks
-/// touches: the last chunk's last vector ends at its tail.
-fn chunk_cover(block: SparseBlock, n: usize) -> usize {
-    block.chunks(n).map(|(at, q, tail)| at + (q - 1) * block.lanes + tail).max().unwrap_or(0)
-}
-
 /// Verifies the register-blocked sparse backward plan: the register block
-/// inside its tier's register file; backward-weights' HWC input staging,
-/// its `kx·c` gathers and its `[f][ky][kx][c]` accumulator runs;
-/// backward-data's staging, CT-CSR tiling, Eq. 15 shifted rows and `kkfc`
-/// weight-row reads, all at the extent the block's chunks sweep.
+/// at `lanes` lanes inside its tier's register file; backward-weights' HWC
+/// input staging, its `kx·c` gathers and its `[f][ky][kx][c]` accumulator
+/// runs; backward-data's staging, CT-CSR tiling, Eq. 15 shifted rows and
+/// `kkfc` weight-row reads. The kernels sweep each run in chunks that
+/// cover it exactly, so every extent is the whole run.
 pub(crate) fn check_backward_sparse(
     interp: &mut Interp,
     spec: &ConvSpec,
     tile_width: usize,
-    block: SparseBlock,
+    lanes: usize,
     cap: &crate::ScratchCapacity,
 ) -> Result<(), CheckError> {
     if tile_width == 0 {
@@ -40,7 +35,7 @@ pub(crate) fn check_backward_sparse(
             found: 0,
         });
     }
-    check_sparse_block(interp, block)?;
+    check_sparse_lanes(interp, lanes)?;
     let (nc, in_w) = (spec.in_c(), spec.in_w());
     let (fy, fx, nf) = (spec.ky(), spec.kx(), spec.features());
     let in_len = spec.input_shape().len();
@@ -55,12 +50,11 @@ pub(crate) fn check_backward_sparse(
     // Backward-weights: the input staged in HWC, one `kx·c` run gathered
     // per non-zero and kernel row, accumulated into `[f][ky][kx][c]`.
     let run = fx * nc;
-    let run_cover = chunk_cover(block, run);
     interp.capacity(Buf::HwcIn, "dW HWC input staging", in_len, cap.hwc_in)?;
-    let gather = rows.plus(cols).scale(nc).block(run_cover);
+    let gather = rows.plus(cols).scale(nc).block(run);
     interp.access(Buf::HwcIn, "dW kx·c gather", gather, in_len)?;
     interp.capacity(Buf::Wperm, "[f][ky][kx][c] weight-gradient accumulator", w_len, cap.wperm)?;
-    let runs = Span::iter(nf).scale(fy * run).plus(Span::iter(fy).scale(run)).block(run_cover);
+    let runs = Span::iter(nf).scale(fy * run).plus(Span::iter(fy).scale(run)).block(run);
     interp.access(Buf::Wperm, "[f][ky][kx][c] accumulator runs", runs, w_len)?;
 
     // Backward-data: E_O in HWC (CT-CSR source), E_I accumulated in HWC.
@@ -82,9 +76,8 @@ pub(crate) fn check_backward_sparse(
     interp.access(Buf::HwcOut, "CT-CSR column-tile features", Span::iter(nf), nf)?;
 
     // Eq. 15: the E_I row held in registers, at
-    // ((yp*sy + ky)*in_w + xp*sx + kx)*nc, swept in chunks of the block.
-    let row_cover = chunk_cover(block, nc);
-    let shift = rows.plus(cols.plus(Span::iter(fx))).scale(nc).block(row_cover);
+    // ((yp*sy + ky)*in_w + xp*sx + kx)*nc.
+    let shift = rows.plus(cols.plus(Span::iter(fx))).scale(nc).block(nc);
     interp.access(Buf::HwcIn, "Eq. 15 shifted E_I rows", shift, in_len)?;
 
     // kkfc weight rows streamed past that row: ((ky*fx + kx)*nf + f)*nc.
@@ -94,7 +87,7 @@ pub(crate) fn check_backward_sparse(
         .scale(nf)
         .plus(Span::iter(nf))
         .scale(nc)
-        .block(row_cover);
+        .block(nc);
     interp.access(Buf::Weights, "kkfc pointer-shift weight rows", w_rows, w_len)?;
 
     // Final transforms back to the caller's layouts.
@@ -108,8 +101,8 @@ mod tests {
     use super::*;
     use crate::ScratchCapacity;
 
-    /// The AVX-512 tier's block: 16 vectors of 16 lanes.
-    const BLOCK: SparseBlock = SparseBlock { lanes: 16, vectors: 16 };
+    /// The AVX-512 tier's lane width.
+    const LANES: usize = 16;
 
     #[test]
     fn pointer_shift_plan_verifies() {
@@ -120,7 +113,7 @@ mod tests {
         ] {
             let cap = ScratchCapacity::reserved_for(&spec);
             let mut interp = Interp::default();
-            check_backward_sparse(&mut interp, &spec, 8, BLOCK, &cap)
+            check_backward_sparse(&mut interp, &spec, 8, LANES, &cap)
                 .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         }
     }
@@ -130,7 +123,7 @@ mod tests {
         let spec = ConvSpec::square(32, 16, 8, 5, 1);
         let cap = ScratchCapacity::reserved_for(&spec);
         let mut interp = Interp::default();
-        let err = check_backward_sparse(&mut interp, &spec, 0, BLOCK, &cap).unwrap_err();
+        let err = check_backward_sparse(&mut interp, &spec, 0, LANES, &cap).unwrap_err();
         assert!(matches!(err, CheckError::PlanShapeMismatch { found: 0, .. }));
     }
 
@@ -140,42 +133,23 @@ mod tests {
         let mut cap = ScratchCapacity::reserved_for(&spec);
         cap.hwc_in = spec.input_shape().len() - 1;
         let mut interp = Interp::default();
-        let err = check_backward_sparse(&mut interp, &spec, 8, BLOCK, &cap).unwrap_err();
+        let err = check_backward_sparse(&mut interp, &spec, 8, LANES, &cap).unwrap_err();
         assert!(matches!(err, CheckError::ScratchOverflow { buffer: Buf::HwcIn, .. }));
     }
 
-    /// The chunks sweep `0..n` in order, in whole vectors but the very
-    /// last, in power-of-two sizes no wider than the block.
+    /// Both tiers' blocks fit their register files; a lane width no tier
+    /// runs has no register file to prove the block against.
     #[test]
-    fn chunks_cover_each_run_exactly() {
-        for lanes in [8, 16] {
-            for vectors in [1, 2, 4, 8, 16] {
-                let block = SparseBlock { lanes, vectors };
-                for n in 0..300 {
-                    let mut next = 0;
-                    for (at, q, tail) in block.chunks(n) {
-                        assert_eq!(at, next, "{block:?} n={n}");
-                        assert!(q.is_power_of_two() && q <= vectors, "{block:?} n={n}");
-                        assert!((1..=lanes).contains(&tail), "{block:?} n={n}");
-                        next = at + (q - 1) * lanes + tail;
-                        assert!(tail == lanes || next == n, "{block:?} n={n}");
-                    }
-                    assert_eq!(next, n, "{block:?}");
-                    assert_eq!(chunk_cover(block, n), n);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn register_block_over_the_register_file_rejected() {
+    fn register_block_needs_a_tier() {
         let spec = ConvSpec::square(32, 16, 8, 5, 1);
         let cap = ScratchCapacity::reserved_for(&spec);
-        let wide = SparseBlock { lanes: 8, vectors: 16 };
-        let err = check_backward_sparse(&mut Interp::default(), &spec, 8, wide, &cap).unwrap_err();
-        assert!(matches!(err, CheckError::BudgetExceeded { used: 19, budget: 16, .. }));
-        let odd = SparseBlock { lanes: 16, vectors: 12 };
-        let err = check_backward_sparse(&mut Interp::default(), &spec, 8, odd, &cap).unwrap_err();
-        assert!(matches!(err, CheckError::PlanShapeMismatch { found: 12, .. }));
+        for lanes in [8, 16] {
+            check_backward_sparse(&mut Interp::default(), &spec, 8, lanes, &cap).unwrap();
+        }
+        for lanes in [4, 12, 32] {
+            let err =
+                check_backward_sparse(&mut Interp::default(), &spec, 8, lanes, &cap).unwrap_err();
+            assert!(matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == lanes));
+        }
     }
 }

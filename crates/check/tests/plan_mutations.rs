@@ -16,8 +16,7 @@ use proptest::prelude::*;
 
 use spg_check::{
     gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, Buf, CheckError, ConvPlan,
-    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, SparseBlock, VerifiedPlan,
-    VECTOR_WIDTH,
+    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
@@ -376,8 +375,8 @@ proptest! {
     #[test]
     fn sparse_register_blocks_verify(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        for block in [SPARSE_AVX2, SPARSE_AVX512] {
-            prop_assert!(verify_sparse(&spec, 64, block, &cap).is_ok(), "{:?}", block);
+        for lanes in [SPARSE_AVX2, SPARSE_AVX512] {
+            prop_assert!(verify_sparse(&spec, 64, lanes, &cap).is_ok(), "{} lanes", lanes);
         }
     }
 
@@ -408,39 +407,38 @@ proptest! {
         );
     }
 
-    /// A register block past its tier's register file — the AVX-512 block
-    /// at AVX2's lane width — is rejected, as is a block size the kernels
-    /// have no chunk instance of.
+    /// A register block is proved against its tier's register file: a
+    /// lane width no tier runs has none, and is rejected.
     #[test]
-    fn sparse_register_block_over_the_file_rejected(spec in any_spec()) {
+    fn sparse_lanes_without_a_register_file_rejected(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let wide = SparseBlock { lanes: 8, vectors: 16 };
-        let err = verify_sparse(&spec, 64, wide, &cap).unwrap_err();
-        prop_assert!(matches!(err, CheckError::BudgetExceeded { used: 19, budget: 16, .. }));
-        for vectors in [6, 32] {
-            let err = verify_sparse(&spec, 64, SparseBlock { lanes: 16, vectors }, &cap).unwrap_err();
-            prop_assert!(matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == vectors));
+        for lanes in [4, 12, 32] {
+            let err = verify_sparse(&spec, 64, lanes, &cap).unwrap_err();
+            prop_assert!(
+                matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == lanes),
+                "unexpected error {err:?}"
+            );
         }
     }
 }
 
-/// The AVX2 and portable tiers' sparse register block.
-const SPARSE_AVX2: SparseBlock = SparseBlock { lanes: 8, vectors: 8 };
+/// The AVX2 and portable tiers' lane width.
+const SPARSE_AVX2: usize = 8;
 
-/// The AVX-512 tier's sparse register block.
-const SPARSE_AVX512: SparseBlock = SparseBlock { lanes: 16, vectors: 16 };
+/// The AVX-512 tier's lane width.
+const SPARSE_AVX512: usize = 16;
 
 /// Judges a sparse backward through the full-plan entry point, the only
 /// constructor of an executable plan.
 fn verify_sparse(
     spec: &ConvSpec,
     tile_width: usize,
-    block: SparseBlock,
+    lanes: usize,
     cap: &ScratchCapacity,
 ) -> Result<VerifiedPlan, CheckError> {
     let plan = ConvPlan {
         forward: ForwardPlan::UnfoldGemm { threads: 1 },
-        backward: BackwardPlan::SparsePointerShift { tile_width, block },
+        backward: BackwardPlan::SparsePointerShift { tile_width, lanes },
         schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w().max(1) },
     };
     verify_conv_plan(spec, plan, cap)

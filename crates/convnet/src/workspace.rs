@@ -98,7 +98,7 @@ pub struct ConvScratch {
     pub wperm: Vec<f32>,
     /// One feature's non-zero output gradients as `(input window offset,
     /// value)`, compacted by the sparse backward-weights kernel; one entry
-    /// per output position plus one.
+    /// per output position.
     pub nonzeros: Vec<(u32, f32)>,
     /// CT-CSR staging for the sparse backward-data kernel, rebuilt in place.
     pub ctcsr: CtCsr,

@@ -235,14 +235,13 @@ impl ConvProgram {
     ) {
         let spec = self.plan.spec();
         match self.plan.plan().backward {
-            BackwardPlan::SparsePointerShift { tile_width, block } => {
+            BackwardPlan::SparsePointerShift { tile_width, .. } => {
                 sparse_kernel::backward_data_scratch(
                     spec,
                     &weights.kkfc,
                     grad_out,
                     grad_in,
                     tile_width,
-                    block,
                     scratch,
                 );
             }
@@ -275,13 +274,12 @@ impl ConvProgram {
     ) {
         let spec = self.plan.spec();
         match self.plan.plan().backward {
-            BackwardPlan::SparsePointerShift { block, .. } => {
+            BackwardPlan::SparsePointerShift { .. } => {
                 sparse_kernel::backward_weights_scratch(
                     spec,
                     input,
                     grad_out,
                     grad_weights,
-                    block,
                     scratch,
                 );
             }
@@ -589,9 +587,9 @@ impl CompiledConv {
             None => out.push_str(" */\n"),
         }
         let lowered = self.program.plan();
-        if let BackwardPlan::SparsePointerShift { tile_width, block } = lowered.backward {
+        if let BackwardPlan::SparsePointerShift { tile_width, lanes } = lowered.backward {
             out.push('\n');
-            out.push_str(&crate::sparse::render_backward_kernel(spec, tile_width, block));
+            out.push_str(&crate::sparse::render_backward_kernel(spec, tile_width, lanes));
         }
         out
     }

@@ -2,9 +2,9 @@
 //! host's vector width.
 //!
 //! One entry per phase, each one loop nest over a `Vector` type whose
-//! innermost step is a chunk of the plan's [`SparseBlock`]: up to
-//! `vectors` accumulators held in registers while a list of non-zero
-//! gradients streams past.
+//! innermost step is a chunk of up to [`sparse_block`]`(lanes)`
+//! accumulators held in registers while a list of non-zero gradients
+//! streams past.
 //!
 //! * **Backward-weights** reads `E_O`'s own CHW rows: row `f` is feature
 //!   `f`'s positions in ascending `p`. The row's non-zeros are compacted
@@ -20,8 +20,9 @@
 //!   update, so the permutation belongs to whoever owns them (a layer's or
 //!   a `CompiledConv`'s `PreparedWeights`), not to a per-sample call.
 //!
-//! The tiers — portable, AVX2 and AVX-512F, picked at run time like
-//! [`FcKernels`](spg_gemm::FcKernels) — run the same loop nest, and every
+//! The tiers — portable, AVX2 and AVX-512F; each entry runs the widest the
+//! CPU has, as [`FcKernels`](spg_gemm::FcKernels) does — run the same loop
+//! nest, and every
 //! tier multiplies and then adds (never fused). Each output element takes
 //! its terms in the order of the unblocked scalar loops this kernel
 //! replaced — a weight-gradient element in ascending `p`, an input-gradient
@@ -33,7 +34,7 @@
 //! build — is staged in the caller's [`ConvScratch`]; a warm call allocates
 //! nothing.
 
-use spg_check::SparseBlock;
+use spg_check::sparse_block;
 use spg_gemm::{detect_simd_level, SimdLevel};
 use spg_tensor::layout::{self, Kkfc};
 use spg_tensor::sparse::CtCsr;
@@ -42,30 +43,32 @@ use spg_tensor::Shape3;
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
 
-/// The register block of the widest tier the running CPU has: 16
-/// accumulators of 16 lanes on AVX-512F, 8 of 8 lanes otherwise. What
-/// lowering puts in a sparse plan.
-pub fn host_block() -> SparseBlock {
-    match detect_simd_level() {
-        SimdLevel::Avx512Fma => SparseBlock { lanes: 16, vectors: 16 },
-        _ => SparseBlock { lanes: 8, vectors: 8 },
-    }
+/// f32 lanes per vector of the tier the entries run on this CPU: 16 on
+/// AVX-512F, 8 otherwise. What lowering puts in a sparse plan.
+pub fn host_lanes() -> usize {
+    on_tier(detect_simd_level(), Lanes)
 }
 
-/// Whether the loop nests have an instance of every chunk `block` sweeps
-/// in: 1, 2, 4, 8 or 16 vectors.
-fn chunk_sizes_exist(block: SparseBlock) -> bool {
-    block.vectors.is_power_of_two() && block.vectors <= 16
-}
-
-/// The tier `block`'s lane width asks for; [`on_tier`] caps it at the
-/// host's.
-fn tier(block: SparseBlock) -> SimdLevel {
-    if block.lanes >= 16 {
-        SimdLevel::Avx512Fma
-    } else {
-        SimdLevel::Avx2Fma
-    }
+/// The chunks a run of `n` floats is swept in at `lanes` lanes, as
+/// `(first float, vectors, lanes of the last vector)`: whole blocks of
+/// [`sparse_block`]`(lanes)` vectors first, then the vectors left in
+/// descending powers of two. They cover `0..n` in order; only the last
+/// vector of the last chunk may be partial.
+pub(crate) fn chunks(lanes: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let block = sparse_block(lanes);
+    let total = n.div_ceil(lanes);
+    let tail = n + lanes - total * lanes;
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let left = total - at;
+        if left == 0 {
+            return None;
+        }
+        let q = if left >= block { block } else { 1 << left.ilog2() };
+        let chunk = (at * lanes, q, if q == left { tail } else { lanes });
+        at += q;
+        Some(chunk)
+    })
 }
 
 /// Backward error propagation exploiting gradient sparsity (Eq. 11–15)
@@ -80,28 +83,24 @@ fn tier(block: SparseBlock) -> SimdLevel {
 /// [`reference::backward_data`](spg_convnet::reference::backward_data):
 /// computes `E_I` from `E_O` and the weights, but touches only the
 /// non-zero gradient elements. `tile_width` is the CT-CSR column-tile width
-/// in features; `block` is the plan's register block, whose lane width
-/// picks the tier.
+/// in features.
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths do not match the spec, `tile_width == 0`, or
-/// `block.vectors` is not a power of two up to 16.
+/// Panics if buffer lengths do not match the spec or `tile_width == 0`.
 pub fn backward_data_scratch(
     spec: &ConvSpec,
     w_kkfc: &Kkfc,
     grad_out: &[f32],
     grad_in: &mut [f32],
     tile_width: usize,
-    block: SparseBlock,
     scratch: &mut ConvScratch,
 ) {
-    backward_data_on(tier(block), spec, w_kkfc, grad_out, grad_in, tile_width, block, scratch);
+    backward_data_on(detect_simd_level(), spec, w_kkfc, grad_out, grad_in, tile_width, scratch);
 }
 
 /// [`backward_data_scratch`] on the tier of `level`, or the host's when
 /// that is narrower.
-#[allow(clippy::too_many_arguments)]
 fn backward_data_on(
     level: SimdLevel,
     spec: &ConvSpec,
@@ -109,7 +108,6 @@ fn backward_data_on(
     grad_out: &[f32],
     grad_in: &mut [f32],
     tile_width: usize,
-    block: SparseBlock,
     scratch: &mut ConvScratch,
 ) {
     let w_kkfc = w_kkfc.as_slice();
@@ -117,7 +115,6 @@ fn backward_data_on(
     assert_eq!(grad_out.len(), spec.output_shape().len(), "grad_out length");
     assert_eq!(grad_in.len(), spec.input_shape().len(), "grad_in length");
     assert!(tile_width > 0, "tile width must be positive");
-    assert!(chunk_sizes_exist(block), "no chunk instance for {block:?}");
 
     let (nf, nc) = (spec.features(), spec.in_c());
     let (out_h, out_w) = (spec.out_h(), spec.out_w());
@@ -140,7 +137,7 @@ fn backward_data_on(
     record_goodput(spec, ctcsr.nnz());
 
     let ei_hwc = zeroed_slice(hwc_in, in_h * in_w * nc);
-    on_tier(level, DataJob { spec, w_kkfc, eo: ctcsr, ei_hwc, vectors: block.vectors });
+    on_tier(level, DataJob { spec, w_kkfc, eo: ctcsr, ei_hwc });
 
     layout::hwc_to_chw_into(ei_hwc, Shape3::new(nc, in_h, in_w), grad_in);
 }
@@ -149,23 +146,20 @@ fn backward_data_on(
 /// sparsely): `dW[f, c, ky, kx] = sum_{y,x} E_O[f, y, x] * I[c, y*sy+ky, x*sx+kx]`
 /// with the sum restricted to non-zero gradients, staging the input's HWC
 /// transform, each feature's compacted non-zeros and the `[f][ky][kx][c]`
-/// accumulator in a caller-provided [`ConvScratch`]. `block` is the plan's
-/// register block, whose lane width picks the tier.
+/// accumulator in a caller-provided [`ConvScratch`].
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths do not match the spec, `block.vectors` is not
-/// a power of two up to 16, or the input has more than `u32::MAX`
-/// elements.
+/// Panics if buffer lengths do not match the spec or the input has more
+/// than `u32::MAX` elements.
 pub fn backward_weights_scratch(
     spec: &ConvSpec,
     input: &[f32],
     grad_out: &[f32],
     grad_weights: &mut [f32],
-    block: SparseBlock,
     scratch: &mut ConvScratch,
 ) {
-    backward_weights_on(tier(block), spec, input, grad_out, grad_weights, block, scratch);
+    backward_weights_on(detect_simd_level(), spec, input, grad_out, grad_weights, scratch);
 }
 
 /// [`backward_weights_scratch`] on the tier of `level`, or the host's when
@@ -176,26 +170,24 @@ fn backward_weights_on(
     input: &[f32],
     grad_out: &[f32],
     grad_weights: &mut [f32],
-    block: SparseBlock,
     scratch: &mut ConvScratch,
 ) {
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
     assert_eq!(grad_out.len(), spec.output_shape().len(), "grad_out length");
     assert_eq!(grad_weights.len(), spec.weight_shape().len(), "grad_weights length");
-    assert!(chunk_sizes_exist(block), "no chunk instance for {block:?}");
     assert!(u32::try_from(input.len()).is_ok(), "window offsets are u32");
 
     let ConvScratch { hwc_in, wperm, nonzeros, .. } = scratch;
     let in_hwc = staged(hwc_in, input.len());
     layout::chw_to_hwc_into(input, spec.input_shape(), in_hwc);
     let positions = spec.out_h() * spec.out_w();
-    if nonzeros.len() <= positions {
-        nonzeros.resize(positions + 1, (0, 0.0));
+    if nonzeros.len() < positions {
+        nonzeros.resize(positions, (0, 0.0));
     }
     let kdim = spec.weight_shape().per_feature();
     let acc = staged(wperm, spec.weight_shape().len());
 
-    let job = WeightsJob { spec, in_hwc, grad_out, nonzeros, acc, vectors: block.vectors };
+    let job = WeightsJob { spec, in_hwc, grad_out, nonzeros, acc };
     let nnz = on_tier(level, job);
     // Same goodput accounting as `backward_data_scratch`: the delta-weight
     // reduction also visits one `(c, ky, kx)` block per stored gradient
@@ -252,6 +244,20 @@ fn on_tier<N: Nest>(level: SimdLevel, nest: N) -> N::Out {
     }
 }
 
+/// The nest that returns its tier's lane width.
+struct Lanes;
+
+/// # Safety
+///
+/// `run` touches no memory and issues no vector instruction.
+impl Nest for Lanes {
+    type Out = usize;
+
+    unsafe fn run<V: Vector>(self) -> usize {
+        V::LANES
+    }
+}
+
 /// Telemetry of one sparse phase over `nnz` stored gradient values.
 fn record_goodput(spec: &ConvSpec, nnz: usize) {
     let nnz = nnz as u64;
@@ -295,6 +301,13 @@ trait Vector: Copy {
     ///
     /// As [`Vector::first`], and the lanes of `m` at `p` are readable.
     unsafe fn load_masked(p: *const f32, m: Self::Mask) -> Self;
+
+    /// Writes the `LANES` floats at `p`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`], and `LANES` floats at `p` are writable.
+    unsafe fn store(self, p: *mut f32);
 
     /// Writes the lanes of `m` to `p`, and nothing else.
     ///
@@ -350,6 +363,12 @@ impl Vector for Portable {
     }
 
     #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        // SAFETY: the caller guarantees 8 writable floats at `p`.
+        unsafe { self.store_masked(p, 8) }
+    }
+
+    #[inline(always)]
     unsafe fn store_masked(self, p: *mut f32, n: usize) {
         for (i, &lane) in self.0.iter().enumerate().take(n) {
             // SAFETY: lane i < n is writable (the caller's contract).
@@ -374,11 +393,10 @@ struct WeightsJob<'a> {
     in_hwc: &'a [f32],
     /// `E_O` in CHW: one row of positions per feature.
     grad_out: &'a [f32],
-    /// At least one entry per output position plus one.
+    /// At least one entry per output position.
     nonzeros: &'a mut [(u32, f32)],
     /// The `[f][ky][kx][c]` accumulator, every element overwritten.
     acc: &'a mut [f32],
-    vectors: usize,
 }
 
 /// # Safety
@@ -405,11 +423,10 @@ impl Nest for WeightsJob<'_> {
 /// The running CPU has `V`'s target features.
 #[inline(always)]
 unsafe fn weights_nest<V: Vector>(job: WeightsJob<'_>) -> usize {
-    let WeightsJob { spec, in_hwc, grad_out, nonzeros, acc, vectors } = job;
+    let WeightsJob { spec, in_hwc, grad_out, nonzeros, acc } = job;
     let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
     let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
     let (run, row_stride) = (fx * nc, in_w * nc);
-    let block = SparseBlock { lanes: V::LANES, vectors };
     let mut nnz = 0;
     let rows = grad_out.chunks_exact(spec.out_h() * out_w);
     for (row, acc) in rows.zip(acc.chunks_exact_mut(fy * run)) {
@@ -428,7 +445,7 @@ unsafe fn weights_nest<V: Vector>(job: WeightsJob<'_>) -> usize {
         let nz = &nonzeros[..n];
         nnz += n;
         for (ky, acc_row) in acc.chunks_exact_mut(run).enumerate() {
-            for (at, q, tail) in block.chunks(run) {
+            for (at, q, tail) in chunks(V::LANES, run) {
                 let dst = &mut acc_row[at..at + (q - 1) * V::LANES + tail];
                 // SAFETY: `ky < fy` and `at < run` keep the pointer inside
                 // the input; with every non-zero's window origin the chunk
@@ -502,7 +519,7 @@ unsafe fn store<V: Vector, const Q: usize>(acc: &[V; Q], m: V::Mask, dst: &mut [
         unsafe {
             let p = dst.as_mut_ptr().add(q * V::LANES);
             if q + 1 < Q {
-                a.store_masked(p, V::first(V::LANES));
+                a.store(p);
             } else {
                 a.store_masked(p, m);
             }
@@ -519,7 +536,6 @@ struct DataJob<'a> {
     eo: &'a CtCsr,
     /// The zeroed `E_I` accumulator in HWC.
     ei_hwc: &'a mut [f32],
-    vectors: usize,
 }
 
 /// # Safety
@@ -545,10 +561,9 @@ impl Nest for DataJob<'_> {
 /// The running CPU has `V`'s target features.
 #[inline(always)]
 unsafe fn data_nest<V: Vector>(job: DataJob<'_>) {
-    let DataJob { spec, w_kkfc, eo, ei_hwc, vectors } = job;
+    let DataJob { spec, w_kkfc, eo, ei_hwc } = job;
     let (nf, nc, in_w, out_w) = (spec.features(), spec.in_c(), spec.in_w(), spec.out_w());
     let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
-    let block = SparseBlock { lanes: V::LANES, vectors };
     for (f0, tile) in eo.iter() {
         let (row_ptr, cols, vals) = (tile.row_ptr(), tile.col_indices(), tile.values());
         for (p, bounds) in row_ptr.windows(2).enumerate() {
@@ -562,7 +577,7 @@ unsafe fn data_nest<V: Vector>(job: DataJob<'_>) {
                 for kx in 0..fx {
                     let dst = ((yp * sy + ky) * in_w + xp * sx + kx) * nc;
                     let taps = ((ky * fx + kx) * nf + f0) * nc;
-                    for (at, q, tail) in block.chunks(nc) {
+                    for (at, q, tail) in chunks(V::LANES, nc) {
                         let row = &mut ei_hwc[dst + at..dst + at + (q - 1) * V::LANES + tail];
                         // SAFETY: tile columns are below the tile's width,
                         // so `f0 + col < nf` and each weight row read lies
@@ -685,6 +700,12 @@ mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            // SAFETY: 8 writable floats at `p` (the caller's contract).
+            unsafe { _mm256_storeu_ps(p, self.0) }
+        }
+
+        #[inline(always)]
         unsafe fn store_masked(self, p: *mut f32, m: __m256i) {
             // SAFETY: the lanes of `m` are writable; masked-off lanes are
             // not accessed.
@@ -732,6 +753,12 @@ mod x86 {
             // SAFETY: the lanes of `m` are readable; masked-off lanes are
             // not accessed.
             unsafe { Avx512(_mm512_maskz_loadu_ps(m, p)) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            // SAFETY: 16 writable floats at `p` (the caller's contract).
+            unsafe { _mm512_storeu_ps(p, self.0) }
         }
 
         #[inline(always)]
@@ -802,20 +829,17 @@ mod tests {
     }
 
     /// Every tier the host runs, portable first (only the portable one
-    /// under Miri or on a host without SIMD), with its own register block.
-    fn tiers() -> Vec<(SimdLevel, SparseBlock)> {
-        [
-            (SimdLevel::Scalar, SparseBlock { lanes: 8, vectors: 8 }),
-            (SimdLevel::Avx2Fma, SparseBlock { lanes: 8, vectors: 8 }),
-            (SimdLevel::Avx512Fma, SparseBlock { lanes: 16, vectors: 16 }),
-        ]
-        .into_iter()
-        .filter(|&(level, _)| level <= detect_simd_level())
-        .collect()
+    /// under Miri or on a host without SIMD).
+    fn tiers() -> Vec<SimdLevel> {
+        [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512Fma]
+            .into_iter()
+            .filter(|&level| level <= detect_simd_level())
+            .collect()
     }
 
     /// Small specs around the lane widths: channel rows and `kx·c` runs
-    /// shorter than a vector, a whole vector plus a tail, several chunks.
+    /// shorter than a vector, a whole vector plus a tail, several chunks —
+    /// every chunk size of both lane widths, up to a whole 16-vector block.
     fn spec_cases() -> Vec<ConvSpec> {
         vec![
             ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap(),
@@ -825,32 +849,20 @@ mod tests {
             ConvSpec::new(2, 12, 12, 3, 5, 5, 1, 2).unwrap(),
             ConvSpec::new(17, 6, 6, 3, 2, 2, 1, 1).unwrap(),
             ConvSpec::new(40, 5, 5, 9, 2, 2, 1, 1).unwrap(),
+            ConvSpec::new(96, 4, 4, 3, 3, 3, 1, 1).unwrap(),
         ]
     }
 
-    fn data_at(
-        level: SimdLevel,
-        block: SparseBlock,
-        spec: &ConvSpec,
-        w: &[f32],
-        g: &[f32],
-        tw: usize,
-    ) -> Vec<f32> {
+    fn data_at(level: SimdLevel, spec: &ConvSpec, w: &[f32], g: &[f32], tw: usize) -> Vec<f32> {
         let mut out = vec![f32::NAN; spec.input_shape().len()];
         let w = kkfc(spec, w);
-        backward_data_on(level, spec, &w, g, &mut out, tw, block, &mut ConvScratch::new());
+        backward_data_on(level, spec, &w, g, &mut out, tw, &mut ConvScratch::new());
         out
     }
 
-    fn weights_at(
-        level: SimdLevel,
-        block: SparseBlock,
-        spec: &ConvSpec,
-        x: &[f32],
-        g: &[f32],
-    ) -> Vec<f32> {
+    fn weights_at(level: SimdLevel, spec: &ConvSpec, x: &[f32], g: &[f32]) -> Vec<f32> {
         let mut out = vec![f32::NAN; spec.weight_shape().len()];
-        backward_weights_on(level, spec, x, g, &mut out, block, &mut ConvScratch::new());
+        backward_weights_on(level, spec, x, g, &mut out, &mut ConvScratch::new());
         out
     }
 
@@ -866,8 +878,7 @@ mod tests {
             let mut oracle = vec![0f32; spec.input_shape().len()];
             reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
             for tw in [1, 2, 64] {
-                let ours =
-                    data_at(detect_simd_level(), host_block(), &spec, &weights, &grad_out, tw);
+                let ours = data_at(detect_simd_level(), &spec, &weights, &grad_out, tw);
                 let diff = max_diff(&ours, &oracle);
                 assert!(diff < 1e-4, "{spec} tw={tw}: diff {diff}");
             }
@@ -881,32 +892,76 @@ mod tests {
             let grad_out = sparse_grad(spec.output_shape().len(), 4, 1);
             let mut oracle = vec![0f32; spec.weight_shape().len()];
             reference::backward_weights(&spec, &input, &grad_out, &mut oracle);
-            let ours = weights_at(detect_simd_level(), host_block(), &spec, &input, &grad_out);
+            let ours = weights_at(detect_simd_level(), &spec, &input, &grad_out);
             let diff = max_diff(&ours, &oracle);
             assert!(diff < 1e-4, "{spec}: diff {diff}");
         }
     }
 
-    /// Every tier, and every register block of every tier, computes the
-    /// portable tier's bits in both phases.
+    /// The chunks sweep `0..n` in order, in whole vectors but the very
+    /// last, in power-of-two sizes no wider than the block — the sizes the
+    /// loop nests have an instance of.
     #[test]
-    fn tiers_and_blocks_are_bit_identical() {
+    fn chunks_cover_each_run_exactly() {
+        for lanes in [8, 16] {
+            let block = sparse_block(lanes);
+            assert!(block.is_power_of_two() && block <= 16, "{lanes} lanes");
+            for n in 0..300 {
+                let mut next = 0;
+                for (at, q, tail) in chunks(lanes, n) {
+                    assert_eq!(at, next, "{lanes} lanes, n={n}");
+                    assert!(q.is_power_of_two() && q <= block, "{lanes} lanes, n={n}");
+                    assert!((1..=lanes).contains(&tail), "{lanes} lanes, n={n}");
+                    next = at + (q - 1) * lanes + tail;
+                    assert!(tail == lanes || next == n, "{lanes} lanes, n={n}");
+                }
+                assert_eq!(next, n, "{lanes} lanes");
+            }
+        }
+    }
+
+    /// The plan's lane width is the host tier's.
+    #[test]
+    fn host_lanes_are_the_host_tiers() {
+        let want = if detect_simd_level() == SimdLevel::Avx512Fma { 16 } else { 8 };
+        assert_eq!(host_lanes(), want);
+    }
+
+    /// Every tier computes the portable tier's bits in both phases.
+    #[test]
+    fn tiers_are_bit_identical() {
         for spec in spec_cases() {
             let weights = pseudo(spec.weight_shape().len(), 5);
             let input = pseudo(spec.input_shape().len(), 6);
             let grad_out = sparse_grad(spec.output_shape().len(), 3, 4);
-            let portable = SparseBlock { lanes: 8, vectors: 8 };
-            let want_data = data_at(SimdLevel::Scalar, portable, &spec, &weights, &grad_out, 3);
-            let want_weights = weights_at(SimdLevel::Scalar, portable, &spec, &input, &grad_out);
-            for (level, block) in tiers() {
-                for vectors in [1, 2, 4, 8, block.vectors] {
-                    let block = SparseBlock { vectors, ..block };
-                    let at = (level, vectors, spec);
-                    let data = data_at(level, block, &spec, &weights, &grad_out, 3);
-                    assert_eq!(bits(&data), bits(&want_data), "dErr {at:?}");
-                    let dw = weights_at(level, block, &spec, &input, &grad_out);
-                    assert_eq!(bits(&dw), bits(&want_weights), "dW {at:?}");
-                }
+            let want_data = data_at(SimdLevel::Scalar, &spec, &weights, &grad_out, 3);
+            let want_weights = weights_at(SimdLevel::Scalar, &spec, &input, &grad_out);
+            for level in tiers() {
+                let data = data_at(level, &spec, &weights, &grad_out, 3);
+                assert_eq!(bits(&data), bits(&want_data), "dErr {level:?} {spec}");
+                let dw = weights_at(level, &spec, &input, &grad_out);
+                assert_eq!(bits(&dw), bits(&want_weights), "dW {level:?} {spec}");
+            }
+        }
+    }
+
+    /// Every tier computes the portable tier's bits on full Table 2
+    /// geometry: CIFAR-10's two conv layers (a 15-float `kx·c` run; 64
+    /// channels, whole 16-vector blocks) at ~0.95 gradient sparsity.
+    #[test]
+    #[cfg_attr(miri, ignore = "full Table 2 geometry is too large to interpret")]
+    fn tiers_are_bit_identical_on_cifar10_geometry() {
+        for spec in [ConvSpec::square(36, 64, 3, 5, 1), ConvSpec::square(8, 64, 64, 5, 1)] {
+            let weights = pseudo(spec.weight_shape().len(), 2);
+            let input = pseudo(spec.input_shape().len(), 3);
+            let grad_out = sparse_grad(spec.output_shape().len(), 20, 1);
+            let want_data = data_at(SimdLevel::Scalar, &spec, &weights, &grad_out, 64);
+            let want_weights = weights_at(SimdLevel::Scalar, &spec, &input, &grad_out);
+            for level in tiers().into_iter().skip(1) {
+                let data = data_at(level, &spec, &weights, &grad_out, 64);
+                assert_eq!(bits(&data), bits(&want_data), "dErr {level:?} {spec}");
+                let dw = weights_at(level, &spec, &input, &grad_out);
+                assert_eq!(bits(&dw), bits(&want_weights), "dW {level:?} {spec}");
             }
         }
     }
@@ -941,12 +996,11 @@ mod tests {
         let mut want_weights = vec![0f32; spec.weight_shape().len()];
         reference::backward_weights(&spec, &input, &grad_out, &mut want_weights);
         assert!(nans(&want_data).iter().any(|&n| n) && nans(&want_weights).iter().any(|&n| n));
-        let portable = SparseBlock { lanes: 8, vectors: 8 };
-        let base_data = data_at(SimdLevel::Scalar, portable, &spec, &weights, &grad_out, 2);
-        let base_weights = weights_at(SimdLevel::Scalar, portable, &spec, &input, &grad_out);
-        for (level, block) in tiers() {
-            let data = data_at(level, block, &spec, &weights, &grad_out, 2);
-            let dw = weights_at(level, block, &spec, &input, &grad_out);
+        let base_data = data_at(SimdLevel::Scalar, &spec, &weights, &grad_out, 2);
+        let base_weights = weights_at(SimdLevel::Scalar, &spec, &input, &grad_out);
+        for level in tiers() {
+            let data = data_at(level, &spec, &weights, &grad_out, 2);
+            let dw = weights_at(level, &spec, &input, &grad_out);
             assert_eq!(nans(&data), nans(&want_data), "dErr NaNs {level:?}");
             assert_eq!(nans(&dw), nans(&want_weights), "dW NaNs {level:?}");
             assert_eq!(bits(&data), bits(&base_data), "dErr {level:?}");
@@ -962,10 +1016,10 @@ mod tests {
         let spec = ConvSpec::new(2, 6, 6, 3, 3, 3, 1, 1).unwrap();
         let weights = pseudo(spec.weight_shape().len(), 9);
         let zeros = vec![0f32; spec.output_shape().len()];
-        let gin = data_at(detect_simd_level(), host_block(), &spec, &weights, &zeros, 64);
+        let gin = data_at(detect_simd_level(), &spec, &weights, &zeros, 64);
         assert!(gin.iter().all(|v| v.to_bits() == 0));
         let input = pseudo(spec.input_shape().len(), 10);
-        let dw = weights_at(detect_simd_level(), host_block(), &spec, &input, &zeros);
+        let dw = weights_at(detect_simd_level(), &spec, &input, &zeros);
         assert!(dw.iter().all(|v| v.to_bits() == 0));
     }
 
@@ -977,7 +1031,7 @@ mod tests {
         let grad_out = pseudo(spec.output_shape().len(), 5);
         let mut oracle = vec![0f32; spec.input_shape().len()];
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
-        let ours = data_at(detect_simd_level(), host_block(), &spec, &weights, &grad_out, 64);
+        let ours = data_at(detect_simd_level(), &spec, &weights, &grad_out, 64);
         let diff = max_diff(&ours, &oracle);
         assert!(diff < 1e-4, "diff {diff}");
     }
@@ -993,10 +1047,9 @@ mod tests {
         let mut gin = vec![0f32; spec.input_shape().len()];
         let mut dw = vec![0f32; spec.weight_shape().len()];
         let mut scratch = ConvScratch::new();
-        let block = host_block();
         let run = |scratch: &mut ConvScratch, gin: &mut [f32], dw: &mut [f32]| {
-            backward_data_scratch(&spec, &weights, &grad_out, gin, 2, block, scratch);
-            backward_weights_scratch(&spec, &input, &grad_out, dw, block, scratch);
+            backward_data_scratch(&spec, &weights, &grad_out, gin, 2, scratch);
+            backward_weights_scratch(&spec, &input, &grad_out, dw, scratch);
         };
         run(&mut scratch, &mut gin, &mut dw);
         let storage = |s: &ConvScratch| {
@@ -1008,28 +1061,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no chunk instance")]
-    fn a_block_with_no_chunk_instance_panics() {
-        let spec = ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap();
-        let mut dw = vec![0f32; 4];
-        let block = SparseBlock { lanes: 8, vectors: 3 };
-        backward_weights_scratch(
-            &spec,
-            &[0.0; 16],
-            &[1.0; 9],
-            &mut dw,
-            block,
-            &mut ConvScratch::new(),
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "tile width")]
     fn zero_tile_width_panics() {
         let spec = ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1).unwrap();
         let mut gin = vec![0f32; 16];
         let w = kkfc(&spec, &[0.0; 4]);
-        let block = host_block();
-        backward_data_scratch(&spec, &w, &[0.0; 9], &mut gin, 0, block, &mut ConvScratch::new());
+        backward_data_scratch(&spec, &w, &[0.0; 9], &mut gin, 0, &mut ConvScratch::new());
     }
 }

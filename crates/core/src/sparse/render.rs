@@ -8,39 +8,41 @@
 
 use std::fmt::Write as _;
 
-use spg_check::SparseBlock;
+use spg_check::sparse_block;
 use spg_convnet::ConvSpec;
 
-/// `block`'s chunks of a run of `n` floats, as vector counts (`16+8+2`).
-fn chunk_list(block: SparseBlock, n: usize) -> String {
-    let sizes: Vec<String> = block.chunks(n).map(|(_, q, _)| q.to_string()).collect();
+use super::kernel::chunks;
+
+/// The chunks of a run of `n` floats at `lanes` lanes, as vector counts
+/// (`16+8+2`).
+fn chunk_list(lanes: usize, n: usize) -> String {
+    let sizes: Vec<String> = chunks(lanes, n).map(|(_, q, _)| q.to_string()).collect();
     sizes.join("+")
 }
 
 /// Emits both phases of the sparse backward the generator produces for
-/// `spec` at the given CT-CSR tile width and register block, as commented
+/// `spec` at the given CT-CSR tile width and lane width, as commented
 /// pseudo-C.
 ///
 /// # Example
 ///
 /// ```
-/// use spg_check::SparseBlock;
 /// use spg_convnet::ConvSpec;
 /// use spg_core::sparse::render_backward_kernel;
 ///
 /// let spec = ConvSpec::square(8, 64, 64, 5, 1);
-/// let listing = render_backward_kernel(&spec, 64, SparseBlock { lanes: 16, vectors: 16 });
+/// let listing = render_backward_kernel(&spec, 64, 16);
 /// assert!(listing.contains("CT-CSR"));
 /// assert!(listing.contains("pointer shift"));
 /// assert!(listing.contains("backward-weights"));
 /// ```
-pub fn render_backward_kernel(spec: &ConvSpec, tile_width: usize, block: SparseBlock) -> String {
+pub fn render_backward_kernel(spec: &ConvSpec, tile_width: usize, lanes: usize) -> String {
     let (nf, nc) = (spec.features(), spec.in_c());
     let (fy, fx) = (spec.ky(), spec.kx());
     let (sy, sx) = (spec.sy(), spec.sx());
     let run = fx * nc;
     let tiles = nf.div_ceil(tile_width.max(1));
-    let SparseBlock { lanes, vectors } = block;
+    let vectors = sparse_block(lanes);
     let mut out = String::new();
     let mut line = |text: String| {
         let _ = writeln!(out, "{text}");
@@ -52,7 +54,7 @@ pub fn render_backward_kernel(spec: &ConvSpec, tile_width: usize, block: SparseB
     line(format!(
         "/* backward-weights: E_O's own CHW rows, no CT-CSR; a {run}-float kx*c run per \
          kernel row, in chunks of {} vectors */",
-        chunk_list(block, run)
+        chunk_list(lanes, run)
     ));
     line("transform(I, CHW -> HWC);       /* channels fastest */".to_string());
     line(format!("for (f = 0; f < {nf}; ++f) {{"));
@@ -68,7 +70,7 @@ pub fn render_backward_kernel(spec: &ConvSpec, tile_width: usize, block: SparseB
     line(format!(
         "/* backward-data: E_O stored as CT-CSR: {tiles} column tile(s) of <= {tile_width} \
          features; a {nc}-float E_I row in chunks of {} vectors */",
-        chunk_list(block, nc)
+        chunk_list(lanes, nc)
     ));
     line(format!("transform(W,  FCKK -> KKFC);    /* once per update: W'[ky][kx][f][0..{nc}] */"));
     line("transform(E_O, CHW -> HWC);     /* features fastest */".to_string());
@@ -95,7 +97,8 @@ pub fn render_backward_kernel(spec: &ConvSpec, tile_width: usize, block: SparseB
 mod tests {
     use super::*;
 
-    const AVX512: SparseBlock = SparseBlock { lanes: 16, vectors: 16 };
+    /// The AVX-512 tier's lane width.
+    const AVX512: usize = 16;
 
     #[test]
     fn listing_reflects_geometry() {
@@ -113,7 +116,7 @@ mod tests {
         let wide = render_backward_kernel(&spec, 64, AVX512);
         assert!(wide.contains("768-float kx*c run per kernel row, in chunks of 16+16+16 vectors"));
         assert!(wide.contains("256-float E_I row in chunks of 16 vectors"));
-        let narrow = render_backward_kernel(&spec, 64, SparseBlock { lanes: 8, vectors: 8 });
+        let narrow = render_backward_kernel(&spec, 64, 8);
         assert!(narrow.contains("E_I row in chunks of 8+8+8+8 vectors"));
     }
 

@@ -3,7 +3,7 @@
 //! The pipeline is **lower → verify → execute**. [`lower`] turns a
 //! technique pair into `spg-check`'s plan IR — choosing the narrow-output
 //! cutoff, the register tile, the band ranges over that plan's loop nest,
-//! the GEMM worker counts, the sparse tile width and register block, and
+//! the GEMM worker counts, the sparse tile width and lane width, and
 //! binding a `spg-codegen` instance when one resolves — hands
 //! that IR to the verifier, and wraps the
 //! [`VerifiedPlan`](spg_check::VerifiedPlan) it gets back in a
@@ -24,7 +24,7 @@ use crate::autotune::Phase;
 use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
 use crate::schedule::{stencil_split, LayerPlan, Technique};
-use crate::sparse::kernel::host_block;
+use crate::sparse::kernel::host_lanes;
 use crate::sparse::DEFAULT_TILE_WIDTH;
 use crate::stencil::{plan_cache_schedule, plan_register_tile};
 use crate::SpgError;
@@ -74,7 +74,7 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
 fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     match technique {
         Technique::SparseBp => {
-            BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH, block: host_block() }
+            BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH, lanes: host_lanes() }
         }
         Technique::GemmInParallel | Technique::StencilFp => {
             BackwardPlan::UnfoldGemm { threads: cores.max(1) }

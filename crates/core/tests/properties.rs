@@ -12,7 +12,7 @@ use spg_core::autotune::Phase;
 use spg_core::compiled::CompiledConv;
 use spg_core::region::{classify_by_features, Region};
 use spg_core::schedule::{recommended_plan, LayerPlan, Technique};
-use spg_core::sparse::kernel::{self as sparse_kernel, host_block};
+use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::stencil::{
     plan_cache_schedule, plan_register_tile, RegisterTilePlan, L1_BUDGET_ELEMS,
 };
@@ -79,7 +79,7 @@ proptest! {
         let mut ours = vec![0.0; ilen];
         let mut oracle = vec![0.0; ilen];
         let w_kkfc = layout::Kkfc::from_fckk(&weights, spec.weight_shape());
-        sparse_kernel::backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, tile_width, host_block(), &mut ConvScratch::new());
+        sparse_kernel::backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, tile_width, &mut ConvScratch::new());
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
     }
@@ -96,7 +96,7 @@ proptest! {
         let wlen = spec.weight_shape().len();
         let mut ours = vec![0.0; wlen];
         let mut oracle = vec![0.0; wlen];
-        sparse_kernel::backward_weights_scratch(&spec, &input, &grad_out, &mut ours, host_block(), &mut ConvScratch::new());
+        sparse_kernel::backward_weights_scratch(&spec, &input, &grad_out, &mut ours, &mut ConvScratch::new());
         reference::backward_weights(&spec, &input, &grad_out, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
     }

@@ -18,7 +18,7 @@ use spg_core::ait::conv_gemm_dims;
 use spg_core::autotune::tune_layer;
 use spg_core::compiled::CompiledConv;
 use spg_core::schedule::{LayerPlan, Technique};
-use spg_core::sparse::kernel::{self as sparse_kernel, host_block};
+use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::verify::{lower, lower_phase};
 use spg_telemetry::Phase;
 use spg_tensor::{layout, Tensor};
@@ -244,7 +244,6 @@ proptest! {
                 &grad_out,
                 &mut grad_in,
                 tile_width,
-                host_block(),
                 &mut ConvScratch::new(),
             );
         });
@@ -256,7 +255,6 @@ proptest! {
                 &input,
                 &grad_out,
                 &mut grad_w,
-                host_block(),
                 &mut ConvScratch::new(),
             );
         });

@@ -49,8 +49,8 @@ fn main() {
     println!();
 
     println!("-- Sec. 4.2: generated sparse backward kernel --");
-    let block = spg_cnn::core::sparse::kernel::host_block();
-    for line in spg_cnn::core::sparse::render_backward_kernel(&spec, 64, block).lines() {
+    let lanes = spg_cnn::core::sparse::kernel::host_lanes();
+    for line in spg_cnn::core::sparse::render_backward_kernel(&spec, 64, lanes).lines() {
         println!("  {line}");
     }
     println!();

@@ -10,12 +10,10 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example sparse_backprop [-- LAYER]
+//! cargo run --release --example sparse_backprop
 //! ```
 //!
-//! where `LAYER` keeps only the layers whose name contains it (e.g.
-//! `"ImageNet 1K L2"`). Pin it to one core (`taskset -c 1`) for stable
-//! numbers.
+//! Pin it to one core (`taskset -c 1`) for stable numbers.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -83,7 +81,6 @@ fn relative_diff(a: &[f32], b: &[f32]) -> f32 {
 }
 
 fn main() {
-    let filter = std::env::args().nth(1).unwrap_or_default();
     println!("one core; backward = backward-weights + backward-data (layer 0: weights only)");
     println!(
         "{:<16} {:>8} {:>11} {:>11} {:>8} {:>11} {:>11}",
@@ -91,9 +88,6 @@ fn main() {
     );
     for (bench, layer, spec) in table2::all_layers() {
         let name = format!("{} L{layer}", bench.label());
-        if !name.contains(&filter) {
-            continue;
-        }
         let lowered = |t| {
             lower_phase(&spec, t, Phase::Backward, 1, KernelChoice::Auto)
                 .unwrap_or_else(|e| panic!("{name}: {e}"))

@@ -5,21 +5,16 @@
 //! tolerance; this pins each layer's output bits to a literal, so a change
 //! of the per-element order of additions — a new loop nest, a register
 //! block, a vector tier — shows. The kernel multiplies and then adds (no
-//! fused multiply-add), so the words are the same on every host, and on
-//! every tier: each host also runs the sparsest operands with the 8-lane
-//! register block.
+//! fused multiply-add), so the words are the same on every host.
 //! Backward-data is not run on layer 0 (a network never propagates an
 //! error into its input).
 
-use spg_cnn::check::SparseBlock;
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::ConvSpec;
 use spg_cnn::core::autotune::Phase;
 use spg_cnn::core::schedule::Technique;
-use spg_cnn::core::sparse::{kernel as sparse, DEFAULT_TILE_WIDTH};
 use spg_cnn::core::verify::lower_phase;
-use spg_cnn::tensor::layout::Kkfc;
 use spg_cnn::workloads::synth::conv_operands;
 use spg_cnn::workloads::table2::{self, Benchmark};
 
@@ -157,32 +152,8 @@ fn words(spec: &ConvSpec, sparsity: f64, with_data: bool) -> (u64, u64) {
     (fnv1a(&dw), derr)
 }
 
-/// The same words through the kernel entries with the 8-lane register
-/// block: the AVX2 tier on an AVX2 or AVX-512 host (the portable one on a
-/// host without AVX2), so every host also pins the tier a host without
-/// AVX-512 deploys.
-fn narrow_words(spec: &ConvSpec, sparsity: f64, with_data: bool) -> (u64, u64) {
-    let block = SparseBlock { lanes: 8, vectors: 8 };
-    let ops = conv_operands(spec, sparsity, 7);
-    let (input, grad_out) = (ops.input.as_slice(), ops.grad_out.as_slice());
-    let mut scratch = ConvScratch::new();
-    let mut dw = vec![f32::NAN; spec.weight_shape().len()];
-    sparse::backward_weights_scratch(spec, input, grad_out, &mut dw, block, &mut scratch);
-    let derr = if with_data {
-        let w = Kkfc::from_fckk(ops.weights.as_slice(), spec.weight_shape());
-        let mut gin = vec![f32::NAN; spec.input_shape().len()];
-        let tile = DEFAULT_TILE_WIDTH;
-        sparse::backward_data_scratch(spec, &w, grad_out, &mut gin, tile, block, &mut scratch);
-        fnv1a(&gin)
-    } else {
-        0
-    };
-    (fnv1a(&dw), derr)
-}
-
-/// Checks every recorded layer of `bench` on the host's plan, and at the
-/// sparsest operands with the 8-lane block. One test per benchmark, so
-/// the harness runs them side by side.
+/// Checks every recorded layer of `bench`. One test per benchmark, so the
+/// harness runs them side by side.
 fn check(bench: Benchmark) {
     let layers = bench.conv_layers();
     for &(_, layer, want) in RECORDED.iter().filter(|(b, _, _)| *b == bench) {
@@ -190,8 +161,6 @@ fn check(bench: Benchmark) {
             let got = words(&layers[layer], sparsity, layer > 0);
             assert_eq!(got, want, "{} layer {layer} at sparsity {sparsity}", bench.label());
         }
-        let got = narrow_words(&layers[layer], SPARSITIES[2], layer > 0);
-        assert_eq!(got, want[2], "{} layer {layer}, 8-lane block", bench.label());
     }
 }
 
