@@ -22,13 +22,13 @@
 //!
 //! The tiers — portable, AVX2 and AVX-512F; each entry runs the widest the
 //! CPU has, as [`FcKernels`](spg_gemm::FcKernels) does — run the same loop
-//! nest, and every
-//! tier multiplies and then adds (never fused). Each output element takes
-//! its terms in the order of the unblocked scalar loops this kernel
-//! replaced — a weight-gradient element in ascending `p`, an input-gradient
-//! element in (tile, `p`, `f`) order — so every tier computes the same bits
-//! on every host. A gradient entry is a non-zero when `v != 0.0`: `-0.0`
-//! is skipped, a NaN is kept and propagates.
+//! nest, and every tier multiplies and then adds (never fused). Each
+//! output element takes its terms in the order of the unblocked scalar
+//! loops this kernel replaced — a weight-gradient element in ascending
+//! `p`, an input-gradient element in (tile, `p`, `f`) order — so every
+//! tier computes the same bits on every host. A gradient entry is a
+//! non-zero when `v != 0.0`: `-0.0` is skipped, a NaN is kept and
+//! propagates.
 //!
 //! What is per sample — the HWC transforms, the compaction and the CT-CSR
 //! build — is staged in the caller's [`ConvScratch`]; a warm call allocates
