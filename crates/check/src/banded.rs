@@ -10,8 +10,7 @@
 //!
 //! * the **parent tiled plan verifies** — which bounds every input
 //!   broadcast, weight load and store of every tile position in the
-//!   layer, hence of every band (the narrow shifted-GEMM path accumulates
-//!   in a different order and cannot be banded);
+//!   layer, hence of every band;
 //! * feature bands start on the tile's **feature blocks**, so every block a
 //!   region sweeps lies inside the padded weight layout;
 //! * the bands **disjointly cover** the split extent (race-free, complete)
@@ -151,11 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn narrow_parent_plan_rejected() {
+    fn non_tiled_parent_plan_rejected() {
         let spec = ConvSpec::square(34, 16, 4, 3, 1);
         let bands = [(0, 16), (16, 32)];
-        let err =
-            check_with(&spec, BandDim::YRows, &ForwardPlan::StencilNarrow, &bands).unwrap_err();
+        let gemm = ForwardPlan::UnfoldGemm { threads: 2 };
+        let err = check_with(&spec, BandDim::YRows, &gemm, &bands).unwrap_err();
         assert!(matches!(
             err,
             CheckError::PlanShapeMismatch {

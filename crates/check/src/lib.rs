@@ -1,9 +1,8 @@
 //! `spg-check`: plan-time static verification of spg-CNN execution plans.
 //!
 //! The paper's performance comes from *generated* code over raw buffers —
-//! register-tiled stencil basic blocks (Sec. 4.3), cache/TLB-aware schedules,
-//! CT-CSR pointer-shifting sparse composition (Eq. 11–15), and Parallel-GEMM
-//! row-band splits. A wrong plan there is silent memory corruption, not a
+//! register-tiled stencil basic blocks (Sec. 4.3), CT-CSR pointer-shifting
+//! sparse composition (Eq. 11–15), and Parallel-GEMM row-band splits. A wrong plan there is silent memory corruption, not a
 //! test failure. This crate closes that gap with an abstract interpretation
 //! over the plan IR: every read/write access range is computed symbolically
 //! (exact interval arithmetic over the kernels' monotone affine index
@@ -37,7 +36,7 @@ pub use error::{Buf, CheckError};
 pub use interval::Span;
 pub use plan::{
     sparse_block, vector_registers, BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile,
-    ScheduleTile, L1_BUDGET_ELEMS, PAGE_ELEMS, TLB_BUDGET_PAGES, VECTOR_WIDTH,
+    VECTOR_WIDTH,
 };
 pub use verified::{TileRegion, VerifiedPlan, VerifiedTiled};
 
@@ -104,21 +103,17 @@ impl Interp {
     }
 }
 
-/// Verifies a forward plan (plus the generated schedule tile) against
-/// `spec` and the scratch capacities `cap`.
+/// Verifies a forward plan against `spec` and the scratch capacities `cap`.
 pub fn verify_forward(
     spec: &ConvSpec,
     forward: &ForwardPlan,
-    schedule: ScheduleTile,
     cap: &ScratchCapacity,
 ) -> Result<CheckReport, CheckError> {
     let mut interp = Interp::default();
-    plan::check_schedule_tile(&mut interp, spec, schedule)?;
     match *forward {
         ForwardPlan::StencilTiled { lanes, tile } => {
             stencil::check_forward_tiled(&mut interp, spec, lanes, tile)?;
         }
-        ForwardPlan::StencilNarrow => stencil::check_forward_narrow(&mut interp, spec, cap)?,
         ForwardPlan::StencilBanded { dim, ref tiled, ref bands } => {
             banded::check_forward_banded(&mut interp, spec, dim, tiled, bands)?;
         }
@@ -147,9 +142,9 @@ pub fn verify_backward(
     Ok(interp.report)
 }
 
-/// Verifies a complete lowered layer plan — both phases plus the generated
-/// tile shapes — and returns it as the proof-carrying [`VerifiedPlan`] the
-/// kernels execute from. This is the only way to obtain one.
+/// Verifies a complete lowered layer plan — both phases — and returns it
+/// as the proof-carrying [`VerifiedPlan`] the kernels execute from. This is
+/// the only way to obtain one.
 ///
 /// # Errors
 ///
@@ -160,7 +155,7 @@ pub fn verify_conv_plan(
     plan: ConvPlan,
     cap: &ScratchCapacity,
 ) -> Result<VerifiedPlan, CheckError> {
-    let mut report = verify_forward(spec, &plan.forward, plan.schedule, cap)?;
+    let mut report = verify_forward(spec, &plan.forward, cap)?;
     report.absorb(verify_backward(spec, &plan.backward, cap)?);
     Ok(VerifiedPlan::proved(*spec, plan, report))
 }

@@ -1,6 +1,6 @@
-//! The verifier's plan IR and the basic-block / schedule consistency checks.
+//! The verifier's plan IR and the register-tile consistency checks.
 //!
-//! `spg-core` lowers its `LayerPlan` + generated tile/schedule parameters into
+//! `spg-core` lowers its `LayerPlan` + generated tile parameters into
 //! this IR before verification; the IR deliberately carries the *derived*
 //! quantities the kernels actually execute with (lane count, register tile,
 //! band ranges, worker count) rather than the planner's abstract knobs, so the
@@ -11,8 +11,7 @@ use crate::Interp;
 use spg_convnet::ConvSpec;
 
 /// SIMD lanes per vector register of the run-time-geometry ("generic")
-/// stencil instance (AVX2: 8), and the output width below which a stencil
-/// lowers to the narrow kernel. The one definition; `spg-core` re-exports
+/// stencil instance (AVX2: 8). The one definition; `spg-core` re-exports
 /// it.
 pub const VECTOR_WIDTH: usize = 8;
 
@@ -26,15 +25,6 @@ pub const fn vector_registers(lanes: usize) -> Option<usize> {
         _ => None,
     }
 }
-
-/// L1 working-set budget in `f32` elements the schedule generator targets.
-pub const L1_BUDGET_ELEMS: usize = 4 * 1024;
-
-/// Elements per page used by the TLB cost model.
-pub const PAGE_ELEMS: usize = 1024;
-
-/// Data-TLB entry budget the schedule generator targets.
-pub const TLB_BUDGET_PAGES: usize = 16;
 
 /// The stencil's register tile (Sec. 4.3's basic block, vectorized over
 /// output features): `nx` consecutive output positions of one row times
@@ -55,15 +45,6 @@ impl RegisterTile {
     pub fn registers(self) -> usize {
         self.nx * self.nfv + self.nfv + 1
     }
-}
-
-/// Cache/TLB schedule tile chosen by the schedule generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleTile {
-    /// Output rows per cache tile.
-    pub y_tile: usize,
-    /// Output columns per cache tile.
-    pub x_tile: usize,
 }
 
 /// Which output dimension a banded (hybrid intra-layer) decomposition
@@ -90,8 +71,6 @@ pub enum ForwardPlan {
         /// The register tile every output row is swept with.
         tile: RegisterTile,
     },
-    /// Narrow-output stencil: per-tap gather into a patch block + small GEMM.
-    StencilNarrow,
     /// Hybrid intra-layer decomposition: the layer's own tiled plan with
     /// one axis of its loop nest partitioned into disjoint contiguous
     /// worker bands. A band is not a convolution of its own — it is a
@@ -147,16 +126,13 @@ pub enum BackwardPlan {
     },
 }
 
-/// A complete lowered layer plan: both phases plus the generated cache
-/// schedule.
+/// A complete lowered layer plan: both phases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvPlan {
     /// Forward execution strategy.
     pub forward: ForwardPlan,
     /// Backward execution strategy.
     pub backward: BackwardPlan,
-    /// Cache/TLB schedule tile the generator chose for this spec.
-    pub schedule: ScheduleTile,
 }
 
 /// Proves a stencil register tile admissible at `lanes` lanes: non-empty,
@@ -234,76 +210,6 @@ pub(crate) fn check_sparse_lanes(interp: &mut Interp, lanes: usize) -> Result<()
     Ok(())
 }
 
-/// Proves the schedule tile consistent with the spec and, for multi-row tiles,
-/// within the L1 and TLB budgets the schedule generator targets.
-///
-/// Single-row tiles are the generator's unconditional fallback (a layer whose
-/// one-row working set exceeds L1 still has to run), so budget violations are
-/// only rejected when the plan claims a grown tile.
-pub(crate) fn check_schedule_tile(
-    interp: &mut Interp,
-    spec: &ConvSpec,
-    tile: ScheduleTile,
-) -> Result<(), CheckError> {
-    if tile.y_tile == 0 || tile.x_tile == 0 {
-        return Err(CheckError::PlanShapeMismatch {
-            context: "schedule tile must be at least 1x1",
-            expected: 1,
-            found: 0,
-        });
-    }
-    if tile.y_tile > spec.out_h() {
-        return Err(CheckError::PlanShapeMismatch {
-            context: "schedule tile taller than the output",
-            expected: spec.out_h(),
-            found: tile.y_tile,
-        });
-    }
-    if tile.x_tile > spec.out_w() {
-        return Err(CheckError::PlanShapeMismatch {
-            context: "schedule tile wider than the output",
-            expected: spec.out_w(),
-            found: tile.x_tile,
-        });
-    }
-    if tile.y_tile > 1 {
-        let working_set = working_set_elems(spec, tile);
-        if working_set > L1_BUDGET_ELEMS {
-            return Err(CheckError::BudgetExceeded {
-                context: "cache-tile L1 working set",
-                used: working_set,
-                budget: L1_BUDGET_ELEMS,
-            });
-        }
-        let pages = pages_touched(spec, tile);
-        if pages > TLB_BUDGET_PAGES {
-            return Err(CheckError::BudgetExceeded {
-                context: "cache-tile TLB pages",
-                used: pages,
-                budget: TLB_BUDGET_PAGES,
-            });
-        }
-    }
-    interp.proved(3);
-    Ok(())
-}
-
-/// Elements one cache tile keeps live: its input halo, its output tile, and
-/// the kernel. Mirrors the schedule generator's cost model.
-fn working_set_elems(spec: &ConvSpec, tile: ScheduleTile) -> usize {
-    let input_tile = (tile.y_tile + spec.ky() - 1) * (tile.x_tile + spec.kx() - 1);
-    input_tile + tile.y_tile * tile.x_tile + spec.ky() * spec.kx()
-}
-
-/// Average pages one cache tile touches. Mirrors the schedule generator's
-/// TLB cost model (half-page expectation per row segment).
-fn pages_touched(spec: &ConvSpec, tile: ScheduleTile) -> usize {
-    let row_pages = |w: usize| w / PAGE_ELEMS + 2;
-    let input_rows = tile.y_tile + spec.ky() - 1;
-    input_rows * row_pages(tile.x_tile + spec.kx() - 1) / 2
-        + tile.y_tile * row_pages(tile.x_tile) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +223,6 @@ mod tests {
         let mut interp = Interp::default();
         check_register_tile(&mut interp, &spec(), 16, RegisterTile { nx: 4, nfv: 6 }).unwrap();
         check_register_tile(&mut interp, &spec(), 8, RegisterTile { nx: 4, nfv: 3 }).unwrap();
-        check_schedule_tile(&mut interp, &spec(), ScheduleTile { y_tile: 4, x_tile: 28 }).unwrap();
     }
 
     /// The budget is the instruction set's: a tile that fits the 32 ZMM
@@ -344,35 +249,5 @@ mod tests {
         assert!(matches!(err, CheckError::PlanShapeMismatch { expected: 8, found: 9, .. }));
         let err = check_register_tile(&mut interp, &spec(), 8, tile).unwrap_err();
         assert!(matches!(err, CheckError::PlanShapeMismatch { expected: 8, found: 9, .. }));
-    }
-
-    #[test]
-    fn grown_schedule_tile_over_tlb_rejected() {
-        // 28x28 output: a tile the full height of the output touches 32 pages
-        // under the half-page model, over the 16-entry budget.
-        let mut interp = Interp::default();
-        let err =
-            check_schedule_tile(&mut interp, &spec(), ScheduleTile { y_tile: 28, x_tile: 28 })
-                .unwrap_err();
-        assert!(matches!(err, CheckError::BudgetExceeded { context: "cache-tile TLB pages", .. }));
-    }
-
-    #[test]
-    fn grown_schedule_tile_over_l1_rejected() {
-        // 76x76 output: a 60-row tile keeps a ~5000-element input halo live.
-        let wide = ConvSpec::square(80, 4, 1, 5, 1);
-        let mut interp = Interp::default();
-        let err = check_schedule_tile(&mut interp, &wide, ScheduleTile { y_tile: 60, x_tile: 76 })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CheckError::BudgetExceeded { context: "cache-tile L1 working set", .. }
-        ));
-    }
-
-    #[test]
-    fn single_row_fallback_tile_always_accepted() {
-        let mut interp = Interp::default();
-        check_schedule_tile(&mut interp, &spec(), ScheduleTile { y_tile: 1, x_tile: 28 }).unwrap();
     }
 }

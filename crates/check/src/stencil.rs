@@ -1,6 +1,5 @@
 //! Stencil forward-plan checks: the register-tiled basic block with
-//! output features as vector lanes, at every stride, and the narrow
-//! gather + GEMM fallback.
+//! output features as vector lanes, at every stride and output width.
 
 use crate::error::{Buf, CheckError};
 use crate::interval::Span;
@@ -18,10 +17,11 @@ pub(crate) fn padded_features(spec: &ConvSpec, lanes: usize, tile: RegisterTile)
 /// Verifies the register-tiled stencil forward plan.
 ///
 /// The loop nest sweeps each output row in groups of `lanes` positions
-/// (the last overlapping its predecessor so it ends at the row end), each
-/// group in x-blocks of `tile.nx` positions (likewise), and each region's
-/// features in blocks of `tile.nfv * lanes`; a group's stores go to
-/// `lanes` consecutive positions of each feature's plane. Symbolically evaluates every access
+/// (the last overlapping its predecessor so it ends at the row end; one
+/// group of the whole row on rows narrower than `lanes`), each group in
+/// x-blocks of `tile.nx` positions (likewise), and each region's features
+/// in blocks of `tile.nfv * lanes`; a group's stores go to its consecutive
+/// positions of each feature's plane. Symbolically evaluates every access
 /// expression a tile executes and proves them in-bounds: the input
 /// broadcasts `(c*H + y*sy + ky)*W + x*sx + kx` for every position of
 /// every x-block and every tap (the stride is a broadcast offset, so the
@@ -74,56 +74,9 @@ pub(crate) fn check_forward_tiled(
     Ok(())
 }
 
-/// Verifies the narrow-output stencil plan: per-tap gathers of `nc`-wide HWC
-/// pixels into a patch block, a small GEMM against the `kkcf` weight blocks,
-/// and HWC staging of both activations.
-pub(crate) fn check_forward_narrow(
-    interp: &mut Interp,
-    spec: &ConvSpec,
-    cap: &crate::ScratchCapacity,
-) -> Result<(), CheckError> {
-    let (nc, in_w) = (spec.in_c(), spec.in_w());
-    let (fy, fx, nf) = (spec.ky(), spec.kx(), spec.features());
-    let patches = spec.out_h() * spec.out_w();
-    let in_len = spec.input_shape().len();
-    let out_len = spec.output_shape().len();
-    let w_len = spec.weight_shape().len();
-
-    interp.capacity(Buf::HwcIn, "HWC input staging", in_len, cap.hwc_in)?;
-    interp.capacity(Buf::HwcOut, "HWC output staging", patches * nf, cap.hwc_out)?;
-    interp.capacity(Buf::MatA, "gathered patch block", patches * nc, cap.mat_a)?;
-
-    // Per-tap gather: src = ((y*sy + ky)*in_w + x*sx + kx)*nc + 0..nc.
-    let gather = Span::iter(spec.out_h())
-        .scale(spec.sy())
-        .plus(Span::iter(fy))
-        .scale(in_w)
-        .plus(Span::iter(spec.out_w()).scale(spec.sx()).plus(Span::iter(fx)))
-        .scale(nc)
-        .block(nc);
-    interp.access(Buf::HwcIn, "narrow per-tap gather", gather, in_len)?;
-
-    // kkcf weight block for tap (ky, kx): a contiguous nc*nf slab.
-    let w_block = Span::iter(fy).scale(fx).plus(Span::iter(fx)).scale(nc * nf).block(nc * nf);
-    interp.access(Buf::Weights, "narrow kkcf weight block", w_block, w_len)?;
-
-    // Accumulating GEMM: gathered (patches x nc) * block (nc x nf) -> out_hwc.
-    crate::gemm::check_gemm_dims(
-        interp,
-        "narrow stencil GEMM operands",
-        (patches, nf, nc),
-        crate::gemm::Operand { buf: Buf::MatA, len: patches * nc, ld: nc },
-        crate::gemm::Operand { buf: Buf::Weights, len: nc * nf, ld: nf },
-        crate::gemm::Operand { buf: Buf::HwcOut, len: patches * nf, ld: nf },
-    )?;
-    interp.access(Buf::Output, "narrow HWC-to-CHW store", Span::iter(out_len), out_len)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScratchCapacity;
 
     fn check(spec: &ConvSpec, lanes: usize, tile: RegisterTile) -> Result<(), CheckError> {
         check_forward_tiled(&mut Interp::default(), spec, lanes, tile)
@@ -163,13 +116,5 @@ mod tests {
         let spec = ConvSpec::square(12, 4, 2, 3, 1); // 10-wide rows
         let err = check(&spec, 16, RegisterTile { nx: 12, nfv: 1 }).unwrap_err();
         assert!(matches!(err, CheckError::PlanShapeMismatch { expected: 10, found: 12, .. }));
-    }
-
-    #[test]
-    fn narrow_plan_verifies() {
-        let spec = ConvSpec::square(8, 4, 2, 3, 1); // out_w = 6 < 8
-        let cap = ScratchCapacity::reserved_for(&spec);
-        let mut interp = Interp::default();
-        check_forward_narrow(&mut interp, &spec, &cap).unwrap();
     }
 }

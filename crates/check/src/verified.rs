@@ -216,7 +216,7 @@ impl TileRegion<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{BackwardPlan, ScheduleTile, VECTOR_WIDTH};
+    use crate::plan::{BackwardPlan, VECTOR_WIDTH};
     use crate::{verify_conv_plan, ScratchCapacity};
 
     fn proved(spec: &ConvSpec, bands: Option<(BandDim, Vec<(usize, usize)>)>) -> VerifiedPlan {
@@ -226,11 +226,7 @@ mod tests {
             Some((dim, bands)) => ForwardPlan::StencilBanded { dim, tiled: Box::new(tiled), bands },
             None => tiled,
         };
-        let plan = ConvPlan {
-            forward,
-            backward: BackwardPlan::UnfoldGemm { threads: 1 },
-            schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
-        };
+        let plan = ConvPlan { forward, backward: BackwardPlan::UnfoldGemm { threads: 1 } };
         verify_conv_plan(spec, plan, &ScratchCapacity::reserved_for(spec)).expect("plan verifies")
     }
 

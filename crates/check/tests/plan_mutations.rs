@@ -16,14 +16,15 @@ use proptest::prelude::*;
 
 use spg_check::{
     gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, Buf, CheckError, ConvPlan,
-    ForwardPlan, RegisterTile, ScheduleTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
+    ForwardPlan, RegisterTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
-/// Specs wide enough for the tiled stencil path (`out_w >= VECTOR_WIDTH`).
+/// Specs whose rows hold a whole 8-lane store group (`out_w >=
+/// VECTOR_WIDTH`), so every tile the mutations start from fits a row.
 fn wide_spec() -> impl Strategy<Value = ConvSpec> {
     (1usize..4, 10usize..24, 1usize..6, 1usize..5, 1usize..3).prop_filter_map(
-        "tiled stencil needs a full vector of output columns",
+        "the mutated tiles need a full vector of output columns",
         |(c, n, f, k, s)| {
             let spec = ConvSpec::new(c, n, n, f, k, k, s, s).ok()?;
             (spec.out_w() >= VECTOR_WIDTH).then_some(spec)
@@ -46,24 +47,13 @@ fn good_tiled(_: &ConvSpec) -> ForwardPlan {
     ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile: RegisterTile { nx: 4, nfv: 1 } }
 }
 
-/// A schedule tile that is always admissible (the generator's
-/// unconditional single-row fallback).
-fn good_schedule(spec: &ConvSpec) -> ScheduleTile {
-    ScheduleTile { y_tile: 1, x_tile: spec.out_w() }
-}
-
 /// Judges `fwd` and shows the verdict is also the only way to (not)
 /// obtain the executable type: [`verify_conv_plan`] on the same forward
 /// plan (with the always-admissible serial GEMM backward) returns the
 /// identical error, or a [`VerifiedPlan`] holding this plan.
 fn verify(spec: &ConvSpec, fwd: &ForwardPlan, cap: &ScratchCapacity) -> Result<(), CheckError> {
-    let schedule = good_schedule(spec);
-    let judged = verify_forward(spec, fwd, schedule, cap).map(|_| ());
-    let plan = ConvPlan {
-        forward: fwd.clone(),
-        backward: BackwardPlan::UnfoldGemm { threads: 1 },
-        schedule,
-    };
+    let judged = verify_forward(spec, fwd, cap).map(|_| ());
+    let plan = ConvPlan { forward: fwd.clone(), backward: BackwardPlan::UnfoldGemm { threads: 1 } };
     let executable: Result<VerifiedPlan, CheckError> = verify_conv_plan(spec, plan.clone(), cap);
     match (&judged, executable) {
         (Ok(()), Ok(proved)) => {
@@ -148,16 +138,16 @@ proptest! {
     }
 
     /// Undersized scratch: shrinking a required staging capacity below the
-    /// plan's high-water footprint is a ScratchOverflow. The narrow stencil
-    /// stages the whole input in hwc_in, so zeroing that reservation must
+    /// plan's high-water footprint is a ScratchOverflow. The GEMM forward
+    /// unfolds every patch into mat_a, so zeroing that reservation must
     /// overflow on every spec.
     #[test]
     fn undersized_scratch_rejected(spec in any_spec()) {
         let mut cap = ScratchCapacity::reserved_for(&spec);
-        cap.hwc_in = 0;
-        let err = verify(&spec, &ForwardPlan::StencilNarrow, &cap).unwrap_err();
+        cap.mat_a = 0;
+        let err = verify(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, &cap).unwrap_err();
         prop_assert!(
-            matches!(err, CheckError::ScratchOverflow { buffer: Buf::HwcIn, .. }),
+            matches!(err, CheckError::ScratchOverflow { buffer: Buf::MatA, .. }),
             "unexpected error {err:?}"
         );
     }
@@ -213,12 +203,11 @@ proptest! {
     #[test]
     fn forward_gemm_row_bands_verify(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let st = good_schedule(&spec);
         let plan = ForwardPlan::UnfoldGemm { threads: 3 };
-        let report = verify_forward(&spec, &plan, st, &cap).unwrap();
+        let report = verify_forward(&spec, &plan, &cap).unwrap();
         prop_assert_eq!(report.worker_regions, gemm::row_bands(spec.features(), 3).len());
         prop_assert!(verify(&spec, &plan, &cap).is_ok());
-        let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, st, &cap);
+        let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, &cap);
         prop_assert_eq!(serial.unwrap().worker_regions, 0);
         prop_assert!(verify(&spec, &ForwardPlan::UnfoldGemm { threads: 0 }, &cap).is_err());
     }
@@ -439,7 +428,6 @@ fn verify_sparse(
     let plan = ConvPlan {
         forward: ForwardPlan::UnfoldGemm { threads: 1 },
         backward: BackwardPlan::SparsePointerShift { tile_width, lanes },
-        schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w().max(1) },
     };
     verify_conv_plan(spec, plan, cap)
 }

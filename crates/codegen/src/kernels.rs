@@ -569,7 +569,7 @@ define_simd_forward! {
 pub(crate) mod tests {
     use super::*;
     use spg_check::VECTOR_WIDTH;
-    use spg_check::{BackwardPlan, BandDim, ConvPlan, ForwardPlan, ScheduleTile, VerifiedPlan};
+    use spg_check::{BackwardPlan, BandDim, ConvPlan, ForwardPlan, VerifiedPlan};
     use spg_convnet::reference;
 
     pub(crate) fn pseudo(n: usize, salt: usize) -> Vec<f32> {
@@ -604,11 +604,7 @@ pub(crate) mod tests {
                 ForwardPlan::StencilBanded { dim, tiled: Box::new(tiled), bands }
             }
         };
-        let plan = ConvPlan {
-            forward,
-            backward: BackwardPlan::UnfoldGemm { threads: 1 },
-            schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
-        };
+        let plan = ConvPlan { forward, backward: BackwardPlan::UnfoldGemm { threads: 1 } };
         let cap = spg_check::ScratchCapacity::reserved_for(spec);
         match spg_check::verify_conv_plan(spec, plan, &cap) {
             Ok(v) => v,
@@ -624,14 +620,40 @@ pub(crate) mod tests {
         ckkf
     }
 
-    /// Every split the tests run: sequential, then 2 and 3 bands along
-    /// each dimension, each with the cores for all its bands.
-    fn splits() -> Vec<Option<(BandDim, usize)>> {
+    /// Every split the tests run on `spec` at `tile`: sequential, then 2
+    /// and 3 bands along each dimension with two or more rows or feature
+    /// blocks to split, each with the cores for all its bands.
+    fn splits(spec: &ConvSpec, tile: RegisterTile) -> Vec<Option<(BandDim, usize)>> {
+        let blocks = spec.features().div_ceil(VECTOR_WIDTH * tile.nfv);
         let mut splits = vec![None];
-        for dim in [BandDim::YRows, BandDim::OutChannels] {
-            splits.extend([2, 3].map(|n| Some((dim, n))));
+        for (dim, units) in [(BandDim::YRows, spec.out_h()), (BandDim::OutChannels, blocks)] {
+            if units > 1 {
+                splits.extend([2, 3].map(|n| Some((dim, n))));
+            }
         }
         splits
+    }
+
+    /// Rows narrower than one vector, at every stride up to 4: output
+    /// widths 3 to 6, AlexNet L0's 11x11 stride-4 kernel on a shrunk
+    /// input, and — off Miri, where it is too slow — CIFAR-10 L1 itself
+    /// (Table 2: 4x4 outputs, 64 channels, 64 features).
+    fn narrow_specs() -> Vec<ConvSpec> {
+        let mut specs = vec![
+            ConvSpec::new(1, 4, 4, 1, 2, 2, 1, 1),
+            ConvSpec::new(3, 8, 8, 4, 3, 3, 1, 1),
+            ConvSpec::new(3, 6, 6, 7, 3, 3, 1, 1),
+            ConvSpec::new(1, 8, 8, 2, 2, 2, 2, 2),
+            ConvSpec::new(2, 11, 13, 3, 3, 3, 1, 2),
+            ConvSpec::new(3, 12, 12, 2, 2, 2, 3, 3),
+            ConvSpec::new(2, 9, 9, 5, 3, 3, 2, 2),
+            ConvSpec::new(2, 10, 6, 3, 3, 3, 2, 1), // sy > 1 with sx == 1
+            ConvSpec::new(3, 30, 30, 4, 11, 11, 4, 4),
+        ];
+        if !cfg!(miri) {
+            specs.push(ConvSpec::new(64, 8, 8, 64, 5, 5, 1, 1));
+        }
+        specs.into_iter().map(|s| s.unwrap_or_else(|e| panic!("{e:?}"))).collect()
     }
 
     type Kernel = fn(VerifiedTiled<'_>, &[f32], &Ckkf, &mut [f32], &ConvScratch);
@@ -692,29 +714,33 @@ pub(crate) mod tests {
     }
 
     /// Geometries in no registry key — a 4x4 kernel at stride 3 and Table
-    /// 1 ID 1's 2x2 at stride 1 (channels shrunk) — run the
-    /// run-time-geometry instance at every tile it has: it agrees with the
-    /// reference (tolerance: the reduction order differs) and with the
-    /// scalar arm bit for bit, and with itself bit for bit however the
-    /// layer is banded. 14x21 outputs: ragged x-blocks for every tile; 50
-    /// features: a ragged last vector, and two or more feature blocks.
+    /// 1 ID 1's 2x2 at stride 1 (channels shrunk) — and rows narrower than
+    /// a vector ([`narrow_specs`]) run the run-time-geometry instance at
+    /// every tile that fits the row: it agrees with the reference
+    /// (tolerance: the reduction order differs) and with the scalar arm
+    /// bit for bit, and with itself bit for bit however the layer is
+    /// banded. 14x21 outputs: ragged x-blocks for every tile; 50 features:
+    /// a ragged last vector, and two or more feature blocks.
     #[test]
     fn dynamic_instance_matches_reference_on_unlisted_geometries() {
         let strided = ConvSpec::new(2, 4 + 3 * 13, 4 + 3 * 20, 50, 4, 4, 3, 3);
         let unit = ConvSpec::new(3, 15, 22, 50, 2, 2, 1, 1);
-        for spec in [strided, unit].map(|s| s.unwrap_or_else(|e| panic!("{e:?}"))) {
-            assert!(crate::lookup(&spec).is_none(), "{spec} must not be a registry key");
+        let unlisted = [strided, unit].map(|s| s.unwrap_or_else(|e| panic!("{e:?}")));
+        for spec in &unlisted {
+            assert!(crate::lookup(spec).is_none(), "{spec} must not be a registry key");
             assert_eq!((spec.out_h(), spec.out_w()), (14, 21));
+        }
+        for spec in unlisted.into_iter().chain(narrow_specs()) {
             let input = pseudo(spec.input_shape().len(), 1);
             let weights = pseudo(spec.weight_shape().len(), 2);
             let want = oracle(&spec, &input, &weights);
-            for &tile in TILES_8 {
+            for &tile in TILES_8.iter().filter(|t| t.nx <= spec.out_w()) {
                 let sequential = run(dynamic, &spec, tile, None, &input, &weights);
                 let diff = max_diff(&sequential, &want);
                 assert!(diff < 5e-4, "{spec} {tile:?}: diff {diff}");
                 let portable = run(scalar, &spec, tile, None, &input, &weights);
                 assert_eq!(portable, sequential, "{spec} {tile:?}: scalar arm");
-                for split in splits() {
+                for split in splits(&spec, tile) {
                     let banded = run(dynamic, &spec, tile, split, &input, &weights);
                     assert_eq!(banded, sequential, "{spec} {tile:?} {split:?}");
                 }
@@ -722,11 +748,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// Output widths at and around every tile width, heights of one row
-    /// and more, feature counts straddling the lane blocks.
+    /// Output widths at and around every tile width — rows of two to five
+    /// positions, narrower than a vector, included — heights of one row
+    /// and more, feature counts straddling the lane blocks: the reference's
+    /// values within tolerance, the scalar arm's bits exactly.
     #[test]
     fn tile_edges_are_exact() {
-        for w in [8usize, 9, 15, 16, 17] {
+        for w in [2usize, 3, 4, 5, 8, 9, 15, 16, 17] {
             for (h, nf) in [(1usize, 1usize), (3, 7), (7, 9), (13, 17)] {
                 let spec = ConvSpec::new(1, h + 2, w + 2, nf, 3, 3, 1, 1);
                 let spec = spec.unwrap_or_else(|e| panic!("{e:?}"));
@@ -737,6 +765,8 @@ pub(crate) mod tests {
                     let out = run(dynamic, &spec, tile, None, &input, &weights);
                     let diff = max_diff(&out, &want);
                     assert!(diff < 5e-4, "{spec} {tile:?}: diff {diff}");
+                    let portable = run(scalar, &spec, tile, None, &input, &weights);
+                    assert_eq!(portable, out, "{spec} {tile:?}: scalar arm");
                 }
             }
         }

@@ -39,7 +39,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use spg_tensor::layout::{Ckkf, Kkcf, Kkfc};
+use spg_tensor::layout::{Ckkf, Kkfc};
 use spg_tensor::Tensor;
 
 use crate::workspace::ConvScratch;
@@ -63,9 +63,6 @@ pub struct PreparedWeights {
     /// `[ky, kx, f, c]` copy (channel fastest), read by the sparse
     /// backward-data kernel.
     pub kkfc: Kkfc,
-    /// `[ky][kx]` blocks of `(Nc x Nf)` matrices (feature fastest), read by
-    /// the narrow-output stencil forward.
-    pub kkcf: Kkcf,
     /// `[c][ky][kx][f]` copy with the features padded to whole register
     /// tiles, read by the tiled (feature-lane) stencil forward.
     pub ckkf: Ckkf,
@@ -80,7 +77,6 @@ impl PreparedWeights {
     /// Drops every permuted copy until an executor refills it.
     pub fn clear_copies(&mut self) {
         self.kkfc.clear();
-        self.kkcf.clear();
         self.ckkf.clear();
     }
 }

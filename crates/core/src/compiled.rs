@@ -32,9 +32,7 @@ use spg_convnet::{gemm_exec, ConvSpec};
 use crate::autotune::Phase;
 use crate::schedule::{LayerPlan, Technique};
 use crate::sparse::kernel as sparse_kernel;
-use crate::stencil::{
-    kernel as stencil_kernel, plan_cache_schedule, plan_register_tile, render_tiled_block,
-};
+use crate::stencil::{render_tiled_block, RegisterTilePlan};
 
 /// A verified, kernel-bound layer plan, executable over any number of
 /// samples against weights [prepared](ConvProgram::prepared) for it. Built
@@ -144,10 +142,9 @@ impl ConvProgram {
     }
 
     /// Refreshes in `weights` the permuted copies of `weights.fckk` that
-    /// `phases` of this plan read: the tiled stencil forward's `ckkf`
-    /// (features padded to the plan's feature blocks), the narrow stencil
-    /// forward's `kkcf`, the sparse backward-data's `kkfc`, nothing for
-    /// every other plan.
+    /// `phases` of this plan read: the stencil forward's `ckkf` (features
+    /// padded to the plan's feature blocks), the sparse backward-data's
+    /// `kkfc`, nothing for every other plan.
     ///
     /// # Panics
     ///
@@ -155,12 +152,10 @@ impl ConvProgram {
     pub(crate) fn prepare(&self, phases: &[Phase], weights: &mut PreparedWeights) {
         let shape = self.plan.spec().weight_shape();
         let lowered = self.plan.plan();
-        let PreparedWeights { fckk, kkfc, kkcf, ckkf } = weights;
+        let PreparedWeights { fckk, kkfc, ckkf } = weights;
         if phases.contains(&Phase::Forward) {
             if let Some(tiled) = self.plan.tiled() {
                 ckkf.refresh(fckk.as_slice(), shape, tiled.feature_block());
-            } else if lowered.forward == ForwardPlan::StencilNarrow {
-                kkcf.refresh(fckk.as_slice(), shape);
             }
         }
         if phases.contains(&Phase::Backward)
@@ -207,9 +202,6 @@ impl ConvProgram {
                 let tiled = self.plan.tiled().unwrap_or_else(|| unreachable!("forward is tiled"));
                 let ckkf = &weights.ckkf;
                 spg_codegen::forward_tiled(self.kernel, tiled, input, ckkf, output, scratch);
-            }
-            ForwardPlan::StencilNarrow => {
-                stencil_kernel::forward_narrow_scratch(spec, input, &weights.kkcf, output, scratch);
             }
             ForwardPlan::UnfoldGemm { threads } => {
                 gemm_exec::forward_scratch(spec, input, fckk, output, *threads, scratch);
@@ -572,15 +564,14 @@ impl CompiledConv {
             None => "generic".to_string(),
         };
         let mut out = format!(
-            "/* compiled conv: {}\n   plan: {}\n   cache schedule: {}\n   forward kernel: {}",
+            "/* compiled conv: {}\n   plan: {}\n   forward kernel: {}",
             spec,
             self.plan(),
-            plan_cache_schedule(spec),
             kernel
         );
         match self.program.plan.tiled() {
             Some(tiled) => {
-                let searched = plan_register_tile(spec, tiled.lanes());
+                let searched = RegisterTilePlan::of(spec, tiled.lanes(), tiled.tile());
                 out.push_str(&format!("\n   register tile (Sec. 4.3 search): {searched} */\n"));
                 out.push_str(&render_tiled_block(tiled));
             }
@@ -648,7 +639,8 @@ mod tests {
     fn every_plan_combination_matches_reference() {
         let wide = ConvSpec::square(14, 5, 3, 3, 1);
         let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5-wide output
-        for spec in [wide, narrow] {
+        let column = ConvSpec::new(2, 6, 3, 4, 3, 3, 1, 1).unwrap(); // 1-wide: the GEMM
+        for spec in [wide, narrow, column] {
             for &fwd in Technique::forward_candidates() {
                 for &bwd in Technique::backward_candidates() {
                     check_all_phases(spec, LayerPlan { forward: fwd, backward: bwd });
@@ -735,7 +727,6 @@ mod tests {
         let listing = kernel.render();
         assert!(listing.contains("Stencil-Kernel"));
         assert!(listing.contains("_fmadd_ps"));
-        assert!(listing.contains("output tile"));
         // What executes (8 positions of the 14-wide row by the one vector
         // of 4 features, at either lane width), and the search's choice,
         // labelled.

@@ -55,7 +55,7 @@ impl Technique {
     }
 
     /// No technique names a band split any more; `benchmark/` still asks.
-    /// Remove with ROADMAP item 5.
+    /// Remove with ROADMAP item 1(b).
     #[doc(hidden)]
     pub fn band_dim(self) -> Option<BandDim> {
         None
@@ -138,7 +138,7 @@ pub(crate) fn stencil_split(spec: &ConvSpec, cores: usize, block: usize) -> Opti
 
 /// [`recommended_plan`] with the stencil pinned onto every layer that can
 /// spend a starved batch's idle cores (`batch < cores`) inside one sample.
-/// Kept for `benchmark/`'s banded probe; remove with ROADMAP item 5. A
+/// Kept for `benchmark/`'s banded probe; remove with ROADMAP item 1(b). A
 /// walk needs no such pin: every plan lowered at `cores > 1` carries its
 /// split and runs it when the call's core budget allows.
 pub fn recommended_plan_for_batch(
@@ -210,7 +210,7 @@ mod tests {
         let one_row = ConvSpec::new(3, 7, 69, 40, 7, 7, 2, 2).expect("valid spec");
         assert_eq!(stencil_split(&one_row, 2, 16), Some(BandDim::OutChannels));
         assert_eq!(stencil_split(&one_row, 2, 64), None);
-        // Narrow outputs cannot band: fall back even when starved.
+        // Narrow outputs do not band: fall back even when starved.
         let narrow = ConvSpec::square(8, 64, 64, 5, 1); // 4x4 output
         assert_eq!(stencil_split(&narrow, 8, 1), None);
         assert_eq!(recommended_plan_for_batch(&narrow, 0.5, 8, 1), recommended_plan(&narrow, 0.5));

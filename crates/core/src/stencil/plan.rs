@@ -87,12 +87,13 @@ impl fmt::Display for RegisterTilePlan {
 /// Searches the register tiles the stencil loop nest is compiled for at
 /// `lanes` lanes ([`spg_codegen::register_tiles`]: position counts that
 /// divide a store group of `lanes` positions, each with the most feature
-/// vectors the instruction set's register file holds) and returns the one whose row sweep of `spec` issues
-/// fewest ([`row_cost`](RegisterTilePlan::row_cost)), tie-breaking toward
-/// fewer loads per FMA, then larger tiles.
-/// Only tiles no wider than an output row are admissible (the last
-/// x-block overlaps its predecessor); should none be, the narrowest tile
-/// is returned — such outputs lower to the narrow kernel, never to a tile.
+/// vectors the instruction set's register file holds) and returns the one
+/// whose row sweep of `spec` issues fewest
+/// ([`row_cost`](RegisterTilePlan::row_cost)), tie-breaking toward fewer
+/// loads per FMA, then larger tiles. Only tiles no wider than an output
+/// row are admissible (the last x-block overlaps its predecessor); `None`
+/// when none is — lowering then tries the generic 8-lane tiles, and a row
+/// too narrow for those runs the GEMM.
 ///
 /// This is the paper's "geometric optimization problem ... our code
 /// generator finds the optimal solution by iterating over all possible
@@ -100,10 +101,6 @@ impl fmt::Display for RegisterTilePlan {
 /// overlap of its last store group and the padding of its last feature
 /// block, so the tile with the fewest loads per FMA in isolation need not
 /// win.
-///
-/// # Panics
-///
-/// Panics if no instance has vectors of `lanes` lanes.
 ///
 /// # Example
 ///
@@ -114,15 +111,13 @@ impl fmt::Display for RegisterTilePlan {
 /// // CIFAR-10 L0: 64 features are four 16-lane vectors, one block of a
 /// // 4-position by 4-vector tile.
 /// let spec = ConvSpec::square(36, 64, 3, 5, 1);
-/// let plan = plan_register_tile(&spec, 16);
+/// let plan = plan_register_tile(&spec, 16).expect("a 32-wide row fits every tile");
 /// assert_eq!((plan.tile.nx, plan.tile.nfv), (4, 4));
 /// assert_eq!(plan.reuse(), 2.0); // each load feeds two FMAs
 /// ```
-pub fn plan_register_tile(spec: &ConvSpec, lanes: usize) -> RegisterTilePlan {
-    let tiles = spg_codegen::register_tiles(lanes);
-    let costed = |&tile: &RegisterTile| RegisterTilePlan::of(spec, lanes, tile);
-    let fits = tiles.iter().filter(|t| t.nx <= spec.out_w()).map(costed);
-    let best = fits.min_by(|a, b| {
+pub fn plan_register_tile(spec: &ConvSpec, lanes: usize) -> Option<RegisterTilePlan> {
+    let tiles = spg_codegen::register_tiles(lanes).iter().filter(|t| t.nx <= spec.out_w());
+    tiles.map(|&tile| RegisterTilePlan::of(spec, lanes, tile)).min_by(|a, b| {
         let size = |p: &RegisterTilePlan| p.tile.nx * p.tile.nfv;
         a.row_cost
             .cmp(&b.row_cost)
@@ -130,9 +125,7 @@ pub fn plan_register_tile(spec: &ConvSpec, lanes: usize) -> RegisterTilePlan {
                 (a.loads_per_block * b.fmas_per_block).cmp(&(b.loads_per_block * a.fmas_per_block)),
             )
             .then(size(b).cmp(&size(a)))
-    });
-    let narrowest = || tiles.iter().map(costed).min_by_key(|p| p.tile.nx);
-    best.or_else(narrowest).unwrap_or_else(|| panic!("no instance has {lanes}-lane vectors"))
+    })
 }
 
 #[cfg(test)]
@@ -140,7 +133,7 @@ mod tests {
     use super::*;
 
     fn tile(spec: &ConvSpec, lanes: usize) -> (usize, usize) {
-        let plan = plan_register_tile(spec, lanes);
+        let plan = plan_register_tile(spec, lanes).expect("a tile fits the row");
         (plan.tile.nx, plan.tile.nfv)
     }
 
@@ -165,7 +158,7 @@ mod tests {
         for (n, k, f) in [(32usize, 3usize, 8usize), (10, 3, 64), (64, 11, 3), (12, 2, 200)] {
             let spec = ConvSpec::square(n, f, 4, k, 1);
             for lanes in [8, 16] {
-                let plan = plan_register_tile(&spec, lanes);
+                let plan = plan_register_tile(&spec, lanes).expect("a tile fits the row");
                 let registers =
                     spg_check::vector_registers(lanes).unwrap_or_else(|| unreachable!());
                 assert!(plan.tile.registers() <= registers, "{spec}: {plan}");
@@ -184,16 +177,28 @@ mod tests {
     #[test]
     fn loads_formula_consistency() {
         let spec = ConvSpec::square(32, 40, 4, 3, 1);
-        let plan = plan_register_tile(&spec, 8);
+        let plan = plan_register_tile(&spec, 8).expect("a tile fits the row");
         let RegisterTile { nx, nfv } = plan.tile;
         assert_eq!(plan.loads_per_block, (nx + nfv) * 9);
         assert_eq!(plan.fmas_per_block, nx * nfv * 9);
         assert!(plan.reuse() > 1.0, "reuse {}", plan.reuse());
     }
 
+    /// A row narrower than every tile of a lane width gets none at that
+    /// width; the 8-lane tiles reach down to two positions, and a one-wide
+    /// row fits no tile at all.
     #[test]
-    fn rows_narrower_than_every_tile_get_the_narrowest() {
-        let spec = ConvSpec::new(1, 3, 3, 64, 2, 2, 1, 1).unwrap(); // out_w = 2
-        assert_eq!(tile(&spec, 16), (4, 4));
+    fn rows_narrower_than_every_tile_get_none() {
+        let two = ConvSpec::new(1, 3, 3, 64, 2, 2, 1, 1).unwrap(); // out_w = 2
+        assert_eq!(plan_register_tile(&two, 16), None);
+        assert_eq!(tile(&two, 8), (2, 5));
+        let three = ConvSpec::new(3, 7, 7, 64, 5, 5, 1, 1).unwrap(); // out_w = 3
+        assert_eq!(plan_register_tile(&three, 16), None);
+        assert_eq!(tile(&three, 8), (2, 5));
+        let four = ConvSpec::square(8, 64, 64, 5, 1); // CIFAR-10 L1: out_w = 4
+        assert_eq!(tile(&four, 16), (4, 4));
+        let one = ConvSpec::new(1, 3, 3, 64, 3, 3, 1, 1).unwrap(); // out_w = 1
+        assert_eq!(plan_register_tile(&one, 8), None);
+        assert_eq!(plan_register_tile(&one, 16), None);
     }
 }

@@ -17,7 +17,8 @@ use crate::stencil::{plan_register_tile, RegisterTilePlan};
 /// Sec. 4.3 search's tile at the generic instance's 8 lanes by default —
 /// as Fig. 7-style pseudo-C. Each weight vector and each broadcast input
 /// value is loaded once and its contributions to every accumulator in the
-/// register tile are listed.
+/// register tile are listed. A one-wide output row fits no tile; its
+/// listing says so.
 ///
 /// # Example
 ///
@@ -33,8 +34,10 @@ use crate::stencil::{plan_register_tile, RegisterTilePlan};
 /// # Ok::<(), spg_convnet::ConvError>(())
 /// ```
 pub fn render_basic_block(spec: &ConvSpec, plan: Option<RegisterTilePlan>) -> String {
-    let plan = plan.unwrap_or_else(|| plan_register_tile(spec, VECTOR_WIDTH));
-    listing(spec, plan.tile, plan.lanes)
+    match plan.or_else(|| plan_register_tile(spec, VECTOR_WIDTH)) {
+        Some(plan) => listing(spec, plan.tile, plan.lanes),
+        None => format!("/* no register tile fits a {}-wide output row */\n", spec.out_w()),
+    }
 }
 
 /// Emits the basic block the kernel executes for `tiled` — sequential or
@@ -133,7 +136,7 @@ mod tests {
         for (k, n, f) in [(3usize, 32usize, 8usize), (5, 32, 40), (2, 16, 64)] {
             let spec = ConvSpec::square(n, f, 4, k, 1);
             for lanes in [8, 16] {
-                let plan = plan_register_tile(&spec, lanes);
+                let plan = plan_register_tile(&spec, lanes).expect("a tile fits the row");
                 let listing = render_basic_block(&spec, Some(plan));
                 let mm = if lanes == 8 { "_mm256" } else { "_mm512" };
                 let loads = listing.matches(&format!("{mm}_loadu_ps")).count()

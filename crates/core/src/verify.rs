@@ -1,9 +1,9 @@
 //! Lowering: the one place a [`LayerPlan`] is interpreted.
 //!
 //! The pipeline is **lower → verify → execute**. [`lower`] turns a
-//! technique pair into `spg-check`'s plan IR — choosing the narrow-output
-//! cutoff, the register tile, the band ranges over that plan's loop nest,
-//! the GEMM worker counts, the sparse tile width and lane width, and
+//! technique pair into `spg-check`'s plan IR — choosing the register
+//! tile, the band ranges over that plan's loop nest, the GEMM worker
+//! counts, the sparse tile width and lane width, and
 //! binding a `spg-codegen` instance when one resolves — hands
 //! that IR to the verifier, and wraps the
 //! [`VerifiedPlan`](spg_check::VerifiedPlan) it gets back in a
@@ -14,9 +14,7 @@
 //! A rejected plan surfaces as [`SpgError::PlanRejected`] naming the
 //! offending access, and no program exists for it.
 
-use spg_check::{
-    BackwardPlan, CheckReport, ConvPlan, ForwardPlan, ScheduleTile, ScratchCapacity, VECTOR_WIDTH,
-};
+use spg_check::{BackwardPlan, CheckReport, ConvPlan, ForwardPlan, ScratchCapacity, VECTOR_WIDTH};
 use spg_codegen::{KernelChoice, SpecializedKernel};
 use spg_convnet::ConvSpec;
 
@@ -26,15 +24,15 @@ use crate::hybrid::band_ranges;
 use crate::schedule::{stencil_split, LayerPlan, Technique};
 use crate::sparse::kernel::host_lanes;
 use crate::sparse::DEFAULT_TILE_WIDTH;
-use crate::stencil::{plan_cache_schedule, plan_register_tile};
+use crate::stencil::plan_register_tile;
 use crate::SpgError;
 
-/// Lowers a forward technique: the narrow-output shifted-GEMM cutoff
-/// (`out_w < VECTOR_WIDTH`), the wide tiled plan at `lanes` lanes (the
+/// Lowers a forward technique: the tiled plan at `lanes` lanes (the
 /// generic loops' 8, or a bound instance's own width) with the register
 /// tile [`plan_register_tile`] picks there, and the split of either kernel
 /// over `cores` regions — feature bands on whole feature blocks of that
-/// tile.
+/// tile. A row that fits no tile at `lanes` (one position wide at the
+/// generic loops' 8) runs the GEMM, as the sparse technique's forward does.
 ///
 /// Every technique lowers *with* its intra-sample split. How many of the
 /// proved regions run concurrently is not the plan's business: a call runs
@@ -47,14 +45,14 @@ use crate::SpgError;
 /// stencil carries the [`band_ranges`] split of one axis of its loop nest,
 /// along the dimension [`stencil_split`] picks for the layer.
 fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usize) -> ForwardPlan {
-    if technique != Technique::StencilFp {
-        // The sparse technique has no forward kernel and falls back to GEMM.
+    let tile = match technique {
+        Technique::StencilFp => plan_register_tile(spec, lanes).map(|searched| searched.tile),
+        // The GEMM, and the sparse technique, which has no forward kernel.
+        Technique::GemmInParallel | Technique::SparseBp => None,
+    };
+    let Some(tile) = tile else {
         return ForwardPlan::UnfoldGemm { threads: cores.max(1) };
-    }
-    if spec.out_w() < VECTOR_WIDTH {
-        return ForwardPlan::StencilNarrow;
-    }
-    let tile = plan_register_tile(spec, lanes).tile;
+    };
     let block = lanes * tile.nfv;
     let tiled = ForwardPlan::StencilTiled { lanes, tile };
     match stencil_split(spec, cores, block) {
@@ -82,12 +80,6 @@ fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     }
 }
 
-/// The schedule generator's cache tile for `spec`, in the verifier's IR.
-fn generated_schedule(spec: &ConvSpec) -> ScheduleTile {
-    let schedule = plan_cache_schedule(spec);
-    ScheduleTile { y_tile: schedule.y_tile, x_tile: schedule.x_tile }
-}
-
 /// The specialized instance [`lower`] binds to a stencil forward on `spec`
 /// under [`KernelChoice::Auto`], if any.
 #[cfg(test)]
@@ -109,11 +101,12 @@ thread_local! {
 /// only as far as its core budget reaches — proves the result, and
 /// returns the executable [`ConvProgram`]. [`KernelChoice::Auto`] binds a
 /// stencil forward — sequential or banded — to the registry instance for
-/// the shape ([`spg_codegen::lookup`]) when the plan at that instance's
-/// lane width passes the verifier; every other case — unlisted geometry,
-/// narrow output, missing CPU features, `SPG_FORCE_GENERIC`, a rejected
-/// instance plan (an output narrower than the instance's vector), or
-/// [`KernelChoice::Generic`] — lowers to the generic loops.
+/// the shape ([`spg_codegen::lookup`]) when one of that instance's tiles
+/// fits the output row and the plan at its lane width passes the
+/// verifier; every other case — unlisted geometry, a row narrower than
+/// every instance tile, missing CPU features, `SPG_FORCE_GENERIC`, a
+/// rejected instance plan, or [`KernelChoice::Generic`] — lowers to the
+/// generic loops, and a row too narrow for those to the GEMM.
 ///
 /// # Errors
 ///
@@ -138,17 +131,16 @@ pub fn lower(
 
 /// The registry instance [`lower`] tries first for a `forward` technique
 /// on `spec` under `kernel`: the shape's ([`spg_codegen::lookup`]) for a
-/// tiled stencil forward (outputs at least [`VECTOR_WIDTH`] wide) under
-/// [`KernelChoice::Auto`], none otherwise.
+/// stencil forward under [`KernelChoice::Auto`] when one of its tiles fits
+/// the output row, none otherwise.
 fn instance(
     spec: &ConvSpec,
     forward: Technique,
     kernel: KernelChoice,
 ) -> Option<&'static SpecializedKernel> {
     match kernel {
-        KernelChoice::Auto if forward == Technique::StencilFp && spec.out_w() >= VECTOR_WIDTH => {
-            spg_codegen::lookup(spec)
-        }
+        KernelChoice::Auto if forward == Technique::StencilFp => spg_codegen::lookup(spec)
+            .filter(|inst| plan_register_tile(spec, inst.lanes()).is_some()),
         _ => None,
     }
 }
@@ -169,7 +161,6 @@ fn prove(
             kernel.map_or(VECTOR_WIDTH, |k| k.lanes()),
         ),
         backward: lower_backward(plan.backward, cores),
-        schedule: generated_schedule(spec),
     };
     // What ConvScratch::reserve provides for this spec, which every
     // `_scratch` entry point establishes.
@@ -238,10 +229,9 @@ pub fn verify_technique(
     let cap = ScratchCapacity::reserved_for(spec);
     let result = match phase {
         Phase::Forward => {
-            let schedule = generated_schedule(spec);
             let prove_at = |lanes| {
                 let forward = lower_forward(spec, technique, cores, lanes);
-                spg_check::verify_forward(spec, &forward, schedule, &cap)
+                spg_check::verify_forward(spec, &forward, &cap)
             };
             // `lower`'s fallback: a rejected instance plan runs generic.
             instance(spec, technique, KernelChoice::Auto)
@@ -288,14 +278,15 @@ pub fn verify_plan(
 mod tests {
     use super::*;
 
-    /// Every technique pair the scheduler can emit verifies clean on both a
-    /// wide (tiled stencil) and a narrow (shifted-GEMM) layer.
+    /// Every technique pair the scheduler can emit verifies clean on a
+    /// wide, a narrow, a one-wide and a strided layer.
     #[test]
     fn all_technique_pairs_verify_on_representative_specs() {
         let wide = ConvSpec::square(14, 5, 3, 3, 1);
         let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5-wide output
+        let column = ConvSpec::new(2, 6, 3, 4, 3, 3, 1, 1).unwrap(); // 1-wide output
         let strided = ConvSpec::square(28, 8, 3, 5, 2);
-        for spec in [wide, narrow, strided] {
+        for spec in [wide, narrow, column, strided] {
             for &fwd in Technique::forward_candidates() {
                 for &bwd in Technique::backward_candidates() {
                     let plan = LayerPlan { forward: fwd, backward: bwd };
@@ -307,19 +298,45 @@ mod tests {
         }
     }
 
-    /// Lowering applies the narrow-output cutoff.
+    /// Rows narrower than a vector lower to the tiled plan; a bound
+    /// 16-lane instance is tried only where one of its tiles fits (a
+    /// 3-wide row takes the generic 8-lane `(2, 5)` tile), and a one-wide
+    /// row, which fits no tile, lowers to the GEMM.
     #[test]
-    fn narrow_output_lowers_to_shifted_gemm() {
-        let narrow = ConvSpec::square(7, 6, 4, 3, 1);
+    fn narrow_output_lowers_to_the_tiled_plan() {
+        let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5-wide output
+        let tile = plan_register_tile(&narrow, VECTOR_WIDTH).expect("fits").tile;
         assert_eq!(
             lower_forward(&narrow, Technique::StencilFp, 1, VECTOR_WIDTH),
-            ForwardPlan::StencilNarrow
+            ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile }
         );
-        let wide = ConvSpec::square(14, 5, 3, 3, 1);
-        assert!(matches!(
-            lower_forward(&wide, Technique::StencilFp, 1, VECTOR_WIDTH),
-            ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, .. }
-        ));
+        // The scaled CIFAR-10 net's conv1: 3 wide, a registry key (5x5 s1).
+        let three = ConvSpec::new(64, 7, 7, 64, 5, 5, 1, 1).unwrap();
+        assert!(instance(&three, Technique::StencilFp, KernelChoice::Auto)
+            .is_none_or(|inst| inst.lanes() == VECTOR_WIDTH));
+        let program =
+            lower_phase(&three, Technique::StencilFp, Phase::Forward, 1, KernelChoice::Auto)
+                .expect("verifies");
+        assert_eq!(
+            program.plan().forward,
+            ForwardPlan::StencilTiled {
+                lanes: VECTOR_WIDTH,
+                tile: spg_check::RegisterTile { nx: 2, nfv: 5 }
+            }
+        );
+        let column = ConvSpec::new(2, 6, 3, 4, 3, 3, 1, 1).unwrap(); // 1-wide output
+        for cores in [1, 4] {
+            let program = lower_phase(
+                &column,
+                Technique::StencilFp,
+                Phase::Forward,
+                cores,
+                KernelChoice::Auto,
+            )
+            .expect("verifies");
+            assert_eq!(program.plan().forward, ForwardPlan::UnfoldGemm { threads: cores });
+            assert!(program.specialized_kernel().is_none());
+        }
     }
 
     /// The tiled plan carries the tile the Sec. 4.3 search picks at its
@@ -328,7 +345,7 @@ mod tests {
     fn tiled_plan_carries_the_searched_tile() {
         for spec in [ConvSpec::square(28, 8, 3, 5, 2), ConvSpec::square(36, 64, 3, 5, 1)] {
             for lanes in [8, 16] {
-                let tile = plan_register_tile(&spec, lanes).tile;
+                let tile = plan_register_tile(&spec, lanes).expect("fits").tile;
                 assert_eq!(
                     lower_forward(&spec, Technique::StencilFp, 1, lanes),
                     ForwardPlan::StencilTiled { lanes, tile },
@@ -354,7 +371,6 @@ mod tests {
             let report = spg_check::verify_forward(
                 &spec,
                 &lower_forward(&spec, Technique::StencilFp, 1, inst.lanes()),
-                generated_schedule(&spec),
                 &ScratchCapacity::reserved_for(&spec),
             )
             .unwrap();
@@ -394,7 +410,8 @@ mod tests {
 
     /// The stencil lowered at more than one core carries the
     /// [`band_ranges`] split and verifies clean on a splittable spec; an
-    /// unsplittable spec lowers to the sequential plan at any core count.
+    /// unsplittable spec (here rows narrower than a vector) lowers to the
+    /// sequential tiled plan at any core count.
     #[test]
     fn stencil_lowers_with_its_split_when_splittable() {
         // ImageNet-22K L0 (Table 2): 128x128 output, stride 2.
@@ -405,10 +422,11 @@ mod tests {
             lower_forward(&spec, Technique::StencilFp, 8, VECTOR_WIDTH),
             ForwardPlan::StencilBanded { dim: spg_check::BandDim::YRows, .. }
         ));
-        let narrow = ConvSpec::square(7, 6, 4, 3, 1);
+        let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5x5 output
+        let tile = plan_register_tile(&narrow, VECTOR_WIDTH).expect("fits").tile;
         assert_eq!(
             lower_forward(&narrow, Technique::StencilFp, 8, VECTOR_WIDTH),
-            ForwardPlan::StencilNarrow
+            ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile }
         );
     }
 }

@@ -566,7 +566,7 @@ mod tests {
             rows.push((conv.executor_names().0, decision.chosen.clone()));
         }
         let named = |executor: &str, chosen: &str| (executor.to_string(), chosen.to_string());
-        // The 6-wide output plans the narrow stencil; layer 2 was reset.
+        // The 6-wide output plans the stencil; layer 2 was reset.
         assert_eq!(
             rows,
             [named("stencil-fp", "stencil-fp"), named("unfold+gemm", "gemm-in-parallel")]

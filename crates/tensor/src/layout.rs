@@ -134,21 +134,6 @@ pub fn fckk_to_kkfc_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
     }
 }
 
-/// Permutes a weight tensor from `[f, c, ky, kx]` into `[ky][kx]` blocks of
-/// `(Nc x Nf)` matrices (feature fastest-varying).
-fn narrow_weights_into(src: &[f32], shape: Shape4, out: &mut [f32]) {
-    let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
-    for f in 0..f_n {
-        for c in 0..c_n {
-            for ky in 0..ky_n {
-                for kx in 0..kx_n {
-                    out[((ky * kx_n + kx) * c_n + c) * f_n + f] = src[shape.index(f, c, ky, kx)];
-                }
-            }
-        }
-    }
-}
-
 /// `buf` resized to `len` elements, all zero, reusing its allocation.
 fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     buf.clear();
@@ -186,38 +171,6 @@ impl Kkfc {
     /// Panics if `fckk.len() != shape.len()`.
     pub fn refresh(&mut self, fckk: &[f32], shape: Shape4) {
         fckk_to_kkfc_into(fckk, shape, zeroed(&mut self.0, shape.len()));
-    }
-
-    /// The permuted weights.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.0
-    }
-
-    /// Drops the copy (keeping its storage) until the next refresh.
-    pub fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
-/// Canonical `[f, c, ky, kx]` weights permuted into `[ky][kx]` blocks of
-/// `(Nc x Nf)` matrices (feature fastest) — the right-hand operands of the
-/// narrow-output stencil's shifted small dense multiplies, one block per
-/// kernel offset.
-///
-/// Built only from canonical weights ([`refresh`](Kkcf::refresh)); empty
-/// until the first refresh.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Kkcf(Vec<f32>);
-
-impl Kkcf {
-    /// Refills this copy from `fckk` weights of `shape`, reusing its storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fckk.len() != shape.len()`.
-    pub fn refresh(&mut self, fckk: &[f32], shape: Shape4) {
-        assert_eq!(fckk.len(), shape.len(), "Kkcf::refresh: fckk length mismatch");
-        narrow_weights_into(fckk, shape, zeroed(&mut self.0, shape.len()));
     }
 
     /// The permuted weights.
@@ -350,17 +303,6 @@ mod tests {
         let kkfc = fckk_to_kkfc(&t, shape).unwrap();
         // With ky=kx=0, layout is [f=0 channels..., f=1 channels...]
         assert_eq!(kkfc.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn narrow_weights_are_feature_contiguous_per_offset() {
-        let shape = Shape4::new(2, 3, 1, 2);
-        let t = iota(shape.len());
-        let mut kkcf = Kkcf::default();
-        kkcf.refresh(t.as_slice(), shape);
-        // Block kx=0: rows c=0..3 of [f=0, f=1]; src[f, c, 0, kx] = (f*3 + c)*2 + kx.
-        assert_eq!(&kkcf.as_slice()[..6], &[0.0, 6.0, 2.0, 8.0, 4.0, 10.0]);
-        assert_eq!(&kkcf.as_slice()[6..], &[1.0, 7.0, 3.0, 9.0, 5.0, 11.0]);
     }
 
     #[test]

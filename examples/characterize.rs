@@ -58,7 +58,7 @@ fn main() {
     println!("-- Sec. 4.3: generated stencil basic block --");
     // At the lane width this host's dispatch runs the layer with.
     let lanes = spg_cnn::codegen::lookup(&spec).map_or(spg_cnn::check::VECTOR_WIDTH, |k| k.lanes());
-    let plan = plan_register_tile(&spec, lanes);
+    let plan = plan_register_tile(&spec, lanes).expect("4-wide rows fit a tile at both widths");
     println!("register tile: {plan}");
     let listing = render_basic_block(&spec, Some(plan));
     // The full listing for a 5x5 kernel is long; show its head.

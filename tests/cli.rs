@@ -2,6 +2,12 @@
 
 use std::process::Command;
 
+use spg_cnn::codegen::KernelChoice;
+use spg_cnn::core::autotune::Phase;
+use spg_cnn::core::backend::AlgoChoice;
+use spg_cnn::core::schedule::Technique;
+use spg_cnn::core::verify::lower_phase;
+
 fn spgcnn(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_spgcnn"))
         .args(args)
@@ -280,21 +286,24 @@ fn tune_measures_all_techniques() {
 }
 
 /// The smoke network's 6x6 output is too narrow to band: its stencil
-/// lowers to the narrow kernel with no split, nothing is a verifier
-/// rejection, and the command succeeds (CI runs it as a gate).
+/// lowers to the sequential tiled plan, nothing is a verifier rejection,
+/// and the command succeeds (CI runs it as a gate).
 #[test]
 fn check_smoke_verifies_every_candidate() {
     let (stdout, stderr, ok) = spgcnn(&["check", "--smoke", "--cores", "16"]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("all candidate plans verified safe"));
     assert!(!stdout.contains("REJECTED"));
-    // Each forward candidate of the smoke conv (6-wide output: the narrow
-    // stencil, no specialized instance) names its kernel and the model's
-    // prediction; backward candidates carry neither.
+    // Each forward candidate of the smoke conv (6-wide output, 3x3 at
+    // stride 1: a registry key) names the kernel its program binds and
+    // the model's prediction; backward candidates carry neither.
+    let spec = spg_cnn::convnet::ConvSpec::square(8, 4, 1, 3, 1);
     let forward: Vec<&str> = stdout.lines().filter(|l| l.trim_start().starts_with("FP ")).collect();
     assert_eq!(forward.len(), 2, "{stdout}");
-    for line in forward {
-        assert!(line.contains(", kernel generic, model "), "{line}");
+    for (line, &t) in forward.iter().zip(Technique::forward_candidates()) {
+        let program = lower_phase(&spec, t, Phase::Forward, 16, KernelChoice::Auto).unwrap();
+        let kernel = AlgoChoice::of(&program).kernel.id();
+        assert!(line.contains(&format!(", kernel {kernel}, model ")), "{line}");
         assert!(line.ends_with(" GFlops/core"), "{line}");
     }
     assert!(stdout.lines().filter(|l| l.contains("BP ")).all(|l| !l.contains("kernel")));

@@ -7,10 +7,7 @@
 //! training stacks rely on: unlisted shapes silently take the generic
 //! path, and the autotuner records which kernel it deployed per layer.
 
-use spg_cnn::check::{
-    verify_conv_plan, BackwardPlan, ConvPlan, ForwardPlan, ScheduleTile, ScratchCapacity,
-    VECTOR_WIDTH,
-};
+use spg_cnn::check::{verify_conv_plan, BackwardPlan, ConvPlan, ForwardPlan, ScratchCapacity};
 use spg_cnn::codegen::{all_instances, forward_tiled, lookup, KernelChoice, KernelKey};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::ConvSpec;
@@ -48,22 +45,20 @@ fn every_runnable_instance_bit_matches_generic_on_table2() {
     for (bench, i, spec) in table2::all_layers() {
         let key = KernelKey::of(&spec);
         for inst in all_instances() {
-            // Outputs under a vector wide lower to the narrow kernel, which
-            // binds no instance.
-            if inst.key() != key || spec.out_w() < VECTOR_WIDTH || !inst.isa().runnable_at(level) {
+            if inst.key() != key || !inst.isa().runnable_at(level) {
                 continue;
             }
+            // The instance's own tiled plan (the searched tile at its
+            // lanes), proved: the only way to run an instance. Every Table
+            // 2 row fits a tile of both widths.
+            let searched = plan_register_tile(&spec, inst.lanes()).expect("a tile fits the row");
             let ops = conv_operands(&spec, 0.0, 0x77);
             let mut scratch = ConvScratch::new();
             let mut got = vec![0.0f32; spec.output_shape().len()];
             let mut want = vec![0.0f32; spec.output_shape().len()];
-            // The instance's own tiled plan (the searched tile at its
-            // lanes), proved: the only way to run an instance.
-            let (lanes, tile) = (inst.lanes(), plan_register_tile(&spec, inst.lanes()).tile);
             let plan = ConvPlan {
-                forward: ForwardPlan::StencilTiled { lanes, tile },
+                forward: ForwardPlan::StencilTiled { lanes: inst.lanes(), tile: searched.tile },
                 backward: BackwardPlan::UnfoldGemm { threads: 1 },
-                schedule: ScheduleTile { y_tile: 1, x_tile: spec.out_w() },
             };
             let proved = verify_conv_plan(&spec, plan, &ScratchCapacity::reserved_for(&spec))
                 .expect("instance plan verifies");

@@ -1,5 +1,5 @@
-//! Tiled-stencil output words on the page: every Table 2 layer the wide
-//! stencil runs, on full geometry, at a core budget of 1 (the sequential
+//! Tiled-stencil output words on the page: every Table 2 layer, on full
+//! geometry, at a core budget of 1 (the sequential
 //! plan) and 2 (the plan banded over two regions).
 //!
 //! The golden suites compare instances with each other (specialized vs
@@ -20,8 +20,10 @@ use spg_cnn::workloads::table2::{self, Benchmark};
 
 /// `(benchmark, layer, [budget 1, budget 2])`: FNV-1a 64 of the output
 /// words, recorded from the x-lane register tile (each output column one
-/// SIMD lane) before the feature-lane tile replaced it.
-const RECORDED: [(Benchmark, usize, [u64; 2]); 11] = [
+/// SIMD lane) before the feature-lane tile replaced it — except CIFAR-10
+/// L1, whose 4-wide rows ran a narrow shifted-GEMM kernel until the tiled
+/// loop nest took them, and which is recorded from that loop nest.
+const RECORDED: [(Benchmark, usize, [u64; 2]); 12] = [
     (Benchmark::ImageNet22K, 0, [0x2459_4255_c4f2_9cf0, 0x2459_4255_c4f2_9cf0]),
     (Benchmark::ImageNet22K, 1, [0xf4fb_2a76_379a_d722, 0xf4fb_2a76_379a_d722]),
     (Benchmark::ImageNet22K, 2, [0x536b_5844_73ff_c565, 0x536b_5844_73ff_c565]),
@@ -33,6 +35,7 @@ const RECORDED: [(Benchmark, usize, [u64; 2]); 11] = [
     (Benchmark::ImageNet1K, 3, [0xdc49_3dff_b828_30db, 0xdc49_3dff_b828_30db]),
     (Benchmark::Cifar10, 0, [0xe3ed_21f5_f91d_ae5e, 0xe3ed_21f5_f91d_ae5e]),
     (Benchmark::Mnist, 0, [0xde97_aaab_8545_dd03, 0xde97_aaab_8545_dd03]),
+    (Benchmark::Cifar10, 1, [0x5362_a9b3_6a8b_c001, 0x5362_a9b3_6a8b_c001]),
 ];
 
 /// FNV-1a 64 over the little-endian bytes of each output word.

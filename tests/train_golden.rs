@@ -16,18 +16,20 @@ use spg_cnn::workloads::networks::{build_scaled, scaled_description};
 use spg_cnn::workloads::table2::Benchmark;
 
 /// `(net, momentum, mean loss of epochs 1..=3)`, recorded at the commit
-/// before per-sample gradient records and the range fold landed. Two
-/// batches of 8 per epoch, heuristic plans re-tuned after epoch 2.
+/// before per-sample gradient records and the range fold landed — except
+/// CIFAR-10's, re-recorded when its 3-wide conv1 left the narrow
+/// shifted-GEMM kernel for the tiled stencil. Two batches of 8 per epoch,
+/// heuristic plans re-tuned after epoch 2.
 const RECORDED: [(Benchmark, f32, [u64; 3]); 6] = [
     (
         Benchmark::Cifar10,
         0.0,
-        [0x4002_6f85_0c00_0000, 0x4000_0485_7600_0000, 0x3ffa_cc99_b800_0000],
+        [0x4002_6f85_0e00_0000, 0x4000_0485_7500_0000, 0x3ffa_cc99_a800_0000],
     ),
     (
         Benchmark::Cifar10,
         0.9,
-        [0x4002_6f85_0c00_0000, 0x3ffc_bc4f_da00_0000, 0x3fec_0ff2_d200_0000],
+        [0x4002_6f85_0e00_0000, 0x3ffc_bc4f_d000_0000, 0x3fec_0ff2_fd00_0000],
     ),
     (
         Benchmark::ImageNet1K,

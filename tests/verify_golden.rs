@@ -69,7 +69,7 @@ fn verify_technique_proves_the_deployed_forward() {
                 let program = lower_phase(&spec, t, Phase::Forward, cores, KernelChoice::Auto)
                     .expect("candidates verify on Table 2");
                 let plan = program.plan();
-                let deployed = verify_forward(&spec, &plan.forward, plan.schedule, &cap);
+                let deployed = verify_forward(&spec, &plan.forward, &cap);
                 assert_eq!(
                     verify_technique(&spec, t, Phase::Forward, cores).expect("gate admits it"),
                     deployed.expect("a lowered forward proves"),
