@@ -10,11 +10,9 @@
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
 
-/// Element capacities of the five `ConvScratch` staging buffers.
+/// Element capacities of the four `ConvScratch` staging buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchCapacity {
-    /// `ConvScratch::mat_a` capacity in `f32` elements.
-    pub mat_a: usize,
     /// `ConvScratch::mat_b` capacity in `f32` elements.
     pub mat_b: usize,
     /// `ConvScratch::hwc_in` capacity in `f32` elements.
@@ -33,7 +31,6 @@ impl ScratchCapacity {
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
         ScratchCapacity {
-            mat_a: patches * patch_len,
             mat_b: patches * patch_len,
             hwc_in: spec.input_shape().len(),
             hwc_out: spec.output_shape().len(),
@@ -45,7 +42,6 @@ impl ScratchCapacity {
     #[must_use]
     pub fn of_scratch(scratch: &ConvScratch) -> Self {
         ScratchCapacity {
-            mat_a: scratch.mat_a.len(),
             mat_b: scratch.mat_b.len(),
             hwc_in: scratch.hwc_in.len(),
             hwc_out: scratch.hwc_out.len(),
@@ -58,7 +54,6 @@ impl ScratchCapacity {
     #[must_use]
     pub fn envelope(self, other: ScratchCapacity) -> Self {
         ScratchCapacity {
-            mat_a: self.mat_a.max(other.mat_a),
             mat_b: self.mat_b.max(other.mat_b),
             hwc_in: self.hwc_in.max(other.hwc_in),
             hwc_out: self.hwc_out.max(other.hwc_out),
@@ -69,7 +64,7 @@ impl ScratchCapacity {
     /// Total `f32` elements across all staging buffers.
     #[must_use]
     pub fn elems(&self) -> usize {
-        self.mat_a + self.mat_b + self.hwc_in + self.hwc_out + self.wperm
+        self.mat_b + self.hwc_in + self.hwc_out + self.wperm
     }
 }
 
@@ -100,10 +95,10 @@ mod tests {
 
     #[test]
     fn envelope_is_component_wise() {
-        let a = ScratchCapacity { mat_a: 10, mat_b: 1, hwc_in: 5, hwc_out: 9, wperm: 2 };
-        let b = ScratchCapacity { mat_a: 3, mat_b: 8, hwc_in: 5, hwc_out: 1, wperm: 7 };
+        let a = ScratchCapacity { mat_b: 1, hwc_in: 5, hwc_out: 9, wperm: 2 };
+        let b = ScratchCapacity { mat_b: 8, hwc_in: 5, hwc_out: 1, wperm: 7 };
         let e = a.envelope(b);
-        assert_eq!(e, ScratchCapacity { mat_a: 10, mat_b: 8, hwc_in: 5, hwc_out: 9, wperm: 7 });
-        assert_eq!(e.elems(), 10 + 8 + 5 + 9 + 7);
+        assert_eq!(e, ScratchCapacity { mat_b: 8, hwc_in: 5, hwc_out: 9, wperm: 7 });
+        assert_eq!(e.elems(), 8 + 5 + 9 + 7);
     }
 }

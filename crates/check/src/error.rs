@@ -18,9 +18,7 @@ pub enum Buf {
     GradOut,
     /// The weight-gradient tensor written by backward-weights.
     GradWeights,
-    /// `ConvScratch::mat_a` (unfold / gather staging).
-    MatA,
-    /// `ConvScratch::mat_b` (backward-data unfolded gradient).
+    /// `ConvScratch::mat_b` (backward-data patch-space gradient `E_U`).
     MatB,
     /// `ConvScratch::hwc_in` (HWC input staging).
     HwcIn,
@@ -41,7 +39,6 @@ impl Buf {
             Buf::GradIn => "grad_in",
             Buf::GradOut => "grad_out",
             Buf::GradWeights => "grad_weights",
-            Buf::MatA => "scratch.mat_a",
             Buf::MatB => "scratch.mat_b",
             Buf::HwcIn => "scratch.hwc_in",
             Buf::HwcOut => "scratch.hwc_out",

@@ -1,9 +1,11 @@
-//! Unfold + GEMM plan checks: operand dimension consistency and the
+//! Unfold + GEMM plan checks: operand dimension consistency, the image
+//! operand's gathers and the fold's scatters inside their tensors, and the
 //! disjointness / coverage proof for Parallel-GEMM's row-band split.
 
 use crate::error::{Buf, CheckError};
 use crate::interval::Span;
 use crate::Interp;
+use spg_convnet::unfold::stages_tap_rows;
 use spg_convnet::ConvSpec;
 
 /// The row bands `parallel_gemm_slice` assigns to its workers for an `m`-row
@@ -99,32 +101,31 @@ pub(crate) struct Operand {
     pub ld: usize,
 }
 
-/// Proves a `gemm_slice(m, n, k, a, lda, b, ldb, c, ldc)` call in-bounds:
+/// Proves the dense operands of a `C += A * B` call in-bounds, `m x k` `A`
+/// and `m x n` `C` (the right operand is the image, proved by its gather):
 /// mirrors the kernel's own entry asserts, but at plan time, symbolically.
 pub(crate) fn check_gemm_dims(
     interp: &mut Interp,
     context: &'static str,
     (m, n, k): (usize, usize, usize),
     a: Operand,
-    b: Operand,
     c: Operand,
 ) -> Result<(), CheckError> {
     if a.ld < k {
         return Err(CheckError::PlanShapeMismatch { context, expected: k, found: a.ld });
     }
-    if b.ld < n || c.ld < n {
-        return Err(CheckError::PlanShapeMismatch { context, expected: n, found: b.ld.min(c.ld) });
+    if c.ld < n {
+        return Err(CheckError::PlanShapeMismatch { context, expected: n, found: c.ld });
     }
     if m == 0 || n == 0 || k == 0 {
         // Degenerate GEMMs perform no accesses.
         interp.proved(1);
         return Ok(());
     }
-    // Row i of A spans [i*lda, i*lda + k); analogous for B (k rows) and C.
+    // Row i of A spans [i*lda, i*lda + k); analogous for C.
     let a_span = Span::iter(m).scale(a.ld).block(k);
-    let b_span = Span::iter(k).scale(b.ld).block(n);
     let c_span = Span::iter(m).scale(c.ld).block(n);
-    for (operand, span) in [(a, a_span), (b, b_span), (c, c_span)] {
+    for (operand, span) in [(a, a_span), (c, c_span)] {
         if span.hi > operand.len {
             return Err(CheckError::OutOfBounds {
                 buffer: operand.buf,
@@ -139,14 +140,39 @@ pub(crate) fn check_gemm_dims(
     Ok(())
 }
 
-/// Verifies the unfold + GEMM forward plan: unfold staging fits `mat_a`, the
-/// GEMM dimensions match the spec, and (for `threads > 1`) the Parallel-GEMM
-/// row-band split of the output is a race-free partition.
+/// Every element of the unfold matrix as an offset into the CHW input:
+/// `(c*in_h + y*sy + ky)*in_w + x*sx + kx` over every channel, position
+/// and tap. The image operand gathers from exactly these offsets and the
+/// row fold scatters into exactly these.
+fn patch_span(spec: &ConvSpec) -> Span {
+    Span::iter(spec.in_c())
+        .scale(spec.in_h())
+        .plus(Span::iter(spec.out_h()).scale(spec.sy()).plus(Span::iter(spec.ky())))
+        .scale(spec.in_w())
+        .plus(Span::iter(spec.out_w()).scale(spec.sx()).plus(Span::iter(spec.kx())))
+}
+
+/// Proves the image operand's gathers of `spec` (every element of `U`, or
+/// `U^T`, packed straight from the CHW input) inside an input of
+/// `input_len` elements. Public so mutation tests can shrink the input
+/// under a real gather.
+pub fn verify_patch_gather(
+    spec: &ConvSpec,
+    input_len: usize,
+) -> Result<crate::CheckReport, CheckError> {
+    let mut interp = Interp::default();
+    interp.access(Buf::Input, "image operand gather", patch_span(spec), input_len)?;
+    Ok(interp.report)
+}
+
+/// Verifies the unfold + GEMM forward plan: the image operand's gathers
+/// lie inside the input, the GEMM dimensions match the spec, and (for
+/// `threads > 1`) the Parallel-GEMM row-band split of the output is a
+/// race-free partition.
 pub(crate) fn check_forward_gemm(
     interp: &mut Interp,
     spec: &ConvSpec,
     threads: usize,
-    cap: &crate::ScratchCapacity,
 ) -> Result<(), CheckError> {
     if threads == 0 {
         return Err(CheckError::PlanShapeMismatch {
@@ -158,15 +184,16 @@ pub(crate) fn check_forward_gemm(
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
     let nf = spec.features();
-    interp.capacity(Buf::MatA, "unfold U^T staging", patches * patch_len, cap.mat_a)?;
-    // C = W (nf x patch_len) * U^T (patch_len x patches), row bands over C.
+    // C = W (nf x patch_len) * U^T (patch_len x patches), row bands over
+    // C; each band gathers all of U^T from the input.
+    let in_len = spec.input_shape().len();
+    interp.access(Buf::Input, "forward image operand gather", patch_span(spec), in_len)?;
     let (m, n, k) = (nf, patches, patch_len);
     check_gemm_dims(
         interp,
         "forward unfold GEMM operands",
         (m, n, k),
         Operand { buf: Buf::Weights, len: spec.weight_shape().len(), ld: k },
-        Operand { buf: Buf::MatA, len: patches * patch_len, ld: n },
         Operand { buf: Buf::Output, len: spec.output_shape().len(), ld: n },
     )?;
     if threads > 1 {
@@ -202,43 +229,37 @@ pub(crate) fn check_backward_gemm(
     let nf = spec.features();
     let w_len = spec.weight_shape().len();
     let out_len = spec.output_shape().len();
+    let in_len = spec.input_shape().len();
 
-    // Backward-data: E_U (patches x patch_len) = E_O^T (patches x nf) * W,
-    // computed as A^T B with A = E_O (nf x patches) read in place: prove
-    // the operand extents the transposed kernel reads, and the E_U row
-    // bands (each band reads its columns of E_O) when the plan splits.
-    interp.capacity(Buf::MatB, "backward-data E_U staging", patches * patch_len, cap.mat_b)?;
-    let (m, n, k) = (patches, patch_len, nf);
-    interp.access(Buf::GradOut, "backward-data E_O read", Span::iter(k * m), out_len)?;
-    interp.access(Buf::Weights, "backward-data weight read", Span::iter(k * n), w_len)?;
+    // Backward-data: E_U^T (patch_len x patches) = W^T * E_O, or on
+    // outputs of few positions E_U = E_O^T * W, computed as A^T B with A
+    // and B both read in place: prove the operand extents the transposed
+    // kernel reads, and the staged gradient's row bands (each band reads
+    // its columns of A) when the plan splits.
+    let staged = patch_len * patches;
+    interp.capacity(Buf::MatB, "backward-data E_U staging", staged, cap.mat_b)?;
+    interp.access(Buf::Weights, "backward-data weight read", Span::iter(nf * patch_len), w_len)?;
+    interp.access(Buf::GradOut, "backward-data E_O read", Span::iter(nf * patches), out_len)?;
     interp.proved(1);
     if threads > 1 {
+        let (m, n) =
+            if stages_tap_rows(spec) { (patch_len, patches) } else { (patches, patch_len) };
         let bands = row_bands(m, threads);
         check_row_bands(interp, Buf::MatB, "backward-data Parallel-GEMM row bands", m, n, &bands)?;
     }
-    // Fold scatters E_U back into CHW grad_in along the patch geometry:
-    // dst = (c*in_h + y*sy + ky)*in_w + x*sx + kx.
-    let fold_span = Span::iter(spec.in_c())
-        .scale(spec.in_h())
-        .plus(Span::iter(spec.out_h()).scale(spec.sy()).plus(Span::iter(spec.ky())))
-        .scale(spec.in_w())
-        .plus(Span::iter(spec.out_w()).scale(spec.sx()).plus(Span::iter(spec.kx())));
-    interp.access(
-        Buf::GradIn,
-        "backward-data fold scatter",
-        fold_span,
-        spec.input_shape().len(),
-    )?;
+    // The row fold scatters the staged gradient back into CHW grad_in
+    // along the patch geometry, a channel's taps into its plane alone.
+    interp.access(Buf::GradIn, "backward-data fold scatter", patch_span(spec), in_len)?;
 
-    // Backward-weights: dW (nf x patch_len) = E_O (nf x patches) * U.
-    interp.capacity(Buf::MatA, "unfold U staging", patches * patch_len, cap.mat_a)?;
+    // Backward-weights: dW (nf x patch_len) = E_O (nf x patches) * U, U
+    // gathered from the input.
+    interp.access(Buf::Input, "backward-weights image operand gather", patch_span(spec), in_len)?;
     let (m, n, k) = (nf, patch_len, patches);
     check_gemm_dims(
         interp,
         "backward-weights unfold GEMM operands",
         (m, n, k),
         Operand { buf: Buf::GradOut, len: out_len, ld: k },
-        Operand { buf: Buf::MatA, len: patches * patch_len, ld: n },
         Operand { buf: Buf::GradWeights, len: w_len, ld: n },
     )?;
     if threads > 1 {
@@ -304,7 +325,6 @@ mod tests {
             "t",
             (4, 4, 4),
             Operand { buf: Buf::Weights, len: 15, ld: 4 },
-            Operand { buf: Buf::MatA, len: 16, ld: 4 },
             Operand { buf: Buf::Output, len: 16, ld: 4 },
         )
         .unwrap_err();

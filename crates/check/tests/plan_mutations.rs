@@ -1,9 +1,10 @@
 //! Property tests for the plan verifier: known-good plans verify clean, and
 //! every seeded mutation — register tiles too wide or over budget,
 //! overlapping worker splits, gapped row coverage, feature bands off a tile
-//! block, undersized scratch, a sparse gather or accumulator outside its
-//! staging, a sparse register block past its register file — is rejected with the matching
-//! [`CheckError`] variant. The verifier's value is exactly this asymmetry:
+//! block, undersized scratch, a GEMM image gather past the input, a sparse
+//! gather or accumulator outside its staging, a sparse register block past
+//! its register file — is rejected with the matching [`CheckError`]
+//! variant. The verifier's value is exactly this asymmetry:
 //! real plans pass, every corrupted neighbour of a real plan fails loudly.
 //!
 //! Every plan-level judgment here also goes through [`verify_conv_plan`],
@@ -52,7 +53,7 @@ fn good_tiled(_: &ConvSpec) -> ForwardPlan {
 /// plan (with the always-admissible serial GEMM backward) returns the
 /// identical error, or a [`VerifiedPlan`] holding this plan.
 fn verify(spec: &ConvSpec, fwd: &ForwardPlan, cap: &ScratchCapacity) -> Result<(), CheckError> {
-    let judged = verify_forward(spec, fwd, cap).map(|_| ());
+    let judged = verify_forward(spec, fwd).map(|_| ());
     let plan = ConvPlan { forward: fwd.clone(), backward: BackwardPlan::UnfoldGemm { threads: 1 } };
     let executable: Result<VerifiedPlan, CheckError> = verify_conv_plan(spec, plan.clone(), cap);
     match (&judged, executable) {
@@ -138,16 +139,42 @@ proptest! {
     }
 
     /// Undersized scratch: shrinking a required staging capacity below the
-    /// plan's high-water footprint is a ScratchOverflow. The GEMM forward
-    /// unfolds every patch into mat_a, so zeroing that reservation must
-    /// overflow on every spec.
+    /// plan's high-water footprint is a ScratchOverflow. The GEMM
+    /// backward-data stages all of `E_U` (or `E_U^T`) in mat_b, so one
+    /// element short of that reservation must overflow on every spec.
     #[test]
     fn undersized_scratch_rejected(spec in any_spec()) {
         let mut cap = ScratchCapacity::reserved_for(&spec);
-        cap.mat_a = 0;
-        let err = verify(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, &cap).unwrap_err();
+        cap.mat_b -= 1;
+        let plan = ConvPlan {
+            forward: ForwardPlan::UnfoldGemm { threads: 1 },
+            backward: BackwardPlan::UnfoldGemm { threads: 1 },
+        };
+        let err = verify_conv_plan(&spec, plan, &cap).unwrap_err();
         prop_assert!(
-            matches!(err, CheckError::ScratchOverflow { buffer: Buf::MatA, .. }),
+            matches!(err, CheckError::ScratchOverflow { buffer: Buf::MatB, context, .. }
+                if context.contains("E_U")),
+            "unexpected error {err:?}"
+        );
+    }
+
+    /// The GEMM's image operand gathers every patch straight from the
+    /// input: the gather a real plan proves fits an input that ends at the
+    /// last window's last tap, and is refused against one that ends a
+    /// single element before it.
+    #[test]
+    fn image_gather_past_the_input_rejected(spec in any_spec()) {
+        prop_assert!(gemm::verify_patch_gather(&spec, spec.input_shape().len()).is_ok());
+        let last = spec.input_shape().index(
+            spec.in_c() - 1,
+            (spec.out_h() - 1) * spec.sy() + spec.ky() - 1,
+            (spec.out_w() - 1) * spec.sx() + spec.kx() - 1,
+        );
+        prop_assert!(gemm::verify_patch_gather(&spec, last + 1).is_ok());
+        let err = gemm::verify_patch_gather(&spec, last).unwrap_err();
+        prop_assert!(
+            matches!(err, CheckError::OutOfBounds { buffer: Buf::Input, hi, len, .. }
+                if hi == last + 1 && len == last),
             "unexpected error {err:?}"
         );
     }
@@ -204,10 +231,10 @@ proptest! {
     fn forward_gemm_row_bands_verify(spec in any_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
         let plan = ForwardPlan::UnfoldGemm { threads: 3 };
-        let report = verify_forward(&spec, &plan, &cap).unwrap();
+        let report = verify_forward(&spec, &plan).unwrap();
         prop_assert_eq!(report.worker_regions, gemm::row_bands(spec.features(), 3).len());
         prop_assert!(verify(&spec, &plan, &cap).is_ok());
-        let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 }, &cap);
+        let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 });
         prop_assert_eq!(serial.unwrap().worker_regions, 0);
         prop_assert!(verify(&spec, &ForwardPlan::UnfoldGemm { threads: 0 }, &cap).is_err());
     }

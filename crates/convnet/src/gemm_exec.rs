@@ -4,13 +4,16 @@
 //!
 //! All three phases run directly on raw slices: the row-major weight
 //! tensor `[f][c*ky*kx]` *is* the GEMM weight matrix and the CHW gradient
-//! `[f][out_h*out_w]` *is* `E_O`, so neither is ever copied. The only
-//! materialized intermediates — the unfold matrix and the patch-space
-//! gradient — live in a caller-provided [`ConvScratch`]; what a
-//! steady-state sample still allocates is the blocked GEMM's two operand
-//! pack panels ([`spg_gemm::gemm_slice`] builds them per call, so row bands
-//! can run it concurrently; only the serial transposed backward-data
-//! multiply packs into the scratch).
+//! `[f][out_h*out_w]` *is* `E_O`, so neither is ever copied. The unfold
+//! matrix is never materialized either: the forward and backward-weights
+//! multiplies pack their image operand straight from the CHW input
+//! ([`ImageOperand`]), a cache block at a time. The one staged
+//! intermediate is backward-data's patch-space gradient (`E_U^T`, or `E_U`
+//! on outputs of few positions), which [`fold_rows`] adds back into the
+//! input gradient tap by tap. Every phase
+//! packs its panels into the caller's [`ConvScratch`], so a steady-state
+//! sample at a core budget of 1 allocates nothing; row bands run
+//! concurrently above it each pack into buffers of their own.
 //!
 //! Each phase's GEMM runs the row-band partition its plan was proved for
 //! on as many threads as the call's [core budget](ConvScratch::cores)
@@ -21,7 +24,7 @@
 
 use spg_gemm::{gemm_at_b_slice, gemm_flops, parallel_gemm_slice};
 
-use crate::unfold::{fold, unfold_into, unfold_transposed_into};
+use crate::unfold::{fold_rows, stages_tap_rows, ImageOperand};
 use crate::workspace::ConvScratch;
 use crate::ConvSpec;
 
@@ -35,9 +38,8 @@ use crate::ConvSpec;
 /// blocked GEMM, the GEMM-in-Parallel building block, whatever `threads`
 /// says, and a lone sample with the whole machine runs Parallel-GEMM;
 /// the output bits are the same either way
-/// ([`spg_gemm::parallel_gemm_slice`]). The unfold that feeds it splits
-/// the rows of `U^T`, a channel's at a time, over the same budget
-/// ([`unfold_transposed_into`]).
+/// ([`spg_gemm::parallel_gemm_slice`]). `U^T` is packed from the input by
+/// each band ([`ImageOperand::transposed`]).
 ///
 /// # Panics
 ///
@@ -55,24 +57,31 @@ pub fn forward_scratch(
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
-    unfold_transposed_into(spec, input, &mut scratch.mat_a, scratch.cores);
     // The weight tensor is row-major [f][c*ky*kx]: already the GEMM left
     // operand. The slice kernels accumulate, so clear the output first.
     output.fill(0.0);
     let (m, n, k) = (spec.features(), patches, patch_len);
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
-    let unfolded = scratch.mat_a.as_slice();
-    parallel_gemm_slice(m, n, k, weights, unfolded, output, threads, scratch.cores);
+    let unfolded = ImageOperand::transposed(spec, input);
+    let packs = (&mut scratch.pack_a, &mut scratch.pack_b);
+    parallel_gemm_slice(m, n, k, weights, &unfolded, output, (threads, scratch.cores), packs);
 }
 
-/// Backward error propagation via `E_U = E_O^T * W_mat`, then `col2im`,
-/// running out of a caller-owned [`ConvScratch`].
+/// Backward error propagation via `E_U^T = W_mat^T * E_O`, then `col2im`
+/// by rows, running out of a caller-owned [`ConvScratch`].
 ///
-/// `threads` is the row-band partition of `E_U` the plan was proved for,
-/// run on `min(threads, scratch.cores)` threads as [`forward_scratch`]
-/// runs its own; each band reads its columns of `E_O` in place, so no
-/// transposed copy is staged. On one thread the multiply packs into the
-/// scratch's recycled pack buffers.
+/// `threads` is the row-band partition of the staged gradient the plan
+/// was proved for, run on `min(threads, scratch.cores)` threads as
+/// [`forward_scratch`] runs its own; both operands are read in place (a
+/// transposed operand's columns are its rows), so no transposed copy is
+/// staged. On an output of few positions the multiply computes `E_U =
+/// E_O^T * W_mat` instead ([`stages_tap_rows`]): the same elements, each
+/// the same `KC`-blocked chain over features, since the product commutes.
+/// They are stored into the scratch rather than added onto zeros — so a
+/// `-0.0` stays one, which changes no sum: [`fold_rows`] adds it onto
+/// `+0.0` or onto a running sum that round-to-nearest never makes `-0.0`.
+/// The fold adds each element into `grad_in` in the patch-major fold's
+/// order, splitting the input channels over the same budget.
 ///
 /// # Panics
 ///
@@ -91,29 +100,30 @@ pub fn backward_data_scratch(
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
-    // grad_out is CHW = features x patches row-major; E_U = E_O^T * W.
-    let (m, n, k) = (patches, patch_len, spec.features());
+    // weights is features x patch_len and grad_out features x patches,
+    // both row-major: E_U^T = W^T * E_O and E_U = E_O^T * W.
+    let tap_rows = stages_tap_rows(spec);
+    let (m, n, a, b) = if tap_rows {
+        (patch_len, patches, weights, grad_out)
+    } else {
+        (patches, patch_len, grad_out, weights)
+    };
+    let k = spec.features();
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
-    scratch.mat_b.resize(patches, patch_len);
-    gemm_at_b_slice(
-        k,
-        m,
-        n,
-        grad_out,
-        weights,
-        scratch.mat_b.as_mut_slice(),
-        threads,
-        scratch.cores,
-        &mut scratch.pack_a,
-        &mut scratch.pack_b,
-    );
-    fold(spec, &scratch.mat_b, grad_in);
+    if scratch.mat_b.len() < m * n {
+        scratch.mat_b.resize(m * n, 0.0);
+    }
+    let eu = &mut scratch.mat_b[..m * n];
+    let (cores, packs) = (scratch.cores, (&mut scratch.pack_a, &mut scratch.pack_b));
+    gemm_at_b_slice(k, m, n, a, b, eu, threads, cores, packs.0, packs.1);
+    fold_rows(spec, eu, tap_rows, grad_in, cores);
 }
 
 /// Weight-gradient computation via `dW = E_O * U`, running out of a
 /// caller-owned [`ConvScratch`], its `threads` row bands run on
 /// `min(threads, scratch.cores)` threads as [`forward_scratch`] runs its
-/// own.
+/// own. `U` is packed from the input by each band
+/// ([`ImageOperand::patches`]).
 ///
 /// # Panics
 ///
@@ -131,12 +141,21 @@ pub fn backward_weights_scratch(
     assert_eq!(grad_weights.len(), spec.weight_shape().len(), "grad_weights length");
     let patches = spec.out_h() * spec.out_w();
     let patch_len = spec.weight_shape().per_feature();
-    unfold_into(spec, input, &mut scratch.mat_a);
     grad_weights.fill(0.0);
     let (m, n, k) = (spec.features(), patch_len, patches);
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
-    let unfolded = scratch.mat_a.as_slice();
-    parallel_gemm_slice(m, n, k, grad_out, unfolded, grad_weights, threads, scratch.cores);
+    let unfolded = ImageOperand::patches(spec, input);
+    let packs = (&mut scratch.pack_a, &mut scratch.pack_b);
+    parallel_gemm_slice(
+        m,
+        n,
+        k,
+        grad_out,
+        &unfolded,
+        grad_weights,
+        (threads, scratch.cores),
+        packs,
+    );
 }
 
 #[cfg(test)]
@@ -244,11 +263,11 @@ mod tests {
         }
     }
 
-    /// The serial backward-data multiply packs into the scratch for the
-    /// tile this CPU dispatches, and its pack buffers stop growing once
-    /// warm (ImageNet-1K conv1-3, both CIFAR-10 layers).
+    /// Every serial phase packs into the scratch for the tile this CPU
+    /// dispatches, and the pack buffers stop growing once warm
+    /// (ImageNet-1K conv1-3, both CIFAR-10 layers).
     #[test]
-    fn serial_backward_data_packs_stop_growing_after_the_first_call() {
+    fn serial_packs_stop_growing_after_the_first_step() {
         let specs = [
             ConvSpec::square(55, 256, 96, 5, 1),
             ConvSpec::square(25, 384, 256, 3, 1),
@@ -259,24 +278,22 @@ mod tests {
         for spec in specs {
             let mut scratch = ConvScratch::new();
             scratch.reserve(&spec);
+            let input = vec![0.03; spec.input_shape().len()];
             let weights = vec![0.01; spec.weight_shape().len()];
             let grad_out = vec![0.02; spec.output_shape().len()];
+            let mut output = vec![0.0; spec.output_shape().len()];
             let mut grad_in = vec![0.0; spec.input_shape().len()];
-            let caps: Vec<_> = (0..2)
-                .map(|_| {
-                    backward_data_scratch(
-                        &spec,
-                        &weights,
-                        &grad_out,
-                        &mut grad_in,
-                        1,
-                        &mut scratch,
-                    );
-                    (scratch.pack_a.capacity(), scratch.pack_b.capacity())
-                })
-                .collect();
-            assert!(caps[0].0 > 0 && caps[0].1 > 0, "{spec}: packed outside the scratch");
-            assert_eq!(caps[0], caps[1], "{spec}: packs grew on the second call");
+            let mut grad_w = vec![0.0; spec.weight_shape().len()];
+            let mut caps = (0..2).map(|_| {
+                let s = &mut scratch;
+                forward_scratch(&spec, &input, &weights, &mut output, 1, s);
+                backward_data_scratch(&spec, &weights, &grad_out, &mut grad_in, 1, s);
+                backward_weights_scratch(&spec, &input, &grad_out, &mut grad_w, 1, s);
+                (s.pack_a.capacity(), s.pack_b.capacity())
+            });
+            let (first, second) = (caps.next().unwrap(), caps.next().unwrap());
+            assert!(first.0 > 0 && first.1 > 0, "{spec}: packed outside the scratch");
+            assert_eq!(first, second, "{spec}: packs grew on the second step");
         }
     }
 

@@ -9,10 +9,11 @@
 //! allocation-free:
 //!
 //! * [`ConvScratch`] — per-call scratch for a
-//!   [`ConvExecutor`](crate::exec::ConvExecutor): unfold matrices, GEMM
-//!   pack buffers, HWC staging, the permuted-order weight-gradient
-//!   accumulator, the compacted non-zeros and CT-CSR staging. Buffers
-//!   grow on first use (warm-up) and are recycled afterwards.
+//!   [`ConvExecutor`](crate::exec::ConvExecutor): the backward-data
+//!   patch-space gradient, GEMM pack buffers, HWC staging, the
+//!   permuted-order weight-gradient accumulator, the compacted non-zeros
+//!   and CT-CSR staging. Buffers grow on first use (warm-up) and are
+//!   recycled afterwards.
 //! * [`Workspace`] — everything one training sample needs end to end:
 //!   an activation trace, ping-pong error-gradient buffers, per-layer
 //!   gradient-*record* buffers, and one shared [`ConvScratch`]. The
@@ -36,7 +37,7 @@
 //! [`fold_records`]: crate::sgd::fold_records
 
 use spg_tensor::sparse::CtCsr;
-use spg_tensor::{Matrix, Tensor};
+use spg_tensor::Tensor;
 
 use crate::net::{Network, SampleTrace};
 use crate::ConvSpec;
@@ -75,7 +76,7 @@ pub fn zeroed_slice(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 /// its threads among fewer inputs. Layers that can split a sample — a
 /// conv plan proved for `n` regions, the fully-connected layer's rows —
 /// run on `min(n, cores)` threads, and at 1 run the sequential program.
-/// The ReLU, the max-pool and the unfold ahead of a GEMM split their
+/// The ReLU, the max-pool and the fold behind a GEMM backward split their
 /// output over up to `cores` threads when each part carries enough work
 /// to pay for its thread.
 #[derive(Debug)]
@@ -83,10 +84,11 @@ pub struct ConvScratch {
     /// Cores the current call may spend inside one sample (at least 1);
     /// see the type-level docs. Set by whoever walks the network.
     pub cores: usize,
-    /// Patch-matrix scratch: the unfold matrix `U` / `U^T`.
-    pub mat_a: Matrix,
-    /// Patch-space gradient `E_U` for the backward-data fold.
-    pub mat_b: Matrix,
+    /// Patch-space gradient `E_U` (or `E_U^T`) for the backward-data
+    /// fold; only grows, and its head holds the current layer's (the
+    /// multiply that fills it stores every element, so it is never
+    /// zeroed).
+    pub mat_b: Vec<f32>,
     /// Input-sized HWC staging buffer.
     pub hwc_in: Vec<f32>,
     /// Output-sized HWC staging buffer.
@@ -112,8 +114,7 @@ impl Default for ConvScratch {
     fn default() -> Self {
         ConvScratch {
             cores: 1,
-            mat_a: Matrix::default(),
-            mat_b: Matrix::default(),
+            mat_b: Vec::new(),
             hwc_in: Vec::new(),
             hwc_out: Vec::new(),
             wperm: Vec::new(),
@@ -153,11 +154,8 @@ impl ConvScratch {
     pub fn reserve(&mut self, spec: &ConvSpec) {
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
-        if self.mat_a.len() < patches * patch_len {
-            self.mat_a.resize(patches, patch_len);
-        }
         if self.mat_b.len() < patches * patch_len {
-            self.mat_b.resize(patches, patch_len);
+            zeroed_slice(&mut self.mat_b, patches * patch_len);
         }
         let in_len = spec.input_shape().len();
         if self.hwc_in.len() < in_len {
@@ -178,8 +176,7 @@ impl ConvScratch {
     /// Reported to the telemetry workspace gauge per (layer, phase); after
     /// warm-up this is the steady-state scratch memory of the executor.
     pub fn bytes(&self) -> usize {
-        (self.mat_a.len()
-            + self.mat_b.len()
+        (self.mat_b.len()
             + self.hwc_in.len()
             + self.hwc_out.len()
             + self.wperm.len()
@@ -320,7 +317,7 @@ mod tests {
         scratch.reserve(&spec);
         let patches = spec.out_h() * spec.out_w();
         let patch_len = spec.weight_shape().per_feature();
-        assert!(scratch.mat_a.len() >= patches * patch_len);
+        assert!(scratch.mat_b.len() >= patches * patch_len);
         assert!(scratch.hwc_in.len() >= spec.input_shape().len());
         assert_eq!(scratch.hwc_out.len(), spec.output_shape().len());
         assert_eq!(scratch.wperm.len(), spec.weight_shape().len());

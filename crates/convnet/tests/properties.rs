@@ -17,7 +17,8 @@ use spg_convnet::gradcheck::check_gradients;
 use spg_convnet::layer::{ConvLayer, FcLayer, Layer, MaxPoolLayer, ReluLayer};
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::{gemm_exec, reference, unfold, ConvSpec, Network, Trainer, TrainerConfig};
-use spg_tensor::{Shape3, Tensor};
+use spg_gemm::{RightOperand, RowMajor};
+use spg_tensor::{Matrix, Shape3, Tensor};
 
 /// Random valid convolution specs, bounded to keep the oracle affordable.
 fn conv_spec() -> impl Strategy<Value = ConvSpec> {
@@ -34,6 +35,67 @@ fn pseudo(n: usize, salt: u64) -> Vec<f32> {
             ((v >> 33) as f32 / (1u64 << 31) as f32) - 0.5
         })
         .collect()
+}
+
+/// Layer geometries for the layout passes: strides 1–4, kernels 1–11,
+/// non-square inputs and kernels, 1–7 channels.
+fn layout_spec() -> impl Strategy<Value = ConvSpec> {
+    (1usize..=7, 1usize..=11, 1usize..=11, 1usize..=4, 1usize..=4, 0usize..14, 0usize..14).prop_map(
+        |(c, ky, kx, sy, sx, dh, dw)| {
+            ConvSpec::new(c, ky + dh, kx + dw, 1, ky, kx, sy, sx).expect("kernel fits input")
+        },
+    )
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The materialized `U^T` (`Nc * Fy * Fx` rows × `out_h * out_w` columns)
+/// the Unfold+GEMM forward staged before its image operand was packed
+/// straight from the input: the serial body of the old
+/// `unfold_transposed_into`, kept as the oracle.
+fn unfold_transposed_oracle(spec: &ConvSpec, input: &[f32]) -> Vec<f32> {
+    let ishape = spec.input_shape();
+    let (out_w, patches) = (spec.out_w(), spec.out_h() * spec.out_w());
+    let (sy, sx, kx_n, ky_n) = (spec.sy(), spec.sx(), spec.kx(), spec.ky());
+    let mut uv = vec![0.0; spec.in_c() * ky_n * kx_n * patches];
+    for (c, rows) in uv.chunks_exact_mut(ky_n * kx_n * patches).enumerate() {
+        for (ky, ky_rows) in rows.chunks_exact_mut(kx_n * patches).enumerate() {
+            for (kx, urow) in ky_rows.chunks_exact_mut(patches).enumerate() {
+                for (y, dst) in urow.chunks_exact_mut(out_w).enumerate() {
+                    let src = &input[ishape.index(c, y * sy + ky, kx)..];
+                    for (x, d) in dst.iter_mut().enumerate() {
+                        *d = src[x * sx];
+                    }
+                }
+            }
+        }
+    }
+    uv
+}
+
+/// The patch-major `col2im` the backward-data fold ran before the row
+/// fold, over `E_U` (`out_h * out_w` rows × `Nc * Fy * Fx` columns): the
+/// old `unfold::fold`, kept as the oracle.
+fn fold_oracle(spec: &ConvSpec, patch_grads: &Matrix, grad_in: &mut [f32]) {
+    let ishape = spec.input_shape();
+    grad_in.fill(0.0);
+    let (sy, sx, kx_n, ky_n) = (spec.sy(), spec.sx(), spec.kx(), spec.ky());
+    for y in 0..spec.out_h() {
+        for x in 0..spec.out_w() {
+            let row = patch_grads.row(y * spec.out_w() + x);
+            for c in 0..spec.in_c() {
+                for ky in 0..ky_n {
+                    let dst = ishape.index(c, y * sy + ky, x * sx);
+                    let src = (c * ky_n + ky) * kx_n;
+                    for kx in 0..kx_n {
+                        grad_in[dst + kx] += row[src + kx];
+                    }
+                }
+            }
+        }
+    }
 }
 
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -186,14 +248,74 @@ proptest! {
         prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0));
     }
 
-    /// Unfold row count and width must match the spec algebra, and the
-    /// exact `|U|` accounting must equal the matrix size.
+    /// Row `j` of the image operand's `U^T` is the reference convolution
+    /// of the input with the one-hot kernel at tap `j`, and the `|U|`
+    /// accounting is the operand's size.
     #[test]
-    fn unfold_size_matches_spec(spec in conv_spec()) {
-        let input = pseudo(spec.input_shape().len(), 7);
-        let u = unfold::unfold(&spec, &input);
-        prop_assert_eq!(u.rows() as u64 * u.cols() as u64, spec.unfolded_elems());
-        prop_assert_eq!(u.rows(), spec.out_h() * spec.out_w());
+    fn image_operand_rows_are_one_hot_convolutions(spec in conv_spec(), salt in 0u64..1000) {
+        let input = pseudo(spec.input_shape().len(), salt);
+        let (patch_len, patches) = (spec.weight_shape().per_feature(), spec.out_h() * spec.out_w());
+        prop_assert_eq!(patch_len as u64 * patches as u64, spec.unfolded_elems());
+        let one = ConvSpec::new(spec.in_c(), spec.in_h(), spec.in_w(), 1, spec.ky(), spec.kx(), spec.sy(), spec.sx()).unwrap();
+        let image = unfold::ImageOperand::transposed(&spec, &input);
+        for j in 0..patch_len {
+            let mut row = vec![f32::NAN; patches.div_ceil(16) * 16];
+            image.pack(16, j, 0, 1, patches, &mut row);
+            let mut hot = vec![0.0; patch_len];
+            hot[j] = 1.0;
+            let mut oracle = vec![0.0; patches];
+            reference::forward(&one, &input, &hot, &mut oracle);
+            prop_assert!(row[..patches] == oracle[..], "tap {}", j);
+        }
+    }
+
+    /// Packing the image operand straight from the input gives, bit for
+    /// bit and zero padding included, the panels a dense pack builds from
+    /// the materialized unfold — `U^T` for the forward and `U` for
+    /// backward-weights, at both register tiles' widths and any block.
+    #[test]
+    fn image_panels_are_the_dense_panels_of_the_unfold(
+        spec in layout_spec(),
+        salt in 0u64..1000,
+        corner in (0usize..1000, 0usize..1000),
+    ) {
+        let input = awkward(spec.input_shape().len(), salt);
+        let ut = unfold_transposed_oracle(&spec, &input);
+        let (rows, cols) = (spec.weight_shape().per_feature(), spec.out_h() * spec.out_w());
+        let u: Vec<f32> = (0..cols * rows).map(|i| ut[(i % rows) * cols + i / rows]).collect();
+        let cases = [
+            (unfold::ImageOperand::transposed(&spec, &input), RowMajor::new(&ut, cols), rows, cols),
+            (unfold::ImageOperand::patches(&spec, &input), RowMajor::new(&u, rows), cols, rows),
+        ];
+        for (image, dense, k, n) in cases {
+            let (row0, col0) = (corner.0 * k / 1000, corner.1 * n / 1000);
+            let (kc, nc) = ((k - row0).min(256), (n - col0).min(1024));
+            for nr in [16, 32] {
+                let len = nc.div_ceil(nr) * kc * nr;
+                let (mut got, mut want) = (vec![f32::NAN; len], vec![1.0; len]);
+                image.pack(nr, row0, col0, kc, nc, &mut got);
+                dense.pack(nr, row0, col0, kc, nc, &mut want);
+                prop_assert!(bits(&got) == bits(&want), "nr {} at ({}, {})", nr, row0, col0);
+            }
+        }
+    }
+
+    /// The row fold — taps `(ky, kx)` descending, a channel's plane at a
+    /// time, from `E_U^T` or from `E_U` — adds every input element's
+    /// contributions in the patch-major fold's order, so it is that fold
+    /// to the bit, on values where the order of float additions shows.
+    #[test]
+    fn row_fold_is_the_patch_major_fold(spec in layout_spec(), salt in 0u64..1000) {
+        let (patch_len, patches) = (spec.weight_shape().per_feature(), spec.out_h() * spec.out_w());
+        let eut = awkward(patch_len * patches, salt);
+        let eu = Matrix::from_vec(patch_len, patches, eut.clone()).unwrap().transposed();
+        let mut want = vec![0.0; spec.input_shape().len()];
+        fold_oracle(&spec, &eu, &mut want);
+        for (staged, tap_rows) in [(&eut[..], true), (eu.as_slice(), false)] {
+            let mut got = vec![f32::NAN; want.len()];
+            unfold::fold_rows(&spec, staged, tap_rows, &mut got, 1);
+            prop_assert!(bits(&got) == bits(&want), "tap rows {}", tap_rows);
+        }
     }
 
     /// `FcLayer::add_grads` forms the rank-B update from `(δ, x)` records:

@@ -226,12 +226,11 @@ pub fn verify_technique(
     phase: Phase,
     cores: usize,
 ) -> Result<CheckReport, SpgError> {
-    let cap = ScratchCapacity::reserved_for(spec);
     let result = match phase {
         Phase::Forward => {
             let prove_at = |lanes| {
                 let forward = lower_forward(spec, technique, cores, lanes);
-                spg_check::verify_forward(spec, &forward, &cap)
+                spg_check::verify_forward(spec, &forward)
             };
             // `lower`'s fallback: a rejected instance plan runs generic.
             instance(spec, technique, KernelChoice::Auto)
@@ -239,6 +238,7 @@ pub fn verify_technique(
                 .map_or_else(|| prove_at(VECTOR_WIDTH), Ok)
         }
         Phase::Backward => {
+            let cap = ScratchCapacity::reserved_for(spec);
             spg_check::verify_backward(spec, &lower_backward(technique, cores), &cap)
         }
     };
@@ -371,7 +371,6 @@ mod tests {
             let report = spg_check::verify_forward(
                 &spec,
                 &lower_forward(&spec, Technique::StencilFp, 1, inst.lanes()),
-                &ScratchCapacity::reserved_for(&spec),
             )
             .unwrap();
             assert!(report.accesses_proved > 0, "{inst:?} on {spec}");

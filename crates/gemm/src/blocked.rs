@@ -1,6 +1,6 @@
 use spg_tensor::Matrix;
 
-use crate::kernels::{pack_a, pack_b, Tile, ACC_LEN};
+use crate::kernels::{pack_a, RightOperand, RowMajor, Tile, ACC_LEN};
 use crate::{check_dims, GemmError};
 
 /// Cache block of the `k` dimension (packed A/B panel depth). This alone
@@ -11,6 +11,18 @@ pub(crate) const KC: usize = 256;
 pub(crate) const MC: usize = 72;
 /// Cache block of the `n` dimension (columns of packed B per block).
 const NC: usize = 1024;
+
+/// What a multiply does with the old contents of `C`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Update {
+    /// `C += op(A) * B`.
+    Add,
+    /// `C = op(A) * B`: the first `KC` block's tiles are stored rather
+    /// than added, so `C`'s old contents are never read. Each element is
+    /// the `Add` chain onto a zeroed `C` but for the sign of a zero: the
+    /// first block's `-0.0` is stored as is, where `0.0 + -0.0` is `0.0`.
+    Store,
+}
 
 /// Packs an `mc x kc` block of the left operand at `(row0, col0)` for a
 /// tile: [`pack_a`] for `A`, [`pack_at`](crate::kernels::pack_at) for an
@@ -108,28 +120,27 @@ pub fn gemm_slice(
     }
 
     let (mut a_pack, mut b_pack) = (Vec::new(), Vec::new());
-    gemm_blocked(Tile::host(), pack_a, m, n, k, a, lda, b, ldb, c, ldc, &mut a_pack, &mut b_pack);
+    let b = RowMajor::new(b, ldb);
+    let packs = (&mut a_pack, &mut b_pack);
+    gemm_blocked(Tile::host(), pack_a, (m, n, k), a, lda, &b, (c, ldc, Update::Add), packs);
 }
 
 /// The blocked loop nest behind every multiply in this crate:
-/// `C += op(A) * B` with `op(A)`'s blocks packed by `pack` and both
-/// operands packed for `tile`, the micro-kernel's tiles added into `C`.
-/// Assumes the caller checked the geometry; a zero dimension is a no-op.
+/// `C += op(A) * B` (or `C = op(A) * B`, as `update` says) with `op(A)`'s
+/// blocks packed by `pack`, `B`'s by its [`RightOperand`], both for
+/// `tile`, the micro-kernel's tiles added into `C`. `b_pack` only grows: a
+/// block packs into its head. Assumes the caller checked the geometry and
+/// that `k > 0`; a zero `m` or `n` is a no-op.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_blocked(
+pub(crate) fn gemm_blocked<B: RightOperand + ?Sized>(
     tile: Tile,
     pack: PackA,
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
     a: &[f32],
     lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    a_pack: &mut Vec<f32>,
-    b_pack: &mut Vec<f32>,
+    b: &B,
+    (c, ldc, update): (&mut [f32], usize, Update),
+    (a_pack, b_pack): (&mut Vec<f32>, &mut Vec<f32>),
 ) {
     let (mr, nr) = (tile.mr, tile.nr);
     let mut acc = [0.0f32; ACC_LEN];
@@ -137,19 +148,28 @@ pub(crate) fn gemm_blocked(
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
-            pack_b(tile, b, ldb, pc, jc, kc, nc, b_pack);
+            let len = nc.div_ceil(nr) * kc * nr;
+            if b_pack.len() < len {
+                b_pack.resize(len, 0.0);
+            }
+            let b_panels = &mut b_pack[..len];
+            b.pack(nr, pc, jc, kc, nc, b_panels);
             for ic in (0..m).step_by(MC) {
                 let mc = (m - ic).min(MC);
                 pack(tile, a, lda, ic, pc, mc, kc, a_pack);
-                for (jp, bp) in b_pack.chunks_exact(kc * nr).enumerate() {
+                for (jp, bp) in b_panels.chunks_exact(kc * nr).enumerate() {
                     let cols = (nc - jp * nr).min(nr);
                     for (ip, ap) in a_pack.chunks_exact(kc * mr).enumerate() {
                         tile.run(kc, ap, bp, &mut acc);
                         let rows = (mc - ip * mr).min(mr);
+                        let store = update == Update::Store && pc == 0;
                         for (r, src) in acc.chunks_exact(nr).take(rows).enumerate() {
                             let cbase = (ic + ip * mr + r) * ldc + jc + jp * nr;
-                            for (d, s) in c[cbase..cbase + cols].iter_mut().zip(src) {
-                                *d += s;
+                            let dst = &mut c[cbase..cbase + cols];
+                            if store {
+                                dst.copy_from_slice(&src[..cols]);
+                            } else {
+                                dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
                             }
                         }
                     }
@@ -272,14 +292,15 @@ mod tests {
                 for &tile in &tiers {
                     let (mut pa, mut pb) = (Vec::new(), Vec::new());
                     let mut c = c0.clone();
-                    gemm_blocked(tile, pack_a, m, n, k, av, k, bv, n, &mut c, n, &mut pa, &mut pb);
+                    let (b, dims, add) = (RowMajor::new(bv, n), (m, n, k), Update::Add);
+                    let packs = (&mut pa, &mut pb);
+                    gemm_blocked(tile, pack_a, dims, av, k, &b, (&mut c, n, add), packs);
                     let want = want.get_or_insert_with(|| bits(&c));
                     let at_shape = (m, n, k, tile.mr, tile.nr);
                     assert_eq!(&bits(&c), want, "gemm_slice {at_shape:?}");
                     let mut c = c0.clone();
-                    gemm_blocked(
-                        tile, pack_at, m, n, k, atv, m, bv, n, &mut c, n, &mut pa, &mut pb,
-                    );
+                    let packs = (&mut pa, &mut pb);
+                    gemm_blocked(tile, pack_at, dims, atv, m, &b, (&mut c, n, add), packs);
                     assert_eq!(&bits(&c), want, "gemm_at_b_slice {at_shape:?}");
                     let left = [
                         ("row bands", (pack_a as PackA, k, k), av),
@@ -290,7 +311,8 @@ mod tests {
                             let mut c = c0.clone();
                             let packs = (&mut pa, &mut pb);
                             let (bands, dims) = ((split, split), (m, n, k));
-                            gemm_row_bands(tile, packing, dims, a, bv, &mut c, bands, packs);
+                            let out = (&mut c[..], add);
+                            gemm_row_bands(tile, packing, dims, a, &b, out, bands, packs);
                             assert_eq!(&bits(&c), want, "{name}/{split} {at_shape:?}");
                         }
                     }

@@ -291,28 +291,48 @@ pub(crate) fn pack_at(
     }
 }
 
-/// Packs a `kc x nc` block of `b` (row-major, leading dimension `ldb`)
-/// into `tile.nr`-column panels: panel-major, then `k`, then column.
-/// Columns beyond `nc` are zero-padded.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_b(
-    tile: Tile,
-    b: &[f32],
-    ldb: usize,
-    row0: usize,
-    col0: usize,
-    kc: usize,
-    nc: usize,
-    out: &mut Vec<f32>,
-) {
-    let nr = tile.nr;
-    out.clear();
-    out.resize(nc.div_ceil(nr) * kc * nr, 0.0);
-    for (i, panel) in out.chunks_exact_mut(kc * nr).enumerate() {
-        let cols = (nc - i * nr).min(nr);
-        for p in 0..kc {
-            let src = (row0 + p) * ldb + col0 + i * nr;
-            panel[p * nr..p * nr + cols].copy_from_slice(&b[src..src + cols]);
+/// The right operand of a blocked multiply, as the micro-kernel reads it:
+/// the one seam through which a `k x n` operand reaches the packed panels.
+///
+/// A dense row-major matrix ([`RowMajor`]) is one implementation; an
+/// operand that is never materialized — the unfold matrix of a CHW image,
+/// gathered straight from the image — is another. The multiply's bits
+/// depend only on the values packed, so two implementations that pack the
+/// same values give the same product.
+pub trait RightOperand: Sync {
+    /// Packs the `kc x nc` block whose first element is `(row0, col0)`
+    /// into `nr`-column panels: panel-major, then `k`, then column, so
+    /// element `(row0 + p, col0 + i * nr + j)` lands at
+    /// `panels[(i * kc + p) * nr + j]`. `panels` is exactly
+    /// `nc.div_ceil(nr) * kc * nr` long and holds stale values: every
+    /// element must be written, the columns past `nc` with zeros.
+    fn pack(&self, nr: usize, row0: usize, col0: usize, kc: usize, nc: usize, panels: &mut [f32]);
+}
+
+/// A row-major matrix with leading dimension `ld`: the dense
+/// [`RightOperand`].
+#[derive(Debug, Clone, Copy)]
+pub struct RowMajor<'a> {
+    data: &'a [f32],
+    ld: usize,
+}
+
+impl<'a> RowMajor<'a> {
+    /// The matrix whose row `r` starts at `data[r * ld]`.
+    pub fn new(data: &'a [f32], ld: usize) -> Self {
+        RowMajor { data, ld }
+    }
+}
+
+impl RightOperand for RowMajor<'_> {
+    fn pack(&self, nr: usize, row0: usize, col0: usize, kc: usize, nc: usize, panels: &mut [f32]) {
+        for (i, panel) in panels.chunks_exact_mut(kc * nr).enumerate() {
+            let cols = (nc - i * nr).min(nr);
+            for (p, dst) in panel.chunks_exact_mut(nr).enumerate() {
+                let src = (row0 + p) * self.ld + col0 + i * nr;
+                dst[..cols].copy_from_slice(&self.data[src..src + cols]);
+                dst[cols..].fill(0.0);
+            }
         }
     }
 }
@@ -398,9 +418,8 @@ pub(crate) mod tests {
         // 2x3 matrix packed as one nr-column panel with kc=2, nc=3.
         let b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         for (level, t) in tiles() {
-            let mut out = Vec::new();
-            pack_b(t, &b, 3, 0, 0, 2, 3, &mut out);
-            assert_eq!(out.len(), 2 * t.nr, "{level:?}");
+            let mut out = vec![f32::NAN; 2 * t.nr];
+            RowMajor::new(&b, 3).pack(t.nr, 0, 0, 2, 3, &mut out);
             for (p, row) in out.chunks_exact(t.nr).enumerate() {
                 assert_eq!(row[..3], b[p * 3..p * 3 + 3], "{level:?} k={p}");
                 assert!(row[3..].iter().all(|&v| v == 0.0), "{level:?} k={p}: padding");
@@ -422,8 +441,8 @@ pub(crate) mod tests {
                 assert_eq!(out[..2], [6.0, 10.0], "{level:?}");
                 assert_eq!(out[t.mr..t.mr + 2], [7.0, 11.0], "{level:?}");
             }
-            let mut bp = Vec::new();
-            pack_b(t, &a, 4, 1, 2, 2, 2, &mut bp);
+            let mut bp = vec![0.0; 2 * t.nr];
+            RowMajor::new(&a, 4).pack(t.nr, 1, 2, 2, 2, &mut bp);
             assert_eq!(bp[..2], [6.0, 7.0], "{level:?}");
             assert_eq!(bp[t.nr..t.nr + 2], [10.0, 11.0], "{level:?}");
         }

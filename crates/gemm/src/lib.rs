@@ -14,9 +14,11 @@
 //! * [`parallel_gemm`] / [`parallel_gemm_slice`] — **Parallel-GEMM**: one
 //!   multiply, row-partitioned across cores. This is the conventional
 //!   schedule whose per-core arithmetic intensity shrinks as cores are
-//!   added (Sec. 3.2).
-//! * [`gemm_at_b_slice`] — `C += A^T * B` with the transpose folded into
-//!   the panel packing, for the Unfold+GEMM backward.
+//!   added (Sec. 3.2). Its right operand is any [`RightOperand`]: a dense
+//!   [`RowMajor`] matrix, or one packed straight from where it lives (the
+//!   Unfold+GEMM executors pack the unfold matrix from the image).
+//! * [`gemm_at_b_slice`] — `C = A^T * B` with the transpose folded into
+//!   the panel packing, for the Unfold+GEMM backward-data.
 //! * [`FcKernels`] — the fully-connected layer's row dot, backward row
 //!   sweep and gradient-record fold, at the host's vector width and with
 //!   one weight-row load per block of samples.
@@ -53,7 +55,7 @@ mod transposed;
 pub use blocked::{gemm, gemm_into, gemm_slice};
 pub use error::GemmError;
 pub use fc::{FcKernels, DOT_LANES};
-pub use kernels::{detect_simd_level, simd_backend_name, SimdLevel};
+pub use kernels::{detect_simd_level, simd_backend_name, RightOperand, RowMajor, SimdLevel};
 pub use naive::{gemm_naive, gemm_naive_into};
 pub use parallel::{parallel_gemm, parallel_gemm_slice};
 /// The workspace's one fork-join, which the parallel schedules here fan

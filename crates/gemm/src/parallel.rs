@@ -1,7 +1,7 @@
 use spg_tensor::Matrix;
 
-use crate::blocked::{gemm_blocked, PackA};
-use crate::kernels::{pack_a, Tile};
+use crate::blocked::{gemm_blocked, PackA, Update};
+use crate::kernels::{pack_a, RightOperand, RowMajor, Tile};
 use crate::{check_dims, GemmError};
 
 /// **Parallel-GEMM**: one matrix multiply partitioned across `threads`
@@ -43,7 +43,8 @@ pub fn parallel_gemm(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, G
     // Recorded on the calling thread so the flops land in the caller's
     // scope; worker threads have no scope stack of their own.
     spg_telemetry::record_flops(crate::gemm_flops(m, n, k), crate::gemm_flops(m, n, k));
-    parallel_gemm_slice(m, n, k, a.as_slice(), b.as_slice(), c.as_mut_slice(), threads, threads);
+    let (b, packs) = (RowMajor::new(b.as_slice(), n), (&mut Vec::new(), &mut Vec::new()));
+    parallel_gemm_slice(m, n, k, a.as_slice(), &b, c.as_mut_slice(), (threads, threads), packs);
     Ok(c)
 }
 
@@ -51,11 +52,15 @@ pub fn parallel_gemm(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, G
 /// storage, the rows of `C` split into `bands` contiguous row bands run on
 /// at most `threads` threads.
 ///
-/// Operands are contiguous row-major slices (`a` is `m x k`, `b` is
-/// `k x n`, `c` is `m x n`). Like [`gemm_slice`] this **accumulates** and
-/// records no telemetry — the workspace-threaded executors own both the
-/// zeroing and the flop accounting — and like it each band packs its
-/// operand panels into buffers of its own.
+/// `a` is the contiguous row-major `m x k` left operand and `c` the
+/// `m x n` output; `b` is any `k x n` [`RightOperand`] — a dense
+/// [`RowMajor`] matrix, or an operand packed straight from where it lives.
+/// Like [`gemm_slice`] this **accumulates** and records no telemetry — the
+/// workspace-threaded executors own both the zeroing and the flop
+/// accounting. On one thread `a_pack` / `b_pack` are the panel-packing
+/// buffers, grown on first use and reused afterwards, so a steady-state
+/// call with stable shapes performs no heap allocation; with more, each
+/// band packs into buffers of its own.
 ///
 /// The partition is `bands.min(m)` bands of `ceil(m / bands)` rows, the
 /// last truncated: the split `spg-check` proves disjoint and covering for
@@ -75,27 +80,27 @@ pub fn parallel_gemm(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, G
 ///
 /// [`gemm_slice`]: crate::gemm_slice
 #[allow(clippy::too_many_arguments)]
-pub fn parallel_gemm_slice(
+pub fn parallel_gemm_slice<B: RightOperand + ?Sized>(
     m: usize,
     n: usize,
     k: usize,
     a: &[f32],
-    b: &[f32],
+    b: &B,
     c: &mut [f32],
-    bands: usize,
-    threads: usize,
+    (bands, threads): (usize, usize),
+    packs: (&mut Vec<f32>, &mut Vec<f32>),
 ) {
     assert!(bands > 0 && threads > 0, "parallel_gemm_slice: zero threads");
     assert_eq!(a.len(), m * k, "parallel_gemm_slice: a length mismatch");
-    assert_eq!(b.len(), k * n, "parallel_gemm_slice: b length mismatch");
     assert_eq!(c.len(), m * n, "parallel_gemm_slice: c length mismatch");
-    let packs = (&mut Vec::new(), &mut Vec::new());
-    gemm_row_bands(Tile::host(), (pack_a, k, k), (m, n, k), a, b, c, (bands, threads), packs);
+    let (c, bands) = ((c, Update::Add), (bands, threads));
+    gemm_row_bands(Tile::host(), (pack_a, k, k), (m, n, k), a, b, c, bands, packs);
 }
 
 /// The row-banded multiply behind [`parallel_gemm_slice`] and
 /// [`gemm_at_b_slice`](crate::gemm_at_b_slice), over checked operands:
-/// `C += op(A) * B` on register tile `tile`, `op(A)`'s blocks
+/// `C += op(A) * B` (or `C = op(A) * B`, as `update` says) on register
+/// tile `tile`, `op(A)`'s blocks
 /// packed by `pack` from `a` at leading dimension `lda`, with row `r` of
 /// `op(A)` starting at `a[r * row_step..]` (`lda` for [`pack_a`], 1 for a
 /// left operand stored transposed). The rows of `C` split as
@@ -103,21 +108,27 @@ pub fn parallel_gemm_slice(
 /// on the caller's `a_pack` / `b_pack`; with more, each band packs into
 /// buffers of its own.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_row_bands(
+pub(crate) fn gemm_row_bands<B: RightOperand + ?Sized>(
     tile: Tile,
     (pack, lda, row_step): (PackA, usize, usize),
     (m, n, k): (usize, usize, usize),
     a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
+    b: &B,
+    (c, update): (&mut [f32], Update),
     (bands, threads): (usize, usize),
     (a_pack, b_pack): (&mut Vec<f32>, &mut Vec<f32>),
 ) {
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        if update == Update::Store {
+            c.fill(0.0);
+        }
         return;
     }
     let run = |rows, a, c: &mut [f32], a_pack: &mut _, b_pack: &mut _| {
-        gemm_blocked(tile, pack, rows, n, k, a, lda, b, n, c, n, a_pack, b_pack)
+        gemm_blocked(tile, pack, (rows, n, k), a, lda, b, (c, n, update), (a_pack, b_pack))
     };
     let band = m.div_ceil(bands.min(m));
     let bands = m.div_ceil(band);
@@ -176,7 +187,8 @@ mod tests {
         let b = Matrix::random_uniform(6, 11, 1.0, &mut rng);
         let oracle = gemm_naive(&a, &b).unwrap();
         let mut c = vec![1.0f32; 9 * 11];
-        parallel_gemm_slice(9, 11, 6, a.as_slice(), b.as_slice(), &mut c, 3, 3);
+        let (b, packs) = (RowMajor::new(b.as_slice(), 11), (&mut Vec::new(), &mut Vec::new()));
+        parallel_gemm_slice(9, 11, 6, a.as_slice(), &b, &mut c, (3, 3), packs);
         for (got, want) in c.iter().zip(oracle.as_slice()) {
             assert!((got - (want + 1.0)).abs() < 1e-3);
         }
@@ -194,9 +206,11 @@ mod tests {
         let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
         let mut serial = vec![0.5f32; m * n];
         gemm_slice(m, n, k, a.as_slice(), k, b.as_slice(), n, &mut serial, n);
+        let (b, mut pa, mut pb) = (RowMajor::new(b.as_slice(), n), Vec::new(), Vec::new());
         for (bands, threads) in [(2, 2), (3, 3), (7, 7), (7, 3), (7, 2), (3, 1), (200, 5)] {
             let mut c = vec![0.5f32; m * n];
-            parallel_gemm_slice(m, n, k, a.as_slice(), b.as_slice(), &mut c, bands, threads);
+            let packs = (&mut pa, &mut pb);
+            parallel_gemm_slice(m, n, k, a.as_slice(), &b, &mut c, (bands, threads), packs);
             assert_eq!(c, serial, "bands={bands} threads={threads}");
         }
     }

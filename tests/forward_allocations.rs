@@ -1,12 +1,14 @@
 //! A warm served forward allocates nothing.
 //!
 //! Counts, under a counting global allocator, every heap request one
-//! `Network::forward_sample` of the full-scale CIFAR-10 net makes after a
-//! warm-up sample — what a serve worker runs per request: the net's
-//! heuristic forward plans, a one-sample trace, a fresh `ConvScratch`
-//! (core budget 1) and telemetry off. Both conv layers run the stencil,
-//! the 4-wide CIFAR-10 L1 included. This file holds one test on purpose:
-//! the counter is global.
+//! `Network::forward_sample` makes after a warm-up sample — what a serve
+//! worker runs per request: the net's heuristic forward plans, a
+//! one-sample trace, a fresh `ConvScratch` (core budget 1) and telemetry
+//! off. On the full-scale CIFAR-10 net both conv layers run the stencil,
+//! the 4-wide CIFAR-10 L1 included; on the scaled ImageNet-1K net the
+//! 256-feature conv runs the GEMM, packing its image operand into the
+//! scratch. This file holds
+//! one test on purpose: the counter is global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,6 +17,7 @@ use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::SampleTrace;
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::config::NetworkDescription;
+use spg_cnn::core::schedule::Technique;
 use spg_cnn::workloads::networks;
 use spg_cnn::workloads::table2::Benchmark;
 
@@ -54,14 +57,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-#[test]
-fn warm_cifar10_forward_sample_allocates_nothing() {
-    spg_cnn::telemetry::set_enabled(false);
-    let desc = NetworkDescription::parse(&networks::description(Benchmark::Cifar10))
-        .expect("built-in description parses");
+/// Heap requests of three warm `forward_sample` calls through `desc`'s
+/// net, planned by the heuristic; some conv plan's forward must be
+/// `forward`.
+fn warm_forward_requests(desc: &str, forward: Technique) -> usize {
+    let desc = NetworkDescription::parse(desc).expect("built-in description parses");
     let mut net = desc.build(5).expect("built-in description builds");
     let plans = Framework::new(2, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
-    assert_eq!(plans.len(), 2, "{plans:?}");
+    assert!(plans.iter().any(|(_, p)| p.forward == forward), "{plans:?}");
     let input: Vec<f32> =
         (0..net.input_len()).map(|i| (((i * 31) % 23) as f32 - 11.0) / 7.0).collect();
     let mut trace = SampleTrace::for_network(&net);
@@ -72,6 +75,14 @@ fn warm_cifar10_forward_sample_allocates_nothing() {
     for _ in 0..3 {
         net.forward_sample(&input, &mut trace, &mut scratch);
     }
-    let requests = REQUESTS.load(Ordering::Relaxed) - before;
-    assert_eq!(requests, 0, "heap requests over three warm forward_sample calls");
+    REQUESTS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn warm_cifar10_forward_sample_allocates_nothing() {
+    spg_cnn::telemetry::set_enabled(false);
+    let stencil = networks::description(Benchmark::Cifar10);
+    assert_eq!(warm_forward_requests(&stencil, Technique::StencilFp), 0, "CIFAR-10 (stencil)");
+    let gemm = networks::scaled_description(Benchmark::ImageNet1K);
+    assert_eq!(warm_forward_requests(&gemm, Technique::GemmInParallel), 0, "ImageNet-1K (GEMM)");
 }

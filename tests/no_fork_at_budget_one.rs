@@ -18,7 +18,7 @@ use spg_cnn::check::BackwardPlan;
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::layer::{ConvLayer, Layer, MaxPoolLayer, ReluLayer};
-use spg_cnn::convnet::unfold::unfold_transposed_into;
+use spg_cnn::convnet::unfold::{fold_rows, stages_tap_rows};
 use spg_cnn::convnet::workspace::ConvScratch;
 use spg_cnn::convnet::{ConvSpec, Engine, LayerAlgo, TrainerConfig};
 use spg_cnn::core::autotune::{Framework, TuningMode};
@@ -175,8 +175,8 @@ fn a_compiled_layer_runs_its_backward_on_its_own_cores() {
     assert_eq!((gin, gw), (gin_serial, gw_serial), "the bits do not depend on the cores");
 }
 
-/// The threads a ReLU, a max-pool (both phases) and a stride-2 unfold
-/// over `shape` fork at `cores`.
+/// The threads a ReLU, a max-pool (both phases) and a stride-2 3x3 fold
+/// onto `shape` fork at `cores`.
 fn elementwise_forks(shape: Shape3, cores: usize) -> u64 {
     let relu = ReluLayer::new(shape.len());
     let pool = MaxPoolLayer::new(shape, 2).expect("valid pool");
@@ -186,23 +186,25 @@ fn elementwise_forks(shape: Shape3, cores: usize) -> u64 {
     let mut activations = vec![0.0; shape.len()];
     let mut pooled = vec![0.0; pool.output_len()];
     let mut grad_in = vec![0.0; shape.len()];
+    let patch_grads = vec![0.5; spec.weight_shape().per_feature() * spec.out_h() * spec.out_w()];
     let before = fork_join_spawns();
     relu.forward(&input, &mut activations, &mut scratch);
     pool.forward(&activations, &mut pooled, &mut scratch);
     let grad_out = pooled.clone();
     let mut none = Tensor::default();
     pool.backward(&activations, &pooled, &grad_out, &mut grad_in, &mut none, &mut scratch);
-    unfold_transposed_into(&spec, &input, &mut scratch.mat_a, scratch.cores);
+    let tap_rows = stages_tap_rows(&spec);
+    fold_rows(&spec, &patch_grads, tap_rows, &mut grad_in, scratch.cores);
     fork_join_spawns() - before
 }
 
 /// The layers between the convs follow the budget as the convs do: at
-/// budget 1 a ReLU, a max-pool and an unfold fork nothing however large,
-/// and at budget 2 one below its split floor forks nothing either.
+/// budget 1 a ReLU, a max-pool and a GEMM's fold fork nothing however
+/// large, and at budget 2 one below its split floor forks nothing either.
 #[test]
-fn relu_pool_and_unfold_fork_only_above_budget_one_and_their_floor() {
+fn relu_pool_and_fold_fork_only_above_budget_one_and_their_floor() {
     let _turn = serialized();
-    // 2.1 M activations, 4.7 M unfolded elements: above every floor.
+    // 2.1 M activations, 4.7 M patch-gradient elements: above every floor.
     let large = Shape3::new(8, 512, 512);
     let small = Shape3::new(6, 24, 24);
     assert_eq!(elementwise_forks(large, 1), 0, "a one-core walk forks nothing");

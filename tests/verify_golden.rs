@@ -6,7 +6,7 @@
 //! it at deployment time, so this test failing means either a kernel regressed
 //! or the verifier's lowering diverged from the executor dispatch.
 
-use spg_cnn::check::{verify_forward, ScratchCapacity};
+use spg_cnn::check::verify_forward;
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::core::autotune::{Framework, Phase, TuningMode};
 use spg_cnn::core::schedule::{recommended_plan, Technique};
@@ -63,13 +63,12 @@ fn every_autotune_candidate_verifies_on_table2() {
 #[test]
 fn verify_technique_proves_the_deployed_forward() {
     for (bench, i, spec) in all_layers() {
-        let cap = ScratchCapacity::reserved_for(&spec);
         for cores in [1usize, 2, 8] {
             for &t in Technique::forward_candidates() {
                 let program = lower_phase(&spec, t, Phase::Forward, cores, KernelChoice::Auto)
                     .expect("candidates verify on Table 2");
                 let plan = program.plan();
-                let deployed = verify_forward(&spec, &plan.forward, &cap);
+                let deployed = verify_forward(&spec, &plan.forward);
                 assert_eq!(
                     verify_technique(&spec, t, Phase::Forward, cores).expect("gate admits it"),
                     deployed.expect("a lowered forward proves"),

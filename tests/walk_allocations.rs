@@ -6,22 +6,24 @@
 //! the trainer's block walk (`process_block`, which writes the loss
 //! gradient in place), at a block of one and of three. Telemetry is off, so
 //! each instrumentation site is one relaxed load — no scope label is
-//! formatted. The conv runs the reference executor in both phases: the
-//! blocked GEMM still builds its pack panels per call (ROADMAP item 4).
-//! This file holds one test on purpose: the counter is global.
+//! formatted. The convs run the executors the heuristic plans at budget 1:
+//! the stencil forward on the 4-feature layer, the GEMM forward on the
+//! 128-feature one and the GEMM backward on both, every GEMM packing its
+//! panels into the workspace's scratch. This file holds one test on
+//! purpose: the counter is global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use spg_convnet::data::Dataset;
-use spg_convnet::exec::ReferenceExecutor;
-use spg_convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
-use spg_convnet::sgd::process_block;
-use spg_convnet::{ConvSpec, Network, Workspace};
-use spg_tensor::{Shape3, Tensor};
+use spg_cnn::convnet::data::Dataset;
+use spg_cnn::convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
+use spg_cnn::convnet::sgd::process_block;
+use spg_cnn::convnet::{ConvSpec, Network, Workspace};
+use spg_cnn::core::autotune::{Framework, TuningMode};
+use spg_cnn::core::schedule::Technique;
+use spg_cnn::tensor::{Shape3, Tensor};
 
 static REQUESTS: AtomicUsize = AtomicUsize::new(0);
 
@@ -59,24 +61,31 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// conv(4) / relu / conv(128) / relu / pool / fc / relu / fc, planned by
+/// the heuristic for a one-core sample at gradient sparsity 0.
 fn make_net() -> Network {
     let mut rng = SmallRng::seed_from_u64(9);
-    let spec = ConvSpec::new(1, 12, 12, 4, 3, 3, 1, 1).expect("valid spec");
-    let mut conv = ConvLayer::new(spec, &mut rng);
-    conv.set_forward_executor(Arc::new(ReferenceExecutor));
-    conv.set_backward_executor(Arc::new(ReferenceExecutor));
-    let out = spec.output_shape();
+    let narrow = ConvSpec::new(1, 12, 12, 4, 3, 3, 1, 1).expect("valid spec");
+    let wide = ConvSpec::new(4, 10, 10, 128, 3, 3, 1, 1).expect("valid spec");
+    let out = wide.output_shape();
     let pooled = MaxPoolLayer::new(Shape3::new(out.c, out.h, out.w), 2).expect("valid pool");
     let flat = pooled.out_shape().len();
-    Network::new(vec![
-        Box::new(conv),
+    let mut net = Network::new(vec![
+        Box::new(ConvLayer::new(narrow, &mut rng)),
+        Box::new(ReluLayer::new(narrow.output_shape().len())),
+        Box::new(ConvLayer::new(wide, &mut rng)),
         Box::new(ReluLayer::new(out.len())),
         Box::new(pooled),
         Box::new(FcLayer::new(flat, 40, &mut rng)),
         Box::new(ReluLayer::new(40)),
         Box::new(FcLayer::new(40, 5, &mut rng)),
     ])
-    .expect("layers chain")
+    .expect("layers chain");
+    let plans = Framework::new(1, TuningMode::Heuristic, 1).plan_network(&mut net, 0.0);
+    let techniques: Vec<_> = plans.iter().map(|(_, p)| (p.forward, p.backward)).collect();
+    let (stencil, gemm) = (Technique::StencilFp, Technique::GemmInParallel);
+    assert_eq!(techniques, [(stencil, gemm), (gemm, gemm)], "{plans:?}");
+    net
 }
 
 /// Heap requests `walk` makes over `reps` calls.
