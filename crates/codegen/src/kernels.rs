@@ -1,18 +1,19 @@
 //! The stencil forward loop nest, written once and instantiated per
-//! [`Geometry`], instruction set and register tile.
+//! [`Geometry`], vector tier and register tile.
 //!
-//! One source text holds the register-tiled basic block and its per-region
-//! driver (`define_simd_forward!`, expanded per instruction set), and one
-//! function is the entry ([`forward`]) that forks one driver task per
-//! proved region. The lanes of a vector are **output features**: a tile is
-//! `NX` consecutive output positions of one row times `NFV` vectors of
-//! features, and every kernel tap `(c, ky, kx)` loads `NFV` weight vectors
-//! from the feature-blocked layout ([`Ckkf`]), broadcasts `NX` input
-//! values and issues `NX * NFV` fused multiply-adds (Georganas et al.'s
-//! direct convolution). The stride is only a broadcast offset — position
-//! `i` of a tile reads input column `i*sx + kx` — so every stride reads
-//! the CHW input in place. The kernel geometry — `Fy`, `Fx`, `sy`, `sx` —
-//! reaches the loops through the [`Geometry`] a driver is instantiated at:
+//! One source holds the register-tiled basic block and its per-region
+//! driver — a [`Nest`] over the [`spg_gemm::simd`] vocabulary, run on the
+//! tier a level names — and one function is the entry ([`forward`]) that
+//! forks one driver task per proved region. The lanes of a vector are
+//! **output features**: a tile is `NX` consecutive output positions of one
+//! row times `NFV` vectors of features, and every kernel tap `(c, ky, kx)`
+//! loads `NFV` weight vectors from the feature-blocked layout ([`Ckkf`]),
+//! broadcasts `NX` input values and issues `NX * NFV` fused multiply-adds
+//! (Georganas et al.'s direct convolution). The stride is only a broadcast
+//! offset — position `i` of a tile reads input column `i*sx + kx` — so
+//! every stride reads the CHW input in place. The kernel geometry — `Fy`,
+//! `Fx`, `sy`, `sx` — reaches the loops through the [`Geometry`] a driver
+//! is instantiated at:
 //!
 //! * [`Fixed`] carries it as **const generic parameters**: the `(ky, kx)`
 //!   reduction loops have compile-time-constant trip counts and every
@@ -21,21 +22,24 @@
 //!   through Rust monomorphization instead of a run-time JIT — the
 //!   registry's instances.
 //! * [`Dynamic`] reads it from the plan's spec at run time — the "generic"
-//!   kernel every unlisted shape runs, built for AVX2+FMA only.
+//!   kernel every unlisted shape runs, at 8 lanes: AVX2+FMA where the host
+//!   has it, the portable tier elsewhere (and under Miri).
 //!
 //! Both are the same loops, so the per-output-element reduction order —
 //! `(c, ky, kx)` with single-rounded FMA into an accumulator that starts at
 //! `+0.0` — is the same, and a fixed instance is **bit-identical** to the
-//! dynamic one on any geometry both execute by construction. Neither lane
-//! width nor register tile changes the per-element chain: an output element
-//! is one lane of one accumulator for its whole reduction, and a 16-lane
-//! FMA rounds each lane exactly like an 8-lane FMA or a scalar one. Hosts
-//! without AVX2+FMA (and Miri) run the entry over the scalar driver
-//! ([`forward_scalar`]), the same chain through `f32::mul_add`.
+//! dynamic one on any geometry both execute by construction. Neither tier,
+//! lane width nor register tile changes the per-element chain: an output
+//! element is one lane of one accumulator for its whole reduction, and
+//! every tier's FMA rounds each lane as `f32::mul_add` does.
+
+use std::marker::PhantomData;
 
 use spg_check::{RegisterTile, TileRegion, VerifiedTiled};
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
+use spg_gemm::simd::{on_tier, Nest, Vector};
+use spg_gemm::SimdLevel;
 use spg_tensor::layout::Ckkf;
 
 /// The register tiles the 8-lane (AVX2) instances are compiled for, and
@@ -75,6 +79,10 @@ pub fn register_tiles(lanes: usize) -> &'static [RegisterTile] {
 /// The kernel geometry one instance of the loop nest runs: compile-time
 /// constants ([`Fixed`]) or the spec's own values ([`Dynamic`]).
 pub(crate) trait Geometry {
+    /// Whether the geometry is compile-time: a registry instance, run only
+    /// on the SIMD tier it is registered for; the run-time geometry runs
+    /// only at 8 lanes.
+    const FIXED: bool;
     /// `spec`'s kernel geometry.
     ///
     /// # Panics
@@ -91,6 +99,7 @@ pub(crate) struct Fixed<const FY: usize, const FX: usize, const SY: usize, const
 impl<const FY: usize, const FX: usize, const SY: usize, const SX: usize> Geometry
     for Fixed<FY, FX, SY, SX>
 {
+    const FIXED: bool = true;
     fn bind(spec: &ConvSpec) -> Self {
         assert!(
             (spec.ky(), spec.kx(), spec.sy(), spec.sx()) == (FY, FX, SY, SX),
@@ -110,6 +119,7 @@ pub(crate) struct Dynamic {
 }
 
 impl Geometry for Dynamic {
+    const FIXED: bool = false;
     fn bind(spec: &ConvSpec) -> Self {
         Dynamic { dims: (spec.ky(), spec.kx(), spec.sy(), spec.sx()) }
     }
@@ -119,34 +129,44 @@ impl Geometry for Dynamic {
     }
 }
 
-/// A region driver — one instruction set's `forward_tiled::<G>`, or the
-/// portable [`forward_scalar`] — bound to its [`Geometry`]: the plan, one
-/// of its regions, the CHW input and the feature-blocked weights.
+/// A region driver: the loop nest at one [`Geometry`], run on the tier of
+/// a level over one region of the plan, the CHW input and the
+/// feature-blocked weights.
 ///
 /// # Safety
 ///
-/// The contract of `forward_tiled` in the `define_simd_forward!` module the
-/// pointer was taken from; none for [`forward_scalar`].
-pub(crate) type RegionFn = unsafe fn(VerifiedTiled<'_>, &mut TileRegion<'_>, &[f32], &Ckkf);
+/// [`region`]'s contract.
+pub(crate) type RegionFn =
+    unsafe fn(SimdLevel, VerifiedTiled<'_>, &mut TileRegion<'_>, &[f32], &Ckkf);
+
+/// The [`RegionFn`] of geometry `G`: the nest, once per region, on the
+/// tier of `level` (or the host's, when that is narrower).
+///
+/// # Safety
+///
+/// `region` is one of `plan.regions(output, _)` for an output of
+/// `plan.spec()`, `input` is the input of `plan.spec()`, and `weights` its
+/// feature-blocked layout at `plan.padded_features()` — what [`forward`]
+/// checks before it runs a driver.
+pub(crate) unsafe fn region<G: Geometry>(
+    level: SimdLevel,
+    plan: VerifiedTiled<'_>,
+    region: &mut TileRegion<'_>,
+    input: &[f32],
+    weights: &Ckkf,
+) {
+    on_tier(level, Region::<G> { plan, region, input, weights, geometry: PhantomData });
+}
 
 /// The one tiled-stencil entry: validates buffer lengths, the weight
-/// layout's padding and the plan's register tile, records the flop traffic
-/// (full dense convolution: goodput 1, Sec. 3.3), and runs one `run` task
-/// per region the plan has at the scratch's core budget — the whole layer
-/// on the calling thread for a sequential plan or a single core, else runs
-/// of proved bands.
-///
-/// # Safety
-///
-/// `run` must be [`forward_scalar`], or a `forward_tiled` of a
-/// `define_simd_forward!` module whose target features the running CPU
-/// has; `lanes` and `tiles` that module's `LANES` and compiled tiles (any
-/// plan's for the scalar loops).
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn forward(
+/// layout's padding and the plan's register tile against `level`'s lane
+/// width, records the flop traffic (full dense convolution: goodput 1,
+/// Sec. 3.3), and runs one `run` task per region the plan has at the
+/// scratch's core budget — the whole layer on the calling thread for a
+/// sequential plan or a single core, else runs of proved bands.
+pub(crate) fn forward(
     run: RegionFn,
-    lanes: usize,
-    tiles: &[RegisterTile],
+    level: SimdLevel,
     plan: VerifiedTiled<'_>,
     input: &[f32],
     weights: &Ckkf,
@@ -155,8 +175,9 @@ pub(crate) unsafe fn forward(
 ) {
     let spec = plan.spec();
     assert_eq!(input.len(), spec.input_shape().len(), "input length");
+    let lanes = level.min(spg_gemm::detect_simd_level()).lanes();
     assert!(
-        plan.lanes() == lanes && tiles.contains(&plan.tile()),
+        plan.lanes() == lanes && register_tiles(lanes).contains(&plan.tile()),
         "plan was lowered for a different register tile"
     );
     let taps = spec.in_c() * spec.ky() * spec.kx();
@@ -168,401 +189,235 @@ pub(crate) unsafe fn forward(
     let ops = spec.arithmetic_ops();
     spg_telemetry::record_flops(ops, ops);
     spg_gemm::fork_join(plan.regions(output, scratch.cores).map(|mut region| {
-        // SAFETY: target features guaranteed by the caller; `input` is the
-        // length-checked input of plan.spec() and `weights` its
-        // feature-blocked layout at the plan's padding, length-checked
-        // above; the lane and tile asserts and the driver's own
-        // `Geometry::bind` tie this instance to the plan spg-check proved,
-        // whose x-block, weight-lane and store judgments bound every
-        // access; `region` comes from that plan's own split of the
-        // length-checked `output`.
-        move || unsafe { run(plan, &mut region, input, weights) }
+        // SAFETY: `region` comes from this plan's own split of `output`,
+        // and `input` and `weights` were length-checked above.
+        move || unsafe { run(level, plan, &mut region, input, weights) }
     }));
 }
 
-/// Portable region driver — the only one on hosts without AVX2+FMA and
-/// under Miri — over one region's features and rows: each output element
-/// is the `(c, ky, kx)` chain of single-rounded fused multiply-adds from
-/// `+0.0`, the SIMD tiles' own chain, so it is their bits on every input,
-/// infinities and NaNs included.
-pub(crate) fn forward_scalar<G: Geometry>(
-    plan: VerifiedTiled<'_>,
-    region: &mut TileRegion<'_>,
-    input: &[f32],
-    weights: &Ckkf,
+/// One region's operands: the nest [`region`] runs.
+struct Region<'a, 'r, G> {
+    plan: VerifiedTiled<'a>,
+    region: &'a mut TileRegion<'r>,
+    input: &'a [f32],
+    weights: &'a Ckkf,
+    geometry: PhantomData<G>,
+}
+
+/// # Safety
+///
+/// `run`'s contract is the trait's.
+impl<G: Geometry> Nest for Region<'_, '_, G> {
+    type Out = ();
+
+    /// Runs the region through the tile the plan chose.
+    #[inline(always)]
+    unsafe fn run<V: Vector, const L: usize>(self) {
+        let tile = self.plan.tile();
+        // The access proofs are about this lane width: `forward` checked
+        // it against the level, this re-checks it against the tier that
+        // runs.
+        assert_eq!(self.plan.lanes(), L, "plan was lowered for a different register tile");
+        // No instance runs on a tier it is not made for — a fixed geometry
+        // on the portable one, the run-time geometry at 16 lanes — so
+        // those are not compiled.
+        if const {
+            let portable = V::LEVEL as u8 == SimdLevel::Scalar as u8;
+            G::FIXED && portable || !G::FIXED && L != 8
+        } {
+            unreachable!("an instance runs only on its own tiers");
+        }
+        // SAFETY: the CPU has `V`'s features (this fn's contract); the plan
+        // was proved at L lanes with this tile, and `region`, `input` and
+        // the weights are what `region`'s caller guarantees — `sweep`'s
+        // contract.
+        unsafe {
+            if const { L == 8 } {
+                match (tile.nx, tile.nfv) {
+                    (8, 1) => sweep::<V, L, 8, 1, G>(self),
+                    (4, 2) => sweep::<V, L, 4, 2, G>(self),
+                    (4, 3) => sweep::<V, L, 4, 3, G>(self),
+                    (2, 5) => sweep::<V, L, 2, 5, G>(self),
+                    _ => unreachable!("the entry admits only this lane width's tiles"),
+                }
+            } else {
+                match (tile.nx, tile.nfv) {
+                    (16, 1) => sweep::<V, L, 16, 1, G>(self),
+                    (8, 1) => sweep::<V, L, 8, 1, G>(self),
+                    (8, 2) => sweep::<V, L, 8, 2, G>(self),
+                    (8, 3) => sweep::<V, L, 8, 3, G>(self),
+                    (4, 4) => sweep::<V, L, 4, 4, G>(self),
+                    (4, 5) => sweep::<V, L, 4, 5, G>(self),
+                    (4, 6) => sweep::<V, L, 4, 6, G>(self),
+                    _ => unreachable!("the entry admits only this lane width's tiles"),
+                }
+            }
+        }
+    }
+}
+
+/// Drives [`tile_block`] over one proved region of the plan: each of its
+/// rows, each feature block of `NFV*L` of its features, each group of `L`
+/// output positions of the row (the last one overlapping its predecessor
+/// so it ends at the row end; one narrower group on rows under `L` wide),
+/// tiled by x-blocks of `NX`. A group's accumulators are transposed in
+/// registers, `L` positions by `L` features a vector, and each feature's
+/// positions stored into its own output plane; padding lanes and features
+/// past the region are dropped.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features; `plan` was proved at `L`
+/// lanes with tile `(NX, NFV)`, `region` is one of `plan.regions(output,
+/// _)` for an output of `plan.spec()`, `input` is the input of
+/// `plan.spec()`, and `weights` its feature-blocked layout at
+/// `plan.padded_features()` — so every access the tile blocks perform lies
+/// in the ranges spg-check proved to produce `plan`, and every store in
+/// the part of the output it proved this region's alone.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn sweep<V: Vector, const L: usize, const NX: usize, const NFV: usize, G: Geometry>(
+    job: Region<'_, '_, G>,
 ) {
+    const { assert!(L == V::LANES) };
+    let Region { plan, region, input, weights, .. } = job;
     let spec = plan.spec();
-    let (fy, fx, sy, sx) = G::bind(spec).dims();
-    let (in_h, in_w, out_w) = (spec.in_h(), spec.in_w(), spec.out_w());
-    let (w, padded) = (weights.as_slice(), weights.padded_features());
+    let g = &G::bind(spec);
+    let (_, _, sy, sx) = g.dims();
+    let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
+    let plane = spec.in_h() * in_w;
+    let padded = weights.padded_features();
     let (f_lo, f_hi) = region.features();
     let (y_lo, y_hi) = region.rows();
-    for f in f_lo..f_hi {
-        let out_rows = region.plane_rows(f);
-        out_rows.fill(0.0);
-        for c in 0..spec.in_c() {
+    let width = L.min(out_w);
+    // SAFETY: the CPU has `V`'s features (this fn's contract).
+    let (mask, mut group) = unsafe { (V::first(width), [[V::zero(); NFV]; L]) };
+    for y in y_lo..y_hi {
+        let at = (y - y_lo) * out_w;
+        for fb in (f_lo..f_hi).step_by(NFV * L) {
+            // SAFETY: fb is a feature-block start below the padded feature
+            // count (regions start on blocks).
+            let w = unsafe { weights.as_slice().as_ptr().add(fb) };
+            let mut next = 0;
+            loop {
+                let x0 = next.min(out_w - width);
+                let mut p = 0;
+                loop {
+                    let p0 = p.min(width - NX);
+                    let x = x0 + p0;
+                    // SAFETY: row y*sy, column x*sx: the first input element
+                    // of the x-block at x, inside the proved row and column
+                    // ranges.
+                    let origin = unsafe { input.as_ptr().add(y * sy * in_w + x * sx) };
+                    // SAFETY: this fn's contract; x + NX <= out_w and fb come
+                    // from this proved plan's x-blocks and feature blocks.
+                    unsafe {
+                        tile_block::<V, NX, NFV, G>(
+                            g,
+                            nc,
+                            origin,
+                            plane,
+                            in_w,
+                            w,
+                            padded,
+                            &mut group[p0..p0 + NX],
+                        );
+                    }
+                    if p0 + NX >= width {
+                        break;
+                    }
+                    p += NX;
+                }
+                for v in 0..NFV {
+                    let first = fb + v * L;
+                    if first >= f_hi {
+                        break;
+                    }
+                    let mut rows: [V; L] = std::array::from_fn(|p| group[p][v]);
+                    // SAFETY: the CPU has `V`'s features (this fn's
+                    // contract).
+                    unsafe { V::transpose(&mut rows) };
+                    for (f, row) in (first..f_hi.min(first + L)).zip(&rows) {
+                        let dst = region.plane_rows(f)[at + x0..at + x0 + width].as_mut_ptr();
+                        // SAFETY: `dst` is `width` writable floats: all L
+                        // lanes, or the lanes of `mask`.
+                        unsafe {
+                            if width == L {
+                                row.store(dst);
+                            } else {
+                                row.store_masked(dst, mask);
+                            }
+                        }
+                    }
+                }
+                if x0 + width >= out_w {
+                    break;
+                }
+                next += L;
+            }
+        }
+    }
+}
+
+/// Register-tiled basic block over `NX` output positions x `NFV` vectors
+/// of output features (the Fig. 7 structure with features as lanes): for
+/// every channel and kernel tap, load the tap's `NFV` weight vectors once
+/// and fan each broadcast input value out over them. Accumulators start at
+/// `+0.0` and take the complete `(c, ky, kx)` reduction before they are
+/// spilled to `out`, so neighbouring x-blocks may overlap — an overlapping
+/// position is recomputed bit for bit — which lets a ragged row end in one
+/// overlapping block instead of a scalar tail. At [`Fixed`] geometry the
+/// `fy`/`fx` trip counts and the broadcast offsets are compile-time
+/// constants.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features; for every `c < nc`,
+/// `ky < fy`, `kx < fx` and `i < NX`, `input + c*plane + ky*in_w + i*sx +
+/// kx` is a readable input element (the x-block and row-range judgments
+/// behind the caller's `VerifiedTiled`); and `w` points to `nc*fy*fx` taps
+/// of `padded` floats whose first `NFV*LANES` are readable (the
+/// weight-lane judgment).
+#[inline(always)]
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+unsafe fn tile_block<V: Vector, const NX: usize, const NFV: usize, G: Geometry>(
+    g: &G,
+    nc: usize,
+    input: *const f32,
+    plane: usize,
+    in_w: usize,
+    w: *const f32,
+    padded: usize,
+    out: &mut [[V; NFV]],
+) {
+    let (fy, fx, _, sx) = g.dims();
+    // SAFETY: the CPU has `V`'s features and every pointer read below is
+    // an input element or weight lane of the caller's contract.
+    unsafe {
+        let mut acc = [[V::zero(); NFV]; NX];
+        let mut w_tap = w;
+        for c in 0..nc {
             for ky in 0..fy {
+                let row = input.add(c * plane + ky * in_w);
                 for kx in 0..fx {
-                    let wf = w[((c * fy + ky) * fx + kx) * padded + f];
-                    for (y, out_row) in (y_lo..y_hi).zip(out_rows.chunks_exact_mut(out_w)) {
-                        let in_row = &input[(c * in_h + y * sy + ky) * in_w + kx..];
-                        for (o, &i) in out_row.iter_mut().zip(in_row.iter().step_by(sx)) {
-                            *o = i.mul_add(wf, *o);
+                    let mut wv = [V::zero(); NFV];
+                    for (v, lane) in wv.iter_mut().enumerate() {
+                        *lane = V::load(w_tap.add(v * V::LANES));
+                    }
+                    for i in 0..NX {
+                        let x = V::splat(*row.add(i * sx + kx));
+                        for v in 0..NFV {
+                            acc[i][v] = acc[i][v].fma(x, wv[v]);
                         }
                     }
+                    // The next tap's block; past the last one it is never
+                    // read.
+                    w_tap = w_tap.wrapping_add(padded);
                 }
             }
         }
+        out.copy_from_slice(&acc);
     }
-}
-
-/// Transposes an 8x8 block held as eight AVX vectors: `rows[p]` lane `l`
-/// moves to `rows[l]` lane `p`.
-///
-/// # Safety
-///
-/// The CPU must have AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[inline]
-unsafe fn transpose_8x8(rows: &mut [std::arch::x86_64::__m256; 8]) {
-    use std::arch::x86_64::*;
-    let r = *rows;
-    let t = [
-        _mm256_unpacklo_ps(r[0], r[1]),
-        _mm256_unpackhi_ps(r[0], r[1]),
-        _mm256_unpacklo_ps(r[2], r[3]),
-        _mm256_unpackhi_ps(r[2], r[3]),
-        _mm256_unpacklo_ps(r[4], r[5]),
-        _mm256_unpackhi_ps(r[4], r[5]),
-        _mm256_unpacklo_ps(r[6], r[7]),
-        _mm256_unpackhi_ps(r[6], r[7]),
-    ];
-    // u[4k + j]: column 4q + j of rows 4k..4k+3 in each 128-bit half q.
-    let u = [
-        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
-        _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
-        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
-        _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
-        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
-        _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
-        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
-        _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
-    ];
-    for j in 0..4 {
-        rows[j] = _mm256_permute2f128_ps::<0x20>(u[j], u[4 + j]);
-        rows[4 + j] = _mm256_permute2f128_ps::<0x31>(u[j], u[4 + j]);
-    }
-}
-
-/// Transposes a 16x16 block held as sixteen AVX-512 vectors: `rows[p]`
-/// lane `l` moves to `rows[l]` lane `p`.
-///
-/// # Safety
-///
-/// The CPU must have AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn transpose_16x16(rows: &mut [std::arch::x86_64::__m512; 16]) {
-    use std::arch::x86_64::*;
-    let r = *rows;
-    let mut t = [_mm512_setzero_ps(); 16];
-    for k in 0..8 {
-        t[2 * k] = _mm512_unpacklo_ps(r[2 * k], r[2 * k + 1]);
-        t[2 * k + 1] = _mm512_unpackhi_ps(r[2 * k], r[2 * k + 1]);
-    }
-    // u[4k + j]: column 4q + j of rows 4k..4k+3 in each 128-bit lane q.
-    let mut u = [_mm512_setzero_ps(); 16];
-    for k in 0..4 {
-        u[4 * k] = _mm512_shuffle_ps::<0x44>(t[4 * k], t[4 * k + 2]);
-        u[4 * k + 1] = _mm512_shuffle_ps::<0xEE>(t[4 * k], t[4 * k + 2]);
-        u[4 * k + 2] = _mm512_shuffle_ps::<0x44>(t[4 * k + 1], t[4 * k + 3]);
-        u[4 * k + 3] = _mm512_shuffle_ps::<0xEE>(t[4 * k + 1], t[4 * k + 3]);
-    }
-    for j in 0..4 {
-        // Lanes q0, q2 / q1, q3 of row groups 0-1 and 2-3 ...
-        let v0 = _mm512_shuffle_f32x4::<0x88>(u[j], u[4 + j]);
-        let v1 = _mm512_shuffle_f32x4::<0xDD>(u[j], u[4 + j]);
-        let v2 = _mm512_shuffle_f32x4::<0x88>(u[8 + j], u[12 + j]);
-        let v3 = _mm512_shuffle_f32x4::<0xDD>(u[8 + j], u[12 + j]);
-        // ... then one 128-bit lane q of all four row groups: column 4q + j.
-        rows[j] = _mm512_shuffle_f32x4::<0x88>(v0, v2);
-        rows[8 + j] = _mm512_shuffle_f32x4::<0xDD>(v0, v2);
-        rows[4 + j] = _mm512_shuffle_f32x4::<0x88>(v1, v3);
-        rows[12 + j] = _mm512_shuffle_f32x4::<0xDD>(v1, v3);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-macro_rules! define_simd_forward {
-    (
-        module: $mod_:ident,
-        feature: $feat:literal,
-        lanes: $lanes:literal,
-        tiles: [$( ($nx:literal, $nfv:literal) ),* $(,)?],
-        transpose: $transpose:ident,
-        setzero: $setzero:ident,
-        loadu: $loadu:ident,
-        set1: $set1:ident,
-        fmadd: $fmadd:ident,
-        storeu: $storeu:ident
-    ) => {
-        pub(crate) mod $mod_ {
-            use std::arch::x86_64::*;
-
-            use spg_check::{TileRegion, VerifiedTiled};
-            use spg_tensor::layout::Ckkf;
-
-            use super::Geometry;
-
-            /// f32 lanes per vector for this instruction set.
-            pub(crate) const LANES: usize = $lanes;
-
-            /// Stored accumulators of a group of `LANES` output positions:
-            /// `NFV` vectors of features at each position.
-            type Group<const NFV: usize> = [[[f32; LANES]; NFV]; LANES];
-
-            /// Register-tiled basic block over `NX` output positions x
-            /// `NFV` vectors of output features (the Fig. 7 structure with
-            /// features as lanes): for every channel and kernel tap, load
-            /// the tap's `NFV` weight vectors once and fan each broadcast
-            /// input value out over them. Accumulators start at `+0.0` and
-            /// take the complete `(c, ky, kx)` reduction before they are
-            /// spilled to `out`, so neighbouring x-blocks may overlap — an
-            /// overlapping position is recomputed bit for bit — which lets
-            /// a ragged row end in one overlapping block instead of a
-            /// scalar tail. At [`Fixed`](super::Fixed) geometry the
-            /// `fy`/`fx` trip counts and the broadcast offsets are
-            /// compile-time constants.
-            ///
-            /// # Safety
-            ///
-            /// Caller guarantees the target features of this module; that
-            /// for every `c < nc`, `ky < fy`, `kx < fx` and `i < NX`,
-            /// `input + c*plane + ky*in_w + i*sx + kx` is a readable input
-            /// element (the x-block and row-range judgments behind the
-            /// caller's `VerifiedTiled`); and that `w` points to
-            /// `nc*fy*fx` taps of `padded` floats whose first
-            /// `NFV*LANES` are readable (the weight-lane judgment).
-            #[target_feature(enable = $feat)]
-            #[inline]
-            #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-            unsafe fn tile_block<const NX: usize, const NFV: usize, G: Geometry>(
-                g: &G,
-                nc: usize,
-                input: *const f32,
-                plane: usize,
-                in_w: usize,
-                w: *const f32,
-                padded: usize,
-                out: &mut [[[f32; LANES]; NFV]],
-            ) {
-                let (fy, fx, _, sx) = g.dims();
-                let mut acc = [[$setzero(); NFV]; NX];
-                let mut w_tap = w;
-                for c in 0..nc {
-                    for ky in 0..fy {
-                        // SAFETY: c < nc and ky < fy: inside the caller's
-                        // proved row range.
-                        let row = unsafe { input.add(c * plane + ky * in_w) };
-                        for kx in 0..fx {
-                            let mut wv = [$setzero(); NFV];
-                            for (v, lane) in wv.iter_mut().enumerate() {
-                                // SAFETY: tap (c, ky, kx) of the caller's
-                                // weight contract, v < NFV vectors in.
-                                *lane = unsafe { $loadu(w_tap.add(v * LANES)) };
-                            }
-                            for i in 0..NX {
-                                // SAFETY: position i < NX at tap (ky, kx):
-                                // the caller's x-block contract.
-                                let x = unsafe { $set1(*row.add(i * sx + kx)) };
-                                for v in 0..NFV {
-                                    acc[i][v] = $fmadd(x, wv[v], acc[i][v]);
-                                }
-                            }
-                            // SAFETY: the next tap's block (or one past the
-                            // last, never read).
-                            w_tap = unsafe { w_tap.add(padded) };
-                        }
-                    }
-                }
-                for (spill, vectors) in out.iter_mut().zip(&acc) {
-                    for (lanes, a) in spill.iter_mut().zip(vectors) {
-                        // SAFETY: `lanes` is LANES writable floats.
-                        unsafe { $storeu(lanes.as_mut_ptr(), *a) };
-                    }
-                }
-            }
-
-            /// Drives [`tile_block`] over one proved region of the plan:
-            /// each of its rows, each feature block of `NFV*LANES` of its
-            /// features, each group of `LANES` output positions of the row
-            /// (the last one overlapping its predecessor so it ends at the
-            /// row end; one narrower group on rows under `LANES` wide),
-            /// tiled by x-blocks of `NX`. A group's accumulators are
-            /// transposed in registers, `LANES` positions by `LANES`
-            /// features a vector, and each feature's positions stored into
-            /// its own output plane; padding lanes and features past the
-            /// region are dropped.
-            ///
-            /// # Safety
-            ///
-            /// As [`forward_tiled`], with `plan.tile()` equal to
-            /// `(NX, NFV)`.
-            #[target_feature(enable = $feat)]
-            unsafe fn sweep<const NX: usize, const NFV: usize, G: Geometry>(
-                plan: VerifiedTiled<'_>,
-                region: &mut TileRegion<'_>,
-                input: &[f32],
-                weights: &Ckkf,
-            ) {
-                let spec = plan.spec();
-                let g = &G::bind(spec);
-                let (_, _, sy, sx) = g.dims();
-                let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
-                let plane = spec.in_h() * in_w;
-                let padded = weights.padded_features();
-                let (f_lo, f_hi) = region.features();
-                let (y_lo, y_hi) = region.rows();
-                let width = LANES.min(out_w);
-                let mut group: Group<NFV> = [[[0.0; LANES]; NFV]; LANES];
-                for y in y_lo..y_hi {
-                    let at = (y - y_lo) * out_w;
-                    for fb in (f_lo..f_hi).step_by(NFV * LANES) {
-                        // SAFETY: fb is a feature-block start below the
-                        // padded feature count (regions start on blocks).
-                        let w = unsafe { weights.as_slice().as_ptr().add(fb) };
-                        let mut next = 0;
-                        loop {
-                            let x0 = next.min(out_w - width);
-                            let mut p = 0;
-                            loop {
-                                let p0 = p.min(width - NX);
-                                let x = x0 + p0;
-                                // SAFETY: row y*sy, column x*sx: the first
-                                // input element of the x-block at x, inside
-                                // the proved row and column ranges.
-                                let origin = unsafe { input.as_ptr().add(y * sy * in_w + x * sx) };
-                                // SAFETY: target features guaranteed by the
-                                // caller; x + NX <= out_w and fb come from
-                                // this proved plan's x-blocks and feature
-                                // blocks.
-                                unsafe {
-                                    tile_block::<NX, NFV, G>(
-                                        g,
-                                        nc,
-                                        origin,
-                                        plane,
-                                        in_w,
-                                        w,
-                                        padded,
-                                        &mut group[p0..p0 + NX],
-                                    );
-                                }
-                                if p0 + NX >= width {
-                                    break;
-                                }
-                                p += NX;
-                            }
-                            for v in 0..NFV {
-                                let first = fb + v * LANES;
-                                if first >= f_hi {
-                                    break;
-                                }
-                                let mut rows = [$setzero(); LANES];
-                                for (row, position) in rows.iter_mut().zip(&group) {
-                                    // SAFETY: LANES readable floats.
-                                    *row = unsafe { $loadu(position[v].as_ptr()) };
-                                }
-                                // SAFETY: target features guaranteed by the
-                                // caller.
-                                unsafe { super::$transpose(&mut rows) };
-                                for (f, row) in (first..f_hi.min(first + LANES)).zip(&rows) {
-                                    let dst = &mut region.plane_rows(f)[at + x0..at + x0 + width];
-                                    if width == LANES {
-                                        // SAFETY: `dst` is LANES writable floats.
-                                        unsafe { $storeu(dst.as_mut_ptr(), *row) };
-                                    } else {
-                                        let mut lanes = [0.0; LANES];
-                                        // SAFETY: `lanes` is LANES writable floats.
-                                        unsafe { $storeu(lanes.as_mut_ptr(), *row) };
-                                        dst.copy_from_slice(&lanes[..width]);
-                                    }
-                                }
-                            }
-                            if x0 + width >= out_w {
-                                break;
-                            }
-                            next += LANES;
-                        }
-                    }
-                }
-            }
-
-            /// Runs one proved region of the plan through the tile the
-            /// plan chose.
-            ///
-            /// # Safety
-            ///
-            /// Caller guarantees the target features of this module, that
-            /// `plan.lanes() == LANES` and `plan.tile()` is one of this
-            /// lane width's `register_tiles`, that `region` is one of
-            /// `plan.regions(output, _)` for an output of `plan.spec()`,
-            /// that `input` is the input of `plan.spec()`, and that
-            /// `weights` is its feature-blocked layout at
-            /// `plan.padded_features()` — so every access the tile blocks
-            /// perform lies in the ranges spg-check proved to produce
-            /// `plan`, and every store in the part of the output it proved
-            /// this region's alone.
-            #[target_feature(enable = $feat)]
-            pub(crate) unsafe fn forward_tiled<G: Geometry>(
-                plan: VerifiedTiled<'_>,
-                region: &mut TileRegion<'_>,
-                input: &[f32],
-                weights: &Ckkf,
-            ) {
-                let tile = plan.tile();
-                match (tile.nx, tile.nfv) {
-                    $(
-                        // SAFETY: the caller's contract, at this tile.
-                        ($nx, $nfv) => unsafe {
-                            sweep::<$nx, $nfv, G>(plan, region, input, weights)
-                        },
-                    )*
-                    _ => unreachable!("the entry admits only this module's tiles"),
-                }
-            }
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-define_simd_forward! {
-    module: avx2,
-    feature: "avx2,fma",
-    lanes: 8,
-    tiles: [(8, 1), (4, 2), (4, 3), (2, 5)],
-    transpose: transpose_8x8,
-    setzero: _mm256_setzero_ps,
-    loadu: _mm256_loadu_ps,
-    set1: _mm256_set1_ps,
-    fmadd: _mm256_fmadd_ps,
-    storeu: _mm256_storeu_ps
-}
-
-#[cfg(target_arch = "x86_64")]
-define_simd_forward! {
-    module: avx512,
-    feature: "avx512f,fma",
-    lanes: 16,
-    tiles: [(16, 1), (8, 1), (8, 2), (8, 3), (4, 4), (4, 5), (4, 6)],
-    transpose: transpose_16x16,
-    setzero: _mm512_setzero_ps,
-    loadu: _mm512_loadu_ps,
-    set1: _mm512_set1_ps,
-    fmadd: _mm512_fmadd_ps,
-    storeu: _mm512_storeu_ps
 }
 
 #[cfg(test)]
@@ -687,20 +542,51 @@ pub(crate) mod tests {
         crate::forward_tiled(None, plan, input, weights, output, scratch);
     }
 
-    /// The scalar arm of the entry, as a host without AVX2+FMA runs it.
-    fn scalar(
+    /// The entry on the portable tier, as a host without AVX2+FMA runs it.
+    fn portable(
         plan: VerifiedTiled<'_>,
         input: &[f32],
         weights: &Ckkf,
         output: &mut [f32],
         scratch: &ConvScratch,
     ) {
-        // SAFETY: the scalar loops are safe code; no target feature is required.
-        unsafe {
-            let tiles = [plan.tile()];
-            let run = forward_scalar::<Dynamic>;
-            forward(run, VECTOR_WIDTH, &tiles, plan, input, weights, output, scratch);
+        let run = region::<Dynamic>;
+        forward(run, SimdLevel::Scalar, plan, input, weights, output, scratch);
+    }
+
+    /// The oracle every tier must match bit for bit: each output element's
+    /// `(c, ky, kx)` chain of `f32::mul_add` from `+0.0`, as plain loops.
+    fn scalar_chain(
+        plan: VerifiedTiled<'_>,
+        input: &[f32],
+        weights: &Ckkf,
+        output: &mut [f32],
+        _: &ConvScratch,
+    ) {
+        let spec = plan.spec();
+        let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
+        let (in_h, in_w, out_w) = (spec.in_h(), spec.in_w(), spec.out_w());
+        let (w, padded) = (weights.as_slice(), weights.padded_features());
+        for (f, plane) in output.chunks_exact_mut(spec.out_h() * out_w).enumerate() {
+            plane.fill(0.0);
+            for c in 0..spec.in_c() {
+                for ky in 0..fy {
+                    for kx in 0..fx {
+                        let wf = w[((c * fy + ky) * fx + kx) * padded + f];
+                        for (y, out_row) in plane.chunks_exact_mut(out_w).enumerate() {
+                            let in_row = &input[(c * in_h + y * sy + ky) * in_w + kx..];
+                            for (o, &i) in out_row.iter_mut().zip(in_row.iter().step_by(sx)) {
+                                *o = i.mul_add(wf, *o);
+                            }
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn max_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -717,8 +603,9 @@ pub(crate) mod tests {
     /// 1 ID 1's 2x2 at stride 1 (channels shrunk) — and rows narrower than
     /// a vector ([`narrow_specs`]) run the run-time-geometry instance at
     /// every tile that fits the row: it agrees with the reference
-    /// (tolerance: the reduction order differs) and with the scalar arm
-    /// bit for bit, and with itself bit for bit however the layer is
+    /// (tolerance: the reduction order differs), with the portable tier and
+    /// the scalar-chain oracle bit for bit, and with itself bit for bit
+    /// however the layer is
     /// banded. 14x21 outputs: ragged x-blocks for every tile; 50 features:
     /// a ragged last vector, and two or more feature blocks.
     #[test]
@@ -738,8 +625,10 @@ pub(crate) mod tests {
                 let sequential = run(dynamic, &spec, tile, None, &input, &weights);
                 let diff = max_diff(&sequential, &want);
                 assert!(diff < 5e-4, "{spec} {tile:?}: diff {diff}");
-                let portable = run(scalar, &spec, tile, None, &input, &weights);
-                assert_eq!(portable, sequential, "{spec} {tile:?}: scalar arm");
+                for (name, kernel) in [("portable", portable as Kernel), ("oracle", scalar_chain)] {
+                    let other = run(kernel, &spec, tile, None, &input, &weights);
+                    assert_eq!(bits(&other), bits(&sequential), "{spec} {tile:?}: {name}");
+                }
                 for split in splits(&spec, tile) {
                     let banded = run(dynamic, &spec, tile, split, &input, &weights);
                     assert_eq!(banded, sequential, "{spec} {tile:?} {split:?}");
@@ -751,7 +640,8 @@ pub(crate) mod tests {
     /// Output widths at and around every tile width — rows of two to five
     /// positions, narrower than a vector, included — heights of one row
     /// and more, feature counts straddling the lane blocks: the reference's
-    /// values within tolerance, the scalar arm's bits exactly.
+    /// values within tolerance, the portable tier's and the scalar-chain
+    /// oracle's bits exactly.
     #[test]
     fn tile_edges_are_exact() {
         for w in [2usize, 3, 4, 5, 8, 9, 15, 16, 17] {
@@ -765,16 +655,20 @@ pub(crate) mod tests {
                     let out = run(dynamic, &spec, tile, None, &input, &weights);
                     let diff = max_diff(&out, &want);
                     assert!(diff < 5e-4, "{spec} {tile:?}: diff {diff}");
-                    let portable = run(scalar, &spec, tile, None, &input, &weights);
-                    assert_eq!(portable, out, "{spec} {tile:?}: scalar arm");
+                    for (name, kernel) in
+                        [("portable", portable as Kernel), ("oracle", scalar_chain)]
+                    {
+                        let other = run(kernel, &spec, tile, None, &input, &weights);
+                        assert_eq!(bits(&other), bits(&out), "{spec} {tile:?}: {name}");
+                    }
                 }
             }
         }
     }
 
     /// A zero weight times an infinite input is NaN in IEEE arithmetic,
-    /// and every driver says so: the scalar arm, the SIMD tile and the
-    /// reference put NaN at exactly the same outputs (and agree on the
+    /// and every driver says so: the portable tier, the scalar-chain oracle,
+    /// the host's tier and the reference put NaN at exactly the same outputs (and agree on the
     /// finite ones), whatever the zero weights skip.
     #[test]
     fn infinite_inputs_make_the_same_nans_in_every_driver() {
@@ -792,7 +686,7 @@ pub(crate) mod tests {
         let nans = |out: &[f32]| out.iter().map(|v| v.is_nan()).collect::<Vec<_>>();
         assert!(nans(&want).iter().any(|&n| n), "the oracle must see 0 * inf");
         let tile = RegisterTile { nx: 4, nfv: 3 };
-        for kernel in [scalar as Kernel, dynamic as Kernel] {
+        for kernel in [portable as Kernel, scalar_chain, dynamic] {
             let out = run(kernel, &spec, tile, None, &input, &weights);
             assert_eq!(nans(&out), nans(&want), "{spec}: NaN positions");
             let finite = |out: &[f32]| {

@@ -1,5 +1,5 @@
 //! Stencil forward kernels for spg-CNN: one loop nest, instantiated per
-//! kernel geometry, instruction set and register tile (JIT-lite codegen).
+//! kernel geometry, vector tier and register tile (JIT-lite codegen).
 //!
 //! The paper's basic-block generator chooses a register tile; this crate
 //! finishes the job the way Georganas et al. describe for SIMD
@@ -9,10 +9,11 @@
 //! parameterized kernel per (tile, stride, layout) tuple** so the inner
 //! loops are branch-free with compile-time-constant trip counts. The
 //! register-tiled basic block, its region driver and its entry exist once
-//! (`kernels`); Rust const generics play the role of the JIT — each
-//! registry entry is that loop nest with `Fy`, `Fx`, `sy`, `sx` baked in,
-//! covering the kernel geometries of the paper's Table 2 benchmarks in
-//! both AVX2+FMA (8-lane) and AVX-512F+FMA (16-lane) variants, each at
+//! (`kernels`), written over `spg-gemm`'s one SIMD vocabulary
+//! ([`spg_gemm::simd`]); Rust const generics play the role of the JIT —
+//! each registry entry is that loop nest with `Fy`, `Fx`, `sy`, `sx` baked
+//! in, covering the kernel geometries of the paper's Table 2 benchmarks on
+//! both the AVX2+FMA (8-lane) and the AVX-512F+FMA (16-lane) tier, each at
 //! every tile of [`register_tiles`] — and the same source with the
 //! geometry read from the plan's spec at run time is the "generic" kernel
 //! every other shape runs.
@@ -32,7 +33,7 @@
 //! * **Guaranteed fallback.** [`lookup`] returns `None` for unlisted
 //!   geometries, missing CPU features, or when `SPG_FORCE_GENERIC` is set;
 //!   [`forward_tiled`] then runs the run-time-geometry instance (portable
-//!   scalar loops on hosts without AVX2+FMA). Dispatch never fails loudly.
+//!   tier on hosts without AVX2+FMA). Dispatch never fails loudly.
 
 #![warn(missing_docs)]
 
@@ -42,7 +43,7 @@ mod kernels;
 mod registry;
 
 pub use kernels::register_tiles;
-pub use registry::{all_instances, forward_tiled, lookup, Isa, KernelKey, SpecializedKernel};
+pub use registry::{all_instances, forward_tiled, lookup, KernelKey, SpecializedKernel};
 
 /// Which stencil forward kernel a caller wants deployed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn runnable_instances_match_the_dynamic_instance_and_reference() {
         let level = spg_gemm::detect_simd_level();
-        let instances = all_instances().iter().filter(|inst| inst.isa().runnable_at(level));
+        let instances = all_instances().iter().filter(|inst| inst.level() <= level);
         for (inst, (out_h, out_w)) in instances.flat_map(|i| [(i, (3, 17)), (i, (2, 4))]) {
             let k = inst.key();
             let (in_h, in_w) = (k.sy * (out_h - 1) + k.fy, k.sx * (out_w - 1) + k.fx);
@@ -183,13 +184,9 @@ mod tests {
             assert!(lookup(&wide).is_none());
             return;
         }
-        let isa = match spg_gemm::detect_simd_level() {
-            SimdLevel::Scalar => None,
-            SimdLevel::Avx2Fma => Some(Isa::Avx2),
-            SimdLevel::Avx512Fma => Some(Isa::Avx512),
-        };
-        assert_eq!(lookup(&wide).map(|k| k.isa()), isa);
-        assert_eq!(lookup(&mid).map(|k| k.isa()), isa);
+        let level = Some(spg_gemm::detect_simd_level()).filter(|&l| l > SimdLevel::Scalar);
+        assert_eq!(lookup(&wide).map(|k| k.level()), level);
+        assert_eq!(lookup(&mid).map(|k| k.level()), level);
     }
 
     /// An instance refuses a proved plan that was lowered for another

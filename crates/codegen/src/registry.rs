@@ -1,8 +1,9 @@
 //! The specialized-kernel registry: compile-time-geometry instances of the
-//! stencil loop nest keyed by kernel geometry, resolved by runtime CPU
-//! features, runnable only on a plan `spg-check` proved — and
-//! [`forward_tiled`], the one call that runs a proved plan on the instance
-//! bound to it or on the run-time-geometry instance.
+//! stencil loop nest keyed by kernel geometry, each bound to the vector
+//! tier of a [`SimdLevel`] and resolved by runtime CPU features, runnable
+//! only on a plan `spg-check` proved — and [`forward_tiled`], the one call
+//! that runs a proved plan on the instance bound to it or on the
+//! run-time-geometry instance.
 
 use spg_check::VerifiedTiled;
 use spg_convnet::workspace::ConvScratch;
@@ -39,39 +40,11 @@ impl std::fmt::Display for KernelKey {
     }
 }
 
-/// Instruction set a specialized instance was compiled for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Isa {
-    /// AVX2 + FMA, 8 f32 lanes.
-    Avx2,
-    /// AVX-512F + FMA, 16 f32 lanes.
-    Avx512,
-}
-
-impl Isa {
-    /// Whether a detected [`SimdLevel`] can run this instance.
-    pub fn runnable_at(self, level: SimdLevel) -> bool {
-        match self {
-            Isa::Avx2 => level >= SimdLevel::Avx2Fma,
-            Isa::Avx512 => level >= SimdLevel::Avx512Fma,
-        }
-    }
-
-    /// Short name for telemetry and benchmark documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            Isa::Avx2 => "avx2",
-            Isa::Avx512 => "avx512",
-        }
-    }
-}
-
-/// One monomorphized kernel instance: a `(geometry, ISA)` pair bound to
-/// the const-generic function the compiler emitted for it.
+/// One monomorphized kernel instance: a `(geometry, tier)` pair bound to
+/// the const-generic driver the compiler emitted for it.
 pub struct SpecializedKernel {
     pub(crate) key: KernelKey,
-    pub(crate) isa: Isa,
-    pub(crate) lanes: usize,
+    pub(crate) level: SimdLevel,
     pub(crate) run: RegionFn,
 }
 
@@ -81,20 +54,23 @@ impl SpecializedKernel {
         self.key
     }
 
-    /// The instruction set this instance requires.
-    pub fn isa(&self) -> Isa {
-        self.isa
+    /// The level whose vector tier this instance runs on; a host runs it
+    /// when [`detect_simd_level`](spg_gemm::detect_simd_level) reports at
+    /// least this level.
+    pub fn level(&self) -> SimdLevel {
+        self.level
     }
 
     /// f32 lanes per vector (8 for AVX2, 16 for AVX-512).
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.level.lanes()
     }
 }
 
 impl std::fmt::Debug for SpecializedKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SpecializedKernel({}, {}, {} lanes)", self.key, self.isa.name(), self.lanes)
+        let (key, id, lanes) = (self.key, self.level.id(), self.lanes());
+        write!(f, "SpecializedKernel({key}, {id}, {lanes} lanes)")
     }
 }
 
@@ -107,15 +83,13 @@ macro_rules! instances {
             $(
                 SpecializedKernel {
                     key: KernelKey { fy: $fy, fx: $fx, sy: $sy, sx: $sx },
-                    isa: Isa::Avx512,
-                    lanes: kernels::avx512::LANES,
-                    run: kernels::avx512::forward_tiled::<kernels::Fixed<$fy, $fx, $sy, $sx>>,
+                    level: SimdLevel::Avx512Fma,
+                    run: kernels::region::<kernels::Fixed<$fy, $fx, $sy, $sx>>,
                 },
                 SpecializedKernel {
                     key: KernelKey { fy: $fy, fx: $fx, sy: $sy, sx: $sx },
-                    isa: Isa::Avx2,
-                    lanes: kernels::avx2::LANES,
-                    run: kernels::avx2::forward_tiled::<kernels::Fixed<$fy, $fx, $sy, $sx>>,
+                    level: SimdLevel::Avx2Fma,
+                    run: kernels::region::<kernels::Fixed<$fy, $fx, $sy, $sx>>,
                 },
             )*
         ]
@@ -154,7 +128,7 @@ pub fn lookup(spec: &ConvSpec) -> Option<&'static SpecializedKernel> {
     }
     let key = KernelKey::of(spec);
     let level = spg_gemm::detect_simd_level();
-    REGISTRY.iter().find(|k| k.key == key && k.isa.runnable_at(level))
+    REGISTRY.iter().find(|k| k.key == key && k.level <= level)
 }
 
 /// Runs a proved tiled stencil forward — sequential or banded — for one
@@ -163,7 +137,7 @@ pub fn lookup(spec: &ConvSpec) -> Option<&'static SpecializedKernel> {
 /// of its [`register_tiles`](crate::register_tiles)), or, with none, on the
 /// run-time-geometry instance of the same loop nest (the "generic" kernel:
 /// geometry read from `plan.spec()`, 8-lane AVX2+FMA where the host has it,
-/// portable scalar loops otherwise). Either sweeps each of the plan's
+/// the 8-lane portable tier otherwise). Either sweeps each of the plan's
 /// regions with the plan's register tile, on as many threads as
 /// `scratch`'s [core budget](ConvScratch::cores) allows, reading the CHW
 /// input in place at every stride and `weights` in the feature-blocked
@@ -190,28 +164,17 @@ pub fn forward_tiled(
     output: &mut [f32],
     scratch: &ConvScratch,
 ) {
-    let (run, lanes): (RegionFn, usize) = match kernel {
+    let (run, level): (RegionFn, SimdLevel) = match kernel {
         Some(inst) => {
             assert_eq!(KernelKey::of(plan.spec()), inst.key, "spec geometry vs instance key");
             assert!(
-                inst.isa.runnable_at(spg_gemm::detect_simd_level()),
+                inst.level <= spg_gemm::detect_simd_level(),
                 "CPU lacks the {} features this instance requires",
-                inst.isa.name()
+                inst.level.id()
             );
-            (inst.run, inst.lanes)
+            (inst.run, inst.level)
         }
-        #[cfg(target_arch = "x86_64")]
-        None if Isa::Avx2.runnable_at(spg_gemm::detect_simd_level()) => {
-            (kernels::avx2::forward_tiled::<Dynamic>, kernels::avx2::LANES)
-        }
-        None => (kernels::forward_scalar::<Dynamic>, spg_check::VECTOR_WIDTH),
+        None => (kernels::region::<Dynamic>, SimdLevel::Avx2Fma),
     };
-    let tiles = kernels::register_tiles(lanes);
-    // SAFETY: `run` is the scalar loops, or a SIMD driver whose target
-    // features the ISA checks above found on this CPU, paired with its own
-    // module's lane width and tiles; a registry instance's key matches the
-    // spec, and the driver re-checks that against its const parameters.
-    // Every bound the tile loops use comes from `plan`, which only
-    // spg-check can construct.
-    unsafe { kernels::forward(run, lanes, tiles, plan, input, weights, output, scratch) };
+    kernels::forward(run, level, plan, input, weights, output, scratch);
 }

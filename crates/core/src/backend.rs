@@ -32,9 +32,10 @@
 
 use std::fmt;
 
-use spg_codegen::{Isa, KernelChoice};
+use spg_codegen::KernelChoice;
 use spg_convnet::layer::ConvLayer;
 use spg_convnet::ConvSpec;
+use spg_gemm::SimdLevel;
 
 use crate::autotune::Phase;
 use crate::compiled::{CompiledConv, ConvProgram};
@@ -63,14 +64,15 @@ impl ConvDescriptor {
 
 /// Which generated forward kernel an [`AlgoChoice`] binds: the generic
 /// runtime-parameterized loops, or a monomorphized `spg-codegen` instance
-/// for a specific ISA.
+/// on the vector tier of a specific level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgoKernel {
     /// Generic runtime-parameterized loops (always available).
     Generic,
-    /// Verified specialized instance for the named ISA; lowering binds one
-    /// only when the registry resolves one for the shape on this host.
-    Specialized(Isa),
+    /// Verified specialized instance on the named level's tier; lowering
+    /// binds one only when the registry resolves one for the shape on this
+    /// host.
+    Specialized(SimdLevel),
 }
 
 impl AlgoKernel {
@@ -79,7 +81,7 @@ impl AlgoKernel {
     pub fn id(self) -> &'static str {
         match self {
             AlgoKernel::Generic => "generic",
-            AlgoKernel::Specialized(isa) => isa.name(),
+            AlgoKernel::Specialized(level) => level.id(),
         }
     }
 }
@@ -103,7 +105,7 @@ impl AlgoChoice {
         let LayerPlan { forward, backward } = program.techniques();
         let kernel = program
             .specialized_kernel()
-            .map_or(AlgoKernel::Generic, |inst| AlgoKernel::Specialized(inst.isa()));
+            .map_or(AlgoKernel::Generic, |inst| AlgoKernel::Specialized(inst.level()));
         AlgoChoice { forward, backward, kernel }
     }
 
@@ -136,11 +138,11 @@ impl AlgoChoice {
         let program = lower(spec, self.plan(), cores.max(1), choice)?;
         match (self.kernel, program.specialized_kernel()) {
             (AlgoKernel::Generic, _) => Ok(program),
-            (AlgoKernel::Specialized(isa), Some(inst)) if inst.isa() == isa => Ok(program),
-            (AlgoKernel::Specialized(isa), _) => Err(SpgError::InvalidNetwork {
+            (AlgoKernel::Specialized(level), Some(inst)) if inst.level() == level => Ok(program),
+            (AlgoKernel::Specialized(level), _) => Err(SpgError::InvalidNetwork {
                 message: format!(
                     "no verified {} specialized kernel for {} on this shape and host",
-                    isa.name(),
+                    level.id(),
                     self.forward.id()
                 ),
             }),
@@ -277,7 +279,7 @@ mod tests {
                 LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
             let algo = backend.algo_for(&desc, plan);
             let expected = match select_kernel(&spec) {
-                Some(inst) => AlgoKernel::Specialized(inst.isa()),
+                Some(inst) => AlgoKernel::Specialized(inst.level()),
                 None => AlgoKernel::Generic,
             };
             assert_eq!(algo.kernel, expected);
@@ -304,7 +306,7 @@ mod tests {
         let algo = AlgoChoice {
             forward: Technique::StencilFp,
             backward: Technique::GemmInParallel,
-            kernel: AlgoKernel::Specialized(Isa::Avx2),
+            kernel: AlgoKernel::Specialized(SimdLevel::Avx2Fma),
         };
         assert!(backend.compile(&desc, algo, &weights).is_err());
         let wrong_fwd = AlgoChoice { forward: Technique::GemmInParallel, ..algo };
@@ -320,7 +322,8 @@ mod tests {
         };
         assert_eq!(algo.id(), "stencil-fp+sparse-bp/generic");
         assert_eq!(algo.to_string(), algo.id());
-        assert_eq!(AlgoKernel::Specialized(Isa::Avx512).id(), "avx512");
+        assert_eq!(AlgoKernel::Specialized(SimdLevel::Avx512Fma).id(), "avx512");
+        assert_eq!(AlgoKernel::Specialized(SimdLevel::Avx2Fma).id(), "avx2");
         assert_eq!(ConvDescriptor::new(specs()[0], 0).cores, 1);
     }
 }

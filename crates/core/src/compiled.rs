@@ -557,7 +557,7 @@ impl CompiledConv {
                 format!(
                     "specialized ({}, {}, {} lanes)",
                     inst.key(),
-                    inst.isa().name(),
+                    inst.level().id(),
                     inst.lanes()
                 )
             }

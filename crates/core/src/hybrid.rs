@@ -167,8 +167,8 @@ mod tests {
             let exec = program(&spec, 2, KernelChoice::Auto);
             assert!(matches!(exec.plan().forward, ForwardPlan::StencilBanded { .. }), "{spec}");
             assert_eq!(
-                exec.specialized_kernel().map(|k| k.isa()),
-                sequential.specialized_kernel().map(|k| k.isa()),
+                exec.specialized_kernel().map(|k| k.level()),
+                sequential.specialized_kernel().map(|k| k.level()),
                 "{spec}"
             );
             let pinned = program(&spec, 2, KernelChoice::Generic);
@@ -180,7 +180,7 @@ mod tests {
             assert_eq!(compiled.kernel_kind(), sequential.kernel_kind());
             let algo = AlgoChoice::of(compiled.program());
             let bound = sequential.specialized_kernel();
-            let kernel = bound.map_or(AlgoKernel::Generic, |k| AlgoKernel::Specialized(k.isa()));
+            let kernel = bound.map_or(AlgoKernel::Generic, |k| AlgoKernel::Specialized(k.level()));
             assert_eq!(algo.kernel, kernel, "{spec}: {algo}");
         }
     }

@@ -20,13 +20,14 @@
 //!   update, so the permutation belongs to whoever owns them (a layer's or
 //!   a `CompiledConv`'s `PreparedWeights`), not to a per-sample call.
 //!
-//! The tiers — portable, AVX2 and AVX-512F; each entry runs the widest the
-//! CPU has, as [`FcKernels`](spg_gemm::FcKernels) does — run the same loop
-//! nest, and every tier multiplies and then adds (never fused). Each
-//! output element takes its terms in the order of the unblocked scalar
-//! loops this kernel replaced — a weight-gradient element in ascending
-//! `p`, an input-gradient element in (tile, `p`, `f`) order — so every
-//! tier computes the same bits on every host. A gradient entry is a
+//! Each phase is one [`Nest`] over the [`spg_gemm::simd`] vocabulary; each
+//! entry runs the widest tier the CPU has, as
+//! [`FcKernels`](spg_gemm::FcKernels) does, and every tier multiplies and
+//! then adds (never fused). Each output element takes its terms in the
+//! order of the unblocked scalar loops this kernel replaced — a
+//! weight-gradient element in ascending `p`, an input-gradient element in
+//! (tile, `p`, `f`) order — so every tier computes the same bits on every
+//! host. A gradient entry is a
 //! non-zero when `v != 0.0`: `-0.0` is skipped, a NaN is kept and
 //! propagates.
 //!
@@ -35,6 +36,7 @@
 //! nothing.
 
 use spg_check::sparse_block;
+use spg_gemm::simd::{on_tier, Nest, Vector};
 use spg_gemm::{detect_simd_level, SimdLevel};
 use spg_tensor::layout::{self, Kkfc};
 use spg_tensor::sparse::CtCsr;
@@ -42,12 +44,6 @@ use spg_tensor::Shape3;
 
 use spg_convnet::workspace::{zeroed_slice, ConvScratch};
 use spg_convnet::ConvSpec;
-
-/// f32 lanes per vector of the tier the entries run on this CPU: 16 on
-/// AVX-512F, 8 otherwise. What lowering puts in a sparse plan.
-pub fn host_lanes() -> usize {
-    on_tier(detect_simd_level(), Lanes)
-}
 
 /// The chunks a run of `n` floats is swept in at `lanes` lanes, as
 /// `(first float, vectors, lanes of the last vector)`: whole blocks of
@@ -212,178 +208,12 @@ fn staged(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// A phase's loop nest, runnable on any [`Vector`] tier.
-trait Nest {
-    /// What the nest returns.
-    type Out;
-
-    /// Runs the nest over `V`.
-    ///
-    /// # Safety
-    ///
-    /// The running CPU has `V`'s target features.
-    unsafe fn run<V: Vector>(self) -> Self::Out;
-}
-
-/// Runs `nest` on the tier of `level`, or the host's when that is
-/// narrower.
-fn on_tier<N: Nest>(level: SimdLevel, nest: N) -> N::Out {
-    match level.min(detect_simd_level()) {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512Fma => {
-            // SAFETY: the running CPU reports AVX-512F.
-            unsafe { x86::avx512(nest) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => {
-            // SAFETY: the running CPU reports AVX2.
-            unsafe { x86::avx2(nest) }
-        }
-        // SAFETY: the portable tier needs no target feature.
-        _ => unsafe { nest.run::<Portable>() },
-    }
-}
-
-/// The nest that returns its tier's lane width.
-struct Lanes;
-
-/// # Safety
-///
-/// `run` touches no memory and issues no vector instruction.
-impl Nest for Lanes {
-    type Out = usize;
-
-    unsafe fn run<V: Vector>(self) -> usize {
-        V::LANES
-    }
-}
-
 /// Telemetry of one sparse phase over `nnz` stored gradient values.
 fn record_goodput(spec: &ConvSpec, nnz: usize) {
     let nnz = nnz as u64;
     let kdim = spec.weight_shape().per_feature() as u64;
     spg_telemetry::record_flops(2 * nnz * kdim, spec.arithmetic_ops());
     spg_telemetry::record_tile_occupancy(nnz, spec.output_shape().len() as u64);
-}
-
-/// One tier's f32 vector: the operations both loop nests are spelled in.
-trait Vector: Copy {
-    /// f32 lanes per vector.
-    const LANES: usize;
-    /// Selects a vector's first lanes.
-    type Mask: Copy;
-
-    /// The mask of the first `n` lanes, `1 <= n <= LANES`.
-    ///
-    /// # Safety
-    ///
-    /// The running CPU has the tier's target features.
-    unsafe fn first(n: usize) -> Self::Mask;
-
-    /// Every lane `x`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vector::first`].
-    unsafe fn splat(x: f32) -> Self;
-
-    /// The `LANES` floats at `p`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vector::first`], and `LANES` floats at `p` are readable.
-    unsafe fn load(p: *const f32) -> Self;
-
-    /// The lanes of `m` from `p`; the other lanes read as `+0.0`, and the
-    /// memory behind them is not touched.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vector::first`], and the lanes of `m` at `p` are readable.
-    unsafe fn load_masked(p: *const f32, m: Self::Mask) -> Self;
-
-    /// Writes the `LANES` floats at `p`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vector::first`], and `LANES` floats at `p` are writable.
-    unsafe fn store(self, p: *mut f32);
-
-    /// Writes the lanes of `m` to `p`, and nothing else.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vector::first`], and the lanes of `m` at `p` are writable.
-    unsafe fn store_masked(self, p: *mut f32, m: Self::Mask);
-
-    /// `self + v * x`, rounded after the multiply and again after the add.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vector::first`].
-    unsafe fn mul_add(self, v: Self, x: Self) -> Self;
-}
-
-/// The portable tier: eight lanes of plain arithmetic.
-#[derive(Clone, Copy)]
-struct Portable([f32; 8]);
-
-/// # Safety
-///
-/// Every method's contract is the trait's; plain arithmetic needs no
-/// target feature, so only the pointer methods' lanes matter.
-impl Vector for Portable {
-    const LANES: usize = 8;
-    type Mask = usize;
-
-    #[inline(always)]
-    unsafe fn first(n: usize) -> usize {
-        n
-    }
-
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        Portable([x; 8])
-    }
-
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        // SAFETY: the caller guarantees 8 readable floats at `p`.
-        unsafe { Self::load_masked(p, 8) }
-    }
-
-    #[inline(always)]
-    unsafe fn load_masked(p: *const f32, n: usize) -> Self {
-        let mut v = [0.0; 8];
-        for (i, lane) in v.iter_mut().enumerate().take(n) {
-            // SAFETY: lane i < n is readable (the caller's contract).
-            *lane = unsafe { *p.add(i) };
-        }
-        Portable(v)
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        // SAFETY: the caller guarantees 8 writable floats at `p`.
-        unsafe { self.store_masked(p, 8) }
-    }
-
-    #[inline(always)]
-    unsafe fn store_masked(self, p: *mut f32, n: usize) {
-        for (i, &lane) in self.0.iter().enumerate().take(n) {
-            // SAFETY: lane i < n is writable (the caller's contract).
-            unsafe { *p.add(i) = lane };
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn mul_add(self, v: Self, x: Self) -> Self {
-        let mut out = self.0;
-        for ((o, v), x) in out.iter_mut().zip(v.0).zip(x.0) {
-            *o += v * x;
-        }
-        Portable(out)
-    }
 }
 
 /// Backward-weights' operands, staged by its entry.
@@ -401,73 +231,63 @@ struct WeightsJob<'a> {
 
 /// # Safety
 ///
-/// `run`'s contract is the trait's, which is [`weights_nest`]'s.
+/// `run`'s contract is the trait's.
 impl Nest for WeightsJob<'_> {
     type Out = usize;
 
+    /// Backward-weights' loop nest: per feature, compact its non-zeros in
+    /// ascending `p` (branch-free: every position is written, the count only
+    /// advances past a non-zero), then per kernel row and chunk of that row's
+    /// `kx·c` run, sum the run's gathers over the non-zeros in registers.
+    /// Returns the non-zeros counted.
     #[inline(always)]
-    unsafe fn run<V: Vector>(self) -> usize {
-        // SAFETY: the caller's contract is `weights_nest`'s.
-        unsafe { weights_nest::<V>(self) }
-    }
-}
-
-/// Backward-weights' loop nest: per feature, compact its non-zeros in
-/// ascending `p` (branch-free: every position is written, the count only
-/// advances past a non-zero), then per kernel row and chunk of that row's
-/// `kx·c` run, sum the run's gathers over the non-zeros in registers.
-/// Returns the non-zeros counted.
-///
-/// # Safety
-///
-/// The running CPU has `V`'s target features.
-#[inline(always)]
-unsafe fn weights_nest<V: Vector>(job: WeightsJob<'_>) -> usize {
-    let WeightsJob { spec, in_hwc, grad_out, nonzeros, acc } = job;
-    let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
-    let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
-    let (run, row_stride) = (fx * nc, in_w * nc);
-    let mut nnz = 0;
-    let rows = grad_out.chunks_exact(spec.out_h() * out_w);
-    for (row, acc) in rows.zip(acc.chunks_exact_mut(fy * run)) {
-        let mut n = 0;
-        for (yp, positions) in row.chunks_exact(out_w).enumerate() {
-            let origin = yp * sy * row_stride;
-            for (xp, &v) in positions.iter().enumerate() {
-                // Lossless: the window origin lies inside the input, whose
-                // length the entry asserted fits a u32.
-                #[allow(clippy::cast_possible_truncation)]
-                let offset = (origin + xp * sx * nc) as u32;
-                nonzeros[n] = (offset, v);
-                n += usize::from(v != 0.0);
+    unsafe fn run<V: Vector, const L: usize>(self) -> usize {
+        let WeightsJob { spec, in_hwc, grad_out, nonzeros, acc } = self;
+        let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
+        let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
+        let (run, row_stride) = (fx * nc, in_w * nc);
+        let mut nnz = 0;
+        let rows = grad_out.chunks_exact(spec.out_h() * out_w);
+        for (row, acc) in rows.zip(acc.chunks_exact_mut(fy * run)) {
+            let mut n = 0;
+            for (yp, positions) in row.chunks_exact(out_w).enumerate() {
+                let origin = yp * sy * row_stride;
+                for (xp, &v) in positions.iter().enumerate() {
+                    // Lossless: the window origin lies inside the input, whose
+                    // length the entry asserted fits a u32.
+                    #[allow(clippy::cast_possible_truncation)]
+                    let offset = (origin + xp * sx * nc) as u32;
+                    nonzeros[n] = (offset, v);
+                    n += usize::from(v != 0.0);
+                }
             }
-        }
-        let nz = &nonzeros[..n];
-        nnz += n;
-        for (ky, acc_row) in acc.chunks_exact_mut(run).enumerate() {
-            for (at, q, tail) in chunks(V::LANES, run) {
-                let dst = &mut acc_row[at..at + (q - 1) * V::LANES + tail];
-                // SAFETY: `ky < fy` and `at < run` keep the pointer inside
-                // the input; with every non-zero's window origin the chunk
-                // reads inside the `kx·c` run of row `y'*sy + ky` — the
-                // "dW kx·c gather" spg-check proves for every spec, and
-                // the entry asserted the input's length; `dst` holds the
-                // chunk's lanes; the CPU has `V`'s features (this fn's
-                // contract).
-                unsafe {
-                    let src = in_hwc.as_ptr().add(ky * row_stride + at);
-                    match q {
-                        16 => gather::<V, 16>(nz, src, tail, dst),
-                        8 => gather::<V, 8>(nz, src, tail, dst),
-                        4 => gather::<V, 4>(nz, src, tail, dst),
-                        2 => gather::<V, 2>(nz, src, tail, dst),
-                        _ => gather::<V, 1>(nz, src, tail, dst),
+            let nz = &nonzeros[..n];
+            nnz += n;
+            for (ky, acc_row) in acc.chunks_exact_mut(run).enumerate() {
+                for (at, q, tail) in chunks(V::LANES, run) {
+                    let dst = &mut acc_row[at..at + (q - 1) * V::LANES + tail];
+                    // SAFETY: `ky < fy` and `at < run` keep the pointer inside
+                    // the input; with every non-zero's window origin the chunk
+                    // reads inside the `kx·c` run of row `y'*sy + ky` — the
+                    // "dW kx·c gather" spg-check proves for every spec, and
+                    // the entry asserted the input's length; `dst` holds the
+                    // chunk's lanes; the CPU has `V`'s features (this fn's
+                    // contract).
+                    unsafe {
+                        let src = in_hwc.as_ptr().add(ky * row_stride + at);
+                        match q {
+                            16 => gather::<V, 16>(nz, src, tail, dst),
+                            8 => gather::<V, 8>(nz, src, tail, dst),
+                            4 => gather::<V, 4>(nz, src, tail, dst),
+                            2 => gather::<V, 2>(nz, src, tail, dst),
+                            _ => gather::<V, 1>(nz, src, tail, dst),
+                        }
                     }
                 }
             }
         }
+        nnz
     }
-    nnz
 }
 
 /// One chunk of a feature's weight gradient: `dst[j] = Σ v · src[off +
@@ -498,7 +318,7 @@ unsafe fn gather<V: Vector, const Q: usize>(
             for (q, a) in acc.iter_mut().enumerate() {
                 let p = x.add(q * V::LANES);
                 let xv = if q + 1 < Q { V::load(p) } else { V::load_masked(p, m) };
-                *a = a.mul_add(v, xv);
+                *a = a.mul_then_add(v, xv);
             }
         }
         store::<V, Q>(&acc, m, dst);
@@ -540,60 +360,50 @@ struct DataJob<'a> {
 
 /// # Safety
 ///
-/// `run`'s contract is the trait's, which is [`data_nest`]'s.
+/// `run`'s contract is the trait's.
 impl Nest for DataJob<'_> {
     type Out = ();
 
+    /// Backward-data's loop nest: per column tile, position `p` with a
+    /// non-zero in the tile, tap `(ky, kx)` and chunk of the `c`-long `E_I`
+    /// row the Eq. 15 shift lands on, add the row's non-zeros' weight rows
+    /// into that chunk in registers.
     #[inline(always)]
-    unsafe fn run<V: Vector>(self) {
-        // SAFETY: the caller's contract is `data_nest`'s.
-        unsafe { data_nest::<V>(self) }
-    }
-}
-
-/// Backward-data's loop nest: per column tile, position `p` with a
-/// non-zero in the tile, tap `(ky, kx)` and chunk of the `c`-long `E_I`
-/// row the Eq. 15 shift lands on, add the row's non-zeros' weight rows
-/// into that chunk in registers.
-///
-/// # Safety
-///
-/// The running CPU has `V`'s target features.
-#[inline(always)]
-unsafe fn data_nest<V: Vector>(job: DataJob<'_>) {
-    let DataJob { spec, w_kkfc, eo, ei_hwc } = job;
-    let (nf, nc, in_w, out_w) = (spec.features(), spec.in_c(), spec.in_w(), spec.out_w());
-    let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
-    for (f0, tile) in eo.iter() {
-        let (row_ptr, cols, vals) = (tile.row_ptr(), tile.col_indices(), tile.values());
-        for (p, bounds) in row_ptr.windows(2).enumerate() {
-            let (lo, hi) = (bounds[0] as usize, bounds[1] as usize);
-            if lo == hi {
-                continue;
-            }
-            let (cols, vals) = (&cols[lo..hi], &vals[lo..hi]);
-            let (yp, xp) = (p / out_w, p % out_w);
-            for ky in 0..fy {
-                for kx in 0..fx {
-                    let dst = ((yp * sy + ky) * in_w + xp * sx + kx) * nc;
-                    let taps = ((ky * fx + kx) * nf + f0) * nc;
-                    for (at, q, tail) in chunks(V::LANES, nc) {
-                        let row = &mut ei_hwc[dst + at..dst + at + (q - 1) * V::LANES + tail];
-                        // SAFETY: tile columns are below the tile's width,
-                        // so `f0 + col < nf` and each weight row read lies
-                        // inside tap (ky, kx)'s `kkfc` block — the "kkfc
-                        // pointer-shift weight rows" spg-check proves, at
-                        // this chunk's lanes; `row` holds the chunk's
-                        // lanes; the CPU has `V`'s features (this fn's
-                        // contract).
-                        unsafe {
-                            let w = w_kkfc.as_ptr().add(taps + at);
-                            match q {
-                                16 => shift::<V, 16>(cols, vals, w, nc, tail, row),
-                                8 => shift::<V, 8>(cols, vals, w, nc, tail, row),
-                                4 => shift::<V, 4>(cols, vals, w, nc, tail, row),
-                                2 => shift::<V, 2>(cols, vals, w, nc, tail, row),
-                                _ => shift::<V, 1>(cols, vals, w, nc, tail, row),
+    unsafe fn run<V: Vector, const L: usize>(self) {
+        let DataJob { spec, w_kkfc, eo, ei_hwc } = self;
+        let (nf, nc, in_w, out_w) = (spec.features(), spec.in_c(), spec.in_w(), spec.out_w());
+        let (fy, fx, sy, sx) = (spec.ky(), spec.kx(), spec.sy(), spec.sx());
+        for (f0, tile) in eo.iter() {
+            let (row_ptr, cols, vals) = (tile.row_ptr(), tile.col_indices(), tile.values());
+            for (p, bounds) in row_ptr.windows(2).enumerate() {
+                let (lo, hi) = (bounds[0] as usize, bounds[1] as usize);
+                if lo == hi {
+                    continue;
+                }
+                let (cols, vals) = (&cols[lo..hi], &vals[lo..hi]);
+                let (yp, xp) = (p / out_w, p % out_w);
+                for ky in 0..fy {
+                    for kx in 0..fx {
+                        let dst = ((yp * sy + ky) * in_w + xp * sx + kx) * nc;
+                        let taps = ((ky * fx + kx) * nf + f0) * nc;
+                        for (at, q, tail) in chunks(V::LANES, nc) {
+                            let row = &mut ei_hwc[dst + at..dst + at + (q - 1) * V::LANES + tail];
+                            // SAFETY: tile columns are below the tile's width,
+                            // so `f0 + col < nf` and each weight row read lies
+                            // inside tap (ky, kx)'s `kkfc` block — the "kkfc
+                            // pointer-shift weight rows" spg-check proves, at
+                            // this chunk's lanes; `row` holds the chunk's
+                            // lanes; the CPU has `V`'s features (this fn's
+                            // contract).
+                            unsafe {
+                                let w = w_kkfc.as_ptr().add(taps + at);
+                                match q {
+                                    16 => shift::<V, 16>(cols, vals, w, nc, tail, row),
+                                    8 => shift::<V, 8>(cols, vals, w, nc, tail, row),
+                                    4 => shift::<V, 4>(cols, vals, w, nc, tail, row),
+                                    2 => shift::<V, 2>(cols, vals, w, nc, tail, row),
+                                    _ => shift::<V, 1>(cols, vals, w, nc, tail, row),
+                                }
                             }
                         }
                     }
@@ -643,158 +453,10 @@ unsafe fn shift<V: Vector, const Q: usize>(
             for (q, a) in acc.iter_mut().enumerate() {
                 let p = wf.add(q * V::LANES);
                 let wv = if q + 1 < Q { V::load(p) } else { V::load_masked(p, m) };
-                *a = a.mul_add(v, wv);
+                *a = a.mul_then_add(v, wv);
             }
         }
         store::<V, Q>(&acc, m, row);
-    }
-}
-
-/// The x86-64 tiers: each is the portable loop nest over its own vector,
-/// compiled with its target features.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    use super::{Nest, Vector};
-
-    /// The AVX2 tier: 8 lanes, tail masks in a vector register.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx2(__m256);
-
-    /// `-1` for lanes below a count, read at offset `8 - n`.
-    static AVX2_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
-
-    /// # Safety
-    ///
-    /// Every method's contract is the trait's: the CPU has AVX2, and the
-    /// pointer methods' lanes are readable or writable.
-    impl Vector for Avx2 {
-        const LANES: usize = 8;
-        type Mask = __m256i;
-
-        #[inline(always)]
-        unsafe fn first(n: usize) -> __m256i {
-            // SAFETY: 1 <= n <= 8, so the 8 ints at 8 - n are inside the
-            // table; the CPU has AVX (the caller's contract).
-            unsafe { _mm256_loadu_si256(AVX2_MASKS.as_ptr().add(8 - n).cast()) }
-        }
-
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> Self {
-            // SAFETY: the CPU has AVX (the caller's contract).
-            unsafe { Avx2(_mm256_set1_ps(x)) }
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            // SAFETY: 8 readable floats at `p` (the caller's contract).
-            unsafe { Avx2(_mm256_loadu_ps(p)) }
-        }
-
-        #[inline(always)]
-        unsafe fn load_masked(p: *const f32, m: __m256i) -> Self {
-            // SAFETY: the lanes of `m` are readable; masked-off lanes are
-            // not accessed.
-            unsafe { Avx2(_mm256_maskload_ps(p, m)) }
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            // SAFETY: 8 writable floats at `p` (the caller's contract).
-            unsafe { _mm256_storeu_ps(p, self.0) }
-        }
-
-        #[inline(always)]
-        unsafe fn store_masked(self, p: *mut f32, m: __m256i) {
-            // SAFETY: the lanes of `m` are writable; masked-off lanes are
-            // not accessed.
-            unsafe { _mm256_maskstore_ps(p, m, self.0) }
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, v: Self, x: Self) -> Self {
-            // SAFETY: as in `splat`.
-            unsafe { Avx2(_mm256_add_ps(self.0, _mm256_mul_ps(v.0, x.0))) }
-        }
-    }
-
-    /// The AVX-512F tier: 16 lanes, tail masks in a mask register.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx512(__m512);
-
-    /// # Safety
-    ///
-    /// Every method's contract is the trait's: the CPU has AVX-512F, and
-    /// the pointer methods' lanes are readable or writable.
-    impl Vector for Avx512 {
-        const LANES: usize = 16;
-        type Mask = __mmask16;
-
-        #[inline(always)]
-        unsafe fn first(n: usize) -> __mmask16 {
-            u16::MAX >> (16 - n)
-        }
-
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> Self {
-            // SAFETY: the CPU has AVX-512F (the caller's contract).
-            unsafe { Avx512(_mm512_set1_ps(x)) }
-        }
-
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            // SAFETY: 16 readable floats at `p` (the caller's contract).
-            unsafe { Avx512(_mm512_loadu_ps(p)) }
-        }
-
-        #[inline(always)]
-        unsafe fn load_masked(p: *const f32, m: __mmask16) -> Self {
-            // SAFETY: the lanes of `m` are readable; masked-off lanes are
-            // not accessed.
-            unsafe { Avx512(_mm512_maskz_loadu_ps(m, p)) }
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            // SAFETY: 16 writable floats at `p` (the caller's contract).
-            unsafe { _mm512_storeu_ps(p, self.0) }
-        }
-
-        #[inline(always)]
-        unsafe fn store_masked(self, p: *mut f32, m: __mmask16) {
-            // SAFETY: the lanes of `m` are writable; masked-off lanes are
-            // not accessed.
-            unsafe { _mm512_mask_storeu_ps(p, m, self.0) }
-        }
-
-        #[inline(always)]
-        unsafe fn mul_add(self, v: Self, x: Self) -> Self {
-            // SAFETY: as in `splat`.
-            unsafe { Avx512(_mm512_add_ps(self.0, _mm512_mul_ps(v.0, x.0))) }
-        }
-    }
-
-    /// `nest` on the AVX2 tier.
-    ///
-    /// # Safety
-    ///
-    /// The running CPU has AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn avx2<N: Nest>(nest: N) -> N::Out {
-        // SAFETY: this function's target features are `Avx2`'s.
-        unsafe { nest.run::<Avx2>() }
-    }
-
-    /// `nest` on the AVX-512F tier.
-    ///
-    /// # Safety
-    ///
-    /// The running CPU has AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn avx512<N: Nest>(nest: N) -> N::Out {
-        // SAFETY: this function's target features are `Avx512`'s.
-        unsafe { nest.run::<Avx512>() }
     }
 }
 
@@ -918,13 +580,6 @@ mod tests {
                 assert_eq!(next, n, "{lanes} lanes");
             }
         }
-    }
-
-    /// The plan's lane width is the host tier's.
-    #[test]
-    fn host_lanes_are_the_host_tiers() {
-        let want = if detect_simd_level() == SimdLevel::Avx512Fma { 16 } else { 8 };
-        assert_eq!(host_lanes(), want);
     }
 
     /// Every tier computes the portable tier's bits in both phases.

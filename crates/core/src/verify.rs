@@ -22,7 +22,6 @@ use crate::autotune::Phase;
 use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
 use crate::schedule::{stencil_split, LayerPlan, Technique};
-use crate::sparse::kernel::host_lanes;
 use crate::sparse::DEFAULT_TILE_WIDTH;
 use crate::stencil::plan_register_tile;
 use crate::SpgError;
@@ -71,8 +70,10 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
 /// forward-phase kernel; its backward falls back to the GEMM.
 fn lower_backward(technique: Technique, cores: usize) -> BackwardPlan {
     match technique {
+        // The lane width of the tier the sparse entries run on this CPU.
         Technique::SparseBp => {
-            BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH, lanes: host_lanes() }
+            let lanes = spg_gemm::detect_simd_level().lanes();
+            BackwardPlan::SparsePointerShift { tile_width: DEFAULT_TILE_WIDTH, lanes }
         }
         Technique::GemmInParallel | Technique::StencilFp => {
             BackwardPlan::UnfoldGemm { threads: cores.max(1) }

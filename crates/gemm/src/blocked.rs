@@ -1,6 +1,8 @@
 use spg_tensor::Matrix;
 
-use crate::kernels::{pack_a, RightOperand, RowMajor, Tile, ACC_LEN};
+use crate::kernels::{micro_tile, pack_a, tile_rows, RightOperand, RowMajor, Tile};
+use crate::kernels::{ACC_LEN, TILE_VECTORS};
+use crate::simd::{on_tier, Nest, Vector};
 use crate::{check_dims, GemmError};
 
 /// Cache block of the `k` dimension (packed A/B panel depth). This alone
@@ -128,48 +130,96 @@ pub fn gemm_slice(
 /// The blocked loop nest behind every multiply in this crate:
 /// `C += op(A) * B` (or `C = op(A) * B`, as `update` says) with `op(A)`'s
 /// blocks packed by `pack`, `B`'s by its [`RightOperand`], both for
-/// `tile`, the micro-kernel's tiles added into `C`. `b_pack` only grows: a
-/// block packs into its head. Assumes the caller checked the geometry and
-/// that `k > 0`; a zero `m` or `n` is a no-op.
+/// `tile`, the micro-kernel's tiles added into `C` — the whole nest run
+/// once on `tile`'s tier. `b_pack` only grows: a block packs into its
+/// head. Assumes the caller checked the geometry and that `k > 0`; a zero
+/// `m` or `n` is a no-op.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_blocked<B: RightOperand + ?Sized>(
     tile: Tile,
     pack: PackA,
-    (m, n, k): (usize, usize, usize),
+    dims: (usize, usize, usize),
     a: &[f32],
     lda: usize,
     b: &B,
-    (c, ldc, update): (&mut [f32], usize, Update),
-    (a_pack, b_pack): (&mut Vec<f32>, &mut Vec<f32>),
+    out: (&mut [f32], usize, Update),
+    packs: (&mut Vec<f32>, &mut Vec<f32>),
 ) {
-    let (mr, nr) = (tile.mr, tile.nr);
-    let mut acc = [0.0f32; ACC_LEN];
-    for jc in (0..n).step_by(NC) {
-        let nc = (n - jc).min(NC);
-        for pc in (0..k).step_by(KC) {
-            let kc = (k - pc).min(KC);
-            let len = nc.div_ceil(nr) * kc * nr;
-            if b_pack.len() < len {
-                b_pack.resize(len, 0.0);
+    on_tier(tile.level, Blocked { tile, pack, dims, a, lda, b, out, packs });
+}
+
+/// [`gemm_blocked`]'s operands: the nest it runs.
+struct Blocked<'a, B: ?Sized> {
+    tile: Tile,
+    pack: PackA,
+    dims: (usize, usize, usize),
+    a: &'a [f32],
+    lda: usize,
+    b: &'a B,
+    out: (&'a mut [f32], usize, Update),
+    packs: (&'a mut Vec<f32>, &'a mut Vec<f32>),
+}
+
+/// # Safety
+///
+/// `run`'s contract is the trait's.
+impl<B: RightOperand + ?Sized> Nest for Blocked<'_, B> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Vector, const L: usize>(self) {
+        // SAFETY: the CPU has `V`'s features (this fn's contract).
+        unsafe {
+            match tile_rows(L) {
+                12 => self.sweep::<V, 12>(),
+                _ => self.sweep::<V, 6>(),
             }
-            let b_panels = &mut b_pack[..len];
-            b.pack(nr, pc, jc, kc, nc, b_panels);
-            for ic in (0..m).step_by(MC) {
-                let mc = (m - ic).min(MC);
-                pack(tile, a, lda, ic, pc, mc, kc, a_pack);
-                for (jp, bp) in b_panels.chunks_exact(kc * nr).enumerate() {
-                    let cols = (nc - jp * nr).min(nr);
-                    for (ip, ap) in a_pack.chunks_exact(kc * mr).enumerate() {
-                        tile.run(kc, ap, bp, &mut acc);
-                        let rows = (mc - ip * mr).min(mr);
-                        let store = update == Update::Store && pc == 0;
-                        for (r, src) in acc.chunks_exact(nr).take(rows).enumerate() {
-                            let cbase = (ic + ip * mr + r) * ldc + jc + jp * nr;
-                            let dst = &mut c[cbase..cbase + cols];
-                            if store {
-                                dst.copy_from_slice(&src[..cols]);
-                            } else {
-                                dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
+        }
+    }
+}
+
+impl<B: RightOperand + ?Sized> Blocked<'_, B> {
+    /// The loop nest at `MR x (TILE_VECTORS * V::LANES)` tiles.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has `V`'s target features.
+    #[inline(always)]
+    unsafe fn sweep<V: Vector, const MR: usize>(self) {
+        let Blocked { tile, pack, dims: (m, n, k), a, lda, b, out, packs } = self;
+        let ((c, ldc, update), (a_pack, b_pack)) = (out, packs);
+        let (mr, nr) = (tile.mr, tile.nr);
+        assert_eq!((mr, nr), (MR, TILE_VECTORS * V::LANES), "panels packed for this tile");
+        let mut acc = [0.0f32; ACC_LEN];
+        for jc in (0..n).step_by(NC) {
+            let nc = (n - jc).min(NC);
+            for pc in (0..k).step_by(KC) {
+                let kc = (k - pc).min(KC);
+                let len = nc.div_ceil(nr) * kc * nr;
+                if b_pack.len() < len {
+                    b_pack.resize(len, 0.0);
+                }
+                let b_panels = &mut b_pack[..len];
+                b.pack(nr, pc, jc, kc, nc, b_panels);
+                for ic in (0..m).step_by(MC) {
+                    let mc = (m - ic).min(MC);
+                    pack(tile, a, lda, ic, pc, mc, kc, a_pack);
+                    for (jp, bp) in b_panels.chunks_exact(kc * nr).enumerate() {
+                        let cols = (nc - jp * nr).min(nr);
+                        for (ip, ap) in a_pack.chunks_exact(kc * mr).enumerate() {
+                            // SAFETY: the CPU has `V`'s features (this fn's
+                            // contract).
+                            unsafe { micro_tile::<V, MR, TILE_VECTORS>(kc, ap, bp, &mut acc) };
+                            let rows = (mc - ip * mr).min(mr);
+                            let store = update == Update::Store && pc == 0;
+                            for (r, src) in acc.chunks_exact(nr).take(rows).enumerate() {
+                                let cbase = (ic + ip * mr + r) * ldc + jc + jp * nr;
+                                let dst = &mut c[cbase..cbase + cols];
+                                if store {
+                                    dst.copy_from_slice(&src[..cols]);
+                                } else {
+                                    dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
+                                }
                             }
                         }
                     }
@@ -258,22 +308,18 @@ mod tests {
         assert_eq!(c, [1.0; 4]);
     }
 
-    /// Every SIMD tile computes each element of C as the same FMA chain,
-    /// so the blocked and transposed multiplies and their row bands agree
-    /// to the bit across the tiers this host runs — on `m`, `n` ragged
-    /// against every tile, around each `KC` boundary, into a pre-filled C.
-    /// The only test that runs the AVX2 tile on an AVX-512 host. Without
-    /// SIMD (Miri) the scalar tile stands in, and every entry must still
-    /// agree.
+    /// Every tile computes each element of C as the same FMA chain, so
+    /// the blocked and transposed multiplies and their row bands agree to
+    /// the bit across the tiers this host runs, the portable one included
+    /// — on `m`, `n` ragged against every tile, around each `KC` boundary,
+    /// into a pre-filled C. The only test that runs the AVX2 tile on an
+    /// AVX-512 host.
     #[test]
     fn simd_tiers_are_bit_identical() {
-        use crate::kernels::{pack_at, tests::tiles, SimdLevel};
+        use crate::kernels::{pack_at, tests::tiles};
         use crate::parallel::gemm_row_bands;
 
-        let all = tiles();
-        let simd: Vec<Tile> =
-            all.iter().filter(|(level, _)| *level > SimdLevel::Scalar).map(|&(_, t)| t).collect();
-        let tiers = if simd.is_empty() { vec![all[0].1] } else { simd };
+        let tiers: Vec<Tile> = tiles().into_iter().map(|(_, t)| t).collect();
         let (shapes, depths): (&[(usize, usize)], &[usize]) = if cfg!(miri) {
             (&[(7, 19)], &[0, 1, 257])
         } else {

@@ -1,103 +1,48 @@
-//! Register-tiled GEMM micro-kernels and panel packing.
+//! The register-tiled GEMM micro-kernel and panel packing.
 //!
 //! The blocked driver packs operand panels for one register [`Tile`] and
-//! calls that tile's micro-kernel over them; the tile is resolved once per
-//! GEMM call from [`detect_simd_level`]. On x86-64 one micro-kernel source,
-//! expanded per instruction set by `define_simd_kernel!`, holds the
-//! `MR x NR` accumulator in vector registers and issues one fused
-//! multiply-add per accumulator register per packed `k` step: a 6x16 tile
-//! in twelve YMM registers under AVX2+FMA, a 12x32 tile in twenty-four ZMM
-//! registers under AVX-512F. Elsewhere a portable scalar kernel runs. The
-//! tile only decides which elements of C share a register: each SIMD tile
-//! computes every element as the same single-rounding FMA chain over `k`.
+//! runs [`micro_tile`] over them; the tile is resolved once per GEMM call
+//! from [`detect_simd_level`]. The micro-kernel is one source over the
+//! [`simd`](crate::simd) vocabulary: it holds the `MR x NR` accumulator in
+//! vector registers and issues one fused multiply-add per accumulator
+//! register per packed `k` step — a 12x32 tile in twenty-four ZMM
+//! registers on AVX-512F, a 6x16 tile in twelve YMM registers on AVX2+FMA,
+//! the same 6x16 tile in portable vectors elsewhere. The tile only decides
+//! which elements of C share a register: every tier computes every element
+//! as the same single-rounding FMA chain over `k`.
 
-/// Instruction-set tiers the runtime kernels dispatch across, in
-/// increasing f32 vector width.
-///
-/// Detection lives here so every kernel crate (the GEMM micro-kernel and
-/// the `spg-codegen` specialized stencil registry) agrees on what the
-/// host offers; the ordering lets callers write `level >= Avx2Fma`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SimdLevel {
-    /// No usable SIMD: portable scalar kernels run.
-    Scalar,
-    /// AVX2 + FMA: 8-lane f32 vectors.
-    Avx2Fma,
-    /// AVX-512F + FMA: 16-lane f32 vectors (on every shipping part this
-    /// implies AVX2+FMA, and detection requires both).
-    Avx512Fma,
-}
-
-/// Detects the widest [`SimdLevel`] the running CPU supports.
-///
-/// # Example
-///
-/// ```
-/// use spg_gemm::SimdLevel;
-/// let level = spg_gemm::detect_simd_level();
-/// assert!(level >= SimdLevel::Scalar);
-/// ```
-pub fn detect_simd_level() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdLevel::Avx512Fma;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdLevel::Avx2Fma;
-        }
-    }
-    SimdLevel::Scalar
-}
-
-/// Name of the GEMM micro-kernel that runs on this CPU.
-///
-/// Useful in benchmark output to record which register tile produced the
-/// results: the 12x32 AVX-512 tile, the 6x16 AVX2 tile, or the portable
-/// scalar kernel. On a Sapphire Rapids core the 16-lane tile lifts the
-/// ImageNet-1K conv1 GEMMs from 62-66 to 94-108 GFlop/s; a register-only
-/// FMA loop peaks at 140-145 GFlop/s with 16-lane and 77-94 with 8-lane
-/// vectors.
-///
-/// # Example
-///
-/// ```
-/// let name = spg_gemm::simd_backend_name();
-/// assert!(["avx512f+fma", "avx2+fma", "scalar"].contains(&name));
-/// ```
-pub fn simd_backend_name() -> &'static str {
-    match detect_simd_level() {
-        SimdLevel::Avx512Fma => "avx512f+fma",
-        SimdLevel::Avx2Fma => "avx2+fma",
-        SimdLevel::Scalar => "scalar",
-    }
-}
+use crate::simd::{detect_simd_level, SimdLevel, Vector};
 
 /// Accumulator length that holds the largest tile (AVX-512's 12x32).
 pub(crate) const ACC_LEN: usize = 12 * 32;
 
-/// A micro-kernel: writes the row-major `mr x nr` tile
-/// `acc[r * nr + c] = sum_p ap[p * mr + r] * bp[p * nr + c]` of two packed
-/// `kc`-deep panels to the head of `acc`.
-///
-/// # Safety
-///
-/// The running CPU has the target features of the kernel's instruction set.
-type Kernel = unsafe fn(usize, &[f32], &[f32], &mut [f32; ACC_LEN]);
+/// Vectors per row of every register tile.
+pub(crate) const TILE_VECTORS: usize = 2;
+
+/// Rows of the register tile at `lanes`-lane vectors: 12 at 16 lanes
+/// (24 of 32 ZMM registers), 6 at 8 (12 of 16 YMM registers). On a
+/// Sapphire Rapids core the 16-lane tile lifts the ImageNet-1K conv1
+/// GEMMs from 62-66 to 94-108 GFlop/s; a register-only FMA loop peaks at
+/// 140-145 GFlop/s with 16-lane and 77-94 with 8-lane vectors.
+pub(crate) const fn tile_rows(lanes: usize) -> usize {
+    if lanes == 16 {
+        12
+    } else {
+        6
+    }
+}
 
 /// A register tile: the `mr x nr` block of C one micro-kernel call
-/// computes, the shape the operand panels are packed for.
+/// computes, the shape the operand panels are packed for, and the tier
+/// whose vectors hold it.
 #[derive(Clone, Copy)]
 pub(crate) struct Tile {
     /// Rows of the tile, and of every packed A panel.
     pub(crate) mr: usize,
     /// Columns of the tile, and of every packed B panel.
     pub(crate) nr: usize,
-    kernel: Kernel,
+    /// The tier the micro-kernel runs on.
+    pub(crate) level: SimdLevel,
 }
 
 impl Tile {
@@ -109,132 +54,54 @@ impl Tile {
     /// The tile of `level`, or of the host's level when that is narrower —
     /// so a tile's kernel always runs on this CPU.
     pub(crate) fn at(level: SimdLevel) -> Tile {
-        match level.min(detect_simd_level()) {
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512Fma => Tile { mr: 12, nr: 32, kernel: avx512::kernel::<12, 2> },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2Fma => Tile { mr: 6, nr: 16, kernel: avx2::kernel::<6, 2> },
-            _ => Tile { mr: 6, nr: 16, kernel: microkernel_scalar::<6, 16> },
-        }
-    }
-
-    /// Runs the micro-kernel over `kc`-deep panels packed for this tile.
-    #[inline]
-    pub(crate) fn run(self, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; ACC_LEN]) {
-        // SAFETY: `Tile::at` pairs a SIMD kernel only with a level the
-        // running CPU reports; the kernels slice the panels to `kc` steps
-        // (panicking on a short one) and read them through safe chunking.
-        unsafe { (self.kernel)(kc, ap, bp, acc) }
+        let level = level.min(detect_simd_level());
+        let lanes = level.lanes();
+        Tile { mr: tile_rows(lanes), nr: TILE_VECTORS * lanes, level }
     }
 }
 
-/// Portable scalar micro-kernel for an `MR x NR` tile, with the
-/// [`Kernel`] contract: a separate multiply and add per step.
-fn microkernel_scalar<const MR: usize, const NR: usize>(
+/// The micro-kernel: writes the row-major `MR x (NV * LANES)` tile
+/// `acc[r * nr + c] = sum_p ap[p * MR + r] * bp[p * nr + c]` of two packed
+/// `kc`-deep panels to the head of `acc`, its accumulator an
+/// `[[V; NV]; MR]` array the constant trip counts keep in `MR * NV`
+/// registers: per packed `k` step, `NV` loads of the B panel and `MR`
+/// broadcasts of the A panel feed `MR * NV` fused multiply-adds. Panics if
+/// a panel holds fewer than `kc` steps.
+///
+/// # Safety
+///
+/// The running CPU has `V`'s target features.
+#[inline(always)]
+pub(crate) unsafe fn micro_tile<V: Vector, const MR: usize, const NV: usize>(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
     acc: &mut [f32; ACC_LEN],
 ) {
-    let acc = &mut acc[..MR * NR];
-    acc.fill(0.0);
-    for p in 0..kc {
-        let a = &ap[p * MR..p * MR + MR];
-        let b = &bp[p * NR..p * NR + NR];
-        for (mr, &aval) in a.iter().enumerate() {
-            let row = &mut acc[mr * NR..mr * NR + NR];
-            for (cj, bj) in row.iter_mut().zip(b) {
-                *cj += aval * bj;
+    const { assert!(MR * NV * V::LANES <= ACC_LEN) };
+    let lanes = V::LANES;
+    // SAFETY: the CPU has `V`'s features (this fn's contract); every load
+    // reads vector j < NV of an `NV * LANES`-float step of `bp`, and every
+    // store writes one `LANES`-float chunk of `acc`.
+    unsafe {
+        let mut c = [[V::zero(); NV]; MR];
+        let a_steps = ap[..kc * MR].as_chunks::<MR>().0;
+        for (a, b) in a_steps.iter().zip(bp[..kc * NV * lanes].chunks_exact(NV * lanes)) {
+            let mut bv = [V::zero(); NV];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = V::load(b.as_ptr().add(j * lanes));
             }
+            for (row, &ar) in c.iter_mut().zip(a) {
+                let av = V::splat(ar);
+                for (cv, bj) in row.iter_mut().zip(&bv) {
+                    *cv = cv.fma(av, *bj);
+                }
+            }
+        }
+        for (dst, v) in acc.chunks_exact_mut(lanes).zip(c.as_flattened()) {
+            v.store(dst.as_mut_ptr());
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-macro_rules! define_simd_kernel {
-    (
-        module: $mod_:ident,
-        feature: $feat:literal,
-        lanes: $lanes:literal,
-        setzero: $setzero:ident,
-        loadu: $loadu:ident,
-        set1: $set1:ident,
-        fmadd: $fmadd:ident,
-        storeu: $storeu:ident
-    ) => {
-        mod $mod_ {
-            use std::arch::x86_64::*;
-
-            use super::ACC_LEN;
-
-            /// f32 lanes per vector for this instruction set.
-            const LANES: usize = $lanes;
-
-            /// The [`Kernel`](super::Kernel) for an `MR x (NV * LANES)`
-            /// tile, its accumulator an `[[vector; NV]; MR]` array the
-            /// constant trip counts keep in `MR * NV` registers: per packed
-            /// `k` step, `NV` loads of the B panel and `MR` broadcasts of
-            /// the A panel feed `MR * NV` fused multiply-adds. Panics if a
-            /// panel holds fewer than `kc` steps.
-            ///
-            /// # Safety
-            ///
-            /// The running CPU has this module's target features.
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn kernel<const MR: usize, const NV: usize>(
-                kc: usize,
-                ap: &[f32],
-                bp: &[f32],
-                acc: &mut [f32; ACC_LEN],
-            ) {
-                const { assert!(MR * NV * LANES <= ACC_LEN) };
-                let mut c = [[$setzero(); NV]; MR];
-                let a_steps = ap[..kc * MR].as_chunks::<MR>().0;
-                for (a, b) in a_steps.iter().zip(bp[..kc * NV * LANES].chunks_exact(NV * LANES)) {
-                    let mut bv = [$setzero(); NV];
-                    for (j, v) in bv.iter_mut().enumerate() {
-                        // SAFETY: j < NV, so the LANES floats at j * LANES
-                        // lie inside the NV * LANES floats of `b`.
-                        *v = unsafe { $loadu(b.as_ptr().add(j * LANES)) };
-                    }
-                    for (row, &ar) in c.iter_mut().zip(a) {
-                        let av = $set1(ar);
-                        for (cv, bj) in row.iter_mut().zip(&bv) {
-                            *cv = $fmadd(av, *bj, *cv);
-                        }
-                    }
-                }
-                for (dst, v) in acc.chunks_exact_mut(LANES).zip(c.as_flattened()) {
-                    // SAFETY: every chunk holds LANES writable floats.
-                    unsafe { $storeu(dst.as_mut_ptr(), *v) };
-                }
-            }
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-define_simd_kernel! {
-    module: avx2,
-    feature: "avx2,fma",
-    lanes: 8,
-    setzero: _mm256_setzero_ps,
-    loadu: _mm256_loadu_ps,
-    set1: _mm256_set1_ps,
-    fmadd: _mm256_fmadd_ps,
-    storeu: _mm256_storeu_ps
-}
-
-#[cfg(target_arch = "x86_64")]
-define_simd_kernel! {
-    module: avx512,
-    feature: "avx512f,fma",
-    lanes: 16,
-    setzero: _mm512_setzero_ps,
-    loadu: _mm512_loadu_ps,
-    set1: _mm512_set1_ps,
-    fmadd: _mm512_fmadd_ps,
-    storeu: _mm512_storeu_ps
 }
 
 /// Packs an `mc x kc` block of `a` (row-major, leading dimension `lda`)
@@ -340,9 +207,10 @@ impl RightOperand for RowMajor<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::simd::{on_tier, Nest};
 
     /// One tile per instruction set the host runs, widest last (just the
-    /// scalar tile under Miri or on a host without AVX2+FMA).
+    /// portable tile under Miri or on a host without AVX2+FMA).
     pub(crate) fn tiles() -> Vec<(SimdLevel, Tile)> {
         [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512Fma]
             .into_iter()
@@ -351,47 +219,68 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// One [`micro_tile`] call on `tile`'s tier.
+    struct Micro<'a> {
+        tile: Tile,
+        kc: usize,
+        ap: &'a [f32],
+        bp: &'a [f32],
+        acc: &'a mut [f32; ACC_LEN],
+    }
+
+    impl Nest for Micro<'_> {
+        type Out = ();
+
+        #[inline(always)]
+        unsafe fn run<V: Vector, const L: usize>(self) {
+            let Micro { tile, kc, ap, bp, acc } = self;
+            assert_eq!((tile.mr, tile.nr), (tile_rows(L), TILE_VECTORS * L));
+            // SAFETY: the CPU has `V`'s features (this fn's contract).
+            unsafe {
+                match tile_rows(L) {
+                    12 => micro_tile::<V, 12, TILE_VECTORS>(kc, ap, bp, acc),
+                    _ => micro_tile::<V, 6, TILE_VECTORS>(kc, ap, bp, acc),
+                }
+            }
+        }
+    }
+
+    fn run(tile: Tile, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; ACC_LEN]) {
+        on_tier(tile.level, Micro { tile, kc, ap, bp, acc });
+    }
+
+    /// The tile's FMA chain over `k`, spelled with `f32::mul_add`.
     fn reference_tile(t: Tile, kc: usize, ap: &[f32], bp: &[f32]) -> Vec<f32> {
         let mut acc = vec![0.0f32; t.mr * t.nr];
         for p in 0..kc {
             for r in 0..t.mr {
                 for c in 0..t.nr {
-                    acc[r * t.nr + c] += ap[p * t.mr + r] * bp[p * t.nr + c];
+                    let a = &mut acc[r * t.nr + c];
+                    *a = ap[p * t.mr + r].mul_add(bp[p * t.nr + c], *a);
                 }
             }
         }
         acc
     }
 
+    /// Every tier's tile is the fused chain, bit for bit.
     #[test]
-    fn microkernel_matches_reference() {
+    fn microkernel_matches_reference_exactly() {
         let kc = 37;
         for (level, t) in tiles() {
             let ap: Vec<f32> = (0..kc * t.mr).map(|i| (i as f32 * 0.37).sin()).collect();
             let bp: Vec<f32> = (0..kc * t.nr).map(|i| (i as f32 * 0.11).cos()).collect();
             let mut fast = [0.0f32; ACC_LEN];
-            t.run(kc, &ap, &bp, &mut fast);
-            for (f, s) in fast.iter().zip(&reference_tile(t, kc, &ap, &bp)) {
-                assert!((f - s).abs() < 1e-4, "{level:?}: {f} vs {s}");
-            }
+            run(t, kc, &ap, &bp, &mut fast);
+            assert_eq!(fast[..t.mr * t.nr], reference_tile(t, kc, &ap, &bp), "{level:?}");
         }
-    }
-
-    #[test]
-    fn scalar_kernel_matches_reference_exactly() {
-        let (kc, t) = (5, Tile::at(SimdLevel::Scalar));
-        let ap: Vec<f32> = (0..kc * t.mr).map(|i| i as f32).collect();
-        let bp: Vec<f32> = (0..kc * t.nr).map(|i| (i % 7) as f32).collect();
-        let mut acc = [0.0f32; ACC_LEN];
-        t.run(kc, &ap, &bp, &mut acc);
-        assert_eq!(acc[..t.mr * t.nr], reference_tile(t, kc, &ap, &bp));
     }
 
     #[test]
     fn zero_kc_yields_zero_tile() {
         for (level, t) in tiles() {
             let mut acc = [1.0f32; ACC_LEN];
-            t.run(0, &[], &[], &mut acc);
+            run(t, 0, &[], &[], &mut acc);
             assert!(acc[..t.mr * t.nr].iter().all(|&v| v == 0.0), "{level:?}");
         }
     }
@@ -448,17 +337,16 @@ pub(crate) mod tests {
         }
     }
 
-    /// The name reports the tile `Tile::host` dispatches (CI's SIMD legs
-    /// run this with `--nocapture` to log which one they exercised).
+    /// The host's tier and the tile `Tile::host` dispatches (CI's SIMD
+    /// legs run this with `--nocapture` to log which one they exercised).
     #[test]
     fn backend_name_is_known() {
-        let tile = Tile::host();
-        println!("simd level {:?}, GEMM backend {}", detect_simd_level(), simd_backend_name());
-        let expected = match simd_backend_name() {
-            "avx512f+fma" => (12, 32),
-            "avx2+fma" | "scalar" => (6, 16),
-            other => panic!("unknown backend {other}"),
+        let (level, tile) = (detect_simd_level(), Tile::host());
+        println!("simd level {level:?} ({}), GEMM tile {}x{}", level.id(), tile.mr, tile.nr);
+        let expected = match level {
+            SimdLevel::Avx512Fma => (12, 32),
+            SimdLevel::Avx2Fma | SimdLevel::Scalar => (6, 16),
         };
-        assert_eq!((tile.mr, tile.nr), expected);
+        assert_eq!((tile.mr, tile.nr, tile.level), (expected.0, expected.1, level));
     }
 }

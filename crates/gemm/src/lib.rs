@@ -3,12 +3,15 @@
 //! The paper's characterization (Sec. 3) and all of its baselines are built
 //! on general matrix multiply. This crate supplies:
 //!
+//! * [`simd`] — the one SIMD vocabulary every kernel of the workspace is
+//!   written in: the `Vector` trait, its portable, AVX2 and AVX-512F tiers,
+//!   and the one dispatch from a [`SimdLevel`] to a tier.
 //! * [`gemm`] / [`gemm_slice`] — a cache-blocked, panel-packed,
 //!   register-tiled single-threaded GEMM whose micro-kernel runs at the
-//!   host's vector width: one source expanded per instruction set, a 12x32
-//!   tile under AVX-512F and 6x16 under AVX2+FMA (detected once per call),
-//!   a portable scalar fallback elsewhere. This plays the role OpenBLAS /
-//!   MKL play in the paper.
+//!   host's vector width: one source over the [`simd`] vocabulary, a 12x32
+//!   tile on AVX-512F and 6x16 on AVX2+FMA or portable vectors (the tier
+//!   detected once per call). This plays the role OpenBLAS / MKL play in
+//!   the paper.
 //! * [`gemm_naive`] — the unblocked triple loop, used as the correctness
 //!   oracle for every other kernel in the workspace.
 //! * [`parallel_gemm`] / [`parallel_gemm_slice`] — **Parallel-GEMM**: one
@@ -50,14 +53,16 @@ mod fc;
 mod kernels;
 mod naive;
 mod parallel;
+pub mod simd;
 mod transposed;
 
 pub use blocked::{gemm, gemm_into, gemm_slice};
 pub use error::GemmError;
 pub use fc::{FcKernels, DOT_LANES};
-pub use kernels::{detect_simd_level, simd_backend_name, RightOperand, RowMajor, SimdLevel};
+pub use kernels::{RightOperand, RowMajor};
 pub use naive::{gemm_naive, gemm_naive_into};
 pub use parallel::{parallel_gemm, parallel_gemm_slice};
+pub use simd::{detect_simd_level, SimdLevel};
 /// The workspace's one fork-join, which the parallel schedules here fan
 /// out through; re-exported for crates above this one (`spg-core`'s
 /// banded stencil) that have no `spg-sync` edge of their own.

@@ -71,11 +71,11 @@ impl Backend for SimBackend {
                 ),
             });
         }
-        if let AlgoKernel::Specialized(isa) = algo.kernel {
+        if let AlgoKernel::Specialized(level) = algo.kernel {
             return Err(SpgError::InvalidNetwork {
                 message: format!(
                     "the analytical backend models no specialized {} kernel",
-                    isa.name()
+                    level.id()
                 ),
             });
         }

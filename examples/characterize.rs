@@ -49,7 +49,7 @@ fn main() {
     println!();
 
     println!("-- Sec. 4.2: generated sparse backward kernel --");
-    let lanes = spg_cnn::core::sparse::kernel::host_lanes();
+    let lanes = spg_cnn::gemm::detect_simd_level().lanes();
     for line in spg_cnn::core::sparse::render_backward_kernel(&spec, 64, lanes).lines() {
         println!("  {line}");
     }

@@ -222,7 +222,7 @@ fn run_layer(bench: Benchmark, layer: usize, spec: &ConvSpec, reps: usize) -> La
         specialized_gflops,
         speedup,
         kernel: if inst.is_some() { "specialized" } else { "generic" },
-        isa: inst.map(|k| k.isa().name()),
+        isa: inst.map(|k| k.level().id()),
     }
 }
 

@@ -166,8 +166,8 @@ fn installed_executor_and_compiled_conv_are_one_program() {
                 let installed = algo.lower(&spec, cores).expect("candidates lower");
                 assert_eq!(installed.plan(), compiled.program().plan(), "{at}: plans differ");
                 assert_eq!(
-                    installed.specialized_kernel().map(|k| k.isa()),
-                    compiled.specialized_kernel().map(|k| k.isa()),
+                    installed.specialized_kernel().map(|k| k.level()),
+                    compiled.specialized_kernel().map(|k| k.level()),
                     "{at}: kernel bindings differ"
                 );
                 let proved = verify_conv_plan(

@@ -1,6 +1,6 @@
 //! Workspace hygiene lint, run by CI.
 //!
-//! Five passes over the workspace sources (no external parser — the build
+//! Six passes over the workspace sources (no external parser — the build
 //! environment is offline, so this is a deliberately conservative line
 //! scanner rather than a `syn` AST walk):
 //!
@@ -22,14 +22,18 @@
 //!    runtime) and `spg-race` needs a reasoned
 //!    `// lint: allow(thread-spawn)` marker; the excused sites are
 //!    printed, so the tree's thread-creation idioms are a CI line.
+//! 6. **Intrinsics** — `std::arch` / `core::arch` and the `_mm256_` /
+//!    `_mm512_` intrinsics belong to `spg-gemm`'s `simd` module, the one
+//!    SIMD vocabulary every kernel is written in; a use anywhere else is a
+//!    finding, with no escape marker.
 //!
 //! Test code is exempt: files under `tests/`, and everything
 //! from a line containing `#[cfg(test)]` to the end of the file (the
 //! workspace convention keeps test modules trailing).
 //!
-//! `spg-lint --self-test` runs the concurrency passes over the seeded
-//! fixtures in `tools/lint/fixtures/` and fails unless each planted bug
-//! is found and the clean fixture stays clean — a liveness check for
+//! `spg-lint --self-test` runs the concurrency and intrinsics passes over
+//! the seeded fixtures in `tools/lint/fixtures/` and fails unless each
+//! planted bug is found and the clean fixture stays clean — a liveness check for
 //! the linter itself, run by CI next to the real pass.
 //!
 //! `spg-lint --loc` prints the non-test source size — per crate and in
@@ -47,6 +51,12 @@ const KERNEL_CRATES: &[&str] = &["crates/codegen/src", "crates/core/src", "crate
 
 /// Source roots scanned for undocumented `unsafe`.
 const UNSAFE_ROOTS: &[&str] = &["crates", "src"];
+
+/// The one file that may name SIMD intrinsics.
+const SIMD_MODULE: &str = "crates/gemm/src/simd.rs";
+
+/// What names an instruction set's intrinsics.
+const INTRINSICS: &[&str] = &["std::arch", "core::arch", "_mm256_", "_mm512_"];
 
 /// How many preceding comment lines may separate a `// SAFETY:` comment
 /// from its `unsafe` block, and a `# Safety` doc section from its `unsafe fn`.
@@ -74,6 +84,7 @@ fn main() -> ExitCode {
     let mut spawn_sites = Vec::new();
     for rel in UNSAFE_ROOTS {
         let files = rust_files(&root.join(rel));
+        scan_intrinsics(&root, &files, &mut findings);
         concurrency::scan(&root, &files, &mut findings);
         spawn_sites.extend(concurrency::scan_thread_spawn(&root, &files, &mut findings));
     }
@@ -95,7 +106,8 @@ fn main() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Prove the concurrency passes still catch their seeded fixture bugs.
+/// Prove the concurrency and intrinsics passes still catch their seeded
+/// fixture bugs.
 fn self_test(root: &Path) -> ExitCode {
     let fixtures = root.join("tools/lint/fixtures");
     let files = rust_files(&fixtures);
@@ -104,6 +116,7 @@ fn self_test(root: &Path) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let mut findings = Vec::new();
+    scan_intrinsics(root, &files, &mut findings);
     concurrency::scan(root, &files, &mut findings);
     let excused = concurrency::scan_thread_spawn(root, &files, &mut findings);
     let mut failures = Vec::new();
@@ -114,6 +127,7 @@ fn self_test(root: &Path) -> ExitCode {
         ("lock_cycle.rs", "lock-order cycle"),
         ("blocking_under_lock.rs", "blocking on another thread"),
         ("thread_spawn.rs", "outside spg-sync"),
+        ("intrinsics.rs", "outside spg-gemm's simd module"),
     ] {
         if !findings.iter().any(|f| f.contains(fixture) && f.contains(needle)) {
             failures.push(format!("seeded bug in {fixture} not caught (wanted: {needle})"));
@@ -270,6 +284,38 @@ fn scan_unwrap(root: &Path, file: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// Intrinsics pass over `files`: appends a finding per line outside
+/// [`SIMD_MODULE`] and its test region whose code names one of
+/// [`INTRINSICS`].
+fn scan_intrinsics(root: &Path, files: &[PathBuf], findings: &mut Vec<String>) {
+    for file in files {
+        let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
+        if rel == SIMD_MODULE {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(file) else {
+            continue;
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        findings.extend(intrinsic_uses(&rel, &lines));
+    }
+}
+
+/// The intrinsics findings of one file's `lines`.
+fn intrinsic_uses(rel: &str, lines: &[&str]) -> Vec<String> {
+    let code = lines.iter().map(|l| code_part(l)).take_while(|l| !opens_test_region(l));
+    code.enumerate()
+        .filter_map(|(i, code)| {
+            let name = INTRINSICS.iter().find(|name| code.contains(*name))?;
+            Some(format!(
+                "{rel}:{}: `{name}` outside spg-gemm's simd module — spell the kernel \
+                 over `spg_gemm::simd::Vector` and add what it lacks to the vocabulary",
+                i + 1
+            ))
+        })
+        .collect()
+}
+
 /// Whether `line` opens the file's trailing `#[cfg(test)]` module.
 fn opens_test_region(line: &str) -> bool {
     line.trim_start().starts_with("#[cfg(test)]")
@@ -295,6 +341,22 @@ mod tests {
         let text =
             "//! docs\n\nuse a::b; // trailing\n/// doc\nfn f() {}\n\n#[cfg(test)]\nmod tests {}\n";
         assert_eq!(source_lines(text), 2);
+    }
+
+    #[test]
+    fn intrinsics_are_found_in_code_only() {
+        let lines = vec![
+            "//! Docs may say std::arch.",
+            "use std::arch::x86_64::__m256;",
+            "let v = _mm512_setzero_ps(); // and _mm256_ in a comment",
+            "let ok = 1; // _mm256_add_ps",
+            "#[cfg(test)]",
+            "fn t() { core::arch::x86_64::_mm256_setzero_ps(); }",
+        ];
+        let found = intrinsic_uses("k.rs", &lines);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].starts_with("k.rs:2: `std::arch`"), "{found:?}");
+        assert!(found[1].starts_with("k.rs:3: `_mm512_`"), "{found:?}");
     }
 
     #[test]
