@@ -12,10 +12,11 @@ use std::fmt;
 use std::ops::Range;
 
 use rand::Rng;
-use spg_gemm::FcKernels;
+use spg_gemm::{FcKernels, SimdLevel};
 use spg_tensor::{Shape3, Tensor};
 
 use crate::exec::{PreparedWeights, SharedExecutor, UnfoldGemmExecutor};
+use crate::rows::{self, HOST};
 use crate::split;
 use crate::workspace::ConvScratch;
 use crate::{ConvError, ConvSpec};
@@ -63,11 +64,12 @@ pub trait Layer: Send + Sync + fmt::Debug {
     /// Forward propagation for one sample. `output` is overwritten.
     fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch);
 
-    /// Backward propagation for one sample. `grad_in` is overwritten; for
-    /// layers with parameters, the first
-    /// [`grad_record_len`](Layer::grad_record_len) floats of `param_grads`
-    /// are overwritten — every one of them, so a recycled buffer carries
-    /// nothing over — with this sample's gradient record.
+    /// Backward propagation for one sample. `output` is what
+    /// [`forward`](Layer::forward) wrote for `input` (ReLU and max-pool
+    /// read it). `grad_in` is overwritten; for layers with parameters, the
+    /// first [`grad_record_len`](Layer::grad_record_len) floats of
+    /// `param_grads` are overwritten — every one of them, so a recycled
+    /// buffer carries nothing over — with this sample's gradient record.
     ///
     /// [`Network::backward_into`](crate::Network::backward_into) hands a
     /// convolution at layer 0 an *empty* `grad_in`: nothing reads the
@@ -384,11 +386,15 @@ impl Layer for ConvLayer {
 /// its own.
 ///
 /// Measured on a 2-vCPU AVX-512 host: one core clamps 1.97 M activations
-/// (the ImageNet-22K net's first ReLU) in 0.72 ms, 0.36 ns each, and an
+/// (the ImageNet-22K net's first ReLU) in 0.64-0.73 ms, 0.34 ns each
+/// (memory-bound: the vector nest reads as the scalar loop did), and an
 /// empty two-task `fork_join` costs ~35 µs (`sgd`'s fold floor was set
-/// against 70 µs), so a part of 512 Ki is ~0.19 ms — five spawns' worth.
-/// At budget 2 that ReLU splits (0.72 → 0.41 ms alone, 1.6 → 1.0 ms in the
-/// forward) and the net's next one, 225 K, does not.
+/// against 70 µs), so a part of 512 Ki is ~0.18 ms — five spawns' worth.
+/// At budget 2 that ReLU splits and the net's next one, 225 K, does not.
+/// Alone, the two-way split read no faster on the host measured (0.66-0.90
+/// ms); in the forward it stays: against a 1 Mi floor that stops it,
+/// `forward_imagenet22k_b1` read 23.9 / 23.7 / 21.7 / 23.3 / 21.5
+/// images/s against 22.2 / 21.3 / 26.0 / 23.1 / 20.5, alternating.
 const RELU_FLOOR: usize = 512 * 1024;
 
 /// Rectified linear unit: `y = max(0, x)`.
@@ -396,6 +402,11 @@ const RELU_FLOOR: usize = 512 * 1024;
 /// ReLU is the source of the error-gradient sparsity the paper exploits:
 /// wherever the forward activation clamped to zero, the backward gradient
 /// is zeroed too, and trained networks clamp most activations (Fig. 3b).
+///
+/// Both directions are `spg_gemm::simd` loop nests on the host's widest
+/// tier, a vector of activations at a time. Forward: `x` where `x > 0`,
+/// else `+0.0` (so NaN and `-0.0` give `+0.0`). Backward: a compare and a
+/// select — `grad_out` where the forward's output is `> 0`, else `+0.0`.
 ///
 /// A forward whose [core budget](ConvScratch::cores) exceeds 1 cuts the
 /// activations into up to that many contiguous ranges, a thread each, when
@@ -428,7 +439,7 @@ impl Layer for ReluLayer {
     }
 
     fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        relu(input, output, scratch.cores, RELU_FLOOR);
+        relu(HOST, input, output, scratch.cores, RELU_FLOOR);
     }
 
     fn backward(
@@ -440,38 +451,50 @@ impl Layer for ReluLayer {
         _param_grads: &mut Tensor,
         _scratch: &mut ConvScratch,
     ) {
-        for ((gi, &go), &o) in grad_in.iter_mut().zip(grad_out).zip(output) {
-            *gi = if o > 0.0 { go } else { 0.0 };
-        }
+        rows::relu_backward(HOST, output, grad_out, grad_in);
     }
 }
 
-/// `output = max(input, 0)`, cut into contiguous ranges by the split rule.
-fn relu(input: &[f32], output: &mut [f32], cores: usize, floor: usize) {
+/// `output = max(0, input)` on the tier of `level`, cut into contiguous
+/// ranges by the split rule.
+fn relu(level: SimdLevel, input: &[f32], output: &mut [f32], cores: usize, floor: usize) {
     split::for_each_part(output, 1, input.len(), cores, floor, |first, range| {
-        for (o, &i) in range.iter_mut().zip(&input[first..]) {
-            *o = i.max(0.0);
-        }
+        rows::relu_forward(level, &input[first..first + range.len()], range);
     });
 }
 
 /// Input cells a max-pool part must read before it gets a thread of its
 /// own. Measured as `RELU_FLOOR` is, against the cheaper direction: the
-/// forward row kernel reads the 22K net's first pool, 1.97 M cells, in
-/// 0.51 ms on one core (0.26 ns a cell; the backward takes 0.86 ns), so a
-/// part of 512 Ki cells is ~0.14 ms, four spawns' worth. At budget 2 that
-/// pool splits and the net's second (225 K cells) does not.
+/// forward nest reads the 22K net's first pool, 1.97 M cells, in 0.43-0.48
+/// ms on one core (0.23 ns a cell, against the scalar row loop's 0.26; the
+/// backward nest takes 0.46 ns, the scalar search 1.04), so a part of 512
+/// Ki cells is ~0.12 ms, three spawns' worth. At budget 2 that pool splits
+/// and the net's second (225 K cells) does not.
 const POOL_FLOOR: usize = 512 * 1024;
 
 /// Non-overlapping max pooling over square windows.
 ///
-/// Forward is a row kernel: each output row starts at `-inf` and each of
-/// its window's input rows is folded into it with `f32::max`, so every
-/// output is the maximum over its window taken in `(dy, dx)` order from
-/// `-inf`. Backward sends each output's gradient to the first cell of its
-/// window holding the window's strict maximum (`>` in `(dy, dx)` order);
-/// a window with no cell above `-inf` (all `-inf` or NaN) sends it to its
-/// own first cell.
+/// Both directions are `spg_gemm::simd` loop nests on the host's widest
+/// tier whose lanes are consecutive windows of an output plane — across
+/// output rows when a vector's share of a window row never straddles
+/// one, else row by row; a narrower last vector goes through masked loads
+/// and stores, so nothing past the input is read.
+///
+/// Forward: every output is `f32::max` folded over its window in `(dy,
+/// dx)` order from `-inf` — a NaN cell is skipped, and of two equal zeros
+/// the earlier stays. Window column `dx` of a vector of windows is
+/// deinterleaved from `k` consecutive loads of the input row (a
+/// two-source permute for the shipped nets' windows, 2 and 4; other
+/// windows gather it a lane at a time).
+///
+/// Backward reads the forward's `output` (the windows' maxima) and writes
+/// every input cell once, with no search and no scatter: the window's
+/// gradient `go` goes to its first cell in `(dy, dx)` order equal to the
+/// maximum, or to its first cell when the maximum is `-inf` (a window of
+/// `-inf` and NaN only), as `0.0 + go` (so `-0.0` arrives as `+0.0`);
+/// every other cell, and every cell right of or below the last window,
+/// gets `0.0`. That is the cell the first strict maximum (`>` in `(dy,
+/// dx)` order) picks.
 ///
 /// A call whose [core budget](ConvScratch::cores) exceeds 1 splits the
 /// channel planes into up to that many contiguous runs, a thread each,
@@ -525,68 +548,55 @@ impl Layer for MaxPoolLayer {
     }
 
     fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        self.forward_split(input, output, scratch.cores, POOL_FLOOR);
+        self.forward_split(HOST, input, output, scratch.cores, POOL_FLOOR);
     }
 
     fn backward(
         &self,
         input: &[f32],
-        _output: &[f32],
+        output: &[f32],
         grad_out: &[f32],
         grad_in: &mut [f32],
         _param_grads: &mut Tensor,
         scratch: &mut ConvScratch,
     ) {
-        self.backward_split(input, grad_out, grad_in, scratch.cores, POOL_FLOOR);
+        self.backward_split(HOST, input, output, grad_out, grad_in, scratch.cores, POOL_FLOOR);
     }
 }
 
 impl MaxPoolLayer {
-    /// [`Layer::forward`] on up to `cores` threads, none reading fewer
-    /// than `floor` input cells.
-    fn forward_split(&self, input: &[f32], output: &mut [f32], cores: usize, floor: usize) {
+    /// The geometry the row kernels read.
+    fn rows(&self) -> rows::Pool {
+        rows::Pool { h: self.in_shape.h, w: self.in_shape.w, k: self.window }
+    }
+
+    /// [`Layer::forward`] on the tier of `level` and up to `cores`
+    /// threads, none reading fewer than `floor` input cells.
+    fn forward_split(
+        &self,
+        level: SimdLevel,
+        input: &[f32],
+        output: &mut [f32],
+        cores: usize,
+        floor: usize,
+    ) {
         let (ishape, out) = (self.in_shape, self.out_shape());
         let (in_plane, out_plane) = (ishape.h * ishape.w, out.h * out.w);
         assert_eq!(input.len(), ishape.len(), "input length");
         assert_eq!(output.len(), out.len(), "output length");
         split::for_each_part(output, out_plane, input.len(), cores, floor, |c0, outputs| {
-            let inputs = &input[c0 * in_plane..];
-            // The shipped nets' windows get a copy of the kernel each,
-            // compiled for their width.
-            match self.window {
-                2 => self.forward_planes(2, inputs, outputs),
-                4 => self.forward_planes(4, inputs, outputs),
-                k => self.forward_planes(k, inputs, outputs),
-            }
+            rows::pool_forward(level, self.rows(), &input[c0 * in_plane..], outputs);
         });
     }
 
-    /// Pools the channel planes `outputs` holds from the planes `inputs`
-    /// starts with; `k` is the window, a literal where it can be.
-    #[inline(always)]
-    fn forward_planes(&self, k: usize, inputs: &[f32], outputs: &mut [f32]) {
-        let (w, out) = (self.in_shape.w, self.out_shape());
-        let in_planes = inputs.chunks_exact(self.in_shape.h * w);
-        for (o_plane, i_plane) in outputs.chunks_exact_mut(out.h * out.w).zip(in_planes) {
-            // Output row `y` folds input rows `y * k .. y * k + k`.
-            for (o_row, band) in o_plane.chunks_exact_mut(out.w).zip(i_plane.chunks_exact(k * w)) {
-                o_row.fill(f32::NEG_INFINITY);
-                for i_row in band.chunks_exact(w) {
-                    for (o, cells) in o_row.iter_mut().zip(i_row.chunks_exact(k)) {
-                        for &v in cells {
-                            *o = o.max(v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Layer::backward`] on up to `cores` threads, none reading fewer
-    /// than `floor` input cells.
+    /// [`Layer::backward`] on the tier of `level` and up to `cores`
+    /// threads, none reading fewer than `floor` input cells.
+    #[allow(clippy::too_many_arguments)]
     fn backward_split(
         &self,
+        level: SimdLevel,
         input: &[f32],
+        output: &[f32],
         grad_out: &[f32],
         grad_in: &mut [f32],
         cores: usize,
@@ -595,45 +605,14 @@ impl MaxPoolLayer {
         let (ishape, out) = (self.in_shape, self.out_shape());
         let (in_plane, out_plane) = (ishape.h * ishape.w, out.h * out.w);
         assert_eq!(input.len(), ishape.len(), "input length");
+        assert_eq!(output.len(), out.len(), "output length");
         assert_eq!(grad_in.len(), ishape.len(), "grad_in length");
         assert_eq!(grad_out.len(), out.len(), "grad_out length");
         split::for_each_part(grad_in, in_plane, input.len(), cores, floor, |c0, grad_ins| {
-            let (inputs, grad_outs) = (&input[c0 * in_plane..], &grad_out[c0 * out_plane..]);
-            match self.window {
-                2 => self.backward_planes(2, inputs, grad_outs, grad_ins),
-                4 => self.backward_planes(4, inputs, grad_outs, grad_ins),
-                k => self.backward_planes(k, inputs, grad_outs, grad_ins),
-            }
+            let (at, from) = (c0 * in_plane, c0 * out_plane);
+            let (outputs, grad_outs) = (&output[from..], &grad_out[from..]);
+            rows::pool_backward(level, self.rows(), &input[at..], outputs, grad_outs, grad_ins);
         });
-    }
-
-    /// Routes the gradients of the planes `grad_outs` starts with into the
-    /// planes `grad_ins` holds, as [`forward_planes`](Self::forward_planes)
-    /// pools.
-    #[inline(always)]
-    fn backward_planes(&self, k: usize, inputs: &[f32], grad_outs: &[f32], grad_ins: &mut [f32]) {
-        let (w, out) = (self.in_shape.w, self.out_shape());
-        let in_plane = self.in_shape.h * w;
-        let planes = inputs.chunks_exact(in_plane).zip(grad_outs.chunks_exact(out.h * out.w));
-        for (g_plane, (i_plane, go_plane)) in grad_ins.chunks_exact_mut(in_plane).zip(planes) {
-            g_plane.fill(0.0);
-            for (y, go_row) in go_plane.chunks_exact(out.w).enumerate() {
-                for (x, &go) in go_row.iter().enumerate() {
-                    // The first strict maximum in (dy, dx) order, or the
-                    // window's first cell if no cell beats -inf.
-                    let first = y * k * w + x * k;
-                    let (mut best, mut best_at) = (f32::NEG_INFINITY, first);
-                    for row in (first..).step_by(w).take(k) {
-                        for (at, &v) in (row..).zip(&i_plane[row..row + k]) {
-                            if v > best {
-                                (best, best_at) = (v, at);
-                            }
-                        }
-                    }
-                    g_plane[best_at] += go;
-                }
-            }
-        }
     }
 }
 
@@ -992,24 +971,72 @@ mod tests {
         grad_in
     }
 
+    /// [`salted`] with some whole windows overwritten: all NaN, all
+    /// `-inf`, `-inf` and NaN mixed, or `+0.0` and `-0.0` ties.
+    fn windowed(shape: Shape3, k: usize, seed: u64) -> Vec<f32> {
+        let mut input = salted(shape.len(), seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        for c in 0..shape.c {
+            for y in 0..shape.h / k {
+                for x in 0..shape.w / k {
+                    let mode = rng.gen_range(0..6);
+                    for (i, (dy, dx)) in
+                        (0..k).flat_map(|dy| (0..k).map(move |dx| (dy, dx))).enumerate()
+                    {
+                        let cell = &mut input[shape.index(c, y * k + dy, x * k + dx)];
+                        match mode {
+                            0 => *cell = f32::NAN,
+                            1 => *cell = f32::NEG_INFINITY,
+                            2 => *cell = [f32::NEG_INFINITY, f32::NAN][i % 2],
+                            3 => *cell = [0.0, -0.0][rng.gen_range(0..2_usize)],
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+        input
+    }
+
+    /// Both max-pool nests give the scalar loops' bits on every tier and
+    /// at every budget: windows of 1-5 cells, planes the window does not
+    /// divide, rows of several vectors plus a tail, all-NaN and all-`-inf`
+    /// windows, `+-0` ties, and gradients of `-0.0`, NaN and infinities.
     #[test]
     fn pool_row_kernels_match_the_scalar_loops_at_every_budget() {
-        for k in 1..=4 {
-            // Extents the window divides and extents it leaves a tail of.
-            for (c, h, w) in [(3, 4 * k, 4 * k), (5, 4 * k + 1, 3 * k + k - 1), (2, k, 2 * k + 1)] {
+        for k in 1..=5 {
+            // Extents the window divides, extents it leaves a tail of, rows
+            // of 37 windows, and 8-wide outputs whose vectors span rows.
+            for (c, h, w) in [
+                (3, 4 * k, 4 * k),
+                (5, 4 * k + 1, 3 * k + k - 1),
+                (2, k, 2 * k + 1),
+                (2, 2 * k + 1, 38 * k - 1),
+                (2, 8 * k, 8 * k + 1),
+            ] {
                 let shape = Shape3::new(c, h, w);
                 let pool = MaxPoolLayer::new(shape, k).unwrap();
-                let input = salted(shape.len(), (k * 100 + h) as u64);
+                let input = windowed(shape, k, (k * 100 + h) as u64);
                 let grad_out = salted(pool.out_shape().len(), (k * 100 + w) as u64);
-                let want_out = bits(&pool_forward_oracle(shape, k, &input));
+                let want_out = pool_forward_oracle(shape, k, &input);
                 let want_grad = bits(&pool_backward_oracle(shape, k, &input, &grad_out));
-                for cores in BUDGETS {
-                    let at = (k, c, h, w, cores);
+                for (level, cores) in
+                    rows::host_levels().into_iter().flat_map(|l| BUDGETS.map(|c| (l, c)))
+                {
+                    let at = (k, c, h, w, level, cores);
                     let mut out = vec![f32::NAN; pool.out_shape().len()];
-                    pool.forward_split(&input, &mut out, cores, 1);
-                    assert_eq!(bits(&out), want_out, "forward {at:?}");
+                    pool.forward_split(level, &input, &mut out, cores, 1);
+                    assert_eq!(bits(&out), bits(&want_out), "forward {at:?}");
                     let mut grad_in = vec![f32::NAN; shape.len()];
-                    pool.backward_split(&input, &grad_out, &mut grad_in, cores, 1);
+                    pool.backward_split(
+                        level,
+                        &input,
+                        &want_out,
+                        &grad_out,
+                        &mut grad_in,
+                        cores,
+                        1,
+                    );
                     assert_eq!(bits(&grad_in), want_grad, "backward {at:?}");
                 }
             }
@@ -1038,15 +1065,52 @@ mod tests {
         assert_eq!(grad_in.iter().sum::<f32>(), 10.0);
     }
 
+    /// The scalar ReLU forward the nest replaced, `max(x, 0)`, spelled
+    /// with the zero as the receiver: `x.max(0.0)` compiles to `x > 0 ? x
+    /// : 0` in release builds but keeps `-0.0` in debug ones (`f32::max`
+    /// leaves equal zeros open), and the release build's `+0.0` is the
+    /// one the nest keeps.
+    fn relu_oracle(x: f32) -> f32 {
+        0.0_f32.max(x)
+    }
+
+    /// The scalar ReLU backward the nest replaced.
+    fn relu_grad_oracle(o: f32, go: f32) -> f32 {
+        if o > 0.0 {
+            go
+        } else {
+            0.0
+        }
+    }
+
     #[test]
     fn relu_split_matches_the_serial_loop_at_every_budget() {
         for len in [0, 1, 7, 64, 1000] {
             let input = salted(len, len as u64);
-            let want: Vec<u32> = input.iter().map(|x| x.max(0.0).to_bits()).collect();
-            for cores in BUDGETS {
+            let want: Vec<u32> = input.iter().map(|&x| relu_oracle(x).to_bits()).collect();
+            for (level, cores) in
+                rows::host_levels().into_iter().flat_map(|l| BUDGETS.map(|c| (l, c)))
+            {
                 let mut out = vec![f32::NAN; len];
-                relu(&input, &mut out, cores, 1);
-                assert_eq!(bits(&out), want, "len {len}, cores {cores}");
+                relu(level, &input, &mut out, cores, 1);
+                assert_eq!(bits(&out), want, "len {len}, {level:?}, cores {cores}");
+            }
+        }
+    }
+
+    #[test]
+    fn relu_backward_matches_the_scalar_loop_on_every_tier() {
+        for len in [1, 7, 16, 33, 1000] {
+            let (output, grad_out) = (salted(len, len as u64), salted(len, len as u64 + 1));
+            let want: Vec<u32> = output
+                .iter()
+                .zip(&grad_out)
+                .map(|(&o, &go)| relu_grad_oracle(o, go).to_bits())
+                .collect();
+            for level in rows::host_levels() {
+                let mut grad_in = vec![f32::NAN; len];
+                rows::relu_backward(level, &output, &grad_out, &mut grad_in);
+                assert_eq!(bits(&grad_in), want, "len {len}, {level:?}");
             }
         }
     }

@@ -43,6 +43,7 @@ pub mod layer;
 mod net;
 pub mod reference;
 pub mod regularize;
+mod rows;
 pub mod sgd;
 mod spec;
 mod split;

@@ -7,9 +7,12 @@
 //! kernel exploits: a dropped activation zeroes its gradient exactly like
 //! a clamped ReLU.
 
+use spg_gemm::simd::{on_tier, Nest, Vector};
+use spg_gemm::SimdLevel;
 use spg_tensor::Tensor;
 
 use crate::layer::Layer;
+use crate::rows::{load, store, HOST};
 use crate::workspace::ConvScratch;
 use crate::ConvError;
 
@@ -100,6 +103,19 @@ impl Layer for DropoutLayer {
 /// Local response normalization across channels (AlexNet Sec. 3.3):
 /// `b[c] = a[c] / (k + alpha/n * sum_{c'} a[c']^2)^beta` with the sum over
 /// a window of `n` adjacent channels centred on `c`.
+///
+/// Both directions run plane by plane over chunks of positions, one
+/// `spg_gemm::simd` loop nest on the host's tier, lanes being positions.
+/// Forward: per plane `c` the window sum `Σ a[c']·a[c']` over `c'` in the
+/// window, ascending from `0.0`, multiply then add; `D = k + (alpha/n)·sum`;
+/// `b = a · D.powf(-beta)`. Backward: planes `c'` ascending; a position
+/// whose `grad_out` is non-zero (NaN counts) adds `go·D^-beta` into
+/// `grad_in[c']`, then subtracts `shared·a[c]` from `grad_in[c]` for each
+/// `c` of the window, ascending, with `shared = go·coeff·a[c']·D^-beta / D`
+/// left to right; a zero gradient touches nothing. `powf` stays a scalar
+/// libm call — the backward makes it only where the gradient is non-zero —
+/// and everything else is a vector pass, so each element gets the scalar
+/// loop's operations in its order and every tier computes the same bits.
 #[derive(Debug, Clone, Copy)]
 pub struct LrnLayer {
     channels: usize,
@@ -148,15 +164,163 @@ impl LrnLayer {
         c.saturating_sub(half)..(c + half + 1).min(self.channels)
     }
 
-    /// `k + alpha/n * sum a^2` for channel `c` at spatial position `p`.
-    #[inline]
-    fn denom(&self, input: &[f32], c: usize, p: usize) -> f32 {
-        let mut sum = 0.0;
-        for cc in self.window(c) {
-            let v = input[cc * self.plane + p];
-            sum += v * v;
+    /// [`Layer::forward`] on the tier of `level`.
+    fn forward_on(&self, level: SimdLevel, input: &[f32], output: &mut [f32]) {
+        assert_eq!(input.len(), self.input_len(), "input length");
+        assert_eq!(output.len(), self.output_len(), "output length");
+        on_tier(level, LrnForward { lrn: self, input, output });
+    }
+
+    /// [`Layer::backward`] on the tier of `level`.
+    fn backward_on(&self, level: SimdLevel, input: &[f32], grad_out: &[f32], grad_in: &mut [f32]) {
+        assert_eq!(input.len(), self.input_len(), "input length");
+        assert_eq!(grad_out.len(), self.output_len(), "grad_out length");
+        assert_eq!(grad_in.len(), self.input_len(), "grad_in length");
+        on_tier(level, LrnBackward { lrn: self, input, grad_out, grad_in });
+    }
+
+    /// `D = k + alpha/n * Σ a²` over the window of plane `c`, at the `n`
+    /// positions from `p` (the other lanes are not the layer's).
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has `V`'s target features, `L == V::LANES`, `n <=
+    /// L`, `p + n <= plane` and `input` holds every plane.
+    #[inline(always)]
+    unsafe fn denominators<V: Vector, const L: usize>(
+        &self,
+        input: &[f32],
+        c: usize,
+        p: usize,
+        n: usize,
+    ) -> V {
+        // SAFETY: the caller's contract: each plane of the window holds
+        // positions `p..p + n`.
+        unsafe {
+            let mut sum = V::zero();
+            for cc in self.window(c) {
+                let v = load::<V, L>(input.as_ptr().add(cc * self.plane + p), n);
+                sum = sum.mul_then_add(v, v);
+            }
+            V::splat(self.k).mul_then_add(V::splat(self.alpha / self.size as f32), sum)
         }
-        self.k + self.alpha / self.size as f32 * sum
+    }
+}
+
+/// Positions an LRN pass holds on the stack at once: a chunk of each
+/// plane, whose denominators and their powers sit in two buffers.
+const CHUNK: usize = 256;
+
+/// LRN forward's operands.
+struct LrnForward<'a> {
+    lrn: &'a LrnLayer,
+    input: &'a [f32],
+    output: &'a mut [f32],
+}
+
+/// # Safety
+///
+/// `run`'s contract is the trait's.
+impl Nest for LrnForward<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Vector, const L: usize>(self) {
+        let LrnForward { lrn, input, output } = self;
+        let mut powers = [0.0f32; CHUNK];
+        for p0 in (0..lrn.plane).step_by(CHUNK) {
+            let m = (lrn.plane - p0).min(CHUNK);
+            for c in 0..lrn.channels {
+                // SAFETY: positions `p0..p0 + m` are inside every plane and
+                // `powers` holds `m` floats; the CPU has `V`'s features
+                // (this fn's contract).
+                unsafe {
+                    for q in (0..m).step_by(L) {
+                        let n = (m - q).min(L);
+                        let d = lrn.denominators::<V, L>(input, c, p0 + q, n);
+                        store::<V, L>(d, powers.as_mut_ptr().add(q), n);
+                    }
+                    for d in &mut powers[..m] {
+                        *d = d.powf(-lrn.beta);
+                    }
+                    let at = c * lrn.plane + p0;
+                    for q in (0..m).step_by(L) {
+                        let n = (m - q).min(L);
+                        let x = load::<V, L>(input.as_ptr().add(at + q), n);
+                        let power = load::<V, L>(powers.as_ptr().add(q), n);
+                        store::<V, L>(x.mul(power), output.as_mut_ptr().add(at + q), n);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// LRN backward's operands.
+struct LrnBackward<'a> {
+    lrn: &'a LrnLayer,
+    input: &'a [f32],
+    grad_out: &'a [f32],
+    grad_in: &'a mut [f32],
+}
+
+/// # Safety
+///
+/// `run`'s contract is the trait's.
+impl Nest for LrnBackward<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<V: Vector, const L: usize>(self) {
+        // d b[c'] / d a[c] = delta(c,c') * D(c')^-beta
+        //   - 2 alpha beta / n * a[c] a[c'] * D(c')^(-beta-1)
+        // for c in the window of c'.
+        let LrnBackward { lrn, input, grad_out, grad_in } = self;
+        grad_in.fill(0.0);
+        let coeff = 2.0 * lrn.alpha * lrn.beta / lrn.size as f32;
+        let (mut denominators, mut powers) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+        for p0 in (0..lrn.plane).step_by(CHUNK) {
+            let m = (lrn.plane - p0).min(CHUNK);
+            for cprime in 0..lrn.channels {
+                let at = cprime * lrn.plane + p0;
+                // SAFETY: as in `LrnForward::run`; `grad_out` and
+                // `grad_in` are as long as `input`.
+                unsafe {
+                    for q in (0..m).step_by(L) {
+                        let n = (m - q).min(L);
+                        let d = lrn.denominators::<V, L>(input, cprime, p0 + q, n);
+                        store::<V, L>(d, denominators.as_mut_ptr().add(q), n);
+                        // `powf` only where the gradient is non-zero.
+                        let go = load::<V, L>(grad_out.as_ptr().add(at + q), n);
+                        let mut live = V::bits(go.ne(V::zero()));
+                        while live != 0 {
+                            let i = q + live.trailing_zeros() as usize;
+                            powers[i] = denominators[i].powf(-lrn.beta);
+                            live &= live - 1;
+                        }
+                    }
+                    for q in (0..m).step_by(L) {
+                        let n = (m - q).min(L);
+                        let go = load::<V, L>(grad_out.as_ptr().add(at + q), n);
+                        let live = go.ne(V::zero());
+                        let d = load::<V, L>(denominators.as_ptr().add(q), n);
+                        let power = load::<V, L>(powers.as_ptr().add(q), n);
+                        let x = load::<V, L>(input.as_ptr().add(at + q), n);
+                        let g = grad_in.as_mut_ptr().add(at + q);
+                        let own = load::<V, L>(g, n);
+                        store::<V, L>(V::select(live, own.mul_then_add(go, power), own), g, n);
+                        let shared = go.mul(V::splat(coeff)).mul(x).mul(power).div(d);
+                        for c in lrn.window(cprime) {
+                            let from = c * lrn.plane + p0 + q;
+                            let g = grad_in.as_mut_ptr().add(from);
+                            let (gi, xc) =
+                                (load::<V, L>(g, n), load::<V, L>(input.as_ptr().add(from), n));
+                            store::<V, L>(V::select(live, gi.sub(shared.mul(xc)), gi), g, n);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -174,12 +338,7 @@ impl Layer for LrnLayer {
     }
 
     fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        for c in 0..self.channels {
-            for p in 0..self.plane {
-                let idx = c * self.plane + p;
-                output[idx] = input[idx] * self.denom(input, c, p).powf(-self.beta);
-            }
-        }
+        self.forward_on(HOST, input, output);
     }
 
     fn backward(
@@ -191,33 +350,116 @@ impl Layer for LrnLayer {
         _param_grads: &mut Tensor,
         _scratch: &mut ConvScratch,
     ) {
-        // d b[c'] / d a[c] = delta(c,c') * D(c')^-beta
-        //   - 2 alpha beta / n * a[c] a[c'] * D(c')^(-beta-1)
-        // for c in the window of c'.
-        grad_in.fill(0.0);
-        let coeff = 2.0 * self.alpha * self.beta / self.size as f32;
-        for cprime in 0..self.channels {
-            for p in 0..self.plane {
-                let idx = cprime * self.plane + p;
-                let go = grad_out[idx];
-                if go == 0.0 {
-                    continue;
-                }
-                let d = self.denom(input, cprime, p);
-                let d_beta = d.powf(-self.beta);
-                grad_in[idx] += go * d_beta;
-                let shared = go * coeff * input[idx] * d_beta / d;
-                for c in self.window(cprime) {
-                    grad_in[c * self.plane + p] -= shared * input[c * self.plane + p];
-                }
-            }
-        }
+        self.backward_on(HOST, input, grad_out, grad_in);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `k + alpha/n * sum a^2` for channel `c` at spatial position `p`:
+    /// the scalar loop's denominator.
+    fn denom(lrn: &LrnLayer, input: &[f32], c: usize, p: usize) -> f32 {
+        let mut sum = 0.0;
+        for cc in lrn.window(c) {
+            let v = input[cc * lrn.plane + p];
+            sum += v * v;
+        }
+        lrn.k + lrn.alpha / lrn.size as f32 * sum
+    }
+
+    /// The scalar LRN forward the nest replaced.
+    fn forward_oracle(lrn: &LrnLayer, input: &[f32]) -> Vec<f32> {
+        let mut output = vec![0.0; input.len()];
+        for c in 0..lrn.channels {
+            for p in 0..lrn.plane {
+                let idx = c * lrn.plane + p;
+                output[idx] = input[idx] * denom(lrn, input, c, p).powf(-lrn.beta);
+            }
+        }
+        output
+    }
+
+    /// The scalar LRN backward the nest replaced.
+    fn backward_oracle(lrn: &LrnLayer, input: &[f32], grad_out: &[f32]) -> Vec<f32> {
+        let mut grad_in = vec![0.0; input.len()];
+        let coeff = 2.0 * lrn.alpha * lrn.beta / lrn.size as f32;
+        for cprime in 0..lrn.channels {
+            for p in 0..lrn.plane {
+                let idx = cprime * lrn.plane + p;
+                let go = grad_out[idx];
+                if go == 0.0 {
+                    continue;
+                }
+                let d = denom(lrn, input, cprime, p);
+                let d_beta = d.powf(-lrn.beta);
+                grad_in[idx] += go * d_beta;
+                let shared = go * coeff * input[idx] * d_beta / d;
+                for c in lrn.window(cprime) {
+                    grad_in[c * lrn.plane + p] -= shared * input[c * lrn.plane + p];
+                }
+            }
+        }
+        grad_in
+    }
+
+    /// `len` floats from a hash of `seed`: mostly in `(-2, 2)`, with
+    /// `specials` salted in and, when `zeros`, every other one `+-0.0`.
+    fn salted(len: usize, seed: u64, specials: &[f32], zeros: bool) -> Vec<f32> {
+        (0..len as u64)
+            .map(|i| {
+                let h =
+                    (i ^ seed.wrapping_mul(0x9e37_79b9)).wrapping_mul(0x2545_f491_4f6c_dd1d) >> 40;
+                match h % 16 {
+                    0 | 1 if !specials.is_empty() => specials[(h / 16) as usize % specials.len()],
+                    2..=9 if zeros => [0.0, -0.0][(h / 16) as usize % 2],
+                    _ => (h % 4001) as f32 / 1000.0 - 2.0,
+                }
+            })
+            .collect()
+    }
+
+    /// The bits of `v`, every NaN as `f32::NAN`'s: where two NaNs meet in
+    /// an add, x86 returns the first operand's, and the compiler may
+    /// commute an add (to fold a load into it, say), so which NaN the
+    /// scalar loop keeps is the compiler's choice, not the source's.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits()).collect()
+    }
+
+    /// Both LRN nests give the scalar loops' bits on every tier: windows
+    /// of 1, 3 and 5 planes, planes shorter than a vector and longer than
+    /// a chunk, NaN, infinite and huge inputs, and gradients that are
+    /// zero, `-0.0` or NaN.
+    #[test]
+    fn lrn_nests_match_the_scalar_loops_on_every_tier() {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30, 0.0, -0.0];
+        for size in [1, 3, 5] {
+            for (channels, plane) in [(1, 1), (2, 5), (7, 17), (6, CHUNK + 37)] {
+                let lrn = LrnLayer::new(channels, plane, size).unwrap();
+                let seed = (size * 1000 + channels * 10 + plane) as u64;
+                let input = salted(lrn.input_len(), seed, &specials, false);
+                let want_out = bits(&forward_oracle(&lrn, &input));
+                for grad_out in [
+                    salted(lrn.input_len(), seed + 1, &[f32::NAN, -0.0], true),
+                    salted(lrn.input_len(), seed + 2, &[], false),
+                    vec![0.0; lrn.input_len()],
+                ] {
+                    let want_grad = bits(&backward_oracle(&lrn, &input, &grad_out));
+                    for level in crate::rows::host_levels() {
+                        let at = (size, channels, plane, level);
+                        let mut out = vec![f32::NAN; lrn.output_len()];
+                        lrn.forward_on(level, &input, &mut out);
+                        assert_eq!(bits(&out), want_out, "forward {at:?}");
+                        let mut grad_in = vec![f32::NAN; lrn.input_len()];
+                        lrn.backward_on(level, &input, &grad_out, &mut grad_in);
+                        assert_eq!(bits(&grad_in), want_grad, "backward {at:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn dropout_zeroes_roughly_rate_fraction() {

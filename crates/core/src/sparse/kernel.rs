@@ -236,10 +236,10 @@ impl Nest for WeightsJob<'_> {
     type Out = usize;
 
     /// Backward-weights' loop nest: per feature, compact its non-zeros in
-    /// ascending `p` (branch-free: every position is written, the count only
-    /// advances past a non-zero), then per kernel row and chunk of that row's
-    /// `kx·c` run, sum the run's gathers over the non-zeros in registers.
-    /// Returns the non-zeros counted.
+    /// ascending `p` (a vector of positions at a time: the set bits of its
+    /// unordered `!= 0` mask, so NaN is kept and `-0.0` skipped), then per
+    /// kernel row and chunk of that row's `kx·c` run, sum the run's gathers
+    /// over the non-zeros in registers. Returns the non-zeros counted.
     #[inline(always)]
     unsafe fn run<V: Vector, const L: usize>(self) -> usize {
         let WeightsJob { spec, in_hwc, grad_out, nonzeros, acc } = self;
@@ -252,13 +252,29 @@ impl Nest for WeightsJob<'_> {
             let mut n = 0;
             for (yp, positions) in row.chunks_exact(out_w).enumerate() {
                 let origin = yp * sy * row_stride;
-                for (xp, &v) in positions.iter().enumerate() {
-                    // Lossless: the window origin lies inside the input, whose
-                    // length the entry asserted fits a u32.
-                    #[allow(clippy::cast_possible_truncation)]
-                    let offset = (origin + xp * sx * nc) as u32;
-                    nonzeros[n] = (offset, v);
-                    n += usize::from(v != 0.0);
+                for x0 in (0..out_w).step_by(L) {
+                    let lanes = (out_w - x0).min(L);
+                    // SAFETY: positions `x0..x0 + lanes` are inside the row;
+                    // the CPU has `V`'s features (this fn's contract).
+                    let mut live = unsafe {
+                        let p = positions.as_ptr().add(x0);
+                        let v = if lanes == L {
+                            V::load(p)
+                        } else {
+                            V::load_masked(p, V::first(lanes))
+                        };
+                        V::bits(v.ne(V::zero()))
+                    };
+                    while live != 0 {
+                        let xp = x0 + live.trailing_zeros() as usize;
+                        // Lossless: the window origin lies inside the input,
+                        // whose length the entry asserted fits a u32.
+                        #[allow(clippy::cast_possible_truncation)]
+                        let offset = (origin + xp * sx * nc) as u32;
+                        nonzeros[n] = (offset, positions[xp]);
+                        n += 1;
+                        live &= live - 1;
+                    }
                 }
             }
             let nz = &nonzeros[..n];

@@ -6,14 +6,15 @@
 //! vector type. [`on_tier`] runs it inside a function compiled with the
 //! tier's target features, so the trait's `#[inline(always)]` methods
 //! become that tier's instructions. The GEMM micro-kernel, the
-//! fully-connected kernels, the sparse backward and the tiled stencil are
-//! all nests; this is the only module of the workspace that names
-//! `std::arch` (`spg-lint` enforces it).
+//! fully-connected kernels, the sparse backward, the tiled stencil and the
+//! max-pool, ReLU and LRN layers are all nests; this is the only module of
+//! the workspace that names `std::arch` (`spg-lint` enforces it).
 //!
 //! Every operation computes, lane by lane, the bits the portable tier
 //! computes: IEEE single-precision arithmetic, fused where the name says
 //! so ([`Vector::fma`], one rounding, `f32::mul_add` on the portable tier)
-//! and rounded twice where it says so ([`Vector::mul_then_add`]). So a
+//! and rounded twice where it says so ([`Vector::mul_then_add`]), with
+//! [`Vector::max`] pinned where `f32::max` leaves a choice. So a
 //! nest gives the same bits on every tier as long as it assigns each
 //! output element the same chain of operations at every lane width.
 
@@ -89,15 +90,22 @@ pub trait Vector: Copy {
     const LEVEL: SimdLevel;
     /// f32 lanes per vector.
     const LANES: usize = Self::LEVEL.lanes();
-    /// Selects a vector's first lanes.
+    /// A set of lanes: a tail's first lanes, or where a compare held.
     type Mask: Copy;
 
-    /// The mask of the first `n` lanes, `1 <= n <= LANES`.
+    /// The mask of the first `n` lanes, `0 <= n <= LANES`.
     ///
     /// # Safety
     ///
     /// The running CPU has the tier's target features.
     unsafe fn first(n: usize) -> Self::Mask;
+
+    /// The lanes of `m` as bits, lane `l` at bit `l`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn bits(m: Self::Mask) -> u32;
 
     /// Every lane `+0.0`.
     ///
@@ -163,6 +171,83 @@ pub trait Vector: Copy {
     /// As [`Vector::first`].
     unsafe fn fma(self, v: Self, x: Self) -> Self;
 
+    /// `self - v`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn sub(self, v: Self) -> Self;
+
+    /// `self * v`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn mul(self, v: Self) -> Self;
+
+    /// `self / v`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn div(self, v: Self) -> Self;
+
+    /// `f32::max(self, v)`, pinned where `f32::max` leaves a choice: the
+    /// larger lane; a NaN lane yields the other operand's; of two equal
+    /// lanes (`+0.0` and `-0.0`), `self`'s.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn max(self, v: Self) -> Self;
+
+    /// The lanes where `self > v` (false where either is NaN).
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn gt(self, v: Self) -> Self::Mask;
+
+    /// The lanes where `self == v` (false where either is NaN; `+0.0`
+    /// equals `-0.0`).
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn eq(self, v: Self) -> Self::Mask;
+
+    /// The lanes where `self != v`: true where either is NaN.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn ne(self, v: Self) -> Self::Mask;
+
+    /// `yes`'s lanes where `m` holds, `no`'s elsewhere.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn select(m: Self::Mask, yes: Self, no: Self) -> Self;
+
+    /// The columns of `K` consecutive vectors read as rows of `K` floats:
+    /// lane `j` of column `d` is float `K * j + d` of the run
+    /// `v[0], v[1], ..`. `K` is 1, 2 or 4 (checked when the call is
+    /// compiled).
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn deinterleave<const K: usize>(v: [Self; K]) -> [Self; K];
+
+    /// The inverse of [`Vector::deinterleave`]: float `K * j + d` of the
+    /// returned run is lane `j` of column `d`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vector::first`].
+    unsafe fn interleave<const K: usize>(columns: [Self; K]) -> [Self; K];
+
     /// The sum of the lanes by a halving tree: lane `l` takes in lane
     /// `l + LANES / 2`, then `l + LANES / 4`, ... `l + 1`; returns lane 0.
     ///
@@ -227,17 +312,24 @@ pub fn on_tier<N: Nest>(level: SimdLevel, nest: N) -> N::Out {
 #[derive(Clone, Copy, Debug)]
 struct Portable([f32; 8]);
 
+/// The portable mask of the lanes `l < 8` where `holds(l)`.
+#[inline(always)]
+fn lanes_where(holds: impl Fn(usize) -> bool) -> u32 {
+    (0..8).filter(|&l| holds(l)).fold(0, |m, l| m | 1 << l)
+}
+
 /// # Safety
 ///
 /// Every method's contract is the trait's; plain arithmetic needs no
 /// target feature, so only the pointer methods' lanes matter.
 impl Vector for Portable {
     const LEVEL: SimdLevel = SimdLevel::Scalar;
-    type Mask = usize;
+    /// Lane `l` at bit `l`.
+    type Mask = u32;
 
     #[inline(always)]
-    unsafe fn first(n: usize) -> usize {
-        n
+    unsafe fn first(n: usize) -> u32 {
+        (1u32 << n) - 1
     }
 
     #[inline(always)]
@@ -253,14 +345,14 @@ impl Vector for Portable {
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
         // SAFETY: the caller guarantees 8 readable floats at `p`.
-        unsafe { Self::load_masked(p, 8) }
+        unsafe { Self::load_masked(p, 0xFF) }
     }
 
     #[inline(always)]
-    unsafe fn load_masked(p: *const f32, n: usize) -> Self {
+    unsafe fn load_masked(p: *const f32, m: u32) -> Self {
         let mut v = [0.0; 8];
-        for (i, lane) in v.iter_mut().enumerate().take(n) {
-            // SAFETY: lane i < n is readable (the caller's contract).
+        for (i, lane) in v.iter_mut().enumerate().filter(|&(i, _)| m >> i & 1 != 0) {
+            // SAFETY: lane i of `m` is readable (the caller's contract).
             *lane = unsafe { *p.add(i) };
         }
         Portable(v)
@@ -269,13 +361,13 @@ impl Vector for Portable {
     #[inline(always)]
     unsafe fn store(self, p: *mut f32) {
         // SAFETY: the caller guarantees 8 writable floats at `p`.
-        unsafe { self.store_masked(p, 8) }
+        unsafe { self.store_masked(p, 0xFF) }
     }
 
     #[inline(always)]
-    unsafe fn store_masked(self, p: *mut f32, n: usize) {
-        for (i, &lane) in self.0.iter().enumerate().take(n) {
-            // SAFETY: lane i < n is writable (the caller's contract).
+    unsafe fn store_masked(self, p: *mut f32, m: u32) {
+        for (i, &lane) in self.0.iter().enumerate().filter(|&(i, _)| m >> i & 1 != 0) {
+            // SAFETY: lane i of `m` is writable (the caller's contract).
             unsafe { *p.add(i) = lane };
         }
     }
@@ -295,6 +387,90 @@ impl Vector for Portable {
         Portable(std::array::from_fn(|l| v.0[l].mul_add(x.0[l], self.0[l])))
     }
 
+    /// # Safety
+    ///
+    /// None beyond the trait's: plain arithmetic.
+    #[inline(always)]
+    unsafe fn sub(self, v: Self) -> Self {
+        Portable(std::array::from_fn(|l| self.0[l] - v.0[l]))
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, v: Self) -> Self {
+        Portable(std::array::from_fn(|l| self.0[l] * v.0[l]))
+    }
+
+    #[inline(always)]
+    unsafe fn div(self, v: Self) -> Self {
+        Portable(std::array::from_fn(|l| self.0[l] / v.0[l]))
+    }
+
+    /// Spelled out rather than `f32::max`, whose choice between equal
+    /// zeros the optimizer may make either way.
+    ///
+    /// # Safety
+    ///
+    /// None beyond the trait's: plain arithmetic.
+    #[inline(always)]
+    unsafe fn max(self, v: Self) -> Self {
+        Portable(std::array::from_fn(|l| {
+            let (s, v) = (self.0[l], v.0[l]);
+            if v > s || s.is_nan() {
+                v
+            } else {
+                s
+            }
+        }))
+    }
+
+    /// # Safety
+    ///
+    /// None beyond the trait's: plain arithmetic.
+    #[inline(always)]
+    unsafe fn gt(self, v: Self) -> u32 {
+        lanes_where(|l| self.0[l] > v.0[l])
+    }
+
+    #[inline(always)]
+    unsafe fn eq(self, v: Self) -> u32 {
+        lanes_where(|l| self.0[l] == v.0[l])
+    }
+
+    #[inline(always)]
+    unsafe fn ne(self, v: Self) -> u32 {
+        lanes_where(|l| self.0[l] != v.0[l])
+    }
+
+    #[inline(always)]
+    unsafe fn select(m: u32, yes: Self, no: Self) -> Self {
+        Portable(std::array::from_fn(|l| if m >> l & 1 != 0 { yes.0[l] } else { no.0[l] }))
+    }
+
+    #[inline(always)]
+    unsafe fn bits(m: u32) -> u32 {
+        m
+    }
+
+    /// # Safety
+    ///
+    /// None beyond the trait's: plain arithmetic.
+    #[inline(always)]
+    unsafe fn deinterleave<const K: usize>(v: [Self; K]) -> [Self; K] {
+        const { assert!(K == 1 || K == 2 || K == 4) };
+        let run = |i: usize| v[i / 8].0[i % 8];
+        std::array::from_fn(|d| Portable(std::array::from_fn(|j| run(K * j + d))))
+    }
+
+    #[inline(always)]
+    unsafe fn interleave<const K: usize>(columns: [Self; K]) -> [Self; K] {
+        const { assert!(K == 1 || K == 2 || K == 4) };
+        let run = |i: usize| columns[i % K].0[i / K];
+        std::array::from_fn(|q| Portable(std::array::from_fn(|l| run(8 * q + l))))
+    }
+
+    /// # Safety
+    ///
+    /// None beyond the trait's: plain arithmetic.
     #[inline(always)]
     unsafe fn halving_sum(self) -> f32 {
         let mut a = self.0;
@@ -352,6 +528,49 @@ mod x86 {
         }
     }
 
+    /// The float pairs of `v` in the order 0, 2, 1, 3.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX2.
+    #[inline(always)]
+    unsafe fn pairs_0213(v: __m256) -> __m256 {
+        // SAFETY: the caller's contract.
+        unsafe { _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(v))) }
+    }
+
+    /// The even and the odd floats of the run `a, b`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX2.
+    #[inline(always)]
+    unsafe fn columns_2(a: __m256, b: __m256) -> [__m256; 2] {
+        // SAFETY: the caller's contract. The shuffles pick the pairs of
+        // each 128-bit half; the permute puts the halves' pairs in order.
+        unsafe {
+            let (e, o) = (_mm256_shuffle_ps::<0x88>(a, b), _mm256_shuffle_ps::<0xDD>(a, b));
+            [pairs_0213(e), pairs_0213(o)]
+        }
+    }
+
+    /// The inverse of [`columns_2`]: the run whose even floats are `e` and
+    /// whose odd ones are `o`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX2.
+    #[inline(always)]
+    unsafe fn rows_2(e: __m256, o: __m256) -> [__m256; 2] {
+        // SAFETY: the caller's contract. The permute (its own inverse)
+        // puts floats 0-1 and 4-5 in the low 128-bit half; the unpacks
+        // pair them within each half.
+        unsafe {
+            let (e, o) = (pairs_0213(e), pairs_0213(o));
+            [_mm256_unpacklo_ps(e, o), _mm256_unpackhi_ps(e, o)]
+        }
+    }
+
     /// # Safety
     ///
     /// Every method's contract is the trait's: the CPU has AVX2 and FMA,
@@ -362,9 +581,16 @@ mod x86 {
 
         #[inline(always)]
         unsafe fn first(n: usize) -> __m256i {
-            // SAFETY: 1 <= n <= 8, so the 8 ints at 8 - n are inside the
+            // SAFETY: 0 <= n <= 8, so the 8 ints at 8 - n are inside the
             // table; the CPU has AVX (the caller's contract).
             unsafe { _mm256_loadu_si256(AVX2_MASKS.as_ptr().add(8 - n).cast()) }
+        }
+
+        #[inline(always)]
+        unsafe fn bits(m: __m256i) -> u32 {
+            // SAFETY: the CPU has AVX (the caller's contract). A lane's sign
+            // bit is its bit of the mask.
+            unsafe { _mm256_movemask_ps(_mm256_castsi256_ps(m)) as u32 }
         }
 
         #[inline(always)]
@@ -424,6 +650,116 @@ mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn sub(self, v: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx2(_mm256_sub_ps(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, v: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx2(_mm256_mul_ps(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn div(self, v: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx2(_mm256_div_ps(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn max(self, v: Self) -> Self {
+            // SAFETY: as in `splat`. `max_ps(v, self)` is `v > self ? v :
+            // self`; where `self` is NaN the blend takes `v`.
+            unsafe {
+                let larger = _mm256_max_ps(v.0, self.0);
+                Avx2(_mm256_blendv_ps(larger, v.0, _mm256_cmp_ps::<_CMP_UNORD_Q>(self.0, self.0)))
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn gt(self, v: Self) -> __m256i {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn eq(self, v: Self) -> __m256i {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_castps_si256(_mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn ne(self, v: Self) -> __m256i {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_castps_si256(_mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn select(m: __m256i, yes: Self, no: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx2(_mm256_blendv_ps(no.0, yes.0, _mm256_castsi256_ps(m))) }
+        }
+
+        #[inline(always)]
+        unsafe fn deinterleave<const K: usize>(v: [Self; K]) -> [Self; K] {
+            const { assert!(K == 1 || K == 2 || K == 4) };
+            // SAFETY: as in `splat`; each arm indexes below its K.
+            unsafe {
+                let columns = match K {
+                    2 => {
+                        let [e, o] = columns_2(v[0].0, v[1].0);
+                        [e, o, e, o]
+                    }
+                    4 => {
+                        // The even and odd floats of each half, then of those.
+                        let [e0, o0] = columns_2(v[0].0, v[1].0);
+                        let [e1, o1] = columns_2(v[2].0, v[3].0);
+                        let ([c0, c2], [c1, c3]) = (columns_2(e0, e1), columns_2(o0, o1));
+                        [c0, c1, c2, c3]
+                    }
+                    _ => [v[0].0; 4],
+                };
+                let mut out = v;
+                for (o, &c) in out.iter_mut().zip(&columns) {
+                    o.0 = c;
+                }
+                out
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn interleave<const K: usize>(columns: [Self; K]) -> [Self; K] {
+            const { assert!(K == 1 || K == 2 || K == 4) };
+            // SAFETY: as in `splat`; each arm indexes below its K.
+            unsafe {
+                let run = match K {
+                    2 => {
+                        let [v0, v1] = rows_2(columns[0].0, columns[1].0);
+                        [v0, v1, v0, v1]
+                    }
+                    4 => {
+                        let ([e0, e1], [o0, o1]) = (
+                            rows_2(columns[0].0, columns[2].0),
+                            rows_2(columns[1].0, columns[3].0),
+                        );
+                        let ([v0, v1], [v2, v3]) = (rows_2(e0, o0), rows_2(e1, o1));
+                        [v0, v1, v2, v3]
+                    }
+                    _ => [columns[0].0; 4],
+                };
+                let mut out = columns;
+                for (o, &r) in out.iter_mut().zip(&run) {
+                    o.0 = r;
+                }
+                out
+            }
+        }
+
+        /// # Safety
+        ///
+        /// The trait's: the CPU has the tier's features.
+        #[inline(always)]
         unsafe fn halving_sum(self) -> f32 {
             // SAFETY: as in `splat`.
             unsafe { halving_sum_8(self.0) }
@@ -457,6 +793,55 @@ mod x86 {
         }
     }
 
+    /// Two-source permute indices (`16 +` picks the second source): the
+    /// even floats of a 32-float run, then the odd ones.
+    static EVEN_ODD_16: [[i32; 16]; 2] = [
+        [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30],
+        [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31],
+    ];
+
+    /// The inverse of [`EVEN_ODD_16`]: floats 0-15, then 16-31, of the run
+    /// whose even floats are the first source and odd ones the second.
+    static ZIP_16: [[i32; 16]; 2] = [
+        [0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23],
+        [8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31],
+    ];
+
+    /// The even and the odd floats of the run `a, b`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX-512F.
+    #[inline(always)]
+    unsafe fn columns_16(a: __m512, b: __m512) -> [__m512; 2] {
+        // SAFETY: the caller's contract; each table row is 16 ints.
+        unsafe {
+            let [even, odd] = [EVEN_ODD_16[0].as_ptr(), EVEN_ODD_16[1].as_ptr()];
+            [
+                _mm512_permutex2var_ps(a, _mm512_loadu_si512(even.cast()), b),
+                _mm512_permutex2var_ps(a, _mm512_loadu_si512(odd.cast()), b),
+            ]
+        }
+    }
+
+    /// The inverse of [`columns_16`]: the run whose even floats are `e` and
+    /// whose odd ones are `o`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has AVX-512F.
+    #[inline(always)]
+    unsafe fn rows_16(e: __m512, o: __m512) -> [__m512; 2] {
+        // SAFETY: the caller's contract; each table row is 16 ints.
+        unsafe {
+            let [low, high] = [ZIP_16[0].as_ptr(), ZIP_16[1].as_ptr()];
+            [
+                _mm512_permutex2var_ps(e, _mm512_loadu_si512(low.cast()), o),
+                _mm512_permutex2var_ps(e, _mm512_loadu_si512(high.cast()), o),
+            ]
+        }
+    }
+
     /// The AVX-512F tier: 16 lanes, tail masks in a mask register.
     #[derive(Clone, Copy)]
     struct Avx512(__m512);
@@ -471,7 +856,15 @@ mod x86 {
 
         #[inline(always)]
         unsafe fn first(n: usize) -> __mmask16 {
-            u16::MAX >> (16 - n)
+            // Lossless: n <= 16.
+            #[allow(clippy::cast_possible_truncation)]
+            let m = ((1u32 << n) - 1) as u16;
+            m
+        }
+
+        #[inline(always)]
+        unsafe fn bits(m: __mmask16) -> u32 {
+            u32::from(m)
         }
 
         #[inline(always)]
@@ -530,6 +923,117 @@ mod x86 {
             unsafe { Avx512(_mm512_fmadd_ps(v.0, x.0, self.0)) }
         }
 
+        #[inline(always)]
+        unsafe fn sub(self, v: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx512(_mm512_sub_ps(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, v: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx512(_mm512_mul_ps(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn div(self, v: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx512(_mm512_div_ps(self.0, v.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn max(self, v: Self) -> Self {
+            // SAFETY: as in `splat`. `max_ps(v, self)` is `v > self ? v :
+            // self`; where `self` is NaN the blend takes `v`.
+            unsafe {
+                let larger = _mm512_max_ps(v.0, self.0);
+                let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(self.0, self.0);
+                Avx512(_mm512_mask_blend_ps(nan, larger, v.0))
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn gt(self, v: Self) -> __mmask16 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_cmp_ps_mask::<_CMP_GT_OQ>(self.0, v.0) }
+        }
+
+        #[inline(always)]
+        unsafe fn eq(self, v: Self) -> __mmask16 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, v.0) }
+        }
+
+        #[inline(always)]
+        unsafe fn ne(self, v: Self) -> __mmask16 {
+            // SAFETY: as in `splat`.
+            unsafe { _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, v.0) }
+        }
+
+        #[inline(always)]
+        unsafe fn select(m: __mmask16, yes: Self, no: Self) -> Self {
+            // SAFETY: as in `splat`.
+            unsafe { Avx512(_mm512_mask_blend_ps(m, no.0, yes.0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn deinterleave<const K: usize>(v: [Self; K]) -> [Self; K] {
+            const { assert!(K == 1 || K == 2 || K == 4) };
+            // SAFETY: as in `splat`; each arm indexes below its K.
+            unsafe {
+                let columns = match K {
+                    2 => {
+                        let [e, o] = columns_16(v[0].0, v[1].0);
+                        [e, o, e, o]
+                    }
+                    4 => {
+                        // The even and odd floats of each half, then of those.
+                        let [e0, o0] = columns_16(v[0].0, v[1].0);
+                        let [e1, o1] = columns_16(v[2].0, v[3].0);
+                        let ([c0, c2], [c1, c3]) = (columns_16(e0, e1), columns_16(o0, o1));
+                        [c0, c1, c2, c3]
+                    }
+                    _ => [v[0].0; 4],
+                };
+                let mut out = v;
+                for (o, &c) in out.iter_mut().zip(&columns) {
+                    o.0 = c;
+                }
+                out
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn interleave<const K: usize>(columns: [Self; K]) -> [Self; K] {
+            const { assert!(K == 1 || K == 2 || K == 4) };
+            // SAFETY: as in `splat`; each arm indexes below its K.
+            unsafe {
+                let run = match K {
+                    2 => {
+                        let [v0, v1] = rows_16(columns[0].0, columns[1].0);
+                        [v0, v1, v0, v1]
+                    }
+                    4 => {
+                        let ([e0, e1], [o0, o1]) = (
+                            rows_16(columns[0].0, columns[2].0),
+                            rows_16(columns[1].0, columns[3].0),
+                        );
+                        let ([v0, v1], [v2, v3]) = (rows_16(e0, o0), rows_16(e1, o1));
+                        [v0, v1, v2, v3]
+                    }
+                    _ => [columns[0].0; 4],
+                };
+                let mut out = columns;
+                for (o, &r) in out.iter_mut().zip(&run) {
+                    o.0 = r;
+                }
+                out
+            }
+        }
+
+        /// # Safety
+        ///
+        /// The trait's: the CPU has the tier's features.
         #[inline(always)]
         unsafe fn halving_sum(self) -> f32 {
             // SAFETY: as in `splat`; the CPU also has AVX (the caller's
@@ -636,12 +1140,30 @@ mod tests {
     /// [`operands`] makes).
     const WIDTH: usize = 32;
 
+    /// The values `max` and the compares treat specially, and two
+    /// ordinary ones.
+    const SPECIAL: [f32; 8] =
+        [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -1e-40, 1.5];
+
+    /// Every ordered pair of [`SPECIAL`] values, as two operands of
+    /// `PAIRS` floats: `+0.0` against `-0.0` both ways, NaN on either side.
+    fn pairs() -> (Vec<f32>, Vec<f32>) {
+        let n = SPECIAL.len();
+        (0..PAIRS).map(|i| (SPECIAL[i / n], SPECIAL[i % n])).unzip()
+    }
+
+    /// Floats per operand of [`pairs`].
+    const PAIRS: usize = SPECIAL.len() * SPECIAL.len();
+
     /// Runs every operation of the vocabulary over `WIDTH`-float operands
-    /// in vectors of the tier's width, and returns each result's bits.
+    /// (`PAIRS` floats for `max` and the compares) in vectors of the
+    /// tier's width, and returns each result's bits.
     struct Battery<'a> {
         a: &'a [f32],
         b: &'a [f32],
         c: &'a [f32],
+        x: &'a [f32],
+        y: &'a [f32],
     }
 
     impl Nest for Battery<'_> {
@@ -670,6 +1192,34 @@ mod tests {
                 lane_wise("add", &|a, b, _| a.add(b));
                 lane_wise("mul_then_add", &|a, b, c| a.mul_then_add(b, c));
                 lane_wise("fma", &|a, b, c| a.fma(b, c));
+                lane_wise("sub", &|a, b, _| a.sub(b));
+                lane_wise("mul", &|a, b, _| a.mul(b));
+                lane_wise("div", &|a, b, _| a.div(b));
+                lane_wise("select", &|a, b, c| V::select(a.gt(b), a, c));
+                // `max` and the compares over every pair of specials; each
+                // compare's mask as one float per lane, through `bits`.
+                let mut pair_wise = |name: &str, f: &dyn Fn(V, V) -> V| {
+                    let mut r = vec![f32::NAN; PAIRS];
+                    for j in 0..PAIRS / L {
+                        let (x, y) = (load(self.x, j), load(self.y, j));
+                        f(x, y).store(r.as_mut_ptr().add(j * L));
+                    }
+                    out.push((name.to_string(), bits(&r)));
+                };
+                pair_wise("max", &|x, y| x.max(y));
+                pair_wise("max, swapped", &|x, y| y.max(x));
+                let lanes = |m: V::Mask| {
+                    let b = V::bits(m);
+                    let mut v = [0.0; L];
+                    for (l, lane) in v.iter_mut().enumerate() {
+                        *lane = (b >> l & 1) as f32;
+                    }
+                    V::load(v.as_ptr())
+                };
+                pair_wise("gt", &|x, y| lanes(x.gt(y)));
+                pair_wise("eq", &|x, y| lanes(x.eq(y)));
+                pair_wise("ne", &|x, y| lanes(x.ne(y)));
+                pair_wise("select(eq)", &|x, y| V::select(x.eq(y), x, y));
                 // The halving tree over all WIDTH floats: whole vectors
                 // first, then inside the last one — the FC dot's order.
                 let mut vs: Vec<V> = (0..WIDTH / L).map(|j| load(self.b, j)).collect();
@@ -682,9 +1232,16 @@ mod tests {
                 }
                 out.push(("halving_sum".into(), bits(&[vs[0].halving_sum()])));
                 // Masked loads read only their lanes (+0.0 elsewhere);
-                // masked stores write only theirs.
-                for n in 1..=L {
+                // masked stores write only theirs; a mask's bits and a
+                // select through it name the same lanes.
+                for n in 0..=L {
                     let m = V::first(n);
+                    assert_eq!(V::bits(m), (1u32 << n) - 1, "{L}-lane first({n})");
+                    let mut picked = [f32::NAN; L];
+                    V::select(m, load(self.a, 0), load(self.c, 0)).store(picked.as_mut_ptr());
+                    let want: Vec<f32> =
+                        (0..L).map(|l| if l < n { self.a[l] } else { self.c[l] }).collect();
+                    assert_eq!(bits(&picked), bits(&want), "{L}-lane select(first({n}))");
                     let mut loaded = [f32::NAN; WIDTH];
                     V::load_masked(self.a.as_ptr(), m).store(loaded.as_mut_ptr());
                     let mut want = [0.0; WIDTH];
@@ -711,9 +1268,39 @@ mod tests {
                     let want: Vec<f32> = (0..L).map(|p| (p * L + l) as f32).collect();
                     assert_eq!(got, want, "{L}-lane transpose, row {l}");
                 }
+                windows::<V, L, 1>();
+                windows::<V, L, 2>();
+                windows::<V, L, 4>();
             }
             out
         }
+    }
+
+    /// `deinterleave::<K>` takes a run of `K` vectors to its columns, and
+    /// `interleave::<K>` takes them back.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU has `V`'s features and `L == V::LANES`.
+    #[inline(always)]
+    unsafe fn windows<V: Vector, const L: usize, const K: usize>() {
+        let run: Vec<f32> = (0..K * L).map(|i| i as f32).collect();
+        let read = |vs: &[V; K]| {
+            let mut got = vec![f32::NAN; K * L];
+            for (q, v) in vs.iter().enumerate() {
+                // SAFETY: vector q of `got` is inside its K * L floats.
+                unsafe { v.store(got.as_mut_ptr().add(q * L)) };
+            }
+            got
+        };
+        // SAFETY: vector q of `run` is inside its K * L floats; the CPU has
+        // `V`'s features (this fn's contract).
+        let columns =
+            unsafe { V::deinterleave(std::array::from_fn(|q| V::load(run.as_ptr().add(q * L)))) };
+        let want: Vec<f32> = (0..K).flat_map(|d| (0..L).map(move |j| (K * j + d) as f32)).collect();
+        assert_eq!(read(&columns), want, "{L}-lane deinterleave::<{K}>");
+        // SAFETY: as above.
+        assert_eq!(read(&unsafe { V::interleave(columns) }), run, "{L}-lane interleave::<{K}>");
     }
 
     /// Every operation of every tier the host runs gives the portable
@@ -724,11 +1311,25 @@ mod tests {
     #[test]
     fn every_tier_speaks_the_portable_vocabulary() {
         let (a, b, c) = (operands(1), operands(2), operands(3));
-        let want = on_tier(SimdLevel::Scalar, Battery { a: &a, b: &b, c: &c });
-        let of = |op: &str| want.iter().find(|(name, _)| name == op).map(|(_, bits)| bits);
+        let (x, y) = pairs();
+        let battery = || Battery { a: &a, b: &b, c: &c, x: &x, y: &y };
+        let want = on_tier(SimdLevel::Scalar, battery());
+        let of = |op: &str| want.iter().find(|(name, _)| name == op).map(|(_, bits)| bits).unwrap();
         assert_ne!(of("fma"), of("mul_then_add"), "the operands tell fused from unfused");
+        // `max` is `f32::max` wherever that is pinned (not both zero),
+        // and keeps its receiver of two zeros.
+        for (i, (&p, &q)) in x.iter().zip(&y).enumerate() {
+            let got = f32::from_bits(of("max")[i]);
+            if p == 0.0 && q == 0.0 {
+                assert_eq!(got.to_bits(), p.to_bits(), "max({p:?}, {q:?})");
+            } else if !(p.is_nan() && q.is_nan()) {
+                let want = std::hint::black_box(p).max(std::hint::black_box(q));
+                assert_eq!(got.to_bits(), want.to_bits(), "max({p:?}, {q:?})");
+            }
+        }
         for level in levels() {
-            let got = on_tier(level, Battery { a: &a, b: &b, c: &c });
+            let got = on_tier(level, battery());
+            assert_eq!(got.len(), want.len());
             for ((name, got), (_, want)) in got.iter().zip(&want) {
                 assert_eq!(got, want, "{level:?} {name}");
             }
