@@ -26,12 +26,6 @@ impl Span {
         Span { lo: 0, hi: n }
     }
 
-    /// A single index.
-    #[must_use]
-    pub fn point(i: usize) -> Self {
-        Span { lo: i, hi: i + 1 }
-    }
-
     /// An explicit half-open `[lo, hi)` interval.
     #[must_use]
     pub fn range(lo: usize, hi: usize) -> Self {
@@ -81,18 +75,6 @@ impl Span {
         self.plus(Span::iter(n))
     }
 
-    /// Smallest interval containing both operands.
-    #[must_use]
-    pub fn hull(self, other: Span) -> Self {
-        if self.is_empty() {
-            return other;
-        }
-        if other.is_empty() {
-            return self;
-        }
-        Span { lo: self.lo.min(other.lo), hi: self.hi.max(other.hi) }
-    }
-
     /// Whether two half-open intervals share any index.
     #[must_use]
     pub fn overlaps(self, other: Span) -> bool {
@@ -137,7 +119,6 @@ mod tests {
         assert!(empty.plus(Span::iter(3)).is_empty());
         assert!(Span::iter(3).plus(empty).is_empty());
         assert!(!empty.overlaps(Span::iter(10)));
-        assert_eq!(empty.hull(Span::point(4)), Span::point(4));
     }
 
     #[test]
@@ -148,6 +129,6 @@ mod tests {
 
     #[test]
     fn block_extends_hi() {
-        assert_eq!(Span::point(7).block(3), Span::range(7, 10));
+        assert_eq!(Span::range(7, 8).block(3), Span::range(7, 10));
     }
 }

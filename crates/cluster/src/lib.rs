@@ -147,8 +147,6 @@ pub enum ClusterError {
         /// What was out of sequence.
         detail: String,
     },
-    /// A frame failed to encode, decode, or travel.
-    Wire(WireError),
     /// The cluster configuration or topology is unusable.
     Config {
         /// What was wrong.
@@ -199,26 +197,12 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Protocol { rank, detail } => {
                 write!(f, "rank {rank} protocol violation: {detail}")
             }
-            ClusterError::Wire(e) => write!(f, "wire protocol error: {e}"),
             ClusterError::Config { detail } => write!(f, "cluster misconfigured: {detail}"),
         }
     }
 }
 
-impl std::error::Error for ClusterError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ClusterError::Wire(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<WireError> for ClusterError {
-    fn from(e: WireError) -> Self {
-        ClusterError::Wire(e)
-    }
-}
+impl std::error::Error for ClusterError {}
 
 impl From<ClusterError> for spg_error::Error {
     fn from(e: ClusterError) -> Self {

@@ -366,6 +366,7 @@ impl Router {
     }
 
     /// Number of currently live (non-evicted) shards.
+    // lint: allow(test-only) shard-kill drills assert the eviction shrank the ring
     pub fn live_shards(&self) -> usize {
         spg_sync::lock(&self.ring).live_count()
     }
@@ -380,6 +381,7 @@ impl Router {
     /// drills wait on this instead of sleep-polling [`evictions`].
     ///
     /// [`evictions`]: Self::evictions
+    // lint: allow(test-only) shard-kill drills wait on it instead of sleep-polling
     pub fn wait_evictions(&self, n: u64, timeout: Duration) -> bool {
         self.evictions.wait_until_timeout(n, timeout)
     }
@@ -601,6 +603,16 @@ mod tests {
         router.shutdown();
     }
 
+    /// A reply channel whose sending side is gone (the router was torn
+    /// down with the request in flight) redeems as a typed error.
+    #[test]
+    fn a_dropped_reply_is_disconnected() {
+        let (tx, rx) = mpsc::sync_channel(1);
+        drop(tx);
+        let got = PendingRoute { rx }.wait();
+        assert!(matches!(got, Err(ClusterError::Disconnected)), "{got:?}");
+    }
+
     /// Regression: `Instant::now() + timeout` panicked on overflow, so
     /// `Duration::MAX` ("wait as long as it takes") aborted the caller.
     #[test]
@@ -648,6 +660,10 @@ mod tests {
                 Err(other) => panic!("unexpected error {other:?}"),
             }
         };
+        // A representable deadline on the full queue runs out, typed.
+        let waited = Duration::from_millis(5);
+        let timed = router.submit_timeout(b"c", vec![3.0], waited);
+        assert!(matches!(timed, Err(ClusterError::Timeout { waited: w }) if w == waited));
         std::thread::scope(|scope| {
             let parked = scope.spawn(|| router.submit_timeout(b"c", vec![3.0], Duration::MAX));
             router.slots[0].queue.close();

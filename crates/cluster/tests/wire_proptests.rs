@@ -611,3 +611,28 @@ fn golden_frames_from_the_previous_encoder() {
         assert_eq!(encode_frame(&back), want, "{msg:?} did not survive a round trip");
     }
 }
+
+/// A transport that fails under a frame reaches the caller as a typed
+/// [`WireError::Io`] carrying the OS message, on the read side and on the
+/// write side.
+#[test]
+fn transport_failure_is_typed_io() {
+    struct Broken;
+    impl std::io::Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("link down"))
+        }
+    }
+    impl std::io::Write for Broken {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("link down"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let read = read_frame(&mut Broken);
+    assert!(matches!(&read, Err(WireError::Io { message }) if message == "link down"), "{read:?}");
+    let written = write_frame(&mut Broken, &Message::Shutdown);
+    assert!(matches!(&written, Err(WireError::Io { .. })), "{written:?}");
+}

@@ -113,6 +113,7 @@ static REGISTRY: &[SpecializedKernel] = &[];
 /// All registry instances (dispatch-preference order). Exposed so tests
 /// and the golden suite can enumerate every instance; use
 /// [`lookup`](crate::lookup) for dispatch.
+// lint: allow(test-only) the golden suites enumerate every registry instance
 pub fn all_instances() -> &'static [SpecializedKernel] {
     REGISTRY
 }

@@ -309,11 +309,6 @@ impl Engine {
         &self.net
     }
 
-    /// Consumes the engine, returning the network.
-    pub fn into_network(self) -> Network {
-        self.net
-    }
-
     /// The configured worker count: the cores [`Engine::infer`] and
     /// [`Engine::forward`] use (see [`EngineBuilder::workers`]).
     pub fn workers(&self) -> usize {
@@ -507,14 +502,11 @@ mod tests {
 
     #[test]
     fn flat_weights_round_trip() {
-        let mut engine = Engine::builder().spec(small_spec()).seed(3).build().unwrap();
-        let count: usize = engine.network().layers().iter().map(|l| l.param_count()).sum();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let net = Network::new(vec![Box::new(ConvLayer::new(small_spec(), &mut rng))]).unwrap();
+        let count: usize = net.layers().iter().map(|l| l.param_count()).sum();
         let params = vec![0.25; count];
-        engine = Engine::builder()
-            .network(engine.into_network())
-            .weights(params.clone())
-            .build()
-            .unwrap();
+        let engine = Engine::builder().network(net).weights(params.clone()).build().unwrap();
         let stored = engine.network().layers()[0].params().unwrap();
         assert_eq!(stored, params.as_slice());
         let err = Engine::builder().spec(small_spec()).weights(vec![1.0]).build().unwrap_err();

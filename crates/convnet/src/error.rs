@@ -17,15 +17,6 @@ pub enum ConvError {
         /// Kernel extent along the offending axis.
         kernel: usize,
     },
-    /// A buffer passed to an execution routine has the wrong length.
-    BufferLength {
-        /// Which buffer was wrong.
-        what: &'static str,
-        /// Required element count.
-        expected: usize,
-        /// Provided element count.
-        actual: usize,
-    },
     /// Adjacent layers disagree about activation geometry.
     LayerMismatch {
         /// Index of the layer whose input did not match.
@@ -45,9 +36,6 @@ impl fmt::Display for ConvError {
             ConvError::ZeroDimension { dim } => write!(f, "dimension `{dim}` must be positive"),
             ConvError::KernelTooLarge { input, kernel } => {
                 write!(f, "kernel extent {kernel} exceeds input extent {input}")
-            }
-            ConvError::BufferLength { what, expected, actual } => {
-                write!(f, "{what} buffer has {actual} elements, expected {expected}")
             }
             ConvError::LayerMismatch { layer, produced, expected } => write!(
                 f,
@@ -104,9 +92,9 @@ impl From<ConvError> for spg_error::Error {
             ConvError::ZeroDimension { .. } | ConvError::KernelTooLarge { .. } => {
                 spg_error::ErrorKind::InvalidSpec
             }
-            ConvError::BufferLength { .. }
-            | ConvError::LayerMismatch { .. }
-            | ConvError::EmptyNetwork => spg_error::ErrorKind::InvalidNetwork,
+            ConvError::LayerMismatch { .. } | ConvError::EmptyNetwork => {
+                spg_error::ErrorKind::InvalidNetwork
+            }
         };
         spg_error::Error::with_source(kind, e.to_string(), e)
     }

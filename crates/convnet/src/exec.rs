@@ -145,6 +145,7 @@ pub type SharedExecutor = Arc<dyn ConvExecutor>;
 /// assert_eq!(ReferenceExecutor.name(), "reference");
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
+// lint: allow(test-only) the executor oracle the executors' tests compare against
 pub struct ReferenceExecutor;
 
 impl ConvExecutor for ReferenceExecutor {

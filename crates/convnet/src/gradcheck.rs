@@ -54,6 +54,7 @@ pub struct GradMismatch {
 /// assert!(mismatches.is_empty(), "{mismatches:?}");
 /// # Ok::<(), spg_convnet::ConvError>(())
 /// ```
+// lint: allow(test-only) the finite-difference oracle for every layer's backward
 pub fn check_gradients(
     net: &mut Network,
     input: &Tensor,

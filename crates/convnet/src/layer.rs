@@ -224,12 +224,6 @@ impl ConvLayer {
         let fan_in = spec.weight_shape().per_feature() as f32;
         let scale = (2.0 / fan_in).sqrt();
         let weights = Tensor::random_uniform(spec.weight_shape().len(), scale, rng);
-        Self::assemble(spec, weights)
-    }
-
-    /// A layer over `weights` (length already checked) with the default
-    /// executor in both slots.
-    fn assemble(spec: ConvSpec, weights: Tensor) -> Self {
         let exec: SharedExecutor = std::sync::Arc::new(UnfoldGemmExecutor::default());
         let weights = PreparedWeights::new(weights);
         let mut layer = ConvLayer { spec, weights, fwd: exec.clone(), bwd: exec };
@@ -244,22 +238,6 @@ impl ConvLayer {
         self.weights.clear_copies();
         self.fwd.prepare(&self.spec, &mut self.weights);
         self.bwd.prepare(&self.spec, &mut self.weights);
-    }
-
-    /// Creates a layer with explicit weights (used by tests and oracles).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvError::BufferLength`] if the weight length mismatches.
-    pub fn with_weights(spec: ConvSpec, weights: Tensor) -> Result<Self, ConvError> {
-        if weights.len() != spec.weight_shape().len() {
-            return Err(ConvError::BufferLength {
-                what: "weights",
-                expected: spec.weight_shape().len(),
-                actual: weights.len(),
-            });
-        }
-        Ok(Self::assemble(spec, weights))
     }
 
     /// The convolution specification.
@@ -1252,12 +1230,5 @@ mod tests {
         for (b, a) in before.iter().zip(layer.weights().iter()) {
             assert!((b - 0.1 - a).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn conv_layer_with_weights_validates() {
-        let spec = ConvSpec::new(1, 3, 3, 1, 2, 2, 1, 1).unwrap();
-        assert!(ConvLayer::with_weights(spec, Tensor::zeros(3)).is_err());
-        assert!(ConvLayer::with_weights(spec, Tensor::zeros(4)).is_ok());
     }
 }

@@ -8,9 +8,9 @@
 //! A single sample is a block of one ([`Network::forward_into`],
 //! [`Network::backward_into`]); a ring rank runs its whole block of each
 //! batch (`sgd::process_block`). Inference ([`Network::forward`],
-//! [`Network::predict`], [`Network::infer_batch`]) runs the same forward
-//! walk over what forward reads only: an activation trace and a
-//! [`ConvScratch`], never a training workspace's gradient buffers.
+//! [`Network::infer_batch`]) runs the same forward walk over what forward
+//! reads only: an activation trace and a [`ConvScratch`], never a training
+//! workspace's gradient buffers.
 
 use spg_tensor::Tensor;
 
@@ -331,11 +331,6 @@ impl Network {
         }
     }
 
-    /// Predicted class (argmax of logits) for one sample.
-    pub fn predict(&self, input: &Tensor) -> usize {
-        argmax(self.forward(input).logits())
-    }
-
     /// Classifies a batch of samples, distributing whole samples across
     /// `threads` workers — inference under the GEMM-in-Parallel schedule
     /// (forward propagation is the inference subset of training, Sec. 6).
@@ -481,20 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn predict_returns_argmax() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let net = tiny_net(&mut rng);
-        let p = net.predict(&Tensor::filled(64, 0.2));
-        assert!(p < 3);
-    }
-
-    #[test]
     fn infer_batch_matches_sequential_prediction() {
         let mut rng = SmallRng::seed_from_u64(6);
         let net = tiny_net(&mut rng);
         let inputs: Vec<Tensor> =
             (0..9).map(|_| Tensor::random_uniform(64, 1.0, &mut rng)).collect();
-        let sequential: Vec<usize> = inputs.iter().map(|i| net.predict(i)).collect();
+        let sequential: Vec<usize> =
+            inputs.iter().map(|i| argmax(net.forward(i).logits())).collect();
         for threads in [1, 2, 4, 16] {
             assert_eq!(net.infer_batch(&inputs, threads), sequential, "threads={threads}");
         }

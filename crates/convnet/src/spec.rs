@@ -214,16 +214,6 @@ impl ConvSpec {
             / (self.input_elems() + self.weight_elems() + self.output_elems()) as f64
     }
 
-    /// Maximum fraction `r` of the intrinsic AIT that Unfold+GEMM can
-    /// achieve: `(|I| + |W| + |O|) / (2|U| + |W| + |O|)` (Sec. 3.1). The
-    /// unfolded input must be written once and read once, hence `2|U|`.
-    /// Uses the paper's `|U|` accounting so `intrinsic_ait * r` matches
-    /// Table 1.
-    pub fn unfold_ait_fraction(&self) -> f64 {
-        (self.input_elems() + self.weight_elems() + self.output_elems()) as f64
-            / (2 * self.unfolded_elems_paper() + self.weight_elems() + self.output_elems()) as f64
-    }
-
     /// Arithmetic intensity of the Unfold+GEMM execution:
     /// `intrinsic_ait * r = |A| / (2|U| + |W| + |O|)` with the paper's
     /// `|U|` accounting. Reproduces Table 1's "Unfold+GEMM" column within
@@ -231,14 +221,6 @@ impl ConvSpec {
     pub fn unfold_ait(&self) -> f64 {
         self.arithmetic_ops() as f64
             / (2 * self.unfolded_elems_paper() + self.weight_elems() + self.output_elems()) as f64
-    }
-
-    /// Arithmetic intensity of Unfold+GEMM with the exact `|U|`
-    /// (out-spatial patch count); used by the machine model, which costs
-    /// real traffic rather than the paper's approximation.
-    pub fn unfold_ait_exact(&self) -> f64 {
-        self.arithmetic_ops() as f64
-            / (2 * self.unfolded_elems() + self.weight_elems() + self.output_elems()) as f64
     }
 
     /// Replication factor of the unfold step (`|U| / |I|`), roughly
@@ -333,20 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn unfold_ait_fraction_consistent() {
-        let s = ConvSpec::square(64, 64, 16, 11, 1);
-        let via_fraction = s.intrinsic_ait() * s.unfold_ait_fraction();
-        assert!((via_fraction - s.unfold_ait()).abs() < 1e-9);
-    }
-
-    #[test]
     fn kernel_equals_input_gives_one_output() {
-        // At the limit Fx = Nx the convolution is a matrix multiply, so the
-        // exact unfolding overhead vanishes (r ~ 1 under exact accounting).
+        // At the limit Fx = Nx the convolution is a matrix multiply, so
+        // unfolding replicates nothing.
         let s = ConvSpec::square(8, 32, 16, 8, 1);
         assert_eq!(s.out_h(), 1);
-        let r_exact = s.unfold_ait_exact() / s.intrinsic_ait();
-        assert!(r_exact > 0.9, "exact r = {r_exact}");
+        assert_eq!(s.unfold_blowup(), 1.0);
     }
 
     #[test]

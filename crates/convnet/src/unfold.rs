@@ -8,9 +8,8 @@
 //!
 //! Unfolding replicates each input element up to `Fy * Fx` times — this is
 //! precisely the memory-traffic blow-up that caps the achievable arithmetic
-//! intensity of Unfold+GEMM at the fraction
-//! [`ConvSpec::unfold_ait_fraction`] (Sec. 3.1). Here `U` is never
-//! materialized: [`ImageOperand`] packs the blocked GEMM's panels of `U`
+//! intensity of Unfold+GEMM at [`ConvSpec::unfold_ait`] (Sec. 3.1). Here
+//! `U` is never materialized: [`ImageOperand`] packs the blocked GEMM's panels of `U`
 //! or `U^T` straight from the CHW input, one cache block at a time, so the
 //! replication costs L2 traffic rather than a `|U|`-sized matrix streamed
 //! through memory. Backward-data's patch-space gradient is still staged

@@ -9,28 +9,14 @@
 
 use spg_convnet::ConvSpec;
 
-/// Arithmetic intensity of an `m x k` by `k x n` dense multiply executed
-/// on one core: `2mnk / (mk + kn + mn)` flops per element of traffic.
-///
-/// # Example
-///
-/// ```
-/// // Square n x n MM has AIT 2n/3 (Sec. 3.2).
-/// let ait = spg_core::ait::mm_ait(300, 300, 300);
-/// assert!((ait - 200.0).abs() < 1e-9);
-/// ```
-pub fn mm_ait(m: usize, n: usize, k: usize) -> f64 {
-    let (m, n, k) = (m as f64, n as f64, k as f64);
-    2.0 * m * n * k / (m * k + k * n + m * n)
-}
-
 /// AIT *per core* when the multiply is row-partitioned across `cores`
 /// (the Parallel-GEMM schedule): each core computes `m / cores` rows of
 /// `C`, touching its slice of `A` and `C` but the **entire** `B`
 /// (Sec. 3.2).
 ///
-/// For the square dual-core example in the paper this gives `n / 2`,
-/// down from the single-core `2n / 3`.
+/// One core gives the single-core AIT `2mnk / (mk + kn + mn)` flops per
+/// element of traffic; the square dual-core example in the paper gives
+/// `n / 2`, down from the single-core `2n / 3`.
 ///
 /// # Panics
 ///
@@ -54,38 +40,6 @@ pub fn mm_ait_per_core(m: usize, n: usize, k: usize, cores: usize) -> f64 {
     let flops = 2.0 * m * n * k / p;
     let traffic = (m / p) * k + k * n + (m / p) * n;
     flops / traffic
-}
-
-/// AIT *per core* when the multiply is column-partitioned across `cores`:
-/// each core computes `n / cores` columns of `C`, touching its slice of
-/// `B` and `C` but the **entire** `A`. Sec. 3.2 observes the partitioning
-/// axis only swaps which operand is replicated — either way per-core AIT
-/// falls.
-///
-/// # Panics
-///
-/// Panics if `cores == 0`.
-pub fn mm_ait_per_core_cols(m: usize, n: usize, k: usize, cores: usize) -> f64 {
-    assert!(cores > 0, "core count must be positive");
-    let p = cores as f64;
-    let (m, n, k) = (m as f64, n as f64, k as f64);
-    let flops = 2.0 * m * n * k / p;
-    let traffic = m * k + k * (n / p) + m * (n / p);
-    flops / traffic
-}
-
-/// The better of the two partitioning axes for the given shape — the
-/// choice a partitioning-aware scheduler would make, still strictly worse
-/// than not partitioning at all once `B` (or `A`) no longer fits a core.
-pub fn mm_ait_per_core_best(m: usize, n: usize, k: usize, cores: usize) -> f64 {
-    mm_ait_per_core(m, n, k, cores).max(mm_ait_per_core_cols(m, n, k, cores))
-}
-
-/// AIT per core under the GEMM-in-Parallel schedule: every core runs a
-/// whole independent multiply, so the per-core AIT **equals** the
-/// single-core AIT regardless of core count (Sec. 4.1).
-pub fn mm_ait_gemm_in_parallel(m: usize, n: usize, k: usize, _cores: usize) -> f64 {
-    mm_ait(m, n, k)
 }
 
 /// GEMM dimensions `(m, n, k)` of the three multiplies a convolution
@@ -138,16 +92,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn square_mm_ait_is_two_thirds_n() {
+    fn square_single_core_ait_is_two_thirds_n() {
         for n in [30, 300, 3000] {
-            let ait = mm_ait(n, n, n);
+            let ait = mm_ait_per_core(n, n, n, 1);
             assert!((ait - 2.0 * n as f64 / 3.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn one_core_partition_equals_single_core() {
-        assert_eq!(mm_ait_per_core(64, 96, 32, 1), mm_ait(64, 96, 32));
     }
 
     #[test]
@@ -166,14 +115,6 @@ mod tests {
         let n = 256;
         let ait = mm_ait_per_core(n, n, n, 2);
         assert!((ait - n as f64 / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gemm_in_parallel_ait_is_flat() {
-        let base = mm_ait_gemm_in_parallel(128, 128, 128, 1);
-        for cores in [2, 4, 8, 16, 32] {
-            assert_eq!(mm_ait_gemm_in_parallel(128, 128, 128, cores), base);
-        }
     }
 
     #[test]
@@ -208,49 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn column_partition_mirrors_row_partition_on_square() {
-        // On square shapes the two axes are symmetric.
-        for cores in [1, 2, 4, 16] {
-            let r = mm_ait_per_core(64, 64, 64, cores);
-            let c = mm_ait_per_core_cols(64, 64, 64, cores);
-            assert!((r - c).abs() < 1e-12, "cores {cores}");
-        }
-    }
-
-    #[test]
-    fn best_axis_replicates_the_smaller_operand() {
-        // Tall-skinny: A (m*k) is huge, B (k*n) small. Row partitioning
-        // replicates B (cheap); column partitioning replicates A
-        // (ruinous). The row axis must win, and `best` must pick it.
-        let (m, n, k) = (4096, 32, 64);
-        let rows = mm_ait_per_core(m, n, k, 16);
-        let cols = mm_ait_per_core_cols(m, n, k, 16);
-        assert!(rows > cols);
-        assert_eq!(mm_ait_per_core_best(m, n, k, 16), rows);
-        // And the mirrored shape favours columns.
-        let rows = mm_ait_per_core(32, 4096, 64, 16);
-        let cols = mm_ait_per_core_cols(32, 4096, 64, 16);
-        assert!(cols > rows);
-    }
-
-    #[test]
-    fn even_the_best_axis_loses_to_gemm_in_parallel() {
-        // Sec. 3.2's bottom line: any partitioning reduces per-core AIT.
-        for &(m, n, k) in &[(256usize, 256usize, 256usize), (1024, 64, 512), (64, 1024, 512)] {
-            let best = mm_ait_per_core_best(m, n, k, 16);
-            assert!(best < mm_ait(m, n, k), "{m}x{n}x{k}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "core count")]
     fn zero_cores_panics() {
         mm_ait_per_core(8, 8, 8, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "core count")]
-    fn zero_cores_panics_cols() {
-        mm_ait_per_core_cols(8, 8, 8, 0);
     }
 }

@@ -452,16 +452,6 @@ impl Framework {
         })
     }
 
-    /// [`try_plan_network_forward`](Framework::try_plan_network_forward)
-    /// for callers with no error path.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the verifier's message if a chosen plan is rejected.
-    pub fn plan_network_forward(&self, net: &mut Network) -> Vec<(usize, LayerPlan)> {
-        self.try_plan_network_forward(net).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Epoch callback for [`Trainer::train_with`](spg_convnet::Trainer):
     /// every `retune_every` epochs, re-plans each conv layer using that
     /// layer's measured gradient sparsity from the epoch statistics and

@@ -14,9 +14,8 @@
 //! [`ConvProgram::executor_for`] on a [`ConvLayer`], which owns the
 //! prepared weights and refreshes them per update through the
 //! [`ConvExecutor`] seam; a [`CompiledConv`] — program, plan and its own
-//! prepared weights, refreshed by
-//! [`set_weights`](CompiledConv::set_weights) — runs one layer on its
-//! own, for measurement and rendering.
+//! prepared weights — runs one layer on its own, for measurement and
+//! rendering.
 
 use std::fmt;
 use std::sync::Arc;
@@ -451,18 +450,6 @@ impl CompiledConv {
         Ok(CompiledConv { program, weights })
     }
 
-    /// Replaces the weights after a parameter update and re-prepares them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len()` differs from the compiled spec's weight
-    /// count (the geometry was fixed at compile time).
-    pub fn set_weights(&mut self, weights: &[f32]) {
-        assert_eq!(weights.len(), self.weights.fckk.len(), "weights length");
-        self.weights.fckk.as_mut_slice().copy_from_slice(weights);
-        self.program.prepare(&[Phase::Forward, Phase::Backward], &mut self.weights);
-    }
-
     /// The compiled convolution's specification.
     pub fn spec(&self) -> &ConvSpec {
         self.program.spec()
@@ -686,29 +673,6 @@ mod tests {
                 assert_eq!(wa, wb, "{plan} bwd-w");
             }
         }
-    }
-
-    #[test]
-    fn set_weights_refreshes_caches() {
-        let spec = ConvSpec::square(10, 4, 2, 3, 1);
-        let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::SparseBp };
-        let w1 = pseudo(spec.weight_shape().len(), 3);
-        let mut kernel = CompiledConv::compile(spec, plan, &w1, 1).expect("valid weights");
-
-        let input = pseudo(spec.input_shape().len(), 4);
-        let grad_out = sparse_grad(spec.output_shape().len(), 3);
-        let mut scratch = ConvScratch::new();
-        let mut before = vec![0.0; spec.input_shape().len()];
-        kernel.backward_data_scratch(&grad_out, &mut before, &mut scratch);
-
-        let w2: Vec<f32> = w1.iter().map(|v| v * 2.0).collect();
-        kernel.set_weights(&w2);
-        let mut after = vec![0.0; spec.input_shape().len()];
-        kernel.backward_data_scratch(&grad_out, &mut after, &mut scratch);
-        for (b, a) in before.iter().zip(&after) {
-            assert!((b * 2.0 - a).abs() < 1e-4, "cache not refreshed: {b} vs {a}");
-        }
-        let _ = input;
     }
 
     #[test]

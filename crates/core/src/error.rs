@@ -17,8 +17,6 @@ pub enum SpgError {
         /// What went wrong.
         message: String,
     },
-    /// A tuning run was requested with no candidate techniques.
-    NoCandidates,
     /// The plan-time verifier rejected a candidate execution plan.
     PlanRejected {
         /// Technique id of the rejected candidate.
@@ -33,7 +31,6 @@ impl fmt::Display for SpgError {
         match self {
             SpgError::Parse { line, message } => write!(f, "parse error on line {line}: {message}"),
             SpgError::InvalidNetwork { message } => write!(f, "invalid network: {message}"),
-            SpgError::NoCandidates => write!(f, "no candidate techniques to tune over"),
             SpgError::PlanRejected { technique, check } => {
                 write!(f, "plan rejected by static verifier: {technique}: {check}")
             }
@@ -48,7 +45,7 @@ impl From<SpgError> for spg_error::Error {
         let kind = match e {
             SpgError::Parse { .. } => spg_error::ErrorKind::Parse,
             SpgError::InvalidNetwork { .. } => spg_error::ErrorKind::InvalidNetwork,
-            SpgError::NoCandidates | SpgError::PlanRejected { .. } => spg_error::ErrorKind::Tuning,
+            SpgError::PlanRejected { .. } => spg_error::ErrorKind::Tuning,
         };
         spg_error::Error::with_source(kind, e.to_string(), e)
     }

@@ -202,8 +202,11 @@ mod tests {
             let mut scratch = ConvScratch::new();
             scratch.reserve(&spec);
             let b = run(&exec, &input, &weights, &mut scratch);
-            assert_eq!(spg_check::ScratchCapacity::of_scratch(&scratch), reserved, "{spec}");
-            assert_eq!(scratch.bytes(), reserved.elems() * 4, "{spec}");
+            let live = (scratch.mat_b.len(), scratch.hwc_in.len(), scratch.hwc_out.len());
+            assert_eq!(live, (reserved.mat_b, reserved.hwc_in, reserved.hwc_out), "{spec}");
+            assert_eq!(scratch.wperm.len(), reserved.wperm, "{spec}");
+            let elems = reserved.mat_b + reserved.hwc_in + reserved.hwc_out + reserved.wperm;
+            assert_eq!(scratch.bytes(), elems * 4, "{spec}");
             assert_eq!(a, b, "{spec}");
         }
     }

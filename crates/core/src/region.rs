@@ -61,23 +61,6 @@ impl Region {
             Region::R5 => 5,
         }
     }
-
-    /// `true` for the sparse (odd-numbered) regions.
-    pub fn is_sparse(self) -> bool {
-        self.index() % 2 == 1
-    }
-
-    /// The region's performance pathologies under Unfold+Parallel-GEMM.
-    pub fn pathologies(self) -> &'static [&'static str] {
-        match self {
-            Region::R0 => &[],
-            Region::R1 => &["goodput"],
-            Region::R2 => &["scalability"],
-            Region::R3 => &["scalability", "goodput"],
-            Region::R4 => &["single-core performance", "scalability"],
-            Region::R5 => &["single-core performance", "scalability", "goodput"],
-        }
-    }
 }
 
 impl fmt::Display for Region {
@@ -181,13 +164,6 @@ mod tests {
     fn sparse_threshold_is_exclusive() {
         assert_eq!(classify_by_features(256, 0.75), Region::R2);
         assert_eq!(classify_by_features(256, 0.7501), Region::R3);
-    }
-
-    #[test]
-    fn pathologies_accumulate_down_the_space() {
-        assert!(Region::R0.pathologies().is_empty());
-        assert_eq!(Region::R5.pathologies().len(), 3);
-        assert!(Region::R3.pathologies().contains(&"goodput"));
     }
 
     #[test]

@@ -499,7 +499,9 @@ mod tests {
 
     /// `weights` in the `[ky, kx, f, c]` order backward-data reads.
     fn kkfc(spec: &ConvSpec, weights: &[f32]) -> Kkfc {
-        Kkfc::from_fckk(weights, spec.weight_shape())
+        let mut copy = Kkfc::default();
+        copy.refresh(weights, spec.weight_shape());
+        copy
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

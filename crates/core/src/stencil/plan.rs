@@ -59,19 +59,6 @@ impl RegisterTilePlan {
             row_cost: tiles * (nx * nfv).max(nx + nfv).max(streamed),
         }
     }
-
-    /// Vector loads per FMA — the block's own load efficiency, the
-    /// search's tie-break. Lower is better; an unfolded GEMM of the same
-    /// convolution effectively pays one load per FMA element for small
-    /// kernels.
-    pub fn loads_per_fma(&self) -> f64 {
-        self.loads_per_block as f64 / self.fmas_per_block as f64
-    }
-
-    /// Input reuse factor: FMAs served per vector load.
-    pub fn reuse(&self) -> f64 {
-        1.0 / self.loads_per_fma()
-    }
 }
 
 impl fmt::Display for RegisterTilePlan {
@@ -113,7 +100,7 @@ impl fmt::Display for RegisterTilePlan {
 /// let spec = ConvSpec::square(36, 64, 3, 5, 1);
 /// let plan = plan_register_tile(&spec, 16).expect("a 32-wide row fits every tile");
 /// assert_eq!((plan.tile.nx, plan.tile.nfv), (4, 4));
-/// assert_eq!(plan.reuse(), 2.0); // each load feeds two FMAs
+/// assert_eq!(plan.fmas_per_block, 2 * plan.loads_per_block); // each load feeds two FMAs
 /// ```
 pub fn plan_register_tile(spec: &ConvSpec, lanes: usize) -> Option<RegisterTilePlan> {
     let tiles = spg_codegen::register_tiles(lanes).iter().filter(|t| t.nx <= spec.out_w());
@@ -181,7 +168,7 @@ mod tests {
         let RegisterTile { nx, nfv } = plan.tile;
         assert_eq!(plan.loads_per_block, (nx + nfv) * 9);
         assert_eq!(plan.fmas_per_block, nx * nfv * 9);
-        assert!(plan.reuse() > 1.0, "reuse {}", plan.reuse());
+        assert!(plan.fmas_per_block > plan.loads_per_block, "{plan:?}");
     }
 
     /// A row narrower than every tile of a lane width gets none at that

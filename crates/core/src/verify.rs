@@ -246,35 +246,6 @@ pub fn verify_technique(
     result.map_err(|check| SpgError::PlanRejected { technique: technique.id(), check })
 }
 
-/// Verifies a complete layer plan against `spec`, bound as [`lower`]
-/// deploys it under [`KernelChoice::Auto`], and reports what was proved.
-///
-/// # Errors
-///
-/// Returns [`SpgError::PlanRejected`] naming the offending access if either
-/// phase of the lowered plan fails verification.
-///
-/// # Example
-///
-/// ```
-/// use spg_convnet::ConvSpec;
-/// use spg_core::schedule::recommended_plan;
-/// use spg_core::verify::verify_plan;
-///
-/// let spec = ConvSpec::square(12, 16, 4, 3, 1);
-/// let plan = recommended_plan(&spec, 0.9);
-/// let report = verify_plan(&spec, plan, 16)?;
-/// assert!(report.accesses_proved > 0);
-/// # Ok::<(), spg_core::SpgError>(())
-/// ```
-pub fn verify_plan(
-    spec: &ConvSpec,
-    plan: LayerPlan,
-    cores: usize,
-) -> Result<CheckReport, SpgError> {
-    lower(spec, plan, cores, KernelChoice::Auto).map(|program| program.report())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,8 +262,9 @@ mod tests {
             for &fwd in Technique::forward_candidates() {
                 for &bwd in Technique::backward_candidates() {
                     let plan = LayerPlan { forward: fwd, backward: bwd };
-                    let report = verify_plan(&spec, plan, 4)
-                        .unwrap_or_else(|err| panic!("{spec} {plan} rejected: {err}"));
+                    let report = lower(&spec, plan, 4, KernelChoice::Auto)
+                        .unwrap_or_else(|err| panic!("{spec} {plan} rejected: {err}"))
+                        .report();
                     assert!(report.accesses_proved > 0, "{spec} {plan}");
                 }
             }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use spg_codegen::KernelChoice;
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::{reference, ConvSpec};
-use spg_core::ait::{mm_ait, mm_ait_per_core, mm_ait_per_core_best, mm_ait_per_core_cols};
+use spg_core::ait::mm_ait_per_core;
 use spg_core::autotune::Phase;
 use spg_core::compiled::CompiledConv;
 use spg_core::region::{classify_by_features, Region};
@@ -76,7 +76,8 @@ proptest! {
         let ilen = spec.input_shape().len();
         let mut ours = vec![0.0; ilen];
         let mut oracle = vec![0.0; ilen];
-        let w_kkfc = layout::Kkfc::from_fckk(&weights, spec.weight_shape());
+        let mut w_kkfc = layout::Kkfc::default();
+        w_kkfc.refresh(&weights, spec.weight_shape());
         sparse_kernel::backward_data_scratch(&spec, &w_kkfc, &grad_out, &mut ours, tile_width, &mut ConvScratch::new());
         reference::backward_data(&spec, &weights, &grad_out, &mut oracle);
         prop_assert!(max_diff(&ours, &oracle) < 1e-3);
@@ -134,7 +135,6 @@ proptest! {
             prop_assert!(a > 0.0);
             prev = a;
         }
-        prop_assert!((mm_ait_per_core(m, n, k, 1) - mm_ait(m, n, k)).abs() < 1e-12);
     }
 
     /// The region classifier is total and consistent with its thresholds.
@@ -142,7 +142,7 @@ proptest! {
     fn region_classifier_total(features in 1usize..5000, sparsity in 0.0f64..1.0) {
         let r = classify_by_features(features, sparsity);
         prop_assert!(r.index() <= 5);
-        prop_assert_eq!(r.is_sparse(), sparsity > 0.75);
+        prop_assert_eq!(r.index() % 2 == 1, sparsity > 0.75);
         if features >= 1024 {
             prop_assert!(matches!(r, Region::R0 | Region::R1));
         }
@@ -158,19 +158,6 @@ proptest! {
         prop_assert!(Technique::forward_candidates().contains(&plan.forward));
         prop_assert!(Technique::backward_candidates().contains(&plan.backward));
         prop_assert_eq!(plan.backward == Technique::SparseBp, sparsity > 0.75);
-    }
-
-    /// Column partitioning mirrors row partitioning under operand swap,
-    /// and `best` dominates both.
-    #[test]
-    fn partition_axis_duality(m in 1usize..300, n in 1usize..300, k in 1usize..300, p in 1usize..32) {
-        let rows = mm_ait_per_core(m, n, k, p);
-        let cols = mm_ait_per_core_cols(m, n, k, p);
-        let swapped = mm_ait_per_core(n, m, k, p);
-        prop_assert!((cols - swapped).abs() < 1e-9, "duality broken: {cols} vs {swapped}");
-        let best = mm_ait_per_core_best(m, n, k, p);
-        prop_assert!(best + 1e-12 >= rows && best + 1e-12 >= cols);
-        prop_assert!(best <= mm_ait(m, n, k) + 1e-9);
     }
 
     /// A compiled kernel must compute the same function as the reference

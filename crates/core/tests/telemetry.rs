@@ -8,6 +8,8 @@
 //! disables collection (another test may still be recording).
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use spg_codegen::KernelChoice;
 use spg_convnet::exec::{ConvExecutor, PreparedWeights, UnfoldGemmExecutor};
@@ -21,7 +23,7 @@ use spg_core::schedule::{LayerPlan, Technique};
 use spg_core::sparse::kernel as sparse_kernel;
 use spg_core::verify::{lower, lower_phase};
 use spg_telemetry::Phase;
-use spg_tensor::{layout, Tensor};
+use spg_tensor::layout;
 
 /// Current `(useful, total, tile_nnz, tile_capacity)` of one bucket.
 fn bucket(label: &str, phase: Phase) -> (u64, u64, u64, u64) {
@@ -158,7 +160,8 @@ fn narrow_stencil_records_flops_compiled_and_installed() {
         assert_eq!(got, (ops, ops, 0, 0), "compiled call {call}");
     }
 
-    let mut conv = ConvLayer::with_weights(spec, Tensor::from_vec(weights)).unwrap();
+    let mut conv = ConvLayer::new(spec, &mut SmallRng::seed_from_u64(0));
+    conv.set_params(&weights);
     lower(&spec, plan, 1, KernelChoice::Auto)
         .unwrap()
         .install(&mut conv, &[spg_core::autotune::Phase::Forward]);
@@ -239,7 +242,8 @@ proptest! {
         let mut grad_in = vec![0.0; spec.input_shape().len()];
         let mut grad_w = vec![0.0; spec.weight_shape().len()];
 
-        let w_kkfc = layout::Kkfc::from_fckk(&weights, spec.weight_shape());
+        let mut w_kkfc = layout::Kkfc::default();
+        w_kkfc.refresh(&weights, spec.weight_shape());
         let data = record_under("tel_sparse", Phase::BackwardData, || {
             sparse_kernel::backward_data_scratch(
                 &spec,

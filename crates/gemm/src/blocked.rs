@@ -281,7 +281,10 @@ mod tests {
         assert!(gemm(&a, &b).is_err());
         let b2 = Matrix::zeros(3, 2);
         let mut c = Matrix::zeros(2, 3);
-        assert!(gemm_into(&a, &b2, &mut c).is_err());
+        assert!(matches!(
+            gemm_into(&a, &b2, &mut c),
+            Err(GemmError::OutputShapeMismatch { expected_rows: 2, expected_cols: 2, .. })
+        ));
     }
 
     #[test]

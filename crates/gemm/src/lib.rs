@@ -60,7 +60,7 @@ pub use blocked::{gemm, gemm_into, gemm_slice};
 pub use error::GemmError;
 pub use fc::{FcKernels, DOT_LANES};
 pub use kernels::{RightOperand, RowMajor};
-pub use naive::{gemm_naive, gemm_naive_into};
+pub use naive::gemm_naive;
 pub use parallel::{parallel_gemm, parallel_gemm_slice};
 pub use simd::{detect_simd_level, SimdLevel};
 /// The workspace's one fork-join, which the parallel schedules here fan

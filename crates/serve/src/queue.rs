@@ -190,9 +190,4 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        lock(&self.state).closed
-    }
 }

@@ -150,8 +150,8 @@ impl From<ServeError> for spg_error::Error {
 pub struct Response {
     /// Raw network outputs.
     pub logits: Vec<f32>,
-    /// Argmax of the logits (same tie-breaking as
-    /// [`Network::predict`](spg_convnet::Network::predict)).
+    /// Argmax of the logits (the first, on ties, as
+    /// [`Network::infer_batch`](spg_convnet::Network::infer_batch) picks).
     pub class: usize,
     /// Submit-to-completion wall time.
     pub latency: Duration,
@@ -214,7 +214,7 @@ pub struct Server {
 impl Server {
     /// Starts `config.workers` worker threads serving `net` as it is:
     /// each request runs the forward executors installed on `net` (by
-    /// `Framework::plan_network_forward`, say) through
+    /// `Framework::try_plan_network_forward`, say) through
     /// [`Network::forward_sample`] at a core budget of one, so the served
     /// logits are the bits [`Network::forward`] returns. A program lowered
     /// for more cores runs its sequential program.
@@ -331,11 +331,6 @@ impl Server {
         }
         let (tx, rx) = mpsc::sync_channel(1);
         Ok((Request { input, submitted: Instant::now(), reply: tx }, PendingResponse { rx }))
-    }
-
-    /// Requests currently waiting in the queue.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// How many worker respawns the supervisor has performed so far.
@@ -520,7 +515,7 @@ fn worker_loop(
 }
 
 /// Index of the largest logit, the first on ties (as
-/// [`Network::predict`] breaks them).
+/// [`Network::infer_batch`] breaks them).
 fn argmax(logits: &[f32]) -> usize {
     (1..logits.len()).fold(0, |best, i| if logits[i] > logits[best] { i } else { best })
 }
@@ -547,7 +542,7 @@ mod tests {
         "#;
         let mut net =
             NetworkDescription::parse(TWO_CONVS).expect("parses").build(42).expect("builds");
-        Framework::new(1, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+        Framework::new(1, TuningMode::Heuristic, 1).try_plan_network_forward(&mut net).unwrap();
         let conv2 = net.layers_mut()[2].as_conv_mut().expect("layer 2 is a conv");
         conv2.set_forward_executor(Arc::new(UnfoldGemmExecutor::default()));
         spg_telemetry::reset();

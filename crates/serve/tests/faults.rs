@@ -41,7 +41,7 @@ fn sample_input(len: usize, salt: usize) -> Vec<f32> {
 fn four_worker_pool_survives_injected_panic() {
     let mut net = build_network(42);
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
+    let plans = framework.try_plan_network_forward(&mut net).unwrap();
     let net = Arc::new(net);
 
     let mut ws = Workspace::for_network(&net);

@@ -42,7 +42,7 @@ fn batched_serving_is_bit_identical_to_unbatched_forward() {
     // Plan forward executors exactly as the serving CLI does: cores = 1,
     // the single-threaded-kernel-per-worker schedule.
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut planned);
+    let plans = framework.try_plan_network_forward(&mut planned).unwrap();
     // The unplanned net runs the executors it was built with.
     let cases = [(Arc::new(planned), plans), (Arc::new(build_network(42)), Vec::new())];
     for (net, plans) in &cases {
@@ -212,7 +212,7 @@ fn starved_pool_clamps_workers_to_queue_capacity() {
     let before = spg_telemetry::snapshot().counter("serve.starved_workers");
     let mut net = build_network(9);
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
+    let plans = framework.try_plan_network_forward(&mut net).unwrap();
     let net = Arc::new(net);
     let config = ServeConfig {
         workers: 8,
@@ -296,7 +296,7 @@ fn serve_errors_convert_to_unified_error() {
 fn zero_max_delay_serves_every_request() {
     let mut net = build_network(9);
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
-    let plans = framework.plan_network_forward(&mut net);
+    let plans = framework.try_plan_network_forward(&mut net).unwrap();
     let net = Arc::new(net);
     let mut ws = Workspace::for_network(&net);
     let inputs: Vec<Vec<f32>> = (0..8).map(|s| sample_input(net.input_len(), s)).collect();

@@ -58,66 +58,6 @@ impl Machine {
         }
     }
 
-    /// A larger contemporary part for sensitivity studies: more cores,
-    /// wider vectors (higher per-core peak), and a proportionally higher
-    /// roofline ridge — the paper's qualitative conclusions (partitioned
-    /// AIT decay, GiP flatness, sparse crossover) are ridge-relative and
-    /// survive the change; the model exposes how the crossover points
-    /// move.
-    pub fn xeon_8180() -> Self {
-        Machine {
-            cores: 28,
-            peak_gflops_per_core: 147.2, // 2.3 GHz x 2 AVX-512 FMA x 32
-            ait_ridge: 480.0,
-            contention_per_core: 0.012,
-            stream_bw_gbs: 4.0,
-            sparse_efficiency: 0.25,
-            stencil_efficiency: 0.68,
-        }
-    }
-
-    /// Widens the machine's vector units to AVX-512: per-core peak doubles
-    /// (16-lane FMA vs 8-lane) and the roofline ridge doubles with it,
-    /// because memory bandwidth is unchanged — a kernel needs twice the
-    /// arithmetic intensity to keep the wider units fed. This is why the
-    /// specialized AVX-512 registry instances pay off on the Table 2 hot
-    /// layers (high AIT) but not on bandwidth-bound small layers.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// let base = spg_simcpu::Machine::xeon_e5_2650();
-    /// let wide = base.clone().with_avx512();
-    /// // Twice the peak, but a low-AIT kernel sustains the same GFlops.
-    /// assert_eq!(wide.peak_gflops_per_core, 2.0 * base.peak_gflops_per_core);
-    /// let ait = 50.0;
-    /// let sustained =
-    ///     |m: &spg_simcpu::Machine| m.peak_gflops_per_core * m.saturation(ait);
-    /// assert!((sustained(&wide) - sustained(&base)).abs() < 1e-9);
-    /// ```
-    pub fn with_avx512(mut self) -> Self {
-        self.peak_gflops_per_core *= 2.0;
-        self.ait_ridge *= 2.0;
-        self
-    }
-
-    /// Models the specialized-kernel registry (`spg-codegen`): monomorphized
-    /// const-generic stencils recover register efficiency the generic
-    /// runtime-parameterized loops leave on the table, which the analytical
-    /// model expresses as a lift of `stencil_efficiency`, capped at 1.0.
-    /// `speedup` is the measured specialized-vs-generic ratio (e.g. the
-    /// committed `BENCH_kernels.json` hot-layer median).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speedup < 1.0` — the dispatcher falls back to the generic
-    /// kernel rather than deploy a slowdown.
-    pub fn with_specialized_stencils(mut self, speedup: f64) -> Self {
-        assert!(speedup >= 1.0, "specialized kernels never deploy a slowdown");
-        self.stencil_efficiency = (self.stencil_efficiency * speedup).min(1.0);
-        self
-    }
-
     /// Roofline: the fraction of peak a kernel with the given per-core
     /// arithmetic intensity sustains, `min(1, ait / ait_ridge)`.
     ///
@@ -189,50 +129,5 @@ mod tests {
     #[should_panic(expected = "active core count")]
     fn zero_active_cores_panics() {
         Machine::default().contention(0);
-    }
-
-    /// AVX-512 widening doubles peak and ridge together: compute-bound
-    /// kernels (AIT above the new ridge) gain the full 2x, while
-    /// bandwidth-bound kernels gain nothing — matching why the specialized
-    /// registry targets the hot Table 2 layers.
-    #[test]
-    fn avx512_widening_pays_off_only_above_the_ridge() {
-        let base = Machine::xeon_e5_2650();
-        let wide = base.clone().with_avx512();
-        let sustained = |m: &Machine, ait: f64| m.peak_gflops_per_core * m.saturation(ait);
-        let low_ait = base.ait_ridge / 4.0;
-        assert!((sustained(&wide, low_ait) - sustained(&base, low_ait)).abs() < 1e-9);
-        let high_ait = wide.ait_ridge * 2.0;
-        assert!((sustained(&wide, high_ait) - 2.0 * sustained(&base, high_ait)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn specialized_stencil_lift_is_capped_at_peak() {
-        let m = Machine::xeon_e5_2650().with_specialized_stencils(1.3);
-        assert!((m.stencil_efficiency - 0.68 * 1.3).abs() < 1e-12);
-        let capped = Machine::xeon_e5_2650().with_specialized_stencils(10.0);
-        assert_eq!(capped.stencil_efficiency, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "never deploy a slowdown")]
-    fn specialized_stencil_lift_rejects_slowdowns() {
-        let _ = Machine::xeon_e5_2650().with_specialized_stencils(0.9);
-    }
-
-    /// The paper's qualitative conclusions survive a machine change: on a
-    /// wider, higher-ridge part, Parallel-GEMM still decays and GiP still
-    /// holds (the decay is even steeper because the ridge is higher
-    /// relative to the same convolutions' AIT).
-    #[test]
-    fn conclusions_hold_on_modern_preset() {
-        use crate::{gemm_in_parallel_gflops_per_core, parallel_gemm_gflops_per_core};
-        let m = Machine::xeon_8180();
-        let spec = spg_convnet::ConvSpec::square(256, 256, 128, 3, 1); // Table 1 ID 2
-        let pg1 = parallel_gemm_gflops_per_core(&m, &spec, 1);
-        let pg28 = parallel_gemm_gflops_per_core(&m, &spec, 28);
-        assert!(pg28 < pg1 * 0.5, "Parallel-GEMM must still decay: {pg1} -> {pg28}");
-        let gip28 = gemm_in_parallel_gflops_per_core(&m, &spec, 28);
-        assert!(gip28 > pg28 * 2.0, "GiP must still win at scale");
     }
 }

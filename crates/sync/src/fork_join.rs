@@ -19,6 +19,7 @@ static SPAWNED: AtomicU64 = AtomicU64::new(0);
 /// runs alone reads it before and after to assert that a walk which owns
 /// no spare cores forked nothing, and a profile divides its delta by a
 /// call count to get forks per call.
+// lint: allow(test-only) tests assert that a walk at budget one forks nothing
 pub fn fork_join_spawns() -> u64 {
     SPAWNED.load(Ordering::Relaxed)
 }

@@ -200,17 +200,20 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan that panics on worker `worker`'s `batch`-th work unit.
+    // lint: allow(test-only) fault drills plant a panic on one worker
     pub fn panic_on(worker: usize, batch: u64) -> Self {
         FaultPlan { worker, batch, seed: 0 }
     }
 
     /// A plan that panics on the `batch`-th work unit of whichever worker
     /// reaches it first.
+    // lint: allow(test-only) fault drills plant a panic on whichever worker comes first
     pub fn any_worker(batch: u64) -> Self {
         FaultPlan { worker: ANY_WORKER, batch, seed: 0 }
     }
 
     /// Replaces the seed, keeping worker/batch.
+    // lint: allow(test-only) fault drills tie a failure back to the plan that caused it
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -21,20 +21,8 @@ pub enum TensorError {
         /// Number of elements actually provided.
         actual: usize,
     },
-    /// A dimension was zero where a positive extent is required.
-    ZeroDimension {
-        /// Name of the offending dimension.
-        dim: &'static str,
-    },
     /// A tile width of zero was requested for a tiled sparse format.
     ZeroTileWidth,
-    /// An index was outside the bounds of the matrix or tensor.
-    IndexOutOfBounds {
-        /// The offending flat or row index.
-        index: usize,
-        /// The exclusive bound it violated.
-        bound: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -43,13 +31,7 @@ impl fmt::Display for TensorError {
             TensorError::LengthMismatch { expected, actual } => {
                 write!(f, "buffer length {actual} does not match shape requiring {expected}")
             }
-            TensorError::ZeroDimension { dim } => {
-                write!(f, "dimension `{dim}` must be positive")
-            }
             TensorError::ZeroTileWidth => write!(f, "tile width must be positive"),
-            TensorError::IndexOutOfBounds { index, bound } => {
-                write!(f, "index {index} out of bounds for extent {bound}")
-            }
         }
     }
 }

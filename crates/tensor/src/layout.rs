@@ -11,36 +11,11 @@
 //! All transforms here are total bijections on the element set; property
 //! tests assert the round trips.
 
-use crate::{Shape3, Shape4, Tensor, TensorError};
+use crate::{Shape3, Shape4};
 
-/// Converts a CHW activation tensor to HWC order (channel fastest-varying).
-///
-/// Element `(c, y, x)` moves from offset `(c*h + y)*w + x` to offset
-/// `(y*w + x)*c_count + c`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if `src.len() != shape.len()`.
-///
-/// # Example
-///
-/// ```
-/// use spg_tensor::{layout, Shape3, Tensor};
-///
-/// let shape = Shape3::new(2, 1, 2); // 2 channels, 1x2 spatial
-/// let chw = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0]);
-/// let hwc = layout::chw_to_hwc(&chw, shape)?;
-/// assert_eq!(hwc.as_slice(), &[1.0, 3.0, 2.0, 4.0]);
-/// # Ok::<(), spg_tensor::TensorError>(())
-/// ```
-pub fn chw_to_hwc(src: &Tensor, shape: Shape3) -> Result<Tensor, TensorError> {
-    check_len(src.len(), shape.len())?;
-    let mut out = vec![0.0f32; src.len()];
-    chw_to_hwc_into(src.as_slice(), shape, &mut out);
-    Ok(Tensor::from_vec(out))
-}
-
-/// Slice-based [`chw_to_hwc`] writing into caller-owned storage.
+/// Converts a CHW activation `src` to HWC order (channel fastest-varying)
+/// in caller-owned `out`: element `(c, y, x)` moves from offset
+/// `(c*h + y)*w + x` to offset `(y*w + x)*c_count + c`.
 ///
 /// Allocation-free; the workspace-threaded sparse kernels stage activations
 /// through preallocated buffers with this.
@@ -48,6 +23,17 @@ pub fn chw_to_hwc(src: &Tensor, shape: Shape3) -> Result<Tensor, TensorError> {
 /// # Panics
 ///
 /// Panics if `src.len()` or `out.len()` differs from `shape.len()`.
+///
+/// # Example
+///
+/// ```
+/// use spg_tensor::{layout, Shape3};
+///
+/// let shape = Shape3::new(2, 1, 2); // 2 channels, 1x2 spatial
+/// let mut hwc = [0.0; 4];
+/// layout::chw_to_hwc_into(&[1.0, 2.0, 3.0, 4.0], shape, &mut hwc);
+/// assert_eq!(hwc, [1.0, 3.0, 2.0, 4.0]);
+/// ```
 pub fn chw_to_hwc_into(src: &[f32], shape: Shape3, out: &mut [f32]) {
     assert_eq!(src.len(), shape.len(), "chw_to_hwc_into: src length mismatch");
     assert_eq!(out.len(), shape.len(), "chw_to_hwc_into: out length mismatch");
@@ -62,21 +48,8 @@ pub fn chw_to_hwc_into(src: &[f32], shape: Shape3, out: &mut [f32]) {
     }
 }
 
-/// Converts an HWC activation tensor back to CHW order.
-///
-/// Inverse of [`chw_to_hwc`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if `src.len() != shape.len()`.
-pub fn hwc_to_chw(src: &Tensor, shape: Shape3) -> Result<Tensor, TensorError> {
-    check_len(src.len(), shape.len())?;
-    let mut out = vec![0.0f32; src.len()];
-    hwc_to_chw_into(src.as_slice(), shape, &mut out);
-    Ok(Tensor::from_vec(out))
-}
-
-/// Slice-based [`hwc_to_chw`] writing into caller-owned storage.
+/// Converts an HWC activation `src` back to CHW order in caller-owned
+/// `out`: the inverse of [`chw_to_hwc_into`].
 ///
 /// # Panics
 ///
@@ -95,24 +68,12 @@ pub fn hwc_to_chw_into(src: &[f32], shape: Shape3, out: &mut [f32]) {
     }
 }
 
-/// Permutes a weight tensor from `[f, c, ky, kx]` to `[ky, kx, f, c]` order
-/// (channel fastest-varying).
+/// Permutes weights `src` from `[f, c, ky, kx]` to `[ky, kx, f, c]` order
+/// (channel fastest-varying) in caller-owned `out`.
 ///
 /// This is the weight layout the sparse backward kernel multiplies against:
 /// for a fixed kernel coordinate `(ky, kx)` and gradient feature `f`, the
 /// per-channel weights `W'[ky, kx, f, *]` are contiguous.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if `src.len() != shape.len()`.
-pub fn fckk_to_kkfc(src: &Tensor, shape: Shape4) -> Result<Tensor, TensorError> {
-    check_len(src.len(), shape.len())?;
-    let mut out = vec![0.0f32; src.len()];
-    fckk_to_kkfc_into(src.as_slice(), shape, &mut out);
-    Ok(Tensor::from_vec(out))
-}
-
-/// Slice-based [`fckk_to_kkfc`] writing into caller-owned storage.
 ///
 /// # Panics
 ///
@@ -153,17 +114,6 @@ fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
 pub struct Kkfc(Vec<f32>);
 
 impl Kkfc {
-    /// The `kkfc` copy of `fckk` weights of `shape`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fckk.len() != shape.len()`.
-    pub fn from_fckk(fckk: &[f32], shape: Shape4) -> Self {
-        let mut copy = Kkfc::default();
-        copy.refresh(fckk, shape);
-        copy
-    }
-
     /// Refills this copy from `fckk` weights of `shape`, reusing its storage.
     ///
     /// # Panics
@@ -242,28 +192,27 @@ impl Ckkf {
     }
 }
 
-fn check_len(actual: usize, expected: usize) -> Result<(), TensorError> {
-    if actual != expected {
-        Err(TensorError::LengthMismatch { expected, actual })
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn iota(n: usize) -> Tensor {
+    fn iota(n: usize) -> Vec<f32> {
         (0..n).map(|i| i as f32).collect()
+    }
+
+    fn kkfc(src: &[f32], shape: Shape4) -> Vec<f32> {
+        let mut out = vec![0.0; shape.len()];
+        fckk_to_kkfc_into(src, shape, &mut out);
+        out
     }
 
     #[test]
     fn chw_hwc_round_trip() {
         let shape = Shape3::new(3, 4, 5);
         let t = iota(shape.len());
-        let hwc = chw_to_hwc(&t, shape).unwrap();
-        let back = hwc_to_chw(&hwc, shape).unwrap();
+        let (mut hwc, mut back) = (vec![0.0; shape.len()], vec![0.0; shape.len()]);
+        chw_to_hwc_into(&t, shape, &mut hwc);
+        hwc_to_chw_into(&hwc, shape, &mut back);
         assert_eq!(back, t);
     }
 
@@ -272,18 +221,19 @@ mod tests {
         let shape = Shape3::new(2, 2, 2);
         // CHW: c0 = [0,1,2,3], c1 = [4,5,6,7]
         let t = iota(8);
-        let hwc = chw_to_hwc(&t, shape).unwrap();
+        let mut hwc = vec![0.0; 8];
+        chw_to_hwc_into(&t, shape, &mut hwc);
         // (y=0,x=0) -> [c0, c1] = [0, 4]
-        assert_eq!(&hwc.as_slice()[..2], &[0.0, 4.0]);
+        assert_eq!(&hwc[..2], &[0.0, 4.0]);
         // (y=1,x=1) -> [3, 7]
-        assert_eq!(&hwc.as_slice()[6..], &[3.0, 7.0]);
+        assert_eq!(&hwc[6..], &[3.0, 7.0]);
     }
 
     #[test]
     fn weight_permutation_moves_each_weight_to_its_kkfc_index() {
         let shape = Shape4::new(3, 2, 2, 2);
         let t = iota(shape.len());
-        let kkfc = fckk_to_kkfc(&t, shape).unwrap();
+        let kkfc = kkfc(&t, shape);
         let Shape4 { f: f_n, c: c_n, ky: ky_n, kx: kx_n } = shape;
         for (f, c, ky, kx) in (0..f_n).flat_map(|f| {
             (0..c_n).flat_map(move |c| {
@@ -291,7 +241,7 @@ mod tests {
             })
         }) {
             let at = ((ky * kx_n + kx) * f_n + f) * c_n + c;
-            assert_eq!(kkfc.as_slice()[at], t.as_slice()[shape.index(f, c, ky, kx)]);
+            assert_eq!(kkfc[at], t[shape.index(f, c, ky, kx)]);
         }
     }
 
@@ -300,9 +250,8 @@ mod tests {
         let shape = Shape4::new(2, 3, 1, 1);
         // src[f=0] = [0,1,2], src[f=1] = [3,4,5] (over channels)
         let t = iota(shape.len());
-        let kkfc = fckk_to_kkfc(&t, shape).unwrap();
         // With ky=kx=0, layout is [f=0 channels..., f=1 channels...]
-        assert_eq!(kkfc.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(kkfc(&t, shape), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
@@ -311,43 +260,13 @@ mod tests {
         let shape = Shape4::new(3, 2, 1, 2);
         let t = iota(shape.len());
         let mut ckkf = Ckkf::default();
-        ckkf.refresh(t.as_slice(), shape, 2);
+        ckkf.refresh(&t, shape, 2);
         assert_eq!(ckkf.padded_features(), 4);
         // Tap (c=0, kx=0): src[f, 0, 0, 0] = f*4; tap (c=1, kx=1): f*4 + 3.
         assert_eq!(&ckkf.as_slice()[..4], &[0.0, 4.0, 8.0, 0.0]);
         assert_eq!(&ckkf.as_slice()[12..], &[3.0, 7.0, 11.0, 0.0]);
-        assert_eq!(Kkfc::from_fckk(t.as_slice(), shape).as_slice(), {
-            let mut kkfc = vec![0.0; shape.len()];
-            fckk_to_kkfc_into(t.as_slice(), shape, &mut kkfc);
-            kkfc
-        });
-    }
-
-    #[test]
-    fn into_variants_match_allocating_transforms() {
-        let shape = Shape3::new(3, 2, 4);
-        let t = iota(shape.len());
-        let mut buf = vec![0.0f32; shape.len()];
-        chw_to_hwc_into(t.as_slice(), shape, &mut buf);
-        assert_eq!(buf, chw_to_hwc(&t, shape).unwrap().into_vec());
-        let mut back = vec![0.0f32; shape.len()];
-        hwc_to_chw_into(&buf, shape, &mut back);
-        assert_eq!(back, t.into_vec());
-
-        let wshape = Shape4::new(2, 3, 2, 2);
-        let w = iota(wshape.len());
-        let mut kkfc = vec![0.0f32; wshape.len()];
-        fckk_to_kkfc_into(w.as_slice(), wshape, &mut kkfc);
-        assert_eq!(kkfc, fckk_to_kkfc(&w, wshape).unwrap().into_vec());
-    }
-
-    #[test]
-    fn length_mismatch_rejected() {
-        let shape = Shape3::new(2, 2, 2);
-        let t = iota(7);
-        assert!(chw_to_hwc(&t, shape).is_err());
-        assert!(hwc_to_chw(&t, shape).is_err());
-        let w = Shape4::new(2, 2, 2, 2);
-        assert!(fckk_to_kkfc(&t, w).is_err());
+        let mut copy = Kkfc::default();
+        copy.refresh(&t, shape);
+        assert_eq!(copy.as_slice(), kkfc(&t, shape));
     }
 }

@@ -63,6 +63,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if `data.len() != rows * cols`.
+    // lint: allow(test-only) tests and doc examples build operands from literals
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, TensorError> {
         if data.len() != rows * cols {
             return Err(TensorError::LengthMismatch { expected: rows * cols, actual: data.len() });
@@ -163,6 +164,7 @@ impl Matrix {
     }
 
     /// Returns the transpose as a new matrix.
+    // lint: allow(test-only) the oracle the transposed-operand GEMM tests compare against
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -187,6 +189,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if dimensions differ.
+    // lint: allow(test-only) the tolerance check of the kernels' oracle tests
     pub fn max_abs_diff(&self, other: &Matrix) -> Result<f32, TensorError> {
         if self.rows != other.rows || self.cols != other.cols {
             return Err(TensorError::LengthMismatch { expected: self.len(), actual: other.len() });

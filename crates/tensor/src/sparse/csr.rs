@@ -37,6 +37,7 @@ fn idx32(i: usize) -> u32 {
 
 impl Csr {
     /// Builds a CSR matrix from a dense row-major matrix, dropping zeros.
+    // lint: allow(test-only) the dense round trip the sparse formats' tests check
     pub fn from_dense(dense: &Matrix) -> Self {
         let (rows, cols) = (dense.rows(), dense.cols());
         let mut values = Vec::new();
@@ -53,18 +54,6 @@ impl Csr {
             row_ptr.push(idx32(values.len()));
         }
         Csr { rows, cols, values, col_indices, row_ptr }
-    }
-
-    /// Builds a CSR matrix directly from a dense buffer slice of the given
-    /// geometry (row-major), dropping zeros. Avoids constructing a `Matrix`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_slice(rows: usize, cols: usize, data: &[f32]) -> Self {
-        let mut csr = Csr::default();
-        csr.assign_from_columns(rows, cols, 0, cols, data);
-        csr
     }
 
     /// Rebuilds this matrix in place from the column window `c0..c1` of a
@@ -159,6 +148,7 @@ impl Csr {
     }
 
     /// Expands back to a dense matrix.
+    // lint: allow(test-only) the dense round trip the sparse formats' tests check
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
@@ -206,11 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn from_slice_matches_from_dense() {
+    fn whole_width_assign_matches_from_dense() {
         let dense = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]).unwrap();
-        let a = Csr::from_dense(&dense);
-        let b = Csr::from_slice(2, 2, dense.as_slice());
-        assert_eq!(a, b);
+        let mut b = Csr::default();
+        b.assign_from_columns(2, 2, 0, 2, dense.as_slice());
+        assert_eq!(Csr::from_dense(&dense), b);
     }
 
     #[test]
@@ -256,7 +246,7 @@ mod tests {
         for r in 0..6 {
             window.extend_from_slice(&dense.row(r)[2..5]);
         }
-        assert_eq!(csr, Csr::from_slice(6, 3, &window));
+        assert_eq!(csr, Csr::from_dense(&Matrix::from_vec(6, 3, window).unwrap()));
     }
 
     #[test]

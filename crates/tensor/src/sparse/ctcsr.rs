@@ -21,7 +21,7 @@ use crate::{Matrix, TensorError};
 /// let dense = Matrix::from_vec(2, 4, vec![1.0, 0.0, 0.0, 2.0,
 ///                                          0.0, 3.0, 4.0, 0.0])?;
 /// let tiled = CtCsr::from_dense(&dense, 2)?;
-/// assert_eq!(tiled.num_tiles(), 2);
+/// assert_eq!(tiled.iter().count(), 2);
 /// assert_eq!(tiled.to_dense(), dense);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -42,24 +42,10 @@ impl CtCsr {
     /// # Errors
     ///
     /// Returns [`TensorError::ZeroTileWidth`] if `tile_width == 0`.
+    // lint: allow(test-only) the dense round trip the sparse formats' tests check
     pub fn from_dense(dense: &Matrix, tile_width: usize) -> Result<Self, TensorError> {
-        Self::from_slice(dense.rows(), dense.cols(), dense.as_slice(), tile_width)
-    }
-
-    /// Builds a CT-CSR matrix from a dense row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ZeroTileWidth`] if `tile_width == 0`, or
-    /// [`TensorError::LengthMismatch`] if `data.len() != rows * cols`.
-    pub fn from_slice(
-        rows: usize,
-        cols: usize,
-        data: &[f32],
-        tile_width: usize,
-    ) -> Result<Self, TensorError> {
         let mut out = CtCsr::default();
-        out.assign_from_slice(rows, cols, data, tile_width)?;
+        out.assign_from_slice(dense.rows(), dense.cols(), dense.as_slice(), tile_width)?;
         Ok(out)
     }
 
@@ -119,28 +105,13 @@ impl CtCsr {
         self.tile_width
     }
 
-    /// Number of column tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
     /// Borrows tile `t` (column indices local to the tile).
     ///
     /// # Panics
     ///
-    /// Panics if `t >= num_tiles()`.
+    /// Panics if `t` is not below the tile count.
     pub fn tile(&self, t: usize) -> &Csr {
         &self.tiles[t]
-    }
-
-    /// First global column covered by tile `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= num_tiles()`.
-    pub fn tile_col_offset(&self, t: usize) -> usize {
-        assert!(t < self.tiles.len(), "tile index out of bounds");
-        t * self.tile_width
     }
 
     /// Iterates over tiles together with their global column offsets.
@@ -164,6 +135,7 @@ impl CtCsr {
     }
 
     /// Expands back to a dense matrix.
+    // lint: allow(test-only) the dense round trip the sparse formats' tests check
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for (col0, tile) in self.iter() {
@@ -223,10 +195,10 @@ mod tests {
     fn tile_geometry() {
         let dense = Matrix::zeros(4, 10);
         let tiled = CtCsr::from_dense(&dense, 4).unwrap();
-        assert_eq!(tiled.num_tiles(), 3);
+        let offsets: Vec<usize> = tiled.iter().map(|(col0, _)| col0).collect();
+        assert_eq!(offsets, [0, 4, 8]);
         assert_eq!(tiled.tile(0).cols(), 4);
         assert_eq!(tiled.tile(2).cols(), 2); // ragged final tile
-        assert_eq!(tiled.tile_col_offset(2), 8);
     }
 
     #[test]
@@ -241,7 +213,8 @@ mod tests {
 
     #[test]
     fn zero_tile_width_rejected() {
-        assert!(CtCsr::from_dense(&Matrix::zeros(2, 2), 0).is_err());
+        let built = CtCsr::from_dense(&Matrix::zeros(2, 2), 0);
+        assert!(matches!(built, Err(TensorError::ZeroTileWidth)), "{built:?}");
     }
 
     #[test]
@@ -253,8 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn from_slice_validates_length() {
-        assert!(CtCsr::from_slice(2, 2, &[0.0; 3], 2).is_err());
+    fn assign_validates_length() {
+        let assigned = CtCsr::default().assign_from_slice(2, 2, &[0.0; 3], 2);
+        let want = TensorError::LengthMismatch { expected: 4, actual: 3 };
+        assert_eq!(assigned, Err(want));
     }
 
     #[test]
@@ -267,7 +242,7 @@ mod tests {
         assert_eq!(tiled, CtCsr::from_dense(&b, 4).unwrap());
         // Geometry changes are handled too (tile count shrinks and grows).
         tiled.assign_from_slice(7, 10, b.as_slice(), 10).unwrap();
-        assert_eq!(tiled.num_tiles(), 1);
+        assert_eq!(tiled.iter().count(), 1);
         tiled.assign_from_slice(7, 10, b.as_slice(), 3).unwrap();
         assert_eq!(tiled, CtCsr::from_dense(&b, 3).unwrap());
     }

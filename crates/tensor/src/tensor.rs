@@ -43,6 +43,7 @@ impl Tensor {
     /// let t = Tensor::filled(4, 1.5);
     /// assert_eq!(t.as_slice(), &[1.5; 4]);
     /// ```
+    // lint: allow(test-only) tests and doc examples build constant inputs
     pub fn filled(len: usize, value: f32) -> Self {
         Tensor { data: vec![value; len] }
     }
@@ -137,6 +138,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if lengths differ.
+    // lint: allow(test-only) the tolerance check of the layers' oracle tests
     pub fn max_abs_diff(&self, other: &Tensor) -> Result<f32, TensorError> {
         if self.len() != other.len() {
             return Err(TensorError::LengthMismatch { expected: self.len(), actual: other.len() });

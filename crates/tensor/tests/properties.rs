@@ -60,19 +60,21 @@ proptest! {
     #[test]
     fn chw_hwc_is_bijective(c in 1usize..6, h in 1usize..8, w in 1usize..8) {
         let shape = Shape3::new(c, h, w);
-        let t: Tensor = (0..shape.len()).map(|i| i as f32).collect();
-        let there = layout::chw_to_hwc(&t, shape).expect("matching length");
-        let back = layout::hwc_to_chw(&there, shape).expect("matching length");
+        let t: Vec<f32> = (0..shape.len()).map(|i| i as f32).collect();
+        let (mut there, mut back) = (vec![0.0; t.len()], vec![0.0; t.len()]);
+        layout::chw_to_hwc_into(&t, shape, &mut there);
+        layout::hwc_to_chw_into(&there, shape, &mut back);
         prop_assert_eq!(back, t);
     }
 
     #[test]
     fn weight_layout_is_bijective(f in 1usize..5, c in 1usize..5, ky in 1usize..4, kx in 1usize..4) {
         let shape = Shape4::new(f, c, ky, kx);
-        let t: Tensor = (0..shape.len()).map(|i| i as f32).collect();
-        let mut there = layout::fckk_to_kkfc(&t, shape).expect("matching length").into_vec();
+        let t: Vec<f32> = (0..shape.len()).map(|i| i as f32).collect();
+        let mut there = vec![0.0; t.len()];
+        layout::fckk_to_kkfc_into(&t, shape, &mut there);
         there.sort_by(f32::total_cmp);
-        prop_assert_eq!(Tensor::from_vec(there), t);
+        prop_assert_eq!(there, t);
     }
 
     #[test]

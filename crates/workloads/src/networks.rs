@@ -148,6 +148,7 @@ pub fn scaled_description(benchmark: Benchmark) -> String {
 ///
 /// Returns [`spg_core::SpgError`] if the built-in description fails to
 /// build (would indicate a bug in this module; covered by tests).
+// lint: allow(test-only) tests train the scaled Table 2 networks by benchmark name
 pub fn build_scaled(benchmark: Benchmark, seed: u64) -> Result<Network, spg_core::SpgError> {
     NetworkDescription::parse(&scaled_description(benchmark))?.build(seed)
 }

@@ -66,15 +66,6 @@ pub fn rows() -> Vec<Table1Row> {
     ]
 }
 
-/// The benchmark convolution with the given Table 1 ID.
-///
-/// # Panics
-///
-/// Panics if `id > 5`.
-pub fn by_id(id: usize) -> Table1Row {
-    rows().into_iter().find(|r| r.id == id).expect("table 1 has IDs 0-5")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +101,5 @@ mod tests {
     fn ids_are_unique_and_ordered() {
         let ids: Vec<usize> = rows().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn by_id_round_trips() {
-        assert_eq!(by_id(3).spec.kx(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "IDs 0-5")]
-    fn by_id_rejects_out_of_range() {
-        by_id(6);
     }
 }

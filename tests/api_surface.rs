@@ -7,75 +7,18 @@
 //! `tools/api_surface.sh` (or `BLESS=1 cargo test --test api_surface`).
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Recursively collects `.rs` files under `dir`, sorted for stability.
-fn collect(dir: &Path, files: &mut Vec<PathBuf>) {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            collect(&path, files);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            files.push(path);
-        }
-    }
-}
-
-/// Declaration prefixes that constitute the public surface. `pub(` scoped
-/// visibility is deliberately excluded — it is not part of the public API.
-const PUB_PREFIXES: &[&str] = &[
-    "pub fn ",
-    "pub unsafe fn ",
-    "pub const fn ",
-    "pub struct ",
-    "pub enum ",
-    "pub trait ",
-    "pub type ",
-    "pub const ",
-    "pub static ",
-    "pub mod ",
-    "pub use ",
-];
-
-/// Extracts the snapshot of one source file: every public declaration
-/// line, indented to preserve nesting context. Scanning stops at the
-/// first `#[cfg(test)]` attribute — by repo convention the test module is
-/// the tail of the file, and test-only items are not API.
-fn surface_of(text: &str) -> Vec<String> {
-    let mut lines = Vec::new();
-    for line in text.lines() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
-            break;
-        }
-        let trimmed = line.trim_start();
-        if PUB_PREFIXES.iter().any(|p| trimmed.starts_with(p)) {
-            let sig = trimmed.trim_end().trim_end_matches('{').trim_end();
-            let depth = (line.len() - trimmed.len()) / 4;
-            lines.push(format!("{}{sig}", "  ".repeat(depth)));
-        }
-    }
-    lines
-}
+/// The linter's reading of a source file: what is code, what is test code
+/// and what is public. Shared so that `spg-lint`'s test-only pass judges
+/// exactly the items this snapshot lists.
+#[path = "../tools/lint/src/source.rs"]
+mod source;
 
 #[test]
 fn public_api_surface_matches_snapshot() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = vec![root.join("src/lib.rs"), root.join("src/bin/spgcnn.rs")];
-    let mut crate_dirs: Vec<_> = std::fs::read_dir(root.join("crates"))
-        .expect("crates/ directory")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let src = dir.join("src");
-        if src.is_dir() {
-            collect(&src, &mut files);
-        }
-    }
+    let files = source::surface_files(root);
 
     let mut out = String::new();
     writeln!(out, "# Public API surface of the spg-cnn workspace.").unwrap();
@@ -91,12 +34,12 @@ fn public_api_surface_matches_snapshot() {
             .replace('\\', "/");
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
-        let surface = surface_of(&text);
+        let surface = source::surface(&text);
         if surface.is_empty() {
             continue;
         }
         writeln!(out, "\n[{rel}]").unwrap();
-        for line in surface {
+        for (_, line) in surface {
             writeln!(out, "{line}").unwrap();
         }
     }

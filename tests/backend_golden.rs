@@ -11,6 +11,8 @@
 //! counts (kernel and stride preserved) so the same 12 layer shapes stay
 //! covered without the unoptimized kernels taking minutes per forward.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use spg_cnn::check::{verify_conv_plan, ScratchCapacity};
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::layer::{ConvLayer, Layer};
@@ -156,7 +158,8 @@ fn installed_executor_and_compiled_conv_are_one_program() {
             let desc = ConvDescriptor::new(spec, cores);
             for algo in candidates(&spec, cores) {
                 let at = format!("{label} x{cores} {algo}");
-                let mut conv = ConvLayer::with_weights(spec, ops.weights.clone()).expect("weights");
+                let mut conv = ConvLayer::new(spec, &mut SmallRng::seed_from_u64(0));
+                conv.set_params(ops.weights.as_slice());
                 algo.install(&mut conv, cores).expect("candidates install");
                 let compiled = backend
                     .compile(&desc, algo, ops.weights.as_slice())

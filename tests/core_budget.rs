@@ -26,7 +26,9 @@ const BENCHMARKS: [Benchmark; 3] =
 /// engine of as many workers; plus the plans installed.
 fn engine(bench: Benchmark, workers: usize) -> (Engine, Vec<(usize, LayerPlan)>) {
     let mut net = build_scaled(bench, 19).expect("built-in description builds");
-    let plans = Framework::new(workers, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+    let plans = Framework::new(workers, TuningMode::Heuristic, 1)
+        .try_plan_network_forward(&mut net)
+        .unwrap();
     let engine = Engine::builder().network(net).workers(workers).build().expect("engine builds");
     (engine, plans)
 }
@@ -126,7 +128,9 @@ fn forward_logits_match_the_recorded_words() {
         let image = Dataset::synthetic(shape, 8, 4, 0.15, 42).image(0).as_slice().to_vec();
         for workers in [1, 2] {
             let mut net = build_scaled(bench, 42).expect("built-in description builds");
-            Framework::new(workers, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+            Framework::new(workers, TuningMode::Heuristic, 1)
+                .try_plan_network_forward(&mut net)
+                .unwrap();
             let engine =
                 Engine::builder().network(net).workers(workers).build().expect("engine builds");
             let logits = engine.forward(&image).expect("input fits");

@@ -63,7 +63,8 @@ static ALLOCATOR: Counting = Counting;
 fn warm_forward_requests(desc: &str, forward: Technique) -> usize {
     let desc = NetworkDescription::parse(desc).expect("built-in description parses");
     let mut net = desc.build(5).expect("built-in description builds");
-    let plans = Framework::new(2, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+    let plans =
+        Framework::new(2, TuningMode::Heuristic, 1).try_plan_network_forward(&mut net).unwrap();
     assert!(plans.iter().any(|(_, p)| p.forward == forward), "{plans:?}");
     let input: Vec<f32> =
         (0..net.input_len()).map(|i| (((i * 31) % 23) as f32 - 11.0) / 7.0).collect();

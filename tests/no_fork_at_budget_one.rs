@@ -221,7 +221,9 @@ fn a_serving_worker_forks_nothing() {
     let mut net = desc.build(23).expect("description builds");
     // Plans lowered for the pool's cores; each worker walks them on the
     // one core it owns.
-    let plans = Framework::new(WORKERS, TuningMode::Heuristic, 1).plan_network_forward(&mut net);
+    let plans = Framework::new(WORKERS, TuningMode::Heuristic, 1)
+        .try_plan_network_forward(&mut net)
+        .unwrap();
     let config = ServeConfig {
         workers: WORKERS,
         max_batch: 2,

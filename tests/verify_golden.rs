@@ -10,7 +10,7 @@ use spg_cnn::check::verify_forward;
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::core::autotune::{Framework, Phase, TuningMode};
 use spg_cnn::core::schedule::{recommended_plan, Technique};
-use spg_cnn::core::verify::{lower_phase, verify_plan, verify_technique};
+use spg_cnn::core::verify::{lower, lower_phase, verify_technique};
 use spg_cnn::workloads::table2::all_layers;
 
 /// Every heuristic-recommended plan for every Table 2 layer, across the
@@ -22,9 +22,10 @@ fn every_recommended_table2_plan_verifies() {
         for sparsity in [0.0, 0.5, 0.95] {
             for cores in [1usize, 2, 8, 16] {
                 let plan = recommended_plan(&spec, sparsity);
-                let report = verify_plan(&spec, plan, cores).unwrap_or_else(|e| {
+                let program = lower(&spec, plan, cores, KernelChoice::Auto).unwrap_or_else(|e| {
                     panic!("{} layer {i} ({spec}) plan {plan} rejected: {e}", bench.label())
                 });
+                let report = program.report();
                 assert!(report.accesses_proved > 0);
                 proved += report.accesses_proved;
             }
@@ -125,5 +126,5 @@ fn measured_autotune_pick_verifies() {
     let (_, _, spec) = all_layers().into_iter().last().unwrap();
     let tuner = Framework::new(2, TuningMode::Measured { reps: 1 }, 1);
     let plan = tuner.plan_layer(&spec, 0.9);
-    verify_plan(&spec, plan, 2).unwrap();
+    lower(&spec, plan, 2, KernelChoice::Auto).unwrap();
 }

@@ -70,11 +70,13 @@ fn scan_file(rel: &str, lines: &[&str]) -> (Vec<Edge>, Vec<String>) {
     let mut findings = Vec::new();
     let mut live: Vec<LiveGuard> = Vec::new();
     let mut depth: i32 = 0;
+    let code_lines = crate::source::code_lines(&lines.join("\n"));
+    let test = crate::source::test_lines(&code_lines);
     for (i, raw) in lines.iter().enumerate() {
-        if super::in_test_region(lines, i) {
-            break;
+        if test[i] {
+            continue;
         }
-        let code = super::code_part(raw);
+        let code = code_lines[i].as_str();
         let allowed = |pass: &str| {
             let marker = format!("lint: allow({pass})");
             raw.contains(&marker) || (i > 0 && lines[i - 1].contains(&marker))
@@ -193,12 +195,12 @@ pub fn scan_thread_spawn(
         let Ok(text) = std::fs::read_to_string(file) else {
             continue;
         };
-        let lines: Vec<&str> = text.lines().collect();
+        let (lines, code, test) = super::lexed(&text);
         for (i, raw) in lines.iter().enumerate() {
-            if super::in_test_region(&lines, i) {
-                break;
+            if test[i] {
+                continue;
             }
-            let code = super::code_part(raw);
+            let code = code[i].as_str();
             let Some(idiom) = THREAD_CREATION.iter().find(|idiom| code.contains(*idiom)) else {
                 continue;
             };
@@ -354,10 +356,8 @@ fn call_arg(code: &str, call: &str) -> Option<String> {
     }
 }
 
-/// Net `{` and `}` counts of a line, ignoring braces inside strings
-/// (approximate: anything after the first `"` is skipped).
+/// Net `{` and `}` counts of a line of code (literals already blanked).
 fn brace_delta(code: &str) -> (i32, i32) {
-    let code = code.split('"').next().unwrap_or(code);
     let opens = i32::try_from(code.matches('{').count()).unwrap_or(0);
     let closes = i32::try_from(code.matches('}').count()).unwrap_or(0);
     (opens, closes)

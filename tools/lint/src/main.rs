@@ -1,8 +1,8 @@
 //! Workspace hygiene lint, run by CI.
 //!
-//! Six passes over the workspace sources (no external parser — the build
+//! Eight passes over the workspace sources (no external parser — the build
 //! environment is offline, so this is a deliberately conservative line
-//! scanner rather than a `syn` AST walk):
+//! scanner over [`source`]'s lexed lines rather than a `syn` AST walk):
 //!
 //! 1. **SAFETY comments** — every `unsafe` block in `crates/*/src` and
 //!    `src/` must be preceded by a `// SAFETY:` comment, and every
@@ -26,31 +26,45 @@
 //!    `_mm512_` intrinsics belong to `spg-gemm`'s `simd` module, the one
 //!    SIMD vocabulary every kernel is written in; a use anywhere else is a
 //!    finding, with no escape marker.
+//! 7. **Test-only public items** (see [`reach`]) — every item on the
+//!    public surface (`api-surface.txt`) needs a caller outside tests, or a
+//!    reasoned `// lint: allow(test-only)` marker naming it a test seam;
+//!    the excused seams are printed.
+//! 8. **Untested error variants** (see [`reach`]) — every variant of every
+//!    `*Error` / `*Fault` enum needs a test that constructs or matches it
+//!    by name.
 //!
-//! Test code is exempt: files under `tests/`, and everything
-//! from a line containing `#[cfg(test)]` to the end of the file (the
-//! workspace convention keeps test modules trailing).
+//! Test code is exempt: files under `tests/`, and every item or statement
+//! a `#[cfg(test)]` attribute gates, from the attribute to the item's end
+//! (see [`source::test_lines`]).
 //!
-//! `spg-lint --self-test` runs the concurrency and intrinsics passes over
-//! the seeded fixtures in `tools/lint/fixtures/` and fails unless each
-//! planted bug is found and the clean fixture stays clean — a liveness check for
-//! the linter itself, run by CI next to the real pass.
+//! `spg-lint --self-test` runs the concurrency, intrinsics and reach
+//! passes over the seeded fixtures in `tools/lint/fixtures/` and fails
+//! unless each planted bug is found and the clean fixture stays clean — a
+//! liveness check for the linter itself, run by CI next to the real pass.
 //!
 //! `spg-lint --loc` prints the non-test source size — per crate and in
 //! total, the non-blank non-comment lines of `crates/*/src` and `src/`
-//! outside the test regions above — so "this PR removed N lines" is one
+//! outside the test items above — so "this PR removed N lines" is one
 //! method, not one per author. It reports; it gates nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod concurrency;
+mod reach;
+mod source;
 
 /// Crates whose non-test code must be free of raw `.unwrap()` / `.expect(`.
 const KERNEL_CRATES: &[&str] = &["crates/codegen/src", "crates/core/src", "crates/gemm/src"];
 
 /// Source roots scanned for undocumented `unsafe`.
 const UNSAFE_ROOTS: &[&str] = &["crates", "src"];
+
+/// Source roots whose non-test code counts as a production caller of the
+/// public surface: the crates, the facade, the examples, and the
+/// benchmark harness, which builds against the crates by path.
+const PRODUCTION_ROOTS: &[&str] = &["crates", "src", "examples", "benchmark/src"];
 
 /// The one file that may name SIMD intrinsics.
 const SIMD_MODULE: &str = "crates/gemm/src/simd.rs";
@@ -88,12 +102,25 @@ fn main() -> ExitCode {
         concurrency::scan(&root, &files, &mut findings);
         spawn_sites.extend(concurrency::scan_thread_spawn(&root, &files, &mut findings));
     }
+    let read = |paths: Vec<PathBuf>| -> Vec<reach::File> {
+        paths.iter().filter_map(|path| reach::File::read(&root, path)).collect()
+    };
+    let surface = read(source::surface_files(&root));
+    let production =
+        read(PRODUCTION_ROOTS.iter().flat_map(|rel| rust_files(&root.join(rel))).collect());
+    let tests = read(test_files(&root));
+    let seams = reach::scan_test_only(&surface, &production, &mut findings);
+    reach::scan_untested_variants(&surface, &tests, &mut findings);
     println!(
         "spg-lint: {} thread-creation site(s) outside spg-sync, each excused:",
         spawn_sites.len()
     );
     for site in &spawn_sites {
         println!("    {site}");
+    }
+    println!("spg-lint: {} public item(s) only tests reach, each a marked seam:", seams.len());
+    for seam in &seams {
+        println!("    {seam}");
     }
     if findings.is_empty() {
         println!("spg-lint: ok");
@@ -106,8 +133,8 @@ fn main() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Prove the concurrency and intrinsics passes still catch their seeded
-/// fixture bugs.
+/// Prove the concurrency, intrinsics and reach passes still catch their
+/// seeded fixture bugs.
 fn self_test(root: &Path) -> ExitCode {
     let fixtures = root.join("tools/lint/fixtures");
     let files = rust_files(&fixtures);
@@ -119,22 +146,39 @@ fn self_test(root: &Path) -> ExitCode {
     scan_intrinsics(root, &files, &mut findings);
     concurrency::scan(root, &files, &mut findings);
     let excused = concurrency::scan_thread_spawn(root, &files, &mut findings);
+    let parsed: Vec<reach::File> =
+        files.iter().filter_map(|path| reach::File::read(root, path)).collect();
+    let surface: Vec<reach::File> = files
+        .iter()
+        .filter(|path| path.ends_with("test_only.rs"))
+        .filter_map(|path| reach::File::read(root, path))
+        .collect();
+    let seams = reach::scan_test_only(&surface, &parsed, &mut findings);
+    reach::scan_untested_variants(&parsed, &[], &mut findings);
     let mut failures = Vec::new();
     if !excused.iter().any(|site| site.contains("thread_spawn.rs")) {
         failures.push("reasoned allow(thread-spawn) marker in thread_spawn.rs not honored".into());
+    }
+    if !seams.iter().any(|seam| seam.contains("test_only.rs") && seam.contains("Counter::count")) {
+        failures.push("reasoned allow(test-only) marker in test_only.rs not honored".into());
     }
     for (fixture, needle) in [
         ("lock_cycle.rs", "lock-order cycle"),
         ("blocking_under_lock.rs", "blocking on another thread"),
         ("thread_spawn.rs", "outside spg-sync"),
         ("intrinsics.rs", "outside spg-gemm's simd module"),
+        ("test_only.rs", "Counter::reset` has no caller outside tests"),
+        ("untested_variant.rs", "`FixtureError::TooLong` is neither constructed"),
     ] {
         if !findings.iter().any(|f| f.contains(fixture) && f.contains(needle)) {
             failures.push(format!("seeded bug in {fixture} not caught (wanted: {needle})"));
         }
     }
-    for f in findings.iter().filter(|f| f.contains("clean.rs")) {
-        failures.push(format!("false positive on the clean fixture: {f}"));
+    let false_positive = |f: &&String| {
+        f.contains("clean.rs") || f.contains("Counter::hit`") || f.contains("FixtureError::Empty")
+    };
+    for f in findings.iter().filter(false_positive) {
+        failures.push(format!("false positive on a fixture: {f}"));
     }
     if failures.is_empty() {
         println!("spg-lint --self-test: ok ({} fixture finding(s) as expected)", findings.len());
@@ -164,17 +208,16 @@ fn report_loc(root: &Path) -> ExitCode {
         println!("{lines:>7}  {}", src.strip_prefix(root).unwrap_or(&src).display());
         total += lines;
     }
-    println!("{total:>7}  total (non-blank, non-comment, outside test regions)");
+    println!("{total:>7}  total (non-blank, non-comment, outside test items)");
     ExitCode::SUCCESS
 }
 
-/// Lines of `text` before its test region that carry code: not blank and
+/// Lines of `text` outside its test items that carry code: not blank and
 /// not a whole-line `//` comment (doc comments included).
 fn source_lines(text: &str) -> usize {
-    text.lines()
-        .take_while(|line| !opens_test_region(line))
-        .filter(|line| !code_part(line).trim().is_empty())
-        .count()
+    let (lines, _, test) = lexed(text);
+    let code = |line: &&str| !line.trim().is_empty() && !line.trim_start().starts_with("//");
+    lines.iter().zip(test).filter(|(line, test)| !test && code(line)).count()
 }
 
 /// The workspace root: the directory holding the top-level Cargo.toml, found
@@ -212,14 +255,22 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// The code portion of a line: strips `//` comments (except inside strings,
-/// approximated by requiring the `//` not be preceded by `"` on the line —
-/// good enough for this workspace, which is rustfmt-formatted).
-fn code_part(line: &str) -> &str {
-    match line.find("//") {
-        Some(idx) if !line[..idx].contains('"') => &line[..idx],
-        _ => line,
-    }
+/// Every `.rs` file of the root `tests/` and of each crate's `tests/`.
+fn test_files(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map(|entries| entries.flatten().map(|e| e.path().join("tests")).collect())
+        .unwrap_or_default();
+    dirs.sort();
+    dirs.insert(0, root.join("tests"));
+    dirs.iter().flat_map(|dir| rust_files(dir)).collect()
+}
+
+/// A file's lines as written and as code (see [`source::code_lines`]),
+/// and whether each is test code.
+fn lexed(text: &str) -> (Vec<&str>, Vec<String>, Vec<bool>) {
+    let code = source::code_lines(text);
+    let test = source::test_lines(&code);
+    (text.lines().collect(), code, test)
 }
 
 /// Whether any of the `LOOKBACK` lines before `idx` carries the marker,
@@ -233,11 +284,11 @@ fn scan_unsafe(root: &Path, file: &Path, findings: &mut Vec<String>) {
         return;
     };
     let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
-    let lines: Vec<&str> = text.lines().collect();
+    let (lines, code, test) = lexed(&text);
     for (i, line) in lines.iter().enumerate() {
-        let code = code_part(line);
-        if in_test_region(&lines, i) {
-            break;
+        let code = &code[i];
+        if test[i] {
+            continue;
         }
         // `unsafe fn` declarations need a `# Safety` doc section.
         if code.contains("unsafe fn") {
@@ -266,12 +317,8 @@ fn scan_unwrap(root: &Path, file: &Path, findings: &mut Vec<String>) {
         return;
     };
     let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        if in_test_region(&lines, i) {
-            break;
-        }
-        let code = code_part(line);
+    let (_, code, test) = lexed(&text);
+    for (i, code) in code.iter().enumerate().filter(|&(i, _)| !test[i]) {
         for needle in [".unwrap()", ".expect("] {
             if code.contains(needle) {
                 findings.push(format!(
@@ -296,15 +343,16 @@ fn scan_intrinsics(root: &Path, files: &[PathBuf], findings: &mut Vec<String>) {
         let Ok(text) = std::fs::read_to_string(file) else {
             continue;
         };
-        let lines: Vec<&str> = text.lines().collect();
-        findings.extend(intrinsic_uses(&rel, &lines));
+        findings.extend(intrinsic_uses(&rel, &text));
     }
 }
 
-/// The intrinsics findings of one file's `lines`.
-fn intrinsic_uses(rel: &str, lines: &[&str]) -> Vec<String> {
-    let code = lines.iter().map(|l| code_part(l)).take_while(|l| !opens_test_region(l));
-    code.enumerate()
+/// The intrinsics findings of one file's `text`.
+fn intrinsic_uses(rel: &str, text: &str) -> Vec<String> {
+    let (_, code, test) = lexed(text);
+    code.iter()
+        .enumerate()
+        .filter(|&(i, _)| !test[i])
         .filter_map(|(i, code)| {
             let name = INTRINSICS.iter().find(|name| code.contains(*name))?;
             Some(format!(
@@ -316,47 +364,89 @@ fn intrinsic_uses(rel: &str, lines: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// Whether `line` opens the file's trailing `#[cfg(test)]` module.
-fn opens_test_region(line: &str) -> bool {
-    line.trim_start().starts_with("#[cfg(test)]")
-}
-
-/// Whether line `idx` is at or past the file's trailing `#[cfg(test)]` module.
-fn in_test_region(lines: &[&str], idx: usize) -> bool {
-    lines[..=idx].iter().any(|l| opens_test_region(l))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn code_part_strips_comments() {
-        assert_eq!(code_part("let x = 1; // .unwrap()"), "let x = 1; ");
-        assert_eq!(code_part("// all comment"), "");
+    fn code_lines_blank_comments_and_literals() {
+        let code = source::code_lines(
+            "let x = 1; // .unwrap()\n/* a { */ let s = \"{ // }\";\nlet c = '{'; let r = r#\"}\"#;",
+        );
+        assert_eq!(code[0], "let x = 1;             ");
+        assert_eq!(code[1], "          let s = \"      \";");
+        assert_eq!(code[2], "let c = ' '; let r = r#\" \"#;");
     }
 
     #[test]
-    fn source_lines_skip_blanks_comments_and_the_test_region() {
+    fn test_items_end_where_their_braces_close() {
+        let text = "fn a() {}\n#[cfg(test)]\nfn helper() {\n}\nfn b() {\n    #[cfg(test)]\n    \
+                    COUNT.with(|n| n.set(1));\n    work();\n}\n#[cfg(test)]\nmod tests {}\n";
+        let test = source::test_lines(&source::code_lines(text));
+        let expected = [false, true, true, true, false, true, true, false, false, true, true];
+        assert_eq!(test, expected);
+    }
+
+    #[test]
+    fn source_lines_skip_blanks_comments_and_test_items() {
         let text =
-            "//! docs\n\nuse a::b; // trailing\n/// doc\nfn f() {}\n\n#[cfg(test)]\nmod tests {}\n";
-        assert_eq!(source_lines(text), 2);
+            "//! docs\n\nuse a::b; // trailing\n/// doc\nfn f() {}\n#[cfg(test)]\nfn t() {}\n\
+                    fn g() {}\n\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(source_lines(text), 3);
     }
 
     #[test]
     fn intrinsics_are_found_in_code_only() {
-        let lines = vec![
+        let text = [
             "//! Docs may say std::arch.",
             "use std::arch::x86_64::__m256;",
             "let v = _mm512_setzero_ps(); // and _mm256_ in a comment",
             "let ok = 1; // _mm256_add_ps",
             "#[cfg(test)]",
             "fn t() { core::arch::x86_64::_mm256_setzero_ps(); }",
-        ];
-        let found = intrinsic_uses("k.rs", &lines);
+        ]
+        .join("\n");
+        let found = intrinsic_uses("k.rs", &text);
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found[0].starts_with("k.rs:2: `std::arch`"), "{found:?}");
         assert!(found[1].starts_with("k.rs:3: `_mm512_`"), "{found:?}");
+    }
+
+    #[test]
+    fn test_only_items_are_found_by_path() {
+        let lib = || {
+            reach::File::parse(
+                "lib.rs",
+                "pub struct A;\nimpl A {\n    pub fn used(&self) {}\n    pub fn dead() {}\n    \
+             pub fn seam() {} // lint: allow(test-only) drives the check\n}\n\
+             pub struct B;\nimpl B {\n    pub fn dead() {}\n}\npub fn free() {}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { super::free(); A::dead(); }\n}\n",
+            )
+        };
+        let main = reach::File::parse("main.rs", "fn main() { let a = A; a.used(); B::dead(); }\n");
+        let mut findings = Vec::new();
+        let seams = reach::scan_test_only(&[lib()], &[lib(), main], &mut findings);
+        assert_eq!(seams, ["lib.rs:5: A::seam: drives the check"]);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].starts_with("lib.rs:4: `pub fn A::dead`"), "{findings:?}");
+        assert!(findings[1].starts_with("lib.rs:11: `pub fn free`"), "{findings:?}");
+    }
+
+    #[test]
+    fn untested_variants_are_found_by_name() {
+        let lib = reach::File::parse(
+            "lib.rs",
+            "pub enum KError {\n    Tested,\n    Imported { at: usize },\n    Untested(u8),\n}\n\
+             pub enum Kind {\n    Other,\n}\n",
+        );
+        let test = reach::File::parse(
+            "tests/t.rs",
+            "use lib::KError::*;\nfn t() { let _ = KError::Tested; let _ = Imported { at: 1 }; }\n",
+        );
+        let mut findings = Vec::new();
+        reach::scan_untested_variants(&[lib], &[test], &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("lib.rs:4: `KError::Untested`"), "{findings:?}");
     }
 
     #[test]
