@@ -163,19 +163,3 @@ impl fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
-
-/// Stable short tag for a rejection, suitable for telemetry.
-impl CheckError {
-    /// One-word classification of the failure (variant name in kebab case).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CheckError::OutOfBounds { .. } => "out-of-bounds",
-            CheckError::IncompleteCover { .. } => "incomplete-cover",
-            CheckError::OverlappingWorkers { .. } => "overlapping-workers",
-            CheckError::ScratchOverflow { .. } => "scratch-overflow",
-            CheckError::PlanShapeMismatch { .. } => "plan-shape-mismatch",
-            CheckError::BudgetExceeded { .. } => "budget-exceeded",
-        }
-    }
-}

@@ -48,15 +48,6 @@ impl Span {
         Span { lo: self.lo * k, hi: (self.hi - 1) * k + 1 }
     }
 
-    /// Range of `v + d` for `v` in `self`.
-    #[must_use]
-    pub fn offset(self, d: usize) -> Self {
-        if self.is_empty() {
-            return self;
-        }
-        Span { lo: self.lo + d, hi: self.hi + d }
-    }
-
     /// Range of `u + v` for independent `u` in `self`, `v` in `other`.
     #[must_use]
     pub fn plus(self, other: Span) -> Self {

@@ -48,7 +48,7 @@ use std::time::Duration;
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::Layer;
 use spg_convnet::sgd::{self, block_bounds, BatchFold, Progress};
-use spg_convnet::workspace::Workspace;
+use spg_convnet::workspace::{record_buffers, Workspace};
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
 use spg_tensor::Tensor;
@@ -87,7 +87,8 @@ impl TrainFault {
 
 /// The communication fabric one rank trains over.
 pub enum Comm {
-    /// Single rank: no communication at all.
+    /// Single rank: no communication at all. The rank runs the same ring
+    /// fold as any other, as its ring's first and last rank at once.
     Solo,
     /// Ring neighbors (UDS or TCP stream halves).
     Ring {
@@ -168,19 +169,20 @@ fn masked(grads: &mut [Tensor], keep: impl Fn(usize) -> bool) -> impl Iterator<I
 /// The ring implementation of the trainer's [`BatchFold`] seam: this
 /// rank runs its [`block_bounds`] block of the batch and the ordered
 /// chain-in-ring all-reduce folds every rank's samples in global sample
-/// order, which is exactly the seam's contract. Also carries the fault
-/// drill, which hangs off the same per-batch point.
+/// order, which is exactly the seam's contract. One path for every world
+/// size: a one-rank run's block is the whole batch, and its chain is
+/// first and last rank at once, so it moves no bytes. Also carries the
+/// fault drill, which hangs off the same per-batch point.
 ///
 /// Every buffer lives here for the whole run — the record slots, the
 /// layout, the wire frame — so a steady-state step allocates nothing
 /// that grows with the model.
 struct RingFold<'r> {
     opts: &'r RankOptions,
-    /// The ring links, buffered once for the run (`None`: one rank, no
-    /// communication). The reader must live as long as the link: it may
-    /// hold the next batch's first bytes (see
+    /// The ring links, buffered once for the run. The reader must live as
+    /// long as the link: it may hold the next batch's first bytes (see
     /// [`allreduce`](crate::allreduce)).
-    links: Option<BufferedLinks<'r>>,
+    links: BufferedLinks<'r>,
     ws: Workspace,
     conv_layers: Vec<usize>,
     /// Gradient records by batch position; grows to the largest batch
@@ -265,20 +267,14 @@ impl BatchFold for RingFold<'_> {
                 message: "injected fault: rank dropped before all-reduce".to_string(),
             });
         }
-        let Some((rx_prev, tx_next)) = &mut self.links else {
-            // One rank owns the whole batch, a sample at a time.
-            for i in samples {
-                acc.absorb_sample(net, data, i, &mut self.ws);
-            }
-            return Ok(());
-        };
+        let (rx_prev, tx_next) = &mut self.links;
         let batch_len = samples.len();
         let (s0, s1) = block_bounds(batch_len, world, rank);
         if self.records.len() < batch_len {
-            self.records.resize_with(batch_len, || self.ws.param_grads.clone());
+            self.records.resize_with(batch_len, || record_buffers(net));
         }
         // The block runs layer by layer, writing its records straight into
-        // their batch slots (`backward` overwrites a record in full).
+        // their batch slots (`backward_block` overwrites a record in full).
         self.scalars.clear();
         self.scalars.resize(s1 - s0, (0.0, false));
         let block = samples.start + s0..samples.start + s1;
@@ -366,15 +362,19 @@ pub fn run_rank(
     io::load_weights(net, state.weights.as_slice())
         .map_err(|e| ClusterError::Config { detail: format!("restoring rank state: {e}") })?;
     let conv_layers = sgd::conv_layer_indices(net);
+    let (mut empty, mut sink) = (std::io::empty(), std::io::sink());
+    let (rx_prev, tx_next): (&mut dyn Read, &mut dyn Write) = match comm {
+        // One rank is its ring's first and last rank at once: the chain
+        // reads and writes nothing.
+        Comm::Solo => (&mut empty, &mut sink),
+        Comm::Ring { rx_prev, tx_next } => (&mut **rx_prev, &mut **tx_next),
+    };
     let mut fold = RingFold {
         opts,
-        links: match comm {
-            Comm::Solo => None,
-            Comm::Ring { rx_prev, tx_next } => Some((
-                BufReader::with_capacity(LINK_BUF, &mut **rx_prev),
-                BufWriter::with_capacity(LINK_BUF, &mut **tx_next),
-            )),
-        },
+        links: (
+            BufReader::with_capacity(LINK_BUF, rx_prev),
+            BufWriter::with_capacity(LINK_BUF, tx_next),
+        ),
         ws: Workspace::for_network(net),
         reduced: BatchAcc::zeroed(0, conv_layers.len()),
         conv_layers,

@@ -20,8 +20,6 @@ use spg_tensor::{Shape3, Tensor};
 /// A labelled set of images with fixed geometry.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    shape: Shape3,
-    classes: usize,
     images: Vec<Tensor>,
     labels: Vec<usize>,
 }
@@ -63,17 +61,13 @@ impl Dataset {
             images.push(img);
             labels.push(label);
         }
-        Dataset { shape, classes, images, labels }
+        Dataset { images, labels }
     }
 
-    /// Image geometry.
-    pub fn shape(&self) -> Shape3 {
-        self.shape
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
+    /// A dataset of the one image `image` labelled `label`: how a single
+    /// sample enters the training walk.
+    pub(crate) fn of_one(image: Tensor, label: usize) -> Self {
+        Dataset { images: vec![image], labels: vec![label] }
     }
 
     /// Number of samples.

@@ -183,15 +183,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets a deterministic fault plan for the trainer's sample threads
-    /// (testing/ops drills): the planned slot panics once, and its
-    /// supervisor restarts it. See [`TrainerConfig::fault_plan`].
-    pub fn fault_plan(mut self, plan: spg_sync::FaultPlan) -> Self {
-        self.trainer.fault_plan = Some(plan);
-        self
-    }
-
     /// Seed for weight initialization when building from a spec.
+    // lint: allow(test-only) tests and doc examples pick the weights they build
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -187,50 +187,17 @@ impl ConvExecutor for ReferenceExecutor {
     }
 }
 
-/// The conventional `Unfold + GEMM` executor (Sec. 2.3).
-///
-/// With `threads == 1` this is the building block of the GEMM-in-Parallel
-/// schedule; with `threads > 1` each GEMM is row-partitioned across cores
-/// (Parallel-GEMM), reproducing the baseline whose per-core arithmetic
-/// intensity shrinks as cores are added. Each phase's `threads` row bands
-/// run on as many threads as the call's [core budget](ConvScratch::cores)
-/// allows — none beyond the caller's own inside a sample worker — with the
-/// same bits either way.
-#[derive(Debug, Clone, Copy)]
-pub struct UnfoldGemmExecutor {
-    threads: usize,
-}
-
-impl UnfoldGemmExecutor {
-    /// Creates an executor that gives each GEMM `threads` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        UnfoldGemmExecutor { threads }
-    }
-
-    /// Number of cores each GEMM is partitioned across.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for UnfoldGemmExecutor {
-    fn default() -> Self {
-        UnfoldGemmExecutor::new(1)
-    }
-}
+/// The conventional `Unfold + GEMM` executor (Sec. 2.3) on one core: the
+/// building block of the GEMM-in-Parallel schedule, and what a
+/// [`ConvLayer`](crate::layer::ConvLayer) runs until a plan is installed.
+/// Parallel-GEMM — each GEMM row-partitioned across cores — is a GEMM
+/// program lowered at more than one core (`spg-core`'s `ConvProgram`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnfoldGemmExecutor;
 
 impl ConvExecutor for UnfoldGemmExecutor {
     fn name(&self) -> &str {
-        if self.threads > 1 {
-            "unfold+parallel-gemm"
-        } else {
-            "unfold+gemm"
-        }
+        "unfold+gemm"
     }
 
     fn forward(
@@ -241,14 +208,7 @@ impl ConvExecutor for UnfoldGemmExecutor {
         output: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        gemm_exec::forward_scratch(
-            spec,
-            input,
-            weights.fckk.as_slice(),
-            output,
-            self.threads,
-            scratch,
-        );
+        gemm_exec::forward_scratch(spec, input, weights.fckk.as_slice(), output, 1, scratch);
     }
 
     fn backward_data(
@@ -264,7 +224,7 @@ impl ConvExecutor for UnfoldGemmExecutor {
             weights.fckk.as_slice(),
             grad_out,
             grad_in,
-            self.threads,
+            1,
             scratch,
         );
     }
@@ -277,14 +237,7 @@ impl ConvExecutor for UnfoldGemmExecutor {
         grad_weights: &mut [f32],
         scratch: &mut ConvScratch,
     ) {
-        gemm_exec::backward_weights_scratch(
-            spec,
-            input,
-            grad_out,
-            grad_weights,
-            self.threads,
-            scratch,
-        );
+        gemm_exec::backward_weights_scratch(spec, input, grad_out, grad_weights, 1, scratch);
     }
 }
 
@@ -302,31 +255,19 @@ mod tests {
         );
         let olen = spec.output_shape().len();
 
-        let mut scratch = ConvScratch::with_cores(2);
+        let mut scratch = ConvScratch::new();
         let mut a = vec![0f32; olen];
         let mut b = vec![0f32; olen];
         ReferenceExecutor.forward(&spec, &input, &weights, &mut a, &mut scratch);
-        UnfoldGemmExecutor::new(2).forward(&spec, &input, &weights, &mut b, &mut scratch);
+        UnfoldGemmExecutor.forward(&spec, &input, &weights, &mut b, &mut scratch);
         let diff = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max);
         assert!(diff < 1e-4);
     }
 
     #[test]
-    fn names_distinguish_schedules() {
-        assert_eq!(UnfoldGemmExecutor::new(1).name(), "unfold+gemm");
-        assert_eq!(UnfoldGemmExecutor::new(8).name(), "unfold+parallel-gemm");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_threads_panics() {
-        UnfoldGemmExecutor::new(0);
-    }
-
-    #[test]
     fn executor_is_object_safe() {
         let execs: Vec<SharedExecutor> =
-            vec![Arc::new(ReferenceExecutor), Arc::new(UnfoldGemmExecutor::default())];
+            vec![Arc::new(ReferenceExecutor), Arc::new(UnfoldGemmExecutor)];
         assert_eq!(execs.len(), 2);
     }
 }

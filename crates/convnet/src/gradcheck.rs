@@ -8,8 +8,9 @@
 
 use spg_tensor::Tensor;
 
-use crate::sgd::{fold_records, zero_param_grads};
-use crate::workspace::Workspace;
+use crate::data::Dataset;
+use crate::sgd::{fold_records, process_block, zero_param_grads};
+use crate::workspace::{record_buffers, Workspace};
 use crate::Network;
 
 /// One analytic-vs-numeric disagreement found by [`check_gradients`].
@@ -66,15 +67,13 @@ pub fn check_gradients(
     assert!(stride > 0, "stride must be positive");
     assert!(eps > 0.0, "epsilon must be positive");
 
-    // Analytic gradients from one backward pass.
-    let mut ws = Workspace::for_network(net);
-    net.forward_into(input.as_slice(), &mut ws);
-    let (_, loss_grad) = Network::loss_and_gradient(ws.trace.logits(), label);
-    net.backward_into(loss_grad.as_slice(), &mut ws);
-    // The dense gradient is the fold of this one sample's records.
+    // Analytic gradients from the training walk, as a block of one; the
+    // dense gradient is the fold of its records.
+    let data = Dataset::of_one(input.clone(), label);
+    let (mut ws, mut records) = (Workspace::for_network(net), [record_buffers(net)]);
+    process_block(net, &data, 0..1, &mut ws, &mut records, &mut [(0.0, false)]);
     let mut analytic = zero_param_grads(net);
-    let dense = analytic.iter_mut().map(Tensor::as_mut_slice);
-    fold_records(net, std::slice::from_ref(&ws.param_grads), 1, true, dense);
+    fold_records(net, &records, 1, true, analytic.iter_mut().map(Tensor::as_mut_slice));
 
     let loss_of = |net: &Network| {
         let trace = net.forward(input);
@@ -181,27 +180,27 @@ mod tests {
             fn output_len(&self) -> usize {
                 self.inner.output_len()
             }
-            fn forward(
+            fn forward_block(
                 &self,
-                input: &[f32],
-                output: &mut [f32],
+                inputs: &[f32],
+                outputs: &mut [f32],
                 scratch: &mut crate::workspace::ConvScratch,
             ) {
-                self.inner.forward(input, output, scratch);
+                self.inner.forward_block(inputs, outputs, scratch);
             }
-            fn backward(
+            fn backward_block(
                 &self,
-                input: &[f32],
-                output: &[f32],
-                grad_out: &[f32],
-                grad_in: &mut [f32],
-                param_grads: &mut Tensor,
+                inputs: &[f32],
+                outputs: &[f32],
+                grad_outs: &[f32],
+                grad_ins: &mut [f32],
+                records: &mut [Tensor],
                 scratch: &mut crate::workspace::ConvScratch,
             ) {
-                self.inner.backward(input, output, grad_out, grad_in, param_grads, scratch);
-                // Distort the record (both factors of the inner layer's
+                self.inner.backward_block(inputs, outputs, grad_outs, grad_ins, records, scratch);
+                // Distort the records (both factors of the inner layer's
                 // gradient): wrong by construction.
-                for v in param_grads.iter_mut() {
+                for v in records.iter_mut().flat_map(|r| r.iter_mut()) {
                     *v = *v * 2.0 + 0.5;
                 }
             }

@@ -1,9 +1,9 @@
 //! The layer zoo: convolution, ReLU, max-pooling, and fully-connected
 //! layers behind one object-safe [`Layer`] trait.
 //!
-//! Layers are *stateless across samples*: `forward` and `backward` take the
-//! sample's activations, parameter-gradient buffer, and scratch explicitly,
-//! so the trainer can push many samples through shared layers on worker
+//! Layers are *stateless across samples*: each phase takes a block of
+//! samples' activations, gradient records and scratch explicitly, so the
+//! trainer can push many samples through shared layers on worker
 //! threads (the GEMM-in-Parallel schedule) and apply accumulated parameter
 //! gradients afterwards. All per-sample buffers are caller-owned, which is
 //! what makes steady-state training allocation-free.
@@ -23,33 +23,31 @@ use crate::{ConvError, ConvSpec};
 
 /// A differentiable network layer.
 ///
-/// `forward` writes `output` from `input`; `backward` writes `grad_in` from
-/// the saved activations and `grad_out`, and overwrites `param_grads` with
-/// the sample's gradient *record* (ignored by parameter-free layers). Both
-/// stage any intermediates in the caller's [`ConvScratch`] instead of
-/// allocating.
-///
-/// # Blocks
-///
-/// The training walk runs a *block* of samples layer by layer:
-/// [`forward_block`](Layer::forward_block) and
-/// [`backward_block`](Layer::backward_block) take the block's samples back
-/// to back in one slice per operand. By default they run the per-sample
-/// method once per sample; a layer that can share work across the block
-/// overrides them — [`FcLayer`] loads each weight row once for the whole
-/// block. Either way every sample gets the bits a block of one gives it.
+/// A layer implements each phase once, over a *block* of samples stored
+/// back to back: [`forward_block`](Layer::forward_block) writes the
+/// block's outputs from its inputs; [`backward_block`](Layer::backward_block)
+/// writes their input gradients from the saved activations and the output
+/// gradients, and overwrites one gradient *record* per sample (ignored by
+/// parameter-free layers). Both stage any intermediates in the caller's
+/// [`ConvScratch`] instead of allocating. The training walk runs a block
+/// layer by layer; [`forward`](Layer::forward) and
+/// [`backward`](Layer::backward) are a block of one. A layer that can share
+/// work across the block does — [`FcLayer`] loads each weight row once for
+/// the whole block, ReLU and max-pool run it in one call — and one that
+/// cannot loops over its samples. Either way every sample gets the bits a
+/// block of one gives it.
 ///
 /// # Gradient records
 ///
-/// What `backward` leaves in `param_grads` is whatever the layer needs to
-/// add this sample's parameter gradient into an accumulator later — not
+/// What `backward_block` leaves in a record is whatever the layer needs to
+/// add that sample's parameter gradient into an accumulator later — not
 /// necessarily the gradient itself. Three methods define the format and
-/// travel together: [`backward`](Layer::backward) writes a record of
-/// [`grad_record_len`](Layer::grad_record_len) floats, and
-/// [`add_grads`](Layer::add_grads) reads records back. By default the
-/// record *is* the dense gradient ([`ConvLayer`]); [`FcLayer`]'s is the
-/// two factors of its rank-1 gradient. A layer that wraps another and
-/// forwards `backward` must forward the other two as well, or the fold
+/// travel together: [`backward_block`](Layer::backward_block) writes
+/// records of [`grad_record_len`](Layer::grad_record_len) floats, and
+/// [`add_grads`](Layer::add_grads) reads them back. By default the record
+/// *is* the dense gradient ([`ConvLayer`]); [`FcLayer`]'s is the two
+/// factors of its rank-1 gradient. A layer that wraps another and forwards
+/// `backward_block` must forward the other two as well, or the fold
 /// misreads the inner layer's records.
 pub trait Layer: Send + Sync + fmt::Debug {
     /// Short human-readable layer name.
@@ -61,69 +59,52 @@ pub trait Layer: Send + Sync + fmt::Debug {
     /// Number of output activations the layer produces.
     fn output_len(&self) -> usize;
 
-    /// Forward propagation for one sample. `output` is overwritten.
-    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch);
-
-    /// Backward propagation for one sample. `output` is what
-    /// [`forward`](Layer::forward) wrote for `input` (ReLU and max-pool
-    /// read it). `grad_in` is overwritten; for layers with parameters, the
-    /// first [`grad_record_len`](Layer::grad_record_len) floats of
-    /// `param_grads` are overwritten — every one of them, so a recycled
-    /// buffer carries nothing over — with this sample's gradient record.
-    ///
-    /// [`Network::backward_into`](crate::Network::backward_into) hands a
-    /// convolution at layer 0 an *empty* `grad_in`: nothing reads the
-    /// gradient with respect to the image, and a layer that reports a
-    /// [`conv_spec`](Layer::conv_spec) must then compute the record only.
-    fn backward(
-        &self,
-        input: &[f32],
-        output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        param_grads: &mut Tensor,
-        scratch: &mut ConvScratch,
-    );
-
     /// Forward propagation for a block of samples: `inputs` holds them
     /// back to back, [`input_len`](Layer::input_len) floats each, and
-    /// `outputs` receives theirs the same way. The default runs
-    /// [`forward`](Layer::forward) once per sample.
-    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
-        let (n, m) = (self.input_len(), self.output_len());
-        for (input, output) in inputs.chunks_exact(n).zip(outputs.chunks_exact_mut(m)) {
-            self.forward(input, output, scratch);
-        }
-    }
+    /// `outputs` receives theirs the same way, overwritten.
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch);
 
-    /// Backward propagation for a block of `param_grads.len()` samples,
-    /// stored back to back as in [`forward_block`](Layer::forward_block):
-    /// sample `s` reads its slices of `inputs`, `outputs` and `grad_outs`,
-    /// writes its slice of `grad_ins` and its record into `param_grads[s]`,
-    /// as [`backward`](Layer::backward) does. An empty `grad_ins` hands
-    /// every sample an empty `grad_in`. The default runs `backward` once
-    /// per sample.
+    /// Backward propagation for a block of `records.len()` samples, stored
+    /// back to back as in [`forward_block`](Layer::forward_block): sample
+    /// `s` reads its slices of `inputs`, `outputs` (what `forward_block`
+    /// wrote for those inputs; ReLU and max-pool read it) and `grad_outs`,
+    /// and overwrites its slice of `grad_ins`. For layers with parameters
+    /// the first [`grad_record_len`](Layer::grad_record_len) floats of
+    /// `records[s]` are overwritten — every one of them, so a recycled
+    /// buffer carries nothing over — with sample `s`'s gradient record.
+    ///
+    /// The training walk hands a convolution at layer 0 an *empty*
+    /// `grad_ins`: nothing reads the gradient with respect to the image,
+    /// and a layer that reports a [`conv_spec`](Layer::conv_spec) must then
+    /// compute the records only.
     fn backward_block(
         &self,
         inputs: &[f32],
         outputs: &[f32],
         grad_outs: &[f32],
         grad_ins: &mut [f32],
-        param_grads: &mut [Tensor],
+        records: &mut [Tensor],
+        scratch: &mut ConvScratch,
+    );
+
+    /// Forward propagation for one sample: a block of one.
+    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
+        self.forward_block(input, output, scratch);
+    }
+
+    /// Backward propagation for one sample: a block of one, whose record
+    /// is `record`.
+    fn backward(
+        &self,
+        input: &[f32],
+        output: &[f32],
+        grad_out: &[f32],
+        grad_in: &mut [f32],
+        record: &mut Tensor,
         scratch: &mut ConvScratch,
     ) {
-        let (n, m) = (self.input_len(), self.output_len());
-        let gn = if grad_ins.is_empty() { 0 } else { n };
-        for (s, record) in param_grads.iter_mut().enumerate() {
-            self.backward(
-                &inputs[s * n..(s + 1) * n],
-                &outputs[s * m..(s + 1) * m],
-                &grad_outs[s * m..(s + 1) * m],
-                &mut grad_ins[s * gn..(s + 1) * gn],
-                record,
-                scratch,
-            );
-        }
+        let records = std::slice::from_mut(record);
+        self.backward_block(input, output, grad_out, grad_in, records, scratch);
     }
 
     /// Number of trainable parameters (0 for activation/pooling layers).
@@ -132,7 +113,7 @@ pub trait Layer: Send + Sync + fmt::Debug {
     }
 
     /// Floats in one sample's gradient record, as
-    /// [`backward`](Layer::backward) writes it: [`Layer::param_count`]
+    /// [`backward_block`](Layer::backward_block) writes it: [`Layer::param_count`]
     /// unless the layer keeps something smaller than its dense gradient.
     fn grad_record_len(&self) -> usize {
         self.param_count()
@@ -224,7 +205,7 @@ impl ConvLayer {
         let fan_in = spec.weight_shape().per_feature() as f32;
         let scale = (2.0 / fan_in).sqrt();
         let weights = Tensor::random_uniform(spec.weight_shape().len(), scale, rng);
-        let exec: SharedExecutor = std::sync::Arc::new(UnfoldGemmExecutor::default());
+        let exec: SharedExecutor = std::sync::Arc::new(UnfoldGemmExecutor);
         let weights = PreparedWeights::new(weights);
         let mut layer = ConvLayer { spec, weights, fwd: exec.clone(), bwd: exec };
         layer.prepare();
@@ -288,39 +269,45 @@ impl Layer for ConvLayer {
         self.spec.output_shape().len()
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        self.fwd.forward(&self.spec, input, &self.weights, output, scratch);
-        spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
-    }
-
-    fn backward(
-        &self,
-        input: &[f32],
-        _output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        param_grads: &mut Tensor,
-        scratch: &mut ConvScratch,
-    ) {
-        assert_eq!(param_grads.len(), self.weights.fckk.len(), "parameter gradient length");
-        // Split the two kernel sub-phases under the enclosing layer scope
-        // so goodput is observable per kernel, not just per layer. An
-        // empty `grad_in` is layer 0's: nobody reads the image gradient,
-        // and each sub-phase stages its own operands.
-        if !grad_in.is_empty() {
-            let _telemetry = spg_telemetry::phase_scope(spg_telemetry::Phase::BackwardData);
-            self.bwd.backward_data(&self.spec, &self.weights, grad_out, grad_in, scratch);
+    /// One executor call per sample.
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
+        let (n, m) = (self.input_len(), self.output_len());
+        let k = inputs.len() / n;
+        assert_eq!((inputs.len(), outputs.len()), (k * n, k * m), "block lengths");
+        for (input, output) in inputs.chunks_exact(n).zip(outputs.chunks_exact_mut(m)) {
+            self.fwd.forward(&self.spec, input, &self.weights, output, scratch);
             spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
         }
-        {
+    }
+
+    /// Sample by sample, both kernel sub-phases each.
+    fn backward_block(
+        &self,
+        inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        records: &mut [Tensor],
+        scratch: &mut ConvScratch,
+    ) {
+        let (n, m) = (self.input_len(), self.output_len());
+        let gn = if grad_ins.is_empty() { 0 } else { n };
+        for (s, record) in records.iter_mut().enumerate() {
+            assert_eq!(record.len(), self.weights.fckk.len(), "parameter gradient length");
+            let (input, grad_out) = (&inputs[s * n..(s + 1) * n], &grad_outs[s * m..(s + 1) * m]);
+            // Split the two kernel sub-phases under the enclosing layer
+            // scope so goodput is observable per kernel, not just per
+            // layer. An empty `grad_ins` is layer 0's: nobody reads the
+            // image gradient, and each sub-phase stages its own operands.
+            if gn > 0 {
+                let _telemetry = spg_telemetry::phase_scope(spg_telemetry::Phase::BackwardData);
+                let grad_in = &mut grad_ins[s * gn..(s + 1) * gn];
+                self.bwd.backward_data(&self.spec, &self.weights, grad_out, grad_in, scratch);
+                spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
+            }
             let _telemetry = spg_telemetry::phase_scope(spg_telemetry::Phase::BackwardWeights);
-            self.bwd.backward_weights(
-                &self.spec,
-                input,
-                grad_out,
-                param_grads.as_mut_slice(),
-                scratch,
-            );
+            let grad_weights = record.as_mut_slice();
+            self.bwd.backward_weights(&self.spec, input, grad_out, grad_weights, scratch);
             spg_telemetry::record_workspace_bytes(scratch.bytes() as u64);
         }
     }
@@ -416,20 +403,20 @@ impl Layer for ReluLayer {
         self.len
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        relu(HOST, input, output, scratch.cores, RELU_FLOOR);
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
+        relu(HOST, inputs, outputs, scratch.cores, RELU_FLOOR);
     }
 
-    fn backward(
+    fn backward_block(
         &self,
-        _input: &[f32],
-        output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        _inputs: &[f32],
+        outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
-        rows::relu_backward(HOST, output, grad_out, grad_in);
+        rows::relu_backward(HOST, outputs, grad_outs, grad_ins);
     }
 }
 
@@ -525,20 +512,21 @@ impl Layer for MaxPoolLayer {
         self.out_shape().len()
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        self.forward_split(HOST, input, output, scratch.cores, POOL_FLOOR);
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
+        self.forward_split(HOST, inputs, outputs, scratch.cores, POOL_FLOOR);
     }
 
-    fn backward(
+    fn backward_block(
         &self,
-        input: &[f32],
-        output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        inputs: &[f32],
+        outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         scratch: &mut ConvScratch,
     ) {
-        self.backward_split(HOST, input, output, grad_out, grad_in, scratch.cores, POOL_FLOOR);
+        let cores = scratch.cores;
+        self.backward_split(HOST, inputs, outputs, grad_outs, grad_ins, cores, POOL_FLOOR);
     }
 }
 
@@ -548,8 +536,18 @@ impl MaxPoolLayer {
         rows::Pool { h: self.in_shape.h, w: self.in_shape.w, k: self.window }
     }
 
-    /// [`Layer::forward`] on the tier of `level` and up to `cores`
-    /// threads, none reading fewer than `floor` input cells.
+    /// Samples in a block of `inputs`, whose outputs are `out_len` floats
+    /// long.
+    fn block_len(&self, inputs: &[f32], out_len: usize) -> usize {
+        let k = inputs.len() / self.in_shape.len();
+        assert_eq!(inputs.len(), k * self.in_shape.len(), "input length");
+        assert_eq!(out_len, k * self.out_shape().len(), "output length");
+        k
+    }
+
+    /// [`Layer::forward_block`] on the tier of `level` and up to `cores`
+    /// threads, none reading fewer than `floor` input cells. The block's
+    /// planes are one run of planes, sample after sample.
     fn forward_split(
         &self,
         level: SimdLevel,
@@ -560,14 +558,13 @@ impl MaxPoolLayer {
     ) {
         let (ishape, out) = (self.in_shape, self.out_shape());
         let (in_plane, out_plane) = (ishape.h * ishape.w, out.h * out.w);
-        assert_eq!(input.len(), ishape.len(), "input length");
-        assert_eq!(output.len(), out.len(), "output length");
+        self.block_len(input, output.len());
         split::for_each_part(output, out_plane, input.len(), cores, floor, |c0, outputs| {
             rows::pool_forward(level, self.rows(), &input[c0 * in_plane..], outputs);
         });
     }
 
-    /// [`Layer::backward`] on the tier of `level` and up to `cores`
+    /// [`Layer::backward_block`] on the tier of `level` and up to `cores`
     /// threads, none reading fewer than `floor` input cells.
     #[allow(clippy::too_many_arguments)]
     fn backward_split(
@@ -582,10 +579,9 @@ impl MaxPoolLayer {
     ) {
         let (ishape, out) = (self.in_shape, self.out_shape());
         let (in_plane, out_plane) = (ishape.h * ishape.w, out.h * out.w);
-        assert_eq!(input.len(), ishape.len(), "input length");
-        assert_eq!(output.len(), out.len(), "output length");
-        assert_eq!(grad_in.len(), ishape.len(), "grad_in length");
-        assert_eq!(grad_out.len(), out.len(), "grad_out length");
+        self.block_len(input, output.len());
+        assert_eq!(grad_in.len(), input.len(), "grad_in length");
+        assert_eq!(grad_out.len(), output.len(), "grad_out length");
         split::for_each_part(grad_in, in_plane, input.len(), cores, floor, |c0, grad_ins| {
             let (at, from) = (c0 * in_plane, c0 * out_plane);
             let (outputs, grad_outs) = (&output[from..], &grad_out[from..]);
@@ -685,11 +681,6 @@ impl Layer for FcLayer {
         self.out_len
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], scratch: &mut ConvScratch) {
-        assert_eq!(output.len(), self.out_len, "output length");
-        self.forward_block(input, output, scratch);
-    }
-
     fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], scratch: &mut ConvScratch) {
         let (n, m) = (self.in_len, self.out_len);
         let k = outputs.len() / m;
@@ -717,32 +708,19 @@ impl Layer for FcLayer {
         }));
     }
 
-    fn backward(
-        &self,
-        input: &[f32],
-        output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        param_grads: &mut Tensor,
-        scratch: &mut ConvScratch,
-    ) {
-        let record = std::slice::from_mut(param_grads);
-        self.backward_block(input, output, grad_out, grad_in, record, scratch);
-    }
-
     fn backward_block(
         &self,
         inputs: &[f32],
         _outputs: &[f32],
         grad_outs: &[f32],
         grad_ins: &mut [f32],
-        param_grads: &mut [Tensor],
+        records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
-        let (n, m, k) = (self.in_len, self.out_len, param_grads.len());
-        for (s, record) in param_grads.iter_mut().enumerate() {
+        let (n, m, k) = (self.in_len, self.out_len, records.len());
+        for (s, record) in records.iter_mut().enumerate() {
             // `>=`, not `==`: the frozen benchmark probe hands every layer a
-            // `param_count()`-long buffer. Tighten with ROADMAP item 5.
+            // `param_count()`-long buffer. Tighten with ROADMAP item 1(c).
             assert!(record.len() >= self.grad_record_len(), "gradient record length");
             let (delta, x) = record.as_mut_slice()[..m + n].split_at_mut(m);
             delta.copy_from_slice(&grad_outs[s * m..(s + 1) * m]);

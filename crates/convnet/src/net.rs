@@ -5,9 +5,9 @@
 //! layer runs the whole block ([`Layer::forward_block`],
 //! [`Layer::backward_block`]) before the next layer starts, entirely out of
 //! a caller-provided [`Workspace`] — no heap allocation once it is warm.
-//! A single sample is a block of one ([`Network::forward_into`],
-//! [`Network::backward_into`]); a ring rank runs its whole block of each
-//! batch (`sgd::process_block`). Inference ([`Network::forward`],
+//! Every trained sample goes through it (`sgd::process_block`): a trainer
+//! slot runs its block of each batch, a ring rank its block, and a single
+//! sample is a block of one. Inference ([`Network::forward`],
 //! [`Network::infer_batch`]) runs the same forward walk over what forward
 //! reads only: an activation trace and a [`ConvScratch`], never a training
 //! workspace's gradient buffers.
@@ -44,8 +44,8 @@ pub struct SampleTrace {
 }
 
 impl SampleTrace {
-    /// Preallocates a trace shaped for `net`, ready for
-    /// [`Network::forward_into`] to fill in place.
+    /// Preallocates a trace shaped for one sample of `net`, ready for
+    /// [`Network::forward_sample`] to fill in place.
     pub fn for_network(net: &Network) -> Self {
         let mut activations = Vec::with_capacity(net.layers().len() + 1);
         activations.push(Tensor::zeros(net.input_len()));
@@ -194,19 +194,6 @@ impl Network {
         self.layers.last().expect("validated non-empty").output_len()
     }
 
-    /// Runs one sample forward entirely inside `ws`, filling
-    /// `ws.trace` — the allocation-free hot-path variant of
-    /// [`Network::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.input_len()` or `ws` was planned for
-    /// a different network geometry.
-    pub fn forward_into(&self, input: &[f32], ws: &mut Workspace) {
-        ws.shape_block(self, 1);
-        self.forward_sample(input, &mut ws.trace, &mut ws.scratch);
-    }
-
     /// One sample's forward pass: copies `input` into a one-sample
     /// `trace` (see [`SampleTrace::for_network`]) and walks it, every
     /// layer staging through `scratch` at its [core
@@ -244,8 +231,8 @@ impl Network {
 
     /// Runs one sample forward, recording every activation.
     ///
-    /// Allocates a fresh trace per call; training uses
-    /// [`Network::forward_into`] with a pooled [`Workspace`] instead.
+    /// Allocates a fresh trace and scratch per call; a caller that runs
+    /// many samples keeps them and calls [`Network::forward_sample`].
     ///
     /// # Panics
     ///
@@ -269,36 +256,18 @@ impl Network {
         (loss, grad)
     }
 
-    /// Runs one sample backward from a loss gradient at the logits, using
-    /// the activations [`Network::forward_into`] left in `ws.trace` and
-    /// writing per-layer gradient records (see [`Layer`]) into
-    /// `ws.param_grads` and
-    /// gradient-sparsity measurements (the zero fraction of the
-    /// *output-side* error gradient each layer received — Fig. 3b's
-    /// quantity for conv layers) into `ws.grad_sparsity`. A convolution
-    /// at layer 0 is handed an empty `grad_in`: the gradient with respect
-    /// to the image has no reader, so it is not computed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss_grad.len() != self.output_len()` or `ws` was planned
-    /// for a different network geometry.
-    pub fn backward_into(&self, loss_grad: &[f32], ws: &mut Workspace) {
-        assert_eq!(loss_grad.len(), self.output_len(), "loss gradient length");
-        ws.grad_a.as_mut_slice()[..loss_grad.len()].copy_from_slice(loss_grad);
-        let mut records = std::mem::take(&mut ws.param_grads);
-        self.backward_walk(ws, std::slice::from_mut(&mut records));
-        ws.param_grads = records;
-    }
-
     /// The backward walk over the block of `records.len()` samples whose
     /// forward walk `ws.trace` holds, from their loss gradients back to
     /// back at the head of `ws.grad_a`: layer by layer in reverse, sample
-    /// `s`'s records land in `records[s]` and its output-side gradient
-    /// sparsities in `ws.grad_sparsity[s * layers..]`.
+    /// `s`'s gradient records (see [`Layer`]) land in `records[s]` and its
+    /// gradient sparsities — the zero fraction of the *output-side* error
+    /// gradient each layer received, Fig. 3b's quantity for conv layers —
+    /// in `ws.grad_sparsity[s * layers..]`. A convolution at layer 0 is
+    /// handed an empty `grad_ins`: the gradient with respect to the image
+    /// has no reader, so it is not computed.
     pub(crate) fn backward_walk(&self, ws: &mut Workspace, records: &mut [Vec<Tensor>]) {
         let (k, layers) = (records.len(), self.layers.len());
-        let Workspace { trace, grad_sparsity, scratch, grad_a, grad_b, staging, .. } = ws;
+        let Workspace { trace, grad_sparsity, scratch, grad_a, grad_b, staging } = ws;
         assert_eq!(trace.activations.len(), layers + 1, "workspace trace length");
         assert_eq!(trace.activations[0].len(), k * self.input_len(), "one trace per record set");
         assert!(records.iter().all(|r| r.len() == layers), "gradient slots per sample");
@@ -370,7 +339,7 @@ impl Network {
     /// Applies averaged parameter gradients from a dense per-layer slice:
     /// `params -= (lr / scale) * grads`. Empty tensors (parameter-free
     /// layers) are skipped. Never allocates — the trainer's hot loop calls
-    /// it with [`Workspace`]-accumulated gradients.
+    /// it with each batch's folded gradients.
     ///
     /// # Panics
     ///
@@ -438,20 +407,20 @@ mod tests {
 
     #[test]
     fn loss_decreases_under_sgd_step() {
+        use crate::sgd::{fold_records, process_block, zero_param_grads};
+        use crate::workspace::record_buffers;
+
         let mut rng = SmallRng::seed_from_u64(2);
         let mut net = tiny_net(&mut rng);
-        let input = Tensor::random_uniform(64, 1.0, &mut rng);
-        let label = 1;
+        let data = crate::data::Dataset::synthetic(Shape3::new(1, 8, 8), 3, 1, 0.2, 2);
         let mut losses = Vec::new();
         let mut ws = Workspace::for_network(&net);
-        let mut grads = crate::sgd::zero_param_grads(&net);
+        let (mut records, mut result) = ([record_buffers(&net)], [(0.0, false)]);
+        let mut grads = zero_param_grads(&net);
         for _ in 0..12 {
-            net.forward_into(input.as_slice(), &mut ws);
-            let (loss, grad) = Network::loss_and_gradient(ws.trace.logits(), label);
-            losses.push(loss);
-            net.backward_into(grad.as_slice(), &mut ws);
-            let dense = grads.iter_mut().map(Tensor::as_mut_slice);
-            crate::sgd::fold_records(&net, std::slice::from_ref(&ws.param_grads), 1, true, dense);
+            process_block(&net, &data, 0..1, &mut ws, &mut records, &mut result);
+            losses.push(result[0].0);
+            fold_records(&net, &records, 1, true, grads.iter_mut().map(Tensor::as_mut_slice));
             net.apply_gradient_slices(&grads, 0.05, 1.0);
         }
         assert!(
@@ -464,10 +433,10 @@ mod tests {
     fn backward_measures_sparsity_per_layer() {
         let mut rng = SmallRng::seed_from_u64(3);
         let net = tiny_net(&mut rng);
+        let data = crate::data::Dataset::synthetic(Shape3::new(1, 8, 8), 3, 1, 0.2, 3);
         let mut ws = Workspace::for_network(&net);
-        net.forward_into(Tensor::random_uniform(64, 1.0, &mut rng).as_slice(), &mut ws);
-        let (_, grad) = Network::loss_and_gradient(ws.trace.logits(), 0);
-        net.backward_into(grad.as_slice(), &mut ws);
+        let mut records = [crate::workspace::record_buffers(&net)];
+        crate::sgd::process_block(&net, &data, 0..1, &mut ws, &mut records, &mut [(0.0, false)]);
         assert_eq!(ws.grad_sparsity.len(), 4);
         // The conv layer's incoming gradient passed through ReLU+pool and
         // must show some sparsity; the logits gradient is dense.
@@ -569,10 +538,10 @@ mod tests {
         }
     }
 
-    /// Each layer's block methods give every sample what its per-sample
-    /// methods give it — outputs, input gradients and records — at block
-    /// sizes that cross the FC kernels' groups, and the FC rows split over
-    /// cores as well.
+    /// Each layer's block methods give every sample of a block what a
+    /// block of one ([`Layer::forward`], [`Layer::backward`]) gives it —
+    /// outputs, input gradients and records — at block sizes that cross
+    /// the FC kernels' groups, and the FC rows split over cores as well.
     #[test]
     fn layer_block_methods_match_per_sample_calls() {
         let mut rng = SmallRng::seed_from_u64(9);

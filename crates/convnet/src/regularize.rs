@@ -47,11 +47,6 @@ impl DropoutLayer {
         Ok(DropoutLayer { len, rate, seed })
     }
 
-    /// The drop probability.
-    pub fn rate(&self) -> f32 {
-        self.rate
-    }
-
     #[inline]
     fn keeps(&self, i: usize, value: f32) -> bool {
         // splitmix64 over (seed, index, value bits).
@@ -77,25 +72,27 @@ impl Layer for DropoutLayer {
         self.len
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
+    /// Position `i` of the block is activation `i % len` of its sample,
+    /// so each sample keeps its own mask.
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], _scratch: &mut ConvScratch) {
         let scale = 1.0 / (1.0 - self.rate);
-        for (i, (o, &x)) in output.iter_mut().zip(input).enumerate() {
-            *o = if self.keeps(i, x) { x * scale } else { 0.0 };
+        for (i, (o, &x)) in outputs.iter_mut().zip(inputs).enumerate() {
+            *o = if self.keeps(i % self.len, x) { x * scale } else { 0.0 };
         }
     }
 
-    fn backward(
+    fn backward_block(
         &self,
-        input: &[f32],
-        _output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
         let scale = 1.0 / (1.0 - self.rate);
-        for (i, ((gi, &go), &x)) in grad_in.iter_mut().zip(grad_out).zip(input).enumerate() {
-            *gi = if self.keeps(i, x) { go * scale } else { 0.0 };
+        for (i, ((gi, &go), &x)) in grad_ins.iter_mut().zip(grad_outs).zip(inputs).enumerate() {
+            *gi = if self.keeps(i % self.len, x) { go * scale } else { 0.0 };
         }
     }
 }
@@ -164,14 +161,14 @@ impl LrnLayer {
         c.saturating_sub(half)..(c + half + 1).min(self.channels)
     }
 
-    /// [`Layer::forward`] on the tier of `level`.
+    /// One sample's [`Layer::forward_block`] on the tier of `level`.
     fn forward_on(&self, level: SimdLevel, input: &[f32], output: &mut [f32]) {
         assert_eq!(input.len(), self.input_len(), "input length");
         assert_eq!(output.len(), self.output_len(), "output length");
         on_tier(level, LrnForward { lrn: self, input, output });
     }
 
-    /// [`Layer::backward`] on the tier of `level`.
+    /// One sample's [`Layer::backward_block`] on the tier of `level`.
     fn backward_on(&self, level: SimdLevel, input: &[f32], grad_out: &[f32], grad_in: &mut [f32]) {
         assert_eq!(input.len(), self.input_len(), "input length");
         assert_eq!(grad_out.len(), self.output_len(), "grad_out length");
@@ -337,20 +334,30 @@ impl Layer for LrnLayer {
         self.channels * self.plane
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        self.forward_on(HOST, input, output);
+    /// Sample by sample.
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], _scratch: &mut ConvScratch) {
+        let n = self.input_len();
+        assert_eq!(inputs.len() % n, 0, "block length");
+        for (input, output) in inputs.chunks_exact(n).zip(outputs.chunks_exact_mut(n)) {
+            self.forward_on(HOST, input, output);
+        }
     }
 
-    fn backward(
+    /// Sample by sample.
+    fn backward_block(
         &self,
-        input: &[f32],
-        _output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
-        self.backward_on(HOST, input, grad_out, grad_in);
+        let n = self.input_len();
+        let samples = inputs.chunks_exact(n).zip(grad_outs.chunks_exact(n));
+        for ((input, grad_out), grad_in) in samples.zip(grad_ins.chunks_exact_mut(n)) {
+            self.backward_on(HOST, input, grad_out, grad_in);
+        }
     }
 }
 

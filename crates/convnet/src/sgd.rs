@@ -7,8 +7,8 @@
 //! [`Progress`] — and is parameterized by one seam, [`BatchFold`]: how a
 //! batch's per-sample results reach the accumulator in sample order.
 //! Two folds exist: [`LocalFold`], this process's sample threads, and
-//! `spg-cluster`'s ring fold, whose ranks call this loop rather than copy
-//! it.
+//! `spg-cluster`'s ring fold — one path at every world size, a one-rank
+//! run included — whose ranks call this loop rather than copy it.
 //!
 //! The trainer's `sample_threads` knob *is* the GEMM-in-Parallel schedule
 //! at the training-loop level: each sample thread pushes whole samples
@@ -170,11 +170,6 @@ impl Trainer {
         assert!(config.sample_threads > 0, "sample thread count must be positive");
         assert!((0.0..1.0).contains(&config.momentum), "momentum must be in [0, 1)");
         Trainer { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.config
     }
 
     /// Trains the network, returning one [`EpochStats`] per epoch.
@@ -412,7 +407,7 @@ pub(crate) fn zero_param_grads(net: &Network) -> Vec<Tensor> {
 /// `ws`: layer by layer, each layer over the whole block before the next
 /// (see [`Network`]'s walk). Sample `j` of the block leaves its gradient
 /// records in `records[j]` (one buffer per layer, as
-/// [`Workspace::param_grads`] is shaped), its loss and whether its
+/// [`record_buffers`] shapes them), its loss and whether its
 /// prediction was correct in `scalars[j]`, and its gradient sparsities in
 /// `ws.grad_sparsity`. Every sample gets the bits a block of one gives it.
 ///
@@ -630,7 +625,8 @@ impl BatchFold for LocalFold {
             acc.add_scalars(loss, correct, &self.sparsity[j * layers..(j + 1) * layers]);
         }
         // Every slot is done: their cores are the fold's.
-        acc.add_records(net, &self.records[..len], workers);
+        let grads = acc.grads.iter_mut().map(Tensor::as_mut_slice);
+        fold_records(net, &self.records[..len], workers, true, grads);
         Ok(())
     }
 }
@@ -652,12 +648,12 @@ const FORK_FLOOR: usize = 2 * 1024 * 1024;
 /// behind every [`BatchFold`].
 ///
 /// `records[s].as_ref()[l]` is sample `s`'s record for layer `l` as
-/// [`Network::backward_into`] left it; `acc` yields one
+/// [`process_block`] left it; `acc` yields one
 /// [`param_count`](Layer::param_count)-long slice per layer, or an empty
 /// one to leave that layer out (its records are then not read).
 /// With `zero`, what `acc` held is dead and every element becomes
-/// `0.0 + g_0 + g_1 + ...`; without, the records are added onto it (a batch
-/// folded a few samples at a time). Per element the adds run in slice
+/// `0.0 + g_0 + g_1 + ...`; without, the records are added onto it (a ring
+/// rank's block on top of the sum that reached it). Per element the adds run in slice
 /// order, one per sample, whatever `cores` is: each layer's parameters are
 /// cut into up to `cores` contiguous ranges — fewer when a range would not
 /// cover `FORK_FLOOR` element-adds — and a range walks `FOLD_TILE`-sized
@@ -719,9 +715,6 @@ pub struct BatchAcc {
     /// Summed backward gradient sparsity per conv layer.
     pub sparsity_sums: Vec<f64>,
     conv_layers: Vec<usize>,
-    /// `grads` still holds the previous batch: the next fold starts from
-    /// zero, later ones of the same batch add on.
-    stale: bool,
 }
 
 impl BatchAcc {
@@ -733,47 +726,26 @@ impl BatchAcc {
             correct: 0,
             sparsity_sums: vec![0.0; conv_layers.len()],
             conv_layers,
-            stale: true,
         }
     }
 
-    /// Zeroes the scalars and marks `grads` dead: the gradient tensors are
-    /// zeroed by the batch's first fold, tile by tile, not swept here.
+    /// Zeroes the scalars. The gradient tensors still hold the previous
+    /// batch: the batch's one fold zeroes them tile by tile, so they are
+    /// not swept here.
     fn begin_batch(&mut self) {
         self.loss_sum = 0.0;
         self.correct = 0;
         self.sparsity_sums.fill(0.0);
-        self.stale = true;
-    }
-
-    /// Runs sample `i` through [`process_block`] in `ws`, as a block of
-    /// one whose records land in `ws.param_grads`, and absorbs it.
-    pub fn absorb_sample(&mut self, net: &Network, data: &Dataset, i: usize, ws: &mut Workspace) {
-        let mut records = std::mem::take(&mut ws.param_grads);
-        let mut result = [(0.0, false)];
-        process_block(net, data, i..i + 1, ws, std::slice::from_mut(&mut records), &mut result);
-        self.add_scalars(result[0].0, result[0].1, &ws.grad_sparsity);
-        self.add_records(net, std::slice::from_ref(&records), 1);
-        ws.param_grads = records;
     }
 
     /// Absorbs one sample's scalars: its loss, whether it was classified
-    /// correctly, and its per-layer gradient sparsities as
-    /// [`process_block`] leaves a block of one's in the [`Workspace`].
+    /// correctly, and its per-layer gradient sparsities, `layers` long.
     fn add_scalars(&mut self, loss: f32, correct: bool, grad_sparsity: &[f64]) {
         self.loss_sum += loss as f64;
         self.correct += correct as usize;
         for (dst, &li) in self.sparsity_sums.iter_mut().zip(&self.conv_layers) {
             *dst += grad_sparsity[li];
         }
-    }
-
-    /// Folds the next samples' gradient records, in order, on `cores`
-    /// cores.
-    fn add_records<R: AsRef<[Tensor]>>(&mut self, net: &Network, records: &[R], cores: usize) {
-        let grads = self.grads.iter_mut().map(Tensor::as_mut_slice);
-        fold_records(net, records, cores, self.stale, grads);
-        self.stale = false;
     }
 }
 
@@ -1068,20 +1040,25 @@ mod tests {
             fn output_len(&self) -> usize {
                 self.0.len()
             }
-            fn forward(&self, x: &[f32], y: &mut [f32], _: &mut crate::workspace::ConvScratch) {
-                assert!(x != self.0, "poisoned sample");
-                y.copy_from_slice(x);
+            fn forward_block(
+                &self,
+                xs: &[f32],
+                ys: &mut [f32],
+                _: &mut crate::workspace::ConvScratch,
+            ) {
+                assert!(xs.chunks_exact(self.0.len()).all(|x| x != self.0), "poisoned sample");
+                ys.copy_from_slice(xs);
             }
-            fn backward(
+            fn backward_block(
                 &self,
                 _: &[f32],
                 _: &[f32],
-                grad_out: &[f32],
-                grad_in: &mut [f32],
-                _: &mut Tensor,
+                grad_outs: &[f32],
+                grad_ins: &mut [f32],
+                _: &mut [Tensor],
                 _: &mut crate::workspace::ConvScratch,
             ) {
-                grad_in.copy_from_slice(grad_out);
+                grad_ins.copy_from_slice(grad_outs);
             }
         }
 

@@ -14,13 +14,15 @@
 //!   permuted-order weight-gradient accumulator, the compacted non-zeros
 //!   and CT-CSR staging. Buffers grow on first use (warm-up) and are
 //!   recycled afterwards.
-//! * [`Workspace`] — everything one training sample needs end to end:
-//!   an activation trace, ping-pong error-gradient buffers, per-layer
-//!   gradient-*record* buffers, and one shared [`ConvScratch`]. The
-//!   trainer owns one `Workspace` per sample thread for the lifetime of
-//!   training.
+//! * [`Workspace`] — everything a block of training samples needs end to
+//!   end except its gradient records: an activation trace, ping-pong
+//!   error-gradient buffers, and one shared [`ConvScratch`]. The trainer
+//!   owns one `Workspace` per sample thread (a ring rank one) for the
+//!   lifetime of training. The records belong to the fold that reads them
+//!   (`sgd::LocalFold`, the ring's fold), one set per batch position, shaped
+//!   by [`record_buffers`].
 //!
-//! The same argument sizes the record buffers. A fully-connected layer's
+//! The same argument sizes the records. A fully-connected layer's
 //! per-sample weight gradient is a rank-1 product: written out, the
 //! ImageNet-1K classifier's (20 736 x 1000) is 83 MB stored to perform
 //! 20.7 M multiplies — 4 bytes per flop before anything reads it back —
@@ -31,7 +33,7 @@
 //! is its two factors, 21 736 floats; the product is formed once per
 //! batch inside [`fold_records`], tile by tile, so the step writes the
 //! 97 MB accumulator once (about 1 byte per multiply-add at batch 4,
-//! falling as 1/batch) and a workspace is 86 MB instead of 174 MB.
+//! falling as 1/batch).
 //!
 //! [`Layer::grad_record_len`]: crate::layer::Layer::grad_record_len
 //! [`fold_records`]: crate::sgd::fold_records
@@ -188,26 +190,20 @@ impl ConvScratch {
     }
 }
 
-/// Everything one training sample needs, preallocated — or one block of
-/// samples, which share the scratch.
+/// Everything a block of training samples needs but its gradient
+/// records, preallocated; the samples share the scratch.
 ///
-/// The trainer's worker pool builds one `Workspace` per worker from the
-/// network's geometry and reuses it for every sample the worker processes;
-/// [`Network::forward_into`] and [`Network::backward_into`] run entirely
-/// out of these buffers. A walk over a block of `k` samples
-/// ([`process_block`](crate::sgd::process_block)) grows the trace, the
-/// error-gradient buffers and the sparsities to `k` samples back to back
-/// on its first call and reuses them after; its records go to slots the
-/// caller owns, so a block adds no record buffers here.
+/// The trainer builds one `Workspace` per sample thread from the network's
+/// geometry and reuses it for every block the thread walks. A walk over a
+/// block of `k` samples ([`process_block`](crate::sgd::process_block))
+/// grows the trace, the error-gradient buffers and the sparsities to `k`
+/// samples back to back on its first call and reuses them after; its
+/// records go to record sets the caller owns ([`record_buffers`]).
 #[derive(Debug)]
 pub struct Workspace {
-    /// Reusable activation trace filled by [`Network::forward_into`].
+    /// Reusable activation trace: the last block's inputs and every
+    /// layer's outputs, sample after sample.
     pub trace: SampleTrace,
-    /// Per-layer gradient records, each
-    /// [`grad_record_len`](crate::layer::Layer::grad_record_len) long
-    /// (empty tensors for parameter-free layers), overwritten by
-    /// [`Network::backward_into`].
-    pub param_grads: Vec<Tensor>,
     /// Output-side gradient sparsity observed per layer during backward;
     /// after a block, sample `s`'s are at `s * layers..(s + 1) * layers`.
     pub grad_sparsity: Vec<f64>,
@@ -227,20 +223,13 @@ fn longest_activation(net: &Network) -> usize {
     net.layers().iter().map(|l| l.input_len().max(l.output_len())).max().unwrap_or(0)
 }
 
-/// One zeroed gradient-record buffer per layer of `net`: what one sample's
-/// [`Network::backward_into`] fills.
-pub(crate) fn record_buffers(net: &Network) -> Vec<Tensor> {
-    net.layers().iter().map(|l| Tensor::zeros(l.grad_record_len())).collect()
-}
-
 impl Workspace {
-    /// Plans a workspace for `net`: preallocates the activation trace, the
-    /// gradient ping-pong buffers, one gradient-record buffer per layer,
-    /// and conv scratch sized for the largest conv layer.
+    /// Plans a workspace for one sample of `net`: preallocates the
+    /// activation trace, the gradient ping-pong buffers and conv scratch
+    /// sized for the largest conv layer.
     pub fn for_network(net: &Network) -> Self {
         let trace = SampleTrace::for_network(net);
         let max_act = longest_activation(net);
-        let param_grads = record_buffers(net);
         let grad_sparsity = vec![0.0; net.layers().len()];
         let mut scratch = ConvScratch::new();
         for layer in net.layers() {
@@ -250,7 +239,6 @@ impl Workspace {
         }
         Workspace {
             trace,
-            param_grads,
             grad_sparsity,
             scratch,
             grad_a: Tensor::zeros(max_act),
@@ -286,10 +274,17 @@ impl Workspace {
     /// Current footprint of all workspace buffers in bytes.
     pub fn bytes(&self) -> usize {
         let acts: usize = self.trace.activations.iter().map(Tensor::len).sum();
-        let grads: usize = self.param_grads.iter().map(Tensor::len).sum();
-        (acts + grads + self.grad_a.len() + self.grad_b.len()) * std::mem::size_of::<f32>()
+        (acts + self.grad_a.len() + self.grad_b.len()) * std::mem::size_of::<f32>()
             + self.scratch.bytes()
     }
+}
+
+/// One sample's record set: a zeroed gradient-record buffer per layer of
+/// `net`, [`grad_record_len`](crate::layer::Layer::grad_record_len) long
+/// (empty for parameter-free layers) — what
+/// [`process_block`](crate::sgd::process_block) fills for each sample.
+pub fn record_buffers(net: &Network) -> Vec<Tensor> {
+    net.layers().iter().map(|l| Tensor::zeros(l.grad_record_len())).collect()
 }
 
 #[cfg(test)]

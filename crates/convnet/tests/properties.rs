@@ -175,15 +175,15 @@ impl Layer for DenseRecords {
         0
     }
 
-    fn forward(&self, _input: &[f32], _output: &mut [f32], _scratch: &mut ConvScratch) {}
+    fn forward_block(&self, _inputs: &[f32], _outputs: &mut [f32], _scratch: &mut ConvScratch) {}
 
-    fn backward(
+    fn backward_block(
         &self,
-        _input: &[f32],
-        _output: &[f32],
-        _grad_out: &[f32],
-        _grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        _inputs: &[f32],
+        _outputs: &[f32],
+        _grad_outs: &[f32],
+        _grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
     }
@@ -482,20 +482,20 @@ impl Layer for Identity {
         self.0
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        output.copy_from_slice(input);
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], _scratch: &mut ConvScratch) {
+        outputs.copy_from_slice(inputs);
     }
 
-    fn backward(
+    fn backward_block(
         &self,
-        _input: &[f32],
-        _output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        _inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
-        grad_in.copy_from_slice(grad_out);
+        grad_ins.copy_from_slice(grad_outs);
     }
 }
 

@@ -340,11 +340,6 @@ impl Framework {
         self.cores
     }
 
-    /// The tuning mode.
-    pub fn mode(&self) -> TuningMode {
-        self.mode
-    }
-
     /// Plans one layer for training at the given gradient sparsity. A
     /// measured plan is judged one sample on one core, as a trainer's
     /// sample worker runs it.

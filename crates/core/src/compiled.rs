@@ -461,6 +461,7 @@ impl CompiledConv {
     }
 
     /// The lowered, verified program this layer executes.
+    // lint: allow(test-only) tests compare a compiled layer's program with one lowered or installed
     pub fn program(&self) -> &ConvProgram {
         &self.program
     }

@@ -11,9 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use spg_codegen::KernelChoice;
-use spg_convnet::exec::{
-    ConvExecutor, PreparedWeights, ReferenceExecutor, SharedExecutor, UnfoldGemmExecutor,
-};
+use spg_convnet::exec::{ConvExecutor, PreparedWeights, ReferenceExecutor, SharedExecutor};
 use spg_convnet::gradcheck::check_gradients;
 use spg_convnet::layer::{ConvLayer, FcLayer};
 use spg_convnet::{ConvScratch, ConvSpec, Network};
@@ -39,6 +37,15 @@ fn optimized_executors(spec: &ConvSpec) -> (SharedExecutor, SharedExecutor) {
     (program.executor_for(Phase::Forward), program.executor_for(Phase::Backward))
 }
 
+/// The GEMM plan lowered for `spec` at two cores — Parallel-GEMM, each
+/// GEMM's rows split in two — as the executors of the two slots.
+fn parallel_gemm_executors(spec: &ConvSpec) -> (SharedExecutor, SharedExecutor) {
+    let gemm = Technique::GemmInParallel;
+    let plan = LayerPlan { forward: gemm, backward: gemm };
+    let program = std::sync::Arc::new(lower(spec, plan, 2, KernelChoice::Auto).unwrap());
+    (program.executor_for(Phase::Forward), program.executor_for(Phase::Backward))
+}
+
 fn max_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max)
 }
@@ -53,13 +60,13 @@ fn workspace_executors_match_reference_on_all_phases() {
         ConvSpec::new(3, 10, 10, 5, 5, 5, 1, 1).unwrap(),
         ConvSpec::new(2, 9, 9, 3, 3, 3, 2, 2).unwrap(),
     ];
-    // Two cores, so the Parallel-GEMM executor's forward forks too.
+    // Two cores, so the Parallel-GEMM executors fork too.
     let mut scratch = ConvScratch::with_cores(2);
     let mut oracle_scratch = ConvScratch::new();
     for (si, spec) in specs.iter().enumerate() {
         let (stencil, sparse) = optimized_executors(spec);
-        let execs: Vec<SharedExecutor> =
-            vec![std::sync::Arc::new(UnfoldGemmExecutor::new(2)), stencil, sparse];
+        let (gemm_forward, gemm_backward) = parallel_gemm_executors(spec);
+        let execs: Vec<SharedExecutor> = vec![gemm_forward, gemm_backward, stencil, sparse];
         let salt = 0xA11 + si as u64;
         let input = pseudo(spec.input_shape().len(), salt);
         // Prepared as a layer holding both slots prepares: each executor
@@ -135,16 +142,17 @@ fn gradcheck_passes_with_optimized_executors() {
     assert!(mismatches.is_empty(), "{mismatches:?}");
 }
 
-/// Same network, backward phases on the parallel Unfold+GEMM executor —
-/// covers the threaded GEMM path through the scratch seam.
+/// Same network, both phases on the GEMM plan lowered at two cores —
+/// covers the Parallel-GEMM program through the scratch seam.
 #[test]
 fn gradcheck_passes_with_parallel_gemm_backward() {
     let mut rng = SmallRng::seed_from_u64(11);
     let spec = ConvSpec::new(2, 7, 7, 4, 3, 3, 1, 1).unwrap();
     let out = spec.output_shape();
     let mut conv = ConvLayer::new(spec, &mut rng);
-    conv.set_forward_executor(std::sync::Arc::new(UnfoldGemmExecutor::new(2)));
-    conv.set_backward_executor(std::sync::Arc::new(UnfoldGemmExecutor::new(2)));
+    let (forward, backward) = parallel_gemm_executors(&spec);
+    conv.set_forward_executor(forward);
+    conv.set_backward_executor(backward);
     let mut net =
         Network::new(vec![Box::new(conv), Box::new(FcLayer::new(out.len(), 2, &mut rng))]).unwrap();
     let input = Tensor::random_uniform(spec.input_shape().len(), 1.0, &mut rng);

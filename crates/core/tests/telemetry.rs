@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use spg_codegen::KernelChoice;
-use spg_convnet::exec::{ConvExecutor, PreparedWeights, UnfoldGemmExecutor};
+use spg_convnet::exec::{PreparedWeights, SharedExecutor, UnfoldGemmExecutor};
 use spg_convnet::layer::{ConvLayer, Layer};
 use spg_convnet::workspace::ConvScratch;
 use spg_convnet::ConvSpec;
@@ -74,8 +74,20 @@ fn unfold_gemm_counters_match_ait_analytics() {
     let mut grad_in = vec![0.0; spec.input_shape().len()];
     let mut grad_w = vec![0.0; spec.weight_shape().len()];
 
-    for (threads, label) in [(1usize, "tel_unfold_gip"), (4, "tel_unfold_pg")] {
-        let exec = UnfoldGemmExecutor::new(threads);
+    // One core: the executor a layer is built with. Four: the GEMM plan
+    // lowered at four cores (Parallel-GEMM), whose two slots run the same
+    // program.
+    let parallel_gemm = |cores| {
+        let gemm = Technique::GemmInParallel;
+        let plan = LayerPlan { forward: gemm, backward: gemm };
+        let program = std::sync::Arc::new(lower(&spec, plan, cores, KernelChoice::Auto).unwrap());
+        program.executor_for(spg_core::autotune::Phase::Forward)
+    };
+    let execs: [(usize, SharedExecutor, &str); 2] = [
+        (1, std::sync::Arc::new(UnfoldGemmExecutor), "tel_unfold_gip"),
+        (4, parallel_gemm(4), "tel_unfold_pg"),
+    ];
+    for (threads, exec, label) in execs {
         let mut scratch = ConvScratch::with_cores(threads);
         let fwd = record_under(label, Phase::Forward, || {
             exec.forward(&spec, &input, &weights, &mut output, &mut scratch);

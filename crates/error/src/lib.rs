@@ -111,13 +111,9 @@ impl Error {
     }
 
     /// The broad classification.
+    // lint: allow(test-only) tests check which subsystem a unified error names
     pub fn kind(&self) -> ErrorKind {
         self.kind
-    }
-
-    /// The human-readable message (without the kind prefix).
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 

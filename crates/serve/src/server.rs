@@ -544,7 +544,7 @@ mod tests {
             NetworkDescription::parse(TWO_CONVS).expect("parses").build(42).expect("builds");
         Framework::new(1, TuningMode::Heuristic, 1).try_plan_network_forward(&mut net).unwrap();
         let conv2 = net.layers_mut()[2].as_conv_mut().expect("layer 2 is a conv");
-        conv2.set_forward_executor(Arc::new(UnfoldGemmExecutor::default()));
+        conv2.set_forward_executor(Arc::new(UnfoldGemmExecutor));
         spg_telemetry::reset();
         spg_telemetry::set_enabled(true);
         record_decisions(&net);

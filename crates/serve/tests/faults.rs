@@ -12,7 +12,6 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
-use spg_convnet::workspace::Workspace;
 use spg_convnet::{ConvSpec, Network};
 use spg_core::autotune::{Framework, TuningMode};
 use spg_serve::{FaultPlan, ServeConfig, ServeError, Server};
@@ -33,6 +32,11 @@ fn sample_input(len: usize, salt: usize) -> Vec<f32> {
     (0..len).map(|i| (((i * 31 + salt * 17) % 23) as f32 - 11.0) / 7.0).collect()
 }
 
+/// The logits of `input` through the network's own single-sample forward.
+fn logits(net: &Network, input: &[f32]) -> Vec<f32> {
+    net.forward(&spg_tensor::Tensor::from_vec(input.to_vec())).logits().as_slice().to_vec()
+}
+
 /// The ISSUE acceptance drill: a 4-worker pool with one injected panic
 /// answers every request — the faulted micro-batch's requests as typed
 /// `WorkerFault`s, everything else bit-identical to the unbatched
@@ -44,15 +48,8 @@ fn four_worker_pool_survives_injected_panic() {
     let plans = framework.try_plan_network_forward(&mut net).unwrap();
     let net = Arc::new(net);
 
-    let mut ws = Workspace::for_network(&net);
     let inputs: Vec<Vec<f32>> = (0..32).map(|s| sample_input(net.input_len(), s)).collect();
-    let expected: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|input| {
-            net.forward_into(input, &mut ws);
-            ws.trace.logits().as_slice().to_vec()
-        })
-        .collect();
+    let expected: Vec<Vec<f32>> = inputs.iter().map(|input| logits(&net, input)).collect();
 
     // `any:2` rather than a fixed worker: on a small host the MPMC queue
     // does not guarantee which worker pops which request, but *some*

@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
-use spg_convnet::workspace::Workspace;
 use spg_convnet::{ConvSpec, Network};
 use spg_core::autotune::{Framework, TuningMode};
 use spg_core::schedule::{LayerPlan, Technique};
@@ -32,6 +31,11 @@ fn sample_input(len: usize, salt: usize) -> Vec<f32> {
     (0..len).map(|i| (((i * 31 + salt * 17) % 23) as f32 - 11.0) / 7.0).collect()
 }
 
+/// The logits of `input` through the network's own single-sample forward.
+fn logits(net: &Network, input: &[f32]) -> Vec<f32> {
+    net.forward(&spg_tensor::Tensor::from_vec(input.to_vec())).logits().as_slice().to_vec()
+}
+
 /// The acceptance-criteria core: for every worker count and batch size,
 /// per-request logits from the batched server are bit-identical to the
 /// single-sample forward pass on the same network — tuned, or served as
@@ -52,14 +56,10 @@ fn batched_serving_is_bit_identical_to_unbatched_forward() {
 
 fn serves_bit_identical_logits(net: &Arc<Network>, plans: &[(usize, LayerPlan)]) {
     // Reference logits from the unbatched path.
-    let mut ws = Workspace::for_network(net);
     let inputs: Vec<Vec<f32>> = (0..24).map(|s| sample_input(net.input_len(), s)).collect();
     let expected: Vec<Vec<u32>> = inputs
         .iter()
-        .map(|input| {
-            net.forward_into(input, &mut ws);
-            ws.trace.logits().iter().map(|v| v.to_bits()).collect()
-        })
+        .map(|input| logits(net, input).iter().map(|v| v.to_bits()).collect())
         .collect();
 
     for workers in [1, 2, 4] {
@@ -225,11 +225,9 @@ fn starved_pool_clamps_workers_to_queue_capacity() {
     let declined = spg_telemetry::snapshot().counter("serve.starved_workers") - before;
     assert_eq!(declined, 7, "7 of 8 worker slots declined for a 1-slot queue");
     // The clamped pool still serves correctly.
-    let mut ws = Workspace::for_network(&net);
     for s in 0..4 {
         let input = sample_input(net.input_len(), s);
-        net.forward_into(&input, &mut ws);
-        let expected = ws.trace.logits().as_slice().to_vec();
+        let expected = logits(&net, &input);
         let response = server
             .submit_timeout(input, Duration::from_secs(10))
             .expect("clamped pool accepts work")
@@ -298,15 +296,8 @@ fn zero_max_delay_serves_every_request() {
     let framework = Framework::new(1, TuningMode::Heuristic, 1);
     let plans = framework.try_plan_network_forward(&mut net).unwrap();
     let net = Arc::new(net);
-    let mut ws = Workspace::for_network(&net);
     let inputs: Vec<Vec<f32>> = (0..8).map(|s| sample_input(net.input_len(), s)).collect();
-    let expected: Vec<Vec<f32>> = inputs
-        .iter()
-        .map(|input| {
-            net.forward_into(input, &mut ws);
-            ws.trace.logits().as_slice().to_vec()
-        })
-        .collect();
+    let expected: Vec<Vec<f32>> = inputs.iter().map(|input| logits(&net, input)).collect();
 
     let config = ServeConfig { workers: 2, max_delay: Duration::ZERO, ..ServeConfig::default() };
     let server = Server::start(Arc::clone(&net), &plans, config).unwrap();
@@ -339,26 +330,27 @@ impl spg_convnet::layer::Layer for PanickingLayer {
         self.len
     }
 
-    fn forward(
+    fn forward_block(
         &self,
-        input: &[f32],
-        output: &mut [f32],
+        inputs: &[f32],
+        outputs: &mut [f32],
         _scratch: &mut spg_convnet::workspace::ConvScratch,
     ) {
-        assert!(!input[0].is_nan(), "NaN tripwire: simulated kernel crash");
-        output.copy_from_slice(input);
+        let crashes = inputs.chunks_exact(self.len).any(|input| input[0].is_nan());
+        assert!(!crashes, "NaN tripwire: simulated kernel crash");
+        outputs.copy_from_slice(inputs);
     }
 
-    fn backward(
+    fn backward_block(
         &self,
-        _input: &[f32],
-        _output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut spg_tensor::Tensor,
+        _inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [spg_tensor::Tensor],
         _scratch: &mut spg_convnet::workspace::ConvScratch,
     ) {
-        grad_in.copy_from_slice(grad_out);
+        grad_ins.copy_from_slice(grad_outs);
     }
 }
 

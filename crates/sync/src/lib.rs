@@ -283,11 +283,6 @@ impl FaultInjector {
         FaultInjector { plan, fired: Arc::new(AtomicBool::new(false)) }
     }
 
-    /// Whether the injected fault has already fired.
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::SeqCst)
-    }
-
     /// The plan this injector carries, if any.
     pub fn plan(&self) -> Option<FaultPlan> {
         self.plan
@@ -538,10 +533,10 @@ mod tests {
             let injector = FaultInjector::new(Some(FaultPlan::panic_on(1, 2)));
             injector.check(0, 2); // wrong worker
             injector.check(1, 1); // wrong batch
-            assert!(!injector.fired());
+            assert!(!injector.fired.load(Ordering::SeqCst));
             let clone = injector.clone();
             assert!(catch_unwind(AssertUnwindSafe(|| clone.check(1, 2))).is_err());
-            assert!(injector.fired());
+            assert!(injector.fired.load(Ordering::SeqCst));
             // A respawned worker re-running the same (worker, batch) must
             // not re-trip the one-shot plan.
             injector.check(1, 2);

@@ -100,11 +100,6 @@ impl CtCsr {
         self.cols
     }
 
-    /// Configured tile width (the last tile may be narrower).
-    pub fn tile_width(&self) -> usize {
-        self.tile_width
-    }
-
     /// Borrows tile `t` (column indices local to the tile).
     ///
     /// # Panics

@@ -245,7 +245,7 @@ fn prepare_runs_once_per_install_and_once_per_applied_batch() {
             let mut net =
                 NetworkDescription::parse(NET).expect("valid text").build(3).expect("valid net");
             let counting = Arc::new(CountingExecutor {
-                inner: UnfoldGemmExecutor::default(),
+                inner: UnfoldGemmExecutor,
                 home: std::thread::current().id(),
                 prepares: AtomicUsize::new(0),
                 foreign: AtomicUsize::new(0),

@@ -60,31 +60,33 @@ impl Layer for Tripwire {
         self.len
     }
 
-    fn forward(&self, input: &[f32], output: &mut [f32], _scratch: &mut ConvScratch) {
-        if self.poison.as_deref() == Some(input) {
-            self.visits.poisoned.fetch_add(1, Ordering::SeqCst);
-            while self.visits.healthy.load(Ordering::SeqCst) < self.after_healthy {
-                std::thread::yield_now();
+    fn forward_block(&self, inputs: &[f32], outputs: &mut [f32], _scratch: &mut ConvScratch) {
+        for input in inputs.chunks_exact(self.len) {
+            if self.poison.as_deref() == Some(input) {
+                self.visits.poisoned.fetch_add(1, Ordering::SeqCst);
+                while self.visits.healthy.load(Ordering::SeqCst) < self.after_healthy {
+                    std::thread::yield_now();
+                }
+                if !(self.once && self.tripped.swap(true, Ordering::SeqCst)) {
+                    panic!("tripwire: simulated kernel crash");
+                }
+            } else {
+                self.visits.healthy.fetch_add(1, Ordering::SeqCst);
             }
-            if !(self.once && self.tripped.swap(true, Ordering::SeqCst)) {
-                panic!("tripwire: simulated kernel crash");
-            }
-        } else {
-            self.visits.healthy.fetch_add(1, Ordering::SeqCst);
         }
-        output.copy_from_slice(input);
+        outputs.copy_from_slice(inputs);
     }
 
-    fn backward(
+    fn backward_block(
         &self,
-        _input: &[f32],
-        _output: &[f32],
-        grad_out: &[f32],
-        grad_in: &mut [f32],
-        _param_grads: &mut Tensor,
+        _inputs: &[f32],
+        _outputs: &[f32],
+        grad_outs: &[f32],
+        grad_ins: &mut [f32],
+        _records: &mut [Tensor],
         _scratch: &mut ConvScratch,
     ) {
-        grad_in.copy_from_slice(grad_out);
+        grad_ins.copy_from_slice(grad_outs);
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! Counts, under a counting global allocator, every heap request made by
 //! forward and backward walks of a conv/relu/pool/fc net after one warm-up
-//! sample: the single-sample entries (`forward_into`, `backward_into`) and
-//! the trainer's block walk (`process_block`, which writes the loss
-//! gradient in place), at a block of one and of three. Telemetry is off, so
-//! each instrumentation site is one relaxed load — no scope label is
-//! formatted. The convs run the executors the heuristic plans at budget 1:
+//! call: the trainer's block walk (`process_block`, the only way a sample
+//! is trained, which writes the loss gradient in place), at a block of one
+//! and of three. Telemetry is off, so each instrumentation site is one
+//! relaxed load — no scope label is formatted. The convs run the executors the heuristic plans at budget 1:
 //! the stencil forward on the 4-feature layer, the GEMM forward on the
 //! 128-feature one and the GEMM backward on both, every GEMM packing its
 //! panels into the workspace's scratch. This file holds one test on
@@ -20,6 +19,7 @@ use rand::SeedableRng;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
 use spg_cnn::convnet::sgd::process_block;
+use spg_cnn::convnet::workspace::record_buffers;
 use spg_cnn::convnet::{ConvSpec, Network, Workspace};
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::schedule::Technique;
@@ -103,22 +103,9 @@ fn warm_walks_allocate_nothing() {
     let net = make_net();
     let data = Dataset::synthetic(Shape3::new(1, 12, 12), 5, 8, 0.2, 3);
     let mut ws = Workspace::for_network(&net);
-    let loss_grad = Tensor::filled(net.output_len(), 0.1);
-
-    // The single-sample entries, after one warm-up call.
-    let mut single = |i: usize| {
-        net.forward_into(data.image(i % data.len()).as_slice(), &mut ws);
-        net.backward_into(loss_grad.as_slice(), &mut ws);
-    };
-    single(0);
-    assert_eq!(requests(6, &mut single), 0, "forward_into + backward_into");
 
     // The trainer's walk, loss gradient included, at two block sizes.
-    let slots = |k: usize| -> Vec<Vec<Tensor>> {
-        (0..k)
-            .map(|_| net.layers().iter().map(|l| Tensor::zeros(l.grad_record_len())).collect())
-            .collect()
-    };
+    let slots = |k: usize| -> Vec<Vec<Tensor>> { (0..k).map(|_| record_buffers(&net)).collect() };
     for k in [1, 3] {
         let (mut records, mut scalars) = (slots(k), vec![(0.0, false); k]);
         let mut block = |rep: usize| {

@@ -18,6 +18,12 @@ impl Counter {
         self.hits = 0;
     }
 
+    /// A dead getter named after its field: `self.hits` reads the field,
+    /// so nothing calls it.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
     /// A declared seam: excused, and printed with its reason.
     // lint: allow(test-only) the fixture's seam
     pub fn count(&self) -> u64 {

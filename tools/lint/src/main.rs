@@ -168,6 +168,7 @@ fn self_test(root: &Path) -> ExitCode {
         ("thread_spawn.rs", "outside spg-sync"),
         ("intrinsics.rs", "outside spg-gemm's simd module"),
         ("test_only.rs", "Counter::reset` has no caller outside tests"),
+        ("test_only.rs", "Counter::hits` has no caller outside tests"),
         ("untested_variant.rs", "`FixtureError::TooLong` is neither constructed"),
     ] {
         if !findings.iter().any(|f| f.contains(fixture) && f.contains(needle)) {
@@ -430,6 +431,27 @@ mod tests {
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].starts_with("lib.rs:4: `pub fn A::dead`"), "{findings:?}");
         assert!(findings[1].starts_with("lib.rs:11: `pub fn free`"), "{findings:?}");
+    }
+
+    #[test]
+    fn a_field_read_is_not_a_call() {
+        let lib = || {
+            reach::File::parse(
+                "lib.rs",
+                "pub struct C {\n    hits: u64,\n    n: u64,\n}\nimpl C {\n    \
+                 pub fn hits(&self) -> u64 {\n        self.hits\n    }\n    \
+                 pub fn n(&self) -> u64 {\n        self.n\n    }\n    \
+                 pub fn get<T>(&self) {}\n}\n",
+            )
+        };
+        let main = reach::File::parse(
+            "main.rs",
+            "fn main(c: C) { let _ = c.hits + c.n(); c.get::<u8>(); }\n",
+        );
+        let mut findings = Vec::new();
+        reach::scan_test_only(&[lib()], &[lib(), main], &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("lib.rs:6: `pub fn C::hits`"), "{findings:?}");
     }
 
     #[test]

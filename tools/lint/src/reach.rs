@@ -7,7 +7,8 @@
 //! path. Tests, test items and doc examples do not count. References
 //! resolve by path where the text allows: `Type::name` and `Self::name`
 //! reach only that type's items, `module::name` and a bare `name` only
-//! free items; `.name` reaches every method of that name, and a qualifier
+//! free items; `.name(` (or `.name::<`) reaches every method of that name,
+//! a bare `.name` is a field read and reaches nothing, and a qualifier
 //! the pass cannot place (a trait, an alias, a generic) reaches every
 //! item of that name. So the pass may miss a dead item but never reports
 //! a used one. A reference inside a public item counts once that item is
@@ -273,6 +274,12 @@ pub fn scan_test_only(
                     _ => Reach::Import,
                 }
             } else if prev(1) == Some(".") {
+                // `.name(` and `.name::<` call a method; a bare `.name`
+                // reads a field, which reaches no item.
+                let next = |ahead: usize| toks.get(t + ahead).map(|tok| tok.text);
+                if next(1) != Some("(") && (next(1), next(2)) != (Some("::"), Some("<")) {
+                    continue;
+                }
                 Reach::Member
             } else if prev(1) == Some("::") {
                 match prev(2) {
