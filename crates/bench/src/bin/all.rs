@@ -18,6 +18,10 @@ fn main() {
     println!();
     print!("{}", spg_bench::figures::fig3a_report(&machine));
     println!();
+    if !skip_measured {
+        print!("{}", spg_bench::figures::fig3a_anchors());
+        println!();
+    }
     if skip_measured {
         print!("{}", spg_bench::figures::fig3b_report(None));
     } else {
@@ -33,10 +37,18 @@ fn main() {
     println!();
     print!("{}", spg_bench::figures::fig4d_report(&machine));
     println!();
+    if !skip_measured {
+        print!("{}", spg_bench::figures::fig4cd_anchors());
+        println!();
+    }
     print!("{}", spg_bench::figures::fig4e_report(&machine));
     println!();
     print!("{}", spg_bench::figures::fig4f_report(&machine));
     println!();
+    if !skip_measured {
+        print!("{}", spg_bench::figures::fig4ef_anchors());
+        println!();
+    }
     print!("{}", spg_bench::figures::fig8_report(&machine));
     println!();
     print!("{}", spg_bench::figures::fig9_report(&machine));

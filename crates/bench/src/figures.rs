@@ -8,6 +8,7 @@
 //! [`crate::anchor_gflops`].
 
 use spg_convnet::ConvSpec;
+use spg_core::autotune::Phase;
 use spg_core::region::classify_by_features;
 use spg_core::schedule::{recommended_plan, Technique};
 use spg_simcpu::{
@@ -18,7 +19,7 @@ use spg_simcpu::{
 use spg_workloads::sparsity::{modeled_curve, SparsityBenchmark};
 use spg_workloads::{table1, table2};
 
-use crate::{banner, fmt, fmt_speedup, render_table};
+use crate::{anchor_gflops, banner, fmt, fmt_speedup, render_table};
 
 /// Core counts plotted by the scalability figures.
 pub const CORE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -121,6 +122,25 @@ pub fn fig3a_report(machine: &Machine) -> String {
     out
 }
 
+/// Fig. 3a's host-measured anchors: single-core Unfold+GEMM GFlops on
+/// shrunken Table 1 geometries (the full convolutions run minutes each at
+/// debug sizes; the shrunken ones keep the feature/kernel ratios that set
+/// the AIT ordering).
+pub fn fig3a_anchors() -> String {
+    let mut out = String::from(
+        "measured single-core Unfold+GEMM anchors on this host (shrunken geometries):\n",
+    );
+    let shrunk =
+        [(0, ConvSpec::square(32, 32, 32, 4, 1)), (5, ConvSpec::square(32, 64, 16, 11, 1))];
+    let mut rows = Vec::new();
+    for (id, spec) in shrunk {
+        let gf = anchor_gflops(&spec, Technique::GemmInParallel, Phase::Forward, 0.0, 3);
+        rows.push(vec![format!("ID {id} (shrunk)"), fmt(gf, 2)]);
+    }
+    out.push_str(&render_table(&["conv", "GFlops (1 core, this host)"], &rows));
+    out
+}
+
 /// Fig. 3b: error-gradient sparsity across training epochs.
 pub fn fig3b_report(measured: Option<&[f64]>) -> String {
     let mut out = banner("Fig 3b", "error-gradient sparsity across epochs");
@@ -184,6 +204,27 @@ pub fn fig4d_report(machine: &Machine) -> String {
     out
 }
 
+/// Fig. 4c/4d's host-measured anchors: single-core stencil over
+/// Unfold+GEMM forward speedups.
+pub fn fig4cd_anchors() -> String {
+    let mut out = String::from(
+        "measured single-core stencil/unfold+GEMM FP speedups on this host\n\
+         (the stencil as it deploys; `spgcnn bench-kernels` splits generic from specialized):\n",
+    );
+    let cases = [
+        ("MNIST L0", ConvSpec::square(28, 20, 1, 5, 1)),
+        ("CIFAR L1", ConvSpec::square(8, 64, 64, 5, 1)),
+    ];
+    let mut rows = Vec::new();
+    for (name, spec) in cases {
+        let gemm = anchor_gflops(&spec, Technique::GemmInParallel, Phase::Forward, 0.0, 5);
+        let stencil = anchor_gflops(&spec, Technique::StencilFp, Phase::Forward, 0.0, 5);
+        rows.push(vec![name.to_owned(), fmt_speedup(stencil / gemm)]);
+    }
+    out.push_str(&render_table(&["layer", "stencil speedup"], &rows));
+    out
+}
+
 /// Fig. 4e: Sparse-Kernel (BP) goodput versus sparsity at 16 cores.
 pub fn fig4e_report(machine: &Machine) -> String {
     let mut out =
@@ -219,6 +260,24 @@ pub fn fig4f_report(machine: &Machine) -> String {
     let headers = ["conv", "s=0", "s=0.5", "s=0.75", "s=0.88", "s=0.94", "s=0.97", "s=0.99"];
     out.push_str(&render_table(&headers, &rows));
     out.push_str("\npaper shape: consistent wins from 0.75; 3x-32x in the >= 0.90 range\n");
+    out
+}
+
+/// Fig. 4e/4f's host-measured anchors: single-core sparse backward
+/// goodput and its speedup over the dense backward, on a shrunken ID 0.
+pub fn fig4ef_anchors() -> String {
+    let mut out = String::from(
+        "measured single-core sparse/dense BP on this host (shrunken ID 0 geometry;\n\
+         the synthetic gradient at sparsity s keeps one element in round(1/(1-s))):\n",
+    );
+    let spec = ConvSpec::square(32, 32, 32, 4, 1);
+    let mut rows = Vec::new();
+    for s in [0.5, 0.75, 0.9, 0.97] {
+        let sparse = anchor_gflops(&spec, Technique::SparseBp, Phase::Backward, s, 3);
+        let dense = anchor_gflops(&spec, Technique::GemmInParallel, Phase::Backward, s, 3);
+        rows.push(vec![fmt(s, 2), fmt(sparse, 2), fmt_speedup(sparse / dense)]);
+    }
+    out.push_str(&render_table(&["sparsity", "goodput GFlops", "speedup vs dense"], &rows));
     out
 }
 

@@ -1,11 +1,11 @@
 //! Abstract model of `ConvScratch` capacity.
 //!
 //! The verifier never holds a real scratch arena; it reasons about the element
-//! counts a `ConvScratch::reserve` call guarantees. `reserved_for` mirrors the
-//! reservation arithmetic in `spg-convnet::workspace` exactly (a coupling test
-//! keeps the two in lock-step).
+//! counts a `ConvScratch::reserve` call guarantees. `reserved_for` reads them
+//! from `ConvScratch::reserved_lengths`, the figures `reserve` grows to (a
+//! coupling test checks them against a live arena).
 
-use spg_convnet::ConvSpec;
+use spg_convnet::{ConvScratch, ConvSpec};
 
 /// Element capacities of the four `ConvScratch` staging buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,24 +22,17 @@ pub struct ScratchCapacity {
 
 impl ScratchCapacity {
     /// Capacities `ConvScratch::reserve(spec)` guarantees, computed without
-    /// allocating. Must stay byte-for-byte in sync with the reservation code.
+    /// allocating.
     #[must_use]
     pub fn reserved_for(spec: &ConvSpec) -> Self {
-        let patches = spec.out_h() * spec.out_w();
-        let patch_len = spec.weight_shape().per_feature();
-        ScratchCapacity {
-            mat_b: patches * patch_len,
-            hwc_in: spec.input_shape().len(),
-            hwc_out: spec.output_shape().len(),
-            wperm: spec.weight_shape().len(),
-        }
+        let [mat_b, hwc_in, hwc_out, wperm] = ConvScratch::reserved_lengths(spec);
+        ScratchCapacity { mat_b, hwc_in, hwc_out, wperm }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spg_convnet::workspace::ConvScratch;
 
     #[test]
     fn reserved_matches_live_scratch() {

@@ -41,7 +41,7 @@ pub struct HashRing {
     /// Sorted `(point, shard)` pairs for every *live* shard.
     points: Vec<(u64, usize)>,
     /// Live flags indexed by shard id.
-    live: Vec<bool>,
+    pub(crate) live: Vec<bool>,
 }
 
 impl HashRing {
@@ -97,11 +97,6 @@ impl HashRing {
         }
         self.live[shard] = false;
         self.points.retain(|&(_, s)| s != shard);
-    }
-
-    /// Number of live shards.
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
     }
 
     /// Routes a key to a live shard: the owner of the first virtual
@@ -205,6 +200,6 @@ mod tests {
         ring.evict(0);
         ring.evict(1);
         assert_eq!(ring.route(b"abc"), None);
-        assert_eq!(ring.live_count(), 0);
+        assert!(ring.live.iter().all(|&live| !live));
     }
 }

@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use std::time::Duration;
 //!
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
@@ -44,7 +45,8 @@
 //!     Ok(Box::new(InProcShard::new(server)) as Box<dyn ShardBackend>)
 //! });
 //! let router = Router::start(spawner, &RouterConfig { shards: 2, ..RouterConfig::default() })?;
-//! let reply = router.try_submit(b"user-42", vec![0.0; 4])?.wait()?;
+//! let timeout = Duration::from_secs(5);
+//! let reply = router.submit_timeout(b"user-42", vec![0.0; 4], timeout)?.wait()?;
 //! assert!(reply.class < 2);
 //! router.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -221,5 +223,11 @@ mod tests {
         assert_eq!(e.kind().as_str(), "cluster");
         let source = std::error::Error::source(&e).expect("source preserved");
         assert!(source.downcast_ref::<ClusterError>().is_some());
+    }
+
+    #[test]
+    fn shard_backpressure_stays_backpressure() {
+        let e = ClusterError::from_serve(1, ServeError::Rejected { capacity: 4 });
+        assert!(matches!(e, ClusterError::Rejected { capacity: 4 }), "{e}");
     }
 }

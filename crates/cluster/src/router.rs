@@ -304,32 +304,6 @@ impl Router {
         spg_sync::lock(&self.ring).route(key).ok_or(ClusterError::NoShards)
     }
 
-    /// Non-blocking submission: the owning shard's full queue rejects
-    /// immediately (backpressure, same semantics as
-    /// [`spg_serve::Server::try_submit`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoShards`] with every shard evicted,
-    /// [`ClusterError::Rejected`] on backpressure,
-    /// [`ClusterError::ShuttingDown`] after shutdown began.
-    pub fn try_submit(&self, key: &[u8], input: Vec<f32>) -> Result<PendingRoute, ClusterError> {
-        let shard = self.route(key)?;
-        spg_telemetry::record_counter("cluster.router.requests", 1);
-        let (tx, rx) = mpsc::sync_channel(1);
-        let queue = &self.slots[shard].queue;
-        queue.try_push(RouterRequest { key: key.to_vec(), input, reply: tx }).map_err(
-            |e| match e {
-                PushError::Full => {
-                    spg_telemetry::record_counter("cluster.router.rejected", 1);
-                    ClusterError::Rejected { capacity: queue.capacity() }
-                }
-                PushError::Closed | PushError::TimedOut => ClusterError::ShuttingDown,
-            },
-        )?;
-        Ok(PendingRoute { rx })
-    }
-
     /// Blocking submission with a deadline, mirroring
     /// [`spg_serve::Server::submit_timeout`] — including that a `timeout`
     /// too large to represent as a deadline waits for space for as long as
@@ -337,9 +311,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// As [`try_submit`](Self::try_submit), with
+    /// [`ClusterError::NoShards`] with every shard evicted,
     /// [`ClusterError::Timeout`] when the queue stayed full past the
-    /// deadline.
+    /// deadline, [`ClusterError::ShuttingDown`] after shutdown began.
     pub fn submit_timeout(
         &self,
         key: &[u8],
@@ -368,7 +342,7 @@ impl Router {
     /// Number of currently live (non-evicted) shards.
     // lint: allow(test-only) shard-kill drills assert the eviction shrank the ring
     pub fn live_shards(&self) -> usize {
-        spg_sync::lock(&self.ring).live_count()
+        spg_sync::lock(&self.ring).live.iter().filter(|&&live| live).count()
     }
 
     /// Total health-based shard evictions so far.
@@ -496,6 +470,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Long enough that a submission to a draining queue never times out.
+    const WAIT: Duration = Duration::from_secs(30);
+
     /// A scripted backend: answers with its shard id as the class, dies
     /// on request `die_on` (once per incarnation).
     struct Scripted {
@@ -544,7 +521,8 @@ mod tests {
         let ring = HashRing::new(3, VNODES, HASH_SEED);
         for i in 0..60 {
             let key = format!("key-{i}");
-            let reply = router.try_submit(key.as_bytes(), vec![1.0]).unwrap().wait().unwrap();
+            let reply =
+                router.submit_timeout(key.as_bytes(), vec![1.0], WAIT).unwrap().wait().unwrap();
             assert_eq!(reply.shard, ring.route(key.as_bytes()).unwrap());
             assert_eq!(reply.class, reply.shard);
         }
@@ -555,7 +533,7 @@ mod tests {
     fn request_errors_do_not_evict() {
         let config = RouterConfig { shards: 2, ..Default::default() };
         let router = Router::start(scripted_spawner(None), &config).unwrap();
-        let err = router.try_submit(b"k", Vec::new()).unwrap().wait().unwrap_err();
+        let err = router.submit_timeout(b"k", Vec::new(), WAIT).unwrap().wait().unwrap_err();
         assert!(matches!(err, ClusterError::BadInput { .. }), "got {err:?}");
         assert_eq!(router.live_shards(), 2);
         assert_eq!(router.evictions(), 0);
@@ -581,7 +559,7 @@ mod tests {
 
         let mut faults = 0;
         for key in &keys {
-            match router.try_submit(key.as_bytes(), vec![2.0]).unwrap().wait() {
+            match router.submit_timeout(key.as_bytes(), vec![2.0], WAIT).unwrap().wait() {
                 Ok(reply) => assert_eq!(reply.shard, 0),
                 Err(ClusterError::ShardFault { shard, .. }) => {
                     assert_eq!(shard, 0);
@@ -652,11 +630,11 @@ mod tests {
 
         // `a` is popped into the gated backend; once `b` is accepted
         // behind it the one-slot queue is full and nothing drains it.
-        let in_flight = router.try_submit(b"a", vec![1.0]).unwrap();
+        let in_flight = router.submit_timeout(b"a", vec![1.0], WAIT).unwrap();
         let queued = loop {
-            match router.try_submit(b"b", vec![2.0]) {
+            match router.submit_timeout(b"b", vec![2.0], Duration::ZERO) {
                 Ok(pending) => break pending,
-                Err(ClusterError::Rejected { .. }) => std::thread::yield_now(),
+                Err(ClusterError::Timeout { .. }) => std::thread::yield_now(),
                 Err(other) => panic!("unexpected error {other:?}"),
             }
         };
@@ -697,16 +675,17 @@ mod tests {
             .find(|k| ring.route(k.as_bytes()) == Some(0))
             .unwrap();
         // First request dies, evicting shard 0; one respawn remains.
-        let _ = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait();
+        let _ = router.submit_timeout(key0.as_bytes(), vec![1.0], WAIT).unwrap().wait();
         assert!(router.wait_respawns(1, Duration::from_secs(5)));
         assert_eq!(router.live_shards(), 2);
         // The respawned backend dies again, spending the budget: shard 0
         // retires for good.
-        let _ = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait();
+        let _ = router.submit_timeout(key0.as_bytes(), vec![1.0], WAIT).unwrap().wait();
         assert!(router.wait_evictions(2, Duration::from_secs(5)));
         assert_eq!(router.live_shards(), 1);
         // Shard 0's keys re-route to the survivor; other shards serve on.
-        let reply = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait().unwrap();
+        let reply =
+            router.submit_timeout(key0.as_bytes(), vec![1.0], WAIT).unwrap().wait().unwrap();
         assert_eq!(reply.shard, 1, "evicted shard's keys moved to the survivor");
     }
 
@@ -770,11 +749,11 @@ mod tests {
             .unwrap();
         // The first incarnation dies: by the time the spawner runs again
         // only shard 1's backend is alive.
-        let _ = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait();
+        let _ = router.submit_timeout(key0.as_bytes(), vec![1.0], WAIT).unwrap().wait();
         assert!(router.wait_respawns(1, Duration::from_secs(5)));
         assert_eq!(*spg_sync::lock(&live_at_spawn), [0, 1], "dead backend dropped before respawn");
         // The second death spends the budget: the retired backend drops.
-        let _ = router.try_submit(key0.as_bytes(), vec![1.0]).unwrap().wait();
+        let _ = router.submit_timeout(key0.as_bytes(), vec![1.0], WAIT).unwrap().wait();
         assert!(drops.wait_until_timeout(2, Duration::from_secs(5)), "retired backend dropped");
         assert_eq!(router.live_shards(), 1);
         // Shutdown drops the one live backend left, shard 1's.
@@ -818,10 +797,10 @@ mod tests {
         });
         let config = RouterConfig { shards: 1, ..Default::default() };
         let router = Router::start(spawner, &config).unwrap();
-        let err = router.try_submit(b"k", vec![1.0]).unwrap().wait().unwrap_err();
+        let err = router.submit_timeout(b"k", vec![1.0], WAIT).unwrap().wait().unwrap_err();
         assert!(matches!(err, ClusterError::BadInput { expected: 4, actual: 1 }), "got {err:?}");
         assert_eq!(router.evictions(), 0);
-        let reply = router.try_submit(b"k", vec![0.5; 4]).unwrap().wait().unwrap();
+        let reply = router.submit_timeout(b"k", vec![0.5; 4], WAIT).unwrap().wait().unwrap();
         assert_eq!(reply.logits.len(), 3);
         router.shutdown();
     }

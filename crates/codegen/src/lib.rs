@@ -59,17 +59,6 @@ pub enum KernelChoice {
     Generic,
 }
 
-impl KernelChoice {
-    /// The decision-log spelling (`specialized` is recorded only for a
-    /// resolved instance, never for the `Auto` intent itself).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Generic => "generic",
-        }
-    }
-}
-
 /// Whether `SPG_FORCE_GENERIC` disables every specialized instance.
 ///
 /// Read once per process (the CI fallback leg sets it for whole test
@@ -225,9 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_choice_strings() {
-        assert_eq!(KernelChoice::Auto.as_str(), "auto");
-        assert_eq!(KernelChoice::Generic.as_str(), "generic");
+    fn kernel_choice_defaults_to_auto() {
         assert_eq!(KernelChoice::default(), KernelChoice::Auto);
     }
 }

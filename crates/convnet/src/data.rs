@@ -98,11 +98,6 @@ impl Dataset {
         self.labels[i]
     }
 
-    /// Iterates over `(image, label)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tensor, usize)> + '_ {
-        self.images.iter().zip(self.labels.iter().copied())
-    }
-
     /// Shuffles sample order in place with the given seed (between epochs).
     pub fn shuffle(&mut self, seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -154,7 +149,8 @@ mod tests {
     #[test]
     fn labels_cycle_through_classes() {
         let ds = Dataset::synthetic(Shape3::new(1, 4, 4), 3, 9, 0.1, 1);
-        let counts = (0..3).map(|c| ds.iter().filter(|&(_, l)| l == c).count()).collect::<Vec<_>>();
+        let counts: Vec<usize> =
+            (0..3).map(|c| (0..ds.len()).filter(|&i| ds.label(i) == c).count()).collect();
         assert_eq!(counts, vec![3, 3, 3]);
     }
 
@@ -173,12 +169,13 @@ mod tests {
     fn shuffle_preserves_pairing() {
         let mut ds = Dataset::synthetic(Shape3::new(1, 4, 4), 4, 16, 0.0, 5);
         // With zero noise, each image *is* its class prototype.
-        let proto: Vec<(Vec<f32>, usize)> =
-            ds.iter().map(|(img, l)| (img.as_slice().to_vec(), l)).collect();
+        let pairs = |ds: &Dataset| -> Vec<(Vec<f32>, usize)> {
+            (0..ds.len()).map(|i| (ds.image(i).as_slice().to_vec(), ds.label(i))).collect()
+        };
+        let proto = pairs(&ds);
         ds.shuffle(99);
-        for (img, label) in ds.iter() {
-            let matching =
-                proto.iter().find(|(p, _)| p == img.as_slice()).expect("image survives shuffle");
+        for (img, label) in pairs(&ds) {
+            let matching = proto.iter().find(|(p, _)| *p == img).expect("image survives shuffle");
             assert_eq!(matching.1, label);
         }
     }

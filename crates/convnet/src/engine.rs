@@ -16,12 +16,15 @@
 //! # Example
 //!
 //! ```
-//! use spg_convnet::{ConvSpec, Engine};
+//! use rand::{rngs::SmallRng, SeedableRng};
+//! use spg_convnet::{layer::ConvLayer, ConvSpec, Engine, Network};
 //! use spg_tensor::Tensor;
 //!
 //! // A single-conv-layer classifier over 8x8x1 images with 4 features.
 //! let spec = ConvSpec::new(1, 8, 8, 4, 3, 3, 1, 1)?;
-//! let engine = Engine::builder().spec(spec).workers(2).seed(7).build()?;
+//! let conv = ConvLayer::new(spec, &mut SmallRng::seed_from_u64(7));
+//! let net = Network::new(vec![Box::new(conv)])?;
+//! let engine = Engine::builder().network(net).workers(2).build()?;
 //! let input = Tensor::filled(engine.network().input_len(), 0.5);
 //! let classes = engine.infer(&[input]);
 //! assert_eq!(classes.len(), 1);
@@ -30,15 +33,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use spg_error::{Error, ErrorKind};
 use spg_tensor::Tensor;
 
 use crate::data::Dataset;
 use crate::layer::ConvLayer;
 use crate::workspace::ConvScratch;
-use crate::{ConvSpec, EpochStats, Network, SampleTrace, Trainer, TrainerConfig};
+use crate::{EpochStats, Network, SampleTrace, Trainer, TrainerConfig};
 
 /// Executor-planning strategy injected into an [`Engine`].
 ///
@@ -94,64 +95,37 @@ pub trait LayerAlgo: Send + Sync {
     fn install(&self, conv: &mut ConvLayer, cores: usize) -> Result<(), Error>;
 }
 
-/// How initial weights are supplied to [`EngineBuilder::build`].
-enum WeightSource {
-    /// A flat parameter vector, distributed across layers in order.
-    Flat(Vec<f32>),
-    /// A serialized weight file in the `spg_convnet::io` format.
-    Bytes(Vec<u8>),
-}
-
 /// Builder for [`Engine`]; obtained from [`Engine::builder`].
 pub struct EngineBuilder {
     network: Option<Network>,
-    spec: Option<ConvSpec>,
-    weights: Option<WeightSource>,
+    /// A serialized weight file in the [`crate::io`] format.
+    weights: Option<Vec<u8>>,
     workers: usize,
     planner: Option<Arc<dyn NetworkPlanner>>,
     trainer: TrainerConfig,
-    seed: u64,
 }
 
 impl EngineBuilder {
     fn new() -> Self {
         EngineBuilder {
             network: None,
-            spec: None,
             weights: None,
             workers: 1,
             planner: None,
             trainer: TrainerConfig::default(),
-            seed: 0x5b9c,
         }
     }
 
-    /// Uses an already-constructed network (takes precedence over
-    /// [`spec`](Self::spec)).
+    /// The network to run.
     pub fn network(mut self, net: Network) -> Self {
         self.network = Some(net);
-        self
-    }
-
-    /// Builds a single-convolution-layer network from `spec` with seeded
-    /// random weights. Convenience for kernels-only experiments; richer
-    /// topologies should pass a [`Network`] via [`network`](Self::network).
-    pub fn spec(mut self, spec: ConvSpec) -> Self {
-        self.spec = Some(spec);
-        self
-    }
-
-    /// Initializes parameters from a flat vector covering every trainable
-    /// layer in order (the concatenation of each layer's `params()`).
-    pub fn weights(mut self, params: Vec<f32>) -> Self {
-        self.weights = Some(WeightSource::Flat(params));
         self
     }
 
     /// Initializes parameters from serialized bytes in the
     /// [`crate::io`] weight-file format.
     pub fn weights_bytes(mut self, bytes: Vec<u8>) -> Self {
-        self.weights = Some(WeightSource::Bytes(bytes));
+        self.weights = Some(bytes);
         self
     }
 
@@ -183,41 +157,22 @@ impl EngineBuilder {
         self
     }
 
-    /// Seed for weight initialization when building from a spec.
-    // lint: allow(test-only) tests and doc examples pick the weights they build
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Builds the engine.
     ///
     /// # Errors
     ///
-    /// Returns [`ErrorKind::InvalidNetwork`] when neither a network nor a
-    /// spec was supplied, when network construction fails, or when a
-    /// supplied weight source does not match the network's parameters.
+    /// Returns [`ErrorKind::InvalidNetwork`] when no network was supplied,
+    /// and [`ErrorKind::Io`] when supplied weight bytes do not load into it.
     pub fn build(self) -> Result<Engine, Error> {
-        let mut net = match (self.network, self.spec) {
-            (Some(net), _) => net,
-            (None, Some(spec)) => {
-                let mut rng = SmallRng::seed_from_u64(self.seed);
-                Network::new(vec![Box::new(ConvLayer::new(spec, &mut rng))])?
-            }
-            (None, None) => {
-                return Err(Error::new(
-                    ErrorKind::InvalidNetwork,
-                    "Engine::builder() needs .network(..) or .spec(..)",
-                ))
-            }
+        let Some(mut net) = self.network else {
+            return Err(Error::new(
+                ErrorKind::InvalidNetwork,
+                "Engine::builder() needs .network(..)",
+            ));
         };
-        match self.weights {
-            None => {}
-            Some(WeightSource::Flat(params)) => apply_flat_weights(&mut net, &params)?,
-            Some(WeightSource::Bytes(bytes)) => {
-                crate::io::load_weights(&mut net, bytes.as_slice())
-                    .map_err(|e| Error::with_source(ErrorKind::Io, e.to_string(), e))?;
-            }
+        if let Some(bytes) = self.weights {
+            crate::io::load_weights(&mut net, bytes.as_slice())
+                .map_err(|e| Error::with_source(ErrorKind::Io, e.to_string(), e))?;
         }
         Ok(Engine {
             net,
@@ -228,26 +183,6 @@ impl EngineBuilder {
             warm: Mutex::new(None),
         })
     }
-}
-
-/// Distributes a flat parameter vector across the network's layers.
-fn apply_flat_weights(net: &mut Network, params: &[f32]) -> Result<(), Error> {
-    let expected: usize = net.layers().iter().map(|l| l.param_count()).sum();
-    if params.len() != expected {
-        return Err(Error::new(
-            ErrorKind::InvalidNetwork,
-            format!("flat weight vector has {} values, network has {expected}", params.len()),
-        ));
-    }
-    let mut offset = 0;
-    for layer in net.layers_mut() {
-        let count = layer.param_count();
-        if count > 0 {
-            layer.set_params(&params[offset..offset + count]);
-            offset += count;
-        }
-    }
-    Ok(())
 }
 
 /// Re-installs pinned per-layer algorithms after a planner pass. Install
@@ -300,12 +235,6 @@ impl Engine {
     /// The underlying network.
     pub fn network(&self) -> &Network {
         &self.net
-    }
-
-    /// The configured worker count: the cores [`Engine::infer`] and
-    /// [`Engine::forward`] use (see [`EngineBuilder::workers`]).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Installs forward-and-backward executor plans for training at the
@@ -425,11 +354,11 @@ impl Engine {
 
     /// Runs one forward pass, returning the logits.
     ///
-    /// One sample cannot occupy [`workers`](Engine::workers) cores by
+    /// One sample cannot occupy [`workers`](EngineBuilder::workers) cores by
     /// sample parallelism, so the call spends them inside the sample:
     /// every layer that can split runs on up to that many threads
     /// (the [core budget](ConvScratch::cores)), and the logits are
-    /// bit-identical to [`Network::forward`]'s at every worker count. The
+    /// bit-identical to [`Network::forward_sample`]'s at every worker count. The
     /// walk runs out of a trace and scratch the engine keeps warm, so after
     /// the first call it builds no buffers: what it still allocates is the
     /// returned logits, the blocked GEMM's transient pack panels and the
@@ -472,21 +401,27 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::data::Dataset;
+    use crate::ConvSpec;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
     use spg_tensor::Shape3;
 
-    fn small_spec() -> ConvSpec {
-        ConvSpec::new(1, 6, 6, 3, 3, 3, 1, 1).unwrap()
+    /// One 3x3 conv over a 6x6 image, weights drawn from `seed`.
+    fn small_net(seed: u64) -> Network {
+        let spec = ConvSpec::new(1, 6, 6, 3, 3, 3, 1, 1).unwrap();
+        let conv = ConvLayer::new(spec, &mut SmallRng::seed_from_u64(seed));
+        Network::new(vec![Box::new(conv)]).unwrap()
     }
 
     #[test]
-    fn builder_requires_a_network_or_spec() {
+    fn builder_requires_a_network() {
         let err = Engine::builder().build().unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidNetwork);
     }
 
     #[test]
-    fn spec_builds_and_forwards() {
-        let engine = Engine::builder().spec(small_spec()).seed(3).build().unwrap();
+    fn engine_builds_and_forwards() {
+        let engine = Engine::builder().network(small_net(3)).build().unwrap();
         let input = vec![1.0; engine.network().input_len()];
         let logits = engine.forward(&input).unwrap();
         assert_eq!(logits.len(), engine.network().output_len());
@@ -494,25 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_weights_round_trip() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let net = Network::new(vec![Box::new(ConvLayer::new(small_spec(), &mut rng))]).unwrap();
-        let count: usize = net.layers().iter().map(|l| l.param_count()).sum();
-        let params = vec![0.25; count];
-        let engine = Engine::builder().network(net).weights(params.clone()).build().unwrap();
-        let stored = engine.network().layers()[0].params().unwrap();
-        assert_eq!(stored, params.as_slice());
-        let err = Engine::builder().spec(small_spec()).weights(vec![1.0]).build().unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::InvalidNetwork);
-    }
-
-    #[test]
     fn weight_bytes_round_trip() {
-        let engine = Engine::builder().spec(small_spec()).seed(9).build().unwrap();
+        let engine = Engine::builder().network(small_net(9)).build().unwrap();
         let mut bytes = Vec::new();
         crate::io::save_weights(engine.network(), &mut bytes).unwrap();
         let reloaded =
-            Engine::builder().spec(small_spec()).seed(1).weights_bytes(bytes).build().unwrap();
+            Engine::builder().network(small_net(1)).weights_bytes(bytes).build().unwrap();
         assert_eq!(
             reloaded.network().layers()[0].params().unwrap(),
             engine.network().layers()[0].params().unwrap()
@@ -524,7 +446,7 @@ mod tests {
         let shape = Shape3::new(1, 6, 6);
         let mut data = Dataset::synthetic(shape, 3, 12, 0.05, 11);
         let mut engine = Engine::builder()
-            .spec(small_spec())
+            .network(small_net(0x5b9c))
             .trainer(TrainerConfig { epochs: 1, batch_size: 4, ..TrainerConfig::default() })
             .workers(2)
             .build()

@@ -11,7 +11,7 @@ use spg_tensor::Tensor;
 use crate::data::Dataset;
 use crate::sgd::{fold_records, process_block, zero_param_grads};
 use crate::workspace::{record_buffers, Workspace};
-use crate::Network;
+use crate::{ConvScratch, Network, SampleTrace};
 
 /// One analytic-vs-numeric disagreement found by [`check_gradients`].
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +76,8 @@ pub fn check_gradients(
     fold_records(net, &records, 1, true, analytic.iter_mut().map(Tensor::as_mut_slice));
 
     let loss_of = |net: &Network| {
-        let trace = net.forward(input);
+        let mut trace = SampleTrace::for_network(net);
+        net.forward_sample(input.as_slice(), &mut trace, &mut ConvScratch::new());
         Network::loss_and_gradient(trace.logits(), label).0
     };
 

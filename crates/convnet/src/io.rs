@@ -164,6 +164,7 @@ impl From<ConvError> for LoadError {
 mod tests {
     use super::*;
     use crate::layer::{ConvLayer, FcLayer, ReluLayer};
+    use crate::net::tests::trace_of;
     use crate::ConvSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -185,14 +186,14 @@ mod tests {
         let source = make_net(1);
         let mut target = make_net(2); // different weights
         let input = Tensor::filled(36, 0.3);
-        let source_logits = source.forward(&input).logits().clone();
-        let before = target.forward(&input).logits().clone();
+        let source_logits = trace_of(&source, &input).logits().clone();
+        let before = trace_of(&target, &input).logits().clone();
         assert_ne!(source_logits.as_slice(), before.as_slice());
 
         let mut buf = Vec::new();
         save_weights(&source, &mut buf).unwrap();
         load_weights(&mut target, buf.as_slice()).unwrap();
-        let after = target.forward(&input).logits().clone();
+        let after = trace_of(&target, &input).logits().clone();
         assert_eq!(source_logits.as_slice(), after.as_slice());
     }
 
@@ -246,9 +247,9 @@ mod tests {
 
         let mut target = make_net(2);
         let input = Tensor::filled(36, 0.3);
-        let before = target.forward(&input).logits().clone();
+        let before = trace_of(&target, &input).logits().clone();
         assert!(matches!(load_weights(&mut target, buf.as_slice()), Err(LoadError::Io(_))));
-        let after = target.forward(&input).logits().clone();
+        let after = trace_of(&target, &input).logits().clone();
         assert_eq!(before.as_slice(), after.as_slice(), "conv layer was overwritten");
     }
 

@@ -226,11 +226,6 @@ impl ConvLayer {
         &self.spec
     }
 
-    /// Borrows the weights.
-    pub fn weights(&self) -> &Tensor {
-        &self.weights.fckk
-    }
-
     /// Replaces the forward-phase executor.
     pub fn set_forward_executor(&mut self, exec: SharedExecutor) {
         self.fwd = exec;
@@ -1202,10 +1197,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let spec = ConvSpec::new(1, 3, 3, 1, 2, 2, 1, 1).unwrap();
         let mut layer = ConvLayer::new(spec, &mut rng);
-        let before = layer.weights().clone();
+        let before = layer.params().unwrap().to_vec();
         let grads = Tensor::filled(4, 1.0);
         layer.apply_update(&grads, 0.1);
-        for (b, a) in before.iter().zip(layer.weights().iter()) {
+        for (b, a) in before.iter().zip(layer.params().unwrap()) {
             assert!((b - 0.1 - a).abs() < 1e-6);
         }
     }

@@ -52,7 +52,7 @@ pub mod workspace;
 
 pub use engine::{Engine, EngineBuilder, LayerAlgo, NetworkPlanner};
 pub use error::{ConvError, TrainError};
-pub use net::{scope_label, Network, SampleTrace};
+pub use net::{argmax, scope_label, Network, SampleTrace};
 pub use sgd::{EpochStats, Trainer, TrainerConfig};
 pub use spec::ConvSpec;
 pub use workspace::{ConvScratch, Workspace};

@@ -7,7 +7,7 @@
 //! a caller-provided [`Workspace`] — no heap allocation once it is warm.
 //! Every trained sample goes through it (`sgd::process_block`): a trainer
 //! slot runs its block of each batch, a ring rank its block, and a single
-//! sample is a block of one. Inference ([`Network::forward`],
+//! sample is a block of one. Inference ([`Network::forward_sample`],
 //! [`Network::infer_batch`]) runs the same forward walk over what forward
 //! reads only: an activation trace and a [`ConvScratch`], never a training
 //! workspace's gradient buffers.
@@ -59,8 +59,8 @@ impl SampleTrace {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty (cannot happen for traces produced by
-    /// [`Network::forward`]).
+    /// Panics if the trace is empty (cannot happen for a trace built by
+    /// [`SampleTrace::for_network`]).
     pub fn logits(&self) -> &Tensor {
         self.activations.last().expect("trace contains at least the input")
     }
@@ -98,15 +98,12 @@ pub(crate) fn loss_into(logits: &[f32], label: usize, grad: &mut [f32]) -> f32 {
     loss
 }
 
-/// Index of the largest logit (the first, on ties).
-fn argmax(logits: &Tensor) -> usize {
-    let mut best = 0;
-    for i in 1..logits.len() {
-        if logits[i] > logits[best] {
-            best = i;
-        }
-    }
-    best
+/// The class `logits` predict: the index of the first largest logit. A
+/// later logit must compare greater to win, so ties (`-0.0` and `0.0`
+/// included) go to the first and a NaN after index 0 never wins. The one
+/// rule for the trainer's accuracy, [`Network::infer_batch`] and serving.
+pub fn argmax(logits: &[f32]) -> usize {
+    (1..logits.len()).fold(0, |best, i| if logits[i] > logits[best] { i } else { best })
 }
 
 /// A sequential stack of layers with a softmax + cross-entropy loss head.
@@ -116,8 +113,7 @@ fn argmax(logits: &Tensor) -> usize {
 /// ```
 /// use rand::{SeedableRng, rngs::SmallRng};
 /// use spg_convnet::layer::{FcLayer, ReluLayer};
-/// use spg_convnet::Network;
-/// use spg_tensor::Tensor;
+/// use spg_convnet::{ConvScratch, Network, SampleTrace};
 ///
 /// let mut rng = SmallRng::seed_from_u64(0);
 /// let net = Network::new(vec![
@@ -125,7 +121,8 @@ fn argmax(logits: &Tensor) -> usize {
 ///     Box::new(ReluLayer::new(8)),
 ///     Box::new(FcLayer::new(8, 3, &mut rng)),
 /// ])?;
-/// let trace = net.forward(&Tensor::filled(4, 0.5));
+/// let mut trace = SampleTrace::for_network(&net);
+/// net.forward_sample(&[0.5; 4], &mut trace, &mut ConvScratch::new());
 /// let (loss, _grad) = Network::loss_and_gradient(trace.logits(), 1);
 /// assert!(loss > 0.0);
 /// # Ok::<(), spg_convnet::ConvError>(())
@@ -229,20 +226,6 @@ impl Network {
         }
     }
 
-    /// Runs one sample forward, recording every activation.
-    ///
-    /// Allocates a fresh trace and scratch per call; a caller that runs
-    /// many samples keeps them and calls [`Network::forward_sample`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.input_len()`.
-    pub fn forward(&self, input: &Tensor) -> SampleTrace {
-        let mut trace = SampleTrace::for_network(self);
-        self.forward_sample(input.as_slice(), &mut trace, &mut ConvScratch::new());
-        trace
-    }
-
     /// Softmax + cross-entropy loss and its gradient w.r.t. the logits.
     ///
     /// Returns `(loss, grad)` where `grad[i] = softmax(logits)[i] - [i == label]`.
@@ -323,7 +306,7 @@ impl Network {
             let mut scratch = ConvScratch::with_cores(threads / workers);
             let classes = batch.iter().map(|input| {
                 self.forward_sample(input.as_slice(), &mut trace, &mut scratch);
-                argmax(trace.logits())
+                argmax(trace.logits().as_slice())
             });
             classes.collect::<Vec<_>>()
         };
@@ -355,13 +338,20 @@ impl Network {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
     use crate::ConvSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use spg_tensor::Shape3;
+
+    /// One sample's forward walk on a fresh trace.
+    pub(crate) fn trace_of(net: &Network, input: &Tensor) -> SampleTrace {
+        let mut trace = SampleTrace::for_network(net);
+        net.forward_sample(input.as_slice(), &mut trace, &mut ConvScratch::new());
+        trace
+    }
 
     fn tiny_net(rng: &mut SmallRng) -> Network {
         let spec = ConvSpec::new(1, 8, 8, 4, 3, 3, 1, 1).unwrap();
@@ -391,7 +381,7 @@ mod tests {
     fn forward_records_all_activations() {
         let mut rng = SmallRng::seed_from_u64(1);
         let net = tiny_net(&mut rng);
-        let trace = net.forward(&Tensor::filled(64, 0.1));
+        let trace = trace_of(&net, &Tensor::filled(64, 0.1));
         assert_eq!(trace.activations.len(), 5);
         assert_eq!(trace.logits().len(), 3);
     }
@@ -451,7 +441,7 @@ mod tests {
         let inputs: Vec<Tensor> =
             (0..9).map(|_| Tensor::random_uniform(64, 1.0, &mut rng)).collect();
         let sequential: Vec<usize> =
-            inputs.iter().map(|i| argmax(net.forward(i).logits())).collect();
+            inputs.iter().map(|i| argmax(trace_of(&net, i).logits().as_slice())).collect();
         for threads in [1, 2, 4, 16] {
             assert_eq!(net.infer_batch(&inputs, threads), sequential, "threads={threads}");
         }

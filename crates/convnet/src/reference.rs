@@ -18,6 +18,7 @@ use crate::ConvSpec;
 /// # Panics
 ///
 /// Panics if any buffer length does not match the spec.
+// lint: allow(test-only) the Eq. 2 oracle every forward kernel is tested against
 pub fn forward(spec: &ConvSpec, input: &[f32], weights: &[f32], output: &mut [f32]) {
     let ishape = spec.input_shape();
     let wshape = spec.weight_shape();
@@ -56,6 +57,7 @@ pub fn forward(spec: &ConvSpec, input: &[f32], weights: &[f32], output: &mut [f3
 /// # Panics
 ///
 /// Panics if any buffer length does not match the spec.
+// lint: allow(test-only) the Eq. 3 oracle every backward-data kernel is tested against
 pub fn backward_data(spec: &ConvSpec, weights: &[f32], grad_out: &[f32], grad_in: &mut [f32]) {
     let ishape = spec.input_shape();
     let wshape = spec.weight_shape();
@@ -96,6 +98,7 @@ pub fn backward_data(spec: &ConvSpec, weights: &[f32], grad_out: &[f32], grad_in
 /// # Panics
 ///
 /// Panics if any buffer length does not match the spec.
+// lint: allow(test-only) the Eq. 4 oracle every weight-gradient kernel is tested against
 pub fn backward_weights(
     spec: &ConvSpec,
     input: &[f32],

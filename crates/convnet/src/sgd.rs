@@ -61,7 +61,7 @@ use spg_tensor::Tensor;
 use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::layer::Layer;
-use crate::net::{loss_into, Network};
+use crate::net::{argmax, loss_into, Network};
 use crate::split;
 use crate::workspace::{record_buffers, Workspace};
 
@@ -438,8 +438,7 @@ pub fn process_block(
     for (((scalar, i), logits), grad) in scalars.iter_mut().zip(samples).zip(logits).zip(grads) {
         let label = data.label(i);
         let loss = loss_into(logits, label, grad);
-        let pred = (0..classes).max_by(|&a, &b| logits[a].total_cmp(&logits[b])).unwrap_or(0);
-        *scalar = (loss, pred == label);
+        *scalar = (loss, argmax(logits) == label);
     }
     net.backward_walk(ws, records);
 }
@@ -498,6 +497,7 @@ struct Block<'a> {
 
 impl LocalFold {
     /// A one-slot fold for `net` with the default restart policy.
+    // lint: allow(test-only) resume tests wrap the trainer's own fold to interrupt it
     pub fn new(net: &Network) -> Self {
         Self::for_config(net, &TrainerConfig::default())
     }
@@ -819,6 +819,21 @@ mod tests {
 
     fn make_data() -> Dataset {
         Dataset::synthetic(Shape3::new(1, 8, 8), 3, 24, 0.15, 77)
+    }
+
+    /// A zero-weight FC head ties every logit, so the first class is the
+    /// prediction: label 0 is correct in the trainer's accuracy and in
+    /// `infer_batch` alike.
+    #[test]
+    fn tied_logits_predict_the_first_class_everywhere() {
+        let mut head = FcLayer::new(4, 3, &mut SmallRng::seed_from_u64(1));
+        head.set_params(&vec![0.0; head.param_count()]);
+        let mut net = Network::new(vec![Box::new(head)]).unwrap();
+        let image = Tensor::filled(4, 0.5);
+        assert_eq!(net.infer_batch(std::slice::from_ref(&image), 1), [0]);
+        let config = TrainerConfig { epochs: 1, batch_size: 1, ..Default::default() };
+        let stats = Trainer::new(config).train(&mut net, &mut Dataset::of_one(image, 0));
+        assert_eq!(stats[0].accuracy, 1.0);
     }
 
     #[test]

@@ -154,23 +154,26 @@ impl ConvScratch {
     /// The sparse backward's storage (the compacted non-zeros, the CT-CSR
     /// tiles) and the GEMM pack buffers still warm up on first use.
     pub fn reserve(&mut self, spec: &ConvSpec) {
-        let patches = spec.out_h() * spec.out_w();
-        let patch_len = spec.weight_shape().per_feature();
-        if self.mat_b.len() < patches * patch_len {
-            zeroed_slice(&mut self.mat_b, patches * patch_len);
+        let [mat_b, hwc_in, hwc_out, wperm] = Self::reserved_lengths(spec);
+        let bufs = [&mut self.mat_b, &mut self.hwc_in, &mut self.hwc_out, &mut self.wperm];
+        for (buf, len) in bufs.into_iter().zip([mat_b, hwc_in, hwc_out, wperm]) {
+            if buf.len() < len {
+                zeroed_slice(buf, len);
+            }
         }
-        let in_len = spec.input_shape().len();
-        if self.hwc_in.len() < in_len {
-            zeroed_slice(&mut self.hwc_in, in_len);
-        }
-        let out_len = spec.output_shape().len();
-        if self.hwc_out.len() < out_len {
-            zeroed_slice(&mut self.hwc_out, out_len);
-        }
-        let w_len = spec.weight_shape().len();
-        if self.wperm.len() < w_len {
-            zeroed_slice(&mut self.wperm, w_len);
-        }
+    }
+
+    /// The lengths [`reserve`](Self::reserve) grows `[mat_b, hwc_in,
+    /// hwc_out, wperm]` to for `spec`: one patch row per output position,
+    /// the input and output images, the weights. `spg-check`'s capacity
+    /// model reads the same figures.
+    pub fn reserved_lengths(spec: &ConvSpec) -> [usize; 4] {
+        [
+            spec.out_h() * spec.out_w() * spec.weight_shape().per_feature(),
+            spec.input_shape().len(),
+            spec.output_shape().len(),
+            spec.weight_shape().len(),
+        ]
     }
 
     /// Current footprint of the scratch buffers in bytes.

@@ -13,8 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spg_convnet::io::{load_weights, save_weights, LoadError};
 use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
-use spg_convnet::{ConvSpec, Network};
-use spg_tensor::Tensor;
+use spg_convnet::{ConvScratch, ConvSpec, Network, SampleTrace};
 
 /// magic + version + layer count.
 const HEADER_LEN: usize = 12;
@@ -47,8 +46,9 @@ fn param_bits(net: &Network) -> Vec<Vec<u32>> {
 
 /// The network's forward logits on a fixed input, as bits.
 fn logit_bits(net: &Network) -> Vec<u32> {
-    let input = Tensor::filled(36, 0.3);
-    net.forward(&input).logits().as_slice().iter().map(|v| v.to_bits()).collect()
+    let mut trace = SampleTrace::for_network(net);
+    net.forward_sample(&[0.3; 36], &mut trace, &mut ConvScratch::new());
+    trace.logits().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Loads `bytes` into a fresh network; on `Err` asserts the network is

@@ -84,7 +84,8 @@ fn fold_oracle(spec: &ConvSpec, patch_grads: &Matrix, grad_in: &mut [f32]) {
     let (sy, sx, kx_n, ky_n) = (spec.sy(), spec.sx(), spec.kx(), spec.ky());
     for y in 0..spec.out_h() {
         for x in 0..spec.out_w() {
-            let row = patch_grads.row(y * spec.out_w() + x);
+            let cols = patch_grads.cols();
+            let row = &patch_grads.as_slice()[(y * spec.out_w() + x) * cols..][..cols];
             for c in 0..spec.in_c() {
                 for ky in 0..ky_n {
                     let dst = ishape.index(c, y * sy + ky, x * sx);

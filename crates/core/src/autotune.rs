@@ -309,10 +309,14 @@ pub enum TuningMode {
 /// # Example
 ///
 /// ```
+/// use spg_convnet::ConvSpec;
 /// use spg_core::autotune::{Framework, TuningMode};
+/// use spg_core::schedule::Technique;
 ///
 /// let fw = Framework::new(16, TuningMode::Heuristic, 2);
-/// assert_eq!(fw.cores(), 16);
+/// let spec = ConvSpec::new(3, 32, 32, 16, 5, 5, 1, 1)?;
+/// assert_ne!(fw.plan_layer(&spec, 0.0).backward, Technique::SparseBp);
+/// # Ok::<(), spg_convnet::ConvError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Framework {
@@ -333,11 +337,6 @@ impl Framework {
         assert!(cores > 0, "core count must be positive");
         assert!(retune_every > 0, "retune interval must be positive");
         Framework { cores, mode, retune_every }
-    }
-
-    /// The configured core count.
-    pub fn cores(&self) -> usize {
-        self.cores
     }
 
     /// Plans one layer for training at the given gradient sparsity. A

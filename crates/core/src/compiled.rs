@@ -450,11 +450,6 @@ impl CompiledConv {
         Ok(CompiledConv { program, weights })
     }
 
-    /// The compiled convolution's specification.
-    pub fn spec(&self) -> &ConvSpec {
-        self.program.spec()
-    }
-
     /// The plan the layer was compiled against.
     pub fn plan(&self) -> LayerPlan {
         self.program.techniques()
@@ -471,11 +466,6 @@ impl CompiledConv {
     /// `"generic"` otherwise.
     pub fn kernel_kind(&self) -> &'static str {
         self.program.kernel_kind()
-    }
-
-    /// The bound specialized instance, if any.
-    pub fn specialized_kernel(&self) -> Option<&'static SpecializedKernel> {
-        self.program.specialized_kernel()
     }
 
     /// Forward propagation for one sample running out of a
@@ -717,7 +707,7 @@ mod tests {
         )
         .expect("valid weights");
         assert_eq!(generic.kernel_kind(), "generic");
-        assert!(generic.specialized_kernel().is_none());
+        assert!(generic.program().specialized_kernel().is_none());
         if spg_gemm::detect_simd_level() >= spg_gemm::SimdLevel::Avx2Fma
             && !spg_codegen::force_generic()
         {

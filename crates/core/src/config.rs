@@ -456,8 +456,7 @@ mod tests {
         assert_eq!(net.layers()[4].name(), "dropout");
         assert_eq!(net.output_len(), 2);
         // Forward runs end to end.
-        let out = net.forward(&spg_tensor::Tensor::filled(net.input_len(), 0.3));
-        assert_eq!(out.logits().len(), 2);
+        assert_eq!(logits(&net, 0.3).len(), 2);
     }
 
     #[test]
@@ -483,7 +482,14 @@ mod tests {
         let desc = NetworkDescription::parse(CIFAR).unwrap();
         let a = desc.build(3).unwrap();
         let b = desc.build(3).unwrap();
-        let input = spg_tensor::Tensor::filled(a.input_len(), 0.1);
-        assert_eq!(a.forward(&input).logits().as_slice(), b.forward(&input).logits().as_slice());
+        assert_eq!(logits(&a, 0.1), logits(&b, 0.1));
+    }
+
+    /// The logits of a constant input.
+    fn logits(net: &Network, value: f32) -> Vec<f32> {
+        let mut trace = spg_convnet::SampleTrace::for_network(net);
+        let input = vec![value; net.input_len()];
+        net.forward_sample(&input, &mut trace, &mut spg_convnet::ConvScratch::new());
+        trace.logits().as_slice().to_vec()
     }
 }

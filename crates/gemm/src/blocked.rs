@@ -31,7 +31,8 @@ pub(crate) enum Update {
 /// `A` stored transposed.
 pub(crate) type PackA = fn(Tile, &[f32], usize, usize, usize, usize, usize, &mut Vec<f32>);
 
-/// Blocked, packed, register-tiled matrix multiply: `C = A * B`.
+/// Blocked, packed, register-tiled matrix multiply accumulating into an
+/// existing matrix: `C += A * B`.
 ///
 /// This is the workspace's stand-in for an optimized BLAS `sgemm`: a
 /// three-level cache blocking (`KC`/`MC`/`NC`) around a register-tiled
@@ -42,7 +43,9 @@ pub(crate) type PackA = fn(Tile, &[f32], usize, usize, usize, usize, usize, &mut
 ///
 /// # Errors
 ///
-/// Returns [`GemmError::DimensionMismatch`] if `a.cols() != b.rows()`.
+/// Returns [`GemmError::DimensionMismatch`] if the operand inner dimensions
+/// differ, or [`GemmError::OutputShapeMismatch`] if `c` is not
+/// `a.rows() x b.cols()`.
 ///
 /// # Example
 ///
@@ -51,24 +54,11 @@ pub(crate) type PackA = fn(Tile, &[f32], usize, usize, usize, usize, usize, &mut
 ///
 /// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0])?;
 /// let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0])?;
-/// let c = spg_gemm::gemm(&a, &b)?;
+/// let mut c = Matrix::zeros(2, 2);
+/// spg_gemm::gemm_into(&a, &b, &mut c)?;
 /// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
-    check_dims(a.rows(), a.cols(), b.rows(), b.cols())?;
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_into(a, b, &mut c)?;
-    Ok(c)
-}
-
-/// Blocked multiply accumulating into an existing matrix: `C += A * B`.
-///
-/// # Errors
-///
-/// Returns [`GemmError::DimensionMismatch`] if the operand inner dimensions
-/// differ, or [`GemmError::OutputShapeMismatch`] if `c` is not
-/// `a.rows() x b.cols()`.
 pub fn gemm_into(a: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<(), GemmError> {
     check_dims(a.rows(), a.cols(), b.rows(), b.cols())?;
     if c.rows() != a.rows() || c.cols() != b.cols() {
@@ -230,11 +220,17 @@ impl<B: RightOperand + ?Sized> Blocked<'_, B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gemm_naive;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// `A * B` into a fresh matrix.
+    pub(crate) fn gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        gemm_into(a, b, &mut c).map(|()| c)
+    }
 
     fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
         let diff = a.max_abs_diff(b).unwrap();
@@ -271,7 +267,7 @@ mod tests {
         let b = Matrix::from_vec(1, 1, vec![3.0]).unwrap();
         let mut c = Matrix::from_vec(1, 1, vec![1.0]).unwrap();
         gemm_into(&a, &b, &mut c).unwrap();
-        assert_eq!(c.get(0, 0), 7.0);
+        assert_eq!(c.as_slice(), &[7.0]);
     }
 
     #[test]
@@ -296,11 +292,10 @@ mod tests {
         let full = gemm_naive(&a, &b).unwrap();
         let mut c = Matrix::zeros(4, 4);
         gemm_slice(2, 4, 4, &a.as_slice()[4..], 4, b.as_slice(), 4, &mut c.as_mut_slice()[4..], 4);
-        for j in 0..4 {
-            assert_eq!(c.get(0, j), 0.0);
-            assert!((c.get(1, j) - full.get(1, j)).abs() < 1e-4);
-            assert!((c.get(2, j) - full.get(2, j)).abs() < 1e-4);
-            assert_eq!(c.get(3, j), 0.0);
+        let (c, full) = (c.as_slice(), full.as_slice());
+        assert_eq!((&c[..4], &c[12..]), (&[0.0; 4][..], &[0.0; 4][..]));
+        for j in 4..12 {
+            assert!((c[j] - full[j]).abs() < 1e-4);
         }
     }
 

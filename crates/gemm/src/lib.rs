@@ -6,7 +6,7 @@
 //! * [`simd`] — the one SIMD vocabulary every kernel of the workspace is
 //!   written in: the `Vector` trait, its portable, AVX2 and AVX-512F tiers,
 //!   and the one dispatch from a [`SimdLevel`] to a tier.
-//! * [`gemm`] / [`gemm_slice`] — a cache-blocked, panel-packed,
+//! * [`gemm_into`] / [`gemm_slice`] — a cache-blocked, panel-packed,
 //!   register-tiled single-threaded GEMM whose micro-kernel runs at the
 //!   host's vector width: one source over the [`simd`] vocabulary, a 12x32
 //!   tile on AVX-512F and 6x16 on AVX2+FMA or portable vectors (the tier
@@ -34,11 +34,12 @@
 //!
 //! ```
 //! use spg_tensor::Matrix;
-//! use spg_gemm::{gemm, gemm_naive};
+//! use spg_gemm::{gemm_into, gemm_naive};
 //!
 //! let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])?;
 //! let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0])?;
-//! let fast = gemm(&a, &b)?;
+//! let mut fast = Matrix::zeros(2, 2);
+//! gemm_into(&a, &b, &mut fast)?;
 //! let slow = gemm_naive(&a, &b)?;
 //! assert_eq!(fast.as_slice(), slow.as_slice());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -56,7 +57,7 @@ mod parallel;
 pub mod simd;
 mod transposed;
 
-pub use blocked::{gemm, gemm_into, gemm_slice};
+pub use blocked::{gemm_into, gemm_slice};
 pub use error::GemmError;
 pub use fc::{FcKernels, DOT_LANES};
 pub use kernels::{RightOperand, RowMajor};

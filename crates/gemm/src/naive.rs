@@ -20,7 +20,7 @@ use crate::{check_dims, GemmError};
 /// let a = Matrix::from_vec(1, 2, vec![1.0, 2.0])?;
 /// let b = Matrix::from_vec(2, 1, vec![3.0, 4.0])?;
 /// let c = spg_gemm::gemm_naive(&a, &b)?;
-/// assert_eq!(c.get(0, 0), 11.0);
+/// assert_eq!(c.as_slice(), &[11.0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 // lint: allow(test-only) the correctness oracle the kernels' tests compare against

@@ -62,8 +62,9 @@ pub fn gemm_at_b_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocked::tests::gemm;
     use crate::blocked::{KC, MC};
-    use crate::{gemm, gemm_naive};
+    use crate::gemm_naive;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use spg_tensor::Matrix;

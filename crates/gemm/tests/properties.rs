@@ -3,8 +3,14 @@
 
 use proptest::prelude::*;
 
-use spg_gemm::{gemm, gemm_naive, parallel_gemm};
+use spg_gemm::{gemm_into, gemm_naive, parallel_gemm, GemmError};
 use spg_tensor::Matrix;
+
+/// The blocked kernel's `A * B` into a fresh matrix.
+fn gemm(a: &Matrix, b: &Matrix) -> Result<Matrix, GemmError> {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    gemm_into(a, b, &mut c).map(|()| c)
+}
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-4.0f32..4.0, rows * cols)

@@ -39,13 +39,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use spg_convnet::{ConvSpec, Engine};
+//! use rand::{rngs::SmallRng, SeedableRng};
+//! use spg_convnet::{layer::ConvLayer, ConvSpec, Network};
 //! use spg_serve::{ServeConfig, Server};
 //!
 //! let spec = ConvSpec::new(1, 8, 8, 4, 3, 3, 1, 1)?;
-//! let engine = Engine::builder().spec(spec).seed(1).build()?;
-//! let input_len = engine.network().input_len();
-//! let net = engine.into_shared();
+//! let conv = ConvLayer::new(spec, &mut SmallRng::seed_from_u64(1));
+//! let net = Arc::new(Network::new(vec![Box::new(conv)])?);
+//! let input_len = net.input_len();
 //!
 //! let server = Server::start(Arc::clone(&net), &[], ServeConfig::default())?;
 //! let pending = server.try_submit(vec![0.5; input_len]).expect("queue has room");

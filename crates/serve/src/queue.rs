@@ -74,16 +74,6 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        lock(&self.state).items.len()
-    }
-
-    /// Whether the queue is currently empty (single lock acquisition).
-    pub fn is_empty(&self) -> bool {
-        lock(&self.state).items.is_empty()
-    }
-
     /// Non-blocking push: errors immediately when full or closed.
     ///
     /// # Errors

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use spg_convnet::layer::ConvLayer;
 use spg_convnet::workspace::ConvScratch;
-use spg_convnet::{Network, SampleTrace};
+use spg_convnet::{argmax, Network, SampleTrace};
 use spg_core::schedule::{LayerPlan, Technique};
 use spg_error::{Error, ErrorKind};
 use spg_sync::{deadline_after, FaultInjector, FaultPlan, Restarts};
@@ -215,9 +215,8 @@ impl Server {
     /// Starts `config.workers` worker threads serving `net` as it is:
     /// each request runs the forward executors installed on `net` (by
     /// `Framework::try_plan_network_forward`, say) through
-    /// [`Network::forward_sample`] at a core budget of one, so the served
-    /// logits are the bits [`Network::forward`] returns. A program lowered
-    /// for more cores runs its sequential program.
+    /// [`Network::forward_sample`] at a core budget of one. A program
+    /// lowered for more cores runs its sequential program.
     ///
     /// `plans` is what the caller installed, as that call returned it:
     /// it is checked, not compiled. Conv layers it does not name are
@@ -512,12 +511,6 @@ fn worker_loop(
         }
     }
     Ok(())
-}
-
-/// Index of the largest logit, the first on ties (as
-/// [`Network::infer_batch`] breaks them).
-fn argmax(logits: &[f32]) -> usize {
-    (1..logits.len()).fold(0, |best, i| if logits[i] > logits[best] { i } else { best })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
-use spg_convnet::{ConvSpec, Network};
+use spg_convnet::{ConvScratch, ConvSpec, Network, SampleTrace};
 use spg_core::autotune::{Framework, TuningMode};
 use spg_core::schedule::{LayerPlan, Technique};
 use spg_error::ErrorKind;
@@ -33,7 +33,9 @@ fn sample_input(len: usize, salt: usize) -> Vec<f32> {
 
 /// The logits of `input` through the network's own single-sample forward.
 fn logits(net: &Network, input: &[f32]) -> Vec<f32> {
-    net.forward(&spg_tensor::Tensor::from_vec(input.to_vec())).logits().as_slice().to_vec()
+    let mut trace = SampleTrace::for_network(net);
+    net.forward_sample(input, &mut trace, &mut ConvScratch::new());
+    trace.logits().as_slice().to_vec()
 }
 
 /// The acceptance-criteria core: for every worker count and batch size,

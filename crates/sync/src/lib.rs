@@ -283,11 +283,6 @@ impl FaultInjector {
         FaultInjector { plan, fired: Arc::new(AtomicBool::new(false)) }
     }
 
-    /// The plan this injector carries, if any.
-    pub fn plan(&self) -> Option<FaultPlan> {
-        self.plan
-    }
-
     /// Call at the top of each work unit. Panics iff the plan targets
     /// this `(worker, batch)` and no clone of this injector has fired yet.
     pub fn check(&self, worker: usize, batch: u64) {

@@ -17,8 +17,8 @@ use crate::TensorError;
 /// use spg_tensor::Matrix;
 ///
 /// let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])?;
-/// assert_eq!(m.get(1, 2), 6.0);
-/// assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
+/// assert_eq!((m.rows(), m.cols()), (2, 3));
+/// assert_eq!(m.transposed().as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
 /// # Ok::<(), spg_tensor::TensorError>(())
 /// ```
 #[derive(Clone, PartialEq)]
@@ -32,30 +32,6 @@ impl Matrix {
     /// Creates a `rows x cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Reshapes the matrix to `rows x cols`, zero-filling every element.
-    ///
-    /// The backing buffer is reused when its capacity suffices, so calling
-    /// this repeatedly with steady-state shapes performs no heap allocation
-    /// after the first (warm-up) call. This is the primitive the workspace
-    /// machinery uses to recycle unfold and gradient matrices per sample.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use spg_tensor::Matrix;
-    ///
-    /// let mut m = Matrix::default();
-    /// m.resize(2, 3);
-    /// assert_eq!((m.rows(), m.cols()), (2, 3));
-    /// assert!(m.as_slice().iter().all(|v| *v == 0.0));
-    /// ```
-    pub fn resize(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
     }
 
     /// Creates a matrix from a row-major buffer.
@@ -106,48 +82,6 @@ impl Matrix {
         self.cols
     }
 
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if the matrix holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Element at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `c >= cols`.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f32 {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        self.data[r * self.cols + c]
-    }
-
-    /// Sets the element at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `c >= cols`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Borrows row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row(&self, r: usize) -> &[f32] {
-        assert!(r < self.rows, "row index out of bounds");
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Borrows the full row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -175,15 +109,6 @@ impl Matrix {
         out
     }
 
-    /// Fraction of zero elements, in `[0, 1]`. Returns `0.0` when empty.
-    pub fn sparsity(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let zeros = self.data.iter().filter(|v| **v == 0.0).count();
-        zeros as f64 / self.data.len() as f64
-    }
-
     /// Maximum absolute element-wise difference from `other`.
     ///
     /// # Errors
@@ -192,14 +117,15 @@ impl Matrix {
     // lint: allow(test-only) the tolerance check of the kernels' oracle tests
     pub fn max_abs_diff(&self, other: &Matrix) -> Result<f32, TensorError> {
         if self.rows != other.rows || self.cols != other.cols {
-            return Err(TensorError::LengthMismatch { expected: self.len(), actual: other.len() });
+            let (expected, actual) = (self.data.len(), other.data.len());
+            return Err(TensorError::LengthMismatch { expected, actual });
         }
         Ok(self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max))
     }
 }
 
 impl Default for Matrix {
-    /// An empty `0 x 0` matrix that allocates nothing until [`Matrix::resize`].
+    /// An empty `0 x 0` matrix that allocates nothing.
     fn default() -> Self {
         Matrix { rows: 0, cols: 0, data: Vec::new() }
     }
@@ -229,51 +155,29 @@ mod tests {
     }
 
     #[test]
-    fn resize_reuses_capacity_and_zeroes() {
-        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let cap = m.data.capacity();
-        m.resize(1, 3);
-        assert_eq!((m.rows(), m.cols(), m.len()), (1, 3, 3));
-        assert_eq!(m.as_slice(), &[0.0; 3]);
-        assert_eq!(m.data.capacity(), cap);
-        m.resize(2, 2);
-        assert_eq!(m.as_slice(), &[0.0; 4]);
-    }
-
-    #[test]
-    fn get_set_round_trip() {
-        let mut m = Matrix::zeros(3, 4);
-        m.set(2, 3, 5.0);
-        assert_eq!(m.get(2, 3), 5.0);
-        assert_eq!(m.row(2)[3], 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn get_panics_out_of_bounds() {
-        Matrix::zeros(2, 2).get(2, 0);
-    }
-
-    #[test]
     fn transpose_involution() {
         let mut rng = SmallRng::seed_from_u64(3);
         let m = Matrix::random_uniform(5, 7, 1.0, &mut rng);
         assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed().get(3, 2), m.get(2, 3));
+        assert_eq!(m.transposed().as_slice()[3 * 5 + 2], m.as_slice()[2 * 7 + 3]);
+    }
+
+    fn sparsity(m: &Matrix) -> f64 {
+        m.data.iter().filter(|v| **v == 0.0).count() as f64 / m.data.len() as f64
     }
 
     #[test]
     fn random_sparse_hits_target_roughly() {
         let mut rng = SmallRng::seed_from_u64(9);
         let m = Matrix::random_sparse(100, 100, 0.8, 1.0, &mut rng);
-        assert!((m.sparsity() - 0.8).abs() < 0.05, "sparsity {}", m.sparsity());
+        assert!((sparsity(&m) - 0.8).abs() < 0.05, "sparsity {}", sparsity(&m));
     }
 
     #[test]
     fn sparsity_extremes() {
         let mut rng = SmallRng::seed_from_u64(9);
-        assert_eq!(Matrix::random_sparse(10, 10, 0.0, 1.0, &mut rng).sparsity(), 0.0);
-        assert_eq!(Matrix::random_sparse(10, 10, 1.0, 1.0, &mut rng).sparsity(), 1.0);
+        assert_eq!(sparsity(&Matrix::random_sparse(10, 10, 0.0, 1.0, &mut rng)), 0.0);
+        assert_eq!(sparsity(&Matrix::random_sparse(10, 10, 1.0, 1.0, &mut rng)), 1.0);
     }
 
     #[test]

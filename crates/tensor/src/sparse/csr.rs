@@ -45,7 +45,7 @@ impl Csr {
         let mut row_ptr = Vec::with_capacity(rows + 1);
         row_ptr.push(0u32);
         for r in 0..rows {
-            for (c, &v) in dense.row(r).iter().enumerate() {
+            for (c, &v) in dense.as_slice()[r * cols..(r + 1) * cols].iter().enumerate() {
                 if v != 0.0 {
                     values.push(v);
                     col_indices.push(idx32(c));
@@ -95,29 +95,9 @@ impl Csr {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored non-zero values.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Fraction of elements that are zero, in `[0, 1]`.
-    /// Returns `0.0` for an empty matrix.
-    pub fn sparsity(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.nnz() as f64 / total as f64
     }
 
     /// The non-zero values, row by row.
@@ -135,25 +115,15 @@ impl Csr {
         &self.row_ptr
     }
 
-    /// Iterates over the `(col, value)` pairs of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        assert!(r < self.rows, "row index out of bounds");
-        let lo = self.row_ptr[r] as usize;
-        let hi = self.row_ptr[r + 1] as usize;
-        self.col_indices[lo..hi].iter().zip(&self.values[lo..hi]).map(|(&c, &v)| (c as usize, v))
-    }
-
     /// Expands back to a dense matrix.
     // lint: allow(test-only) the dense round trip the sparse formats' tests check
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for (c, v) in self.row_entries(r) {
-                out.set(r, c, v);
+        let dense = out.as_mut_slice();
+        for (r, span) in self.row_ptr.windows(2).enumerate() {
+            let span = span[0] as usize..span[1] as usize;
+            for (&c, &v) in self.col_indices[span.clone()].iter().zip(&self.values[span]) {
+                dense[r * self.cols + c as usize] = v;
             }
         }
         out
@@ -208,17 +178,14 @@ mod tests {
         let dense = Matrix::from_vec(3, 2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0]).unwrap();
         let csr = Csr::from_dense(&dense);
         assert_eq!(csr.row_ptr(), &[0, 0, 1, 1]);
-        assert_eq!(csr.row_entries(0).count(), 0);
-        assert_eq!(csr.row_entries(1).collect::<Vec<_>>(), vec![(0, 1.0)]);
+        assert_eq!((csr.col_indices(), csr.values()), (&[0][..], &[1.0][..]));
     }
 
     #[test]
-    fn sparsity_and_nnz() {
+    fn nnz_counts_non_zeros() {
         let dense = Matrix::from_vec(2, 2, vec![0.0, 0.0, 0.0, 3.0]).unwrap();
-        let csr = Csr::from_dense(&dense);
-        assert_eq!(csr.nnz(), 1);
-        assert_eq!(csr.sparsity(), 0.75);
-        assert_eq!(Csr::from_dense(&Matrix::zeros(0, 0)).sparsity(), 0.0);
+        assert_eq!(Csr::from_dense(&dense).nnz(), 1);
+        assert_eq!(Csr::from_dense(&Matrix::zeros(0, 0)).nnz(), 0);
     }
 
     #[test]
@@ -244,7 +211,7 @@ mod tests {
         // Contents match a window extracted by hand.
         let mut window = Vec::new();
         for r in 0..6 {
-            window.extend_from_slice(&dense.row(r)[2..5]);
+            window.extend_from_slice(&dense.as_slice()[r * 8 + 2..r * 8 + 5]);
         }
         assert_eq!(csr, Csr::from_dense(&Matrix::from_vec(6, 3, window).unwrap()));
     }

@@ -90,25 +90,6 @@ impl CtCsr {
         Ok(())
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns of the full matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrows tile `t` (column indices local to the tile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not below the tile count.
-    pub fn tile(&self, t: usize) -> &Csr {
-        &self.tiles[t]
-    }
-
     /// Iterates over tiles together with their global column offsets.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Csr)> + '_ {
         self.tiles.iter().enumerate().map(|(t, tile)| (t * self.tile_width, tile))
@@ -119,25 +100,15 @@ impl CtCsr {
         self.tiles.iter().map(Csr::nnz).sum()
     }
 
-    /// Fraction of elements that are zero, in `[0, 1]`.
-    /// Returns `0.0` for an empty matrix.
-    pub fn sparsity(&self) -> f64 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.nnz() as f64 / total as f64
-    }
-
     /// Expands back to a dense matrix.
     // lint: allow(test-only) the dense round trip the sparse formats' tests check
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for (col0, tile) in self.iter() {
-            for r in 0..self.rows {
-                for (c, v) in tile.row_entries(r) {
-                    out.set(r, col0 + c, v);
-                }
+            let tile = tile.to_dense();
+            let width = tile.cols();
+            for (r, row) in tile.as_slice().chunks_exact(width).enumerate() {
+                out.as_mut_slice()[r * self.cols + col0..][..width].copy_from_slice(row);
             }
         }
         out
@@ -192,8 +163,8 @@ mod tests {
         let tiled = CtCsr::from_dense(&dense, 4).unwrap();
         let offsets: Vec<usize> = tiled.iter().map(|(col0, _)| col0).collect();
         assert_eq!(offsets, [0, 4, 8]);
-        assert_eq!(tiled.tile(0).cols(), 4);
-        assert_eq!(tiled.tile(2).cols(), 2); // ragged final tile
+        let widths: Vec<usize> = tiled.iter().map(|(_, tile)| tile.to_dense().cols()).collect();
+        assert_eq!(widths, [4, 4, 2]); // ragged final tile
     }
 
     #[test]
@@ -203,7 +174,6 @@ mod tests {
         let csr = Csr::from_dense(&dense);
         let tiled = CtCsr::from_dense(&dense, 6).unwrap();
         assert_eq!(tiled.nnz(), csr.nnz());
-        assert_eq!(tiled.sparsity(), csr.sparsity());
     }
 
     #[test]
@@ -216,8 +186,8 @@ mod tests {
     fn column_indices_are_tile_local() {
         let dense = Matrix::from_vec(1, 4, vec![0.0, 0.0, 0.0, 9.0]).unwrap();
         let tiled = CtCsr::from_dense(&dense, 2).unwrap();
-        let entries: Vec<_> = tiled.tile(1).row_entries(0).collect();
-        assert_eq!(entries, vec![(1, 9.0)]); // local col 1, not global 3
+        let (col0, tile) = tiled.iter().nth(1).unwrap();
+        assert_eq!((col0, tile.col_indices()), (2, &[1][..])); // local col 1, not global 3
     }
 
     #[test]

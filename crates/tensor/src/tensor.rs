@@ -108,11 +108,6 @@ impl Tensor {
         self.data.iter_mut()
     }
 
-    /// Sets every element to zero, preserving the allocation.
-    pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Fraction of elements equal to zero, in `[0, 1]`.
     ///
     /// This is the paper's *sparsity* measure (Sec. 1.2) applied to a raw
@@ -262,14 +257,6 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b).unwrap(), 0.5);
         let c = Tensor::zeros(3);
         assert!(a.max_abs_diff(&c).is_err());
-    }
-
-    #[test]
-    fn clear_preserves_length() {
-        let mut t = Tensor::filled(5, 3.0);
-        t.clear();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.sparsity(), 1.0);
     }
 
     #[test]

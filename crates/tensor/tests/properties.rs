@@ -39,7 +39,7 @@ proptest! {
     fn csr_row_ptr_is_monotone(dense in sparse_matrix()) {
         let csr = Csr::from_dense(&dense);
         let rp = csr.row_ptr();
-        prop_assert_eq!(rp.len(), csr.rows() + 1);
+        prop_assert_eq!(rp.len(), dense.rows() + 1);
         prop_assert!(rp.windows(2).all(|w| w[0] <= w[1]));
         prop_assert_eq!(*rp.last().expect("nonempty") as usize, csr.nnz());
     }

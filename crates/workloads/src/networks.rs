@@ -198,8 +198,9 @@ mod tests {
     fn scaled_networks_build_and_run() {
         for bench in Benchmark::all() {
             let net = build_scaled(bench, 7).expect("valid description");
-            let input = spg_tensor::Tensor::filled(net.input_len(), 0.1);
-            let trace = net.forward(&input);
+            let mut trace = spg_convnet::SampleTrace::for_network(&net);
+            let input = vec![0.1; net.input_len()];
+            net.forward_sample(&input, &mut trace, &mut spg_convnet::ConvScratch::new());
             assert!(trace.logits().len() >= 10, "{}", bench.label());
         }
     }

@@ -35,15 +35,6 @@ impl SparsityBenchmark {
         [SparsityBenchmark::Mnist, SparsityBenchmark::Cifar, SparsityBenchmark::ImageNet100]
     }
 
-    /// The legend label used in Fig. 3b.
-    pub fn label(self) -> &'static str {
-        match self {
-            SparsityBenchmark::Mnist => "MNIST",
-            SparsityBenchmark::Cifar => "CIFAR",
-            SparsityBenchmark::ImageNet100 => "ImageNet100",
-        }
-    }
-
     /// Fit parameters `(epoch-1 sparsity, asymptotic sparsity)` for the
     /// benchmark's Fig. 3b curve.
     fn fit(self) -> (f64, f64) {
@@ -119,7 +110,7 @@ mod tests {
         for b in SparsityBenchmark::all() {
             let curve = modeled_curve(b, 10);
             for (i, s) in curve.iter().enumerate().skip(1) {
-                assert!(*s > 0.85, "{}: epoch {} sparsity {s}", b.label(), i + 1);
+                assert!(*s > 0.85, "{b:?}: epoch {} sparsity {s}", i + 1);
             }
         }
     }
@@ -130,7 +121,7 @@ mod tests {
     fn modeled_curves_are_monotone() {
         for b in SparsityBenchmark::all() {
             let curve = modeled_curve(b, 10);
-            assert!(curve.windows(2).all(|w| w[1] >= w[0]), "{}", b.label());
+            assert!(curve.windows(2).all(|w| w[1] >= w[0]), "{b:?}");
         }
     }
 

@@ -69,6 +69,7 @@ pub fn all_layers() -> Vec<(Benchmark, usize, ConvSpec)> {
 /// builds, where one full-size ImageNet forward takes seconds: same
 /// kernel, stride and square shape; spatial side and channel/feature
 /// counts capped.
+// lint: allow(test-only) debug-build tests run Table 2 layers at this size
 pub fn shrunk(spec: &ConvSpec) -> ConvSpec {
     let side = (spec.kx() + 3 * spec.sx()).min(spec.in_h());
     ConvSpec::new(

@@ -170,7 +170,7 @@ fn installed_executor_and_compiled_conv_are_one_program() {
                 assert_eq!(installed.plan(), compiled.program().plan(), "{at}: plans differ");
                 assert_eq!(
                     installed.specialized_kernel().map(|k| k.level()),
-                    compiled.specialized_kernel().map(|k| k.level()),
+                    compiled.program().specialized_kernel().map(|k| k.level()),
                     "{at}: kernel bindings differ"
                 );
                 let proved = verify_conv_plan(

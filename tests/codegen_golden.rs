@@ -110,7 +110,7 @@ fn unlisted_shape_silently_takes_the_generic_path() {
     let compiled = CompiledConv::compile(spec, plan, ops.weights.as_slice(), 1)
         .expect("unlisted shape still compiles");
     assert_eq!(compiled.kernel_kind(), "generic");
-    assert!(compiled.specialized_kernel().is_none());
+    assert!(compiled.program().specialized_kernel().is_none());
 }
 
 /// A registry-listed geometry binds a specialized instance at compile

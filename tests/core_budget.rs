@@ -1,5 +1,5 @@
 //! The core budget decides how many threads a sample's walk uses, never
-//! its bits: `Engine::forward` at any worker count, `Network::forward`,
+//! its bits: `Engine::forward` at any worker count, `Network::forward_sample`,
 //! `Engine::infer`, a `Server` on the same plans and concurrent callers of
 //! one engine all produce the same logits on the three scaled benchmark
 //! nets — banded stencils on wide and narrow rows and row-banded GEMM
@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use spg_cnn::convnet::data::Dataset;
-use spg_cnn::convnet::{Engine, Network};
+use spg_cnn::convnet::{argmax, ConvScratch, Engine, Network, SampleTrace};
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::core::schedule::LayerPlan;
@@ -45,10 +45,6 @@ fn bits(logits: &[f32]) -> Vec<u32> {
     logits.iter().map(|v| v.to_bits()).collect()
 }
 
-fn argmax(logits: &[f32]) -> usize {
-    (1..logits.len()).fold(0, |best, i| if logits[i] > logits[best] { i } else { best })
-}
-
 #[test]
 fn forward_bits_do_not_depend_on_the_worker_count() {
     for bench in BENCHMARKS {
@@ -61,7 +57,9 @@ fn forward_bits_do_not_depend_on_the_worker_count() {
             let got: Vec<Vec<u32>> = logits.iter().map(|l| bits(l)).collect();
             // The walk with no spare cores, on the same plans.
             for (x, want) in samples.iter().zip(&got) {
-                let trace = engine.network().forward(&Tensor::from_vec(x.clone()));
+                let net = engine.network();
+                let mut trace = SampleTrace::for_network(net);
+                net.forward_sample(x, &mut trace, &mut ConvScratch::new());
                 assert_eq!(&bits(trace.logits().as_slice()), want, "{bench:?} x{workers}");
             }
             // Every worker count, planned for its own core count.

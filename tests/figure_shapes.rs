@@ -127,8 +127,8 @@ fn sparsity_curves() {
     use spg_cnn::workloads::sparsity::{measured_curve, modeled_curve, SparsityBenchmark};
     for b in SparsityBenchmark::all() {
         let curve = modeled_curve(b, 10);
-        assert!(curve[1..].iter().all(|s| *s > 0.85), "{}", b.label());
-        assert!(curve.windows(2).all(|w| w[1] >= w[0]), "{}", b.label());
+        assert!(curve[1..].iter().all(|s| *s > 0.85), "{b:?}");
+        assert!(curve.windows(2).all(|w| w[1] >= w[0]), "{b:?}");
     }
     let measured = measured_curve(6, 99);
     assert!(*measured.last().expect("epochs ran") > 0.35, "measured {measured:?}");

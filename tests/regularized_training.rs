@@ -3,7 +3,7 @@
 //! extra gradient sparsity dropout creates.
 
 use spg_cnn::convnet::data::Dataset;
-use spg_cnn::convnet::{io, Trainer, TrainerConfig};
+use spg_cnn::convnet::{io, ConvScratch, Network, SampleTrace, Trainer, TrainerConfig};
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::config::NetworkDescription;
 use spg_cnn::tensor::Shape3;
@@ -73,9 +73,10 @@ fn regularized_network_round_trips_through_weight_files() {
     let mut restored = desc.build(99).expect("valid net"); // different init
     io::load_weights(&mut restored, buf.as_slice()).expect("structurally identical");
 
-    let input = spg_cnn::tensor::Tensor::filled(source.input_len(), 0.2);
-    assert_eq!(
-        source.forward(&input).logits().as_slice(),
-        restored.forward(&input).logits().as_slice()
-    );
+    let logits = |net: &Network| {
+        let mut trace = SampleTrace::for_network(net);
+        net.forward_sample(&vec![0.2; net.input_len()], &mut trace, &mut ConvScratch::new());
+        trace.logits().clone()
+    };
+    assert_eq!(logits(&source).as_slice(), logits(&restored).as_slice());
 }

@@ -65,12 +65,15 @@ const BLOCKING: &[&str] =
 
 /// Scan one file: emit blocking-under-lock findings into `findings`
 /// and return the file's lock acquisition edges for cycle detection.
-fn scan_file(rel: &str, lines: &[&str]) -> (Vec<Edge>, Vec<String>) {
+fn scan_file(rel: &str, text: &str) -> (Vec<Edge>, Vec<String>) {
     let mut edges = Vec::new();
     let mut findings = Vec::new();
     let mut live: Vec<LiveGuard> = Vec::new();
     let mut depth: i32 = 0;
-    let code_lines = crate::source::code_lines(&lines.join("\n"));
+    // Lexed from the text itself: both sides split it into the same lines,
+    // a trailing blank one included.
+    let lines: Vec<&str> = text.lines().collect();
+    let code_lines = crate::source::code_lines(text);
     let test = crate::source::test_lines(&code_lines);
     for (i, raw) in lines.iter().enumerate() {
         if test[i] {
@@ -163,8 +166,7 @@ pub fn scan(root: &Path, files: &[std::path::PathBuf], findings: &mut Vec<String
             continue;
         };
         let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
-        let lines: Vec<&str> = text.lines().collect();
-        let (edges, file_findings) = scan_file(&rel, &lines);
+        let (edges, file_findings) = scan_file(&rel, &text);
         findings.extend(file_findings);
         findings.extend(find_cycles(&edges));
     }
@@ -398,7 +400,7 @@ mod tests {
             "    let gx = lock(x);",
             "}",
         ];
-        let (edges, findings) = scan_file("f.rs", &lines);
+        let (edges, findings) = scan_file("f.rs", &lines.join("\n"));
         assert!(findings.is_empty(), "{findings:?}");
         let cycles = find_cycles(&edges);
         assert_eq!(cycles.len(), 1, "{cycles:?}");
@@ -417,7 +419,7 @@ mod tests {
             "    let gy = lock(y);",
             "}",
         ];
-        let (edges, findings) = scan_file("f.rs", &lines);
+        let (edges, findings) = scan_file("f.rs", &lines.join("\n"));
         assert!(findings.is_empty());
         assert!(find_cycles(&edges).is_empty());
     }
@@ -430,7 +432,7 @@ mod tests {
             "    let v = rx.recv();",
             "}",
         ];
-        let (_, findings) = scan_file("f.rs", &lines);
+        let (_, findings) = scan_file("f.rs", &lines.join("\n"));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].contains("recv()"), "{findings:?}");
     }
@@ -445,7 +447,7 @@ mod tests {
             "    let v = rx.recv();",
             "}",
         ];
-        let (_, findings) = scan_file("f.rs", &lines);
+        let (_, findings) = scan_file("f.rs", &lines.join("\n"));
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -459,7 +461,7 @@ mod tests {
             "    let v = rx.recv();",
             "}",
         ];
-        let (_, findings) = scan_file("f.rs", &lines);
+        let (_, findings) = scan_file("f.rs", &lines.join("\n"));
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -472,7 +474,7 @@ mod tests {
             "    let v = rx.recv();",
             "}",
         ];
-        let (_, findings) = scan_file("f.rs", &lines);
+        let (_, findings) = scan_file("f.rs", &lines.join("\n"));
         assert!(findings.is_empty(), "{findings:?}");
     }
 
@@ -502,10 +504,16 @@ mod tests {
     }
 
     #[test]
+    fn a_file_ending_in_a_blank_line_scans() {
+        let (edges, findings) = scan_file("f.rs", "fn a(x: &M) {\n    let g = lock(x);\n}\n\n");
+        assert!(edges.is_empty() && findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
     fn relock_is_a_self_deadlock() {
         let lines: Vec<&str> =
             vec!["fn a(x: &M) {", "    let g = lock(x);", "    let h = lock(x);", "}"];
-        let (_, findings) = scan_file("f.rs", &lines);
+        let (_, findings) = scan_file("f.rs", &lines.join("\n"));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].contains("self-deadlock"), "{findings:?}");
     }

@@ -27,9 +27,11 @@
 //!    SIMD vocabulary every kernel is written in; a use anywhere else is a
 //!    finding, with no escape marker.
 //! 7. **Test-only public items** (see [`reach`]) — every item on the
-//!    public surface (`api-surface.txt`) needs a caller outside tests, or a
-//!    reasoned `// lint: allow(test-only)` marker naming it a test seam;
-//!    the excused seams are printed.
+//!    public surface (`api-surface.txt`) needs production to reach it — a
+//!    function by being linked into a production binary, which the pass
+//!    builds at opt-level 0 and reads with `nm -C`; any other item by a
+//!    reference outside tests — or a reasoned `// lint: allow(test-only)`
+//!    marker naming it a test seam; the excused seams are printed.
 //! 8. **Untested error variants** (see [`reach`]) — every variant of every
 //!    `*Error` / `*Fault` enum needs a test that constructs or matches it
 //!    by name.
@@ -42,6 +44,8 @@
 //! passes over the seeded fixtures in `tools/lint/fixtures/` and fails
 //! unless each planted bug is found and the clean fixture stays clean — a
 //! liveness check for the linter itself, run by CI next to the real pass.
+//! The test-only pass reads the canned symbol table `test_only.nm` there
+//! instead of building anything.
 //!
 //! `spg-lint --loc` prints the non-test source size — per crate and in
 //! total, the non-blank non-comment lines of `crates/*/src` and `src/`
@@ -109,7 +113,15 @@ fn main() -> ExitCode {
     let production =
         read(PRODUCTION_ROOTS.iter().flat_map(|rel| rust_files(&root.join(rel))).collect());
     let tests = read(test_files(&root));
-    let seams = reach::scan_test_only(&surface, &production, &mut findings);
+    println!("spg-lint: building the production binaries (profile `reach`) to read their symbols");
+    let linked = match reach::Linked::build(&root) {
+        Ok(linked) => linked,
+        Err(e) => {
+            eprintln!("spg-lint: cannot read what production links: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let seams = reach::scan_test_only(&surface, &production, &linked, &mut findings);
     reach::scan_untested_variants(&surface, &tests, &mut findings);
     println!(
         "spg-lint: {} thread-creation site(s) outside spg-sync, each excused:",
@@ -153,7 +165,10 @@ fn self_test(root: &Path) -> ExitCode {
         .filter(|path| path.ends_with("test_only.rs"))
         .filter_map(|path| reach::File::read(root, path))
         .collect();
-    let seams = reach::scan_test_only(&surface, &parsed, &mut findings);
+    // What a build of the fixture's caller would link, so no build runs.
+    let nm = std::fs::read_to_string(fixtures.join("test_only.nm")).unwrap_or_default();
+    let linked = reach::Linked::parse(&nm);
+    let seams = reach::scan_test_only(&surface, &parsed, &linked, &mut findings);
     reach::scan_untested_variants(&parsed, &[], &mut findings);
     let mut failures = Vec::new();
     if !excused.iter().any(|site| site.contains("thread_spawn.rs")) {
@@ -167,18 +182,28 @@ fn self_test(root: &Path) -> ExitCode {
         ("blocking_under_lock.rs", "blocking on another thread"),
         ("thread_spawn.rs", "outside spg-sync"),
         ("intrinsics.rs", "outside spg-gemm's simd module"),
-        ("test_only.rs", "Counter::reset` has no caller outside tests"),
-        ("test_only.rs", "Counter::hits` has no caller outside tests"),
+        ("test_only.rs", "Counter::reset`: no production binary links it"),
+        ("test_only.rs", "Counter::hits`: no production binary links it"),
+        ("test_only.rs", "Queue::peek`: no production binary links it"),
         ("untested_variant.rs", "`FixtureError::TooLong` is neither constructed"),
     ] {
         if !findings.iter().any(|f| f.contains(fixture) && f.contains(needle)) {
             failures.push(format!("seeded bug in {fixture} not caught (wanted: {needle})"));
         }
     }
-    let false_positive = |f: &&String| {
-        f.contains("clean.rs") || f.contains("Counter::hit`") || f.contains("FixtureError::Empty")
-    };
-    for f in findings.iter().filter(false_positive) {
+    // What the fixtures hold that no pass may report: the clean file, the
+    // linked methods, `len`'s pair, a used type, a tested variant.
+    let clean = [
+        "clean.rs",
+        "Counter::hit`",
+        "Counter::len`",
+        "Counter::is_empty`",
+        "Gauge::reset`",
+        "Queue::pop`",
+        "struct Counter",
+        "FixtureError::Empty",
+    ];
+    for f in findings.iter().filter(|f| clean.iter().any(|needle| f.contains(needle))) {
         failures.push(format!("false positive on a fixture: {f}"));
     }
     if failures.is_empty() {
@@ -414,55 +439,66 @@ mod tests {
     }
 
     #[test]
-    fn test_only_items_are_found_by_path() {
+    fn test_only_functions_are_judged_by_the_linker() {
         let lib = || {
             reach::File::parse(
                 "lib.rs",
+                "k",
                 "pub struct A;\nimpl A {\n    pub fn used(&self) {}\n    pub fn dead() {}\n    \
-             pub fn seam() {} // lint: allow(test-only) drives the check\n}\n\
-             pub struct B;\nimpl B {\n    pub fn dead() {}\n}\npub fn free() {}\n\
-             #[cfg(test)]\nmod tests {\n    fn t() { super::free(); A::dead(); }\n}\n",
+             pub fn seam() {} // lint: allow(test-only) drives the check\n    \
+             pub fn len(&self) -> usize { 0 }\n    pub fn is_empty(&self) -> bool { true }\n}\n\
+             pub struct B;\nimpl B {\n    pub fn used() {}\n    \
+             pub fn is_empty(&self) -> bool { true }\n}\n\
+             pub fn free() {}\n",
             )
         };
-        let main = reach::File::parse("main.rs", "fn main() { let a = A; a.used(); B::dead(); }\n");
+        let main = reach::File::parse("main.rs", "main", "fn main() { A.used(); B::used(); }\n");
+        // `B::used` is linked; `A::used` only by name on another type.
+        let nm = "1 T k::A::len\n2 t k::B::used\n3 t other::A::used\n4 t k::m::free::{{closure}}\n";
         let mut findings = Vec::new();
-        let seams = reach::scan_test_only(&[lib()], &[lib(), main], &mut findings);
+        let seams = reach::scan_test_only(
+            &[lib()],
+            &[lib(), main],
+            &reach::Linked::parse(nm),
+            &mut findings,
+        );
         assert_eq!(seams, ["lib.rs:5: A::seam: drives the check"]);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].starts_with("lib.rs:4: `pub fn A::dead`"), "{findings:?}");
-        assert!(findings[1].starts_with("lib.rs:11: `pub fn free`"), "{findings:?}");
+        assert_eq!(findings.len(), 3, "{findings:?}");
+        assert!(findings[0].starts_with("lib.rs:3: `pub fn A::used`"), "{findings:?}");
+        assert!(findings[1].starts_with("lib.rs:4: `pub fn A::dead`"), "{findings:?}");
+        assert!(findings[2].starts_with("lib.rs:12: `pub fn B::is_empty`"), "{findings:?}");
     }
 
     #[test]
-    fn a_field_read_is_not_a_call() {
+    fn types_count_from_linked_bodies_only() {
         let lib = || {
             reach::File::parse(
                 "lib.rs",
-                "pub struct C {\n    hits: u64,\n    n: u64,\n}\nimpl C {\n    \
-                 pub fn hits(&self) -> u64 {\n        self.hits\n    }\n    \
-                 pub fn n(&self) -> u64 {\n        self.n\n    }\n    \
-                 pub fn get<T>(&self) {}\n}\n",
+                "k",
+                "pub struct Used;\npub struct Dead;\npub const LIMIT: u8 = 1;\n\
+                 pub fn live() -> u8 { LIMIT }\npub fn dead() -> Dead { Dead }\n",
             )
         };
-        let main = reach::File::parse(
-            "main.rs",
-            "fn main(c: C) { let _ = c.hits + c.n(); c.get::<u8>(); }\n",
-        );
+        let main = reach::File::parse("main.rs", "main", "fn main(u: Used) { live(); }\n");
         let mut findings = Vec::new();
-        reach::scan_test_only(&[lib()], &[lib(), main], &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].starts_with("lib.rs:6: `pub fn C::hits`"), "{findings:?}");
+        let linked = reach::Linked::parse("1 t k::live\n");
+        reach::scan_test_only(&[lib()], &[lib(), main], &linked, &mut findings);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].starts_with("lib.rs:2: `pub struct Dead`"), "{findings:?}");
+        assert!(findings[1].starts_with("lib.rs:5: `pub fn dead`"), "{findings:?}");
     }
 
     #[test]
     fn untested_variants_are_found_by_name() {
         let lib = reach::File::parse(
             "lib.rs",
+            "k",
             "pub enum KError {\n    Tested,\n    Imported { at: usize },\n    Untested(u8),\n}\n\
              pub enum Kind {\n    Other,\n}\n",
         );
         let test = reach::File::parse(
             "tests/t.rs",
+            "t",
             "use lib::KError::*;\nfn t() { let _ = KError::Tested; let _ = Imported { at: 1 }; }\n",
         );
         let mut findings = Vec::new();
