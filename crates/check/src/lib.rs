@@ -35,8 +35,7 @@ pub use capacity::ScratchCapacity;
 pub use error::{Buf, CheckError};
 pub use interval::Span;
 pub use plan::{
-    sparse_block, vector_registers, BackwardPlan, BandDim, ConvPlan, ForwardPlan, RegisterTile,
-    VECTOR_WIDTH,
+    sparse_block, vector_registers, BackwardPlan, ConvPlan, ForwardPlan, RegisterTile, VECTOR_WIDTH,
 };
 pub use verified::{TileRegion, VerifiedPlan, VerifiedTiled};
 
@@ -112,8 +111,8 @@ pub fn verify_forward(spec: &ConvSpec, forward: &ForwardPlan) -> Result<CheckRep
         ForwardPlan::StencilTiled { lanes, tile } => {
             stencil::check_forward_tiled(&mut interp, spec, lanes, tile)?;
         }
-        ForwardPlan::StencilBanded { dim, ref tiled, ref bands } => {
-            banded::check_forward_banded(&mut interp, spec, dim, tiled, bands)?;
+        ForwardPlan::StencilBanded { lanes, tile, ref bands } => {
+            banded::check_forward_banded(&mut interp, spec, lanes, tile, bands)?;
         }
         ForwardPlan::UnfoldGemm { threads } => {
             gemm::check_forward_gemm(&mut interp, spec, threads)?;

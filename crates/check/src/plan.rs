@@ -47,17 +47,6 @@ impl RegisterTile {
     }
 }
 
-/// Which output dimension a banded (hybrid intra-layer) decomposition
-/// splits across workers. Sample parallelism needs no plan: each worker
-/// runs the whole unsplit plan on its own sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BandDim {
-    /// Contiguous bands of output rows (spatial-`y` partitioning).
-    YRows,
-    /// Contiguous slices of output features (channel partitioning).
-    OutChannels,
-}
-
 /// How the forward pass executes under the candidate plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ForwardPlan {
@@ -72,17 +61,17 @@ pub enum ForwardPlan {
         tile: RegisterTile,
     },
     /// Hybrid intra-layer decomposition: the layer's own tiled plan with
-    /// one axis of its loop nest partitioned into disjoint contiguous
-    /// worker bands. A band is not a convolution of its own — it is a
-    /// range of that loop nest, reading the parent input and writing the
-    /// parent output.
+    /// its output rows partitioned into disjoint contiguous worker bands.
+    /// A band is not a convolution of its own — it is a range of that loop
+    /// nest, reading the parent input and writing rows `[lo, hi)` of every
+    /// output feature plane.
     StencilBanded {
-        /// The output dimension the bands split.
-        dim: BandDim,
-        /// The whole layer's plan; must be [`ForwardPlan::StencilTiled`].
-        tiled: Box<ForwardPlan>,
-        /// Per-worker half-open `[lo, hi)` ranges of output rows or
-        /// features (by `dim`); must disjointly cover the split extent.
+        /// f32 lanes per vector, as in [`ForwardPlan::StencilTiled`].
+        lanes: usize,
+        /// The register tile every output row is swept with.
+        tile: RegisterTile,
+        /// Per-worker half-open `[lo, hi)` ranges of output rows; must
+        /// disjointly cover the output's rows in ascending order.
         bands: Vec<(usize, usize)>,
     },
     /// Unfold + GEMM with `threads` parallel row bands (Parallel-GEMM when

@@ -19,7 +19,7 @@ pub(crate) fn padded_features(spec: &ConvSpec, lanes: usize, tile: RegisterTile)
 /// The loop nest sweeps each output row in groups of `lanes` positions
 /// (the last overlapping its predecessor so it ends at the row end; one
 /// group of the whole row on rows narrower than `lanes`), each group in
-/// x-blocks of `tile.nx` positions (likewise), and each region's features
+/// x-blocks of `tile.nx` positions (likewise), and the output features
 /// in blocks of `tile.nfv * lanes`; a group's stores go to its consecutive
 /// positions of each feature's plane. Symbolically evaluates every access
 /// expression a tile executes and proves them in-bounds: the input

@@ -6,14 +6,14 @@
 //! [`TileRegion`] — the values the `unsafe` stencil tile loops take their
 //! bounds and their output rows from. The register tile and band ranges a
 //! kernel iterates are the very values the abstract interpretation judged,
-//! and the features and rows of the output two workers write are the
-//! ranges it proved disjoint.
+//! and the output rows two workers write are the ranges it proved
+//! disjoint.
 
 use std::marker::PhantomData;
 
 use spg_convnet::ConvSpec;
 
-use crate::plan::{BandDim, ConvPlan, ForwardPlan, RegisterTile};
+use crate::plan::{ConvPlan, ForwardPlan, RegisterTile};
 use crate::CheckReport;
 
 /// A [`ConvPlan`] proved safe for one [`ConvSpec`]: it exists only if the
@@ -50,23 +50,19 @@ impl VerifiedPlan {
     /// The forward plan as the tile loops consume it, when it is the wide
     /// register-tiled stencil — sequential, or banded across workers.
     pub fn tiled(&self) -> Option<VerifiedTiled<'_>> {
-        let (tiled, bands) = match &self.plan.forward {
-            ForwardPlan::StencilBanded { dim, tiled, bands } => {
-                (&**tiled, Some((*dim, &bands[..])))
+        let (lanes, tile, bands) = match self.plan.forward {
+            ForwardPlan::StencilTiled { lanes, tile } => (lanes, tile, None),
+            ForwardPlan::StencilBanded { lanes, tile, ref bands } => {
+                (lanes, tile, Some(&bands[..]))
             }
-            sequential => (sequential, None),
+            ForwardPlan::UnfoldGemm { .. } => return None,
         };
-        match *tiled {
-            ForwardPlan::StencilTiled { lanes, tile } => {
-                Some(VerifiedTiled { spec: &self.spec, lanes, tile, bands })
-            }
-            _ => None,
-        }
+        Some(VerifiedTiled { spec: &self.spec, lanes, tile, bands })
     }
 }
 
 /// A proved [`ForwardPlan::StencilTiled`] bound to its spec, with the
-/// proved worker partition of its loop nest when the plan is banded: what
+/// proved output-row bands of its loop nest when the plan is banded: what
 /// `spg_codegen::forward_tiled` — every instance of the one tile loop nest
 /// — accepts. Obtainable only from a [`VerifiedPlan`].
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +70,7 @@ pub struct VerifiedTiled<'a> {
     spec: &'a ConvSpec,
     lanes: usize,
     tile: RegisterTile,
-    bands: Option<(BandDim, &'a [(usize, usize)])>,
+    bands: Option<&'a [(usize, usize)]>,
 }
 
 impl<'a> VerifiedTiled<'a> {
@@ -94,8 +90,7 @@ impl<'a> VerifiedTiled<'a> {
         self.tile
     }
 
-    /// Output features a tile computes: `nfv` vectors of `lanes`. Every
-    /// region's features start on a multiple of it.
+    /// Output features a tile computes: `nfv` vectors of `lanes`.
     pub fn feature_block(&self) -> usize {
         self.lanes * self.tile.nfv
     }
@@ -132,36 +127,31 @@ impl<'a> VerifiedTiled<'a> {
         // `PhantomData`: from now on the output is reached through this
         // pointer alone, so no `&mut` aliases a region's stores.
         let out = output.as_mut_ptr();
-        let bands = self.bands.map_or(1, |(_, bands)| bands.len());
+        let bands = self.bands.map_or(1, <[_]>::len);
         let threads = cores.clamp(1, bands);
         (0..threads).map(move |t| {
             // Thread t runs bands [first, last]; ascending bands that
-            // cover the extent make first.lo..last.hi their union.
+            // cover the rows make first.lo..last.hi their union.
             let (first, last) = (t * bands / threads, (t + 1) * bands / threads - 1);
-            let (features, rows) = match self.bands {
-                None => ((0, nf), (0, out_h)),
-                Some((BandDim::YRows, bands)) => ((0, nf), (bands[first].0, bands[last].1)),
-                Some((BandDim::OutChannels, bands)) => {
-                    ((bands[first].0, bands[last].1), (0, out_h))
-                }
-            };
-            TileRegion { features, rows, out, out_h, out_w, borrow: PhantomData }
+            let rows = self.bands.map_or((0, out_h), |bands| (bands[first].0, bands[last].1));
+            TileRegion { rows, out, planes: nf, out_h, out_w, borrow: PhantomData }
         })
     }
 }
 
-/// One worker's share of a proved tiled forward: the features and output
-/// rows of the parent loop nest it runs, and — through
-/// [`plane_rows`](TileRegion::plane_rows) — the part of the output it
-/// stores to. Obtainable only from [`VerifiedTiled::regions`], so the
-/// ranges are the ones `spg-check` proved in-bounds and disjoint from every
+/// One worker's share of a proved tiled forward: output rows `[lo, hi)` of
+/// every feature plane, the rows of the parent loop nest it runs and —
+/// through [`plane_rows`](TileRegion::plane_rows) — the part of the output
+/// it stores to. Obtainable only from [`VerifiedTiled::regions`], so the
+/// rows are the ones `spg-check` proved in-bounds and disjoint from every
 /// sibling's.
 #[derive(Debug)]
 pub struct TileRegion<'r> {
-    features: (usize, usize),
     rows: (usize, usize),
     /// Start of the whole output, shared with the sibling regions.
     out: *mut f32,
+    /// Output feature planes, each `out_h x out_w`.
+    planes: usize,
     out_h: usize,
     out_w: usize,
     borrow: PhantomData<&'r mut [f32]>,
@@ -170,18 +160,13 @@ pub struct TileRegion<'r> {
 // SAFETY: the only non-`Send` field is `out`, a pointer into the output
 // slice `regions` took mutably borrowed for `'r` and gave up as a
 // reference. Sibling regions hold the same pointer, and each dereferences
-// it only in `plane_rows`, at its own features and rows — unions of
-// consecutive bands, which the banded proof behind the `VerifiedPlan` (band
-// ranges ascend and disjointly cover the split extent) showed pairwise
-// disjoint. No element is reachable from two threads.
+// it only in `plane_rows`, at its own rows — unions of consecutive bands,
+// which the banded proof behind the `VerifiedPlan` (band ranges ascend and
+// disjointly cover the output rows) showed pairwise disjoint. No element
+// is reachable from two threads.
 unsafe impl Send for TileRegion<'_> {}
 
 impl TileRegion<'_> {
-    /// Half-open range of output features the region computes.
-    pub fn features(&self) -> (usize, usize) {
-        self.features
-    }
-
     /// Half-open range of output rows the region computes.
     pub fn rows(&self) -> (usize, usize) {
         self.rows
@@ -193,17 +178,17 @@ impl TileRegion<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `f` is outside [`features`](TileRegion::features).
+    /// Panics if `f` is not a feature of the output.
     #[inline]
     pub fn plane_rows(&mut self, f: usize) -> &mut [f32] {
-        assert!((self.features.0..self.features.1).contains(&f), "feature outside the region");
+        assert!(f < self.planes, "feature outside the output");
         let (lo, hi) = self.rows;
-        // SAFETY: `regions` checked the output holds `features x out_h x
-        // out_w` elements, and the proved ranges keep `f` below the feature
-        // count and `hi` at most `out_h`, so the slice lies inside it. It
-        // overlaps no sibling's (their features or rows are disjoint from
-        // these), the `&mut self` receiver keeps this region from holding
-        // two at once, and `'r` keeps the output borrowed meanwhile.
+        // SAFETY: `regions` checked the output holds `planes x out_h x
+        // out_w` elements, `f` is below `planes` and the proved rows keep
+        // `hi` at most `out_h`, so the slice lies inside it. It overlaps no
+        // sibling's (their rows are disjoint from these), the `&mut self`
+        // receiver keeps this region from holding two at once, and `'r`
+        // keeps the output borrowed meanwhile.
         unsafe {
             std::slice::from_raw_parts_mut(
                 self.out.add((f * self.out_h + lo) * self.out_w),
@@ -219,35 +204,26 @@ mod tests {
     use crate::plan::{BackwardPlan, VECTOR_WIDTH};
     use crate::{verify_conv_plan, ScratchCapacity};
 
-    fn proved(spec: &ConvSpec, bands: Option<(BandDim, Vec<(usize, usize)>)>) -> VerifiedPlan {
-        let tile = RegisterTile { nx: 6, nfv: 1 };
-        let tiled = ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile };
+    fn proved(spec: &ConvSpec, bands: Option<Vec<(usize, usize)>>) -> VerifiedPlan {
+        let (lanes, tile) = (VECTOR_WIDTH, RegisterTile { nx: 6, nfv: 1 });
         let forward = match bands {
-            Some((dim, bands)) => ForwardPlan::StencilBanded { dim, tiled: Box::new(tiled), bands },
-            None => tiled,
+            Some(bands) => ForwardPlan::StencilBanded { lanes, tile, bands },
+            None => ForwardPlan::StencilTiled { lanes, tile },
         };
         let plan = ConvPlan { forward, backward: BackwardPlan::UnfoldGemm { threads: 1 } };
         verify_conv_plan(spec, plan, &ScratchCapacity::reserved_for(spec)).expect("plan verifies")
     }
 
-    /// The regions of a plan — sequential, row-banded, feature-sliced —
-    /// written from one thread each, hand out every output element exactly
-    /// once (and, under Miri or TSan, to exactly one thread).
+    /// The regions of a plan — sequential or row-banded — written from
+    /// one thread each, hand out every output element exactly once (and,
+    /// under Miri or TSan, to exactly one thread).
     #[test]
     fn regions_partition_the_output() {
         let spec = ConvSpec::square(20, 20, 2, 3, 1); // 20 planes of 18x18
-        let rows = || Some((BandDim::YRows, vec![(0, 7), (7, 13), (13, 18)]));
+        let rows = || Some(vec![(0, 7), (7, 13), (13, 18)]);
         // (bands, cores, regions): a region per band with the cores for
         // it, runs of bands with fewer, the whole layer with one.
-        let splits = [
-            (None, 4, 1),
-            (rows(), 3, 3),
-            (rows(), 8, 3),
-            (rows(), 2, 2),
-            (rows(), 1, 1),
-            (Some((BandDim::OutChannels, vec![(0, 8), (8, 20)])), 2, 2),
-            (Some((BandDim::OutChannels, vec![(0, 8), (8, 20)])), 1, 1),
-        ];
+        let splits = [(None, 4, 1), (rows(), 3, 3), (rows(), 8, 3), (rows(), 2, 2), (rows(), 1, 1)];
         for (bands, cores, count) in splits {
             let plan = proved(&spec, bands);
             let tiled = plan.tiled().expect("tiled forward");
@@ -255,12 +231,11 @@ mod tests {
             let regions: Vec<_> = tiled.regions(&mut output, cores).collect();
             assert_eq!(regions.len(), count);
             if count == 1 {
-                let whole = ((0, spec.features()), (0, spec.out_h()));
-                assert_eq!((regions[0].features(), regions[0].rows()), whole);
+                assert_eq!(regions[0].rows(), (0, spec.out_h()));
             }
             let fill = |mut region: TileRegion<'_>| {
-                let ((f_lo, f_hi), (y_lo, y_hi)) = (region.features(), region.rows());
-                for f in f_lo..f_hi {
+                let (y_lo, y_hi) = region.rows();
+                for f in 0..spec.features() {
                     let rows = region.plane_rows(f);
                     assert_eq!(rows.len(), (y_hi - y_lo) * spec.out_w());
                     rows.iter_mut().for_each(|o| *o += 1.0);
@@ -276,13 +251,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "feature outside the region")]
-    fn plane_rows_refuses_a_siblings_feature() {
+    #[should_panic(expected = "feature outside the output")]
+    fn plane_rows_refuses_a_feature_past_the_output() {
         let spec = ConvSpec::square(20, 20, 2, 3, 1);
-        let plan = proved(&spec, Some((BandDim::OutChannels, vec![(0, 8), (8, 20)])));
+        let plan = proved(&spec, Some(vec![(0, 9), (9, 18)]));
         let mut output = vec![0f32; spec.output_shape().len()];
         let mut first =
             plan.tiled().expect("tiled forward").regions(&mut output, 2).next().unwrap();
-        first.plane_rows(8);
+        first.plane_rows(spec.features());
     }
 }

@@ -1,7 +1,6 @@
 //! Property tests for the plan verifier: known-good plans verify clean, and
 //! every seeded mutation — register tiles too wide or over budget,
-//! overlapping worker splits, gapped row coverage, feature bands off a tile
-//! block, undersized scratch, a GEMM image gather past the input, a sparse
+//! overlapping worker splits, gapped row coverage, undersized scratch, a GEMM image gather past the input, a sparse
 //! gather or accumulator outside its staging, a sparse register block past
 //! its register file — is rejected with the matching [`CheckError`]
 //! variant. The verifier's value is exactly this asymmetry:
@@ -16,8 +15,8 @@
 use proptest::prelude::*;
 
 use spg_check::{
-    gemm, verify_conv_plan, verify_forward, BackwardPlan, BandDim, Buf, CheckError, ConvPlan,
-    ForwardPlan, RegisterTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
+    gemm, verify_conv_plan, verify_forward, BackwardPlan, Buf, CheckError, ConvPlan, ForwardPlan,
+    RegisterTile, ScratchCapacity, VerifiedPlan, VECTOR_WIDTH,
 };
 use spg_convnet::ConvSpec;
 
@@ -41,11 +40,14 @@ fn any_spec() -> impl Strategy<Value = ConvSpec> {
         })
 }
 
-/// The known-good tiled stencil plan for a wide spec: one vector of 8
-/// features by 4 positions (feature blocks of 8), inside every lane
-/// width's register file and every tiled output row.
+/// The known-good register tile for a wide spec: one vector of 8 features
+/// by 4 positions, inside every lane width's register file and every tiled
+/// output row.
+const GOOD_TILE: RegisterTile = RegisterTile { nx: 4, nfv: 1 };
+
+/// The known-good tiled stencil plan for a wide spec.
 fn good_tiled(_: &ConvSpec) -> ForwardPlan {
-    ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile: RegisterTile { nx: 4, nfv: 1 } }
+    ForwardPlan::StencilTiled { lanes: VECTOR_WIDTH, tile: GOOD_TILE }
 }
 
 /// Judges `fwd` and shows the verdict is also the only way to (not)
@@ -70,12 +72,11 @@ fn verify(spec: &ConvSpec, fwd: &ForwardPlan, cap: &ScratchCapacity) -> Result<(
     judged
 }
 
-/// Specs whose output splits into two bands along either dimension: at
-/// least 18 output rows on the wide tiled path, and at least 16 output
-/// features (two feature blocks of [`good_tiled`]'s tile).
+/// Specs whose output splits into two row bands on the wide tiled path:
+/// at least 18 output rows.
 fn splittable_spec() -> impl Strategy<Value = ConvSpec> {
     (1usize..3, 20usize..44, 16usize..40, 1usize..4, 1usize..3).prop_filter_map(
-        "two bands per split dimension",
+        "two row bands",
         |(c, n, f, k, s)| {
             let spec = ConvSpec::new(c, n, n, f, k, k, s, s).ok()?;
             (spec.out_w() >= 18 && spec.out_h() >= 18).then_some(spec)
@@ -83,32 +84,10 @@ fn splittable_spec() -> impl Strategy<Value = ConvSpec> {
     )
 }
 
-fn band_dims() -> impl Strategy<Value = BandDim> {
-    prop_oneof![Just(BandDim::YRows), Just(BandDim::OutChannels)]
-}
-
-/// The split extent of `spec` along `dim` (output rows / features).
-fn extent_for(spec: &ConvSpec, dim: BandDim) -> usize {
-    match dim {
-        BandDim::YRows => spec.out_h(),
-        BandDim::OutChannels => spec.features(),
-    }
-}
-
-/// Where a two-band split of `spec` along `dim` cuts: the middle row, or
-/// the feature-block boundary nearest below the middle feature.
-fn mid(spec: &ConvSpec, dim: BandDim) -> usize {
-    let e = extent_for(spec, dim);
-    match dim {
-        BandDim::YRows => e / 2,
-        BandDim::OutChannels => (e / 2 / VECTOR_WIDTH).max(1) * VECTOR_WIDTH,
-    }
-}
-
 /// A banded plan: the known-good tiled plan of the whole layer with its
-/// rows or features split over `ranges`.
-fn banded_plan(spec: &ConvSpec, dim: BandDim, ranges: &[(usize, usize)]) -> ForwardPlan {
-    ForwardPlan::StencilBanded { dim, tiled: Box::new(good_tiled(spec)), bands: ranges.to_vec() }
+/// output rows split over `ranges`.
+fn banded_plan(ranges: &[(usize, usize)]) -> ForwardPlan {
+    ForwardPlan::StencilBanded { lanes: VECTOR_WIDTH, tile: GOOD_TILE, bands: ranges.to_vec() }
 }
 
 proptest! {
@@ -261,23 +240,23 @@ proptest! {
         prop_assert!(matches!(err, CheckError::PlanShapeMismatch { found: 4, .. }));
     }
 
-    /// Baseline for the band mutations: a two-band split of any dimension
-    /// — y-rows or out-channel slices — verifies clean.
+    /// Baseline for the band mutations: a two-band split of the output
+    /// rows verifies clean.
     #[test]
-    fn good_band_split_verifies(spec in splittable_spec(), dim in band_dims()) {
+    fn good_band_split_verifies(spec in splittable_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
-        let plan = banded_plan(&spec, dim, &[(0, m), (m, e)]);
+        let (m, e) = (spec.out_h() / 2, spec.out_h());
+        let plan = banded_plan(&[(0, m), (m, e)]);
         prop_assert!(verify(&spec, &plan, &cap).is_ok());
     }
 
     /// Overlapping bands: stretching worker 0 one unit into worker 1's
-    /// range is an OverlappingWorkers rejection on every split dimension.
+    /// range is an OverlappingWorkers rejection.
     #[test]
-    fn overlapping_bands_rejected(spec in splittable_spec(), dim in band_dims()) {
+    fn overlapping_bands_rejected(spec in splittable_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
-        let plan = banded_plan(&spec, dim, &[(0, m + 1), (m, e)]);
+        let (m, e) = (spec.out_h() / 2, spec.out_h());
+        let plan = banded_plan(&[(0, m + 1), (m, e)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(
@@ -288,13 +267,13 @@ proptest! {
         );
     }
 
-    /// Gapped bands: shrinking worker 0 leaves an uncovered unit of the
-    /// split extent — IncompleteCover on every split dimension.
+    /// Gapped bands: shrinking worker 0 leaves an uncovered output row —
+    /// IncompleteCover.
     #[test]
-    fn gapped_bands_rejected(spec in splittable_spec(), dim in band_dims()) {
+    fn gapped_bands_rejected(spec in splittable_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
-        let plan = banded_plan(&spec, dim, &[(0, m - 1), (m, e)]);
+        let (m, e) = (spec.out_h() / 2, spec.out_h());
+        let plan = banded_plan(&[(0, m - 1), (m, e)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(err, CheckError::IncompleteCover { buffer: Buf::Output, .. }),
@@ -302,13 +281,13 @@ proptest! {
         );
     }
 
-    /// Escaping bands: extending the last band past the split extent is an
-    /// OutOfBounds on the output operand for every split dimension.
+    /// Escaping bands: extending the last band past the output rows is an
+    /// OutOfBounds on the output operand.
     #[test]
-    fn escaping_band_rejected(spec in splittable_spec(), dim in band_dims()) {
+    fn escaping_band_rejected(spec in splittable_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
-        let plan = banded_plan(&spec, dim, &[(0, m), (m, e + 1)]);
+        let (m, e) = (spec.out_h() / 2, spec.out_h());
+        let plan = banded_plan(&[(0, m), (m, e + 1)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(err, CheckError::OutOfBounds { buffer: Buf::Output, .. }),
@@ -320,10 +299,10 @@ proptest! {
     /// rejected, because a call with fewer cores than bands runs list
     /// neighbours as one contiguous region.
     #[test]
-    fn descending_bands_rejected(spec in splittable_spec(), dim in band_dims()) {
+    fn descending_bands_rejected(spec in splittable_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
-        let plan = banded_plan(&spec, dim, &[(m, e), (0, m)]);
+        let (m, e) = (spec.out_h() / 2, spec.out_h());
+        let plan = banded_plan(&[(m, e), (0, m)]);
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(
             matches!(
@@ -334,36 +313,17 @@ proptest! {
         );
     }
 
-    /// A feature band that starts inside a tile's feature block is
-    /// rejected: its blocks would straddle the padded weight layout.
-    #[test]
-    fn feature_band_inside_a_tile_block_rejected(spec in splittable_spec()) {
-        let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, BandDim::OutChannels) + 1, spec.features());
-        let plan = banded_plan(&spec, BandDim::OutChannels, &[(0, m), (m, e)]);
-        let err = verify(&spec, &plan, &cap).unwrap_err();
-        prop_assert!(
-            matches!(err, CheckError::PlanShapeMismatch { found, .. } if found == m),
-            "unexpected error {err:?}"
-        );
-    }
-
     /// Bands are ranges of the parent's loop nest, so a fault in the
     /// parent plan is a fault in every band: a well-split plan over a
     /// parent at a lane width no instruction set has is rejected with the
-    /// parent's own PlanShapeMismatch, on every split dimension.
+    /// parent's own PlanShapeMismatch.
     #[test]
-    fn band_split_of_a_broken_parent_plan_rejected(
-        spec in splittable_spec(),
-        dim in band_dims(),
-    ) {
+    fn band_split_of_a_broken_parent_plan_rejected(spec in splittable_spec()) {
         let cap = ScratchCapacity::reserved_for(&spec);
-        let (m, e) = (mid(&spec, dim), extent_for(&spec, dim));
-        let mut plan = banded_plan(&spec, dim, &[(0, m), (m, e)]);
-        if let ForwardPlan::StencilBanded { tiled, .. } = &mut plan {
-            if let ForwardPlan::StencilTiled { lanes, .. } = &mut **tiled {
-                *lanes = 4;
-            }
+        let (m, e) = (spec.out_h() / 2, spec.out_h());
+        let mut plan = banded_plan(&[(0, m), (m, e)]);
+        if let ForwardPlan::StencilBanded { lanes, .. } = &mut plan {
+            *lanes = 4;
         }
         let err = verify(&spec, &plan, &cap).unwrap_err();
         prop_assert!(

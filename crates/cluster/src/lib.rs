@@ -83,7 +83,7 @@ pub use router::{
 };
 pub use shard::{serve_connection, ConnectionEnd, KillDrill};
 pub use train::{
-    run_rank, train_in_proc, Comm, InProcTrainOptions, RankOptions, RankState, TrainFault,
+    run_rank, train_in_proc, Comm, InProcTrainOptions, RankOptions, TrainFault,
     DEFAULT_CHUNK_FLOATS,
 };
 pub use wire::{Message, WireError};

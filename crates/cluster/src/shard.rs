@@ -29,8 +29,7 @@ pub struct KillDrill {
 /// Why [`serve_connection`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnectionEnd {
-    /// The peer closed cleanly (EOF at a frame boundary or a
-    /// `Shutdown` frame).
+    /// The peer closed cleanly (EOF at a frame boundary).
     Closed,
     /// The kill drill fired: the caller should abort the process
     /// without replying, simulating a crash mid-request.
@@ -77,7 +76,6 @@ pub fn serve_connection<S: Read + Write>(
                 served += 1;
                 spg_telemetry::record_counter("cluster.shard.requests", 1);
             }
-            Message::Shutdown => return Ok(ConnectionEnd::Closed),
             other => {
                 return Err(WireError::BadPayload {
                     what: match other {

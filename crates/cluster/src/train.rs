@@ -28,15 +28,16 @@
 //!
 //! The loop advances a rank's progress only at batch commit (after the
 //! update applies) and leaves the network at the last committed batch
-//! whether it returns `Ok` or `Err`, so [`run_rank`] snapshots the
-//! weights into the [`RankState`] once, on its way out — that snapshot
-//! *is* the committed state, without serializing every parameter after
-//! every batch. A rank dropping mid-all-reduce therefore leaves every
-//! surviving rank with a consistent committed state and a typed
-//! [`ClusterError::RingFault`]. The in-process driver
-//! [`train_in_proc`] then replays: it takes the state with the most
-//! committed batches (all survivors agree — updates are synchronous),
-//! respawns every rank from it, and resumes at the faulted batch.
+//! whether it returns `Ok` or `Err`. A rank dropping mid-all-reduce
+//! therefore leaves every surviving rank with a consistent committed
+//! state and a typed [`ClusterError::RingFault`]. The in-process driver
+//! [`train_in_proc`] snapshots that state (weights and progress) only then,
+//! once per faulted rank on its way out — a run without a fault
+//! serializes no weights at all, and its first attempt trains the
+//! factory's network from a fresh [`Progress`]. It then replays: it takes
+//! the state with the most committed batches (all survivors agree —
+//! updates are synchronous), respawns every rank from it, and resumes at
+//! the faulted batch.
 //! Because the resumed fold is the same arithmetic from the same state,
 //! the recovered run's losses are bit-identical to a fault-free run —
 //! the distributed analogue of PR 4's in-order sample replay.
@@ -118,26 +119,18 @@ pub struct RankOptions {
     pub fault: Option<TrainFault>,
 }
 
-/// Everything a rank has durably committed: a weight snapshot plus the
-/// trainer's own [`Progress`] (optimizer state, partial epoch statistics,
-/// resume position). The progress advances only once a batch's update
-/// has been applied; the snapshot is taken when [`run_rank`] returns, at
-/// which point the network holds exactly that last committed batch.
+/// Everything a faulted rank had durably committed: a weight snapshot
+/// plus the trainer's own [`Progress`] (optimizer state, partial epoch
+/// statistics, resume position). The progress advances only once a
+/// batch's update has been applied; the snapshot is taken when
+/// [`run_rank`] returns `Err`, at which point the network holds exactly
+/// that last committed batch.
 #[derive(Debug, Clone)]
-pub struct RankState {
+struct RankState {
     /// Weight snapshot (`spg_convnet::io` format) at the last commit.
-    pub weights: Vec<u8>,
+    weights: Vec<u8>,
     /// The training loop's progress at the last commit.
-    pub progress: Progress,
-}
-
-impl RankState {
-    /// Fresh state at the start of training for `net`.
-    pub fn fresh(net: &Network) -> Self {
-        let mut weights = Vec::new();
-        io::save_weights(net, &mut weights).expect("in-memory weight snapshot");
-        RankState { weights, progress: Progress::fresh(net) }
-    }
+    progress: Progress,
 }
 
 /// Capacity of the buffers a rank's links are wrapped in: sixteen 4 KB
@@ -327,12 +320,13 @@ impl BatchFold for RingFold<'_> {
 /// Runs one rank of the synchronous data-parallel training loop: the
 /// trainer's own [`Trainer::run`] over the ring fold.
 ///
-/// `state` carries committed progress in and out: on success it holds
-/// the final state; on a typed error it holds the last *committed*
-/// state, from which the driver replays deterministically. `data` must
-/// arrive in its original order (the loop replays completed epochs'
-/// shuffles). The returned stats (on success) equal
-/// `state.progress.stats`.
+/// `net` and `progress` are the committed state the rank starts from
+/// (`Progress::fresh` over a newly built network on a first attempt) and
+/// carry it out: on success the final state; on a typed error the last
+/// *committed* state, from which the driver replays deterministically.
+/// `data` must arrive in its original order (the loop replays completed
+/// epochs' shuffles). The returned stats (on success) equal
+/// `progress.stats`.
 ///
 /// # Errors
 ///
@@ -346,7 +340,7 @@ pub fn run_rank(
     trainer: &TrainerConfig,
     opts: &RankOptions,
     comm: &mut Comm,
-    state: &mut RankState,
+    progress: &mut Progress,
 ) -> Result<Vec<EpochStats>, ClusterError> {
     if opts.world == 0 || opts.rank >= opts.world {
         return Err(ClusterError::Config {
@@ -359,8 +353,6 @@ pub fn run_rank(
         });
     }
 
-    io::load_weights(net, state.weights.as_slice())
-        .map_err(|e| ClusterError::Config { detail: format!("restoring rank state: {e}") })?;
     let conv_layers = sgd::conv_layer_indices(net);
     let (mut empty, mut sink) = (std::io::empty(), std::io::sink());
     let (rx_prev, tx_next): (&mut dyn Read, &mut dyn Write) = match comm {
@@ -384,14 +376,8 @@ pub fn run_rank(
         layout: Vec::new(),
         frame: Vec::new(),
     };
-    let result =
-        Trainer::new(trainer.clone()).run(net, data, &mut fold, &mut state.progress, |_, _| {});
-    // `Trainer::run` leaves the network at the last committed batch on
-    // `Ok` and `Err` alike, so this one snapshot is the committed state.
-    state.weights.clear();
-    io::save_weights(net, &mut state.weights).expect("in-memory weight snapshot");
-    result?;
-    Ok(state.progress.stats.clone())
+    Trainer::new(trainer.clone()).run(net, data, &mut fold, progress, |_, _| {})?;
+    Ok(progress.stats.clone())
 }
 
 /// Options for the in-process multi-rank driver.
@@ -470,11 +456,9 @@ pub fn train_in_proc(
     if opts.world == 0 {
         return Err(ClusterError::Config { detail: "world size must be positive".to_string() });
     }
-    let seed_net =
-        factory().map_err(|e| ClusterError::Config { detail: format!("network factory: {e}") })?;
-    let fresh = RankState::fresh(&seed_net);
-    drop(seed_net);
-    let mut states: Vec<RankState> = vec![fresh; opts.world];
+    // The committed state a replay restarts from; a first attempt trains
+    // the factory's network from a fresh progress.
+    let mut committed: Option<RankState> = None;
     // One-shot drill: only the first attempt carries it.
     let mut fault = opts.fault;
 
@@ -501,39 +485,49 @@ pub fn train_in_proc(
             };
 
             // Rank 0 runs on the calling thread, ranks 1.. on their own.
-            // Each rank takes its state rather than a copy (a fault hands
-            // the ranks new ones below), so no rank holds a second weight
-            // snapshot and optimizer state. Its copy of the data is made
-            // on its own thread, which also frees it: no rank allocates or
-            // frees in the heap of a thread that is running another.
-            let ranks = fabrics.into_iter().enumerate().zip(std::mem::take(&mut states));
-            let outcomes: Vec<(RankState, Result<Vec<EpochStats>, ClusterError>)> =
-                spg_sync::fork_join(ranks.map(|((rank, mut comm), mut state)| {
+            // Each rank builds its network (a replay's weights loaded
+            // over it), copies its data and takes any snapshot on its own
+            // thread, which also frees the network and data: no rank
+            // allocates or frees in the heap of a thread that is running
+            // another.
+            let replay = committed.take();
+            let outcomes: Vec<_> =
+                spg_sync::fork_join(fabrics.into_iter().enumerate().map(|(rank, mut comm)| {
+                    let replay = replay.as_ref();
                     move || {
-                        let mut data = data.clone();
                         let opts = RankOptions {
                             rank,
                             world: opts.world,
                             chunk_floats: opts.chunk_floats,
                             fault,
                         };
-                        let result = match factory() {
-                            Ok(mut net) => {
-                                run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut state)
-                            }
-                            Err(e) => Err(ClusterError::Config {
-                                detail: format!("network factory: {e}"),
-                            }),
+                        let (mut net, mut progress) = match restore(factory, replay) {
+                            Ok(start) => start,
+                            Err(err) => return (None, Err(err)),
                         };
-                        (state, result)
+                        let mut data = data.clone();
+                        let result =
+                            run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut progress);
+                        // `Trainer::run` leaves the network at the last
+                        // committed batch on `Err`, so this one snapshot
+                        // is the committed state.
+                        let snapshot = result.is_err().then(|| {
+                            let mut weights = Vec::new();
+                            io::save_weights(&net, &mut weights).expect("in-memory snapshot");
+                            RankState { weights, progress }
+                        });
+                        (snapshot, result)
                     }
                 }));
 
             if let Some(err) = outcomes.iter().find_map(|(_, result)| result.as_ref().err()) {
                 let err = err.clone();
                 spg_telemetry::record_counter("cluster.train.faults", 1);
-                let best = most_committed(outcomes.into_iter().map(|(state, _)| state));
-                states = vec![best; opts.world];
+                // A rank the factory failed for has no snapshot; with none
+                // at all the replay starts over from the factory.
+                let snapshots: Vec<_> =
+                    outcomes.into_iter().filter_map(|(state, _)| state).collect();
+                committed = (!snapshots.is_empty()).then(|| most_committed(snapshots));
                 return Err(err);
             }
             // All ranks finished; they must agree bit-for-bit.
@@ -554,6 +548,26 @@ pub fn train_in_proc(
         },
         |_, _| spg_telemetry::record_counter("cluster.train.restarts", 1),
     )?
+}
+
+/// A rank's starting state: the factory's network from a fresh progress,
+/// or with a replay's committed weights loaded over it and its progress.
+fn restore(
+    factory: &(dyn Fn() -> Result<Network, spg_error::Error> + Sync),
+    replay: Option<&RankState>,
+) -> Result<(Network, Progress), ClusterError> {
+    let mut net =
+        factory().map_err(|e| ClusterError::Config { detail: format!("network factory: {e}") })?;
+    let progress = match replay {
+        None => Progress::fresh(&net),
+        Some(state) => {
+            io::load_weights(&mut net, state.weights.as_slice()).map_err(|e| {
+                ClusterError::Config { detail: format!("restoring rank state: {e}") }
+            })?;
+            state.progress.clone()
+        }
+    };
+    Ok((net, progress))
 }
 
 /// The state a ring replays from after a rank fault: the most-advanced
@@ -825,9 +839,10 @@ mod tests {
                 scope.spawn(move || {
                     let mut net = full_net(MNIST);
                     let opts = RankOptions { rank, world, chunk_floats, fault: None };
-                    let mut state = RankState::fresh(&net);
+                    let mut progress = Progress::fresh(&net);
                     let mut data = data.clone();
-                    run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut state).unwrap();
+                    run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut progress)
+                        .unwrap();
                 });
             }
         });
@@ -868,7 +883,8 @@ mod tests {
     /// the most-committed one.
     #[test]
     fn replay_takes_the_most_committed_state_in_any_arrival_order() {
-        let fresh = RankState::fresh(&make_net().unwrap());
+        let progress = Progress::fresh(&make_net().unwrap());
+        let fresh = RankState { weights: Vec::new(), progress };
         let staggered = [(1, 2), (2, 0), (2, 1)];
         let at = |i: usize| {
             let mut s = fresh.clone();

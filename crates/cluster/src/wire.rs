@@ -252,15 +252,6 @@ pub enum Message {
         /// `f64::to_bits` of each conv layer's running sparsity sum.
         sparsity_bits: Vec<u64>,
     },
-    /// Connection handshake: who is dialing.
-    Hello {
-        /// The dialer's rank (or shard id).
-        rank: u32,
-        /// World size the dialer was configured with.
-        world: u32,
-    },
-    /// Graceful end-of-stream marker.
-    Shutdown,
 }
 
 impl Message {
@@ -273,8 +264,6 @@ impl Message {
             Message::ReduceChunk { .. } => 0x10,
             Message::BroadcastChunk { .. } => 0x11,
             Message::AccMeta { .. } => 0x12,
-            Message::Hello { .. } => 0x20,
-            Message::Shutdown => 0x21,
         }
     }
 }
@@ -465,11 +454,6 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
             e.u64(*correct);
             e.u64s(sparsity_bits);
         }
-        Message::Hello { rank, world } => {
-            e.u32(*rank);
-            e.u32(*world);
-        }
-        Message::Shutdown => {}
     });
     frame
 }
@@ -563,12 +547,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Message, usize), WireError> {
             let sparsity_bits = d.u64s()?;
             Message::AccMeta { epoch, batch, loss_sum_bits, correct, sparsity_bits }
         }
-        0x20 => {
-            let rank = d.u32()?;
-            let world = d.u32()?;
-            Message::Hello { rank, world }
-        }
-        0x21 => Message::Shutdown,
         tag => return Err(WireError::UnknownType { tag }),
     };
     d.finish()?;
@@ -685,9 +663,12 @@ mod tests {
                 correct: 6,
                 sparsity_bits: vec![0.5f64.to_bits(), 0.25f64.to_bits()],
             },
-            Message::Hello { rank: 3, world: 8 },
-            Message::Shutdown,
         ]
+    }
+
+    /// A short frame for the header corruption tests.
+    fn small_frame() -> Message {
+        Message::InferError { id: 1, message: String::new() }
     }
 
     #[test]
@@ -717,7 +698,7 @@ mod tests {
 
     #[test]
     fn truncation_is_typed() {
-        let frame = encode_frame(&Message::Hello { rank: 1, world: 2 });
+        let frame = encode_frame(&small_frame());
         for cut in 0..frame.len() {
             match decode_frame(&frame[..cut]) {
                 Err(WireError::Truncated { .. }) => {}
@@ -755,7 +736,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut frame = encode_frame(&Message::Shutdown);
+        let mut frame = encode_frame(&small_frame());
         frame[2] = VERSION + 1;
         // Re-seal the checksum so the version check itself is exercised.
         let body_end = frame.len() - TRAILER_LEN;
@@ -766,7 +747,7 @@ mod tests {
 
     #[test]
     fn unknown_type_is_typed() {
-        let mut frame = encode_frame(&Message::Shutdown);
+        let mut frame = encode_frame(&small_frame());
         frame[3] = 0x7F;
         let body_end = frame.len() - TRAILER_LEN;
         let crc = crc32(&frame[2..body_end]).to_le_bytes();
@@ -776,7 +757,7 @@ mod tests {
 
     #[test]
     fn oversized_length_is_capped() {
-        let mut frame = encode_frame(&Message::Shutdown);
+        let mut frame = encode_frame(&small_frame());
         frame[4..8].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         assert_eq!(decode_frame(&frame), Err(WireError::TooLarge { len: MAX_PAYLOAD + 1 }));
     }

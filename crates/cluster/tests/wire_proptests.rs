@@ -57,8 +57,6 @@ fn any_message() -> impl Strategy<Value = Message> {
             .prop_map(|(epoch, batch, loss_sum_bits, correct, sparsity_bits)| {
                 Message::AccMeta { epoch, batch, loss_sum_bits, correct, sparsity_bits }
             }),
-        (0u32..64, 1u32..64).prop_map(|(rank, world)| Message::Hello { rank, world }),
-        Just(Message::Shutdown),
     ]
 }
 
@@ -156,11 +154,6 @@ fn reference_frame(msg: &Message) -> Vec<u8> {
             u64s(&mut p, sparsity_bits);
             0x12
         }
-        Message::Hello { rank, world } => {
-            u32s(&mut p, &[*rank, *world]);
-            0x20
-        }
-        Message::Shutdown => 0x21,
         other => panic!("reference encoder does not know {other:?}"),
     };
     let mut frame = Vec::new();
@@ -551,7 +544,7 @@ fn oversized_stream_length_rejected_by_read_frame_into() {
 /// wire format is pinned by data, not only by a second implementation.
 #[test]
 fn golden_frames_from_the_previous_encoder() {
-    let golden: [(Message, &str); 8] = [
+    let golden: [(Message, &str); 6] = [
         (
             Message::InferRequest { id: 7, key: b"user-123".to_vec(), input: vec![0.5, -1.25] },
             "5347010120000000070000000000000008000000757365722d31323302000000\
@@ -596,19 +589,35 @@ fn golden_frames_from_the_previous_encoder() {
             "534701122c0000000100000002000000000000000000fc3f0600000000000000\
              02000000000000000000e03f000000000000d03f32a98f31",
         ),
-        (Message::Hello { rank: 3, world: 8 }, "53470120080000000300000008000000b68afdb2"),
-        (Message::Shutdown, "5347012100000000b2743f86"),
     ];
     for (msg, hex) in golden {
-        let want: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
-            .collect();
+        let want = unhex(hex);
         assert_eq!(encode_frame(&msg), want, "{msg:?}");
         assert_eq!(reference_frame(&msg), want, "reference encoder drifted on {msg:?}");
         let (back, used) = decode_frame(&want).expect("golden frame decodes");
         assert_eq!(used, want.len());
         assert_eq!(encode_frame(&back), want, "{msg:?} did not survive a round trip");
+    }
+}
+
+/// The bytes of a hex fixture.
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
+/// The handshake (0x20) and end-of-stream (0x21) frames an earlier
+/// protocol defined, and no peer sent, are no longer message types: their
+/// well-formed frames, as that encoder wrote them, decode to a typed
+/// UnknownType.
+#[test]
+fn retired_frame_types_are_unknown() {
+    let retired =
+        [(0x20, "53470120080000000300000008000000b68afdb2"), (0x21, "5347012100000000b2743f86")];
+    for (tag, hex) in retired {
+        assert_eq!(decode_frame(&unhex(hex)), Err(WireError::UnknownType { tag }));
     }
 }
 
@@ -633,6 +642,6 @@ fn transport_failure_is_typed_io() {
     }
     let read = read_frame(&mut Broken);
     assert!(matches!(&read, Err(WireError::Io { message }) if message == "link down"), "{read:?}");
-    let written = write_frame(&mut Broken, &Message::Shutdown);
+    let written = write_frame(&mut Broken, &Message::InferError { id: 1, message: String::new() });
     assert!(matches!(&written, Err(WireError::Io { .. })), "{written:?}");
 }

@@ -257,13 +257,13 @@ impl<G: Geometry> Nest for Region<'_, '_, G> {
 }
 
 /// Drives [`tile_block`] over one proved region of the plan: each of its
-/// rows, each feature block of `NFV*L` of its features, each group of `L`
+/// rows, each feature block of `NFV*L` features, each group of `L`
 /// output positions of the row (the last one overlapping its predecessor
 /// so it ends at the row end; one narrower group on rows under `L` wide),
 /// tiled by x-blocks of `NX`. A group's accumulators are transposed in
 /// registers, `L` positions by `L` features a vector, and each feature's
 /// positions stored into its own output plane; padding lanes and features
-/// past the region are dropped.
+/// past the layer's are dropped.
 ///
 /// # Safety
 ///
@@ -287,16 +287,16 @@ unsafe fn sweep<V: Vector, const L: usize, const NX: usize, const NFV: usize, G:
     let (nc, in_w, out_w) = (spec.in_c(), spec.in_w(), spec.out_w());
     let plane = spec.in_h() * in_w;
     let padded = weights.padded_features();
-    let (f_lo, f_hi) = region.features();
+    let nf = spec.features();
     let (y_lo, y_hi) = region.rows();
     let width = L.min(out_w);
     // SAFETY: the CPU has `V`'s features (this fn's contract).
     let (mask, mut group) = unsafe { (V::first(width), [[V::zero(); NFV]; L]) };
     for y in y_lo..y_hi {
         let at = (y - y_lo) * out_w;
-        for fb in (f_lo..f_hi).step_by(NFV * L) {
+        for fb in (0..nf).step_by(NFV * L) {
             // SAFETY: fb is a feature-block start below the padded feature
-            // count (regions start on blocks).
+            // count.
             let w = unsafe { weights.as_slice().as_ptr().add(fb) };
             let mut next = 0;
             loop {
@@ -330,14 +330,14 @@ unsafe fn sweep<V: Vector, const L: usize, const NX: usize, const NFV: usize, G:
                 }
                 for v in 0..NFV {
                     let first = fb + v * L;
-                    if first >= f_hi {
+                    if first >= nf {
                         break;
                     }
                     let mut rows: [V; L] = std::array::from_fn(|p| group[p][v]);
                     // SAFETY: the CPU has `V`'s features (this fn's
                     // contract).
                     unsafe { V::transpose(&mut rows) };
-                    for (f, row) in (first..f_hi.min(first + L)).zip(&rows) {
+                    for (f, row) in (first..nf.min(first + L)).zip(&rows) {
                         let dst = region.plane_rows(f)[at + x0..at + x0 + width].as_mut_ptr();
                         // SAFETY: `dst` is `width` writable floats: all L
                         // lanes, or the lanes of `mask`.
@@ -424,39 +424,27 @@ unsafe fn tile_block<V: Vector, const NX: usize, const NFV: usize, G: Geometry>(
 pub(crate) mod tests {
     use super::*;
     use spg_check::VECTOR_WIDTH;
-    use spg_check::{BackwardPlan, BandDim, ConvPlan, ForwardPlan, VerifiedPlan};
+    use spg_check::{BackwardPlan, ConvPlan, ForwardPlan, VerifiedPlan};
     use spg_convnet::reference;
 
     pub(crate) fn pseudo(n: usize, salt: usize) -> Vec<f32> {
         (0..n).map(|i| (((i * 29 + salt * 13) % 19) as f32 - 9.0) / 5.0).collect()
     }
 
-    /// `spec`'s tiled plan at `lanes` lanes with `tile` — split into `n`
-    /// bands along `dim` for `Some((dim, n))`, feature bands on whole
-    /// feature blocks — proved: the only way to run a kernel.
+    /// `spec`'s tiled plan at `lanes` lanes with `tile` — its output rows
+    /// split into `n` bands for `Some(n)` — proved: the only way to run a
+    /// kernel.
     pub(crate) fn proved(
         spec: &ConvSpec,
         lanes: usize,
         tile: RegisterTile,
-        split: Option<(BandDim, usize)>,
+        bands: Option<usize>,
     ) -> VerifiedPlan {
-        let tiled = ForwardPlan::StencilTiled { lanes, tile };
-        let forward = match split {
-            None => tiled,
-            Some((dim, n)) => {
-                let block = lanes * tile.nfv;
-                let bands = match dim {
-                    BandDim::YRows => spg_check::gemm::row_bands(spec.out_h(), n),
-                    BandDim::OutChannels => {
-                        let blocks = spec.features().div_ceil(block);
-                        let blocks = spg_check::gemm::row_bands(blocks, n);
-                        blocks
-                            .into_iter()
-                            .map(|(lo, hi)| (lo * block, (hi * block).min(spec.features())))
-                            .collect()
-                    }
-                };
-                ForwardPlan::StencilBanded { dim, tiled: Box::new(tiled), bands }
+        let forward = match bands {
+            None => ForwardPlan::StencilTiled { lanes, tile },
+            Some(n) => {
+                let bands = spg_check::gemm::row_bands(spec.out_h(), n);
+                ForwardPlan::StencilBanded { lanes, tile, bands }
             }
         };
         let plan = ConvPlan { forward, backward: BackwardPlan::UnfoldGemm { threads: 1 } };
@@ -475,16 +463,13 @@ pub(crate) mod tests {
         ckkf
     }
 
-    /// Every split the tests run on `spec` at `tile`: sequential, then 2
-    /// and 3 bands along each dimension with two or more rows or feature
-    /// blocks to split, each with the cores for all its bands.
-    fn splits(spec: &ConvSpec, tile: RegisterTile) -> Vec<Option<(BandDim, usize)>> {
-        let blocks = spec.features().div_ceil(VECTOR_WIDTH * tile.nfv);
+    /// Every split the tests run on `spec`: sequential, then 2 and 3 row
+    /// bands when there are two or more rows to split, each with the cores
+    /// for all its bands.
+    fn splits(spec: &ConvSpec) -> Vec<Option<usize>> {
         let mut splits = vec![None];
-        for (dim, units) in [(BandDim::YRows, spec.out_h()), (BandDim::OutChannels, blocks)] {
-            if units > 1 {
-                splits.extend([2, 3].map(|n| Some((dim, n))));
-            }
+        if spec.out_h() > 1 {
+            splits.extend([Some(2), Some(3)]);
         }
         splits
     }
@@ -519,14 +504,14 @@ pub(crate) mod tests {
         kernel: Kernel,
         spec: &ConvSpec,
         tile: RegisterTile,
-        split: Option<(BandDim, usize)>,
+        split: Option<usize>,
         input: &[f32],
         weights: &[f32],
     ) -> Vec<f32> {
         let plan = proved(spec, VECTOR_WIDTH, tile, split);
         let tiled = plan.tiled().unwrap_or_else(|| unreachable!("lowered tiled"));
         let mut out = vec![f32::NAN; spec.output_shape().len()];
-        let scratch = ConvScratch::with_cores(split.map_or(1, |(_, n)| n));
+        let scratch = ConvScratch::with_cores(split.unwrap_or(1));
         kernel(tiled, input, &blocked(&plan, weights), &mut out, &scratch);
         out
     }
@@ -629,7 +614,7 @@ pub(crate) mod tests {
                     let other = run(kernel, &spec, tile, None, &input, &weights);
                     assert_eq!(bits(&other), bits(&sequential), "{spec} {tile:?}: {name}");
                 }
-                for split in splits(&spec, tile) {
+                for split in splits(&spec) {
                     let banded = run(dynamic, &spec, tile, split, &input, &weights);
                     assert_eq!(banded, sequential, "{spec} {tile:?} {split:?}");
                 }

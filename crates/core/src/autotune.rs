@@ -266,7 +266,6 @@ fn contest(
                 .collect(),
             rejected,
             kernel: kernel.map(str::to_string),
-            backend: Some("cpu".to_string()),
             // Per-phase algo spelling: `<technique>/<kernel>`, the kernel
             // leg being what the winner's program bound.
             algo: Some(format!(
@@ -416,6 +415,18 @@ impl Framework {
         self.try_plan_network(net, sparsity).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Plans one layer's backward technique for training at the given
+    /// gradient sparsity: the backward leg of
+    /// [`plan_layer`](Framework::plan_layer), with no forward contest.
+    fn plan_layer_backward(&self, spec: &ConvSpec, sparsity: f64) -> Technique {
+        match self.mode {
+            TuningMode::Heuristic => recommended_plan(spec, sparsity).backward,
+            TuningMode::Measured { reps } => {
+                pick(spec, Phase::Backward, sparsity, self.cores, 1, reps)
+            }
+        }
+    }
+
     /// Plans one layer's forward technique only (the serving path). A
     /// measured plan is judged with every core inside the one sample, as
     /// [`Engine::forward`](spg_convnet::Engine::forward) runs it.
@@ -450,10 +461,10 @@ impl Framework {
     /// every `retune_every` epochs, re-plans each conv layer using that
     /// layer's measured gradient sparsity from the epoch statistics and
     /// installs the new plan's *backward* slot (forward plans do not
-    /// depend on sparsity). In heuristic mode each re-planned layer logs
-    /// one backward decision — its observed sparsity and the deployed id,
-    /// no candidates — when telemetry is on; measured mode logs its
-    /// contests.
+    /// depend on sparsity, so no forward is raced or installed). In
+    /// heuristic mode each re-planned layer logs one backward decision —
+    /// its observed sparsity and the deployed id, no candidates — when
+    /// telemetry is on; measured mode logs its backward contests.
     ///
     /// # Panics
     ///
@@ -467,7 +478,10 @@ impl Framework {
         }
         self.install_plans(net, &[Phase::Backward], |conv_idx, spec| {
             let sparsity = stats.conv_grad_sparsity.get(conv_idx).copied().unwrap_or(0.0);
-            let plan = self.plan_layer(spec, sparsity);
+            let backward = self.plan_layer_backward(spec, sparsity);
+            // The program's forward leg is never installed: the
+            // heuristic's, lowered without a contest.
+            let plan = LayerPlan { forward: recommended_plan(spec, sparsity).forward, backward };
             // Measured mode logs its contest; the heuristic logs what it
             // deployed, so a trace shows when a layer went sparse.
             if self.mode == TuningMode::Heuristic && spg_telemetry::enabled() {
@@ -480,7 +494,6 @@ impl Framework {
                     candidates: Vec::new(),
                     rejected: Vec::new(),
                     kernel: None,
-                    backend: Some("cpu".to_string()),
                     algo: None,
                     partition: None,
                 });
@@ -620,6 +633,40 @@ mod tests {
         // Positive control: a real on-interval epoch does re-plan.
         fw.retune(&mut net, &stats(2));
         assert!(logged(&label) > before, "epoch 2 re-plans and logs its decision");
+    }
+
+    /// A measured retune races only the phase it installs: on an
+    /// interval epoch the layer logs backward decisions and no forward
+    /// one. The conv sits behind seven ReLUs, so its label is its own in
+    /// the process-wide decision log.
+    #[test]
+    fn measured_retune_races_only_the_backward() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let spec = small_spec();
+        let ilen = spec.input_shape().len();
+        let mut layers: Vec<Box<dyn spg_convnet::layer::Layer>> =
+            (0..7).map(|_| Box::new(ReluLayer::new(ilen)) as _).collect();
+        layers.push(Box::new(ConvLayer::new(spec, &mut rng)));
+        let mut net = Network::new(layers).unwrap();
+        let label = spg_convnet::scope_label(7, net.layers_mut()[7].name());
+        let fw = Framework::new(1, TuningMode::Measured { reps: 1 }, 2);
+        spg_telemetry::set_enabled(true);
+        let stats = EpochStats {
+            epoch: 2,
+            mean_loss: 1.0,
+            accuracy: 0.5,
+            conv_grad_sparsity: vec![0.95],
+            images_per_sec: 1.0,
+        };
+        fw.retune(&mut net, &stats);
+        let phases: Vec<_> = spg_telemetry::snapshot()
+            .decisions
+            .into_iter()
+            .filter(|d| d.label == label)
+            .map(|d| d.phase)
+            .collect();
+        assert!(phases.contains(&spg_telemetry::Phase::Backward), "{label}: {phases:?}");
+        assert!(!phases.contains(&spg_telemetry::Phase::Forward), "{label}: {phases:?}");
     }
 
     /// Forward decisions carry the minor-5 `kernel` field — what the

@@ -20,7 +20,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use spg_check::{BackwardPlan, BandDim, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
+use spg_check::{BackwardPlan, CheckReport, ConvPlan, ForwardPlan, VerifiedPlan};
 use spg_codegen::{KernelChoice, SpecializedKernel};
 
 use spg_convnet::exec::{ConvExecutor, PreparedWeights, SharedExecutor};
@@ -99,13 +99,12 @@ impl ConvProgram {
     }
 
     /// The dimension the forward plan splits one sample along, as the
-    /// decision log spells it: `"y-band"` / `"out-channel"` for a banded
-    /// stencil, `"out-channel"` for GEMM row bands, `"sample"` for a plan
-    /// with nothing to run beside itself.
+    /// decision log spells it: `"y-band"` for a banded stencil,
+    /// `"out-channel"` for GEMM row bands, `"sample"` for a plan with
+    /// nothing to run beside itself.
     pub fn partition(&self) -> &'static str {
         match &self.plan.plan().forward {
-            ForwardPlan::StencilBanded { dim: BandDim::YRows, .. } => "y-band",
-            ForwardPlan::StencilBanded { dim: BandDim::OutChannels, .. } => "out-channel",
+            ForwardPlan::StencilBanded { .. } => "y-band",
             ForwardPlan::UnfoldGemm { threads } if *threads > 1 => "out-channel",
             _ => "sample",
         }

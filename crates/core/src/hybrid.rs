@@ -5,11 +5,10 @@
 //! strong scaling collapses when `batch < cores` — the regime Jia et al.
 //! (*Exploring Hidden Dimensions in Parallelizing CNNs*) and Dryden et al.
 //! (*Improving Strong-Scaling of CNN Training by Exploiting Finer-Grained
-//! Parallelism*) address by also splitting *within* a layer. The two
-//! intra-sample decompositions the plan IR can prove safe
-//! ([`spg_check::BandDim`]) — contiguous output-row bands and
-//! output-feature slices — are partitions of one axis of the sequential
-//! stencil's own loop nest. This module owns only that
+//! Parallelism*) address by also splitting *within* a layer. The one
+//! intra-sample decomposition of the stencil the plan IR proves safe —
+//! contiguous output-row bands — is a partition of the output rows of the
+//! sequential stencil's own loop nest. This module owns only that
 //! partition, [`band_ranges`]. Lowering attaches it to the layer's tiled
 //! plan; the verifier proves it an ascending disjoint cover; and the one
 //! stencil loop nest (`spg-codegen`: the bound instance, or the
@@ -20,8 +19,8 @@
 //! all, runs of neighbouring bands as one region when it covers fewer, and
 //! the whole layer as the one sequential region at a budget of 1. No
 //! technique names a split: the stencil lowered at more than one core
-//! ([`verify::lower`](crate::verify::lower)) carries one, along output rows
-//! where the layer has rows to split and output features otherwise.
+//! ([`verify::lower`](crate::verify::lower)) carries one wherever the layer
+//! has rows to split.
 //!
 //! **Bit-identity.** Every output element's reduction is a single FMA chain
 //! ordered `(channel asc, ky asc, kx asc)` regardless of which tile or
@@ -30,45 +29,26 @@
 //! holds. Banded outputs are therefore bit-identical to the sequential
 //! kernel — the golden suite asserts exact equality, not a tolerance.
 
-pub use spg_check::BandDim;
 use spg_check::VECTOR_WIDTH as LANES;
 use spg_convnet::ConvSpec;
 
-/// The contiguous per-worker bands a hybrid decomposition of `spec` along
-/// `dim` uses at `workers` workers, feature bands made of whole blocks of
-/// `block` features (the register tile's feature block: a region sweeps
-/// its features a block at a time from its first). Lowering turns these
-/// into the plan's `bands`, which is what the verifier proves and the
-/// stencil kernel runs, and asks it whether a layer splits along `dim` at
-/// all.
+/// The contiguous per-worker output-row bands a hybrid decomposition of
+/// `spec` uses at `workers` workers. Lowering turns these into the plan's
+/// `bands`, which is what the verifier proves and the stencil kernel runs,
+/// and asks it whether a layer splits at all.
 ///
 /// Returns one band — i.e. "no decomposition available" — when the rows
 /// are narrower than one vector (`out_w < LANES`), when `workers <= 1`,
-/// or when the extent cannot be split. Narrow rows are a small layer's:
+/// or when the output has one row. Narrow rows are a small layer's:
 /// CIFAR-10 L1 (4x4 outputs, 64 features) ran its sequential tiled plan
 /// in 37–42 µs and the plan banded over two cores in 80–90 µs on a
 /// two-core AVX-512 host, the fork costing more than the half layer it
 /// saves (EXPERIMENTS).
-///
-/// # Panics
-///
-/// Panics if `block == 0`.
-pub fn band_ranges(
-    spec: &ConvSpec,
-    dim: BandDim,
-    workers: usize,
-    block: usize,
-) -> Vec<(usize, usize)> {
-    assert!(block > 0, "feature blocks hold at least one feature");
-    let (extent, unit) = match dim {
-        BandDim::YRows => (spec.out_h(), 1),
-        BandDim::OutChannels => (spec.features(), block),
-    };
+pub fn band_ranges(spec: &ConvSpec, workers: usize) -> Vec<(usize, usize)> {
     if spec.out_w() < LANES || workers <= 1 {
-        return vec![(0, extent)];
+        return vec![(0, spec.out_h())];
     }
-    let units = spg_check::gemm::row_bands(extent.div_ceil(unit), workers);
-    units.into_iter().map(|(lo, hi)| (lo * unit, (hi * unit).min(extent))).collect()
+    spg_check::gemm::row_bands(spec.out_h(), workers)
 }
 
 #[cfg(test)]
@@ -77,7 +57,7 @@ mod tests {
     use crate::autotune::Phase;
     use crate::backend::{AlgoChoice, AlgoKernel};
     use crate::compiled::{CompiledConv, ConvProgram};
-    use crate::schedule::{stencil_split, LayerPlan, Technique};
+    use crate::schedule::{LayerPlan, Technique};
     use crate::verify::lower_phase;
     use spg_check::ForwardPlan;
     use spg_codegen::KernelChoice;
@@ -99,8 +79,7 @@ mod tests {
         ConvSpec::square(69, 4, 3, 7, 2)
     }
 
-    /// The same kernel over a one-row, 32-wide output: only the features
-    /// are left to split, in two or more feature blocks of any tile.
+    /// The same kernel over a one-row, 32-wide output: no rows to split.
     fn one_row_spec() -> ConvSpec {
         ConvSpec::new(3, 7, 69, 200, 7, 7, 2, 2).expect("valid spec")
     }
@@ -118,7 +97,7 @@ mod tests {
         out
     }
 
-    fn check_bit_identical(spec: ConvSpec, dim: BandDim, workers: usize) {
+    fn check_bit_identical(spec: ConvSpec, workers: usize) {
         let input = pseudo(spec.input_shape().len(), 1);
         let weights = pseudo(spec.weight_shape().len(), 2);
         let sequential = program(&spec, 1, KernelChoice::Generic);
@@ -128,19 +107,19 @@ mod tests {
         for kernel in [KernelChoice::Auto, KernelChoice::Generic] {
             let exec = program(&spec, workers, kernel);
             assert!(
-                matches!(&exec.plan().forward, ForwardPlan::StencilBanded { dim: d, .. } if *d == dim),
+                matches!(&exec.plan().forward, ForwardPlan::StencilBanded { .. }),
                 "{spec} x{workers}: {:?}",
                 exec.plan().forward
             );
             let banded = run(&exec, &input, &weights, &mut ConvScratch::new());
-            assert_eq!(oracle, banded, "{spec} {dim:?} x{workers} {kernel:?} not bit-identical");
+            assert_eq!(oracle, banded, "{spec} x{workers} {kernel:?} not bit-identical");
             // Fewer cores than bands: runs of neighbouring bands, down to
             // the whole layer on the calling thread.
             for cores in [1, workers.div_ceil(2)] {
                 let mut out = vec![f32::NAN; oracle.len()];
                 let mut scratch = ConvScratch::with_cores(cores);
                 exec.forward(&input, &exec.prepared(&weights), &mut out, &mut scratch);
-                assert_eq!(oracle, out, "{spec} {dim:?} x{workers} on {cores} cores {kernel:?}");
+                assert_eq!(oracle, out, "{spec} x{workers} on {cores} cores {kernel:?}");
             }
         }
     }
@@ -152,9 +131,8 @@ mod tests {
         // Interpreted, one ragged worker count races the bands enough.
         let workers: &[usize] = if cfg!(miri) { &[3] } else { &[2, 3, 8] };
         for &workers in workers {
-            check_bit_identical(unit, BandDim::YRows, workers);
-            check_bit_identical(rows_spec(), BandDim::YRows, workers);
-            check_bit_identical(one_row_spec(), BandDim::OutChannels, workers);
+            check_bit_identical(unit, workers);
+            check_bit_identical(rows_spec(), workers);
         }
     }
 
@@ -162,27 +140,25 @@ mod tests {
     /// sequential stencil does, and reports it.
     #[test]
     fn banded_plan_binds_the_instance_the_sequential_plan_gets() {
-        for spec in [rows_spec(), one_row_spec()] {
-            let sequential = program(&spec, 1, KernelChoice::Auto);
-            let exec = program(&spec, 2, KernelChoice::Auto);
-            assert!(matches!(exec.plan().forward, ForwardPlan::StencilBanded { .. }), "{spec}");
-            assert_eq!(
-                exec.specialized_kernel().map(|k| k.level()),
-                sequential.specialized_kernel().map(|k| k.level()),
-                "{spec}"
-            );
-            let pinned = program(&spec, 2, KernelChoice::Generic);
-            assert!(pinned.specialized_kernel().is_none(), "{spec}");
-            let weights = pseudo(spec.weight_shape().len(), 2);
-            let plan =
-                LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
-            let compiled = CompiledConv::compile(spec, plan, &weights, 2).expect("compiles");
-            assert_eq!(compiled.kernel_kind(), sequential.kernel_kind());
-            let algo = AlgoChoice::of(compiled.program());
-            let bound = sequential.specialized_kernel();
-            let kernel = bound.map_or(AlgoKernel::Generic, |k| AlgoKernel::Specialized(k.level()));
-            assert_eq!(algo.kernel, kernel, "{spec}: {algo}");
-        }
+        let spec = rows_spec();
+        let sequential = program(&spec, 1, KernelChoice::Auto);
+        let exec = program(&spec, 2, KernelChoice::Auto);
+        assert!(matches!(exec.plan().forward, ForwardPlan::StencilBanded { .. }), "{spec}");
+        assert_eq!(
+            exec.specialized_kernel().map(|k| k.level()),
+            sequential.specialized_kernel().map(|k| k.level()),
+            "{spec}"
+        );
+        let pinned = program(&spec, 2, KernelChoice::Generic);
+        assert!(pinned.specialized_kernel().is_none(), "{spec}");
+        let weights = pseudo(spec.weight_shape().len(), 2);
+        let plan = LayerPlan { forward: Technique::StencilFp, backward: Technique::GemmInParallel };
+        let compiled = CompiledConv::compile(spec, plan, &weights, 2).expect("compiles");
+        assert_eq!(compiled.kernel_kind(), sequential.kernel_kind());
+        let algo = AlgoChoice::of(compiled.program());
+        let bound = sequential.specialized_kernel();
+        let kernel = bound.map_or(AlgoKernel::Generic, |k| AlgoKernel::Specialized(k.level()));
+        assert_eq!(algo.kernel, kernel, "{spec}: {algo}");
     }
 
     /// A banded forward — strided included — reads its input in place and
@@ -191,37 +167,36 @@ mod tests {
     /// `ScratchCapacity::reserved_for`.
     #[test]
     fn banded_forward_stages_nothing_in_the_scratch() {
-        for spec in [rows_spec(), one_row_spec()] {
-            let input = pseudo(spec.input_shape().len(), 3);
-            let weights = pseudo(spec.weight_shape().len(), 4);
-            let reserved = spg_check::ScratchCapacity::reserved_for(&spec);
-            let exec = program(&spec, 2, KernelChoice::Auto);
-            let mut fresh = ConvScratch::new();
-            let a = run(&exec, &input, &weights, &mut fresh);
-            assert_eq!(fresh.bytes(), 0, "{spec}: staging");
-            let mut scratch = ConvScratch::new();
-            scratch.reserve(&spec);
-            let b = run(&exec, &input, &weights, &mut scratch);
-            let live = (scratch.mat_b.len(), scratch.hwc_in.len(), scratch.hwc_out.len());
-            assert_eq!(live, (reserved.mat_b, reserved.hwc_in, reserved.hwc_out), "{spec}");
-            assert_eq!(scratch.wperm.len(), reserved.wperm, "{spec}");
-            let elems = reserved.mat_b + reserved.hwc_in + reserved.hwc_out + reserved.wperm;
-            assert_eq!(scratch.bytes(), elems * 4, "{spec}");
-            assert_eq!(a, b, "{spec}");
-        }
+        let spec = rows_spec();
+        let input = pseudo(spec.input_shape().len(), 3);
+        let weights = pseudo(spec.weight_shape().len(), 4);
+        let reserved = spg_check::ScratchCapacity::reserved_for(&spec);
+        let exec = program(&spec, 2, KernelChoice::Auto);
+        let mut fresh = ConvScratch::new();
+        let a = run(&exec, &input, &weights, &mut fresh);
+        assert_eq!(fresh.bytes(), 0, "{spec}: staging");
+        let mut scratch = ConvScratch::new();
+        scratch.reserve(&spec);
+        let b = run(&exec, &input, &weights, &mut scratch);
+        let live = (scratch.mat_b.len(), scratch.hwc_in.len(), scratch.hwc_out.len());
+        assert_eq!(live, (reserved.mat_b, reserved.hwc_in, reserved.hwc_out), "{spec}");
+        assert_eq!(scratch.wperm.len(), reserved.wperm, "{spec}");
+        let elems = reserved.mat_b + reserved.hwc_in + reserved.hwc_out + reserved.wperm;
+        assert_eq!(scratch.bytes(), elems * 4, "{spec}");
+        assert_eq!(a, b, "{spec}");
     }
 
     #[test]
     fn narrow_spec_has_no_banded_plan() {
-        // 4x4 output: too small a layer for a fork to pay, so band_ranges
-        // refuses to split, no dimension is picked, and the stencil lowers
-        // to the sequential tiled plan at any core count.
-        let spec = ConvSpec::square(8, 6, 4, 5, 1);
-        assert_eq!(band_ranges(&spec, BandDim::YRows, 8, 1), vec![(0, spec.out_h())]);
-        assert_eq!(stencil_split(&spec, 8, 1), None);
-        assert!(matches!(
-            program(&spec, 8, KernelChoice::Generic).plan().forward,
-            ForwardPlan::StencilTiled { .. }
-        ));
+        // 4x4 output: too small a layer for a fork to pay; one output row:
+        // nothing to split. band_ranges refuses both, and the stencil
+        // lowers to the sequential tiled plan at any core count.
+        for spec in [ConvSpec::square(8, 6, 4, 5, 1), one_row_spec()] {
+            assert_eq!(band_ranges(&spec, 8), vec![(0, spec.out_h())]);
+            assert!(matches!(
+                program(&spec, 8, KernelChoice::Generic).plan().forward,
+                ForwardPlan::StencilTiled { .. }
+            ));
+        }
     }
 }

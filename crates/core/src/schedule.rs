@@ -5,14 +5,15 @@
 //! the sparse kernel. How a kernel's work is split across the cores of one
 //! sample is not a technique: lowering
 //! ([`verify::lower`](crate::verify::lower)) attaches the split to the plan
-//! — GEMM row bands, or the stencil bands `stencil_split` picks — and the
+//! — GEMM row bands, or the stencil's output-row bands — and the
 //! call's core budget decides how much of it runs. So the paper's
 //! Parallel-GEMM and GEMM-in-Parallel are one technique: the same GEMM
 //! program in a walk that owns every core, or one core per sample.
 
 use std::fmt;
 
-use spg_check::BandDim;
+use std::convert::Infallible;
+
 use spg_convnet::ConvSpec;
 
 use crate::hybrid::band_ranges;
@@ -57,7 +58,7 @@ impl Technique {
     /// No technique names a band split any more; `benchmark/` still asks.
     /// Remove with ROADMAP item 1(b).
     #[doc(hidden)]
-    pub fn band_dim(self) -> Option<BandDim> {
+    pub fn band_dim(self) -> Option<Infallible> {
         None
     }
 }
@@ -123,19 +124,6 @@ pub fn recommended_plan(spec: &ConvSpec, bp_sparsity: f64) -> LayerPlan {
     LayerPlan { forward, backward }
 }
 
-/// The dimension the stencil's loop nest splits along to spend `cores`
-/// cores inside one sample of `spec`, if the layer can be split: output
-/// rows first (each worker reads only its rows of the input), else output
-/// features, in whole feature blocks of `block`. The one place the
-/// dimension is chosen — lowering attaches this split to
-/// [`Technique::StencilFp`] at every `cores > 1`
-/// ([`verify::lower`](crate::verify::lower)).
-pub(crate) fn stencil_split(spec: &ConvSpec, cores: usize, block: usize) -> Option<BandDim> {
-    [BandDim::YRows, BandDim::OutChannels]
-        .into_iter()
-        .find(|&dim| band_ranges(spec, dim, cores, block).len() > 1)
-}
-
 /// [`recommended_plan`] with the stencil pinned onto every layer that can
 /// spend a starved batch's idle cores (`batch < cores`) inside one sample.
 /// Kept for `benchmark/`'s banded probe; remove with ROADMAP item 1(b). A
@@ -148,7 +136,7 @@ pub fn recommended_plan_for_batch(
     batch: usize,
 ) -> LayerPlan {
     let base = recommended_plan(spec, bp_sparsity);
-    if batch < cores && stencil_split(spec, cores, 1).is_some() {
+    if batch < cores && band_ranges(spec, cores).len() > 1 {
         LayerPlan { forward: Technique::StencilFp, ..base }
     } else {
         base
@@ -198,22 +186,21 @@ mod tests {
         // ImageNet-22K L0 geometry (Table 2) at batch 1 on 8 cores: whole
         // samples cover one worker, and the stencil splits by output rows.
         let spec = ConvSpec::square(262, 120, 3, 7, 2);
-        assert_eq!(stencil_split(&spec, 8, 64), Some(BandDim::YRows));
+        assert_eq!(band_ranges(&spec, 8).len(), 8);
         assert_eq!(recommended_plan_for_batch(&spec, 0.5, 8, 1).forward, Technique::StencilFp);
         // A layer the heuristic gives to GEMM is pinned too.
         let wide = ConvSpec::square(55, 256, 96, 5, 1);
         assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 1).forward, Technique::StencilFp);
         // A saturating batch falls back to the sample-parallel heuristic.
         assert_eq!(recommended_plan_for_batch(&wide, 0.5, 8, 8), recommended_plan(&wide, 0.5));
-        // One output row: only the features are left to split, in whole
-        // feature blocks.
+        // One output row and narrow outputs do not band: fall back even
+        // when starved.
         let one_row = ConvSpec::new(3, 7, 69, 40, 7, 7, 2, 2).expect("valid spec");
-        assert_eq!(stencil_split(&one_row, 2, 16), Some(BandDim::OutChannels));
-        assert_eq!(stencil_split(&one_row, 2, 64), None);
-        // Narrow outputs do not band: fall back even when starved.
         let narrow = ConvSpec::square(8, 64, 64, 5, 1); // 4x4 output
-        assert_eq!(stencil_split(&narrow, 8, 1), None);
-        assert_eq!(recommended_plan_for_batch(&narrow, 0.5, 8, 1), recommended_plan(&narrow, 0.5));
+        for spec in [one_row, narrow] {
+            assert_eq!(band_ranges(&spec, 8).len(), 1, "{spec}");
+            assert_eq!(recommended_plan_for_batch(&spec, 0.5, 8, 1), recommended_plan(&spec, 0.5));
+        }
     }
 
     #[test]

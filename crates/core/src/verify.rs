@@ -21,7 +21,7 @@ use spg_convnet::ConvSpec;
 use crate::autotune::Phase;
 use crate::compiled::ConvProgram;
 use crate::hybrid::band_ranges;
-use crate::schedule::{stencil_split, LayerPlan, Technique};
+use crate::schedule::{LayerPlan, Technique};
 use crate::sparse::DEFAULT_TILE_WIDTH;
 use crate::stencil::plan_register_tile;
 use crate::SpgError;
@@ -29,9 +29,9 @@ use crate::SpgError;
 /// Lowers a forward technique: the tiled plan at `lanes` lanes (the
 /// generic loops' 8, or a bound instance's own width) with the register
 /// tile [`plan_register_tile`] picks there, and the split of either kernel
-/// over `cores` regions — feature bands on whole feature blocks of that
-/// tile. A row that fits no tile at `lanes` (one position wide at the
-/// generic loops' 8) runs the GEMM, as the sparse technique's forward does.
+/// over `cores` regions. A row that fits no tile at `lanes` (one position
+/// wide at the generic loops' 8) runs the GEMM, as the sparse technique's
+/// forward does.
 ///
 /// Every technique lowers *with* its intra-sample split. How many of the
 /// proved regions run concurrently is not the plan's business: a call runs
@@ -41,8 +41,8 @@ use crate::SpgError;
 /// sequential program. So the GEMM carries one row-band partition
 /// (GEMM-in-Parallel is that plan in a walk that owns one core,
 /// Parallel-GEMM the same plan in a walk that owns them all), and the
-/// stencil carries the [`band_ranges`] split of one axis of its loop nest,
-/// along the dimension [`stencil_split`] picks for the layer.
+/// stencil carries the [`band_ranges`] split of its output rows wherever
+/// that split has two bands or more.
 fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usize) -> ForwardPlan {
     let tile = match technique {
         Technique::StencilFp => plan_register_tile(spec, lanes).map(|searched| searched.tile),
@@ -52,15 +52,11 @@ fn lower_forward(spec: &ConvSpec, technique: Technique, cores: usize, lanes: usi
     let Some(tile) = tile else {
         return ForwardPlan::UnfoldGemm { threads: cores.max(1) };
     };
-    let block = lanes * tile.nfv;
-    let tiled = ForwardPlan::StencilTiled { lanes, tile };
-    match stencil_split(spec, cores, block) {
-        Some(dim) => ForwardPlan::StencilBanded {
-            dim,
-            tiled: Box::new(tiled),
-            bands: band_ranges(spec, dim, cores, block),
-        },
-        None => tiled,
+    let bands = band_ranges(spec, cores);
+    if bands.len() > 1 {
+        ForwardPlan::StencilBanded { lanes, tile, bands }
+    } else {
+        ForwardPlan::StencilTiled { lanes, tile }
     }
 }
 
@@ -392,7 +388,7 @@ mod tests {
         assert!(report.worker_regions >= 8, "{report:?}");
         assert!(matches!(
             lower_forward(&spec, Technique::StencilFp, 8, VECTOR_WIDTH),
-            ForwardPlan::StencilBanded { dim: spg_check::BandDim::YRows, .. }
+            ForwardPlan::StencilBanded { .. }
         ));
         let narrow = ConvSpec::square(7, 6, 4, 3, 1); // 5x5 output
         let tile = plan_register_tile(&narrow, VECTOR_WIDTH).expect("fits").tile;

@@ -410,7 +410,6 @@ fn record_decisions(net: &Network) {
             candidates: Vec::new(),
             rejected: Vec::new(),
             kernel: None,
-            backend: Some("cpu".to_string()),
             algo: None,
             partition: Some("sample".to_string()),
         });
@@ -550,7 +549,6 @@ mod tests {
             let decision = decisions.iter().find(|d| d.label == label).expect("one per conv");
             assert_eq!((decision.cores, decision.algo.as_deref()), (1, None), "{label}");
             assert_eq!(decision.partition.as_deref(), Some("sample"), "{label}");
-            assert_eq!(decision.backend.as_deref(), Some("cpu"), "{label}");
             rows.push((conv.executor_names().0, decision.chosen.clone()));
         }
         let named = |executor: &str, chosen: &str| (executor.to_string(), chosen.to_string());

@@ -388,8 +388,9 @@ pub fn validate_metrics(text: &str) -> Result<(), String> {
             }
         }
         // Added in schema minor 6; older documents legitimately omit
-        // them. Values are open-ended identifiers (backends and algo ids
-        // grow over time), so only the type is checked.
+        // them, and current writers no longer emit `backend`. Values are
+        // open-ended identifiers (algo ids grow over time), so only the
+        // type is checked.
         if let Some(backend) = decision.get("backend") {
             backend.as_str().ok_or_else(|| format!("{owner}: field `backend` is not a string"))?;
         }

@@ -61,9 +61,10 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// stencil forward kernel the contest's stencil candidate bound
 /// (`"specialized"` for a codegen registry instance, `"generic"` for the
 /// runtime-parameterized loops; absent on backward decisions); minor 6
-/// added the optional per-decision `backend` and `algo` fields naming the
-/// execution backend (`"cpu"`; `"sim"` is never written) and the algorithm
-/// identifier the decision chose or compiled; minor 7 added the cluster
+/// added the optional per-decision `algo` field naming the algorithm
+/// identifier the decision chose or compiled, and a `backend` string that
+/// current writers no longer emit (every writer wrote `"cpu"`) and readers
+/// still accept; minor 7 added the cluster
 /// counters (`cluster.router.*` for shard routing/eviction/respawn,
 /// `cluster.ring.*` for per-ring-step all-reduce traffic (the
 /// `cluster.tree.*` counters went with the tree all-reduce; a training
@@ -168,10 +169,6 @@ pub struct Decision {
     /// (runtime-parameterized loops). Schema minor 5; `None` on backward
     /// decisions and when the stencil technique was not measured.
     pub kernel: Option<String>,
-    /// Execution backend that produced the decision. Every writer records
-    /// `"cpu"`; `"sim"` is never written. Schema minor 6; `None` in
-    /// documents from older writers.
-    pub backend: Option<String>,
     /// Backend algorithm identifier the decision chose (e.g.
     /// `"stencil-fp/specialized"` from the autotuner). Schema minor 6;
     /// `None` in documents from older writers and on `serve-conv{i}` rows,
@@ -628,12 +625,8 @@ impl MetricsSnapshot {
                 Some(k) => format!(", \"kernel\": {}", json::string(k)),
                 None => String::new(),
             };
-            // `backend` / `algo` are minor-6 optional fields, emitted the
-            // same way so minor-5 documents stay byte-identical.
-            let backend = match &decision.backend {
-                Some(b) => format!(", \"backend\": {}", json::string(b)),
-                None => String::new(),
-            };
+            // `algo` is a minor-6 optional field, emitted the same way so
+            // minor-5 documents stay byte-identical.
             let algo = match &decision.algo {
                 Some(a) => format!(", \"algo\": {}", json::string(a)),
                 None => String::new(),
@@ -646,7 +639,7 @@ impl MetricsSnapshot {
             };
             out.push_str(&format!(
                 "\n    {{\"label\": {}, \"phase\": {}, \"chosen\": {}, \"sparsity\": {}, \
-                 \"cores\": {}, \"candidates\": [{}], \"rejected\": [{}]{}{}{}{}}}",
+                 \"cores\": {}, \"candidates\": [{}], \"rejected\": [{}]{}{}{}}}",
                 json::string(&decision.label),
                 json::string(decision.phase.as_str()),
                 json::string(&decision.chosen),
@@ -655,7 +648,6 @@ impl MetricsSnapshot {
                 candidates.join(", "),
                 rejected.join(", "),
                 kernel,
-                backend,
                 algo,
                 partition,
             ));
@@ -921,7 +913,6 @@ mod tests {
                 reason: "out-of-bounds read of output".to_string(),
             }],
             kernel: None,
-            backend: None,
             algo: None,
             partition: None,
         });
@@ -934,7 +925,6 @@ mod tests {
             candidates: vec![CandidateTiming { technique: "stencil-fp".to_string(), wall_ns: 7 }],
             rejected: vec![],
             kernel: Some("specialized".to_string()),
-            backend: Some("cpu".to_string()),
             algo: Some("stencil-fp/specialized".to_string()),
             partition: Some("y-band".to_string()),
         });
@@ -942,7 +932,6 @@ mod tests {
         let text = snapshot().to_json(&[("command", "test".to_string())]);
         json::validate_metrics(&text).expect("snapshot JSON validates against the schema");
         assert!(text.contains("\"kernel\": \"specialized\""), "minor-5 field emitted");
-        assert!(text.contains("\"backend\": \"cpu\""), "minor-6 backend field emitted");
         assert!(
             text.contains("\"algo\": \"stencil-fp/specialized\""),
             "minor-6 algo field emitted"

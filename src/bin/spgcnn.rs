@@ -22,10 +22,11 @@ use std::time::{Duration, Instant};
 
 use spg_cnn::cluster::{
     run_rank, serve_connection, train_in_proc, ClusterError, Comm, ConnectionEnd, InProcShard,
-    InProcTrainOptions, KillDrill, RankOptions, RankState, RemoteShard, RouteReply, Router,
-    RouterConfig, ShardBackend, ShardError, ShardSpawner, TrainFault, DEFAULT_CHUNK_FLOATS,
+    InProcTrainOptions, KillDrill, RankOptions, RemoteShard, RouteReply, Router, RouterConfig,
+    ShardBackend, ShardError, ShardSpawner, TrainFault, DEFAULT_CHUNK_FLOATS,
 };
 use spg_cnn::convnet::data::Dataset;
+use spg_cnn::convnet::sgd::Progress;
 use spg_cnn::convnet::{io, ConvSpec, Engine, Trainer, TrainerConfig};
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::compiled::CompiledConv;
@@ -1326,8 +1327,8 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
         Comm::Ring { rx_prev: Box::new(rx), tx_next: Box::new(tx) }
     };
     let opts = RankOptions { rank, world, chunk_floats: DEFAULT_CHUNK_FLOATS, fault: None };
-    let mut state = RankState::fresh(&net);
-    let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut state)
+    let mut progress = Progress::fresh(&net);
+    let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut progress)
         .map_err(|e| e.to_string())?;
     let bits: Vec<String> = stats.iter().map(|s| s.mean_loss.to_bits().to_string()).collect();
     println!("loss_bits: {}", bits.join(" "));
