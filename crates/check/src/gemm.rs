@@ -1,32 +1,14 @@
 //! Unfold + GEMM plan checks: operand dimension consistency, the image
 //! operand's gathers and the fold's scatters inside their tensors, and the
-//! disjointness / coverage proof for Parallel-GEMM's row-band split.
+//! disjointness / coverage proof for Parallel-GEMM's row-band split. The
+//! shapes proved are `gemm_exec`'s own ([`gemm_shapes`]) and the bands are
+//! [`spg_convnet::partition`]'s, the call the kernel cuts its rows with.
 
 use crate::error::{Buf, CheckError};
 use crate::interval::Span;
 use crate::Interp;
-use spg_convnet::unfold::stages_tap_rows;
+use spg_convnet::gemm_exec::gemm_shapes;
 use spg_convnet::ConvSpec;
-
-/// The row bands `parallel_gemm_slice` assigns to its workers for an `m`-row
-/// output and `threads` requested workers: `workers = threads.min(m)` bands of
-/// `ceil(m / workers)` rows, the last one truncated. Public so property tests
-/// can mutate the bands and feed them back through [`verify_row_bands`].
-#[must_use]
-pub fn row_bands(m: usize, threads: usize) -> Vec<(usize, usize)> {
-    if m == 0 || threads == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(m);
-    let band = m.div_ceil(workers);
-    (0..workers)
-        .map(|w| {
-            let row0 = (w * band).min(m);
-            (row0, ((w + 1) * band).min(m))
-        })
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
 
 /// Proves a set of half-open row bands over an `m x n` row-major buffer is a
 /// race-free partition: every band in-bounds, pairwise disjoint, and jointly
@@ -91,6 +73,33 @@ pub(crate) fn check_row_bands(
     interp.proved(spans.len());
     interp.report.worker_regions += spans.len();
     Ok(())
+}
+
+/// The row bands an `UnfoldGemm { threads }` multiply with an `m x n`
+/// output runs — band `b` is [`spg_convnet::partition`]`(m, threads.min(m),
+/// b)`, the call `parallel_gemm_slice` makes — proved a race-free
+/// partition of `buffer` when `threads > 1` (one thread runs the serial
+/// multiply, which has no bands to prove). A plan with no workers is
+/// refused.
+fn check_gemm_bands(
+    interp: &mut Interp,
+    buffer: Buf,
+    context: &'static str,
+    (m, n): (usize, usize),
+    threads: usize,
+) -> Result<Vec<(usize, usize)>, CheckError> {
+    if threads == 0 {
+        return Err(CheckError::PlanShapeMismatch { context, expected: 1, found: 0 });
+    }
+    let parts = threads.min(m);
+    let bands: Vec<_> = (0..parts)
+        .map(|b| spg_convnet::partition(m, parts, b))
+        .map(|rows| (rows.start, rows.end))
+        .collect();
+    if threads > 1 {
+        check_row_bands(interp, buffer, context, m, n, &bands)?;
+    }
+    Ok(bands)
 }
 
 /// One GEMM operand: the buffer it lives in, its declared length, and its
@@ -176,21 +185,11 @@ pub(crate) fn check_forward_gemm(
     spec: &ConvSpec,
     threads: usize,
 ) -> Result<(), CheckError> {
-    if threads == 0 {
-        return Err(CheckError::PlanShapeMismatch {
-            context: "unfold GEMM forward worker count",
-            expected: 1,
-            found: 0,
-        });
-    }
-    let patches = spec.out_h() * spec.out_w();
-    let patch_len = spec.weight_shape().per_feature();
-    let nf = spec.features();
-    // C = W (nf x patch_len) * U^T (patch_len x patches), row bands over
-    // C; each band gathers all of U^T from the input.
+    // C = W (m x k) * U^T (k x n), row bands over C; each band gathers
+    // all of U^T from the input.
+    let (m, n, k) = gemm_shapes(spec).forward;
     let in_len = spec.input_shape().len();
     interp.access(Buf::Input, "forward image operand gather", patch_span(spec), in_len)?;
-    let (m, n, k) = (nf, patches, patch_len);
     check_gemm_dims(
         interp,
         "forward unfold GEMM operands",
@@ -198,13 +197,13 @@ pub(crate) fn check_forward_gemm(
         Operand { buf: Buf::Weights, len: spec.weight_shape().len(), ld: k },
         Operand { buf: Buf::Output, len: spec.output_shape().len(), ld: n },
     )?;
+    let context = "forward Parallel-GEMM row bands";
+    let bands = check_gemm_bands(interp, Buf::Output, context, (m, n), threads)?;
     if threads > 1 {
-        let bands = row_bands(m, threads);
-        check_row_bands(interp, Buf::Output, "forward Parallel-GEMM row bands", m, n, &bands)?;
         // Each worker reads the matching A band: rows [row0, row1) of W.
-        for &(row0, row1) in &bands {
+        for (row0, row1) in bands {
             let span = Span::range(row0 * k, row1 * k);
-            interp.access(Buf::Weights, "forward band weight rows", span, nf * k)?;
+            interp.access(Buf::Weights, "forward band weight rows", span, m * k)?;
         }
     }
     Ok(())
@@ -219,44 +218,33 @@ pub(crate) fn check_backward_gemm(
     threads: usize,
     cap: &crate::ScratchCapacity,
 ) -> Result<(), CheckError> {
-    if threads == 0 {
-        return Err(CheckError::PlanShapeMismatch {
-            context: "unfold GEMM backward worker count",
-            expected: 1,
-            found: 0,
-        });
-    }
-    let patches = spec.out_h() * spec.out_w();
-    let patch_len = spec.weight_shape().per_feature();
-    let nf = spec.features();
+    let shapes = gemm_shapes(spec);
     let w_len = spec.weight_shape().len();
     let out_len = spec.output_shape().len();
     let in_len = spec.input_shape().len();
 
-    // Backward-data: E_U^T (patch_len x patches) = W^T * E_O, or on
-    // outputs of few positions E_U = E_O^T * W, computed as A^T B with A
-    // and B both read in place: prove the operand extents the transposed
-    // kernel reads, and the staged gradient's row bands (each band reads
-    // its columns of A) when the plan splits.
-    let staged = patch_len * patches;
-    interp.capacity(Buf::MatB, "backward-data E_U staging", staged, cap.mat_b)?;
-    interp.access(Buf::Weights, "backward-data weight read", Span::iter(nf * patch_len), w_len)?;
-    interp.access(Buf::GradOut, "backward-data E_O read", Span::iter(nf * patches), out_len)?;
+    // Backward-data: E_U^T (taps x positions) = W^T * E_O, or on outputs
+    // of few positions E_U = E_O^T * W, computed as A^T B with A (k x m)
+    // and B (k x n) both read in place: prove the operand extents the
+    // transposed kernel reads, and the staged gradient's row bands (each
+    // band reads its columns of A) when the plan splits.
+    let (m, n, k) = shapes.backward_data;
+    let (w, e_o) = ((Buf::Weights, w_len), (Buf::GradOut, out_len));
+    let ((a, a_len), (b, b_len)) = if shapes.tap_rows { (w, e_o) } else { (e_o, w) };
+    interp.capacity(Buf::MatB, "backward-data E_U staging", m * n, cap.mat_b)?;
+    interp.access(a, "backward-data left operand read", Span::iter(k * m), a_len)?;
+    interp.access(b, "backward-data right operand read", Span::iter(k * n), b_len)?;
     interp.proved(1);
-    if threads > 1 {
-        let (m, n) =
-            if stages_tap_rows(spec) { (patch_len, patches) } else { (patches, patch_len) };
-        let bands = row_bands(m, threads);
-        check_row_bands(interp, Buf::MatB, "backward-data Parallel-GEMM row bands", m, n, &bands)?;
-    }
+    let context = "backward-data Parallel-GEMM row bands";
+    check_gemm_bands(interp, Buf::MatB, context, (m, n), threads)?;
     // The row fold scatters the staged gradient back into CHW grad_in
     // along the patch geometry, a channel's taps into its plane alone.
     interp.access(Buf::GradIn, "backward-data fold scatter", patch_span(spec), in_len)?;
 
-    // Backward-weights: dW (nf x patch_len) = E_O (nf x patches) * U, U
-    // gathered from the input.
+    // Backward-weights: dW (m x n) = E_O (m x k) * U (k x n), U gathered
+    // from the input.
     interp.access(Buf::Input, "backward-weights image operand gather", patch_span(spec), in_len)?;
-    let (m, n, k) = (nf, patch_len, patches);
+    let (m, n, k) = shapes.backward_weights;
     check_gemm_dims(
         interp,
         "backward-weights unfold GEMM operands",
@@ -264,17 +252,8 @@ pub(crate) fn check_backward_gemm(
         Operand { buf: Buf::GradOut, len: out_len, ld: k },
         Operand { buf: Buf::GradWeights, len: w_len, ld: n },
     )?;
-    if threads > 1 {
-        let bands = row_bands(m, threads);
-        check_row_bands(
-            interp,
-            Buf::GradWeights,
-            "backward-weights Parallel-GEMM row bands",
-            m,
-            n,
-            &bands,
-        )?;
-    }
+    let context = "backward-weights Parallel-GEMM row bands";
+    check_gemm_bands(interp, Buf::GradWeights, context, (m, n), threads)?;
     Ok(())
 }
 
@@ -286,11 +265,13 @@ mod tests {
     fn bands_partition_rows_exactly() {
         for m in [1usize, 5, 6, 7, 64, 1000] {
             for threads in [1usize, 2, 3, 4, 7, 64] {
-                let bands = row_bands(m, threads);
                 let mut interp = Interp::default();
+                let bands =
+                    check_gemm_bands(&mut interp, Buf::Output, "test bands", (m, 3), threads)
+                        .unwrap_or_else(|e| panic!("m={m} threads={threads}: {e}"));
                 check_row_bands(&mut interp, Buf::Output, "test bands", m, 3, &bands)
                     .unwrap_or_else(|e| panic!("m={m} threads={threads}: {e}"));
-                assert!(bands.len() <= threads.min(m));
+                assert_eq!(bands.len(), threads.min(m));
             }
         }
     }

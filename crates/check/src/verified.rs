@@ -105,10 +105,11 @@ impl<'a> VerifiedTiled<'a> {
     /// `cores` cores runs, one per thread in band order: the whole layer
     /// for a sequential plan; for a banded plan its proved bands, as they
     /// are when `cores` reaches their count, and otherwise as `cores`
-    /// contiguous runs of whole bands, each run one region. One core
-    /// therefore gets one region spanning the layer — the sequential parent
-    /// plan — and no region is ever anything but a union of bands the
-    /// proof showed in-bounds, disjoint and in ascending order.
+    /// contiguous runs of whole bands cut by [`spg_convnet::partition`],
+    /// each run one region. One core therefore gets one region spanning
+    /// the layer — the sequential parent plan — and no region is ever
+    /// anything but a union of bands the proof showed in-bounds, disjoint
+    /// and in ascending order.
     ///
     /// # Panics
     ///
@@ -130,10 +131,12 @@ impl<'a> VerifiedTiled<'a> {
         let bands = self.bands.map_or(1, <[_]>::len);
         let threads = cores.clamp(1, bands);
         (0..threads).map(move |t| {
-            // Thread t runs bands [first, last]; ascending bands that
-            // cover the rows make first.lo..last.hi their union.
-            let (first, last) = (t * bands / threads, (t + 1) * bands / threads - 1);
-            let rows = self.bands.map_or((0, out_h), |bands| (bands[first].0, bands[last].1));
+            // Thread t runs a run of bands; ascending bands that cover the
+            // rows make the first one's start to the last one's end their
+            // union.
+            let run = spg_convnet::partition(bands, threads, t);
+            let rows =
+                self.bands.map_or((0, out_h), |bands| (bands[run.start].0, bands[run.end - 1].1));
             TileRegion { rows, out, planes: nf, out_h, out_w, borrow: PhantomData }
         })
     }

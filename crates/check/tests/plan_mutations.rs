@@ -20,6 +20,13 @@ use spg_check::{
 };
 use spg_convnet::ConvSpec;
 
+/// The row bands a `threads`-way GEMM over `m` output rows runs and the
+/// verifier proves: `min(threads, m)` parts of the one partition rule.
+fn row_bands(m: usize, threads: usize) -> Vec<(usize, usize)> {
+    let parts = threads.min(m);
+    (0..parts).map(|b| spg_convnet::partition(m, parts, b)).map(|r| (r.start, r.end)).collect()
+}
+
 /// Specs whose rows hold a whole 8-lane store group (`out_w >=
 /// VECTOR_WIDTH`), so every tile the mutations start from fits a row.
 fn wide_spec() -> impl Strategy<Value = ConvSpec> {
@@ -162,7 +169,7 @@ proptest! {
     /// overlapping ranges is an OverlappingWorkers rejection.
     #[test]
     fn overlapping_worker_bands_rejected(m in 2usize..64, threads in 2usize..8) {
-        let mut bands = gemm::row_bands(m, threads);
+        let mut bands = row_bands(m, threads);
         prop_assert!(bands.len() >= 2); // min(threads, m) >= 2 workers
         // Stretch band 0 one row into band 1's territory.
         bands[0].1 += 1;
@@ -178,7 +185,7 @@ proptest! {
     /// shrunken band stays non-empty and the gap is a genuine hole.
     #[test]
     fn gapped_worker_bands_rejected(m in 16usize..64, threads in 2usize..8) {
-        let mut bands = gemm::row_bands(m, threads);
+        let mut bands = row_bands(m, threads);
         prop_assert!(bands.len() >= 2 && bands[0].1 - bands[0].0 >= 2);
         bands[0].1 -= 1;
         let err = gemm::verify_row_bands(Buf::Output, "mutated bands", m, 4, &bands).unwrap_err();
@@ -192,7 +199,7 @@ proptest! {
     /// OutOfBounds on the output operand.
     #[test]
     fn escaping_worker_band_rejected(m in 2usize..64, threads in 1usize..8) {
-        let mut bands = gemm::row_bands(m, threads);
+        let mut bands = row_bands(m, threads);
         let last = bands.len() - 1;
         bands[last].1 += 1;
         let err = gemm::verify_row_bands(Buf::Output, "mutated bands", m, 4, &bands).unwrap_err();
@@ -211,7 +218,7 @@ proptest! {
         let cap = ScratchCapacity::reserved_for(&spec);
         let plan = ForwardPlan::UnfoldGemm { threads: 3 };
         let report = verify_forward(&spec, &plan).unwrap();
-        prop_assert_eq!(report.worker_regions, gemm::row_bands(spec.features(), 3).len());
+        prop_assert_eq!(report.worker_regions, row_bands(spec.features(), 3).len());
         prop_assert!(verify(&spec, &plan, &cap).is_ok());
         let serial = verify_forward(&spec, &ForwardPlan::UnfoldGemm { threads: 1 });
         prop_assert_eq!(serial.unwrap().worker_regions, 0);

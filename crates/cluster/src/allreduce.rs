@@ -13,7 +13,7 @@
 //! the trainer's bits. The ordered ring keeps the trainer's association:
 //!
 //! * samples are owned in **contiguous blocks** by rank: rank `w` owns
-//!   batch positions `sgd::block_bounds(B, W, w)`, the blocks the
+//!   batch positions `spg_sync::partition(B, W, w)`, the blocks the
 //!   trainer's sample threads take;
 //! * a **reduce leg** runs `0 → 1 → … → W-1`, each rank adding its block
 //!   on top of what arrives, and a **broadcast leg** circulates the

@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::Layer;
-use spg_convnet::sgd::{self, block_bounds, BatchFold, Progress};
+use spg_convnet::sgd::{self, BatchFold, Progress};
 use spg_convnet::workspace::{record_buffers, Workspace};
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
@@ -160,11 +160,11 @@ fn masked(grads: &mut [Tensor], keep: impl Fn(usize) -> bool) -> impl Iterator<I
 }
 
 /// The ring implementation of the trainer's [`BatchFold`] seam: this
-/// rank runs its [`block_bounds`] block of the batch and the ordered
-/// chain-in-ring all-reduce folds every rank's samples in global sample
-/// order, which is exactly the seam's contract. One path for every world
-/// size: a one-rank run's block is the whole batch, and its chain is
-/// first and last rank at once, so it moves no bytes. Also carries the
+/// rank runs its block of the batch ([`spg_sync::partition`]) and the
+/// ordered chain-in-ring all-reduce folds every rank's samples in global
+/// sample order, which is exactly the seam's contract. One path for every
+/// world size: a one-rank run's block is the whole batch, and its chain
+/// is first and last rank at once, so it moves no bytes. Also carries the
 /// fault drill, which hangs off the same per-batch point.
 ///
 /// Every buffer lives here for the whole run — the record slots, the
@@ -262,7 +262,7 @@ impl BatchFold for RingFold<'_> {
         }
         let (rx_prev, tx_next) = &mut self.links;
         let batch_len = samples.len();
-        let (s0, s1) = block_bounds(batch_len, world, rank);
+        let Range { start: s0, end: s1 } = spg_sync::partition(batch_len, world, rank);
         if self.records.len() < batch_len {
             self.records.resize_with(batch_len, || record_buffers(net));
         }
@@ -700,7 +700,7 @@ mod tests {
         }
         // Chunks of 17 floats end inside the 68-float records, and world
         // 3 deals the batch of 8 in blocks of 3/3/2.
-        assert_eq!([0, 1, 2].map(|r| block_bounds(8, 3, r)), [(0, 3), (3, 6), (6, 8)]);
+        assert_eq!([0, 1, 2].map(|r| spg_sync::partition(8, 3, r)), [0..3, 3..6, 6..8]);
         let opts = InProcTrainOptions { world: 3, chunk_floats: 17, ..Default::default() };
         let (ring, solo) = gathered_bits(24, &opts);
         assert_eq!(ring, solo, "chunk_floats 17 changed the bits");
@@ -726,7 +726,7 @@ mod tests {
         let fc = make_gathered_net().unwrap();
         assert!(!gathered(&*fc.layers()[5], 8) && gathered(&*fc.layers()[5], 2));
         for world in [3usize, 4] {
-            assert_eq!(block_bounds(2, world, world - 1), (2, 2));
+            assert_eq!(spg_sync::partition(2, world, world - 1), 2..2);
             for chunk_floats in [17, DEFAULT_CHUNK_FLOATS] {
                 let opts = InProcTrainOptions { world, chunk_floats, ..Default::default() };
                 let (ring, solo) = gathered_bits(26, &opts);
@@ -741,7 +741,7 @@ mod tests {
     /// of R floats — up to this rank's block's end on the reduce leg, the
     /// whole batch on the broadcast leg.
     fn sent_spans(net: &Network, batch_len: usize, world: usize, rank: usize) -> Vec<usize> {
-        let end = block_bounds(batch_len, world, rank).1;
+        let end = spg_sync::partition(batch_len, world, rank).end;
         let reduce = rank != world - 1;
         let broadcast = (rank + 1) % world != world - 1;
         let mut spans = Vec::new();

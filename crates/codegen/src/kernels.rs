@@ -443,7 +443,9 @@ pub(crate) mod tests {
         let forward = match bands {
             None => ForwardPlan::StencilTiled { lanes, tile },
             Some(n) => {
-                let bands = spg_check::gemm::row_bands(spec.out_h(), n);
+                let n = n.min(spec.out_h());
+                let bands = (0..n).map(|b| spg_convnet::partition(spec.out_h(), n, b));
+                let bands = bands.map(|rows| (rows.start, rows.end)).collect();
                 ForwardPlan::StencilBanded { lanes, tile, bands }
             }
         };

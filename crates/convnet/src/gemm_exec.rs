@@ -28,6 +28,41 @@ use crate::unfold::{fold_rows, stages_tap_rows, ImageOperand};
 use crate::workspace::ConvScratch;
 use crate::ConvSpec;
 
+/// The three multiplies of a convolution's Unfold + GEMM, each `(m, n,
+/// k)` for `C (m x n) = op(A) (m x k) * B (k x n)`: what the phases below
+/// run and what `spg-check` proves, worked out in one place
+/// ([`gemm_shapes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GemmShapes {
+    /// `O = W_mat * U^T`: features x positions, over taps.
+    pub forward: (usize, usize, usize),
+    /// `E_U^T = W_mat^T * E_O` (taps x positions) when `tap_rows`, else
+    /// `E_U = E_O^T * W_mat` (positions x taps); over features.
+    pub backward_data: (usize, usize, usize),
+    /// Whether backward-data stages tap rows, `E_U^T`
+    /// ([`stages_tap_rows`]).
+    pub tap_rows: bool,
+    /// `dW = E_O * U`: features x taps, over positions.
+    pub backward_weights: (usize, usize, usize),
+}
+
+/// The [`GemmShapes`] of `spec`.
+pub fn gemm_shapes(spec: &ConvSpec) -> GemmShapes {
+    let (features, positions) = (spec.features(), spec.out_h() * spec.out_w());
+    let taps = spec.weight_shape().per_feature();
+    let tap_rows = stages_tap_rows(spec);
+    GemmShapes {
+        forward: (features, positions, taps),
+        backward_data: if tap_rows {
+            (taps, positions, features)
+        } else {
+            (positions, taps, features)
+        },
+        tap_rows,
+        backward_weights: (features, taps, positions),
+    }
+}
+
 /// Forward propagation via `O = W_mat * U^T` (Fig. 2c), running out of a
 /// caller-owned [`ConvScratch`].
 ///
@@ -55,12 +90,10 @@ pub fn forward_scratch(
     let oshape = spec.output_shape();
     assert_eq!(output.len(), oshape.len(), "output length");
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-    let patches = spec.out_h() * spec.out_w();
-    let patch_len = spec.weight_shape().per_feature();
     // The weight tensor is row-major [f][c*ky*kx]: already the GEMM left
     // operand. The slice kernels accumulate, so clear the output first.
     output.fill(0.0);
-    let (m, n, k) = (spec.features(), patches, patch_len);
+    let (m, n, k) = gemm_shapes(spec).forward;
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
     let unfolded = ImageOperand::transposed(spec, input);
     let packs = (&mut scratch.pack_a, &mut scratch.pack_b);
@@ -98,17 +131,11 @@ pub fn backward_data_scratch(
     assert_eq!(grad_out.len(), oshape.len(), "grad_out length");
     assert_eq!(grad_in.len(), spec.input_shape().len(), "grad_in length");
     assert_eq!(weights.len(), spec.weight_shape().len(), "weights length");
-    let patches = spec.out_h() * spec.out_w();
-    let patch_len = spec.weight_shape().per_feature();
-    // weights is features x patch_len and grad_out features x patches,
-    // both row-major: E_U^T = W^T * E_O and E_U = E_O^T * W.
-    let tap_rows = stages_tap_rows(spec);
-    let (m, n, a, b) = if tap_rows {
-        (patch_len, patches, weights, grad_out)
-    } else {
-        (patches, patch_len, grad_out, weights)
-    };
-    let k = spec.features();
+    // weights is features x taps and grad_out features x positions, both
+    // row-major: E_U^T = W^T * E_O and E_U = E_O^T * W.
+    let shapes = gemm_shapes(spec);
+    let (m, n, k) = shapes.backward_data;
+    let (a, b) = if shapes.tap_rows { (weights, grad_out) } else { (grad_out, weights) };
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
     if scratch.mat_b.len() < m * n {
         scratch.mat_b.resize(m * n, 0.0);
@@ -116,7 +143,7 @@ pub fn backward_data_scratch(
     let eu = &mut scratch.mat_b[..m * n];
     let (cores, packs) = (scratch.cores, (&mut scratch.pack_a, &mut scratch.pack_b));
     gemm_at_b_slice(k, m, n, a, b, eu, threads, cores, packs.0, packs.1);
-    fold_rows(spec, eu, tap_rows, grad_in, cores);
+    fold_rows(spec, eu, shapes.tap_rows, grad_in, cores);
 }
 
 /// Weight-gradient computation via `dW = E_O * U`, running out of a
@@ -139,10 +166,8 @@ pub fn backward_weights_scratch(
     let oshape = spec.output_shape();
     assert_eq!(grad_out.len(), oshape.len(), "grad_out length");
     assert_eq!(grad_weights.len(), spec.weight_shape().len(), "grad_weights length");
-    let patches = spec.out_h() * spec.out_w();
-    let patch_len = spec.weight_shape().per_feature();
     grad_weights.fill(0.0);
-    let (m, n, k) = (spec.features(), patch_len, patches);
+    let (m, n, k) = gemm_shapes(spec).backward_weights;
     spg_telemetry::record_flops(gemm_flops(m, n, k), gemm_flops(m, n, k));
     let unfolded = ImageOperand::patches(spec, input);
     let packs = (&mut scratch.pack_a, &mut scratch.pack_b);

@@ -347,9 +347,9 @@ impl Layer for ConvLayer {
 ///
 /// Measured on a 2-vCPU AVX-512 host: one core clamps 1.97 M activations
 /// (the ImageNet-22K net's first ReLU) in 0.64-0.73 ms, 0.34 ns each
-/// (memory-bound: the vector nest reads as the scalar loop did), and an
-/// empty two-task `fork_join` costs ~35 µs (`sgd`'s fold floor was set
-/// against 70 µs), so a part of 512 Ki is ~0.18 ms — five spawns' worth.
+/// (memory-bound: the vector nest reads as the scalar loop did), so a part
+/// of 512 Ki is ~0.18 ms — five forks' worth at the ~35 µs `spg_sync`'s
+/// `fork_join` module quotes.
 /// At budget 2 that ReLU splits and the net's next one, 225 K, does not.
 /// Alone, the two-way split read no faster on the host measured (0.66-0.90
 /// ms); in the forward it stays: against a 1 Mi floor that stops it,
@@ -681,24 +681,26 @@ impl Layer for FcLayer {
         let k = outputs.len() / m;
         assert_eq!((inputs.len(), outputs.len()), (k * n, k * m), "block lengths");
         let fc = FcKernels::host();
-        let per_thread = m.div_ceil(scratch.cores.clamp(1, m.max(1))).max(1);
-        if per_thread >= m {
+        let parts = scratch.cores.min(m);
+        if parts <= 1 {
             return self.forward_rows(fc, 0..m, k, inputs, |s, r, y| outputs[s * m + r] = y);
         }
         // One task of rows per thread, each holding its rows of every
         // sample's output.
         let mut tasks: Vec<Vec<&mut [f32]>> = Vec::new();
-        tasks.resize_with(m.div_ceil(per_thread), || Vec::with_capacity(k));
-        for output in outputs.chunks_mut(m) {
-            for (task, rows) in tasks.iter_mut().zip(output.chunks_mut(per_thread)) {
+        tasks.resize_with(parts, || Vec::with_capacity(k));
+        for mut output in outputs.chunks_mut(m) {
+            for (t, task) in tasks.iter_mut().enumerate() {
+                let rows;
+                (rows, output) = output.split_at_mut(spg_sync::partition(m, parts, t).len());
                 task.push(rows);
             }
         }
         spg_sync::fork_join(tasks.into_iter().enumerate().map(|(t, mut rows)| {
             move || {
-                let r0 = t * per_thread;
-                let r1 = (r0 + per_thread).min(m);
-                self.forward_rows(fc, r0..r1, k, inputs, |s, r, y| rows[s][r - r0] = y);
+                let r = spg_sync::partition(m, parts, t);
+                let r0 = r.start;
+                self.forward_rows(fc, r, k, inputs, |s, i, y| rows[s][i - r0] = y);
             }
         }));
     }

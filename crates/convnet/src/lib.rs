@@ -55,4 +55,8 @@ pub use error::{ConvError, TrainError};
 pub use net::{argmax, scope_label, Network, SampleTrace};
 pub use sgd::{EpochStats, Trainer, TrainerConfig};
 pub use spec::ConvSpec;
+/// The workspace's one partition rule, re-exported for the crates above
+/// this one that prove or cut bands (`spg-check`, `spg-codegen`,
+/// `spg-core`) and have no `spg-sync` edge of their own.
+pub use spg_sync::partition;
 pub use workspace::{ConvScratch, Workspace};

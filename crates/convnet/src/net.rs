@@ -313,9 +313,10 @@ impl Network {
         if workers <= 1 {
             return classify(inputs);
         }
-        let chunk = inputs.len().div_ceil(workers);
-        let classes =
-            spg_sync::fork_join(inputs.chunks(chunk).map(|batch| move || classify(batch)));
+        let classes = spg_sync::fork_join((0..workers).map(|w| {
+            let batch = &inputs[spg_sync::partition(inputs.len(), workers, w)];
+            move || classify(batch)
+        }));
         classes.into_iter().flatten().collect()
     }
 

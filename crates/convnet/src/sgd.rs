@@ -17,12 +17,12 @@
 //!
 //! The local fold owns one *slot* per sample thread, each with a
 //! [`Workspace`] it reuses for the whole run. Per batch, slot `w` runs
-//! the [`block_bounds`] block `w` of the batch — the same contiguous
-//! partition a ring rank runs — one sample at a time, all slots at once
-//! on one [`spg_sync::fork_join`]; no thread outlives the batch. Each
-//! sample leaves its records in that batch position's record set, so the
-//! fold that follows reads them in sample order and the f32 gradient
-//! accumulation is bit-identical for every thread count.
+//! block `w` of the batch cut by [`spg_sync::partition`] — the same
+//! contiguous partition a ring rank runs — one sample at a time, all
+//! slots at once on one [`spg_sync::fork_join`]; no thread outlives the
+//! batch. Each sample leaves its records in that batch position's record
+//! set, so the fold that follows reads them in sample order and the f32
+//! gradient accumulation is bit-identical for every thread count.
 //!
 //! # Records, folded once
 //!
@@ -443,25 +443,13 @@ pub fn process_block(
     net.backward_walk(ws, records);
 }
 
-/// Slot `w`'s contiguous block `[start, end)` of a `batch_len`-sample
-/// batch cut `workers` ways: the blocks partition the batch in slot
-/// order, sized as evenly as possible (the first `batch_len % workers`
-/// get one extra). The one partition rule for a batch — the local fold's
-/// sample threads and a ring's ranks both take their samples by it.
-pub fn block_bounds(batch_len: usize, workers: usize, w: usize) -> (usize, usize) {
-    let base = batch_len / workers;
-    let extra = batch_len % workers;
-    let start = w * base + w.min(extra);
-    let len = base + usize::from(w < extra);
-    (start, start + len)
-}
-
 /// The in-process fold: `min(sample_threads, batch_size)` slots, each
 /// owning one [`Workspace`] and its supervision state for the whole run.
-/// Per batch the slots run their [`block_bounds`] blocks on one
-/// [`spg_sync::fork_join`], a sample at a time, each into its batch
-/// position's record set; then the records are folded by parameter range
-/// on as many cores as there are slots.
+/// Per batch, slot `w` runs block `w` of the batch cut by
+/// [`spg_sync::partition`], all slots on one [`spg_sync::fork_join`], a
+/// sample at a time, each into its batch position's record set; then the
+/// records are folded by parameter range on as many cores as there are
+/// slots.
 #[derive(Debug)]
 pub struct LocalFold {
     slots: Vec<Slot>,
@@ -599,13 +587,13 @@ impl BatchFold for LocalFold {
         let mut sparsity = &mut self.sparsity[..len * layers];
         let mut blocks = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (start, end) = block_bounds(len, workers, w);
-            let k = end - start;
+            let block = spg_sync::partition(len, workers, w);
+            let k = block.len();
             let (r, s, g);
             (r, records) = std::mem::take(&mut records).split_at_mut(k);
             (s, scalars) = std::mem::take(&mut scalars).split_at_mut(k);
             (g, sparsity) = std::mem::take(&mut sparsity).split_at_mut(k * layers);
-            let samples = samples.start + start..samples.start + end;
+            let samples = samples.start + block.start..samples.start + block.end;
             blocks.push(Block { samples, records: r, scalars: s, sparsity: g });
         }
         let (backoff, injector) = (self.backoff, &self.injector);
@@ -639,9 +627,10 @@ impl BatchFold for LocalFold {
 const FOLD_TILE: usize = 64 * 1024;
 
 /// Element-adds (parameters x samples) a range must cover before it gets a
-/// thread of its own. Measured here: one core folds 4.5-5 G element-adds/s
-/// and a `fork_join` spawn costs ~70 us, so 2 M is 0.4 ms of work — a
-/// forked range carries at least six times what its thread cost.
+/// thread of its own. Measured here: one core folds 4.5-5 G element-adds/s,
+/// so 2 M is 0.4 ms of work — a forked range carries at least ten times
+/// the fork cost `spg_sync`'s `fork_join` module quotes (six times the
+/// first measurement it was set against).
 const FORK_FLOOR: usize = 2 * 1024 * 1024;
 
 /// Turns samples' gradient records into their in-order sum — the one fold
@@ -889,27 +878,11 @@ mod tests {
         assert_eq!(run(8, 1), run(8, 4));
         // 24 samples at batch 5 end each epoch on a batch of 4: blocks of
         // 2/1/1 at three threads, and an empty fifth block at five.
-        assert_eq!([0, 1, 2].map(|w| block_bounds(4, 3, w)), [(0, 2), (2, 3), (3, 4)]);
-        assert_eq!(block_bounds(4, 5, 4), (4, 4));
+        assert_eq!([0, 1, 2].map(|w| spg_sync::partition(4, 3, w)), [0..2, 2..3, 3..4]);
+        assert_eq!(spg_sync::partition(4, 5, 4), 4..4);
         let solo = run(5, 1);
         assert_eq!(run(5, 3), solo, "batch 5, 3 threads");
         assert_eq!(run(5, 5), solo, "batch 5, 5 threads");
-    }
-
-    #[test]
-    fn block_bounds_partition_every_batch() {
-        for len in 0..20 {
-            for workers in 1..6 {
-                let mut next = 0;
-                for w in 0..workers {
-                    let (s, e) = block_bounds(len, workers, w);
-                    assert_eq!(s, next, "len {len} workers {workers} slot {w}");
-                    assert!(e >= s);
-                    next = e;
-                }
-                assert_eq!(next, len);
-            }
-        }
     }
 
     #[test]
@@ -1088,7 +1061,7 @@ mod tests {
             restart_budget: 0,
             ..Default::default()
         };
-        assert_eq!(block_bounds(4, 2, 1), (2, 4));
+        assert_eq!(spg_sync::partition(4, 2, 1), 2..4);
         let mut acc = BatchAcc::for_network(&net);
         let mut fold = LocalFold::for_config(&net, &config);
         let fault = fold.fold(&net, &data, 1, 0, 0..4, &mut acc);

@@ -1,13 +1,14 @@
 //! The one rule by which a call splits its work over its
 //! [core budget](crate::ConvScratch::cores).
 //!
-//! A site cuts the buffer it writes into contiguous parts, one thread
-//! each: as many parts as the budget allows, but none carrying less than
-//! the site's floor of work, so a `fork_join` spawn (35–70 µs on the hosts
-//! measured) is paid only where a part's work is several times that. A
-//! site computes each item the same way whichever part holds it, so the
-//! bits never depend on the split. At one part nothing forks and nothing
-//! allocates.
+//! A site cuts the buffer it writes into contiguous parts of whole items
+//! by the workspace's one partition rule ([`spg_sync::partition`]), one
+//! thread each: as many parts as the budget allows, but none carrying
+//! less than the site's floor of work, so a fork (its cost is measured in
+//! `spg_sync`'s `fork_join` module) is paid only where a part's work is
+//! several times that. A site computes each item the same way whichever
+//! part holds it, so the bits never depend on the split. At one part
+//! nothing forks and nothing allocates.
 
 /// How many parts `work` units are cut into on `cores` cores: at most
 /// `cores`, no part under `floor` units, at least one.
@@ -16,8 +17,9 @@ fn parts(cores: usize, work: usize, floor: usize) -> usize {
 }
 
 /// Runs `f(first, chunk)` over `out` cut into [`parts`]`(cores, work,
-/// floor)` contiguous chunks of whole `unit`-long items, one thread each;
-/// `first` is the index of the chunk's first item.
+/// floor)` contiguous chunks of whole `unit`-long items (no more parts
+/// than items), one thread each; `first` is the index of the chunk's first
+/// item.
 pub(crate) fn for_each_part<T: Send>(
     out: &mut [T],
     unit: usize,
@@ -31,13 +33,13 @@ pub(crate) fn for_each_part<T: Send>(
     if parts <= 1 {
         return f(0, out);
     }
-    let per_part = items.div_ceil(parts);
-    let f = &f;
-    spg_sync::fork_join(
-        out.chunks_mut(per_part * unit)
-            .enumerate()
-            .map(|(p, chunk)| move || f(p * per_part, chunk)),
-    );
+    let (f, mut rest) = (&f, out);
+    spg_sync::fork_join((0..parts).map(|p| {
+        let part = spg_sync::partition(items, parts, p);
+        let chunk;
+        (chunk, rest) = std::mem::take(&mut rest).split_at_mut(part.len() * unit);
+        move || f(part.start, chunk)
+    }));
 }
 
 #[cfg(test)]

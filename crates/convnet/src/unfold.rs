@@ -200,8 +200,8 @@ pub fn stages_tap_rows(spec: &ConvSpec) -> bool {
 /// Elements of `E_U` a fold part must read before it gets a thread of
 /// its own. Measured on a 2-vCPU AVX-512 host: one core folds
 /// ImageNet-1K conv1's `E_U^T` (6.2 M elements) at 0.73–0.92 ns an
-/// element, and an empty two-task `fork_join` costs ~35 µs, so a part of
-/// 512 Ki elements is ≥ 0.38 ms — ten spawns' worth. At budget 2 conv1's
+/// element, so a part of 512 Ki elements is ≥ 0.38 ms — ten forks' worth
+/// at the ~35 µs `spg_sync`'s `fork_join` module quotes. At budget 2 conv1's
 /// fold splits (4.6–5.7 → 2.6–2.7 ms) and so does conv2's (1.2 M
 /// elements, 1.0–1.1 → 0.62–0.64 ms); conv3's (0.28 M) does not.
 const FOLD_FLOOR: usize = 512 * 1024;

@@ -8,8 +8,9 @@
 //! Parallelism*) address by also splitting *within* a layer. The one
 //! intra-sample decomposition of the stencil the plan IR proves safe —
 //! contiguous output-row bands — is a partition of the output rows of the
-//! sequential stencil's own loop nest. This module owns only that
-//! partition, [`band_ranges`]. Lowering attaches it to the layer's tiled
+//! sequential stencil's own loop nest. This module owns only the choice
+//! of that partition, [`band_ranges`]; the cut itself is the workspace's
+//! one rule, [`spg_convnet::partition`]. Lowering attaches it to the layer's tiled
 //! plan; the verifier proves it an ascending disjoint cover; and the one
 //! stencil loop nest (`spg-codegen`: the bound instance, or the
 //! run-time-geometry one) runs the
@@ -37,18 +38,18 @@ use spg_convnet::ConvSpec;
 /// `bands`, which is what the verifier proves and the stencil kernel runs,
 /// and asks it whether a layer splits at all.
 ///
-/// Returns one band — i.e. "no decomposition available" — when the rows
-/// are narrower than one vector (`out_w < LANES`), when `workers <= 1`,
-/// or when the output has one row. Narrow rows are a small layer's:
-/// CIFAR-10 L1 (4x4 outputs, 64 features) ran its sequential tiled plan
+/// The bands are `min(workers, out_h)` parts of the output rows by
+/// [`spg_convnet::partition`]. There is one band — i.e. "no decomposition
+/// available" — when the rows are narrower than one vector (`out_w <
+/// LANES`), when `workers <= 1`, or when the output has one row. Narrow
+/// rows are a small layer's: CIFAR-10 L1 (4x4 outputs, 64 features) ran its sequential tiled plan
 /// in 37–42 µs and the plan banded over two cores in 80–90 µs on a
 /// two-core AVX-512 host, the fork costing more than the half layer it
 /// saves (EXPERIMENTS).
 pub fn band_ranges(spec: &ConvSpec, workers: usize) -> Vec<(usize, usize)> {
-    if spec.out_w() < LANES || workers <= 1 {
-        return vec![(0, spec.out_h())];
-    }
-    spg_check::gemm::row_bands(spec.out_h(), workers)
+    let out_h = spec.out_h();
+    let bands = if spec.out_w() < LANES { 1 } else { workers.clamp(1, out_h) };
+    (0..bands).map(|b| spg_convnet::partition(out_h, bands, b)).map(|r| (r.start, r.end)).collect()
 }
 
 #[cfg(test)]

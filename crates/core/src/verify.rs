@@ -376,6 +376,18 @@ mod tests {
         }
     }
 
+    /// A GEMM plan at 7 cores proves 7 row bands in each of its three
+    /// multiplies, 8 features included: the bands are the ones the kernel
+    /// cuts with `spg_sync::partition`, never fewer.
+    #[test]
+    fn gemm_plan_proves_a_band_per_core_in_every_multiply() {
+        let spec = ConvSpec::new(3, 64, 64, 8, 7, 7, 1, 1).unwrap();
+        let program =
+            lower_phase(&spec, Technique::GemmInParallel, Phase::Forward, 7, KernelChoice::Auto)
+                .unwrap();
+        assert_eq!(program.report().worker_regions, 21);
+    }
+
     /// The stencil lowered at more than one core carries the
     /// [`band_ranges`] split and verifies clean on a splittable spec; an
     /// unsplittable spec (here rows narrower than a vector) lowers to the

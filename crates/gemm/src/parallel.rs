@@ -62,16 +62,16 @@ pub fn parallel_gemm(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix, G
 /// call with stable shapes performs no heap allocation; with more, each
 /// band packs into buffers of its own.
 ///
-/// The partition is `bands.min(m)` bands of `ceil(m / bands)` rows, the
-/// last truncated: the split `spg-check` proves disjoint and covering for
-/// an `UnfoldGemm { threads: bands }` plan. With fewer threads than bands
-/// each thread takes a contiguous run of whole bands as one band, so one
-/// thread is the serial [`gemm_slice`] — the instructions of a plan never
-/// split at all. Every element of `C` is the same `KC`-blocked chain of
-/// multiply-adds whichever band holds its row (the micro-kernel
-/// accumulates each `(row, column)` independently and the `k` blocks are
-/// visited in one order), so the result is bit-identical for every
-/// `bands` and `threads`.
+/// The partition is [`spg_sync::partition`]`(m, bands.min(m), b)` for
+/// band `b`: the split `spg-check` proves disjoint and covering for an
+/// `UnfoldGemm { threads: bands }` plan, from the same call. With fewer
+/// threads than bands, thread `t` takes the contiguous run of whole bands
+/// `partition(bands, threads, t)` as one band, so one thread is the serial
+/// [`gemm_slice`] — the instructions of a plan never split at all. Every
+/// element of `C` is the same `KC`-blocked chain of multiply-adds
+/// whichever band holds its row (the micro-kernel accumulates each `(row,
+/// column)` independently and the `k` blocks are visited in one order), so
+/// the result is bit-identical for every `bands` and `threads`.
 ///
 /// # Panics
 ///
@@ -130,23 +130,22 @@ pub(crate) fn gemm_row_bands<B: RightOperand + ?Sized>(
     let run = |rows, a, c: &mut [f32], a_pack: &mut _, b_pack: &mut _| {
         gemm_blocked(tile, pack, (rows, n, k), a, lda, b, (c, n, update), (a_pack, b_pack))
     };
-    let band = m.div_ceil(bands.min(m));
-    let bands = m.div_ceil(band);
+    let bands = bands.min(m);
     let threads = threads.min(bands);
     if threads == 1 {
         run(m, a, c, a_pack, b_pack);
         return;
     }
-    // Thread t runs bands [t * bands / threads, (t + 1) * bands / threads).
-    let (mut rest, mut row0) = (c, 0);
-    spg_sync::fork_join((1..=threads).map(|t| {
-        let row1 = (t * bands / threads * band).min(m);
-        let (cband, tail) = std::mem::take(&mut rest).split_at_mut((row1 - row0) * n);
+    let mut rest = c;
+    spg_sync::fork_join((0..threads).map(|t| {
+        // Thread t runs its run of bands as one band.
+        let run_of = spg_sync::partition(bands, threads, t);
+        let rows = spg_sync::partition(m, bands, run_of.start).start
+            ..spg_sync::partition(m, bands, run_of.end - 1).end;
+        let (cband, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * n);
         rest = tail;
-        let aband = &a[row0 * row_step..];
-        let rows = row1 - row0;
-        row0 = row1;
-        move || run(rows, aband, cband, &mut Vec::new(), &mut Vec::new())
+        let aband = &a[rows.start * row_step..];
+        move || run(rows.len(), aband, cband, &mut Vec::new(), &mut Vec::new())
     }));
 }
 

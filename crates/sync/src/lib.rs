@@ -1,18 +1,23 @@
 //! The worker runtime every pool in the workspace is a client of: one
-//! restart loop ([`supervise`]), one fork-join ([`fork_join`]), lock
-//! helpers that *recover* from poisoning instead of propagating it, and a
-//! deterministic fault-injection harness for supervision testing.
+//! restart loop ([`supervise`]), one fork-join ([`fork_join`]), one
+//! partition ([`partition`]), lock helpers that *recover* from poisoning
+//! instead of propagating it, and a deterministic fault-injection harness
+//! for supervision testing.
 //!
-//! # One restart loop, one fork-join
+//! # One restart loop, one fork-join, one partition
 //!
 //! The paper's scalability idea is P independent single-threaded workers
-//! with private warm state and a static partition of the work. Two shapes
-//! recur wherever that idea is applied, and each exists exactly once,
-//! here: a long-lived worker that runs incarnations under a restart
-//! budget with exponential backoff ([`supervise`], [`Restarts`]), and a
+//! with private warm state and a static partition of the work. Three
+//! shapes recur wherever that idea is applied, and each exists exactly
+//! once, here: a long-lived worker that runs incarnations under a restart
+//! budget with exponential backoff ([`supervise`], [`Restarts`]), a
 //! short-lived fan-out of n independent tasks that joins and re-raises a
-//! worker's panic ([`fork_join`]). Both are plain safe Rust over
-//! `std::thread` — scoped threads, no lifetime erasure.
+//! worker's panic ([`fork_join`]), and the static partition itself — n
+//! items cut into k contiguous parts, the longer ones first
+//! ([`partition`]): the trainer's sample slots, the ring's ranks, the
+//! GEMM's and the stencil's row bands and every other fork's parts. The
+//! first two are plain safe Rust over `std::thread` — scoped threads, no
+//! lifetime erasure.
 //!
 //! # Poison recovery
 //!
@@ -47,7 +52,7 @@ mod fork_join;
 mod supervise;
 mod sync_prims;
 
-pub use fork_join::{fork_join, fork_join_spawns};
+pub use fork_join::{fork_join, fork_join_spawns, partition};
 pub use supervise::{backoff_delay, supervise, Restarts};
 
 use std::sync::atomic::{AtomicBool, Ordering};
