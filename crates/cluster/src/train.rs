@@ -18,11 +18,12 @@
 //! Per batch, each layer crosses the chain in whichever form is fewer
 //! floats (see [`allreduce`](crate::allreduce)): *summed*, as the
 //! running sum of its dense gradient, or *gathered*, as the batch's
-//! gradient records, which every rank then folds with the trainer's own
-//! `sgd::fold_records`. Conv layers are summed; a fully-connected layer,
-//! whose record is its `(δ, x)` factors, is gathered until the batch is
-//! about as large as its input. Either way every element is
-//! `0.0 + g_0 + g_1 + …` in sample order, the trainer's bits.
+//! gradient records, which every rank's update pass then sums tile by
+//! tile, as the trainer's own does. Conv layers are summed; a
+//! fully-connected layer, whose record is its `(δ, x)` factors, is
+//! gathered until the batch is about as large as its input. Either way
+//! every element is `0.0 + g_0 + g_1 + …` in sample order, the trainer's
+//! bits, and a gathered layer's sum is never stored.
 //!
 //! # Fault recovery
 //!
@@ -48,7 +49,7 @@ use std::time::Duration;
 
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::Layer;
-use spg_convnet::sgd::{self, BatchFold, Progress};
+use spg_convnet::sgd::{self, BatchFold, Folded, Progress};
 use spg_convnet::workspace::{record_buffers, Workspace};
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
@@ -168,8 +169,8 @@ fn masked(grads: &mut [Tensor], keep: impl Fn(usize) -> bool) -> impl Iterator<I
 /// fault drill, which hangs off the same per-batch point.
 ///
 /// Every buffer lives here for the whole run — the record slots, the
-/// layout, the wire frame — so a steady-state step allocates nothing
-/// that grows with the model.
+/// summed spans, the layout, the wire frame, the update pass's tile — so a
+/// steady-state step allocates nothing that grows with the model.
 struct RingFold<'r> {
     opts: &'r RankOptions,
     /// The ring links, buffered once for the run. The reader must live as
@@ -188,6 +189,11 @@ struct RingFold<'r> {
     sparsity: Vec<f64>,
     /// The batch's layout: `(layer, span)` in wire order.
     layout: Vec<(usize, Span)>,
+    /// Per layer, the summed span of a layer this batch gathers, kept for
+    /// a later batch that sums it (a short batch can flip a layer).
+    parked: Vec<Tensor>,
+    /// The update pass's one tile: a rank updates on one core.
+    tiles: Vec<Vec<f32>>,
     reduced: BatchAcc,
     frame: Vec<u8>,
 }
@@ -225,7 +231,7 @@ impl Step for RankStep<'_> {
     fn fold(&mut self, k: usize, zero: bool) {
         let layer = self.layout[k].0;
         let sum = masked(self.grads, |l| l == layer);
-        sgd::fold_records(self.net, &self.records[self.block.clone()], 1, zero, sum);
+        sgd::fold_records(self.net, &self.records[self.block.clone()], zero, sum);
     }
 
     fn fold_scalars(&self, acc: &mut BatchAcc) {
@@ -247,7 +253,7 @@ impl BatchFold for RingFold<'_> {
         batch: usize,
         samples: Range<usize>,
         acc: &mut sgd::BatchAcc,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<Folded<'_>, ClusterError> {
         let RankOptions { rank, world, chunk_floats, fault } = *self.opts;
         if fault == Some(TrainFault { rank, epoch, batch }) {
             // Dropping out here (links close when the caller drops Comm)
@@ -280,11 +286,22 @@ impl BatchFold for RingFold<'_> {
         }
         self.layout.clear();
         for (l, layer) in net.layers().iter().enumerate().filter(|(_, l)| l.param_count() > 0) {
-            if gathered(&**layer, batch_len) {
-                self.layout.extend((0..batch_len).map(|s| (l, Span::Record(s))));
-            } else {
-                self.layout.push((l, Span::Summed));
+            // A summed layer's span is its entry in `acc.grads`, where the
+            // update pass reads the chain's sum; a gathered layer's entry
+            // is empty, so the pass sums its records.
+            let summed = !gathered(&**layer, batch_len);
+            let entry = &mut acc.grads[l];
+            if summed == entry.is_empty() {
+                std::mem::swap(entry, &mut self.parked[l]);
             }
+            if !summed {
+                self.layout.extend((0..batch_len).map(|s| (l, Span::Record(s))));
+                continue;
+            }
+            if entry.is_empty() {
+                *entry = Tensor::zeros(layer.param_count());
+            }
+            self.layout.push((l, Span::Summed));
         }
         let mut step = RankStep {
             net,
@@ -306,14 +323,12 @@ impl BatchFold for RingFold<'_> {
             chunk_floats,
             &mut self.frame,
         )?;
-        // Every rank now holds the whole batch's records of the gathered
-        // layers, and folds them with the trainer's own fold.
-        let sums = masked(&mut acc.grads, |l| gathered(&*net.layers()[l], batch_len));
-        sgd::fold_records(net, &self.records[..batch_len], 1, true, sums);
         acc.loss_sum = self.reduced.loss_sum;
         acc.correct = usize::try_from(self.reduced.correct).expect("correct count fits usize");
         acc.sparsity_sums.clone_from(&self.reduced.sparsity_sums);
-        Ok(())
+        // Every rank now holds the whole batch's records of the gathered
+        // layers; the update pass sums them on this rank's core.
+        Ok(Folded { records: &self.records[..batch_len], tiles: &mut self.tiles })
     }
 }
 
@@ -374,6 +389,8 @@ pub fn run_rank(
         scalars: Vec::new(),
         sparsity: Vec::new(),
         layout: Vec::new(),
+        parked: vec![Tensor::default(); net.layers().len()],
+        tiles: sgd::fold_tiles(net, 1),
         frame: Vec::new(),
     };
     Trainer::new(trainer.clone()).run(net, data, &mut fold, progress, |_, _| {})?;
@@ -917,12 +934,11 @@ mod tests {
             batch: usize,
             samples: Range<usize>,
             acc: &mut sgd::BatchAcc,
-        ) -> Result<(), Self::Error> {
+        ) -> Result<Folded<'_>, Self::Error> {
             if self.at == Some((epoch, batch)) {
                 return Err((epoch, batch));
             }
-            self.inner.fold(net, data, epoch, batch, samples, acc).expect("no sample faults");
-            Ok(())
+            Ok(self.inner.fold(net, data, epoch, batch, samples, acc).expect("no sample faults"))
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Counts, under a counting global allocator, the heap requests at least
 //! half a gradient large made by whole `train_in_proc` runs. Set-up makes
-//! some (networks, workspaces, the accumulator, the record slots that
+//! some (networks, workspaces, the summed spans, the record slots that
 //! gathered layers cross the ring in, link buffers); the count must not
 //! depend on how many steps the run then takes. At batch 9 the net's FC
 //! 256→96 crosses the ring gathered, as records, and FC 96→4 summed, so

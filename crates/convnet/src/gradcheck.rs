@@ -73,7 +73,7 @@ pub fn check_gradients(
     let (mut ws, mut records) = (Workspace::for_network(net), [record_buffers(net)]);
     process_block(net, &data, 0..1, &mut ws, &mut records, &mut [(0.0, false)]);
     let mut analytic = zero_param_grads(net);
-    fold_records(net, &records, 1, true, analytic.iter_mut().map(Tensor::as_mut_slice));
+    fold_records(net, &records, true, analytic.iter_mut().map(Tensor::as_mut_slice));
 
     let loss_of = |net: &Network| {
         let mut trace = SampleTrace::for_network(net);
@@ -111,7 +111,7 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{ConvLayer, FcLayer, Layer, MaxPoolLayer, ReluLayer};
+    use crate::layer::{ConvLayer, FcLayer, Layer, MaxPoolLayer, RecordFormat, ReluLayer};
     use crate::ConvSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -201,24 +201,21 @@ mod tests {
                 self.inner.backward_block(inputs, outputs, grad_outs, grad_ins, records, scratch);
                 // Distort the records (both factors of the inner layer's
                 // gradient): wrong by construction.
-                for v in records.iter_mut().flat_map(|r| r.iter_mut()) {
+                for v in records.iter_mut().flat_map(|r| r.as_mut_slice()) {
                     *v = *v * 2.0 + 0.5;
                 }
             }
             fn param_count(&self) -> usize {
                 self.inner.param_count()
             }
-            fn grad_record_len(&self) -> usize {
-                self.inner.grad_record_len()
-            }
-            fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
-                self.inner.add_grads(records, at, acc);
+            fn record_format(&self) -> RecordFormat {
+                self.inner.record_format()
             }
             fn params(&self) -> Option<&[f32]> {
                 self.inner.params()
             }
-            fn set_params(&mut self, params: &[f32]) {
-                self.inner.set_params(params);
+            fn params_mut(&mut self) -> Option<&mut [f32]> {
+                self.inner.params_mut()
             }
         }
 

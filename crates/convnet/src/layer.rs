@@ -41,14 +41,20 @@ use crate::{ConvError, ConvSpec};
 ///
 /// What `backward_block` leaves in a record is whatever the layer needs to
 /// add that sample's parameter gradient into an accumulator later — not
-/// necessarily the gradient itself. Three methods define the format and
-/// travel together: [`backward_block`](Layer::backward_block) writes
-/// records of [`grad_record_len`](Layer::grad_record_len) floats, and
-/// [`add_grads`](Layer::add_grads) reads them back. By default the record
-/// *is* the dense gradient ([`ConvLayer`]); [`FcLayer`]'s is the two
+/// necessarily the gradient itself. The layer's
+/// [`record_format`](Layer::record_format) names the layout, and the fold
+/// reads records through it ([`RecordFormat::add_grads`]): by default the
+/// record *is* the dense gradient ([`ConvLayer`]); [`FcLayer`]'s is the two
 /// factors of its rank-1 gradient. A layer that wraps another and forwards
-/// `backward_block` must forward the other two as well, or the fold
+/// `backward_block` must forward `record_format` as well, or the fold
 /// misreads the inner layer's records.
+///
+/// # Updates
+///
+/// The trainer's update pass writes the parameters in place through
+/// [`params_mut`](Layer::params_mut), range by range and possibly from
+/// several threads, then calls [`finish_update`](Layer::finish_update) once
+/// on the thread that owns the network.
 pub trait Layer: Send + Sync + fmt::Debug {
     /// Short human-readable layer name.
     fn name(&self) -> &str;
@@ -112,38 +118,22 @@ pub trait Layer: Send + Sync + fmt::Debug {
         0
     }
 
+    /// How [`backward_block`](Layer::backward_block) lays out a sample's
+    /// gradient record.
+    fn record_format(&self) -> RecordFormat {
+        RecordFormat::Dense
+    }
+
     /// Floats in one sample's gradient record, as
     /// [`backward_block`](Layer::backward_block) writes it: [`Layer::param_count`]
-    /// unless the layer keeps something smaller than its dense gradient.
+    /// unless the [`record_format`](Layer::record_format) keeps something
+    /// smaller than the dense gradient.
     fn grad_record_len(&self) -> usize {
-        self.param_count()
-    }
-
-    /// Adds elements `at..at + acc.len()` of each record's flattened
-    /// parameter gradient to `acc`: `acc[k]` takes element `at + k` of
-    /// every sample **in slice order, one rounded add per sample**, so a
-    /// fold over any split of the parameters or of the sample list gives
-    /// the bits of adding dense gradients one sample at a time.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `at + acc.len() > param_count()` or a
-    /// record is shorter than [`grad_record_len`](Layer::grad_record_len).
-    fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
-        let span = at..at + acc.len();
-        for record in records {
-            for (a, g) in acc.iter_mut().zip(&record[span.clone()]) {
-                *a += g;
-            }
+        match self.record_format() {
+            RecordFormat::Dense => self.param_count(),
+            RecordFormat::Outer { in_len, out_len } => out_len + in_len,
         }
     }
-
-    /// Applies `params -= lr * grads` for layers with parameters.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `grads.len() != param_count()`.
-    fn apply_update(&mut self, _grads: &Tensor, _lr: f32) {}
 
     /// The convolution spec, for convolution layers only. The scheduler
     /// uses this to characterize and re-plan layers generically.
@@ -170,12 +160,100 @@ pub trait Layer: Send + Sync + fmt::Debug {
         None
     }
 
+    /// Borrows the flattened trainable parameters mutably, for layers that
+    /// have them. A caller that writes through it must call
+    /// [`finish_update`](Layer::finish_update) before the layer runs again.
+    fn params_mut(&mut self) -> Option<&mut [f32]> {
+        None
+    }
+
+    /// Refreshes whatever the layer derives from its parameters (a
+    /// [`ConvLayer`]'s prepared weight copies) after they were written
+    /// through [`params_mut`](Layer::params_mut).
+    fn finish_update(&mut self) {}
+
     /// Replaces the flattened trainable parameters.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `params.len() != param_count()`.
-    fn set_params(&mut self, _params: &[f32]) {}
+    /// Panics if the layer has parameters and `params.len() != param_count()`.
+    fn set_params(&mut self, params: &[f32]) {
+        if let Some(own) = self.params_mut() {
+            assert_eq!(params.len(), own.len(), "parameter length");
+            own.copy_from_slice(params);
+            self.finish_update();
+        }
+    }
+}
+
+/// How a layer's gradient records map onto its flattened parameters.
+///
+/// A `Copy` value the fold reads instead of the layer, so the update pass
+/// can sum records into a tile while it holds the layer's parameters
+/// mutably.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordFormat {
+    /// The record is the dense gradient, [`Layer::param_count`] floats.
+    Dense,
+    /// A fully-connected layer's `[δ (out_len) | x (in_len)]`: the weight
+    /// gradient is `δ ⊗ x`, row-major `out_len x in_len`, followed by the
+    /// bias gradient `δ`.
+    Outer {
+        /// Inputs per sample.
+        in_len: usize,
+        /// Outputs per sample.
+        out_len: usize,
+    },
+}
+
+impl RecordFormat {
+    /// Adds elements `at..at + acc.len()` of each record's flattened
+    /// parameter gradient to `acc`: `acc[k]` takes element `at + k` of
+    /// every sample **in slice order, one rounded add per sample**, so a
+    /// fold over any split of the parameters or of the sample list gives
+    /// the bits of adding dense gradients one sample at a time. An `Outer`
+    /// record's weight gradient is `δ[r] * x[c]` — multiply, then add,
+    /// operation for operation what adding a dense `dW` would do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record is too short for `at + acc.len()` parameters.
+    pub fn add_grads(self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
+        let (n, out_len) = match self {
+            RecordFormat::Dense => {
+                let span = at..at + acc.len();
+                for record in records {
+                    for (a, g) in acc.iter_mut().zip(&record[span.clone()]) {
+                        *a += g;
+                    }
+                }
+                return;
+            }
+            RecordFormat::Outer { in_len, out_len } => (in_len, out_len),
+        };
+        let weights = n * out_len;
+        assert!(at + acc.len() <= weights + out_len, "parameter range");
+        let fc = FcKernels::host();
+        let (mut at, mut rest) = (at, acc);
+        // Weight rows the range touches; the first and last may be partial.
+        while at < weights && !rest.is_empty() {
+            let (r, c) = (at / n, at % n);
+            let len = (n - c).min(rest.len());
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            fc.fold(records, r, out_len + c, row);
+            at += len;
+            rest = tail;
+        }
+        // What is left lies in the bias rows, whose gradient is `δ` itself.
+        if !rest.is_empty() {
+            let first = at - weights;
+            for record in records {
+                for (a, delta) in rest.iter_mut().zip(&record[first..out_len]) {
+                    *a += delta;
+                }
+            }
+        }
+    }
 }
 
 /// A convolution layer executing through pluggable
@@ -311,14 +389,6 @@ impl Layer for ConvLayer {
         self.weights.fckk.len()
     }
 
-    fn apply_update(&mut self, grads: &Tensor, lr: f32) {
-        assert_eq!(grads.len(), self.weights.fckk.len(), "gradient length");
-        for (w, g) in self.weights.fckk.iter_mut().zip(grads.iter()) {
-            *w -= lr * g;
-        }
-        self.prepare();
-    }
-
     fn conv_spec(&self) -> Option<&ConvSpec> {
         Some(&self.spec)
     }
@@ -335,9 +405,11 @@ impl Layer for ConvLayer {
         Some(self.weights.fckk.as_slice())
     }
 
-    fn set_params(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.weights.fckk.len(), "parameter length");
-        self.weights.fckk.as_mut_slice().copy_from_slice(params);
+    fn params_mut(&mut self) -> Option<&mut [f32]> {
+        Some(self.weights.fckk.as_mut_slice())
+    }
+
+    fn finish_update(&mut self) {
         self.prepare();
     }
 }
@@ -607,10 +679,9 @@ const KERNEL_SAMPLES: usize = 8;
 /// it, so the logits do not depend on the split.
 ///
 /// Backward keeps the weight gradient `dW = δ ⊗ x` as its two factors: the
-/// gradient record is `[δ (out_len) | x (in_len)]`, and
-/// [`add_grads`](Layer::add_grads) forms `acc[r][c] += δ[r] * x[c]` per
-/// sample — multiply, then add, which is operation for operation what
-/// adding a dense `dW` would do — only where and when a fold asks for it.
+/// gradient record is `[δ (out_len) | x (in_len)]` ([`RecordFormat::Outer`]),
+/// and the fold forms `acc[r][c] += δ[r] * x[c]` per sample only where and
+/// when it asks for it.
 #[derive(Debug)]
 pub struct FcLayer {
     in_len: usize,
@@ -744,49 +815,16 @@ impl Layer for FcLayer {
         self.params.len()
     }
 
-    fn grad_record_len(&self) -> usize {
-        self.out_len + self.in_len
-    }
-
-    fn add_grads(&self, records: &[&[f32]], at: usize, acc: &mut [f32]) {
-        let (n, weights) = (self.in_len, self.in_len * self.out_len);
-        assert!(at + acc.len() <= self.params.len(), "parameter range");
-        let fc = FcKernels::host();
-        let (mut at, mut rest) = (at, acc);
-        // Weight rows the range touches; the first and last may be partial.
-        while at < weights && !rest.is_empty() {
-            let (r, c) = (at / n, at % n);
-            let len = (n - c).min(rest.len());
-            let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            fc.fold(records, r, self.out_len + c, row);
-            at += len;
-            rest = tail;
-        }
-        // What is left lies in the bias rows, whose gradient is `δ` itself.
-        if !rest.is_empty() {
-            let first = at - weights;
-            for record in records {
-                for (a, delta) in rest.iter_mut().zip(&record[first..self.out_len]) {
-                    *a += delta;
-                }
-            }
-        }
-    }
-
-    fn apply_update(&mut self, grads: &Tensor, lr: f32) {
-        assert_eq!(grads.len(), self.params.len(), "gradient length");
-        for (p, g) in self.params.iter_mut().zip(grads.iter()) {
-            *p -= lr * g;
-        }
+    fn record_format(&self) -> RecordFormat {
+        RecordFormat::Outer { in_len: self.in_len, out_len: self.out_len }
     }
 
     fn params(&self) -> Option<&[f32]> {
         Some(self.params.as_slice())
     }
 
-    fn set_params(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.params.len(), "parameter length");
-        self.params.as_mut_slice().copy_from_slice(params);
+    fn params_mut(&mut self) -> Option<&mut [f32]> {
+        Some(self.params.as_mut_slice())
     }
 }
 
@@ -1157,7 +1195,7 @@ mod tests {
         let mut record = Tensor::zeros(fc.grad_record_len());
         fc.backward(&input, &out, &gout, &mut gin, &mut record, &mut scratch);
         let mut grads = Tensor::zeros(fc.param_count());
-        fc.add_grads(&[record.as_slice()], 0, grads.as_mut_slice());
+        fc.record_format().add_grads(&[record.as_slice()], 0, grads.as_mut_slice());
 
         // Check dW[0][1] and db[0] by finite differences on <y, gout>.
         let eps = 1e-3;
@@ -1198,11 +1236,11 @@ mod tests {
     fn conv_layer_update_moves_weights() {
         let mut rng = SmallRng::seed_from_u64(4);
         let spec = ConvSpec::new(1, 3, 3, 1, 2, 2, 1, 1).unwrap();
-        let mut layer = ConvLayer::new(spec, &mut rng);
+        let layer = ConvLayer::new(spec, &mut rng);
         let before = layer.params().unwrap().to_vec();
-        let grads = Tensor::filled(4, 1.0);
-        layer.apply_update(&grads, 0.1);
-        for (b, a) in before.iter().zip(layer.params().unwrap()) {
+        let mut net = crate::Network::new(vec![Box::new(layer)]).unwrap();
+        net.apply_gradient_slices(&[Tensor::filled(4, 1.0)], 0.1, 1.0);
+        for (b, a) in before.iter().zip(net.layers()[0].params().unwrap()) {
             assert!((b - 0.1 - a).abs() < 1e-6);
         }
     }

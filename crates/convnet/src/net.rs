@@ -15,6 +15,7 @@
 use spg_tensor::Tensor;
 
 use crate::layer::Layer;
+use crate::sgd::{update_layer, Grads, Rule, FORK_FLOOR};
 use crate::workspace::{ConvScratch, Workspace};
 use crate::ConvError;
 
@@ -320,19 +321,21 @@ impl Network {
         classes.into_iter().flatten().collect()
     }
 
-    /// Applies averaged parameter gradients from a dense per-layer slice:
-    /// `params -= (lr / scale) * grads`. Empty tensors (parameter-free
-    /// layers) are skipped. Never allocates — the trainer's hot loop calls
-    /// it with each batch's folded gradients.
+    /// Applies summed parameter gradients from a dense per-layer slice:
+    /// `params -= (lr / scale) * grads`, through the trainer's update rule
+    /// on the calling thread. Empty tensors (parameter-free layers) are
+    /// skipped. Never allocates.
     ///
     /// # Panics
     ///
     /// Panics if `grads` does not have one entry per layer.
     pub fn apply_gradient_slices(&mut self, grads: &[Tensor], lr: f32, scale: f32) {
         assert_eq!(grads.len(), self.layers.len(), "one gradient slot per layer");
+        let rule = Rule { learning_rate: lr, momentum: 0.0, scale };
         for (layer, grad) in self.layers.iter_mut().zip(grads) {
             if !grad.is_empty() {
-                layer.apply_update(grad, lr / scale);
+                let grad = Grads::Summed(grad.as_slice());
+                update_layer(&mut **layer, rule, grad, &mut [], &mut [], FORK_FLOOR);
             }
         }
     }
@@ -411,7 +414,7 @@ pub(crate) mod tests {
         for _ in 0..12 {
             process_block(&net, &data, 0..1, &mut ws, &mut records, &mut result);
             losses.push(result[0].0);
-            fold_records(&net, &records, 1, true, grads.iter_mut().map(Tensor::as_mut_slice));
+            fold_records(&net, &records, true, grads.iter_mut().map(Tensor::as_mut_slice));
             net.apply_gradient_slices(&grads, 0.05, 1.0);
         }
         assert!(
@@ -544,7 +547,7 @@ pub(crate) mod tests {
                 let inputs = Tensor::random_uniform(k * n, 1.0, &mut rng);
                 // Every third output gradient is zero, as behind a ReLU.
                 let mut grad_outs = Tensor::random_uniform(k * m, 1.0, &mut rng);
-                grad_outs.iter_mut().step_by(3).for_each(|g| *g = 0.0);
+                grad_outs.as_mut_slice().iter_mut().step_by(3).for_each(|g| *g = 0.0);
                 let (inputs, grad_outs) = (inputs.as_slice(), grad_outs.as_slice());
                 let mut one_out = vec![0.0; k * m];
                 let mut one_grad_in = vec![f32::NAN; k * grad_len];

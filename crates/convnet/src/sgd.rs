@@ -3,9 +3,9 @@
 //! experiments need.
 //!
 //! [`Trainer::run`] owns the loop — shuffle schedule, in-order batch
-//! accumulation, epoch statistics, momentum update, resumable
+//! accumulation, epoch statistics, the update pass, resumable
 //! [`Progress`] — and is parameterized by one seam, [`BatchFold`]: how a
-//! batch's per-sample results reach the accumulator in sample order.
+//! batch's per-sample results reach the update in sample order.
 //! Two folds exist: [`LocalFold`], this process's sample threads, and
 //! `spg-cluster`'s ring fold — one path at every world size, a one-rank
 //! run included — whose ranks call this loop rather than copy it.
@@ -21,25 +21,27 @@
 //! contiguous partition a ring rank runs — one sample at a time, all
 //! slots at once on one [`spg_sync::fork_join`]; no thread outlives the
 //! batch. Each sample leaves its records in that batch position's record
-//! set, so the fold that follows reads them in sample order and the f32
-//! gradient accumulation is bit-identical for every thread count.
+//! set, so the update pass that follows reads them in sample order and
+//! the f32 gradient accumulation is bit-identical for every thread count.
 //!
-//! # Records, folded once
+//! # Records, folded into the update
 //!
 //! A sample's backward pass leaves per-layer gradient *records*
 //! ([`Layer`]), not necessarily dense gradients: a
 //! fully-connected layer's weight gradient is the rank-1 product `δ ⊗ x`,
 //! and writing it out per sample moves `out x in` floats to perform as
 //! many multiplies — no arithmetic intensity at all. It stays `(δ, x)`
-//! until [`fold_records`], the one function that turns records into the
-//! batch accumulator: per layer it cuts the parameters into contiguous
-//! ranges, one per core it was given, and walks each range in
-//! cache-sized tiles — zero-fill the tile, add every sample into it in
-//! sample order — so the accumulator is written once per batch and never
-//! read cold. The local fold folds when the batch is complete, on the
-//! cores its slots ran on, so even a one-thread run holds a batch of
-//! records. Every parameter sums `0.0 + g_0 + g_1 + ...` in sample order,
-//! which is the [`BatchFold`] contract.
+//! until the update pass, which turns the batch's records into new weights
+//! without ever storing their sum: per layer it cuts the parameters into
+//! contiguous ranges, one per core the fold hands it, and walks each range
+//! in cache-sized tiles — zero the tile, add every sample into it in
+//! sample order, apply the update rule from it — so the batch gradient
+//! exists one tile at a time, in cache, and never in full. The local fold
+//! hands the pass its records once the batch is complete, with one tile
+//! per slot, so the pass runs on the cores the slots ran on and even a
+//! one-thread run holds a batch of records. Every parameter's gradient
+//! sums `0.0 + g_0 + g_1 + ...` in sample order, which is the
+//! [`BatchFold`] contract.
 //!
 //! Each slot is *supervised*, at every thread count: it runs each sample
 //! inside [`std::panic::catch_unwind`], so a panicking kernel is a fault
@@ -60,7 +62,7 @@ use spg_tensor::Tensor;
 
 use crate::data::Dataset;
 use crate::error::TrainError;
-use crate::layer::Layer;
+use crate::layer::{Layer, RecordFormat};
 use crate::net::{argmax, loss_into, Network};
 use crate::split;
 use crate::workspace::{record_buffers, Workspace};
@@ -71,7 +73,8 @@ pub struct TrainerConfig {
     /// Learning rate.
     pub learning_rate: f32,
     /// Momentum coefficient in `[0, 1)`; `0.0` is plain SGD. The update
-    /// is `v = momentum * v + grad; params -= lr * v`.
+    /// is `v = momentum * v + grad / batch; params -= lr * v`, `grad` the
+    /// batch's summed gradient.
     pub momentum: f32,
     /// Number of passes over the dataset.
     pub epochs: usize,
@@ -280,9 +283,14 @@ impl Trainer {
                 let batch = progress.next_batch;
                 let samples = batch * batch_size..((batch + 1) * batch_size).min(data_len);
                 acc.begin_batch();
-                fold.fold(net, data, epoch, batch, samples.clone(), &mut acc)?;
+                let folded = fold.fold(net, data, epoch, batch, samples.clone(), &mut acc)?;
                 progress.epoch_acc.absorb(&acc, samples.len());
-                self.apply_batch(net, &mut progress.velocity, &acc, samples.len());
+                let rule = Rule {
+                    learning_rate: self.config.learning_rate,
+                    momentum: self.config.momentum,
+                    scale: samples.len() as f32,
+                };
+                update(net, rule, &acc.grads, folded, &mut progress.velocity, FORK_FLOOR);
                 progress.next_batch = batch + 1;
             }
             let stats = progress.epoch_acc.finish(epoch, data_len, start.elapsed().as_secs_f64());
@@ -293,59 +301,43 @@ impl Trainer {
         }
         Ok(())
     }
-
-    /// Applies one batch's accumulated gradients (with optional momentum).
-    fn apply_batch(
-        &self,
-        net: &mut Network,
-        velocity: &mut [Tensor],
-        acc: &BatchAcc,
-        batch_len: usize,
-    ) {
-        let scale = batch_len as f32;
-        if self.config.momentum > 0.0 {
-            for (v, g) in velocity.iter_mut().zip(&acc.grads) {
-                for (v, g) in v.iter_mut().zip(g.iter()) {
-                    *v = self.config.momentum * *v + g / scale;
-                }
-            }
-            net.apply_gradient_slices(velocity, self.config.learning_rate, 1.0);
-        } else {
-            net.apply_gradient_slices(&acc.grads, self.config.learning_rate, scale);
-        }
-    }
 }
 
 /// The one seam of the SGD loop: how a batch's per-sample results reach
-/// the accumulator.
+/// the update pass.
 ///
 /// # The sample-order contract
 ///
-/// [`fold`](Self::fold) must leave `acc` holding what absorbing the
-/// batch's samples **one at a time, in sample order** produces: for every
-/// gradient element and every scalar the additions start from zero and
-/// happen in exactly that order. f32 addition is not associative, so this
-/// order is the whole determinism guarantee — every implementation that
-/// keeps it trains to the same bits, wherever the samples ran (this
-/// process's sample threads, other ranks of a ring) — and a reducer that
-/// re-associates the sum (a tree, a reduce-scatter) cannot implement this
-/// trait.
+/// [`fold`](Self::fold) hands the update the batch's gradient as records
+/// in sample order, plus any pre-summed spans: for every layer with
+/// parameters, either each sample's record of that layer, at its batch
+/// position in [`Folded::records`], or the layer's gradient already summed
+/// in `acc.grads`. A pre-summed span must hold what the pass would have
+/// made of the records: for every element the additions start from `0.0`
+/// and happen in sample order. `acc`'s scalars must hold what absorbing
+/// the samples one at a time, in sample order, produces. f32 addition is
+/// not associative, so this order is the whole determinism guarantee —
+/// every implementation that keeps it trains to the same bits, wherever
+/// the samples ran (this process's sample threads, other ranks of a ring)
+/// — and a reducer that re-associates the sum (a tree, a reduce-scatter)
+/// cannot implement this trait. Starting from `0.0` is part of the
+/// contract, not a convenience: `0.0 + g` is not a copy of `g`
+/// (`0.0 + -0.0` is `+0.0`).
 ///
 /// # Who zeroes
 ///
-/// The loop zeroes `acc`'s scalars before each call; the gradient tensors
-/// arrive holding the previous batch's sums and the fold overwrites them:
-/// [`fold_records`] zero-fills each tile right before the first sample is
-/// added into it, while the tile is in cache, so the accumulator is never
-/// swept cold. Starting from `0.0` is part of the contract, not a
-/// convenience — `0.0 + g` is not a copy of `g` (`0.0 + -0.0` is `+0.0`).
-/// A fold is free to wait until the batch is complete and fold once.
+/// The loop zeroes `acc`'s scalars before each call. `acc.grads` keeps
+/// what the fold left there across batches, and the update pass reads a
+/// layer's entry wherever it is non-empty, so a fold empties the entry of
+/// a layer it does not pre-sum. An in-process fold pre-sums nothing: every
+/// entry stays empty and no parameter-sized buffer exists.
 pub trait BatchFold {
     /// What a batch that could not be folded reports.
     type Error;
 
     /// Folds batch `batch` of (1-based) `epoch` — positions `samples` of
-    /// `data` in its current shuffle, run through `net` — into `acc`.
+    /// `data` in its current shuffle, run through `net` — into `acc` and
+    /// the returned [`Folded`].
     ///
     /// # Errors
     ///
@@ -359,7 +351,20 @@ pub trait BatchFold {
         batch: usize,
         samples: Range<usize>,
         acc: &mut BatchAcc,
-    ) -> Result<(), Self::Error>;
+    ) -> Result<Folded<'_>, Self::Error>;
+}
+
+/// What a [`BatchFold`] hands the update pass besides its `acc`: the
+/// records and the buffers the pass sums them in.
+#[derive(Debug)]
+pub struct Folded<'a> {
+    /// The batch's gradient records by batch position, as
+    /// [`process_block`] left them. A layer whose gradient `acc.grads`
+    /// holds pre-summed is not read here.
+    pub records: &'a [Vec<Tensor>],
+    /// One tile buffer per core the pass may run on, as [`fold_tiles`]
+    /// makes them.
+    pub tiles: &'a mut [Vec<f32>],
 }
 
 /// Everything the loop has committed besides the weights (which live in
@@ -448,8 +453,8 @@ pub fn process_block(
 /// Per batch, slot `w` runs block `w` of the batch cut by
 /// [`spg_sync::partition`], all slots on one [`spg_sync::fork_join`], a
 /// sample at a time, each into its batch position's record set; then the
-/// records are folded by parameter range on as many cores as there are
-/// slots.
+/// update pass sums the records by parameter range on as many cores as
+/// there are slots, in the slots' tiles.
 #[derive(Debug)]
 pub struct LocalFold {
     slots: Vec<Slot>,
@@ -459,6 +464,8 @@ pub struct LocalFold {
     scalars: Vec<(f32, bool)>,
     /// Per-layer gradient sparsities by batch position, `layers` each.
     sparsity: Vec<f64>,
+    /// The update pass's tiles, one per slot.
+    tiles: Vec<Vec<f32>>,
     backoff: Duration,
     injector: FaultInjector,
 }
@@ -509,6 +516,7 @@ impl LocalFold {
             records: Vec::new(),
             scalars: Vec::new(),
             sparsity: Vec::new(),
+            tiles: fold_tiles(net, workers),
             backoff: config.restart_backoff,
             injector: FaultInjector::new(config.fault_plan),
         }
@@ -575,7 +583,7 @@ impl BatchFold for LocalFold {
         batch: usize,
         samples: Range<usize>,
         acc: &mut BatchAcc,
-    ) -> Result<(), TrainError> {
+    ) -> Result<Folded<'_>, TrainError> {
         let (len, layers, workers) = (samples.len(), net.layers().len(), self.slots.len());
         if self.records.len() < len {
             self.records.resize_with(len, || record_buffers(net));
@@ -612,10 +620,8 @@ impl BatchFold for LocalFold {
         for (j, &(loss, correct)) in self.scalars[..len].iter().enumerate() {
             acc.add_scalars(loss, correct, &self.sparsity[j * layers..(j + 1) * layers]);
         }
-        // Every slot is done: their cores are the fold's.
-        let grads = acc.grads.iter_mut().map(Tensor::as_mut_slice);
-        fold_records(net, &self.records[..len], workers, true, grads);
-        Ok(())
+        // Every slot is done: their cores are the update pass's.
+        Ok(Folded { records: &self.records[..len], tiles: &mut self.tiles })
     }
 }
 
@@ -626,76 +632,227 @@ impl BatchFold for LocalFold {
 /// floats and the untiled range are 1.25-1.5x slower.
 const FOLD_TILE: usize = 64 * 1024;
 
-/// Element-adds (parameters x samples) a range must cover before it gets a
-/// thread of its own. Measured here: one core folds 4.5-5 G element-adds/s,
-/// so 2 M is 0.4 ms of work — a forked range carries at least ten times
-/// the fork cost `spg_sync`'s `fork_join` module quotes (six times the
-/// first measurement it was set against).
-const FORK_FLOOR: usize = 2 * 1024 * 1024;
+/// Element-adds (parameters x samples; a pre-summed span counts one per
+/// parameter) a range must cover before it gets a thread of its own.
+/// Measured here: one core folds 4.5-5 G element-adds/s, so 2 M is 0.4 ms
+/// of work — a forked range carries at least ten times the fork cost
+/// `spg_sync`'s `fork_join` module quotes (six times the first measurement
+/// it was set against).
+pub(crate) const FORK_FLOOR: usize = 2 * 1024 * 1024;
 
-/// Turns samples' gradient records into their in-order sum — the one fold
-/// behind every [`BatchFold`].
+/// Record slices handed to [`RecordFormat::add_grads`] per call, held on
+/// the stack so that summing allocates nothing. A larger batch is added a
+/// group at a time; each element still takes its samples in order.
+const RECORD_GROUP: usize = 32;
+
+/// Tile buffers for an update pass on `cores` cores: one per core, each
+/// `FOLD_TILE` (64 Ki) floats, or as many as `net`'s largest layer has
+/// parameters if that is fewer. A [`BatchFold`] makes them once and hands
+/// them to every batch's pass in its [`Folded`].
+pub fn fold_tiles(net: &Network, cores: usize) -> Vec<Vec<f32>> {
+    let largest = net.layers().iter().map(|l| l.param_count()).max().unwrap_or(0);
+    (0..cores).map(|_| vec![0.0; FOLD_TILE.min(largest)]).collect()
+}
+
+/// The update rule, per parameter, from the batch's summed gradient `g`:
+/// `v = momentum·v + g/scale; w -= learning_rate·v`, or
+/// `w -= (learning_rate/scale)·g` without momentum.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rule {
+    pub(crate) learning_rate: f32,
+    pub(crate) momentum: f32,
+    /// What the summed gradient is divided by: the batch's sample count.
+    pub(crate) scale: f32,
+}
+
+impl Rule {
+    /// Updates `params` (and, with momentum, their `velocity`) from
+    /// `grads`, element by element.
+    fn apply(self, params: &mut [f32], velocity: &mut [f32], grads: &[f32]) {
+        assert_eq!(grads.len(), params.len(), "one gradient per parameter");
+        if self.momentum > 0.0 {
+            assert_eq!(velocity.len(), params.len(), "one velocity per parameter");
+            for ((w, v), g) in params.iter_mut().zip(velocity).zip(grads) {
+                *v = self.momentum * *v + g / self.scale;
+                *w -= self.learning_rate * *v;
+            }
+        } else {
+            let step = self.learning_rate / self.scale;
+            for (w, g) in params.iter_mut().zip(grads) {
+                *w -= step * g;
+            }
+        }
+    }
+}
+
+/// One layer's batch gradient as the update pass reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Grads<'a> {
+    /// Every sample's record set in sample order; the pass sums record
+    /// `layer` of each, tile by tile.
+    Records { records: &'a [Vec<Tensor>], layer: usize },
+    /// The gradient, summed already.
+    Summed(&'a [f32]),
+}
+
+/// The update pass: every layer with parameters updated by `rule` from its
+/// batch gradient — `sums[l]` where that is non-empty, the summed records
+/// otherwise — and its velocity.
+fn update(
+    net: &mut Network,
+    rule: Rule,
+    sums: &[Tensor],
+    folded: Folded<'_>,
+    velocity: &mut [Tensor],
+    floor: usize,
+) {
+    let Folded { records, tiles } = folded;
+    let layers = net.layers_mut().iter_mut().zip(sums.iter().zip(velocity));
+    for (l, (layer, (sum, velocity))) in layers.enumerate() {
+        let grads = if sum.is_empty() {
+            Grads::Records { records, layer: l }
+        } else {
+            Grads::Summed(sum.as_slice())
+        };
+        update_layer(&mut **layer, rule, grads, velocity.as_mut_slice(), tiles, floor);
+    }
+}
+
+/// One layer's update: its parameters cut into up to `tiles.len()`
+/// contiguous ranges — fewer when a range would not cover `floor`
+/// element-adds — a thread and a tile each, every range walked
+/// [`FOLD_TILE`] at a time; then the layer's
+/// [`finish_update`](Layer::finish_update), once. Per element the update
+/// reads the sum of its records in sample order whatever the split, so
+/// the bits do not depend on it. `velocity` is empty without momentum.
+pub(crate) fn update_layer(
+    layer: &mut dyn Layer,
+    rule: Rule,
+    grads: Grads<'_>,
+    velocity: &mut [f32],
+    tiles: &mut [Vec<f32>],
+    floor: usize,
+) {
+    let format = layer.record_format();
+    let Some(params) = layer.params_mut() else { return };
+    let samples = match grads {
+        Grads::Records { records, .. } => records.len(),
+        Grads::Summed(_) => 1,
+    };
+    let (work, cores) = (params.len() * samples, tiles.len());
+    let range = Part { params, velocity, tiles };
+    split::for_each_part(range, 1, work, cores, floor, |start, part| {
+        part.update(rule, grads, format, start);
+    });
+    layer.finish_update();
+}
+
+/// A contiguous range of one layer's update: its parameters, their
+/// velocity (empty without momentum), and the tiles of this range and the
+/// ranges after it. The range sums in the first tile.
+#[derive(Default)]
+struct Part<'a> {
+    params: &'a mut [f32],
+    velocity: &'a mut [f32],
+    tiles: &'a mut [Vec<f32>],
+}
+
+impl split::Cut for Part<'_> {
+    fn len(&self) -> usize {
+        self.params.len()
+    }
+
+    fn cut_front(self, len: usize) -> (Self, Self) {
+        let (params, rest) = self.params.split_at_mut(len);
+        let (velocity, rest_velocity) = self.velocity.split_at_mut(len.min(self.velocity.len()));
+        let (tiles, rest_tiles) = self.tiles.split_at_mut(1);
+        let part = Part { params, velocity, tiles };
+        (part, Part { params: rest, velocity: rest_velocity, tiles: rest_tiles })
+    }
+}
+
+impl Part<'_> {
+    /// Updates this range, whose first parameter is the layer's `start`-th.
+    fn update(self, rule: Rule, grads: Grads<'_>, format: RecordFormat, start: usize) {
+        let Part { params, velocity, tiles } = self;
+        let (records, layer) = match grads {
+            Grads::Summed(sum) => {
+                return rule.apply(params, velocity, &sum[start..start + params.len()]);
+            }
+            Grads::Records { records, layer } => (records, layer),
+        };
+        let tile = tiles[0].as_mut_slice();
+        let step = tile.len();
+        for (t, params) in params.chunks_mut(step).enumerate() {
+            let (at, tile) = (t * step, &mut tile[..params.len()]);
+            tile.fill(0.0);
+            add_records(format, records, layer, start + at, tile);
+            let velocity = velocity.get_mut(at..at + params.len()).unwrap_or_default();
+            rule.apply(params, velocity, tile);
+        }
+    }
+}
+
+/// Adds record `layer` of every sample in `records`, in sample order, onto
+/// `acc`, which holds parameters `at..at + acc.len()`.
+fn add_records(
+    format: RecordFormat,
+    records: &[Vec<Tensor>],
+    layer: usize,
+    at: usize,
+    acc: &mut [f32],
+) {
+    let mut group: [&[f32]; RECORD_GROUP] = [&[]; RECORD_GROUP];
+    for samples in records.chunks(RECORD_GROUP) {
+        for (slot, record) in group.iter_mut().zip(samples) {
+            *slot = record[layer].as_slice();
+        }
+        format.add_grads(&group[..samples.len()], at, acc);
+    }
+}
+
+/// Sums samples' gradient records onto dense per-layer buffers, on the
+/// calling thread: what a ring rank adds onto a summed span, and the
+/// gradient a check compares.
 ///
-/// `records[s].as_ref()[l]` is sample `s`'s record for layer `l` as
+/// `records[s][l]` is sample `s`'s record for layer `l` as
 /// [`process_block`] left it; `acc` yields one
 /// [`param_count`](Layer::param_count)-long slice per layer, or an empty
 /// one to leave that layer out (its records are then not read).
 /// With `zero`, what `acc` held is dead and every element becomes
 /// `0.0 + g_0 + g_1 + ...`; without, the records are added onto it (a ring
-/// rank's block on top of the sum that reached it). Per element the adds run in slice
-/// order, one per sample, whatever `cores` is: each layer's parameters are
-/// cut into up to `cores` contiguous ranges — fewer when a range would not
-/// cover `FORK_FLOOR` element-adds — and a range walks `FOLD_TILE`-sized
-/// tiles through [`Layer::add_grads`].
+/// rank's block on top of the sum that reached it). Per element the adds
+/// run in slice order, one per sample, walking `FOLD_TILE`-sized tiles.
 ///
 /// # Panics
 ///
 /// Panics if `acc` or a sample's records are not shaped for `net`.
-pub fn fold_records<'a, R: AsRef<[Tensor]>>(
+pub fn fold_records<'a>(
     net: &Network,
-    records: &[R],
-    cores: usize,
+    records: &[Vec<Tensor>],
     zero: bool,
     acc: impl IntoIterator<Item = &'a mut [f32]>,
 ) {
-    let mut layer_records: Vec<&[f32]> = Vec::with_capacity(records.len());
     for ((l, layer), acc) in net.layers().iter().enumerate().zip(acc) {
         if acc.is_empty() {
             continue;
         }
         assert_eq!(acc.len(), layer.param_count(), "accumulator shaped for the network");
-        layer_records.clear();
-        layer_records.extend(records.iter().map(|r| r.as_ref()[l].as_slice()));
-        fold_ranges(&**layer, &layer_records, cores, FORK_FLOOR, zero, acc);
-    }
-}
-
-/// One layer's fold: `acc` cut into up to `cores` contiguous ranges, none
-/// covering fewer than `floor` element-adds, a thread each, every range
-/// walked tile by tile.
-fn fold_ranges(
-    layer: &dyn Layer,
-    records: &[&[f32]],
-    cores: usize,
-    floor: usize,
-    zero: bool,
-    acc: &mut [f32],
-) {
-    let work = acc.len() * records.len();
-    split::for_each_part(acc, 1, work, cores, floor, |start, range| {
-        for (t, tile) in range.chunks_mut(FOLD_TILE).enumerate() {
+        for (t, tile) in acc.chunks_mut(FOLD_TILE).enumerate() {
             if zero {
                 tile.fill(0.0);
             }
-            layer.add_grads(records, start + t * FOLD_TILE, tile);
+            add_records(layer.record_format(), records, l, t * FOLD_TILE, tile);
         }
-    });
+    }
 }
 
 /// Per-batch accumulator, refilled by the [`BatchFold`] every batch.
 #[derive(Debug)]
 pub struct BatchAcc {
-    /// Summed parameter gradients, one tensor per layer.
+    /// Per layer, the batch's gradient as the fold pre-summed it, or an
+    /// empty tensor where the update pass sums the records itself: every
+    /// layer of an in-process fold, and the layers a ring gathers.
     pub grads: Vec<Tensor>,
     /// Summed losses.
     pub loss_sum: f64,
@@ -710,7 +867,7 @@ impl BatchAcc {
     fn for_network(net: &Network) -> Self {
         let conv_layers = conv_layer_indices(net);
         BatchAcc {
-            grads: zero_param_grads(net),
+            grads: vec![Tensor::default(); net.layers().len()],
             loss_sum: 0.0,
             correct: 0,
             sparsity_sums: vec![0.0; conv_layers.len()],
@@ -718,9 +875,7 @@ impl BatchAcc {
         }
     }
 
-    /// Zeroes the scalars. The gradient tensors still hold the previous
-    /// batch: the batch's one fold zeroes them tile by tile, so they are
-    /// not swept here.
+    /// Zeroes the scalars. `grads` keeps whatever the fold left there.
     fn begin_batch(&mut self) {
         self.loss_sum = 0.0;
         self.correct = 0;
@@ -970,44 +1125,134 @@ mod tests {
         assert_eq!(declined, 7, "declined worker slots counted");
     }
 
-    /// The fold's two splits — parameter ranges across threads, tiles
-    /// within a range — and the split of a batch into consecutive calls
-    /// all give the bits of adding dense gradients one sample at a time.
-    /// Small enough for Miri, which then interprets the range split.
+    /// A record's dense gradient: what the two-pass update added.
+    fn dense(format: RecordFormat, record: &[f32]) -> Vec<f32> {
+        match format {
+            RecordFormat::Dense => record.to_vec(),
+            RecordFormat::Outer { in_len, out_len } => {
+                let (delta, x) = record.split_at(out_len);
+                let weights = delta.iter().flat_map(|d| x[..in_len].iter().map(move |xi| d * xi));
+                weights.chain(delta.iter().copied()).collect()
+            }
+        }
+    }
+
+    /// `0.0 + g_0 + g_1 + ...` of every layer's dense gradients, in
+    /// sample order.
+    fn dense_sums(net: &Network, records: &[Vec<Tensor>]) -> Vec<Vec<f32>> {
+        let sum = |(l, layer): (usize, &dyn Layer)| {
+            let mut sum = vec![0.0f32; layer.param_count()];
+            for record in records {
+                let g = dense(layer.record_format(), record[l].as_slice());
+                sum.iter_mut().zip(g).for_each(|(a, g)| *a += g);
+            }
+            sum
+        };
+        net.layers().iter().map(|l| &**l).enumerate().map(sum).collect()
+    }
+
+    fn words(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Random records for `samples` samples of `net`.
+    fn random_records(net: &Network, samples: usize, rng: &mut SmallRng) -> Vec<Vec<Tensor>> {
+        let mut record = |l: &dyn Layer| Tensor::random_uniform(l.grad_record_len(), 1.0, rng);
+        (0..samples).map(|_| net.layers().iter().map(|l| record(&**l)).collect()).collect()
+    }
+
+    /// `fold_records` — tile by tile, a stack group of records at a time —
+    /// gives the bits of adding dense gradients one sample at a time, and
+    /// so does a batch split into consecutive calls (zeroing, then adding
+    /// onto what is there). FC 601→110 is two tiles, the second partial;
+    /// 70 samples of FC 7→3 are three record groups.
     #[test]
     fn fold_matches_the_sequential_dense_sum_for_every_split() {
         let mut rng = SmallRng::seed_from_u64(30);
-        // 66 110 parameters: two tiles, and ranges that start mid-row.
-        let fc = FcLayer::new(601, 110, &mut rng);
-        let records: Vec<Tensor> =
-            (0..3).map(|_| Tensor::random_uniform(fc.grad_record_len(), 1.0, &mut rng)).collect();
-        let records: Vec<&[f32]> = records.iter().map(Tensor::as_slice).collect();
-        let mut want = vec![0.0f32; fc.param_count()];
-        for record in &records {
-            let (delta, x) = record.split_at(110);
-            let dense = delta
-                .iter()
-                .flat_map(|d| x.iter().map(move |xi| d * xi))
-                .chain(delta.iter().copied());
-            want.iter_mut().zip(dense).for_each(|(a, g)| *a += g);
+        let wide = Network::new(vec![Box::new(FcLayer::new(601, 110, &mut rng))]).unwrap();
+        let narrow = Network::new(vec![Box::new(FcLayer::new(7, 3, &mut rng))]).unwrap();
+        for (net, samples) in [(wide, 3), (narrow, 2 * RECORD_GROUP + 6)] {
+            let records = random_records(&net, samples, &mut rng);
+            let want = words(&dense_sums(&net, &records)[0]);
+            let mut acc = vec![f32::NAN; net.layers()[0].param_count()];
+            fold_records(&net, &records, true, [&mut acc[..]]);
+            assert_eq!(words(&acc), want, "{samples} samples in one call");
+            fold_records(&net, &records[..1], true, [&mut acc[..]]);
+            fold_records(&net, &records[1..], false, [&mut acc[..]]);
+            assert_eq!(words(&acc), want, "{samples} samples in two calls");
         }
-        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        for ranges in [1, 2, 3] {
-            let mut acc = vec![f32::NAN; fc.param_count()];
-            fold_ranges(&fc, &records, ranges, 1, true, &mut acc);
-            assert_eq!(
-                acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "{ranges} ranges"
-            );
-            // The same batch a few samples at a time.
-            fold_ranges(&fc, &records[..1], ranges, 1, true, &mut acc);
-            fold_ranges(&fc, &records[1..], ranges, 1, false, &mut acc);
-            assert_eq!(
-                acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "{ranges} ranges"
-            );
+    }
+
+    /// The one-pass update — per tile: zero, add the records in sample
+    /// order (or read a pre-summed span), apply — gives, bit for bit, what
+    /// the two-pass update gave: a dense in-order sum into a
+    /// parameter-sized buffer, then `v = μ·v + g/scale; w -= lr·v`, or
+    /// `w -= (lr/scale)·g` at μ = 0. Conv + FC, the FC's 65 778 parameters
+    /// two tiles (the second partial), at one to three ranges. Small
+    /// enough for Miri, which then interprets the range split.
+    #[test]
+    fn fold_and_apply_match_the_two_pass_update() {
+        let mut rng = SmallRng::seed_from_u64(33);
+        let spec = ConvSpec::new(1, 8, 8, 16, 3, 3, 1, 1).unwrap();
+        let out = spec.output_shape().len();
+        let net = |rng: &mut SmallRng| {
+            Network::new(vec![
+                Box::new(ConvLayer::new(spec, rng)),
+                Box::new(ReluLayer::new(out)),
+                Box::new(FcLayer::new(out, 114, rng)),
+            ])
+            .unwrap()
+        };
+        let start = net(&mut SmallRng::seed_from_u64(34));
+        assert!(start.layers()[2].param_count() > FOLD_TILE);
+        let records = random_records(&start, 3, &mut rng);
+        let sums = dense_sums(&start, &records);
+        let velocity: Vec<Tensor> = start
+            .layers()
+            .iter()
+            .map(|l| Tensor::random_uniform(l.param_count(), 0.1, &mut rng))
+            .collect();
+        let (lr, scale) = (0.05f32, records.len() as f32);
+        for momentum in [0.0f32, 0.9] {
+            // The two-pass oracle.
+            let (mut want_w, mut want_v) = (Vec::new(), Vec::new());
+            for ((layer, g), v) in start.layers().iter().zip(&sums).zip(&velocity) {
+                let mut w = layer.params().unwrap_or_default().to_vec();
+                let mut v = v.as_slice().to_vec();
+                if momentum > 0.0 {
+                    for (v, g) in v.iter_mut().zip(g) {
+                        *v = momentum * *v + g / scale;
+                    }
+                    w.iter_mut().zip(&v).for_each(|(w, v)| *w -= (lr / 1.0) * v);
+                } else {
+                    w.iter_mut().zip(g).for_each(|(w, g)| *w -= (lr / scale) * g);
+                }
+                want_w.push(words(&w));
+                want_v.push(words(&v));
+            }
+            let rule = Rule { learning_rate: lr, momentum, scale };
+            // The FC layer pre-summed, as a ring's chain carries it, or not.
+            let presummed = |on: bool| {
+                let mut sums: Vec<Tensor> = vec![Tensor::default(); 3];
+                if on {
+                    sums[2] = Tensor::from_vec(dense_sums(&start, &records)[2].clone());
+                }
+                sums
+            };
+            for (cores, on) in [(1, false), (2, false), (3, false), (1, true), (3, true)] {
+                let mut net = net(&mut SmallRng::seed_from_u64(34));
+                let mut v = velocity.clone();
+                let mut tiles = fold_tiles(&net, cores);
+                let folded = Folded { records: &records, tiles: &mut tiles };
+                update(&mut net, rule, &presummed(on), folded, &mut v, 1);
+                let at = format!("momentum {momentum}, {cores} cores, presummed {on}");
+                for (l, layer) in net.layers().iter().enumerate() {
+                    assert_eq!(words(layer.params().unwrap_or_default()), want_w[l], "{at}: w{l}");
+                    if momentum > 0.0 {
+                        assert_eq!(words(v[l].as_slice()), want_v[l], "{at}: v{l}");
+                    }
+                }
+            }
         }
     }
 
@@ -1064,7 +1309,7 @@ mod tests {
         assert_eq!(spg_sync::partition(4, 2, 1), 2..4);
         let mut acc = BatchAcc::for_network(&net);
         let mut fold = LocalFold::for_config(&net, &config);
-        let fault = fold.fold(&net, &data, 1, 0, 0..4, &mut acc);
+        let fault = fold.fold(&net, &data, 1, 0, 0..4, &mut acc).map(|_| ());
         assert!(
             matches!(fault, Err(TrainError::WorkerFault { worker: 1, epoch: 1, batch: 0, .. })),
             "{fault:?}"

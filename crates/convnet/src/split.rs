@@ -16,17 +16,38 @@ fn parts(cores: usize, work: usize, floor: usize) -> usize {
     cores.min(work / floor).max(1)
 }
 
+/// What [`for_each_part`] cuts: a buffer, or several buffers cut alike.
+pub(crate) trait Cut: Send + Default {
+    /// Elements in the buffer.
+    fn len(&self) -> usize;
+
+    /// Cuts one part, the first `len` elements, off the front:
+    /// `(part, rest)`. [`for_each_part`] cuts its parts off in order, one
+    /// call each.
+    fn cut_front(self, len: usize) -> (Self, Self);
+}
+
+impl<T: Send> Cut for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    fn cut_front(self, len: usize) -> (Self, Self) {
+        self.split_at_mut(len)
+    }
+}
+
 /// Runs `f(first, chunk)` over `out` cut into [`parts`]`(cores, work,
 /// floor)` contiguous chunks of whole `unit`-long items (no more parts
 /// than items), one thread each; `first` is the index of the chunk's first
 /// item.
-pub(crate) fn for_each_part<T: Send>(
-    out: &mut [T],
+pub(crate) fn for_each_part<C: Cut>(
+    out: C,
     unit: usize,
     work: usize,
     cores: usize,
     floor: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
+    f: impl Fn(usize, C) + Sync,
 ) {
     let items = out.len() / unit;
     let parts = parts(cores, work, floor).min(items);
@@ -37,7 +58,7 @@ pub(crate) fn for_each_part<T: Send>(
     spg_sync::fork_join((0..parts).map(|p| {
         let part = spg_sync::partition(items, parts, p);
         let chunk;
-        (chunk, rest) = std::mem::take(&mut rest).split_at_mut(part.len() * unit);
+        (chunk, rest) = std::mem::take(&mut rest).cut_front(part.len() * unit);
         move || f(part.start, chunk)
     }));
 }
@@ -58,7 +79,7 @@ mod tests {
     fn every_item_is_visited_once_with_its_index() {
         for cores in [1, 2, 3, 7] {
             let mut out = vec![usize::MAX; 5 * 3];
-            for_each_part(&mut out, 3, 15, cores, 1, |first, chunk| {
+            for_each_part(&mut out[..], 3, 15, cores, 1, |first, chunk| {
                 for (i, item) in (first..).zip(chunk.chunks_exact_mut(3)) {
                     item.fill(i);
                 }

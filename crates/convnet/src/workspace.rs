@@ -31,12 +31,11 @@
 //! per 4-sample step for 166 Mflop of useful work, and `batch + workers`
 //! resident copies. The record ([`Layer::grad_record_len`]) of that layer
 //! is its two factors, 21 736 floats; the product is formed once per
-//! batch inside [`fold_records`], tile by tile, so the step writes the
-//! 97 MB accumulator once (about 1 byte per multiply-add at batch 4,
-//! falling as 1/batch).
+//! batch inside the trainer's update pass, one cache-sized tile at a
+//! time, and applied to the weights from the tile, so no parameter-sized
+//! batch gradient is ever stored.
 //!
 //! [`Layer::grad_record_len`]: crate::layer::Layer::grad_record_len
-//! [`fold_records`]: crate::sgd::fold_records
 
 use spg_tensor::sparse::CtCsr;
 use spg_tensor::Tensor;

@@ -139,9 +139,9 @@ fn boundaries(len: usize, cuts: &[usize]) -> Vec<usize> {
     at
 }
 
-/// `layer.add_grads` over the partition of the parameters at
-/// `param_cuts`, each range fed the samples in the consecutive calls
-/// `sample_cuts` splits them into, starting from zeros.
+/// The layer's `RecordFormat::add_grads` over the partition of the
+/// parameters at `param_cuts`, each range fed the samples in the
+/// consecutive calls `sample_cuts` splits them into, starting from zeros.
 fn folded(
     layer: &dyn Layer,
     records: &[Vec<f32>],
@@ -152,7 +152,8 @@ fn folded(
     let mut acc = vec![0.0f32; layer.param_count()];
     for range in boundaries(acc.len(), param_cuts).windows(2) {
         for call in boundaries(records.len(), sample_cuts).windows(2) {
-            layer.add_grads(&records[call[0]..call[1]], range[0], &mut acc[range[0]..range[1]]);
+            let (records, acc) = (&records[call[0]..call[1]], &mut acc[range[0]..range[1]]);
+            layer.record_format().add_grads(records, range[0], acc);
         }
     }
     acc
@@ -319,7 +320,7 @@ proptest! {
         }
     }
 
-    /// `FcLayer::add_grads` forms the rank-B update from `(δ, x)` records:
+    /// `RecordFormat::Outer` forms the rank-B update from `(δ, x)` records:
     /// over any partition of the parameters (partial first and last rows
     /// included) and any split of the samples into consecutive calls it
     /// gives, bit for bit, "write each sample's dense `g * xi`, then
@@ -349,8 +350,8 @@ proptest! {
         prop_assert_eq!(words(&got), words(&want));
     }
 
-    /// The same for the provided `add_grads`, whose record is the dense
-    /// gradient itself.
+    /// The same for `RecordFormat::Dense`, the provided format, whose
+    /// record is the dense gradient itself.
     #[test]
     fn default_add_grads_is_the_dense_sum_under_any_split(
         params in 1usize..200,

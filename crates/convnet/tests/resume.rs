@@ -10,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::{ConvLayer, FcLayer, ReluLayer};
-use spg_convnet::sgd::{BatchAcc, BatchFold, LocalFold, Progress};
+use spg_convnet::sgd::{BatchAcc, BatchFold, Folded, LocalFold, Progress};
 use spg_convnet::{ConvSpec, EpochStats, Network, Trainer, TrainerConfig};
 use spg_tensor::Shape3;
 
@@ -65,13 +65,12 @@ impl BatchFold for FailOnce {
         batch: usize,
         samples: Range<usize>,
         acc: &mut BatchAcc,
-    ) -> Result<(), Interrupted> {
+    ) -> Result<Folded<'_>, Interrupted> {
         if self.at == Some((epoch, batch)) {
             self.at = None;
             return Err(Interrupted);
         }
-        self.inner.fold(net, data, epoch, batch, samples, acc).expect("the local fold folds");
-        Ok(())
+        Ok(self.inner.fold(net, data, epoch, batch, samples, acc).expect("the local fold folds"))
     }
 }
 

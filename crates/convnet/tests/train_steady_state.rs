@@ -3,11 +3,12 @@
 //! Counts, under a counting global allocator, the heap requests at least
 //! half a dense gradient large made by whole `try_train` runs at two
 //! sample threads on a net whose parameters are almost all in one
-//! fully-connected layer. The batch accumulator and the momentum buffer
-//! are two such requests; the count must not depend on how many steps the
-//! run takes **nor on the batch size** — no record set and no slot
-//! workspace is gradient-sized, because a sample's record of that layer
-//! is `(δ, x)`. The same runs pin the fold's fork budget and its bits.
+//! fully-connected layer. The momentum buffer is the one such request:
+//! the update pass sums the batch tile by tile and stores no batch
+//! gradient, and no record set and no slot workspace is gradient-sized,
+//! because a sample's record of that layer is `(δ, x)` — so the count
+//! depends neither on how many steps the run takes **nor on the batch
+//! size**. The same runs pin the update pass's fork budget and its bits.
 //! This file holds one test on purpose: both counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,19 +109,19 @@ fn pooled_steps_hold_no_dense_per_sample_gradient() {
     let short = run(2, 4, 2);
     let long = run(2, 4, 6);
     let wide = run(2, 16, 2);
-    assert!(short.large_requests > 0, "the counter sees the accumulator and the momentum buffer");
+    assert_eq!(short.large_requests, 1, "the momentum buffer, and no batch accumulator");
     assert_eq!(long.large_requests, short.large_requests, "four extra steps");
     assert_eq!(wide.large_requests, short.large_requests, "four times the result slots");
 
     // Two forks a step: the second slot's block of samples, and — one
-    // layer is above the fork floor at either batch size — the fold's
-    // second range on that slot's core.
+    // layer is above the fork floor at either batch size — the update
+    // pass's second range on that slot's core.
     assert_eq!((short.forks, long.forks, wide.forks), (4, 12, 4));
 
     for (pooled, (batch, steps)) in [(&short, (4, 2)), (&long, (4, 6)), (&wide, (16, 2))] {
         let solo = run(1, batch, steps);
         assert_eq!(solo.forks, 0, "one sample thread runs and folds on its own core");
-        assert_eq!(solo.losses, pooled.losses, "batch {batch}: two range folds vs one");
+        assert_eq!(solo.losses, pooled.losses, "batch {batch}: two update ranges vs one");
         assert_eq!(solo.large_requests, pooled.large_requests);
     }
 }

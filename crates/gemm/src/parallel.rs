@@ -104,8 +104,9 @@ pub fn parallel_gemm_slice<B: RightOperand + ?Sized>(
 /// packed by `pack` from `a` at leading dimension `lda`, with row `r` of
 /// `op(A)` starting at `a[r * row_step..]` (`lda` for [`pack_a`], 1 for a
 /// left operand stored transposed). The rows of `C` split as
-/// [`parallel_gemm_slice`] documents. One thread runs the serial multiply
-/// on the caller's `a_pack` / `b_pack`; with more, each band packs into
+/// [`parallel_gemm_slice`] documents. The first run of bands (all of them
+/// at one thread) runs on the calling thread and packs into the caller's
+/// `a_pack` / `b_pack`, warm from earlier calls; each other run packs into
 /// buffers of its own.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_row_bands<B: RightOperand + ?Sized>(
@@ -136,7 +137,7 @@ pub(crate) fn gemm_row_bands<B: RightOperand + ?Sized>(
         run(m, a, c, a_pack, b_pack);
         return;
     }
-    let mut rest = c;
+    let (mut rest, mut caller) = (c, Some((a_pack, b_pack)));
     spg_sync::fork_join((0..threads).map(|t| {
         // Thread t runs its run of bands as one band.
         let run_of = spg_sync::partition(bands, threads, t);
@@ -144,8 +145,11 @@ pub(crate) fn gemm_row_bands<B: RightOperand + ?Sized>(
             ..spg_sync::partition(m, bands, run_of.end - 1).end;
         let (cband, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * n);
         rest = tail;
-        let aband = &a[rows.start * row_step..];
-        move || run(rows.len(), aband, cband, &mut Vec::new(), &mut Vec::new())
+        let (aband, packs) = (&a[rows.start * row_step..], caller.take());
+        move || match packs {
+            Some((a_pack, b_pack)) => run(rows.len(), aband, cband, a_pack, b_pack),
+            None => run(rows.len(), aband, cband, &mut Vec::new(), &mut Vec::new()),
+        }
     }));
 }
 
@@ -212,6 +216,20 @@ mod tests {
             parallel_gemm_slice(m, n, k, a.as_slice(), &b, &mut c, (bands, threads), packs);
             assert_eq!(c, serial, "bands={bands} threads={threads}");
         }
+    }
+
+    /// Band 0 runs on the calling thread, so it packs into the caller's
+    /// buffers rather than fresh ones.
+    #[test]
+    fn the_first_band_packs_into_the_callers_buffers() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        let (m, k, n) = (12, 5, 7);
+        let a = Matrix::random_uniform(m, k, 1.0, &mut rng);
+        let b = Matrix::random_uniform(k, n, 1.0, &mut rng);
+        let (b, mut pa, mut pb) = (RowMajor::new(b.as_slice(), n), Vec::new(), Vec::new());
+        let mut c = vec![0.0f32; m * n];
+        parallel_gemm_slice(m, n, k, a.as_slice(), &b, &mut c, (2, 2), (&mut pa, &mut pb));
+        assert!(pa.capacity() > 0 && pb.capacity() > 0, "the caller's packs went unused");
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl Tensor {
         self.data.iter()
     }
 
-    /// Iterates mutably over elements.
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, f32> {
-        self.data.iter_mut()
-    }
-
     /// Fraction of elements equal to zero, in `[0, 1]`.
     ///
     /// This is the paper's *sparsity* measure (Sec. 1.2) applied to a raw

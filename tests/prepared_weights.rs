@@ -111,13 +111,11 @@ fn layer_phases_never_read_stale_prepared_weights() {
         "{lowered:?}"
     );
 
-    for (i, layer) in net.layers_mut().iter_mut().enumerate() {
-        if layer.param_count() > 0 {
-            let grads = Tensor::from_vec(pseudo(layer.param_count(), 40 + i as u64));
-            layer.apply_update(&grads, 0.05);
-        }
-    }
-    assert_fresh(&net, "apply_update", compile_planned(&plans));
+    let grads: Vec<Tensor> = (net.layers().iter().enumerate())
+        .map(|(i, layer)| Tensor::from_vec(pseudo(layer.param_count(), 40 + i as u64)))
+        .collect();
+    net.apply_gradient_slices(&grads, 0.05, 1.0);
+    assert_fresh(&net, "apply_gradient_slices", compile_planned(&plans));
 
     for (i, layer) in net.layers_mut().iter_mut().enumerate() {
         if layer.param_count() > 0 {

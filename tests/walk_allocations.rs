@@ -1,10 +1,13 @@
-//! A warm training walk allocates nothing with telemetry off.
+//! A warm training walk allocates nothing with telemetry off, and neither
+//! does a warm step's update pass.
 //!
 //! Counts, under a counting global allocator, every heap request made by
 //! forward and backward walks of a conv/relu/pool/fc net after one warm-up
 //! call: the trainer's block walk (`process_block`, the only way a sample
 //! is trained, which writes the loss gradient in place), at a block of one
-//! and of three. Telemetry is off, so each instrumentation site is one
+//! and of three. Then, in a momentum run of the trainer's own loop, the
+//! requests between one batch's fold and the next: the update pass, which
+//! sums and applies the batch in tiles the fold owns. Telemetry is off, so each instrumentation site is one
 //! relaxed load — no scope label is formatted. The convs run the executors the heuristic plans at budget 1:
 //! the stencil forward on the 4-feature layer, the GEMM forward on the
 //! 128-feature one and the GEMM backward on both, every GEMM packing its
@@ -18,9 +21,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
-use spg_cnn::convnet::sgd::process_block;
+use std::ops::Range;
+
+use spg_cnn::convnet::sgd::{process_block, BatchAcc, BatchFold, Folded, LocalFold, Progress};
 use spg_cnn::convnet::workspace::record_buffers;
-use spg_cnn::convnet::{ConvSpec, Network, Workspace};
+use spg_cnn::convnet::{ConvSpec, Network, TrainError, Trainer, TrainerConfig, Workspace};
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::schedule::Technique;
 use spg_cnn::tensor::{Shape3, Tensor};
@@ -88,6 +93,37 @@ fn make_net() -> Network {
     net
 }
 
+/// The trainer's own fold, noting the request count as a fold returns and
+/// as the next fold of the same epoch starts: between them lies the loop's
+/// work on the batch, its update pass.
+struct Between {
+    inner: LocalFold,
+    returned: Option<usize>,
+    gaps: Vec<usize>,
+}
+
+impl BatchFold for Between {
+    type Error = TrainError;
+
+    fn fold(
+        &mut self,
+        net: &Network,
+        data: &Dataset,
+        epoch: usize,
+        batch: usize,
+        samples: Range<usize>,
+        acc: &mut BatchAcc,
+    ) -> Result<Folded<'_>, TrainError> {
+        let started = REQUESTS.load(Ordering::Relaxed);
+        if let Some(returned) = self.returned.take().filter(|_| batch > 0) {
+            self.gaps.push(started - returned);
+        }
+        let folded = self.inner.fold(net, data, epoch, batch, samples, acc)?;
+        self.returned = Some(REQUESTS.load(Ordering::Relaxed));
+        Ok(folded)
+    }
+}
+
 /// Heap requests `walk` makes over `reps` calls.
 fn requests(reps: usize, mut walk: impl FnMut(usize)) -> usize {
     let before = REQUESTS.load(Ordering::Relaxed);
@@ -115,4 +151,14 @@ fn warm_walks_allocate_nothing() {
         block(0);
         assert_eq!(requests(6, &mut block), 0, "process_block of {k}");
     }
+
+    // Two epochs of four batches: six update passes between folds.
+    let mut net = net;
+    let config = TrainerConfig { epochs: 2, batch_size: 2, momentum: 0.9, ..Default::default() };
+    let mut fold = Between { inner: LocalFold::new(&net), returned: None, gaps: vec![] };
+    fold.gaps.reserve(8);
+    let mut progress = Progress::fresh(&net);
+    let mut data = data;
+    Trainer::new(config).run(&mut net, &mut data, &mut fold, &mut progress, |_, _| {}).unwrap();
+    assert_eq!(fold.gaps, [0; 6], "requests between folds");
 }
