@@ -44,10 +44,12 @@
 //! [`chunk_floats`](crate::InProcTrainOptions::chunk_floats)-sized frames
 //! whose indices run over the whole layout. What is given up is overlap
 //! *within* the fold (the chain is serial across ranks), which the
-//! interconnect model in `spg-simcpu` charges for honestly. Scalars (the
-//! f64 loss sum, the correct count, the conv sparsity sums) ride an
-//! [`Message::AccMeta`] frame and fold in the same order, so epoch
-//! statistics are bit-identical too.
+//! interconnect model in `spg-simcpu` charges for honestly. The scalars
+//! are the trainer's own `spg_convnet::sgd::BatchAcc` (the f64 loss sum,
+//! the correct count, the conv sparsity sums): each rank adds its block
+//! onto the accumulator that arrives, with the trainer's one
+//! `BatchAcc::add_scalars`, and it rides an [`Message::AccMeta`] frame per
+//! leg, so epoch statistics are bit-identical too.
 //!
 //! # Buffers and flushes
 //!
@@ -70,6 +72,8 @@
 
 use std::io::{Read, Write};
 use std::ops::Range;
+
+use spg_convnet::sgd::BatchAcc;
 
 use crate::wire::{
     decode_chunk_into, decode_frame, encode_chunk_into, encode_frame, read_frame_into, ChunkHead,
@@ -105,44 +109,6 @@ pub struct SampleGrad {
     pub sparsity: Vec<f64>,
 }
 
-/// The fully reduced batch accumulator [`ring_allreduce`] returns. The
-/// chain itself folds and carries only its scalars, which ride one
-/// `AccMeta` frame per leg; the gradient travels as the step's spans.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchAcc {
-    /// Flattened summed gradients.
-    pub grads: Vec<f32>,
-    /// Summed losses (f64, folded in global sample order).
-    pub loss_sum: f64,
-    /// Correct-prediction count.
-    pub correct: u64,
-    /// Summed per-conv-layer sparsities.
-    pub sparsity_sums: Vec<f64>,
-}
-
-impl BatchAcc {
-    /// A zeroed accumulator for `grad_len` parameters and `conv_count`
-    /// conv layers.
-    pub fn zeroed(grad_len: usize, conv_count: usize) -> Self {
-        BatchAcc {
-            grads: vec![0.0; grad_len],
-            loss_sum: 0.0,
-            correct: 0,
-            sparsity_sums: vec![0.0; conv_count],
-        }
-    }
-
-    /// Folds one sample's scalars in — the same statements the trainer's
-    /// `BatchAcc::add_scalars` executes.
-    pub(crate) fn add_scalars(&mut self, loss: f32, correct: bool, sparsity: &[f64]) {
-        self.loss_sum += f64::from(loss);
-        self.correct += u64::from(correct);
-        for (dst, &src) in self.sparsity_sums.iter_mut().zip(sparsity) {
-            *dst += src;
-        }
-    }
-}
-
 /// The form a span of a step's layout takes on the chain (see the
 /// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,8 +134,8 @@ pub(crate) trait Step {
     fn span(&mut self, k: usize) -> (Span, &mut [f32]);
 
     /// Folds this rank's block, in sample order, onto summed span `k`'s
-    /// buffer — onto zeros when `zero`, whatever the buffer held.
-    fn fold(&mut self, k: usize, zero: bool);
+    /// buffer.
+    fn fold(&mut self, k: usize);
 
     /// Folds this rank's block's scalars onto `acc`, in sample order.
     fn fold_scalars(&self, acc: &mut BatchAcc);
@@ -241,13 +207,13 @@ impl Ring<'_, '_> {
         read_frame_into(&mut *self.link.rx_prev, self.frame).map_err(|e| self.wire_err(e))
     }
 
-    /// Queues the accumulator's scalars as one `AccMeta` frame.
+    /// Queues the accumulator as one `AccMeta` frame.
     fn send_meta(&mut self, acc: &BatchAcc) -> Result<(), ClusterError> {
         let meta = encode_frame(&Message::AccMeta {
             epoch: self.epoch,
             batch: self.batch,
             loss_sum_bits: acc.loss_sum.to_bits(),
-            correct: acc.correct,
+            correct: u64::try_from(acc.correct).expect("correct count fits u64"),
             sparsity_bits: acc.sparsity_sums.iter().map(|s| s.to_bits()).collect(),
         });
         self.link.tx_next.write_all(&meta).map_err(|e| self.wire_err(e.into()))?;
@@ -255,16 +221,25 @@ impl Ring<'_, '_> {
         Ok(())
     }
 
-    /// Receives an `AccMeta` frame, sequence-checked, into `acc`.
+    /// Receives an `AccMeta` frame, sequence-checked, into `acc`, whose
+    /// conv layers it must count.
     fn recv_meta(&mut self, acc: &mut BatchAcc) -> Result<(), ClusterError> {
         self.recv()?;
         match decode_frame(self.frame).map_err(|e| self.wire_err(e))?.0 {
             Message::AccMeta { epoch, batch, loss_sum_bits, correct, sparsity_bits } => {
                 self.check_seq(epoch, batch)?;
+                if sparsity_bits.len() != acc.sparsity_sums.len() {
+                    return Err(self.protocol(format!(
+                        "AccMeta carries {} sparsity sums for {} conv layers",
+                        sparsity_bits.len(),
+                        acc.sparsity_sums.len()
+                    )));
+                }
                 acc.loss_sum = f64::from_bits(loss_sum_bits);
-                acc.correct = correct;
-                acc.sparsity_sums.clear();
-                acc.sparsity_sums.extend(sparsity_bits.into_iter().map(f64::from_bits));
+                acc.correct = usize::try_from(correct).map_err(|e| self.protocol(e.to_string()))?;
+                for (sum, bits) in acc.sparsity_sums.iter_mut().zip(sparsity_bits) {
+                    *sum = f64::from_bits(bits);
+                }
                 Ok(())
             }
             other => {
@@ -338,13 +313,13 @@ impl Ring<'_, '_> {
 
 /// Runs the ordered chain-in-ring all-reduce for one batch, in place.
 ///
-/// On return every summed span of `step` holds the batch's sum, every
-/// record span the record of its sample, and `acc` the batch's scalars
-/// (its `grads` are not touched) —
+/// `acc` enters zeroed, as the trainer's loop hands it to a fold. On
+/// return every summed span of `step` holds the batch's sum, every record
+/// span the record of its sample, and `acc` the batch's scalars —
 /// identical, bit for bit, on every rank, and equal to what the
-/// single-process trainer computes for the same batch. What `acc` and the
-/// spans (other than this rank's own records) held on entry is
-/// irrelevant. `frame` is scratch (see the module docs for the buffer and
+/// single-process trainer computes for the same batch. What the spans
+/// (other than this rank's own records) held on entry is irrelevant.
+/// `frame` is scratch (see the module docs for the buffer and
 /// flush rules); the call allocates nothing that grows with the
 /// gradient. Records `cluster.ring.wire_bytes`: the bytes this rank sent.
 ///
@@ -368,11 +343,7 @@ pub(crate) fn ring_allreduce_into(
     let block = step.block();
 
     // ---- Reduce leg: 0 → 1 → … → W-1, adding blocks in rank order. ----
-    if first {
-        acc.loss_sum = 0.0;
-        acc.correct = 0;
-        acc.sparsity_sums.fill(0.0);
-    } else {
+    if !first {
         ring.recv_meta(acc)?;
     }
     step.fold_scalars(acc);
@@ -390,8 +361,12 @@ pub(crate) fn ring_allreduce_into(
             Span::Record(s) => (s < block.start, s < block.end && !last),
         };
         if form == Span::Summed {
+            // The first rank folds onto zeros, whatever the buffer held.
+            if first {
+                span.fill(0.0);
+            }
             ring.relay(false, span, recv.then_some(&mut rx), None)?;
-            step.fold(k, first);
+            step.fold(k);
             if send {
                 ring.relay(false, step.span(k).1, None, Some(&mut tx))?;
             }
@@ -458,12 +433,9 @@ impl Step for Dense<'_> {
         (Span::Summed, &mut self.grads[range])
     }
 
-    fn fold(&mut self, k: usize, zero: bool) {
+    fn fold(&mut self, k: usize) {
         let range = self.range(k);
         let sum = &mut self.grads[range.clone()];
-        if zero {
-            sum.fill(0.0);
-        }
         for s in self.samples {
             for (a, &g) in sum.iter_mut().zip(&s.grads[range.clone()]) {
                 *a += g;
@@ -473,17 +445,17 @@ impl Step for Dense<'_> {
 
     fn fold_scalars(&self, acc: &mut BatchAcc) {
         for s in self.samples {
-            acc.add_scalars(s.loss, s.correct, &s.sparsity);
+            acc.add_scalars(&[(s.loss, s.correct)], &s.sparsity);
         }
     }
 }
 
 /// The all-reduce of dense per-sample gradients: `samples` are this
 /// rank's contributions in its local sample order, each at least
-/// `grad_len` floats; the whole gradient crosses the chain summed.
-/// Allocates the accumulator (`grad_len` floats, `conv_count` sparsity
-/// sums) and the frame buffer per call and returns the finished
-/// accumulator.
+/// `grad_len` floats and `conv_count` sparsities; the whole gradient
+/// crosses the chain summed. Allocates the summed gradient (`grad_len`
+/// floats), the accumulator and the frame buffer per call and returns the
+/// first two.
 ///
 /// # Errors
 ///
@@ -493,7 +465,8 @@ impl Step for Dense<'_> {
 ///
 /// # Panics
 ///
-/// Panics if a sample's gradient is shorter than `grad_len`.
+/// Panics if a sample's gradient is shorter than `grad_len`, or its
+/// sparsities are not `conv_count`.
 pub fn ring_allreduce(
     link: &mut RingLink<'_>,
     epoch: u32,
@@ -502,13 +475,11 @@ pub fn ring_allreduce(
     grad_len: usize,
     conv_count: usize,
     chunk_floats: usize,
-) -> Result<BatchAcc, ClusterError> {
-    let mut acc = BatchAcc::zeroed(grad_len, conv_count);
-    let mut grads = std::mem::take(&mut acc.grads);
+) -> Result<(Vec<f32>, BatchAcc), ClusterError> {
+    let (mut grads, mut acc) = (vec![0.0; grad_len], BatchAcc::new(conv_count));
     let mut dense = Dense { samples, grads: &mut grads, span: chunk_floats.max(1) };
     ring_allreduce_into(link, epoch, batch, &mut dense, &mut acc, chunk_floats, &mut Vec::new())?;
-    acc.grads = grads;
-    Ok(acc)
+    Ok((grads, acc))
 }
 
 #[cfg(test)]
@@ -539,25 +510,28 @@ mod tests {
             .collect()
     }
 
+    /// A summed gradient and the batch's scalars.
+    type Reduced = (Vec<f32>, BatchAcc);
+
     /// The oracle: the single-process pool's fold (global sample order).
-    fn sequential_fold(blocks: &[Vec<SampleGrad>], grad_len: usize) -> BatchAcc {
-        let mut acc = BatchAcc::zeroed(grad_len, 1);
+    fn sequential_fold(blocks: &[Vec<SampleGrad>], grad_len: usize) -> Reduced {
+        let (mut grads, mut acc) = (vec![0.0; grad_len], BatchAcc::new(1));
         for s in blocks.iter().flatten() {
-            acc.add_scalars(s.loss, s.correct, &s.sparsity);
-            for (a, &g) in acc.grads.iter_mut().zip(&s.grads) {
+            acc.add_scalars(&[(s.loss, s.correct)], &s.sparsity);
+            for (a, &g) in grads.iter_mut().zip(&s.grads) {
                 *a += g;
             }
         }
-        acc
+        (grads, acc)
     }
 
-    fn assert_bit_equal(got: &BatchAcc, expect: &BatchAcc, what: &str) {
-        assert_eq!(got.loss_sum.to_bits(), expect.loss_sum.to_bits(), "{what}: loss");
-        assert_eq!(got.correct, expect.correct, "{what}: correct");
+    fn assert_bit_equal((grads, acc): &Reduced, (want_grads, want): &Reduced, what: &str) {
+        assert_eq!(acc.loss_sum.to_bits(), want.loss_sum.to_bits(), "{what}: loss");
+        assert_eq!(acc.correct, want.correct, "{what}: correct");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.grads), bits(&expect.grads), "{what}: grads");
+        assert_eq!(bits(grads), bits(want_grads), "{what}: grads");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.sparsity_sums), bits(&expect.sparsity_sums), "{what}: sparsity");
+        assert_eq!(bits(&acc.sparsity_sums), bits(&want.sparsity_sums), "{what}: sparsity");
     }
 
     /// Socketpairs for a `world`-rank ring: element `r` is rank `r`'s
@@ -579,7 +553,7 @@ mod tests {
         blocks: Vec<Vec<SampleGrad>>,
         grad_len: usize,
         chunk: impl Fn(usize) -> usize + Sync,
-    ) -> Vec<Result<BatchAcc, ClusterError>> {
+    ) -> Vec<Result<Reduced, ClusterError>> {
         let world = blocks.len();
         let chunk = &chunk;
         std::thread::scope(|scope| {
@@ -633,21 +607,20 @@ mod tests {
                         let mut rx = BufReader::new(rx);
                         let mut tx = BufWriter::new(tx);
                         let mut link = RingLink { rank, world, rx_prev: &mut rx, tx_next: &mut tx };
-                        let mut acc = BatchAcc::zeroed(0, 1);
                         let mut grads = vec![0.0; grad_len];
                         let mut frame = Vec::new();
                         let mut sized = None;
                         for (b, blocks) in per_batch.iter().enumerate() {
                             let batch = u32::try_from(b).unwrap();
                             let samples = &blocks[rank];
+                            let mut acc = BatchAcc::new(1);
                             let mut dense = Dense { samples, grads: &mut grads, span: chunk };
                             ring_allreduce_into(
                                 &mut link, 1, batch, &mut dense, &mut acc, chunk, &mut frame,
                             )
                             .unwrap();
                             let what = format!("world {world} rank {rank} batch {b}");
-                            let got = BatchAcc { grads: grads.clone(), ..acc.clone() };
-                            assert_bit_equal(&got, &expect[b], &what);
+                            assert_bit_equal(&(grads.clone(), acc), &expect[b], &what);
                             let now = (frame.as_ptr(), frame.capacity(), grads.as_ptr());
                             assert_eq!(*sized.get_or_insert(now), now, "{what}: buffers moved");
                         }
@@ -671,12 +644,16 @@ mod tests {
     }
 
     fn meta(epoch: u32) -> Vec<u8> {
+        meta_with(epoch, vec![0])
+    }
+
+    fn meta_with(epoch: u32, sparsity_bits: Vec<u64>) -> Vec<u8> {
         encode_frame(&Message::AccMeta {
             epoch,
             batch: 0,
             loss_sum_bits: 0,
             correct: 0,
-            sparsity_bits: vec![0],
+            sparsity_bits,
         })
     }
 
@@ -693,6 +670,17 @@ mod tests {
             matches!(err, ClusterError::Protocol { rank: 1, .. }),
             "expected Protocol error, got {err:?}"
         );
+    }
+
+    /// The scalars land in the trainer's own accumulator, sized for the
+    /// rank's conv layers: a peer that sends another count of sparsity
+    /// sums is refused, not truncated or grown.
+    #[test]
+    fn a_wrong_sparsity_count_is_a_typed_protocol_error() {
+        for sums in [vec![], vec![0, 0]] {
+            let err = rank1_fed(&[meta_with(1, sums.clone())], 4, 4);
+            assert!(matches!(err, ClusterError::Protocol { rank: 1, .. }), "{sums:?}: {err:?}");
+        }
     }
 
     /// Regression: the ring used to take a chunk's float count from the

@@ -75,7 +75,7 @@ pub mod shard;
 pub mod train;
 pub mod wire;
 
-pub use allreduce::{ring_allreduce, AllReduce, BatchAcc, RingLink, SampleGrad};
+pub use allreduce::{ring_allreduce, AllReduce, RingLink, SampleGrad};
 pub use hash::HashRing;
 pub use router::{
     InProcShard, PendingRoute, RemoteShard, RouteReply, Router, RouterConfig, ShardBackend,

@@ -49,13 +49,13 @@ use std::time::Duration;
 
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::Layer;
-use spg_convnet::sgd::{self, BatchFold, Folded, Progress};
+use spg_convnet::sgd::{self, stats_bits, BatchAcc, BatchFold, Folded, Progress};
 use spg_convnet::workspace::{record_buffers, Workspace};
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
 use spg_tensor::Tensor;
 
-use crate::allreduce::{ring_allreduce_into, AllReduce, BatchAcc, RingLink, Span, Step};
+use crate::allreduce::{ring_allreduce_into, AllReduce, RingLink, Span, Step};
 use crate::ClusterError;
 
 /// A deterministic mid-all-reduce fault drill: the named rank drops its
@@ -154,12 +154,6 @@ fn gathered(layer: &dyn Layer, batch_len: usize) -> bool {
     batch_len * layer.grad_record_len() < layer.param_count()
 }
 
-/// `grads` as an accumulator for `sgd::fold_records`, with every layer
-/// `keep` rejects left out.
-fn masked(grads: &mut [Tensor], keep: impl Fn(usize) -> bool) -> impl Iterator<Item = &mut [f32]> {
-    grads.iter_mut().enumerate().map(move |(l, g)| if keep(l) { g.as_mut_slice() } else { &mut [] })
-}
-
 /// The ring implementation of the trainer's [`BatchFold`] seam: this
 /// rank runs its block of the batch ([`spg_sync::partition`]) and the
 /// ordered chain-in-ring all-reduce folds every rank's samples in global
@@ -170,7 +164,8 @@ fn masked(grads: &mut [Tensor], keep: impl Fn(usize) -> bool) -> impl Iterator<I
 ///
 /// Every buffer lives here for the whole run — the record slots, the
 /// summed spans, the layout, the wire frame, the update pass's tile — so a
-/// steady-state step allocates nothing that grows with the model.
+/// steady-state step allocates nothing that grows with the model. The
+/// batch's scalars go straight onto the loop's `acc`.
 struct RingFold<'r> {
     opts: &'r RankOptions,
     /// The ring links, buffered once for the run. The reader must live as
@@ -178,23 +173,25 @@ struct RingFold<'r> {
     /// [`allreduce`](crate::allreduce)).
     links: BufferedLinks<'r>,
     ws: Workspace,
-    conv_layers: Vec<usize>,
     /// Gradient records by batch position; grows to the largest batch
-    /// seen. This rank's samples land here from `ws` by swap, and the
+    /// seen. The walk writes this rank's samples' records here, and the
     /// records of gathered layers arrive here off the wire.
     records: Vec<Vec<Tensor>>,
     /// This rank's samples' losses and correct flags, in block order.
     scalars: Vec<(f32, bool)>,
-    /// ... and their conv-layer sparsities, `conv_layers.len()` a sample.
+    /// ... and their conv-layer sparsities, one per conv layer a sample.
     sparsity: Vec<f64>,
     /// The batch's layout: `(layer, span)` in wire order.
     layout: Vec<(usize, Span)>,
+    /// Per layer, the summed span the chain sums into and the update pass
+    /// reads, or an empty tensor where the batch gathers the layer and the
+    /// pass sums its records.
+    sums: Vec<Tensor>,
     /// Per layer, the summed span of a layer this batch gathers, kept for
     /// a later batch that sums it (a short batch can flip a layer).
     parked: Vec<Tensor>,
     /// The update pass's one tile: a rank updates on one core.
     tiles: Vec<Vec<f32>>,
-    reduced: BatchAcc,
     frame: Vec<u8>,
 }
 
@@ -204,10 +201,9 @@ struct RankStep<'a> {
     layout: &'a [(usize, Span)],
     block: Range<usize>,
     records: &'a mut [Vec<Tensor>],
-    grads: &'a mut [Tensor],
+    sums: &'a mut [Tensor],
     scalars: &'a [(f32, bool)],
     sparsity: &'a [f64],
-    conv_count: usize,
 }
 
 impl Step for RankStep<'_> {
@@ -222,23 +218,20 @@ impl Step for RankStep<'_> {
     fn span(&mut self, k: usize) -> (Span, &mut [f32]) {
         let (l, span) = self.layout[k];
         let buf = match span {
-            Span::Summed => &mut self.grads[l],
+            Span::Summed => &mut self.sums[l],
             Span::Record(s) => &mut self.records[s][l],
         };
         (span, buf.as_mut_slice())
     }
 
-    fn fold(&mut self, k: usize, zero: bool) {
-        let layer = self.layout[k].0;
-        let sum = masked(self.grads, |l| l == layer);
-        sgd::fold_records(self.net, &self.records[self.block.clone()], zero, sum);
+    fn fold(&mut self, k: usize) {
+        let l = self.layout[k].0;
+        let block = &self.records[self.block.clone()];
+        sgd::add_records(self.net, l, block, self.sums[l].as_mut_slice());
     }
 
     fn fold_scalars(&self, acc: &mut BatchAcc) {
-        let n = self.conv_count;
-        for (j, &(loss, correct)) in self.scalars.iter().enumerate() {
-            acc.add_scalars(loss, correct, &self.sparsity[j * n..(j + 1) * n]);
-        }
+        acc.add_scalars(self.scalars, self.sparsity);
     }
 }
 
@@ -252,7 +245,7 @@ impl BatchFold for RingFold<'_> {
         epoch: usize,
         batch: usize,
         samples: Range<usize>,
-        acc: &mut sgd::BatchAcc,
+        acc: &mut BatchAcc,
     ) -> Result<Folded<'_>, ClusterError> {
         let RankOptions { rank, world, chunk_floats, fault } = *self.opts;
         if fault == Some(TrainFault { rank, epoch, batch }) {
@@ -274,23 +267,19 @@ impl BatchFold for RingFold<'_> {
         }
         // The block runs layer by layer, writing its records straight into
         // their batch slots (`backward_block` overwrites a record in full).
-        self.scalars.clear();
         self.scalars.resize(s1 - s0, (0.0, false));
+        self.sparsity.resize((s1 - s0) * acc.sparsity_sums.len(), 0.0);
         let block = samples.start + s0..samples.start + s1;
         let slots = &mut self.records[s0..s1];
-        sgd::process_block(net, data, block, &mut self.ws, slots, &mut self.scalars);
-        self.sparsity.clear();
-        let layers = net.layers().len();
-        for sample in self.ws.grad_sparsity.chunks_exact(layers).take(s1 - s0) {
-            self.sparsity.extend(self.conv_layers.iter().map(|&li| sample[li]));
-        }
+        let (scalars, sparsity) = (&mut self.scalars, &mut self.sparsity);
+        sgd::process_block(net, data, block, &mut self.ws, slots, scalars, sparsity);
         self.layout.clear();
         for (l, layer) in net.layers().iter().enumerate().filter(|(_, l)| l.param_count() > 0) {
-            // A summed layer's span is its entry in `acc.grads`, where the
+            // A summed layer's span is its entry in `sums`, where the
             // update pass reads the chain's sum; a gathered layer's entry
             // is empty, so the pass sums its records.
             let summed = !gathered(&**layer, batch_len);
-            let entry = &mut acc.grads[l];
+            let entry = &mut self.sums[l];
             if summed == entry.is_empty() {
                 std::mem::swap(entry, &mut self.parked[l]);
             }
@@ -308,10 +297,9 @@ impl BatchFold for RingFold<'_> {
             layout: &self.layout,
             block: s0..s1,
             records: &mut self.records,
-            grads: &mut acc.grads,
+            sums: &mut self.sums,
             scalars: &self.scalars,
             sparsity: &self.sparsity,
-            conv_count: self.conv_layers.len(),
         };
         let mut link = RingLink { rank, world, rx_prev, tx_next };
         ring_allreduce_into(
@@ -319,21 +307,21 @@ impl BatchFold for RingFold<'_> {
             u32::try_from(epoch).expect("epoch fits u32"),
             u32::try_from(batch).expect("batch index fits u32"),
             &mut step,
-            &mut self.reduced,
+            acc,
             chunk_floats,
             &mut self.frame,
         )?;
-        acc.loss_sum = self.reduced.loss_sum;
-        acc.correct = usize::try_from(self.reduced.correct).expect("correct count fits usize");
-        acc.sparsity_sums.clone_from(&self.reduced.sparsity_sums);
         // Every rank now holds the whole batch's records of the gathered
         // layers; the update pass sums them on this rank's core.
-        Ok(Folded { records: &self.records[..batch_len], tiles: &mut self.tiles })
+        let records = &self.records[..batch_len];
+        Ok(Folded { records, sums: &self.sums, tiles: &mut self.tiles })
     }
 }
 
 /// Runs one rank of the synchronous data-parallel training loop: the
-/// trainer's own [`Trainer::run`] over the ring fold.
+/// trainer's own [`Trainer::run`] over the ring fold. A rank runs its
+/// block of each batch, and its update pass, on one thread: it does not
+/// read [`TrainerConfig::sample_threads`].
 ///
 /// `net` and `progress` are the committed state the rank starts from
 /// (`Progress::fresh` over a newly built network on a first attempt) and
@@ -368,7 +356,6 @@ pub fn run_rank(
         });
     }
 
-    let conv_layers = sgd::conv_layer_indices(net);
     let (mut empty, mut sink) = (std::io::empty(), std::io::sink());
     let (rx_prev, tx_next): (&mut dyn Read, &mut dyn Write) = match comm {
         // One rank is its ring's first and last rank at once: the chain
@@ -383,12 +370,11 @@ pub fn run_rank(
             BufWriter::with_capacity(LINK_BUF, tx_next),
         ),
         ws: Workspace::for_network(net),
-        reduced: BatchAcc::zeroed(0, conv_layers.len()),
-        conv_layers,
         records: Vec::new(),
         scalars: Vec::new(),
         sparsity: Vec::new(),
         layout: Vec::new(),
+        sums: vec![Tensor::default(); net.layers().len()],
         parked: vec![Tensor::default(); net.layers().len()],
         tiles: sgd::fold_tiles(net, 1),
         frame: Vec::new(),
@@ -550,14 +536,11 @@ pub fn train_in_proc(
             // All ranks finished; they must agree bit-for-bit.
             let mut stats = outcomes.into_iter().map(|(_, result)| result.expect("checked ok"));
             let reference = stats.next().expect("world >= 1");
-            let loss_bits = |s: &[EpochStats]| -> Vec<u64> {
-                s.iter().map(|e| e.mean_loss.to_bits()).collect()
-            };
             for (rank, got) in stats.enumerate() {
-                if loss_bits(&got) != loss_bits(&reference) {
+                if stats_bits(&got) != stats_bits(&reference) {
                     return Ok(Err(ClusterError::Protocol {
                         rank: rank + 1,
-                        detail: "ranks disagree on epoch losses after all-reduce".to_string(),
+                        detail: "ranks disagree on epoch statistics after all-reduce".to_string(),
                     }));
                 }
             }
@@ -633,47 +616,39 @@ mod tests {
         TrainerConfig { epochs: 3, momentum: 0.9, batch_size: 8, ..TrainerConfig::default() }
     }
 
-    fn pool_loss_bits() -> Vec<u64> {
-        let mut net = make_net().unwrap();
-        let mut data = make_data();
-        Trainer::new(trainer_cfg())
-            .train(&mut net, &mut data)
-            .iter()
-            .map(|s| s.mean_loss.to_bits())
-            .collect()
+    /// The single-process pool's epoch statistics as [`stats_bits`].
+    fn pool_bits() -> Vec<u64> {
+        stats_bits(&Trainer::new(trainer_cfg()).train(&mut make_net().unwrap(), &mut make_data()))
     }
 
     #[test]
     fn ring_cluster_is_bit_identical_to_the_pool() {
-        let expect = pool_loss_bits();
+        let expect = pool_bits();
         for world in [1usize, 2, 3, 4] {
             let opts = InProcTrainOptions { world, ..Default::default() };
             let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
-            let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-            assert_eq!(got, expect, "world {world} diverged from the single-process pool");
+            assert_eq!(stats_bits(&stats), expect, "world {world} diverged from the pool");
         }
     }
 
     #[test]
     fn small_chunks_do_not_change_the_bits() {
-        let expect = pool_loss_bits();
+        let expect = pool_bits();
         let opts = InProcTrainOptions { world: 3, chunk_floats: 17, ..Default::default() };
         let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
-        let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        assert_eq!(got, expect);
+        assert_eq!(stats_bits(&stats), expect);
     }
 
     #[test]
     fn mid_allreduce_fault_recovers_bit_identically() {
-        let expect = pool_loss_bits();
+        let expect = pool_bits();
         let opts = InProcTrainOptions {
             world: 3,
             fault: Some(TrainFault { rank: 1, epoch: 2, batch: 1 }),
             ..Default::default()
         };
         let stats = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap();
-        let got: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        assert_eq!(got, expect, "recovered run diverged from the fault-free pool run");
+        assert_eq!(stats_bits(&stats), expect, "recovered run diverged from the fault-free pool");
     }
 
     /// [`make_net`] with a hidden layer: at batch 8, FC 36→32 crosses the
@@ -695,15 +670,14 @@ mod tests {
         .map_err(|e| spg_error::Error::new(spg_error::ErrorKind::InvalidNetwork, e.to_string()))
     }
 
-    /// Epoch-loss bits of a ring run on [`make_gathered_net`] over
+    /// The [`stats_bits`] of a ring run on [`make_gathered_net`] over
     /// `samples` samples, and of the solo trainer on the same.
     fn gathered_bits(samples: usize, opts: &InProcTrainOptions) -> (Vec<u64>, Vec<u64>) {
         let data = || Dataset::synthetic(Shape3::new(1, 8, 8), 3, samples, 0.15, 77);
-        let bits = |s: &[EpochStats]| s.iter().map(|e| e.mean_loss.to_bits()).collect();
         let ring = train_in_proc(&make_gathered_net, &data(), &trainer_cfg(), opts).unwrap();
         let solo =
             Trainer::new(trainer_cfg()).train(&mut make_gathered_net().unwrap(), &mut data());
-        (bits(&ring), bits(&solo))
+        (stats_bits(&ring), stats_bits(&solo))
     }
 
     #[test]
@@ -933,7 +907,7 @@ mod tests {
             epoch: usize,
             batch: usize,
             samples: Range<usize>,
-            acc: &mut sgd::BatchAcc,
+            acc: &mut BatchAcc,
         ) -> Result<Folded<'_>, Self::Error> {
             if self.at == Some((epoch, batch)) {
                 return Err((epoch, batch));
@@ -944,7 +918,7 @@ mod tests {
 
     #[test]
     fn local_fold_resumes_from_its_progress_bit_identically() {
-        let expect = pool_loss_bits();
+        let expect = pool_bits();
         // 24 samples at batch 8: three batches per epoch. Stop before the
         // first, a middle and the last batch of an epoch.
         for stop in [(1usize, 0usize), (2, 1), (3, 2)] {
@@ -963,8 +937,7 @@ mod tests {
             fold.at = None;
             let mut data = make_data();
             trainer.run(&mut net, &mut data, &mut fold, &mut progress, |_, _| {}).unwrap();
-            let got: Vec<u64> = progress.stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-            assert_eq!(got, expect, "run stopped at {stop:?} diverged after resume");
+            assert_eq!(stats_bits(&progress.stats), expect, "stopped at {stop:?}, then resumed");
         }
     }
 

@@ -9,7 +9,7 @@
 use spg_tensor::Tensor;
 
 use crate::data::Dataset;
-use crate::sgd::{fold_records, process_block, zero_param_grads};
+use crate::sgd::{add_records, process_block, zero_param_grads};
 use crate::workspace::{record_buffers, Workspace};
 use crate::{ConvScratch, Network, SampleTrace};
 
@@ -71,9 +71,12 @@ pub fn check_gradients(
     // dense gradient is the fold of its records.
     let data = Dataset::of_one(input.clone(), label);
     let (mut ws, mut records) = (Workspace::for_network(net), [record_buffers(net)]);
-    process_block(net, &data, 0..1, &mut ws, &mut records, &mut [(0.0, false)]);
+    let mut sparsity = vec![0.0; net.conv_count()];
+    process_block(net, &data, 0..1, &mut ws, &mut records, &mut [(0.0, false)], &mut sparsity);
     let mut analytic = zero_param_grads(net);
-    fold_records(net, &records, true, analytic.iter_mut().map(Tensor::as_mut_slice));
+    for (l, grad) in analytic.iter_mut().enumerate() {
+        add_records(net, l, &records, grad.as_mut_slice());
+    }
 
     let loss_of = |net: &Network| {
         let mut trace = SampleTrace::for_network(net);

@@ -240,30 +240,47 @@ impl Network {
         (loss, grad)
     }
 
+    /// How many of the layers are convolutions: the length of the Fig. 3b
+    /// sparsity series.
+    pub(crate) fn conv_count(&self) -> usize {
+        self.layers.iter().filter(|l| l.conv_spec().is_some()).count()
+    }
+
     /// The backward walk over the block of `records.len()` samples whose
     /// forward walk `ws.trace` holds, from their loss gradients back to
     /// back at the head of `ws.grad_a`: layer by layer in reverse, sample
-    /// `s`'s gradient records (see [`Layer`]) land in `records[s]` and its
-    /// gradient sparsities — the zero fraction of the *output-side* error
-    /// gradient each layer received, Fig. 3b's quantity for conv layers —
-    /// in `ws.grad_sparsity[s * layers..]`. A convolution at layer 0 is
-    /// handed an empty `grad_ins`: the gradient with respect to the image
-    /// has no reader, so it is not computed.
-    pub(crate) fn backward_walk(&self, ws: &mut Workspace, records: &mut [Vec<Tensor>]) {
-        let (k, layers) = (records.len(), self.layers.len());
-        let Workspace { trace, grad_sparsity, scratch, grad_a, grad_b, staging } = ws;
+    /// `s`'s gradient records (see [`Layer`]) land in `records[s]` and the
+    /// zero fraction of the *output-side* error gradient each conv layer
+    /// received — Fig. 3b's quantity — in `sparsity[s * convs..]`, in
+    /// network order. A convolution at layer 0 is handed an empty
+    /// `grad_ins`: the gradient with respect to the image has no reader, so
+    /// it is not computed.
+    pub(crate) fn backward_walk(
+        &self,
+        ws: &mut Workspace,
+        records: &mut [Vec<Tensor>],
+        sparsity: &mut [f64],
+    ) {
+        let (k, layers, convs) = (records.len(), self.layers.len(), self.conv_count());
+        let Workspace { trace, scratch, grad_a, grad_b, staging } = ws;
         assert_eq!(trace.activations.len(), layers + 1, "workspace trace length");
         assert_eq!(trace.activations[0].len(), k * self.input_len(), "one trace per record set");
         assert!(records.iter().all(|r| r.len() == layers), "gradient slots per sample");
+        assert_eq!(sparsity.len(), k * convs, "one sparsity per sample and conv layer");
         staging.resize_with(k, Tensor::default);
+        let mut conv = convs;
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let _telemetry = spg_telemetry::scope(&self.labels[i], spg_telemetry::Phase::Backward);
             let out_len = layer.output_len();
             let grad_outs = &grad_a.as_slice()[..k * out_len];
-            for (s, grad_out) in grad_outs.chunks_exact(out_len).enumerate() {
-                grad_sparsity[s * layers + i] = slice_sparsity(grad_out);
+            let is_conv = layer.conv_spec().is_some();
+            if is_conv {
+                conv -= 1;
+                for (s, grad_out) in grad_outs.chunks_exact(out_len).enumerate() {
+                    sparsity[s * convs + conv] = slice_sparsity(grad_out);
+                }
             }
-            let in_len = if i == 0 && layer.conv_spec().is_some() { 0 } else { layer.input_len() };
+            let in_len = if i == 0 && is_conv { 0 } else { layer.input_len() };
             // The layer takes this layer's record of every sample as one
             // slice: move them in, and back once it has written them.
             for (slot, record) in staging.iter_mut().zip(records.iter_mut()) {
@@ -401,7 +418,7 @@ pub(crate) mod tests {
 
     #[test]
     fn loss_decreases_under_sgd_step() {
-        use crate::sgd::{fold_records, process_block, zero_param_grads};
+        use crate::sgd::{add_records, process_block, zero_param_grads};
         use crate::workspace::record_buffers;
 
         let mut rng = SmallRng::seed_from_u64(2);
@@ -409,12 +426,15 @@ pub(crate) mod tests {
         let data = crate::data::Dataset::synthetic(Shape3::new(1, 8, 8), 3, 1, 0.2, 2);
         let mut losses = Vec::new();
         let mut ws = Workspace::for_network(&net);
-        let (mut records, mut result) = ([record_buffers(&net)], [(0.0, false)]);
-        let mut grads = zero_param_grads(&net);
+        let (mut records, mut result, mut sparsity) =
+            ([record_buffers(&net)], [(0.0, false)], [0.0]);
         for _ in 0..12 {
-            process_block(&net, &data, 0..1, &mut ws, &mut records, &mut result);
+            process_block(&net, &data, 0..1, &mut ws, &mut records, &mut result, &mut sparsity);
             losses.push(result[0].0);
-            fold_records(&net, &records, true, grads.iter_mut().map(Tensor::as_mut_slice));
+            let mut grads = zero_param_grads(&net);
+            for (l, grad) in grads.iter_mut().enumerate() {
+                add_records(&net, l, &records, grad.as_mut_slice());
+            }
             net.apply_gradient_slices(&grads, 0.05, 1.0);
         }
         assert!(
@@ -427,15 +447,15 @@ pub(crate) mod tests {
     fn backward_measures_sparsity_per_layer() {
         let mut rng = SmallRng::seed_from_u64(3);
         let net = tiny_net(&mut rng);
+        assert_eq!(net.conv_count(), 1);
         let data = crate::data::Dataset::synthetic(Shape3::new(1, 8, 8), 3, 1, 0.2, 3);
         let mut ws = Workspace::for_network(&net);
-        let mut records = [crate::workspace::record_buffers(&net)];
-        crate::sgd::process_block(&net, &data, 0..1, &mut ws, &mut records, &mut [(0.0, false)]);
-        assert_eq!(ws.grad_sparsity.len(), 4);
+        let (mut records, mut sparsity) = ([crate::workspace::record_buffers(&net)], [f64::NAN]);
+        let scalars = &mut [(0.0, false)];
+        crate::sgd::process_block(&net, &data, 0..1, &mut ws, &mut records, scalars, &mut sparsity);
         // The conv layer's incoming gradient passed through ReLU+pool and
-        // must show some sparsity; the logits gradient is dense.
-        assert!(ws.grad_sparsity[0] > 0.0);
-        assert_eq!(ws.grad_sparsity[3], 0.0);
+        // must show some sparsity.
+        assert!(sparsity[0] > 0.0 && sparsity[0] < 1.0, "{sparsity:?}");
     }
 
     #[test]
@@ -487,23 +507,33 @@ pub(crate) mod tests {
 
         let mut rng = SmallRng::seed_from_u64(8);
         let net = block_net(&mut rng);
-        let layers = net.layers().len();
+        let convs = net.conv_count();
         let data = crate::data::Dataset::synthetic(Shape3::new(1, 8, 8), 3, 5, 0.2, 5);
         let mut ws = Workspace::for_network(&net);
         let singles: Vec<_> = (0..5)
             .map(|i| {
                 let (mut records, mut result) = (vec![record_buffers(&net)], [(0.0, false)]);
-                process_block(&net, &data, i..i + 1, &mut ws, &mut records, &mut result);
+                let mut sparsity = vec![f64::NAN; convs];
+                process_block(
+                    &net,
+                    &data,
+                    i..i + 1,
+                    &mut ws,
+                    &mut records,
+                    &mut result,
+                    &mut sparsity,
+                );
                 let (loss, correct) = result[0];
                 let acts = ws.trace.activations.clone();
-                (acts, records.remove(0), ws.grad_sparsity.clone(), loss.to_bits(), correct)
+                (acts, records.remove(0), sparsity, loss.to_bits(), correct)
             })
             .collect();
         for k in 1..=5 {
             let mut ws = Workspace::for_network(&net);
             let mut records: Vec<_> = (0..k).map(|_| record_buffers(&net)).collect();
             let mut results = vec![(f32::NAN, false); k];
-            process_block(&net, &data, 0..k, &mut ws, &mut records, &mut results);
+            let mut sparsities = vec![f64::NAN; k * convs];
+            process_block(&net, &data, 0..k, &mut ws, &mut records, &mut results, &mut sparsities);
             for (s, (acts, one_records, sparsity, loss, correct)) in singles[..k].iter().enumerate()
             {
                 for (i, (block, one)) in ws.trace.activations.iter().zip(acts).enumerate() {
@@ -521,7 +551,7 @@ pub(crate) mod tests {
                         "k {k} s {s} record {l}"
                     );
                 }
-                let block_sparsity = &ws.grad_sparsity[s * layers..(s + 1) * layers];
+                let block_sparsity = &sparsities[s * convs..(s + 1) * convs];
                 assert_eq!(block_sparsity, &sparsity[..], "k {k} s {s} sparsity");
                 assert_eq!(
                     (results[s].0.to_bits(), results[s].1),

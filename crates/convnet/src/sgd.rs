@@ -20,9 +20,11 @@
 //! block `w` of the batch cut by [`spg_sync::partition`] — the same
 //! contiguous partition a ring rank runs — one sample at a time, all
 //! slots at once on one [`spg_sync::fork_join`]; no thread outlives the
-//! batch. Each sample leaves its records in that batch position's record
-//! set, so the update pass that follows reads them in sample order and
-//! the f32 gradient accumulation is bit-identical for every thread count.
+//! batch. Each sample leaves its records, its loss and verdict and its
+//! conv layers' gradient sparsities in that batch position's slots, so
+//! the fold adds the scalars onto the one [`BatchAcc`] and the update pass
+//! reads the records in sample order: the f32 accumulation is
+//! bit-identical for every thread count.
 //!
 //! # Records, folded into the update
 //!
@@ -268,7 +270,7 @@ impl Trainer {
         mut after_epoch: impl FnMut(&mut Network, &EpochStats),
     ) -> Result<(), F::Error> {
         let batch_size = self.config.batch_size;
-        let mut acc = BatchAcc::for_network(net);
+        let mut acc = BatchAcc::new(net.conv_count());
         for epoch in 1..=self.config.epochs {
             data.shuffle(self.config.shuffle_seed.wrapping_add(epoch as u64));
             let data_len = data.len();
@@ -282,7 +284,7 @@ impl Trainer {
             while progress.next_batch * batch_size < data_len {
                 let batch = progress.next_batch;
                 let samples = batch * batch_size..((batch + 1) * batch_size).min(data_len);
-                acc.begin_batch();
+                acc.clear();
                 let folded = fold.fold(net, data, epoch, batch, samples.clone(), &mut acc)?;
                 progress.epoch_acc.absorb(&acc, samples.len());
                 let rule = Rule {
@@ -290,10 +292,10 @@ impl Trainer {
                     momentum: self.config.momentum,
                     scale: samples.len() as f32,
                 };
-                update(net, rule, &acc.grads, folded, &mut progress.velocity, FORK_FLOOR);
+                update(net, rule, folded, &mut progress.velocity, FORK_FLOOR);
                 progress.next_batch = batch + 1;
             }
-            let stats = progress.epoch_acc.finish(epoch, data_len, start.elapsed().as_secs_f64());
+            let stats = progress.epoch_acc.finish(epoch, start.elapsed().as_secs_f64());
             after_epoch(net, &stats);
             progress.stats.push(stats);
             progress.next_epoch = epoch + 1;
@@ -312,25 +314,21 @@ impl Trainer {
 /// in sample order, plus any pre-summed spans: for every layer with
 /// parameters, either each sample's record of that layer, at its batch
 /// position in [`Folded::records`], or the layer's gradient already summed
-/// in `acc.grads`. A pre-summed span must hold what the pass would have
-/// made of the records: for every element the additions start from `0.0`
-/// and happen in sample order. `acc`'s scalars must hold what absorbing
-/// the samples one at a time, in sample order, produces. f32 addition is
-/// not associative, so this order is the whole determinism guarantee —
-/// every implementation that keeps it trains to the same bits, wherever
-/// the samples ran (this process's sample threads, other ranks of a ring)
-/// — and a reducer that re-associates the sum (a tree, a reduce-scatter)
+/// in [`Folded::sums`]. A pre-summed span must hold what the pass would
+/// have made of the records: for every element the additions start from
+/// `0.0` and happen in sample order. `acc` must hold what
+/// [`BatchAcc::add_scalars`] makes of the samples in sample order. f32
+/// addition is not associative, so this order is the whole determinism
+/// guarantee — every implementation that keeps it trains to the same
+/// bits, wherever the samples ran (this process's sample threads, other
+/// ranks of a ring) — and a reducer that re-associates the sum (a tree, a reduce-scatter)
 /// cannot implement this trait. Starting from `0.0` is part of the
 /// contract, not a convenience: `0.0 + g` is not a copy of `g`
 /// (`0.0 + -0.0` is `+0.0`).
 ///
 /// # Who zeroes
 ///
-/// The loop zeroes `acc`'s scalars before each call. `acc.grads` keeps
-/// what the fold left there across batches, and the update pass reads a
-/// layer's entry wherever it is non-empty, so a fold empties the entry of
-/// a layer it does not pre-sum. An in-process fold pre-sums nothing: every
-/// entry stays empty and no parameter-sized buffer exists.
+/// The loop zeroes `acc` before each call; the fold adds the batch onto it.
 pub trait BatchFold {
     /// What a batch that could not be folded reports.
     type Error;
@@ -354,14 +352,16 @@ pub trait BatchFold {
     ) -> Result<Folded<'_>, Self::Error>;
 }
 
-/// What a [`BatchFold`] hands the update pass besides its `acc`: the
-/// records and the buffers the pass sums them in.
+/// What a [`BatchFold`] hands the update pass: the batch's gradient, as
+/// records and pre-summed spans, and the buffers the pass sums records in.
 #[derive(Debug)]
 pub struct Folded<'a> {
     /// The batch's gradient records by batch position, as
-    /// [`process_block`] left them. A layer whose gradient `acc.grads`
-    /// holds pre-summed is not read here.
+    /// [`process_block`] left them. A layer `sums` holds is not read here.
     pub records: &'a [Vec<Tensor>],
+    /// Per layer, the batch's gradient as the fold pre-summed it, or an
+    /// empty tensor (or no entry at all) where the pass sums the records.
+    pub sums: &'a [Tensor],
     /// One tile buffer per core the pass may run on, as [`fold_tiles`]
     /// makes them.
     pub tiles: &'a mut [Vec<f32>],
@@ -392,14 +392,9 @@ impl Progress {
             next_batch: 0,
             velocity: zero_param_grads(net),
             stats: Vec::new(),
-            epoch_acc: EpochAcc::new(conv_layer_indices(net).len()),
+            epoch_acc: EpochAcc { acc: BatchAcc::new(net.conv_count()), samples: 0 },
         }
     }
-}
-
-/// Indices of the conv layers (the Fig. 3b sparsity series).
-pub fn conv_layer_indices(net: &Network) -> Vec<usize> {
-    net.layers().iter().enumerate().filter_map(|(i, l)| l.conv_spec().map(|_| i)).collect()
 }
 
 /// One zeroed parameter-gradient-shaped tensor per layer (empty for
@@ -413,13 +408,16 @@ pub(crate) fn zero_param_grads(net: &Network) -> Vec<Tensor> {
 /// (see [`Network`]'s walk). Sample `j` of the block leaves its gradient
 /// records in `records[j]` (one buffer per layer, as
 /// [`record_buffers`] shapes them), its loss and whether its
-/// prediction was correct in `scalars[j]`, and its gradient sparsities in
-/// `ws.grad_sparsity`. Every sample gets the bits a block of one gives it.
+/// prediction was correct in `scalars[j]`, and the gradient sparsity
+/// entering each of its conv layers, in network order, at
+/// `sparsity[j * convs..(j + 1) * convs]`. Every sample gets the bits a
+/// block of one gives it.
 ///
 /// # Panics
 ///
-/// Panics if `records` or `scalars` does not hold one entry per sample, or
-/// `ws` or a record set is not shaped for `net`.
+/// Panics if `records` or `scalars` does not hold one entry per sample,
+/// `sparsity` one per sample and conv layer, or `ws` or a record set is
+/// not shaped for `net`.
 pub fn process_block(
     net: &Network,
     data: &Dataset,
@@ -427,6 +425,7 @@ pub fn process_block(
     ws: &mut Workspace,
     records: &mut [Vec<Tensor>],
     scalars: &mut [(f32, bool)],
+    sparsity: &mut [f64],
 ) {
     let k = samples.len();
     assert_eq!((records.len(), scalars.len()), (k, k), "one record set and one result per sample");
@@ -445,7 +444,7 @@ pub fn process_block(
         let loss = loss_into(logits, label, grad);
         *scalar = (loss, argmax(logits) == label);
     }
-    net.backward_walk(ws, records);
+    net.backward_walk(ws, records, sparsity);
 }
 
 /// The in-process fold: `min(sample_threads, batch_size)` slots, each
@@ -462,7 +461,8 @@ pub struct LocalFold {
     records: Vec<Vec<Tensor>>,
     /// Loss and verdict by batch position.
     scalars: Vec<(f32, bool)>,
-    /// Per-layer gradient sparsities by batch position, `layers` each.
+    /// Conv-layer gradient sparsities by batch position, one per conv
+    /// layer each.
     sparsity: Vec<f64>,
     /// The update pass's tiles, one per slot.
     tiles: Vec<Vec<f32>>,
@@ -540,7 +540,7 @@ impl Slot {
     ) -> Result<(), String> {
         let Slot { ws, restarts_left, started } = self;
         let Block { samples, records, scalars, sparsity } = block;
-        let layers = net.layers().len();
+        let convs = sparsity.len() / samples.len().max(1);
         let mut next = 0;
         let restarts = Restarts { budget: *restarts_left, backoff };
         spg_sync::supervise(
@@ -551,7 +551,8 @@ impl Slot {
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         injector.check(w, *started);
                         let (records, scalars) = (&mut records[j..=j], &mut scalars[j..=j]);
-                        process_block(net, data, i..i + 1, ws, records, scalars);
+                        let sparsity = &mut sparsity[j * convs..(j + 1) * convs];
+                        process_block(net, data, i..i + 1, ws, records, scalars, sparsity);
                     }));
                     if let Err(payload) = outcome {
                         spg_telemetry::record_counter("train.faulted_samples", 1);
@@ -559,7 +560,6 @@ impl Slot {
                         *ws = Workspace::for_network(net);
                         return Err(spg_sync::panic_message(payload.as_ref()));
                     }
-                    sparsity[j * layers..(j + 1) * layers].copy_from_slice(&ws.grad_sparsity);
                     next = j + 1;
                 }
                 Ok(())
@@ -584,15 +584,15 @@ impl BatchFold for LocalFold {
         samples: Range<usize>,
         acc: &mut BatchAcc,
     ) -> Result<Folded<'_>, TrainError> {
-        let (len, layers, workers) = (samples.len(), net.layers().len(), self.slots.len());
+        let (len, convs, workers) = (samples.len(), acc.sparsity_sums.len(), self.slots.len());
         if self.records.len() < len {
             self.records.resize_with(len, || record_buffers(net));
             self.scalars.resize(len, (0.0, false));
-            self.sparsity.resize(len * layers, 0.0);
+            self.sparsity.resize(len * convs, 0.0);
         }
         // Cut the batch's outputs into the slots' blocks, in slot order.
         let (mut records, mut scalars) = (&mut self.records[..len], &mut self.scalars[..len]);
-        let mut sparsity = &mut self.sparsity[..len * layers];
+        let mut sparsity = &mut self.sparsity[..len * convs];
         let mut blocks = Vec::with_capacity(workers);
         for w in 0..workers {
             let block = spg_sync::partition(len, workers, w);
@@ -600,7 +600,7 @@ impl BatchFold for LocalFold {
             let (r, s, g);
             (r, records) = std::mem::take(&mut records).split_at_mut(k);
             (s, scalars) = std::mem::take(&mut scalars).split_at_mut(k);
-            (g, sparsity) = std::mem::take(&mut sparsity).split_at_mut(k * layers);
+            (g, sparsity) = std::mem::take(&mut sparsity).split_at_mut(k * convs);
             let samples = samples.start + block.start..samples.start + block.end;
             blocks.push(Block { samples, records: r, scalars: s, sparsity: g });
         }
@@ -617,11 +617,9 @@ impl BatchFold for LocalFold {
                 return Err(TrainError::WorkerFault { worker, epoch, batch, message });
             }
         }
-        for (j, &(loss, correct)) in self.scalars[..len].iter().enumerate() {
-            acc.add_scalars(loss, correct, &self.sparsity[j * layers..(j + 1) * layers]);
-        }
+        acc.add_scalars(&self.scalars[..len], &self.sparsity[..len * convs]);
         // Every slot is done: their cores are the update pass's.
-        Ok(Folded { records: &self.records[..len], tiles: &mut self.tiles })
+        Ok(Folded { records: &self.records[..len], sums: &[], tiles: &mut self.tiles })
     }
 }
 
@@ -696,23 +694,20 @@ pub(crate) enum Grads<'a> {
 }
 
 /// The update pass: every layer with parameters updated by `rule` from its
-/// batch gradient — `sums[l]` where that is non-empty, the summed records
-/// otherwise — and its velocity.
+/// batch gradient — `folded.sums[l]` where that is non-empty, the summed
+/// records otherwise — and its velocity.
 fn update(
     net: &mut Network,
     rule: Rule,
-    sums: &[Tensor],
     folded: Folded<'_>,
     velocity: &mut [Tensor],
     floor: usize,
 ) {
-    let Folded { records, tiles } = folded;
-    let layers = net.layers_mut().iter_mut().zip(sums.iter().zip(velocity));
-    for (l, (layer, (sum, velocity))) in layers.enumerate() {
-        let grads = if sum.is_empty() {
-            Grads::Records { records, layer: l }
-        } else {
-            Grads::Summed(sum.as_slice())
+    let Folded { records, sums, tiles } = folded;
+    for (l, (layer, velocity)) in net.layers_mut().iter_mut().zip(velocity).enumerate() {
+        let grads = match sums.get(l) {
+            Some(sum) if !sum.is_empty() => Grads::Summed(sum.as_slice()),
+            _ => Grads::Records { records, layer: l },
         };
         update_layer(&mut **layer, rule, grads, velocity.as_mut_slice(), tiles, floor);
     }
@@ -786,7 +781,7 @@ impl Part<'_> {
         for (t, params) in params.chunks_mut(step).enumerate() {
             let (at, tile) = (t * step, &mut tile[..params.len()]);
             tile.fill(0.0);
-            add_records(format, records, layer, start + at, tile);
+            add_tile(format, records, layer, start + at, tile);
             let velocity = velocity.get_mut(at..at + params.len()).unwrap_or_default();
             rule.apply(params, velocity, tile);
         }
@@ -794,149 +789,130 @@ impl Part<'_> {
 }
 
 /// Adds record `layer` of every sample in `records`, in sample order, onto
-/// `acc`, which holds parameters `at..at + acc.len()`.
-fn add_records(
+/// `tile`, which holds parameters `at..at + tile.len()`.
+fn add_tile(
     format: RecordFormat,
     records: &[Vec<Tensor>],
     layer: usize,
     at: usize,
-    acc: &mut [f32],
+    tile: &mut [f32],
 ) {
     let mut group: [&[f32]; RECORD_GROUP] = [&[]; RECORD_GROUP];
     for samples in records.chunks(RECORD_GROUP) {
         for (slot, record) in group.iter_mut().zip(samples) {
             *slot = record[layer].as_slice();
         }
-        format.add_grads(&group[..samples.len()], at, acc);
+        format.add_grads(&group[..samples.len()], at, tile);
     }
 }
 
-/// Sums samples' gradient records onto dense per-layer buffers, on the
-/// calling thread: what a ring rank adds onto a summed span, and the
-/// gradient a check compares.
-///
-/// `records[s][l]` is sample `s`'s record for layer `l` as
-/// [`process_block`] left it; `acc` yields one
-/// [`param_count`](Layer::param_count)-long slice per layer, or an empty
-/// one to leave that layer out (its records are then not read).
-/// With `zero`, what `acc` held is dead and every element becomes
-/// `0.0 + g_0 + g_1 + ...`; without, the records are added onto it (a ring
-/// rank's block on top of the sum that reached it). Per element the adds
-/// run in slice order, one per sample, walking `FOLD_TILE`-sized tiles.
+/// Adds layer `layer`'s record of every sample in `records` (as
+/// [`process_block`] left them), in sample order, onto `sum`, that layer's
+/// whole gradient — `FOLD_TILE` floats at a time, with the update pass's
+/// own per-tile add: what a ring rank folds onto a summed span, and onto
+/// zeros the gradient a check compares.
 ///
 /// # Panics
 ///
-/// Panics if `acc` or a sample's records are not shaped for `net`.
-pub fn fold_records<'a>(
-    net: &Network,
-    records: &[Vec<Tensor>],
-    zero: bool,
-    acc: impl IntoIterator<Item = &'a mut [f32]>,
-) {
-    for ((l, layer), acc) in net.layers().iter().enumerate().zip(acc) {
-        if acc.is_empty() {
-            continue;
-        }
-        assert_eq!(acc.len(), layer.param_count(), "accumulator shaped for the network");
-        for (t, tile) in acc.chunks_mut(FOLD_TILE).enumerate() {
-            if zero {
-                tile.fill(0.0);
-            }
-            add_records(layer.record_format(), records, l, t * FOLD_TILE, tile);
-        }
+/// Panics if `sum` or a sample's records are not shaped for the layer.
+pub fn add_records(net: &Network, layer: usize, records: &[Vec<Tensor>], sum: &mut [f32]) {
+    let format = net.layers()[layer].record_format();
+    assert_eq!(sum.len(), net.layers()[layer].param_count(), "one sum per parameter");
+    for (t, tile) in sum.chunks_mut(FOLD_TILE).enumerate() {
+        add_tile(format, records, layer, t * FOLD_TILE, tile);
     }
 }
 
-/// Per-batch accumulator, refilled by the [`BatchFold`] every batch.
-#[derive(Debug)]
+/// A batch's statistics — or, in [`Progress`], an epoch's so far: summed
+/// losses, the correct count and the summed conv-layer gradient
+/// sparsities. The trainer's loop, both folds, the ring's chain and the
+/// epoch statistics all add onto this one type.
+#[derive(Debug, Clone)]
 pub struct BatchAcc {
-    /// Per layer, the batch's gradient as the fold pre-summed it, or an
-    /// empty tensor where the update pass sums the records itself: every
-    /// layer of an in-process fold, and the layers a ring gathers.
-    pub grads: Vec<Tensor>,
     /// Summed losses.
     pub loss_sum: f64,
     /// Correct-prediction count.
     pub correct: usize,
     /// Summed backward gradient sparsity per conv layer.
     pub sparsity_sums: Vec<f64>,
-    conv_layers: Vec<usize>,
 }
 
 impl BatchAcc {
-    fn for_network(net: &Network) -> Self {
-        let conv_layers = conv_layer_indices(net);
-        BatchAcc {
-            grads: vec![Tensor::default(); net.layers().len()],
-            loss_sum: 0.0,
-            correct: 0,
-            sparsity_sums: vec![0.0; conv_layers.len()],
-            conv_layers,
-        }
+    /// A zeroed accumulator for a network of `convs` conv layers.
+    pub fn new(convs: usize) -> Self {
+        BatchAcc { loss_sum: 0.0, correct: 0, sparsity_sums: vec![0.0; convs] }
     }
 
-    /// Zeroes the scalars. `grads` keeps whatever the fold left there.
-    fn begin_batch(&mut self) {
+    fn clear(&mut self) {
         self.loss_sum = 0.0;
         self.correct = 0;
         self.sparsity_sums.fill(0.0);
     }
 
-    /// Absorbs one sample's scalars: its loss, whether it was classified
-    /// correctly, and its per-layer gradient sparsities, `layers` long.
-    fn add_scalars(&mut self, loss: f32, correct: bool, grad_sparsity: &[f64]) {
-        self.loss_sum += loss as f64;
-        self.correct += correct as usize;
-        for (dst, &li) in self.sparsity_sums.iter_mut().zip(&self.conv_layers) {
-            *dst += grad_sparsity[li];
+    /// Adds samples' scalars, in order: sample `j`'s loss and whether it
+    /// was classified correctly, `scalars[j]`, and its conv-layer gradient
+    /// sparsities, `sparsity[j * convs..(j + 1) * convs]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sparsity` does not hold one value per sample and conv
+    /// layer.
+    pub fn add_scalars(&mut self, scalars: &[(f32, bool)], sparsity: &[f64]) {
+        let convs = self.sparsity_sums.len();
+        assert_eq!(sparsity.len(), scalars.len() * convs, "one sparsity per sample and conv");
+        for (j, &(loss, correct)) in scalars.iter().enumerate() {
+            self.loss_sum += f64::from(loss);
+            self.correct += usize::from(correct);
+            for (sum, s) in self.sparsity_sums.iter_mut().zip(&sparsity[j * convs..]) {
+                *sum += s;
+            }
         }
     }
 }
 
-/// Per-epoch accumulator over the batch accumulators.
+/// The epoch so far: its batches' sums and how many samples they hold.
 #[derive(Debug, Clone)]
 struct EpochAcc {
-    loss_sum: f64,
-    correct: usize,
-    sparsity_sums: Vec<f64>,
-    sparsity_count: usize,
+    acc: BatchAcc,
+    samples: usize,
 }
 
 impl EpochAcc {
-    fn new(conv_count: usize) -> Self {
-        EpochAcc {
-            loss_sum: 0.0,
-            correct: 0,
-            sparsity_sums: vec![0.0; conv_count],
-            sparsity_count: 0,
+    fn absorb(&mut self, batch: &BatchAcc, batch_len: usize) {
+        self.acc.loss_sum += batch.loss_sum;
+        self.acc.correct += batch.correct;
+        for (sum, s) in self.acc.sparsity_sums.iter_mut().zip(&batch.sparsity_sums) {
+            *sum += s;
         }
-    }
-
-    fn absorb(&mut self, acc: &BatchAcc, batch_len: usize) {
-        self.loss_sum += acc.loss_sum;
-        self.correct += acc.correct;
-        for (dst, src) in self.sparsity_sums.iter_mut().zip(&acc.sparsity_sums) {
-            *dst += src;
-        }
-        self.sparsity_count += batch_len;
+        self.samples += batch_len;
     }
 
     /// Closes the epoch: its stats, leaving the accumulator zeroed for the
     /// next one.
-    fn finish(&mut self, epoch: usize, samples: usize, elapsed: f64) -> EpochStats {
-        let done = std::mem::replace(self, EpochAcc::new(self.sparsity_sums.len()));
-        EpochStats {
+    fn finish(&mut self, epoch: usize, elapsed: f64) -> EpochStats {
+        let (acc, samples) = (&self.acc, self.samples as f64);
+        let stats = EpochStats {
             epoch,
-            mean_loss: done.loss_sum / samples as f64,
-            accuracy: done.correct as f64 / samples as f64,
-            conv_grad_sparsity: done
-                .sparsity_sums
-                .iter()
-                .map(|s| s / done.sparsity_count.max(1) as f64)
-                .collect(),
-            images_per_sec: samples as f64 / elapsed.max(1e-9),
-        }
+            mean_loss: acc.loss_sum / samples,
+            accuracy: acc.correct as f64 / samples,
+            conv_grad_sparsity: acc.sparsity_sums.iter().map(|s| s / samples.max(1.0)).collect(),
+            images_per_sec: samples / elapsed.max(1e-9),
+        };
+        self.acc.clear();
+        self.samples = 0;
+        stats
     }
+}
+
+/// An epoch's statistics as bits, every epoch in turn: its mean loss, its
+/// accuracy, then each conv layer's gradient sparsity — what two runs must
+/// agree on to have trained alike.
+pub fn stats_bits(stats: &[EpochStats]) -> Vec<u64> {
+    stats
+        .iter()
+        .flat_map(|s| [&s.mean_loss, &s.accuracy].into_iter().chain(&s.conv_grad_sparsity))
+        .map(|x| x.to_bits())
+        .collect()
 }
 
 #[cfg(test)]
@@ -1161,11 +1137,11 @@ mod tests {
         (0..samples).map(|_| net.layers().iter().map(|l| record(&**l)).collect()).collect()
     }
 
-    /// `fold_records` — tile by tile, a stack group of records at a time —
-    /// gives the bits of adding dense gradients one sample at a time, and
-    /// so does a batch split into consecutive calls (zeroing, then adding
-    /// onto what is there). FC 601→110 is two tiles, the second partial;
-    /// 70 samples of FC 7→3 are three record groups.
+    /// `add_records` onto zeros — tile by tile, a stack group of records at
+    /// a time — gives the bits of adding dense gradients one sample at a
+    /// time, and so does a batch split into consecutive calls, the second
+    /// adding onto what the first left. FC 601→110 is two tiles, the second
+    /// partial; 70 samples of FC 7→3 are three record groups.
     #[test]
     fn fold_matches_the_sequential_dense_sum_for_every_split() {
         let mut rng = SmallRng::seed_from_u64(30);
@@ -1174,12 +1150,14 @@ mod tests {
         for (net, samples) in [(wide, 3), (narrow, 2 * RECORD_GROUP + 6)] {
             let records = random_records(&net, samples, &mut rng);
             let want = words(&dense_sums(&net, &records)[0]);
-            let mut acc = vec![f32::NAN; net.layers()[0].param_count()];
-            fold_records(&net, &records, true, [&mut acc[..]]);
-            assert_eq!(words(&acc), want, "{samples} samples in one call");
-            fold_records(&net, &records[..1], true, [&mut acc[..]]);
-            fold_records(&net, &records[1..], false, [&mut acc[..]]);
-            assert_eq!(words(&acc), want, "{samples} samples in two calls");
+            let zeros = vec![0.0; net.layers()[0].param_count()];
+            let mut sum = zeros.clone();
+            add_records(&net, 0, &records, &mut sum);
+            assert_eq!(words(&sum), want, "{samples} samples in one call");
+            let mut sum = zeros;
+            add_records(&net, 0, &records[..1], &mut sum);
+            add_records(&net, 0, &records[1..], &mut sum);
+            assert_eq!(words(&sum), want, "{samples} samples in two calls");
         }
     }
 
@@ -1242,9 +1220,9 @@ mod tests {
             for (cores, on) in [(1, false), (2, false), (3, false), (1, true), (3, true)] {
                 let mut net = net(&mut SmallRng::seed_from_u64(34));
                 let mut v = velocity.clone();
-                let mut tiles = fold_tiles(&net, cores);
-                let folded = Folded { records: &records, tiles: &mut tiles };
-                update(&mut net, rule, &presummed(on), folded, &mut v, 1);
+                let (mut tiles, sums) = (fold_tiles(&net, cores), presummed(on));
+                let folded = Folded { records: &records, sums: &sums, tiles: &mut tiles };
+                update(&mut net, rule, folded, &mut v, 1);
                 let at = format!("momentum {momentum}, {cores} cores, presummed {on}");
                 for (l, layer) in net.layers().iter().enumerate() {
                     assert_eq!(words(layer.params().unwrap_or_default()), want_w[l], "{at}: w{l}");
@@ -1307,7 +1285,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(spg_sync::partition(4, 2, 1), 2..4);
-        let mut acc = BatchAcc::for_network(&net);
+        let mut acc = BatchAcc::new(net.conv_count());
         let mut fold = LocalFold::for_config(&net, &config);
         let fault = fold.fold(&net, &data, 1, 0, 0..4, &mut acc).map(|_| ());
         assert!(

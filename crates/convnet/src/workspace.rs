@@ -198,17 +198,14 @@ impl ConvScratch {
 /// The trainer builds one `Workspace` per sample thread from the network's
 /// geometry and reuses it for every block the thread walks. A walk over a
 /// block of `k` samples ([`process_block`](crate::sgd::process_block))
-/// grows the trace, the error-gradient buffers and the sparsities to `k`
-/// samples back to back on its first call and reuses them after; its
-/// records go to record sets the caller owns ([`record_buffers`]).
+/// grows the trace and the error-gradient buffers to `k` samples back to
+/// back on its first call and reuses them after; its records, scalars and
+/// sparsities go to slots the caller owns ([`record_buffers`]).
 #[derive(Debug)]
 pub struct Workspace {
     /// Reusable activation trace: the last block's inputs and every
     /// layer's outputs, sample after sample.
     pub trace: SampleTrace,
-    /// Output-side gradient sparsity observed per layer during backward;
-    /// after a block, sample `s`'s are at `s * layers..(s + 1) * layers`.
-    pub grad_sparsity: Vec<f64>,
     /// Executor scratch shared by all layers (and all samples of a block).
     pub scratch: ConvScratch,
     /// Ping-pong error-gradient buffers, one longest activation per sample.
@@ -232,7 +229,6 @@ impl Workspace {
     pub fn for_network(net: &Network) -> Self {
         let trace = SampleTrace::for_network(net);
         let max_act = longest_activation(net);
-        let grad_sparsity = vec![0.0; net.layers().len()];
         let mut scratch = ConvScratch::new();
         for layer in net.layers() {
             if let Some(spec) = layer.conv_spec() {
@@ -241,7 +237,6 @@ impl Workspace {
         }
         Workspace {
             trace,
-            grad_sparsity,
             scratch,
             grad_a: Tensor::zeros(max_act),
             grad_b: Tensor::zeros(max_act),
@@ -270,7 +265,6 @@ impl Workspace {
         let max_act = longest_activation(net);
         shape(&mut self.grad_a, k * max_act);
         shape(&mut self.grad_b, k * max_act);
-        self.grad_sparsity.resize(k * net.layers().len(), 0.0);
     }
 
     /// Current footprint of all workspace buffers in bytes.

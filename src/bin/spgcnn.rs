@@ -26,7 +26,7 @@ use spg_cnn::cluster::{
     ShardBackend, ShardError, ShardSpawner, TrainFault, DEFAULT_CHUNK_FLOATS,
 };
 use spg_cnn::convnet::data::Dataset;
-use spg_cnn::convnet::sgd::Progress;
+use spg_cnn::convnet::sgd::{stats_bits, Progress};
 use spg_cnn::convnet::{io, ConvSpec, Engine, Trainer, TrainerConfig};
 use spg_cnn::core::autotune::{Framework, TuningMode};
 use spg_cnn::core::compiled::CompiledConv;
@@ -107,9 +107,10 @@ usage:
       Synchronous data-parallel SGD over N rank processes connected in
       a Unix-socket ring (or in-process ranks with --in-proc), running
       the from-scratch chunked gradient all-reduce; asserts every
-      rank's epoch losses are bit-identical to the single-process SGD
-      pool on the same seed. --inject-fault (in-proc ring only) drops a
-      rank mid-all-reduce and checks the replay still matches the pool.
+      rank's epoch statistics (loss, accuracy, conv gradient sparsity)
+      are bit-identical to the single-process SGD pool on the same seed.
+      --inject-fault (in-proc ring only) drops a rank mid-all-reduce and
+      checks the replay still matches the pool.
   spgcnn bench-cluster [--json FILE] [--gradient-mb MB] [--step-ms MS]
       Print the analytical multi-node scaling curves (1..64 nodes) of
       the ring all-reduce on loopback and 10 GbE fabrics; with --json, write the spgcnn-bench-cluster document
@@ -1141,10 +1142,10 @@ fn cluster_shard(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Extracts the `loss_bits:` line a `cluster-rank` child prints.
-fn parse_loss_bits(stdout: &str) -> Option<Vec<u64>> {
-    let line = stdout.lines().find(|l| l.starts_with("loss_bits:"))?;
-    line["loss_bits:".len()..].split_whitespace().map(|t| t.parse().ok()).collect()
+/// Extracts the `stats_bits:` line a `cluster-rank` child prints.
+fn parse_stats_bits(stdout: &str) -> Option<Vec<u64>> {
+    let line = stdout.lines().find_map(|l| l.strip_prefix("stats_bits:"))?;
+    line.split_whitespace().map(|t| t.parse().ok()).collect()
 }
 
 fn train_cluster(args: &[String]) -> Result<(), String> {
@@ -1187,7 +1188,7 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
     let shape = Shape3::new(desc.input.c, desc.input.h, desc.input.w);
     let mut ref_data = Dataset::synthetic(shape, classes, samples, 0.15, 77);
     let reference = Trainer::new(trainer.clone()).train(&mut ref_net, &mut ref_data);
-    let ref_bits: Vec<u64> = reference.iter().map(|s| s.mean_loss.to_bits()).collect();
+    let ref_bits = stats_bits(&reference);
 
     println!("single-process pool reference ({samples} samples, batch {batch}):");
     println!("epoch  loss     accuracy");
@@ -1208,12 +1209,11 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
         let data = Dataset::synthetic(shape, classes, samples, 0.15, 77);
         let opts = InProcTrainOptions { world, fault, ..InProcTrainOptions::default() };
         let stats = train_in_proc(&factory, &data, &trainer, &opts).map_err(|e| e.to_string())?;
-        let bits: Vec<u64> = stats.iter().map(|s| s.mean_loss.to_bits()).collect();
-        if bits != ref_bits {
-            return Err("cluster epoch losses diverged from the single-process pool".into());
+        if stats_bits(&stats) != ref_bits {
+            return Err("cluster epoch statistics diverged from the single-process pool".into());
         }
         println!(
-            "in-proc ring over {world} rank(s): epoch losses bit-identical to the \
+            "in-proc ring over {world} rank(s): epoch statistics bit-identical to the \
              single-process pool"
         );
         if fault.is_some() {
@@ -1258,11 +1258,11 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
                 continue;
             }
             let stdout = String::from_utf8_lossy(&out.stdout);
-            match parse_loss_bits(&stdout) {
-                None => failure = Some(format!("rank {rank} printed no loss_bits line")),
+            match parse_stats_bits(&stdout) {
+                None => failure = Some(format!("rank {rank} printed no stats_bits line")),
                 Some(bits) if bits != ref_bits => {
                     failure = Some(format!(
-                        "rank {rank} epoch losses diverged from the single-process pool"
+                        "rank {rank} epoch statistics diverged from the single-process pool"
                     ));
                 }
                 Some(_) => {}
@@ -1274,7 +1274,7 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
         }
         println!(
             "ring all-reduce over {world} rank process(es) (Unix sockets): every rank's \
-             epoch losses bit-identical to the single-process pool"
+             epoch statistics bit-identical to the single-process pool"
         );
     }
     spg_cnn::telemetry::set_enabled(false);
@@ -1294,8 +1294,8 @@ fn train_cluster(args: &[String]) -> Result<(), String> {
 
 /// Child entry point: one training rank in the multi-process Unix-socket
 /// ring. Binds its own listener, dials the next rank, accepts the previous
-/// one, runs the synchronized epochs, and prints its epoch-loss bits for
-/// the parent to compare against the single-process pool.
+/// one, runs the synchronized epochs, and prints its epoch statistics'
+/// bits for the parent to compare against the single-process pool.
 fn cluster_rank(args: &[String]) -> Result<(), String> {
     let rank = flag(args, "--rank", 0usize)?;
     let world = flag(args, "--world", 1usize)?.max(1);
@@ -1330,8 +1330,8 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
     let mut progress = Progress::fresh(&net);
     let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut progress)
         .map_err(|e| e.to_string())?;
-    let bits: Vec<String> = stats.iter().map(|s| s.mean_loss.to_bits().to_string()).collect();
-    println!("loss_bits: {}", bits.join(" "));
+    let bits: Vec<String> = stats_bits(&stats).iter().map(u64::to_string).collect();
+    println!("stats_bits: {}", bits.join(" "));
     Ok(())
 }
 

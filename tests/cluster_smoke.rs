@@ -90,7 +90,7 @@ fn serve_cluster_shard_kill_drill_recovers() {
 }
 
 /// Ring all-reduce across real rank processes rendezvousing over Unix
-/// sockets reproduces the single-process pool's epoch losses bit for bit
+/// sockets reproduces the single-process pool's epoch statistics bit for bit
 /// — at world 2, and at world 3, where a middle rank receives, folds and
 /// forwards through its buffered links (and the batch splits unevenly).
 #[test]

@@ -142,11 +142,14 @@ fn warm_walks_allocate_nothing() {
 
     // The trainer's walk, loss gradient included, at two block sizes.
     let slots = |k: usize| -> Vec<Vec<Tensor>> { (0..k).map(|_| record_buffers(&net)).collect() };
+    let convs = net.layers().iter().filter(|l| l.conv_spec().is_some()).count();
     for k in [1, 3] {
         let (mut records, mut scalars) = (slots(k), vec![(0.0, false); k]);
+        let mut sparsity = vec![0.0; k * convs];
         let mut block = |rep: usize| {
             let start = rep % (data.len() - k + 1);
-            process_block(&net, &data, start..start + k, &mut ws, &mut records, &mut scalars);
+            let (records, scalars) = (&mut records, &mut scalars);
+            process_block(&net, &data, start..start + k, &mut ws, records, scalars, &mut sparsity);
         };
         block(0);
         assert_eq!(requests(6, &mut block), 0, "process_block of {k}");
