@@ -83,8 +83,7 @@ pub use router::{
 };
 pub use shard::{serve_connection, ConnectionEnd, KillDrill};
 pub use train::{
-    run_rank, train_in_proc, Comm, InProcTrainOptions, RankOptions, TrainFault,
-    DEFAULT_CHUNK_FLOATS,
+    run_rank, train_in_proc, InProcTrainOptions, RankOptions, TrainFault, DEFAULT_CHUNK_FLOATS,
 };
 pub use wire::{Message, WireError};
 
@@ -130,7 +129,8 @@ pub enum ClusterError {
         message: String,
     },
     /// A training rank's ring link failed mid-all-reduce (peer dropped,
-    /// stream died, or an injected drill fired).
+    /// stream died, or an injected drill fired), or one of its sample
+    /// slots faulted past its restart budget.
     RingFault {
         /// The rank reporting the fault.
         rank: usize,

@@ -6,12 +6,15 @@
 //!
 //! A rank *calls* the trainer's loop ([`Trainer::run`]): shuffle
 //! schedule, epoch statistics, momentum update and resume logic are the
-//! trainer's own code, not a copy. What this module adds is the ring
-//! implementation of the loop's one seam, `spg_convnet::sgd::BatchFold`
-//! — a rank's block of samples folded through the ordered chain in
-//! global sample order, which is that seam's contract — plus the
-//! rank-specific fault handling below. The bit-identity tests pin 1, 2,
-//! 3, and 4 ranks against the single-process trainer.
+//! trainer's own code, not a copy, and so is the runner of its block of
+//! samples ([`LocalFold::run`]), whose supervised slots restart a
+//! faulted sample as the solo trainer's do. What this module adds is
+//! the ring implementation of the loop's one seam,
+//! `spg_convnet::sgd::BatchFold` — a rank's block of samples folded
+//! through the ordered chain in global sample order, which is that
+//! seam's contract — plus the rank-specific fault handling below. The
+//! bit-identity tests pin 1, 2, 3, and 4 ranks against the
+//! single-process trainer.
 //!
 //! # What crosses the ring
 //!
@@ -27,6 +30,9 @@
 //!
 //! # Fault recovery
 //!
+//! A sample that panics is first the rank's own slot's to cure: within
+//! the slot's restart budget it reruns and keeps the bits, and no other
+//! rank notices. Past the budget, the rank fails as a dropped rank does.
 //! The loop advances a rank's progress only at batch commit (after the
 //! update applies) and leaves the network at the last committed batch
 //! whether it returns `Ok` or `Err`. A rank dropping mid-all-reduce
@@ -49,8 +55,9 @@ use std::time::Duration;
 
 use spg_convnet::data::Dataset;
 use spg_convnet::layer::Layer;
-use spg_convnet::sgd::{self, stats_bits, BatchAcc, BatchFold, Folded, Progress};
-use spg_convnet::workspace::{record_buffers, Workspace};
+use spg_convnet::sgd::{
+    self, stats_bits, BatchAcc, BatchFold, BlockOutputs, Folded, LocalFold, Progress,
+};
 use spg_convnet::{io, EpochStats, Network, Trainer, TrainerConfig};
 use spg_sync::Restarts;
 use spg_tensor::Tensor;
@@ -85,20 +92,6 @@ impl TrainFault {
         }
         Some(TrainFault { rank, epoch, batch })
     }
-}
-
-/// The communication fabric one rank trains over.
-pub enum Comm {
-    /// Single rank: no communication at all. The rank runs the same ring
-    /// fold as any other, as its ring's first and last rank at once.
-    Solo,
-    /// Ring neighbors (UDS or TCP stream halves).
-    Ring {
-        /// Stream from the previous rank.
-        rx_prev: Box<dyn Read + Send>,
-        /// Stream to the next rank.
-        tx_next: Box<dyn Write + Send>,
-    },
 }
 
 /// Floats per all-reduce wire chunk unless a caller sets another value.
@@ -155,32 +148,29 @@ fn gathered(layer: &dyn Layer, batch_len: usize) -> bool {
 }
 
 /// The ring implementation of the trainer's [`BatchFold`] seam: this
-/// rank runs its block of the batch ([`spg_sync::partition`]) and the
-/// ordered chain-in-ring all-reduce folds every rank's samples in global
-/// sample order, which is exactly the seam's contract. One path for every
-/// world size: a one-rank run's block is the whole batch, and its chain
-/// is first and last rank at once, so it moves no bytes. Also carries the
-/// fault drill, which hangs off the same per-batch point.
+/// rank runs its block of the batch ([`spg_sync::partition`]) on the
+/// trainer's own block runner, a [`LocalFold`] built from the rank's
+/// [`TrainerConfig`], and the ordered chain-in-ring all-reduce folds every
+/// rank's samples in global sample order, which is exactly the seam's
+/// contract. One path for every world size: a one-rank run's block is the
+/// whole batch, and its chain is first and last rank at once, so it moves
+/// no bytes. Also carries the fault drill, which hangs off the same
+/// per-batch point.
 ///
-/// Every buffer lives here for the whole run — the record slots, the
-/// summed spans, the layout, the wire frame, the update pass's tile — so a
-/// steady-state step allocates nothing that grows with the model. The
-/// batch's scalars go straight onto the loop's `acc`.
+/// Every buffer lives here or in the local fold for the whole run — the
+/// record slots, the summed spans, the layout, the wire frame, the update
+/// pass's tiles — so a steady-state step allocates nothing that grows
+/// with the model. The batch's scalars go straight onto the loop's `acc`.
 struct RingFold<'r> {
     opts: &'r RankOptions,
     /// The ring links, buffered once for the run. The reader must live as
     /// long as the link: it may hold the next batch's first bytes (see
     /// [`allreduce`](crate::allreduce)).
     links: BufferedLinks<'r>,
-    ws: Workspace,
-    /// Gradient records by batch position; grows to the largest batch
-    /// seen. The walk writes this rank's samples' records here, and the
-    /// records of gathered layers arrive here off the wire.
-    records: Vec<Vec<Tensor>>,
-    /// This rank's samples' losses and correct flags, in block order.
-    scalars: Vec<(f32, bool)>,
-    /// ... and their conv-layer sparsities, one per conv layer a sample.
-    sparsity: Vec<f64>,
+    /// The block runner. Its records are the batch's by position: it
+    /// writes this rank's samples' records, and the records of gathered
+    /// layers arrive there off the wire.
+    local: LocalFold,
     /// The batch's layout: `(layer, span)` in wire order.
     layout: Vec<(usize, Span)>,
     /// Per layer, the summed span the chain sums into and the update pass
@@ -190,23 +180,20 @@ struct RingFold<'r> {
     /// Per layer, the summed span of a layer this batch gathers, kept for
     /// a later batch that sums it (a short batch can flip a layer).
     parked: Vec<Tensor>,
-    /// The update pass's one tile: a rank updates on one core.
-    tiles: Vec<Vec<f32>>,
     frame: Vec<u8>,
 }
 
 /// One batch of [`RingFold`] as the chain sees it.
-struct RankStep<'a> {
+struct RankStep<'a, 'r> {
     net: &'a Network,
     layout: &'a [(usize, Span)],
     block: Range<usize>,
-    records: &'a mut [Vec<Tensor>],
+    /// The batch's records, and this rank's block's scalars.
+    ran: BlockOutputs<'r>,
     sums: &'a mut [Tensor],
-    scalars: &'a [(f32, bool)],
-    sparsity: &'a [f64],
 }
 
-impl Step for RankStep<'_> {
+impl Step for RankStep<'_, '_> {
     fn block(&self) -> Range<usize> {
         self.block.clone()
     }
@@ -219,19 +206,19 @@ impl Step for RankStep<'_> {
         let (l, span) = self.layout[k];
         let buf = match span {
             Span::Summed => &mut self.sums[l],
-            Span::Record(s) => &mut self.records[s][l],
+            Span::Record(s) => &mut self.ran.records[s][l],
         };
         (span, buf.as_mut_slice())
     }
 
     fn fold(&mut self, k: usize) {
         let l = self.layout[k].0;
-        let block = &self.records[self.block.clone()];
+        let block = &self.ran.records[self.block.clone()];
         sgd::add_records(self.net, l, block, self.sums[l].as_mut_slice());
     }
 
     fn fold_scalars(&self, acc: &mut BatchAcc) {
-        acc.add_scalars(self.scalars, self.sparsity);
+        acc.add_scalars(self.ran.scalars, self.ran.sparsity);
     }
 }
 
@@ -249,7 +236,7 @@ impl BatchFold for RingFold<'_> {
     ) -> Result<Folded<'_>, ClusterError> {
         let RankOptions { rank, world, chunk_floats, fault } = *self.opts;
         if fault == Some(TrainFault { rank, epoch, batch }) {
-            // Dropping out here (links close when the caller drops Comm)
+            // Dropping out here (links close when the caller drops them)
             // is what a killed worker looks like to its neighbors: their
             // reads fail mid-all-reduce.
             return Err(ClusterError::RingFault {
@@ -259,20 +246,12 @@ impl BatchFold for RingFold<'_> {
                 message: "injected fault: rank dropped before all-reduce".to_string(),
             });
         }
-        let (rx_prev, tx_next) = &mut self.links;
         let batch_len = samples.len();
-        let Range { start: s0, end: s1 } = spg_sync::partition(batch_len, world, rank);
-        if self.records.len() < batch_len {
-            self.records.resize_with(batch_len, || record_buffers(net));
-        }
-        // The block runs layer by layer, writing its records straight into
-        // their batch slots (`backward_block` overwrites a record in full).
-        self.scalars.resize(s1 - s0, (0.0, false));
-        self.sparsity.resize((s1 - s0) * acc.sparsity_sums.len(), 0.0);
-        let block = samples.start + s0..samples.start + s1;
-        let slots = &mut self.records[s0..s1];
-        let (scalars, sparsity) = (&mut self.scalars, &mut self.sparsity);
-        sgd::process_block(net, data, block, &mut self.ws, slots, scalars, sparsity);
+        let block = spg_sync::partition(batch_len, world, rank);
+        let ran = self
+            .local
+            .run(net, data, epoch, batch, samples, block.clone())
+            .map_err(|e| ClusterError::RingFault { rank, epoch, batch, message: e.to_string() })?;
         self.layout.clear();
         for (l, layer) in net.layers().iter().enumerate().filter(|(_, l)| l.param_count() > 0) {
             // A summed layer's span is its entry in `sums`, where the
@@ -292,15 +271,8 @@ impl BatchFold for RingFold<'_> {
             }
             self.layout.push((l, Span::Summed));
         }
-        let mut step = RankStep {
-            net,
-            layout: &self.layout,
-            block: s0..s1,
-            records: &mut self.records,
-            sums: &mut self.sums,
-            scalars: &self.scalars,
-            sparsity: &self.sparsity,
-        };
+        let mut step = RankStep { net, layout: &self.layout, block, ran, sums: &mut self.sums };
+        let (rx_prev, tx_next) = &mut self.links;
         let mut link = RingLink { rank, world, rx_prev, tx_next };
         ring_allreduce_into(
             &mut link,
@@ -312,16 +284,22 @@ impl BatchFold for RingFold<'_> {
             &mut self.frame,
         )?;
         // Every rank now holds the whole batch's records of the gathered
-        // layers; the update pass sums them on this rank's core.
-        let records = &self.records[..batch_len];
-        Ok(Folded { records, sums: &self.sums, tiles: &mut self.tiles })
+        // layers; the update pass sums them on this rank's slots' cores.
+        let BlockOutputs { records, tiles, .. } = step.ran;
+        Ok(Folded { records, sums: &self.sums, tiles })
     }
 }
 
 /// Runs one rank of the synchronous data-parallel training loop: the
 /// trainer's own [`Trainer::run`] over the ring fold. A rank runs its
-/// block of each batch, and its update pass, on one thread: it does not
-/// read [`TrainerConfig::sample_threads`].
+/// block of each batch on its [`TrainerConfig::sample_threads`]
+/// supervised slots, under the config's restart budget, backoff and fault
+/// plan as the solo trainer does, and its update pass on as many cores.
+///
+/// `rx_prev` and `tx_next` are the links from the previous rank and to
+/// the next; a one-rank ring, its own first and last rank, reads and
+/// writes nothing, so at world 1 pass [`std::io::empty`] and
+/// [`std::io::sink`].
 ///
 /// `net` and `progress` are the committed state the rank starts from
 /// (`Progress::fresh` over a newly built network on a first attempt) and
@@ -333,16 +311,17 @@ impl BatchFold for RingFold<'_> {
 ///
 /// # Errors
 ///
-/// [`ClusterError::RingFault`] when a peer drops mid-all-reduce (or
-/// this rank's own fault drill fires), [`ClusterError::Protocol`] on
-/// wire sequence violations, [`ClusterError::Config`] on a
-/// topology/config mismatch.
+/// [`ClusterError::RingFault`] when a peer drops mid-all-reduce, this
+/// rank's own fault drill fires or one of its slots faults past its
+/// restart budget; [`ClusterError::Protocol`] on wire sequence
+/// violations, [`ClusterError::Config`] on a topology/config mismatch.
 pub fn run_rank(
     net: &mut Network,
     data: &mut Dataset,
     trainer: &TrainerConfig,
     opts: &RankOptions,
-    comm: &mut Comm,
+    rx_prev: &mut dyn Read,
+    tx_next: &mut dyn Write,
     progress: &mut Progress,
 ) -> Result<Vec<EpochStats>, ClusterError> {
     if opts.world == 0 || opts.rank >= opts.world {
@@ -350,33 +329,16 @@ pub fn run_rank(
             detail: format!("rank {} out of range for world {}", opts.rank, opts.world),
         });
     }
-    if matches!(comm, Comm::Solo) && opts.world > 1 {
-        return Err(ClusterError::Config {
-            detail: format!("world {} needs ring links, got Comm::Solo", opts.world),
-        });
-    }
-
-    let (mut empty, mut sink) = (std::io::empty(), std::io::sink());
-    let (rx_prev, tx_next): (&mut dyn Read, &mut dyn Write) = match comm {
-        // One rank is its ring's first and last rank at once: the chain
-        // reads and writes nothing.
-        Comm::Solo => (&mut empty, &mut sink),
-        Comm::Ring { rx_prev, tx_next } => (&mut **rx_prev, &mut **tx_next),
-    };
     let mut fold = RingFold {
         opts,
         links: (
             BufReader::with_capacity(LINK_BUF, rx_prev),
             BufWriter::with_capacity(LINK_BUF, tx_next),
         ),
-        ws: Workspace::for_network(net),
-        records: Vec::new(),
-        scalars: Vec::new(),
-        sparsity: Vec::new(),
+        local: LocalFold::for_rank(net, trainer),
         layout: Vec::new(),
         sums: vec![Tensor::default(); net.layers().len()],
         parked: vec![Tensor::default(); net.layers().len()],
-        tiles: sgd::fold_tiles(net, 1),
         frame: Vec::new(),
     };
     Trainer::new(trainer.clone()).run(net, data, &mut fold, progress, |_, _| {})?;
@@ -398,7 +360,8 @@ pub struct InProcTrainOptions {
     /// Base backoff before a replay (doubles per consecutive restart).
     pub restart_backoff: Duration,
     /// Optional deterministic fault drill (fires on the first attempt
-    /// only, like a one-shot `FaultPlan`).
+    /// only, like a one-shot `FaultPlan`). One that names a batch the run
+    /// never reaches is refused before training.
     pub fault: Option<TrainFault>,
 }
 
@@ -415,25 +378,22 @@ impl Default for InProcTrainOptions {
     }
 }
 
-/// Builds the ring socketpairs for `world` in-process ranks: element
-/// `r` is `(rx_prev, tx_next)` for rank `r`.
-fn ring_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
-    use std::os::unix::net::UnixStream;
-    let mut txs: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
-    let mut rxs: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
-    for r in 0..world {
-        let (a, b) = UnixStream::pair()?;
-        txs[r] = Some(a);
-        rxs[(r + 1) % world] = Some(b);
+/// A rank's links, owned: the stream from the previous rank and the
+/// stream to the next.
+type Links = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
+/// The links of `world` in-process ranks: element `r` is rank `r`'s. A
+/// ring of one reads and writes nothing; a larger one runs over Unix
+/// socketpairs, pair `r` carrying rank `r`'s sends to rank `r + 1`.
+fn ring_fabric(world: usize) -> std::io::Result<Vec<Links>> {
+    if world == 1 {
+        return Ok(vec![(Box::new(std::io::empty()), Box::new(std::io::sink()))]);
     }
-    Ok(txs
-        .into_iter()
-        .zip(rxs)
-        .map(|(tx, rx)| Comm::Ring {
-            rx_prev: Box::new(rx.expect("fabric complete")),
-            tx_next: Box::new(tx.expect("fabric complete")),
-        })
-        .collect())
+    let pairs: Vec<_> =
+        (0..world).map(|_| std::os::unix::net::UnixStream::pair()).collect::<Result<_, _>>()?;
+    let (txs, mut rxs): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+    rxs.rotate_right(1);
+    Ok(txs.into_iter().zip(rxs).map(|(tx, rx)| -> Links { (Box::new(rx), Box::new(tx)) }).collect())
 }
 
 /// Trains `world` in-process ranks (threads over Unix socketpairs) with
@@ -449,7 +409,9 @@ fn ring_fabric(world: usize) -> std::io::Result<Vec<Comm>> {
 /// # Errors
 ///
 /// The typed fault of the first failing rank once the restart budget is
-/// spent; [`ClusterError::Config`] for topology/factory errors.
+/// spent; [`ClusterError::Config`] for topology/factory errors and, before
+/// any rank trains, for a drill that can never fire (a rank outside the
+/// ring, an epoch outside `1..=trainer.epochs`, a batch past the epoch).
 pub fn train_in_proc(
     factory: &(dyn Fn() -> Result<Network, spg_error::Error> + Sync),
     data: &Dataset,
@@ -458,6 +420,18 @@ pub fn train_in_proc(
 ) -> Result<Vec<EpochStats>, ClusterError> {
     if opts.world == 0 {
         return Err(ClusterError::Config { detail: "world size must be positive".to_string() });
+    }
+    if let Some(TrainFault { rank, epoch, batch }) = opts.fault {
+        let batches = data.len().div_ceil(trainer.batch_size.max(1));
+        if rank >= opts.world || !(1..=trainer.epochs).contains(&epoch) || batch >= batches {
+            return Err(ClusterError::Config {
+                detail: format!(
+                    "fault drill {rank}:{epoch}:{batch} can never fire in world {} over {} \
+                     epoch(s) of {batches} batch(es)",
+                    opts.world, trainer.epochs
+                ),
+            });
+        }
     }
     // The committed state a replay restarts from; a first attempt trains
     // the factory's network from a fresh progress.
@@ -474,16 +448,12 @@ pub fn train_in_proc(
         restarts,
         || {
             let fault = fault.take();
-            let fabrics: Vec<Comm> = if opts.world == 1 {
-                vec![Comm::Solo]
-            } else {
-                match ring_fabric(opts.world) {
-                    Ok(fabrics) => fabrics,
-                    Err(e) => {
-                        return Ok(Err(ClusterError::Config {
-                            detail: format!("building fabric: {e}"),
-                        }))
-                    }
+            let fabrics = match ring_fabric(opts.world) {
+                Ok(fabrics) => fabrics,
+                Err(e) => {
+                    return Ok(Err(ClusterError::Config {
+                        detail: format!("building fabric: {e}"),
+                    }))
                 }
             };
 
@@ -495,7 +465,7 @@ pub fn train_in_proc(
             // another.
             let replay = committed.take();
             let outcomes: Vec<_> =
-                spg_sync::fork_join(fabrics.into_iter().enumerate().map(|(rank, mut comm)| {
+                spg_sync::fork_join(fabrics.into_iter().enumerate().map(|(rank, (rx, tx))| {
                     let replay = replay.as_ref();
                     move || {
                         let opts = RankOptions {
@@ -508,9 +478,16 @@ pub fn train_in_proc(
                             Ok(start) => start,
                             Err(err) => return (None, Err(err)),
                         };
-                        let mut data = data.clone();
-                        let result =
-                            run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut progress);
+                        let (mut rx, mut tx, mut data) = (rx, tx, data.clone());
+                        let result = run_rank(
+                            &mut net,
+                            &mut data,
+                            trainer,
+                            &opts,
+                            &mut rx,
+                            &mut tx,
+                            &mut progress,
+                        );
                         // `Trainer::run` leaves the network at the last
                         // committed batch on `Err`, so this one snapshot
                         // is the committed state.
@@ -589,6 +566,7 @@ mod tests {
     use spg_convnet::layer::{ConvLayer, FcLayer, MaxPoolLayer, ReluLayer};
     use spg_convnet::ConvSpec;
     use spg_core::config::NetworkDescription;
+    use spg_sync::FaultPlan;
     use spg_tensor::Shape3;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -818,21 +796,21 @@ mod tests {
         let trainer =
             TrainerConfig { epochs: 1, batch_size: batch_len, ..TrainerConfig::default() };
         let counters: Vec<Arc<AtomicU64>> = (0..world).map(|_| Arc::default()).collect();
-        let mut comms = ring_fabric(world).unwrap();
-        for (comm, bytes) in comms.iter_mut().zip(&counters) {
-            let Comm::Ring { tx_next, .. } = comm else { unreachable!("a ring fabric") };
+        let mut links = ring_fabric(world).unwrap();
+        for ((_, tx_next), bytes) in links.iter_mut().zip(&counters) {
             let inner = std::mem::replace(tx_next, Box::new(std::io::sink()));
             *tx_next = Box::new(Counted { inner, bytes: Arc::clone(bytes) });
         }
         std::thread::scope(|scope| {
-            for (rank, mut comm) in comms.into_iter().enumerate() {
+            for (rank, (mut rx_prev, mut tx_next)) in links.into_iter().enumerate() {
                 let (data, trainer) = (&data, &trainer);
                 scope.spawn(move || {
                     let mut net = full_net(MNIST);
                     let opts = RankOptions { rank, world, chunk_floats, fault: None };
                     let mut progress = Progress::fresh(&net);
                     let mut data = data.clone();
-                    run_rank(&mut net, &mut data, trainer, &opts, &mut comm, &mut progress)
+                    let (rx_prev, tx_next) = (&mut rx_prev, &mut tx_next);
+                    run_rank(&mut net, &mut data, trainer, &opts, rx_prev, tx_next, &mut progress)
                         .unwrap();
                 });
             }
@@ -893,7 +871,7 @@ mod tests {
     /// resume logic lives in `Trainer::run`, so it must hold without a
     /// ring in sight.
     struct StopAt {
-        inner: sgd::LocalFold,
+        inner: LocalFold,
         at: Option<(usize, usize)>,
     }
 
@@ -925,7 +903,8 @@ mod tests {
             let mut net = make_net().unwrap();
             let trainer = Trainer::new(trainer_cfg());
             let mut progress = Progress::fresh(&net);
-            let mut fold = StopAt { inner: sgd::LocalFold::new(&net), at: Some(stop) };
+            let inner = LocalFold::for_rank(&net, &TrainerConfig::default());
+            let mut fold = StopAt { inner, at: Some(stop) };
 
             let mut data = make_data();
             let stopped = trainer.run(&mut net, &mut data, &mut fold, &mut progress, |_, _| {});
@@ -954,6 +933,97 @@ mod tests {
         };
         let err = train_in_proc(&make_net, &make_data(), &trainer_cfg(), &opts).unwrap_err();
         assert!(matches!(err, ClusterError::RingFault { .. }), "expected RingFault, got {err:?}");
+    }
+
+    /// The tests that read `train.worker_restarts`, a process-wide
+    /// counter, take turns.
+    static RESTARTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// The `train.worker_restarts` a ring run on [`make_net`] adds, and
+    /// its [`stats_bits`]; telemetry on.
+    fn restarts_and_bits(trainer: &TrainerConfig, world: usize) -> (u64, Vec<u64>) {
+        let _turn = RESTARTS.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        spg_telemetry::set_enabled(true);
+        let restarts = || spg_telemetry::snapshot().counter("train.worker_restarts");
+        let before = restarts();
+        let opts = InProcTrainOptions { world, ..Default::default() };
+        let stats = train_in_proc(&make_net, &make_data(), trainer, &opts).unwrap();
+        (restarts() - before, stats_bits(&stats))
+    }
+
+    /// A slot fault within budget restarts the slot inside its rank and
+    /// keeps the bits: every rank's slot 0 panics once, on the second
+    /// sample it starts, at every world size.
+    #[test]
+    fn a_slot_fault_in_every_rank_restarts_the_slot_and_keeps_the_bits() {
+        let expect = pool_bits();
+        let trainer =
+            TrainerConfig { fault_plan: Some(FaultPlan::panic_on(0, 2)), ..trainer_cfg() };
+        for world in [1usize, 2, 3, 4] {
+            let (restarts, bits) = restarts_and_bits(&trainer, world);
+            assert_eq!(bits, expect, "world {world} diverged from the pool");
+            assert_eq!(restarts, world as u64, "world {world}: one restart per rank");
+        }
+    }
+
+    /// A slot fault past its budget fails the rank with a typed ring fault
+    /// that names it, and `train_in_proc` returns it once its replays are
+    /// spent (each replay's ranks fault again) instead of panicking.
+    #[test]
+    fn a_slot_fault_past_budget_is_a_typed_ring_fault() {
+        let trainer = TrainerConfig {
+            restart_budget: 0,
+            fault_plan: Some(FaultPlan::panic_on(0, 1)),
+            ..trainer_cfg()
+        };
+        let opts = InProcTrainOptions { world: 2, ..Default::default() };
+        let err = train_in_proc(&make_net, &make_data(), &trainer, &opts).unwrap_err();
+        let ClusterError::RingFault { epoch: 1, batch: 0, message, .. } = &err else {
+            panic!("expected a RingFault at epoch 1 batch 0, got {err:?}");
+        };
+        assert!(message.contains("training worker 0 crashed"), "{message}");
+        assert!(message.contains("injected fault"), "{message}");
+    }
+
+    /// A rank cuts its block across its own sample threads: two ranks of
+    /// two slots each train to the pool's bits, and slot 1 — which only a
+    /// second sample thread makes — faults and restarts in both.
+    #[test]
+    fn ranks_with_two_sample_threads_match_the_pool() {
+        let trainer = TrainerConfig {
+            sample_threads: 2,
+            fault_plan: Some(FaultPlan::panic_on(1, 1)),
+            ..trainer_cfg()
+        };
+        let (restarts, bits) = restarts_and_bits(&trainer, 2);
+        assert_eq!(bits, pool_bits());
+        assert_eq!(restarts, 2, "slot 1 of each rank restarted once");
+    }
+
+    /// A drill naming a rank outside the ring, epoch 0, an epoch past the
+    /// run or a batch past the epoch could never fire: it is refused
+    /// before any rank trains.
+    #[test]
+    fn a_drill_that_can_never_fire_is_refused_up_front() {
+        // 24 samples at batch 8: three batches in each of three epochs.
+        let never = [(3, 1, 0), (7, 2, 1), (1, 0, 0), (1, 4, 0), (0, 1, 3)];
+        for (rank, epoch, batch) in never {
+            let opts = InProcTrainOptions {
+                world: 3,
+                fault: Some(TrainFault { rank, epoch, batch }),
+                ..Default::default()
+            };
+            let err = train_in_proc(
+                &|| unreachable!("no rank starts"),
+                &make_data(),
+                &trainer_cfg(),
+                &opts,
+            );
+            assert!(
+                matches!(&err, Err(ClusterError::Config { detail }) if detail.contains("never fire")),
+                "{rank}:{epoch}:{batch}: {err:?}"
+            );
+        }
     }
 
     #[test]

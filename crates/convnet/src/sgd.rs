@@ -8,23 +8,28 @@
 //! batch's per-sample results reach the update in sample order.
 //! Two folds exist: [`LocalFold`], this process's sample threads, and
 //! `spg-cluster`'s ring fold — one path at every world size, a one-rank
-//! run included — whose ranks call this loop rather than copy it.
+//! run included — whose ranks call this loop rather than copy it, and run
+//! their block of each batch on a [`LocalFold`] of their own.
 //!
 //! The trainer's `sample_threads` knob *is* the GEMM-in-Parallel schedule
 //! at the training-loop level: each sample thread pushes whole samples
 //! through the shared network with single-threaded kernels, instead of
 //! every sample's GEMM being partitioned across all cores (Sec. 4.1).
 //!
-//! The local fold owns one *slot* per sample thread, each with a
-//! [`Workspace`] it reuses for the whole run. Per batch, slot `w` runs
-//! block `w` of the batch cut by [`spg_sync::partition`] — the same
-//! contiguous partition a ring rank runs — one sample at a time, all
-//! slots at once on one [`spg_sync::fork_join`]; no thread outlives the
-//! batch. Each sample leaves its records, its loss and verdict and its
-//! conv layers' gradient sparsities in that batch position's slots, so
-//! the fold adds the scalars onto the one [`BatchAcc`] and the update pass
-//! reads the records in sample order: the f32 accumulation is
-//! bit-identical for every thread count.
+//! [`LocalFold`] is the one block runner. It owns one *slot* per sample
+//! thread, each with a [`Workspace`] it reuses for the whole run. Per
+//! batch, [`LocalFold::run`] cuts the block of batch positions it is
+//! handed — the whole batch in the trainer, a rank's
+//! [`spg_sync::partition`] of it in a ring — with that same partition,
+//! and slot `w` runs part `w`, all slots at once on one
+//! [`spg_sync::fork_join`]; no thread outlives the batch. How many samples
+//! a slot walks at once is fixed by the constructor: the trainer's slots
+//! walk one sample at a time, a rank's its whole part as one block. Each
+//! sample leaves its records, its loss and verdict and its conv layers'
+//! gradient sparsities in that batch position's slots, so the fold adds
+//! the scalars onto the one [`BatchAcc`] and the update pass reads the
+//! records in sample order: the f32 accumulation is bit-identical for
+//! every thread count and walk.
 //!
 //! # Records, folded into the update
 //!
@@ -45,13 +50,14 @@
 //! sums `0.0 + g_0 + g_1 + ...` in sample order, which is the
 //! [`BatchFold`] contract.
 //!
-//! Each slot is *supervised*, at every thread count: it runs each sample
-//! inside [`std::panic::catch_unwind`], so a panicking kernel is a fault
-//! instead of a torn batch, under its own [`spg_sync::supervise`] call per
-//! batch. After a fault the slot rebuilds its [`Workspace`] and resumes at
-//! the faulted sample: the record sets are the batch's, not the
-//! workspace's, so nothing is lost and the fold stays one in-order pass
-//! (hence bit-identical). Only once the slot has spent its
+//! Each slot is *supervised*, at every thread count and in every ring
+//! rank: it runs each walk inside [`std::panic::catch_unwind`], so a
+//! panicking kernel is a fault instead of a torn batch, under its own
+//! [`spg_sync::supervise`] call per batch. After a fault the slot
+//! rebuilds its [`Workspace`] and resumes at the first sample of the
+//! faulted walk: the record sets are the batch's, not the workspace's, so
+//! nothing is lost and the fold stays one in-order pass (hence
+//! bit-identical). Only once the slot has spent its
 //! [`TrainerConfig::restart_budget`] for the run does a fault fail the
 //! batch with a typed [`TrainError::WorkerFault`].
 
@@ -83,14 +89,15 @@ pub struct TrainerConfig {
     /// Samples per parameter update.
     pub batch_size: usize,
     /// Worker threads processing samples concurrently (GEMM-in-Parallel);
-    /// `1` processes samples sequentially.
+    /// `1` processes samples sequentially. In a ring, per rank: the
+    /// threads its block of each batch is cut across.
     pub sample_threads: usize,
     /// Seed for per-epoch dataset shuffling.
     pub shuffle_seed: u64,
     /// How many times a sample thread's slot is restarted after a
     /// panicking sample (with a fresh [`Workspace`]) before the run fails
     /// with [`TrainError::WorkerFault`]. Per slot over the whole run, not
-    /// global.
+    /// global; in a ring, per slot of each rank.
     pub restart_budget: usize,
     /// Base delay before a slot's restart; doubles per further restart of
     /// the same slot within one batch (capped at one second) and starts
@@ -99,7 +106,8 @@ pub struct TrainerConfig {
     /// Deterministic fault to inject for supervision testing: slot `K`
     /// panics when it starts its `N`-th sample of the run, retries
     /// included. It fires whenever set, once per run; `None` costs one
-    /// `Option` test per sample.
+    /// `Option` test per sample. In a ring it arms every rank's slots,
+    /// `K` counting from 0 within each rank, and fires once per rank.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -241,7 +249,8 @@ impl Trainer {
         F: FnMut(&mut Network, &EpochStats),
     {
         let mut progress = Progress::fresh(net);
-        let mut fold = LocalFold::for_config(net, &self.config);
+        // The trainer's slots walk one sample at a time.
+        let mut fold = LocalFold::for_config(net, &self.config, 1);
         self.run(net, data, &mut fold, &mut progress, after_epoch)?;
         Ok(progress.stats)
     }
@@ -362,8 +371,8 @@ pub struct Folded<'a> {
     /// Per layer, the batch's gradient as the fold pre-summed it, or an
     /// empty tensor (or no entry at all) where the pass sums the records.
     pub sums: &'a [Tensor],
-    /// One tile buffer per core the pass may run on, as [`fold_tiles`]
-    /// makes them.
+    /// One non-empty tile buffer per core the pass may run on: a
+    /// [`LocalFold`]'s, one per slot.
     pub tiles: &'a mut [Vec<f32>],
 }
 
@@ -447,16 +456,20 @@ pub fn process_block(
     net.backward_walk(ws, records, sparsity);
 }
 
-/// The in-process fold: `min(sample_threads, batch_size)` slots, each
-/// owning one [`Workspace`] and its supervision state for the whole run.
-/// Per batch, slot `w` runs block `w` of the batch cut by
-/// [`spg_sync::partition`], all slots on one [`spg_sync::fork_join`], a
-/// sample at a time, each into its batch position's record set; then the
-/// update pass sums the records by parameter range on as many cores as
-/// there are slots, in the slots' tiles.
+/// The in-process fold and the workspace's one block runner:
+/// `min(sample_threads, batch_size)` slots, each owning one [`Workspace`]
+/// and its supervision state for the whole run. [`run`](Self::run) cuts a
+/// block of batch positions across the slots by [`spg_sync::partition`],
+/// all slots on one [`spg_sync::fork_join`], each writing its positions'
+/// record sets. As the trainer's [`BatchFold`] it runs the whole batch;
+/// then the update pass sums the records by parameter range on as many
+/// cores as there are slots, in the slots' tiles.
 #[derive(Debug)]
 pub struct LocalFold {
     slots: Vec<Slot>,
+    /// Samples a slot walks at once: one in the trainer's fold, its whole
+    /// part (`usize::MAX`) in a ring rank's.
+    walk: usize,
     /// Gradient records by batch position; grows to the largest batch.
     records: Vec<Vec<Tensor>>,
     /// Loss and verdict by batch position.
@@ -466,7 +479,6 @@ pub struct LocalFold {
     sparsity: Vec<f64>,
     /// The update pass's tiles, one per slot.
     tiles: Vec<Vec<f32>>,
-    backoff: Duration,
     injector: FaultInjector,
 }
 
@@ -474,14 +486,15 @@ pub struct LocalFold {
 #[derive(Debug)]
 struct Slot {
     ws: Workspace,
-    /// Restarts this slot may still spend in the run.
-    restarts_left: usize,
+    /// The restarts this slot may still spend in the run, and their
+    /// backoff.
+    restarts: Restarts,
     /// Samples this slot has started, retries included: the work units a
     /// [`FaultPlan`] counts.
     started: u64,
 }
 
-/// One slot's share of a batch: its samples' positions in the dataset,
+/// One slot's part of a block: its samples' positions in the dataset,
 /// and the batch's per-sample outputs for exactly those samples.
 struct Block<'a> {
     samples: Range<usize>,
@@ -491,68 +504,151 @@ struct Block<'a> {
 }
 
 impl LocalFold {
-    /// A one-slot fold for `net` with the default restart policy.
-    // lint: allow(test-only) resume tests wrap the trainer's own fold to interrupt it
-    pub fn new(net: &Network) -> Self {
-        Self::for_config(net, &TrainerConfig::default())
+    /// The fold a ring rank runs its block of each batch on: `config`'s
+    /// slots, restart policy and fault plan, each slot walking its whole
+    /// part of the block as one block (see [`Network`]'s walk).
+    pub fn for_rank(net: &Network, config: &TrainerConfig) -> Self {
+        Self::for_config(net, config, usize::MAX)
     }
 
-    /// The fold `config` asks for. A slot that could never receive a
-    /// sample — more sample threads than the batch has samples — is not
-    /// made, and is counted as starved instead.
-    fn for_config(net: &Network, config: &TrainerConfig) -> Self {
+    /// The fold `config` asks for, its slots walking `walk` samples at a
+    /// time. A slot that could never receive a sample — more sample
+    /// threads than the batch has samples — is not made, and is counted as
+    /// starved instead.
+    fn for_config(net: &Network, config: &TrainerConfig, walk: usize) -> Self {
         let workers = config.sample_threads.min(config.batch_size).max(1);
-        let starved = config.sample_threads - workers;
+        let starved = config.sample_threads.saturating_sub(workers);
         if starved > 0 {
             spg_telemetry::record_counter("train.starved_workers", starved as u64);
         }
-        let slot = || Slot {
-            ws: Workspace::for_network(net),
-            restarts_left: config.restart_budget,
-            started: 0,
-        };
+        let restarts = Restarts { budget: config.restart_budget, backoff: config.restart_backoff };
+        let slot = || Slot { ws: Workspace::for_network(net), restarts, started: 0 };
         LocalFold {
             slots: (0..workers).map(|_| slot()).collect(),
+            walk,
             records: Vec::new(),
             scalars: Vec::new(),
             sparsity: Vec::new(),
             tiles: fold_tiles(net, workers),
-            backoff: config.restart_backoff,
             injector: FaultInjector::new(config.fault_plan),
         }
     }
+
+    /// Runs batch positions `block` of the batch `samples` (positions of
+    /// `data` in its current shuffle) of (1-based) `epoch`'s batch
+    /// `batch`: slot `w` runs part `w` of `block` cut by
+    /// [`spg_sync::partition`], each sample into its batch position's
+    /// record set, scalars and sparsities.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::WorkerFault`] when a sample panicked and its slot's
+    /// restart budget was already spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` does not lie within `0..samples.len()`.
+    pub fn run(
+        &mut self,
+        net: &Network,
+        data: &Dataset,
+        epoch: usize,
+        batch: usize,
+        samples: Range<usize>,
+        block: Range<usize>,
+    ) -> Result<BlockOutputs<'_>, TrainError> {
+        let (len, convs, workers) = (samples.len(), net.conv_count(), self.slots.len());
+        if self.records.len() < len {
+            self.records.resize_with(len, || record_buffers(net));
+            self.scalars.resize(len, (0.0, false));
+            self.sparsity.resize(len * convs, 0.0);
+        }
+        let sparsities = block.start * convs..block.end * convs;
+        // Cut the block's outputs into the slots' parts, in slot order.
+        let mut records = &mut self.records[..len][block.clone()];
+        let mut scalars = &mut self.scalars[block.clone()];
+        let mut sparsity = &mut self.sparsity[sparsities.clone()];
+        let mut parts = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let part = spg_sync::partition(block.len(), workers, w);
+            let (k, first) = (part.len(), samples.start + block.start + part.start);
+            let (r, s, g);
+            (r, records) = std::mem::take(&mut records).split_at_mut(k);
+            (s, scalars) = std::mem::take(&mut scalars).split_at_mut(k);
+            (g, sparsity) = std::mem::take(&mut sparsity).split_at_mut(k * convs);
+            parts.push(Block { samples: first..first + k, records: r, scalars: s, sparsity: g });
+        }
+        let (walk, injector) = (self.walk, &self.injector);
+        // A slot whose part is empty (a block shorter than the slots) is
+        // not forked.
+        let tasks = self.slots.iter_mut().zip(parts).enumerate().take(block.len());
+        let outcomes = spg_sync::fork_join(
+            tasks.map(|(w, (slot, part))| move || slot.run(net, data, w, part, walk, injector)),
+        );
+        for (worker, outcome) in outcomes.into_iter().enumerate() {
+            outcome.map_err(|message| TrainError::WorkerFault { worker, epoch, batch, message })?;
+        }
+        Ok(BlockOutputs {
+            records: &mut self.records[..len],
+            scalars: &self.scalars[block],
+            sparsity: &self.sparsity[sparsities],
+            tiles: &mut self.tiles,
+        })
+    }
+}
+
+/// What [`LocalFold::run`] leaves its caller: the batch's record sets by
+/// batch position — the block's as the run wrote them, the others as the
+/// caller left them — the block's losses, verdicts and conv-layer
+/// sparsities, and the update pass's tiles, one per slot.
+#[derive(Debug)]
+pub struct BlockOutputs<'a> {
+    /// Gradient records of every batch position.
+    pub records: &'a mut [Vec<Tensor>],
+    /// Loss and verdict of each sample of the block, in order.
+    pub scalars: &'a [(f32, bool)],
+    /// Conv-layer gradient sparsities of each sample of the block, one per
+    /// conv layer each.
+    pub sparsity: &'a [f64],
+    /// The update pass's tiles, one per slot.
+    pub tiles: &'a mut [Vec<f32>],
 }
 
 impl Slot {
-    /// Runs `block` as slot `w`, one sample at a time, under this slot's
-    /// supervision: a panicking sample rebuilds the workspace and the
-    /// next incarnation resumes at that sample. The one-shot injector
-    /// cannot re-trip on the retry; a real deterministic panic re-fires
-    /// and burns the slot's budget down to the reported panic message.
+    /// Runs `block` as slot `w`, `walk` samples at a time, under this
+    /// slot's supervision: every sample of a walk counts as started, and
+    /// a panicking walk rebuilds the workspace and the next incarnation
+    /// resumes at that walk's first sample. The one-shot injector cannot
+    /// re-trip on the retry; a real deterministic panic re-fires and burns
+    /// the slot's budget down to the reported panic message.
     fn run(
         &mut self,
         net: &Network,
         data: &Dataset,
         w: usize,
         block: Block<'_>,
-        backoff: Duration,
+        walk: usize,
         injector: &FaultInjector,
     ) -> Result<(), String> {
-        let Slot { ws, restarts_left, started } = self;
+        let Slot { ws, restarts, started } = self;
         let Block { samples, records, scalars, sparsity } = block;
-        let convs = sparsity.len() / samples.len().max(1);
+        let (len, convs) = (samples.len(), sparsity.len() / samples.len().max(1));
         let mut next = 0;
-        let restarts = Restarts { budget: *restarts_left, backoff };
         spg_sync::supervise(
-            restarts,
+            *restarts,
             || {
-                for (j, i) in samples.clone().enumerate().skip(next) {
-                    *started += 1;
+                while next < len {
+                    let part = next..next + walk.min(len - next);
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        injector.check(w, *started);
-                        let (records, scalars) = (&mut records[j..=j], &mut scalars[j..=j]);
-                        let sparsity = &mut sparsity[j * convs..(j + 1) * convs];
-                        process_block(net, data, i..i + 1, ws, records, scalars, sparsity);
+                        for _ in part.clone() {
+                            *started += 1;
+                            injector.check(w, *started);
+                        }
+                        let (records, scalars) =
+                            (&mut records[part.clone()], &mut scalars[part.clone()]);
+                        let sparsity = &mut sparsity[part.start * convs..part.end * convs];
+                        let block = samples.start + part.start..samples.start + part.end;
+                        process_block(net, data, block, ws, records, scalars, sparsity);
                     }));
                     if let Err(payload) = outcome {
                         spg_telemetry::record_counter("train.faulted_samples", 1);
@@ -560,12 +656,12 @@ impl Slot {
                         *ws = Workspace::for_network(net);
                         return Err(spg_sync::panic_message(payload.as_ref()));
                     }
-                    next = j + 1;
+                    next = part.end;
                 }
                 Ok(())
             },
             |_, _| {
-                *restarts_left -= 1;
+                restarts.budget -= 1;
                 spg_telemetry::record_counter("train.worker_restarts", 1);
             },
         )
@@ -584,42 +680,12 @@ impl BatchFold for LocalFold {
         samples: Range<usize>,
         acc: &mut BatchAcc,
     ) -> Result<Folded<'_>, TrainError> {
-        let (len, convs, workers) = (samples.len(), acc.sparsity_sums.len(), self.slots.len());
-        if self.records.len() < len {
-            self.records.resize_with(len, || record_buffers(net));
-            self.scalars.resize(len, (0.0, false));
-            self.sparsity.resize(len * convs, 0.0);
-        }
-        // Cut the batch's outputs into the slots' blocks, in slot order.
-        let (mut records, mut scalars) = (&mut self.records[..len], &mut self.scalars[..len]);
-        let mut sparsity = &mut self.sparsity[..len * convs];
-        let mut blocks = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let block = spg_sync::partition(len, workers, w);
-            let k = block.len();
-            let (r, s, g);
-            (r, records) = std::mem::take(&mut records).split_at_mut(k);
-            (s, scalars) = std::mem::take(&mut scalars).split_at_mut(k);
-            (g, sparsity) = std::mem::take(&mut sparsity).split_at_mut(k * convs);
-            let samples = samples.start + block.start..samples.start + block.end;
-            blocks.push(Block { samples, records: r, scalars: s, sparsity: g });
-        }
-        let (backoff, injector) = (self.backoff, &self.injector);
-        // A slot whose block is empty (a batch shorter than the slots) is
-        // not forked.
-        let tasks = self.slots.iter_mut().zip(blocks).enumerate().take(len);
-        let outcomes =
-            spg_sync::fork_join(tasks.map(|(w, (slot, block))| {
-                move || slot.run(net, data, w, block, backoff, injector)
-            }));
-        for (worker, outcome) in outcomes.into_iter().enumerate() {
-            if let Err(message) = outcome {
-                return Err(TrainError::WorkerFault { worker, epoch, batch, message });
-            }
-        }
-        acc.add_scalars(&self.scalars[..len], &self.sparsity[..len * convs]);
+        let len = samples.len();
+        let BlockOutputs { records, scalars, sparsity, tiles } =
+            self.run(net, data, epoch, batch, samples, 0..len)?;
+        acc.add_scalars(scalars, sparsity);
         // Every slot is done: their cores are the update pass's.
-        Ok(Folded { records: &self.records[..len], sums: &[], tiles: &mut self.tiles })
+        Ok(Folded { records, sums: &[], tiles })
     }
 }
 
@@ -645,9 +711,9 @@ const RECORD_GROUP: usize = 32;
 
 /// Tile buffers for an update pass on `cores` cores: one per core, each
 /// `FOLD_TILE` (64 Ki) floats, or as many as `net`'s largest layer has
-/// parameters if that is fewer. A [`BatchFold`] makes them once and hands
+/// parameters if that is fewer. The local fold makes them once and hands
 /// them to every batch's pass in its [`Folded`].
-pub fn fold_tiles(net: &Network, cores: usize) -> Vec<Vec<f32>> {
+pub(crate) fn fold_tiles(net: &Network, cores: usize) -> Vec<Vec<f32>> {
     let largest = net.layers().iter().map(|l| l.param_count()).max().unwrap_or(0);
     (0..cores).map(|_| vec![0.0; FOLD_TILE.min(largest)]).collect()
 }
@@ -1286,7 +1352,7 @@ mod tests {
         };
         assert_eq!(spg_sync::partition(4, 2, 1), 2..4);
         let mut acc = BatchAcc::new(net.conv_count());
-        let mut fold = LocalFold::for_config(&net, &config);
+        let mut fold = LocalFold::for_config(&net, &config, 1);
         let fault = fold.fold(&net, &data, 1, 0, 0..4, &mut acc).map(|_| ());
         assert!(
             matches!(fault, Err(TrainError::WorkerFault { worker: 1, epoch: 1, batch: 0, .. })),

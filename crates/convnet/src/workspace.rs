@@ -16,11 +16,12 @@
 //!   recycled afterwards.
 //! * [`Workspace`] — everything a block of training samples needs end to
 //!   end except its gradient records: an activation trace, ping-pong
-//!   error-gradient buffers, and one shared [`ConvScratch`]. The trainer
-//!   owns one `Workspace` per sample thread (a ring rank one) for the
-//!   lifetime of training. The records belong to the fold that reads them
-//!   (`sgd::LocalFold`, the ring's fold), one set per batch position, shaped
-//!   by [`record_buffers`].
+//!   error-gradient buffers, and one shared [`ConvScratch`]. The block
+//!   runner (`sgd::LocalFold`, in the trainer and in every ring rank) owns
+//!   one `Workspace` per sample thread for the lifetime of training. The
+//!   records belong to that fold too, one set per batch position, shaped
+//!   by [`record_buffers`]; a ring's chain writes the positions other
+//!   ranks ran into the same sets.
 //!
 //! The same argument sizes the records. A fully-connected layer's
 //! per-sample weight gradient is a rank-1 product: written out, the

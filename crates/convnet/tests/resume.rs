@@ -51,6 +51,13 @@ struct FailOnce {
     at: Option<(usize, usize)>,
 }
 
+impl FailOnce {
+    /// The shipped fold for `net` at the default config.
+    fn new(net: &Network, at: Option<(usize, usize)>) -> Self {
+        FailOnce { inner: LocalFold::for_rank(net, &TrainerConfig::default()), at }
+    }
+}
+
 #[derive(Debug)]
 struct Interrupted;
 
@@ -93,7 +100,7 @@ fn a_run_resumed_from_its_progress_matches_an_uninterrupted_run() {
     let trainer = trainer();
     let mut clean = network();
     let mut progress = Progress::fresh(&clean);
-    let mut fold = FailOnce { inner: LocalFold::new(&clean), at: None };
+    let mut fold = FailOnce::new(&clean, None);
     trainer.run(&mut clean, &mut dataset(), &mut fold, &mut progress, |_, _| {}).unwrap();
     let (want_stats, want_weights) = (bits(&progress.stats), weights(&clean));
     assert_eq!(want_stats.len(), EPOCHS);
@@ -101,12 +108,12 @@ fn a_run_resumed_from_its_progress_matches_an_uninterrupted_run() {
     for at in (1..=EPOCHS).flat_map(|epoch| (0..BATCHES).map(move |batch| (epoch, batch))) {
         let mut net = network();
         let mut progress = Progress::fresh(&net);
-        let mut fold = FailOnce { inner: LocalFold::new(&net), at: Some(at) };
+        let mut fold = FailOnce::new(&net, Some(at));
         let first = trainer.run(&mut net, &mut dataset(), &mut fold, &mut progress, |_, _| {});
         assert!(first.is_err(), "{at:?}: the fold must fail");
         assert_eq!((progress.next_epoch, progress.next_batch), at, "{at:?}: committed batches");
 
-        let mut fresh = FailOnce { inner: LocalFold::new(&net), at: None };
+        let mut fresh = FailOnce::new(&net, None);
         trainer.run(&mut net, &mut dataset(), &mut fresh, &mut progress, |_, _| {}).unwrap();
         assert_eq!(bits(&progress.stats), want_stats, "{at:?}: epoch stats");
         assert_eq!(weights(&net), want_weights, "{at:?}: weights");

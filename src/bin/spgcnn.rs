@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spg_cnn::cluster::{
-    run_rank, serve_connection, train_in_proc, ClusterError, Comm, ConnectionEnd, InProcShard,
+    run_rank, serve_connection, train_in_proc, ClusterError, ConnectionEnd, InProcShard,
     InProcTrainOptions, KillDrill, RankOptions, RemoteShard, RouteReply, Router, RouterConfig,
     ShardBackend, ShardError, ShardSpawner, TrainFault, DEFAULT_CHUNK_FLOATS,
 };
@@ -110,7 +110,9 @@ usage:
       rank's epoch statistics (loss, accuracy, conv gradient sparsity)
       are bit-identical to the single-process SGD pool on the same seed.
       --inject-fault (in-proc ring only) drops a rank mid-all-reduce and
-      checks the replay still matches the pool.
+      checks the replay still matches the pool; a drill the run never
+      reaches (rank >= N, epoch 0 or past --epochs, batch past the
+      epoch) is an error before the ring trains.
   spgcnn bench-cluster [--json FILE] [--gradient-mb MB] [--step-ms MS]
       Print the analytical multi-node scaling curves (1..64 nodes) of
       the ring all-reduce on loopback and 10 GbE fabrics; with --json, write the spgcnn-bench-cluster document
@@ -1310,8 +1312,13 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
     let trainer =
         TrainerConfig { epochs, batch_size: batch, momentum: 0.9, ..TrainerConfig::default() };
 
-    let mut comm = if world == 1 {
-        Comm::Solo
+    let opts = RankOptions { rank, world, chunk_floats: DEFAULT_CHUNK_FLOATS, fault: None };
+    let mut progress = Progress::fresh(&net);
+    let stats = if world == 1 {
+        // One rank is its ring's first and last rank at once: the chain
+        // reads and writes nothing.
+        let (rx, tx) = (&mut std::io::empty(), &mut std::io::sink());
+        run_rank(&mut net, &mut data, &trainer, &opts, rx, tx, &mut progress)
     } else {
         // Ring rendezvous: every rank binds before dialing, so the dial
         // to the next rank only needs to wait for its bind (the listen
@@ -1321,15 +1328,12 @@ fn cluster_rank(args: &[String]) -> Result<(), String> {
         let listener = std::os::unix::net::UnixListener::bind(&my_sock)
             .map_err(|e| format!("{}: {e}", my_sock.display()))?;
         let next = dir.join(format!("rank_{}.sock", (rank + 1) % world));
-        let tx = connect_retry(|| std::os::unix::net::UnixStream::connect(&next))
+        let mut tx = connect_retry(|| std::os::unix::net::UnixStream::connect(&next))
             .map_err(|e| format!("{}: {e}", next.display()))?;
-        let (rx, _) = listener.accept().map_err(|e| e.to_string())?;
-        Comm::Ring { rx_prev: Box::new(rx), tx_next: Box::new(tx) }
-    };
-    let opts = RankOptions { rank, world, chunk_floats: DEFAULT_CHUNK_FLOATS, fault: None };
-    let mut progress = Progress::fresh(&net);
-    let stats = run_rank(&mut net, &mut data, &trainer, &opts, &mut comm, &mut progress)
-        .map_err(|e| e.to_string())?;
+        let (mut rx, _) = listener.accept().map_err(|e| e.to_string())?;
+        run_rank(&mut net, &mut data, &trainer, &opts, &mut rx, &mut tx, &mut progress)
+    }
+    .map_err(|e| e.to_string())?;
     let bits: Vec<String> = stats_bits(&stats).iter().map(u64::to_string).collect();
     println!("stats_bits: {}", bits.join(" "));
     Ok(())

@@ -8,6 +8,8 @@
 //! whose plan was banded, and later still P GEMM threads for a layer
 //! whose backward was Parallel-GEMM.)
 //!
+//! A one-rank ring at one sample thread forks nothing at all.
+//!
 //! The tests read deltas of `fork_join_spawns`, a process-wide count, so
 //! they take turns.
 
@@ -15,6 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use spg_cnn::check::BackwardPlan;
+use spg_cnn::cluster::{train_in_proc, InProcTrainOptions};
 use spg_cnn::codegen::KernelChoice;
 use spg_cnn::convnet::data::Dataset;
 use spg_cnn::convnet::layer::{ConvLayer, Layer, MaxPoolLayer, ReluLayer};
@@ -122,6 +125,16 @@ fn a_band_pinned_net_trains_on_the_pools_threads_alone() {
     assert_eq!(banded_forks, TRAINER_FORKS, "a sample thread owns one core and forks nothing");
     assert_eq!(sequential_forks, TRAINER_FORKS);
     assert_eq!(banded, sequential, "the band plan ran as the stencil it splits");
+    // A one-rank ring at one sample thread runs its rank, its block and
+    // its update pass on the calling thread, to the pool's bits.
+    let factory = || Ok(Arc::try_unwrap(pinned(STENCIL, WORKERS).into_shared()).expect("sole"));
+    let data = Dataset::synthetic(spg_cnn::tensor::Shape3::new(2, 20, 20), 4, 16, 0.1, 5);
+    let trainer = TrainerConfig { epochs: 2, batch_size: 4, ..TrainerConfig::default() };
+    let solo = InProcTrainOptions { world: 1, ..InProcTrainOptions::default() };
+    let before = fork_join_spawns();
+    let stats = train_in_proc(&factory, &data, &trainer, &solo).expect("the ring trains");
+    assert_eq!(fork_join_spawns() - before, 0, "a one-rank ring forks nothing");
+    assert_eq!(stats.iter().map(|s| s.mean_loss.to_bits()).collect::<Vec<_>>(), banded);
     // The same engine does fork when a call owns the cores: one band
     // thread, and one for the classifier's rows.
     let engine = pinned(STENCIL, WORKERS);

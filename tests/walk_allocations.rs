@@ -158,7 +158,11 @@ fn warm_walks_allocate_nothing() {
     // Two epochs of four batches: six update passes between folds.
     let mut net = net;
     let config = TrainerConfig { epochs: 2, batch_size: 2, momentum: 0.9, ..Default::default() };
-    let mut fold = Between { inner: LocalFold::new(&net), returned: None, gaps: vec![] };
+    let mut fold = Between {
+        inner: LocalFold::for_rank(&net, &TrainerConfig::default()),
+        returned: None,
+        gaps: vec![],
+    };
     fold.gaps.reserve(8);
     let mut progress = Progress::fresh(&net);
     let mut data = data;
